@@ -63,7 +63,7 @@ use vc_core::{
     AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView, SessionLoad,
     SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
-use vc_model::{AgentDef, AgentId, ModelError, SessionDef, SessionId, UserId};
+use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{ObsConfig, ObsPlane, OpKind, Site, TraceKind};
 
 /// One candidate placement: session users and tasks to agents.
@@ -336,6 +336,34 @@ pub(crate) struct FleetMetrics {
     pub(crate) objective: f64,
     pub(crate) traffic_mbps: f64,
     pub(crate) mean_delay_ms: f64,
+}
+
+/// Running sums behind [`FleetMetrics`], fed one live slot load at a
+/// time in ascending session order.
+#[derive(Default)]
+struct MetricsAcc {
+    metrics: FleetMetrics,
+    delay_sum: f64,
+    users: usize,
+}
+
+impl MetricsAcc {
+    fn add(&mut self, load: &SessionLoad) {
+        self.metrics.live += 1;
+        self.metrics.objective += load.phi;
+        self.metrics.traffic_mbps += load.total_ingress_mbps();
+        for d in &load.user_delay {
+            self.delay_sum += d;
+            self.users += 1;
+        }
+    }
+
+    fn finish(mut self) -> FleetMetrics {
+        if self.users > 0 {
+            self.metrics.mean_delay_ms = self.delay_sum / self.users as f64;
+        }
+        self.metrics
+    }
 }
 
 /// One append-only universe-growth event. A durable snapshot carries
@@ -994,6 +1022,10 @@ impl Fleet {
     /// (force-moved to the least-bad one when nothing is feasible).
     /// Returns `(moves, forced)`. Coarse path: takes the FREEZE write
     /// lock, so the evacuation is deterministic — replay re-runs it.
+    /// The exclusive hold costs one pass over the registered sessions
+    /// plus O(stranded × agents) (see `evacuate_locked`): proportional
+    /// to the load the agent carried, tens of milliseconds at 5k live
+    /// conferences.
     pub fn fail_agent(&self, agent: AgentId) -> (usize, usize) {
         self.down_agent_inner(agent, true, false)
     }
@@ -1117,6 +1149,25 @@ impl Fleet {
     /// `displaced`, its hold released, its slot deactivated) instead of
     /// overshooting a surviving agent; without it, the least-bad move
     /// is forced, preserving the historical behavior.
+    ///
+    /// **Cost.** One pass over the universe collects the stranded
+    /// decisions and the per-agent totals together; after that each
+    /// decision costs O(agents): residuals are derived from the totals,
+    /// and every committed move or displacement updates the totals by
+    /// delta (`remove(old)` / `add(new)`, the closed-world
+    /// [`SystemState`] idiom). So an agent loss is
+    /// O(universe + stranded × agents) under the exclusive hold — time
+    /// proportional to the stranded load, not stranded × universe.
+    ///
+    /// **Determinism.** Residuals come from slot loads, NOT from the
+    /// ledger's reserved sums: the latter accumulate in journal-append
+    /// order, which for concurrent hops can differ between the live run
+    /// and replay by a ulp — and `FailAgent` replay must re-pick the
+    /// exact same targets. The totals start from the same ascending
+    /// slot sum and receive the same update sequence live and under
+    /// replay, so they are bit-equal in both by construction. Against a
+    /// from-scratch re-sum they may drift by ulps; the closing
+    /// `debug_assert!` bounds that by `CAPACITY_EPS`.
     fn evacuate_locked(
         &self,
         u: &Universe,
@@ -1127,11 +1178,7 @@ impl Fleet {
         let problem = &u.problem;
         let inst = problem.instance();
         let mut stranded: Vec<(SessionId, Decision)> = Vec::new();
-        for s in inst.session_ids() {
-            let slot = u.slots[s.index()].lock();
-            if !slot.active {
-                continue;
-            }
+        let mut totals = live_totals_locked(u, |s, slot| {
             for (i, &a) in slot.users.iter().enumerate() {
                 if a == agent {
                     stranded.push((s, Decision::User(inst.session(s).users()[i], agent)));
@@ -1142,30 +1189,28 @@ impl Fleet {
                     stranded.push((s, Decision::Task(problem.tasks().of_session(s)[i], agent)));
                 }
             }
-        }
+        });
         let readmit_on = self.config.readmit.is_some();
+        // `eval` takes each candidate; the best one so far is swapped
+        // into `best`, so the winner's load is at hand at commit time.
         let mut eval = EvalScratch::new();
+        let mut best = EvalScratch::new();
         let mut residuals = HopResiduals::default();
         let mut moves = 0usize;
         let mut forced = 0usize;
         for (s, d) in stranded {
             // A session displaced by an earlier stranded decision is
-            // gone; its remaining decisions are moot.
-            if displaced.contains(&s) {
+            // gone; its remaining decisions are moot. Stranded decisions
+            // are grouped by session, so only the last one can match.
+            if displaced.last() == Some(&s) {
                 continue;
             }
-            // Residuals re-derived from the slot loads (ascending
-            // session order), NOT from the ledger's reserved sums: the
-            // latter accumulate in journal-append order, which for
-            // concurrent hops can differ between the live run and
-            // replay by a ulp — and FailAgent replay must re-pick the
-            // exact same evacuation targets. Slot-load summation is
-            // deterministic given the replayed state. (Computed before
-            // taking `s`'s slot lock — it locks every slot in turn.)
-            self.residuals_from_slots_locked(u, &mut residuals);
+            residuals_from_totals(inst, &totals, &mut residuals);
             let mut slot = u.slots[s.index()].lock();
-            let mut best_feasible: Option<(AgentId, f64)> = None;
-            let mut best_any: Option<(AgentId, f64)> = None;
+            // `(target, Φ_s, feasible)`: a feasible candidate beats any
+            // infeasible one; within a class the lower Φ_s wins, the
+            // first agent on ties.
+            let mut winner: Option<(AgentId, f64, bool)> = None;
             for l in inst.agent_ids() {
                 if l == agent || !u.available[l.index()] {
                     continue;
@@ -1174,20 +1219,21 @@ impl Fleet {
                 let feasible =
                     self.weigh_candidate(problem, &slot, s, candidate, &mut eval, &residuals);
                 let phi = eval.load().phi;
-                if best_any.as_ref().is_none_or(|(_, best)| phi < *best) {
-                    best_any = Some((l, phi));
-                }
-                if feasible && best_feasible.as_ref().is_none_or(|(_, best)| phi < *best) {
-                    best_feasible = Some((l, phi));
+                if winner.is_none_or(|(_, best_phi, best_feasible)| {
+                    (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
+                }) {
+                    winner = Some((l, phi, feasible));
+                    std::mem::swap(&mut eval, &mut best);
                 }
             }
-            let target = match (best_feasible, best_any) {
-                (Some((l, _)), _) => Some(l),
-                (None, _) if readmit_on => {
+            let target = match winner {
+                Some((l, _, true)) => Some(l),
+                _ if readmit_on => {
                     // No feasible target: displace the whole session
                     // into the re-admission queue instead of forcing an
                     // overshoot. Runs identically under replay (the
                     // caller re-derives this from the FailAgent record).
+                    totals.remove(&slot.load);
                     slot.active = false;
                     slot.load = SessionLoad::empty(inst.num_agents());
                     self.live.fetch_sub(1, Ordering::Relaxed);
@@ -1198,69 +1244,33 @@ impl Fleet {
                     displaced.push(s);
                     None
                 }
-                (None, Some((l, _))) => {
+                Some((l, _, false)) => {
                     forced += 1;
                     Some(l)
                 }
-                (None, None) => {
+                None => {
                     // No other agent exists at all; nothing we can do.
                     forced += 1;
                     None
                 }
             };
             if let Some(l) = target {
-                let decision = redirect(d, l);
-                // Re-evaluate the chosen candidate (the scratch holds the
-                // last-scanned one) and commit slot + ledger.
-                {
-                    let base = slot_view(problem, s, &slot);
-                    let view = OverlayView::new(&base, decision);
-                    eval.evaluate(problem, &view, s);
-                }
-                apply_to_slot(problem, &mut slot, s, decision);
-                slot.load.clone_from(eval.load());
+                apply_to_slot(problem, &mut slot, s, redirect(d, l));
+                totals.remove(&slot.load);
+                totals.add(best.load());
+                std::mem::swap(&mut slot.load, best.load_mut());
                 self.ledger
-                    .force_swap(s, SessionHold::from_load(eval.load()))
+                    .force_swap(s, SessionHold::from_load(&slot.load))
                     .expect("evacuated session holds a reservation");
                 moves += 1;
                 evacuated.push((s, l));
             }
         }
+        debug_assert!(
+            totals_drift(&totals, &live_totals_locked(u, |_, _| {})) <= CAPACITY_EPS,
+            "delta-maintained evacuation totals drifted from the slot re-sum"
+        );
         (moves, forced)
-    }
-
-    /// Availability-blind residual capacities derived by summing live
-    /// slot loads in ascending session order — bit-deterministic given
-    /// the slots, unlike the ledger's reserved sums, which accumulate
-    /// in commit order. Caller holds the FREEZE write lock and no slot
-    /// lock (every slot is locked in turn).
-    fn residuals_from_slots_locked(&self, u: &Universe, out: &mut HopResiduals) {
-        let inst = u.problem.instance();
-        let nl = inst.num_agents();
-        let mut totals = AgentTotals::zero(nl);
-        for s in inst.session_ids() {
-            let slot = u.slots[s.index()].lock();
-            if slot.active {
-                totals.add(&slot.load);
-            }
-        }
-        out.download.clear();
-        out.download.resize(nl, 0.0);
-        out.upload.clear();
-        out.upload.resize(nl, 0.0);
-        out.transcode.clear();
-        out.transcode.resize(nl, 0.0);
-        for l in inst.agent_ids() {
-            let i = l.index();
-            let cap = inst.agent(l).capacity();
-            out.download[i] = cap.download_mbps - totals.download[i];
-            out.upload[i] = cap.upload_mbps - totals.upload[i];
-            out.transcode[i] = if cap.transcode_slots == u32::MAX {
-                f64::INFINITY
-            } else {
-                f64::from(cap.transcode_slots) - f64::from(totals.transcode[i])
-            };
-        }
     }
 
     /// Brings a failed agent back; Alg. 1 hops will migrate load onto it
@@ -1804,28 +1814,32 @@ impl Fleet {
     /// consistency — the telemetry contract).
     pub(crate) fn metrics(&self) -> FleetMetrics {
         let u = self.freeze.read();
-        let mut m = FleetMetrics::default();
-        let mut delay_sum = 0.0;
-        let mut users = 0usize;
+        let mut acc = MetricsAcc::default();
         for slot in &u.slots {
             let slot = slot.lock();
-            if !slot.active {
-                continue;
-            }
-            m.live += 1;
-            m.objective += slot.load.phi;
-            m.traffic_mbps += slot.load.total_ingress_mbps();
-            for d in &slot.load.user_delay {
-                delay_sum += d;
-                users += 1;
+            if slot.active {
+                acc.add(&slot.load);
             }
         }
-        m.mean_delay_ms = if users == 0 {
-            0.0
-        } else {
-            delay_sum / users as f64
-        };
-        m
+        acc.finish()
+    }
+
+    /// [`metrics`](Self::metrics) and [`audit`](Self::audit) from a
+    /// single slot pass under one exclusive FREEZE acquisition — the
+    /// telemetry sample, which would otherwise walk every registered
+    /// slot twice.
+    pub(crate) fn metrics_and_audit(&self) -> (FleetMetrics, Vec<String>) {
+        let u = self.freeze.write();
+        let mut acc = MetricsAcc::default();
+        let mut active = Vec::new();
+        let totals = live_totals_locked(&u, |s, slot| {
+            acc.add(&slot.load);
+            active.push(s);
+        });
+        (
+            acc.finish(),
+            self.ledger.audit_against_totals(&totals, &active),
+        )
     }
 
     /// Global objective over live sessions (deterministic: ascending
@@ -1962,15 +1976,8 @@ impl Fleet {
     }
 
     pub(crate) fn audit_locked(&self, u: &Universe) -> Vec<String> {
-        let mut totals = AgentTotals::zero(u.problem.instance().num_agents());
         let mut active = Vec::new();
-        for s in u.problem.instance().session_ids() {
-            let slot = u.slots[s.index()].lock();
-            if slot.active {
-                totals.add(&slot.load);
-                active.push(s);
-            }
-        }
+        let totals = live_totals_locked(u, |s, _| active.push(s));
         self.ledger.audit_against_totals(&totals, &active)
     }
 
@@ -2016,6 +2023,62 @@ impl Fleet {
             }
         }
     }
+}
+
+/// Sums the live slot loads in ascending session order — bit-
+/// deterministic given the slots, unlike the ledger's reserved sums,
+/// which accumulate in commit order — handing each live slot to `visit`
+/// on the way. Caller holds the FREEZE write lock and no slot lock
+/// (every slot is locked in turn).
+fn live_totals_locked(u: &Universe, mut visit: impl FnMut(SessionId, &SessionSlot)) -> AgentTotals {
+    let inst = u.problem.instance();
+    let mut totals = AgentTotals::zero(inst.num_agents());
+    for s in inst.session_ids() {
+        let slot = u.slots[s.index()].lock();
+        if slot.active {
+            totals.add(&slot.load);
+            visit(s, &slot);
+        }
+    }
+    totals
+}
+
+/// Fills `out` with availability-blind residual capacities
+/// (`capacity − totals`, `+∞` for unlimited transcoding) — the shape
+/// [`CapacityLedger::hop_residuals_into`] gives hops, derived from slot
+/// totals instead of the ledger's reserved sums.
+fn residuals_from_totals(inst: &Instance, totals: &AgentTotals, out: &mut HopResiduals) {
+    // Sized only: every entry is overwritten below.
+    let nl = inst.num_agents();
+    out.download.resize(nl, 0.0);
+    out.upload.resize(nl, 0.0);
+    out.transcode.resize(nl, 0.0);
+    for l in inst.agent_ids() {
+        let i = l.index();
+        let cap = inst.agent(l).capacity();
+        out.download[i] = cap.download_mbps - totals.download[i];
+        out.upload[i] = cap.upload_mbps - totals.upload[i];
+        out.transcode[i] = if cap.transcode_slots == u32::MAX {
+            f64::INFINITY
+        } else {
+            f64::from(cap.transcode_slots) - f64::from(totals.transcode[i])
+        };
+    }
+}
+
+/// Largest per-agent bandwidth gap between two totals (`+∞` when the
+/// integer transcode counts disagree).
+fn totals_drift(a: &AgentTotals, b: &AgentTotals) -> f64 {
+    if a.transcode != b.transcode {
+        return f64::INFINITY;
+    }
+    let gap = |x: &[f64], y: &[f64]| {
+        x.iter()
+            .zip(y)
+            .map(|(p, q)| (p - q).abs())
+            .fold(0.0, f64::max)
+    };
+    gap(&a.download, &b.download).max(gap(&a.upload, &b.upload))
 }
 
 /// [`SlotView`] over one slot under `problem` (free function: the

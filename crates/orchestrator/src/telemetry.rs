@@ -269,9 +269,9 @@ impl FleetTelemetry {
 
     /// Samples the fleet at virtual time `t_s`, recording and returning
     /// the snapshot. Runs the conservation audit — the control plane's
-    /// standing self-check.
+    /// standing self-check — in the same slot pass as the gauges.
     pub fn sample(&mut self, fleet: &Fleet, t_s: f64) -> FleetSnapshot {
-        let m = fleet.metrics();
+        let (m, audit) = fleet.metrics_and_audit();
         let (live, objective, traffic, delay) =
             (m.live, m.objective, m.traffic_mbps, m.mean_delay_ms);
         let util = fleet.ledger().utilization();
@@ -283,7 +283,6 @@ impl FleetTelemetry {
         };
         let max_util = fractions.iter().copied().fold(0.0f64, f64::max);
         let (universe_sessions, universe_users) = fleet.universe_size();
-        let audit = fleet.audit();
         if !audit.is_empty() {
             // Conservation violated: dump the flight-recorder post-mortem
             // (once per plane) before anyone asserts on the snapshot.
