@@ -50,10 +50,44 @@
 //! 3. **RankedFallback** — the control plane's historical
 //!    walk-each-user-one-step-down-its-ranked-list search, retained as
 //!    the engine's final tier when repair fails.
+//!
+//! ## Cost model
+//!
+//! A join does each piece of work once and, in steady state, allocates
+//! only the two vectors of the [`AdmissionDecision`] it returns:
+//!
+//! * **One ranking.** [`AdmissionEngine::place_session_with`] runs
+//!   AgRank's power iteration once per call
+//!   (`agrank::rank_agents_into`); the per-user candidate lists and
+//!   the task fallback order are both read off that one ranking.
+//! * **Lazy enumeration.** Tier 1 never materializes the combination
+//!   table. It walks user→candidate index vectors with an in-place
+//!   successor, in ascending total fallback depth and lexicographically
+//!   (first user most significant) within a depth, and stops at the
+//!   first feasible one — in the common case the very first, so an
+//!   uncontended join costs one last-mile check, one task placement and
+//!   one evaluation.
+//! * **One scratch.** [`AdmissionScratch`] owns every per-admit buffer:
+//!   the ranking's vectors and walk matrix (`agrank::RankScratch`),
+//!   the candidate and fallback lists, the combination cursor, the
+//!   tentative last-mile and transcoding-unit accumulators, the
+//!   rule-of-thumb grouping keys, and the candidate placement itself.
+//!   The fleet keeps one next to its [`EvalScratch`]; [`admit_all`]
+//!   keeps one for its loop.
+//!
+//! **The search order is the determinism contract.** The engine returns
+//! the *first* feasible placement it meets, so which placement a
+//! session gets — and therefore every journaled `Admit` record, every
+//! crash/recover twin and the offline/online parity above — is defined
+//! by the order candidates are tried in: depth, then lexicographic, then
+//! repair's fixed offender walk, then the ranked fallback. Every sort
+//! involved orders distinct agents totally (score, then id), so none of
+//! it depends on a sort algorithm or a hash seed. Changing that order is
+//! a behaviour change, not an optimisation; `tests/admission_golden.rs`
+//! pins it.
 
-use crate::agrank::{self, AgRankConfig, Residuals};
-use crate::placement;
-use std::collections::HashSet;
+use crate::agrank::{self, AgRankConfig, RankScratch, Residuals};
+use crate::placement::{self, StreamKey};
 use std::sync::Arc;
 use vc_core::{
     Assignment, AssignmentView, EvalScratch, SystemState, TaskId, UapProblem, CAPACITY_EPS,
@@ -137,6 +171,79 @@ pub struct AdmissionEngine {
     pub config: AdmissionConfig,
 }
 
+/// Every buffer one admission search needs, reused across searches (see
+/// the module-level cost model). Holds no state between calls — any
+/// scratch gives the same decision — only capacity.
+#[derive(Debug, Default)]
+pub struct AdmissionScratch {
+    rank: RankScratch,
+    /// The Nrst policy's one candidate per user (AgRank's lists live in
+    /// `rank`).
+    nearest: Vec<AgentId>,
+    /// The session's candidate agents in descending rank order, failed
+    /// agents excluded (empty for the resource-oblivious Nrst policy).
+    fallback_order: Vec<AgentId>,
+    placement: PlacementScratch,
+}
+
+/// The read-only half of one search: what is being placed, where it may
+/// go, and against which residuals.
+struct Search<'a> {
+    problem: &'a UapProblem,
+    s: SessionId,
+    /// The session's users, instance order.
+    users: &'a [UserId],
+    /// Candidate agents of every user back to back, `per_user` each,
+    /// best first.
+    candidates: &'a [AgentId],
+    per_user: usize,
+    fallback_order: &'a [AgentId],
+    residuals: &'a Residuals,
+    available: &'a [bool],
+}
+
+impl Search<'_> {
+    /// The candidates of the session's `k`-th user, best first.
+    fn candidates_of(&self, k: usize) -> &[AgentId] {
+        &self.candidates[k * self.per_user..(k + 1) * self.per_user]
+    }
+
+    /// Whether agent `l` is up and can still carry `need` on top of the
+    /// tentative last-mile load already put on it.
+    fn last_mile_fits(&self, l: AgentId, need: (f64, f64), tent: &PlacementScratch) -> bool {
+        let i = l.index();
+        self.available[i]
+            && self.residuals.download[i] - tent.tent_down[i] >= need.0 - 1e-9
+            && self.residuals.upload[i] - tent.tent_up[i] >= need.1 - 1e-9
+    }
+}
+
+/// The mutable half of one search: the candidate placement under
+/// construction (`users`, `tasks`) and the accumulators that build it.
+#[derive(Debug, Default)]
+struct PlacementScratch {
+    /// The candidate placement's users, session order.
+    users: Vec<(UserId, AgentId)>,
+    /// The candidate placement's tasks, ascending by task id.
+    tasks: Vec<(TaskId, AgentId)>,
+    /// Candidates per user (the enumeration tier's radices).
+    lens: Vec<usize>,
+    /// The enumeration cursor: one candidate index per user.
+    combo: Vec<usize>,
+    /// `(download, upload)` each user's last mile demands.
+    needs: Vec<(f64, f64)>,
+    /// Tentative last-mile load per agent.
+    tent_down: Vec<f64>,
+    tent_up: Vec<f64>,
+    /// Tentative transcoding units per agent, and the distinct
+    /// `(agent, source, target)` units behind them (kept sorted).
+    tent_units: Vec<u32>,
+    units: Vec<(AgentId, UserId, ReprId)>,
+    /// Rule-of-thumb output and its grouping keys.
+    preferred: Vec<(TaskId, AgentId)>,
+    stream_keys: Vec<StreamKey>,
+}
+
 /// A full-session placement as an [`AssignmentView`]: every lookup must
 /// be covered by the pairs (the engine always places the whole session).
 /// Lookups are linear scans — conferences are small (the workloads cap
@@ -185,14 +292,10 @@ impl AdmissionEngine {
         Self { config }
     }
 
-    /// Searches for a feasible placement of session `s` against the
-    /// residual capacities, without committing anything. On success the
-    /// accepted placement's evaluated load is left in `scratch` (the
-    /// caller's commit can reuse it bit-for-bit).
-    ///
-    /// `residuals` must be availability-blind capacity-minus-live-load
-    /// (see [`Residuals::from_totals`]); `available` masks failed
-    /// agents, which are never chosen as targets.
+    /// [`place_session_with`](Self::place_session_with) on a throwaway
+    /// [`AdmissionScratch`] — for one-off searches. Anything that
+    /// admits in a loop should hold a scratch and call
+    /// `place_session_with`; the decision is the same either way.
     ///
     /// # Errors
     ///
@@ -204,22 +307,75 @@ impl AdmissionEngine {
         policy: &AdmissionPolicy,
         residuals: &Residuals,
         available: &[bool],
-        scratch: &mut EvalScratch,
+        eval: &mut EvalScratch,
+    ) -> Result<AdmissionDecision, AdmissionFailure> {
+        let mut scratch = AdmissionScratch::default();
+        self.place_session_with(problem, s, policy, residuals, available, eval, &mut scratch)
+    }
+
+    /// Searches for a feasible placement of session `s` against the
+    /// residual capacities, without committing anything. On success the
+    /// accepted placement's evaluated load is left in `eval` (the
+    /// caller's commit can reuse it bit-for-bit).
+    ///
+    /// `residuals` must be availability-blind capacity-minus-live-load
+    /// (see [`Residuals::from_totals`]); `available` masks failed
+    /// agents, which are never chosen as targets. `scratch` carries
+    /// buffers only; see the module-level cost model.
+    ///
+    /// # Errors
+    ///
+    /// The furthest stage the search reached without success.
+    #[allow(clippy::too_many_arguments)]
+    pub fn place_session_with(
+        &self,
+        problem: &UapProblem,
+        s: SessionId,
+        policy: &AdmissionPolicy,
+        residuals: &Residuals,
+        available: &[bool],
+        eval: &mut EvalScratch,
+        scratch: &mut AdmissionScratch,
     ) -> Result<AdmissionDecision, AdmissionFailure> {
         let inst = problem.instance();
-        let session = inst.session(s);
+        let users = inst.session(s).users();
+        let AdmissionScratch {
+            rank,
+            nearest,
+            fallback_order,
+            placement,
+        } = scratch;
 
-        // Candidate agents per user, best first.
-        let user_candidates: Vec<(UserId, Vec<AgentId>)> = match policy {
-            AdmissionPolicy::Nearest => session
-                .users()
-                .iter()
-                .map(|&u| (u, vec![inst.delays().nearest_agent(u)]))
-                .collect(),
-            AdmissionPolicy::AgRank(config) => {
-                let ranking = agrank::rank_agents(problem, s, residuals, config);
-                ranking.user_candidates
+        // Candidate agents per user, best first, and the task fallback
+        // order — both from the one ranking this admission runs.
+        fallback_order.clear();
+        let (candidates, per_user): (&[AgentId], usize) = match policy {
+            AdmissionPolicy::Nearest => {
+                nearest.clear();
+                nearest.extend(users.iter().map(|&u| inst.delays().nearest_agent(u)));
+                (nearest, 1)
             }
+            AdmissionPolicy::AgRank(config) => {
+                agrank::rank_agents_into(problem, s, residuals, config, rank);
+                fallback_order.extend(
+                    rank.candidates()
+                        .iter()
+                        .copied()
+                        .filter(|l| available[l.index()]),
+                );
+                fallback_order.sort_unstable_by(|a, b| rank.by_descending_score(*a, *b));
+                (rank.user_candidates(), rank.per_user())
+            }
+        };
+        let search = Search {
+            problem,
+            s,
+            users,
+            candidates,
+            per_user,
+            fallback_order,
+            residuals,
+            available,
         };
 
         // Tier 1: when the combination count is modest, enumerate
@@ -227,43 +383,31 @@ impl AdmissionEngine {
         // first) — "picking among a larger number of potential agents
         // provides a larger feasible set" holds when the admission
         // *searches* the candidate space.
-        let combo_count: usize = user_candidates
+        let combo_count = users
             .iter()
-            .map(|(_, c)| c.len())
-            .try_fold(1usize, |acc, n| acc.checked_mul(n))
+            .try_fold(1usize, |acc, _| acc.checked_mul(per_user))
             .unwrap_or(usize::MAX);
         if combo_count <= self.config.combo_cap {
-            return self.admit_by_enumeration(
-                problem,
-                s,
-                policy,
-                &user_candidates,
-                residuals,
-                available,
-                scratch,
-            );
+            return placement.enumerate(&search, eval);
         }
 
         // Tier 2: greedy user placement with tentative last-mile
         // accounting, then violation-driven repair.
-        let nl = inst.num_agents();
-        let mut tent_down = vec![0.0; nl];
-        let mut tent_up = vec![0.0; nl];
-        let mut users: Vec<(UserId, AgentId)> = Vec::with_capacity(session.len());
+        placement.reset_last_mile(inst.num_agents());
+        placement.users.clear();
         let mut greedy_fit = true;
-        for (u, candidates) in &user_candidates {
-            let (need_down, need_up) = user_needs(problem, *u);
-            let slot = candidates.iter().copied().find(|l| {
-                let i = l.index();
-                available[i]
-                    && residuals.download[i] - tent_down[i] >= need_down - 1e-9
-                    && residuals.upload[i] - tent_up[i] >= need_up - 1e-9
-            });
+        for (k, &u) in users.iter().enumerate() {
+            let need = user_needs(problem, u);
+            let slot = search
+                .candidates_of(k)
+                .iter()
+                .copied()
+                .find(|&l| search.last_mile_fits(l, need, placement));
             match slot {
                 Some(l) => {
-                    tent_down[l.index()] += need_down;
-                    tent_up[l.index()] += need_up;
-                    users.push((*u, l));
+                    placement.tent_down[l.index()] += need.0;
+                    placement.tent_up[l.index()] += need.1;
+                    placement.users.push((u, l));
                 }
                 None => {
                     greedy_fit = false;
@@ -271,45 +415,29 @@ impl AdmissionEngine {
                 }
             }
         }
-        let fallback_order = fallback_order_for(problem, s, residuals, policy, available);
         let mut furthest = AdmissionFailure::UserFit;
         let mut candidates_evaluated = 0usize;
         if greedy_fit {
             furthest = AdmissionFailure::TaskFit;
-            if let Some(mut tasks) =
-                place_tasks(problem, s, &users, residuals, &fallback_order, available)
-            {
+            if placement.place_tasks(&search) {
                 furthest = AdmissionFailure::GlobalCheck;
                 // Violation-driven repair: walk offenders down their
                 // candidate lists (Nrst has no alternatives and fails
                 // immediately — it is resource-oblivious by definition).
-                let repair_budget = 3 * session.len() + tasks.len();
+                let repair_budget = 3 * users.len() + placement.tasks.len();
                 let mut steps = 0usize;
                 loop {
                     candidates_evaluated += 1;
-                    match self.check_full(problem, s, &users, &tasks, residuals, available, scratch)
-                    {
+                    match placement.check_full(&search, eval) {
                         None => {
-                            return Ok(AdmissionDecision {
-                                users,
-                                tasks,
-                                stats: AdmissionStats {
-                                    tier: AdmissionTier::Repair,
-                                    repair_steps: steps,
-                                    candidates_evaluated,
-                                },
-                            });
+                            return Ok(placement.decision(
+                                AdmissionTier::Repair,
+                                steps,
+                                candidates_evaluated,
+                            ));
                         }
                         Some(violation) => {
-                            if steps >= repair_budget
-                                || !repair_step(
-                                    &mut users,
-                                    &mut tasks,
-                                    &user_candidates,
-                                    &fallback_order,
-                                    violation,
-                                    available,
-                                )
+                            if steps >= repair_budget || !placement.repair_step(&search, violation)
                             {
                                 break;
                             }
@@ -322,156 +450,139 @@ impl AdmissionEngine {
 
         // Tier 3: the ranked-fallback walk — first choices, then each
         // user one step at a time down its ranked candidate list.
-        let first_choice: Vec<(UserId, AgentId)> = user_candidates
-            .iter()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(u, c)| (*u, c[0]))
-            .collect();
-        if first_choice.len() == user_candidates.len() {
-            let mut trials: Vec<Vec<(UserId, AgentId)>> = vec![first_choice.clone()];
-            for (i, (_, candidates)) in user_candidates.iter().enumerate() {
-                for &alt in candidates.iter().skip(1) {
-                    let mut t = first_choice.clone();
-                    t[i].1 = alt;
-                    trials.push(t);
-                }
+        placement.users.clear();
+        placement.users.extend(
+            users
+                .iter()
+                .enumerate()
+                .map(|(k, &u)| (u, search.candidates_of(k)[0])),
+        );
+        let mut trial = |placement: &mut PlacementScratch| {
+            if placement.users.iter().any(|&(_, l)| !available[l.index()]) {
+                return false;
             }
-            for trial in trials {
-                if trial.iter().any(|&(_, l)| !available[l.index()]) {
-                    continue;
+            if !placement.place_tasks(&search) {
+                if matches!(furthest, AdmissionFailure::UserFit) {
+                    furthest = AdmissionFailure::TaskFit;
                 }
-                let Some(tasks) =
-                    place_tasks(problem, s, &trial, residuals, &fallback_order, available)
-                else {
-                    if matches!(furthest, AdmissionFailure::UserFit) {
-                        furthest = AdmissionFailure::TaskFit;
-                    }
-                    continue;
-                };
-                candidates_evaluated += 1;
-                if self
-                    .check_full(problem, s, &trial, &tasks, residuals, available, scratch)
-                    .is_none()
-                {
-                    return Ok(AdmissionDecision {
-                        users: trial,
-                        tasks,
-                        stats: AdmissionStats {
-                            tier: AdmissionTier::RankedFallback,
-                            repair_steps: 0,
-                            candidates_evaluated,
-                        },
-                    });
-                }
-                furthest = AdmissionFailure::GlobalCheck;
+                return false;
             }
+            candidates_evaluated += 1;
+            if placement.check_full(&search, eval).is_none() {
+                return true;
+            }
+            furthest = AdmissionFailure::GlobalCheck;
+            false
+        };
+        let found = trial(placement)
+            || (0..users.len()).any(|k| {
+                let first = placement.users[k].1;
+                let hit = search.candidates_of(k)[1..].iter().any(|&alt| {
+                    placement.users[k].1 = alt;
+                    trial(placement)
+                });
+                if !hit {
+                    placement.users[k].1 = first;
+                }
+                hit
+            });
+        if found {
+            return Ok(placement.decision(AdmissionTier::RankedFallback, 0, candidates_evaluated));
         }
         Err(furthest)
     }
+}
+
+impl PlacementScratch {
+    /// The candidate placement as an accepted decision.
+    fn decision(
+        &self,
+        tier: AdmissionTier,
+        repair_steps: usize,
+        candidates_evaluated: usize,
+    ) -> AdmissionDecision {
+        AdmissionDecision {
+            users: self.users.clone(),
+            tasks: self.tasks.clone(),
+            stats: AdmissionStats {
+                tier,
+                repair_steps,
+                candidates_evaluated,
+            },
+        }
+    }
+
+    /// Zeroes the tentative last-mile accumulators over `num_agents`.
+    fn reset_last_mile(&mut self, num_agents: usize) {
+        self.tent_down.clear();
+        self.tent_down.resize(num_agents, 0.0);
+        self.tent_up.clear();
+        self.tent_up.resize(num_agents, 0.0);
+    }
 
     /// Rank-ordered exhaustive admission: tries every user→candidate
-    /// combo (shallowest total fallback depth first) until one passes
-    /// the last-mile, transcoding and global checks. Guarantees the
-    /// Fig. 9 monotonicity — a larger candidate set can only enlarge
-    /// the searched feasible set.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_by_enumeration(
-        &self,
-        problem: &UapProblem,
-        s: SessionId,
-        policy: &AdmissionPolicy,
-        user_candidates: &[(UserId, Vec<AgentId>)],
-        residuals: &Residuals,
-        available: &[bool],
-        scratch: &mut EvalScratch,
+    /// combo (shallowest total fallback depth first, lexicographic
+    /// within a depth — see [`next_combo`]) until one passes the
+    /// last-mile, transcoding and global checks. Guarantees the Fig. 9
+    /// monotonicity — a larger candidate set can only enlarge the
+    /// searched feasible set.
+    fn enumerate(
+        &mut self,
+        search: &Search<'_>,
+        eval: &mut EvalScratch,
     ) -> Result<AdmissionDecision, AdmissionFailure> {
-        let inst = problem.instance();
-        let nl = inst.num_agents();
-        let needs: Vec<(f64, f64)> = user_candidates
-            .iter()
-            .map(|(u, _)| user_needs(problem, *u))
-            .collect();
-        let lens: Vec<usize> = user_candidates.iter().map(|(_, c)| c.len()).collect();
+        self.needs.clear();
+        self.needs
+            .extend(search.users.iter().map(|&u| user_needs(search.problem, u)));
+        self.lens.clear();
+        self.lens.resize(search.users.len(), search.per_user);
+        // Tentative last-mile accumulators are reset sparsely after
+        // each combo — only the agents the combo wrote.
+        self.reset_last_mile(search.problem.instance().num_agents());
 
-        // All combos, ordered by total fallback depth (all-first-choice
-        // first).
-        let mut combos: Vec<Vec<usize>> = vec![vec![]];
-        for &len in &lens {
-            combos = combos
-                .into_iter()
-                .flat_map(|prefix| {
-                    (0..len).map(move |i| {
-                        let mut c = prefix.clone();
-                        c.push(i);
-                        c
-                    })
-                })
-                .collect();
-        }
-        combos.sort_by_key(|c| c.iter().sum::<usize>());
-
-        let fallback_order = fallback_order_for(problem, s, residuals, policy, available);
         let mut passed_last_mile = false;
         let mut passed_tasks = false;
         let mut candidates_evaluated = 0usize;
-        // Tentative last-mile accumulators, hoisted out of the combo
-        // loop (up to `combo_cap` iterations under the exclusive FREEZE
-        // lock) and reset sparsely — only the agents the combo wrote.
-        let mut tent_down = vec![0.0; nl];
-        let mut tent_up = vec![0.0; nl];
-        for combo in &combos {
+        let mut more = first_combo(&self.lens, &mut self.combo);
+        while more {
             // Tentative last-mile check.
             let mut fits = true;
-            for (k, &choice) in combo.iter().enumerate() {
-                let l = user_candidates[k].1[choice];
-                let i = l.index();
-                if !available[i]
-                    || residuals.download[i] - tent_down[i] < needs[k].0 - 1e-9
-                    || residuals.upload[i] - tent_up[i] < needs[k].1 - 1e-9
-                {
+            for k in 0..self.combo.len() {
+                let l = search.candidates_of(k)[self.combo[k]];
+                if !search.last_mile_fits(l, self.needs[k], self) {
                     fits = false;
                     break;
                 }
-                tent_down[i] += needs[k].0;
-                tent_up[i] += needs[k].1;
+                self.tent_down[l.index()] += self.needs[k].0;
+                self.tent_up[l.index()] += self.needs[k].1;
             }
             // Sparse reset: zeroing an agent the (possibly truncated)
             // accumulation never wrote is a harmless no-op.
-            for (k, &choice) in combo.iter().enumerate() {
-                let i = user_candidates[k].1[choice].index();
-                tent_down[i] = 0.0;
-                tent_up[i] = 0.0;
+            for k in 0..self.combo.len() {
+                let i = search.candidates_of(k)[self.combo[k]].index();
+                self.tent_down[i] = 0.0;
+                self.tent_up[i] = 0.0;
             }
-            if !fits {
-                continue;
+            if fits {
+                passed_last_mile = true;
+                self.users.clear();
+                for k in 0..self.combo.len() {
+                    self.users
+                        .push((search.users[k], search.candidates_of(k)[self.combo[k]]));
+                }
+                if self.place_tasks(search) {
+                    passed_tasks = true;
+                    candidates_evaluated += 1;
+                    if self.check_full(search, eval).is_none() {
+                        return Ok(self.decision(
+                            AdmissionTier::Enumeration,
+                            0,
+                            candidates_evaluated,
+                        ));
+                    }
+                }
             }
-            passed_last_mile = true;
-            let users: Vec<(UserId, AgentId)> = combo
-                .iter()
-                .enumerate()
-                .map(|(k, &choice)| (user_candidates[k].0, user_candidates[k].1[choice]))
-                .collect();
-            let Some(tasks) =
-                place_tasks(problem, s, &users, residuals, &fallback_order, available)
-            else {
-                continue;
-            };
-            passed_tasks = true;
-            candidates_evaluated += 1;
-            if self
-                .check_full(problem, s, &users, &tasks, residuals, available, scratch)
-                .is_none()
-            {
-                return Ok(AdmissionDecision {
-                    users,
-                    tasks,
-                    stats: AdmissionStats {
-                        tier: AdmissionTier::Enumeration,
-                        repair_steps: 0,
-                        candidates_evaluated,
-                    },
-                });
-            }
+            more = next_combo(&self.lens, &mut self.combo);
         }
         Err(if !passed_last_mile {
             AdmissionFailure::UserFit
@@ -482,7 +593,54 @@ impl AdmissionEngine {
         })
     }
 
-    /// Evaluates the fully-placed session into `scratch` and checks it
+    /// Places the session's transcoding groups for the current `users`
+    /// into `tasks`: rule of thumb first, then fallback through the
+    /// rank order while respecting residual slots. `false` when some
+    /// group fits nowhere.
+    fn place_tasks(&mut self, search: &Search<'_>) -> bool {
+        let problem = search.problem;
+        placement::rule_of_thumb_session_into(
+            problem,
+            search.s,
+            &self.users,
+            &mut self.stream_keys,
+            &mut self.preferred,
+        );
+        self.tent_units.clear();
+        self.tent_units.resize(problem.instance().num_agents(), 0);
+        self.units.clear();
+        self.tasks.clear();
+        for &(t, preferred_agent) in &self.preferred {
+            let task = problem.tasks().task(t);
+            let mut placed = false;
+            for &l in std::iter::once(&preferred_agent).chain(search.fallback_order) {
+                if !search.available[l.index()] {
+                    continue;
+                }
+                // One unit per distinct (agent, source, target): a
+                // stream already transcoded there serves this task too.
+                let key = (l, task.src, task.target);
+                let unit = self.units.binary_search(&key);
+                let used =
+                    f64::from(self.tent_units[l.index()]) + if unit.is_err() { 1.0 } else { 0.0 };
+                if used <= search.residuals.transcode[l.index()] + 1e-9 {
+                    if let Err(at) = unit {
+                        self.units.insert(at, key);
+                        self.tent_units[l.index()] += 1;
+                    }
+                    self.tasks.push((t, l));
+                    placed = true;
+                    break;
+                }
+            }
+            if !placed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Evaluates the fully-placed session into `eval` and checks it
     /// globally against the residuals: per *touched* agent (ascending),
     /// `load ≤ residual` — the sparse mirror of the closed-world
     /// `totals + load ≤ capacity` check (the prior state is feasible,
@@ -490,32 +648,28 @@ impl AdmissionEngine {
     /// bound. Availability of every target is re-checked first, so no
     /// tier can emit a placement on a failed agent. Returns the first
     /// violation, `None` when feasible.
-    #[allow(clippy::too_many_arguments)]
-    fn check_full(
-        &self,
-        problem: &UapProblem,
-        s: SessionId,
-        users: &[(UserId, AgentId)],
-        tasks: &[(TaskId, AgentId)],
-        residuals: &Residuals,
-        available: &[bool],
-        scratch: &mut EvalScratch,
-    ) -> Option<GlobalViolation> {
-        for &(_, l) in users {
+    fn check_full(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<GlobalViolation> {
+        let Search {
+            problem,
+            residuals,
+            available,
+            ..
+        } = *search;
+        for &(_, l) in &self.users {
             if !available[l.index()] {
                 return Some(GlobalViolation::Unavailable);
             }
         }
-        for &(_, l) in tasks {
+        for &(_, l) in &self.tasks {
             if !available[l.index()] {
                 return Some(GlobalViolation::Unavailable);
             }
         }
-        {
-            let view = PlacementView { users, tasks };
-            scratch.evaluate(problem, &view, s);
-        }
-        let load = scratch.load();
+        let view = PlacementView {
+            users: &self.users,
+            tasks: &self.tasks,
+        };
+        let load = eval.evaluate(problem, &view, search.s);
         // `load.touched` is ascending, mirroring the dense agent scan of
         // `SystemState::violations`.
         for &a in &load.touched {
@@ -535,139 +689,108 @@ impl AdmissionEngine {
         }
         None
     }
+
+    /// One repair move over the candidate placement: shift a user or
+    /// task of the session away from the agent named in `violation`, to
+    /// its next-ranked *available* alternative. Returns whether any
+    /// move was applied.
+    fn repair_step(&mut self, search: &Search<'_>, violation: GlobalViolation) -> bool {
+        let overloaded = match violation {
+            GlobalViolation::Download(agent) | GlobalViolation::Upload(agent) => agent,
+            GlobalViolation::Transcode(agent) => {
+                // Move one of this session's tasks off the agent (the
+                // fallback order is pre-filtered to available agents).
+                for slot in self.tasks.iter_mut() {
+                    if slot.1 == agent {
+                        for &l in search.fallback_order {
+                            if l != agent {
+                                slot.1 = l;
+                                return true;
+                            }
+                        }
+                    }
+                }
+                return false;
+            }
+            // Delay violations are not repairable by shuffling, and an
+            // unavailable target means a bug upstream (every chooser
+            // filters on availability) — give up rather than shuffle.
+            GlobalViolation::Delay | GlobalViolation::Unavailable => return false,
+        };
+        // Move the first of this session's users on the overloaded agent
+        // that has an available alternative candidate (`users` is in
+        // session order, like the candidate lists).
+        for (k, slot) in self.users.iter_mut().enumerate() {
+            if slot.1 != overloaded {
+                continue;
+            }
+            if let Some(&l) = search
+                .candidates_of(k)
+                .iter()
+                .find(|&&l| l != overloaded && search.available[l.index()])
+            {
+                slot.1 = l;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Positions `combo` on the first index vector of the enumeration —
+/// every user on its first choice. `false` when there is nothing to
+/// enumerate (a user without candidates).
+fn first_combo(lens: &[usize], combo: &mut Vec<usize>) -> bool {
+    combo.clear();
+    combo.resize(lens.len(), 0);
+    lens.iter().all(|&len| len > 0)
+}
+
+/// Advances `combo` (one index per user, `combo[k] < lens[k]`) to its
+/// successor in the enumeration order: ascending total fallback depth
+/// `Σ combo[k]`, and lexicographic — first user most significant —
+/// within a depth. That is exactly the order a stable sort by depth of
+/// the lexicographically generated table yields, without the table.
+/// Returns `false` after the last vector.
+fn next_combo(lens: &[usize], combo: &mut [usize]) -> bool {
+    // Same depth: bump the rightmost position that still has a deeper
+    // candidate while something to its right can give one step back,
+    // then make the tail the lexicographically smallest of its sum.
+    let mut tail = 0usize;
+    for k in (0..combo.len()).rev() {
+        if tail >= 1 && combo[k] + 1 < lens[k] {
+            combo[k] += 1;
+            fill_smallest(lens, combo, k + 1, tail - 1);
+            return true;
+        }
+        tail += combo[k];
+    }
+    // Next depth (`tail` is now the whole vector's sum).
+    let deepest: usize = lens.iter().map(|len| len - 1).sum();
+    if tail + 1 > deepest {
+        return false;
+    }
+    fill_smallest(lens, combo, 0, tail + 1);
+    true
+}
+
+/// Writes into `combo[from..]` the lexicographically smallest indices
+/// summing to `sum`: the depth is pushed as far right as it goes.
+fn fill_smallest(lens: &[usize], combo: &mut [usize], from: usize, mut sum: usize) {
+    for k in (from..combo.len()).rev() {
+        combo[k] = sum.min(lens[k] - 1);
+        sum -= combo[k];
+    }
+    debug_assert_eq!(sum, 0, "depth exceeds what the tail can hold");
 }
 
 /// `(agent download, agent upload)` the user's last mile demands.
 fn user_needs(problem: &UapProblem, u: UserId) -> (f64, f64) {
     let inst = problem.instance();
-    let down = inst.kappa(inst.user(u).upstream());
-    let up: f64 = inst
-        .participants(u)
-        .map(|v| inst.kappa(inst.user(u).downstream_from(v)))
-        .sum();
-    (down, up)
-}
-
-/// The session's candidate agents in descending rank order (empty for
-/// the resource-oblivious Nrst policy), failed agents excluded.
-fn fallback_order_for(
-    problem: &UapProblem,
-    s: SessionId,
-    residuals: &Residuals,
-    policy: &AdmissionPolicy,
-    available: &[bool],
-) -> Vec<AgentId> {
-    match policy {
-        AdmissionPolicy::Nearest => Vec::new(),
-        AdmissionPolicy::AgRank(config) => {
-            let ranking = agrank::rank_agents(problem, s, residuals, config);
-            let mut order = ranking.candidates.clone();
-            order.retain(|l| available[l.index()]);
-            order.sort_by(|a, b| {
-                ranking
-                    .score_of(*b)
-                    .partial_cmp(&ranking.score_of(*a))
-                    .expect("finite scores")
-                    .then(a.cmp(b))
-            });
-            order
-        }
-    }
-}
-
-/// Places the session's transcoding groups: rule of thumb first, then
-/// fallback through the rank order while respecting residual slots.
-/// `None` when some group fits nowhere.
-fn place_tasks(
-    problem: &UapProblem,
-    s: SessionId,
-    users: &[(UserId, AgentId)],
-    residuals: &Residuals,
-    fallback_order: &[AgentId],
-    available: &[bool],
-) -> Option<Vec<(TaskId, AgentId)>> {
-    let inst = problem.instance();
-    let nl = inst.num_agents();
-    let preferred = placement::rule_of_thumb_session(problem, s, users);
-    let mut tent_units: Vec<u32> = vec![0; nl];
-    let mut unit_set: HashSet<(AgentId, UserId, ReprId)> = HashSet::new();
-    let mut tasks: Vec<(TaskId, AgentId)> = Vec::new();
-    for &(t, preferred_agent) in &preferred {
-        let task = problem.tasks().task(t);
-        let mut placed = false;
-        for &l in std::iter::once(&preferred_agent).chain(fallback_order.iter()) {
-            if !available[l.index()] {
-                continue;
-            }
-            let key = (l, task.src, task.target);
-            let new_unit = !unit_set.contains(&key);
-            let used = f64::from(tent_units[l.index()]) + if new_unit { 1.0 } else { 0.0 };
-            if used <= residuals.transcode[l.index()] + 1e-9 {
-                if new_unit {
-                    unit_set.insert(key);
-                    tent_units[l.index()] += 1;
-                }
-                tasks.push((t, l));
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
-        }
-    }
-    Some(tasks)
-}
-
-/// One repair move over the candidate placement: shift a user or task
-/// of the session away from the agent named in `violation`, to its
-/// next-ranked *available* alternative. Returns whether any move was
-/// applied.
-fn repair_step(
-    users: &mut [(UserId, AgentId)],
-    tasks: &mut [(TaskId, AgentId)],
-    user_candidates: &[(UserId, Vec<AgentId>)],
-    fallback_order: &[AgentId],
-    violation: GlobalViolation,
-    available: &[bool],
-) -> bool {
-    let overloaded = match violation {
-        GlobalViolation::Download(agent) | GlobalViolation::Upload(agent) => agent,
-        GlobalViolation::Transcode(agent) => {
-            // Move one of this session's tasks off the agent (the
-            // fallback order is pre-filtered to available agents).
-            for slot in tasks.iter_mut() {
-                if slot.1 == agent {
-                    for &l in fallback_order {
-                        if l != agent {
-                            slot.1 = l;
-                            return true;
-                        }
-                    }
-                }
-            }
-            return false;
-        }
-        // Delay violations are not repairable by shuffling, and an
-        // unavailable target means a bug upstream (every chooser
-        // filters on availability) — give up rather than shuffle.
-        GlobalViolation::Delay | GlobalViolation::Unavailable => return false,
-    };
-    // Move the first of this session's users on the overloaded agent
-    // that has an available alternative candidate.
-    for (u, candidates) in user_candidates {
-        let Some(slot) = users.iter_mut().find(|(w, a)| w == u && *a == overloaded) else {
-            continue;
-        };
-        if let Some(&l) = candidates
-            .iter()
-            .find(|&&l| l != overloaded && available[l.index()])
-        {
-            slot.1 = l;
-            return true;
-        }
-    }
-    false
+    (
+        inst.kappa(inst.user(u).upstream()),
+        problem.demanded_mbps(u),
+    )
 }
 
 /// Per-stage failure counters across all sessions of one run.
@@ -704,20 +827,30 @@ pub fn admit_all(problem: Arc<UapProblem>, policy: &AdmissionPolicy) -> Admissio
     let num_sessions = inst.num_sessions();
     let initial = Assignment::all_to_agent(&problem, AgentId::new(0));
     let mut state = SystemState::with_active(problem.clone(), initial, vec![false; num_sessions]);
-    let mut scratch = EvalScratch::new();
+    let mut eval = EvalScratch::new();
+    let mut scratch = AdmissionScratch::default();
+    let mut residuals = Residuals::default();
+    // Admission never changes availability.
+    let available: Vec<bool> = inst
+        .agent_ids()
+        .map(|l| state.is_agent_available(l))
+        .collect();
 
     let mut admitted = 0;
     let mut first_failure = None;
     let mut success = true;
     let mut diagnostics = AdmissionDiagnostics::default();
-    for s in problem.instance().session_ids() {
-        let residuals = Residuals::from_state(&state);
-        let available: Vec<bool> = problem
-            .instance()
-            .agent_ids()
-            .map(|l| state.is_agent_available(l))
-            .collect();
-        match engine.place_session(&problem, s, policy, &residuals, &available, &mut scratch) {
+    for s in inst.session_ids() {
+        residuals.fill_from_totals(&problem, state.totals());
+        match engine.place_session_with(
+            &problem,
+            s,
+            policy,
+            &residuals,
+            &available,
+            &mut eval,
+            &mut scratch,
+        ) {
             Ok(decision) => {
                 state.reassign_session(s, &decision.users, &decision.tasks);
                 state.activate(s);
@@ -749,6 +882,133 @@ pub fn admit_all(problem: Arc<UapProblem>, policy: &AdmissionPolicy) -> Admissio
 mod tests {
     use super::*;
     use crate::test_fixtures::{fig2_like_problem, scarce_capacity_problem};
+    use proptest::prelude::*;
+
+    /// The enumeration order's definition: the full combination table,
+    /// generated lexicographically (first user most significant), then
+    /// stably sorted by total fallback depth. This is what tier 1 used
+    /// to build per admission; it stays as the reference the lazy
+    /// successor is checked against.
+    fn materialized_combos(lens: &[usize]) -> Vec<Vec<usize>> {
+        let mut combos: Vec<Vec<usize>> = vec![vec![]];
+        for &len in lens {
+            combos = combos
+                .into_iter()
+                .flat_map(|prefix| {
+                    (0..len).map(move |i| {
+                        let mut c = prefix.clone();
+                        c.push(i);
+                        c
+                    })
+                })
+                .collect();
+        }
+        combos.sort_by_key(|c| c.iter().sum::<usize>());
+        combos
+    }
+
+    fn walked_combos(lens: &[usize]) -> Vec<Vec<usize>> {
+        let mut combo = Vec::new();
+        let mut out = Vec::new();
+        let mut more = first_combo(lens, &mut combo);
+        while more {
+            out.push(combo.clone());
+            more = next_combo(lens, &mut combo);
+        }
+        out
+    }
+
+    fn assert_walk_matches_table(lens: &[usize]) {
+        let walked = walked_combos(lens);
+        assert_eq!(walked, materialized_combos(lens), "lens {lens:?}");
+        // Every combination exactly once.
+        assert_eq!(walked.len(), lens.iter().product::<usize>());
+        let distinct: std::collections::BTreeSet<&Vec<usize>> = walked.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            walked.len(),
+            "lens {lens:?} repeats a combo"
+        );
+    }
+
+    #[test]
+    fn lazy_combo_walk_equals_the_sorted_table_on_the_edge_cases() {
+        for lens in [
+            vec![1],
+            vec![7],
+            vec![1, 1, 1],
+            vec![1, 4, 1],
+            vec![3, 1, 2],
+            vec![2, 5, 3],
+            vec![5, 2, 1, 4],
+            vec![7, 7, 7],
+            vec![2; 10],         // 1024 = the default combo_cap
+            vec![4, 4, 4, 4, 4], // 1024
+            vec![32, 32],        // 1024
+            vec![1024],
+            vec![5, 5, 41], // 1025: just past the cap
+            vec![1025],
+            vec![],     // no users: the one empty combination
+            vec![3, 0], // a user without candidates: nothing to try
+        ] {
+            assert_walk_matches_table(&lens);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lazy_combo_walk_equals_the_sorted_table(
+            lens in prop::collection::vec(1usize..=6, 1..=5)
+        ) {
+            assert_walk_matches_table(&lens);
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_decides_like_a_fresh_one() {
+        // The scratch carries capacity, never state: one scratch dragged
+        // through every session, policy and cap decides exactly like a
+        // throwaway one.
+        let mut scratch = AdmissionScratch::default();
+        let mut eval = EvalScratch::new();
+        for p in [fig2_like_problem(), scarce_capacity_problem()] {
+            let residuals = Residuals::full(&p);
+            let available = vec![true; p.instance().num_agents()];
+            for policy in [
+                AdmissionPolicy::AgRank(AgRankConfig::live()),
+                AdmissionPolicy::Nearest,
+                AdmissionPolicy::AgRank(AgRankConfig::paper(2)),
+            ] {
+                for cap in [1024, 0] {
+                    let engine = AdmissionEngine::new(AdmissionConfig { combo_cap: cap });
+                    for s in p.instance().session_ids() {
+                        let reused = engine.place_session_with(
+                            &p,
+                            s,
+                            &policy,
+                            &residuals,
+                            &available,
+                            &mut eval,
+                            &mut scratch,
+                        );
+                        let fresh =
+                            engine.place_session(&p, s, &policy, &residuals, &available, &mut eval);
+                        match (reused, fresh) {
+                            (Ok(a), Ok(b)) => {
+                                assert_eq!(a.users, b.users);
+                                assert_eq!(a.tasks, b.tasks);
+                                assert_eq!(a.stats, b.stats);
+                            }
+                            (Err(a), Err(b)) => assert_eq!(a, b),
+                            (a, b) => panic!("scratch changed the decision: {a:?} vs {b:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn unlimited_capacity_admits_everything() {

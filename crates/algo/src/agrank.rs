@@ -83,7 +83,7 @@ impl Default for AgRankConfig {
 
 /// Residual agent capacities, the `(û, d̂, t̂)` part of the ranking
 /// quadruple.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Residuals {
     /// Remaining upload capacity per agent (Mbps).
     pub upload: Vec<f64>,
@@ -128,15 +128,27 @@ impl Residuals {
     /// whose live loads are bitwise equal see bitwise-equal residuals
     /// (and hence make identical admission decisions).
     pub fn from_totals(problem: &UapProblem, totals: &vc_core::AgentTotals) -> Self {
-        let inst = problem.instance();
-        let mut r = Self::full(problem);
-        for l in inst.agent_ids() {
-            let i = l.index();
-            r.upload[i] = (r.upload[i] - totals.upload[i]).max(0.0);
-            r.download[i] = (r.download[i] - totals.download[i]).max(0.0);
-            r.transcode[i] = (r.transcode[i] - f64::from(totals.transcode[i])).max(0.0);
-        }
+        let mut r = Self::default();
+        r.fill_from_totals(problem, totals);
         r
+    }
+
+    /// [`from_totals`](Self::from_totals) into `self`, reusing its
+    /// vectors — what per-admit callers hold across admissions.
+    pub fn fill_from_totals(&mut self, problem: &UapProblem, totals: &vc_core::AgentTotals) {
+        let agents = problem.instance().agents();
+        self.upload.clear();
+        self.download.clear();
+        self.transcode.clear();
+        for (i, a) in agents.iter().enumerate() {
+            let cap = a.capacity();
+            self.upload
+                .push((cap.upload_mbps - totals.upload[i]).max(0.0));
+            self.download
+                .push((cap.download_mbps - totals.download[i]).max(0.0));
+            self.transcode
+                .push((f64::from(cap.transcode_slots) - f64::from(totals.transcode[i])).max(0.0));
+        }
     }
 }
 
@@ -182,136 +194,234 @@ impl AgentRanking {
     }
 }
 
-/// Normalizes a component vector to `[0, 1]` by its maximum; infinite
-/// entries score 1 (abundant resource), and an all-zero vector stays zero.
-fn normalize_component(values: &[f64]) -> Vec<f64> {
+/// Adds one component of the residual quadruple to `acc`, normalized
+/// to `[0, 1]` by its finite maximum: infinite entries score 1
+/// (abundant resource) and an all-zero component stays zero. The first
+/// component is assigned rather than added, so the four-term sum
+/// associates as `((û + d̂) + t̂) + σ̂`.
+fn add_normalized(acc: &mut [f64], values: impl Iterator<Item = f64> + Clone, first: bool) {
     let max_finite = values
-        .iter()
-        .copied()
+        .clone()
         .filter(|v| v.is_finite())
         .fold(0.0f64, f64::max);
-    values
-        .iter()
-        .map(|&v| {
-            if !v.is_finite() {
-                1.0
-            } else if max_finite > 0.0 {
-                v / max_finite
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    for (a, v) in acc.iter_mut().zip(values) {
+        let x = if !v.is_finite() {
+            1.0
+        } else if max_finite > 0.0 {
+            v / max_finite
+        } else {
+            0.0
+        };
+        if first {
+            *a = x;
+        } else {
+            *a += x;
+        }
+    }
+}
+
+/// One ranking's outputs plus every buffer computing it needs, reused
+/// across calls: after warm-up `rank_agents_into` allocates nothing.
+/// Per-user candidate lists are stored flat — every user of a session
+/// has the same number of candidates (`n_ngbr` clamped to the agent
+/// count).
+#[derive(Debug, Default)]
+pub(crate) struct RankScratch {
+    /// `N(s)`, ascending by id.
+    candidates: Vec<AgentId>,
+    /// `π_l`, parallel to `candidates`; ping-pongs with `next` inside
+    /// the power iteration.
+    scores: Vec<f64>,
+    /// `π_l` indexed by agent id (0 for non-candidates): what the sort
+    /// comparators read.
+    score_by_agent: Vec<f64>,
+    /// `N(u)` of every session user back to back, `per_user` each, best
+    /// rank first.
+    user_candidates: Vec<AgentId>,
+    per_user: usize,
+    iterations: usize,
+    /// Candidate membership by agent id while `N(s)` is collected.
+    member: Vec<bool>,
+    proximity: Vec<AgentId>,
+    pi0: Vec<f64>,
+    next: Vec<f64>,
+    /// The row-normalized `n×n` walk matrix `D̂`.
+    walk: Vec<f64>,
+}
+
+impl RankScratch {
+    /// `N(s)`: the ranked session's potential agents, ascending by id.
+    pub(crate) fn candidates(&self) -> &[AgentId] {
+        &self.candidates
+    }
+
+    /// `N(u)` of every session user back to back (session order),
+    /// [`per_user`](Self::per_user) agents each, best rank first.
+    pub(crate) fn user_candidates(&self) -> &[AgentId] {
+        &self.user_candidates
+    }
+
+    /// Candidates per user (`n_ngbr` clamped to the agent count).
+    pub(crate) fn per_user(&self) -> usize {
+        self.per_user
+    }
+
+    /// The ranking's order over agents: higher score first, lower id on
+    /// equal scores (non-candidates score 0).
+    pub(crate) fn by_descending_score(&self, a: AgentId, b: AgentId) -> std::cmp::Ordering {
+        descending_score(&self.score_by_agent, a, b)
+    }
 }
 
 /// Ranks the potential agents of session `s` (Lines 1–14 of Alg. 2).
+/// Owns its result; the admission path runs the same code into a reused
+/// scratch, once per `place_session`.
+///
+/// Cost with `n = |N(s)|` candidates out of `L` agents and `m` users:
+/// `O(m·L log L)` for the proximity lists, `O(n²)` for the walk matrix,
+/// `O(n²)` per power-iteration round (`O(−log ε)` rounds), and
+/// `O(m·n log n)` to order the per-user lists. Every ordering here is a
+/// total order over distinct agents (ties broken by id) and every
+/// floating-point sum keeps one fixed association, so the result is a
+/// function of `(problem, s, residuals, config)` alone — which the
+/// admission search, and hence journals and replay twins, rely on.
 pub fn rank_agents(
     problem: &UapProblem,
     s: SessionId,
     residuals: &Residuals,
     config: &AgRankConfig,
 ) -> AgentRanking {
-    let inst = problem.instance();
-    let session = inst.session(s);
-    let n_ngbr = config.n_ngbr.min(inst.num_agents()).max(1);
-
-    // N(u): top n_ngbr nearest agents per user; N(s): their union.
-    let mut user_near: Vec<(UserId, Vec<AgentId>)> = Vec::with_capacity(session.len());
-    let mut candidates: Vec<AgentId> = Vec::new();
-    for &u in session.users() {
-        let near: Vec<AgentId> = inst
-            .delays()
-            .agents_by_proximity(u)
-            .into_iter()
-            .take(n_ngbr)
-            .collect();
-        for &l in &near {
-            if !candidates.contains(&l) {
-                candidates.push(l);
-            }
-        }
-        user_near.push((u, near));
-    }
-    candidates.sort();
-    let n = candidates.len();
-
-    // Personalization π₀: normalized residual quadruple (û + d̂ + t̂ + σ̂).
-    let up = normalize_component(
-        &candidates
-            .iter()
-            .map(|l| residuals.upload[l.index()])
-            .collect::<Vec<_>>(),
-    );
-    let down = normalize_component(
-        &candidates
-            .iter()
-            .map(|l| residuals.download[l.index()])
-            .collect::<Vec<_>>(),
-    );
-    let slots = normalize_component(
-        &candidates
-            .iter()
-            .map(|l| residuals.transcode[l.index()])
-            .collect::<Vec<_>>(),
-    );
-    // σ̂: transcoding speed score — inverse of the agent's latency factor.
-    let speed = normalize_component(
-        &candidates
-            .iter()
-            .map(|l| 1.0 / inst.agent(*l).speed_factor())
-            .collect::<Vec<_>>(),
-    );
-    let mut pi0: Vec<f64> = (0..n)
-        .map(|i| up[i] + down[i] + slots[i] + speed[i])
-        .collect();
-    let z: f64 = pi0.iter().sum();
-    if z > 0.0 {
-        for x in &mut pi0 {
-            *x /= z;
-        }
-    } else {
-        pi0 = vec![1.0 / n as f64; n];
-    }
-
-    let (scores, iterations) = if n == 1 {
-        (vec![1.0], 0)
-    } else {
-        power_iterate(inst, &candidates, &pi0, config)
-    };
-
-    // Order each user's candidates by descending rank (ties: nearer first).
-    let mut user_candidates = user_near;
-    for (_, near) in &mut user_candidates {
-        let score = |l: AgentId| {
-            candidates
-                .iter()
-                .position(|&c| c == l)
-                .map(|i| scores[i])
-                .unwrap_or(0.0)
-        };
-        near.sort_by(|a, b| {
-            score(*b)
-                .partial_cmp(&score(*a))
-                .expect("scores are finite")
-                .then(a.cmp(b))
-        });
-    }
-
+    let mut scratch = RankScratch::default();
+    rank_agents_into(problem, s, residuals, config, &mut scratch);
+    let users = problem.instance().session(s).users();
     AgentRanking {
-        candidates,
-        scores,
-        user_candidates,
-        iterations,
+        user_candidates: users
+            .iter()
+            .zip(scratch.user_candidates.chunks(scratch.per_user))
+            .map(|(&u, near)| (u, near.to_vec()))
+            .collect(),
+        candidates: scratch.candidates,
+        scores: scratch.scores,
+        iterations: scratch.iterations,
     }
 }
 
-/// The damped random walk over the normalized delay matrix.
-fn power_iterate(
-    inst: &vc_model::Instance,
-    candidates: &[AgentId],
-    pi0: &[f64],
+/// [`rank_agents`] into `scratch` — the admission path's entry point:
+/// one call per `place_session`, no allocation once the buffers have
+/// grown to the agent count.
+pub(crate) fn rank_agents_into(
+    problem: &UapProblem,
+    s: SessionId,
+    residuals: &Residuals,
     config: &AgRankConfig,
-) -> (Vec<f64>, usize) {
+    scratch: &mut RankScratch,
+) {
+    let inst = problem.instance();
+    let session = inst.session(s);
+    let nl = inst.num_agents();
+    let n_ngbr = config.n_ngbr.min(nl).max(1);
+
+    // N(u): top n_ngbr nearest agents per user; N(s): their union.
+    scratch.per_user = n_ngbr;
+    scratch.user_candidates.clear();
+    scratch.member.clear();
+    scratch.member.resize(nl, false);
+    for &u in session.users() {
+        inst.delays()
+            .agents_by_proximity_into(u, &mut scratch.proximity);
+        for &l in &scratch.proximity[..n_ngbr] {
+            scratch.member[l.index()] = true;
+        }
+        scratch
+            .user_candidates
+            .extend_from_slice(&scratch.proximity[..n_ngbr]);
+    }
+    scratch.candidates.clear();
+    scratch
+        .candidates
+        .extend((0..nl).filter(|&i| scratch.member[i]).map(AgentId::from));
+    let candidates = &scratch.candidates;
+    let n = candidates.len();
+
+    // Personalization π₀: normalized residual quadruple (û + d̂ + t̂ + σ̂).
+    let pi0 = &mut scratch.pi0;
+    pi0.clear();
+    pi0.resize(n, 0.0);
+    add_normalized(
+        pi0,
+        candidates.iter().map(|l| residuals.upload[l.index()]),
+        true,
+    );
+    add_normalized(
+        pi0,
+        candidates.iter().map(|l| residuals.download[l.index()]),
+        false,
+    );
+    add_normalized(
+        pi0,
+        candidates.iter().map(|l| residuals.transcode[l.index()]),
+        false,
+    );
+    // σ̂: transcoding speed score — inverse of the agent's latency factor.
+    add_normalized(
+        pi0,
+        candidates
+            .iter()
+            .map(|l| 1.0 / inst.agent(*l).speed_factor()),
+        false,
+    );
+    let z: f64 = pi0.iter().sum();
+    if z > 0.0 {
+        for x in pi0.iter_mut() {
+            *x /= z;
+        }
+    } else {
+        pi0.fill(1.0 / n as f64);
+    }
+
+    if n == 1 {
+        scratch.scores.clear();
+        scratch.scores.push(1.0);
+        scratch.iterations = 0;
+    } else {
+        power_iterate(inst, config, scratch);
+    }
+
+    // Order each user's candidates by descending rank (ties: lower id
+    // first) — a total order, so the unstable sort is deterministic.
+    scratch.score_by_agent.clear();
+    scratch.score_by_agent.resize(nl, 0.0);
+    for (l, &score) in scratch.candidates.iter().zip(&scratch.scores) {
+        scratch.score_by_agent[l.index()] = score;
+    }
+    let score = &scratch.score_by_agent;
+    for near in scratch.user_candidates.chunks_mut(n_ngbr) {
+        near.sort_unstable_by(|a, b| descending_score(score, *a, *b));
+    }
+}
+
+/// Higher score first, lower id on equal scores.
+fn descending_score(score: &[f64], a: AgentId, b: AgentId) -> std::cmp::Ordering {
+    score[b.index()]
+        .partial_cmp(&score[a.index()])
+        .expect("scores are finite")
+        .then(a.cmp(&b))
+}
+
+/// The damped random walk over the normalized delay matrix, from
+/// `scratch.pi0` over `scratch.candidates` into `scratch.scores`. The
+/// walk matrix and the two iterate vectors live in the scratch; a round
+/// writes `next` from `scores` and swaps them.
+fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut RankScratch) {
+    let RankScratch {
+        candidates,
+        scores: pi,
+        pi0,
+        next,
+        walk: w,
+        iterations,
+        ..
+    } = scratch;
     let n = candidates.len();
     // D̂_lk = min positive delay / D_lk; diagonal handled as self-affinity 1.
     let mut min_pos = f64::INFINITY;
@@ -326,7 +436,8 @@ fn power_iterate(
     if !min_pos.is_finite() {
         min_pos = 1.0; // all candidate pairs have zero delay: uniform affinity
     }
-    let mut w = vec![0.0; n * n];
+    w.clear();
+    w.resize(n * n, 0.0);
     for i in 0..n {
         let mut row_sum = 0.0;
         for j in 0..n {
@@ -349,11 +460,14 @@ fn power_iterate(
     }
 
     let alpha = config.damping;
-    let mut pi = pi0.to_vec();
-    let mut iterations = 0;
+    pi.clear();
+    pi.extend_from_slice(pi0);
+    next.clear();
+    next.resize(n, 0.0);
+    *iterations = 0;
     for _ in 0..config.max_iters {
-        iterations += 1;
-        let mut next = vec![0.0; n];
+        *iterations += 1;
+        next.fill(0.0);
         for i in 0..n {
             for j in 0..n {
                 next[j] += pi[i] * w[i * n + j];
@@ -364,16 +478,15 @@ fn power_iterate(
         }
         // Renormalize (guards drift; walk is stochastic so sum is ~1).
         let z: f64 = next.iter().sum();
-        for x in &mut next {
+        for x in next.iter_mut() {
             *x /= z;
         }
-        let delta: f64 = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        pi = next;
+        let delta: f64 = pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
+        std::mem::swap(pi, next);
         if delta < config.epsilon {
             break;
         }
     }
-    (pi, iterations)
 }
 
 /// Complete AgRank output for one session: user and task placements

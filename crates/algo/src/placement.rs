@@ -8,9 +8,12 @@
 //! transcoded — usually lower — bitrate then crosses the inter-agent
 //! link instead of the raw stream crossing it twice).
 
-use std::collections::HashMap;
 use vc_core::{TaskId, UapProblem};
 use vc_model::{AgentId, ReprId, SessionId, UserId};
+
+/// A task keyed by the transcoded stream it consumes; sorting these
+/// groups the destinations of one stream together.
+pub(crate) type StreamKey = (UserId, ReprId, TaskId);
 
 /// Places every transcoding task given a user→agent map, following the
 /// rule of thumb. Returns one agent per task, indexed by [`TaskId`].
@@ -30,6 +33,7 @@ pub fn rule_of_thumb(problem: &UapProblem, user_agent: &[AgentId]) -> Vec<AgentI
         problem.tasks().iter().map(|(t, _)| t),
         |u| user_agent[u.index()],
         |t, a| placement[t.index()] = a,
+        &mut Vec::new(),
     );
     placement
 }
@@ -38,37 +42,40 @@ pub fn rule_of_thumb(problem: &UapProblem, user_agent: &[AgentId]) -> Vec<AgentI
 /// entry points: group tasks by (source, target representation) — the
 /// destinations of the same transcoded stream — then transcode shared
 /// streams once at the source agent and singletons at the destination
-/// agent.
+/// agent. Grouping sorts `keys` (a caller-owned buffer, so the
+/// admission path allocates nothing here); each task's agent depends
+/// only on its own group, never on the order groups are visited in.
 fn apply_rule(
     problem: &UapProblem,
     task_ids: impl Iterator<Item = TaskId>,
     agent_of: impl Fn(UserId) -> AgentId,
     mut assign: impl FnMut(TaskId, AgentId),
+    keys: &mut Vec<StreamKey>,
 ) {
-    let mut groups: HashMap<(UserId, ReprId), Vec<TaskId>> = HashMap::new();
-    for t in task_ids {
+    keys.clear();
+    keys.extend(task_ids.map(|t| {
         let task = problem.tasks().task(t);
-        groups.entry((task.src, task.target)).or_default().push(t);
-    }
-    for ((src, _), tasks) in groups {
-        if tasks.len() >= 2 {
+        (task.src, task.target, t)
+    }));
+    keys.sort_unstable();
+    for group in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if let [(_, _, t)] = group {
+            // Single destination: transcode at the destination agent.
+            assign(*t, agent_of(problem.tasks().task(*t).dst));
+        } else {
             // Shared stream: transcode once at the source agent.
-            let agent = agent_of(src);
-            for t in tasks {
+            let agent = agent_of(group[0].0);
+            for &(_, _, t) in group {
                 assign(t, agent);
             }
-        } else {
-            // Single destination: transcode at the destination agent.
-            let t = tasks[0];
-            assign(t, agent_of(problem.tasks().task(t).dst));
         }
     }
 }
 
 /// [`rule_of_thumb`] restricted to one session: places only that
 /// session's tasks given its members' agents, at O(|session tasks|)
-/// cost instead of a pass over the whole instance — the admission
-/// hot path of the orchestrator control plane.
+/// cost instead of a pass over the whole instance. Returns
+/// `(task, agent)` pairs ascending by task id.
 ///
 /// # Panics
 ///
@@ -78,11 +85,25 @@ pub fn rule_of_thumb_session(
     s: SessionId,
     users: &[(UserId, AgentId)],
 ) -> Vec<(TaskId, AgentId)> {
-    let session_tasks = problem.tasks().of_session(s);
-    let mut out = Vec::with_capacity(session_tasks.len());
+    let mut out = Vec::new();
+    rule_of_thumb_session_into(problem, s, users, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`rule_of_thumb_session`] into caller-owned buffers (`out` is
+/// cleared first) — the admission search calls this once per candidate
+/// placement.
+pub(crate) fn rule_of_thumb_session_into(
+    problem: &UapProblem,
+    s: SessionId,
+    users: &[(UserId, AgentId)],
+    keys: &mut Vec<StreamKey>,
+    out: &mut Vec<(TaskId, AgentId)>,
+) {
+    out.clear();
     apply_rule(
         problem,
-        session_tasks.iter().copied(),
+        problem.tasks().of_session(s).iter().copied(),
         |u| {
             users
                 .iter()
@@ -91,10 +112,10 @@ pub fn rule_of_thumb_session(
                 .expect("session user present in placement")
         },
         |t, a| out.push((t, a)),
+        keys,
     );
-    // HashMap grouping is unordered; pin the output order.
+    // Groups are visited in stream order; pin the output to task order.
     out.sort_unstable_by_key(|&(t, _)| t);
-    out
 }
 
 /// Ablation variant: every transcoding task at the *source* user's agent.

@@ -20,8 +20,9 @@
 //! status 2 (asserted in CI), so a typo in an automation script fails
 //! the job instead of silently running nothing.
 //!
-//! The binary installs a counting global allocator so `hop_bench` can
-//! report heap allocations per hop (the overhead is one relaxed atomic
+//! The binary installs a counting global allocator so `hop_bench`,
+//! `open_world` and `admission_parity` can report heap allocations per
+//! hop / arrival / engine search (the overhead is one relaxed atomic
 //! increment per allocation — irrelevant to every other experiment).
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -15,6 +15,15 @@
 //! * **offline `admit_all`** — the Fig. 9 driver of the same engine
 //!   over a closed-world state.
 //!
+//! A fourth pass measures what the search itself allocates:
+//! `engine_allocs_per_admit` counts heap allocations inside
+//! `AdmissionEngine::place_session_with` (one held `AdmissionScratch`)
+//! over exactly the states the engine fleet passes through — the
+//! search runs against the fleet's live residuals right before each
+//! `Fleet::admit`. In steady state that is the returned decision's two
+//! vectors and nothing else; `engine_allocs_within_bound` gates it at
+//! [`ENGINE_ALLOCS_PER_ADMIT_BOUND`].
+//!
 //! The headline claim is **parity**: the fleet engine's admitted
 //! session set equals the offline set exactly (the `parity` field must
 //! read `true`), while the legacy walk under-admits — the gap the
@@ -22,12 +31,13 @@
 //! be clean.
 
 use std::collections::BTreeSet;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-use vc_algo::admission::{admit_all, AdmissionPolicy};
-use vc_algo::agrank::AgRankConfig;
+use vc_algo::admission::{admit_all, AdmissionEngine, AdmissionPolicy, AdmissionScratch};
+use vc_algo::agrank::{AgRankConfig, Residuals};
 use vc_algo::markov::Alg1Config;
-use vc_core::UapProblem;
+use vc_core::{AgentTotals, EvalScratch, UapProblem};
 use vc_model::SessionId;
 use vc_obs::Site;
 use vc_orchestrator::{AdmissionMode, Fleet, FleetConfig, PlacementPolicy};
@@ -61,6 +71,12 @@ pub struct AdmissionRow {
     pub engine_fallback: usize,
     /// Repair moves applied across all admissions.
     pub engine_repair_steps: usize,
+    /// Heap allocations per engine search (admissions and refusals
+    /// alike), from the counter registered with `vc-obs` — 0 when no
+    /// counting allocator is installed (library tests).
+    pub engine_allocs_per_admit: f64,
+    /// Whether that stays within [`ENGINE_ALLOCS_PER_ADMIT_BOUND`].
+    pub engine_allocs_within_bound: bool,
     /// Sessions the legacy-mode fleet admitted.
     pub legacy_admitted: usize,
     /// Legacy-mode admitted fraction.
@@ -90,6 +106,12 @@ pub struct AdmissionParityResult {
     /// One row per fleet size.
     pub rows: Vec<AdmissionRow>,
 }
+
+/// The committed ceiling on `engine_allocs_per_admit`: an accepted
+/// search returns two vectors (users, tasks) and a refused one nothing,
+/// so the mean sits at or under 2; the slack covers buffer growth while
+/// the scratch warms up on the first sessions.
+pub const ENGINE_ALLOCS_PER_ADMIT_BOUND: f64 = 4.0;
 
 /// A capacity-contended universe: tight enough that even the engine
 /// refuses a meaningful share of arrivals (~7–8 %; the legacy walk
@@ -143,6 +165,43 @@ fn drive(fleet: &Fleet) -> (BTreeSet<SessionId>, Vec<f64>) {
     (admitted, latencies)
 }
 
+/// Heap allocations per engine search over the engine fleet's own
+/// trajectory: before each `Fleet::admit`, the same search runs against
+/// the fleet's live residuals with one held scratch, and only that call
+/// is counted. A separate fleet from the timed one, so the probe does
+/// not warm the caches of a timed admit.
+fn engine_allocs_per_admit(problem: &Arc<UapProblem>) -> f64 {
+    let fleet = Fleet::new(problem.clone(), config(AdmissionMode::default()));
+    let engine = AdmissionEngine::default();
+    let policy = AdmissionPolicy::AgRank(AgRankConfig::paper(3));
+    let available = vec![true; problem.instance().num_agents()];
+    let mut eval = EvalScratch::new();
+    let mut scratch = AdmissionScratch::default();
+    let mut totals = AgentTotals::zero(0);
+    let mut residuals = Residuals::default();
+    let n = problem.instance().num_sessions();
+    let mut allocs = 0u64;
+    for i in 0..n {
+        let s = SessionId::new(i as u32);
+        fleet.ledger().reserved_totals_into(&mut totals);
+        residuals.fill_from_totals(problem, &totals);
+        let before = vc_obs::allocs_now().unwrap_or(0);
+        let decision = engine.place_session_with(
+            problem,
+            s,
+            &policy,
+            &residuals,
+            &available,
+            &mut eval,
+            &mut scratch,
+        );
+        allocs += vc_obs::allocs_now().unwrap_or(0) - before;
+        black_box(&decision);
+        let _ = fleet.admit(s);
+    }
+    allocs as f64 / n as f64
+}
+
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -188,6 +247,8 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
     );
     let offline_set: BTreeSet<SessionId> = offline.state.active_sessions().collect();
 
+    let engine_allocs = engine_allocs_per_admit(&problem);
+
     use std::sync::atomic::Ordering::Relaxed;
     let c = engine_fleet.counters();
     AdmissionRow {
@@ -203,6 +264,8 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
         engine_repair: c.admitted_repair.load(Relaxed),
         engine_fallback: c.admitted_fallback.load(Relaxed),
         engine_repair_steps: c.repair_steps.load(Relaxed),
+        engine_allocs_per_admit: engine_allocs,
+        engine_allocs_within_bound: engine_allocs <= ENGINE_ALLOCS_PER_ADMIT_BOUND,
         legacy_admitted: legacy_set.len(),
         legacy_fraction: legacy_set.len() as f64 / n as f64,
         legacy_mean_us: mean(&legacy_lat),
@@ -239,6 +302,7 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
                 "\"engine_mean_us\": {:.1}, \"engine_p50_us\": {:.1}, \"engine_p99_us\": {:.1}, ",
                 "\"engine_enumeration\": {}, \"engine_repair\": {}, ",
                 "\"engine_fallback\": {}, \"engine_repair_steps\": {}, ",
+                "\"engine_allocs_per_admit\": {:.2}, \"engine_allocs_within_bound\": {}, ",
                 "\"legacy_admitted\": {}, \"legacy_fraction\": {:.4}, ",
                 "\"legacy_mean_us\": {:.1}, \"legacy_p50_us\": {:.1}, \"legacy_p99_us\": {:.1}, ",
                 "\"offline_admitted\": {}, \"offline_fraction\": {:.4}, ",
@@ -256,6 +320,8 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
             r.engine_repair,
             r.engine_fallback,
             r.engine_repair_steps,
+            r.engine_allocs_per_admit,
+            r.engine_allocs_within_bound,
             r.legacy_admitted,
             r.legacy_fraction,
             r.legacy_mean_us,
@@ -296,7 +362,7 @@ pub fn print(result: &AdmissionParityResult) {
     }
     println!("\nEngine admit latency (vc-obs percentiles) and search-tier mix");
     println!(
-        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>11}",
+        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>13} {:>11}",
         "sessions",
         "mean µs",
         "p50 µs",
@@ -305,11 +371,12 @@ pub fn print(result: &AdmissionParityResult) {
         "repair",
         "fallback",
         "repair steps",
+        "allocs/admit",
         "violations"
     );
     for r in &result.rows {
         println!(
-            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>11}",
+            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>13.2} {:>11}",
             r.sessions,
             r.engine_mean_us,
             r.engine_p50_us,
@@ -318,6 +385,7 @@ pub fn print(result: &AdmissionParityResult) {
             r.engine_repair,
             r.engine_fallback,
             r.engine_repair_steps,
+            r.engine_allocs_per_admit,
             r.conservation_violations,
         );
     }
@@ -362,5 +430,8 @@ mod tests {
         assert!(json.contains("\"admission_parity\""));
         assert!(json.contains("\"parity\": true"));
         assert!(json.contains("\"engine_p50_us\"") && json.contains("\"legacy_p99_us\""));
+        // No counting allocator in library tests: the column reads 0
+        // and sits inside the bound.
+        assert!(json.contains("\"engine_allocs_within_bound\": true"));
     }
 }

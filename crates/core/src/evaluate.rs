@@ -178,6 +178,27 @@ impl SessionLoad {
         }
     }
 
+    /// Resets the load to [`empty`](Self::empty) in place, keeping the
+    /// dense vectors' allocations and zeroing only the agents
+    /// [`touched`](Self::touched) names (which covers every nonzero
+    /// entry).
+    pub fn clear(&mut self) {
+        for &a in &self.touched {
+            let i = a as usize;
+            self.download[i] = 0.0;
+            self.upload[i] = 0.0;
+            self.ingress[i] = 0.0;
+            self.transcode_units[i] = 0;
+        }
+        self.touched.clear();
+        self.user_delay.clear();
+        self.max_flow_delay = 0.0;
+        self.delay_cost = 0.0;
+        self.traffic_cost = 0.0;
+        self.transcode_cost = 0.0;
+        self.phi = 0.0;
+    }
+
     /// Total inter-agent traffic of the session (Σ_l x_ls, Mbps) — the
     /// quantity the paper reports as "inter-agent traffic".
     pub fn total_ingress_mbps(&self) -> f64 {
@@ -273,24 +294,11 @@ impl EvalScratch {
     /// Zeroes exactly what the previous evaluation (or a swapped-in
     /// load) left behind.
     fn clear(&mut self) {
-        for &a in &self.load.touched {
-            let i = a as usize;
-            self.load.download[i] = 0.0;
-            self.load.upload[i] = 0.0;
-            self.load.ingress[i] = 0.0;
-            self.load.transcode_units[i] = 0;
-        }
-        self.load.touched.clear();
+        self.load.clear();
         for &(k, l) in &self.flow_cells {
             self.flows[k as usize * self.nl + l as usize] = 0.0;
         }
         self.flow_cells.clear();
-        self.load.user_delay.clear();
-        self.load.max_flow_delay = 0.0;
-        self.load.delay_cost = 0.0;
-        self.load.traffic_cost = 0.0;
-        self.load.transcode_cost = 0.0;
-        self.load.phi = 0.0;
     }
 
     /// Evaluates session `s` under `view` into the scratch's load,

@@ -153,18 +153,31 @@ impl TaskTable {
     /// (`Instance::register_user`) whose flows extension would silently
     /// miss.
     ///
+    /// Cost: only the sessions the instance records as late-joined
+    /// (`Instance::late_joined_sessions`) are inspected, so the check is
+    /// O(late-joined sessions) — **independent of the universe size**.
+    /// That is what keeps `UapProblem::register_session`, which runs
+    /// this guard on every registration (live and on replay), flat as
+    /// the universe grows; whole-session registration never adds to
+    /// that list, so for a fleet it is a length test.
+    ///
     /// # Errors
     ///
-    /// [`ModelError::LateJoinExtension`] naming the first mutated
-    /// session.
+    /// [`ModelError::LateJoinExtension`] naming the first (lowest-id)
+    /// mutated session.
     pub fn check_extension(&self, instance: &Instance) -> Result<(), ModelError> {
         let covered_sessions = self.by_session.len();
         let covered_users = self.by_src.len();
-        for session in &instance.sessions()[..covered_sessions.min(instance.num_sessions())] {
-            if session.late_joined() && session.users().iter().any(|u| u.index() >= covered_users) {
-                return Err(ModelError::LateJoinExtension {
-                    session: session.id(),
-                });
+        // Ascending, so the first hit is the lowest mutated session id.
+        for &s in instance.late_joined_sessions() {
+            if s.index() < covered_sessions
+                && instance
+                    .session(s)
+                    .users()
+                    .iter()
+                    .any(|u| u.index() >= covered_users)
+            {
+                return Err(ModelError::LateJoinExtension { session: s });
             }
         }
         Ok(())

@@ -288,23 +288,42 @@ impl DelayMatrices {
     /// Agents sorted by proximity to user `u` (nearest first), the primitive
     /// behind both the Nrst baseline and AgRank's potential-agent lists.
     pub fn agents_by_proximity(&self, u: UserId) -> Vec<AgentId> {
-        let mut agents: Vec<AgentId> = (0..self.num_agents()).map(AgentId::from).collect();
-        agents.sort_by(|a, b| {
-            self.agent_user_ms(*a, u)
-                .partial_cmp(&self.agent_user_ms(*b, u))
-                .expect("delays are non-NaN")
-                .then(a.cmp(b))
-        });
+        let mut agents = Vec::new();
+        self.agents_by_proximity_into(u, &mut agents);
         agents
     }
 
-    /// The nearest agent to user `u`.
+    /// [`agents_by_proximity`](Self::agents_by_proximity) into a
+    /// caller-owned buffer (cleared first) — the admission hot path
+    /// ranks every arriving user and reuses one buffer. `(delay, id)` is
+    /// a total order over distinct agents, so the result does not depend
+    /// on the sort algorithm.
+    pub fn agents_by_proximity_into(&self, u: UserId, agents: &mut Vec<AgentId>) {
+        agents.clear();
+        agents.extend((0..self.num_agents()).map(AgentId::from));
+        agents.sort_unstable_by(|a, b| self.proximity_order(u, *a, *b));
+    }
+
+    /// Nearer agent first, lower id on equal delay.
+    fn proximity_order(&self, u: UserId, a: AgentId, b: AgentId) -> std::cmp::Ordering {
+        self.agent_user_ms(a, u)
+            .partial_cmp(&self.agent_user_ms(b, u))
+            .expect("delays are non-NaN")
+            .then(a.cmp(&b))
+    }
+
+    /// The nearest agent to user `u` (the head of
+    /// [`agents_by_proximity`](Self::agents_by_proximity), found in one
+    /// pass).
     ///
     /// # Panics
     ///
     /// Panics if there are no agents.
     pub fn nearest_agent(&self, u: UserId) -> AgentId {
-        self.agents_by_proximity(u)[0]
+        (0..self.num_agents())
+            .map(AgentId::from)
+            .min_by(|a, b| self.proximity_order(u, *a, *b))
+            .expect("at least one agent")
     }
 
     /// Appends one agent to both matrices: `D` gains a symmetric row

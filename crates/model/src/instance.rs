@@ -141,6 +141,12 @@ pub struct Instance {
     delays: DelayMatrices,
     transcode_latency: TranscodeLatencyModel,
     d_max_ms: f64,
+    /// Sessions that gained a late joiner via
+    /// [`register_user`](Self::register_user), ascending and distinct —
+    /// the index behind [`late_joined_sessions`](Self::late_joined_sessions),
+    /// kept so derived layers can check "did a covered session change?"
+    /// without scanning every registered session.
+    late_joined: Vec<SessionId>,
 }
 
 impl Instance {
@@ -406,6 +412,7 @@ impl Instance {
             delays: DelayMatrices::new(d, h).expect("prefix delays stay valid"),
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
+            late_joined: self.late_joined.clone(),
         })
     }
 
@@ -416,11 +423,12 @@ impl Instance {
     /// cached demands) and the fleet grow exclusively through whole-
     /// session registration — a late joiner changes an existing
     /// session's flow set, which those layers do not yet re-derive
-    /// (a named ROADMAP follow-up). The mutated session is flagged
-    /// ([`SessionSpec::late_joined`]); problem-layer extension over an
-    /// instance with late joiners it does not cover is refused with a
-    /// typed [`ModelError::LateJoinExtension`] instead of silently
-    /// producing a task table that misses the new user's flows.
+    /// (a named ROADMAP follow-up). The mutated session is recorded
+    /// ([`late_joined_sessions`](Self::late_joined_sessions));
+    /// problem-layer extension over an instance with late joiners it
+    /// does not cover is refused with a typed
+    /// [`ModelError::LateJoinExtension`] instead of silently producing
+    /// a task table that misses the new user's flows.
     ///
     /// # Errors
     ///
@@ -444,7 +452,9 @@ impl Instance {
         }
         self.users.push(spec);
         self.sessions[session.index()].push_user(id);
-        self.sessions[session.index()].mark_late_joined();
+        if let Err(pos) = self.late_joined.binary_search(&session) {
+            self.late_joined.insert(pos, session);
+        }
         self.delays
             .push_user_columns(&[def.agent_delays_ms.as_slice()])
             .expect("column validated above");
@@ -454,7 +464,18 @@ impl Instance {
     /// Whether any session gained a late joiner via
     /// [`register_user`](Self::register_user) since construction.
     pub fn has_late_joiners(&self) -> bool {
-        self.sessions.iter().any(|s| s.late_joined())
+        !self.late_joined.is_empty()
+    }
+
+    /// The sessions that gained a late joiner via
+    /// [`register_user`](Self::register_user), ascending and distinct.
+    /// Derived layers that cache per-session structure (task tables,
+    /// demand caches) read it to refuse extension over a session they
+    /// no longer cover. Whole-session registration never adds to it, so
+    /// its length is independent of the universe size; [`prefix`](Self::prefix),
+    /// [`agent_prefix`](Self::agent_prefix) and `clone` carry it.
+    pub fn late_joined_sessions(&self) -> &[SessionId] {
+        &self.late_joined
     }
 
     /// Shared validation of one [`UserDef`]: ladder membership, override
@@ -574,6 +595,12 @@ impl Instance {
             delays: DelayMatrices::new(d, h).expect("prefix delays stay valid"),
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
+            late_joined: self
+                .late_joined
+                .iter()
+                .copied()
+                .filter(|s| s.index() < num_sessions)
+                .collect(),
         })
     }
 }
@@ -776,6 +803,7 @@ impl InstanceBuilder {
             delays,
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
+            late_joined: Vec::new(),
         })
     }
 }

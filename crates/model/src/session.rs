@@ -9,31 +9,12 @@ use serde::{Deserialize, Serialize};
 pub struct SessionSpec {
     id: SessionId,
     users: Vec<UserId>,
-    /// Whether a user joined this session *after* construction via
-    /// `Instance::register_user` (a late joiner). Derived layers that
-    /// cache per-session structure (task tables, demand caches) use
-    /// this to refuse extension over a session they no longer cover.
-    late_joined: bool,
 }
 
 impl SessionSpec {
     /// Creates a session with the given members.
     pub fn new(id: SessionId, users: Vec<UserId>) -> Self {
-        Self {
-            id,
-            users,
-            late_joined: false,
-        }
-    }
-
-    /// Whether a late joiner was registered into this session after
-    /// construction (see `Instance::register_user`).
-    pub fn late_joined(&self) -> bool {
-        self.late_joined
-    }
-
-    pub(crate) fn mark_late_joined(&mut self) {
-        self.late_joined = true;
+        Self { id, users }
     }
 
     /// Identifier of this session.

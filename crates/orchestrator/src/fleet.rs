@@ -54,7 +54,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vc_algo::admission::{
-    AdmissionConfig, AdmissionEngine, AdmissionFailure, AdmissionPolicy, AdmissionTier,
+    AdmissionConfig, AdmissionEngine, AdmissionFailure, AdmissionPolicy, AdmissionScratch,
+    AdmissionTier,
 };
 use vc_algo::agrank::{self, AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
@@ -329,6 +330,19 @@ impl FleetHopScratch {
     }
 }
 
+/// Everything one admission reuses from the last: the evaluation
+/// buffers (the `L×L` flow matrix among them), the admission search's
+/// own scratch, and the ledger snapshot the search runs against.
+/// Admissions are FREEZE-exclusive, so the mutex around it is
+/// uncontended; after warm-up an admit allocates only its decision.
+#[derive(Debug)]
+struct AdmitScratch {
+    eval: EvalScratch,
+    search: AdmissionScratch,
+    totals: AgentTotals,
+    residuals: Residuals,
+}
+
 /// One-pass consistent-ish fleet metrics (see [`Fleet::metrics`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FleetMetrics {
@@ -437,10 +451,12 @@ pub struct Fleet {
     /// and carried by every durable snapshot so recovered fleets resume
     /// WAIT countdowns instead of re-drawing them.
     pub(crate) timers: Mutex<Vec<TimerEntry>>,
-    /// Reusable evaluation buffers for the admission path (admissions
-    /// are FREEZE-exclusive, so the mutex is uncontended; reusing the
-    /// `L×L` flow matrix avoids re-allocating it per admit).
-    admit_scratch: Mutex<EvalScratch>,
+    /// The shared admission search, built once from
+    /// [`FleetConfig::admission`] (unused under
+    /// [`AdmissionMode::LegacyRanked`]).
+    admission_engine: AdmissionEngine,
+    /// Reusable buffers for the admission path.
+    admit_scratch: Mutex<AdmitScratch>,
     /// The observability plane: per-site latency histograms, per-shard
     /// swap contention counters, and the flight recorder. Enabled by
     /// default; disabling reduces every probe to one relaxed load.
@@ -477,6 +493,10 @@ impl Fleet {
             universe.push_slot(SessionId::from(i));
         }
         let obs = Arc::new(ObsPlane::with_config(ledger.num_shards(), config.obs));
+        let admission_engine = AdmissionEngine::new(match &config.admission {
+            AdmissionMode::Engine(engine_config) => engine_config.clone(),
+            AdmissionMode::LegacyRanked => AdmissionConfig::default(),
+        });
         Self {
             freeze: RwLock::new(universe),
             live: AtomicUsize::new(0),
@@ -487,7 +507,13 @@ impl Fleet {
             persist: None,
             pending_stays: AtomicU64::new(0),
             timers: Mutex::new(Vec::new()),
-            admit_scratch: Mutex::new(EvalScratch::new()),
+            admission_engine,
+            admit_scratch: Mutex::new(AdmitScratch {
+                eval: EvalScratch::new(),
+                search: AdmissionScratch::default(),
+                totals: AgentTotals::zero(nl),
+                residuals: Residuals::default(),
+            }),
             obs,
             readmit: Mutex::new(ReadmitState::default()),
             clock_us: AtomicU64::new(0),
@@ -762,9 +788,7 @@ impl Fleet {
         }
         let problem = &u.problem;
         let result = match &self.config.admission {
-            AdmissionMode::Engine(config) => {
-                self.admit_engine(problem, &u.available, &mut slot, s, config.clone())
-            }
+            AdmissionMode::Engine(_) => self.admit_engine(problem, &u.available, &mut slot, s),
             AdmissionMode::LegacyRanked => self.admit_legacy(problem, &mut slot, s),
         };
         match &result {
@@ -855,24 +879,31 @@ impl Fleet {
         available: &[bool],
         slot: &mut SessionSlot,
         s: SessionId,
-        config: AdmissionConfig,
     ) -> Result<vc_algo::admission::AdmissionStats, AdmitError> {
-        let engine = AdmissionEngine::new(config);
-        let residuals = Residuals::from_totals(problem, &self.ledger.reserved_totals());
         let mut scratch = self.admit_scratch.lock();
-        let decision = engine
-            .place_session(
+        let AdmitScratch {
+            eval,
+            search,
+            totals,
+            residuals,
+        } = &mut *scratch;
+        self.ledger.reserved_totals_into(totals);
+        residuals.fill_from_totals(problem, totals);
+        let decision = self
+            .admission_engine
+            .place_session_with(
                 problem,
                 s,
                 &self.admission_policy(),
-                &residuals,
+                residuals,
                 available,
-                &mut scratch,
+                eval,
+                search,
             )
             .map_err(|stage| AdmitError::Refused { session: s, stage })?;
-        // `scratch` holds the accepted placement's evaluated load.
+        // `eval` holds the accepted placement's evaluated load.
         install_placement(problem, slot, s, &decision.users, &decision.tasks);
-        slot.load.clone_from(scratch.load());
+        slot.load.clone_from(eval.load());
         slot.active = true;
         // Booking is unchecked either way (the engine already proved the
         // fit). A hold spanning ≥ 2 regions routes through the two-phase
@@ -880,8 +911,8 @@ impl Fleet {
         // sits strictly after every region's debit: a crash between
         // prepare and commit replays to pre-admission residuals in every
         // region.
-        let hold = SessionHold::from_load(scratch.load());
-        if self.ledger.split_by_region(&hold).len() >= 2 {
+        let hold = SessionHold::from_load(eval.load());
+        if self.ledger.spans_regions(&hold) {
             let prepared = self.ledger.prepare_booked(s, hold);
             self.ledger
                 .commit_prepared(prepared)
@@ -903,7 +934,8 @@ impl Fleet {
         s: SessionId,
     ) -> Result<vc_algo::admission::AdmissionStats, AdmitError> {
         let inst = problem.instance();
-        let mut scratch = self.admit_scratch.lock();
+        let mut guard = self.admit_scratch.lock();
+        let scratch = &mut guard.eval;
         let mut candidates_evaluated = 1usize;
         let result = match &self.config.placement {
             PlacementPolicy::Nearest => {
@@ -914,14 +946,14 @@ impl Fleet {
                     .map(|&u| (u, inst.delays().nearest_agent(u)))
                     .collect();
                 let (users, tasks) = with_tasks(problem, s, users);
-                self.try_placement(problem, slot, &mut scratch, s, &users, &tasks)
+                self.try_placement(problem, slot, scratch, s, &users, &tasks)
             }
             PlacementPolicy::AgRank(config) => {
                 let residuals = self.ledger.residuals();
                 let sa = agrank::assign_session(problem, s, &residuals, config);
                 // First choice reuses the bootstrap's own task placement.
                 let mut outcome =
-                    self.try_placement(problem, slot, &mut scratch, s, &sa.users, &sa.tasks);
+                    self.try_placement(problem, slot, scratch, s, &sa.users, &sa.tasks);
                 if outcome.is_err() {
                     // Fallbacks, built lazily only after a refusal: walk
                     // each user one step down its ranked candidate list.
@@ -931,8 +963,7 @@ impl Fleet {
                             users[i] = (*u, alt);
                             let (users, tasks) = with_tasks(problem, s, users);
                             candidates_evaluated += 1;
-                            match self.try_placement(problem, slot, &mut scratch, s, &users, &tasks)
-                            {
+                            match self.try_placement(problem, slot, scratch, s, &users, &tasks) {
                                 Ok(()) => {
                                     outcome = Ok(());
                                     break 'search;
@@ -994,13 +1025,35 @@ impl Fleet {
     /// the released hold (`None` if the session was not live). Coarse
     /// path: takes the FREEZE write lock.
     pub fn depart(&self, s: SessionId) -> Option<SessionHold> {
+        let t0 = self.obs.timer();
         let u = self.freeze.write();
+        let t_acq = t0.map(|_| Instant::now());
+        let hold = self.depart_locked(&u, s);
+        drop(u);
+        // Recorded after the lock is released, like every exclusive op:
+        // observation must never extend the FREEZE hold it measures.
+        if let Some(t0) = t0 {
+            let t_acq = t_acq.expect("taken together with t0");
+            self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
+            self.obs
+                .record_span(Site::FreezeWriteHold, t_acq, Instant::now());
+        }
+        if hold.is_some() {
+            self.obs.note_op(OpKind::Depart, s.index() as u32, 0);
+            self.obs
+                .note_trace(TraceKind::Departed, s.index() as u32, 0);
+        }
+        hold
+    }
+
+    /// The departure proper, run under the caller's FREEZE write lock.
+    fn depart_locked(&self, u: &Universe, s: SessionId) -> Option<SessionHold> {
         let mut slot = u.slots[s.index()].lock();
         if !slot.active {
             return None;
         }
         slot.active = false;
-        slot.load = SessionLoad::empty(u.problem.instance().num_agents());
+        slot.load.clear();
         self.live.fetch_sub(1, Ordering::Relaxed);
         let hold = self
             .ledger
@@ -1008,11 +1061,6 @@ impl Fleet {
             .expect("live session holds a reservation");
         self.counters.departed.fetch_add(1, Ordering::Relaxed);
         self.log_op(|| crate::persist::FleetOp::Depart { session: s });
-        drop(slot);
-        drop(u);
-        self.obs.note_op(OpKind::Depart, s.index() as u32, 0);
-        self.obs
-            .note_trace(TraceKind::Departed, s.index() as u32, 0);
         Some(hold)
     }
 
@@ -1235,7 +1283,7 @@ impl Fleet {
                     // caller re-derives this from the FailAgent record).
                     totals.remove(&slot.load);
                     slot.active = false;
-                    slot.load = SessionLoad::empty(inst.num_agents());
+                    slot.load.clear();
                     self.live.fetch_sub(1, Ordering::Relaxed);
                     self.ledger
                         .release(s)

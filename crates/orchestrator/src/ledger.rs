@@ -849,14 +849,26 @@ impl CapacityLedger {
     /// admission engine the same residual shape the offline world
     /// derives from a closed-world state.
     pub fn reserved_totals(&self) -> AgentTotals {
-        let entries = self.entries.read();
-        let mut totals = AgentTotals::zero(entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            totals.download[i] = e.download();
-            totals.upload[i] = e.upload();
-            totals.transcode[i] = e.units();
-        }
+        let mut totals = AgentTotals::zero(0);
+        self.reserved_totals_into(&mut totals);
         totals
+    }
+
+    /// [`reserved_totals`](Self::reserved_totals) into a caller-owned
+    /// buffer — the admit path takes this snapshot on every admission
+    /// and keeps one buffer for it.
+    pub fn reserved_totals_into(&self, totals: &mut AgentTotals) {
+        let entries = self.entries.read();
+        totals.download.clear();
+        totals
+            .download
+            .extend(entries.iter().map(AgentEntry::download));
+        totals.upload.clear();
+        totals.upload.extend(entries.iter().map(AgentEntry::upload));
+        totals.transcode.clear();
+        totals
+            .transcode
+            .extend(entries.iter().map(AgentEntry::units));
     }
 
     /// Residual capacities in the shape `vc-algo`'s AgRank consumes
@@ -902,6 +914,22 @@ impl CapacityLedger {
         }
         parts.sort_unstable_by_key(|(r, _)| *r);
         parts
+    }
+
+    /// Whether the hold's agents sit in two or more regions — i.e.
+    /// whether booking it must go through the two-phase protocol.
+    /// Answers what `split_by_region(hold).len() >= 2` answers without
+    /// building the split.
+    pub(crate) fn spans_regions(&self, hold: &SessionHold) -> bool {
+        let entries = self.entries.read();
+        let mut regions = hold
+            .holds
+            .iter()
+            .map(|h| entries[h.agent.index()].region.load(Ordering::Relaxed));
+        match regions.next() {
+            Some(first) => regions.any(|r| r != first),
+            None => false,
+        }
     }
 
     /// Phase 1, **checked**: debits every region's sub-hold, verifying

@@ -1594,10 +1594,9 @@ impl Fleet {
                     slot.tasks[i] = a;
                 }
                 slot.active = true;
-                let load =
-                    fleet::evaluate_slot(&universe.problem, *session, &slot, scratch).clone();
-                let hold = SessionHold::from_load(&load);
-                slot.load = load;
+                let load = fleet::evaluate_slot(&universe.problem, *session, &slot, scratch);
+                let hold = SessionHold::from_load(load);
+                slot.load.clone_from(load);
                 self.live.fetch_add(1, Ordering::Relaxed);
                 // Book unchecked, exactly like the live engine path:
                 // the admission was already accepted against the live

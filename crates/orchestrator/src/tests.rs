@@ -14,6 +14,7 @@ use vc_model::{
     AgentId, AgentSpec, Capacity, DownstreamDemand, InstanceBuilder, ReprLadder, SessionDef,
     SessionId, UserDef,
 };
+use vc_obs::Site;
 use vc_workloads::{dynamic_trace, DynamicTraceConfig, FleetEvent};
 
 /// Three agents, six 2-user sessions, moderate capacities: enough for
@@ -150,11 +151,20 @@ fn admit_depart_round_trip_conserves() {
     assert_eq!(f.live_count(), 6);
     assert!(f.objective() > 0.0);
     for i in 0..6 {
+        // A departure is an exclusive FREEZE acquisition like an admit:
+        // it shows up in both freeze-write histograms, exactly once.
+        let holds = |site| f.obs().summary(site).count;
+        let before = (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold));
         let hold = f.depart(SessionId::new(i)).expect("was live");
+        assert_eq!(
+            (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold)),
+            (before.0 + 1, before.1 + 1)
+        );
         // Ledger gave back a non-trivial reservation.
         assert!(!hold.is_empty());
         assert!(f.audit().is_empty(), "audit after depart {i}");
     }
+    assert!(f.depart(SessionId::new(0)).is_none(), "already departed");
     assert_eq!(f.live_count(), 0);
     assert_eq!(f.ledger().live_sessions(), 0);
     assert_eq!(f.objective(), 0.0);
