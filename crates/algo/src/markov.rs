@@ -17,9 +17,9 @@
 //! values `Φ + ε`, ε drawn from the Theorem-1 quantized noise model.
 
 use rand::Rng;
-use vc_core::{Decision, EvalScratch, SystemState};
+use vc_core::{neighborhood, Decision, EvalScratch, SystemState};
 use vc_markov::perturb::NoiseSpec;
-use vc_model::{AgentId, SessionId};
+use vc_model::SessionId;
 
 /// Exponent clamp for the Gibbs weights (β·ΔΦ can overflow `exp`).
 const MAX_EXPONENT: f64 = 600.0;
@@ -76,8 +76,8 @@ pub enum HopOutcome {
 /// vectors. One per worker thread; steady-state hops allocate nothing.
 #[derive(Debug, Default)]
 pub struct HopScratch {
-    /// Candidate evaluation buffers (shared with the caller's own
-    /// evaluation needs, e.g. the orchestrator's slot-based hop).
+    /// The neighbourhood kernel's buffers (the orchestrator's
+    /// slot-based hop drives its own kernel over the same ones).
     pub eval: EvalScratch,
     /// Feasible decisions of the current neighborhood, in enumeration
     /// order.
@@ -165,11 +165,11 @@ impl Alg1Engine {
         self.hop_with_beta_scratch(state, s, self.config.beta, rng, scratch)
     }
 
-    /// The HOP primitive: enumerates the feasible single-decision
-    /// neighbors through `scratch` (overlay evaluation, no assignment
+    /// The HOP primitive: weighs the single-decision neighbourhood
+    /// through `scratch` (one conference compilation, no assignment
     /// clone, no per-candidate allocation), Gibbs-samples over
-    /// {stay} ∪ neighbors, and commits the chosen move by swapping the
-    /// evaluated load into the state.
+    /// {stay} ∪ feasible neighbors, and commits the chosen move by
+    /// swapping its re-derived load into the state.
     pub fn hop_with_beta_scratch<R: Rng + ?Sized>(
         &self,
         state: &mut SystemState,
@@ -178,58 +178,33 @@ impl Alg1Engine {
         rng: &mut R,
         scratch: &mut HopScratch,
     ) -> HopOutcome {
-        scratch.decisions.clear();
-        scratch.phis.clear();
-        {
-            let problem = state.problem().clone();
-            let inst = problem.instance();
-            let nl = inst.num_agents();
-            let consider = |decision: Decision, scratch: &mut HopScratch| {
-                if state.candidate_into(decision, &mut scratch.eval).is_ok() {
-                    scratch.decisions.push(decision);
-                    scratch.phis.push(scratch.eval.load().phi);
-                }
-            };
-            for &u in inst.session(s).users() {
-                let current = state.assignment().agent_of_user(u);
-                for l in 0..nl {
-                    let l = AgentId::from(l);
-                    if l != current {
-                        consider(Decision::User(u, l), scratch);
-                    }
-                }
-            }
-            for &t in problem.tasks().of_session(s) {
-                let current = state.assignment().agent_of_task(t);
-                for l in 0..nl {
-                    let l = AgentId::from(l);
-                    if l != current {
-                        consider(Decision::Task(t, l), scratch);
-                    }
-                }
-            }
-        }
-        if scratch.decisions.is_empty() {
+        let HopScratch {
+            eval,
+            decisions,
+            phis,
+            exponents,
+        } = scratch;
+        decisions.clear();
+        phis.clear();
+        let mut hood = neighborhood::sweep_feasible(state, s, eval, |decision, load| {
+            decisions.push(decision);
+            phis.push(load.phi);
+        });
+        if decisions.is_empty() {
             return HopOutcome::NoFeasibleMove;
         }
         let phi_now = self.observe(state.session_objective(s), rng);
-        for phi in &mut scratch.phis {
+        for phi in phis.iter_mut() {
             *phi = self.observe(*phi, rng);
         }
-        let chosen = self.gibbs_select(beta, phi_now, &scratch.phis, &mut scratch.exponents, rng);
+        let chosen = self.gibbs_select(beta, phi_now, phis, exponents, rng);
         if chosen == 0 {
             return HopOutcome::Stayed;
         }
-        let decision = scratch.decisions[chosen - 1];
-        match state.candidate_into(decision, &mut scratch.eval) {
-            Ok(()) => {
-                state.commit_scratch(decision, &mut scratch.eval);
-                HopOutcome::Migrated(decision)
-            }
-            // Cannot happen single-threaded (the candidate was feasible a
-            // moment ago), but stay put rather than corrupt the state.
-            Err(_) => HopOutcome::Stayed,
-        }
+        let decision = decisions[chosen - 1];
+        hood.candidate(decision);
+        state.commit_scratch(decision, eval);
+        HopOutcome::Migrated(decision)
     }
 
     /// Applies the configured measurement-noise model to one observed

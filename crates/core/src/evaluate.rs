@@ -21,18 +21,36 @@
 //!   latency `σ_l` (counted once; the paper's printed formula nests σ
 //!   inside the `Σ_k`, an evident typo).
 //!
+//! ## Evaluate = compile + fold
+//!
+//! The formulas above are transcribed once, over **session-local dense
+//! indices**. [`EvalScratch::evaluate`] first *compiles* the conference
+//! (private `Conference`): user and task positions, `θ` as a flow → task
+//! table, every `κ` and demanded Mbps — everything the formulas read
+//! that does not depend on the assignment — then reads the placement
+//! through the [`AssignmentView`] into two local arrays, derives every
+//! flow's delay, and *folds*: each stream's `μ_klu` terms are emitted
+//! in source order into an `L×L` flow matrix, which is folded row-major
+//! into the per-agent loads, followed by occupancy, delay maxima and
+//! costs. One evaluation touches only the agents the session actually
+//! uses (tracked in [`SessionLoad::touched`]) and clears only what it
+//! wrote, so steady-state evaluation is allocation-free.
+//!
 //! ## The hop hot path
 //!
 //! Alg. 1 weighs `(|U(s)| + |T(s)|)·(L − 1)` candidate placements per
-//! HOP, so this module is written around a reusable [`EvalScratch`]:
-//! one evaluation touches only the agents the session actually uses
-//! (tracked in [`SessionLoad::touched`]) and clears only what it wrote,
-//! making steady-state candidate weighing allocation-free. Candidates
-//! are expressed as an [`OverlayView`] over the committed assignment —
-//! a one-decision diff — instead of cloning the whole assignment.
+//! HOP, all of one conference and each one decision away from the
+//! committed placement. The [neighbourhood kernel](crate::neighborhood)
+//! therefore compiles once per HOP and, per candidate, moves one entry
+//! of the local placement, re-derives only the flow delays that entry
+//! invalidates, folds, and reverts — the fold being this module's, the
+//! emitted addends and their order are those of a from-scratch
+//! [`evaluate`](EvalScratch::evaluate) of the moved assignment, so the
+//! two are bit-equal. [`OverlayView`] remains the one-decision diff for
+//! callers that evaluate a single candidate from global ids.
 
 use crate::{Assignment, Decision, TaskId, UapProblem};
-use vc_model::{AgentId, ReprId, SessionId, UserId};
+use vc_model::{AgentId, Instance, ReprId, SessionId, UserId};
 
 /// Read access to the decision variables `λ` (user → agent) and `γ`
 /// (task → agent). [`Assignment`] is the committed store; overlays and
@@ -237,7 +255,209 @@ pub fn evaluate_session<V: AssignmentView>(
     scratch.evaluate(problem, view, s).clone()
 }
 
-/// Reusable per-worker evaluation buffers: the `L×L` flow matrix (with
+/// `Conference::flow_task` entry of an un-transcoded flow (`θ_uv = 0`).
+const NO_TASK: u32 = u32::MAX;
+
+/// One transcoding task in session-local terms.
+#[derive(Debug, Clone, Copy)]
+struct LocalTask {
+    /// Position of the source user in the session.
+    src: u32,
+    /// Position of the destination user in the session.
+    dst: u32,
+    target: ReprId,
+    /// `κ(target)`.
+    kappa: f64,
+}
+
+/// One session compiled to session-local dense indices: everything the
+/// traffic and delay formulas read that does **not** depend on the
+/// assignment, resolved from global ids once so that weighing a
+/// placement touches no `position()` scan, no [`TaskTable`](crate::TaskTable)
+/// search and no `θ` test. Users are indexed by their position in
+/// `session.users()`, tasks by their position in `tasks.of_session(s)`
+/// (which groups them by source, sources in session order).
+#[derive(Debug, Default)]
+struct Conference {
+    /// Per user: upstream representation, its `κ`, and `Σ_v κ(r^d_uv)`.
+    upstream: Vec<ReprId>,
+    k_up: Vec<f64>,
+    demanded: Vec<f64>,
+    tasks: Vec<LocalTask>,
+    /// `tasks[first_task[i]..first_task[i + 1]]` have source user `i`.
+    first_task: Vec<u32>,
+    /// `n×n`, row = source: the task transcoding flow `i → j`, or
+    /// [`NO_TASK`] (`θ_ij = 0`).
+    flow_task: Vec<u32>,
+}
+
+impl Conference {
+    fn compile(&mut self, problem: &UapProblem, s: SessionId) {
+        let inst = problem.instance();
+        let table = problem.tasks();
+        let users = inst.session(s).users();
+        let session_tasks = table.of_session(s);
+        let n = users.len();
+        self.upstream.clear();
+        self.k_up.clear();
+        self.demanded.clear();
+        self.tasks.clear();
+        self.first_task.clear();
+        self.flow_task.clear();
+        self.flow_task.resize(n * n, NO_TASK);
+        for (i, &u) in users.iter().enumerate() {
+            let upstream = inst.user(u).upstream();
+            self.upstream.push(upstream);
+            self.k_up.push(inst.kappa(upstream));
+            self.demanded.push(problem.demanded_mbps(u));
+            self.first_task.push(self.tasks.len() as u32);
+            for &t in table.of_source(u) {
+                let k = self.tasks.len();
+                assert!(
+                    session_tasks.get(k) == Some(&t),
+                    "a session's tasks are its sources' tasks, in session order"
+                );
+                let task = table.task(t);
+                let dst = users
+                    .iter()
+                    .position(|&w| w == task.dst)
+                    .expect("task destination is a session member");
+                self.flow_task[i * n + dst] = k as u32;
+                self.tasks.push(LocalTask {
+                    src: i as u32,
+                    dst: dst as u32,
+                    target: task.target,
+                    kappa: inst.kappa(task.target),
+                });
+            }
+        }
+        self.first_task.push(self.tasks.len() as u32);
+    }
+
+    fn num_users(&self) -> usize {
+        self.k_up.len()
+    }
+
+    /// Emits the three `μ_klu` terms of user `i`'s stream under the
+    /// placement `(ua, ta)` as `(from, to, Mbps)` contributions, in the
+    /// order the flow matrix must accumulate them.
+    fn emit_stream(
+        &self,
+        i: usize,
+        ua: &[AgentId],
+        ta: &[AgentId],
+        sets: &mut StreamSets,
+        mut emit: impl FnMut(AgentId, AgentId, f64),
+    ) {
+        let n = self.num_users();
+        let a_u = ua[i];
+        let k_up = self.k_up[i];
+        let range = self.first_task[i] as usize..self.first_task[i + 1] as usize;
+        let tasks_u = &self.tasks[range.clone()];
+        let agents_u = &ta[range];
+
+        // T_u: agents transcoding u's stream (ν′_lu = 1).
+        sets.transcoders.clear();
+        for &a in agents_u {
+            if !sets.transcoders.contains(&a) {
+                sets.transcoders.push(a);
+            }
+        }
+
+        // Term 1: raw upstream from u's agent to every transcoding agent.
+        for &l in &sets.transcoders {
+            if l != a_u {
+                emit(a_u, l, k_up);
+            }
+        }
+
+        // Term 2: raw upstream to agents hosting un-transcoded destinations
+        // (θ_uv = 0), unless the agent already receives it for transcoding.
+        sets.raw_dests.clear();
+        for (j, &a_v) in ua.iter().enumerate() {
+            if j != i
+                && self.flow_task[i * n + j] == NO_TASK
+                && a_v != a_u
+                && !sets.transcoders.contains(&a_v)
+                && !sets.raw_dests.contains(&a_v)
+            {
+                sets.raw_dests.push(a_v);
+            }
+        }
+        for &l in &sets.raw_dests {
+            emit(a_u, l, k_up);
+        }
+
+        // Term 3: transcoded streams from their transcoder(s) to the agents
+        // hosting destinations that demand them. The paper's (1−λ_lu) factor
+        // skips deliveries back to u's own agent.
+        sets.reps.clear();
+        for task in tasks_u {
+            if !sets.reps.iter().any(|&(r, _)| r == task.target) {
+                sets.reps.push((task.target, task.kappa));
+            }
+        }
+        for &(r, k_r) in &sets.reps {
+            sets.transcoders_r.clear();
+            sets.dest_agents_r.clear();
+            for (task, &ta) in tasks_u.iter().zip(agents_u) {
+                if task.target != r {
+                    continue;
+                }
+                if !sets.transcoders_r.contains(&ta) {
+                    sets.transcoders_r.push(ta);
+                }
+                let da = ua[task.dst as usize];
+                if da != a_u && !sets.dest_agents_r.contains(&da) {
+                    sets.dest_agents_r.push(da);
+                }
+            }
+            for &l in &sets.dest_agents_r {
+                for &k in &sets.transcoders_r {
+                    if k != l {
+                        emit(k, l, k_r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// End-to-end delay `d_ij` of the flow from user `i` to user `j`
+    /// (`users` is the session's user list) under `(ua, ta)`.
+    fn flow_delay(
+        &self,
+        inst: &Instance,
+        users: &[UserId],
+        ua: &[AgentId],
+        ta: &[AgentId],
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        let relay = match self.flow_task[i * self.num_users() + j] {
+            NO_TASK => None,
+            k => Some((
+                ta[k as usize],
+                self.upstream[i],
+                self.tasks[k as usize].target,
+            )),
+        };
+        delay_breakdown_at(inst, (users[i], ua[i]), (users[j], ua[j]), relay).total()
+    }
+}
+
+/// The small per-stream agent and representation sets of
+/// [`Conference::emit_stream`].
+#[derive(Debug, Default)]
+struct StreamSets {
+    transcoders: Vec<AgentId>,
+    raw_dests: Vec<AgentId>,
+    reps: Vec<(ReprId, f64)>,
+    transcoders_r: Vec<AgentId>,
+    dest_agents_r: Vec<AgentId>,
+}
+
+/// Reusable per-worker evaluation buffers: the compiled conference and
+/// its placement in session-local indices, the `L×L` flow matrix (with
 /// a touched-cell list so clearing is proportional to what was written,
 /// not `L²`), the output [`SessionLoad`], the transcode-triple dedup
 /// buffer, and the small per-stream agent sets. After warm-up an
@@ -253,13 +473,19 @@ pub struct EvalScratch {
     load: SessionLoad,
     /// Membership mask for `load.touched`, true only mid-evaluation.
     mark: Vec<bool>,
-    /// Transcode-triple dedup buffer (sort + dedup, not O(n²) scans).
-    triples: Vec<(AgentId, UserId, ReprId)>,
-    transcoders: Vec<AgentId>,
-    raw_dests: Vec<AgentId>,
-    reps: Vec<ReprId>,
-    transcoders_r: Vec<AgentId>,
-    dest_agents_r: Vec<AgentId>,
+    /// Transcode-triple dedup buffer (sort + dedup, not O(n²) scans):
+    /// `(agent, source position, target)`.
+    triples: Vec<(AgentId, u32, ReprId)>,
+    sets: StreamSets,
+    /// The session most recently [`compile`](Self::compile)d and the
+    /// placement being weighed: user and task agents by local index,
+    /// and the `n×n` per-flow delays (row = source) under it.
+    conf: Conference,
+    ua: Vec<AgentId>,
+    ta: Vec<AgentId>,
+    delays: Vec<f64>,
+    /// `delays` as compiled, which a one-decision move is undone from.
+    base_delays: Vec<f64>,
 }
 
 impl EvalScratch {
@@ -302,9 +528,11 @@ impl EvalScratch {
     }
 
     /// Evaluates session `s` under `view` into the scratch's load,
-    /// returning it. Results are bitwise identical to a fresh
-    /// [`evaluate_session`]: sparse accumulation visits agents and flow
-    /// cells in the same ascending order the dense scan would.
+    /// returning it: compile the conference, read the placement, derive
+    /// every flow's delay, [`fold`](Self::fold). Results are bitwise
+    /// identical to a fresh [`evaluate_session`]: sparse accumulation
+    /// visits agents and flow cells in the same ascending order the
+    /// dense scan would.
     ///
     /// # Panics
     ///
@@ -315,26 +543,135 @@ impl EvalScratch {
         view: &V,
         s: SessionId,
     ) -> &SessionLoad {
+        let users = problem.instance().session(s).users();
+        let tasks = problem.tasks().of_session(s);
+        self.compile(
+            problem,
+            s,
+            users.iter().map(|&u| view.agent_of_user(u)),
+            tasks.iter().map(|&t| view.agent_of_task(t)),
+        );
+        self.fold(problem)
+    }
+
+    /// Compiles session `s` to local indices, installs `(users, tasks)`
+    /// — agents in `session.users()` / `tasks.of_session(s)` order — as
+    /// the placement to weigh, and derives every flow's delay under it.
+    /// [`fold`](Self::fold) then weighs that placement;
+    /// [`weigh_user_at`](Self::weigh_user_at) /
+    /// [`weigh_task_at`](Self::weigh_task_at) weigh it one decision away.
+    pub(crate) fn compile(
+        &mut self,
+        problem: &UapProblem,
+        s: SessionId,
+        users: impl Iterator<Item = AgentId>,
+        tasks: impl Iterator<Item = AgentId>,
+    ) {
+        self.conf.compile(problem, s);
+        self.ua.clear();
+        self.ua.extend(users);
+        self.ta.clear();
+        self.ta.extend(tasks);
+        let n = self.conf.num_users();
+        assert!(
+            self.ua.len() == n && self.ta.len() == self.conf.tasks.len(),
+            "placement does not cover the session"
+        );
+        let inst = problem.instance();
+        let ids = inst.session(s).users();
+        self.delays.clear();
+        self.delays.resize(n * n, 0.0);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    self.delays[i * n + j] =
+                        self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                }
+            }
+        }
+        self.base_delays.clone_from(&self.delays);
+    }
+
+    /// Weighs the compiled placement of session `s` with user `i`
+    /// (local index) moved to `a`: re-derives the `2(n−1)` flow delays
+    /// through that user, folds, and reverts the move.
+    pub(crate) fn weigh_user_at(
+        &mut self,
+        problem: &UapProblem,
+        s: SessionId,
+        i: usize,
+        a: AgentId,
+    ) -> &SessionLoad {
+        let inst = problem.instance();
+        let ids = inst.session(s).users();
+        let n = ids.len();
+        let base = std::mem::replace(&mut self.ua[i], a);
+        for j in 0..n {
+            if j != i {
+                self.delays[i * n + j] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                self.delays[j * n + i] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, j, i);
+            }
+        }
+        self.fold(problem);
+        self.ua[i] = base;
+        self.delays.copy_from_slice(&self.base_delays);
+        &self.load
+    }
+
+    /// Weighs the compiled placement of session `s` with task `k`
+    /// (local index) moved to `a`: re-derives the delay of the one flow
+    /// it relays, folds, and reverts the move.
+    pub(crate) fn weigh_task_at(
+        &mut self,
+        problem: &UapProblem,
+        s: SessionId,
+        k: usize,
+        a: AgentId,
+    ) -> &SessionLoad {
+        let inst = problem.instance();
+        let ids = inst.session(s).users();
+        let task = self.conf.tasks[k];
+        let (i, j) = (task.src as usize, task.dst as usize);
+        let cell = i * ids.len() + j;
+        let base = std::mem::replace(&mut self.ta[k], a);
+        self.delays[cell] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+        self.fold(problem);
+        self.ta[k] = base;
+        self.delays[cell] = self.base_delays[cell];
+        &self.load
+    }
+
+    /// The compiled placement's agents: `(users, tasks)` by local index.
+    pub(crate) fn placement(&self) -> (&[AgentId], &[AgentId]) {
+        (&self.ua, &self.ta)
+    }
+
+    /// Weighs the compiled placement: every stream's `μ_klu` terms are
+    /// emitted in source order into the flow matrix, which is then
+    /// folded row-major into the per-agent loads, followed by the
+    /// transcoding occupancy, the delay maxima and the costs.
+    pub(crate) fn fold(&mut self, problem: &UapProblem) -> &SessionLoad {
         let inst = problem.instance();
         let nl = inst.num_agents();
         self.ensure(nl);
         self.clear();
-        let session = inst.session(s);
+        let n = self.conf.num_users();
 
         // --- Traffic accounting (constraints (5)/(6) and x_ls). ---------
-        for &u in session.users() {
-            let a_u = view.agent_of_user(u);
-            let upstream = inst.user(u).upstream();
-            let k_up = inst.kappa(upstream);
-
-            touch(&mut self.load.touched, &mut self.mark, a_u.index());
+        for i in 0..n {
+            let a_u = self.ua[i].index();
+            touch(&mut self.load.touched, &mut self.mark, a_u);
             // Last-mile upstream: u pushes its stream into its agent.
-            self.load.download[a_u.index()] += k_up;
+            self.load.download[a_u] += self.conf.k_up[i];
             // Last-mile downstream: u's agent pushes to u every stream u
             // demands (assignment-independent, precomputed).
-            self.load.upload[a_u.index()] += problem.demanded_mbps(u);
+            self.load.upload[a_u] += self.conf.demanded[i];
 
-            self.accumulate_stream_flows(problem, view, u, a_u, k_up);
+            let (flows, cells) = (&mut self.flows, &mut self.flow_cells);
+            self.conf
+                .emit_stream(i, &self.ua, &self.ta, &mut self.sets, |from, to, mbps| {
+                    flow_add(flows, cells, nl, from, to, mbps)
+                });
         }
 
         // Row-major cell order reproduces the dense `for k { for l }`
@@ -359,32 +696,33 @@ impl EvalScratch {
         // One unit per distinct (agent, src-user, target-rep) triple;
         // sort + dedup instead of the quadratic `seen.contains` scan.
         self.triples.clear();
-        for &t in problem.tasks().of_session(s) {
-            let task = problem.tasks().task(t);
-            self.triples
-                .push((view.agent_of_task(t), task.src, task.target));
-        }
+        self.triples.extend(
+            self.conf
+                .tasks
+                .iter()
+                .zip(&self.ta)
+                .map(|(task, &a)| (a, task.src, task.target)),
+        );
         self.triples.sort_unstable();
         self.triples.dedup();
-        for i in 0..self.triples.len() {
-            let a = self.triples[i].0;
+        for &(a, _, _) in &self.triples {
             touch(&mut self.load.touched, &mut self.mark, a.index());
             self.load.transcode_units[a.index()] += 1;
         }
 
         // --- End-to-end delays d_uv (constraint (8) and F(d_s)). --------
-        self.load.user_delay.resize(session.len(), 0.0);
-        for (u, v) in session.flows() {
-            let d = flow_delay(problem, view, u, v);
-            self.load.max_flow_delay = self.load.max_flow_delay.max(d);
-            // d_v = max over incoming flows u→v.
-            let pos = session
-                .users()
-                .iter()
-                .position(|&w| w == v)
-                .expect("flow destination is a session member");
-            self.load.user_delay[pos] = self.load.user_delay[pos].max(d);
+        // d_v = max over incoming flows u→v: a column maximum of the
+        // delay matrix, whose diagonal is 0 and so never wins. Row by
+        // row the n running maxima are independent of each other.
+        self.load.user_delay.resize(n, 0.0);
+        if n > 0 {
+            for row in self.delays.chunks_exact(n) {
+                for (d_v, &d) in self.load.user_delay.iter_mut().zip(row) {
+                    *d_v = d_v.max(d);
+                }
+            }
         }
+        self.load.max_flow_delay = self.load.user_delay.iter().copied().fold(0.0, f64::max);
 
         // --- Costs (sparse: untouched agents contribute price·g(0) = 0,
         // and adding +0.0 leaves the ascending-order sum bitwise equal
@@ -421,92 +759,6 @@ impl EvalScratch {
             self.load.transcode_cost,
         );
         &self.load
-    }
-
-    /// Accumulates the three `μ_klu` terms for user `u`'s stream.
-    fn accumulate_stream_flows<V: AssignmentView>(
-        &mut self,
-        problem: &UapProblem,
-        view: &V,
-        u: UserId,
-        a_u: AgentId,
-        k_up: f64,
-    ) {
-        let inst = problem.instance();
-        let tasks_u = problem.tasks().of_source(u);
-        let nl = self.nl;
-        let flows = &mut self.flows;
-        let flow_cells = &mut self.flow_cells;
-
-        // T_u: agents transcoding u's stream (ν′_lu = 1).
-        self.transcoders.clear();
-        for &t in tasks_u {
-            let a = view.agent_of_task(t);
-            if !self.transcoders.contains(&a) {
-                self.transcoders.push(a);
-            }
-        }
-
-        // Term 1: raw upstream from u's agent to every transcoding agent.
-        for &l in &self.transcoders {
-            if l != a_u {
-                flow_add(flows, flow_cells, nl, a_u, l, k_up);
-            }
-        }
-
-        // Term 2: raw upstream to agents hosting un-transcoded destinations
-        // (θ_uv = 0), unless the agent already receives it for transcoding.
-        self.raw_dests.clear();
-        for v in inst.participants(u) {
-            if !inst.theta(u, v) {
-                let a_v = view.agent_of_user(v);
-                if a_v != a_u && !self.transcoders.contains(&a_v) && !self.raw_dests.contains(&a_v)
-                {
-                    self.raw_dests.push(a_v);
-                }
-            }
-        }
-        for &l in &self.raw_dests {
-            flow_add(flows, flow_cells, nl, a_u, l, k_up);
-        }
-
-        // Term 3: transcoded streams from their transcoder(s) to the agents
-        // hosting destinations that demand them. The paper's (1−λ_lu) factor
-        // skips deliveries back to u's own agent.
-        self.reps.clear();
-        for &t in tasks_u {
-            let r = problem.tasks().task(t).target;
-            if !self.reps.contains(&r) {
-                self.reps.push(r);
-            }
-        }
-        for i in 0..self.reps.len() {
-            let r = self.reps[i];
-            let k_r = inst.kappa(r);
-            self.transcoders_r.clear();
-            self.dest_agents_r.clear();
-            for &t in tasks_u {
-                let task = problem.tasks().task(t);
-                if task.target != r {
-                    continue;
-                }
-                let ta = view.agent_of_task(t);
-                if !self.transcoders_r.contains(&ta) {
-                    self.transcoders_r.push(ta);
-                }
-                let da = view.agent_of_user(task.dst);
-                if da != a_u && !self.dest_agents_r.contains(&da) {
-                    self.dest_agents_r.push(da);
-                }
-            }
-            for &l in &self.dest_agents_r {
-                for &k in &self.transcoders_r {
-                    if k != l {
-                        flow_add(flows, flow_cells, nl, k, l, k_r);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -583,17 +835,35 @@ pub fn flow_delay_breakdown<V: AssignmentView>(
     v: UserId,
 ) -> DelayBreakdown {
     let inst = problem.instance();
-    let a_u = assignment.agent_of_user(u);
-    let a_v = assignment.agent_of_user(v);
-    let (inter_agent_ms, transcode_ms) = match problem.tasks().find(u, v) {
-        Some(t) => {
-            let l = assignment.agent_of_task(t);
-            let task = problem.tasks().task(t);
-            (
-                inst.d_ms(l, a_u) + inst.d_ms(l, a_v),
-                inst.sigma_ms(l, inst.user(u).upstream(), task.target),
-            )
-        }
+    let relay = problem.tasks().find(u, v).map(|t| {
+        (
+            assignment.agent_of_task(t),
+            inst.user(u).upstream(),
+            problem.tasks().task(t).target,
+        )
+    });
+    delay_breakdown_at(
+        inst,
+        (u, assignment.agent_of_user(u)),
+        (v, assignment.agent_of_user(v)),
+        relay,
+    )
+}
+
+/// The delay components of the flow from `u` on agent `a_u` to `v` on
+/// agent `a_v`, relayed — when it is transcoded — through
+/// `(transcoding agent, upstream representation, target representation)`.
+fn delay_breakdown_at(
+    inst: &Instance,
+    (u, a_u): (UserId, AgentId),
+    (v, a_v): (UserId, AgentId),
+    relay: Option<(AgentId, ReprId, ReprId)>,
+) -> DelayBreakdown {
+    let (inter_agent_ms, transcode_ms) = match relay {
+        Some((l, upstream, target)) => (
+            inst.d_ms(l, a_u) + inst.d_ms(l, a_v),
+            inst.sigma_ms(l, upstream, target),
+        ),
         None => (inst.d_ms(a_u, a_v), 0.0),
     };
     DelayBreakdown {

@@ -4,12 +4,130 @@
 //! variable — one user's agent or one task's agent. This module
 //! enumerates those neighbors and their feasibility, which is also what
 //! the complexity analysis of the paper counts: `O(|U(s)|²·L)` work per
-//! HOP (ours is `O((|U(s)| + |T(s)|) · L)` candidate evaluations, each
-//! re-evaluating one session).
+//! HOP.
+//!
+//! ## The neighbourhood kernel
+//!
+//! All `(|U(s)| + |T(s)|)·(L − 1)` candidates of one HOP share the
+//! conference and differ from the committed placement in one decision,
+//! so a HOP compiles its conference **once** ([`Neighborhood::begin`]):
+//! user and task positions, `θ` as a flow → task table, every `κ`, the
+//! demanded Mbps, the placement itself and every flow's delay, all in
+//! session-local dense indices. A candidate
+//! ([`Neighborhood::candidate`], or each step of
+//! [`Neighborhood::sweep`]) then applies its decision to that local
+//! placement, re-derives only the delays the decision invalidates — a
+//! task move: the one flow it relays; a user move: the `2(n−1)` flows
+//! through that user — re-weighs, and reverts. Re-weighing re-emits the
+//! streams from the local tables (a few comparisons each) and folds
+//! them through the same code [`EvalScratch::evaluate`] runs, so every
+//! float sum sees the same addends in the same order and the load is
+//! bit-equal to a from-scratch evaluation of the moved assignment
+//! (`tests/hop_equivalence.rs`). Per HOP that is one compilation of
+//! `O(n² + |T|)` lookups plus, per candidate, `O(n² + |T| log |T|)`
+//! arithmetic on local arrays with no id resolution at all. Nothing
+//! outlives the HOP: the kernel's buffers are the worker's
+//! [`EvalScratch`].
 
-use crate::evaluate::SessionLoad;
-use crate::{Decision, SystemState};
+use crate::evaluate::{EvalScratch, SessionLoad};
+use crate::{Decision, SystemState, UapProblem};
 use vc_model::{AgentId, SessionId};
+
+/// The single-decision neighbourhood of one session around one base
+/// placement — see the [module docs](self).
+#[derive(Debug)]
+pub struct Neighborhood<'a> {
+    eval: &'a mut EvalScratch,
+    problem: &'a UapProblem,
+    s: SessionId,
+}
+
+impl<'a> Neighborhood<'a> {
+    /// Compiles session `s` around the base placement `(users, tasks)`:
+    /// agents in `session.users()` / `tasks.of_session(s)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or the placement does not cover
+    /// the session.
+    pub fn begin(
+        eval: &'a mut EvalScratch,
+        problem: &'a UapProblem,
+        s: SessionId,
+        users: impl IntoIterator<Item = AgentId>,
+        tasks: impl IntoIterator<Item = AgentId>,
+    ) -> Self {
+        eval.compile(problem, s, users.into_iter(), tasks.into_iter());
+        Self { eval, problem, s }
+    }
+
+    /// [`begin`](Self::begin) around `state`'s committed assignment.
+    pub fn of_state(state: &'a SystemState, s: SessionId, eval: &'a mut EvalScratch) -> Self {
+        let problem = state.problem();
+        let asg = state.assignment();
+        let users = problem.instance().session(s).users();
+        let tasks = problem.tasks().of_session(s);
+        Self::begin(
+            eval,
+            problem,
+            s,
+            users.iter().map(|&u| asg.agent_of_user(u)),
+            tasks.iter().map(|&t| asg.agent_of_task(t)),
+        )
+    }
+
+    /// Weighs the base placement with `decision` applied. Returns the
+    /// decision's slot — the position of its user in `session.users()`
+    /// or of its task in `tasks.of_session(s)` — and the load, which
+    /// stays in the [`EvalScratch`] (for a commit to swap out) until
+    /// the next candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the decision's user or task is not the session's.
+    pub fn candidate(&mut self, decision: Decision) -> (usize, &SessionLoad) {
+        let slot = match decision {
+            Decision::User(u, _) => (self.problem.instance().session(self.s).users().iter())
+                .position(|&w| w == u)
+                .expect("moved user belongs to the session"),
+            Decision::Task(t, _) => (self.problem.tasks().of_session(self.s).iter())
+                .position(|&w| w == t)
+                .expect("moved task belongs to the session"),
+        };
+        let load = match decision {
+            Decision::User(_, a) => self.eval.weigh_user_at(self.problem, self.s, slot, a),
+            Decision::Task(_, a) => self.eval.weigh_task_at(self.problem, self.s, slot, a),
+        };
+        (slot, load)
+    }
+
+    /// The candidate enumerator: each user to each other agent, then
+    /// each task to each other agent — ascending agents, targets
+    /// `allowed` refuses skipped — handing every weighed candidate to
+    /// `visit` in that order.
+    pub fn sweep(
+        &mut self,
+        allowed: impl Fn(AgentId) -> bool,
+        mut visit: impl FnMut(Decision, &SessionLoad),
+    ) {
+        let inst = self.problem.instance();
+        let targets = || inst.agent_ids().filter(|&l| allowed(l));
+        for (i, &u) in inst.session(self.s).users().iter().enumerate() {
+            let current = self.eval.placement().0[i];
+            for l in targets().filter(|&l| l != current) {
+                let load = self.eval.weigh_user_at(self.problem, self.s, i, l);
+                visit(Decision::User(u, l), load);
+            }
+        }
+        for (k, &t) in self.problem.tasks().of_session(self.s).iter().enumerate() {
+            let current = self.eval.placement().1[k];
+            for l in targets().filter(|&l| l != current) {
+                let load = self.eval.weigh_task_at(self.problem, self.s, k, l);
+                visit(Decision::Task(t, l), load);
+            }
+        }
+    }
+}
 
 /// A feasible single-decision move and the session objective it yields.
 #[derive(Debug, Clone)]
@@ -22,55 +140,61 @@ pub struct Move {
     pub new_load: SessionLoad,
 }
 
+/// Weighs every single-decision neighbour of session `s` at `state` and
+/// hands the feasible ones — target agent available, constraints
+/// (5)–(8) kept — to `visit`, in enumeration order. Returns the
+/// neighbourhood, so the caller can re-derive the move it picks.
+pub fn sweep_feasible<'a>(
+    state: &'a SystemState,
+    s: SessionId,
+    eval: &'a mut EvalScratch,
+    mut visit: impl FnMut(Decision, &SessionLoad),
+) -> Neighborhood<'a> {
+    let mut hood = Neighborhood::of_state(state, s, eval);
+    hood.sweep(
+        |l| state.is_agent_available(l),
+        |decision, load| {
+            if state.fits(s, load).is_ok() {
+                visit(decision, load);
+            }
+        },
+    );
+    hood
+}
+
 /// Enumerates all feasible single-decision moves of session `s`: each
 /// user to each other agent, each transcoding task to each other agent.
 /// Moves that would violate constraints (5)–(8) are filtered out.
 pub fn feasible_moves(state: &SystemState, s: SessionId) -> Vec<Move> {
-    let problem = state.problem();
-    let inst = problem.instance();
-    let session = inst.session(s);
-    let nl = inst.num_agents();
     let mut out = Vec::new();
-
-    let consider = |decision: Decision, out: &mut Vec<Move>| {
-        let (new_load, verdict) = state.candidate(decision);
-        if verdict.is_ok() {
-            out.push(Move {
-                decision,
-                new_phi: new_load.phi,
-                new_load,
-            });
-        }
-    };
-
-    for &u in session.users() {
-        let current = state.assignment().agent_of_user(u);
-        for l in 0..nl {
-            let l = AgentId::from(l);
-            if l != current {
-                consider(Decision::User(u, l), &mut out);
-            }
-        }
-    }
-    for &t in problem.tasks().of_session(s) {
-        let current = state.assignment().agent_of_task(t);
-        for l in 0..nl {
-            let l = AgentId::from(l);
-            if l != current {
-                consider(Decision::Task(t, l), &mut out);
-            }
-        }
-    }
+    collect_feasible(state, s, &mut EvalScratch::new(), &mut out);
     out
 }
 
 /// Enumerates feasible moves across **all active** sessions (used by
 /// centralized baselines; Alg. 1 proper works per session).
 pub fn all_feasible_moves(state: &SystemState) -> Vec<Move> {
-    state
-        .active_sessions()
-        .flat_map(|s| feasible_moves(state, s))
-        .collect()
+    let mut eval = EvalScratch::new();
+    let mut out = Vec::new();
+    for s in state.active_sessions() {
+        collect_feasible(state, s, &mut eval, &mut out);
+    }
+    out
+}
+
+fn collect_feasible(
+    state: &SystemState,
+    s: SessionId,
+    eval: &mut EvalScratch,
+    out: &mut Vec<Move>,
+) {
+    sweep_feasible(state, s, eval, |decision, load| {
+        out.push(Move {
+            decision,
+            new_phi: load.phi,
+            new_load: load.clone(),
+        })
+    });
 }
 
 /// The number of *potential* (not necessarily feasible) neighbors of

@@ -337,8 +337,23 @@ impl SystemState {
         scratch.evaluate(&self.problem, &view, s);
         if !self.available[target.index()] {
             Err(Violation::Unavailable { agent: target })
-        } else if self.active[s.index()] {
-            self.check_swap(s, scratch.load())
+        } else {
+            self.fits(s, scratch.load())
+        }
+    }
+
+    /// Whether replacing session `s`'s load with `new_load` keeps the
+    /// system feasible (always, for an inactive session: it holds no
+    /// capacity) — the feasibility half of
+    /// [`candidate_into`](Self::candidate_into), for callers that weigh
+    /// candidates themselves.
+    ///
+    /// # Errors
+    ///
+    /// The first violation the swap would introduce.
+    pub fn fits(&self, s: SessionId, new_load: &SessionLoad) -> Result<(), Violation> {
+        if self.active[s.index()] {
+            self.check_swap(s, new_load)
         } else {
             Ok(())
         }

@@ -60,6 +60,7 @@ use vc_algo::admission::{
 use vc_algo::agrank::{self, AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
 use vc_algo::placement;
+use vc_core::neighborhood::Neighborhood;
 use vc_core::{
     AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView, SessionLoad,
     SystemState, TaskId, UapProblem, CAPACITY_EPS,
@@ -1263,10 +1264,10 @@ impl Fleet {
                 if l == agent || !u.available[l.index()] {
                     continue;
                 }
-                let candidate = redirect(d, l);
-                let feasible =
-                    self.weigh_candidate(problem, &slot, s, candidate, &mut eval, &residuals);
-                let phi = eval.load().phi;
+                let base = slot_view(problem, s, &slot);
+                let load = eval.evaluate(problem, &OverlayView::new(&base, redirect(d, l)), s);
+                let feasible = fits(load, &slot.load, &residuals, inst.d_max_ms());
+                let phi = load.phi;
                 if winner.is_none_or(|(_, best_phi, best_feasible)| {
                     (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
                 }) {
@@ -1675,69 +1676,46 @@ impl Fleet {
         if !slot.active {
             return HopOutcome::NoFeasibleMove;
         }
-        let inst = problem.instance();
-        let nl = inst.num_agents();
         self.ledger.hop_residuals_into(&mut scratch.residuals);
-        scratch.hop.decisions.clear();
-        scratch.hop.phis.clear();
-        let user_ids = inst.session(s).users();
-        let task_ids = problem.tasks().of_session(s);
-        for (i, &u) in user_ids.iter().enumerate() {
-            let current = slot.users[i];
-            for l in 0..nl {
-                let l = AgentId::from(l);
-                if l == current || !universe.available[l.index()] {
-                    continue;
+        let FleetHopScratch {
+            hop,
+            residuals,
+            last_delta_phi,
+            last_swap_conflict,
+        } = scratch;
+        hop.decisions.clear();
+        hop.phis.clear();
+        let d_max_ms = problem.instance().d_max_ms();
+        let mut hood = Neighborhood::begin(
+            &mut hop.eval,
+            problem,
+            s,
+            slot.users.iter().copied(),
+            slot.tasks.iter().copied(),
+        );
+        hood.sweep(
+            |l| universe.available[l.index()],
+            |d, load| {
+                if fits(load, &slot.load, residuals, d_max_ms) {
+                    hop.decisions.push(d);
+                    hop.phis.push(load.phi);
                 }
-                let d = Decision::User(u, l);
-                if self.weigh_candidate(
-                    problem,
-                    &slot,
-                    s,
-                    d,
-                    &mut scratch.hop.eval,
-                    &scratch.residuals,
-                ) {
-                    scratch.hop.decisions.push(d);
-                    scratch.hop.phis.push(scratch.hop.eval.load().phi);
-                }
-            }
-        }
-        for (i, &t) in task_ids.iter().enumerate() {
-            let current = slot.tasks[i];
-            for l in 0..nl {
-                let l = AgentId::from(l);
-                if l == current || !universe.available[l.index()] {
-                    continue;
-                }
-                let d = Decision::Task(t, l);
-                if self.weigh_candidate(
-                    problem,
-                    &slot,
-                    s,
-                    d,
-                    &mut scratch.hop.eval,
-                    &scratch.residuals,
-                ) {
-                    scratch.hop.decisions.push(d);
-                    scratch.hop.phis.push(scratch.hop.eval.load().phi);
-                }
-            }
-        }
-        if scratch.hop.decisions.is_empty() {
+            },
+        );
+        if hop.decisions.is_empty() {
             self.counters.stays.fetch_add(1, Ordering::Relaxed);
             self.note_stay();
             return HopOutcome::NoFeasibleMove;
         }
         let phi_now = self.engine.observe(slot.load.phi, rng);
-        for phi in &mut scratch.hop.phis {
+        for phi in &mut hop.phis {
             *phi = self.engine.observe(*phi, rng);
         }
         let chosen = self.engine.gibbs_select(
             self.engine.config().beta,
             phi_now,
-            &scratch.hop.phis,
-            &mut scratch.hop.exponents,
+            &hop.phis,
+            &mut hop.exponents,
             rng,
         );
         if chosen == 0 {
@@ -1745,49 +1723,24 @@ impl Fleet {
             self.note_stay();
             return HopOutcome::Stayed;
         }
-        let decision = scratch.hop.decisions[chosen - 1];
-        {
-            let base = slot_view(problem, s, &slot);
-            let view = OverlayView::new(&base, decision);
-            scratch.hop.eval.evaluate(problem, &view, s);
-        }
-        // Resolve the slot index once; it serves both the journaled
-        // old assignment and the commit below.
-        let (slot_idx, new_agent) = match decision {
-            Decision::User(u, a) => (
-                user_ids
-                    .iter()
-                    .position(|&w| w == u)
-                    .expect("hopped user belongs to the session"),
-                a,
-            ),
-            Decision::Task(t, a) => (
-                task_ids
-                    .iter()
-                    .position(|&w| w == t)
-                    .expect("hopped task belongs to the session"),
-                a,
-            ),
-        };
-        let old_agent = match decision {
-            Decision::User(..) => slot.users[slot_idx],
-            Decision::Task(..) => slot.tasks[slot_idx],
-        };
-        let swap = self
-            .ledger
-            .try_swap(s, SessionHold::from_load(scratch.hop.eval.load()));
+        // The kernel re-derives the chosen candidate (same bits as when
+        // it was weighed) and names its slot, which serves both the
+        // journaled old assignment and the commit below.
+        let decision = hop.decisions[chosen - 1];
+        let (slot_idx, load) = hood.candidate(decision);
+        let swap = self.ledger.try_swap(s, SessionHold::from_load(load));
         // Attempt/conflict counters keyed by session — no clock reads;
         // contention shows up as a conflict ratio, not a latency. The
         // plane masks the key onto its counter shards itself.
         self.obs.note_swap(s.index(), swap.is_err());
         match swap {
             Ok(()) => {
-                match decision {
-                    Decision::User(..) => slot.users[slot_idx] = new_agent,
-                    Decision::Task(..) => slot.tasks[slot_idx] = new_agent,
-                }
-                scratch.last_delta_phi = scratch.hop.eval.load().phi - slot.load.phi;
-                slot.load.clone_from(scratch.hop.eval.load());
+                let old_agent = match decision {
+                    Decision::User(_, a) => std::mem::replace(&mut slot.users[slot_idx], a),
+                    Decision::Task(_, a) => std::mem::replace(&mut slot.tasks[slot_idx], a),
+                };
+                *last_delta_phi = load.phi - slot.load.phi;
+                slot.load.clone_from(load);
                 self.counters.migrations.fetch_add(1, Ordering::Relaxed);
                 self.log_op(|| crate::persist::FleetOp::Hop {
                     session: s,
@@ -1799,53 +1752,12 @@ impl Fleet {
             Err(_) => {
                 // A concurrent hop consumed the capacity between the
                 // residual snapshot and the commit — stay put.
-                scratch.last_swap_conflict = true;
+                *last_swap_conflict = true;
                 self.counters.stays.fetch_add(1, Ordering::Relaxed);
                 self.note_stay();
                 HopOutcome::Stayed
             }
         }
-    }
-
-    /// Evaluates `decision` over `slot` into `eval` and checks
-    /// feasibility: the delay bound plus, per *touched* agent only,
-    /// `new − old ≤ residual` (the sparse mirror of the closed-world
-    /// capacity check). Returns whether the candidate is feasible; the
-    /// evaluated load stays in `eval` either way.
-    fn weigh_candidate(
-        &self,
-        problem: &Arc<UapProblem>,
-        slot: &SessionSlot,
-        s: SessionId,
-        decision: Decision,
-        eval: &mut EvalScratch,
-        residuals: &HopResiduals,
-    ) -> bool {
-        {
-            let base = slot_view(problem, s, slot);
-            let view = OverlayView::new(&base, decision);
-            eval.evaluate(problem, &view, s);
-        }
-        let load = eval.load();
-        if load.max_flow_delay > problem.instance().d_max_ms() + CAPACITY_EPS {
-            return false;
-        }
-        let old = &slot.load;
-        for &a in &load.touched {
-            let i = a as usize;
-            if load.download[i] - old.download[i] > residuals.download[i] + CAPACITY_EPS {
-                return false;
-            }
-            if load.upload[i] - old.upload[i] > residuals.upload[i] + CAPACITY_EPS {
-                return false;
-            }
-            if f64::from(load.transcode_units[i]) - f64::from(old.transcode_units[i])
-                > residuals.transcode[i]
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// Whether session `s` is live.
@@ -2071,6 +1983,31 @@ impl Fleet {
             }
         }
     }
+}
+
+/// The sparse feasibility rule of hops and evacuations: the delay
+/// bound plus, per agent the candidate `load` *touches* only,
+/// `new − old ≤ residual` (the mirror of the closed-world capacity
+/// check, against a residual snapshot instead of cached totals).
+fn fits(load: &SessionLoad, old: &SessionLoad, residuals: &HopResiduals, d_max_ms: f64) -> bool {
+    if load.max_flow_delay > d_max_ms + CAPACITY_EPS {
+        return false;
+    }
+    for &a in &load.touched {
+        let i = a as usize;
+        if load.download[i] - old.download[i] > residuals.download[i] + CAPACITY_EPS {
+            return false;
+        }
+        if load.upload[i] - old.upload[i] > residuals.upload[i] + CAPACITY_EPS {
+            return false;
+        }
+        if f64::from(load.transcode_units[i]) - f64::from(old.transcode_units[i])
+            > residuals.transcode[i]
+        {
+            return false;
+        }
+    }
+    true
 }
 
 /// Sums the live slot loads in ascending session order — bit-

@@ -42,6 +42,7 @@
 
 use crate::fleet::{Fleet, FleetHopScratch};
 use crate::sched::{CompleteOutcome, ShardedWheel};
+use parking_lot::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,27 +83,33 @@ pub struct ReoptPool {
     wheel: ShardedWheel,
     seed: u64,
     hops_executed: AtomicUsize,
+    /// The virtual-clock drive's hop buffers. A trace-driven run calls
+    /// [`tick_until`](Self::tick_until) once per event, so they are
+    /// kept across calls; one driver at a time, hence uncontended.
+    /// [`run_wall`](Self::run_wall) threads own theirs.
+    tick_scratch: Mutex<FleetHopScratch>,
 }
 
 impl ReoptPool {
     /// An empty pool with the default shard count; `seed` derives
     /// every per-wakeup RNG.
     pub fn new(seed: u64) -> Self {
-        Self {
-            wheel: ShardedWheel::new(),
-            seed,
-            hops_executed: AtomicUsize::new(0),
-        }
+        Self::over(ShardedWheel::new(), seed)
     }
 
     /// An empty pool over `shards` scheduler shards (a contention
     /// knob only — dispatch order, and therefore every journaled
     /// record, is independent of it).
     pub fn with_shards(seed: u64, shards: usize) -> Self {
+        Self::over(ShardedWheel::with_shards(shards), seed)
+    }
+
+    fn over(wheel: ShardedWheel, seed: u64) -> Self {
         Self {
-            wheel: ShardedWheel::with_shards(shards),
+            wheel,
             seed,
             hops_executed: AtomicUsize::new(0),
+            tick_scratch: Mutex::new(FleetHopScratch::new()),
         }
     }
 
@@ -293,7 +300,7 @@ impl ReoptPool {
     pub fn tick_until(&self, fleet: &Fleet, t_s: f64) -> usize {
         let horizon = to_us(t_s);
         let obs = fleet.obs();
-        let mut scratch = FleetHopScratch::new();
+        let mut scratch = self.tick_scratch.lock();
         let mut n = 0;
         loop {
             let worker = self

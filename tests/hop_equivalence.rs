@@ -6,6 +6,15 @@
 //!   fresh full `evaluate_session` over a cloned-and-mutated
 //!   assignment, across random instances and long random decision
 //!   sequences (exercising scratch-reuse clearing and the commit swap);
+//! * **kernel ≡ fresh** — every single-decision candidate the
+//!   neighbourhood kernel weighs ([`Neighborhood::candidate`] and each
+//!   step of [`Neighborhood::sweep`]) is bit-equal, `touched` included,
+//!   to a fresh `evaluate_session` over a cloned-and-mutated
+//!   assignment: over random universes and placements, with a
+//!   zero-bitrate ladder rung, shared transcoded representations, tasks
+//!   on their source's or destination's agent, one scratch reused
+//!   across conferences of different sizes, and an agent pool that
+//!   grows between hops;
 //! * **concurrent hops conserve** — hops racing on OS threads under
 //!   the sharded FREEZE leave `Fleet::audit` empty and the slot loads
 //!   exactly re-evaluable.
@@ -17,8 +26,9 @@ use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
 use vc_core::evaluate::evaluate_session;
+use vc_core::neighborhood::Neighborhood;
 use vc_core::{EvalScratch, SessionLoad, TaskId, UapProblem};
-use vc_model::ReprId;
+use vc_model::{DownstreamDemand, ReprId};
 use vc_orchestrator::{Fleet, PlacementPolicy, ReoptPool};
 
 /// A random universe: agents with tight-ish capacities, sessions of
@@ -28,6 +38,8 @@ struct RandomUniverse {
     agents: Vec<(f64, u32)>,
     sessions: Vec<Vec<(u8, u8)>>,
     delay_seed: u64,
+    /// Whether the ladder's lowest rung carries 0 kbps (audio-only).
+    zero_rung: bool,
 }
 
 fn universe_strategy() -> impl Strategy<Value = RandomUniverse> {
@@ -35,16 +47,34 @@ fn universe_strategy() -> impl Strategy<Value = RandomUniverse> {
         prop::collection::vec((20.0f64..120.0, 1u32..8), 2..=4),
         prop::collection::vec(prop::collection::vec((0u8..4, 0u8..4), 2..=4), 2..=5),
         any::<u64>(),
+        any::<bool>(),
     )
-        .prop_map(|(agents, sessions, delay_seed)| RandomUniverse {
+        .prop_map(|(agents, sessions, delay_seed, zero_rung)| RandomUniverse {
             agents,
             sessions,
             delay_seed,
+            zero_rung,
         })
 }
 
+/// The standard four rungs, the lowest optionally at 0 kbps — a legal
+/// ladder whose transcoded streams add exactly 0.0 Mbps to a flow cell.
+fn ladder(zero_rung: bool) -> ReprLadder {
+    if zero_rung {
+        ReprLadder::from_steps([
+            ("audio", 0, 0),
+            ("480p", 480, 2_500),
+            ("720p", 720, 5_000),
+            ("1080p", 1080, 8_000),
+        ])
+        .expect("strictly increasing from zero")
+    } else {
+        ReprLadder::standard_four()
+    }
+}
+
 fn build_problem(spec: &RandomUniverse) -> Arc<UapProblem> {
-    let ladder = ReprLadder::standard_four();
+    let ladder = ladder(spec.zero_rung);
     let reprs: Vec<ReprId> = ladder.ids().collect();
     let mut b = InstanceBuilder::new(ladder);
     for (i, &(mbps, slots)) in spec.agents.iter().enumerate() {
@@ -136,6 +166,205 @@ fn assert_loads_bitwise(scratch: &SessionLoad, fresh: &SessionLoad, ctx: &str) {
     }
 }
 
+/// A placement drawn from `seed`: users anywhere, each task on its
+/// source's agent, its destination's agent, or anywhere (a third each).
+fn scattered_assignment(problem: &UapProblem, seed: u64) -> Assignment {
+    let nl = problem.instance().num_agents() as u64;
+    let draw = |salt: u64| {
+        let x = (seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 33
+    };
+    let mut asg = Assignment::all_to_agent(problem, AgentId::new(0));
+    for u in problem.instance().user_ids() {
+        asg.set_user(u, AgentId::from((draw(u.index() as u64) % nl) as usize));
+    }
+    for (t, task) in problem.tasks().iter() {
+        let x = draw(1_000 + t.index() as u64);
+        let agent = match x % 3 {
+            0 => asg.agent_of_user(task.src),
+            1 => asg.agent_of_user(task.dst),
+            _ => AgentId::from((x / 3 % nl) as usize),
+        };
+        asg.set_task(t, agent);
+    }
+    asg
+}
+
+/// Weighs **every** single-decision candidate of every session of
+/// `problem` around `asg` through the kernel — each user and each task
+/// to each agent, its current one included — and requires each load
+/// bit-equal, `touched` included, to a fresh evaluation of the mutated
+/// assignment; then requires `sweep` to visit exactly the non-current
+/// candidates, in enumeration order, with those same loads. One
+/// `scratch` serves every session. Returns the candidates weighed.
+fn assert_kernel_matches_fresh(
+    problem: &Arc<UapProblem>,
+    asg: &Assignment,
+    scratch: &mut EvalScratch,
+) -> usize {
+    let state = SystemState::new(problem.clone(), asg.clone());
+    let inst = problem.instance();
+    let mut weighed = 0;
+    for s in inst.session_ids() {
+        let decisions: Vec<Decision> = (inst.session(s).users().iter())
+            .flat_map(|&u| inst.agent_ids().map(move |l| Decision::User(u, l)))
+            .chain(
+                (problem.tasks().of_session(s).iter())
+                    .flat_map(|&t| inst.agent_ids().map(move |l| Decision::Task(t, l))),
+            )
+            .collect();
+        let mut hood = Neighborhood::of_state(&state, s, scratch);
+        let mut moves = Vec::new();
+        for &d in &decisions {
+            let mut mutated = asg.clone();
+            let current = mutated.apply(d);
+            let fresh = evaluate_session(problem, &mutated, s);
+            let ctx = format!("{s} {d}");
+            let (slot, load) = hood.candidate(d);
+            assert_loads_bitwise(load, &fresh, &ctx);
+            assert_eq!(load.touched, fresh.touched, "{ctx}: touched");
+            let (ids, target) = match d {
+                Decision::User(u, l) => (inst.session(s).users().iter().position(|&w| w == u), l),
+                Decision::Task(t, l) => (
+                    problem.tasks().of_session(s).iter().position(|&w| w == t),
+                    l,
+                ),
+            };
+            assert_eq!(Some(slot), ids, "{ctx}: slot");
+            if target != current {
+                moves.push((d, fresh));
+            }
+            weighed += 1;
+        }
+        let mut visited = 0;
+        hood.sweep(
+            |_| true,
+            |d, load| {
+                let (expected, fresh) = &moves[visited];
+                assert_eq!(d, *expected, "{s}: sweep order at {visited}");
+                assert_loads_bitwise(load, fresh, &format!("{s} sweep {d}"));
+                assert_eq!(load.touched, fresh.touched, "{s} sweep {d}: touched");
+                visited += 1;
+            },
+        );
+        assert_eq!(visited, moves.len(), "{s}: sweep skipped candidates");
+    }
+    weighed
+}
+
+/// `problem` with one more agent registered online, and `asg` grown to
+/// it (nobody placed on the new agent yet).
+fn with_one_more_agent(
+    problem: &Arc<UapProblem>,
+    asg: &Assignment,
+) -> (Arc<UapProblem>, Assignment) {
+    let mut grown = (**problem).clone();
+    let inst = grown.instance();
+    let def = AgentDef {
+        spec: AgentSpec::builder("late")
+            .capacity(Capacity::new(80.0, 80.0, 4))
+            .build(),
+        inter_agent_ms: (0..inst.num_agents())
+            .map(|k| 21.0 + 7.0 * k as f64)
+            .collect(),
+        user_delays_ms: (0..inst.num_users())
+            .map(|u| 9.0 + (u % 11) as f64)
+            .collect(),
+    };
+    grown.register_agent(&def).expect("agent registers");
+    let grown = Arc::new(grown);
+    let mut asg = asg.clone();
+    asg.grow(&grown);
+    (grown, asg)
+}
+
+/// The shapes the kernel must not get wrong, each built on purpose: a
+/// 0 Mbps transcoded delivery that is the *first* write to a flow cell
+/// another stream then adds to (the duplicate-cell case the fold
+/// dedups), two destinations on different agents sharing one transcoded
+/// representation from two transcoders, tasks on their source's and on
+/// their destination's agent, conferences of 4, 2 and 3 users through
+/// one scratch, and the agent pool growing between two neighbourhoods.
+#[test]
+fn kernel_matches_fresh_on_the_named_shapes() {
+    let ladder = ladder(true);
+    let [r0, r1, r2, r3]: [ReprId; 4] = ladder.ids().collect::<Vec<_>>().try_into().unwrap();
+    let mut b = InstanceBuilder::new(ladder);
+    for (i, slots) in [4u32, 4, 4].into_iter().enumerate() {
+        b.add_agent(
+            AgentSpec::builder(format!("a{i}"))
+                .capacity(Capacity::new(90.0, 90.0, slots))
+                .build(),
+        );
+    }
+    // Session 0: u0 sends 1080p; u1 and u2 both want it at 0 kbps (one
+    // shared representation, two tasks); everyone else's 480p goes
+    // around raw, so u2's and u3's streams reach u1's agent *after*
+    // u0's 0 Mbps deliveries opened those cells.
+    let s0 = b.add_session();
+    let u0 = b.add_user(s0, r3, r1);
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r3));
+    let s1 = b.add_session();
+    b.add_user(s1, r2, r1);
+    b.add_user(s1, r1, r1);
+    let s2 = b.add_session();
+    b.add_user(s2, r3, r2);
+    b.add_user(s2, r2, r2);
+    b.add_user(s2, r0, r2);
+    b.symmetric_delays(
+        |l, k| 12.0 + 5.0 * ((l as f64) - (k as f64)).abs(),
+        |l, u| 4.0 + ((l * 7 + u * 3) % 23) as f64,
+    );
+    b.d_max_ms(10_000.0);
+    let problem = Arc::new(UapProblem::new(
+        b.build().expect("valid universe"),
+        CostModel::paper_default(),
+    ));
+    let (a, bb, c) = (AgentId::new(0), AgentId::new(1), AgentId::new(2));
+    let mut asg = Assignment::all_to_agent(&problem, a);
+    // u0 and u3 on a, u1 on b, u2 on c; u0→u1 transcoded at its source's
+    // agent, u0→u2 at its destination's.
+    let users = problem.instance().session(s0).users().to_vec();
+    asg.set_user(users[1], bb);
+    asg.set_user(users[2], c);
+    let to_u1 = problem.tasks().find(users[0], users[1]).expect("task");
+    let to_u2 = problem.tasks().find(users[0], users[2]).expect("task");
+    assert_eq!(
+        problem.tasks().task(to_u1).target,
+        problem.tasks().task(to_u2).target,
+        "fixture lost its shared representation"
+    );
+    assert_eq!(
+        problem.instance().kappa(problem.tasks().task(to_u1).target),
+        0.0
+    );
+    asg.set_task(to_u1, a);
+    asg.set_task(to_u2, c);
+    for (i, &u) in problem.instance().session(s2).users().iter().enumerate() {
+        asg.set_user(u, AgentId::from(i));
+    }
+
+    // The fold itself, by hand (both sides of the comparison below run
+    // it): a→b and c→b each open with u0's 0 Mbps delivery and then take
+    // one raw 2.5 Mbps stream — counted once, not once per opening.
+    let base = evaluate_session(&problem, &asg, s0);
+    assert_eq!(base.ingress, [5.0, 5.0, 13.0]);
+    assert_eq!(base.download, [15.5, 7.5, 15.5]);
+    assert_eq!(base.transcode_units, [1, 0, 1]);
+
+    let mut scratch = EvalScratch::new();
+    let before = assert_kernel_matches_fresh(&problem, &asg, &mut scratch);
+    let (grown, asg) = with_one_more_agent(&problem, &asg);
+    let after = assert_kernel_matches_fresh(&grown, &asg, &mut scratch);
+    // (9 users + tasks) × agents candidates, one more agent's worth after.
+    let decisions = 9 + problem.tasks().len();
+    assert_eq!((before, after), (decisions * 3, decisions * 4));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -179,6 +408,21 @@ proptest! {
         prop_assert!(drift < 1e-9, "totals drifted by {drift}");
     }
 
+    /// Kernel ≡ fresh on random universes around random placements, the
+    /// same scratch carried over a grown agent pool.
+    #[test]
+    fn kernel_candidate_equals_fresh_evaluation(
+        spec in universe_strategy(),
+        placement_seed in any::<u64>(),
+    ) {
+        let problem = build_problem(&spec);
+        let asg = scattered_assignment(&problem, placement_seed);
+        let mut scratch = EvalScratch::new();
+        assert_kernel_matches_fresh(&problem, &asg, &mut scratch);
+        let (grown, asg) = with_one_more_agent(&problem, &asg);
+        assert_kernel_matches_fresh(&grown, &asg, &mut scratch);
+    }
+
     /// `candidate()` (internal scratch) and `candidate_into` (external
     /// scratch) agree with each other and leave the state untouched.
     #[test]
@@ -212,6 +456,7 @@ fn concurrent_hops_leave_the_fleet_conserved() {
         agents: vec![(600.0, 40), (600.0, 40), (600.0, 40), (600.0, 40)],
         sessions: vec![vec![(3, 0), (0, 0), (1, 1)]; 12],
         delay_seed: 9,
+        zero_rung: false,
     };
     let problem = build_problem(&spec);
     let num_sessions = problem.instance().num_sessions();
@@ -252,6 +497,7 @@ fn unpaced_concurrent_hops_conserve() {
         agents: vec![(120.0, 6), (120.0, 6), (120.0, 6)],
         sessions: vec![vec![(3, 0), (1, 1)]; 8],
         delay_seed: 4,
+        zero_rung: false,
     };
     let problem = build_problem(&spec);
     let num_sessions = problem.instance().num_sessions();
