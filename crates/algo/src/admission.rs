@@ -122,8 +122,7 @@ pub enum AdmissionTier {
     Enumeration,
     /// Greedy placement plus violation-driven repair.
     Repair,
-    /// Single-user ranked-fallback walk (the engine's final tier; also
-    /// the label of the control plane's legacy admission path).
+    /// Single-user ranked-fallback walk (the engine's final tier).
     RankedFallback,
 }
 

@@ -27,6 +27,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use vc_bench::experiments::table2::Table2Config;
 use vc_bench::experiments::*;
 
@@ -74,51 +75,238 @@ struct Options {
     check: bool,
 }
 
-const ALL_IDS: [&str; 22] = [
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table2",
-    "fig8",
-    "fig9",
-    "fig10",
-    "theorem1",
-    "robust",
-    "migration",
-    "ablation",
-    "churn",
-    "orchestrator",
-    "persist",
-    "hop_bench",
-    "open_world",
-    "admission_parity",
-    "obs_overhead",
-    "chaos",
-    "elastic",
+impl Options {
+    /// `--duration` if given, else the experiment's own default.
+    fn duration_or(&self, default_s: f64) -> f64 {
+        if self.duration_s > 0.0 {
+            self.duration_s
+        } else {
+            default_s
+        }
+    }
+
+    /// `--scenarios` (raised to `floor`) if given, else `default`.
+    fn scenarios_or(&self, default: usize, floor: usize) -> usize {
+        if self.scenarios_set {
+            self.scenarios.max(floor)
+        } else {
+            default
+        }
+    }
+}
+
+/// One finished experiment: how to print it and — for the experiments
+/// that emit a `BENCH_*.json` — the document `check` diffs.
+struct Output {
+    print: Box<dyn FnOnce()>,
+    json: Option<String>,
+}
+
+/// A paper table/figure: printed, no baseline document.
+fn shown<R: 'static>(result: R, print: impl FnOnce(&R) + 'static) -> Output {
+    Output {
+        print: Box::new(move || print(&result)),
+        json: None,
+    }
+}
+
+/// A benchmark: `print` also writes the document `to_json` renders.
+fn measured<R: 'static>(result: R, to_json: fn(&R) -> String, print: fn(&R)) -> Output {
+    Output {
+        json: Some(to_json(&result)),
+        print: Box::new(move || print(&result)),
+    }
+}
+
+/// One row of the registry: every place that needs the id list, the
+/// `check` set or an experiment's parameters reads it from here.
+struct Experiment {
+    id: &'static str,
+    /// The committed baseline `check` diffs a fresh run against.
+    baseline: Option<&'static str>,
+    /// Runs the experiment with its parameters derived from `Options`.
+    run: fn(&Options) -> Output,
+}
+
+const fn table(id: &'static str, run: fn(&Options) -> Output) -> Experiment {
+    Experiment {
+        id,
+        baseline: None,
+        run,
+    }
+}
+
+const fn bench(
+    id: &'static str,
+    baseline: &'static str,
+    run: fn(&Options) -> Output,
+) -> Experiment {
+    Experiment {
+        id,
+        baseline: Some(baseline),
+        run,
+    }
+}
+
+/// `table2` and `fig8` print two views of one result; it is computed
+/// once per process however many of the two ids are asked for.
+fn table2_result(opts: &Options) -> &'static table2::Table2Result {
+    static RESULT: OnceLock<table2::Table2Result> = OnceLock::new();
+    RESULT.get_or_init(|| {
+        table2::run(&Table2Config {
+            scenarios: opts.scenarios,
+            duration_s: opts.duration_or(400.0),
+            ..Table2Config::default()
+        })
+    })
+}
+
+/// Fig. 9's two sweeps. The paper sweeps 400–900 Mbps; our synthetic
+/// workload's feasibility transition sits higher (users are placed
+/// farther from agents, so last-mile + inter-agent loads are heavier)
+/// — the grid brackets *our* transition.
+fn fig9_output(o: &Options) -> Output {
+    let bandwidth = [800.0, 1000.0, 1200.0, 1400.0, 1600.0];
+    let slots = [20.0, 30.0, 40.0, 50.0, 60.0];
+    let sweeps = (
+        fig9::run_bandwidth(&bandwidth, o.scenarios, o.seed),
+        fig9::run_transcode(&slots, o.scenarios, o.seed),
+    );
+    shown(sweeps, |(a, b)| {
+        fig9::print(
+            "Fig. 9(a) — successful initializations vs mean bandwidth capacity",
+            "mean bandwidth (Mbps)",
+            a,
+        );
+        fig9::print(
+            "\nFig. 9(b) — successful initializations vs mean transcoding capacity",
+            "mean slots (#)",
+            b,
+        );
+    })
+}
+
+const EXPERIMENTS: [Experiment; 22] = [
+    table("fig2", |_| shown(fig2::run(), fig2::print)),
+    table("fig4", |o| {
+        shown(fig4::run(o.duration_or(200.0), o.seed), fig4::print)
+    }),
+    table("fig5", |o| {
+        shown(fig5::run(o.duration_or(120.0), o.seed), fig5::print)
+    }),
+    table("fig6", |o| {
+        shown(fig6::run(o.duration_or(100.0), o.seed), fig6::print)
+    }),
+    table("fig7", |o| {
+        shown(fig7::run(o.duration_or(200.0), o.seed), fig7::print)
+    }),
+    table("table2", |o| shown(table2_result(o), |r| table2::print(r))),
+    table("fig8", |o| {
+        shown(fig8::from_table2(table2_result(o)), |b| fig8::print(b))
+    }),
+    table("fig9", fig9_output),
+    table("fig10", |o| {
+        let points = fig10::run(&[1, 2, 3, 4, 5, 6, 7], o.scenarios.min(30), o.seed);
+        shown(points, |p| fig10::print(p))
+    }),
+    // Objective values of the Fig. 3 instance are O(100–1000), so the
+    // informative β range starts well below 1.
+    table("theorem1", |_| {
+        let rows = theorem1::run(&[0.001, 0.01, 0.1, 1.0, 100.0, 400.0], &[0.0, 2.0, 10.0]);
+        shown(rows, |r| theorem1::print(r))
+    }),
+    table("robust", |o| {
+        let points = robust::run(&[0.0, 1.0, 5.0, 20.0, 80.0], o.duration_or(300.0), 5);
+        shown(points, |p| robust::print(p))
+    }),
+    table("migration", |_| {
+        shown(migration::run(&[20.0, 30.0, 50.0, 80.0, 110.0]), |p| {
+            migration::print(p)
+        })
+    }),
+    table("ablation", |o| {
+        let params = (o.scenarios.min(30), o.duration_or(300.0), o.seed);
+        shown(params, |&(scenarios, d, seed)| {
+            ablation::print_all(scenarios, d, seed)
+        })
+    }),
+    table("churn", |o| {
+        shown(churn::run(o.duration_or(200.0), o.seed), churn::print)
+    }),
+    table("orchestrator", |o| {
+        shown(
+            orchestrator::run(o.duration_or(60.0), o.seed),
+            orchestrator::print,
+        )
+    }),
+    table("persist", |o| shown(persist::run(o.seed), persist::print)),
+    // `--duration` (seconds) sets the per-config wall budget of the
+    // concurrent runs; default 2 s each.
+    bench("hop_bench", "BENCH_hop.json", |o| {
+        let wall_ms = (o.duration_or(2.0) * 1e3) as u64;
+        let result = hop_bench::run(&[1_000, 10_000, 100_000], wall_ms, o.seed);
+        measured(result, hop_bench::to_json, hop_bench::print)
+    }),
+    // `--scenarios` doubles as the seed-universe size in users (default
+    // 300 ≈ 85 sessions → ~850 grown; explicit values below 12 are
+    // raised to 12, the smallest seed with a meaningful growth ladder).
+    bench("open_world", "BENCH_open_world.json", |o| {
+        let result = open_world::run(o.scenarios_or(300, 12), 10, o.seed);
+        measured(result, open_world::to_json, open_world::print)
+    }),
+    // `--scenarios` doubles as the large fleet-size target (default ≈1k
+    // and ≈12k sessions, the hop-bench scale).
+    bench("admission_parity", "BENCH_admission.json", |o| {
+        let result = admission_parity::run(&[1_000, o.scenarios_or(12_000, 100)], o.seed);
+        measured(result, admission_parity::to_json, admission_parity::print)
+    }),
+    // `--duration` sets the virtual horizon, `--scenarios` the session
+    // target. Windows of a few tens of milliseconds, so machine-noise
+    // bursts span several consecutive windows and cancel in the
+    // per-window ratio; 256 pairs so the median's own sampling error
+    // shrinks to a fraction of the budget (see the obs_overhead module
+    // docs).
+    bench("obs_overhead", "BENCH_obs_overhead.json", |o| {
+        let (sessions, horizon) = (o.scenarios_or(2_000, 20), o.duration_or(2.0));
+        let result = obs_overhead::run(sessions, horizon, 256, o.seed);
+        measured(result, obs_overhead::to_json, obs_overhead::print)
+    }),
+    // Agent scales (sessions = 2 × agents); `--scenarios` narrows the
+    // sweep to one explicit scale.
+    bench("chaos", "BENCH_chaos.json", |o| {
+        let scales = if o.scenarios_set {
+            vec![o.scenarios.clamp(2, 64)]
+        } else {
+            vec![3, 6, 9]
+        };
+        measured(chaos::run(&scales, o.seed), chaos::to_json, chaos::print)
+    }),
+    // `--scenarios` sets the seed-universe size in users; the pool
+    // doubles once per tier (7 → 7·2⁴ agents).
+    bench("elastic", "BENCH_elastic.json", |o| {
+        let result = elastic::run(o.scenarios_or(200, 24), 4, o.seed);
+        measured(result, elastic::to_json, elastic::print)
+    }),
 ];
 
-/// The ids `check` accepts, with their committed baseline documents.
-const CHECKABLE: [(&str, &str); 6] = [
-    ("hop_bench", "BENCH_hop.json"),
-    ("admission_parity", "BENCH_admission.json"),
-    ("open_world", "BENCH_open_world.json"),
-    ("obs_overhead", "BENCH_obs_overhead.json"),
-    ("chaos", "BENCH_chaos.json"),
-    ("elastic", "BENCH_elastic.json"),
-];
+fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+fn ids_where(keep: impl Fn(&Experiment) -> bool) -> Vec<&'static str> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| keep(e))
+        .map(|e| e.id)
+        .collect()
+}
 
 fn usage() -> ! {
     eprintln!("usage: experiments [check] <id>... [--scenarios N] [--duration S] [--seed K]");
-    eprintln!("ids: {} all", ALL_IDS.join(" "));
+    eprintln!("ids: {} all", ids_where(|_| true).join(" "));
     eprintln!(
         "check ids: {}",
-        CHECKABLE
-            .iter()
-            .map(|(id, _)| *id)
-            .collect::<Vec<_>>()
-            .join(" ")
+        ids_where(|e| e.baseline.is_some()).join(" ")
     );
     std::process::exit(2)
 }
@@ -155,16 +343,18 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|| usage())
             }
             "check" if opts.ids.is_empty() && !opts.check => opts.check = true,
-            "all" => opts.ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            id if ALL_IDS.contains(&id) => opts.ids.push(id.to_string()),
+            "all" => opts
+                .ids
+                .extend(EXPERIMENTS.iter().map(|e| e.id.to_string())),
+            id if experiment(id).is_some() => opts.ids.push(id.to_string()),
             unknown if unknown.starts_with("--") => {
                 eprintln!("unknown option '{unknown}'");
                 usage()
             }
             unknown => {
                 eprintln!("unknown experiment id '{unknown}'; valid ids are:");
-                for id in ALL_IDS {
-                    eprintln!("  {id}");
+                for e in &EXPERIMENTS {
+                    eprintln!("  {}", e.id);
                 }
                 eprintln!("  all");
                 std::process::exit(2)
@@ -175,102 +365,13 @@ fn parse_args() -> Options {
         if opts.check {
             // Bare `check` (what CI invokes) means "check everything
             // that has a committed baseline".
-            opts.ids
-                .extend(CHECKABLE.iter().map(|(id, _)| id.to_string()));
+            let checkable = ids_where(|e| e.baseline.is_some());
+            opts.ids.extend(checkable.iter().map(|id| id.to_string()));
         } else {
             usage();
         }
     }
     opts
-}
-
-/// `obs_overhead` parameters shared by the run and check paths:
-/// `(sessions, virtual horizon s, round pairs)`. `--duration` sets the
-/// virtual horizon; `--scenarios` the session target.
-fn obs_overhead_params(opts: &Options) -> (usize, f64, usize) {
-    let sessions = if opts.scenarios_set {
-        opts.scenarios.max(20)
-    } else {
-        2_000
-    };
-    // Windows of a few tens of milliseconds, so machine-noise bursts
-    // span several consecutive windows and cancel in the per-window
-    // ratio; 256 pairs so the median's own sampling error shrinks to a
-    // fraction of the budget (see the obs_overhead module docs).
-    let horizon = if opts.duration_s > 0.0 {
-        opts.duration_s
-    } else {
-        2.0
-    };
-    (sessions, horizon, 256)
-}
-
-/// `chaos` agent scales shared by the run and check paths (sessions =
-/// 2 × agents). `--scenarios` narrows the sweep to one explicit scale.
-fn chaos_scales(opts: &Options) -> Vec<usize> {
-    if opts.scenarios_set {
-        vec![opts.scenarios.clamp(2, 64)]
-    } else {
-        vec![3, 6, 9]
-    }
-}
-
-/// `elastic` parameters shared by the run and check paths:
-/// `(seed users, growth tiers)`. `--scenarios` sets the seed-universe
-/// size in users; the pool doubles once per tier (7 → 7·2⁴ agents by
-/// default).
-fn elastic_params(opts: &Options) -> (usize, usize) {
-    let seed_users = if opts.scenarios_set {
-        opts.scenarios.max(24)
-    } else {
-        200
-    };
-    (seed_users, 4)
-}
-
-/// Regenerates one checkable experiment's JSON document in memory,
-/// with the same parameter handling as a normal run.
-fn fresh_json(id: &str, opts: &Options) -> String {
-    match id {
-        "hop_bench" => {
-            let wall_ms = if opts.duration_s > 0.0 {
-                (opts.duration_s * 1e3) as u64
-            } else {
-                2_000
-            };
-            hop_bench::to_json(&hop_bench::run(
-                &[1_000, 10_000, 100_000],
-                wall_ms,
-                opts.seed,
-            ))
-        }
-        "admission_parity" => {
-            let sizes: Vec<usize> = if opts.scenarios_set {
-                vec![1_000, opts.scenarios.max(100)]
-            } else {
-                vec![1_000, 12_000]
-            };
-            admission_parity::to_json(&admission_parity::run(&sizes, opts.seed))
-        }
-        "open_world" => {
-            let seed_users = if opts.scenarios_set {
-                opts.scenarios.max(12)
-            } else {
-                300
-            };
-            open_world::to_json(&open_world::run(seed_users, 10, opts.seed))
-        }
-        "obs_overhead" => {
-            let (sessions, horizon, rounds) = obs_overhead_params(opts);
-            obs_overhead::to_json(&obs_overhead::run(sessions, horizon, rounds, opts.seed))
-        }
-        "chaos" => chaos::to_json(&chaos::run(&chaos_scales(opts), opts.seed)),
-        "elastic" => {
-            let (seed_users, tiers) = elastic_params(opts);
-            elastic::to_json(&elastic::run(seed_users, tiers, opts.seed))
-        }
-        other => unreachable!("'{other}' validated against CHECKABLE"),
-    }
 }
 
 /// A wall-clock comparison that comes back over a threshold is re-run
@@ -285,10 +386,13 @@ const CHECK_ATTEMPTS: usize = 3;
 fn run_checks(opts: &Options) -> usize {
     let mut failed = 0usize;
     for id in &opts.ids {
-        let Some((_, baseline_file)) = CHECKABLE.iter().find(|(cid, _)| cid == id) else {
+        let exp = experiment(id).expect("ids validated in parse_args");
+        let Some(baseline_file) = exp.baseline else {
             eprintln!("'{id}' has no committed baseline; check ids are:");
-            for (cid, file) in CHECKABLE {
-                eprintln!("  {cid} ({file})");
+            for e in &EXPERIMENTS {
+                if let Some(file) = e.baseline {
+                    eprintln!("  {} ({file})", e.id);
+                }
             }
             std::process::exit(2)
         };
@@ -304,7 +408,9 @@ fn run_checks(opts: &Options) -> usize {
         let started = std::time::Instant::now();
         let mut id_failed = false;
         for attempt in 1..=CHECK_ATTEMPTS {
-            let current = fresh_json(id, opts);
+            let current = (exp.run)(opts)
+                .json
+                .expect("an experiment with a baseline renders its document");
             match vc_bench::check::compare(id, &baseline, &current) {
                 Ok(report) => {
                     for note in &report.notes {
@@ -361,175 +467,11 @@ fn main() {
         println!("\nall checks passed");
         return;
     }
-    let mut shared_table2: Option<table2::Table2Result> = None;
     for id in &opts.ids {
         let started = std::time::Instant::now();
         println!("\n================================================================");
-        match id.as_str() {
-            "fig2" => fig2::print(&fig2::run()),
-            "fig4" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    200.0
-                };
-                fig4::print(&fig4::run(d, opts.seed));
-            }
-            "fig5" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    120.0
-                };
-                fig5::print(&fig5::run(d, opts.seed));
-            }
-            "fig6" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    100.0
-                };
-                fig6::print(&fig6::run(d, opts.seed));
-            }
-            "fig7" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    200.0
-                };
-                fig7::print(&fig7::run(d, opts.seed));
-            }
-            "table2" | "fig8" => {
-                if shared_table2.is_none() {
-                    let config = Table2Config {
-                        scenarios: opts.scenarios,
-                        duration_s: if opts.duration_s > 0.0 {
-                            opts.duration_s
-                        } else {
-                            400.0
-                        },
-                        ..Table2Config::default()
-                    };
-                    shared_table2 = Some(table2::run(&config));
-                }
-                let result = shared_table2.as_ref().expect("just computed");
-                if id == "table2" {
-                    table2::print(result);
-                } else {
-                    fig8::print(&fig8::from_table2(result));
-                }
-            }
-            "fig9" => {
-                // The paper sweeps 400–900 Mbps; our synthetic workload's
-                // feasibility transition sits higher (users are placed
-                // farther from agents, so last-mile + inter-agent loads
-                // are heavier) — the grid brackets *our* transition.
-                let points_bw = [800.0, 1000.0, 1200.0, 1400.0, 1600.0];
-                let a = fig9::run_bandwidth(&points_bw, opts.scenarios, opts.seed);
-                fig9::print(
-                    "Fig. 9(a) — successful initializations vs mean bandwidth capacity",
-                    "mean bandwidth (Mbps)",
-                    &a,
-                );
-                let points_tc = [20.0, 30.0, 40.0, 50.0, 60.0];
-                let b = fig9::run_transcode(&points_tc, opts.scenarios, opts.seed);
-                fig9::print(
-                    "\nFig. 9(b) — successful initializations vs mean transcoding capacity",
-                    "mean slots (#)",
-                    &b,
-                );
-            }
-            "fig10" => {
-                let scenarios = opts.scenarios.min(30);
-                fig10::print(&fig10::run(&[1, 2, 3, 4, 5, 6, 7], scenarios, opts.seed));
-            }
-            "theorem1" => {
-                // Objective values of the Fig. 3 instance are O(100–1000),
-                // so the informative β range starts well below 1.
-                let rows = theorem1::run(&[0.001, 0.01, 0.1, 1.0, 100.0, 400.0], &[0.0, 2.0, 10.0]);
-                theorem1::print(&rows);
-            }
-            "robust" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    300.0
-                };
-                robust::print(&robust::run(&[0.0, 1.0, 5.0, 20.0, 80.0], d, 5));
-            }
-            "migration" => migration::print(&migration::run(&[20.0, 30.0, 50.0, 80.0, 110.0])),
-            "ablation" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    300.0
-                };
-                ablation::print_all(opts.scenarios.min(30), d, opts.seed);
-            }
-            "churn" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    200.0
-                };
-                churn::print(&churn::run(d, opts.seed));
-            }
-            "orchestrator" => {
-                let d = if opts.duration_s > 0.0 {
-                    opts.duration_s
-                } else {
-                    60.0
-                };
-                orchestrator::print(&orchestrator::run(d, opts.seed));
-            }
-            "persist" => persist::print(&persist::run(opts.seed)),
-            "open_world" => {
-                // `--scenarios` doubles as the seed-universe size in
-                // users (default 300 ≈ 85 sessions → ~850 grown;
-                // explicit values below 12 are raised to 12, the
-                // smallest seed with a meaningful growth ladder).
-                let seed_users = if opts.scenarios_set {
-                    opts.scenarios.max(12)
-                } else {
-                    300
-                };
-                open_world::print(&open_world::run(seed_users, 10, opts.seed));
-            }
-            "admission_parity" => {
-                // `--scenarios` doubles as the large fleet-size target
-                // (default ≈1k and ≈12k sessions, the hop-bench scale).
-                let sizes: Vec<usize> = if opts.scenarios_set {
-                    vec![1_000, opts.scenarios.max(100)]
-                } else {
-                    vec![1_000, 12_000]
-                };
-                admission_parity::print(&admission_parity::run(&sizes, opts.seed));
-            }
-            "hop_bench" => {
-                // `--duration` (seconds) sets the per-config wall budget
-                // of the concurrent runs; default 2 s each.
-                let wall_ms = if opts.duration_s > 0.0 {
-                    (opts.duration_s * 1e3) as u64
-                } else {
-                    2_000
-                };
-                hop_bench::print(&hop_bench::run(
-                    &[1_000, 10_000, 100_000],
-                    wall_ms,
-                    opts.seed,
-                ));
-            }
-            "obs_overhead" => {
-                let (sessions, horizon, rounds) = obs_overhead_params(&opts);
-                obs_overhead::print(&obs_overhead::run(sessions, horizon, rounds, opts.seed));
-            }
-            "chaos" => chaos::print(&chaos::run(&chaos_scales(&opts), opts.seed)),
-            "elastic" => {
-                let (seed_users, tiers) = elastic_params(&opts);
-                elastic::print(&elastic::run(seed_users, tiers, opts.seed));
-            }
-            _ => unreachable!("ids validated in parse_args"),
-        }
+        let exp = experiment(id).expect("ids validated in parse_args");
+        ((exp.run)(&opts).print)();
         eprintln!("[{id} finished in {:.1}s]", started.elapsed().as_secs_f64());
     }
 }

@@ -3,19 +3,16 @@
 //! `BENCH_admission.json`.
 //!
 //! For each fleet size (≈1k and ≈12k sessions by default) over a
-//! capacity-contended Internet-scale universe, three admitters run over
+//! capacity-contended Internet-scale universe, two admitters run over
 //! the same arrival order:
 //!
-//! * **fleet engine** — `Fleet::admit` under `AdmissionMode::Engine`
-//!   (the shared enumeration → repair → ranked-fallback search against
-//!   live ledger residuals), timed per admission;
-//! * **fleet legacy** — `Fleet::admit` under
-//!   `AdmissionMode::LegacyRanked` (the control plane's historical
-//!   walk), timed per admission;
+//! * **fleet engine** — `Fleet::admit` (the shared enumeration →
+//!   repair → ranked-fallback search against live ledger residuals),
+//!   timed per admission;
 //! * **offline `admit_all`** — the Fig. 9 driver of the same engine
 //!   over a closed-world state.
 //!
-//! A fourth pass measures what the search itself allocates:
+//! A third pass measures what the search itself allocates:
 //! `engine_allocs_per_admit` counts heap allocations inside
 //! `AdmissionEngine::place_session_with` (one held `AdmissionScratch`)
 //! over exactly the states the engine fleet passes through — the
@@ -26,8 +23,7 @@
 //!
 //! The headline claim is **parity**: the fleet engine's admitted
 //! session set equals the offline set exactly (the `parity` field must
-//! read `true`), while the legacy walk under-admits — the gap the
-//! engine closes. Conservation audits run after every fleet, and must
+//! read `true`). The conservation audit runs after the fleet, and must
 //! be clean.
 
 use std::collections::BTreeSet;
@@ -40,7 +36,7 @@ use vc_algo::markov::Alg1Config;
 use vc_core::{AgentTotals, EvalScratch, UapProblem};
 use vc_model::SessionId;
 use vc_obs::Site;
-use vc_orchestrator::{AdmissionMode, Fleet, FleetConfig, PlacementPolicy};
+use vc_orchestrator::{Fleet, FleetConfig, PlacementPolicy};
 use vc_workloads::{large_scale_instance, LargeScaleConfig};
 
 /// One fleet-size measurement.
@@ -52,9 +48,9 @@ pub struct AdmissionRow {
     pub users: usize,
     /// Agents.
     pub agents: usize,
-    /// Sessions the engine-mode fleet admitted.
+    /// Sessions the fleet admitted.
     pub engine_admitted: usize,
-    /// Engine-mode admitted fraction.
+    /// Fleet admitted fraction.
     pub engine_fraction: f64,
     /// Mean engine admit latency (µs, admissions and refusals alike).
     pub engine_mean_us: f64,
@@ -77,17 +73,6 @@ pub struct AdmissionRow {
     pub engine_allocs_per_admit: f64,
     /// Whether that stays within [`ENGINE_ALLOCS_PER_ADMIT_BOUND`].
     pub engine_allocs_within_bound: bool,
-    /// Sessions the legacy-mode fleet admitted.
-    pub legacy_admitted: usize,
-    /// Legacy-mode admitted fraction.
-    pub legacy_fraction: f64,
-    /// Mean legacy admit latency (µs).
-    pub legacy_mean_us: f64,
-    /// Median legacy admit latency (µs), from the legacy fleet's
-    /// `vc-obs` plane (`admit_legacy` + refusals).
-    pub legacy_p50_us: f64,
-    /// p99 legacy admit latency (µs), same source.
-    pub legacy_p99_us: f64,
     /// Sessions the offline `admit_all` admitted.
     pub offline_admitted: usize,
     /// Offline admitted fraction.
@@ -95,8 +80,8 @@ pub struct AdmissionRow {
     /// Whether the engine fleet's admitted set equals the offline set
     /// exactly (the PR's correctness claim; must be `true`).
     pub parity: bool,
-    /// Conservation-audit discrepancies after both fleet runs (must
-    /// be 0).
+    /// Conservation-audit discrepancies after the fleet run (must be
+    /// 0).
     pub conservation_violations: usize,
 }
 
@@ -114,9 +99,8 @@ pub struct AdmissionParityResult {
 pub const ENGINE_ALLOCS_PER_ADMIT_BOUND: f64 = 4.0;
 
 /// A capacity-contended universe: tight enough that even the engine
-/// refuses a meaningful share of arrivals (~7–8 %; the legacy walk
-/// refuses ~25 %), so refusal accounting, the engine/legacy gap, and
-/// the parity claim are all exercised. Sessions here are small (≤ 3
+/// refuses a meaningful share of arrivals (~7–8 %), so refusal
+/// accounting and the parity claim are both exercised. Sessions here are small (≤ 3
 /// users), so every accepted placement comes from the enumeration
 /// tier; the repair/fallback tiers are exercised by the engine's unit
 /// tests, which force a zero combo cap.
@@ -137,10 +121,9 @@ fn build_problem(target_sessions: usize, seed: u64) -> Arc<UapProblem> {
     ))
 }
 
-fn config(admission: AdmissionMode) -> FleetConfig {
+fn config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(3)),
-        admission,
         alg1: Alg1Config::paper(400.0),
         ledger_shards: 8,
         ..FleetConfig::default()
@@ -171,7 +154,7 @@ fn drive(fleet: &Fleet) -> (BTreeSet<SessionId>, Vec<f64>) {
 /// is counted. A separate fleet from the timed one, so the probe does
 /// not warm the caches of a timed admit.
 fn engine_allocs_per_admit(problem: &Arc<UapProblem>) -> f64 {
-    let fleet = Fleet::new(problem.clone(), config(AdmissionMode::default()));
+    let fleet = Fleet::new(problem.clone(), config());
     let engine = AdmissionEngine::default();
     let policy = AdmissionPolicy::AgRank(AgRankConfig::paper(3));
     let available = vec![true; problem.instance().num_agents()];
@@ -211,8 +194,8 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// The admit-latency histogram of one driven fleet: every engine tier
-/// (or the legacy walk) merged with the refusals, so the distribution
-/// covers each `Fleet::admit` call exactly once.
+/// merged with the refusals, so the distribution covers each
+/// `Fleet::admit` call exactly once.
 fn admit_summary(fleet: &Fleet) -> vc_obs::HistSummary {
     fleet
         .obs()
@@ -220,7 +203,6 @@ fn admit_summary(fleet: &Fleet) -> vc_obs::HistSummary {
             Site::AdmitEnumeration,
             Site::AdmitRepair,
             Site::AdmitFallback,
-            Site::AdmitLegacy,
             Site::AdmitRefused,
         ])
         .summary()
@@ -231,15 +213,10 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
     let inst = problem.instance();
     let n = inst.num_sessions();
 
-    let engine_fleet = Fleet::new(problem.clone(), config(AdmissionMode::default()));
+    let engine_fleet = Fleet::new(problem.clone(), config());
     let (engine_set, engine_lat) = drive(&engine_fleet);
     let engine_summary = admit_summary(&engine_fleet);
     let engine_audit = engine_fleet.audit().len();
-
-    let legacy_fleet = Fleet::new(problem.clone(), config(AdmissionMode::LegacyRanked));
-    let (legacy_set, legacy_lat) = drive(&legacy_fleet);
-    let legacy_summary = admit_summary(&legacy_fleet);
-    let legacy_audit = legacy_fleet.audit().len();
 
     let offline = admit_all(
         problem.clone(),
@@ -266,15 +243,10 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
         engine_repair_steps: c.repair_steps.load(Relaxed),
         engine_allocs_per_admit: engine_allocs,
         engine_allocs_within_bound: engine_allocs <= ENGINE_ALLOCS_PER_ADMIT_BOUND,
-        legacy_admitted: legacy_set.len(),
-        legacy_fraction: legacy_set.len() as f64 / n as f64,
-        legacy_mean_us: mean(&legacy_lat),
-        legacy_p50_us: legacy_summary.p50_ns as f64 / 1e3,
-        legacy_p99_us: legacy_summary.p99_ns as f64 / 1e3,
         offline_admitted: offline_set.len(),
         offline_fraction: offline_set.len() as f64 / n as f64,
         parity: engine_set == offline_set,
-        conservation_violations: engine_audit + legacy_audit,
+        conservation_violations: engine_audit,
     }
 }
 
@@ -303,8 +275,6 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
                 "\"engine_enumeration\": {}, \"engine_repair\": {}, ",
                 "\"engine_fallback\": {}, \"engine_repair_steps\": {}, ",
                 "\"engine_allocs_per_admit\": {:.2}, \"engine_allocs_within_bound\": {}, ",
-                "\"legacy_admitted\": {}, \"legacy_fraction\": {:.4}, ",
-                "\"legacy_mean_us\": {:.1}, \"legacy_p50_us\": {:.1}, \"legacy_p99_us\": {:.1}, ",
                 "\"offline_admitted\": {}, \"offline_fraction\": {:.4}, ",
                 "\"parity\": {}, \"conservation_violations\": {}}}{}\n"
             ),
@@ -322,11 +292,6 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
             r.engine_repair_steps,
             r.engine_allocs_per_admit,
             r.engine_allocs_within_bound,
-            r.legacy_admitted,
-            r.legacy_fraction,
-            r.legacy_mean_us,
-            r.legacy_p50_us,
-            r.legacy_p99_us,
             r.offline_admitted,
             r.offline_fraction,
             r.parity,
@@ -341,20 +306,18 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
 /// Prints the rows and writes `BENCH_admission.json` into the working
 /// directory.
 pub fn print(result: &AdmissionParityResult) {
-    println!("Admission parity — fleet engine vs legacy ranked walk vs offline admit_all");
+    println!("Admission parity — fleet engine vs offline admit_all");
     println!(
-        "{:>9} {:>7} {:>8}/{:<8} {:>8}/{:<8} {:>8}/{:<8} {:>7}",
-        "sessions", "agents", "engine", "frac", "legacy", "frac", "offline", "frac", "parity"
+        "{:>9} {:>7} {:>8}/{:<8} {:>8}/{:<8} {:>7}",
+        "sessions", "agents", "engine", "frac", "offline", "frac", "parity"
     );
     for r in &result.rows {
         println!(
-            "{:>9} {:>7} {:>8}/{:<8.4} {:>8}/{:<8.4} {:>8}/{:<8.4} {:>7}",
+            "{:>9} {:>7} {:>8}/{:<8.4} {:>8}/{:<8.4} {:>7}",
             r.sessions,
             r.agents,
             r.engine_admitted,
             r.engine_fraction,
-            r.legacy_admitted,
-            r.legacy_fraction,
             r.offline_admitted,
             r.offline_fraction,
             r.parity,
@@ -389,13 +352,6 @@ pub fn print(result: &AdmissionParityResult) {
             r.conservation_violations,
         );
     }
-    println!("\nLegacy admit latency (for comparison)");
-    for r in &result.rows {
-        println!(
-            "{:>9} sessions: mean {:.1} µs, p50 {:.1} µs, p99 {:.1} µs",
-            r.sessions, r.legacy_mean_us, r.legacy_p50_us, r.legacy_p99_us
-        );
-    }
     let json = to_json(result);
     match std::fs::write("BENCH_admission.json", &json) {
         Ok(()) => println!("\nwrote BENCH_admission.json"),
@@ -415,21 +371,16 @@ mod tests {
         assert!(r.sessions >= 40, "universe lost sessions: {}", r.sessions);
         assert!(r.parity, "engine fleet diverged from offline admit_all");
         assert_eq!(r.conservation_violations, 0);
-        assert!(
-            r.engine_admitted >= r.legacy_admitted,
-            "engine under-admits"
-        );
         assert_eq!(
             r.engine_admitted,
             r.engine_enumeration + r.engine_repair + r.engine_fallback
         );
-        // The vc-obs percentiles cover every admit call of each fleet.
+        // The vc-obs percentiles cover every admit call of the fleet.
         assert!(r.engine_p50_us > 0.0 && r.engine_p99_us >= r.engine_p50_us);
-        assert!(r.legacy_p50_us > 0.0 && r.legacy_p99_us >= r.legacy_p50_us);
         let json = to_json(&result);
         assert!(json.contains("\"admission_parity\""));
         assert!(json.contains("\"parity\": true"));
-        assert!(json.contains("\"engine_p50_us\"") && json.contains("\"legacy_p99_us\""));
+        assert!(json.contains("\"engine_p50_us\"") && json.contains("\"offline_fraction\""));
         // No counting allocator in library tests: the column reads 0
         // and sits inside the bound.
         assert!(json.contains("\"engine_allocs_within_bound\": true"));

@@ -347,18 +347,11 @@ pub fn to_json(result: &ObsOverheadResult) -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let join = |xs: &[f64]| {
-        xs.iter()
-            .map(|x| format!("{x:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     format!(
         concat!(
             "{{\n  \"experiment\": \"obs_overhead\",\n  \"cpus\": {},\n",
             "  \"sessions\": {},\n  \"hops_per_segment\": {},\n  \"rounds\": {},\n",
             "  \"cpu_clock\": {},\n",
-            "  \"disabled_hops_per_s\": [{}],\n  \"enabled_hops_per_s\": [{}],\n",
             "  \"rate_disabled\": {:.1},\n  \"rate_enabled\": {:.1},\n",
             "  \"overhead_fraction\": {:.4},\n  \"budget_fraction\": {:.2},\n",
             "  \"within_budget\": {},\n",
@@ -370,8 +363,6 @@ pub fn to_json(result: &ObsOverheadResult) -> String {
         result.hops_per_segment,
         result.rounds,
         result.cpu_clock,
-        join(&result.disabled_hops_per_s),
-        join(&result.enabled_hops_per_s),
         result.rate_disabled,
         result.rate_enabled,
         result.overhead_fraction,
@@ -409,7 +400,7 @@ pub fn print(result: &ObsOverheadResult) {
     }
     if shown < result.rounds {
         println!(
-            "{:>10} ({} more pairs in BENCH_obs_overhead.json)",
+            "{:>10} ({} more pairs not shown)",
             "…",
             result.rounds - shown
         );

@@ -83,31 +83,14 @@ pub fn print(result: &OrchestratorResult) {
         "Orchestrator — dynamic fleet, agent a2 fails at t = {:.0} s",
         result.duration_s * 0.5
     );
+    let (nrst, orch) = (&result.baseline.telemetry, &result.orchestrated.telemetry);
     print_series_table(
         &[
-            (
-                "live sessions",
-                result.orchestrated.telemetry.live_sessions_series(),
-            ),
-            (
-                "phi/session nrst",
-                result.baseline.telemetry.mean_session_objective_series(),
-            ),
-            (
-                "phi/session orch",
-                result
-                    .orchestrated
-                    .telemetry
-                    .mean_session_objective_series(),
-            ),
-            (
-                "traffic orch Mbps",
-                result.orchestrated.telemetry.traffic_series(),
-            ),
-            (
-                "max util orch",
-                result.orchestrated.telemetry.max_utilization_series(),
-            ),
+            ("live sessions", &orch.series("live_sessions")),
+            ("phi/session nrst", &nrst.series("mean_session_objective")),
+            ("phi/session orch", &orch.series("mean_session_objective")),
+            ("traffic orch Mbps", &orch.series("traffic_mbps")),
+            ("max util orch", &orch.series("max_utilization")),
         ],
         (result.duration_s / 12.0).max(1.0),
     );

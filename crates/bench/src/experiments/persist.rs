@@ -119,7 +119,7 @@ fn run_size(target: usize, seed: u64) -> PersistRow {
             tier: vc_algo::admission::AdmissionTier::Enumeration,
             repair_steps: 0,
         });
-        sample_ops.push(FleetOp::Stay { session: s });
+        sample_ops.push(FleetOp::StayBatch { count: 1 });
     }
     let append_events = 20_000usize;
     let mut writer = JournalWriter::<FleetOp>::create(

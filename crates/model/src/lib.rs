@@ -40,6 +40,7 @@ mod error;
 mod ids;
 mod instance;
 mod repr;
+mod series;
 mod session;
 mod transcode;
 mod user;
@@ -50,6 +51,7 @@ pub use error::ModelError;
 pub use ids::{id_range, AgentId, ReprId, SessionId, UserId};
 pub use instance::{AgentDef, Instance, InstanceBuilder, SessionDef, UserDef};
 pub use repr::{ReprLadder, Representation};
+pub use series::TimeSeries;
 pub use session::SessionSpec;
 pub use transcode::TranscodeLatencyModel;
 pub use user::{DownstreamDemand, UserSpec};

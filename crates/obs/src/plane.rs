@@ -27,8 +27,6 @@ pub enum Site {
     AdmitRepair,
     /// `Fleet::admit`, engine ranked-fallback tier.
     AdmitFallback,
-    /// `Fleet::admit` under `AdmissionMode::LegacyRanked`.
-    AdmitLegacy,
     /// `Fleet::admit` that ended in a refusal.
     AdmitRefused,
     /// `Fleet::register_session` (open-world universe growth).
@@ -62,11 +60,10 @@ pub enum Site {
 /// Every site, in index order. `Site::ALL.len()` sizes the plane.
 impl Site {
     /// All sites in index order.
-    pub const ALL: [Site; 15] = [
+    pub const ALL: [Site; 14] = [
         Site::AdmitEnumeration,
         Site::AdmitRepair,
         Site::AdmitFallback,
-        Site::AdmitLegacy,
         Site::AdmitRefused,
         Site::RegisterSession,
         Site::Hop,
@@ -86,7 +83,6 @@ impl Site {
             Site::AdmitEnumeration => "admit_enumeration",
             Site::AdmitRepair => "admit_repair",
             Site::AdmitFallback => "admit_fallback",
-            Site::AdmitLegacy => "admit_legacy",
             Site::AdmitRefused => "admit_refused",
             Site::RegisterSession => "register_session",
             Site::Hop => "hop",

@@ -37,8 +37,8 @@ pub enum TraceKind {
     /// `payload` = number of users in the session.
     Registered = 1,
     /// An admission search ran (`payload` = deepest engine tier
-    /// reached: 0 enumeration, 1 greedy+repair, 2 ranked fallback,
-    /// 3 legacy ranked walk). Emitted just before its outcome event so
+    /// reached: 0 enumeration, 1 greedy+repair, 2 ranked fallback;
+    /// code 3 is retired). Emitted just before its outcome event so
     /// the per-session chain reads attempt → `Admitted`/`Refused`.
     AdmitAttempt = 2,
     /// The session went live. `payload` = FNV-1a hash of the committed
@@ -46,8 +46,8 @@ pub enum TraceKind {
     /// identical placements are recognizable across restarts.
     Admitted = 3,
     /// The admission was refused. `payload` = stage: 0 user-fit,
-    /// 1 task-fit, 2 global check, 3 no capacity, 4 delay bound,
-    /// 5 already live.
+    /// 1 task-fit, 2 global check, 5 already live (3 and 4 are
+    /// retired).
     Refused = 4,
     /// A WAIT countdown was armed. `payload` = virtual-clock deadline
     /// in µs.

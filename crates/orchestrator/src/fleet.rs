@@ -45,21 +45,21 @@
 //! sums, so `FailAgent` re-derivation is order-independent too) —
 //! recovery semantics are untouched.
 
-use crate::ledger::{CapacityLedger, HopResiduals, LedgerError, SessionHold};
+use crate::ledger::{CapacityLedger, HopResiduals, SessionHold};
+use crate::persist::{FleetOp, RefusalReason};
 use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vc_algo::admission::{
-    AdmissionConfig, AdmissionEngine, AdmissionFailure, AdmissionPolicy, AdmissionScratch,
+    AdmissionEngine, AdmissionFailure, AdmissionPolicy, AdmissionScratch, AdmissionStats,
     AdmissionTier,
 };
-use vc_algo::agrank::{self, AgRankConfig, Residuals};
+use vc_algo::agrank::{AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
-use vc_algo::placement;
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
     AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView, SessionLoad,
@@ -82,34 +82,11 @@ pub enum PlacementPolicy {
     AgRank(AgRankConfig),
 }
 
-/// Which admission search `Fleet::admit` runs.
-#[derive(Debug, Clone)]
-pub enum AdmissionMode {
-    /// The shared [`AdmissionEngine`] (enumeration → repair → ranked
-    /// fallback) against live ledger residuals — the same search the
-    /// offline Fig. 9 `admit_all` runs, so the control plane and the
-    /// experiments admit identical session sets.
-    Engine(AdmissionConfig),
-    /// The control plane's historical search: first-choice placement,
-    /// then each user walked one step down its ranked candidate list.
-    /// Retained for differential testing and the `admission_parity`
-    /// benchmark baseline.
-    LegacyRanked,
-}
-
-impl Default for AdmissionMode {
-    fn default() -> Self {
-        Self::Engine(AdmissionConfig::default())
-    }
-}
-
 /// Fleet configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Placement at admission.
     pub placement: PlacementPolicy,
-    /// Which admission search runs over that policy's candidates.
-    pub admission: AdmissionMode,
     /// Alg. 1 parameters for the re-optimization workers.
     pub alg1: Alg1Config,
     /// Ledger shard count (clamped to the agent count).
@@ -128,7 +105,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             placement: PlacementPolicy::AgRank(AgRankConfig::live()),
-            admission: AdmissionMode::default(),
             alg1: Alg1Config::default(),
             ledger_shards: 8,
             obs: ObsConfig::default(),
@@ -150,17 +126,6 @@ pub enum AdmitError {
         session: SessionId,
         /// The furthest search stage reached.
         stage: AdmissionFailure,
-    },
-    /// No placement satisfied the ledger (last refusal attached;
-    /// [`AdmissionMode::LegacyRanked`] only).
-    NoCapacity(LedgerError),
-    /// The placement satisfied capacities but broke the delay bound
-    /// ([`AdmissionMode::LegacyRanked`] only).
-    DelayBound {
-        /// Worst flow delay of the attempted placement (ms).
-        delay_ms: f64,
-        /// The instance's `Dmax` (ms).
-        bound_ms: f64,
     },
     /// An open-world arrival's definition failed to register (the
     /// universe is unchanged; nothing was admitted).
@@ -207,8 +172,7 @@ pub struct FleetCounters {
     pub admitted_enumeration: AtomicUsize,
     /// Admissions placed by greedy + violation-driven repair.
     pub admitted_repair: AtomicUsize,
-    /// Admissions placed by the ranked-fallback tier (including every
-    /// [`AdmissionMode::LegacyRanked`] admission).
+    /// Admissions placed by the ranked-fallback tier.
     pub admitted_fallback: AtomicUsize,
     /// Violation-driven repair moves applied across all admissions.
     pub repair_steps: AtomicUsize,
@@ -217,7 +181,7 @@ pub struct FleetCounters {
     /// Refusals at the transcoding-placement stage.
     pub refused_task_fit: AtomicUsize,
     /// Refusals at the global feasibility check (capacity interplay or
-    /// the delay bound; legacy-mode capacity/delay refusals included).
+    /// the delay bound).
     pub refused_global: AtomicUsize,
     /// Sessions displaced whole by an evacuation that found no feasible
     /// target (re-admission enabled; the session left the fleet and
@@ -282,30 +246,6 @@ impl AssignmentView for SlotView<'_> {
             .position(|&w| w == t)
             .expect("task belongs to the evaluated session");
         self.slot.tasks[i]
-    }
-}
-
-/// A proposed (partial) placement over a slot: pairs win, the slot's
-/// current (possibly inert) assignment backs everything else — the
-/// admission-evaluation shape.
-struct PairsView<'a> {
-    users: &'a [(UserId, AgentId)],
-    tasks: &'a [(TaskId, AgentId)],
-    base: SlotView<'a>,
-}
-
-impl AssignmentView for PairsView<'_> {
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        match self.users.iter().find(|(w, _)| *w == u) {
-            Some(&(_, a)) => a,
-            None => self.base.agent_of_user(u),
-        }
-    }
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        match self.tasks.iter().find(|(w, _)| *w == t) {
-            Some(&(_, a)) => a,
-            None => self.base.agent_of_task(t),
-        }
     }
 }
 
@@ -428,6 +368,78 @@ impl Universe {
     }
 }
 
+/// An exclusive FREEZE acquisition ([`Fleet::freeze_exclusive`]): the
+/// write lock plus the two clock reads that time it. Ending the hold —
+/// by drop or by [`release`](Self::release) — releases the lock *first*
+/// and records `freeze_write_wait`/`freeze_write_hold` *after*:
+/// observation never extends the hold it measures.
+pub(crate) struct FreezeGuard<'a> {
+    universe: Option<RwLockWriteGuard<'a, Universe>>,
+    obs: &'a ObsPlane,
+    /// `(before the acquisition, once acquired)`; `None` while the
+    /// plane is disabled.
+    stamps: Option<(Instant, Instant)>,
+}
+
+impl FreezeGuard<'_> {
+    /// Ends the hold now and returns `(t0, t_end)` — the clock reads
+    /// bracketing acquisition and release — for callers that record
+    /// their own span over the same interval (`None` while the plane is
+    /// disabled).
+    pub(crate) fn release(mut self) -> Option<(Instant, Instant)> {
+        self.finish()
+    }
+
+    fn finish(&mut self) -> Option<(Instant, Instant)> {
+        drop(self.universe.take()?);
+        let (t0, t_acq) = self.stamps?;
+        let t_end = Instant::now();
+        self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
+        self.obs.record_span(Site::FreezeWriteHold, t_acq, t_end);
+        Some((t0, t_end))
+    }
+}
+
+impl Drop for FreezeGuard<'_> {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
+impl std::ops::Deref for FreezeGuard<'_> {
+    type Target = Universe;
+    fn deref(&self) -> &Universe {
+        self.universe.as_ref().expect("held until released")
+    }
+}
+
+impl std::ops::DerefMut for FreezeGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Universe {
+        self.universe.as_mut().expect("held until released")
+    }
+}
+
+/// An accepted admission, as the live path has decided it and as an
+/// `Admit` journal record carries it.
+pub(crate) struct Accepted<'a> {
+    pub(crate) users: &'a [(UserId, AgentId)],
+    pub(crate) tasks: &'a [(TaskId, AgentId)],
+    pub(crate) tier: AdmissionTier,
+    pub(crate) repair_steps: usize,
+}
+
+/// Who hands [`Fleet::install_admitted`] its admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AdmitPath {
+    /// `Fleet::admit`, straight after the search: the scratch already
+    /// holds the accepted placement's load, and a hold spanning regions
+    /// books through the two-phase protocol.
+    Live,
+    /// Journal replay: the decoded placement is evaluated here and
+    /// booked single-phase — recovery installs, it never re-judges.
+    Replay,
+}
+
 /// The multi-session control plane. See the module docs.
 #[derive(Debug)]
 pub struct Fleet {
@@ -452,9 +464,8 @@ pub struct Fleet {
     /// and carried by every durable snapshot so recovered fleets resume
     /// WAIT countdowns instead of re-drawing them.
     pub(crate) timers: Mutex<Vec<TimerEntry>>,
-    /// The shared admission search, built once from
-    /// [`FleetConfig::admission`] (unused under
-    /// [`AdmissionMode::LegacyRanked`]).
+    /// The shared admission search (`vc-algo`'s defaults, the ones the
+    /// offline `admit_all` runs with).
     admission_engine: AdmissionEngine,
     /// Reusable buffers for the admission path.
     admit_scratch: Mutex<AdmitScratch>,
@@ -494,10 +505,6 @@ impl Fleet {
             universe.push_slot(SessionId::from(i));
         }
         let obs = Arc::new(ObsPlane::with_config(ledger.num_shards(), config.obs));
-        let admission_engine = AdmissionEngine::new(match &config.admission {
-            AdmissionMode::Engine(engine_config) => engine_config.clone(),
-            AdmissionMode::LegacyRanked => AdmissionConfig::default(),
-        });
         Self {
             freeze: RwLock::new(universe),
             live: AtomicUsize::new(0),
@@ -508,7 +515,7 @@ impl Fleet {
             persist: None,
             pending_stays: AtomicU64::new(0),
             timers: Mutex::new(Vec::new()),
-            admission_engine,
+            admission_engine: AdmissionEngine::default(),
             admit_scratch: Mutex::new(AdmitScratch {
                 eval: EvalScratch::new(),
                 search: AdmissionScratch::default(),
@@ -526,6 +533,18 @@ impl Fleet {
     /// the flight recorder. Shareable; telemetry and benches read it.
     pub fn obs(&self) -> &Arc<ObsPlane> {
         &self.obs
+    }
+
+    /// Takes the FREEZE write lock — the one way a coarse op does, so
+    /// every exclusive hold is timed (see [`FreezeGuard`]).
+    pub(crate) fn freeze_exclusive(&self) -> FreezeGuard<'_> {
+        let t0 = self.obs.timer();
+        let universe = self.freeze.write();
+        FreezeGuard {
+            universe: Some(universe),
+            obs: &self.obs,
+            stamps: t0.map(|t0| (t0, Instant::now())),
+        }
     }
 
     /// The current problem (a clone of the `Arc` under the shared
@@ -553,9 +572,7 @@ impl Fleet {
     ///
     /// Propagates [`ModelError`] from the instance-level validation.
     pub fn register_session(&self, def: &SessionDef) -> Result<SessionId, ModelError> {
-        let t0 = self.obs.timer();
-        let mut u = self.freeze.write();
-        let t_acq = t0.map(|_| Instant::now());
+        let mut u = self.freeze_exclusive();
         // `make_mut` mutates in place when the fleet is the sole owner
         // (the common case — `problem()` clones are short-lived), so a
         // burst of registrations does not deep-copy the whole problem
@@ -563,16 +580,11 @@ impl Fleet {
         let s = Arc::make_mut(&mut u.problem).register_session(def)?;
         u.push_slot(s);
         u.growth.push(GrowthRecord::Session(def.clone()));
-        self.log_op(|| crate::persist::FleetOp::RegisterSession {
+        self.log_op(|| FleetOp::RegisterSession {
             session: s,
             def: def.clone(),
         });
-        drop(u);
-        if let Some(t0) = t0 {
-            let t_acq = t_acq.expect("taken together with t0");
-            let t_end = Instant::now();
-            self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
-            self.obs.record_span(Site::FreezeWriteHold, t_acq, t_end);
+        if let Some((t0, t_end)) = u.release() {
             self.obs.record_span(Site::RegisterSession, t0, t_end);
             self.obs
                 .note_op_at(t_end, OpKind::RegisterSession, s.index() as u32, 0);
@@ -600,9 +612,7 @@ impl Fleet {
     /// Propagates [`ModelError`] from the instance-level validation
     /// (delay-row lengths, finiteness).
     pub fn register_agent(&self, def: &AgentDef, region: &str) -> Result<AgentId, ModelError> {
-        let t0 = self.obs.timer();
-        let mut u = self.freeze.write();
-        let t_acq = t0.map(|_| Instant::now());
+        let mut u = self.freeze_exclusive();
         let l = Arc::make_mut(&mut u.problem).register_agent(def)?;
         let nl = u.problem.instance().num_agents();
         // Stored slot loads are dense over the agent axis; grow them so
@@ -619,18 +629,11 @@ impl Fleet {
         debug_assert_eq!(l, ledger_id, "problem and ledger agree on the new id");
         u.growth
             .push(GrowthRecord::Agent(def.clone(), region.to_string()));
-        self.log_op(|| crate::persist::FleetOp::RegisterAgent {
+        self.log_op(|| FleetOp::RegisterAgent {
             agent: l,
             def: def.clone(),
             region: region.to_string(),
         });
-        drop(u);
-        if let Some(t0) = t0 {
-            let t_acq = t_acq.expect("taken together with t0");
-            let t_end = Instant::now();
-            self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
-            self.obs.record_span(Site::FreezeWriteHold, t_acq, t_end);
-        }
         Ok(l)
     }
 
@@ -674,213 +677,84 @@ impl Fleet {
         }
     }
 
-    /// Admits session `s` through the configured admission search
-    /// against **live** fleet state (ledger residuals + availability),
-    /// then books the ledger hold and activates the slot. On any
-    /// refusal the fleet is left exactly as before. Coarse path: takes
-    /// the FREEZE write lock.
-    ///
-    /// Under [`AdmissionMode::Engine`] the search is the shared
-    /// [`AdmissionEngine`] — the same enumeration / violation-driven
-    /// repair / ranked fallback the Fig. 9 `admit_all` runs — so the
-    /// control plane admits exactly the sessions the offline
-    /// reproduction admits (proptested in `tests/admission_parity.rs`).
+    /// Admits session `s` through the shared [`AdmissionEngine`] — the
+    /// same enumeration / violation-driven repair / ranked fallback the
+    /// Fig. 9 `admit_all` runs — against **live** fleet state (ledger
+    /// residuals + availability), then books the ledger hold and
+    /// activates the slot. The control plane therefore admits exactly
+    /// the sessions the offline reproduction admits (proptested in
+    /// `tests/admission_parity.rs`). On any refusal the fleet is left
+    /// exactly as before. Coarse path: takes the FREEZE write lock.
     ///
     /// # Errors
     ///
     /// See [`AdmitError`].
     pub fn admit(&self, s: SessionId) -> Result<(), AdmitError> {
-        let t0 = self.obs.timer();
-        let u = self.freeze.write();
-        let t_acq = t0.map(|_| Instant::now());
+        let u = self.freeze_exclusive();
         let result = self.admit_locked(&u, s);
-        drop(u);
         // All recording happens after the exclusive section is released:
         // observation must never extend the FREEZE hold it measures.
-        if let Some(t0) = t0 {
-            let t_acq = t_acq.expect("taken together with t0");
-            let t_end = Instant::now();
-            self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
-            self.obs.record_span(Site::FreezeWriteHold, t_acq, t_end);
+        if let Some((t0, t_end)) = u.release() {
+            let session = s.index() as u32;
             match &result {
                 Ok((stats, placement_hash)) => {
-                    let site = match (&self.config.admission, stats.tier) {
-                        (AdmissionMode::LegacyRanked, _) => Site::AdmitLegacy,
-                        (_, AdmissionTier::Enumeration) => Site::AdmitEnumeration,
-                        (_, AdmissionTier::Repair) => Site::AdmitRepair,
-                        (_, AdmissionTier::RankedFallback) => Site::AdmitFallback,
+                    let site = match stats.tier {
+                        AdmissionTier::Enumeration => Site::AdmitEnumeration,
+                        AdmissionTier::Repair => Site::AdmitRepair,
+                        AdmissionTier::RankedFallback => Site::AdmitFallback,
                     };
                     self.obs.record_span(site, t0, t_end);
                     self.obs
-                        .note_op_at(t_end, OpKind::Admit, s.index() as u32, stats.tier as u32);
-                    let tier = match (&self.config.admission, stats.tier) {
-                        (AdmissionMode::LegacyRanked, _) => 3u64,
-                        (_, t) => t as u64,
-                    };
-                    self.obs
-                        .note_trace_at(t_end, TraceKind::AdmitAttempt, s.index() as u32, tier);
+                        .note_op_at(t_end, OpKind::Admit, session, stats.tier as u32);
                     self.obs.note_trace_at(
                         t_end,
-                        TraceKind::Admitted,
-                        s.index() as u32,
-                        *placement_hash,
+                        TraceKind::AdmitAttempt,
+                        session,
+                        stats.tier as u64,
                     );
-                }
-                Err(e) => {
-                    self.obs.record_span(Site::AdmitRefused, t0, t_end);
                     self.obs
-                        .note_op_at(t_end, OpKind::Reject, s.index() as u32, 0);
-                    // Refusal stage codes (see `TraceKind::Refused`); an
-                    // already-live refusal ran no search, so it gets no
-                    // `AdmitAttempt` in its chain.
-                    let stage = match e {
-                        AdmitError::Refused {
-                            stage: AdmissionFailure::UserFit,
-                            ..
-                        } => 0u64,
-                        AdmitError::Refused {
-                            stage: AdmissionFailure::TaskFit,
-                            ..
-                        } => 1,
-                        AdmitError::Refused {
-                            stage: AdmissionFailure::GlobalCheck,
-                            ..
-                        } => 2,
-                        AdmitError::NoCapacity(_) => 3,
-                        AdmitError::DelayBound { .. } => 4,
-                        AdmitError::AlreadyLive(_) | AdmitError::Register(_) => 5,
-                    };
-                    if !matches!(e, AdmitError::AlreadyLive(_)) {
-                        let tier = match &self.config.admission {
-                            AdmissionMode::LegacyRanked => 3u64,
-                            AdmissionMode::Engine(_) => 2,
-                        };
+                        .note_trace_at(t_end, TraceKind::Admitted, session, *placement_hash);
+                }
+                Err((_, reason)) => {
+                    self.obs.record_span(Site::AdmitRefused, t0, t_end);
+                    self.obs.note_op_at(t_end, OpKind::Reject, session, 0);
+                    // An already-live refusal ran no search, so it gets
+                    // no `AdmitAttempt` in its chain; every other refusal
+                    // exhausted the engine down to its last tier.
+                    if *reason != RefusalReason::AlreadyLive {
                         self.obs.note_trace_at(
                             t_end,
                             TraceKind::AdmitAttempt,
-                            s.index() as u32,
-                            tier,
+                            session,
+                            AdmissionTier::RankedFallback as u64,
                         );
                     }
                     self.obs
-                        .note_trace_at(t_end, TraceKind::Refused, s.index() as u32, stage);
+                        .note_trace_at(t_end, TraceKind::Refused, session, reason.trace_code());
                 }
             }
         }
-        result.map(|_| ())
+        result.map(|_| ()).map_err(|(e, _)| e)
     }
 
-    /// The admission proper, run under the caller's FREEZE write lock.
-    /// Success carries the stats plus the FNV-1a hash of the committed
-    /// placement (the `Admitted` lifecycle event's payload).
+    /// The admission proper, run under the caller's FREEZE write lock:
+    /// the engine searches against capacity minus the booked reservation
+    /// totals — derived through the same [`Residuals::fill_from_totals`]
+    /// the offline world uses, so both worlds search identical spaces —
+    /// with failed agents masked. Success carries the stats plus the
+    /// FNV-1a hash of the committed placement (the `Admitted` lifecycle
+    /// event's payload); a refusal carries its journaled reason.
     fn admit_locked(
         &self,
         u: &Universe,
         s: SessionId,
-    ) -> Result<(vc_algo::admission::AdmissionStats, u64), AdmitError> {
+    ) -> Result<(AdmissionStats, u64), (AdmitError, RefusalReason)> {
         let mut slot = u.slots[s.index()].lock();
         if slot.active {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            self.log_op(|| crate::persist::FleetOp::Reject {
-                session: s,
-                reason: crate::persist::RefusalReason::AlreadyLive,
-            });
-            return Err(AdmitError::AlreadyLive(s));
+            self.refuse(s, RefusalReason::AlreadyLive);
+            return Err((AdmitError::AlreadyLive(s), RefusalReason::AlreadyLive));
         }
         let problem = &u.problem;
-        let result = match &self.config.admission {
-            AdmissionMode::Engine(_) => self.admit_engine(problem, &u.available, &mut slot, s),
-            AdmissionMode::LegacyRanked => self.admit_legacy(problem, &mut slot, s),
-        };
-        match &result {
-            Ok(stats) => {
-                self.live.fetch_add(1, Ordering::Relaxed);
-                self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                // A queued re-admission that lands here is healed; any
-                // other admission of a queued session retires its entry
-                // too (replay of the `Admit` record does the same).
-                self.readmit_note_admitted(s);
-                let tier_counter = match stats.tier {
-                    AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
-                    AdmissionTier::Repair => &self.counters.admitted_repair,
-                    AdmissionTier::RankedFallback => &self.counters.admitted_fallback,
-                };
-                tier_counter.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .repair_steps
-                    .fetch_add(stats.repair_steps, Ordering::Relaxed);
-                let (tier, repair_steps) = (stats.tier, stats.repair_steps as u64);
-                self.log_op(|| {
-                    let (users, tasks) = placement_of_slot(problem, s, &slot);
-                    crate::persist::FleetOp::Admit {
-                        session: s,
-                        users,
-                        tasks,
-                        tier,
-                        repair_steps,
-                    }
-                });
-            }
-            Err(e) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                let reason = match e {
-                    AdmitError::Refused {
-                        stage: AdmissionFailure::UserFit,
-                        ..
-                    } => {
-                        self.counters
-                            .refused_user_fit
-                            .fetch_add(1, Ordering::Relaxed);
-                        crate::persist::RefusalReason::UserFit
-                    }
-                    AdmitError::Refused {
-                        stage: AdmissionFailure::TaskFit,
-                        ..
-                    } => {
-                        self.counters
-                            .refused_task_fit
-                            .fetch_add(1, Ordering::Relaxed);
-                        crate::persist::RefusalReason::TaskFit
-                    }
-                    AdmitError::Refused {
-                        stage: AdmissionFailure::GlobalCheck,
-                        ..
-                    } => {
-                        self.counters.refused_global.fetch_add(1, Ordering::Relaxed);
-                        crate::persist::RefusalReason::GlobalCheck
-                    }
-                    AdmitError::NoCapacity(_) => {
-                        self.counters.refused_global.fetch_add(1, Ordering::Relaxed);
-                        crate::persist::RefusalReason::Capacity
-                    }
-                    AdmitError::DelayBound { .. } => {
-                        self.counters.refused_global.fetch_add(1, Ordering::Relaxed);
-                        crate::persist::RefusalReason::Delay
-                    }
-                    AdmitError::AlreadyLive(_) | AdmitError::Register(_) => {
-                        unreachable!("search paths never produce these")
-                    }
-                };
-                self.log_op(|| crate::persist::FleetOp::Reject { session: s, reason });
-            }
-        };
-        result.map(|stats| (stats, placement_hash(&slot)))
-    }
-
-    /// The shared-engine admission search against the live ledger:
-    /// residuals are capacity minus the booked reservation totals —
-    /// derived through the same [`Residuals::from_totals`] the offline
-    /// world uses, so both worlds search identical spaces — and failed
-    /// agents are masked. On success the placement is installed and the
-    /// hold booked *unchecked* (the engine already proved it fits; the
-    /// exclusive FREEZE lock excludes races).
-    fn admit_engine(
-        &self,
-        problem: &Arc<UapProblem>,
-        available: &[bool],
-        slot: &mut SessionSlot,
-        s: SessionId,
-    ) -> Result<vc_algo::admission::AdmissionStats, AdmitError> {
         let mut scratch = self.admit_scratch.lock();
         let AdmitScratch {
             eval,
@@ -897,128 +771,125 @@ impl Fleet {
                 s,
                 &self.admission_policy(),
                 residuals,
-                available,
+                &u.available,
                 eval,
                 search,
             )
-            .map_err(|stage| AdmitError::Refused { session: s, stage })?;
-        // `eval` holds the accepted placement's evaluated load.
-        install_placement(problem, slot, s, &decision.users, &decision.tasks);
-        slot.load.clone_from(eval.load());
-        slot.active = true;
-        // Booking is unchecked either way (the engine already proved the
-        // fit). A hold spanning ≥ 2 regions routes through the two-phase
-        // protocol so the commit point — and hence the journal record —
-        // sits strictly after every region's debit: a crash between
-        // prepare and commit replays to pre-admission residuals in every
-        // region.
-        let hold = SessionHold::from_load(eval.load());
-        if self.ledger.spans_regions(&hold) {
-            let prepared = self.ledger.prepare_booked(s, hold);
-            self.ledger
-                .commit_prepared(prepared)
-                .expect("inactive session holds no reservation");
-        } else {
-            self.ledger
-                .book_unchecked(s, hold)
-                .expect("inactive session holds no reservation");
-        }
-        Ok(decision.stats)
-    }
-
-    /// The historical control-plane search (see
-    /// [`AdmissionMode::LegacyRanked`]).
-    fn admit_legacy(
-        &self,
-        problem: &Arc<UapProblem>,
-        slot: &mut SessionSlot,
-        s: SessionId,
-    ) -> Result<vc_algo::admission::AdmissionStats, AdmitError> {
-        let inst = problem.instance();
-        let mut guard = self.admit_scratch.lock();
-        let scratch = &mut guard.eval;
-        let mut candidates_evaluated = 1usize;
-        let result = match &self.config.placement {
-            PlacementPolicy::Nearest => {
-                let users: Vec<(UserId, AgentId)> = inst
-                    .session(s)
-                    .users()
-                    .iter()
-                    .map(|&u| (u, inst.delays().nearest_agent(u)))
-                    .collect();
-                let (users, tasks) = with_tasks(problem, s, users);
-                self.try_placement(problem, slot, scratch, s, &users, &tasks)
-            }
-            PlacementPolicy::AgRank(config) => {
-                let residuals = self.ledger.residuals();
-                let sa = agrank::assign_session(problem, s, &residuals, config);
-                // First choice reuses the bootstrap's own task placement.
-                let mut outcome =
-                    self.try_placement(problem, slot, scratch, s, &sa.users, &sa.tasks);
-                if outcome.is_err() {
-                    // Fallbacks, built lazily only after a refusal: walk
-                    // each user one step down its ranked candidate list.
-                    'search: for (i, (u, _)) in sa.users.iter().enumerate() {
-                        for &alt in sa.ranking.candidates_of(*u).iter().skip(1) {
-                            let mut users = sa.users.clone();
-                            users[i] = (*u, alt);
-                            let (users, tasks) = with_tasks(problem, s, users);
-                            candidates_evaluated += 1;
-                            match self.try_placement(problem, slot, scratch, s, &users, &tasks) {
-                                Ok(()) => {
-                                    outcome = Ok(());
-                                    break 'search;
-                                }
-                                refused => outcome = refused,
-                            }
-                        }
-                    }
-                }
-                outcome
-            }
+            .map_err(|stage| {
+                let reason = RefusalReason::from(stage);
+                self.refuse(s, reason);
+                (AdmitError::Refused { session: s, stage }, reason)
+            })?;
+        let stats = decision.stats;
+        let accepted = Accepted {
+            users: &decision.users,
+            tasks: &decision.tasks,
+            tier: stats.tier,
+            repair_steps: stats.repair_steps,
         };
-        result.map(|()| vc_algo::admission::AdmissionStats {
-            tier: AdmissionTier::RankedFallback,
-            repair_steps: 0,
-            candidates_evaluated,
-        })
-    }
-
-    /// Tries one placement: evaluate it (overlaying the proposal on the
-    /// slot's inert assignment), check the delay bound, reserve in the
-    /// ledger, and only then install it into the slot — nothing to roll
-    /// back on refusal.
-    fn try_placement(
-        &self,
-        problem: &Arc<UapProblem>,
-        slot: &mut SessionSlot,
-        scratch: &mut EvalScratch,
-        s: SessionId,
-        users: &[(UserId, AgentId)],
-        tasks: &[(TaskId, AgentId)],
-    ) -> Result<(), AdmitError> {
-        {
-            let view = PairsView {
+        self.install_admitted(problem, &mut slot, s, &accepted, eval, AdmitPath::Live)
+            .expect("the engine places the session's own users and tasks, once");
+        // Journaled strictly after the booking: for a hold spanning
+        // regions that is after the two-phase commit point, so a crash
+        // between prepare and commit replays to pre-admission residuals
+        // in every region.
+        self.log_op(|| {
+            let (users, tasks) = placement_of_slot(problem, s, &slot);
+            FleetOp::Admit {
+                session: s,
                 users,
                 tasks,
-                base: slot_view(problem, s, slot),
-            };
-            scratch.evaluate(problem, &view, s);
+                tier: stats.tier,
+                repair_steps: stats.repair_steps as u64,
+            }
+        });
+        Ok((stats, placement_hash(&slot)))
+    }
+
+    /// Counts and journals one refusal (the live path;
+    /// [`count_refusal`](Self::count_refusal) is the half replay shares).
+    pub(crate) fn refuse(&self, s: SessionId, reason: RefusalReason) {
+        self.count_refusal(reason);
+        self.log_op(|| FleetOp::Reject { session: s, reason });
+    }
+
+    /// Moves the counters of one refusal — what the live path does when
+    /// it refuses and what `Reject` replay does with the decoded reason.
+    pub(crate) fn count_refusal(&self, reason: RefusalReason) {
+        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        if let Some(stage) = reason.counter(&self.counters) {
+            stage.fetch_add(1, Ordering::Relaxed);
         }
-        let load = scratch.load();
-        let bound = problem.instance().d_max_ms();
-        if load.max_flow_delay > bound + CAPACITY_EPS {
-            return Err(AdmitError::DelayBound {
-                delay_ms: load.max_flow_delay,
-                bound_ms: bound,
-            });
+    }
+
+    /// Installs an accepted admission into `s`'s (inactive) slot and
+    /// counts it: placement, evaluated load, live flag, ledger hold
+    /// (booked *unchecked* — the search already proved the fit, and the
+    /// exclusive FREEZE lock excludes races), the admitted/tier/repair
+    /// counters, and the retirement of any queued re-admission entry.
+    /// The one place a session goes live: [`admit`](Self::admit) calls
+    /// it once the engine has decided and `Admit` replay once the record
+    /// is decoded, so replay moves exactly the counters the live path
+    /// moved. `path` names the only two differences (see [`AdmitPath`]).
+    ///
+    /// # Errors
+    ///
+    /// A placement naming a user or task outside the session, or a
+    /// session that already holds a reservation — impossible for an
+    /// engine decision, a corrupt record under replay.
+    pub(crate) fn install_admitted(
+        &self,
+        problem: &UapProblem,
+        slot: &mut SessionSlot,
+        s: SessionId,
+        accepted: &Accepted<'_>,
+        eval: &mut EvalScratch,
+        path: AdmitPath,
+    ) -> Result<(), String> {
+        let user_ids = problem.instance().session(s).users();
+        for &(u, a) in accepted.users {
+            let i = user_ids
+                .iter()
+                .position(|&w| w == u)
+                .ok_or_else(|| format!("admit of {s} places foreign user {u}"))?;
+            slot.users[i] = a;
         }
-        self.ledger
-            .try_reserve(s, SessionHold::from_load(load))
-            .map_err(AdmitError::NoCapacity)?;
-        install_placement(problem, slot, s, users, tasks);
-        slot.load.clone_from(scratch.load());
+        let task_ids = problem.tasks().of_session(s);
+        for &(t, a) in accepted.tasks {
+            let i = task_ids
+                .iter()
+                .position(|&w| w == t)
+                .ok_or_else(|| format!("admit of {s} places foreign task {t}"))?;
+            slot.tasks[i] = a;
+        }
+        if path == AdmitPath::Replay {
+            evaluate_slot(problem, s, slot, eval);
+        }
+        let load = eval.load();
+        let hold = SessionHold::from_load(load);
+        let booked = if path == AdmitPath::Live && self.ledger.spans_regions(&hold) {
+            let prepared = self.ledger.prepare_booked(s, hold);
+            self.ledger.commit_prepared(prepared)
+        } else {
+            self.ledger.book_unchecked(s, hold)
+        };
+        booked.map_err(|e| format!("admit of {s} double-booked: {e}"))?;
+        slot.load.clone_from(load);
         slot.active = true;
+        self.live.fetch_add(1, Ordering::Relaxed);
+        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        let tier_counter = match accepted.tier {
+            AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
+            AdmissionTier::Repair => &self.counters.admitted_repair,
+            AdmissionTier::RankedFallback => &self.counters.admitted_fallback,
+        };
+        tier_counter.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .repair_steps
+            .fetch_add(accepted.repair_steps, Ordering::Relaxed);
+        // A queued re-admission that lands here is healed; any other
+        // admission of a queued session retires its entry too.
+        self.readmit_note_admitted(s);
         Ok(())
     }
 
@@ -1026,19 +897,9 @@ impl Fleet {
     /// the released hold (`None` if the session was not live). Coarse
     /// path: takes the FREEZE write lock.
     pub fn depart(&self, s: SessionId) -> Option<SessionHold> {
-        let t0 = self.obs.timer();
-        let u = self.freeze.write();
-        let t_acq = t0.map(|_| Instant::now());
+        let u = self.freeze_exclusive();
         let hold = self.depart_locked(&u, s);
         drop(u);
-        // Recorded after the lock is released, like every exclusive op:
-        // observation must never extend the FREEZE hold it measures.
-        if let Some(t0) = t0 {
-            let t_acq = t_acq.expect("taken together with t0");
-            self.obs.record_span(Site::FreezeWriteWait, t0, t_acq);
-            self.obs
-                .record_span(Site::FreezeWriteHold, t_acq, Instant::now());
-        }
         if hold.is_some() {
             self.obs.note_op(OpKind::Depart, s.index() as u32, 0);
             self.obs
@@ -1061,7 +922,7 @@ impl Fleet {
             .release(s)
             .expect("live session holds a reservation");
         self.counters.departed.fetch_add(1, Ordering::Relaxed);
-        self.log_op(|| crate::persist::FleetOp::Depart { session: s });
+        self.log_op(|| FleetOp::Depart { session: s });
         Some(hold)
     }
 
@@ -1128,7 +989,7 @@ impl Fleet {
     ) -> (usize, usize) {
         let mut evacuated = Vec::new();
         let mut displaced = Vec::new();
-        let mut u = self.freeze.write();
+        let mut u = self.freeze_exclusive();
         u.available[agent.index()] = false;
         if drain {
             u.drained[agent.index()] = true;
@@ -1145,9 +1006,9 @@ impl Fleet {
         // records the *cause*; replay re-runs the same evacuation.
         self.log_op(|| {
             if drain {
-                crate::persist::FleetOp::DrainAgent { agent }
+                FleetOp::DrainAgent { agent }
             } else {
-                crate::persist::FleetOp::FailAgent { agent }
+                FleetOp::FailAgent { agent }
             }
         });
         // Queue installs journal *after* the FailAgent record, under
@@ -1328,13 +1189,13 @@ impl Fleet {
     /// permanent, planned departure — nothing is journaled for a refused
     /// restore, so replay never sees one). Coarse path.
     pub fn restore_agent(&self, agent: AgentId) -> bool {
-        let mut frz = self.freeze.write();
+        let mut frz = self.freeze_exclusive();
         if frz.drained[agent.index()] {
             return false;
         }
         frz.available[agent.index()] = true;
         self.ledger.restore_agent(agent);
-        self.log_op(|| crate::persist::FleetOp::RestoreAgent { agent });
+        self.log_op(|| FleetOp::RestoreAgent { agent });
         drop(frz);
         self.obs
             .note_op(OpKind::RestoreAgent, agent.index() as u32, 0);
@@ -1368,7 +1229,7 @@ impl Fleet {
                 if self.config.readmit.is_none() {
                     return AdmitOutcome::Refused(e);
                 }
-                let u = self.freeze.write();
+                let u = self.freeze_exclusive();
                 let entry = self.readmit_enqueue_locked(s);
                 drop(u);
                 match entry {
@@ -1411,7 +1272,7 @@ impl Fleet {
             self.counters
                 .readmit_dropped
                 .fetch_add(1, Ordering::Relaxed);
-            self.log_op(|| crate::persist::FleetOp::ReadmitDrop { session: s });
+            self.log_op(|| FleetOp::ReadmitDrop { session: s });
             return None;
         }
         let due_us = self.now_us() + backoff_us(&cfg, s, epoch, 0);
@@ -1422,7 +1283,7 @@ impl Fleet {
             due_us,
         };
         self.readmit_install(entry);
-        self.log_op(|| crate::persist::FleetOp::ReadmitEnqueue {
+        self.log_op(|| FleetOp::ReadmitEnqueue {
             session: s,
             epoch,
             attempt: 0,
@@ -1467,7 +1328,7 @@ impl Fleet {
         self.counters
             .readmit_dropped
             .fetch_add(1, Ordering::Relaxed);
-        self.log_op(|| crate::persist::FleetOp::ReadmitDrop { session: s });
+        self.log_op(|| FleetOp::ReadmitDrop { session: s });
     }
 
     /// Attempts the earliest-due queued re-admission at virtual time
@@ -1497,7 +1358,7 @@ impl Fleet {
             Err(_) => {
                 // The admission journaled its own Reject record; now
                 // journal what happens to the queue entry.
-                let u = self.freeze.write();
+                let u = self.freeze_exclusive();
                 let still_there = self.readmit.lock().entries.get(&entry.session) == Some(&entry);
                 if still_there {
                     if entry.attempt + 1 >= cfg.max_attempts {
@@ -1519,7 +1380,7 @@ impl Fleet {
                             due_us,
                         };
                         self.readmit_install(next);
-                        self.log_op(|| crate::persist::FleetOp::ReadmitEnqueue {
+                        self.log_op(|| FleetOp::ReadmitEnqueue {
                             session: next.session,
                             epoch: next.epoch,
                             attempt: next.attempt,
@@ -1742,7 +1603,7 @@ impl Fleet {
                 *last_delta_phi = load.phi - slot.load.phi;
                 slot.load.clone_from(load);
                 self.counters.migrations.fetch_add(1, Ordering::Relaxed);
-                self.log_op(|| crate::persist::FleetOp::Hop {
+                self.log_op(|| FleetOp::Hop {
                     session: s,
                     decision,
                     old_agent,
@@ -1789,7 +1650,7 @@ impl Fleet {
     /// telemetry sample, which would otherwise walk every registered
     /// slot twice.
     pub(crate) fn metrics_and_audit(&self) -> (FleetMetrics, Vec<String>) {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         let mut acc = MetricsAcc::default();
         let mut active = Vec::new();
         let totals = live_totals_locked(&u, |s, slot| {
@@ -1852,7 +1713,7 @@ impl Fleet {
     /// lock. This re-evaluates every live session — an offline-analysis
     /// convenience, not a hot path.
     pub fn with_state<T>(&self, f: impl FnOnce(&SystemState) -> T) -> T {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         let state = self.materialize_locked(&u);
         f(&state)
     }
@@ -1900,7 +1761,7 @@ impl Fleet {
     /// fresh values). The standing self-check that the allocation-free
     /// scratch path and a cold evaluation agree.
     pub fn load_drift(&self) -> f64 {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         let mut scratch = EvalScratch::new();
         let mut drift: f64 = 0.0;
         for s in u.problem.instance().session_ids() {
@@ -1931,7 +1792,7 @@ impl Fleet {
     /// agent, booked reservations must equal the sum of live slot
     /// loads; holding sessions must equal the live set. Coarse path.
     pub fn audit(&self) -> Vec<String> {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         self.audit_locked(&u)
     }
 
@@ -1978,7 +1839,7 @@ impl Fleet {
             if count > 0 {
                 p.journal
                     .lock()
-                    .append(&crate::persist::FleetOp::StayBatch { count })
+                    .append(&FleetOp::StayBatch { count })
                     .expect("write-ahead journal append failed");
             }
         }
@@ -2074,40 +1935,6 @@ fn slot_view<'a>(problem: &'a UapProblem, s: SessionId, slot: &'a SessionSlot) -
         user_ids: problem.instance().session(s).users(),
         task_ids: problem.tasks().of_session(s),
         slot,
-    }
-}
-
-/// Completes a user placement with the transcoding rule of thumb
-/// (session-scoped: admission must not pay a whole-instance pass).
-fn with_tasks(problem: &Arc<UapProblem>, s: SessionId, users: Vec<(UserId, AgentId)>) -> Placement {
-    let tasks = placement::rule_of_thumb_session(problem, s, &users);
-    (users, tasks)
-}
-
-/// Writes a full (or partial) placement into the slot's vectors,
-/// resolving each id to its slot index.
-pub(crate) fn install_placement(
-    problem: &UapProblem,
-    slot: &mut SessionSlot,
-    s: SessionId,
-    users: &[(UserId, AgentId)],
-    tasks: &[(TaskId, AgentId)],
-) {
-    let user_ids = problem.instance().session(s).users();
-    for &(u, a) in users {
-        let i = user_ids
-            .iter()
-            .position(|&w| w == u)
-            .expect("placed user belongs to the session");
-        slot.users[i] = a;
-    }
-    let task_ids = problem.tasks().of_session(s);
-    for &(t, a) in tasks {
-        let i = task_ids
-            .iter()
-            .position(|&w| w == t)
-            .expect("placed task belongs to the session");
-        slot.tasks[i] = a;
     }
 }
 

@@ -35,8 +35,8 @@
 //!   so 100k+ waiting sessions dispatch in deterministic
 //!   `(due_us, session, epoch)` order with no global lock;
 //! * [`telemetry`] — periodic [`FleetSnapshot`]s (objective, per-agent
-//!   utilization, migration counts, admission success rate) and
-//!   [`vc_sim::metrics::TimeSeries`]-compatible series;
+//!   utilization, migration counts, admission success rate), each gauge
+//!   readable back as a [`vc_model::TimeSeries`];
 //! * [`orchestrator`] — the trace-driven [`Orchestrator`] consuming
 //!   `vc-workloads`' dynamic arrival/departure traces.
 //!
@@ -133,8 +133,8 @@ mod tests;
 pub mod workers;
 
 pub use fleet::{
-    AdmissionMode, AdmitError, AdmitOutcome, Fleet, FleetConfig, FleetCounters, FleetHopScratch,
-    GrowthRecord, PlacementPolicy,
+    AdmitError, AdmitOutcome, Fleet, FleetConfig, FleetCounters, FleetHopScratch, GrowthRecord,
+    PlacementPolicy,
 };
 pub use ledger::{
     AgentHold, AgentUtilization, CapacityLedger, CrossRegionError, HopResiduals, LedgerError,

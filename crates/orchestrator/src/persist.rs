@@ -31,16 +31,18 @@
 //! the opposite: since format v4 the decision is **search-dependent**
 //! (the engine searches against live residuals, and a recovered build
 //! might be configured differently), so an `Admit` carries the chosen
-//! placement *and* its search tier/repair effort — replay installs the
-//! journaled placement bit-for-bit and re-increments the per-tier
-//! counters, never re-running the search. `Reject` carries its typed
-//! refusal reason for the same counter-exactness. `Hop` carries the
-//! decision plus its old assignment, letting replay detect divergence
-//! (a mismatched old agent means the journal and snapshot disagree —
-//! corruption, not a tolerable tail). `Timers` records (and the v4
-//! snapshot's timer field) carry the worker pool's reconstructible
-//! WAIT-countdown state, so a recovered fleet resumes its timers
-//! instead of re-drawing them.
+//! placement *and* its search tier/repair effort — replay hands the
+//! decoded record to the same `Fleet::install_admitted` the live path
+//! calls once it has decided, which installs the journaled placement
+//! bit-for-bit and counts it, never re-running the search. `Reject`
+//! carries its typed refusal reason and replays through the live path's
+//! `Fleet::count_refusal`, for the same counter-exactness. `Hop`
+//! carries the decision plus its old assignment, letting replay detect
+//! divergence (a mismatched old agent means the journal and snapshot
+//! disagree — corruption, not a tolerable tail). `Timers` records (and
+//! the v4 snapshot's timer field) carry the worker pool's
+//! reconstructible WAIT-countdown state, so a recovered fleet resumes
+//! its timers instead of re-drawing them.
 //!
 //! ## Recovery
 //!
@@ -50,17 +52,16 @@
 //! conservation, and re-checkpoints so the torn tail is discarded and
 //! the store is compact before the fleet goes live again.
 
-use crate::fleet::{self, Fleet, FleetConfig, FleetCounters, GrowthRecord};
+use crate::fleet::{self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord};
 use crate::ledger::{AgentHold, SessionHold};
-use crate::telemetry::FleetSnapshot;
 use crate::workers::{ReoptPool, TimerEntry};
 use parking_lot::Mutex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use vc_algo::admission::AdmissionTier;
+use vc_algo::admission::{AdmissionFailure, AdmissionTier};
 use vc_core::{Decision, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{OpKind, TraceKind};
@@ -73,6 +74,12 @@ use vc_persist::vfs::{real_vfs, Vfs};
 
 /// One journaled fleet mutation. Every variant is applied under the
 /// FREEZE lock in both live operation and replay.
+///
+/// Wire tags are the variants' positions below, with **tag 6 reserved**:
+/// it was the per-stay `Stay` record, never written by a format-v6
+/// fleet (stays ride [`Self::StayBatch`], also at `stay_batch = 1`).
+/// Decoding it is a [`CodecError::BadTag`]; a new variant must not
+/// reuse it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetOp {
     /// A session was admitted with this exact placement. Admission is
@@ -122,13 +129,6 @@ pub enum FleetOp {
         /// The decision target's assignment *before* the hop — lets
         /// replay detect journal/snapshot divergence.
         old_agent: AgentId,
-    },
-    /// An Alg. 1 HOP stayed put (counter-only; no state change).
-    /// Legacy per-stay record — still replayable, no longer emitted
-    /// (stays are batched into [`Self::StayBatch`]).
-    Stay {
-        /// The session whose hop stayed.
-        session: SessionId,
     },
     /// `count` HOPs stayed put since the last flush (counter-delta; no
     /// state change). Order-independent under replay.
@@ -200,7 +200,13 @@ pub enum FleetOp {
 }
 
 /// Why an admission attempt was refused — the journaled shape of
-/// `AdmitError`, driving the per-reason counters through replay.
+/// `AdmitError`, and the one place a refusal's counter and lifecycle-
+/// trace code are decided (live and under replay alike).
+///
+/// Wire tags are the variants' positions below (0–3). **Tags 4 and 5
+/// are reserved**: they were the ledger-refusal and delay-bound reasons
+/// of the retired ranked-walk admission mode. Decoding either is a
+/// [`CodecError::BadTag`]; a new variant must not reuse them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalReason {
     /// The session was already live.
@@ -211,10 +217,41 @@ pub enum RefusalReason {
     TaskFit,
     /// The fully placed session failed the global check.
     GlobalCheck,
-    /// Legacy-mode ledger refusal.
-    Capacity,
-    /// Legacy-mode delay-bound refusal.
-    Delay,
+}
+
+impl From<AdmissionFailure> for RefusalReason {
+    fn from(stage: AdmissionFailure) -> Self {
+        match stage {
+            AdmissionFailure::UserFit => Self::UserFit,
+            AdmissionFailure::TaskFit => Self::TaskFit,
+            AdmissionFailure::GlobalCheck => Self::GlobalCheck,
+        }
+    }
+}
+
+impl RefusalReason {
+    /// The per-stage counter this refusal moves, next to `rejected`
+    /// (an already-live refusal ran no search and has none).
+    pub(crate) fn counter(self, counters: &FleetCounters) -> Option<&AtomicUsize> {
+        match self {
+            Self::AlreadyLive => None,
+            Self::UserFit => Some(&counters.refused_user_fit),
+            Self::TaskFit => Some(&counters.refused_task_fit),
+            Self::GlobalCheck => Some(&counters.refused_global),
+        }
+    }
+
+    /// Payload of the `TraceKind::Refused` lifecycle event: the search
+    /// stages are 0–2, already-live is 5 (3 and 4 belonged to the two
+    /// retired reasons and stay unused).
+    pub(crate) fn trace_code(self) -> u64 {
+        match self {
+            Self::UserFit => 0,
+            Self::TaskFit => 1,
+            Self::GlobalCheck => 2,
+            Self::AlreadyLive => 5,
+        }
+    }
 }
 
 impl Encode for RefusalReason {
@@ -224,8 +261,6 @@ impl Encode for RefusalReason {
             Self::UserFit => 1,
             Self::TaskFit => 2,
             Self::GlobalCheck => 3,
-            Self::Capacity => 4,
-            Self::Delay => 5,
         });
     }
 }
@@ -237,8 +272,6 @@ impl Decode for RefusalReason {
             1 => Ok(Self::UserFit),
             2 => Ok(Self::TaskFit),
             3 => Ok(Self::GlobalCheck),
-            4 => Ok(Self::Capacity),
-            5 => Ok(Self::Delay),
             tag => Err(CodecError::BadTag {
                 what: "RefusalReason",
                 tag,
@@ -336,10 +369,6 @@ impl Encode for FleetOp {
                 decision.encode(out);
                 old_agent.encode(out);
             }
-            Self::Stay { session } => {
-                out.push(6);
-                session.encode(out);
-            }
             Self::StayBatch { count } => {
                 out.push(7);
                 count.encode(out);
@@ -410,9 +439,6 @@ impl Decode for FleetOp {
                 session: SessionId::decode(r)?,
                 decision: Decision::decode(r)?,
                 old_agent: AgentId::decode(r)?,
-            }),
-            6 => Ok(Self::Stay {
-                session: SessionId::decode(r)?,
             }),
             7 => Ok(Self::StayBatch {
                 count: u64::decode(r)?,
@@ -532,74 +558,6 @@ impl Decode for SessionHold {
     }
 }
 
-impl Encode for FleetSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.time_s.encode(out);
-        self.universe_sessions.encode(out);
-        self.universe_users.encode(out);
-        self.live_sessions.encode(out);
-        self.objective.encode(out);
-        self.mean_session_objective.encode(out);
-        self.traffic_mbps.encode(out);
-        self.mean_delay_ms.encode(out);
-        self.mean_utilization.encode(out);
-        self.max_utilization.encode(out);
-        self.admitted.encode(out);
-        self.rejected.encode(out);
-        self.departed.encode(out);
-        self.migrations.encode(out);
-        self.admission_success_rate.encode(out);
-        self.admission_attempts.encode(out);
-        self.admitted_enumeration.encode(out);
-        self.admitted_repair.encode(out);
-        self.admitted_fallback.encode(out);
-        self.admission_repair_steps.encode(out);
-        self.refused_user_fit.encode(out);
-        self.refused_task_fit.encode(out);
-        self.refused_global.encode(out);
-        self.conservation_violations.encode(out);
-        self.overshoot_fraction.encode(out);
-        self.displaced.encode(out);
-        self.readmit_queued.encode(out);
-        self.durability_degraded.encode(out);
-    }
-}
-
-impl Decode for FleetSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            time_s: f64::decode(r)?,
-            universe_sessions: usize::decode(r)?,
-            universe_users: usize::decode(r)?,
-            live_sessions: usize::decode(r)?,
-            objective: f64::decode(r)?,
-            mean_session_objective: f64::decode(r)?,
-            traffic_mbps: f64::decode(r)?,
-            mean_delay_ms: f64::decode(r)?,
-            mean_utilization: f64::decode(r)?,
-            max_utilization: f64::decode(r)?,
-            admitted: usize::decode(r)?,
-            rejected: usize::decode(r)?,
-            departed: usize::decode(r)?,
-            migrations: usize::decode(r)?,
-            admission_success_rate: f64::decode(r)?,
-            admission_attempts: usize::decode(r)?,
-            admitted_enumeration: usize::decode(r)?,
-            admitted_repair: usize::decode(r)?,
-            admitted_fallback: usize::decode(r)?,
-            admission_repair_steps: usize::decode(r)?,
-            refused_user_fit: usize::decode(r)?,
-            refused_task_fit: usize::decode(r)?,
-            refused_global: usize::decode(r)?,
-            conservation_violations: usize::decode(r)?,
-            overshoot_fraction: f64::decode(r)?,
-            displaced: usize::decode(r)?,
-            readmit_queued: usize::decode(r)?,
-            durability_degraded: bool::decode(r)?,
-        })
-    }
-}
-
 /// The counters as plain integers (the atomics snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
@@ -621,7 +579,7 @@ pub struct CounterSnapshot {
     pub admitted_enumeration: u64,
     /// Admissions placed by greedy + repair.
     pub admitted_repair: u64,
-    /// Admissions placed by the ranked fallback (legacy mode included).
+    /// Admissions placed by the ranked fallback.
     pub admitted_fallback: u64,
     /// Violation-driven repair moves across all admissions.
     pub repair_steps: u64,
@@ -629,7 +587,7 @@ pub struct CounterSnapshot {
     pub refused_user_fit: u64,
     /// Refusals at the transcoding-placement stage.
     pub refused_task_fit: u64,
-    /// Refusals at the global check (legacy capacity/delay included).
+    /// Refusals at the global check.
     pub refused_global: u64,
     /// Sessions displaced by forced evacuations (format v5).
     pub displaced: u64,
@@ -644,7 +602,7 @@ pub struct CounterSnapshot {
 impl CounterSnapshot {
     /// Reads the fleet's counters.
     pub fn capture(c: &FleetCounters) -> Self {
-        let get = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed) as u64;
+        let get = |a: &AtomicUsize| a.load(Ordering::Relaxed) as u64;
         Self {
             admitted: get(&c.admitted),
             rejected: get(&c.rejected),
@@ -668,7 +626,7 @@ impl CounterSnapshot {
     }
 
     fn install(&self, c: &FleetCounters) {
-        let set = |a: &std::sync::atomic::AtomicUsize, v: u64| {
+        let set = |a: &AtomicUsize, v: u64| {
             a.store(v as usize, Ordering::Relaxed);
         };
         set(&c.admitted, self.admitted);
@@ -837,7 +795,7 @@ pub struct PersistConfig {
     pub fsync: FsyncPolicy,
     /// Counter-only stays accumulate and flush as one `StayBatch`
     /// record every `stay_batch` stays (and at every durability
-    /// boundary). `1` restores the legacy one-record-per-stay behavior;
+    /// boundary). `1` writes one `StayBatch { count: 1 }` per stay;
     /// larger values cut idle-fleet journal traffic proportionally at
     /// the cost of up to `stay_batch − 1` stay *counts* (never state)
     /// on a hard crash between boundaries.
@@ -1144,7 +1102,7 @@ impl Fleet {
     /// [`PersistError::NotAttached`] on an ephemeral fleet, or any
     /// filesystem error.
     pub fn checkpoint(&self) -> Result<u64, PersistError> {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         let p = self.persist.as_ref().ok_or(PersistError::NotAttached)?;
         self.flush_stays();
         let mut journal = p.journal.lock();
@@ -1352,7 +1310,7 @@ impl Fleet {
     /// bitwise resume guarantee is therefore stated (and tested) for
     /// quiescent cuts.
     pub fn journal_timers(&self, pool: &ReoptPool) {
-        let _frz = self.freeze.write();
+        let _frz = self.freeze_exclusive();
         let entries = pool.timer_state();
         *self.timers.lock() = entries.clone();
         self.log_op(|| FleetOp::Timers { entries });
@@ -1363,7 +1321,7 @@ impl Fleet {
     /// fleet's [`durable_state`](Fleet::durable_state) be compared
     /// field-for-field against a persistent twin).
     pub fn record_timers(&self, pool: &ReoptPool) {
-        let _frz = self.freeze.write();
+        let _frz = self.freeze_exclusive();
         *self.timers.lock() = pool.timer_state();
     }
 
@@ -1373,7 +1331,7 @@ impl Fleet {
     /// recovery from the journal reproduces the captured counters
     /// exactly.
     pub fn durable_state(&self) -> DurableFleetState {
-        let u = self.freeze.write();
+        let u = self.freeze_exclusive();
         self.flush_stays();
         capture(self, &u)
     }
@@ -1550,10 +1508,11 @@ impl Fleet {
         Ok(())
     }
 
-    /// Applies one journaled op to a recovering fleet. Counter effects
-    /// mirror the live paths exactly so recovered counters equal
-    /// pre-crash counters.
-    fn replay_op(
+    /// Applies one journaled op to a recovering fleet. Every arm but
+    /// `Hop` and the counter/cache-only `StayBatch`, `Timers` and
+    /// `ReadmitDrop` re-enters the code the live path ran, so recovered
+    /// counters equal pre-crash counters by construction.
+    pub(crate) fn replay_op(
         &self,
         op: &FleetOp,
         scratch: &mut vc_core::EvalScratch,
@@ -1566,6 +1525,9 @@ impl Fleet {
                 tier,
                 repair_steps,
             } => {
+                // A recovering fleet is invisible to every other thread:
+                // there is no wait or hold worth a histogram sample, so
+                // replay's own arms take the raw lock.
                 let universe = self.freeze.write();
                 if session.index() >= universe.slots.len() {
                     return Err(PersistError::Replay(format!(
@@ -1578,72 +1540,27 @@ impl Fleet {
                         "admit of already-live session {session}"
                     )));
                 }
-                let inst = universe.problem.instance();
-                let user_ids = inst.session(*session).users();
-                for &(u, a) in users {
-                    let i = user_ids.iter().position(|&w| w == u).ok_or_else(|| {
-                        PersistError::Replay(format!("admit of {session} places foreign user {u}"))
-                    })?;
-                    slot.users[i] = a;
-                }
-                let task_ids = universe.problem.tasks().of_session(*session);
-                for &(t, a) in tasks {
-                    let i = task_ids.iter().position(|&w| w == t).ok_or_else(|| {
-                        PersistError::Replay(format!("admit of {session} places foreign task {t}"))
-                    })?;
-                    slot.tasks[i] = a;
-                }
-                slot.active = true;
-                let load = fleet::evaluate_slot(&universe.problem, *session, &slot, scratch);
-                let hold = SessionHold::from_load(load);
-                slot.load.clone_from(load);
-                self.live.fetch_add(1, Ordering::Relaxed);
-                // Book unchecked, exactly like the live engine path:
-                // the admission was already accepted against the live
-                // residuals, and a re-check here could refuse at an
-                // epsilon boundary (or on an agent that failed later in
-                // the journal) — recovery must install, never re-judge.
-                // Conservation is re-established by the post-replay
-                // audit.
-                self.ledger.book_unchecked(*session, hold).map_err(|e| {
-                    PersistError::Replay(format!("admit of {session} double-booked on replay: {e}"))
-                })?;
-                self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-                let tier_counter = match tier {
-                    AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
-                    AdmissionTier::Repair => &self.counters.admitted_repair,
-                    AdmissionTier::RankedFallback => &self.counters.admitted_fallback,
+                let accepted = Accepted {
+                    users,
+                    tasks,
+                    tier: *tier,
+                    repair_steps: *repair_steps as usize,
                 };
-                tier_counter.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .repair_steps
-                    .fetch_add(*repair_steps as usize, Ordering::Relaxed);
-                drop(slot);
-                drop(universe);
-                // Mirror the live path: a successful admission dequeues
-                // any pending re-admission entry (and counts it) — the
-                // live admit did exactly this under its own locks.
-                self.readmit_note_admitted(*session);
+                // Installed, never re-judged: a re-check here could
+                // refuse at an epsilon boundary (or on an agent that
+                // failed later in the journal). Conservation is
+                // re-established by the post-replay audit.
+                self.install_admitted(
+                    &universe.problem,
+                    &mut slot,
+                    *session,
+                    &accepted,
+                    scratch,
+                    AdmitPath::Replay,
+                )
+                .map_err(PersistError::Replay)?;
             }
-            FleetOp::Reject { reason, .. } => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                match reason {
-                    RefusalReason::AlreadyLive => {}
-                    RefusalReason::UserFit => {
-                        self.counters
-                            .refused_user_fit
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    RefusalReason::TaskFit => {
-                        self.counters
-                            .refused_task_fit
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    RefusalReason::GlobalCheck | RefusalReason::Capacity | RefusalReason::Delay => {
-                        self.counters.refused_global.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+            FleetOp::Reject { reason, .. } => self.count_refusal(*reason),
             FleetOp::Depart { session } => {
                 self.replay_session_bound(*session, "depart")?;
                 if self.depart(*session).is_none() {
@@ -1718,9 +1635,6 @@ impl Fleet {
                     PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
                 })?;
                 self.counters.migrations.fetch_add(1, Ordering::Relaxed);
-            }
-            FleetOp::Stay { .. } => {
-                self.counters.stays.fetch_add(1, Ordering::Relaxed);
             }
             FleetOp::StayBatch { count } => {
                 self.counters

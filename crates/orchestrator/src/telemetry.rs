@@ -1,14 +1,16 @@
 //! Fleet telemetry: periodic snapshots and time series.
 //!
-//! Series use `vc-sim`'s [`TimeSeries`] so fleet runs drop into the
-//! existing experiment plumbing (`vc-bench`'s table printers, figure
-//! regeneration) unchanged.
+//! Series are [`TimeSeries`] — the shape the simulator reports in — so
+//! fleet runs drop into the existing experiment plumbing (`vc-bench`'s
+//! table printers, figure regeneration) unchanged.
 
 use crate::fleet::Fleet;
 use crate::workers::ReoptPool;
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
+use vc_model::TimeSeries;
 use vc_obs::{Watchdog, WatchdogFire};
-use vc_sim::metrics::TimeSeries;
+use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// Fleet-level gauges in Prometheus text exposition format — the
 /// `extra` closure for [`vc_obs::ObsServer`], so `/metrics` serves the
@@ -158,107 +160,181 @@ pub fn sched_metrics_text(pool: &ReoptPool) -> String {
     out
 }
 
-/// One periodic observation of the fleet.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSnapshot {
-    /// Virtual time of the sample (s).
-    pub time_s: f64,
-    /// Registered sessions in the universe (seed + online-registered;
-    /// live sessions are a subset).
-    pub universe_sessions: usize,
-    /// Registered users in the universe.
-    pub universe_users: usize,
-    /// Live session count.
-    pub live_sessions: usize,
-    /// Global objective `Σ_s Φ_s`.
-    pub objective: f64,
-    /// Mean objective per live session.
-    pub mean_session_objective: f64,
-    /// Total inter-agent traffic (Mbps).
-    pub traffic_mbps: f64,
-    /// Mean conferencing delay over live users (ms).
-    pub mean_delay_ms: f64,
-    /// Mean of per-agent max-fraction utilizations (capacity-limited
-    /// agents only contribute meaningfully; unlimited ones read 0).
-    pub mean_utilization: f64,
-    /// Largest per-agent utilization fraction.
-    pub max_utilization: f64,
-    /// Sessions admitted so far.
-    pub admitted: usize,
-    /// Admissions refused so far.
-    pub rejected: usize,
-    /// Sessions departed so far.
-    pub departed: usize,
-    /// HOP migrations so far.
-    pub migrations: usize,
-    /// Admission success rate so far.
-    pub admission_success_rate: f64,
-    /// Total admission attempts so far (admitted + rejected).
-    pub admission_attempts: usize,
-    /// Admissions the engine's enumeration tier placed.
-    pub admitted_enumeration: usize,
-    /// Admissions greedy + violation-driven repair placed.
-    pub admitted_repair: usize,
-    /// Admissions the ranked-fallback tier placed (every legacy-mode
-    /// admission counts here).
-    pub admitted_fallback: usize,
-    /// Violation-driven repair moves applied across all admissions.
-    pub admission_repair_steps: usize,
-    /// Refusals at the user-placement stage.
-    pub refused_user_fit: usize,
-    /// Refusals at the transcoding-placement stage.
-    pub refused_task_fit: usize,
-    /// Refusals at the global feasibility check (legacy capacity/delay
-    /// refusals included).
-    pub refused_global: usize,
-    /// Ledger-conservation discrepancies at sample time (must be 0).
-    pub conservation_violations: usize,
-    /// Worst per-agent capacity overshoot past 1.0 (0 when every agent
-    /// is within capacity) — the un-healed displacement debt gauge.
-    pub overshoot_fraction: f64,
-    /// Sessions displaced by forced evacuations so far.
-    pub displaced: usize,
-    /// Sessions currently waiting in the re-admission queue.
-    pub readmit_queued: usize,
-    /// Whether the journal is running buffered-degraded (fsync retries
-    /// exhausted; events held in memory until healed).
-    pub durability_degraded: bool,
+/// How one [`FleetSnapshot`] gauge type reads as a series value and
+/// prints in the CSV and JSON exports.
+trait Gauge: Copy {
+    fn as_f64(self) -> f64;
+    fn write_csv(self, out: &mut String);
+    fn write_json(self, out: &mut String) {
+        self.write_csv(out);
+    }
 }
 
-/// Accumulates snapshots and the derived time series — one series per
-/// [`FleetSnapshot`] field, so any fleet metric (including a
+impl Gauge for usize {
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn write_csv(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Gauge for f64 {
+    fn as_f64(self) -> f64 {
+        self
+    }
+    /// 17 significant digits: enough to round-trip the `f64`.
+    fn write_csv(self, out: &mut String) {
+        let _ = write!(out, "{self:.17e}");
+    }
+}
+
+impl Gauge for bool {
+    fn as_f64(self) -> f64 {
+        f64::from(u8::from(self))
+    }
+    fn write_csv(self, out: &mut String) {
+        let _ = write!(out, "{}", u8::from(self));
+    }
+    fn write_json(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+/// Declares [`FleetSnapshot`]: each gauge's name, type and doc are
+/// written once here, and the struct field, the CSV column, the JSON
+/// key, the [`FleetTelemetry::series`] name and the durable codec
+/// position all derive from that one line — in declaration order, so a
+/// new gauge is a one-line edit that cannot shift a column.
+macro_rules! fleet_snapshot {
+    ($( $(#[$doc:meta])* $name:ident: $ty:ty, )*) => {
+        /// One periodic observation of the fleet.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct FleetSnapshot {
+            /// Virtual time of the sample (s).
+            pub time_s: f64,
+            $( $(#[$doc])* pub $name: $ty, )*
+        }
+
+        impl FleetSnapshot {
+            /// The gauge names, in declaration (= CSV column) order;
+            /// `time_s` is the axis, not a gauge.
+            pub const GAUGES: &'static [&'static str] = &[$( stringify!($name) ),*];
+
+            const CSV_HEADER: &'static str = concat!("time_s" $(, ",", stringify!($name))*);
+
+            /// Gauge `name`'s value as a series point (counts as
+            /// floats, flags as 0/1); `None` for an unknown name.
+            fn gauge(&self, name: &str) -> Option<f64> {
+                match name {
+                    $( stringify!($name) => Some(self.$name.as_f64()), )*
+                    _ => None,
+                }
+            }
+
+            fn write_csv_row(&self, out: &mut String) {
+                let _ = write!(out, "{}", self.time_s);
+                $( out.push(','); self.$name.write_csv(out); )*
+                out.push('\n');
+            }
+
+            fn write_json_object(&self, out: &mut String) {
+                let _ = write!(out, "{{\"time_s\": {}", self.time_s);
+                $(
+                    out.push_str(concat!(", \"", stringify!($name), "\": "));
+                    self.$name.write_json(out);
+                )*
+                out.push('}');
+            }
+        }
+
+        impl Encode for FleetSnapshot {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.time_s.encode(out);
+                $( self.$name.encode(out); )*
+            }
+        }
+
+        impl Decode for FleetSnapshot {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(Self {
+                    time_s: f64::decode(r)?,
+                    $( $name: <$ty>::decode(r)?, )*
+                })
+            }
+        }
+    };
+}
+
+fleet_snapshot! {
+    /// Registered sessions in the universe (seed + online-registered;
+    /// live sessions are a subset).
+    universe_sessions: usize,
+    /// Registered users in the universe.
+    universe_users: usize,
+    /// Live session count.
+    live_sessions: usize,
+    /// Global objective `Σ_s Φ_s`.
+    objective: f64,
+    /// Mean objective per live session.
+    mean_session_objective: f64,
+    /// Total inter-agent traffic (Mbps).
+    traffic_mbps: f64,
+    /// Mean conferencing delay over live users (ms).
+    mean_delay_ms: f64,
+    /// Mean of per-agent max-fraction utilizations (capacity-limited
+    /// agents only contribute meaningfully; unlimited ones read 0).
+    mean_utilization: f64,
+    /// Largest per-agent utilization fraction.
+    max_utilization: f64,
+    /// Sessions admitted so far.
+    admitted: usize,
+    /// Admissions refused so far.
+    rejected: usize,
+    /// Sessions departed so far.
+    departed: usize,
+    /// HOP migrations so far.
+    migrations: usize,
+    /// Admission success rate so far.
+    admission_success_rate: f64,
+    /// Total admission attempts so far (admitted + rejected).
+    admission_attempts: usize,
+    /// Admissions the engine's enumeration tier placed.
+    admitted_enumeration: usize,
+    /// Admissions greedy + violation-driven repair placed.
+    admitted_repair: usize,
+    /// Admissions the ranked-fallback tier placed.
+    admitted_fallback: usize,
+    /// Violation-driven repair moves applied across all admissions.
+    admission_repair_steps: usize,
+    /// Refusals at the user-placement stage.
+    refused_user_fit: usize,
+    /// Refusals at the transcoding-placement stage.
+    refused_task_fit: usize,
+    /// Refusals at the global feasibility check.
+    refused_global: usize,
+    /// Ledger-conservation discrepancies at sample time (must be 0).
+    conservation_violations: usize,
+    /// Worst per-agent capacity overshoot past 1.0 (0 when every agent
+    /// is within capacity) — the un-healed displacement debt gauge.
+    overshoot_fraction: f64,
+    /// Sessions displaced by forced evacuations so far.
+    displaced: usize,
+    /// Sessions currently waiting in the re-admission queue.
+    readmit_queued: usize,
+    /// Whether the journal is running buffered-degraded (fsync retries
+    /// exhausted; events held in memory until healed).
+    durability_degraded: bool,
+}
+
+/// Accumulates snapshots; any gauge reads back as a time
+/// [`series`](FleetTelemetry::series), so a fleet metric (including a
 /// recovered-vs-original diff) drops into the existing table printers,
-/// and a [CSV export](FleetTelemetry::to_csv) for offline analysis.
+/// and the whole run exports as [CSV](FleetTelemetry::to_csv) or
+/// [JSON](FleetTelemetry::to_json) for offline analysis.
 #[derive(Debug, Default)]
 pub struct FleetTelemetry {
     snapshots: Vec<FleetSnapshot>,
-    universe_sessions: TimeSeries,
-    universe_users: TimeSeries,
-    objective: TimeSeries,
-    mean_session_objective: TimeSeries,
-    traffic: TimeSeries,
-    mean_delay: TimeSeries,
-    live_sessions: TimeSeries,
-    mean_utilization: TimeSeries,
-    max_utilization: TimeSeries,
-    admitted: TimeSeries,
-    rejected: TimeSeries,
-    departed: TimeSeries,
-    migrations: TimeSeries,
-    admission_success_rate: TimeSeries,
-    admission_attempts: TimeSeries,
-    admitted_enumeration: TimeSeries,
-    admitted_repair: TimeSeries,
-    admitted_fallback: TimeSeries,
-    admission_repair_steps: TimeSeries,
-    refused_user_fit: TimeSeries,
-    refused_task_fit: TimeSeries,
-    refused_global: TimeSeries,
-    conservation_violations: TimeSeries,
-    overshoot_fraction: TimeSeries,
-    displaced: TimeSeries,
-    readmit_queued: TimeSeries,
-    durability_degraded: TimeSeries,
 }
 
 impl FleetTelemetry {
@@ -329,49 +405,6 @@ impl FleetTelemetry {
             readmit_queued: fleet.readmit_queue_len(),
             durability_degraded: fleet.durability_degraded(),
         };
-        self.universe_sessions
-            .push(t_s, snapshot.universe_sessions as f64);
-        self.universe_users
-            .push(t_s, snapshot.universe_users as f64);
-        self.objective.push(t_s, snapshot.objective);
-        self.mean_session_objective
-            .push(t_s, snapshot.mean_session_objective);
-        self.traffic.push(t_s, snapshot.traffic_mbps);
-        self.mean_delay.push(t_s, snapshot.mean_delay_ms);
-        self.live_sessions.push(t_s, live as f64);
-        self.mean_utilization.push(t_s, snapshot.mean_utilization);
-        self.max_utilization.push(t_s, snapshot.max_utilization);
-        self.admitted.push(t_s, snapshot.admitted as f64);
-        self.rejected.push(t_s, snapshot.rejected as f64);
-        self.departed.push(t_s, snapshot.departed as f64);
-        self.migrations.push(t_s, snapshot.migrations as f64);
-        self.admission_success_rate
-            .push(t_s, snapshot.admission_success_rate);
-        self.admission_attempts
-            .push(t_s, snapshot.admission_attempts as f64);
-        self.admitted_enumeration
-            .push(t_s, snapshot.admitted_enumeration as f64);
-        self.admitted_repair
-            .push(t_s, snapshot.admitted_repair as f64);
-        self.admitted_fallback
-            .push(t_s, snapshot.admitted_fallback as f64);
-        self.admission_repair_steps
-            .push(t_s, snapshot.admission_repair_steps as f64);
-        self.refused_user_fit
-            .push(t_s, snapshot.refused_user_fit as f64);
-        self.refused_task_fit
-            .push(t_s, snapshot.refused_task_fit as f64);
-        self.refused_global
-            .push(t_s, snapshot.refused_global as f64);
-        self.conservation_violations
-            .push(t_s, snapshot.conservation_violations as f64);
-        self.overshoot_fraction
-            .push(t_s, snapshot.overshoot_fraction);
-        self.displaced.push(t_s, snapshot.displaced as f64);
-        self.readmit_queued
-            .push(t_s, snapshot.readmit_queued as f64);
-        self.durability_degraded
-            .push(t_s, f64::from(u8::from(snapshot.durability_degraded)));
         self.snapshots.push(snapshot.clone());
         snapshot
     }
@@ -409,139 +442,21 @@ impl FleetTelemetry {
         self.snapshots.last()
     }
 
-    /// Universe-size series (registered sessions).
-    pub fn universe_sessions_series(&self) -> &TimeSeries {
-        &self.universe_sessions
-    }
-
-    /// Universe-size series (registered users).
-    pub fn universe_users_series(&self) -> &TimeSeries {
-        &self.universe_users
-    }
-
-    /// Global-objective series.
-    pub fn objective_series(&self) -> &TimeSeries {
-        &self.objective
-    }
-
-    /// Mean per-session objective series.
-    pub fn mean_session_objective_series(&self) -> &TimeSeries {
-        &self.mean_session_objective
-    }
-
-    /// Inter-agent-traffic series (Mbps).
-    pub fn traffic_series(&self) -> &TimeSeries {
-        &self.traffic
-    }
-
-    /// Mean-delay series (ms).
-    pub fn mean_delay_series(&self) -> &TimeSeries {
-        &self.mean_delay
-    }
-
-    /// Live-session-count series.
-    pub fn live_sessions_series(&self) -> &TimeSeries {
-        &self.live_sessions
-    }
-
-    /// Mean-utilization series (mean of per-agent max fractions).
-    pub fn mean_utilization_series(&self) -> &TimeSeries {
-        &self.mean_utilization
-    }
-
-    /// Max-utilization series.
-    pub fn max_utilization_series(&self) -> &TimeSeries {
-        &self.max_utilization
-    }
-
-    /// Cumulative-admissions series.
-    pub fn admitted_series(&self) -> &TimeSeries {
-        &self.admitted
-    }
-
-    /// Cumulative-rejections series.
-    pub fn rejected_series(&self) -> &TimeSeries {
-        &self.rejected
-    }
-
-    /// Cumulative-departures series.
-    pub fn departed_series(&self) -> &TimeSeries {
-        &self.departed
-    }
-
-    /// Cumulative-migrations series.
-    pub fn migrations_series(&self) -> &TimeSeries {
-        &self.migrations
-    }
-
-    /// Admission-success-rate series.
-    pub fn admission_success_rate_series(&self) -> &TimeSeries {
-        &self.admission_success_rate
-    }
-
-    /// Cumulative-admission-attempts series (admitted + rejected).
-    pub fn admission_attempts_series(&self) -> &TimeSeries {
-        &self.admission_attempts
-    }
-
-    /// Enumeration-tier-admissions series.
-    pub fn admitted_enumeration_series(&self) -> &TimeSeries {
-        &self.admitted_enumeration
-    }
-
-    /// Repair-tier-admissions series.
-    pub fn admitted_repair_series(&self) -> &TimeSeries {
-        &self.admitted_repair
-    }
-
-    /// Ranked-fallback-admissions series.
-    pub fn admitted_fallback_series(&self) -> &TimeSeries {
-        &self.admitted_fallback
-    }
-
-    /// Cumulative-repair-steps series.
-    pub fn admission_repair_steps_series(&self) -> &TimeSeries {
-        &self.admission_repair_steps
-    }
-
-    /// User-fit-refusals series.
-    pub fn refused_user_fit_series(&self) -> &TimeSeries {
-        &self.refused_user_fit
-    }
-
-    /// Task-fit-refusals series.
-    pub fn refused_task_fit_series(&self) -> &TimeSeries {
-        &self.refused_task_fit
-    }
-
-    /// Global-check-refusals series.
-    pub fn refused_global_series(&self) -> &TimeSeries {
-        &self.refused_global
-    }
-
-    /// Conservation-violations series (must be identically zero).
-    pub fn conservation_violations_series(&self) -> &TimeSeries {
-        &self.conservation_violations
-    }
-
-    /// Overshoot-fraction series (worst per-agent debt past capacity).
-    pub fn overshoot_fraction_series(&self) -> &TimeSeries {
-        &self.overshoot_fraction
-    }
-
-    /// Cumulative-displacements series.
-    pub fn displaced_series(&self) -> &TimeSeries {
-        &self.displaced
-    }
-
-    /// Re-admission queue-depth series.
-    pub fn readmit_queued_series(&self) -> &TimeSeries {
-        &self.readmit_queued
-    }
-
-    /// Durability-degraded series (0/1 per sample).
-    pub fn durability_degraded_series(&self) -> &TimeSeries {
-        &self.durability_degraded
+    /// Gauge `name` (one of [`FleetSnapshot::GAUGES`]) over every
+    /// sample so far, as a time series.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name that is not a gauge.
+    pub fn series(&self, name: &str) -> TimeSeries {
+        let mut series = TimeSeries::new();
+        for s in &self.snapshots {
+            let value = s
+                .gauge(name)
+                .unwrap_or_else(|| panic!("`{name}` is not a FleetSnapshot gauge"));
+            series.push(s.time_s, value);
+        }
+        series
     }
 
     /// Total conservation violations observed across all samples.
@@ -553,15 +468,7 @@ impl FleetTelemetry {
     }
 
     /// Column names of [`to_csv`](Self::to_csv), in order.
-    pub const CSV_HEADER: &'static str = "time_s,universe_sessions,universe_users,\
-        live_sessions,objective,\
-        mean_session_objective,traffic_mbps,mean_delay_ms,mean_utilization,\
-        max_utilization,admitted,rejected,departed,migrations,\
-        admission_success_rate,admission_attempts,admitted_enumeration,\
-        admitted_repair,admitted_fallback,admission_repair_steps,\
-        refused_user_fit,refused_task_fit,refused_global,\
-        conservation_violations,overshoot_fraction,displaced,\
-        readmit_queued,durability_degraded";
+    pub const CSV_HEADER: &'static str = FleetSnapshot::CSV_HEADER;
 
     /// Every snapshot as CSV (header + one row per sample), precise
     /// enough to round-trip `f64`s — two runs can be diffed offline
@@ -570,37 +477,7 @@ impl FleetTelemetry {
         let mut out = String::from(Self::CSV_HEADER);
         out.push('\n');
         for s in &self.snapshots {
-            out.push_str(&format!(
-                "{},{},{},{},{:.17e},{:.17e},{:.17e},{:.17e},{:.17e},{:.17e},{},{},{},{},{:.17e},{},{},{},{},{},{},{},{},{},{:.17e},{},{},{}\n",
-                s.time_s,
-                s.universe_sessions,
-                s.universe_users,
-                s.live_sessions,
-                s.objective,
-                s.mean_session_objective,
-                s.traffic_mbps,
-                s.mean_delay_ms,
-                s.mean_utilization,
-                s.max_utilization,
-                s.admitted,
-                s.rejected,
-                s.departed,
-                s.migrations,
-                s.admission_success_rate,
-                s.admission_attempts,
-                s.admitted_enumeration,
-                s.admitted_repair,
-                s.admitted_fallback,
-                s.admission_repair_steps,
-                s.refused_user_fit,
-                s.refused_task_fit,
-                s.refused_global,
-                s.conservation_violations,
-                s.overshoot_fraction,
-                s.displaced,
-                s.readmit_queued,
-                u8::from(s.durability_degraded),
-            ));
+            s.write_csv_row(&mut out);
         }
         out
     }
@@ -614,64 +491,25 @@ impl FleetTelemetry {
         std::fs::write(path, self.to_csv())
     }
 
-    /// One snapshot as a JSON object (fields mirror the CSV columns).
-    fn snapshot_json(s: &FleetSnapshot) -> String {
-        format!(
-            "{{\"time_s\": {}, \"universe_sessions\": {}, \"universe_users\": {}, \
-             \"live_sessions\": {}, \"objective\": {:.17e}, \
-             \"mean_session_objective\": {:.17e}, \"traffic_mbps\": {:.17e}, \
-             \"mean_delay_ms\": {:.17e}, \"mean_utilization\": {:.17e}, \
-             \"max_utilization\": {:.17e}, \"admitted\": {}, \"rejected\": {}, \
-             \"departed\": {}, \"migrations\": {}, \"admission_success_rate\": {:.17e}, \
-             \"admission_attempts\": {}, \"admitted_enumeration\": {}, \
-             \"admitted_repair\": {}, \"admitted_fallback\": {}, \
-             \"admission_repair_steps\": {}, \"refused_user_fit\": {}, \
-             \"refused_task_fit\": {}, \"refused_global\": {}, \
-             \"conservation_violations\": {}, \"overshoot_fraction\": {:.17e}, \
-             \"displaced\": {}, \"readmit_queued\": {}, \
-             \"durability_degraded\": {}}}",
-            s.time_s,
-            s.universe_sessions,
-            s.universe_users,
-            s.live_sessions,
-            s.objective,
-            s.mean_session_objective,
-            s.traffic_mbps,
-            s.mean_delay_ms,
-            s.mean_utilization,
-            s.max_utilization,
-            s.admitted,
-            s.rejected,
-            s.departed,
-            s.migrations,
-            s.admission_success_rate,
-            s.admission_attempts,
-            s.admitted_enumeration,
-            s.admitted_repair,
-            s.admitted_fallback,
-            s.admission_repair_steps,
-            s.refused_user_fit,
-            s.refused_task_fit,
-            s.refused_global,
-            s.conservation_violations,
-            s.overshoot_fraction,
-            s.displaced,
-            s.readmit_queued,
-            s.durability_degraded,
-        )
-    }
-
-    /// The structured JSON export alongside the CSV: every snapshot,
-    /// plus the fleet's observability-plane summaries — per-site
-    /// latency percentiles, swap contention per shard, flight-recorder
-    /// op count, and the process alloc counter when registered.
+    /// The structured JSON export alongside the CSV: every snapshot
+    /// (keys mirror the CSV columns), plus the fleet's observability-
+    /// plane summaries — per-site latency percentiles, swap contention
+    /// per shard, flight-recorder op count, and the process alloc
+    /// counter when registered.
     pub fn to_json(&self, fleet: &Fleet) -> String {
-        let rows: Vec<String> = self.snapshots.iter().map(Self::snapshot_json).collect();
-        format!(
-            "{{\n  \"snapshots\": [\n    {}\n  ],\n  \"obs\": {}\n}}\n",
-            rows.join(",\n    "),
+        let mut out = String::from("{\n  \"snapshots\": [\n    ");
+        for (i, s) in self.snapshots.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",\n    ");
+            }
+            s.write_json_object(&mut out);
+        }
+        let _ = write!(
+            out,
+            "\n  ],\n  \"obs\": {}\n}}\n",
             fleet.obs().summary_json()
-        )
+        );
+        out
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`.

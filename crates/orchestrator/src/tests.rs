@@ -233,7 +233,15 @@ fn failure_evacuates_and_conserves() {
         f.admit(SessionId::new(i)).unwrap();
     }
     let failed = AgentId::new(0);
+    // An evacuation is the longest exclusive FREEZE hold there is; it
+    // shows up in both freeze-write histograms, exactly once.
+    let holds = |site| f.obs().summary(site).count;
+    let before = (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold));
     let (moves, forced) = f.fail_agent(failed);
+    assert_eq!(
+        (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold)),
+        (before.0 + 1, before.1 + 1)
+    );
     assert!(moves > 0, "nothing was evacuated");
     assert_eq!(forced, 0, "roomy universe needs no forced moves");
     assert!(f.audit().is_empty(), "audit after failure: {:?}", f.audit());
@@ -468,7 +476,7 @@ fn trace_run_handles_churn_events() {
     assert_eq!(report.telemetry.total_conservation_violations(), 0);
     assert!(report.final_snapshot.admitted >= 4);
     // Series cover the whole horizon at 1 Hz plus the final sample.
-    assert!(report.telemetry.objective_series().len() >= 61);
+    assert!(report.telemetry.series("objective").len() >= 61);
 }
 
 mod persistence {
@@ -541,6 +549,106 @@ mod persistence {
         for i in 0..6usize {
             let _ = fleet.hop_session(SessionId::from(i), &mut rng);
         }
+    }
+
+    /// An `Admit` of each tier and a `Reject` of each reason, once the
+    /// way the live path applies them and once through replay: the two
+    /// fleets must end with equal counters and equal durable state.
+    #[test]
+    fn admission_outcomes_count_the_same_live_and_on_replay() {
+        use crate::fleet::{evaluate_slot, Accepted, AdmitPath};
+        use crate::persist::{FleetOp, RefusalReason};
+        use vc_algo::admission::AdmissionTier;
+        let (live, replayed) = (fleet(10_000.0, 100), fleet(10_000.0, 100));
+        let problem = live.problem();
+        let mut eval = vc_core::EvalScratch::new();
+        let tiers = [
+            AdmissionTier::Enumeration,
+            AdmissionTier::Repair,
+            AdmissionTier::RankedFallback,
+        ];
+        for (i, tier) in tiers.into_iter().enumerate() {
+            let s = SessionId::from(i);
+            let on = AgentId::from(i);
+            let users: Vec<_> = problem
+                .instance()
+                .session(s)
+                .users()
+                .iter()
+                .map(|&u| (u, on))
+                .collect();
+            let tasks: Vec<_> = problem
+                .tasks()
+                .of_session(s)
+                .iter()
+                .map(|&t| (t, on))
+                .collect();
+            {
+                // What `admit_locked` does once the engine has decided:
+                // the scratch holds the accepted placement's load.
+                let u = live.freeze_exclusive();
+                let mut slot = u.slots[s.index()].lock();
+                slot.users.fill(on);
+                slot.tasks.fill(on);
+                evaluate_slot(&problem, s, &slot, &mut eval);
+                let accepted = Accepted {
+                    users: &users,
+                    tasks: &tasks,
+                    tier,
+                    repair_steps: i,
+                };
+                live.install_admitted(
+                    &problem,
+                    &mut slot,
+                    s,
+                    &accepted,
+                    &mut eval,
+                    AdmitPath::Live,
+                )
+                .expect("own users and tasks");
+            }
+            let op = FleetOp::Admit {
+                session: s,
+                users,
+                tasks,
+                tier,
+                repair_steps: i as u64,
+            };
+            replayed.replay_op(&op, &mut eval).expect("replays");
+        }
+        let reasons = [
+            RefusalReason::AlreadyLive,
+            RefusalReason::UserFit,
+            RefusalReason::TaskFit,
+            RefusalReason::GlobalCheck,
+        ];
+        for reason in reasons {
+            let session = SessionId::new(5);
+            live.refuse(session, reason);
+            replayed
+                .replay_op(&FleetOp::Reject { session, reason }, &mut eval)
+                .expect("replays");
+        }
+        let counters = CounterSnapshot::capture(live.counters());
+        assert_eq!(counters, CounterSnapshot::capture(replayed.counters()));
+        assert_eq!(
+            counters,
+            CounterSnapshot {
+                admitted: 3,
+                admitted_enumeration: 1,
+                admitted_repair: 1,
+                admitted_fallback: 1,
+                repair_steps: 3,
+                rejected: 4,
+                refused_user_fit: 1,
+                refused_task_fit: 1,
+                refused_global: 1,
+                ..CounterSnapshot::default()
+            }
+        );
+        assert_eq!(live.durable_state(), replayed.durable_state());
+        assert_eq!(live.objective().to_bits(), replayed.objective().to_bits());
+        assert!(live.audit().is_empty() && replayed.audit().is_empty());
     }
 
     #[test]
@@ -881,36 +989,10 @@ mod persistence {
         let report = orch.run_trace(&trace, 10.0);
         let t = &report.telemetry;
         let n = t.snapshots().len();
-        for series in [
-            t.universe_sessions_series(),
-            t.universe_users_series(),
-            t.objective_series(),
-            t.mean_session_objective_series(),
-            t.traffic_series(),
-            t.mean_delay_series(),
-            t.live_sessions_series(),
-            t.mean_utilization_series(),
-            t.max_utilization_series(),
-            t.admitted_series(),
-            t.rejected_series(),
-            t.departed_series(),
-            t.migrations_series(),
-            t.admission_success_rate_series(),
-            t.admission_attempts_series(),
-            t.admitted_enumeration_series(),
-            t.admitted_repair_series(),
-            t.admitted_fallback_series(),
-            t.admission_repair_steps_series(),
-            t.refused_user_fit_series(),
-            t.refused_task_fit_series(),
-            t.refused_global_series(),
-            t.conservation_violations_series(),
-            t.overshoot_fraction_series(),
-            t.displaced_series(),
-            t.readmit_queued_series(),
-            t.durability_degraded_series(),
-        ] {
-            assert_eq!(series.len(), n, "a series is missing samples");
+        let gauges = crate::telemetry::FleetSnapshot::GAUGES;
+        assert_eq!(gauges.len(), 27);
+        for name in gauges {
+            assert_eq!(t.series(name).len(), n, "series {name} is missing samples");
         }
         let csv = t.to_csv();
         let mut lines = csv.lines();
@@ -918,9 +1000,9 @@ mod persistence {
         assert_eq!(header.split(',').count(), 28);
         assert_eq!(lines.count(), n);
         // Admissions are cumulative and should end ≥ warm pool.
-        assert!(t.admitted_series().last_value().expect("samples") >= 4.0);
+        assert!(t.series("admitted").last_value().expect("samples") >= 4.0);
         // The closed-world trace never grows the universe: the size
         // series is the constant instance size.
-        assert_eq!(t.universe_sessions_series().last_value(), Some(6.0));
+        assert_eq!(t.series("universe_sessions").last_value(), Some(6.0));
     }
 }

@@ -239,7 +239,7 @@ fn comparison_demo(serve: Option<&str>) {
     let o = &orchestrated.final_snapshot;
     let peak_live = orchestrated
         .telemetry
-        .live_sessions_series()
+        .series("live_sessions")
         .values()
         .into_iter()
         .fold(0.0f64, f64::max) as usize;

@@ -80,8 +80,8 @@ pub mod prelude {
         SessionDef, SessionId, UserDef, UserId,
     };
     pub use vc_orchestrator::{
-        AdmissionMode, Fleet, FleetConfig, FleetSnapshot, Orchestrator, OrchestratorConfig,
-        PersistConfig, PlacementPolicy, RecoveryReport, TimerEntry,
+        Fleet, FleetConfig, FleetSnapshot, Orchestrator, OrchestratorConfig, PersistConfig,
+        PlacementPolicy, RecoveryReport, TimerEntry,
     };
     pub use vc_persist::FsyncPolicy;
     pub use vc_sim::{ConferenceSim, DynamicsEvent, SimConfig, SimReport};

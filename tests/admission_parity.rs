@@ -5,20 +5,22 @@
 //! universes:
 //!
 //! 1. **Offline/online parity** (the acceptance criterion): a fleet
-//!    admitting sessions in id order through `Fleet::admit` (engine
-//!    mode) admits exactly the set the offline `admit_all` admits —
+//!    admitting sessions in id order through `Fleet::admit` admits
+//!    exactly the set the offline `admit_all` admits —
 //!    `Fleet::admit` refuses no session the paper's algorithm would
 //!    place — with the conservation audit clean after every admit and
 //!    every refusal.
-//! 2. **Engine dominance over the legacy search**: state for state,
-//!    whenever the control plane's historical ranked-fallback search
+//! 2. **Engine dominance over the one-step ranked walk**: state for
+//!    state, whenever the control plane's historical search (first
+//!    choice, then each user one step down its ranked candidate list —
+//!    kept below as a test-local reference, no longer in the product)
 //!    finds a placement, the engine finds one too (its candidate space
 //!    is a superset: enumeration exhausts every user→candidate combo
-//!    the legacy walk samples).
+//!    the walk samples).
 //! 3. **Install-don't-re-search replay** (journal v4): recovery
 //!    installs the journaled `Admit` placements bit-for-bit even when
 //!    the recovering build is configured so a re-run of the search
-//!    would choose differently (perturbed policy / legacy mode).
+//!    would choose differently (perturbed placement policy).
 //!
 //! Plus the countdown-journaling bugfix: a crash/recover cycle
 //! mid-trace — WAIT timers journaled at the durability boundary and
@@ -31,10 +33,11 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vc_algo::admission::{AdmissionConfig, AdmissionEngine, AdmissionPolicy};
-use vc_algo::agrank::Residuals;
+use vc_algo::agrank::{self, Residuals};
 use vc_algo::markov::Alg1Config;
-use vc_core::EvalScratch;
-use vc_orchestrator::{AdmissionMode, Fleet, ReoptPool};
+use vc_algo::placement::rule_of_thumb_session;
+use vc_core::{AgentTotals, AssignmentView, EvalScratch, SessionLoad, TaskId, CAPACITY_EPS};
+use vc_orchestrator::{Fleet, ReoptPool};
 use vc_persist::FsyncPolicy;
 
 /// A small capacity-limited universe: 3 agents, 5 sessions of 2–3
@@ -99,10 +102,9 @@ fn policy() -> AdmissionPolicy {
     AdmissionPolicy::AgRank(AgRankConfig::paper(2))
 }
 
-fn fleet_config(admission: AdmissionMode) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
-        admission,
         alg1: Alg1Config::paper(400.0),
         ledger_shards: 2,
         ..FleetConfig::default()
@@ -132,8 +134,8 @@ fn drive_fleet(fleet: &Fleet) -> BTreeSet<SessionId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Claim 1 — the acceptance criterion: the engine-mode fleet and
-    /// the offline `admit_all` admit **identical** session sets.
+    /// Claim 1 — the acceptance criterion: the fleet and the offline
+    /// `admit_all` admit **identical** session sets.
     #[test]
     fn fleet_engine_admits_exactly_the_offline_set(spec in universe_strategy()) {
         let problem = build_problem(&spec);
@@ -141,7 +143,7 @@ proptest! {
         let offline = admit_all(problem.clone(), &policy());
         let offline_set: BTreeSet<SessionId> = offline.state.active_sessions().collect();
 
-        let fleet = Fleet::new(problem.clone(), fleet_config(AdmissionMode::default()));
+        let fleet = Fleet::new(problem.clone(), fleet_config());
         let fleet_set = drive_fleet(&fleet);
 
         prop_assert_eq!(
@@ -168,34 +170,93 @@ proptest! {
         );
     }
 
-    /// Claim 2 — engine dominance, state for state: drive a fleet with
-    /// the legacy ranked-fallback search; before each admission, ask
-    /// the shared engine for a placement against the *same* live
-    /// residuals. Whenever legacy admits, the engine must have found a
-    /// placement too (its search space contains the legacy walk).
+    /// Claim 2 — engine dominance, state for state: admit sessions
+    /// with the reference ranked walk; before each admission, ask the
+    /// shared engine for a placement against the *same* residuals.
+    /// Whenever the walk fits, the engine must have found a placement
+    /// too (its search space contains the walk).
     #[test]
-    fn engine_dominates_legacy_state_for_state(spec in universe_strategy()) {
+    fn engine_dominates_ranked_walk_state_for_state(spec in universe_strategy()) {
         let problem = build_problem(&spec);
-        let fleet = Fleet::new(problem.clone(), fleet_config(AdmissionMode::LegacyRanked));
         let engine = AdmissionEngine::new(AdmissionConfig::default());
         let mut scratch = EvalScratch::new();
         let available = vec![true; problem.instance().num_agents()];
-        let n = problem.instance().num_sessions();
-        for i in 0..n {
-            let s = SessionId::new(i as u32);
-            let residuals =
-                Residuals::from_totals(&problem, &fleet.ledger().reserved_totals());
+        let mut totals = AgentTotals::zero(problem.instance().num_agents());
+        for s in problem.instance().session_ids() {
+            let residuals = Residuals::from_totals(&problem, &totals);
             let engine_found = engine
                 .place_session(&problem, s, &policy(), &residuals, &available, &mut scratch)
                 .is_ok();
-            let legacy_admitted = fleet.admit(s).is_ok();
+            let walked = ranked_walk(&problem, s, &totals, &residuals, &mut scratch);
             prop_assert!(
-                engine_found || !legacy_admitted,
-                "legacy admitted {s} but the engine found no placement"
+                engine_found || walked.is_none(),
+                "the ranked walk fits {s} but the engine found no placement"
             );
-            prop_assert!(fleet.audit().is_empty());
+            if let Some(load) = walked {
+                totals.add(&load);
+            }
         }
     }
+}
+
+/// A proposed placement of one session, as an [`AssignmentView`].
+struct Proposed<'a> {
+    users: &'a [(UserId, AgentId)],
+    tasks: &'a [(TaskId, AgentId)],
+}
+
+impl AssignmentView for Proposed<'_> {
+    fn agent_of_user(&self, u: UserId) -> AgentId {
+        let placed = self.users.iter().find(|(w, _)| *w == u);
+        placed.expect("user of the proposed session").1
+    }
+    fn agent_of_task(&self, t: TaskId) -> AgentId {
+        let placed = self.tasks.iter().find(|(w, _)| *w == t);
+        placed.expect("task of the proposed session").1
+    }
+}
+
+/// The control plane's historical admission search, kept as the
+/// reference claim 2 compares the engine with: the AgRank bootstrap's
+/// first choice, then each user in turn walked one step at a time down
+/// its ranked candidate list (everyone else on their first choice,
+/// tasks by the rule of thumb). Returns the evaluated load of the first
+/// placement that meets the delay bound and fits on top of `totals`.
+fn ranked_walk(
+    problem: &UapProblem,
+    s: SessionId,
+    totals: &AgentTotals,
+    residuals: &Residuals,
+    scratch: &mut EvalScratch,
+) -> Option<SessionLoad> {
+    let inst = problem.instance();
+    let mut fits = |users: &[(UserId, AgentId)], tasks: &[(TaskId, AgentId)]| {
+        let load = scratch.evaluate(problem, &Proposed { users, tasks }, s);
+        let ok = load.max_flow_delay <= inst.d_max_ms() + CAPACITY_EPS
+            && load.touched.iter().all(|&a| {
+                let i = a as usize;
+                let cap = inst.agents()[i].capacity();
+                totals.download[i] + load.download[i] <= cap.download_mbps + CAPACITY_EPS
+                    && totals.upload[i] + load.upload[i] <= cap.upload_mbps + CAPACITY_EPS
+                    && totals.transcode[i] + load.transcode_units[i] <= cap.transcode_slots
+            });
+        ok.then(|| load.clone())
+    };
+    let sa = agrank::assign_session(problem, s, residuals, &AgRankConfig::paper(2));
+    if let Some(load) = fits(&sa.users, &sa.tasks) {
+        return Some(load);
+    }
+    for (i, &(u, _)) in sa.users.iter().enumerate() {
+        for &alt in sa.ranking.candidates_of(u).iter().skip(1) {
+            let mut users = sa.users.clone();
+            users[i] = (u, alt);
+            let tasks = rule_of_thumb_session(problem, s, &users);
+            if let Some(load) = fits(&users, &tasks) {
+                return Some(load);
+            }
+        }
+    }
+    None
 }
 
 fn store_dir(name: &str) -> std::path::PathBuf {
@@ -231,75 +292,64 @@ fn tight_universe() -> Arc<UapProblem> {
 
 /// Claim 3: v4 `Admit` replay installs the journaled placement even
 /// when the recovering build would search differently — recovery is
-/// handed a *perturbed* config (legacy mode, different n_ngbr) and
-/// must still reproduce the engine fleet bit-for-bit.
+/// handed a *perturbed* config (the resource-oblivious nearest-agent
+/// policy, or AgRank over a wider neighbourhood) and must still
+/// reproduce the original fleet bit-for-bit.
 #[test]
 fn replay_installs_journaled_placements_without_re_searching() {
     let problem = tight_universe();
-    let dir = store_dir("install-not-search");
-    let fleet = Fleet::with_persistence(
-        problem.clone(),
-        fleet_config(AdmissionMode::default()),
-        persist_config(&dir),
-    )
-    .expect("persistent fleet");
-    let admitted = drive_fleet(&fleet);
-    assert!(!admitted.is_empty(), "universe admits nothing");
-    let before = fleet.durable_state();
-    let objective = fleet.objective();
-    drop(fleet); // crash
+    let perturbations = [
+        ("nearest", PlacementPolicy::Nearest),
+        ("paper3", PlacementPolicy::AgRank(AgRankConfig::paper(3))),
+    ];
+    for (name, placement) in perturbations {
+        let dir = store_dir(&format!("install-not-search-{name}"));
+        let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+            .expect("persistent fleet");
+        let admitted = drive_fleet(&fleet);
+        assert!(!admitted.is_empty(), "universe admits nothing");
+        let before = fleet.durable_state();
+        let objective = fleet.objective();
+        drop(fleet); // crash
 
-    // Perturbed recovery config: a re-run of the admission search under
-    // this config would pick different placements (different candidate
-    // count AND the legacy walk) — replay must not care.
-    let perturbed = FleetConfig {
-        placement: PlacementPolicy::AgRank(AgRankConfig::paper(3)),
-        admission: AdmissionMode::LegacyRanked,
-        alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
-        ..FleetConfig::default()
-    };
-    let (recovered, report) =
-        Fleet::recover(persist_config(&dir), problem.clone(), perturbed).expect("recovery");
-    assert!(report.replayed > 0);
-    assert_eq!(
-        recovered.durable_state(),
-        before,
-        "replay re-derived placements instead of installing the journaled ones"
-    );
-    assert_eq!(recovered.objective().to_bits(), objective.to_bits());
-    assert!(recovered.audit().is_empty());
+        // A re-run of the admission search under this config could
+        // pick different placements — replay must not care.
+        let perturbed = FleetConfig {
+            placement,
+            ..fleet_config()
+        };
+        let (recovered, report) =
+            Fleet::recover(persist_config(&dir), problem.clone(), perturbed.clone())
+                .expect("recovery");
+        assert!(report.replayed > 0);
+        assert_eq!(
+            recovered.durable_state(),
+            before,
+            "replay under {name} re-derived placements instead of installing the journaled ones"
+        );
+        assert_eq!(recovered.objective().to_bits(), objective.to_bits());
+        assert!(recovered.audit().is_empty());
 
-    // Sanity: the perturbed search genuinely disagrees somewhere on
-    // this universe (otherwise the test proves nothing). Compare fresh
-    // runs of both configs.
-    let engine_fleet = Fleet::new(problem.clone(), fleet_config(AdmissionMode::default()));
-    let engine_set = drive_fleet(&engine_fleet);
-    let legacy_fleet = Fleet::new(
-        problem.clone(),
-        FleetConfig {
-            placement: PlacementPolicy::AgRank(AgRankConfig::paper(3)),
-            admission: AdmissionMode::LegacyRanked,
-            alg1: Alg1Config::paper(400.0),
-            ledger_shards: 2,
-            ..FleetConfig::default()
-        },
-    );
-    let legacy_set = drive_fleet(&legacy_fleet);
-    let same_sets = engine_set == legacy_set;
-    let same_placements = same_sets
-        && engine_fleet.with_state(|a| {
-            legacy_fleet.with_state(|b| {
-                problem
-                    .instance()
-                    .user_ids()
-                    .all(|u| a.assignment().agent_of_user(u) == b.assignment().agent_of_user(u))
-            })
-        });
-    assert!(
-        !same_placements,
-        "perturbed config agrees with the engine everywhere — pick a tighter universe"
-    );
+        // Sanity: a fresh run under the perturbed config genuinely
+        // disagrees with the original somewhere on this universe
+        // (otherwise the test proves nothing).
+        let original = Fleet::new(problem.clone(), fleet_config());
+        let original_set = drive_fleet(&original);
+        let fresh = Fleet::new(problem.clone(), perturbed);
+        let same_placements = original_set == drive_fleet(&fresh)
+            && original.with_state(|a| {
+                fresh.with_state(|b| {
+                    problem
+                        .instance()
+                        .user_ids()
+                        .all(|u| a.assignment().agent_of_user(u) == b.assignment().agent_of_user(u))
+                })
+            });
+        assert!(
+            !same_placements,
+            "{name} agrees with the original everywhere — pick a tighter universe"
+        );
+    }
 }
 
 /// A session admitted *after* the last journaled `Timers` record must
@@ -310,12 +360,8 @@ fn replay_installs_journaled_placements_without_re_searching() {
 fn late_admissions_regain_workers_after_recovery() {
     let problem = tight_universe();
     let dir = store_dir("late-admission-worker");
-    let fleet = Fleet::with_persistence(
-        problem.clone(),
-        fleet_config(AdmissionMode::default()),
-        persist_config(&dir),
-    )
-    .expect("persistent fleet");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
     let pool = ReoptPool::new(3);
     fleet.admit(SessionId::new(0)).expect("admits");
     pool.register(&fleet, SessionId::new(0), 0.0);
@@ -323,12 +369,8 @@ fn late_admissions_regain_workers_after_recovery() {
     fleet.admit(SessionId::new(2)).expect("admits"); // after the cut
     drop(fleet); // crash: session 2 is live but has no journaled timer
 
-    let (recovered, report) = Fleet::recover(
-        persist_config(&dir),
-        problem,
-        fleet_config(AdmissionMode::default()),
-    )
-    .expect("recovery");
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
     assert!(recovered.is_live(SessionId::new(2)));
     let restored = ReoptPool::new(3);
     restored.restore_timers(&recovered, &report.timers);
@@ -361,14 +403,10 @@ fn readmission_after_recovery_continues_the_epoch_sequence() {
     const POOL_SEED: u64 = 5;
     let problem = tight_universe();
     let dir = store_dir("epoch-watermark");
-    let fleet = Fleet::with_persistence(
-        problem.clone(),
-        fleet_config(AdmissionMode::default()),
-        persist_config(&dir),
-    )
-    .expect("persistent fleet");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
     let pool = ReoptPool::new(POOL_SEED);
-    let control = Fleet::new(problem.clone(), fleet_config(AdmissionMode::default()));
+    let control = Fleet::new(problem.clone(), fleet_config());
     let control_pool = ReoptPool::new(POOL_SEED);
     let s = SessionId::new(0);
     for (f, p) in [(&fleet, &pool), (&control, &control_pool)] {
@@ -382,12 +420,8 @@ fn readmission_after_recovery_continues_the_epoch_sequence() {
     fleet.commit_journal().expect("commit");
     drop(fleet); // crash with the session departed
 
-    let (recovered, report) = Fleet::recover(
-        persist_config(&dir),
-        problem,
-        fleet_config(AdmissionMode::default()),
-    )
-    .expect("recovery");
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
     let restored = ReoptPool::new(POOL_SEED);
     restored.restore_timers(&recovered, &report.timers);
     // Both runs now re-admit the session; the drawn countdown (and all
@@ -429,14 +463,10 @@ fn crash_recovery_resumes_wait_timers_bitwise() {
         },
     );
     let dir = store_dir("timer-resume");
-    let fleet = Fleet::with_persistence(
-        problem.clone(),
-        fleet_config(AdmissionMode::default()),
-        persist_config(&dir),
-    )
-    .expect("persistent fleet");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
     let pool = ReoptPool::new(POOL_SEED);
-    let control = Fleet::new(problem.clone(), fleet_config(AdmissionMode::default()));
+    let control = Fleet::new(problem.clone(), fleet_config());
     let control_pool = ReoptPool::new(POOL_SEED);
 
     let apply = |fleet: &Fleet, pool: &ReoptPool, t: f64, event: FleetEvent| match event {
@@ -479,12 +509,8 @@ fn crash_recovery_resumes_wait_timers_bitwise() {
     fleet.commit_journal().expect("commit at the cut");
     drop(fleet); // crash — no checkpoint, no shutdown
 
-    let (recovered, report) = Fleet::recover(
-        persist_config(&dir),
-        problem.clone(),
-        fleet_config(AdmissionMode::default()),
-    )
-    .expect("recovery");
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
     assert!(!report.timers.is_empty(), "no timers journaled");
     let restored_pool = ReoptPool::new(POOL_SEED);
     restored_pool.restore_timers(&recovered, &report.timers);

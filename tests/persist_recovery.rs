@@ -244,9 +244,7 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                             0 => vc_orchestrator::RefusalReason::AlreadyLive,
                             1 => vc_orchestrator::RefusalReason::UserFit,
                             2 => vc_orchestrator::RefusalReason::TaskFit,
-                            3 => vc_orchestrator::RefusalReason::GlobalCheck,
-                            4 => vc_orchestrator::RefusalReason::Capacity,
-                            _ => vc_orchestrator::RefusalReason::Delay,
+                            _ => vc_orchestrator::RefusalReason::GlobalCheck,
                         },
                     },
                     2 => FleetOp::Depart { session },
@@ -261,7 +259,6 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                         },
                         old_agent: AgentId::new((a + 1) % 8),
                     },
-                    6 => FleetOp::Stay { session },
                     7 => FleetOp::StayBatch {
                         count: repair_steps + 1,
                     },
@@ -362,6 +359,43 @@ proptest! {
         let back = decode_exact::<FleetSnapshot>(&bytes).expect("decodes");
         prop_assert_eq!(back.objective.to_bits(), snap.objective.to_bits());
         prop_assert_eq!(back, snap);
+    }
+}
+
+/// The wire tags of the records retired with the ranked-walk admission
+/// mode and the per-stay record stay reserved: decoding one is a typed
+/// error naming the tag — never a panic, never a silent remap onto a
+/// live variant.
+#[test]
+fn retired_tags_decode_to_typed_errors() {
+    use cloud_vc::persist::{CodecError, Encode};
+    use vc_orchestrator::RefusalReason;
+    let session = SessionId::new(3);
+    // `FleetOp` tag 6 was `Stay { session }`.
+    let mut stay = vec![6u8];
+    session.encode(&mut stay);
+    assert_eq!(
+        decode_exact::<FleetOp>(&stay).unwrap_err(),
+        CodecError::BadTag {
+            what: "FleetOp",
+            tag: 6
+        }
+    );
+    // `RefusalReason` tags 4 and 5 were the ledger and delay-bound
+    // refusals — alone and as the payload of a `Reject` record.
+    let reject = encode_to_vec(&FleetOp::Reject {
+        session,
+        reason: RefusalReason::GlobalCheck,
+    });
+    for tag in [4u8, 5] {
+        let retired = CodecError::BadTag {
+            what: "RefusalReason",
+            tag,
+        };
+        assert_eq!(decode_exact::<RefusalReason>(&[tag]).unwrap_err(), retired);
+        let mut record = reject.clone();
+        *record.last_mut().expect("non-empty") = tag;
+        assert_eq!(decode_exact::<FleetOp>(&record).unwrap_err(), retired);
     }
 }
 

@@ -111,93 +111,95 @@ fn field_views(t: &FleetTelemetry) -> Vec<FieldView> {
     vec![
         (
             "universe_sessions",
-            t.universe_sessions_series().values(),
+            t.series("universe_sessions").values(),
             |s| s.universe_sessions as f64,
         ),
-        ("universe_users", t.universe_users_series().values(), |s| {
+        ("universe_users", t.series("universe_users").values(), |s| {
             s.universe_users as f64
         }),
-        ("live_sessions", t.live_sessions_series().values(), |s| {
+        ("live_sessions", t.series("live_sessions").values(), |s| {
             s.live_sessions as f64
         }),
-        ("objective", t.objective_series().values(), |s| s.objective),
+        ("objective", t.series("objective").values(), |s| s.objective),
         (
             "mean_session_objective",
-            t.mean_session_objective_series().values(),
+            t.series("mean_session_objective").values(),
             |s| s.mean_session_objective,
         ),
-        ("traffic", t.traffic_series().values(), |s| s.traffic_mbps),
-        ("mean_delay", t.mean_delay_series().values(), |s| {
+        ("traffic", t.series("traffic_mbps").values(), |s| {
+            s.traffic_mbps
+        }),
+        ("mean_delay", t.series("mean_delay_ms").values(), |s| {
             s.mean_delay_ms
         }),
         (
             "mean_utilization",
-            t.mean_utilization_series().values(),
+            t.series("mean_utilization").values(),
             |s| s.mean_utilization,
         ),
         (
             "max_utilization",
-            t.max_utilization_series().values(),
+            t.series("max_utilization").values(),
             |s| s.max_utilization,
         ),
-        ("admitted", t.admitted_series().values(), |s| {
+        ("admitted", t.series("admitted").values(), |s| {
             s.admitted as f64
         }),
-        ("rejected", t.rejected_series().values(), |s| {
+        ("rejected", t.series("rejected").values(), |s| {
             s.rejected as f64
         }),
-        ("departed", t.departed_series().values(), |s| {
+        ("departed", t.series("departed").values(), |s| {
             s.departed as f64
         }),
-        ("migrations", t.migrations_series().values(), |s| {
+        ("migrations", t.series("migrations").values(), |s| {
             s.migrations as f64
         }),
         (
             "admission_success_rate",
-            t.admission_success_rate_series().values(),
+            t.series("admission_success_rate").values(),
             |s| s.admission_success_rate,
         ),
         (
             "admission_attempts",
-            t.admission_attempts_series().values(),
+            t.series("admission_attempts").values(),
             |s| s.admission_attempts as f64,
         ),
         (
             "admitted_enumeration",
-            t.admitted_enumeration_series().values(),
+            t.series("admitted_enumeration").values(),
             |s| s.admitted_enumeration as f64,
         ),
         (
             "admitted_repair",
-            t.admitted_repair_series().values(),
+            t.series("admitted_repair").values(),
             |s| s.admitted_repair as f64,
         ),
         (
             "admitted_fallback",
-            t.admitted_fallback_series().values(),
+            t.series("admitted_fallback").values(),
             |s| s.admitted_fallback as f64,
         ),
         (
             "admission_repair_steps",
-            t.admission_repair_steps_series().values(),
+            t.series("admission_repair_steps").values(),
             |s| s.admission_repair_steps as f64,
         ),
         (
             "refused_user_fit",
-            t.refused_user_fit_series().values(),
+            t.series("refused_user_fit").values(),
             |s| s.refused_user_fit as f64,
         ),
         (
             "refused_task_fit",
-            t.refused_task_fit_series().values(),
+            t.series("refused_task_fit").values(),
             |s| s.refused_task_fit as f64,
         ),
-        ("refused_global", t.refused_global_series().values(), |s| {
+        ("refused_global", t.series("refused_global").values(), |s| {
             s.refused_global as f64
         }),
         (
             "conservation_violations",
-            t.conservation_violations_series().values(),
+            t.series("conservation_violations").values(),
             |s| s.conservation_violations as f64,
         ),
     ]
@@ -228,8 +230,8 @@ proptest! {
         }
         // Every series shares the snapshot time axis.
         for (i, snap) in snaps.iter().enumerate() {
-            prop_assert_eq!(telemetry.objective_series().points()[i].0, snap.time_s);
-            prop_assert_eq!(telemetry.admitted_series().points()[i].0, snap.time_s);
+            prop_assert_eq!(telemetry.series("objective").points()[i].0, snap.time_s);
+            prop_assert_eq!(telemetry.series("admitted").points()[i].0, snap.time_s);
         }
     }
 
