@@ -15,14 +15,68 @@
 //! the algorithm parallelizes across sessions (the paper's key design
 //! point). With noisy objective measurements the weights use perturbed
 //! values `Φ + ε`, ε drawn from the Theorem-1 quantized noise model.
+//!
+//! ## The lazily exact Gibbs step
+//!
+//! Exponents are clamped to `±`[`MAX_EXPONENT`], and at the paper's
+//! β = 400 almost every neighbour of a settled conference sits on the
+//! lower clamp: its weight is the constant `e⁻⁶⁰⁰` whatever its `Φ`
+//! exactly is. [`Alg1Engine::gibbs_step`] — the one step behind both the
+//! closed-world [`hop`](Alg1Engine::hop) and the orchestrator's fleet
+//! hop — therefore takes each candidate from the
+//! [neighbourhood kernel](vc_core::neighborhood) *between* the two
+//! halves of its fold, when only its delays are known, and:
+//!
+//! * drops it if it is over the delay bound, as the feasibility check
+//!   would after the fold;
+//! * records it as **bounded** — clamped exponent, membership in the
+//!   feasible set unresolved, fold skipped — if
+//!   `½β(Φ_now − α1·F) ≤ −MAX_EXPONENT`;
+//! * otherwise folds the rest and feasibility-checks it, as ever.
+//!
+//! Cost per HOP: one conference compilation, one delay derivation per
+//! candidate, one full fold per *undecided* candidate. The draw is the
+//! eager one's bit for bit, by construction rather than by tolerance:
+//!
+//! * **(a) a bounded weight is the clamped weight.** `Φ = α1·F + α2·G +
+//!   α3·H` with every weight, price and cost shape `≥ 0`, so
+//!   `Φ ≥ α1·F` holds in floating point (IEEE addition is monotone);
+//!   subtraction from `Φ_now` and scaling by `½β ≥ 0` are monotone too,
+//!   so the exact exponent is `≤` the bound's `≤ −MAX_EXPONENT` and
+//!   clamps to exactly `−MAX_EXPONENT`.
+//! * **(b) `total` needs no fold.** Stay (exponent 0) is summed first,
+//!   so every partial sum is `≥ e^(−max_e)`, while a bounded weight is
+//!   `e^(−600−max_e)`, 865 binades below: adding it returns the partial
+//!   sum unchanged, member or not.
+//! * **(c) the walk checks instead of assuming.** In the subtractive
+//!   walk a bounded weight `w` can matter only if `x < w` (it is drawn)
+//!   or `x − w ≠ x` (it moves the residue). Both are tested at run
+//!   time, on the walk's own `x`; only when one holds is the
+//!   candidate's membership resolved — by folding it then.
+//! * **(d) "nothing feasible" is decided as before.** If no folded
+//!   candidate fits, bounded ones are folded in order until one fits;
+//!   `NoFeasibleMove` (no draw consumed) vs `Stayed` (one
+//!   `rng.gen::<f64>()`) is therefore the eager outcome.
+//! * **(e) noise disables the bound.** With `noise: Some(_)` every
+//!   candidate's observed `Φ` is random and each feasible one consumes
+//!   a draw, so every candidate is folded — through the same routine.
 
 use rand::Rng;
-use vc_core::{neighborhood, Decision, EvalScratch, SystemState};
+use vc_core::neighborhood::Neighborhood;
+use vc_core::{Decision, EvalScratch, SessionLoad, SystemState, CAPACITY_EPS};
 use vc_markov::perturb::NoiseSpec;
-use vc_model::SessionId;
+use vc_model::{AgentId, SessionId};
 
-/// Exponent clamp for the Gibbs weights (β·ΔΦ can overflow `exp`).
+/// Exponent clamp for the Gibbs weights (β·ΔΦ can overflow `exp`) —
+/// and so the pruning threshold of the [lazy step](self): a candidate
+/// whose exponent provably reaches `−MAX_EXPONENT` is not folded.
 const MAX_EXPONENT: f64 = 600.0;
+
+/// [`Candidates`] weight entry of a bounded candidate: on the lower
+/// clamp, membership in the feasible set not yet resolved. No folded
+/// entry equals it — `Φ_s` is finite (delays, prices and cost shapes
+/// are validated finite), and so is every weight derived from it.
+const BOUNDED: f64 = f64::INFINITY;
 
 /// Configuration of Alg. 1.
 #[derive(Debug, Clone)]
@@ -71,21 +125,34 @@ pub enum HopOutcome {
     NoFeasibleMove,
 }
 
+/// The candidate list of one [Gibbs step](Alg1Engine::gibbs_step),
+/// reused across steps, and the step's fold accounting.
+#[derive(Debug, Default)]
+pub struct Candidates {
+    /// Folded-and-feasible and bounded decisions, in enumeration order.
+    decisions: Vec<Decision>,
+    /// Per decision: its `Φ_s`, then in place its observed `Φ_s`, its
+    /// exponent and its Gibbs weight — or [`BOUNDED`] throughout.
+    weights: Vec<f64>,
+    /// Candidates the last step enumerated.
+    pub swept: u32,
+    /// Of those, how many the delay half settled without a fold: over
+    /// the delay bound, or weight proven on the clamp.
+    pub bounded: u32,
+    /// Full folds the last step ran (a bounded candidate resolved
+    /// after all counts here as well).
+    pub folded: u32,
+}
+
 /// Reusable per-worker buffers for the allocation-free HOP path: the
-/// evaluation scratch plus the feasible-candidate and Gibbs-weight
-/// vectors. One per worker thread; steady-state hops allocate nothing.
+/// evaluation scratch plus the candidate list. One per worker thread;
+/// steady-state hops allocate nothing.
 #[derive(Debug, Default)]
 pub struct HopScratch {
-    /// The neighbourhood kernel's buffers (the orchestrator's
-    /// slot-based hop drives its own kernel over the same ones).
+    /// The neighbourhood kernel's buffers.
     pub eval: EvalScratch,
-    /// Feasible decisions of the current neighborhood, in enumeration
-    /// order.
-    pub decisions: Vec<Decision>,
-    /// The (possibly noise-observed) `Φ_s` of each feasible decision.
-    pub phis: Vec<f64>,
-    /// Gibbs exponents (`exponents[0]` is the stay option).
-    pub exponents: Vec<f64>,
+    /// The Gibbs step's candidate list.
+    pub candidates: Candidates,
 }
 
 impl HopScratch {
@@ -93,6 +160,22 @@ impl HopScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// What one [Gibbs step](Alg1Engine::gibbs_step) is told about the
+/// session it moves.
+#[derive(Debug)]
+pub struct HopContext<A, F> {
+    /// Inverse temperature β `≥ 0` of this step.
+    pub beta: f64,
+    /// The committed `Φ_s`, before observation noise.
+    pub phi_now: f64,
+    /// The delay bound of constraint (8), in ms (`+∞` waives it).
+    pub d_max_ms: f64,
+    /// Which agents a decision may target.
+    pub allowed: A,
+    /// Whether the session may swap its load for this candidate's.
+    pub fits: F,
 }
 
 /// The per-session Markov hopping engine.
@@ -165,11 +248,11 @@ impl Alg1Engine {
         self.hop_with_beta_scratch(state, s, self.config.beta, rng, scratch)
     }
 
-    /// The HOP primitive: weighs the single-decision neighbourhood
-    /// through `scratch` (one conference compilation, no assignment
-    /// clone, no per-candidate allocation), Gibbs-samples over
-    /// {stay} ∪ feasible neighbors, and commits the chosen move by
-    /// swapping its re-derived load into the state.
+    /// The HOP primitive: one [Gibbs step](Self::gibbs_step) over the
+    /// session's single-decision neighbourhood through `scratch` (one
+    /// conference compilation, no assignment clone, no per-candidate
+    /// allocation), the drawn move committed by swapping its re-derived
+    /// load into the state.
     pub fn hop_with_beta_scratch<R: Rng + ?Sized>(
         &self,
         state: &mut SystemState,
@@ -178,33 +261,106 @@ impl Alg1Engine {
         rng: &mut R,
         scratch: &mut HopScratch,
     ) -> HopOutcome {
-        let HopScratch {
-            eval,
+        let HopScratch { eval, candidates } = scratch;
+        let ctx = HopContext {
+            beta,
+            phi_now: state.session_objective(s),
+            // An inactive session holds nothing and fits anywhere.
+            d_max_ms: if state.is_active(s) {
+                state.problem().instance().d_max_ms()
+            } else {
+                f64::INFINITY
+            },
+            allowed: |l| state.is_agent_available(l),
+            fits: |load: &SessionLoad| state.fits(s, load).is_ok(),
+        };
+        let mut hood = Neighborhood::of_state(state, s, eval);
+        let outcome = self.gibbs_step(&mut hood, ctx, candidates, rng);
+        if let HopOutcome::Migrated(decision) = outcome {
+            hood.candidate(decision);
+            state.commit_scratch(decision, eval);
+        }
+        outcome
+    }
+
+    /// One lazily exact Gibbs step over `hood` — see the
+    /// [module docs](self) for the argument. Sweeps the candidates,
+    /// folding only those their delay half leaves undecided, and
+    /// samples over {stay} ∪ feasible neighbours exactly as folding
+    /// every one would. [`HopOutcome::Migrated`] names the drawn
+    /// decision; committing it (re-derive through
+    /// [`Neighborhood::candidate`]) is the caller's. RNG use: nothing
+    /// on `NoFeasibleMove`; otherwise the noise draws, if configured,
+    /// then one `rng.gen::<f64>()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx.beta < 0`.
+    pub fn gibbs_step<R, A, F>(
+        &self,
+        hood: &mut Neighborhood<'_>,
+        ctx: HopContext<A, F>,
+        candidates: &mut Candidates,
+        rng: &mut R,
+    ) -> HopOutcome
+    where
+        R: Rng + ?Sized,
+        A: Fn(AgentId) -> bool,
+        F: FnMut(&SessionLoad) -> bool,
+    {
+        let HopContext {
+            beta,
+            phi_now,
+            d_max_ms,
+            allowed,
+            mut fits,
+        } = ctx;
+        assert!(beta >= 0.0, "beta must be non-negative");
+        let Candidates {
             decisions,
-            phis,
-            exponents,
-        } = scratch;
+            weights,
+            swept,
+            bounded,
+            folded,
+        } = candidates;
         decisions.clear();
-        phis.clear();
-        let mut hood = neighborhood::sweep_feasible(state, s, eval, |decision, load| {
-            decisions.push(decision);
-            phis.push(load.phi);
+        weights.clear();
+        (*swept, *bounded, *folded) = (0, 0, 0);
+        let prune = self.config.noise.is_none();
+        let mut any_fits = false;
+        hood.sweep_lazy(allowed, |decision, probe| {
+            *swept += 1;
+            if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
+                *bounded += 1;
+            } else if prune && 0.5 * beta * (phi_now - probe.phi_floor()) <= -MAX_EXPONENT {
+                *bounded += 1;
+                decisions.push(decision);
+                weights.push(BOUNDED);
+            } else {
+                *folded += 1;
+                let load = probe.fold();
+                if fits(load) {
+                    any_fits = true;
+                    decisions.push(decision);
+                    weights.push(load.phi);
+                }
+            }
         });
-        if decisions.is_empty() {
+        let mut resolve = |i: usize| {
+            *folded += 1;
+            fits(hood.candidate(decisions[i]).1)
+        };
+        if !any_fits && !(0..decisions.len()).any(&mut resolve) {
             return HopOutcome::NoFeasibleMove;
         }
-        let phi_now = self.observe(state.session_objective(s), rng);
-        for phi in phis.iter_mut() {
+        let phi_now = self.observe(phi_now, rng);
+        for phi in weights.iter_mut() {
             *phi = self.observe(*phi, rng);
         }
-        let chosen = self.gibbs_select(beta, phi_now, phis, exponents, rng);
-        if chosen == 0 {
-            return HopOutcome::Stayed;
+        match sample(beta, phi_now, weights, resolve, rng) {
+            0 => HopOutcome::Stayed,
+            i => HopOutcome::Migrated(decisions[i - 1]),
         }
-        let decision = decisions[chosen - 1];
-        hood.candidate(decision);
-        state.commit_scratch(decision, eval);
-        HopOutcome::Migrated(decision)
     }
 
     /// Applies the configured measurement-noise model to one observed
@@ -218,36 +374,21 @@ impl Alg1Engine {
 
     /// Stable Gibbs sampling over {stay} ∪ candidates: exponent_i =
     /// ½β(Φ_now − Φ_i), stay has exponent 0. Returns the chosen index
-    /// (0 = stay, `i > 0` = `phis[i − 1]`). `exponents` is a reusable
-    /// buffer; one `rng.gen::<f64>()` is consumed.
+    /// (0 = stay, `i > 0` = `phis[i − 1]`). `weights` is a reusable
+    /// buffer; one `rng.gen::<f64>()` is consumed. This is the
+    /// [step](Self::gibbs_step)'s sampler over a fully resolved list of
+    /// finite `phis`.
     pub fn gibbs_select<R: Rng + ?Sized>(
         &self,
         beta: f64,
         phi_now: f64,
         phis: &[f64],
-        exponents: &mut Vec<f64>,
+        weights: &mut Vec<f64>,
         rng: &mut R,
     ) -> usize {
-        exponents.clear();
-        exponents.push(0.0);
-        for &phi_m in phis {
-            exponents.push((0.5 * beta * (phi_now - phi_m)).clamp(-MAX_EXPONENT, MAX_EXPONENT));
-        }
-        let max_e = exponents.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        // Exponents become weights in place: one `exp` per candidate.
-        let mut total = 0.0;
-        for e in exponents.iter_mut() {
-            *e = (*e - max_e).exp();
-            total += *e;
-        }
-        let mut x = rng.gen::<f64>() * total;
-        for (i, w) in exponents.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        0
+        weights.clear();
+        weights.extend_from_slice(phis);
+        sample(beta, phi_now, weights, |_| true, rng)
     }
 
     /// Runs the full asynchronous algorithm over all active sessions for
@@ -308,6 +449,55 @@ impl Alg1Engine {
         }
         log
     }
+}
+
+/// The Gibbs draw over {stay} ∪ `weights`, whose entries arrive as
+/// observed `Φ` values (or [`BOUNDED`]) and are turned into exponents,
+/// then weights, in place. Returns 0 for stay, `i + 1` for entry `i`.
+/// `resolve(i)` settles a bounded entry's membership in the feasible
+/// set; it is asked only where the answer can change the draw
+/// ([module docs](self), (b) and (c)).
+fn sample<R: Rng + ?Sized>(
+    beta: f64,
+    phi_now: f64,
+    weights: &mut [f64],
+    mut resolve: impl FnMut(usize) -> bool,
+    rng: &mut R,
+) -> usize {
+    // Stay's exponent 0 opens the maximum; a bounded entry's −600
+    // cannot raise it.
+    let mut max_e = 0.0f64;
+    for e in weights.iter_mut().filter(|e| **e != BOUNDED) {
+        *e = (0.5 * beta * (phi_now - *e)).clamp(-MAX_EXPONENT, MAX_EXPONENT);
+        max_e = max_e.max(*e);
+    }
+    // One `exp` per folded candidate; stay is summed first.
+    let w_stay = (0.0 - max_e).exp();
+    let w_bounded = (-MAX_EXPONENT - max_e).exp();
+    let mut total = 0.0 + w_stay;
+    for w in weights.iter_mut().filter(|w| **w != BOUNDED) {
+        *w = (*w - max_e).exp();
+        total += *w;
+    }
+    let mut x = rng.gen::<f64>() * total;
+    if x < w_stay {
+        return 0;
+    }
+    x -= w_stay;
+    for (i, &w) in weights.iter().enumerate() {
+        let w = if w != BOUNDED {
+            w
+        } else if (x < w_bounded || x - w_bounded != x) && resolve(i) {
+            w_bounded
+        } else {
+            continue;
+        };
+        if x < w {
+            return i + 1;
+        }
+        x -= w;
+    }
+    0
 }
 
 #[cfg(test)]
@@ -443,5 +633,396 @@ mod tests {
             engine.hop(&mut st, SessionId::new(0), &mut rng);
         }
         assert!(st.objective() < start);
+    }
+
+    // ---- The lazy step against its eager reference. ---------------------
+
+    use proptest::prelude::*;
+    use rand::RngCore;
+    use vc_core::evaluate::{evaluate_session, OverlayView};
+    use vc_core::UapProblem;
+    use vc_cost::CostModel;
+    use vc_model::{AgentSpec, Capacity, InstanceBuilder, ReprLadder};
+
+    /// The sampler as it was before the lazy step, verbatim: every
+    /// candidate a resolved member, every weight summed and walked.
+    fn eager_gibbs_select<R: Rng + ?Sized>(
+        beta: f64,
+        phi_now: f64,
+        phis: &[f64],
+        rng: &mut R,
+    ) -> usize {
+        let mut exponents = vec![0.0];
+        for &phi_m in phis {
+            exponents.push((0.5 * beta * (phi_now - phi_m)).clamp(-MAX_EXPONENT, MAX_EXPONENT));
+        }
+        let max_e = exponents.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut total = 0.0;
+        for e in exponents.iter_mut() {
+            *e = (*e - max_e).exp();
+            total += *e;
+        }
+        let mut x = rng.gen::<f64>() * total;
+        for (i, w) in exponents.iter().enumerate() {
+            if x < *w {
+                return i;
+            }
+            x -= w;
+        }
+        0
+    }
+
+    /// The hop as it was before the lazy step: fold every candidate,
+    /// keep the feasible, observe, draw, commit.
+    fn eager_hop<R: Rng + ?Sized>(
+        engine: &Alg1Engine,
+        state: &mut SystemState,
+        s: SessionId,
+        beta: f64,
+        rng: &mut R,
+    ) -> HopOutcome {
+        let mut eval = EvalScratch::new();
+        let (mut decisions, mut phis) = (Vec::new(), Vec::new());
+        let mut hood = Neighborhood::of_state(state, s, &mut eval);
+        hood.sweep(
+            |l| state.is_agent_available(l),
+            |decision, load| {
+                if state.fits(s, load).is_ok() {
+                    decisions.push(decision);
+                    phis.push(load.phi);
+                }
+            },
+        );
+        if decisions.is_empty() {
+            return HopOutcome::NoFeasibleMove;
+        }
+        let phi_now = engine.observe(state.session_objective(s), rng);
+        for phi in phis.iter_mut() {
+            *phi = engine.observe(*phi, rng);
+        }
+        let chosen = eager_gibbs_select(beta, phi_now, &phis, rng);
+        if chosen == 0 {
+            return HopOutcome::Stayed;
+        }
+        let decision = decisions[chosen - 1];
+        hood.candidate(decision);
+        state.commit_scratch(decision, &mut eval);
+        HopOutcome::Migrated(decision)
+    }
+
+    /// A random closed world: capacities tight enough to refuse some
+    /// moves, delays spread enough that at β = 400 most neighbours are
+    /// bounded and a few are not, and a delay bound that bites.
+    #[derive(Debug, Clone)]
+    struct World {
+        agents: Vec<(f64, u32)>,
+        sessions: Vec<Vec<(u8, u8)>>,
+        delay_seed: u64,
+        /// Whether agent 0 is (nearly) everyone's nearest: conferences
+        /// then sit together, `G ≈ 0`, and `α1·F` is most of `Φ` — the
+        /// production shape, where the bound fires. Otherwise users
+        /// scatter and traffic dominates.
+        clustered: bool,
+        d_max_ms: f64,
+        down: Option<usize>,
+        inactive: Option<usize>,
+    }
+
+    fn world_strategy() -> impl Strategy<Value = World> {
+        (
+            prop::collection::vec((15.0f64..90.0, 0u32..6), 2..=5),
+            prop::collection::vec(prop::collection::vec((0u8..4, 0u8..4), 2..=5), 1..=4),
+            any::<u64>(),
+            (any::<bool>(), any::<bool>(), 120.0f64..260.0),
+            (0usize..10, 0usize..8),
+        )
+            .prop_map(
+                |(agents, sessions, delay_seed, (clustered, tight, d_max_ms), (down, inactive))| {
+                    World {
+                        agents,
+                        sessions,
+                        delay_seed,
+                        clustered,
+                        d_max_ms: if tight { d_max_ms } else { 10_000.0 },
+                        // Half the worlds lose an agent, half idle a session.
+                        down: (down < 5).then_some(down),
+                        inactive: (inactive < 4).then_some(inactive),
+                    }
+                },
+            )
+    }
+
+    fn build_world(w: &World) -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let reprs: Vec<_> = ladder.ids().collect();
+        let mut b = InstanceBuilder::new(ladder);
+        for (i, &(mbps, slots)) in w.agents.iter().enumerate() {
+            b.add_agent(
+                AgentSpec::builder(format!("a{i}"))
+                    .capacity(Capacity::new(mbps, mbps, slots))
+                    .price_per_mbps(0.25 * (1 + i % 3) as f64)
+                    .build(),
+            );
+        }
+        for session in &w.sessions {
+            let sid = b.add_session();
+            for &(up, down) in session {
+                b.add_user(sid, reprs[up as usize % 4], reprs[down as usize % 4]);
+            }
+        }
+        let (seed, step) = (w.delay_seed, if w.clustered { 12.0 } else { 0.0 });
+        let mix = move |a: usize, b: usize| {
+            seed.wrapping_mul(6364136223846793005)
+                .wrapping_add((a * 131 + b * 31) as u64)
+                >> 7
+        };
+        b.symmetric_delays(
+            move |l, k| 8.0 + (mix(l.min(k) + 977, l.max(k)) % 900) as f64 / 10.0,
+            // Last miles in 0.5 ms steps over a narrow band: near-ties
+            // (|ΔΦ| below the clamp's reach) are common.
+            move |l, u| 5.0 + step * l as f64 + (mix(l, u) % 40) as f64 / 2.0,
+        );
+        b.d_max_ms(w.d_max_ms);
+        let problem = Arc::new(UapProblem::new(
+            b.build().expect("valid world"),
+            CostModel::paper_default(),
+        ));
+        let asg = crate::nearest::nearest_assignment(&problem);
+        let mut state = SystemState::new(problem, asg);
+        if let Some(l) = w.down {
+            state.set_agent_available(AgentId::from(l % w.agents.len()), false);
+        }
+        if let Some(s) = w.inactive {
+            state.deactivate(SessionId::from(s % w.sessions.len()));
+        }
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Lazy ≡ eager, hop after hop: same outcome, same committed
+        /// state, and the RNG left in the same state — for β where the
+        /// bound never fires, sometimes fires and mostly fires, with
+        /// and without observation noise.
+        #[test]
+        fn lazy_step_equals_eager_reference(
+            world in world_strategy(),
+            beta in 0usize..3,
+            noisy in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let beta = [1.0, 40.0, 400.0][beta];
+            let engine = Alg1Engine::new(Alg1Config {
+                noise: noisy.then(|| NoiseSpec::uniform(0.5, 2)),
+                ..Alg1Config::paper(beta)
+            });
+            let (mut lazy, mut eager) = (build_world(&world), build_world(&world));
+            let (mut rng_lazy, mut rng_eager) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut scratch = HopScratch::new();
+            for hop in 0..40 {
+                let s = SessionId::from(hop % world.sessions.len());
+                let got = engine.hop_scratch(&mut lazy, s, &mut rng_lazy, &mut scratch);
+                // (a), checked rather than argued: `eager` is still the
+                // state `lazy` hopped from, and there every bounded
+                // candidate's exact exponent clamps to −MAX_EXPONENT.
+                let c = &scratch.candidates;
+                for (&d, _) in c.decisions.iter().zip(&c.weights).filter(|(_, &w)| w == BOUNDED) {
+                    let view = OverlayView::new(eager.assignment(), d);
+                    let phi = evaluate_session(eager.problem(), &view, s).phi;
+                    let exact = 0.5 * beta * (eager.session_objective(s) - phi);
+                    prop_assert_eq!(exact.clamp(-MAX_EXPONENT, MAX_EXPONENT), -MAX_EXPONENT, "{}", d);
+                }
+                let want = eager_hop(&engine, &mut eager, s, beta, &mut rng_eager);
+                prop_assert_eq!(got, want, "hop {} of {}", hop, s);
+                prop_assert_eq!(rng_lazy.next_u64(), rng_eager.next_u64(), "rng after hop {}", hop);
+                let c = &scratch.candidates;
+                // Every candidate is settled by its delays or folded;
+                // only a bounded one resolved after all is both.
+                prop_assert!(c.swept <= c.bounded + c.folded);
+                prop_assert!(!noisy || c.swept == c.bounded + c.folded, "noise: no bound, no refold");
+            }
+            prop_assert_eq!(lazy.assignment(), eager.assignment());
+            prop_assert_eq!(lazy.objective().to_bits(), eager.objective().to_bits());
+        }
+    }
+
+    /// The bound does fire on the proptest's worlds — the equivalence
+    /// above is not vacuous: in a clustered conference every user move
+    /// (a third of the candidates here) is settled by its delays.
+    #[test]
+    fn clustered_conference_at_paper_beta_bounds_its_user_moves() {
+        let world = World {
+            agents: vec![(80.0, 5); 5],
+            sessions: vec![vec![(2, 1), (1, 2), (3, 0), (0, 2)]],
+            delay_seed: 42,
+            clustered: true,
+            d_max_ms: 10_000.0,
+            down: None,
+            inactive: None,
+        };
+        let mut state = build_world(&world);
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut scratch = HopScratch::new();
+        let (mut bounded, mut swept) = (0, 0);
+        for _ in 0..60 {
+            engine.hop_scratch(&mut state, SessionId::new(0), &mut rng, &mut scratch);
+            bounded += scratch.candidates.bounded;
+            swept += scratch.candidates.swept;
+        }
+        assert!(bounded * 3 >= swept, "only {bounded} of {swept} bounded");
+    }
+
+    /// An RNG whose `gen::<f64>()` returns scripted values (the
+    /// vendored `Standard` maps `next_u64() >> 11` onto `[0, 1)`), and
+    /// panics when asked for more.
+    struct Scripted(Vec<f64>);
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let u = self.0.remove(0);
+            ((u * (1u64 << 53) as f64) as u64) << 11
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unimplemented!("the Gibbs step draws f64s only")
+        }
+    }
+
+    /// Branch (c): `u·total == w_stay` leaves the walk's residue at
+    /// exactly 0 on the first candidate, a bounded one — the one place
+    /// its `e⁻⁶⁰⁰` decides the draw. The sampler must ask, and then
+    /// agree with the eager sampler over whichever list is true.
+    #[test]
+    fn zero_residue_at_a_bounded_candidate_resolves_it() {
+        // Stay and the folded tie weigh 1 each: total = 2 (the bounded
+        // weight is absorbed), u = ½ ⇒ x = 1 = w_stay ⇒ residue 0.
+        let (beta, phi_now, far) = (400.0, 100.0, 1e6);
+        for member in [true, false] {
+            let mut asked = Vec::new();
+            let mut weights = [BOUNDED, phi_now];
+            let got = sample(
+                beta,
+                phi_now,
+                &mut weights,
+                |i| {
+                    asked.push(i);
+                    member
+                },
+                &mut Scripted(vec![0.5]),
+            );
+            assert_eq!(asked, [0], "membership decides this draw");
+            let resolved: &[f64] = if member { &[far, phi_now] } else { &[phi_now] };
+            let want = eager_gibbs_select(beta, phi_now, resolved, &mut Scripted(vec![0.5]));
+            // Index 1 is the bounded candidate itself; without it the
+            // tie (eager index 1) is entry 2 of the lazy list.
+            assert_eq!(got, if member { want } else { want + 1 });
+            assert_eq!(got, if member { 1 } else { 2 });
+        }
+        // Away from the zero residue the bounded weight cannot matter
+        // and nobody is asked.
+        let mut weights = [BOUNDED, phi_now];
+        let got = sample(
+            beta,
+            phi_now,
+            &mut weights,
+            |_| unreachable!("residue 0.2 dwarfs e^-600"),
+            &mut Scripted(vec![0.6]),
+        );
+        assert_eq!(got, 2);
+    }
+
+    /// Two agents; the session sits on the near one, and both moves to
+    /// the far one cost ≈ +90 ms of mean delay: bounded at β = 400.
+    fn far_agent_state(far_capacity_mbps: f64) -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let r = ladder.lowest();
+        let mut b = InstanceBuilder::new(ladder);
+        b.add_agent(AgentSpec::builder("near").build());
+        b.add_agent(
+            AgentSpec::builder("far")
+                .capacity(Capacity::new(far_capacity_mbps, far_capacity_mbps, 0))
+                .build(),
+        );
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.add_user(s, r, r);
+        b.symmetric_delays(|_, _| 60.0, |l, _| if l == 0 { 10.0 } else { 100.0 });
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let asg = Assignment::all_to_agent(&problem, AgentId::new(0));
+        SystemState::new(problem, asg)
+    }
+
+    /// Branch (d), feasible side: every candidate is bounded, so none
+    /// was folded during the sweep; the step folds bounded ones until
+    /// one fits, finds the first does, and draws — `Stayed`, one
+    /// `gen::<f64>()` consumed — as the eager hop does.
+    #[test]
+    fn all_bounded_but_feasible_draws_and_stays() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let mut state = far_agent_state(1_000.0);
+        let mut scratch = HopScratch::new();
+        let mut rng = Scripted(vec![0.999]);
+        let got = engine.hop_scratch(&mut state, SessionId::new(0), &mut rng, &mut scratch);
+        assert_eq!(got, HopOutcome::Stayed);
+        assert!(rng.0.is_empty(), "exactly one draw");
+        let c = &scratch.candidates;
+        assert_eq!((c.swept, c.bounded, c.folded), (2, 2, 1));
+        let want = eager_hop(
+            &engine,
+            &mut far_agent_state(1_000.0),
+            SessionId::new(0),
+            400.0,
+            &mut Scripted(vec![0.999]),
+        );
+        assert_eq!(got, want);
+    }
+
+    /// Branch (d), infeasible side: every candidate is bounded and none
+    /// fits (the far agent has no bandwidth), so every one is folded in
+    /// turn and the step reports `NoFeasibleMove` without touching the
+    /// RNG — as the eager hop does.
+    #[test]
+    fn all_bounded_and_none_fits_is_no_feasible_move() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let mut state = far_agent_state(0.0);
+        let mut scratch = HopScratch::new();
+        let mut rng = Scripted(Vec::new());
+        let got = engine.hop_scratch(&mut state, SessionId::new(0), &mut rng, &mut scratch);
+        assert_eq!(got, HopOutcome::NoFeasibleMove);
+        let c = &scratch.candidates;
+        assert_eq!((c.swept, c.bounded, c.folded), (2, 2, 2));
+        let want = eager_hop(
+            &engine,
+            &mut far_agent_state(0.0),
+            SessionId::new(0),
+            400.0,
+            &mut Scripted(Vec::new()),
+        );
+        assert_eq!(got, want);
+    }
+
+    /// `gibbs_select` is the step's sampler over a resolved list: it
+    /// matches the eager sampler draw for draw.
+    #[test]
+    fn gibbs_select_matches_the_eager_sampler() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let phis = [100.0, 99.999, 100.004, 250.0, 98.5, 1e12];
+        let mut buf = Vec::new();
+        for beta in [0.0, 1.0, 400.0] {
+            for k in 0..64 {
+                let u = k as f64 / 64.0;
+                let got = engine.gibbs_select(beta, 100.0, &phis, &mut buf, &mut Scripted(vec![u]));
+                let want = eager_gibbs_select(beta, 100.0, &phis, &mut Scripted(vec![u]));
+                assert_eq!(got, want, "β = {beta}, u = {u}");
+            }
+        }
     }
 }

@@ -244,7 +244,12 @@ const EXPERIMENTS: [Experiment; 22] = [
     // concurrent runs; default 2 s each.
     bench("hop_bench", "BENCH_hop.json", |o| {
         let wall_ms = (o.duration_or(2.0) * 1e3) as u64;
-        let result = hop_bench::run(&[1_000, 10_000, 100_000], wall_ms, o.seed);
+        let result = hop_bench::run(
+            &[1_000, 10_000, 100_000],
+            (10_000, &[5, 8, 16]),
+            wall_ms,
+            o.seed,
+        );
         measured(result, hop_bench::to_json, hop_bench::print)
     }),
     // `--scenarios` doubles as the seed-universe size in users (default

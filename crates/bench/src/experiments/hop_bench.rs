@@ -6,10 +6,13 @@
 //!
 //! * **scratch** — the closed-world hop loop
 //!   ([`Alg1Engine::hop_scratch`]): the neighbourhood kernel over a
-//!   reused [`HopScratch`], sparse touched-agent capacity checks,
-//!   commit by buffer swap. Its steady-state allocation rate is gated:
+//!   reused [`HopScratch`], the lazily exact Gibbs step, sparse
+//!   touched-agent capacity checks, commit by buffer swap. Its
+//!   steady-state allocation rate is gated:
 //!   `scratch_allocs_within_bound` compares it with
-//!   [`SCRATCH_ALLOCS_PER_HOP_BOUND`];
+//!   [`SCRATCH_ALLOCS_PER_HOP_BOUND`]; `candidates_per_hop` and
+//!   `folds_per_hop` say how much of the neighbourhood the step had to
+//!   weigh in full;
 //! * **concurrent** — the orchestrator fleet under the sharded FREEZE:
 //!   [`ReoptPool::run_wall`] racing 1 vs 4 OS threads, hops committing
 //!   through the ledger's checked `try_swap`, followed by a
@@ -26,6 +29,12 @@
 //! (lazily cancelled) entries cascades reclaimed. The 100k-session row
 //! exists specifically to exercise wakeup dispatch at a depth where
 //! the old global-heap scheduler serialized.
+//!
+//! A third section, `conference_sizes`, re-runs the scratch loop alone
+//! at one fleet size with conferences capped at 5, 8 and 16 users
+//! (default) — the axis along which both the candidate count and the
+//! cost of one fold grow. Its rows are keyed by `max_session_size`, not
+//! `sessions`, so `check` reports them without gating them.
 //!
 //! Allocations are counted by the `experiments` binary's counting
 //! global allocator, surfaced through [`vc_obs::allocs_now`] (the
@@ -72,16 +81,8 @@ pub struct HopBenchRow {
     pub users: usize,
     /// Agents in the universe.
     pub agents: usize,
-    /// Scratch-path single-thread hop throughput.
-    pub scratch_hops_per_s: f64,
-    /// Heap allocations per scratch hop (steady state; ~0).
-    pub scratch_allocs_per_hop: f64,
-    /// Whether that stays within [`SCRATCH_ALLOCS_PER_HOP_BOUND`].
-    pub scratch_allocs_within_bound: bool,
-    /// Median scratch-hop latency (ns), from a `vc-obs` histogram.
-    pub scratch_p50_ns: u64,
-    /// 99th-percentile scratch-hop latency (ns).
-    pub scratch_p99_ns: u64,
+    /// The scratch-path measurement.
+    pub scratch: ScratchRun,
     /// Fleet hop throughput, 1 worker thread (sharded FREEZE).
     pub wall_1t_hops_per_s: f64,
     /// Fleet hop throughput, 4 worker threads, and its ratio to the
@@ -114,11 +115,26 @@ pub struct HopBenchRow {
     pub conservation_violations: usize,
 }
 
+/// The scratch loop at one conference-size cap.
+#[derive(Debug, Clone)]
+pub struct ConferenceSizeRow {
+    /// `LargeScaleConfig::max_session_size` of the universe.
+    pub max_session_size: usize,
+    /// Sessions in it.
+    pub sessions: usize,
+    /// Users across those sessions.
+    pub users: usize,
+    /// The scratch-loop measurement.
+    pub scratch: ScratchRun,
+}
+
 /// All rows of one run.
 #[derive(Debug, Clone)]
 pub struct HopBenchResult {
     /// One row per fleet size.
     pub rows: Vec<HopBenchRow>,
+    /// One row per conference-size cap, at one fleet size.
+    pub conference_sizes: Vec<ConferenceSizeRow>,
     /// Aggregate batched-registration throughput (sessions/s) across
     /// all rows' 1-thread fleets — integrates the most wall-clock at
     /// the largest sizes, so it is the regression-gated signal (the
@@ -126,14 +142,19 @@ pub struct HopBenchResult {
     pub register_per_s: f64,
 }
 
-fn build_problem(sessions: usize, seed: u64) -> Arc<UapProblem> {
+/// A universe of ≈`sessions · 6/5` conferences of 2..=`max_session_size`
+/// users (sizes are uniform, so `sessions · 3` users at the default cap
+/// of 3 is ≈1.2 conferences per target session).
+fn build_problem(sessions: usize, max_session_size: usize, seed: u64) -> Arc<UapProblem> {
+    // A conference's streams grow with the square of its size.
+    let per_session = (max_session_size as f64 / 3.0).powi(2) * sessions as f64 / 1_000.0;
     let instance = large_scale_instance(&LargeScaleConfig {
-        num_users: sessions * 3,
-        max_session_size: 3,
+        num_users: sessions * 3 * (2 + max_session_size) / 5,
+        max_session_size,
         // Generous-but-finite capacities: every admission fits, yet the
         // ledger still has real numbers to arbitrate.
-        mean_bandwidth_mbps: Some(40_000.0 * sessions as f64 / 1_000.0),
-        mean_transcode_slots: Some(3_000.0 * sessions as f64 / 1_000.0),
+        mean_bandwidth_mbps: Some(40_000.0 * per_session),
+        mean_transcode_slots: Some(3_000.0 * per_session),
         seed,
         ..LargeScaleConfig::default()
     });
@@ -143,18 +164,38 @@ fn build_problem(sessions: usize, seed: u64) -> Arc<UapProblem> {
     ))
 }
 
-/// One size's row plus the 1-thread fleet's batched-registration
-/// measurement `(registered sessions, elapsed seconds)` — raw inputs
-/// for the top-level aggregate rate.
-fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, usize, f64) {
-    // Long enough for a stable rate.
-    let scratch_hops = 20_000;
-    let problem = build_problem(sessions_target, seed);
-    let num_sessions = problem.instance().num_sessions();
-    let beta = 400.0;
+/// The serial scratch-path measurement of one universe.
+#[derive(Debug, Clone)]
+pub struct ScratchRun {
+    /// Single-thread hop throughput.
+    pub hops_per_s: f64,
+    /// Heap allocations per hop (steady state; ~0).
+    pub allocs_per_hop: f64,
+    /// Median / 99th-percentile hop latency (ns), `vc-obs` histogram.
+    pub p50_ns: u64,
+    /// See `p50_ns`.
+    pub p99_ns: u64,
+    /// Candidates enumerated per hop.
+    pub candidates_per_hop: f64,
+    /// Full folds per hop — the candidates the Gibbs step could not
+    /// settle from their delays alone.
+    pub folds_per_hop: f64,
+}
 
-    // --- Serial path over one all-active SystemState. -------------------
-    let asg = vc_algo::nearest::nearest_assignment(&problem);
+impl ScratchRun {
+    /// Whether the allocation rate stays within
+    /// [`SCRATCH_ALLOCS_PER_HOP_BOUND`].
+    pub fn allocs_within_bound(&self) -> bool {
+        self.allocs_per_hop <= SCRATCH_ALLOCS_PER_HOP_BOUND
+    }
+}
+
+/// The closed-world hop loop over one all-active `SystemState`.
+fn run_scratch(problem: &Arc<UapProblem>, beta: f64, seed: u64) -> ScratchRun {
+    // Long enough for a stable rate.
+    let hops = 20_000;
+    let num_sessions = problem.instance().num_sessions();
+    let asg = vc_algo::nearest::nearest_assignment(problem);
     let mut state = SystemState::new(problem.clone(), asg);
     let engine = Alg1Engine::new(Alg1Config::paper(beta));
     let mut scratch = HopScratch::new();
@@ -173,19 +214,38 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
     // start, so the histogram costs one clock read per hop on top of
     // the throughput measurement it shares timestamps with.
     let mut hist = LatencyHist::new();
+    let (mut swept, mut folded) = (0u64, 0u64);
     let t0 = Instant::now();
     let mut t_prev = t0;
-    for i in 0..scratch_hops {
+    for i in 0..hops {
         let s = SessionId::from(i % num_sessions);
         engine.hop_scratch(&mut state, s, &mut rng, &mut scratch);
         let t = Instant::now();
         hist.record((t - t_prev).as_nanos() as u64);
         t_prev = t;
+        swept += u64::from(scratch.candidates.swept);
+        folded += u64::from(scratch.candidates.folded);
     }
-    let scratch_elapsed = t0.elapsed().as_secs_f64();
-    let scratch_allocs = (alloc_count() - a0) as f64 / scratch_hops as f64;
-    let scratch_rate = scratch_hops as f64 / scratch_elapsed;
-    let scratch_summary = hist.summary();
+    let elapsed = t0.elapsed().as_secs_f64();
+    let summary = hist.summary();
+    ScratchRun {
+        hops_per_s: hops as f64 / elapsed,
+        allocs_per_hop: (alloc_count() - a0) as f64 / hops as f64,
+        p50_ns: summary.p50_ns,
+        p99_ns: summary.p99_ns,
+        candidates_per_hop: swept as f64 / hops as f64,
+        folds_per_hop: folded as f64 / hops as f64,
+    }
+}
+
+/// One size's row plus the 1-thread fleet's batched-registration
+/// measurement `(registered sessions, elapsed seconds)` — raw inputs
+/// for the top-level aggregate rate.
+fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, usize, f64) {
+    let problem = build_problem(sessions_target, 3, seed);
+    let num_sessions = problem.instance().num_sessions();
+    let beta = 400.0;
+    let scratch = run_scratch(&problem, beta, seed);
 
     // --- Concurrent fleet under the sharded FREEZE. ---------------------
     let mut wall_rates = [0.0f64; 2];
@@ -254,11 +314,7 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
         sessions: num_sessions,
         users: problem.instance().num_users(),
         agents: problem.instance().num_agents(),
-        scratch_hops_per_s: scratch_rate,
-        scratch_allocs_per_hop: scratch_allocs,
-        scratch_allocs_within_bound: scratch_allocs <= SCRATCH_ALLOCS_PER_HOP_BOUND,
-        scratch_p50_ns: scratch_summary.p50_ns,
-        scratch_p99_ns: scratch_summary.p99_ns,
+        scratch,
         wall_1t_hops_per_s: wall_rates[0],
         wall_4t: (cpus() >= 4).then(|| (wall_rates[1], wall_rates[1] / wall_rates[0].max(1e-9))),
         wall_hop_p50_us: wall_summary.p50_ns as f64 / 1e3,
@@ -274,11 +330,17 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
     (row, reg_sessions, reg_elapsed_s)
 }
 
-/// Runs the hop benchmark across fleet sizes. Allocation counts come
-/// from the counter registered via [`vc_obs::register_alloc_counter`]
-/// (the `experiments` binary installs one; without it every
-/// allocs-per-hop figure reads 0).
-pub fn run(sizes: &[usize], wall_ms: u64, seed: u64) -> HopBenchResult {
+/// Runs the hop benchmark across fleet sizes, then the scratch loop
+/// alone across the conference-size caps `size_axis.1` at the fleet
+/// size `size_axis.0`. Allocation counts come from the counter
+/// registered via [`vc_obs::register_alloc_counter`] (the `experiments`
+/// binary installs one; without it every allocs-per-hop figure reads 0).
+pub fn run(
+    sizes: &[usize],
+    size_axis: (usize, &[usize]),
+    wall_ms: u64,
+    seed: u64,
+) -> HopBenchResult {
     let mut rows = Vec::with_capacity(sizes.len());
     let mut reg_total_sessions = 0usize;
     let mut reg_total_s = 0.0f64;
@@ -288,8 +350,21 @@ pub fn run(sizes: &[usize], wall_ms: u64, seed: u64) -> HopBenchResult {
         reg_total_s += reg_s;
         rows.push(row);
     }
+    let (axis_sessions, caps) = size_axis;
+    let conference_sizes = (caps.iter())
+        .map(|&max_session_size| {
+            let problem = build_problem(axis_sessions, max_session_size, seed);
+            ConferenceSizeRow {
+                max_session_size,
+                sessions: problem.instance().num_sessions(),
+                users: problem.instance().num_users(),
+                scratch: run_scratch(&problem, 400.0, seed),
+            }
+        })
+        .collect();
     HopBenchResult {
         rows,
+        conference_sizes,
         register_per_s: reg_total_sessions as f64 / reg_total_s.max(1e-9),
     }
 }
@@ -323,6 +398,7 @@ pub fn to_json(result: &HopBenchResult) -> String {
                 "\"scratch_hops_per_s\": {:.1}, \"scratch_allocs_per_hop\": {:.3}, ",
                 "\"scratch_allocs_within_bound\": {}, ",
                 "\"scratch_p50_ns\": {}, \"scratch_p99_ns\": {}, ",
+                "\"candidates_per_hop\": {:.1}, \"folds_per_hop\": {:.1}, ",
                 "\"wall_1t_hops_per_s\": {:.1}, {}",
                 "\"wall_hop_p50_us\": {:.1}, \"wall_hop_p99_us\": {:.1}, ",
                 "\"sched_shards\": {}, \"register_per_s\": {:.1}, ",
@@ -333,11 +409,13 @@ pub fn to_json(result: &HopBenchResult) -> String {
             r.sessions,
             r.users,
             r.agents,
-            r.scratch_hops_per_s,
-            r.scratch_allocs_per_hop,
-            r.scratch_allocs_within_bound,
-            r.scratch_p50_ns,
-            r.scratch_p99_ns,
+            r.scratch.hops_per_s,
+            r.scratch.allocs_per_hop,
+            r.scratch.allocs_within_bound(),
+            r.scratch.p50_ns,
+            r.scratch.p99_ns,
+            r.scratch.candidates_per_hop,
+            r.scratch.folds_per_hop,
             r.wall_1t_hops_per_s,
             wall_4t,
             r.wall_hop_p50_us,
@@ -352,6 +430,30 @@ pub fn to_json(result: &HopBenchResult) -> String {
             if i + 1 == result.rows.len() { "" } else { "," },
         ));
     }
+    out.push_str("  ],\n  \"conference_sizes\": [\n");
+    for (i, r) in result.conference_sizes.iter().enumerate() {
+        out.push_str(&format!(
+            concat!(
+                "    {{\"max_session_size\": {}, \"sessions\": {}, \"users\": {}, ",
+                "\"scratch_hops_per_s\": {:.1}, \"scratch_p50_ns\": {}, ",
+                "\"scratch_p99_ns\": {}, \"candidates_per_hop\": {:.1}, ",
+                "\"folds_per_hop\": {:.1}}}{}\n"
+            ),
+            r.max_session_size,
+            r.sessions,
+            r.users,
+            r.scratch.hops_per_s,
+            r.scratch.p50_ns,
+            r.scratch.p99_ns,
+            r.scratch.candidates_per_hop,
+            r.scratch.folds_per_hop,
+            if i + 1 == result.conference_sizes.len() {
+                ""
+            } else {
+                ","
+            },
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -361,18 +463,45 @@ pub fn to_json(result: &HopBenchResult) -> String {
 pub fn print(result: &HopBenchResult) {
     println!("Hop throughput — closed-world scratch path (neighbourhood kernel)");
     println!(
-        "{:>9} {:>8} {:>13} {:>12} {:>10} {:>10}",
-        "sessions", "agents", "scratch hop/s", "alloc/hop", "p50 ns", "p99 ns"
+        "{:>9} {:>8} {:>13} {:>12} {:>10} {:>10} {:>11} {:>10}",
+        "sessions",
+        "agents",
+        "scratch hop/s",
+        "alloc/hop",
+        "p50 ns",
+        "p99 ns",
+        "cand/hop",
+        "folds/hop"
     );
     for r in &result.rows {
         println!(
-            "{:>9} {:>8} {:>13.0} {:>12.3} {:>10} {:>10}",
+            "{:>9} {:>8} {:>13.0} {:>12.3} {:>10} {:>10} {:>11.1} {:>10.1}",
             r.sessions,
             r.agents,
-            r.scratch_hops_per_s,
-            r.scratch_allocs_per_hop,
-            r.scratch_p50_ns,
-            r.scratch_p99_ns,
+            r.scratch.hops_per_s,
+            r.scratch.allocs_per_hop,
+            r.scratch.p50_ns,
+            r.scratch.p99_ns,
+            r.scratch.candidates_per_hop,
+            r.scratch.folds_per_hop,
+        );
+    }
+    println!("\nConference size — the scratch loop with conferences of 2..=cap users");
+    println!(
+        "{:>9} {:>9} {:>8} {:>13} {:>10} {:>10} {:>11} {:>10}",
+        "cap", "sessions", "users", "scratch hop/s", "p50 ns", "p99 ns", "cand/hop", "folds/hop"
+    );
+    for r in &result.conference_sizes {
+        println!(
+            "{:>9} {:>9} {:>8} {:>13.0} {:>10} {:>10} {:>11.1} {:>10.1}",
+            r.max_session_size,
+            r.sessions,
+            r.users,
+            r.scratch.hops_per_s,
+            r.scratch.p50_ns,
+            r.scratch.p99_ns,
+            r.scratch.candidates_per_hop,
+            r.scratch.folds_per_hop,
         );
     }
     println!(
@@ -431,16 +560,25 @@ mod tests {
 
     #[test]
     fn tiny_run_produces_consistent_rows() {
-        let result = run(&[40], 50, 11);
+        let result = run(&[40], (40, &[5]), 50, 11);
         assert_eq!(result.rows.len(), 1);
+        // The Gibbs step settles some candidates from their delays, so
+        // it folds fewer than it enumerates — more so, in absolute
+        // terms, in larger conferences.
+        let axis = &result.conference_sizes[0];
+        assert_eq!(axis.max_session_size, 5);
         let r = &result.rows[0];
+        assert!(r.scratch.folds_per_hop > 0.0);
+        assert!(r.scratch.folds_per_hop < r.scratch.candidates_per_hop);
+        assert!(axis.scratch.candidates_per_hop > r.scratch.candidates_per_hop);
+        assert!(axis.scratch.folds_per_hop < axis.scratch.candidates_per_hop);
         assert!(r.sessions >= 30, "universe lost sessions: {}", r.sessions);
-        assert!(r.scratch_hops_per_s > 0.0);
+        assert!(r.scratch.hops_per_s > 0.0);
         assert_eq!(r.conservation_violations, 0);
         // No counting allocator in library tests: the rate reads 0.
-        assert!(r.scratch_allocs_within_bound);
+        assert!(r.scratch.allocs_within_bound());
         // The vc-obs percentiles are populated and ordered.
-        assert!(r.scratch_p50_ns > 0 && r.scratch_p99_ns >= r.scratch_p50_ns);
+        assert!(r.scratch.p50_ns > 0 && r.scratch.p99_ns >= r.scratch.p50_ns);
         assert!(r.wall_hop_p50_us > 0.0 && r.wall_hop_p99_us >= r.wall_hop_p50_us);
         // Scheduler profile: shards present, registration timed, and
         // conflicts bounded by acquisitions.
@@ -453,6 +591,7 @@ mod tests {
         assert!(json.contains("\"scratch_p50_ns\"") && json.contains("\"wall_hop_p99_us\""));
         assert!(json.contains("\"sched_shards\"") && json.contains("\"sched_lock_conflicts\""));
         assert!(json.contains("\"register_per_s\""));
+        assert!(json.contains("\"folds_per_hop\"") && json.contains("\"max_session_size\": 5"));
         // The 4-thread columns exist exactly when there are 4 CPUs.
         assert_eq!(r.wall_4t.is_some(), cpus() >= 4);
         assert_eq!(json.contains("\"scaling_4t\""), cpus() >= 4);

@@ -29,12 +29,20 @@
 //! table, every `κ` and demanded Mbps — everything the formulas read
 //! that does not depend on the assignment — then reads the placement
 //! through the [`AssignmentView`] into two local arrays, derives every
-//! flow's delay, and *folds*: each stream's `μ_klu` terms are emitted
-//! in source order into an `L×L` flow matrix, which is folded row-major
-//! into the per-agent loads, followed by occupancy, delay maxima and
-//! costs. One evaluation touches only the agents the session actually
-//! uses (tracked in [`SessionLoad::touched`]) and clears only what it
-//! wrote, so steady-state evaluation is allocation-free.
+//! flow's delay, and *folds*, in two halves that share nothing but the
+//! output load:
+//!
+//! * the **delay half** — the per-user delays (column maxima of the
+//!   flow-delay matrix), their maximum and `F(d_s)`. It reads the flow
+//!   delays only, never the flow matrix;
+//! * **the rest** — each stream's `μ_klu` terms are emitted in source
+//!   order into an `L×L` flow matrix, which is folded row-major into
+//!   the per-agent loads, followed by occupancy, the costs `G`, `H` and
+//!   `Φ_s = α1·F + α2·G + α3·H`.
+//!
+//! One evaluation touches only the agents the session actually uses
+//! (tracked in [`SessionLoad::touched`]) and clears only what it wrote,
+//! so steady-state evaluation is allocation-free.
 //!
 //! ## The hop hot path
 //!
@@ -43,8 +51,10 @@
 //! committed placement. The [neighbourhood kernel](crate::neighborhood)
 //! therefore compiles once per HOP and, per candidate, moves one entry
 //! of the local placement, re-derives only the flow delays that entry
-//! invalidates, folds, and reverts — the fold being this module's, the
-//! emitted addends and their order are those of a from-scratch
+//! invalidates, folds the delay half, hands the candidate to its caller
+//! — who folds the rest only if `(max delay, F)` did not already settle
+//! it — and reverts. Both halves being this module's, the emitted
+//! addends and their order are those of a from-scratch
 //! [`evaluate`](EvalScratch::evaluate) of the moved assignment, so the
 //! two are bit-equal. [`OverlayView`] remains the one-decision diff for
 //! callers that evaluate a single candidate from global ids.
@@ -201,6 +211,18 @@ impl SessionLoad {
     /// [`touched`](Self::touched) names (which covers every nonzero
     /// entry).
     pub fn clear(&mut self) {
+        self.clear_agents();
+        self.user_delay.clear();
+        self.max_flow_delay = 0.0;
+        self.delay_cost = 0.0;
+        self.traffic_cost = 0.0;
+        self.transcode_cost = 0.0;
+        self.phi = 0.0;
+    }
+
+    /// Zeroes the per-agent vectors at the agents
+    /// [`touched`](Self::touched) names, and empties that index.
+    fn clear_agents(&mut self) {
         for &a in &self.touched {
             let i = a as usize;
             self.download[i] = 0.0;
@@ -209,12 +231,6 @@ impl SessionLoad {
             self.transcode_units[i] = 0;
         }
         self.touched.clear();
-        self.user_delay.clear();
-        self.max_flow_delay = 0.0;
-        self.delay_cost = 0.0;
-        self.traffic_cost = 0.0;
-        self.transcode_cost = 0.0;
-        self.phi = 0.0;
     }
 
     /// Total inter-agent traffic of the session (Σ_l x_ls, Mbps) — the
@@ -445,6 +461,14 @@ impl Conference {
     }
 }
 
+/// One entry of a compiled placement: the user or the task (local
+/// index) a single decision moves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    User(usize),
+    Task(usize),
+}
+
 /// The small per-stream agent and representation sets of
 /// [`Conference::emit_stream`].
 #[derive(Debug, Default)]
@@ -517,10 +541,10 @@ impl EvalScratch {
         }
     }
 
-    /// Zeroes exactly what the previous evaluation (or a swapped-in
-    /// load) left behind.
-    fn clear(&mut self) {
-        self.load.clear();
+    /// Zeroes exactly what the previous fold (or a swapped-in load)
+    /// left in the per-agent vectors and the flow matrix.
+    fn clear_traffic(&mut self) {
+        self.load.clear_agents();
         for &(k, l) in &self.flow_cells {
             self.flows[k as usize * self.nl + l as usize] = 0.0;
         }
@@ -558,8 +582,7 @@ impl EvalScratch {
     /// — agents in `session.users()` / `tasks.of_session(s)` order — as
     /// the placement to weigh, and derives every flow's delay under it.
     /// [`fold`](Self::fold) then weighs that placement;
-    /// [`weigh_user_at`](Self::weigh_user_at) /
-    /// [`weigh_task_at`](Self::weigh_task_at) weigh it one decision away.
+    /// [`apply`](Self::apply) moves it one decision away.
     pub(crate) fn compile(
         &mut self,
         problem: &UapProblem,
@@ -567,6 +590,8 @@ impl EvalScratch {
         users: impl Iterator<Item = AgentId>,
         tasks: impl Iterator<Item = AgentId>,
     ) {
+        let inst = problem.instance();
+        self.ensure(inst.num_agents());
         self.conf.compile(problem, s);
         self.ua.clear();
         self.ua.extend(users);
@@ -577,7 +602,6 @@ impl EvalScratch {
             self.ua.len() == n && self.ta.len() == self.conf.tasks.len(),
             "placement does not cover the session"
         );
-        let inst = problem.instance();
         let ids = inst.session(s).users();
         self.delays.clear();
         self.delays.resize(n * n, 0.0);
@@ -592,53 +616,61 @@ impl EvalScratch {
         self.base_delays.clone_from(&self.delays);
     }
 
-    /// Weighs the compiled placement of session `s` with user `i`
-    /// (local index) moved to `a`: re-derives the `2(n−1)` flow delays
-    /// through that user, folds, and reverts the move.
-    pub(crate) fn weigh_user_at(
+    /// Moves entry `slot` of the compiled placement of session `s` to
+    /// `a`, re-derives the flow delays that invalidates — a user: the
+    /// `2(n−1)` flows through it; a task: the one flow it relays — and
+    /// folds the [delay half](Self::fold_delays). Returns the agent
+    /// moved from, for [`revert`](Self::revert).
+    pub(crate) fn apply(
         &mut self,
         problem: &UapProblem,
         s: SessionId,
-        i: usize,
+        slot: Slot,
         a: AgentId,
-    ) -> &SessionLoad {
+    ) -> AgentId {
         let inst = problem.instance();
         let ids = inst.session(s).users();
         let n = ids.len();
-        let base = std::mem::replace(&mut self.ua[i], a);
-        for j in 0..n {
-            if j != i {
-                self.delays[i * n + j] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
-                self.delays[j * n + i] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, j, i);
+        let base = match slot {
+            Slot::User(i) => {
+                let base = std::mem::replace(&mut self.ua[i], a);
+                for j in 0..n {
+                    if j != i {
+                        self.delays[i * n + j] =
+                            self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                        self.delays[j * n + i] =
+                            self.conf.flow_delay(inst, ids, &self.ua, &self.ta, j, i);
+                    }
+                }
+                base
             }
-        }
-        self.fold(problem);
-        self.ua[i] = base;
-        self.delays.copy_from_slice(&self.base_delays);
-        &self.load
+            Slot::Task(k) => {
+                let task = self.conf.tasks[k];
+                let (i, j) = (task.src as usize, task.dst as usize);
+                let base = std::mem::replace(&mut self.ta[k], a);
+                self.delays[i * n + j] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                base
+            }
+        };
+        self.fold_delays(problem);
+        base
     }
 
-    /// Weighs the compiled placement of session `s` with task `k`
-    /// (local index) moved to `a`: re-derives the delay of the one flow
-    /// it relays, folds, and reverts the move.
-    pub(crate) fn weigh_task_at(
-        &mut self,
-        problem: &UapProblem,
-        s: SessionId,
-        k: usize,
-        a: AgentId,
-    ) -> &SessionLoad {
-        let inst = problem.instance();
-        let ids = inst.session(s).users();
-        let task = self.conf.tasks[k];
-        let (i, j) = (task.src as usize, task.dst as usize);
-        let cell = i * ids.len() + j;
-        let base = std::mem::replace(&mut self.ta[k], a);
-        self.delays[cell] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
-        self.fold(problem);
-        self.ta[k] = base;
-        self.delays[cell] = self.base_delays[cell];
-        &self.load
+    /// Undoes [`apply`](Self::apply): entry `slot` back on `base`, the
+    /// delays as compiled. The load keeps whatever was folded.
+    pub(crate) fn revert(&mut self, slot: Slot, base: AgentId) {
+        match slot {
+            Slot::User(i) => {
+                self.ua[i] = base;
+                self.delays.copy_from_slice(&self.base_delays);
+            }
+            Slot::Task(k) => {
+                let task = self.conf.tasks[k];
+                let cell = task.src as usize * self.conf.num_users() + task.dst as usize;
+                self.ta[k] = base;
+                self.delays[cell] = self.base_delays[cell];
+            }
+        }
     }
 
     /// The compiled placement's agents: `(users, tasks)` by local index.
@@ -646,15 +678,49 @@ impl EvalScratch {
         (&self.ua, &self.ta)
     }
 
-    /// Weighs the compiled placement: every stream's `μ_klu` terms are
-    /// emitted in source order into the flow matrix, which is then
-    /// folded row-major into the per-agent loads, followed by the
-    /// transcoding occupancy, the delay maxima and the costs.
-    pub(crate) fn fold(&mut self, problem: &UapProblem) -> &SessionLoad {
+    /// Weighs the compiled placement: the [delay half](Self::fold_delays),
+    /// then [the rest](Self::fold_rest).
+    fn fold(&mut self, problem: &UapProblem) -> &SessionLoad {
+        self.fold_delays(problem);
+        self.fold_rest(problem)
+    }
+
+    /// The delay half of the fold — constraint (8) and `F(d_s)`: the
+    /// per-user delays, their maximum and the delay cost, from the flow
+    /// delays alone. It reads nothing the traffic half writes, so a
+    /// caller that can settle a candidate on these three may stop here.
+    ///
+    /// `d_v = max` over incoming flows `u→v`: a column maximum of the
+    /// delay matrix, whose diagonal is 0 and so never wins. Row by row
+    /// the `n` running maxima are independent of each other.
+    ///
+    /// Inlined into both callers: as a call of its own it costs a plain
+    /// `evaluate` ≈1.5 % (measured), which joins and evacuations pay.
+    #[inline]
+    pub(crate) fn fold_delays(&mut self, problem: &UapProblem) {
+        let n = self.conf.num_users();
+        self.load.user_delay.clear();
+        self.load.user_delay.resize(n, 0.0);
+        if n > 0 {
+            for row in self.delays.chunks_exact(n) {
+                for (d_v, &d) in self.load.user_delay.iter_mut().zip(row) {
+                    *d_v = d_v.max(d);
+                }
+            }
+        }
+        self.load.max_flow_delay = self.load.user_delay.iter().copied().fold(0.0, f64::max);
+        self.load.delay_cost = problem.cost().delay.cost(&self.load.user_delay);
+    }
+
+    /// The rest of the fold, completing the load whose
+    /// [delay half](Self::fold_delays) is in place: every stream's
+    /// `μ_klu` terms are emitted in source order into the flow matrix,
+    /// which is then folded row-major into the per-agent loads,
+    /// followed by the transcoding occupancy, the costs and `Φ_s`.
+    pub(crate) fn fold_rest(&mut self, problem: &UapProblem) -> &SessionLoad {
         let inst = problem.instance();
-        let nl = inst.num_agents();
-        self.ensure(nl);
-        self.clear();
+        let nl = self.nl;
+        self.clear_traffic();
         let n = self.conf.num_users();
 
         // --- Traffic accounting (constraints (5)/(6) and x_ls). ---------
@@ -710,20 +776,6 @@ impl EvalScratch {
             self.load.transcode_units[a.index()] += 1;
         }
 
-        // --- End-to-end delays d_uv (constraint (8) and F(d_s)). --------
-        // d_v = max over incoming flows u→v: a column maximum of the
-        // delay matrix, whose diagonal is 0 and so never wins. Row by
-        // row the n running maxima are independent of each other.
-        self.load.user_delay.resize(n, 0.0);
-        if n > 0 {
-            for row in self.delays.chunks_exact(n) {
-                for (d_v, &d) in self.load.user_delay.iter_mut().zip(row) {
-                    *d_v = d_v.max(d);
-                }
-            }
-        }
-        self.load.max_flow_delay = self.load.user_delay.iter().copied().fold(0.0, f64::max);
-
         // --- Costs (sparse: untouched agents contribute price·g(0) = 0,
         // and adding +0.0 leaves the ascending-order sum bitwise equal
         // to the dense one). ---------------------------------------------
@@ -732,7 +784,6 @@ impl EvalScratch {
             self.mark[a as usize] = false;
         }
         let cost = problem.cost();
-        self.load.delay_cost = cost.delay.cost(&self.load.user_delay);
         self.load.traffic_cost = self
             .load
             .touched

@@ -13,23 +13,33 @@
 //! so a HOP compiles its conference **once** ([`Neighborhood::begin`]):
 //! user and task positions, `θ` as a flow → task table, every `κ`, the
 //! demanded Mbps, the placement itself and every flow's delay, all in
-//! session-local dense indices. A candidate
-//! ([`Neighborhood::candidate`], or each step of
-//! [`Neighborhood::sweep`]) then applies its decision to that local
-//! placement, re-derives only the delays the decision invalidates — a
-//! task move: the one flow it relays; a user move: the `2(n−1)` flows
-//! through that user — re-weighs, and reverts. Re-weighing re-emits the
-//! streams from the local tables (a few comparisons each) and folds
-//! them through the same code [`EvalScratch::evaluate`] runs, so every
-//! float sum sees the same addends in the same order and the load is
-//! bit-equal to a from-scratch evaluation of the moved assignment
-//! (`tests/hop_equivalence.rs`). Per HOP that is one compilation of
-//! `O(n² + |T|)` lookups plus, per candidate, `O(n² + |T| log |T|)`
-//! arithmetic on local arrays with no id resolution at all. Nothing
-//! outlives the HOP: the kernel's buffers are the worker's
+//! session-local dense indices. A candidate then applies its decision
+//! to that local placement, re-derives only the delays the decision
+//! invalidates — a task move: the one flow it relays; a user move: the
+//! `2(n−1)` flows through that user — folds the *delay half* (per-user
+//! delays, their maximum, `F`), and is handed to the caller as a
+//! [`Probe`] **between** the two halves of the fold:
+//! [`Probe::max_flow_delay`] and [`Probe::phi_floor`] (`α1·F ≤ Φ`) are
+//! already exact, and [`Probe::fold`] runs the rest — re-emit the
+//! streams from the local tables, fold them, occupancy, costs — only if
+//! the caller asks. Then the move is reverted.
+//! [`sweep_lazy`](Neighborhood::sweep_lazy) enumerates probes;
+//! [`sweep`](Neighborhood::sweep) and
+//! [`candidate`](Neighborhood::candidate) fold every one. Both halves
+//! are the code [`EvalScratch::evaluate`] runs, so every float sum sees
+//! the same addends in the same order and a folded load is bit-equal to
+//! a from-scratch evaluation of the moved assignment
+//! (`tests/hop_equivalence.rs`), whichever of its neighbours were
+//! folded before it.
+//!
+//! Cost per HOP: one compilation of `O(n² + |T|)` lookups; per
+//! candidate one delay derivation and an `O(n²)` delay half; per
+//! candidate the caller could not settle on those, one
+//! `O(n² + |T| log |T|)` rest-fold. No id resolution after the compile,
+//! and nothing outlives the HOP: the kernel's buffers are the worker's
 //! [`EvalScratch`].
 
-use crate::evaluate::{EvalScratch, SessionLoad};
+use crate::evaluate::{EvalScratch, SessionLoad, Slot};
 use crate::{Decision, SystemState, UapProblem};
 use vc_model::{AgentId, SessionId};
 
@@ -40,6 +50,38 @@ pub struct Neighborhood<'a> {
     eval: &'a mut EvalScratch,
     problem: &'a UapProblem,
     s: SessionId,
+}
+
+/// One candidate of a [`Neighborhood`], applied to the local placement
+/// with its delays derived and the delay half of its fold done; the
+/// rest of the fold is the holder's call.
+#[derive(Debug)]
+pub struct Probe<'e> {
+    eval: &'e mut EvalScratch,
+    problem: &'e UapProblem,
+}
+
+impl<'e> Probe<'e> {
+    /// `max_{u,v} d_uv` of the candidate — the left side of the delay
+    /// constraint (8).
+    pub fn max_flow_delay(&self) -> f64 {
+        self.eval.load().max_flow_delay
+    }
+
+    /// `α1·F(d_s)` of the candidate: the leading addend of its `Φ_s`
+    /// and, the other two being non-negative, a lower bound of it that
+    /// holds in floating point
+    /// ([`ObjectiveWeights::combine`](vc_cost::ObjectiveWeights::combine)).
+    pub fn phi_floor(&self) -> f64 {
+        let cost = self.problem.cost();
+        cost.weights.delay_floor(self.eval.load().delay_cost)
+    }
+
+    /// Folds the rest and returns the candidate's complete load, which
+    /// stays in the [`EvalScratch`] until the next fold.
+    pub fn fold(self) -> &'e SessionLoad {
+        self.eval.fold_rest(self.problem)
+    }
 }
 
 impl<'a> Neighborhood<'a> {
@@ -76,56 +118,81 @@ impl<'a> Neighborhood<'a> {
         )
     }
 
+    /// Applies `slot → a`, shows the candidate to `visit`, reverts.
+    fn probe<R>(&mut self, slot: Slot, a: AgentId, visit: impl FnOnce(Probe<'_>) -> R) -> R {
+        let base = self.eval.apply(self.problem, self.s, slot, a);
+        let seen = visit(Probe {
+            eval: &mut *self.eval,
+            problem: self.problem,
+        });
+        self.eval.revert(slot, base);
+        seen
+    }
+
     /// Weighs the base placement with `decision` applied. Returns the
     /// decision's slot — the position of its user in `session.users()`
     /// or of its task in `tasks.of_session(s)` — and the load, which
     /// stays in the [`EvalScratch`] (for a commit to swap out) until
-    /// the next candidate.
+    /// the next fold.
     ///
     /// # Panics
     ///
     /// Panics if the decision's user or task is not the session's.
     pub fn candidate(&mut self, decision: Decision) -> (usize, &SessionLoad) {
-        let slot = match decision {
-            Decision::User(u, _) => (self.problem.instance().session(self.s).users().iter())
-                .position(|&w| w == u)
-                .expect("moved user belongs to the session"),
-            Decision::Task(t, _) => (self.problem.tasks().of_session(self.s).iter())
-                .position(|&w| w == t)
-                .expect("moved task belongs to the session"),
+        let (slot, a) = match decision {
+            Decision::User(u, a) => {
+                let i = (self.problem.instance().session(self.s).users().iter())
+                    .position(|&w| w == u)
+                    .expect("moved user belongs to the session");
+                (Slot::User(i), a)
+            }
+            Decision::Task(t, a) => {
+                let k = (self.problem.tasks().of_session(self.s).iter())
+                    .position(|&w| w == t)
+                    .expect("moved task belongs to the session");
+                (Slot::Task(k), a)
+            }
         };
-        let load = match decision {
-            Decision::User(_, a) => self.eval.weigh_user_at(self.problem, self.s, slot, a),
-            Decision::Task(_, a) => self.eval.weigh_task_at(self.problem, self.s, slot, a),
-        };
-        (slot, load)
+        self.probe(slot, a, |probe| {
+            probe.fold();
+        });
+        let (Slot::User(index) | Slot::Task(index)) = slot;
+        (index, self.eval.load())
     }
 
     /// The candidate enumerator: each user to each other agent, then
     /// each task to each other agent — ascending agents, targets
-    /// `allowed` refuses skipped — handing every weighed candidate to
-    /// `visit` in that order.
-    pub fn sweep(
+    /// `allowed` refuses skipped — handing every candidate to `visit`
+    /// in that order as a [`Probe`], unfolded.
+    pub fn sweep_lazy(
         &mut self,
         allowed: impl Fn(AgentId) -> bool,
-        mut visit: impl FnMut(Decision, &SessionLoad),
+        mut visit: impl FnMut(Decision, Probe<'_>),
     ) {
         let inst = self.problem.instance();
         let targets = || inst.agent_ids().filter(|&l| allowed(l));
         for (i, &u) in inst.session(self.s).users().iter().enumerate() {
             let current = self.eval.placement().0[i];
             for l in targets().filter(|&l| l != current) {
-                let load = self.eval.weigh_user_at(self.problem, self.s, i, l);
-                visit(Decision::User(u, l), load);
+                self.probe(Slot::User(i), l, |probe| visit(Decision::User(u, l), probe));
             }
         }
         for (k, &t) in self.problem.tasks().of_session(self.s).iter().enumerate() {
             let current = self.eval.placement().1[k];
             for l in targets().filter(|&l| l != current) {
-                let load = self.eval.weigh_task_at(self.problem, self.s, k, l);
-                visit(Decision::Task(t, l), load);
+                self.probe(Slot::Task(k), l, |probe| visit(Decision::Task(t, l), probe));
             }
         }
+    }
+
+    /// [`sweep_lazy`](Self::sweep_lazy) folding every candidate: `visit`
+    /// sees each complete load.
+    pub fn sweep(
+        &mut self,
+        allowed: impl Fn(AgentId) -> bool,
+        mut visit: impl FnMut(Decision, &SessionLoad),
+    ) {
+        self.sweep_lazy(allowed, |decision, probe| visit(decision, probe.fold()));
     }
 }
 
@@ -138,28 +205,6 @@ pub struct Move {
     pub new_phi: f64,
     /// The full evaluated load after the move (reusable on commit).
     pub new_load: SessionLoad,
-}
-
-/// Weighs every single-decision neighbour of session `s` at `state` and
-/// hands the feasible ones — target agent available, constraints
-/// (5)–(8) kept — to `visit`, in enumeration order. Returns the
-/// neighbourhood, so the caller can re-derive the move it picks.
-pub fn sweep_feasible<'a>(
-    state: &'a SystemState,
-    s: SessionId,
-    eval: &'a mut EvalScratch,
-    mut visit: impl FnMut(Decision, &SessionLoad),
-) -> Neighborhood<'a> {
-    let mut hood = Neighborhood::of_state(state, s, eval);
-    hood.sweep(
-        |l| state.is_agent_available(l),
-        |decision, load| {
-            if state.fits(s, load).is_ok() {
-                visit(decision, load);
-            }
-        },
-    );
-    hood
 }
 
 /// Enumerates all feasible single-decision moves of session `s`: each
@@ -188,13 +233,18 @@ fn collect_feasible(
     eval: &mut EvalScratch,
     out: &mut Vec<Move>,
 ) {
-    sweep_feasible(state, s, eval, |decision, load| {
-        out.push(Move {
-            decision,
-            new_phi: load.phi,
-            new_load: load.clone(),
-        })
-    });
+    Neighborhood::of_state(state, s, eval).sweep(
+        |l| state.is_agent_available(l),
+        |decision, load| {
+            if state.fits(s, load).is_ok() {
+                out.push(Move {
+                    decision,
+                    new_phi: load.phi,
+                    new_load: load.clone(),
+                })
+            }
+        },
+    );
 }
 
 /// The number of *potential* (not necessarily feasible) neighbors of
@@ -318,5 +368,117 @@ mod tests {
         for m in all_feasible_moves(&st) {
             assert_eq!(st.session_of(m.decision), SessionId::new(0));
         }
+    }
+
+    /// The named shapes of `tests/hop_equivalence.rs`, scattered: a
+    /// zero-bitrate rung, one transcoded representation shared by two
+    /// destinations, tasks on their source's and on their
+    /// destination's agent, conferences of 4, 2 and 3 users.
+    fn named_shapes() -> (Arc<UapProblem>, Assignment) {
+        use vc_cost::CostModel;
+        use vc_model::{AgentSpec, DownstreamDemand, InstanceBuilder, ReprId, ReprLadder};
+        let ladder = ReprLadder::from_steps([
+            ("audio", 0, 0),
+            ("480p", 480, 2_500),
+            ("720p", 720, 5_000),
+            ("1080p", 1080, 8_000),
+        ])
+        .unwrap();
+        let [r0, r1, r2, r3]: [ReprId; 4] = ladder.ids().collect::<Vec<_>>().try_into().unwrap();
+        let mut b = InstanceBuilder::new(ladder);
+        for i in 0..4 {
+            b.add_agent(AgentSpec::builder(format!("a{i}")).build());
+        }
+        let s0 = b.add_session();
+        let u0 = b.add_user(s0, r3, r1);
+        b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+        b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+        b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r3));
+        let s1 = b.add_session();
+        b.add_user(s1, r2, r1);
+        b.add_user(s1, r1, r1);
+        let s2 = b.add_session();
+        b.add_user(s2, r3, r2);
+        b.add_user(s2, r2, r2);
+        b.add_user(s2, r0, r2);
+        b.symmetric_delays(
+            |l, k| 12.0 + 5.0 * ((l as f64) - (k as f64)).abs(),
+            |l, u| 4.0 + ((l * 7 + u * 3) % 23) as f64,
+        );
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let mut asg = Assignment::all_to_agent(&problem, AgentId::new(0));
+        for u in problem.instance().user_ids() {
+            asg.set_user(u, AgentId::from((u.index() * 5 + 1) % 3));
+        }
+        for (k, (t, task)) in problem.tasks().iter().enumerate() {
+            // Alternately the source's and the destination's agent.
+            let host = if k % 2 == 0 { task.src } else { task.dst };
+            asg.set_task(t, asg.agent_of_user(host));
+        }
+        (problem, asg)
+    }
+
+    /// `delay half + rest ≡ fold`: on every candidate of every fixture,
+    /// what a [`Probe`] reports before the rest-fold is already the
+    /// finished load's, bit for bit, and a load folded after any mix of
+    /// folded and skipped neighbours is the from-scratch evaluation of
+    /// the moved assignment — `touched` included. A skipped candidate
+    /// leaves its delay half over the previous fold's traffic half;
+    /// neither may leak into the next fold.
+    #[test]
+    fn delay_half_plus_rest_is_the_fold_whatever_was_skipped() {
+        use crate::evaluate::evaluate_session;
+        let mut worlds = vec![named_shapes()];
+        for p in [two_agent_problem(), capacity_limited_problem()] {
+            let p = Arc::new(p);
+            let asg = Assignment::all_to_agent(&p, AgentId::new(1));
+            worlds.push((p, asg));
+        }
+        let mut eval = EvalScratch::new();
+        let (mut probed, mut folded) = (0, 0);
+        for (problem, asg) in &worlds {
+            let state = SystemState::new(problem.clone(), asg.clone());
+            // Fold every candidate, every 2nd, every 3rd, and none.
+            for stride in [1, 2, 3, usize::MAX] {
+                for s in problem.instance().session_ids() {
+                    let weights = problem.cost().weights;
+                    Neighborhood::of_state(&state, s, &mut eval).sweep_lazy(
+                        |_| true,
+                        |d, probe| {
+                            let mut moved = asg.clone();
+                            moved.apply(d);
+                            let fresh = evaluate_session(problem, &moved, s);
+                            let bits = f64::to_bits;
+                            assert_eq!(
+                                bits(probe.max_flow_delay()),
+                                bits(fresh.max_flow_delay),
+                                "{d}"
+                            );
+                            assert_eq!(
+                                bits(probe.phi_floor()),
+                                bits(weights.delay_floor(fresh.delay_cost)),
+                                "{d}"
+                            );
+                            assert!(probe.phi_floor() <= fresh.phi, "{d}: floor above Φ");
+                            probed += 1;
+                            if probed % stride == 0 {
+                                let load = probe.fold();
+                                assert_eq!(load, &fresh, "{d}");
+                                assert_eq!(bits(load.phi), bits(fresh.phi), "{d}");
+                                assert_eq!(load.touched, fresh.touched, "{d}");
+                                folded += 1;
+                            }
+                        },
+                    );
+                }
+            }
+        }
+        assert!(
+            probed > 250 && folded > 100 && folded < probed,
+            "{probed} {folded}"
+        );
     }
 }

@@ -76,11 +76,26 @@ impl ObjectiveWeights {
 
     /// Combines the three cost terms into the session objective
     /// `α1·F + α2·G + α3·H`.
+    ///
+    /// **Invariant: `G, H ≥ 0`.** Agent prices are validated finite and
+    /// non-negative (`vc_model::AgentSpec`), and every `g`/`h` shape is
+    /// non-negative on its clamped argument, so with the weights `≥ 0`
+    /// the two trailing addends are `≥ 0`; IEEE addition is monotone,
+    /// hence `combine(F, G, H) ≥ delay_floor(F)` holds in floating
+    /// point, not just in the reals. Alg. 1's Gibbs step prunes on it.
     #[inline]
     pub fn combine(&self, delay_cost: f64, traffic_cost: f64, transcode_cost: f64) -> f64 {
-        self.alpha_delay * delay_cost
+        self.delay_floor(delay_cost)
             + self.alpha_traffic * traffic_cost
             + self.alpha_transcode * transcode_cost
+    }
+
+    /// `α1·F`: the objective's delay term — its leading addend in
+    /// [`combine`](Self::combine) and, by the invariant there, a lower
+    /// bound of the objective known from the delays alone.
+    #[inline]
+    pub fn delay_floor(&self, delay_cost: f64) -> f64 {
+        self.alpha_delay * delay_cost
     }
 }
 
@@ -114,6 +129,20 @@ mod tests {
     fn combine_with_zero_weight_ignores_term() {
         let w = ObjectiveWeights::delay_only();
         assert_eq!(w.combine(100.0, 999.0, 999.0), 100.0);
+    }
+
+    /// The floor holds in floating point, awkward magnitudes included:
+    /// addends far below one ULP of `α1·F` round away, never down.
+    #[test]
+    fn combine_never_undercuts_the_delay_floor() {
+        let w = ObjectiveWeights::new(0.1, 8.0, 2.0);
+        for f in [0.0, 1e-300, 0.3, 123.456_789, 1e15, f64::MAX / 4.0] {
+            for g in [0.0, 5e-324, 1e-20, 0.7, 1e9] {
+                for h in [0.0, 5e-324, 1.0, 3e12] {
+                    assert!(w.combine(f, g, h) >= w.delay_floor(f), "F={f} G={g} H={h}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! per-agent [`speed_factor`](AgentSpec::speed_factor): more powerful
 //! agents transcode faster.
 
+use crate::ModelError;
 use serde::{Deserialize, Serialize};
 
 /// Resource capacities of one agent: the `{u_l, d_l, t_l}` triple.
@@ -104,6 +105,45 @@ impl AgentSpec {
     pub fn price_per_task(&self) -> f64 {
         self.price_per_task
     }
+
+    /// Checks what the builder asserts, for specs that did not come
+    /// through it (deserialized, journaled): both prices finite and
+    /// `≥ 0`, so the cost terms `G` and `H` they scale are never
+    /// negative — the objective's `Φ ≥ α1·F` floor rests on it.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::Inconsistent`] naming the offending price.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        for (what, v) in [
+            ("price per Mbps", self.price_per_mbps),
+            ("price per task", self.price_per_task),
+        ] {
+            if !is_valid_price(v) {
+                return Err(ModelError::Inconsistent(format!(
+                    "agent {}: {what} must be finite and ≥ 0, got {v}",
+                    self.name
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn is_valid_price(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
+#[cfg(test)]
+impl AgentSpec {
+    /// A default spec with the given prices installed unvalidated —
+    /// what deserialization can produce and the builder cannot.
+    pub(crate) fn with_prices_unchecked(name: &str, per_mbps: f64, per_task: f64) -> Self {
+        let mut spec = Self::builder(name).build();
+        spec.price_per_mbps = per_mbps;
+        spec.price_per_task = per_task;
+        spec
+    }
 }
 
 /// Builder for [`AgentSpec`] (non-consuming terminal not needed; cheap clone).
@@ -149,13 +189,29 @@ impl AgentBuilder {
     }
 
     /// Sets the unit price of inter-agent ingress bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is negative or not finite.
     pub fn price_per_mbps(mut self, v: f64) -> Self {
+        assert!(
+            is_valid_price(v),
+            "price per Mbps must be finite and ≥ 0, got {v}"
+        );
         self.spec.price_per_mbps = v;
         self
     }
 
     /// Sets the unit price of a transcoding task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is negative or not finite.
     pub fn price_per_task(mut self, v: f64) -> Self {
+        assert!(
+            is_valid_price(v),
+            "price per task must be finite and ≥ 0, got {v}"
+        );
         self.spec.price_per_task = v;
         self
     }
@@ -203,6 +259,43 @@ mod tests {
     #[should_panic(expected = "speed factor must be positive")]
     fn zero_speed_factor_panics() {
         let _ = AgentSpec::builder("x").speed_factor(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "price per Mbps must be finite and ≥ 0")]
+    fn negative_bandwidth_price_panics() {
+        let _ = AgentSpec::builder("x").price_per_mbps(-0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "price per task must be finite and ≥ 0")]
+    fn nan_task_price_panics() {
+        let _ = AgentSpec::builder("x").price_per_task(f64::NAN);
+    }
+
+    /// A spec that bypassed the builder (as a deserialized one can)
+    /// fails `validate` with the offending price named.
+    #[test]
+    fn validate_rejects_prices_the_builder_would() {
+        assert!(AgentSpec::builder("x")
+            .price_per_mbps(0.0)
+            .build()
+            .validate()
+            .is_ok());
+        for (mbps, task, what) in [
+            (-1.0, 1.0, "price per Mbps"),
+            (f64::INFINITY, 1.0, "price per Mbps"),
+            (1.0, -0.5, "price per task"),
+            (1.0, f64::NAN, "price per task"),
+        ] {
+            let err = AgentSpec::with_prices_unchecked("x", mbps, task)
+                .validate()
+                .expect_err("invalid price accepted");
+            assert!(
+                matches!(&err, ModelError::Inconsistent(m) if m.contains(what)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

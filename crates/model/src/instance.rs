@@ -372,8 +372,10 @@ impl Instance {
     /// # Errors
     ///
     /// [`ModelError`] if either delay vector is mis-sized or carries a
-    /// negative/non-finite entry.
+    /// negative/non-finite entry, or a price is negative/non-finite
+    /// ([`AgentSpec::validate`]).
     pub fn register_agent(&mut self, def: &AgentDef) -> Result<AgentId, ModelError> {
+        def.spec.validate()?;
         self.delays
             .push_agent(&def.inter_agent_ms, &def.user_delays_ms)?;
         let id = AgentId::from(self.agents.len());
@@ -725,14 +727,18 @@ impl InstanceBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError`] if delays are missing or mis-dimensioned, any
-    /// session is empty, there are no agents/users, any referenced
-    /// representation is outside the ladder, or `Dmax` is not positive.
+    /// session is empty, there are no agents/users, an agent's price is
+    /// negative or non-finite, any referenced representation is outside
+    /// the ladder, or `Dmax` is not positive.
     pub fn build(self) -> Result<Instance, ModelError> {
         if self.agents.is_empty() {
             return Err(ModelError::Inconsistent("no agents".into()));
         }
         if self.users.is_empty() {
             return Err(ModelError::Inconsistent("no users".into()));
+        }
+        for a in &self.agents {
+            a.validate()?;
         }
         for s in &self.sessions {
             if s.is_empty() {
@@ -1141,6 +1147,18 @@ mod tests {
             user_delays_ms: vec![3.0],
         };
         assert!(inst.register_agent(&bad_h).is_err());
+        assert_eq!(inst, before);
+        // A negative price would make the cost terms negative: typed
+        // refusal, nothing installed.
+        let bad_price = AgentDef {
+            spec: AgentSpec::with_prices_unchecked("c", -1.0, 1.0),
+            inter_agent_ms: vec![15.0, 25.0],
+            user_delays_ms: vec![3.0, 6.0],
+        };
+        assert!(matches!(
+            inst.register_agent(&bad_price),
+            Err(ModelError::Inconsistent(_))
+        ));
         assert_eq!(inst, before);
     }
 

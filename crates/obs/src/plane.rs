@@ -230,6 +230,10 @@ pub struct ObsPlane {
     swap_attempts: Vec<AtomicU64>,
     swap_conflicts: Vec<AtomicU64>,
     freeze_read_fast: AtomicU64,
+    /// Hop candidates settled from their delay half alone / folded in
+    /// full, summed over hops.
+    hop_candidates_bounded: AtomicU64,
+    hop_candidates_folded: AtomicU64,
     flight: FlightRecorder,
     trace: TraceRing,
     /// Lifecycle tracing gate, separate from `enabled` so the overhead
@@ -300,6 +304,8 @@ impl ObsPlane {
             swap_attempts,
             swap_conflicts,
             freeze_read_fast: AtomicU64::new(0),
+            hop_candidates_bounded: AtomicU64::new(0),
+            hop_candidates_folded: AtomicU64::new(0),
             flight: FlightRecorder::new(config.flight_capacity),
             trace: TraceRing::new(config.trace_shards, config.trace_capacity.max(1)),
             trace_on: AtomicBool::new(trace_on),
@@ -453,6 +459,28 @@ impl ObsPlane {
     /// Uncontended FREEZE read acquisitions so far.
     pub fn freeze_read_fast(&self) -> u64 {
         self.freeze_read_fast.load(Ordering::Relaxed)
+    }
+
+    /// Count one hop's candidates: `bounded` settled from their delay
+    /// half alone, `folded` weighed in full. Once per hop, no clock
+    /// read.
+    #[inline]
+    pub fn note_hop_candidates(&self, bounded: u32, folded: u32) {
+        if self.enabled() {
+            self.hop_candidates_bounded
+                .fetch_add(u64::from(bounded), Ordering::Relaxed);
+            self.hop_candidates_folded
+                .fetch_add(u64::from(folded), Ordering::Relaxed);
+        }
+    }
+
+    /// `(bounded, folded)` hop candidates so far — the pruning rate of
+    /// the lazy Gibbs step is `bounded / (bounded + folded)`.
+    pub fn hop_candidates(&self) -> (u64, u64) {
+        (
+            self.hop_candidates_bounded.load(Ordering::Relaxed),
+            self.hop_candidates_folded.load(Ordering::Relaxed),
+        )
     }
 
     /// Per-shard `(attempts, conflicts)` swap counters.
@@ -693,10 +721,16 @@ mod tests {
         assert!(plane.timer().is_none());
         plane.note_swap(0, true);
         plane.note_freeze_read_fast();
+        plane.note_hop_candidates(40, 12);
         plane.note_op(OpKind::Hop, 1, 2);
         plane.note_trace(TraceKind::Registered, 1, 0);
         assert_eq!(plane.swap_counters()[0], (0, 0));
         assert_eq!(plane.freeze_read_fast(), 0);
+        assert_eq!(plane.hop_candidates(), (0, 0));
+        plane.set_enabled(true);
+        plane.note_hop_candidates(40, 12);
+        plane.note_hop_candidates(1, 0);
+        assert_eq!(plane.hop_candidates(), (41, 12));
         assert_eq!(plane.flight().total(), 0);
         assert_eq!(plane.trace().total(), 0);
     }

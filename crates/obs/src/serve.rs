@@ -44,6 +44,11 @@ pub fn prometheus_text(plane: &ObsPlane) -> String {
         "vc_obs_freeze_read_fast {}\n",
         plane.freeze_read_fast()
     ));
+    let (bounded, folded) = plane.hop_candidates();
+    out.push_str("# TYPE vc_obs_hop_candidates_bounded counter\n");
+    out.push_str(&format!("vc_obs_hop_candidates_bounded {bounded}\n"));
+    out.push_str("# TYPE vc_obs_hop_candidates_folded counter\n");
+    out.push_str(&format!("vc_obs_hop_candidates_folded {folded}\n"));
     out.push_str("# TYPE vc_obs_swap_attempts counter\n");
     out.push_str("# TYPE vc_obs_swap_conflicts counter\n");
     for (shard, (attempts, conflicts)) in plane.swap_counters().iter().enumerate() {

@@ -59,7 +59,7 @@ use vc_algo::admission::{
     AdmissionTier,
 };
 use vc_algo::agrank::{AgRankConfig, Residuals};
-use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
+use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
     AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView, SessionLoad,
@@ -1544,9 +1544,6 @@ impl Fleet {
             last_delta_phi,
             last_swap_conflict,
         } = scratch;
-        hop.decisions.clear();
-        hop.phis.clear();
-        let d_max_ms = problem.instance().d_max_ms();
         let mut hood = Neighborhood::begin(
             &mut hop.eval,
             problem,
@@ -1554,40 +1551,28 @@ impl Fleet {
             slot.users.iter().copied(),
             slot.tasks.iter().copied(),
         );
-        hood.sweep(
-            |l| universe.available[l.index()],
-            |d, load| {
-                if fits(load, &slot.load, residuals, d_max_ms) {
-                    hop.decisions.push(d);
-                    hop.phis.push(load.phi);
-                }
-            },
-        );
-        if hop.decisions.is_empty() {
+        let d_max_ms = problem.instance().d_max_ms();
+        let ctx = HopContext {
+            beta: self.engine.config().beta,
+            phi_now: slot.load.phi,
+            d_max_ms,
+            allowed: |l: AgentId| universe.available[l.index()],
+            fits: |load: &SessionLoad| fits(load, &slot.load, residuals, d_max_ms),
+        };
+        let outcome = self
+            .engine
+            .gibbs_step(&mut hood, ctx, &mut hop.candidates, rng);
+        self.obs
+            .note_hop_candidates(hop.candidates.bounded, hop.candidates.folded);
+        let HopOutcome::Migrated(decision) = outcome else {
             self.counters.stays.fetch_add(1, Ordering::Relaxed);
             self.note_stay();
-            return HopOutcome::NoFeasibleMove;
-        }
-        let phi_now = self.engine.observe(slot.load.phi, rng);
-        for phi in &mut hop.phis {
-            *phi = self.engine.observe(*phi, rng);
-        }
-        let chosen = self.engine.gibbs_select(
-            self.engine.config().beta,
-            phi_now,
-            &hop.phis,
-            &mut hop.exponents,
-            rng,
-        );
-        if chosen == 0 {
-            self.counters.stays.fetch_add(1, Ordering::Relaxed);
-            self.note_stay();
-            return HopOutcome::Stayed;
-        }
-        // The kernel re-derives the chosen candidate (same bits as when
-        // it was weighed) and names its slot, which serves both the
-        // journaled old assignment and the commit below.
-        let decision = hop.decisions[chosen - 1];
+            return outcome;
+        };
+        // The kernel derives the drawn candidate's load (the bits its
+        // fold during the sweep gave, or would have given) and names
+        // its slot, which serves both the journaled old assignment and
+        // the commit below.
         let (slot_idx, load) = hood.candidate(decision);
         let swap = self.ledger.try_swap(s, SessionHold::from_load(load));
         // Attempt/conflict counters keyed by session — no clock reads;

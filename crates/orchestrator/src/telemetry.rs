@@ -325,6 +325,11 @@ fleet_snapshot! {
     /// Whether the journal is running buffered-degraded (fsync retries
     /// exhausted; events held in memory until healed).
     durability_degraded: bool,
+    /// Hop candidates settled from their delay half alone so far (over
+    /// the delay bound, or Gibbs weight proven on the clamp): no fold.
+    hop_candidates_bounded: usize,
+    /// Hop candidates folded in full so far.
+    hop_candidates_folded: usize,
 }
 
 /// Accumulates snapshots; any gauge reads back as a time
@@ -368,6 +373,7 @@ impl FleetTelemetry {
         }
         let c = fleet.counters();
         let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
+        let (bounded, folded) = fleet.obs().hop_candidates();
         let snapshot = FleetSnapshot {
             time_s: t_s,
             universe_sessions,
@@ -404,6 +410,8 @@ impl FleetTelemetry {
             displaced: load(&c.displaced),
             readmit_queued: fleet.readmit_queue_len(),
             durability_degraded: fleet.durability_degraded(),
+            hop_candidates_bounded: bounded as usize,
+            hop_candidates_folded: folded as usize,
         };
         self.snapshots.push(snapshot.clone());
         snapshot

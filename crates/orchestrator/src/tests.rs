@@ -224,6 +224,25 @@ fn hops_keep_ledger_in_sync() {
             .load(std::sync::atomic::Ordering::Relaxed)
             > 0
     );
+    // The lazy Gibbs step's accounting reaches the plane, the snapshot
+    // and `/metrics`: every candidate of every hop was either settled
+    // by its delays or folded, and at β = 400 both happen.
+    let (bounded, folded) = f.obs().hop_candidates();
+    assert!(
+        bounded > 0 && folded > 0,
+        "{bounded} bounded, {folded} folded"
+    );
+    let snapshot = crate::telemetry::FleetTelemetry::new().sample(&f, 0.0);
+    assert_eq!(
+        (
+            snapshot.hop_candidates_bounded,
+            snapshot.hop_candidates_folded
+        ),
+        (bounded as usize, folded as usize)
+    );
+    let metrics = vc_obs::prometheus_text(f.obs());
+    assert!(metrics.contains(&format!("vc_obs_hop_candidates_bounded {bounded}\n")));
+    assert!(metrics.contains(&format!("vc_obs_hop_candidates_folded {folded}\n")));
 }
 
 #[test]
@@ -990,14 +1009,15 @@ mod persistence {
         let t = &report.telemetry;
         let n = t.snapshots().len();
         let gauges = crate::telemetry::FleetSnapshot::GAUGES;
-        assert_eq!(gauges.len(), 27);
+        assert_eq!(gauges.len(), 29);
         for name in gauges {
             assert_eq!(t.series(name).len(), n, "series {name} is missing samples");
         }
         let csv = t.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().expect("header");
-        assert_eq!(header.split(',').count(), 28);
+        assert_eq!(header.split(',').count(), 30);
+        assert!(header.ends_with(",hop_candidates_bounded,hop_candidates_folded"));
         assert_eq!(lines.count(), n);
         // Admissions are cumulative and should end ≥ warm pool.
         assert!(t.series("admitted").last_value().expect("samples") >= 4.0);

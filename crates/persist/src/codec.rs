@@ -459,6 +459,15 @@ impl Decode for AgentSpec {
                 tag: 0,
             });
         }
+        // Likewise the prices: finite and ≥ 0, or the frame is corrupt.
+        for price in [price_per_mbps, price_per_task] {
+            if !(price.is_finite() && price >= 0.0) {
+                return Err(CodecError::BadTag {
+                    what: "AgentSpec (negative or non-finite price)",
+                    tag: 0,
+                });
+            }
+        }
         Ok(AgentSpec::builder(name)
             .capacity(capacity)
             .speed_factor(speed_factor)
@@ -554,6 +563,26 @@ mod tests {
             decode_exact::<Decision>(&[9, 0, 0, 0, 0, 0, 0, 0, 0]),
             Err(CodecError::BadTag { .. })
         ));
+    }
+
+    /// A frame whose price bytes were corrupted into a negative or NaN
+    /// value decodes to a typed error — the builder's assertion is
+    /// never reached.
+    #[test]
+    fn corrupt_agent_price_is_an_error_not_a_panic() {
+        let spec = AgentSpec::builder("tokyo").price_per_mbps(0.5).build();
+        let bytes = encode_to_vec(&spec);
+        round_trip(spec);
+        // The encoding ends with the two prices, 8 bytes each.
+        for (offset, bad) in [(16, -0.5f64), (16, f64::NAN), (8, -1.0), (8, f64::INFINITY)] {
+            let mut corrupt = bytes.clone();
+            let at = corrupt.len() - offset;
+            corrupt[at..at + 8].copy_from_slice(&encode_to_vec(&bad));
+            assert!(matches!(
+                decode_exact::<AgentSpec>(&corrupt),
+                Err(CodecError::BadTag { .. })
+            ));
+        }
     }
 
     #[test]

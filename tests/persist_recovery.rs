@@ -318,6 +318,8 @@ fn fleet_snapshot_strategy() -> impl Strategy<Value = FleetSnapshot> {
             displaced: c.3 / 2,
             readmit_queued: c.3 / 4,
             durability_degraded: d.1 % 2 == 1,
+            hop_candidates_bounded: c.3 * 40,
+            hop_candidates_folded: c.3 * 11,
         })
 }
 

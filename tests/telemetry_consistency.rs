@@ -269,10 +269,12 @@ proptest! {
                 fields[14].parse::<f64>().unwrap(),
                 snap.admission_success_rate
             );
-            prop_assert_eq!(
-                fields[columns - 1].parse::<usize>().unwrap(),
-                snap.conservation_violations
-            );
+            let column = |name: &str| {
+                let at = lines[0].split(',').position(|c| c == name).expect("a column");
+                fields[at].parse::<usize>().unwrap()
+            };
+            prop_assert_eq!(column("conservation_violations"), snap.conservation_violations);
+            prop_assert_eq!(column("hop_candidates_folded"), snap.hop_candidates_folded);
         }
     }
 
