@@ -258,7 +258,6 @@ pub fn run(sizes: &[usize], seed: u64) -> AdmissionParityResult {
 }
 
 /// Serializes the result as the `BENCH_admission.json` document
-/// (hand-rolled: the vendored serde is a no-op shim).
 pub fn to_json(result: &AdmissionParityResult) -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())

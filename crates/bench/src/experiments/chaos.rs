@@ -20,9 +20,8 @@
 //!    the fault-free baseline by at most one point.
 //!
 //! Every quantity here is virtual-clock deterministic given the seed,
-//! so the regression gate (`experiments -- check chaos`) compares the
-//! fractions exactly and forbids the `parity`/`healed` booleans from
-//! flipping.
+//! so `experiments -- check chaos` requires the fractions and the
+//! `parity`/`healed` booleans to reproduce exactly.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -400,7 +399,6 @@ pub fn run(scales: &[usize], seed: u64) -> ChaosResult {
 }
 
 /// Serializes the result as the `BENCH_chaos.json` document
-/// (hand-rolled: the vendored serde is a no-op shim).
 pub fn to_json(result: &ChaosResult) -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())

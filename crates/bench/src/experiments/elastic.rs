@@ -73,8 +73,7 @@ pub struct ElasticResult {
     /// Mean-pool ratio between the last and first tiers.
     pub pool_growth: f64,
     /// Whole-run registration throughput (every register over the sum
-    /// of all per-tier register time — the gated aggregate; per-tier
-    /// rates integrate too little wall-clock time to gate).
+    /// of all per-tier register time).
     pub registers_per_s: f64,
     /// Last-tier median register cost over first-tier median register
     /// cost (medians, not means: a single scheduler blip in the
@@ -303,11 +302,7 @@ pub fn run(seed_users: usize, tiers: usize, seed: u64) -> ElasticResult {
     }
 }
 
-/// Serializes the result as the `BENCH_elastic.json` document
-/// (hand-rolled: the vendored serde is a no-op shim). The per-tier
-/// array is named `tiers`, not `rows`, so the regression gate compares
-/// only the whole-run aggregates — a single tier integrates too little
-/// wall-clock time to gate.
+/// Serializes the result as the `BENCH_elastic.json` document.
 pub fn to_json(result: &ElasticResult) -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())

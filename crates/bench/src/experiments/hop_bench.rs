@@ -1,5 +1,8 @@
-//! Hop-throughput experiment (extension): establishes the perf
-//! trajectory of the Alg. 1 HOP hot path and emits `BENCH_hop.json`.
+//! Hop experiment (extension): what a hop weighs, what it allocates and
+//! whether racing threads conserve, emitted as `BENCH_hop.json`. Its
+//! gated outputs are the allocation bound and the conservation audits;
+//! its clock readings are on file for the record (`check` prints them
+//! against the committed ones, `fleetbench` is what gates hop speed).
 //!
 //! Two measurements per fleet size (1k / 10k / 100k sessions by
 //! default):
@@ -22,9 +25,8 @@
 //!   contention counters of that run are always reported.
 //!
 //! The concurrent section also profiles the sharded timer-wheel
-//! scheduler itself: batched registration throughput (`register_per_s`
-//! — the top-level aggregate is the gated signal, per-row samples are
-//! informational), per-run shard-lock acquire/conflict counters, the
+//! scheduler itself: batched registration throughput
+//! (`register_per_s`), per-run shard-lock acquire/conflict counters, the
 //! `sched_lock_wait` p99 under 4-thread contention, and how many stale
 //! (lazily cancelled) entries cascades reclaimed. The 100k-session row
 //! exists specifically to exercise wakeup dispatch at a depth where
@@ -33,8 +35,7 @@
 //! A third section, `conference_sizes`, re-runs the scratch loop alone
 //! at one fleet size with conferences capped at 5, 8 and 16 users
 //! (default) — the axis along which both the candidate count and the
-//! cost of one fold grow. Its rows are keyed by `max_session_size`, not
-//! `sessions`, so `check` reports them without gating them.
+//! cost of one fold grow.
 //!
 //! Allocations are counted by the `experiments` binary's counting
 //! global allocator, surfaced through [`vc_obs::allocs_now`] (the
@@ -96,7 +97,6 @@ pub struct HopBenchRow {
     /// Timer-wheel shards in the wakeup scheduler.
     pub sched_shards: usize,
     /// Batched registration throughput (sessions/s, 1-thread fleet).
-    /// Per-row sample; the top-level aggregate is the gated signal.
     pub register_per_s: f64,
     /// Scheduler shard-lock acquisitions during the 4-thread run.
     pub sched_lock_acquires: u64,
@@ -135,11 +135,6 @@ pub struct HopBenchResult {
     pub rows: Vec<HopBenchRow>,
     /// One row per conference-size cap, at one fleet size.
     pub conference_sizes: Vec<ConferenceSizeRow>,
-    /// Aggregate batched-registration throughput (sessions/s) across
-    /// all rows' 1-thread fleets — integrates the most wall-clock at
-    /// the largest sizes, so it is the regression-gated signal (the
-    /// same-named per-row samples are superseded by it).
-    pub register_per_s: f64,
 }
 
 /// A universe of ≈`sessions · 6/5` conferences of 2..=`max_session_size`
@@ -238,10 +233,8 @@ fn run_scratch(problem: &Arc<UapProblem>, beta: f64, seed: u64) -> ScratchRun {
     }
 }
 
-/// One size's row plus the 1-thread fleet's batched-registration
-/// measurement `(registered sessions, elapsed seconds)` — raw inputs
-/// for the top-level aggregate rate.
-fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, usize, f64) {
+/// One fleet size's row.
+fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> HopBenchRow {
     let problem = build_problem(sessions_target, 3, seed);
     let num_sessions = problem.instance().num_sessions();
     let beta = 400.0;
@@ -252,8 +245,7 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
     let mut violations = 0usize;
     let mut wall_summary = vc_obs::HistSummary::default();
     let mut sched_shards = 0usize;
-    let mut reg_sessions = 0usize;
-    let mut reg_elapsed_s = 0.0f64;
+    let mut register_per_s = 0.0f64;
     let mut lock_acquires = 0u64;
     let mut lock_conflicts = 0u64;
     let mut lock_wait_p99_us = 0.0f64;
@@ -294,8 +286,7 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
         if threads == 1 {
             wall_summary = fleet.obs().summary(Site::Hop);
             sched_shards = pool.num_shards();
-            reg_sessions = admitted.len();
-            reg_elapsed_s = reg_s;
+            register_per_s = admitted.len() as f64 / reg_s.max(1e-9);
         } else {
             // Contention profile where contention is possible: the
             // 4-thread run races workers over the shard locks.
@@ -310,7 +301,7 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
         }
     }
 
-    let row = HopBenchRow {
+    HopBenchRow {
         sessions: num_sessions,
         users: problem.instance().num_users(),
         agents: problem.instance().num_agents(),
@@ -320,14 +311,13 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> (HopBenchRow, us
         wall_hop_p50_us: wall_summary.p50_ns as f64 / 1e3,
         wall_hop_p99_us: wall_summary.p99_ns as f64 / 1e3,
         sched_shards,
-        register_per_s: reg_sessions as f64 / reg_elapsed_s.max(1e-9),
+        register_per_s,
         sched_lock_acquires: lock_acquires,
         sched_lock_conflicts: lock_conflicts,
         sched_lock_wait_p99_us: lock_wait_p99_us,
         sched_stale_reclaimed: stale_reclaimed,
         conservation_violations: violations,
-    };
-    (row, reg_sessions, reg_elapsed_s)
+    }
 }
 
 /// Runs the hop benchmark across fleet sizes, then the scratch loop
@@ -341,15 +331,9 @@ pub fn run(
     wall_ms: u64,
     seed: u64,
 ) -> HopBenchResult {
-    let mut rows = Vec::with_capacity(sizes.len());
-    let mut reg_total_sessions = 0usize;
-    let mut reg_total_s = 0.0f64;
-    for &target in sizes {
-        let (row, reg_sessions, reg_s) = run_size(target, wall_ms, seed);
-        reg_total_sessions += reg_sessions;
-        reg_total_s += reg_s;
-        rows.push(row);
-    }
+    let rows = (sizes.iter())
+        .map(|&target| run_size(target, wall_ms, seed))
+        .collect();
     let (axis_sessions, caps) = size_axis;
     let conference_sizes = (caps.iter())
         .map(|&max_session_size| {
@@ -365,7 +349,6 @@ pub fn run(
     HopBenchResult {
         rows,
         conference_sizes,
-        register_per_s: reg_total_sessions as f64 / reg_total_s.max(1e-9),
     }
 }
 
@@ -377,16 +360,11 @@ fn cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// Serializes the result as the `BENCH_hop.json` document (hand-rolled:
-/// the vendored serde is a no-op shim).
+/// Serializes the result as the `BENCH_hop.json` document.
 pub fn to_json(result: &HopBenchResult) -> String {
     let mut out = format!(
-        concat!(
-            "{{\n  \"experiment\": \"hop_bench\",\n  \"cpus\": {cpus},\n",
-            "  \"register_per_s\": {rps:.1},\n  \"rows\": [\n"
-        ),
-        cpus = cpus(),
-        rps = result.register_per_s,
+        "{{\n  \"experiment\": \"hop_bench\",\n  \"cpus\": {},\n  \"rows\": [\n",
+        cpus()
     );
     for (i, r) in result.rows.iter().enumerate() {
         let wall_4t = r.wall_4t.map_or(String::new(), |(rate, scaling)| {
@@ -527,10 +505,7 @@ pub fn print(result: &HopBenchResult) {
             r.conservation_violations,
         );
     }
-    println!(
-        "\nWakeup scheduler (sharded timer wheel) — aggregate batched registration {:.0} sessions/s",
-        result.register_per_s
-    );
+    println!("\nWakeup scheduler (sharded timer wheel, batched registration)");
     println!(
         "{:>9} {:>7} {:>14} {:>13} {:>12} {:>13} {:>10}",
         "sessions", "shards", "register/s", "lock acq 4t", "conflicts", "wait p99 µs", "reclaimed"
@@ -583,7 +558,7 @@ mod tests {
         // Scheduler profile: shards present, registration timed, and
         // conflicts bounded by acquisitions.
         assert!(r.sched_shards > 0);
-        assert!(r.register_per_s > 0.0 && result.register_per_s > 0.0);
+        assert!(r.register_per_s > 0.0);
         assert!(r.sched_lock_conflicts <= r.sched_lock_acquires);
         let json = to_json(&result);
         assert!(json.contains("\"hop_bench\""));

@@ -16,9 +16,6 @@ pub mod fig9;
 pub mod hop_bench;
 pub mod migration;
 pub mod obs_overhead;
-pub mod open_world;
-pub mod orchestrator;
-pub mod persist;
 pub mod robust;
 pub mod table2;
 pub mod theorem1;

@@ -342,7 +342,6 @@ pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> 
 }
 
 /// Serializes the result as the `BENCH_obs_overhead.json` document
-/// (hand-rolled: the vendored serde is a no-op shim).
 pub fn to_json(result: &ObsOverheadResult) -> String {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())

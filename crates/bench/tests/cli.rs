@@ -29,6 +29,27 @@ fn unknown_experiment_id_exits_non_zero() {
 }
 
 #[test]
+fn retired_ids_are_refused_and_no_longer_listed() {
+    // `fleetbench` measures what these three timed; an automation
+    // script still naming one must fail, not run nothing.
+    for retired in ["persist", "open_world", "orchestrator"] {
+        let out = experiments().arg(retired).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "'{retired}' must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown experiment id '{retired}'")),
+            "stderr must name the problem: {stderr}"
+        );
+        let listed: Vec<&str> = stderr.lines().skip(1).map(str::trim).collect();
+        assert!(listed.contains(&"hop_bench") && listed.contains(&"all"));
+        assert!(
+            !listed.contains(&retired),
+            "'{retired}' is still listed as a valid id: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_id_mixed_with_valid_ones_still_fails() {
     // The refusal must cover argument lists that *start* valid: nothing
     // may run before the parse completes.

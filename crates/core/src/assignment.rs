@@ -7,12 +7,11 @@
 //! paper can never violate them.
 
 use crate::{TaskId, UapProblem};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vc_model::{AgentId, UserId};
 
 /// A complete assignment: `λ` (user → agent) and `γ` (task → agent).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Assignment {
     user_agent: Vec<AgentId>,
     task_agent: Vec<AgentId>,
@@ -138,7 +137,7 @@ impl Assignment {
 ///
 /// The Markov chain of Alg. 1 only links states that differ by one such
 /// decision, which keeps migration overhead minimal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// Move user to agent.
     User(UserId, AgentId),

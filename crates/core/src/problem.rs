@@ -1,14 +1,13 @@
 //! The optimizable problem: instance + derived task table + cost model.
 
 use crate::TaskTable;
-use serde::{Deserialize, Serialize};
 use vc_cost::CostModel;
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 
 /// A complete UAP problem: the conferencing instance, the transcoding
 /// tasks derived from its `θ` matrix, and the cost model defining the
 /// objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UapProblem {
     instance: Instance,
     tasks: TaskTable,

@@ -7,12 +7,11 @@
 //! [`TaskId`]s, and indexes them by session and by source user — the
 //! latter is what the `ν_lru` occupancy computation iterates over.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vc_model::{Instance, ModelError, ReprId, SessionId, UserId};
 
 /// Dense identifier of a transcoding task (a `(u, v)` flow with `θ = 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -40,7 +39,7 @@ impl fmt::Display for TaskId {
 }
 
 /// One transcoding task: convert `src`'s upstream into `target` for `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranscodeTask {
     /// Source user `u` whose stream is transcoded.
     pub src: UserId,
@@ -51,7 +50,7 @@ pub struct TranscodeTask {
 }
 
 /// Enumeration and indexing of all transcoding tasks of an instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskTable {
     tasks: Vec<TranscodeTask>,
     by_session: Vec<Vec<TaskId>>,

@@ -1,11 +1,9 @@
 //! Convex increasing bandwidth cost shapes `g_l(·)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a convex, increasing bandwidth cost function evaluated on
 /// inter-agent ingress traffic `x` (Mbit/s). The per-agent unit price is
 /// applied multiplicatively by the caller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BandwidthCost {
     /// `g(x) = x` — cost units equal Mbps, the paper's reporting choice.
     Linear,

@@ -1,10 +1,8 @@
 //! Delay cost `F(d_s)` over a session's per-user worst receive delays.
 
-use serde::{Deserialize, Serialize};
-
 /// Convex increasing delay cost over the vector `d_s = [d_u]` of per-user
 /// worst receive delays (ms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DelayCost {
     /// `F(d_s) = (Σ_u d_u)/|U(s)|` — the paper's example choice.
     #[default]

@@ -26,10 +26,8 @@ pub use delay::DelayCost;
 pub use transcode::TranscodeCost;
 pub use weights::ObjectiveWeights;
 
-use serde::{Deserialize, Serialize};
-
 /// Complete cost model: shapes of `g_l`, `h_l` and `F` plus the α weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Shape of the per-agent bandwidth cost `g_l` (scaled by the agent's
     /// `price_per_mbps`).

@@ -1,11 +1,9 @@
 //! Convex transcoding cost shapes `h_l(·)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a convex transcoding cost function evaluated on the number of
 /// concurrent transcoding tasks `y` at an agent. The per-agent unit price
 /// is applied multiplicatively by the caller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TranscodeCost {
     /// `h(y) = y` — each task costs one price unit.
     Linear,

@@ -9,10 +9,8 @@
 //! traffic cuts at roughly unchanged delay) — and prices a transcoding
 //! task at 2 units. Raw constructors allow arbitrary sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// Non-negative weights of the three objective terms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveWeights {
     alpha_delay: f64,
     alpha_traffic: f64,

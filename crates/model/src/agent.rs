@@ -9,10 +9,9 @@
 //! agents transcode faster.
 
 use crate::ModelError;
-use serde::{Deserialize, Serialize};
 
 /// Resource capacities of one agent: the `{u_l, d_l, t_l}` triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Capacity {
     /// Upload capacity `u_l` in Mbit/s.
     pub upload_mbps: f64,
@@ -53,7 +52,7 @@ impl Default for Capacity {
 }
 
 /// Static description of one cloud agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentSpec {
     name: String,
     capacity: Capacity,

@@ -7,7 +7,6 @@
 //! (e.g. the Fig. 2 scenario).
 
 use crate::{AgentId, ModelError, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Dense row-major `rows×cols` matrix of `f64`.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// amortized instead of a full `O(rows×cols)` restride — the primitive
 /// behind sublinear open-world growth. Padding cells are never part of
 /// the matrix: equality, extrema, and validation see logical cells only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -205,7 +204,7 @@ impl Matrix {
 ///
 /// `inter_agent` is `D = [D_lk]` (`L×L`, one-way ms, zero diagonal);
 /// `agent_user` is `H = [H_lu]` (`L×U`, one-way ms).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayMatrices {
     inter_agent: Matrix,
     agent_user: Matrix,

@@ -5,15 +5,12 @@
 //! lookup an array access while the newtypes prevent mixing, say, a user
 //! index with an agent index.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u32);
 
         impl $name {

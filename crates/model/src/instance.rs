@@ -28,12 +28,11 @@ use crate::{
     AgentId, AgentSpec, Capacity, DelayMatrices, DownstreamDemand, Matrix, ModelError, ReprId,
     ReprLadder, SessionId, SessionSpec, TranscodeLatencyModel, UserId, UserSpec, DEFAULT_D_MAX_MS,
 };
-use serde::{Deserialize, Serialize};
 
 /// Definition of one user of a to-be-registered conference: everything
 /// [`Instance::register_user`] needs that the instance cannot derive
 /// itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserDef {
     /// `r^u_u`: the representation the user produces.
     pub upstream: ReprId,
@@ -50,7 +49,7 @@ pub struct UserDef {
 
 /// Definition of one never-before-seen conference, registered online
 /// via [`Instance::register_session`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionDef {
     /// The conference's members (at least one).
     pub users: Vec<UserDef>,
@@ -97,7 +96,7 @@ impl SessionDef {
 /// Definition of one never-before-seen agent, registered online via
 /// [`Instance::register_agent`] — the agent-axis twin of
 /// [`SessionDef`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentDef {
     /// The agent's name, capacity, speed factor, and prices.
     pub spec: AgentSpec,
@@ -132,7 +131,7 @@ impl AgentDef {
 }
 
 /// A complete, validated conferencing problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     ladder: ReprLadder,
     agents: Vec<AgentSpec>,

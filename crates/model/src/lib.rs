@@ -37,6 +37,7 @@
 mod agent;
 mod delay;
 mod error;
+mod fleet_trace;
 mod ids;
 mod instance;
 mod repr;
@@ -48,6 +49,7 @@ mod user;
 pub use agent::{AgentBuilder, AgentSpec, Capacity};
 pub use delay::{DelayMatrices, Matrix};
 pub use error::ModelError;
+pub use fleet_trace::{FleetEvent, FleetTrace};
 pub use ids::{id_range, AgentId, ReprId, SessionId, UserId};
 pub use instance::{AgentDef, Instance, InstanceBuilder, SessionDef, UserDef};
 pub use repr::{ReprLadder, Representation};

@@ -6,7 +6,6 @@
 //! modeled as an ordered [`ReprLadder`].
 
 use crate::{ids::ReprId, ModelError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A specific stream configuration: resolution plus encoding bitrate.
@@ -14,7 +13,7 @@ use std::fmt;
 /// Representations are ordered by quality within a [`ReprLadder`];
 /// `κ(r)` — the bitrate of representation `r` — is exposed as
 /// [`Representation::bitrate_mbps`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Representation {
     id: ReprId,
     name: String,
@@ -71,7 +70,7 @@ impl fmt::Display for Representation {
 /// The ladder owns the `κ(·)` bitrate table and provides lookups by id and
 /// by name. The paper's evaluation uses the YouTube-style four-step ladder
 /// available as [`ReprLadder::standard_four`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReprLadder {
     reprs: Vec<Representation>,
 }

@@ -2,10 +2,8 @@
 //! simulator's experiment plumbing and the control plane's fleet
 //! telemetry share.
 
-use serde::{Deserialize, Serialize};
-
 /// A time-stamped metric series (simulated seconds → value).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }

@@ -1,11 +1,10 @@
 //! Conferencing sessions: groups of users that exchange streams.
 
 use crate::{SessionId, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one conferencing session `s` with its user set
 /// `U(s)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSpec {
     id: SessionId,
     users: Vec<UserId>,

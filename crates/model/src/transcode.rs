@@ -10,10 +10,8 @@
 //! σ_l(r1, r2) = speed_factor_l × (base + c_in·κ(r1) + c_out·κ(r2))
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Affine-in-bitrate transcoding latency model shared by all agents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranscodeLatencyModel {
     base_ms: f64,
     per_input_mbps_ms: f64,

@@ -8,12 +8,11 @@
 //! fully heterogeneous device mixes.
 
 use crate::{ids::ReprId, SessionId, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Downstream demand of one user: the representation it wants of each
 /// other participant's stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DownstreamDemand {
     default: ReprId,
     overrides: BTreeMap<UserId, ReprId>,
@@ -51,7 +50,7 @@ impl DownstreamDemand {
 }
 
 /// Static description of one conferencing user.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UserSpec {
     id: UserId,
     session: SessionId,

@@ -1,12 +1,10 @@
 //! Great-circle geometry over WGS-84-ish spherical Earth.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A point on the globe (degrees latitude/longitude).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat_deg: f64,
     lon_deg: f64,

@@ -16,14 +16,13 @@
 
 use crate::geo::GeoPoint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vc_model::{DelayMatrices, Matrix, ModelError};
 
 /// Speed of light in optical fiber, in km per millisecond (≈ ⅔·c).
 pub const FIBER_KM_PER_MS: f64 = 200.0;
 
 /// Deterministic one-way latency model between geographic points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     route_inflation: f64,
     access_base_ms: f64,

@@ -6,11 +6,10 @@
 //! that consumes it.)
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vc_model::{DelayMatrices, Matrix};
 
 /// Multiplicative uniform measurement noise for delay matrices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayJitter {
     frac: f64,
 }

@@ -8,11 +8,10 @@
 
 use crate::geo::GeoPoint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Coarse world region of a site, used to weight user sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// United States and Canada.
     NorthAmerica,
@@ -27,7 +26,7 @@ pub enum Region {
 }
 
 /// A named geographic site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     name: &'static str,
     point: GeoPoint,

@@ -7,10 +7,9 @@
 //! exponential decay.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the AR(1)-plus-spikes trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Mean-reversion coefficient ρ ∈ [0, 1): higher is smoother.
     pub ar_coeff: f64,

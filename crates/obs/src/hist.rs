@@ -228,7 +228,7 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    /// Hand-rolled JSON object (the vendored serde derive is a no-op).
+    /// The summary as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}",

@@ -67,6 +67,7 @@ use vc_core::{
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{ObsConfig, ObsPlane, OpKind, Site, TraceKind};
+use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// One candidate placement: session users and tasks to agents.
 pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
@@ -127,9 +128,6 @@ pub enum AdmitError {
         /// The furthest search stage reached.
         stage: AdmissionFailure,
     },
-    /// An open-world arrival's definition failed to register (the
-    /// universe is unchanged; nothing was admitted).
-    Register(ModelError),
 }
 
 /// What [`Fleet::admit_or_queue`] did with the session.
@@ -149,51 +147,94 @@ pub enum AdmitOutcome {
     Refused(AdmitError),
 }
 
-/// Running totals of control-plane activity (all monotone counters).
-#[derive(Debug, Default)]
-pub struct FleetCounters {
+/// Declares the fleet's counters once: the live [`FleetCounters`]
+/// (atomics), their durable [`CounterSnapshot`] (plain integers),
+/// `capture`/`install` between the two and the snapshot's codec all
+/// derive from this one list — in declaration order, which is the wire
+/// order, so a reordered list changes the format.
+macro_rules! fleet_counters {
+    ($( $(#[$doc:meta])* $name:ident, )*) => {
+        /// Running totals of control-plane activity (all monotone counters).
+        #[derive(Debug, Default)]
+        pub struct FleetCounters {
+            $( $(#[$doc])* pub $name: AtomicUsize, )*
+        }
+
+        /// The counters as plain integers (the atomics snapshot).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct CounterSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl CounterSnapshot {
+            /// Reads the fleet's counters.
+            pub fn capture(c: &FleetCounters) -> Self {
+                Self { $( $name: c.$name.load(Ordering::Relaxed) as u64, )* }
+            }
+
+            /// Overwrites the fleet's counters (recovery).
+            pub(crate) fn install(&self, c: &FleetCounters) {
+                $( c.$name.store(self.$name as usize, Ordering::Relaxed); )*
+            }
+        }
+
+        impl Encode for CounterSnapshot {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( self.$name.encode(out); )*
+            }
+        }
+
+        impl Decode for CounterSnapshot {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(Self { $( $name: u64::decode(r)?, )* })
+            }
+        }
+    };
+}
+
+fleet_counters! {
     /// Sessions admitted.
-    pub admitted: AtomicUsize,
+    admitted,
     /// Admission attempts refused.
-    pub rejected: AtomicUsize,
+    rejected,
     /// Sessions departed.
-    pub departed: AtomicUsize,
+    departed,
     /// Successful HOP migrations.
-    pub migrations: AtomicUsize,
+    migrations,
     /// HOPs that stayed put (including no-feasible-move and ledger-race
     /// refusals).
-    pub stays: AtomicUsize,
+    stays,
     /// Evacuation moves applied on agent failures.
-    pub evacuations: AtomicUsize,
+    evacuations,
     /// Evacuation moves that were *forced* (no feasible target existed —
     /// capacity may be overshot until re-optimization drains it).
-    pub forced_moves: AtomicUsize,
+    forced_moves,
     /// Admissions placed by the engine's enumeration tier.
-    pub admitted_enumeration: AtomicUsize,
+    admitted_enumeration,
     /// Admissions placed by greedy + violation-driven repair.
-    pub admitted_repair: AtomicUsize,
+    admitted_repair,
     /// Admissions placed by the ranked-fallback tier.
-    pub admitted_fallback: AtomicUsize,
+    admitted_fallback,
     /// Violation-driven repair moves applied across all admissions.
-    pub repair_steps: AtomicUsize,
+    repair_steps,
     /// Refusals at the user-placement stage.
-    pub refused_user_fit: AtomicUsize,
+    refused_user_fit,
     /// Refusals at the transcoding-placement stage.
-    pub refused_task_fit: AtomicUsize,
+    refused_task_fit,
     /// Refusals at the global feasibility check (capacity interplay or
     /// the delay bound).
-    pub refused_global: AtomicUsize,
+    refused_global,
     /// Sessions displaced whole by an evacuation that found no feasible
     /// target (re-admission enabled; the session left the fleet and
     /// entered — or overflowed — the re-admission queue).
-    pub displaced: AtomicUsize,
+    displaced,
     /// Re-admission queue installs (first enqueues and backoff
     /// re-enqueues both count).
-    pub readmit_enqueued: AtomicUsize,
+    readmit_enqueued,
     /// Queued sessions that were admitted back into the fleet.
-    pub readmit_admitted: AtomicUsize,
+    readmit_admitted,
     /// Queued sessions dropped (queue overflow or retry exhaustion).
-    pub readmit_dropped: AtomicUsize,
+    readmit_dropped,
 }
 
 impl FleetCounters {
@@ -1217,14 +1258,12 @@ impl Fleet {
     /// [`admit`](Self::admit), but a capacity/feasibility refusal lands
     /// the session in the re-admission queue (when enabled) for a
     /// deterministic backoff retry instead of being dropped on the
-    /// floor. `AlreadyLive`/`Register` refusals never queue — retrying
-    /// them cannot succeed.
+    /// floor. An `AlreadyLive` refusal never queues — retrying it cannot
+    /// succeed.
     pub fn admit_or_queue(&self, s: SessionId) -> AdmitOutcome {
         match self.admit(s) {
             Ok(()) => AdmitOutcome::Admitted,
-            Err(e @ (AdmitError::AlreadyLive(_) | AdmitError::Register(_))) => {
-                AdmitOutcome::Refused(e)
-            }
+            Err(e @ AdmitError::AlreadyLive(_)) => AdmitOutcome::Refused(e),
             Err(e) => {
                 if self.config.readmit.is_none() {
                     return AdmitOutcome::Refused(e);
@@ -2011,26 +2050,4 @@ fn redirect(d: Decision, l: AgentId) -> Decision {
         Decision::User(u, _) => Decision::User(u, l),
         Decision::Task(t, _) => Decision::Task(t, l),
     }
-}
-
-/// The full placement of one session under `state`'s assignment:
-/// `(user → agent, task → agent)`, in instance order — the shape the
-/// persistence layer journals for an admission and what replay
-/// re-installs.
-pub fn placement_of(state: &SystemState, s: SessionId) -> Placement {
-    let problem = state.problem();
-    let users = problem
-        .instance()
-        .session(s)
-        .users()
-        .iter()
-        .map(|&u| (u, state.assignment().agent_of_user(u)))
-        .collect();
-    let tasks = problem
-        .tasks()
-        .of_session(s)
-        .iter()
-        .map(|&t| (t, state.assignment().agent_of_task(t)))
-        .collect();
-    (users, tasks)
 }

@@ -7,7 +7,7 @@ use crate::telemetry::{FleetSnapshot, FleetTelemetry};
 use crate::workers::ReoptPool;
 use std::sync::Arc;
 use vc_core::UapProblem;
-use vc_workloads::{FleetEvent, FleetTrace, OpenWorldEvent};
+use vc_model::{FleetEvent, FleetTrace};
 
 /// Orchestrator-level configuration.
 #[derive(Debug, Clone)]
@@ -99,38 +99,6 @@ impl Orchestrator {
             }
             FleetEvent::RestoreAgent(a) => {
                 self.fleet.restore_agent(a);
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies one **open-world** event at virtual time `t_s`: an
-    /// arrival registers the never-before-seen conference (growing the
-    /// universe) and then admits it under its assigned id. Registration
-    /// failures surface as [`AdmitError::Register`]; an arrival whose
-    /// registration succeeded but whose admission was refused leaves
-    /// the conference registered (it may be re-tried later), exactly
-    /// like a pre-declared session whose admission was refused.
-    ///
-    /// # Errors
-    ///
-    /// See [`AdmitError`].
-    pub fn apply_open_event(&self, t_s: f64, event: &OpenWorldEvent) -> Result<(), AdmitError> {
-        match event {
-            OpenWorldEvent::Arrive(def) => {
-                let s = self
-                    .fleet
-                    .register_session(def)
-                    .map_err(AdmitError::Register)?;
-                self.fleet.admit(s)?;
-                if self.config.reoptimize {
-                    self.pool.register(&self.fleet, s, t_s);
-                }
-                Ok(())
-            }
-            OpenWorldEvent::Depart(s) => {
-                self.fleet.depart(*s);
-                self.pool.deregister(*s);
                 Ok(())
             }
         }

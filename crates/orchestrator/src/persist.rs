@@ -52,6 +52,7 @@
 //! conservation, and re-checkpoints so the torn tail is discarded and
 //! the store is compact before the fleet goes live again.
 
+pub use crate::fleet::CounterSnapshot;
 use crate::fleet::{self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord};
 use crate::ledger::{AgentHold, SessionHold};
 use crate::workers::{ReoptPool, TimerEntry};
@@ -554,146 +555,6 @@ impl Decode for SessionHold {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             holds: Vec::decode(r)?,
-        })
-    }
-}
-
-/// The counters as plain integers (the atomics snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CounterSnapshot {
-    /// Sessions admitted.
-    pub admitted: u64,
-    /// Admission attempts refused.
-    pub rejected: u64,
-    /// Sessions departed.
-    pub departed: u64,
-    /// Successful HOP migrations.
-    pub migrations: u64,
-    /// HOPs that stayed put.
-    pub stays: u64,
-    /// Evacuation moves applied on agent failures.
-    pub evacuations: u64,
-    /// Forced evacuation moves.
-    pub forced_moves: u64,
-    /// Admissions placed by the enumeration tier.
-    pub admitted_enumeration: u64,
-    /// Admissions placed by greedy + repair.
-    pub admitted_repair: u64,
-    /// Admissions placed by the ranked fallback.
-    pub admitted_fallback: u64,
-    /// Violation-driven repair moves across all admissions.
-    pub repair_steps: u64,
-    /// Refusals at the user-placement stage.
-    pub refused_user_fit: u64,
-    /// Refusals at the transcoding-placement stage.
-    pub refused_task_fit: u64,
-    /// Refusals at the global check.
-    pub refused_global: u64,
-    /// Sessions displaced by forced evacuations (format v5).
-    pub displaced: u64,
-    /// Re-admission queue enqueues (initial and retry re-installs).
-    pub readmit_enqueued: u64,
-    /// Sessions re-admitted out of the queue.
-    pub readmit_admitted: u64,
-    /// Queue drops (overflow + retry-budget exhaustion).
-    pub readmit_dropped: u64,
-}
-
-impl CounterSnapshot {
-    /// Reads the fleet's counters.
-    pub fn capture(c: &FleetCounters) -> Self {
-        let get = |a: &AtomicUsize| a.load(Ordering::Relaxed) as u64;
-        Self {
-            admitted: get(&c.admitted),
-            rejected: get(&c.rejected),
-            departed: get(&c.departed),
-            migrations: get(&c.migrations),
-            stays: get(&c.stays),
-            evacuations: get(&c.evacuations),
-            forced_moves: get(&c.forced_moves),
-            admitted_enumeration: get(&c.admitted_enumeration),
-            admitted_repair: get(&c.admitted_repair),
-            admitted_fallback: get(&c.admitted_fallback),
-            repair_steps: get(&c.repair_steps),
-            refused_user_fit: get(&c.refused_user_fit),
-            refused_task_fit: get(&c.refused_task_fit),
-            refused_global: get(&c.refused_global),
-            displaced: get(&c.displaced),
-            readmit_enqueued: get(&c.readmit_enqueued),
-            readmit_admitted: get(&c.readmit_admitted),
-            readmit_dropped: get(&c.readmit_dropped),
-        }
-    }
-
-    fn install(&self, c: &FleetCounters) {
-        let set = |a: &AtomicUsize, v: u64| {
-            a.store(v as usize, Ordering::Relaxed);
-        };
-        set(&c.admitted, self.admitted);
-        set(&c.rejected, self.rejected);
-        set(&c.departed, self.departed);
-        set(&c.migrations, self.migrations);
-        set(&c.stays, self.stays);
-        set(&c.evacuations, self.evacuations);
-        set(&c.forced_moves, self.forced_moves);
-        set(&c.admitted_enumeration, self.admitted_enumeration);
-        set(&c.admitted_repair, self.admitted_repair);
-        set(&c.admitted_fallback, self.admitted_fallback);
-        set(&c.repair_steps, self.repair_steps);
-        set(&c.refused_user_fit, self.refused_user_fit);
-        set(&c.refused_task_fit, self.refused_task_fit);
-        set(&c.refused_global, self.refused_global);
-        set(&c.displaced, self.displaced);
-        set(&c.readmit_enqueued, self.readmit_enqueued);
-        set(&c.readmit_admitted, self.readmit_admitted);
-        set(&c.readmit_dropped, self.readmit_dropped);
-    }
-}
-
-impl Encode for CounterSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.admitted.encode(out);
-        self.rejected.encode(out);
-        self.departed.encode(out);
-        self.migrations.encode(out);
-        self.stays.encode(out);
-        self.evacuations.encode(out);
-        self.forced_moves.encode(out);
-        self.admitted_enumeration.encode(out);
-        self.admitted_repair.encode(out);
-        self.admitted_fallback.encode(out);
-        self.repair_steps.encode(out);
-        self.refused_user_fit.encode(out);
-        self.refused_task_fit.encode(out);
-        self.refused_global.encode(out);
-        self.displaced.encode(out);
-        self.readmit_enqueued.encode(out);
-        self.readmit_admitted.encode(out);
-        self.readmit_dropped.encode(out);
-    }
-}
-
-impl Decode for CounterSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            admitted: u64::decode(r)?,
-            rejected: u64::decode(r)?,
-            departed: u64::decode(r)?,
-            migrations: u64::decode(r)?,
-            stays: u64::decode(r)?,
-            evacuations: u64::decode(r)?,
-            forced_moves: u64::decode(r)?,
-            admitted_enumeration: u64::decode(r)?,
-            admitted_repair: u64::decode(r)?,
-            admitted_fallback: u64::decode(r)?,
-            repair_steps: u64::decode(r)?,
-            refused_user_fit: u64::decode(r)?,
-            refused_task_fit: u64::decode(r)?,
-            refused_global: u64::decode(r)?,
-            displaced: u64::decode(r)?,
-            readmit_enqueued: u64::decode(r)?,
-            readmit_admitted: u64::decode(r)?,
-            readmit_dropped: u64::decode(r)?,
         })
     }
 }

@@ -765,6 +765,41 @@ mod persistence {
     }
 
     #[test]
+    fn counters_round_trip_in_declaration_order() {
+        // Name → value here, wire position → value below: a reordered
+        // `fleet_counters!` list changes the bytes and fails.
+        let distinct = CounterSnapshot {
+            admitted: 1,
+            rejected: 2,
+            departed: 3,
+            migrations: 4,
+            stays: 5,
+            evacuations: 6,
+            forced_moves: 7,
+            admitted_enumeration: 8,
+            admitted_repair: 9,
+            admitted_fallback: 10,
+            repair_steps: 11,
+            refused_user_fit: 12,
+            refused_task_fit: 13,
+            refused_global: 14,
+            displaced: 15,
+            readmit_enqueued: 16,
+            readmit_admitted: 17,
+            readmit_dropped: 18,
+        };
+        let live = crate::FleetCounters::default();
+        distinct.install(&live);
+        let bytes = vc_persist::codec::encode_to_vec(&CounterSnapshot::capture(&live));
+        let wire: Vec<u8> = (1u64..=18).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(bytes, wire);
+        let decoded: CounterSnapshot = vc_persist::codec::decode_exact(&bytes).expect("decodes");
+        let fresh = crate::FleetCounters::default();
+        decoded.install(&fresh);
+        assert_eq!(CounterSnapshot::capture(&fresh), distinct);
+    }
+
+    #[test]
     fn recovered_counters_match_including_stays() {
         let (fleet, dir) = persistent_fleet("counters");
         churn(&fleet);

@@ -27,9 +27,9 @@
 //! mid-append), and hands the reconstructed state back for re-audit.
 //!
 //! Everything is serialized with a **hand-rolled, versioned binary
-//! codec** ([`codec`]): the workspace builds offline and the vendored
-//! `serde` derive is a deliberate no-op (see `vendor/README.md`), so
-//! durability cannot lean on it. The codec is little-endian,
+//! codec** ([`codec`]): the workspace builds offline with no
+//! serialization dependency (see `vendor/README.md`), and the on-disk
+//! format stays this crate's own. The codec is little-endian,
 //! length-prefixed, and exact: `f64` round-trips through its bit
 //! pattern, so a recovered objective equals the pre-crash objective to
 //! the last bit.

@@ -12,11 +12,10 @@
 //! migration-interruption micro-experiment: 2–3 frozen frames at 30 fps
 //! without dual-feed, zero with it, at ~13 Kb of redundant traffic.
 //!
-//! Two runtimes are provided: the deterministic discrete-event
-//! [`ConferenceSim`], and [`parallel::run_parallel`] — one real thread
-//! per session serialized by a FREEZE lock, the paper's distributed
-//! deployment shape. Agent failures are injectable in both
-//! ([`ChurnEvent`]; evacuation via `vc-algo`'s churn module).
+//! The runtime is the deterministic discrete-event [`ConferenceSim`];
+//! agent failures are injectable ([`ChurnEvent`]; evacuation via
+//! `vc-algo`'s churn module). Alg. 1 on real threads is
+//! `vc-orchestrator`'s `ReoptPool::run_wall`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,14 +23,12 @@
 mod event;
 pub mod metrics;
 pub mod migration;
-pub mod parallel;
 mod runtime;
 pub mod streaming;
 
 pub use event::{Event, EventQueue};
 pub use metrics::{BoxStats, TimeSeries};
 pub use migration::{MigrationModel, MigrationStats};
-pub use parallel::{run_parallel, ParallelConfig, ParallelReport};
 pub use runtime::{
     ArrivalPolicy, ChurnEvent, ConferenceSim, DynamicsEvent, HopRecord, SimConfig, SimReport,
 };

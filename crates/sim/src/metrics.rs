@@ -1,11 +1,9 @@
 //! Metric collection: time series and distribution summaries.
 
-use serde::{Deserialize, Serialize};
-
 pub use vc_model::TimeSeries;
 
 /// Five-number summary (the paper's Fig. 8 box plots).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     /// Minimum.
     pub min: f64,

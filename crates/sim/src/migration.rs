@@ -10,12 +10,11 @@
 //! (finish the current segment at the old agent, start the next at the
 //! new one), costing no duplicate stream but a bounded switch-over time.
 
-use serde::{Deserialize, Serialize};
 use vc_core::{Decision, SystemState};
 use vc_model::AgentId;
 
 /// Overhead model for live migrations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationModel {
     /// Extra dual-feed margin beyond the new agent's propagation delay (ms).
     pub handshake_ms: f64,
@@ -33,7 +32,7 @@ impl Default for MigrationModel {
 }
 
 /// Accumulated migration overhead over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MigrationStats {
     /// Number of user migrations.
     pub user_migrations: usize,

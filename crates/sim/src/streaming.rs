@@ -8,10 +8,8 @@
 //! short interval (< 30 ms on average), at ~13.2 Kb of redundant 240p
 //! traffic. This module reproduces that micro-experiment frame by frame.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a single-flow migration experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Source frame rate (frames per second).
     pub fps: f64,
@@ -47,7 +45,7 @@ impl StreamingConfig {
 }
 
 /// What the receiving participant experienced across the migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterruptionReport {
     /// Frames dropped because no route existed while switching.
     pub frozen_frames: usize,

@@ -1,51 +1,56 @@
-//! The distributed deployment shape of Alg. 1: one independent WAIT/HOP
-//! loop per session on its own thread, serialized only by the FREEZE
-//! lock — the paper's Sec. IV-A design, on real threads.
+//! The distributed deployment shape of Alg. 1 on real threads: worker
+//! threads race WAIT/HOP steps of the prototype's sessions over a
+//! fleet. Hops of different sessions run concurrently under the shared
+//! FREEZE; each is serialized only by its session slot and the ledger
+//! shards it touches (the paper's Sec. IV-A design without a global
+//! lock).
 //!
-//! Wall time is compressed: 1 simulated second = 1 ms, so the
-//! prototype's 10-second mean countdowns become 10 ms and a half-second
-//! run covers ~500 simulated seconds.
+//! Countdowns are drain priorities here, not wall-clock sleeps: the
+//! threads hop as fast as the ledger lets them for 500 ms.
 //!
 //! Run with: `cargo run --release --example parallel_agents`
 
+use cloud_vc::orchestrator::ReoptPool;
 use cloud_vc::prelude::*;
-use cloud_vc::sim::{run_parallel, ParallelConfig};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let instance = prototype_instance(&PrototypeConfig::default());
     let problem = Arc::new(UapProblem::new(instance, CostModel::paper_default()));
-    let initial = SystemState::new(problem.clone(), nearest_assignment(&problem));
+    let fleet = Fleet::new(
+        problem.clone(),
+        FleetConfig {
+            placement: PlacementPolicy::Nearest,
+            alg1: Alg1Config::paper(400.0),
+            ..FleetConfig::default()
+        },
+    );
+    let pool = ReoptPool::new(7);
+    for i in 0..problem.instance().num_sessions() {
+        let s = SessionId::from(i);
+        fleet.admit(s).expect("the prototype fits its agents");
+        pool.register(&fleet, s, 0.0);
+    }
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     println!(
-        "start: {:.1} Mbps inter-agent traffic, {:.1} ms mean delay, {} sessions on threads",
-        initial.total_traffic_mbps(),
-        initial.mean_delay_ms(),
-        problem.instance().num_sessions()
+        "start: {:.1} Mbps inter-agent traffic, {:.1} ms mean delay, {} sessions on {threads} threads",
+        fleet.total_traffic_mbps(),
+        fleet.mean_delay_ms(),
+        fleet.live_count()
     );
 
-    let config = ParallelConfig {
-        alg1: Alg1Config::paper(400.0),
-        ms_per_sim_second: 1.0,
-        wall_duration: Duration::from_millis(500),
-        seed: 7,
-    };
-    let report = run_parallel(initial, &config);
+    let hops = pool.run_wall(&fleet, Duration::from_millis(500), threads);
 
-    let migrated = report
-        .hops
-        .iter()
-        .filter(|h| matches!(h.outcome, HopOutcome::Migrated(_)))
-        .count();
     println!(
-        "ran {} hops ({} migrations) across threads in 500 ms wall time",
-        report.hops.len(),
-        migrated
+        "ran {hops} hops ({} migrations) across threads in 500 ms wall time",
+        fleet.counters().migrations.load(Ordering::Relaxed)
     );
     println!(
-        "end:   {:.1} Mbps inter-agent traffic, {:.1} ms mean delay (feasible: {})",
-        report.final_state.total_traffic_mbps(),
-        report.final_state.mean_delay_ms(),
-        report.final_state.is_feasible()
+        "end:   {:.1} Mbps inter-agent traffic, {:.1} ms mean delay (ledger audit clean: {})",
+        fleet.total_traffic_mbps(),
+        fleet.mean_delay_ms(),
+        fleet.audit().is_empty()
     );
 }

@@ -130,8 +130,8 @@ fn drive(fleet: &Fleet, pool: &ReoptPool, actions: &[Action], rng_seed: u64) {
     }
 }
 
-/// A minimal JSON well-formedness scanner (the vendored serde is a
-/// no-op, so validation is hand-rolled like the export itself):
+/// A minimal JSON well-formedness scanner (the workspace has no JSON
+/// dependency, so validation is hand-rolled like the export itself):
 /// balanced braces/brackets outside strings, proper string/escape
 /// state, non-empty, and the nesting closes back to zero.
 fn assert_well_formed_json(s: &str) {
