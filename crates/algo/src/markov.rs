@@ -18,7 +18,7 @@
 //!
 //! ## The lazily exact Gibbs step
 //!
-//! Exponents are clamped to `±`[`MAX_EXPONENT`], and at the paper's
+//! Exponents are clamped to `±MAX_EXPONENT` (600), and at the paper's
 //! β = 400 almost every neighbour of a settled conference sits on the
 //! lower clamp: its weight is the constant `e⁻⁶⁰⁰` whatever its `Φ`
 //! exactly is. [`Alg1Engine::gibbs_step`] — the one step behind both the

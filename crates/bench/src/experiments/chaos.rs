@@ -172,7 +172,6 @@ fn fleet_config(seed: u64, n_agents: usize) -> FleetConfig {
             max_attempts: 32,
             ..ReadmitConfig::default()
         }),
-        ..FleetConfig::default()
     }
 }
 

@@ -145,6 +145,14 @@ pub enum Decision {
     Task(TaskId, AgentId),
 }
 
+impl Decision {
+    /// The agent the decision moves its user or task to.
+    pub fn target(self) -> AgentId {
+        let (Decision::User(_, a) | Decision::Task(_, a)) = self;
+        a
+    }
+}
+
 impl fmt::Display for Decision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

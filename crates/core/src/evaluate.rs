@@ -137,8 +137,8 @@ impl<V: AssignmentView> AssignmentView for OverlayView<'_, V> {
 /// transcoding occupancy `y_ls`, per-user delays `d_u`, and the weighted
 /// local objective `Φ_s`.
 ///
-/// Equality compares the semantic fields only — the [`touched`]
-/// (Self::touched) index is bookkeeping for sparse iteration.
+/// Equality compares the semantic fields only — the
+/// [`touched`](Self::touched) index is bookkeeping for sparse iteration.
 #[derive(Debug, Clone, Default)]
 pub struct SessionLoad {
     /// Per-agent download load (Mbps): last-mile upstreams + inter-agent ingress.
@@ -553,10 +553,10 @@ impl EvalScratch {
 
     /// Evaluates session `s` under `view` into the scratch's load,
     /// returning it: compile the conference, read the placement, derive
-    /// every flow's delay, [`fold`](Self::fold). Results are bitwise
-    /// identical to a fresh [`evaluate_session`]: sparse accumulation
-    /// visits agents and flow cells in the same ascending order the
-    /// dense scan would.
+    /// every flow's delay, fold (the delay half, then the rest). Results
+    /// are bitwise identical to a fresh [`evaluate_session`]: sparse
+    /// accumulation visits agents and flow cells in the same ascending
+    /// order the dense scan would.
     ///
     /// # Panics
     ///

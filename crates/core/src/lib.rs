@@ -55,7 +55,6 @@ mod assignment;
 pub mod evaluate;
 pub mod neighborhood;
 mod problem;
-pub mod report;
 mod state;
 mod tasks;
 #[cfg(test)]
@@ -65,7 +64,6 @@ mod violation;
 pub use assignment::{Assignment, Decision};
 pub use evaluate::{AssignmentView, EvalScratch, OverlayView, SessionLoad};
 pub use problem::UapProblem;
-pub use report::SystemReport;
 pub use state::{AgentTotals, SystemState, CAPACITY_EPS};
 pub use tasks::{TaskId, TaskTable, TranscodeTask};
 pub use violation::Violation;

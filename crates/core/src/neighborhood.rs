@@ -139,24 +139,15 @@ impl<'a> Neighborhood<'a> {
     ///
     /// Panics if the decision's user or task is not the session's.
     pub fn candidate(&mut self, decision: Decision) -> (usize, &SessionLoad) {
+        let index = (self.problem.local_index(self.s, decision))
+            .expect("moved user or task belongs to the session");
         let (slot, a) = match decision {
-            Decision::User(u, a) => {
-                let i = (self.problem.instance().session(self.s).users().iter())
-                    .position(|&w| w == u)
-                    .expect("moved user belongs to the session");
-                (Slot::User(i), a)
-            }
-            Decision::Task(t, a) => {
-                let k = (self.problem.tasks().of_session(self.s).iter())
-                    .position(|&w| w == t)
-                    .expect("moved task belongs to the session");
-                (Slot::Task(k), a)
-            }
+            Decision::User(_, a) => (Slot::User(index), a),
+            Decision::Task(_, a) => (Slot::Task(index), a),
         };
         self.probe(slot, a, |probe| {
             probe.fold();
         });
-        let (Slot::User(index) | Slot::Task(index)) = slot;
         (index, self.eval.load())
     }
 

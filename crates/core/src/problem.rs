@@ -1,6 +1,6 @@
 //! The optimizable problem: instance + derived task table + cost model.
 
-use crate::TaskTable;
+use crate::{Decision, TaskId, TaskTable};
 use vc_cost::CostModel;
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 
@@ -115,6 +115,34 @@ impl UapProblem {
     /// The cost model (shapes of `F`, `g_l`, `h_l` and the α weights).
     pub fn cost(&self) -> &CostModel {
         &self.cost
+    }
+
+    /// The position of user `u` in `session(s).users()` — `None` when
+    /// `u` belongs to another session.
+    pub fn local_user(&self, s: SessionId, u: UserId) -> Option<usize> {
+        let users = self.instance.session(s).users();
+        users.iter().position(|&w| w == u)
+    }
+
+    /// The position of task `t` in `tasks().of_session(s)` — `None`
+    /// when `t` belongs to another session.
+    pub fn local_task(&self, s: SessionId, t: TaskId) -> Option<usize> {
+        self.tasks.of_session(s).iter().position(|&w| w == t)
+    }
+
+    /// The session-local position of `decision`'s user or task — the
+    /// index every per-session placement (a compiled
+    /// [`Neighborhood`](crate::neighborhood::Neighborhood), a fleet
+    /// slot) is addressed by. `None` for a foreign id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range for the problem's instance.
+    pub fn local_index(&self, s: SessionId, decision: Decision) -> Option<usize> {
+        match decision {
+            Decision::User(u, _) => self.local_user(s, u),
+            Decision::Task(t, _) => self.local_task(s, t),
+        }
     }
 
     /// Returns a copy with a different cost model (the assignment space is

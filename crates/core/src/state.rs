@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use vc_model::{AgentId, SessionId};
 
 /// Aggregate per-agent loads across all *active* sessions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AgentTotals {
     /// Download load per agent (Mbps), constraint (5) LHS.
     pub download: Vec<f64>,
@@ -330,9 +330,7 @@ impl SystemState {
         scratch: &mut EvalScratch,
     ) -> Result<(), Violation> {
         let s = self.session_of(decision);
-        let target = match decision {
-            Decision::User(_, a) | Decision::Task(_, a) => a,
-        };
+        let target = decision.target();
         let view = OverlayView::new(&self.assignment, decision);
         scratch.evaluate(&self.problem, &view, s);
         if !self.available[target.index()] {
@@ -472,47 +470,6 @@ impl SystemState {
             self.totals.add(scratch.load());
         }
         std::mem::swap(&mut self.loads[s.index()], scratch.load_mut());
-    }
-
-    /// Grows the state to a problem whose universe was extended online
-    /// (open-world growth): the assignment gains agent-0 slots for the
-    /// new users/tasks, the active mask and load cache gain inactive
-    /// zeroed entries for the new sessions, and — when the agent pool
-    /// grew too ([`UapProblem::register_agent`]) — the per-agent totals,
-    /// availability mask, and every cached load extend with zeros for
-    /// the new agents. Nothing about existing sessions or agents changes
-    /// — totals, loads and the objective are bitwise untouched, so a
-    /// state grown online equals one built over the full universe with
-    /// the same active set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `problem` covers fewer agents/sessions/users/tasks than
-    /// the current one (growth is append-only).
-    pub fn grow_to(&mut self, problem: Arc<UapProblem>) {
-        let nl = problem.instance().num_agents();
-        assert!(
-            nl >= self.problem.instance().num_agents(),
-            "state covers more agents than the problem — growth is append-only"
-        );
-        let n = problem.instance().num_sessions();
-        assert!(
-            n >= self.active.len(),
-            "state covers more sessions than the problem — growth is append-only"
-        );
-        if nl > self.problem.instance().num_agents() {
-            self.totals.download.resize(nl, 0.0);
-            self.totals.upload.resize(nl, 0.0);
-            self.totals.transcode.resize(nl, 0);
-            self.available.resize(nl, true);
-            for load in &mut self.loads {
-                load.grow(nl);
-            }
-        }
-        self.assignment.grow(&problem);
-        self.active.resize(n, false);
-        self.loads.resize_with(n, || SessionLoad::empty(nl));
-        self.problem = problem;
     }
 
     /// Activates session `s` (a session arrival), adding its load under
@@ -767,83 +724,6 @@ mod tests {
             refused_on_c,
             "move onto the overshot agent was not refused: {err:?}"
         );
-    }
-
-    #[test]
-    fn grow_to_extends_without_touching_existing_state() {
-        let p = Arc::new(two_agent_problem());
-        let asg = Assignment::all_to_agent(&p, A);
-        let mut st = SystemState::new(p.clone(), asg);
-        st.try_apply(Decision::User(UserId::new(1), B)).unwrap();
-        let objective = st.objective();
-        let totals = st.totals().clone();
-
-        // Grow the universe by one conference and the state with it.
-        let mut grown = (*p).clone();
-        let inst = grown.instance();
-        let r360 = inst.ladder().by_name("360p").unwrap().id();
-        let r720 = inst.ladder().by_name("720p").unwrap().id();
-        let def = vc_model::SessionDef {
-            users: vec![
-                vc_model::UserDef {
-                    upstream: r720,
-                    downstream: vc_model::DownstreamDemand::uniform(r360),
-                    agent_delays_ms: vec![6.0, 7.0],
-                    site_index: None,
-                },
-                vc_model::UserDef {
-                    upstream: r360,
-                    downstream: vc_model::DownstreamDemand::uniform(r360),
-                    agent_delays_ms: vec![8.0, 9.0],
-                    site_index: None,
-                },
-            ],
-        };
-        let s = grown.register_session(&def).expect("registers");
-        let grown = Arc::new(grown);
-        st.grow_to(grown.clone());
-        // Existing state is bitwise untouched; the new session is inert.
-        assert_eq!(st.objective().to_bits(), objective.to_bits());
-        assert_eq!(st.totals(), &totals);
-        assert!(!st.is_active(s));
-        // Activating it accounts its load like any other arrival.
-        st.activate(s);
-        assert!(st.session_objective(s) > 0.0);
-        let drift = st.rebuild();
-        assert!(drift < 1e-9, "drift {drift}");
-    }
-
-    #[test]
-    fn grow_to_extends_the_agent_axis_with_zeros() {
-        let p = Arc::new(two_agent_problem());
-        let asg = Assignment::all_to_agent(&p, A);
-        let mut st = SystemState::new(p.clone(), asg);
-        st.try_apply(Decision::User(UserId::new(1), B)).unwrap();
-        let objective = st.objective();
-        let totals = st.totals().clone();
-
-        // Grow the agent pool by one and the state with it.
-        let mut grown = (*p).clone();
-        let def = vc_model::AgentDef {
-            spec: vc_model::AgentSpec::builder("late").build(),
-            inter_agent_ms: vec![12.0, 18.0],
-            user_delays_ms: (0..grown.instance().num_users())
-                .map(|u| 5.0 + u as f64)
-                .collect(),
-        };
-        let l = grown.register_agent(&def).expect("registers");
-        let grown = Arc::new(grown);
-        st.grow_to(grown.clone());
-        // Existing state is bitwise untouched; the new agent is empty.
-        assert_eq!(st.objective().to_bits(), objective.to_bits());
-        assert_eq!(st.totals().download[..2], totals.download[..]);
-        assert_eq!(st.totals().download[l.index()], 0.0);
-        assert_eq!(st.totals().transcode[l.index()], 0);
-        assert!(st.is_agent_available(l));
-        // Moving a user onto the new agent accounts like any other.
-        st.apply_unchecked(Decision::User(UserId::new(0), l));
-        let drift = st.rebuild();
-        assert!(drift < 1e-9, "drift {drift}");
     }
 
     #[test]

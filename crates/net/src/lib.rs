@@ -12,10 +12,6 @@
 //! * [`latency`] — a fiber-propagation RTT model (distance / ⅔·c ×
 //!   route-inflation + access base), calibrated against the measured edge
 //!   values the paper prints in Fig. 2;
-//! * [`trace`] — AR(1) time-series of RTT samples with congestion spikes,
-//!   mimicking the "one ping per second" measurement streams;
-//! * [`noise`] — delay-measurement noise (the objective-value noise model
-//!   of Theorem 1 lives in `vc-markov::perturb`);
 //! * [`fig2`] — the hand-measured Fig. 2 scenario as printed in the paper.
 //!
 //! # Example
@@ -36,6 +32,4 @@
 pub mod fig2;
 pub mod geo;
 pub mod latency;
-pub mod noise;
 pub mod sites;
-pub mod trace;

@@ -141,7 +141,7 @@ impl Stripe {
 }
 
 /// A striped, lock-free shared histogram (per-thread recorders drained
-/// by the sampler). Threads spread across [`NUM_STRIPES`] stripes so
+/// by the sampler). Threads spread across `NUM_STRIPES` (4) stripes so
 /// concurrent recorders rarely touch the same cache lines.
 pub struct SharedHist {
     stripes: Vec<Stripe>,
@@ -183,43 +183,14 @@ impl Default for SharedHist {
     }
 }
 
-/// Construction-time tuning for an [`ObsPlane`]: sampling rates and
-/// ring capacities. [`ObsConfig::default`] reproduces the historical
-/// hard-coded values (hop spans 1-in-16, WAIT dispatch 1-in-32, a
-/// 256-event flight ring, a 4096-event trace ring over 4 shards).
-///
-/// Sampling rates are rounded up to powers of two so the hot-path
-/// check stays a mask, never a division.
-#[derive(Clone, Copy, Debug)]
-pub struct ObsConfig {
-    /// Sample 1-in-N hop spans ([`ObsPlane::timer_sampled`]); min 1.
-    pub hop_sample_every: u64,
-    /// Sample 1-in-N WAIT-dispatch spans (the worker pool reads this
-    /// via [`ObsPlane::wait_sample_mask`]); min 1.
-    pub wait_sample_every: u64,
-    /// Flight-recorder capacity (events; rounded up to a power of two).
-    pub flight_capacity: usize,
-    /// Lifecycle trace-ring capacity (events across all shards).
-    /// 0 constructs the plane with tracing switched off.
-    pub trace_capacity: usize,
-    /// Session shards of the trace ring (rounded up to a power of two).
-    pub trace_shards: usize,
-}
+/// Flight-recorder capacity (events).
+pub const FLIGHT_CAPACITY: usize = 256;
 
-/// Default trace-ring capacity (events across all shards).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Trace-ring capacity (events across all shards).
+pub const TRACE_CAPACITY: usize = 4096;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            hop_sample_every: ObsPlane::SAMPLE_EVERY,
-            wait_sample_every: 32,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            trace_shards: 4,
-        }
-    }
-}
+/// Session shards of the trace ring.
+const TRACE_SHARDS: usize = 4;
 
 /// The per-fleet observability plane. Cheap to share (`Arc`), enabled
 /// by default; disabling reduces every probe to one relaxed load.
@@ -242,10 +213,6 @@ pub struct ObsPlane {
     dumped: AtomicBool,
     /// The JSON of the post-mortem that fired (served by `/postmortem`).
     last_post_mortem: Mutex<Option<String>>,
-    /// `hop_sample_every - 1` (power of two → mask).
-    hop_sample_mask: u64,
-    /// `wait_sample_every - 1` (power of two → mask).
-    wait_sample_mask: u64,
     /// Round-robin tick for [`ObsPlane::timer_sampled`].
     sample_tick: AtomicU64,
     /// Plane-epoch µs of the last full-cost probe — the coarse
@@ -263,30 +230,9 @@ impl std::fmt::Debug for ObsPlane {
     }
 }
 
-/// Default flight-recorder capacity (events).
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
-
 impl ObsPlane {
-    /// A plane sized for `num_shards` ledger shards with the default
-    /// configuration ([`ObsConfig::default`]).
+    /// A plane sized for `num_shards` ledger shards.
     pub fn new(num_shards: usize) -> Self {
-        Self::with_config(num_shards, ObsConfig::default())
-    }
-
-    /// A plane holding the last `flight_capacity` fleet ops (all other
-    /// knobs at their defaults).
-    pub fn with_flight_capacity(num_shards: usize, flight_capacity: usize) -> Self {
-        Self::with_config(
-            num_shards,
-            ObsConfig {
-                flight_capacity,
-                ..ObsConfig::default()
-            },
-        )
-    }
-
-    /// A plane with explicit sampling rates and ring capacities.
-    pub fn with_config(num_shards: usize, config: ObsConfig) -> Self {
         let num_shards = num_shards.max(1);
         let mut hists = Vec::with_capacity(Site::ALL.len());
         hists.resize_with(Site::ALL.len(), SharedHist::new);
@@ -294,9 +240,6 @@ impl ObsPlane {
         swap_attempts.resize_with(num_shards, || AtomicU64::new(0));
         let mut swap_conflicts = Vec::with_capacity(num_shards);
         swap_conflicts.resize_with(num_shards, || AtomicU64::new(0));
-        let hop_every = config.hop_sample_every.max(1).next_power_of_two();
-        let wait_every = config.wait_sample_every.max(1).next_power_of_two();
-        let trace_on = config.trace_capacity > 0;
         Self {
             enabled: AtomicBool::new(true),
             epoch: Instant::now(),
@@ -306,13 +249,11 @@ impl ObsPlane {
             freeze_read_fast: AtomicU64::new(0),
             hop_candidates_bounded: AtomicU64::new(0),
             hop_candidates_folded: AtomicU64::new(0),
-            flight: FlightRecorder::new(config.flight_capacity),
-            trace: TraceRing::new(config.trace_shards, config.trace_capacity.max(1)),
-            trace_on: AtomicBool::new(trace_on),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
+            trace: TraceRing::new(TRACE_SHARDS, TRACE_CAPACITY),
+            trace_on: AtomicBool::new(true),
             dumped: AtomicBool::new(false),
             last_post_mortem: Mutex::new(None),
-            hop_sample_mask: hop_every - 1,
-            wait_sample_mask: wait_every - 1,
             sample_tick: AtomicU64::new(0),
             last_t_us: AtomicU64::new(0),
         }
@@ -339,26 +280,18 @@ impl ObsPlane {
         }
     }
 
-    /// The default 1-in-N hop-span sampling rate
-    /// ([`ObsConfig::hop_sample_every`] overrides it per plane).
+    /// The 1-in-N hop-span sampling rate of
+    /// [`timer_sampled`](Self::timer_sampled). A power of two, so the
+    /// hot-path check is a mask, never a division.
     pub const SAMPLE_EVERY: u64 = 16;
 
-    /// The configured hop-span sampling rate (1-in-N).
-    pub fn hop_sample_every(&self) -> u64 {
-        self.hop_sample_mask + 1
-    }
+    /// The 1-in-N WAIT-dispatch span sampling rate: the worker pool
+    /// samples its dispatch span when `ops & (N - 1) == 0`. A power of
+    /// two, like [`SAMPLE_EVERY`](Self::SAMPLE_EVERY).
+    pub const WAIT_SAMPLE_EVERY: u64 = 32;
 
-    /// The configured WAIT-dispatch sampling mask (`rate - 1`; the
-    /// rate is a power of two). The worker pool samples its dispatch
-    /// span when `ops & mask == 0`.
-    #[inline]
-    pub fn wait_sample_mask(&self) -> u64 {
-        self.wait_sample_mask
-    }
-
-    /// Like [`ObsPlane::timer`], but sampled 1-in-N (N =
-    /// [`ObsConfig::hop_sample_every`], default
-    /// [`SAMPLE_EVERY`](Self::SAMPLE_EVERY)): the very hottest paths
+    /// Like [`ObsPlane::timer`], but sampled
+    /// 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY): the very hottest paths
     /// (the fleet hop) sample their span so the steady-state cost is a
     /// fraction of a clock read per op. Percentiles from a fixed
     /// fraction of millions of hops are statistically the same; the
@@ -375,7 +308,7 @@ impl ObsPlane {
         let tick = self.sample_tick.load(Ordering::Relaxed);
         self.sample_tick
             .store(tick.wrapping_add(1), Ordering::Relaxed);
-        if tick & self.hop_sample_mask == 0 {
+        if tick & (Self::SAMPLE_EVERY - 1) == 0 {
             Some(Self::clock_now())
         } else {
             None
@@ -395,9 +328,10 @@ impl ObsPlane {
 
     /// Close a sampled hot-path span: one clock read both finishes the
     /// span histogram sample and timestamps the flight event. Outlined
-    /// and cold for the same reason as [`ObsPlane::clock_now`] — this
-    /// runs on 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY) ops, and the
-    /// common path must not carry its code.
+    /// and cold for the same reason as the sampled arm's clock read
+    /// (`clock_now`) — this runs on
+    /// 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY) ops, and the common
+    /// path must not carry its code.
     #[cold]
     #[inline(never)]
     pub fn record_sampled(&self, site: Site, t0: Instant, kind: OpKind, a: u32, b: u32) {
@@ -736,49 +670,15 @@ mod tests {
     }
 
     #[test]
-    fn config_controls_sampling_rates_and_trace_gate() {
-        let plane = ObsPlane::with_config(
-            2,
-            ObsConfig {
-                hop_sample_every: 4,
-                wait_sample_every: 8,
-                ..ObsConfig::default()
-            },
-        );
-        assert_eq!(plane.hop_sample_every(), 4);
-        assert_eq!(plane.wait_sample_mask(), 7);
-        let fired: usize = (0..16).filter(|_| plane.timer_sampled().is_some()).count();
-        assert_eq!(fired, 4);
-        // Non-pow2 rates round up to the next power of two.
-        let odd = ObsPlane::with_config(
-            1,
-            ObsConfig {
-                hop_sample_every: 5,
-                ..ObsConfig::default()
-            },
-        );
-        assert_eq!(odd.hop_sample_every(), 8);
-        // trace_capacity 0 constructs with tracing off; the gate is
-        // still toggleable at runtime.
-        let silent = ObsPlane::with_config(
-            1,
-            ObsConfig {
-                trace_capacity: 0,
-                ..ObsConfig::default()
-            },
-        );
-        assert!(!silent.trace_enabled());
-        silent.note_trace(TraceKind::Registered, 1, 0);
-        assert_eq!(silent.trace().total(), 0);
-        silent.set_trace_enabled(true);
-        silent.note_trace(TraceKind::Registered, 1, 0);
-        assert_eq!(silent.trace().total(), 1);
-    }
-
-    #[test]
     fn trace_notes_flow_into_the_ring_and_export() {
         let plane = ObsPlane::new(1);
         assert!(plane.trace_enabled());
+        // The trace gate closes and reopens at run time, on its own.
+        plane.set_trace_enabled(false);
+        assert!(plane.enabled() && !plane.trace_enabled());
+        plane.note_trace(TraceKind::Registered, 5, 3);
+        assert_eq!(plane.trace().total(), 0);
+        plane.set_trace_enabled(true);
         plane.note_trace(TraceKind::Registered, 5, 3);
         let now = Instant::now();
         plane.note_op_at(now, OpKind::Admit, 5, 0);

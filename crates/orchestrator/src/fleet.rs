@@ -7,7 +7,7 @@
 //! HOP — behind one `Mutex<SystemState>` (the paper's FREEZE message,
 //! literally). That lock is gone. The fleet now owns:
 //!
-//! * one [`SessionSlot`] per session (its users'/tasks' agents, its
+//! * one `SessionSlot` per session (its users'/tasks' agents, its
 //!   evaluated [`SessionLoad`], its live flag), each behind its own
 //!   mutex — a HOP touches exactly one slot;
 //! * the sharded [`CapacityLedger`] as the *only* cross-session
@@ -23,7 +23,7 @@
 //! ## The open world
 //!
 //! The FREEZE lock guards more than quiescence: it owns the
-//! [`Universe`] — the problem (instance + tasks) and the per-session
+//! `Universe` — the problem (instance + tasks) and the per-session
 //! slot vector. Both are **append-only extensible** while the fleet is
 //! live: [`Fleet::register_session`] (exclusive FREEZE) registers a
 //! never-before-seen conference, growing the instance, the task table,
@@ -40,16 +40,27 @@
 //! global sequence counter; a hop appends while still holding its slot
 //! lock, so per-session journal order equals per-session commit order,
 //! and ops of different sessions commute under replay (state-exactly
-//! for slots and holdings; evacuation feasibility deliberately derives
-//! its residuals from slot loads, not the ledger's commit-order float
-//! sums, so `FailAgent` re-derivation is order-independent too) —
+//! for slots and holdings; evacuation feasibility deliberately checks
+//! against totals summed from slot loads, not the ledger's commit-order
+//! float sums, so `FailAgent` re-derivation is order-independent too) —
 //! recovery semantics are untouched.
+//!
+//! ## One capacity view
+//!
+//! Reserved capacity travels in one shape, [`AgentTotals`], and free
+//! capacity is formed from it in one place per consumer: an admission
+//! snapshots the ledger ([`CapacityLedger::reserved_totals_into`]) and
+//! hands the engine `Residuals::fill_from_totals`; a hop takes the same
+//! snapshot and an evacuation keeps its own delta-maintained slot
+//! totals, and both ask the one sparse `fits` — the paper's
+//! constraints (5)–(8) as `new − old ≤ capacity − reserved` at the
+//! agents the candidate touches.
 
-use crate::ledger::{CapacityLedger, HopResiduals, SessionHold};
+use crate::ledger::{CapacityLedger, SessionHold};
 use crate::persist::{FleetOp, RefusalReason};
 use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -66,7 +77,7 @@ use vc_core::{
     SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
-use vc_obs::{ObsConfig, ObsPlane, OpKind, Site, TraceKind};
+use vc_obs::{ObsPlane, OpKind, Site, TraceKind};
 use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// One candidate placement: session users and tasks to agents.
@@ -92,9 +103,6 @@ pub struct FleetConfig {
     pub alg1: Alg1Config,
     /// Ledger shard count (clamped to the agent count).
     pub ledger_shards: usize,
-    /// Observability-plane tuning: span sampling rates (hop, WAIT
-    /// dispatch) and flight/trace ring capacities.
-    pub obs: ObsConfig,
     /// Self-healing re-admission: `Some` queues sessions displaced by
     /// forced evacuations (and refusals routed through
     /// [`Fleet::admit_or_queue`]) for deterministic backoff retries;
@@ -108,7 +116,6 @@ impl Default for FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::live()),
             alg1: Alg1Config::default(),
             ledger_shards: 8,
-            obs: ObsConfig::default(),
             readmit: None,
         }
     }
@@ -263,40 +270,45 @@ pub(crate) struct SessionSlot {
     pub(crate) active: bool,
 }
 
+impl SessionSlot {
+    /// The placement entry `decision` rewrites, `index` being its
+    /// [`UapProblem::local_index`].
+    pub(crate) fn agent_mut(&mut self, decision: Decision, index: usize) -> &mut AgentId {
+        match decision {
+            Decision::User(..) => &mut self.users[index],
+            Decision::Task(..) => &mut self.tasks[index],
+        }
+    }
+}
+
 /// [`AssignmentView`] over one slot: lookups are linear in the session
 /// size (a handful of users), touching no global structure.
 struct SlotView<'a> {
-    user_ids: &'a [UserId],
-    task_ids: &'a [TaskId],
+    problem: &'a UapProblem,
+    s: SessionId,
     slot: &'a SessionSlot,
 }
 
 impl AssignmentView for SlotView<'_> {
     fn agent_of_user(&self, u: UserId) -> AgentId {
-        let i = self
-            .user_ids
-            .iter()
-            .position(|&w| w == u)
-            .expect("user belongs to the evaluated session");
+        let i =
+            (self.problem.local_user(self.s, u)).expect("user belongs to the evaluated session");
         self.slot.users[i]
     }
     fn agent_of_task(&self, t: TaskId) -> AgentId {
-        let i = self
-            .task_ids
-            .iter()
-            .position(|&w| w == t)
-            .expect("task belongs to the evaluated session");
+        let i =
+            (self.problem.local_task(self.s, t)).expect("task belongs to the evaluated session");
         self.slot.tasks[i]
     }
 }
 
 /// Reusable per-worker buffers for the fleet hop path: the engine's
-/// [`HopScratch`] plus the ledger residual snapshot. One per worker
-/// thread; steady-state hops allocate nothing.
+/// [`HopScratch`] plus the hop's snapshot of the ledger's reserved
+/// totals. One per worker thread; steady-state hops allocate nothing.
 #[derive(Debug, Default)]
 pub struct FleetHopScratch {
     pub(crate) hop: HopScratch,
-    pub(crate) residuals: HopResiduals,
+    pub(crate) reserved: AgentTotals,
     /// Φ delta of the last committed migration (set inside the slot
     /// lock, traced after it drops — recording never happens under
     /// FREEZE).
@@ -397,6 +409,17 @@ pub(crate) struct Universe {
 }
 
 impl Universe {
+    /// Every live slot in ascending session order, each locked in turn
+    /// (a slot's guard drops before the next one is taken) — the one
+    /// walk under every per-fleet sum, so they all see the same addends
+    /// in the same order. Caller holds no slot lock.
+    fn live_slots(&self) -> impl Iterator<Item = (SessionId, MutexGuard<'_, SessionSlot>)> {
+        self.slots.iter().enumerate().filter_map(|(i, slot)| {
+            let slot = slot.lock();
+            slot.active.then_some((SessionId::from(i), slot))
+        })
+    }
+
     /// Appends one inert slot for freshly-registered session `s`.
     fn push_slot(&mut self, s: SessionId) {
         let inst = self.problem.instance();
@@ -545,7 +568,7 @@ impl Fleet {
         for i in 0..universe.problem.instance().num_sessions() {
             universe.push_slot(SessionId::from(i));
         }
-        let obs = Arc::new(ObsPlane::with_config(ledger.num_shards(), config.obs));
+        let obs = Arc::new(ObsPlane::new(ledger.num_shards()));
         Self {
             freeze: RwLock::new(universe),
             live: AtomicUsize::new(0),
@@ -887,19 +910,13 @@ impl Fleet {
         eval: &mut EvalScratch,
         path: AdmitPath,
     ) -> Result<(), String> {
-        let user_ids = problem.instance().session(s).users();
         for &(u, a) in accepted.users {
-            let i = user_ids
-                .iter()
-                .position(|&w| w == u)
+            let i = (problem.local_user(s, u))
                 .ok_or_else(|| format!("admit of {s} places foreign user {u}"))?;
             slot.users[i] = a;
         }
-        let task_ids = problem.tasks().of_session(s);
         for &(t, a) in accepted.tasks {
-            let i = task_ids
-                .iter()
-                .position(|&w| w == t)
+            let i = (problem.local_task(s, t))
                 .ok_or_else(|| format!("admit of {s} places foreign task {t}"))?;
             slot.tasks[i] = a;
         }
@@ -991,28 +1008,9 @@ impl Fleet {
         self.down_agent_inner(agent, true, true)
     }
 
-    /// [`fail_agent`](Self::fail_agent) with the re-admission enqueue
-    /// split out (see [`down_agent_inner`](Self::down_agent_inner)) —
-    /// the `FailAgent` replay entry point.
-    pub(crate) fn fail_agent_inner(
-        &self,
-        agent: AgentId,
-        enqueue_displaced: bool,
-    ) -> (usize, usize) {
-        self.down_agent_inner(agent, enqueue_displaced, false)
-    }
-
-    /// [`drain_agent`](Self::drain_agent) with the re-admission enqueue
-    /// split out — the `DrainAgent` replay entry point.
-    pub(crate) fn drain_agent_inner(
-        &self,
-        agent: AgentId,
-        enqueue_displaced: bool,
-    ) -> (usize, usize) {
-        self.down_agent_inner(agent, enqueue_displaced, true)
-    }
-
-    /// The shared fail/drain path, with the re-admission enqueue split
+    /// The shared fail/drain path — what [`fail_agent`](Self::fail_agent)
+    /// and [`drain_agent`](Self::drain_agent) run and what `FailAgent` /
+    /// `DrainAgent` replay re-runs — with the re-admission enqueue split
     /// out: the evacuation (including whole-session displacement when
     /// the queue is enabled) is deterministic state change that journal
     /// replay re-derives by re-running it, but the *enqueue* of each
@@ -1022,7 +1020,7 @@ impl Fleet {
     /// `drain` marks the agent permanently out (refuse-then-evacuate:
     /// the ledger availability flips before any session moves, so no
     /// concurrent path can book onto the leaving agent).
-    fn down_agent_inner(
+    pub(crate) fn down_agent_inner(
         &self,
         agent: AgentId,
         enqueue_displaced: bool,
@@ -1103,14 +1101,15 @@ impl Fleet {
     ///
     /// **Cost.** One pass over the universe collects the stranded
     /// decisions and the per-agent totals together; after that each
-    /// decision costs O(agents): residuals are derived from the totals,
-    /// and every committed move or displacement updates the totals by
-    /// delta (`remove(old)` / `add(new)`, the closed-world
-    /// [`SystemState`] idiom). So an agent loss is
-    /// O(universe + stranded × agents) under the exclusive hold — time
-    /// proportional to the stranded load, not stranded × universe.
+    /// decision costs O(agents) candidates, each checked by [`fits`]
+    /// against the totals as they stand, and every committed move or
+    /// displacement updates the totals by delta (`remove(old)` /
+    /// `add(new)`, the closed-world [`SystemState`] idiom). So an agent
+    /// loss is O(universe + stranded × agents) under the exclusive hold
+    /// — time proportional to the stranded load, not stranded ×
+    /// universe.
     ///
-    /// **Determinism.** Residuals come from slot loads, NOT from the
+    /// **Determinism.** The totals come from slot loads, NOT from the
     /// ledger's reserved sums: the latter accumulate in journal-append
     /// order, which for concurrent hops can differ between the live run
     /// and replay by a ulp — and `FailAgent` replay must re-pick the
@@ -1146,7 +1145,6 @@ impl Fleet {
         // into `best`, so the winner's load is at hand at commit time.
         let mut eval = EvalScratch::new();
         let mut best = EvalScratch::new();
-        let mut residuals = HopResiduals::default();
         let mut moves = 0usize;
         let mut forced = 0usize;
         for (s, d) in stranded {
@@ -1156,7 +1154,6 @@ impl Fleet {
             if displaced.last() == Some(&s) {
                 continue;
             }
-            residuals_from_totals(inst, &totals, &mut residuals);
             let mut slot = u.slots[s.index()].lock();
             // `(target, Φ_s, feasible)`: a feasible candidate beats any
             // infeasible one; within a class the lower Φ_s wins, the
@@ -1168,7 +1165,7 @@ impl Fleet {
                 }
                 let base = slot_view(problem, s, &slot);
                 let load = eval.evaluate(problem, &OverlayView::new(&base, redirect(d, l)), s);
-                let feasible = fits(load, &slot.load, &residuals, inst.d_max_ms());
+                let feasible = fits(load, &slot.load, &totals, inst);
                 let phi = load.phi;
                 if winner.is_none_or(|(_, best_phi, best_feasible)| {
                     (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
@@ -1206,7 +1203,9 @@ impl Fleet {
                 }
             };
             if let Some(l) = target {
-                apply_to_slot(problem, &mut slot, s, redirect(d, l));
+                let index =
+                    (problem.local_index(s, d)).expect("a stranded decision is the session's");
+                *slot.agent_mut(d, index) = l;
                 totals.remove(&slot.load);
                 totals.add(best.load());
                 std::mem::swap(&mut slot.load, best.load_mut());
@@ -1517,12 +1516,7 @@ impl Fleet {
         scratch.last_swap_conflict = false;
         let outcome = self.hop_inner(s, rng, scratch);
         let (kind, a, b) = match outcome {
-            HopOutcome::Migrated(d) => {
-                let target = match d {
-                    Decision::User(_, a) | Decision::Task(_, a) => a,
-                };
-                (OpKind::Hop, s.index() as u32, target.index() as u32)
-            }
+            HopOutcome::Migrated(d) => (OpKind::Hop, s.index() as u32, d.target().index() as u32),
             HopOutcome::Stayed | HopOutcome::NoFeasibleMove => (OpKind::Stay, s.index() as u32, 0),
         };
         if let Some(t0) = t0 {
@@ -1576,13 +1570,13 @@ impl Fleet {
         if !slot.active {
             return HopOutcome::NoFeasibleMove;
         }
-        self.ledger.hop_residuals_into(&mut scratch.residuals);
         let FleetHopScratch {
             hop,
-            residuals,
+            reserved,
             last_delta_phi,
             last_swap_conflict,
         } = scratch;
+        self.ledger.reserved_totals_into(reserved);
         let mut hood = Neighborhood::begin(
             &mut hop.eval,
             problem,
@@ -1590,13 +1584,13 @@ impl Fleet {
             slot.users.iter().copied(),
             slot.tasks.iter().copied(),
         );
-        let d_max_ms = problem.instance().d_max_ms();
+        let inst = problem.instance();
         let ctx = HopContext {
             beta: self.engine.config().beta,
             phi_now: slot.load.phi,
-            d_max_ms,
+            d_max_ms: inst.d_max_ms(),
             allowed: |l: AgentId| universe.available[l.index()],
-            fits: |load: &SessionLoad| fits(load, &slot.load, residuals, d_max_ms),
+            fits: |load: &SessionLoad| fits(load, &slot.load, reserved, inst),
         };
         let outcome = self
             .engine
@@ -1612,7 +1606,7 @@ impl Fleet {
         // fold during the sweep gave, or would have given) and names
         // its slot, which serves both the journaled old assignment and
         // the commit below.
-        let (slot_idx, load) = hood.candidate(decision);
+        let (index, load) = hood.candidate(decision);
         let swap = self.ledger.try_swap(s, SessionHold::from_load(load));
         // Attempt/conflict counters keyed by session — no clock reads;
         // contention shows up as a conflict ratio, not a latency. The
@@ -1620,13 +1614,8 @@ impl Fleet {
         self.obs.note_swap(s.index(), swap.is_err());
         match swap {
             Ok(()) => {
-                let old_agent = match decision {
-                    Decision::User(_, a) => std::mem::replace(&mut slot.users[slot_idx], a),
-                    Decision::Task(_, a) => std::mem::replace(&mut slot.tasks[slot_idx], a),
-                };
                 *last_delta_phi = load.phi - slot.load.phi;
-                slot.load.clone_from(load);
-                self.counters.migrations.fetch_add(1, Ordering::Relaxed);
+                let old_agent = self.commit_hop(&mut slot, decision, index, load);
                 self.log_op(|| FleetOp::Hop {
                     session: s,
                     decision,
@@ -1645,6 +1634,25 @@ impl Fleet {
         }
     }
 
+    /// Commits a weighed migration whose hold the ledger has already
+    /// swapped in — the live hop after its checked `try_swap`, `Hop`
+    /// replay after its `force_swap`: writes `decision`'s target into
+    /// the slot's placement at `index` (its
+    /// [`UapProblem::local_index`]), installs `load`, counts the
+    /// migration. Returns the agent moved from.
+    pub(crate) fn commit_hop(
+        &self,
+        slot: &mut SessionSlot,
+        decision: Decision,
+        index: usize,
+        load: &SessionLoad,
+    ) -> AgentId {
+        let old_agent = std::mem::replace(slot.agent_mut(decision, index), decision.target());
+        slot.load.clone_from(load);
+        self.counters.migrations.fetch_add(1, Ordering::Relaxed);
+        old_agent
+    }
+
     /// Whether session `s` is live.
     pub fn is_live(&self, s: SessionId) -> bool {
         self.freeze.read().slots[s.index()].lock().active
@@ -1660,11 +1668,8 @@ impl Fleet {
     pub(crate) fn metrics(&self) -> FleetMetrics {
         let u = self.freeze.read();
         let mut acc = MetricsAcc::default();
-        for slot in &u.slots {
-            let slot = slot.lock();
-            if slot.active {
-                acc.add(&slot.load);
-            }
+        for (_, slot) in u.live_slots() {
+            acc.add(&slot.load);
         }
         acc.finish()
     }
@@ -1687,18 +1692,11 @@ impl Fleet {
         )
     }
 
-    /// Global objective over live sessions (deterministic: ascending
-    /// session order, so a recovered fleet reproduces it bitwise).
+    /// Global objective over live sessions (deterministic: summed from
+    /// zero in ascending session order, so a recovered fleet reproduces
+    /// it bitwise).
     pub fn objective(&self) -> f64 {
-        let u = self.freeze.read();
-        let mut sum = 0.0;
-        for slot in &u.slots {
-            let slot = slot.lock();
-            if slot.active {
-                sum += slot.load.phi;
-            }
-        }
-        sum
+        self.metrics().objective
     }
 
     /// Mean objective per live session (0 when idle) — the fleet-level
@@ -1725,11 +1723,7 @@ impl Fleet {
     /// Ids of the currently live sessions, ascending.
     pub fn live_sessions(&self) -> Vec<SessionId> {
         let u = self.freeze.read();
-        u.problem
-            .instance()
-            .session_ids()
-            .filter(|s| u.slots[s.index()].lock().active)
-            .collect()
+        u.live_slots().map(|(s, _)| s).collect()
     }
 
     /// Materializes a full [`SystemState`] (assignment, active set,
@@ -1788,11 +1782,7 @@ impl Fleet {
         let u = self.freeze_exclusive();
         let mut scratch = EvalScratch::new();
         let mut drift: f64 = 0.0;
-        for s in u.problem.instance().session_ids() {
-            let mut slot = u.slots[s.index()].lock();
-            if !slot.active {
-                continue;
-            }
+        for (s, mut slot) in u.live_slots() {
             {
                 let view = slot_view(&u.problem, s, &slot);
                 scratch.evaluate(&u.problem, &view, s);
@@ -1870,24 +1860,38 @@ impl Fleet {
     }
 }
 
-/// The sparse feasibility rule of hops and evacuations: the delay
-/// bound plus, per agent the candidate `load` *touches* only,
-/// `new − old ≤ residual` (the mirror of the closed-world capacity
-/// check, against a residual snapshot instead of cached totals).
-fn fits(load: &SessionLoad, old: &SessionLoad, residuals: &HopResiduals, d_max_ms: f64) -> bool {
-    if load.max_flow_delay > d_max_ms + CAPACITY_EPS {
+/// The sparse feasibility rule of hops and evacuations — the paper's
+/// constraints (5)–(8) for one session's candidate `load` replacing its
+/// committed `old`, against `reserved` (what every live session holds,
+/// `old` included): the delay bound first, then, per agent the
+/// candidate *touches* only, `new − old ≤ capacity − reserved`. The
+/// mirror of the closed-world `totals − old + new ≤ capacity` check;
+/// an agent that advertises unlimited transcoding never refuses, and
+/// the free capacity is signed — an agent a forced evacuation overshot
+/// takes only candidates that lower its load by at least the overshoot.
+pub(crate) fn fits(
+    load: &SessionLoad,
+    old: &SessionLoad,
+    reserved: &AgentTotals,
+    inst: &Instance,
+) -> bool {
+    if load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
         return false;
     }
     for &a in &load.touched {
         let i = a as usize;
-        if load.download[i] - old.download[i] > residuals.download[i] + CAPACITY_EPS {
+        let cap = inst.agent(AgentId::from(i)).capacity();
+        let free_download = cap.download_mbps - reserved.download[i];
+        if load.download[i] - old.download[i] > free_download + CAPACITY_EPS {
             return false;
         }
-        if load.upload[i] - old.upload[i] > residuals.upload[i] + CAPACITY_EPS {
+        let free_upload = cap.upload_mbps - reserved.upload[i];
+        if load.upload[i] - old.upload[i] > free_upload + CAPACITY_EPS {
             return false;
         }
-        if f64::from(load.transcode_units[i]) - f64::from(old.transcode_units[i])
-            > residuals.transcode[i]
+        if cap.transcode_slots != u32::MAX
+            && f64::from(load.transcode_units[i]) - f64::from(old.transcode_units[i])
+                > f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i])
         {
             return false;
         }
@@ -1901,39 +1905,12 @@ fn fits(load: &SessionLoad, old: &SessionLoad, residuals: &HopResiduals, d_max_m
 /// on the way. Caller holds the FREEZE write lock and no slot lock
 /// (every slot is locked in turn).
 fn live_totals_locked(u: &Universe, mut visit: impl FnMut(SessionId, &SessionSlot)) -> AgentTotals {
-    let inst = u.problem.instance();
-    let mut totals = AgentTotals::zero(inst.num_agents());
-    for s in inst.session_ids() {
-        let slot = u.slots[s.index()].lock();
-        if slot.active {
-            totals.add(&slot.load);
-            visit(s, &slot);
-        }
+    let mut totals = AgentTotals::zero(u.problem.instance().num_agents());
+    for (s, slot) in u.live_slots() {
+        totals.add(&slot.load);
+        visit(s, &slot);
     }
     totals
-}
-
-/// Fills `out` with availability-blind residual capacities
-/// (`capacity − totals`, `+∞` for unlimited transcoding) — the shape
-/// [`CapacityLedger::hop_residuals_into`] gives hops, derived from slot
-/// totals instead of the ledger's reserved sums.
-fn residuals_from_totals(inst: &Instance, totals: &AgentTotals, out: &mut HopResiduals) {
-    // Sized only: every entry is overwritten below.
-    let nl = inst.num_agents();
-    out.download.resize(nl, 0.0);
-    out.upload.resize(nl, 0.0);
-    out.transcode.resize(nl, 0.0);
-    for l in inst.agent_ids() {
-        let i = l.index();
-        let cap = inst.agent(l).capacity();
-        out.download[i] = cap.download_mbps - totals.download[i];
-        out.upload[i] = cap.upload_mbps - totals.upload[i];
-        out.transcode[i] = if cap.transcode_slots == u32::MAX {
-            f64::INFINITY
-        } else {
-            f64::from(cap.transcode_slots) - f64::from(totals.transcode[i])
-        };
-    }
 }
 
 /// Largest per-agent bandwidth gap between two totals (`+∞` when the
@@ -1955,41 +1932,7 @@ fn totals_drift(a: &AgentTotals, b: &AgentTotals) -> f64 {
 /// problem now lives inside the FREEZE lock, so helpers take it
 /// explicitly instead of reading a fleet field).
 fn slot_view<'a>(problem: &'a UapProblem, s: SessionId, slot: &'a SessionSlot) -> SlotView<'a> {
-    SlotView {
-        user_ids: problem.instance().session(s).users(),
-        task_ids: problem.tasks().of_session(s),
-        slot,
-    }
-}
-
-/// Writes `decision` into the slot's placement vectors.
-pub(crate) fn apply_to_slot(
-    problem: &UapProblem,
-    slot: &mut SessionSlot,
-    s: SessionId,
-    decision: Decision,
-) {
-    match decision {
-        Decision::User(u, a) => {
-            let i = problem
-                .instance()
-                .session(s)
-                .users()
-                .iter()
-                .position(|&w| w == u)
-                .expect("moved user belongs to the session");
-            slot.users[i] = a;
-        }
-        Decision::Task(t, a) => {
-            let i = problem
-                .tasks()
-                .of_session(s)
-                .iter()
-                .position(|&w| w == t)
-                .expect("moved task belongs to the session");
-            slot.tasks[i] = a;
-        }
-    }
+    SlotView { problem, s, slot }
 }
 
 /// The full placement of session `s` (its slot's current assignment),

@@ -1,12 +1,11 @@
 //! The sharded per-agent capacity ledger.
 //!
-//! A [`vc_core::SystemState`] is a closed world: its
-//! capacity checks only see the sessions of its own instance. The
-//! orchestrator instead treats agent capacity as a *shared, contended*
-//! resource: every live session holds an explicit reservation
-//! (bandwidth + transcoding slots per agent), taken and released
-//! atomically as sessions are admitted, migrated, and torn down —
-//! possibly from many worker threads at once.
+//! A closed-world state checks capacity against the sessions of its own
+//! instance only. The orchestrator instead treats agent capacity as a
+//! *shared, contended* resource: every live session holds an explicit
+//! reservation (bandwidth + transcoding slots per agent), taken and
+//! released atomically as sessions are admitted, migrated, and torn
+//! down — possibly from many worker threads at once.
 //!
 //! Agents are partitioned into shards, each behind its own lock, so
 //! concurrent reservations contend only when they touch the same shard.
@@ -35,7 +34,7 @@
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use vc_core::{AgentTotals, SystemState, UapProblem, CAPACITY_EPS};
+use vc_core::{AgentTotals, UapProblem, CAPACITY_EPS};
 use vc_model::{AgentId, Capacity, SessionId};
 
 /// One agent's worth of a session's reservation.
@@ -148,11 +147,12 @@ impl std::fmt::Display for LedgerError {
 
 /// One agent's booked totals. The reserved fields are atomics:
 /// *mutation* happens only while the owning shard lock is held (so
-/// read-modify-write needs no CAS), while *readers* — per-hop residual
-/// snapshots, telemetry, the audit — load them lock-free. Each field is
-/// individually consistent; cross-field consistency for mutators comes
-/// from the shard lock, and the audit runs under the fleet's FREEZE
-/// write lock, which quiesces all mutators.
+/// read-modify-write needs no CAS), while *readers* — per-hop and
+/// per-admit totals snapshots, telemetry, the audit — load them
+/// lock-free. Each field is individually consistent; cross-field
+/// consistency for mutators comes from the shard lock, and the audit
+/// runs under the fleet's FREEZE write lock, which quiesces all
+/// mutators.
 #[derive(Debug)]
 struct AgentEntry {
     capacity: Capacity,
@@ -259,19 +259,6 @@ pub struct AgentUtilization {
     pub available: bool,
 }
 
-/// Reusable per-worker residual-capacity buffers for the hop path (see
-/// [`CapacityLedger::hop_residuals_into`]).
-#[derive(Debug, Default)]
-pub struct HopResiduals {
-    /// Per-agent free download bandwidth (Mbps; may be negative after a
-    /// forced evacuation overshoot).
-    pub download: Vec<f64>,
-    /// Per-agent free upload bandwidth (Mbps).
-    pub upload: Vec<f64>,
-    /// Per-agent free transcoding units (`+∞` for unlimited).
-    pub transcode: Vec<f64>,
-}
-
 /// Aggregate residual capacity of one region — the telemetry shape
 /// behind the `vc_region_*` gauges.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,7 +317,7 @@ impl PreparedReserve {
 #[derive(Debug)]
 pub struct CapacityLedger {
     /// Per-agent entries, indexed by agent id. Reserved totals are
-    /// atomics, so residual snapshots and telemetry read them with only
+    /// atomics, so totals snapshots and telemetry read them with only
     /// the entries read lock (uncontended except during registration) —
     /// a hop's capacity snapshot costs `L` relaxed loads instead of a
     /// walk over every shard mutex. The `RwLock` exists solely for
@@ -581,10 +568,10 @@ impl CapacityLedger {
 
     /// Replaces the session's reservation with `new_hold` *uncondition-
     /// ally* (no capacity check) — the mirror operation for migrations
-    /// already validated against the authoritative `SystemState` under
-    /// the FREEZE lock, and for forced evacuations, which deliberately
-    /// overshoot (service continuity over constraint purity; the
-    /// overshoot shows up in [`utilization`](Self::utilization)).
+    /// the journal already committed (`Hop` replay) and for forced
+    /// evacuations, which deliberately overshoot (service continuity
+    /// over constraint purity; the overshoot shows up in
+    /// [`utilization`](Self::utilization)).
     ///
     /// # Errors
     ///
@@ -637,35 +624,21 @@ impl CapacityLedger {
         out
     }
 
-    /// Books `hold` for `session` *without* re-checking capacity — the
-    /// admission engine already proved the placement fits against this
-    /// ledger's residuals under the exclusive FREEZE lock, so a second
-    /// epsilon-sensitive check could only disagree spuriously. The
-    /// engine is the authority; the ledger mirrors it.
+    /// Books `hold` for `session` *without* capacity or availability
+    /// checks. Two callers: an admission, whose engine already proved
+    /// the placement fits against this ledger's reserved totals under
+    /// the exclusive FREEZE lock (a second epsilon-sensitive check could
+    /// only disagree spuriously — the engine is the authority, the
+    /// ledger mirrors it); and crash recovery re-installing a
+    /// snapshot's holdings, which may legitimately overshoot (forced
+    /// evacuations) and may sit on failed agents — validity is
+    /// established afterwards by the recovery audit, not here.
     ///
     /// # Errors
     ///
     /// [`LedgerError::AlreadyHeld`] if the session already holds a
     /// reservation (an admit/activate invariant breach).
     pub(crate) fn book_unchecked(
-        &self,
-        session: SessionId,
-        hold: SessionHold,
-    ) -> Result<(), LedgerError> {
-        self.restore_hold(session, hold)
-    }
-
-    /// Books `hold` for `session` *without* capacity or availability
-    /// checks — the crash-recovery path re-installing a snapshot's
-    /// holdings, which may legitimately overshoot (forced evacuations)
-    /// and may sit on failed agents. Validity is established afterwards
-    /// by the recovery audit, not here.
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::AlreadyHeld`] if the session already holds a
-    /// reservation.
-    pub(crate) fn restore_hold(
         &self,
         session: SessionId,
         hold: SessionHold,
@@ -757,21 +730,11 @@ impl CapacityLedger {
             .fold(0.0, f64::max)
     }
 
-    /// Conservation audit against the authoritative state: per agent,
-    /// the booked reservations must equal the state's live
-    /// [`AgentTotals`] (within float slack), and the set of holding
-    /// sessions must equal the active set. Returns human-readable
+    /// Conservation audit against the authoritative slots: per agent,
+    /// the booked reservations must equal `totals` — the sum of the
+    /// live slot loads — within float slack, and the set of holding
+    /// sessions must equal `active` (ascending). Returns human-readable
     /// discrepancies (empty = conserved).
-    pub fn audit_against(&self, state: &SystemState) -> Vec<String> {
-        let mut active: Vec<SessionId> = state.active_sessions().collect();
-        active.sort_unstable();
-        self.audit_against_totals(state.totals(), &active)
-    }
-
-    /// [`audit_against`](Self::audit_against) on raw totals + an
-    /// ascending active-session list — the form the sharded fleet uses
-    /// (it sums per-session slot loads instead of keeping a global
-    /// `SystemState`).
     pub fn audit_against_totals(&self, totals: &AgentTotals, active: &[SessionId]) -> Vec<String> {
         let mut problems = Vec::new();
         self.for_each_entry(|agent, e| {
@@ -812,42 +775,20 @@ impl CapacityLedger {
         problems
     }
 
-    /// Fills `out` with availability-*blind* residual capacities
-    /// (`capacity − reserved`, `+∞` for unlimited resources) — the
-    /// per-hop capacity snapshot. Hops check `new − old ≤ residual`,
-    /// which mirrors the closed-world `totals − old + new ≤ capacity`
-    /// check; failed agents are excluded separately (only as *targets*),
-    /// so load already sitting on a down agent may still be carried by
-    /// moves that do not increase it. Costs `L` relaxed atomic loads
-    /// under the (uncontended) entries read lock, no allocation after
-    /// warm-up.
-    pub fn hop_residuals_into(&self, out: &mut HopResiduals) {
-        let entries = self.entries.read();
-        let n = entries.len();
-        out.download.clear();
-        out.download.resize(n, 0.0);
-        out.upload.clear();
-        out.upload.resize(n, 0.0);
-        out.transcode.clear();
-        out.transcode.resize(n, 0.0);
-        for (i, e) in entries.iter().enumerate() {
-            out.download[i] = e.capacity.download_mbps - e.download();
-            out.upload[i] = e.capacity.upload_mbps - e.upload();
-            out.transcode[i] = if e.capacity.transcode_slots == u32::MAX {
-                f64::INFINITY
-            } else {
-                f64::from(e.capacity.transcode_slots) - f64::from(e.units())
-            };
-        }
-    }
-
-    /// The booked per-agent reservation totals as [`AgentTotals`] —
-    /// the live-fleet mirror of `SystemState::totals`. Lock-free (`L`
-    /// relaxed loads per resource); globally consistent when called
-    /// under the fleet's FREEZE write lock, which quiesces mutators.
-    /// Feeding these through `Residuals::from_totals` gives the
-    /// admission engine the same residual shape the offline world
-    /// derives from a closed-world state.
+    /// The booked per-agent reservation totals as [`AgentTotals`] — the
+    /// one shape reserved capacity leaves the ledger in, the same a
+    /// closed-world state keeps as its totals. Every reader forms
+    /// `capacity − reserved` itself, at the agents it looks at: the
+    /// admission engine through `Residuals::fill_from_totals` (so it
+    /// searches the space the offline world searches), a hop through
+    /// the fleet's sparse `fits` — which mirrors the closed-world
+    /// `totals − old + new ≤ capacity` check and is availability-*blind*
+    /// (failed agents are excluded separately, as *targets* only, so
+    /// load already on a down agent may still be carried by moves that
+    /// do not increase it). Lock-free (`L` relaxed loads per resource
+    /// under the uncontended entries read lock); globally consistent
+    /// when called under the fleet's FREEZE write lock, which quiesces
+    /// mutators.
     pub fn reserved_totals(&self) -> AgentTotals {
         let mut totals = AgentTotals::zero(0);
         self.reserved_totals_into(&mut totals);
@@ -855,8 +796,8 @@ impl CapacityLedger {
     }
 
     /// [`reserved_totals`](Self::reserved_totals) into a caller-owned
-    /// buffer — the admit path takes this snapshot on every admission
-    /// and keeps one buffer for it.
+    /// buffer — every admission and every hop takes this snapshot and
+    /// keeps one buffer for it (no allocation after warm-up).
     pub fn reserved_totals_into(&self, totals: &mut AgentTotals) {
         let entries = self.entries.read();
         totals.download.clear();
@@ -869,33 +810,6 @@ impl CapacityLedger {
         totals
             .transcode
             .extend(entries.iter().map(AgentEntry::units));
-    }
-
-    /// Residual capacities in the shape `vc-algo`'s AgRank consumes
-    /// (infinite for unlimited agents; zero for failed ones so the
-    /// ranking never proposes them).
-    pub fn residuals(&self) -> vc_algo::agrank::Residuals {
-        let entries = self.entries.read();
-        let n = entries.len();
-        let mut download = vec![0.0; n];
-        let mut upload = vec![0.0; n];
-        let mut transcode = vec![0.0; n];
-        for (i, e) in entries.iter().enumerate() {
-            if e.is_up() {
-                download[i] = e.capacity.download_mbps - e.download();
-                upload[i] = e.capacity.upload_mbps - e.upload();
-                transcode[i] = if e.capacity.transcode_slots == u32::MAX {
-                    f64::INFINITY
-                } else {
-                    f64::from(e.capacity.transcode_slots.saturating_sub(e.units()))
-                };
-            }
-        }
-        vc_algo::agrank::Residuals {
-            download,
-            upload,
-            transcode,
-        }
     }
 
     // ---- Two-phase cross-region reservation -------------------------

@@ -137,8 +137,8 @@ pub use fleet::{
     PlacementPolicy,
 };
 pub use ledger::{
-    AgentHold, AgentUtilization, CapacityLedger, CrossRegionError, HopResiduals, LedgerError,
-    PreparedReserve, RegionResiduals, SessionHold, DEFAULT_REGION,
+    AgentHold, AgentUtilization, CapacityLedger, CrossRegionError, LedgerError, PreparedReserve,
+    RegionResiduals, SessionHold, DEFAULT_REGION,
 };
 pub use orchestrator::{FleetReport, Orchestrator, OrchestratorConfig};
 pub use persist::{

@@ -63,6 +63,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vc_algo::admission::{AdmissionFailure, AdmissionTier};
+use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{OpKind, TraceKind};
@@ -901,19 +902,14 @@ impl Fleet {
         let lock = acquire_store_lock(&persist.dir)?;
         wipe_store(&persist.dir)?;
         let mut fleet = Fleet::new(problem, config);
-        let genesis = {
-            let u = fleet.freeze.read();
-            capture(&fleet, &u)
-        };
-        write_snapshot_with(&persist.dir, 0, &genesis, &*vfs)?;
-        let mut journal = JournalWriter::create_with(
-            journal_path(&persist.dir, 1),
+        let journal = fleet.cut_store(
+            &fleet.freeze.read(),
+            0,
+            &persist.dir,
             persist.fsync,
-            1,
             &*vfs,
             retry,
         )?;
-        journal.set_obs(Arc::clone(&fleet.obs));
         fleet.persist = Some(FleetPersistence {
             dir: persist.dir,
             fsync: persist.fsync,
@@ -924,6 +920,31 @@ impl Fleet {
             _lock: lock,
         });
         Ok(fleet)
+    }
+
+    /// Cuts the store at `seq` — the step opening, checkpointing and
+    /// recovering a store share: the fleet's captured state becomes the
+    /// snapshot at `seq`, then a fresh journal wired to the fleet's obs
+    /// plane opens at `seq + 1`. Snapshot first: a crash between the two
+    /// writes leaves a valid snapshot beside the journal it supersedes
+    /// (none, at genesis), never a journal without its base. The caller
+    /// holds the FREEZE lock behind `u`; it installs the returned
+    /// journal *before* it compacts, so a failed compaction leaves the
+    /// fleet appending after the snapshot it just wrote.
+    fn cut_store(
+        &self,
+        u: &fleet::Universe,
+        seq: u64,
+        dir: &Path,
+        fsync: FsyncPolicy,
+        vfs: &dyn Vfs,
+        retry: RetryPolicy,
+    ) -> Result<JournalWriter<FleetOp>, PersistError> {
+        write_snapshot_with(dir, seq, &capture(self, u), vfs)?;
+        let mut journal =
+            JournalWriter::create_with(journal_path(dir, seq + 1), fsync, seq + 1, vfs, retry)?;
+        journal.set_obs(Arc::clone(&self.obs));
+        Ok(journal)
     }
 
     /// Whether the fleet journals its mutations.
@@ -969,15 +990,7 @@ impl Fleet {
         let mut journal = p.journal.lock();
         journal.commit()?;
         let last_seq = journal.next_seq() - 1;
-        write_snapshot_with(&p.dir, last_seq, &capture(self, &u), &*p.vfs)?;
-        *journal = JournalWriter::create_with(
-            journal_path(&p.dir, last_seq + 1),
-            p.fsync,
-            last_seq + 1,
-            &*p.vfs,
-            p.retry,
-        )?;
-        journal.set_obs(Arc::clone(&self.obs));
+        *journal = self.cut_store(&u, last_seq, &p.dir, p.fsync, &*p.vfs, p.retry)?;
         compact(&p.dir, last_seq)?;
         drop(journal);
         drop(u);
@@ -1086,13 +1099,10 @@ impl Fleet {
                     FleetOp::Hop {
                         session, decision, ..
                     } => {
-                        let target = match decision {
-                            Decision::User(_, a) | Decision::Task(_, a) => *a,
-                        };
                         fleet.obs.note_op(
                             OpKind::Hop,
                             session.index() as u32,
-                            target.index() as u32,
+                            decision.target().index() as u32,
                         );
                     }
                     _ => {}
@@ -1113,19 +1123,14 @@ impl Fleet {
             return Err(PersistError::Replay(detail));
         }
         let last_seq = expected - 1;
-        let recovered_state = {
-            let u = fleet.freeze.read();
-            capture(&fleet, &u)
-        };
-        write_snapshot_with(&persist.dir, last_seq, &recovered_state, &*vfs)?;
-        let mut journal = JournalWriter::create_with(
-            journal_path(&persist.dir, last_seq + 1),
+        let journal = fleet.cut_store(
+            &fleet.freeze.read(),
+            last_seq,
+            &persist.dir,
             persist.fsync,
-            last_seq + 1,
             &*vfs,
             retry,
         )?;
-        journal.set_obs(Arc::clone(&fleet.obs));
         compact(&persist.dir, last_seq)?;
         fleet
             .obs
@@ -1322,7 +1327,7 @@ impl Fleet {
             }
         }
         for (session, hold) in durable.holdings {
-            fleet.ledger.restore_hold(session, hold).map_err(|e| {
+            fleet.ledger.book_unchecked(session, hold).map_err(|e| {
                 PersistError::Replay(format!("snapshot holdings re-book failed: {e}"))
             })?;
         }
@@ -1362,7 +1367,7 @@ impl Fleet {
         let num = self.freeze.read().problem.instance().num_agents();
         if agent.index() >= num {
             return Err(PersistError::Replay(format!(
-                "{what} of unknown agent {agent}: the replayed universe has only {num} agents \
+                "{what} unknown agent {agent}: the replayed universe has only {num} agents \
                  (wrong or stale seed problem?)"
             )));
         }
@@ -1370,9 +1375,9 @@ impl Fleet {
     }
 
     /// Applies one journaled op to a recovering fleet. Every arm but
-    /// `Hop` and the counter/cache-only `StayBatch`, `Timers` and
-    /// `ReadmitDrop` re-enters the code the live path ran, so recovered
-    /// counters equal pre-crash counters by construction.
+    /// the counter/cache-only `StayBatch`, `Timers` and `ReadmitDrop`
+    /// re-enters the code the live path ran, so recovered counters equal
+    /// pre-crash counters by construction.
     pub(crate) fn replay_op(
         &self,
         op: &FleetOp,
@@ -1432,16 +1437,16 @@ impl Fleet {
                 // depart() counted this replayed departure already.
             }
             FleetOp::FailAgent { agent } => {
-                self.replay_agent_bound(*agent, "failure")?;
+                self.replay_agent_bound(*agent, "failure of")?;
                 // Replay re-runs the deterministic evacuation but does
                 // NOT re-enqueue displaced sessions: the journal carries
                 // every enqueue as an explicit `ReadmitEnqueue` record
                 // (queue mutations are never re-derived), so the live
                 // path's enqueues arrive as the very next records.
-                self.fail_agent_inner(*agent, false);
+                self.down_agent_inner(*agent, false, false);
             }
             FleetOp::RestoreAgent { agent } => {
-                self.replay_agent_bound(*agent, "restore")?;
+                self.replay_agent_bound(*agent, "restore of")?;
                 // Refused restores (drained agents) journal nothing, so
                 // a journaled restore that the replayed state refuses
                 // means journal and snapshot disagree.
@@ -1457,45 +1462,43 @@ impl Fleet {
                 old_agent,
             } => {
                 self.replay_session_bound(*session, "hop")?;
+                self.replay_agent_bound(decision.target(), "hop onto")?;
                 let universe = self.freeze.write();
+                let problem = &universe.problem;
                 let mut slot = universe.slots[session.index()].lock();
                 if !slot.active {
                     return Err(PersistError::Replay(format!(
                         "hop of non-live session {session}"
                     )));
                 }
-                let view = {
-                    let inst = universe.problem.instance();
-                    let user_ids = inst.session(*session).users();
-                    let task_ids = universe.problem.tasks().of_session(*session);
-                    match decision {
-                        Decision::User(u, _) => user_ids
-                            .iter()
-                            .position(|&w| w == *u)
-                            .map(|i| slot.users[i]),
-                        Decision::Task(t, _) => task_ids
-                            .iter()
-                            .position(|&w| w == *t)
-                            .map(|i| slot.tasks[i]),
-                    }
-                };
-                let current = view.ok_or_else(|| {
+                let index = problem.local_index(*session, *decision).ok_or_else(|| {
                     PersistError::Replay(format!("hop {decision} targets a foreign session"))
                 })?;
+                let current = *slot.agent_mut(*decision, index);
                 if current != *old_agent {
                     return Err(PersistError::Replay(format!(
                         "hop {decision} expected old assignment {old_agent}, state has {current}"
                     )));
                 }
-                fleet::apply_to_slot(&universe.problem, &mut slot, *session, *decision);
-                let load =
-                    fleet::evaluate_slot(&universe.problem, *session, &slot, scratch).clone();
-                let hold = SessionHold::from_load(&load);
-                slot.load = load;
-                self.ledger.force_swap(*session, hold).map_err(|e| {
-                    PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
-                })?;
-                self.counters.migrations.fetch_add(1, Ordering::Relaxed);
+                // The journaled decision is weighed the way the live hop
+                // weighed it and committed through the live hop's
+                // commit; only the swap is forced, not checked — the
+                // live `try_swap` already won this capacity. Replay
+                // never searches.
+                let mut hood = Neighborhood::begin(
+                    scratch,
+                    problem,
+                    *session,
+                    slot.users.iter().copied(),
+                    slot.tasks.iter().copied(),
+                );
+                let (_, load) = hood.candidate(*decision);
+                self.ledger
+                    .force_swap(*session, SessionHold::from_load(load))
+                    .map_err(|e| {
+                        PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
+                    })?;
+                self.commit_hop(&mut slot, *decision, index, load);
             }
             FleetOp::StayBatch { count } => {
                 self.counters
@@ -1547,11 +1550,11 @@ impl Fleet {
                 }
             }
             FleetOp::DrainAgent { agent } => {
-                self.replay_agent_bound(*agent, "drain")?;
+                self.replay_agent_bound(*agent, "drain of")?;
                 // Like `FailAgent`: re-run the deterministic evacuation
                 // but never re-enqueue — the journal carries every
                 // enqueue as an explicit `ReadmitEnqueue` record.
-                self.drain_agent_inner(*agent, false);
+                self.down_agent_inner(*agent, false, true);
             }
             FleetOp::ReadmitDrop { session } => {
                 self.replay_session_bound(*session, "readmit drop")?;

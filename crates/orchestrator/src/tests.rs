@@ -6,7 +6,7 @@ use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::workers::ReoptPool;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
-use vc_algo::agrank::AgRankConfig;
+use vc_algo::agrank::{AgRankConfig, Residuals};
 use vc_algo::markov::Alg1Config;
 use vc_core::UapProblem;
 use vc_cost::CostModel;
@@ -132,7 +132,10 @@ fn ledger_refuses_failed_agents_until_restored() {
         ledger.try_reserve(SessionId::new(0), hold.clone()),
         Err(LedgerError::AgentDown(AgentId::new(1)))
     );
-    assert_eq!(ledger.residuals().download[1], 0.0);
+    // The refusal booked nothing: the down agent's capacity is all still
+    // free (its availability is the flag above, not a zeroed residual).
+    let residuals = Residuals::from_totals(&p, &ledger.reserved_totals());
+    assert_eq!(residuals.download[1], 100.0);
     ledger.restore_agent(AgentId::new(1));
     ledger.try_reserve(SessionId::new(0), hold).unwrap();
 }
@@ -243,6 +246,84 @@ fn hops_keep_ledger_in_sync() {
     let metrics = vc_obs::prometheus_text(f.obs());
     assert!(metrics.contains(&format!("vc_obs_hop_candidates_bounded {bounded}\n")));
     assert!(metrics.contains(&format!("vc_obs_hop_candidates_folded {folded}\n")));
+}
+
+/// The one capacity predicate of hops and evacuations, case by case.
+/// Everything happens on agent 0 of a 100 Mbps universe: the fleet has
+/// `reserved` booked there (the session's committed `old` share
+/// included) and the session proposes `new`.
+#[test]
+fn fits_is_the_signed_sparse_capacity_rule() {
+    use crate::fleet::fits;
+    use vc_core::{AgentTotals, SessionLoad, CAPACITY_EPS};
+    #[derive(Debug, Clone, Copy)]
+    enum Res {
+        Down,
+        Up,
+        Units,
+    }
+    use Res::*;
+    // `x` of one resource on agent 0, nothing of the other two.
+    let share = |res, x: f64| match res {
+        Down => (x, 0.0, 0),
+        Up => (0.0, x, 0),
+        Units => (0.0, 0.0, x as u32),
+    };
+    let load_of = |(download, upload, units): (f64, f64, u32), touched: &[u32]| {
+        let mut load = SessionLoad::empty(3);
+        (load.download[0], load.upload[0], load.transcode_units[0]) = (download, upload, units);
+        load.touched = touched.to_vec();
+        load
+    };
+    let ulp_above = |x: f64| f64::from_bits(x.to_bits() + 1);
+    // 60 of 100 Mbps reserved: exactly `edge` more still fits.
+    let edge = (100.0 - 60.0) + CAPACITY_EPS;
+    let over = ulp_above(edge);
+    const ANY: u32 = u32::MAX; // unlimited transcoding
+    let cases: [(&str, Res, u32, f64, f64, f64, bool); 12] = [
+        // (what, resource, agent 0's slots, reserved, old, new, fits)
+        ("residual + eps", Down, 4, 60.0, 0.0, edge, true),
+        ("one ulp above it", Down, 4, 60.0, 0.0, over, false),
+        ("residual + eps", Up, 4, 60.0, 0.0, edge, true),
+        ("one ulp above it", Up, 4, 60.0, 0.0, over, false),
+        ("last free slot", Units, 4, 3.0, 1.0, 2.0, true),
+        ("one slot too many", Units, 4, 3.0, 1.0, 3.0, false),
+        ("never refuses", Units, ANY, 4e6, 0.0, 4e9, true),
+        // A forced evacuation left agent 0 overshot by 30 Mbps / 2 slots.
+        ("lowered by the overshoot", Down, 4, 130.0, 50.0, 20.0, true),
+        ("lowered by less", Down, 4, 130.0, 50.0, 21.0, false),
+        ("lowered by less", Up, 4, 130.0, 50.0, 21.0, false),
+        ("overshot slots freed", Units, 4, 6.0, 3.0, 1.0, true),
+        ("one too few freed", Units, 4, 6.0, 3.0, 2.0, false),
+    ];
+    for (what, res, slots, reserved, old, new, expected) in cases {
+        let problem = universe(100.0, slots);
+        let mut totals = AgentTotals::zero(3);
+        (totals.download[0], totals.upload[0], totals.transcode[0]) = share(res, reserved);
+        let (old, new) = (
+            load_of(share(res, old), &[0]),
+            load_of(share(res, new), &[0]),
+        );
+        let verdict = fits(&new, &old, &totals, problem.instance());
+        assert_eq!(verdict, expected, "{res:?}: {what}");
+    }
+
+    // An overshot agent the candidate does not touch vetoes nothing.
+    let problem = universe(100.0, 4);
+    let inst = problem.instance();
+    let mut totals = AgentTotals::zero(3);
+    (totals.download[2], totals.upload[2], totals.transcode[2]) = (130.0, 130.0, 9);
+    let old = load_of((0.0, 0.0, 0), &[0]);
+    let mut new = load_of((10.0, 10.0, 1), &[0]);
+    assert!(fits(&new, &old, &totals, inst));
+
+    // The delay bound has the same slack and is checked first: over it,
+    // no agent is looked at (`late` touches one that does not exist).
+    new.max_flow_delay = inst.d_max_ms() + CAPACITY_EPS;
+    assert!(fits(&new, &old, &totals, inst));
+    let mut late = load_of((0.0, 0.0, 0), &[99]);
+    late.max_flow_delay = ulp_above(new.max_flow_delay);
+    assert!(!fits(&late, &old, &totals, inst));
 }
 
 #[test]
@@ -922,43 +1003,76 @@ mod persistence {
     /// never index-panic.
     #[test]
     fn replay_refuses_out_of_range_ids_without_panicking() {
+        use crate::persist::FleetOp;
+        use vc_core::Decision;
         use vc_persist::Encode;
-        let (fleet, dir) = persistent_fleet("oob-replay");
-        churn(&fleet);
-        drop(fleet);
-        let journal = vc_persist::journal_files(&dir)
-            .expect("scan")
-            .pop()
-            .expect("one journal")
-            .1;
-        let (records, _) =
-            vc_persist::read_journal::<crate::persist::FleetOp>(&journal).expect("read");
-        let next_seq = records.last().expect("history").0 + 1;
-        // Hop of a session the universe never registered.
-        let op = crate::persist::FleetOp::Hop {
-            session: SessionId::new(99),
-            decision: vc_core::Decision::User(vc_model::UserId::new(0), AgentId::new(0)),
+        let hop = |session, user, onto| FleetOp::Hop {
+            session,
+            decision: Decision::User(user, AgentId::new(onto)),
             old_agent: AgentId::new(0),
         };
-        let mut payload = Vec::new();
-        next_seq.encode(&mut payload);
-        op.encode(&mut payload);
-        let mut bytes = std::fs::read(&journal).expect("journal bytes");
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&vc_persist::crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        std::fs::write(&journal, &bytes).expect("write");
-        let err = Fleet::recover(
-            PersistConfig {
-                dir,
-                fsync: FsyncPolicy::Always,
-                stay_batch: 4,
-            },
-            universe(120.0, 6),
-            FleetConfig::default(),
-        )
-        .expect_err("out-of-range id must refuse");
-        assert!(matches!(err, PersistError::Replay(_)), "got {err:?}");
+        // The first user of the `k`-th live session.
+        let user_of = |fleet: &Fleet, k: usize| {
+            let s = fleet.live_sessions()[k];
+            (s, fleet.problem().instance().session(s).users()[0])
+        };
+        type Corrupt<'a> = &'a dyn Fn(&Fleet) -> FleetOp;
+        let inputs: [(&str, Corrupt<'_>, &str); 3] = [
+            // Hop of a session the universe never registered.
+            (
+                "oob-replay",
+                &|_| hop(SessionId::new(99), vc_model::UserId::new(0), 0),
+                "unregistered session",
+            ),
+            // Hop of a live session, moving a user of another live one.
+            (
+                "foreign-replay",
+                &|fleet| hop(user_of(fleet, 0).0, user_of(fleet, 1).1, 0),
+                "foreign session",
+            ),
+            // Hop of a live session's own user onto an agent nobody
+            // registered.
+            (
+                "oob-agent-replay",
+                &|fleet| hop(user_of(fleet, 0).0, user_of(fleet, 0).1, 99),
+                "unknown agent",
+            ),
+        ];
+        for (name, corrupt, refusal) in inputs {
+            let (fleet, dir) = persistent_fleet(name);
+            churn(&fleet);
+            let op = corrupt(&fleet);
+            drop(fleet);
+            let journal = vc_persist::journal_files(&dir)
+                .expect("scan")
+                .pop()
+                .expect("one journal")
+                .1;
+            let (records, _) = vc_persist::read_journal::<FleetOp>(&journal).expect("read");
+            let next_seq = records.last().expect("history").0 + 1;
+            let mut payload = Vec::new();
+            next_seq.encode(&mut payload);
+            op.encode(&mut payload);
+            let mut bytes = std::fs::read(&journal).expect("journal bytes");
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&vc_persist::crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            std::fs::write(&journal, &bytes).expect("write");
+            let err = Fleet::recover(
+                PersistConfig {
+                    dir,
+                    fsync: FsyncPolicy::Always,
+                    stay_batch: 4,
+                },
+                universe(120.0, 6),
+                FleetConfig::default(),
+            )
+            .expect_err("a corrupt id must refuse");
+            assert!(
+                matches!(&err, PersistError::Replay(m) if m.contains(refusal)),
+                "{name}: got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use vc_model::SessionId;
-use vc_obs::{Site, TraceKind};
+use vc_obs::{ObsPlane, Site, TraceKind};
 
 pub use crate::sched::TimerEntry;
 
@@ -240,15 +240,15 @@ impl ReoptPool {
     /// when nothing is due.
     fn step_one(&self, fleet: &Fleet, horizon_us: u64, scratch: &mut FleetHopScratch) -> bool {
         // WAIT-wakeup dispatch span (scheduler pop, including shard
-        // lock waits), sampled 1-in-32 by default so the extra clock
-        // reads stay inside the observability overhead budget (the
-        // dispatch rate is the hop rate — even 1/32 is thousands of
-        // samples/s). The rate is the plane's `wait_sample_every`
-        // config; `WakeupDispatched` trace events piggyback on the
-        // same sampled ticks, so tracing adds no clock reads here.
+        // lock waits), sampled 1-in-32 so the extra clock reads stay
+        // inside the observability overhead budget (the dispatch rate
+        // is the hop rate — even 1/32 is thousands of samples/s);
+        // `WakeupDispatched` trace events piggyback on the same sampled
+        // ticks, so tracing adds no clock reads here.
         let obs = fleet.obs();
-        let sampled =
-            self.hops_executed.load(Ordering::Relaxed) as u64 & obs.wait_sample_mask() == 0;
+        let sampled = self.hops_executed.load(Ordering::Relaxed) as u64
+            & (ObsPlane::WAIT_SAMPLE_EVERY - 1)
+            == 0;
         let t0 = if obs.enabled() && sampled {
             Some(Instant::now())
         } else {

@@ -39,7 +39,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`model`] | `vc-model` | users, sessions, representations, agents, delay matrices |
-//! | [`net`] | `vc-net` | geography, latency synthesis, traces, Fig. 2 data |
+//! | [`net`] | `vc-net` | geography, latency synthesis, Fig. 2 data |
 //! | [`cost`] | `vc-cost` | bandwidth/transcoding/delay cost shapes, α weights |
 //! | [`core`] | `vc-core` | UAP: assignment state, constraints, objective, neighborhoods |
 //! | [`markov`] | `vc-markov` | Markov approximation theory: Gibbs, CTMC, Theorem 1 |

@@ -90,7 +90,6 @@ fn fleet_config() -> FleetConfig {
             max_attempts: 32,
             ..ReadmitConfig::default()
         }),
-        ..FleetConfig::default()
     }
 }
 

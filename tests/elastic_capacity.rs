@@ -123,9 +123,9 @@ type ResidualBits = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u32>);
 
 /// Every reserved/residual f64 of the ledger as raw bits — the "bitwise
 /// intact" comparisons below must not tolerate even a ±0.0 flip.
-fn residual_bits(ledger: &CapacityLedger) -> ResidualBits {
-    let r = ledger.residuals();
+fn residual_bits(ledger: &CapacityLedger, problem: &UapProblem) -> ResidualBits {
     let t = ledger.reserved_totals();
+    let r = vc_algo::agrank::Residuals::from_totals(problem, &t);
     (
         r.download.iter().map(|x| x.to_bits()).collect(),
         r.upload.iter().map(|x| x.to_bits()).collect(),
@@ -352,7 +352,7 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
             },
         )
         .expect("fits");
-    let before = residual_bits(&ledger);
+    let before = residual_bits(&ledger, &problem);
     let (p0, c0, a0) = ledger.cross_region_counters();
 
     // Refusal: the default region debits first (ascending region
@@ -366,7 +366,7 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         other => panic!("expected a typed Prepare refusal naming east, got {other:?}"),
     }
     assert_eq!(
-        residual_bits(&ledger),
+        residual_bits(&ledger, &problem),
         before,
         "refusal left a debit behind"
     );
@@ -385,7 +385,11 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         "prepared must be invisible before commit"
     );
     ledger.abort_prepared(prepared);
-    assert_eq!(residual_bits(&ledger), before, "abort left a debit behind");
+    assert_eq!(
+        residual_bits(&ledger, &problem),
+        before,
+        "abort left a debit behind"
+    );
 
     // Prepare + commit: the merged hold installs; release undoes it.
     let prepared = ledger
@@ -394,7 +398,7 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
     ledger.commit_prepared(prepared).expect("first hold");
     assert_eq!(ledger.hold_of(SessionId::new(9)).expect("committed"), ok);
     ledger.release(SessionId::new(9)).expect("held");
-    assert_eq!(residual_bits(&ledger), before);
+    assert_eq!(residual_bits(&ledger, &problem), before);
 
     let (p1, c1, a1) = ledger.cross_region_counters();
     assert_eq!((p1 - p0, c1 - c0, a1 - a0), (2, 1, 2));
@@ -421,7 +425,7 @@ fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
         .expect("registers");
     assert_eq!(l3, AgentId::new(3));
     let before = fleet.durable_state();
-    let before_bits = residual_bits(fleet.ledger());
+    let before_bits = residual_bits(fleet.ledger(), &fleet.problem());
 
     // An in-flight cross-region admission: phase 1 done, the fault
     // lands before phase 2 ever runs.
@@ -433,7 +437,7 @@ fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
         .prepare_reserve(SessionId::new(5), spanning)
         .expect("fits");
     assert_ne!(
-        residual_bits(fleet.ledger()),
+        residual_bits(fleet.ledger(), &fleet.problem()),
         before_bits,
         "the prepare debit must be visible in-process"
     );
@@ -444,7 +448,7 @@ fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
         Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
     assert_eq!(recovered.durable_state(), before);
     assert_eq!(
-        residual_bits(recovered.ledger()),
+        residual_bits(recovered.ledger(), &recovered.problem()),
         before_bits,
         "recovery resurrected the uncommitted debit"
     );

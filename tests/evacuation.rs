@@ -70,7 +70,6 @@ fn fleet_config(readmit: bool) -> FleetConfig {
         alg1: Alg1Config::paper(400.0),
         ledger_shards: 2,
         readmit: readmit.then(ReadmitConfig::default),
-        ..FleetConfig::default()
     }
 }
 

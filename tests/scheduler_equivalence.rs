@@ -313,7 +313,6 @@ fn fleet_config() -> FleetConfig {
             max_attempts: 32,
             ..ReadmitConfig::default()
         }),
-        ..FleetConfig::default()
     }
 }
 
