@@ -97,9 +97,11 @@ use vc_model::{AgentId, ReprId, SessionId, UserId};
 /// Which initial-assignment policy admits the sessions.
 #[derive(Debug, Clone)]
 pub enum AdmissionPolicy {
-    /// The nearest-agent policy (one candidate per user, no fallback).
+    /// The nearest-agent policy (the Airlift/vSkyConf rule: one
+    /// candidate per user, resource-oblivious, no fallback).
     Nearest,
-    /// AgRank with the given configuration (`n_ngbr` candidates, ranked).
+    /// AgRank (Alg. 2) with the given configuration (`n_ngbr`
+    /// candidates, ranked against the caller's residuals).
     AgRank(AgRankConfig),
 }
 

@@ -24,13 +24,12 @@
 //!   (on fewer the ratio measures oversubscription, not scaling); the
 //!   contention counters of that run are always reported.
 //!
-//! The concurrent section also profiles the sharded timer-wheel
-//! scheduler itself: batched registration throughput
-//! (`register_per_s`), per-run shard-lock acquire/conflict counters, the
-//! `sched_lock_wait` p99 under 4-thread contention, and how many stale
-//! (lazily cancelled) entries cascades reclaimed. The 100k-session row
-//! exists specifically to exercise wakeup dispatch at a depth where
-//! the old global-heap scheduler serialized.
+//! The concurrent section also profiles the sharded wakeup queue
+//! itself: batched registration throughput (`register_per_s`), per-run
+//! shard-lock acquire/conflict counters, the `sched_lock_wait` p99
+//! under 4-thread contention, and how many superseded wakeups were
+//! cancelled. The largest row (120k sessions) exercises wakeup dispatch
+//! at the deepest queue on file.
 //!
 //! A third section, `conference_sizes`, re-runs the scratch loop alone
 //! at one fleet size with conferences capped at 5, 8 and 16 users
@@ -94,7 +93,7 @@ pub struct HopBenchRow {
     pub wall_hop_p50_us: f64,
     /// 99th-percentile fleet-hop latency (µs), 1-thread run.
     pub wall_hop_p99_us: f64,
-    /// Timer-wheel shards in the wakeup scheduler.
+    /// Shards of the wakeup queue.
     pub sched_shards: usize,
     /// Batched registration throughput (sessions/s, 1-thread fleet).
     pub register_per_s: f64,
@@ -107,8 +106,8 @@ pub struct HopBenchRow {
     /// 99th-percentile wait to acquire a contended scheduler shard
     /// lock (µs), 4-thread run. 0 when no acquire ever conflicted.
     pub sched_lock_wait_p99_us: f64,
-    /// Stale (lazily cancelled) entries reclaimed by wheel cascades
-    /// and slot prunes during the 4-thread run.
+    /// Superseded wakeups cancelled during the 4-thread run (none
+    /// unless sessions depart or re-register mid-run).
     pub sched_stale_reclaimed: u64,
     /// Conservation-audit discrepancies after the concurrent runs
     /// (must be 0).
@@ -505,7 +504,7 @@ pub fn print(result: &HopBenchResult) {
             r.conservation_violations,
         );
     }
-    println!("\nWakeup scheduler (sharded timer wheel, batched registration)");
+    println!("\nWakeup scheduler (sharded queue, batched registration)");
     println!(
         "{:>9} {:>7} {:>14} {:>13} {:>12} {:>13} {:>10}",
         "sessions", "shards", "register/s", "lock acq 4t", "conflicts", "wait p99 µs", "reclaimed"

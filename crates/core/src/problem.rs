@@ -61,21 +61,11 @@ impl UapProblem {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from
-    /// [`Instance::register_session`], and refuses with
-    /// [`ModelError::LateJoinExtension`] if the instance carries a late
-    /// joiner (`Instance::register_user`) in a session whose tasks were
-    /// already derived — extension would silently miss the new user's
-    /// flows. The problem is unchanged on error.
+    /// Propagates [`ModelError`] from [`Instance::register_session`];
+    /// the problem is unchanged on error.
     pub fn register_session(&mut self, def: &SessionDef) -> Result<SessionId, ModelError> {
-        // Guard first: the instance must not be mutated if extension is
-        // unsound, so the all-or-nothing contract holds. The guard looks
-        // only at the sessions the instance recorded as late-joined, so
-        // a registration costs the same in a universe of ten sessions
-        // and of ten million (`extend_unchecked` skips the re-check).
-        self.tasks.check_extension(&self.instance)?;
         let s = self.instance.register_session(def)?;
-        self.tasks.extend_unchecked(&self.instance);
+        self.tasks.extend(&self.instance);
         // Same summation order as `compute_demanded` for the new tail.
         let instance = &self.instance;
         self.demanded_mbps
@@ -188,62 +178,6 @@ mod tests {
         let (u, t) = p.decision_dims();
         let expected = ((u + t) as f64) * (p.instance().num_agents() as f64).ln();
         assert!((p.log_state_space() - expected).abs() < 1e-12);
-    }
-
-    /// The late-joiner guard reads the instance's late-joined record,
-    /// not the universe: after 10 000 whole-session registrations a late
-    /// joiner into a covered session still refuses the next extension —
-    /// typed, naming that session, problem untouched — and the record
-    /// survives `clone`, `prefix` and `agent_prefix`.
-    #[test]
-    fn late_joiner_still_refuses_extension_after_ten_thousand_registrations() {
-        let mut p = small_problem();
-        let def = SessionDef::of_instance(p.instance(), SessionId::new(0));
-        for i in 0..10_000usize {
-            let s = p.register_session(&def).expect("whole sessions extend");
-            assert_eq!(s, SessionId::from(i + 1));
-        }
-        assert!(!p.instance().has_late_joiners());
-
-        let covered = SessionId::new(4_321);
-        let joiner = def.users[1].clone();
-        p.instance
-            .register_user(covered, &joiner)
-            .expect("model-level late join is legal");
-        assert_eq!(p.instance().late_joined_sessions(), [covered]);
-
-        let before = p.clone();
-        assert_eq!(
-            before.instance().late_joined_sessions(),
-            [covered],
-            "clone drops the record"
-        );
-        let err = p.register_session(&def).expect_err("must refuse");
-        assert_eq!(err, ModelError::LateJoinExtension { session: covered });
-        assert_eq!(p, before, "a refused registration mutated the problem");
-        assert_eq!(p.tasks().check_extension(p.instance()), Err(err));
-
-        let agents = p.instance().agent_prefix(1).expect("one-agent prefix");
-        assert_eq!(agents.late_joined_sessions(), [covered]);
-        // Sessions 0..=4321 without the joiner's (last) user id are not a
-        // dense user prefix, so cut below and above the mutated session
-        // where `prefix` is defined: the record follows the sessions kept.
-        let below = p.instance().prefix(4_321).expect("prefix below");
-        assert!(below.late_joined_sessions().is_empty());
-        assert!(!below.has_late_joiners());
-        let all = p
-            .instance()
-            .prefix(p.instance().num_sessions())
-            .expect("full prefix");
-        assert_eq!(all.late_joined_sessions(), [covered]);
-
-        // A table rebuilt over the mutated instance covers the joiner and
-        // extends cleanly again.
-        let mut rebuilt = UapProblem::new(p.instance().clone(), p.cost().clone());
-        assert!(rebuilt.tasks().len() > p.tasks().len());
-        rebuilt
-            .register_session(&def)
-            .expect("rebuilt problem extends");
     }
 
     #[test]

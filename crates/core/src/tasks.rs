@@ -8,7 +8,7 @@
 //! latter is what the `ν_lru` occupancy computation iterates over.
 
 use std::fmt;
-use vc_model::{Instance, ModelError, ReprId, SessionId, UserId};
+use vc_model::{Instance, ReprId, SessionId, UserId};
 
 /// Dense identifier of a transcoding task (a `(u, v)` flow with `θ = 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,38 +89,16 @@ impl TaskTable {
     /// transcoding flows in the same session-then-flow order
     /// [`build`](Self::build) uses, so a grown table is **identical**
     /// to one built over the grown instance up front (dense ids
-    /// included).
-    ///
-    /// Contract: only sessions past the already-covered count are
-    /// scanned. Users added to an *already-covered* session (a late
-    /// joiner via `Instance::register_user`) create flows this method
-    /// will never see, so that case is **refused** with a typed error
-    /// (see [`check_extension`](Self::check_extension)) instead of
-    /// silently producing a table that misses the late joiner's tasks.
-    /// `UapProblem` does not support late joiners yet (a named ROADMAP
-    /// follow-up); grow the problem layer only through
-    /// `UapProblem::register_session`.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::LateJoinExtension`] if an already-covered session
-    /// gained a user since the table was built/extended.
+    /// included). Only sessions past the already-covered count are
+    /// scanned; an instance grows by whole sessions only
+    /// (`Instance::register_session`), so a covered session never
+    /// changes.
     ///
     /// # Panics
     ///
     /// Panics if the instance has fewer sessions or users than the
     /// table already covers (growth is append-only).
-    pub fn extend_for_instance(&mut self, instance: &Instance) -> Result<(), ModelError> {
-        self.check_extension(instance)?;
-        self.extend_unchecked(instance);
-        Ok(())
-    }
-
-    /// The extension proper, with the soundness scan already done —
-    /// lets `UapProblem::register_session`, which must run
-    /// [`check_extension`](Self::check_extension) *before* mutating its
-    /// instance (all-or-nothing contract), avoid scanning twice.
-    pub(crate) fn extend_unchecked(&mut self, instance: &Instance) {
+    pub(crate) fn extend(&mut self, instance: &Instance) {
         let covered = self.by_session.len();
         assert!(
             instance.num_sessions() >= covered && instance.num_users() >= self.by_src.len(),
@@ -143,43 +121,6 @@ impl TaskTable {
             }
             self.by_session.push(ids);
         }
-    }
-
-    /// Verifies that append-only extension over `instance` is sound:
-    /// every session the table already covers must still have exactly
-    /// the users it had at coverage time. A user id at or past the
-    /// covered user count inside a covered session is a late joiner
-    /// (`Instance::register_user`) whose flows extension would silently
-    /// miss.
-    ///
-    /// Cost: only the sessions the instance records as late-joined
-    /// (`Instance::late_joined_sessions`) are inspected, so the check is
-    /// O(late-joined sessions) — **independent of the universe size**.
-    /// That is what keeps `UapProblem::register_session`, which runs
-    /// this guard on every registration (live and on replay), flat as
-    /// the universe grows; whole-session registration never adds to
-    /// that list, so for a fleet it is a length test.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::LateJoinExtension`] naming the first (lowest-id)
-    /// mutated session.
-    pub fn check_extension(&self, instance: &Instance) -> Result<(), ModelError> {
-        let covered_sessions = self.by_session.len();
-        let covered_users = self.by_src.len();
-        // Ascending, so the first hit is the lowest mutated session id.
-        for &s in instance.late_joined_sessions() {
-            if s.index() < covered_sessions
-                && instance
-                    .session(s)
-                    .users()
-                    .iter()
-                    .any(|u| u.index() >= covered_users)
-            {
-                return Err(ModelError::LateJoinExtension { session: s });
-            }
-        }
-        Ok(())
     }
 
     /// Total number of tasks (`θ_sum`).
@@ -336,40 +277,5 @@ mod tests {
         let t = table.task(TaskId::new(0));
         assert_eq!(t.src, u0);
         assert_eq!(t.target, r360);
-    }
-
-    #[test]
-    fn late_joined_session_refuses_append_only_extension() {
-        let mut inst = instance();
-        let mut table = TaskTable::build(&inst);
-        let r360 = inst.ladder().by_name("360p").unwrap().id();
-        // A late joiner into covered session 0: extension would miss
-        // the flows this user creates — it must refuse, typed.
-        inst.register_user(
-            SessionId::new(0),
-            &vc_model::UserDef {
-                upstream: r360,
-                downstream: DownstreamDemand::uniform(r360),
-                agent_delays_ms: vec![4.0, 5.0],
-                site_index: None,
-            },
-        )
-        .expect("model-level late join is legal");
-        assert!(inst.has_late_joiners());
-        let err = table.extend_for_instance(&inst).expect_err("must refuse");
-        assert_eq!(
-            err,
-            vc_model::ModelError::LateJoinExtension {
-                session: SessionId::new(0)
-            }
-        );
-        // A rebuild from scratch covers the late joiner fine.
-        let rebuilt = TaskTable::build(&inst);
-        assert!(rebuilt.len() >= table.len());
-        // And extension stays sound when the late joiner predates the
-        // coverage: the rebuilt table extends without complaint.
-        let mut rebuilt = rebuilt;
-        assert!(rebuilt.check_extension(&inst).is_ok());
-        assert!(rebuilt.extend_for_instance(&inst).is_ok());
     }
 }

@@ -25,16 +25,6 @@ pub enum ModelError {
     /// Instance-level consistency violation (empty session, user/session
     /// mapping mismatch, non-positive `Dmax`, ...).
     Inconsistent(String),
-    /// Append-only extension of a derived structure (task table, demand
-    /// cache, fleet universe) was attempted over an instance in which a
-    /// session it already covers gained a late joiner
-    /// (`Instance::register_user`). Extension only scans *new*
-    /// sessions, so it would silently miss the late joiner's flows —
-    /// rebuild the derived structure from scratch instead.
-    LateJoinExtension {
-        /// The first already-covered session that was mutated.
-        session: crate::SessionId,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -50,11 +40,6 @@ impl fmt::Display for ModelError {
             ModelError::InvalidDelays(msg) => write!(f, "invalid delay matrices: {msg}"),
             ModelError::UnknownId(msg) => write!(f, "unknown identifier: {msg}"),
             ModelError::Inconsistent(msg) => write!(f, "inconsistent instance: {msg}"),
-            ModelError::LateJoinExtension { session } => write!(
-                f,
-                "append-only extension refused: covered session {session} gained a late \
-                 joiner (rebuild the derived structure instead of extending it)"
-            ),
         }
     }
 }

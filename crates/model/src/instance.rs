@@ -13,8 +13,7 @@
 //! A production conferencing service never knows its conference
 //! population up front, so instances are **append-only extensible**:
 //! [`Instance::register_session`] adds a whole new conference (a
-//! [`SessionDef`]) after the fact, and [`Instance::register_user`] adds
-//! one user to an existing session. Growth is strictly additive —
+//! [`SessionDef`]) after the fact. Growth is strictly additive —
 //! existing ids, delay entries, and session memberships are never
 //! renumbered or changed — so any quantity computed over the old
 //! universe (per-session loads, objectives, delay lookups) is bitwise
@@ -30,7 +29,7 @@ use crate::{
 };
 
 /// Definition of one user of a to-be-registered conference: everything
-/// [`Instance::register_user`] needs that the instance cannot derive
+/// [`Instance::register_session`] needs that the instance cannot derive
 /// itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserDef {
@@ -140,12 +139,6 @@ pub struct Instance {
     delays: DelayMatrices,
     transcode_latency: TranscodeLatencyModel,
     d_max_ms: f64,
-    /// Sessions that gained a late joiner via
-    /// [`register_user`](Self::register_user), ascending and distinct —
-    /// the index behind [`late_joined_sessions`](Self::late_joined_sessions),
-    /// kept so derived layers can check "did a covered session change?"
-    /// without scanning every registered session.
-    late_joined: Vec<SessionId>,
 }
 
 impl Instance {
@@ -413,70 +406,7 @@ impl Instance {
             delays: DelayMatrices::new(d, h).expect("prefix delays stay valid"),
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
-            late_joined: self.late_joined.clone(),
         })
-    }
-
-    /// Registers one additional user into an **existing** session (a
-    /// late joiner), returning its id (always the next dense user id).
-    ///
-    /// Model-level only for now: `vc-core`'s `UapProblem` (task table,
-    /// cached demands) and the fleet grow exclusively through whole-
-    /// session registration — a late joiner changes an existing
-    /// session's flow set, which those layers do not yet re-derive
-    /// (a named ROADMAP follow-up). The mutated session is recorded
-    /// ([`late_joined_sessions`](Self::late_joined_sessions));
-    /// problem-layer extension over an instance with late joiners it
-    /// does not cover is refused with a typed
-    /// [`ModelError::LateJoinExtension`] instead of silently producing
-    /// a task table that misses the new user's flows.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError`] if the session is unknown or the definition is
-    /// invalid (see [`register_session`](Self::register_session)).
-    pub fn register_user(
-        &mut self,
-        session: SessionId,
-        def: &UserDef,
-    ) -> Result<UserId, ModelError> {
-        if session.index() >= self.sessions.len() {
-            return Err(ModelError::UnknownId(format!(
-                "register_user into unknown session {session}"
-            )));
-        }
-        self.validate_user_def(def, self.users.len() + 1, 0)?;
-        let id = UserId::from(self.users.len());
-        let mut spec = UserSpec::new(id, session, def.upstream, def.downstream.clone());
-        if let Some(site) = def.site_index {
-            spec = spec.with_site_index(site);
-        }
-        self.users.push(spec);
-        self.sessions[session.index()].push_user(id);
-        if let Err(pos) = self.late_joined.binary_search(&session) {
-            self.late_joined.insert(pos, session);
-        }
-        self.delays
-            .push_user_columns(&[def.agent_delays_ms.as_slice()])
-            .expect("column validated above");
-        Ok(id)
-    }
-
-    /// Whether any session gained a late joiner via
-    /// [`register_user`](Self::register_user) since construction.
-    pub fn has_late_joiners(&self) -> bool {
-        !self.late_joined.is_empty()
-    }
-
-    /// The sessions that gained a late joiner via
-    /// [`register_user`](Self::register_user), ascending and distinct.
-    /// Derived layers that cache per-session structure (task tables,
-    /// demand caches) read it to refuse extension over a session they
-    /// no longer cover. Whole-session registration never adds to it, so
-    /// its length is independent of the universe size; [`prefix`](Self::prefix),
-    /// [`agent_prefix`](Self::agent_prefix) and `clone` carry it.
-    pub fn late_joined_sessions(&self) -> &[SessionId] {
-        &self.late_joined
     }
 
     /// Shared validation of one [`UserDef`]: ladder membership, override
@@ -596,12 +526,6 @@ impl Instance {
             delays: DelayMatrices::new(d, h).expect("prefix delays stay valid"),
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
-            late_joined: self
-                .late_joined
-                .iter()
-                .copied()
-                .filter(|s| s.index() < num_sessions)
-                .collect(),
         })
     }
 }
@@ -808,7 +732,6 @@ impl InstanceBuilder {
             delays,
             transcode_latency: self.transcode_latency,
             d_max_ms: self.d_max_ms,
-            late_joined: Vec::new(),
         })
     }
 }
@@ -1004,37 +927,6 @@ mod tests {
         let empty = SessionDef { users: Vec::new() };
         assert!(inst.register_session(&empty).is_err());
         assert_eq!(inst, before);
-    }
-
-    #[test]
-    fn register_user_joins_existing_session() {
-        let mut inst = two_user_instance();
-        let r360 = inst.ladder().by_name("360p").unwrap().id();
-        let u = inst
-            .register_user(
-                SessionId::new(0),
-                &UserDef {
-                    upstream: r360,
-                    downstream: DownstreamDemand::uniform(r360),
-                    agent_delays_ms: vec![2.0, 4.0],
-                    site_index: None,
-                },
-            )
-            .expect("joins");
-        assert_eq!(u, UserId::new(2));
-        assert!(inst.session(SessionId::new(0)).contains(u));
-        assert_eq!(inst.participants(u).count(), 2);
-        assert!(inst
-            .register_user(
-                SessionId::new(9),
-                &UserDef {
-                    upstream: r360,
-                    downstream: DownstreamDemand::uniform(r360),
-                    agent_delays_ms: vec![2.0, 4.0],
-                    site_index: None,
-                },
-            )
-            .is_err());
     }
 
     /// Cross-session downstream overrides are legal in the builder but

@@ -66,8 +66,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vc_algo::admission::{
-    AdmissionEngine, AdmissionFailure, AdmissionPolicy, AdmissionScratch, AdmissionStats,
-    AdmissionTier,
+    AdmissionEngine, AdmissionFailure, AdmissionScratch, AdmissionStats, AdmissionTier,
 };
 use vc_algo::agrank::{AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
@@ -83,16 +82,9 @@ use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 /// One candidate placement: session users and tasks to agents.
 pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
 
-/// How arriving sessions are placed.
-#[derive(Debug, Clone)]
-pub enum PlacementPolicy {
-    /// Nearest agent per user (the Airlift/vSkyConf rule) — resource-
-    /// oblivious, no fallback.
-    Nearest,
-    /// AgRank bootstrap (Alg. 2) against the ledger's live residuals,
-    /// falling back through each user's ranked candidates.
-    AgRank(AgRankConfig),
-}
+/// How arriving sessions are placed: `vc-algo`'s admission policy,
+/// evaluated against the ledger's live residuals.
+pub use vc_algo::admission::AdmissionPolicy as PlacementPolicy;
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -732,15 +724,6 @@ impl Fleet {
         &self.engine
     }
 
-    /// The offline-shaped admission policy the configured placement
-    /// maps to (the engine consumes `vc-algo`'s policy type).
-    fn admission_policy(&self) -> AdmissionPolicy {
-        match &self.config.placement {
-            PlacementPolicy::Nearest => AdmissionPolicy::Nearest,
-            PlacementPolicy::AgRank(config) => AdmissionPolicy::AgRank(*config),
-        }
-    }
-
     /// Admits session `s` through the shared [`AdmissionEngine`] — the
     /// same enumeration / violation-driven repair / ranked fallback the
     /// Fig. 9 `admit_all` runs — against **live** fleet state (ledger
@@ -833,7 +816,7 @@ impl Fleet {
             .place_session_with(
                 problem,
                 s,
-                &self.admission_policy(),
+                &self.config.placement,
                 residuals,
                 &u.available,
                 eval,

@@ -29,11 +29,12 @@
 //!   deterministic virtual clock ([`ReoptPool::tick_until`]) or N OS
 //!   threads ([`ReoptPool::run_wall`]) racing hops concurrently, each
 //!   thread reusing an allocation-free hop scratch;
-//! * [`sched`] — the **sharded timer-wheel scheduler** under the pool:
-//!   sessions map to independent shards, each a hierarchical wheel
-//!   behind its own short-held lock with a cached earliest-due atomic,
-//!   so 100k+ waiting sessions dispatch in deterministic
-//!   `(due_us, session, epoch)` order with no global lock;
+//! * [`sched`] — the **sharded wakeup queue** under the pool:
+//!   sessions map to independent shards, each one ordered set of
+//!   pending wakeups behind its own short-held lock with a cached
+//!   earliest-due atomic, so waiting sessions dispatch in
+//!   deterministic `(due_us, session, epoch)` order with no global
+//!   lock (`hop_bench` drives it to 120k sessions);
 //! * [`telemetry`] — periodic [`FleetSnapshot`]s (objective, per-agent
 //!   utilization, migration counts, admission success rate), each gauge
 //!   readable back as a [`vc_model::TimeSeries`];
@@ -146,6 +147,6 @@ pub use persist::{
     RefusalReason,
 };
 pub use readmit::{backoff_us, ReadmitConfig, ReadmitEntry};
-pub use sched::{CompleteOutcome, PoppedTimer, ShardedWheel};
+pub use sched::{CompleteOutcome, PoppedTimer, ShardedQueue};
 pub use telemetry::{fleet_metrics_text, sched_metrics_text, FleetSnapshot, FleetTelemetry};
 pub use workers::{ReoptPool, TimerEntry};

@@ -1,47 +1,39 @@
-//! Sharded hierarchical timer-wheel wakeup scheduler.
+//! Sharded wakeup queue: which WAIT countdown expires next.
 //!
-//! The WAIT/HOP pool used to funnel every wakeup through a single
-//! `Mutex<BinaryHeap>` — the last shared structure on the hop path.
-//! This module replaces it: sessions hash onto `N` independent
-//! **shards**, each owning its own hierarchical timer wheel behind its
-//! own short-held lock, with a per-shard **cached earliest-due atomic**
-//! so finding the globally next event scans `N` atomics instead of
-//! filtering a heap.
-//!
-//! ## Wheel layout
-//!
-//! Each shard's wheel has [`LEVELS`] levels of [`SLOTS`] slots. Level
-//! `k` slots are `64^k` µs wide, so level 0 resolves single virtual
-//! microseconds and level 5 spans ≈ 19 h; entries beyond the wheel's
-//! [`SPAN_US`] horizon wait in a sorted *overflow* map and are promoted
-//! when the wheel's clock enters their span block. An entry due at `d`
-//! lives at the level of the highest bit in which `d` differs from the
-//! wheel's clock `now` (`level_for`), in slot `(d >> 6k) & 63` — so as
-//! `now` advances, coarse slots **cascade**: their entries redistribute
-//! into strictly finer levels until, at level 0, a slot holds exactly
-//! the entries of one microsecond.
+//! Alg. 1's WAIT is one exponential countdown per live session, so the
+//! scheduler under [`ReoptPool`](crate::ReoptPool) answers one
+//! question — which countdown expires next, in
+//! `(due_us, session, epoch)` order. Sessions hash onto `N`
+//! independent **shards**, each the per-session timer map plus one
+//! ordered set of pending wakeups behind its own short-held lock, with
+//! a per-shard **cached earliest-due atomic** so finding the globally
+//! next event reads `N` atomics and locks only the shards that could
+//! hold it.
 //!
 //! ## Determinism
 //!
-//! Dispatch order is *identical* to the old global heap: globally
-//! ascending `(due_us, session, epoch)`. Within a shard, a level-0 slot
-//! is one exact due time and ties break by `(session, epoch)`; across
-//! shards, the pop path peeks every shard whose cached earliest-due
-//! lower bound could still win and takes the lexicographic minimum.
-//! A session maps to one fixed shard, so cross-shard due ties are
-//! always between distinct sessions. The order — and therefore the
-//! journaled `Timers` records and the `(seed, session, epoch, draw)`
-//! randomness derivation — is independent of the shard count
-//! (proptested in `tests/scheduler_equivalence.rs`).
+//! Dispatch order is globally ascending `(due_us, session, epoch)`.
+//! Within a shard that is the set's own order; across shards, the pop
+//! path looks at every shard whose cached earliest due could still win
+//! and takes the lexicographic minimum. A session maps to one fixed
+//! shard, so cross-shard due ties are always between distinct
+//! sessions. The order — and therefore the journaled `Timers` records
+//! and the `(seed, session, epoch, draw)` randomness derivation — is
+//! independent of the shard count (proptested against a reference heap
+//! in `tests/scheduler_equivalence.rs`).
 //!
-//! ## Lazy cancellation, eager reclamation
+//! ## Eager cancellation
 //!
-//! Departures don't search the wheel: they flip the per-session timer
-//! inactive and the resident entry goes *stale*. Unlike the old heap —
-//! where stale entries lingered until popped — stale entries are now
-//! reclaimed whenever a cascade or a level-0 prune touches their slot,
-//! and the [`ShardedWheel::stale_entries`] gauge plus per-shard depths
-//! are exported on `/metrics` (`vc_sched_*`).
+//! A shard's set holds pending wakeups of *current* registrations
+//! only. A departure, a re-registration and a restore each remove the
+//! wakeup they supersede at once — its key is in the session's timer
+//! record — so the first element is always dispatchable, a shard's
+//! depth is its number of waiting workers, and the cached earliest due
+//! is exact, not a lower bound. A wakeup that is *in flight* (popped,
+//! not yet completed) is in no set; superseding its worker removes
+//! nothing, and its late [`ShardedQueue::complete`] is a no-op.
+//! Removals are counted ([`ShardedQueue::stale_reclaimed`]) and
+//! exported with the per-shard depths on `/metrics` (`vc_sched_*`).
 //!
 //! ## Contention observability
 //!
@@ -52,25 +44,14 @@
 //! archives.
 
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vc_model::SessionId;
 use vc_obs::{ObsPlane, Site};
 
-/// log2 of the slot count per wheel level.
-pub const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-pub const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels per shard (finest 1 µs, coarsest `64^5` µs ≈ 19 min
-/// per slot).
-pub const LEVELS: usize = 6;
-/// Virtual-time span one wheel covers (µs); dues further out wait in
-/// the overflow map.
-pub const SPAN_US: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
-
-/// Default shard count ([`ShardedWheel::new`]); any power of two in
-/// `1..=64` is accepted via [`ShardedWheel::with_shards`].
+/// Default shard count ([`ShardedQueue::new`]); any power of two in
+/// `1..=64` is accepted via [`ShardedQueue::with_shards`].
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// One logical worker's complete scheduling state — everything needed
@@ -87,8 +68,9 @@ pub struct TimerEntry {
     /// Virtual time of the pending wakeup (µs); stale for inactive
     /// entries (no wakeup is scheduled from it).
     pub due_us: u64,
-    /// Registration epoch (bumped on every re-registration, so stale
-    /// wheel entries of departed-then-readmitted sessions are inert).
+    /// Registration epoch (bumped on every re-registration, so an
+    /// in-flight wakeup of a departed-then-readmitted session's earlier
+    /// registration completes as a no-op).
     pub epoch: u64,
     /// Wakeups executed in this epoch — the index that seeds the next
     /// wakeup's hop and countdown generators.
@@ -98,7 +80,7 @@ pub struct TimerEntry {
     pub active: bool,
 }
 
-/// One wakeup taken off the wheel by [`ShardedWheel::pop_due`] — the
+/// One wakeup taken off the queue by [`ShardedQueue::pop_due`] — the
 /// four integers that seed the hop and next-countdown generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoppedTimer {
@@ -112,7 +94,7 @@ pub struct PoppedTimer {
     pub draws: u64,
 }
 
-/// What [`ShardedWheel::complete`] did with a finished wakeup.
+/// What [`ShardedQueue::complete`] did with a finished wakeup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompleteOutcome {
     /// The worker re-armed at the returned due time.
@@ -125,312 +107,61 @@ pub enum CompleteOutcome {
     Superseded,
 }
 
-/// Per-session timer record (the authoritative state; wheel entries
-/// are just its scheduling index).
+/// Per-session timer record (the authoritative state; a queue entry
+/// is just its scheduling index).
 #[derive(Debug, Clone, Copy)]
 struct WorkerTimer {
     epoch: u64,
     draws: u64,
+    /// Due time of the registration's latest wakeup: the one queued,
+    /// or, between pop and completion, the one in flight.
     due_us: u64,
-    /// False once the session deregisters (or retires); the wheel
-    /// entry, if resident, is stale and reclaimed on cascade.
+    /// False once the session deregisters (or retires).
     active: bool,
-    /// Whether a wheel/past/overflow entry for (session, `epoch`) is
-    /// currently resident — false while its wakeup is in flight
-    /// between pop and completion.
-    resident: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct WheelEntry {
-    due_us: u64,
-    session: SessionId,
-    epoch: u64,
-}
-
-/// One shard's hierarchical wheel. `now_us` is the shard clock: it
-/// only ever advances to the expiry of the earliest occupied slot (or
-/// jumps across provably-empty span blocks), so no entry is skipped.
-#[derive(Debug)]
-struct Wheel {
-    now_us: u64,
-    /// Per-level occupancy bitmaps (bit = slot holds entries).
-    occ: [u64; LEVELS],
-    /// `LEVELS × SLOTS` buckets, flattened.
-    slots: Vec<Vec<WheelEntry>>,
-}
-
-impl Wheel {
-    fn new() -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
-        Self {
-            now_us: 0,
-            occ: [0; LEVELS],
-            slots,
-        }
-    }
-
-    /// The level an entry due at `due` belongs to, relative to `now`:
-    /// the level containing the highest bit in which they differ.
-    /// `>= LEVELS` means the due time is outside the wheel's span
-    /// block (overflow).
-    fn level_for(now: u64, due: u64) -> usize {
-        let masked = now ^ due;
-        if masked < SLOTS as u64 {
-            0
-        } else {
-            ((63 - masked.leading_zeros()) / LEVEL_BITS) as usize
-        }
-    }
-
-    /// Inserts an entry; requires `due >= now` and `due` within the
-    /// wheel's current span block (`now ^ due < SPAN_US`).
-    fn insert(&mut self, due: u64, session: SessionId, epoch: u64) {
-        debug_assert!(due >= self.now_us);
-        debug_assert!(self.now_us ^ due < SPAN_US);
-        let level = Self::level_for(self.now_us, due);
-        let slot = ((due >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(WheelEntry {
-            due_us: due,
-            session,
-            epoch,
-        });
-        self.occ[level] |= 1 << slot;
-    }
-
-    /// The earliest occupied slot across all levels: `(expiry, level,
-    /// slot)`, where `expiry` is the slot's start time clamped to
-    /// `now`. On expiry ties the *coarsest* level wins, so cascades
-    /// run before the level-0 slot they may feed dispatches.
-    fn earliest_slot(&self) -> Option<(u64, usize, usize)> {
-        let mut best: Option<(u64, usize, usize)> = None;
-        for level in 0..LEVELS {
-            let occ = self.occ[level];
-            if occ == 0 {
-                continue;
-            }
-            let shift = LEVEL_BITS * level as u32;
-            let width = 1u64 << shift;
-            let level_span = width << LEVEL_BITS;
-            let cur = ((self.now_us >> shift) & (SLOTS as u64 - 1)) as u32;
-            // Cyclic distance from the slot containing `now` to the
-            // next occupied slot of this level.
-            let dist = occ.rotate_right(cur).trailing_zeros() as u64;
-            let slot = ((u64::from(cur) + dist) & (SLOTS as u64 - 1)) as usize;
-            let base = self.now_us & !(level_span - 1);
-            let mut slot_start = base + slot as u64 * width;
-            if slot_start + width <= self.now_us {
-                // Cyclically behind `now`: next occurrence is a turn out.
-                slot_start += level_span;
-            }
-            let expiry = slot_start.max(self.now_us);
-            let better = match best {
-                None => true,
-                Some((bt, bl, _)) => expiry < bt || (expiry == bt && level > bl),
-            };
-            if better {
-                best = Some((expiry, level, slot));
-            }
-        }
-        best
-    }
-}
-
-/// One shard's locked state: the wheel, the authoritative per-session
-/// timers, the out-of-band entry maps, and reclamation accounting.
-#[derive(Debug)]
+/// One shard's locked state: the authoritative per-session timers,
+/// the pending wakeups of their current registrations in dispatch
+/// order, and the count of wakeups removed because their registration
+/// was superseded.
+#[derive(Debug, Default)]
 struct Inner {
-    wheel: Wheel,
     timers: HashMap<SessionId, WorkerTimer>,
-    /// Entries registered with a due time *before* the shard clock
-    /// (sub-µs countdowns drawn during a drive). Always dispatched
-    /// ahead of the wheel — their dues are strictly below every wheel
-    /// due — preserving exact `(due, session)` order.
-    past: BTreeMap<(u64, SessionId), u64>,
-    /// Entries beyond the wheel's span block, promoted when the clock
-    /// reaches their block.
-    overflow: BTreeMap<(u64, SessionId), u64>,
-    /// Resident entries (wheel + past + overflow).
-    depth: usize,
-    /// Resident entries whose registration was superseded or
-    /// deactivated (awaiting reclamation).
-    stale: usize,
-    /// Stale entries reclaimed so far (cascade / prune / lazy pop).
+    due: BTreeSet<(u64, SessionId, u64)>,
     reclaimed: u64,
 }
 
-fn is_current(timers: &HashMap<SessionId, WorkerTimer>, s: SessionId, epoch: u64) -> bool {
-    timers.get(&s).is_some_and(|t| t.active && t.epoch == epoch)
-}
-
 impl Inner {
-    fn new() -> Self {
-        Self {
-            wheel: Wheel::new(),
-            timers: HashMap::new(),
-            past: BTreeMap::new(),
-            overflow: BTreeMap::new(),
-            depth: 0,
-            stale: 0,
-            reclaimed: 0,
-        }
-    }
-
-    fn insert_entry(&mut self, due: u64, s: SessionId, epoch: u64) {
-        let replaced = if due < self.wheel.now_us {
-            self.past.insert((due, s), epoch).is_some()
-        } else if self.wheel.now_us ^ due < SPAN_US {
-            self.wheel.insert(due, s, epoch);
-            false
-        } else {
-            self.overflow.insert((due, s), epoch).is_some()
-        };
-        if replaced {
-            // The map key collided with the same session's
-            // earlier-epoch entry — stale by construction (one current
-            // epoch per session), so this insert reclaims it in place.
-            self.stale -= 1;
-            self.reclaimed += 1;
-        } else {
-            self.depth += 1;
-        }
-    }
-
-    fn reclaim(&mut self, n: usize) {
-        self.depth -= n;
-        self.stale -= n;
-        self.reclaimed += n as u64;
-    }
-
-    /// Moves every overflow entry whose span block the clock has
-    /// reached into the wheel.
-    fn promote_overflow(&mut self) {
-        let block = self.wheel.now_us & !(SPAN_US - 1);
-        while let Some((&(due, s), &epoch)) = self.overflow.first_key_value() {
-            if due & !(SPAN_US - 1) != block {
-                break;
-            }
-            self.overflow.pop_first();
-            self.wheel.insert(due, s, epoch);
-        }
-    }
-
-    /// The earliest *valid* entry `(due, session, epoch)`, cascading
-    /// coarse slots toward level 0 and reclaiming stale entries as
-    /// they surface — amortized O(1) per dispatch. Leaves the entry
-    /// resident (either in `past` or in its level-0 slot, with the
-    /// shard clock advanced to its due time).
-    fn peek_valid(&mut self) -> Option<(u64, SessionId, u64)> {
-        loop {
-            // Out-of-band late registrations dispatch first: their dues
-            // are strictly below the shard clock, hence below every
-            // wheel/overflow due.
-            while let Some((&(due, s), &epoch)) = self.past.first_key_value() {
-                if is_current(&self.timers, s, epoch) {
-                    return Some((due, s, epoch));
-                }
-                self.past.pop_first();
-                self.reclaim(1);
-            }
-            self.promote_overflow();
-            let Some((expiry, level, slot)) = self.wheel.earliest_slot() else {
-                // Wheel empty: jump the clock to the next overflow
-                // span block, if any (safe — nothing can be skipped).
-                let (&(due, _), _) = self.overflow.first_key_value()?;
-                let block = due & !(SPAN_US - 1);
-                debug_assert!(block > self.wheel.now_us);
-                self.wheel.now_us = block;
-                continue;
-            };
-            let idx = level * SLOTS + slot;
-            if level == 0 {
-                // One exact microsecond: prune stale entries, then the
-                // minimum (session, epoch) is the dispatch candidate.
-                let timers = &self.timers;
-                let mut removed = 0usize;
-                self.wheel.slots[idx].retain(|e| {
-                    let ok = is_current(timers, e.session, e.epoch);
-                    removed += usize::from(!ok);
-                    ok
-                });
-                if removed > 0 {
-                    self.reclaim(removed);
-                }
-                if self.wheel.slots[idx].is_empty() {
-                    self.wheel.occ[0] &= !(1 << slot);
-                    continue;
-                }
-                self.wheel.now_us = expiry;
-                let e = self.wheel.slots[idx]
-                    .iter()
-                    .min_by_key(|e| (e.session, e.epoch))
-                    .expect("slot checked non-empty");
-                debug_assert_eq!(e.due_us, expiry, "level-0 slot is one µs");
-                return Some((e.due_us, e.session, e.epoch));
-            }
-            // Cascade: advance to the slot's start and redistribute its
-            // entries into finer levels, reclaiming stale ones instead
-            // of letting them linger until popped.
-            self.wheel.now_us = expiry;
-            let entries = std::mem::take(&mut self.wheel.slots[idx]);
-            self.wheel.occ[level] &= !(1 << slot);
-            let mut removed = 0usize;
-            for e in entries {
-                if is_current(&self.timers, e.session, e.epoch) {
-                    debug_assert!(self.wheel.now_us ^ e.due_us < SPAN_US);
-                    self.wheel.insert(e.due_us, e.session, e.epoch);
-                } else {
-                    removed += 1;
-                }
-            }
-            if removed > 0 {
-                self.reclaim(removed);
+    /// Removes the pending wakeup of `s`'s current registration, if
+    /// one is queued (an in-flight wakeup is not).
+    fn cancel(&mut self, s: SessionId) {
+        if let Some(t) = self.timers.get(&s) {
+            if t.active && self.due.remove(&(t.due_us, s, t.epoch)) {
+                self.reclaimed += 1;
             }
         }
     }
 
-    /// Removes the entry [`Inner::peek_valid`] would return **iff** it
-    /// is exactly `(due, s)`; `None` means a concurrent mutation won
-    /// the race and the caller must rescan.
+    /// Removes the shard's first wakeup **iff** it is exactly
+    /// `(due, s)`; `None` means a concurrent mutation won the race and
+    /// the caller must rescan.
     fn pop_exact(&mut self, due: u64, s: SessionId) -> Option<PoppedTimer> {
-        let (pd, ps, pe) = self.peek_valid()?;
-        if pd != due || ps != s {
+        let &(first_due, first_s, epoch) = self.due.first()?;
+        if (first_due, first_s) != (due, s) {
             return None;
         }
-        if self.past.remove(&(due, s)).is_none() {
-            let slot = (due & (SLOTS as u64 - 1)) as usize;
-            let v = &mut self.wheel.slots[slot];
-            let i = v
-                .iter()
-                .position(|e| e.session == s && e.epoch == pe)
-                .expect("peeked entry is resident at level 0");
-            v.swap_remove(i);
-            if v.is_empty() {
-                self.wheel.occ[0] &= !(1 << slot);
-            }
-        }
-        self.depth -= 1;
-        let t = self
-            .timers
-            .get_mut(&s)
-            .expect("peeked entry has a current timer");
-        t.resident = false;
+        self.due.pop_first();
         Some(PoppedTimer {
             due_us: due,
             session: s,
-            epoch: pe,
-            draws: t.draws,
+            epoch,
+            draws: self.timers[&s].draws,
         })
     }
 
     fn register_with(&mut self, s: SessionId, draw: impl FnOnce(u64) -> u64) -> (u64, u64) {
-        let prev = self.timers.get(&s).copied();
-        let epoch = prev.map_or(0, |t| t.epoch) + 1;
-        if prev.is_some_and(|t| t.active && t.resident) {
-            // Re-registration over a live worker: its entry is now inert.
-            self.stale += 1;
-        }
+        self.cancel(s);
+        let epoch = self.timers.get(&s).map_or(0, |t| t.epoch) + 1;
         let due = draw(epoch);
         self.timers.insert(
             s,
@@ -439,22 +170,16 @@ impl Inner {
                 draws: 0,
                 due_us: due,
                 active: true,
-                resident: true,
             },
         );
-        self.insert_entry(due, s, epoch);
+        self.due.insert((due, s, epoch));
         (epoch, due)
     }
 
     fn deregister(&mut self, s: SessionId) {
+        self.cancel(s);
         if let Some(t) = self.timers.get_mut(&s) {
-            if t.active {
-                t.active = false;
-                if t.resident {
-                    t.resident = false;
-                    self.stale += 1;
-                }
-            }
+            t.active = false;
         }
     }
 
@@ -469,8 +194,7 @@ impl Inner {
             Some((due, draws)) => {
                 t.draws = draws;
                 t.due_us = due;
-                t.resident = true;
-                self.insert_entry(due, s, epoch);
+                self.due.insert((due, s, epoch));
                 CompleteOutcome::Rescheduled(due)
             }
             None => {
@@ -486,14 +210,8 @@ impl Inner {
     }
 
     fn restore(&mut self, e: &TimerEntry, live: bool) {
+        self.cancel(e.session);
         let active = e.active && live;
-        if self
-            .timers
-            .get(&e.session)
-            .is_some_and(|t| t.active && t.resident)
-        {
-            self.stale += 1;
-        }
         self.timers.insert(
             e.session,
             WorkerTimer {
@@ -501,30 +219,11 @@ impl Inner {
                 draws: e.draws,
                 due_us: e.due_us,
                 active,
-                resident: active,
             },
         );
         if active {
-            self.insert_entry(e.due_us, e.session, e.epoch);
+            self.due.insert((e.due_us, e.session, e.epoch));
         }
-    }
-
-    /// The earliest possibly-valid due time, as a cheap lower bound
-    /// for the cached hint (exact after a `peek_valid`).
-    fn earliest_bound(&self) -> u64 {
-        let past = self
-            .past
-            .first_key_value()
-            .map_or(u64::MAX, |((d, _), _)| *d);
-        if past != u64::MAX {
-            return past;
-        }
-        if self.depth == 0 {
-            return u64::MAX;
-        }
-        // Anything resident is at or after the shard clock (past was
-        // empty); `now` is a valid lower bound without cascading.
-        self.wheel.now_us
     }
 }
 
@@ -533,11 +232,10 @@ impl Inner {
 #[derive(Debug)]
 struct Shard {
     inner: Mutex<Inner>,
-    /// Lower bound on the shard's earliest valid due time (µs);
-    /// `u64::MAX` when known empty. Exact right after a peek.
+    /// The shard's earliest pending due time (µs); `u64::MAX` when
+    /// empty.
     earliest: AtomicU64,
     depth: AtomicU64,
-    stale: AtomicU64,
     reclaimed: AtomicU64,
     acquires: AtomicU64,
     conflicts: AtomicU64,
@@ -546,10 +244,9 @@ struct Shard {
 impl Shard {
     fn new() -> Self {
         Self {
-            inner: Mutex::new(Inner::new()),
+            inner: Mutex::new(Inner::default()),
             earliest: AtomicU64::new(u64::MAX),
             depth: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
             acquires: AtomicU64::new(0),
             conflicts: AtomicU64::new(0),
@@ -580,23 +277,23 @@ impl Shard {
     /// Mirrors the locked state's gauges into the lock-free atomics;
     /// call before dropping a guard that mutated.
     fn sync(&self, g: &Inner) {
-        self.earliest.store(g.earliest_bound(), Ordering::Relaxed);
-        self.depth.store(g.depth as u64, Ordering::Relaxed);
-        self.stale.store(g.stale as u64, Ordering::Relaxed);
+        let earliest = g.due.first().map_or(u64::MAX, |&(due, _, _)| due);
+        self.earliest.store(earliest, Ordering::Relaxed);
+        self.depth.store(g.due.len() as u64, Ordering::Relaxed);
         self.reclaimed.store(g.reclaimed, Ordering::Relaxed);
     }
 }
 
-/// The sharded scheduler. All operations are keyed by session; a
+/// The sharded wakeup queue. All operations are keyed by session; a
 /// session's shard is fixed (`index & mask`), so per-session ordering
 /// needs no cross-shard coordination.
 #[derive(Debug)]
-pub struct ShardedWheel {
+pub struct ShardedQueue {
     shards: Box<[Shard]>,
     mask: usize,
 }
 
-impl ShardedWheel {
+impl ShardedQueue {
     /// A scheduler with [`DEFAULT_SHARDS`] shards.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
@@ -672,8 +369,8 @@ impl ShardedWheel {
         }
     }
 
-    /// Deactivates the session's worker (departures); its resident
-    /// entry goes stale and is reclaimed on a later cascade.
+    /// Deactivates the session's worker (departures) and removes its
+    /// pending wakeup.
     pub fn deregister(&self, s: SessionId) {
         let shard = self.shard_of(s);
         let mut g = shard.lock(None);
@@ -692,20 +389,16 @@ impl ShardedWheel {
     }
 
     /// The globally earliest pending wakeup `(due_us, session)`, in
-    /// exact dispatch order — amortized per-shard peeks guided by the
-    /// cached earliest-due atomics (no full-structure filter).
+    /// exact dispatch order.
     pub fn peek(&self, obs: Option<&ObsPlane>) -> Option<(u64, SessionId)> {
-        self.scan(u64::MAX, obs).map(|(due, s, _, _)| (due, s))
+        self.scan(u64::MAX, obs).map(|(due, s, _)| (due, s))
     }
 
-    /// One pass over the shards: peek every shard whose cached lower
-    /// bound could still beat the best candidate, returning the global
-    /// minimum by `(due, session)` at or before `horizon_us`.
-    fn scan(
-        &self,
-        horizon_us: u64,
-        obs: Option<&ObsPlane>,
-    ) -> Option<(u64, SessionId, u64, usize)> {
+    /// One pass over the shards: look at the first wakeup of every
+    /// shard whose cached earliest due could still beat the best
+    /// candidate, returning the global minimum by `(due, session)` at
+    /// or before `horizon_us` and the shard holding it.
+    fn scan(&self, horizon_us: u64, obs: Option<&ObsPlane>) -> Option<(u64, SessionId, usize)> {
         let n = self.shards.len();
         debug_assert!(n <= 64);
         let mut order = [(u64::MAX, 0u8); 64];
@@ -714,24 +407,15 @@ impl ShardedWheel {
         }
         let order = &mut order[..n];
         order.sort_unstable();
-        let mut best: Option<(u64, SessionId, u64, usize)> = None;
+        let mut best: Option<(u64, SessionId, usize)> = None;
         for &(hint, i) in order.iter() {
-            if hint > horizon_us {
+            if hint > horizon_us || best.is_some_and(|(bd, _, _)| hint > bd) {
                 break;
             }
-            if let Some((bd, _, _, _)) = best {
-                if hint > bd {
-                    break;
-                }
-            }
-            let shard = &self.shards[i as usize];
-            let mut g = shard.lock(obs);
-            let peeked = g.peek_valid();
-            shard.sync(&g);
-            drop(g);
-            if let Some((due, s, epoch)) = peeked {
-                if due <= horizon_us && best.is_none_or(|(bd, bs, _, _)| (due, s) < (bd, bs)) {
-                    best = Some((due, s, epoch, i as usize));
+            let first = self.shards[i as usize].lock(obs).due.first().copied();
+            if let Some((due, s, _)) = first {
+                if due <= horizon_us && best.is_none_or(|(bd, bs, _)| (due, s) < (bd, bs)) {
+                    best = Some((due, s, i as usize));
                 }
             }
         }
@@ -744,7 +428,7 @@ impl ShardedWheel {
     /// once.
     pub fn pop_due(&self, horizon_us: u64, obs: Option<&ObsPlane>) -> Option<PoppedTimer> {
         loop {
-            let (due, s, _, i) = self.scan(horizon_us, obs)?;
+            let (due, s, i) = self.scan(horizon_us, obs)?;
             let shard = &self.shards[i];
             let mut g = shard.lock(obs);
             let popped = g.pop_exact(due, s);
@@ -805,17 +489,8 @@ impl ShardedWheel {
         }
     }
 
-    /// Resident entries whose registrations were superseded or
-    /// deactivated and that have not yet been reclaimed (the
-    /// `vc_sched_stale_entries` gauge).
-    pub fn stale_entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stale.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Stale entries reclaimed so far (cascade + prune).
+    /// Pending wakeups removed so far because a deregister,
+    /// re-register or restore superseded their registration.
     pub fn stale_reclaimed(&self) -> u64 {
         self.shards
             .iter()
@@ -823,7 +498,7 @@ impl ShardedWheel {
             .sum()
     }
 
-    /// Resident entries per shard (the `vc_sched_depth` gauge).
+    /// Pending wakeups per shard (the `vc_sched_depth` gauge).
     pub fn shard_depths(&self) -> Vec<u64> {
         self.shards
             .iter()
@@ -845,7 +520,7 @@ impl ShardedWheel {
     }
 }
 
-impl Default for ShardedWheel {
+impl Default for ShardedQueue {
     fn default() -> Self {
         Self::new()
     }
@@ -860,7 +535,7 @@ mod tests {
     }
 
     /// Drains everything due at or before `horizon`, re-arming nothing.
-    fn drain(w: &ShardedWheel, horizon: u64) -> Vec<(u64, SessionId)> {
+    fn drain(w: &ShardedQueue, horizon: u64) -> Vec<(u64, SessionId)> {
         let mut out = Vec::new();
         while let Some(p) = w.pop_due(horizon, None) {
             w.complete(p.session, p.epoch, None, None);
@@ -871,7 +546,7 @@ mod tests {
 
     #[test]
     fn dispatch_is_in_due_then_session_order() {
-        let w = ShardedWheel::with_shards(4);
+        let w = ShardedQueue::with_shards(4);
         for (i, due) in [(0usize, 500u64), (1, 100), (2, 100), (3, 90_000), (4, 7)] {
             w.register_with(sid(i), |_| due, None);
         }
@@ -891,7 +566,7 @@ mod tests {
 
     #[test]
     fn horizon_bounds_pops_and_peek_is_exact() {
-        let w = ShardedWheel::with_shards(2);
+        let w = ShardedQueue::with_shards(2);
         w.register_with(sid(0), |_| 10, None);
         w.register_with(sid(1), |_| 20, None);
         assert_eq!(w.peek(None), Some((10, sid(0))));
@@ -909,51 +584,99 @@ mod tests {
 
     #[test]
     fn deregistered_entries_are_reclaimed_not_dispatched() {
-        let w = ShardedWheel::with_shards(1);
-        // All three in one shard; two become stale.
+        let w = ShardedQueue::with_shards(1);
+        // All three in one shard; two are cancelled.
         w.register_with(sid(0), |_| 100, None);
         w.register_with(sid(1), |_| 200, None);
         w.register_with(sid(2), |_| 300, None);
         w.deregister(sid(0));
         w.deregister(sid(2));
-        assert_eq!(w.stale_entries(), 2);
+        assert_eq!(w.shard_depths(), vec![1], "cancelled at once");
+        assert_eq!(w.stale_reclaimed(), 2);
         let order = drain(&w, u64::MAX);
         assert_eq!(order, vec![(200, sid(1))]);
-        assert_eq!(w.stale_entries(), 0, "stale entries reclaimed");
         assert_eq!(w.stale_reclaimed(), 2);
-        assert_eq!(w.shard_depths().iter().sum::<u64>(), 0);
+        assert_eq!(w.shard_depths(), vec![0]);
     }
 
     #[test]
     fn re_registration_supersedes_and_bumps_epoch() {
-        let w = ShardedWheel::with_shards(1);
+        let w = ShardedQueue::with_shards(1);
         let (e1, _) = w.register_with(sid(0), |_| 100, None);
         assert_eq!(e1, 1);
         let (e2, _) = w.register_with(sid(0), |_| 50, None);
         assert_eq!(e2, 2);
-        assert_eq!(w.stale_entries(), 1, "epoch-1 entry is inert");
+        assert_eq!(w.shard_depths(), vec![1], "epoch-1 entry is gone");
+        assert_eq!(w.stale_reclaimed(), 1);
         let order = drain(&w, u64::MAX);
         assert_eq!(order, vec![(50, sid(0))], "only the epoch-2 entry fires");
     }
 
+    /// Superseding a worker whose wakeup is in flight (popped, not
+    /// completed) finds nothing queued to remove, and the late
+    /// completion is a no-op — for each of the three superseding ops.
+    #[test]
+    fn superseding_an_in_flight_worker_removes_nothing() {
+        let w = ShardedQueue::with_shards(1);
+        w.register_with(sid(0), |_| 100, None);
+        let p = w.pop_due(u64::MAX, None).unwrap();
+        w.deregister(sid(0));
+        assert_eq!(
+            w.complete(p.session, p.epoch, Some((200, 1)), None),
+            CompleteOutcome::Superseded
+        );
+        assert_eq!(w.shard_depths(), vec![0]);
+
+        w.register_with(sid(0), |_| 300, None);
+        let p = w.pop_due(u64::MAX, None).unwrap();
+        let (epoch, _) = w.register_with(sid(0), |_| 400, None);
+        assert_eq!((p.epoch, epoch), (2, 3));
+        assert_eq!(
+            w.complete(p.session, p.epoch, Some((350, 1)), None),
+            CompleteOutcome::Superseded
+        );
+        assert_eq!(w.shard_depths(), vec![1], "only the epoch-3 wakeup");
+
+        let p = w.pop_due(u64::MAX, None).unwrap();
+        let restored = TimerEntry {
+            session: sid(0),
+            due_us: 500,
+            epoch: 9,
+            draws: 4,
+            active: true,
+        };
+        w.restore(&[restored], |_| true);
+        assert_eq!(
+            w.complete(p.session, p.epoch, Some((450, 1)), None),
+            CompleteOutcome::Superseded
+        );
+        assert_eq!(w.stale_reclaimed(), 0, "nothing was queued to remove");
+        assert_eq!(w.timer_state(), vec![restored]);
+        assert_eq!(drain(&w, u64::MAX), vec![(500, sid(0))]);
+    }
+
+    /// Far-future dues (the name is from the side pool they once
+    /// waited in) dispatch in order like any other.
     #[test]
     fn overflow_entries_promote_when_the_clock_reaches_their_block() {
-        let w = ShardedWheel::with_shards(1);
-        let far = SPAN_US * 2 + 123; // two span blocks out
+        let w = ShardedQueue::with_shards(1);
+        let far = (2 << 36) + 123;
         w.register_with(sid(0), |_| far, None);
         w.register_with(sid(1), |_| 10, None);
         let order = drain(&w, u64::MAX);
         assert_eq!(order, vec![(10, sid(1)), (far, sid(0))]);
     }
 
+    /// A due below the last dispatched one — a sub-µs countdown drawn
+    /// during a drive — still fires, ahead of everything later.
     #[test]
     fn late_registration_below_the_shard_clock_still_fires_in_order() {
-        let w = ShardedWheel::with_shards(1);
+        let w = ShardedQueue::with_shards(1);
         w.register_with(sid(0), |_| 1_000, None);
         let p = w.pop_due(u64::MAX, None).unwrap();
         assert_eq!(p.due_us, 1_000);
         w.complete(p.session, p.epoch, Some((2_000, 1)), None);
-        // Clock is at 1000; register dues below it.
+        // 1000 has been dispatched; register dues below it.
         w.register_with(sid(1), |_| 40, None);
         w.register_with(sid(2), |_| 30, None);
         let order = drain(&w, u64::MAX);
@@ -962,17 +685,17 @@ mod tests {
 
     #[test]
     fn timer_state_round_trips_through_restore() {
-        let w = ShardedWheel::with_shards(4);
+        let w = ShardedQueue::with_shards(4);
         w.register_with(sid(3), |_| 300, None);
         w.register_with(sid(7), |_| 700, None);
         w.deregister(sid(7));
         let state = w.timer_state();
-        let w2 = ShardedWheel::with_shards(8);
+        let w2 = ShardedQueue::with_shards(8);
         w2.restore(&state, |_| true);
         assert_eq!(w2.timer_state(), state);
         assert_eq!(w2.peek(None), Some((300, sid(3))));
         // A not-live session restores as a watermark only.
-        let w3 = ShardedWheel::with_shards(2);
+        let w3 = ShardedQueue::with_shards(2);
         w3.restore(&state, |s| s != sid(3));
         assert_eq!(w3.peek(None), None);
         let e3 = w3
@@ -992,13 +715,13 @@ mod tests {
             (2, 64),
             (3, 4_096),
             (4, 1),
-            (5, SPAN_US + 9),
+            (5, (1 << 36) + 9),
             (6, 262_144),
             (7, 63),
         ];
         let mut orders = Vec::new();
         for shards in [1usize, 4, 64] {
-            let w = ShardedWheel::with_shards(shards);
+            let w = ShardedQueue::with_shards(shards);
             for (i, due) in dues {
                 w.register_with(sid(i), |_| due, None);
             }

@@ -126,17 +126,12 @@ pub fn fleet_metrics_text(fleet: &Fleet) -> String {
 
 /// Wakeup-scheduler gauges in Prometheus text exposition format —
 /// append to [`fleet_metrics_text`]'s output in a `/metrics` closure
-/// so the sharded wheel's health (stale backlog, per-shard depth, lock
-/// contention) is scrapeable next to the fleet state.
+/// so the wakeup queue's health (per-shard depth, cancelled wakeups,
+/// lock contention) is scrapeable next to the fleet state.
 pub fn sched_metrics_text(pool: &ReoptPool) -> String {
     let mut out = String::with_capacity(512);
     out.push_str("# TYPE vc_sched_shards gauge\n");
     out.push_str(&format!("vc_sched_shards {}\n", pool.num_shards()));
-    out.push_str("# TYPE vc_sched_stale_entries gauge\n");
-    out.push_str(&format!(
-        "vc_sched_stale_entries {}\n",
-        pool.stale_entries()
-    ));
     out.push_str("# TYPE vc_sched_stale_reclaimed counter\n");
     out.push_str(&format!(
         "vc_sched_stale_reclaimed {}\n",

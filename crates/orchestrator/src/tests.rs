@@ -3,6 +3,7 @@
 use crate::fleet::{AdmitError, Fleet, FleetConfig, PlacementPolicy};
 use crate::ledger::{AgentHold, CapacityLedger, LedgerError, SessionHold};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
+use crate::readmit::{ReadmitConfig, ReadmitEntry};
 use crate::workers::ReoptPool;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use vc_model::{
     AgentId, AgentSpec, Capacity, DownstreamDemand, InstanceBuilder, ReprLadder, SessionDef,
     SessionId, UserDef,
 };
-use vc_obs::Site;
+use vc_obs::{Site, TraceKind};
 use vc_workloads::{dynamic_trace, DynamicTraceConfig, FleetEvent};
 
 /// Three agents, six 2-user sessions, moderate capacities: enough for
@@ -435,6 +436,64 @@ fn worker_pool_threads_race_hops_concurrently() {
         f.load_drift() < 1e-6,
         "slot loads drifted from fresh evaluation under threads"
     );
+}
+
+/// `tick_until` runs a re-admission before a worker wakeup due at the
+/// same microsecond — also at 0, where nothing can be "strictly
+/// before" the re-admission.
+#[test]
+fn readmission_wins_a_due_time_tie_with_a_worker_wakeup() {
+    for tie_at_zero in [false, true] {
+        let f = Fleet::new(
+            universe(10_000.0, 100),
+            FleetConfig {
+                placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+                alg1: Alg1Config::paper(400.0),
+                ledger_shards: 2,
+                readmit: Some(ReadmitConfig::default()),
+            },
+        );
+        let pool = ReoptPool::new(11);
+        let (worker, waiting) = (SessionId::new(0), SessionId::new(1));
+        f.admit(worker).unwrap();
+        pool.register(&f, worker, 0.0);
+        if tie_at_zero {
+            let mut timers = pool.timer_state();
+            timers[0].due_us = 0;
+            pool.restore_timers(&f, &timers);
+        }
+        let (due_us, _) = pool.next_due().unwrap();
+        assert_eq!(due_us == 0, tie_at_zero);
+        f.readmit_install(ReadmitEntry {
+            session: waiting,
+            epoch: 1,
+            attempt: 0,
+            due_us,
+        });
+        // Half a microsecond on: seconds → µs truncates.
+        let hops = pool.tick_until(&f, (due_us as f64 + 0.5) / 1e6);
+        assert_eq!(hops, 1);
+        let order: Vec<(TraceKind, u32)> = f
+            .obs()
+            .trace()
+            .dump()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceKind::ReadmitAdmitted | TraceKind::WakeupDispatched
+                )
+            })
+            .map(|e| (e.kind, e.session))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (TraceKind::ReadmitAdmitted, 1),
+                (TraceKind::WakeupDispatched, 0)
+            ]
+        );
+    }
 }
 
 /// A registrable two-user conference over the 3-agent test universe

@@ -9,16 +9,14 @@
 //!
 //! ## Sharded wakeup scheduling
 //!
-//! Pending wakeups live in a [`ShardedWheel`](crate::sched): sessions
-//! map to independent shards, each a hierarchical timer wheel behind
-//! its own short-held lock, with a cached earliest-due atomic per
-//! shard so dispatch finds the next event by scanning N atomics — not
-//! by filtering one global heap behind one global mutex (the shape
-//! this module had before, and the last shared structure on the hop
-//! path). Dispatch order is unchanged: globally ascending
-//! `(due_us, session, epoch)`; see the `sched` module docs for the
-//! determinism argument and `tests/scheduler_equivalence.rs` for the
-//! proptest against a reference heap.
+//! Pending wakeups live in a [`ShardedQueue`](crate::sched): sessions
+//! map to independent shards, each one ordered set of pending wakeups
+//! behind its own short-held lock, with a cached earliest-due atomic
+//! per shard so dispatch finds the next event by reading N atomics —
+//! no global mutex on the hop path. Dispatch order is globally
+//! ascending `(due_us, session, epoch)`; see the `sched` module docs
+//! for the determinism argument and `tests/scheduler_equivalence.rs`
+//! for the proptest against a reference heap.
 //!
 //! ## Reconstructible timers
 //!
@@ -41,7 +39,7 @@
 //!   target).
 
 use crate::fleet::{Fleet, FleetHopScratch};
-use crate::sched::{CompleteOutcome, ShardedWheel};
+use crate::sched::{CompleteOutcome, ShardedQueue};
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::AtomicBool;
@@ -75,12 +73,11 @@ fn draw_rng(seed: u64, s: SessionId, epoch: u64, draws: u64, stream: u64) -> Std
     StdRng::seed_from_u64(x)
 }
 
-/// The worker pool. Sessions are registered on admission and silently
-/// dropped from the schedule once they depart (lazy deletion, eagerly
-/// reclaimed on wheel cascade).
+/// The worker pool. Sessions are registered on admission and taken
+/// off the schedule when they depart.
 #[derive(Debug)]
 pub struct ReoptPool {
-    wheel: ShardedWheel,
+    queue: ShardedQueue,
     seed: u64,
     hops_executed: AtomicUsize,
     /// The virtual-clock drive's hop buffers. A trace-driven run calls
@@ -94,19 +91,19 @@ impl ReoptPool {
     /// An empty pool with the default shard count; `seed` derives
     /// every per-wakeup RNG.
     pub fn new(seed: u64) -> Self {
-        Self::over(ShardedWheel::new(), seed)
+        Self::over(ShardedQueue::new(), seed)
     }
 
     /// An empty pool over `shards` scheduler shards (a contention
     /// knob only — dispatch order, and therefore every journaled
     /// record, is independent of it).
     pub fn with_shards(seed: u64, shards: usize) -> Self {
-        Self::over(ShardedWheel::with_shards(shards), seed)
+        Self::over(ShardedQueue::with_shards(shards), seed)
     }
 
-    fn over(wheel: ShardedWheel, seed: u64) -> Self {
+    fn over(queue: ShardedQueue, seed: u64) -> Self {
         Self {
-            wheel,
+            queue,
             seed,
             hops_executed: AtomicUsize::new(0),
             tick_scratch: Mutex::new(FleetHopScratch::new()),
@@ -117,7 +114,7 @@ impl ReoptPool {
     /// fleet's countdown distribution after `now_s`.
     pub fn register(&self, fleet: &Fleet, s: SessionId, now_s: f64) {
         let obs = fleet.obs();
-        let (_, due_us) = self.wheel.register_with(
+        let (_, due_us) = self.queue.register_with(
             s,
             |epoch| {
                 let mut rng = draw_rng(self.seed, s, epoch, 0, STREAM_WAIT);
@@ -130,11 +127,11 @@ impl ReoptPool {
 
     /// Registers a worker for every session in `sessions`, grouping by
     /// scheduler shard so each shard lock is taken once per batch —
-    /// the setup path for 100k+-session fleets. Produces exactly the
+    /// the setup path for large fleets. Produces exactly the
     /// timers per-session [`register`](Self::register) calls would.
     pub fn register_batch(&self, fleet: &Fleet, sessions: &[SessionId], now_s: f64) {
         let obs = fleet.obs();
-        self.wheel.register_batch(
+        self.queue.register_batch(
             sessions,
             |s, epoch| {
                 let mut rng = draw_rng(self.seed, s, epoch, 0, STREAM_WAIT);
@@ -147,10 +144,10 @@ impl ReoptPool {
         );
     }
 
-    /// Deactivates the session's worker (departures). The wheel entry,
-    /// if any, goes stale and is reclaimed on a later cascade.
+    /// Deactivates the session's worker (departures) and removes its
+    /// pending wakeup, if one is queued.
     pub fn deregister(&self, s: SessionId) {
-        self.wheel.deregister(s);
+        self.queue.deregister(s);
     }
 
     /// Total HOPs executed (migrated + stayed) since construction.
@@ -160,30 +157,24 @@ impl ReoptPool {
 
     /// The scheduler shard count.
     pub fn num_shards(&self) -> usize {
-        self.wheel.num_shards()
+        self.queue.num_shards()
     }
 
-    /// Resident scheduler entries whose registrations were superseded
-    /// or deactivated and that await reclamation (the
-    /// `vc_sched_stale_entries` gauge).
-    pub fn stale_entries(&self) -> u64 {
-        self.wheel.stale_entries()
-    }
-
-    /// Stale entries reclaimed so far by cascades and slot prunes.
+    /// Pending wakeups removed so far because a departure or a
+    /// re-registration superseded them.
     pub fn stale_reclaimed(&self) -> u64 {
-        self.wheel.stale_reclaimed()
+        self.queue.stale_reclaimed()
     }
 
-    /// Resident entries per scheduler shard.
+    /// Pending wakeups per scheduler shard.
     pub fn shard_depths(&self) -> Vec<u64> {
-        self.wheel.shard_depths()
+        self.queue.shard_depths()
     }
 
     /// Per-shard `(lock acquisitions, contended acquisitions)` — the
     /// contention-profile evidence the hop bench archives.
     pub fn shard_lock_counters(&self) -> Vec<(u64, u64)> {
-        self.wheel.shard_lock_counters()
+        self.queue.shard_lock_counters()
     }
 
     /// Every worker's scheduling state (inactive epoch watermarks
@@ -191,7 +182,7 @@ impl ReoptPool {
     /// journals so recovery can resume the WAIT timers instead of
     /// re-drawing them.
     pub fn timer_state(&self) -> Vec<TimerEntry> {
-        self.wheel.timer_state()
+        self.queue.timer_state()
     }
 
     /// Reinstalls journaled timer state (crash recovery): each entry
@@ -206,7 +197,7 @@ impl ReoptPool {
     /// seed, then [`ensure_registered`](Self::ensure_registered) for
     /// the opposite gap (sessions admitted after the journaled cut).
     pub fn restore_timers(&self, fleet: &Fleet, entries: &[TimerEntry]) {
-        self.wheel.restore(entries, |s| fleet.is_live(s));
+        self.queue.restore(entries, |s| fleet.is_live(s));
     }
 
     /// Registers a fresh worker for every live session of `fleet` that
@@ -219,7 +210,7 @@ impl ReoptPool {
     pub fn ensure_registered(&self, fleet: &Fleet, now_s: f64) -> Vec<SessionId> {
         let mut registered = Vec::new();
         for s in fleet.live_sessions() {
-            if !self.wheel.has_active(s) {
+            if !self.queue.has_active(s) {
                 self.register(fleet, s, now_s);
                 registered.push(s);
             }
@@ -228,11 +219,9 @@ impl ReoptPool {
     }
 
     /// The earliest pending wakeup `(due_us, session)` among live
-    /// workers, if any (telemetry / test introspection). Amortized
-    /// per-shard peeks guided by the cached earliest-due atomics — the
-    /// old full-heap filter is gone.
+    /// workers, if any (telemetry / test introspection).
     pub fn next_due(&self) -> Option<(u64, SessionId)> {
-        self.wheel.peek(None)
+        self.queue.peek(None)
     }
 
     /// Pops the next due worker at or before `horizon_us`, hops it
@@ -254,10 +243,10 @@ impl ReoptPool {
         } else {
             None
         };
-        // Take the worker off the wheel under its shard lock, hop
+        // Take the worker off the queue under its shard lock, hop
         // *outside* it so parallel callers only serialize on their
         // session slot and the ledger shards.
-        let Some(popped) = self.wheel.pop_due(horizon_us, Some(obs)) else {
+        let Some(popped) = self.queue.pop_due(horizon_us, Some(obs)) else {
             return false;
         };
         let (due_us, s, epoch, draws) = (popped.due_us, popped.session, popped.epoch, popped.draws);
@@ -278,7 +267,7 @@ impl ReoptPool {
         let next = fleet
             .is_live(s)
             .then_some((due_us + to_us(wait), next_draws));
-        let outcome = self.wheel.complete(s, epoch, next, Some(obs));
+        let outcome = self.queue.complete(s, epoch, next, Some(obs));
         // Re-arm events ride the same sampled ticks as the dispatch
         // span, so a sampled wakeup traces as dispatch → next deadline.
         if sampled {
@@ -294,38 +283,30 @@ impl ReoptPool {
     /// re-admission attempts from the fleet's self-healing queue,
     /// merged into one timeline (re-admission wins due-time ties, so a
     /// session re-admitted at `t` can be hopped at `t` by a worker
-    /// wakeup later in the same drive). A successful re-admission
-    /// registers a fresh worker at its admission time. Returns the
-    /// number of hops run (re-admission attempts are not hops).
+    /// wakeup later in the same drive). Each turn runs one worker due
+    /// strictly before the next re-admission or, when there is none,
+    /// that re-admission. A successful re-admission registers a fresh
+    /// worker at its admission time. Returns the number of hops run
+    /// (re-admission attempts are not hops).
     pub fn tick_until(&self, fleet: &Fleet, t_s: f64) -> usize {
         let horizon = to_us(t_s);
-        let obs = fleet.obs();
         let mut scratch = self.tick_scratch.lock();
         let mut n = 0;
         loop {
-            let worker = self
-                .wheel
-                .peek(Some(obs))
-                .map(|(d, _)| d)
-                .filter(|&d| d <= horizon);
             let readmit = fleet.next_readmit_due().filter(|&d| d <= horizon);
-            match (worker, readmit) {
-                (None, None) => break,
-                (Some(_), None) => {
-                    if self.step_one(fleet, horizon, &mut scratch) {
-                        n += 1;
-                    }
+            let worker_bound = match readmit {
+                None => Some(horizon),
+                // Nothing runs before a re-admission due at 0.
+                Some(r) => r.checked_sub(1),
+            };
+            if worker_bound.is_some_and(|b| self.step_one(fleet, b, &mut scratch)) {
+                n += 1;
+            } else if let Some(r) = readmit {
+                if let Some(s) = fleet.readmit_attempt_one(r) {
+                    self.register(fleet, s, r as f64 / 1e6);
                 }
-                (Some(w), Some(r)) if w < r => {
-                    if self.step_one(fleet, horizon, &mut scratch) {
-                        n += 1;
-                    }
-                }
-                (_, Some(r)) => {
-                    if let Some(s) = fleet.readmit_attempt_one(r) {
-                        self.register(fleet, s, r as f64 / 1e6);
-                    }
-                }
+            } else {
+                break;
             }
         }
         n

@@ -166,7 +166,7 @@ fn comparison_demo(serve: Option<&str>) {
             assert_eq!(status, 200);
             assert!(metrics.contains("vc_obs_ops_recorded"));
             assert!(metrics.contains("vc_fleet_live_sessions"));
-            assert!(metrics.contains("vc_sched_stale_entries"));
+            assert!(metrics.contains("# TYPE vc_sched_depth gauge"));
             assert!(metrics.contains("vc_sched_depth{shard=\"0\"}"));
             assert!(metrics.contains("vc_region_agents{region=\"default\"}"));
             assert!(metrics.contains("vc_region_cross_commits"));

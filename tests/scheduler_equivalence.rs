@@ -6,7 +6,7 @@
 //! * **wheel ≡ reference heap** — under random
 //!   register/depart/re-register/pop interleavings (dues spanning
 //!   collision-dense ranges, wheel-span boundaries, and multi-block
-//!   horizons), a [`ShardedWheel`] dispatches the exact
+//!   horizons), a [`ShardedQueue`] dispatches the exact
 //!   `(due_us, session, epoch, draws)` sequence of a reference model
 //!   that replicates the old heap semantics — at several shard counts;
 //! * **shard count is invisible** — twin fleets driven through the
@@ -30,10 +30,14 @@ use vc_algo::markov::Alg1Config;
 use vc_chaos::{FaultKind, FaultPlan, StormConfig};
 use vc_core::UapProblem;
 use vc_model::SessionId;
-use vc_orchestrator::sched::SPAN_US;
-use vc_orchestrator::{AdmitOutcome, ReadmitConfig, ReoptPool, ShardedWheel, TimerEntry};
+use vc_orchestrator::{AdmitOutcome, ReadmitConfig, ReoptPool, ShardedQueue, TimerEntry};
 
 const POOL_SEED: u64 = 2015;
+
+/// The boundary `pick_due`'s generator straddles: dues just below, at
+/// and up to three times 2^36 µs (≈ 19 h, the span of the timer wheel
+/// this contract was first proptested against).
+const SPAN_US: u64 = 1 << 36;
 
 // ---------------------------------------------------------------------
 // Part 1: wheel vs. reference heap under random interleavings.
@@ -153,7 +157,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// reference heap in lockstep, asserting every pop and the final state
 /// agree.
 fn check_against_reference(ops: &[Op], shards: usize) {
-    let wheel = ShardedWheel::with_shards(shards);
+    let wheel = ShardedQueue::with_shards(shards);
     let mut heap = ReferenceHeap::default();
     for op in ops {
         match *op {
@@ -201,6 +205,11 @@ fn check_against_reference(ops: &[Op], shards: usize) {
             heap.clone_peek(),
             "peek diverged after {op:?}"
         );
+        assert_eq!(
+            wheel.shard_depths().iter().sum::<u64>(),
+            heap.current_entries(),
+            "a superseded wakeup is still queued after {op:?}"
+        );
     }
     // Drain whatever is left, in full, and compare the tails.
     loop {
@@ -216,17 +225,12 @@ fn check_against_reference(ops: &[Op], shards: usize) {
         heap.complete(p.session, p.epoch, None);
     }
     assert_eq!(wheel.timer_state(), heap.timer_state());
-    assert_eq!(
-        wheel.stale_entries(),
-        0,
-        "drain reclaimed every stale entry"
-    );
     assert_eq!(wheel.shard_depths().iter().sum::<u64>(), 0);
 }
 
 impl ReferenceHeap {
     /// Non-destructive earliest valid `(due, session)` — the heap
-    /// analogue of `ShardedWheel::peek` (full filter; it's a test).
+    /// analogue of `ShardedQueue::peek` (full filter; it's a test).
     fn clone_peek(&self) -> Option<(u64, SessionId)> {
         self.due
             .iter()
@@ -235,6 +239,17 @@ impl ReferenceHeap {
             })
             .map(|std::cmp::Reverse((due, s, _))| (*due, *s))
             .min()
+    }
+
+    /// Heap entries whose `(session, epoch)` is current and active —
+    /// all an eagerly cancelling queue may hold.
+    fn current_entries(&self) -> u64 {
+        self.due
+            .iter()
+            .filter(|std::cmp::Reverse((_, s, epoch))| {
+                self.timers.get(s).is_some_and(|t| t.3 && t.0 == *epoch)
+            })
+            .count() as u64
     }
 }
 
