@@ -206,20 +206,6 @@ impl SessionLoad {
         }
     }
 
-    /// Resets the load to [`empty`](Self::empty) in place, keeping the
-    /// dense vectors' allocations and zeroing only the agents
-    /// [`touched`](Self::touched) names (which covers every nonzero
-    /// entry).
-    pub fn clear(&mut self) {
-        self.clear_agents();
-        self.user_delay.clear();
-        self.max_flow_delay = 0.0;
-        self.delay_cost = 0.0;
-        self.traffic_cost = 0.0;
-        self.transcode_cost = 0.0;
-        self.phi = 0.0;
-    }
-
     /// Zeroes the per-agent vectors at the agents
     /// [`touched`](Self::touched) names, and empties that index.
     fn clear_agents(&mut self) {

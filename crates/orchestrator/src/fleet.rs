@@ -1,5 +1,5 @@
 //! The fleet: admission, departure, failure handling, and hop execution
-//! over per-session assignment slots + the sharded [`CapacityLedger`].
+//! over the live sessions' slots + the sharded [`CapacityLedger`].
 //!
 //! ## The sharded FREEZE
 //!
@@ -7,9 +7,10 @@
 //! HOP — behind one `Mutex<SystemState>` (the paper's FREEZE message,
 //! literally). That lock is gone. The fleet now owns:
 //!
-//! * one `SessionSlot` per session (its users'/tasks' agents, its
-//!   evaluated [`SessionLoad`], its live flag), each behind its own
-//!   mutex — a HOP touches exactly one slot;
+//! * one `SessionSlot` per **live** session (its users'/tasks' agents,
+//!   its evaluated [`SessionLoad`]) behind its own mutex, in a map
+//!   ordered by session id whose key set *is* the live set, so every
+//!   fleet walk is O(live) — a HOP touches exactly one slot;
 //! * the sharded [`CapacityLedger`] as the *only* cross-session
 //!   coordination point: a HOP commit is a checked
 //!   [`try_swap`](CapacityLedger::try_swap), so two sessions racing for
@@ -23,13 +24,13 @@
 //! ## The open world
 //!
 //! The FREEZE lock guards more than quiescence: it owns the
-//! `Universe` — the problem (instance + tasks) and the per-session
-//! slot vector. Both are **append-only extensible** while the fleet is
+//! `Universe` — the problem (instance + tasks) and the live sessions'
+//! slots. The problem is **append-only extensible** while the fleet is
 //! live: [`Fleet::register_session`] (exclusive FREEZE) registers a
-//! never-before-seen conference, growing the instance, the task table,
-//! and the slot vector in one step. The ledger is untouched until the
-//! new session is actually admitted (agents are fixed; a registered
-//! conference reserves nothing). Because growth never renumbers an id
+//! never-before-seen conference, growing the instance and the task
+//! table in one step. Registration grows the problem, not slot storage:
+//! a registered conference has no slot and reserves nothing until it is
+//! actually admitted. Because growth never renumbers an id
 //! or moves an existing delay entry, every evaluated load, objective
 //! and hold of the pre-growth fleet is bitwise unchanged — a fleet
 //! grown session-by-session is indistinguishable from one built over
@@ -62,6 +63,7 @@ use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::Rng;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -249,17 +251,16 @@ impl FleetCounters {
     }
 }
 
-/// One session's share of the assignment: its users' and tasks' agents
-/// (parallel to `instance.session(s).users()` and
-/// `tasks.of_session(s)`), the evaluated load under that placement, and
-/// whether the session is live. Inactive sessions keep their (inert)
-/// placement and a zeroed load.
+/// One live session's share of the assignment: its users' and tasks'
+/// agents (parallel to `instance.session(s).users()` and
+/// `tasks.of_session(s)`) and the evaluated load under that placement.
+/// Built by [`Fleet::install_admitted`], dropped when the session
+/// departs or is displaced: a session that is not live has no slot.
 #[derive(Debug)]
 pub(crate) struct SessionSlot {
     pub(crate) users: Vec<AgentId>,
     pub(crate) tasks: Vec<AgentId>,
     pub(crate) load: SessionLoad,
-    pub(crate) active: bool,
 }
 
 impl SessionSlot {
@@ -380,14 +381,16 @@ pub enum GrowthRecord {
 }
 
 /// What the FREEZE lock owns: the growable universe — the problem
-/// (instance + derived tables), one slot per registered session, and
+/// (instance + derived tables), the slot of every *live* session, and
 /// the per-agent availability/drain masks. Hops read it shared; coarse
 /// ops and [`Fleet::register_session`] / [`Fleet::register_agent`] hold
 /// it exclusively.
 #[derive(Debug)]
 pub(crate) struct Universe {
     pub(crate) problem: Arc<UapProblem>,
-    pub(crate) slots: Vec<Mutex<SessionSlot>>,
+    /// The live sessions' slots: the key set is the live set. Admission
+    /// inserts; departure and displacement remove.
+    pub(crate) slots: BTreeMap<SessionId, Mutex<SessionSlot>>,
     /// Universe growth since construction, in registration order —
     /// what a durable snapshot must carry so recovery can regrow the
     /// universe from the seed problem.
@@ -401,26 +404,18 @@ pub(crate) struct Universe {
 }
 
 impl Universe {
-    /// Every live slot in ascending session order, each locked in turn
-    /// (a slot's guard drops before the next one is taken) — the one
-    /// walk under every per-fleet sum, so they all see the same addends
-    /// in the same order. Caller holds no slot lock.
+    /// Every live slot in ascending session order (the map's), each
+    /// locked in turn (a slot's guard drops before the next one is taken)
+    /// — the one walk under every per-fleet sum, so they all see the same
+    /// addends in the same order, O(live). Caller holds no slot lock.
     fn live_slots(&self) -> impl Iterator<Item = (SessionId, MutexGuard<'_, SessionSlot>)> {
-        self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            let slot = slot.lock();
-            slot.active.then_some((SessionId::from(i), slot))
-        })
+        self.slots.iter().map(|(&s, slot)| (s, slot.lock()))
     }
 
-    /// Appends one inert slot for freshly-registered session `s`.
-    fn push_slot(&mut self, s: SessionId) {
-        let inst = self.problem.instance();
-        self.slots.push(Mutex::new(SessionSlot {
-            users: vec![AgentId::new(0); inst.session(s).len()],
-            tasks: vec![AgentId::new(0); self.problem.tasks().of_session(s).len()],
-            load: SessionLoad::empty(inst.num_agents()),
-            active: false,
-        }));
+    /// Whether `s` names a session of the (grown-so-far) instance —
+    /// the precondition of an admission, live or replayed.
+    pub(crate) fn is_registered(&self, s: SessionId) -> bool {
+        s.index() < self.problem.instance().num_sessions()
     }
 }
 
@@ -500,10 +495,9 @@ pub(crate) enum AdmitPath {
 #[derive(Debug)]
 pub struct Fleet {
     /// The sharded FREEZE: hops shared, coarse ops exclusive. Owns the
-    /// growable [`Universe`] (problem + slots), so universe growth is
-    /// just another exclusive path.
+    /// growable [`Universe`] (problem + live slots), so universe growth
+    /// is just another exclusive path.
     pub(crate) freeze: RwLock<Universe>,
-    pub(crate) live: AtomicUsize,
     pub(crate) ledger: CapacityLedger,
     pub(crate) engine: Alg1Engine,
     pub(crate) config: FleetConfig,
@@ -545,25 +539,21 @@ impl Fleet {
     /// Creates a fleet over `problem` with **no** live sessions: every
     /// session of the instance is a *potential* conference that may
     /// arrive later (and more can be registered online afterwards via
-    /// [`register_session`](Self::register_session)). Initial (inert)
-    /// placements sit on agent 0.
+    /// [`register_session`](Self::register_session)). The slot map
+    /// starts empty whatever the universe's size.
     pub fn new(problem: Arc<UapProblem>, config: FleetConfig) -> Self {
         let nl = problem.instance().num_agents();
         let ledger = CapacityLedger::new(&problem, config.ledger_shards);
-        let mut universe = Universe {
+        let universe = Universe {
             problem,
-            slots: Vec::new(),
+            slots: BTreeMap::new(),
             growth: Vec::new(),
             available: vec![true; nl],
             drained: vec![false; nl],
         };
-        for i in 0..universe.problem.instance().num_sessions() {
-            universe.push_slot(SessionId::from(i));
-        }
         let obs = Arc::new(ObsPlane::new(ledger.num_shards()));
         Self {
             freeze: RwLock::new(universe),
-            live: AtomicUsize::new(0),
             ledger,
             engine: Alg1Engine::new(config.alg1.clone()),
             config,
@@ -620,9 +610,9 @@ impl Fleet {
 
     /// Registers a never-before-seen conference online, returning its
     /// (always next-dense) session id. Exclusive FREEZE path: the
-    /// instance, task table and slot vector grow in one step; the
-    /// **ledger is untouched** — a registered conference holds nothing
-    /// until it is admitted. On error the fleet is unchanged.
+    /// instance and task table grow in one step; **slot storage and the
+    /// ledger are untouched** — a registered conference has no slot and
+    /// holds nothing until it is admitted. On error the fleet is unchanged.
     ///
     /// # Errors
     ///
@@ -634,7 +624,6 @@ impl Fleet {
         // burst of registrations does not deep-copy the whole problem
         // per arrival.
         let s = Arc::make_mut(&mut u.problem).register_session(def)?;
-        u.push_slot(s);
         u.growth.push(GrowthRecord::Session(def.clone()));
         self.log_op(|| FleetOp::RegisterSession {
             session: s,
@@ -657,7 +646,7 @@ impl Fleet {
     /// Registers a never-before-seen agent online into `region`
     /// (elastic capacity), returning its (always next-dense) agent id.
     /// Exclusive FREEZE path: the instance's agent pool and delay
-    /// matrices, every stored slot load's agent axis, the availability/
+    /// matrices, every live slot load's agent axis, the availability/
     /// drain masks, and the ledger all grow in one step — append-only,
     /// nothing renumbers, so every evaluated load, objective and hold of
     /// the pre-growth fleet is bitwise unchanged. The region is created
@@ -675,8 +664,8 @@ impl Fleet {
         // every later evaluation/summation sees matching lengths. The
         // new tail is zero, so grown loads stay bitwise-equal to their
         // up-front-construction twins.
-        for slot in &u.slots {
-            slot.lock().load.grow(nl);
+        for slot in u.slots.values_mut() {
+            slot.get_mut().load.grow(nl);
         }
         u.available.push(true);
         u.drained.push(false);
@@ -728,17 +717,22 @@ impl Fleet {
     /// same enumeration / violation-driven repair / ranked fallback the
     /// Fig. 9 `admit_all` runs — against **live** fleet state (ledger
     /// residuals + availability), then books the ledger hold and
-    /// activates the slot. The control plane therefore admits exactly
-    /// the sessions the offline reproduction admits (proptested in
-    /// `tests/admission_parity.rs`). On any refusal the fleet is left
+    /// inserts the session's slot. The control plane therefore admits
+    /// exactly the sessions the offline reproduction admits (proptested
+    /// in `tests/admission_parity.rs`). On any refusal the fleet is left
     /// exactly as before. Coarse path: takes the FREEZE write lock.
     ///
     /// # Errors
     ///
     /// See [`AdmitError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unregistered `s` (past the universe as grown so far):
+    /// there is no conference to place — a caller bug, fail-stop.
     pub fn admit(&self, s: SessionId) -> Result<(), AdmitError> {
-        let u = self.freeze_exclusive();
-        let result = self.admit_locked(&u, s);
+        let mut u = self.freeze_exclusive();
+        let result = self.admit_locked(&mut u, s);
         // All recording happens after the exclusive section is released:
         // observation must never extend the FREEZE hold it measures.
         if let Some((t0, t_end)) = u.release() {
@@ -793,11 +787,11 @@ impl Fleet {
     /// event's payload); a refusal carries its journaled reason.
     fn admit_locked(
         &self,
-        u: &Universe,
+        u: &mut Universe,
         s: SessionId,
     ) -> Result<(AdmissionStats, u64), (AdmitError, RefusalReason)> {
-        let mut slot = u.slots[s.index()].lock();
-        if slot.active {
+        assert!(u.is_registered(s), "admit of unregistered session {s}");
+        if u.slots.contains_key(&s) {
             self.refuse(s, RefusalReason::AlreadyLive);
             return Err((AdmitError::AlreadyLive(s), RefusalReason::AlreadyLive));
         }
@@ -834,7 +828,8 @@ impl Fleet {
             tier: stats.tier,
             repair_steps: stats.repair_steps,
         };
-        self.install_admitted(problem, &mut slot, s, &accepted, eval, AdmitPath::Live)
+        let slot = self
+            .install_admitted(problem, s, &accepted, eval, AdmitPath::Live)
             .expect("the engine places the session's own users and tasks, once");
         // Journaled strictly after the booking: for a hold spanning
         // regions that is after the two-phase commit point, so a crash
@@ -850,7 +845,9 @@ impl Fleet {
                 repair_steps: stats.repair_steps as u64,
             }
         });
-        Ok((stats, placement_hash(&slot)))
+        let hash = placement_hash(&slot);
+        u.slots.insert(s, Mutex::new(slot));
+        Ok((stats, hash))
     }
 
     /// Counts and journals one refusal (the live path;
@@ -869,15 +866,16 @@ impl Fleet {
         }
     }
 
-    /// Installs an accepted admission into `s`'s (inactive) slot and
-    /// counts it: placement, evaluated load, live flag, ledger hold
-    /// (booked *unchecked* — the search already proved the fit, and the
-    /// exclusive FREEZE lock excludes races), the admitted/tier/repair
-    /// counters, and the retirement of any queued re-admission entry.
-    /// The one place a session goes live: [`admit`](Self::admit) calls
-    /// it once the engine has decided and `Admit` replay once the record
-    /// is decoded, so replay moves exactly the counters the live path
-    /// moved. `path` names the only two differences (see [`AdmitPath`]).
+    /// Builds the slot of an accepted admission of `s` and counts it:
+    /// placement (agent 0, overwritten by the accepted pairs), evaluated
+    /// load, ledger hold (booked *unchecked* — the search already proved
+    /// the fit, and the exclusive FREEZE lock excludes races), the
+    /// admitted/tier/repair counters, and the retirement of any queued
+    /// re-admission entry; the caller inserts the slot into the map. The
+    /// one place a session goes live: [`admit`](Self::admit) calls it once
+    /// the engine has decided and `Admit` replay once the record is
+    /// decoded, so replay moves exactly the counters the live path moved.
+    /// `path` names the only two differences (see [`AdmitPath`]).
     ///
     /// # Errors
     ///
@@ -887,12 +885,16 @@ impl Fleet {
     pub(crate) fn install_admitted(
         &self,
         problem: &UapProblem,
-        slot: &mut SessionSlot,
         s: SessionId,
         accepted: &Accepted<'_>,
         eval: &mut EvalScratch,
         path: AdmitPath,
-    ) -> Result<(), String> {
+    ) -> Result<SessionSlot, String> {
+        let mut slot = SessionSlot {
+            users: vec![AgentId::new(0); problem.instance().session(s).len()],
+            tasks: vec![AgentId::new(0); problem.tasks().of_session(s).len()],
+            load: SessionLoad::default(),
+        };
         for &(u, a) in accepted.users {
             let i = (problem.local_user(s, u))
                 .ok_or_else(|| format!("admit of {s} places foreign user {u}"))?;
@@ -904,7 +906,7 @@ impl Fleet {
             slot.tasks[i] = a;
         }
         if path == AdmitPath::Replay {
-            evaluate_slot(problem, s, slot, eval);
+            evaluate_slot(problem, s, &slot, eval);
         }
         let load = eval.load();
         let hold = SessionHold::from_load(load);
@@ -915,9 +917,7 @@ impl Fleet {
             self.ledger.book_unchecked(s, hold)
         };
         booked.map_err(|e| format!("admit of {s} double-booked: {e}"))?;
-        slot.load.clone_from(load);
-        slot.active = true;
-        self.live.fetch_add(1, Ordering::Relaxed);
+        slot.load = load.clone();
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let tier_counter = match accepted.tier {
             AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
@@ -931,15 +931,16 @@ impl Fleet {
         // A queued re-admission that lands here is healed; any other
         // admission of a queued session retires its entry too.
         self.readmit_note_admitted(s);
-        Ok(())
+        Ok(slot)
     }
 
-    /// Departs session `s`, releasing exactly what it reserved. Returns
-    /// the released hold (`None` if the session was not live). Coarse
-    /// path: takes the FREEZE write lock.
+    /// Departs session `s`, releasing exactly what it reserved and dropping
+    /// its slot. Returns the released hold; `None`, changing nothing, for
+    /// any id that is not live — never admitted, departed, displaced or
+    /// unregistered. Coarse path: takes the FREEZE write lock.
     pub fn depart(&self, s: SessionId) -> Option<SessionHold> {
-        let u = self.freeze_exclusive();
-        let hold = self.depart_locked(&u, s);
+        let mut u = self.freeze_exclusive();
+        let hold = self.depart_locked(&mut u, s);
         drop(u);
         if hold.is_some() {
             self.obs.note_op(OpKind::Depart, s.index() as u32, 0);
@@ -950,14 +951,8 @@ impl Fleet {
     }
 
     /// The departure proper, run under the caller's FREEZE write lock.
-    fn depart_locked(&self, u: &Universe, s: SessionId) -> Option<SessionHold> {
-        let mut slot = u.slots[s.index()].lock();
-        if !slot.active {
-            return None;
-        }
-        slot.active = false;
-        slot.load.clear();
-        self.live.fetch_sub(1, Ordering::Relaxed);
+    fn depart_locked(&self, u: &mut Universe, s: SessionId) -> Option<SessionHold> {
+        u.slots.remove(&s)?;
         let hold = self
             .ledger
             .release(s)
@@ -973,8 +968,8 @@ impl Fleet {
     /// (force-moved to the least-bad one when nothing is feasible).
     /// Returns `(moves, forced)`. Coarse path: takes the FREEZE write
     /// lock, so the evacuation is deterministic — replay re-runs it.
-    /// The exclusive hold costs one pass over the registered sessions
-    /// plus O(stranded × agents) (see `evacuate_locked`): proportional
+    /// The exclusive hold costs one pass over the live sessions plus
+    /// O(stranded × agents) (see `evacuate_locked`): proportional
     /// to the load the agent carried, tens of milliseconds at 5k live
     /// conferences.
     pub fn fail_agent(&self, agent: AgentId) -> (usize, usize) {
@@ -1017,7 +1012,7 @@ impl Fleet {
             u.drained[agent.index()] = true;
         }
         self.ledger.fail_agent(agent);
-        let (moves, forced) = self.evacuate_locked(&u, agent, &mut evacuated, &mut displaced);
+        let (moves, forced) = self.evacuate_locked(&mut u, agent, &mut evacuated, &mut displaced);
         self.counters
             .evacuations
             .fetch_add(moves, Ordering::Relaxed);
@@ -1078,19 +1073,18 @@ impl Fleet {
     /// `vc-algo`'s churn module — pick the feasible alternative
     /// minimizing `Φ_s`. When no feasible target exists: with
     /// re-admission enabled the *whole session* is displaced (pushed to
-    /// `displaced`, its hold released, its slot deactivated) instead of
+    /// `displaced`, its hold released, its slot removed) instead of
     /// overshooting a surviving agent; without it, the least-bad move
     /// is forced, preserving the historical behavior.
     ///
-    /// **Cost.** One pass over the universe collects the stranded
+    /// **Cost.** One pass over the live slots collects the stranded
     /// decisions and the per-agent totals together; after that each
     /// decision costs O(agents) candidates, each checked by [`fits`]
     /// against the totals as they stand, and every committed move or
     /// displacement updates the totals by delta (`remove(old)` /
     /// `add(new)`, the closed-world [`SystemState`] idiom). So an agent
-    /// loss is O(universe + stranded × agents) under the exclusive hold
-    /// — time proportional to the stranded load, not stranded ×
-    /// universe.
+    /// loss is O(live + stranded × agents) under the exclusive hold —
+    /// time proportional to the stranded load, not stranded × live.
     ///
     /// **Determinism.** The totals come from slot loads, NOT from the
     /// ledger's reserved sums: the latter accumulate in journal-append
@@ -1103,7 +1097,7 @@ impl Fleet {
     /// `debug_assert!` bounds that by `CAPACITY_EPS`.
     fn evacuate_locked(
         &self,
-        u: &Universe,
+        u: &mut Universe,
         agent: AgentId,
         evacuated: &mut Vec<(SessionId, AgentId)>,
         displaced: &mut Vec<SessionId>,
@@ -1137,7 +1131,8 @@ impl Fleet {
             if displaced.last() == Some(&s) {
                 continue;
             }
-            let mut slot = u.slots[s.index()].lock();
+            // The hold is exclusive: no slot lock is needed.
+            let slot = u.slots.get_mut(&s).expect("stranded, so live").get_mut();
             // `(target, Φ_s, feasible)`: a feasible candidate beats any
             // infeasible one; within a class the lower Φ_s wins, the
             // first agent on ties.
@@ -1146,7 +1141,7 @@ impl Fleet {
                 if l == agent || !u.available[l.index()] {
                     continue;
                 }
-                let base = slot_view(problem, s, &slot);
+                let base = slot_view(problem, s, slot);
                 let load = eval.evaluate(problem, &OverlayView::new(&base, redirect(d, l)), s);
                 let feasible = fits(load, &slot.load, &totals, inst);
                 let phi = load.phi;
@@ -1157,47 +1152,42 @@ impl Fleet {
                     std::mem::swap(&mut eval, &mut best);
                 }
             }
-            let target = match winner {
-                Some((l, _, true)) => Some(l),
+            let l = match winner {
+                Some((l, _, true)) => l,
                 _ if readmit_on => {
                     // No feasible target: displace the whole session
                     // into the re-admission queue instead of forcing an
                     // overshoot. Runs identically under replay (the
                     // caller re-derives this from the FailAgent record).
                     totals.remove(&slot.load);
-                    slot.active = false;
-                    slot.load.clear();
-                    self.live.fetch_sub(1, Ordering::Relaxed);
+                    u.slots.remove(&s);
                     self.ledger
                         .release(s)
                         .expect("live session holds a reservation");
                     self.counters.displaced.fetch_add(1, Ordering::Relaxed);
                     displaced.push(s);
-                    None
+                    continue;
                 }
                 Some((l, _, false)) => {
                     forced += 1;
-                    Some(l)
+                    l
                 }
                 None => {
                     // No other agent exists at all; nothing we can do.
                     forced += 1;
-                    None
+                    continue;
                 }
             };
-            if let Some(l) = target {
-                let index =
-                    (problem.local_index(s, d)).expect("a stranded decision is the session's");
-                *slot.agent_mut(d, index) = l;
-                totals.remove(&slot.load);
-                totals.add(best.load());
-                std::mem::swap(&mut slot.load, best.load_mut());
-                self.ledger
-                    .force_swap(s, SessionHold::from_load(&slot.load))
-                    .expect("evacuated session holds a reservation");
-                moves += 1;
-                evacuated.push((s, l));
-            }
+            let index = (problem.local_index(s, d)).expect("a stranded decision is the session's");
+            *slot.agent_mut(d, index) = l;
+            totals.remove(&slot.load);
+            totals.add(best.load());
+            std::mem::swap(&mut slot.load, best.load_mut());
+            self.ledger
+                .force_swap(s, SessionHold::from_load(&slot.load))
+                .expect("evacuated session holds a reservation");
+            moves += 1;
+            evacuated.push((s, l));
         }
         debug_assert!(
             totals_drift(&totals, &live_totals_locked(u, |_, _| {})) <= CAPACITY_EPS,
@@ -1467,7 +1457,8 @@ impl Fleet {
 
     /// One Alg. 1 HOP for session `s` (convenience wrapper allocating a
     /// fresh scratch — worker pools use
-    /// [`hop_session_with`](Self::hop_session_with)).
+    /// [`hop_session_with`](Self::hop_session_with), which also says what
+    /// an id that is not live gets).
     pub fn hop_session<R: Rng + ?Sized>(&self, s: SessionId, rng: &mut R) -> HopOutcome {
         let mut scratch = FleetHopScratch::new();
         self.hop_session_with(s, rng, &mut scratch)
@@ -1478,8 +1469,9 @@ impl Fleet {
     /// ledger's residual snapshot (allocation-free via `scratch`), and a
     /// chosen migration commits through the ledger's checked
     /// [`try_swap`](CapacityLedger::try_swap) — losing a capacity race
-    /// to a concurrent hop simply stays put. No-op for non-live
-    /// sessions.
+    /// to a concurrent hop simply stays put. An id that is not live
+    /// (registered or not) has no slot to hop: it answers
+    /// [`HopOutcome::NoFeasibleMove`], nothing counted or journaled.
     pub fn hop_session_with<R: Rng + ?Sized>(
         &self,
         s: SessionId,
@@ -1549,10 +1541,10 @@ impl Fleet {
             }
         };
         let problem = &universe.problem;
-        let mut slot = universe.slots[s.index()].lock();
-        if !slot.active {
+        let Some(slot) = universe.slots.get(&s) else {
             return HopOutcome::NoFeasibleMove;
-        }
+        };
+        let mut slot = slot.lock();
         let FleetHopScratch {
             hop,
             reserved,
@@ -1636,14 +1628,14 @@ impl Fleet {
         old_agent
     }
 
-    /// Whether session `s` is live.
+    /// Whether session `s` is live (`false` for any other id, registered or not).
     pub fn is_live(&self, s: SessionId) -> bool {
-        self.freeze.read().slots[s.index()].lock().active
+        self.freeze.read().slots.contains_key(&s)
     }
 
-    /// Number of live sessions.
+    /// Number of live sessions (read under the shared FREEZE lock).
     pub fn live_count(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.freeze.read().slots.len()
     }
 
     /// One pass over the slots (under the shared FREEZE lock; per-slot
@@ -1659,8 +1651,8 @@ impl Fleet {
 
     /// [`metrics`](Self::metrics) and [`audit`](Self::audit) from a
     /// single slot pass under one exclusive FREEZE acquisition — the
-    /// telemetry sample, which would otherwise walk every registered
-    /// slot twice.
+    /// telemetry sample, which would otherwise walk every live slot
+    /// twice.
     pub(crate) fn metrics_and_audit(&self) -> (FleetMetrics, Vec<String>) {
         let u = self.freeze_exclusive();
         let mut acc = MetricsAcc::default();
@@ -1719,11 +1711,12 @@ impl Fleet {
         f(&state)
     }
 
-    /// Scatters the per-session slots into global instance-indexed
-    /// vectors: `(λ: user → agent, γ: task → agent, active mask)`.
-    /// Caller holds the FREEZE write lock (or exclusive ownership of a
-    /// fresh fleet). Shared by state materialization and the durable
-    /// snapshot capture.
+    /// Scatters the live slots into global instance-indexed vectors:
+    /// `(λ: user → agent, γ: task → agent, active mask)`; a session that
+    /// is not live reads agent 0. Allocating the dense vectors (the v6
+    /// snapshot's shape) is the one per-universe cost left. Caller holds
+    /// the FREEZE write lock (or exclusive ownership of a fresh fleet).
+    /// Shared by state materialization and the durable snapshot capture.
     pub(crate) fn global_placements_locked(
         &self,
         u: &Universe,
@@ -1732,15 +1725,14 @@ impl Fleet {
         let mut user_agents = vec![AgentId::new(0); inst.num_users()];
         let mut task_agents = vec![AgentId::new(0); u.problem.tasks().len()];
         let mut active = vec![false; inst.num_sessions()];
-        for s in inst.session_ids() {
-            let slot = u.slots[s.index()].lock();
+        for (s, slot) in u.live_slots() {
             for (i, &w) in inst.session(s).users().iter().enumerate() {
                 user_agents[w.index()] = slot.users[i];
             }
             for (i, &t) in u.problem.tasks().of_session(s).iter().enumerate() {
                 task_agents[t.index()] = slot.tasks[i];
             }
-            active[s.index()] = slot.active;
+            active[s.index()] = true;
         }
         (user_agents, task_agents, active)
     }

@@ -20,8 +20,9 @@
 //!   `try_swap`, so hops on different sessions run concurrently), and
 //!   `register_session` (**open-world growth**: a never-before-seen
 //!   conference joins the universe online — the FREEZE lock owns the
-//!   growable problem + slot vector, and the ledger is untouched until
-//!   the conference is admitted), and `register_agent`/`drain_agent`
+//!   growable problem and the map of *live* sessions' slots; slot
+//!   storage and the ledger are untouched until the conference is
+//!   admitted), and `register_agent`/`drain_agent`
 //!   (**elastic capacity**: agents join named regions online and leave
 //!   via planned drains — refuse new holds first, then evacuate);
 //! * [`workers`] — the **re-optimization worker pool**: one logical
@@ -83,12 +84,14 @@
 //!
 //! # Invariants
 //!
-//! The per-session slots are authoritative; the ledger mirrors them
-//! reservation-by-reservation. After *any* sequence of admits, departs,
-//! failures and hops — including hops racing on OS threads —
-//! [`Fleet::audit`] must return empty: per-agent booked capacity equals
-//! the sum of live sessions' loads, and the holding-session set equals
-//! the active-session set. `tests/orchestrator_invariants.rs` and
+//! The live sessions' slots are authoritative — a session has a slot
+//! exactly while it is live, so the slot map's keys *are* the live set —
+//! and the ledger mirrors them reservation-by-reservation. After *any*
+//! sequence of admits, departs, failures and hops — including hops
+//! racing on OS threads — [`Fleet::audit`] must return empty: per-agent
+//! booked capacity equals the sum of the slot loads, and the ledger's
+//! holding-session set equals the slot map's key set (two structures
+//! kept independently). `tests/orchestrator_invariants.rs` and
 //! `tests/hop_equivalence.rs` property-test exactly this.
 //!
 //! # Example

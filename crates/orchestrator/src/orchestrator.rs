@@ -118,20 +118,25 @@ impl Orchestrator {
         let mut telemetry = FleetTelemetry::new();
         let mut rejections = Vec::new();
         let mut next_sample = 0.0f64;
+        // One catch-up step: tick to `t`, sample there, require conservation.
+        let mut sample_at = |t: f64| {
+            if self.config.reoptimize {
+                self.pool.tick_until(&self.fleet, t);
+            }
+            let snap = telemetry.sample(&self.fleet, t);
+            assert_eq!(
+                snap.conservation_violations,
+                0,
+                "ledger/state split at t={t}: {:?}",
+                self.fleet.audit()
+            );
+            snap
+        };
         for &(t, event) in &trace.events {
             assert!(t <= horizon_s + 1e-9, "trace event past the horizon");
-            // Catch up: worker wakeups and samples due strictly before t.
+            // Samples due strictly before t.
             while next_sample < t {
-                if self.config.reoptimize {
-                    self.pool.tick_until(&self.fleet, next_sample);
-                }
-                let snap = telemetry.sample(&self.fleet, next_sample);
-                assert_eq!(
-                    snap.conservation_violations,
-                    0,
-                    "ledger/state split at t={next_sample}: {:?}",
-                    self.fleet.audit()
-                );
+                sample_at(next_sample);
                 next_sample += self.config.sample_period_s;
             }
             if self.config.reoptimize {
@@ -142,30 +147,12 @@ impl Orchestrator {
             }
         }
         // Drain to (but not onto) the horizon — the final snapshot
-        // below samples t = horizon exactly once.
+        // samples t = horizon exactly once.
         while next_sample < horizon_s - 1e-9 {
-            if self.config.reoptimize {
-                self.pool.tick_until(&self.fleet, next_sample);
-            }
-            let snap = telemetry.sample(&self.fleet, next_sample);
-            assert_eq!(
-                snap.conservation_violations,
-                0,
-                "ledger/state split at t={next_sample}: {:?}",
-                self.fleet.audit()
-            );
+            sample_at(next_sample);
             next_sample += self.config.sample_period_s;
         }
-        if self.config.reoptimize {
-            self.pool.tick_until(&self.fleet, horizon_s);
-        }
-        let final_snapshot = telemetry.sample(&self.fleet, horizon_s);
-        assert_eq!(
-            final_snapshot.conservation_violations,
-            0,
-            "ledger/state split at the horizon: {:?}",
-            self.fleet.audit()
-        );
+        let final_snapshot = sample_at(horizon_s);
         FleetReport {
             final_snapshot,
             hops_executed: self.pool.hops_executed(),

@@ -4,9 +4,10 @@
 //!
 //! ## What is durable
 //!
-//! The control plane's entire mutable state is the per-session slots
-//! (placements + live flags) plus the ledger's holdings plus the
-//! counters; [`DurableFleetState`] captures exactly that. Between
+//! The control plane's entire mutable state is the live sessions'
+//! slots (their placements; the slot map's keys are the live set) plus
+//! the ledger's holdings plus the counters; [`DurableFleetState`]
+//! captures exactly that. Between
 //! snapshots, every state-changing mutation appends one [`FleetOp`] to
 //! the write-ahead journal *while the mutated slot's lock (or the
 //! FREEZE write lock) is held*, so per-session journal order equals
@@ -181,7 +182,7 @@ pub enum FleetOp {
     },
     /// A never-before-seen agent joined the fleet online (format v6).
     /// Replay re-registers the definition (growing the problem, every
-    /// slot's load vector, and the ledger) and checks the assigned id —
+    /// live slot's load vector, and the ledger) and checks the assigned id —
     /// a mismatch means the journal and snapshot disagree.
     RegisterAgent {
         /// The id the registration was assigned.
@@ -573,12 +574,15 @@ pub struct DurableFleetState {
     /// (the universe beyond the seed problem). Applied first on
     /// restore.
     pub growth: Vec<GrowthRecord>,
-    /// `λ`: user → agent, instance order (inactive sessions included —
-    /// their inert assignments are part of the state).
+    /// `λ`: user → agent, instance order. Entries of sessions that are
+    /// not live read agent 0; a snapshot written by an older build may
+    /// carry stale values there, which loading ignores.
     pub user_agents: Vec<AgentId>,
-    /// `γ`: task → agent, instance order.
+    /// `γ`: task → agent, instance order; entries of sessions that are
+    /// not live as in `user_agents`.
     pub task_agents: Vec<AgentId>,
-    /// Live-session mask, instance order.
+    /// Live-session mask, instance order: which sessions' entries of
+    /// `user_agents`/`task_agents` are state.
     pub active: Vec<bool>,
     /// Agent availability, instance order.
     pub available: Vec<bool>,
@@ -1294,30 +1298,27 @@ impl Fleet {
             fleet.ledger.assign_region(AgentId::from(i), r);
         }
         let mut scratch = vc_core::EvalScratch::new();
-        let mut live = 0usize;
         {
             let mut u = fleet.freeze.write();
-            u.growth = durable.growth.clone();
+            u.growth = durable.growth;
             u.available = durable.available.clone();
             u.drained = durable.drained.clone();
-            let u = &*u;
-            for s in u.problem.instance().session_ids() {
-                let mut slot = u.slots[s.index()].lock();
-                for (i, &w) in u.problem.instance().session(s).users().iter().enumerate() {
-                    slot.users[i] = durable.user_agents[w.index()];
-                }
-                for (i, &t) in u.problem.tasks().of_session(s).iter().enumerate() {
-                    slot.tasks[i] = durable.task_agents[t.index()];
-                }
-                if durable.active[s.index()] {
-                    slot.active = true;
-                    live += 1;
-                    let load = fleet::evaluate_slot(&u.problem, s, &slot, &mut scratch).clone();
-                    slot.load = load;
-                }
+            let fleet::Universe { problem, slots, .. } = &mut *u;
+            let inst = problem.instance();
+            // A slot per live session only; whatever the snapshot holds
+            // at a non-live session's entries is not state.
+            for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
+                let users = inst.session(s).users().iter();
+                let tasks = problem.tasks().of_session(s).iter();
+                let mut slot = fleet::SessionSlot {
+                    users: users.map(|w| durable.user_agents[w.index()]).collect(),
+                    tasks: tasks.map(|t| durable.task_agents[t.index()]).collect(),
+                    load: vc_core::SessionLoad::default(),
+                };
+                slot.load = fleet::evaluate_slot(problem, s, &slot, &mut scratch).clone();
+                slots.insert(s, Mutex::new(slot));
             }
         }
-        fleet.live.store(live, Ordering::Relaxed);
         // Availability flags were installed with the universe above;
         // mirror them into the ledger (a down agent — failed or drained
         // — holds no availability there either).
@@ -1349,7 +1350,7 @@ impl Fleet {
     /// carry ids outside the (replayed-so-far) universe; recovery must
     /// refuse with a typed error, never index-panic.
     fn replay_session_bound(&self, session: SessionId, what: &str) -> Result<(), PersistError> {
-        if session.index() >= self.freeze.read().slots.len() {
+        if !self.freeze.read().is_registered(session) {
             return Err(PersistError::Replay(format!(
                 "{what} of unregistered session {session}"
             )));
@@ -1394,14 +1395,13 @@ impl Fleet {
                 // A recovering fleet is invisible to every other thread:
                 // there is no wait or hold worth a histogram sample, so
                 // replay's own arms take the raw lock.
-                let universe = self.freeze.write();
-                if session.index() >= universe.slots.len() {
+                let mut universe = self.freeze.write();
+                if !universe.is_registered(*session) {
                     return Err(PersistError::Replay(format!(
                         "admit of unregistered session {session}"
                     )));
                 }
-                let mut slot = universe.slots[session.index()].lock();
-                if slot.active {
+                if universe.slots.contains_key(session) {
                     return Err(PersistError::Replay(format!(
                         "admit of already-live session {session}"
                     )));
@@ -1416,15 +1416,16 @@ impl Fleet {
                 // refuse at an epsilon boundary (or on an agent that
                 // failed later in the journal). Conservation is
                 // re-established by the post-replay audit.
-                self.install_admitted(
-                    &universe.problem,
-                    &mut slot,
-                    *session,
-                    &accepted,
-                    scratch,
-                    AdmitPath::Replay,
-                )
-                .map_err(PersistError::Replay)?;
+                let slot = self
+                    .install_admitted(
+                        &universe.problem,
+                        *session,
+                        &accepted,
+                        scratch,
+                        AdmitPath::Replay,
+                    )
+                    .map_err(PersistError::Replay)?;
+                universe.slots.insert(*session, Mutex::new(slot));
             }
             FleetOp::Reject { reason, .. } => self.count_refusal(*reason),
             FleetOp::Depart { session } => {
@@ -1465,12 +1466,12 @@ impl Fleet {
                 self.replay_agent_bound(decision.target(), "hop onto")?;
                 let universe = self.freeze.write();
                 let problem = &universe.problem;
-                let mut slot = universe.slots[session.index()].lock();
-                if !slot.active {
+                let Some(slot) = universe.slots.get(session) else {
                     return Err(PersistError::Replay(format!(
                         "hop of non-live session {session}"
                     )));
-                }
+                };
+                let mut slot = slot.lock();
                 let index = problem.local_index(*session, *decision).ok_or_else(|| {
                     PersistError::Replay(format!("hop {decision} targets a foreign session"))
                 })?;

@@ -4,7 +4,8 @@
 //! fleet runs drop into the existing experiment plumbing (`vc-bench`'s
 //! table printers, figure regeneration) unchanged.
 
-use crate::fleet::Fleet;
+use crate::fleet::{Fleet, FleetMetrics};
+use crate::ledger::RegionResiduals;
 use crate::workers::ReoptPool;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -14,113 +15,42 @@ use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// Fleet-level gauges in Prometheus text exposition format — the
 /// `extra` closure for [`vc_obs::ObsServer`], so `/metrics` serves the
-/// control-plane state next to the plane's own latency series.
+/// control-plane state next to the plane's own latency series. Every
+/// [`FleetSnapshot`] gauge is there as `vc_fleet_<gauge>` except
+/// `conservation_violations`: the audit needs the exclusive FREEZE,
+/// and a scrape takes the shared lock only.
 pub fn fleet_metrics_text(fleet: &Fleet) -> String {
-    let m = fleet.metrics();
-    let c = fleet.counters();
-    let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
-    let mut out = String::with_capacity(512);
-    out.push_str("# TYPE vc_fleet_live_sessions gauge\n");
-    out.push_str(&format!("vc_fleet_live_sessions {}\n", m.live));
-    out.push_str("# TYPE vc_fleet_objective gauge\n");
-    out.push_str(&format!("vc_fleet_objective {:.6}\n", m.objective));
-    out.push_str("# TYPE vc_fleet_traffic_mbps gauge\n");
-    out.push_str(&format!("vc_fleet_traffic_mbps {:.6}\n", m.traffic_mbps));
-    out.push_str("# TYPE vc_fleet_mean_delay_ms gauge\n");
-    out.push_str(&format!("vc_fleet_mean_delay_ms {:.6}\n", m.mean_delay_ms));
-    out.push_str("# TYPE vc_fleet_admitted counter\n");
-    out.push_str(&format!("vc_fleet_admitted {}\n", load(&c.admitted)));
-    out.push_str("# TYPE vc_fleet_rejected counter\n");
-    out.push_str(&format!("vc_fleet_rejected {}\n", load(&c.rejected)));
-    out.push_str("# TYPE vc_fleet_departed counter\n");
-    out.push_str(&format!("vc_fleet_departed {}\n", load(&c.departed)));
-    out.push_str("# TYPE vc_fleet_migrations counter\n");
-    out.push_str(&format!("vc_fleet_migrations {}\n", load(&c.migrations)));
-    out.push_str("# TYPE vc_fleet_admission_success_rate gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_admission_success_rate {:.6}\n",
-        c.admission_success_rate()
-    ));
-    out.push_str("# TYPE vc_fleet_overshoot_fraction gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_overshoot_fraction {:.6}\n",
-        fleet.ledger().max_overshoot_fraction()
-    ));
-    out.push_str("# TYPE vc_fleet_displaced counter\n");
-    out.push_str(&format!("vc_fleet_displaced {}\n", load(&c.displaced)));
-    out.push_str("# TYPE vc_fleet_readmit_queued gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_readmit_queued {}\n",
-        fleet.readmit_queue_len()
-    ));
-    out.push_str("# TYPE vc_fleet_durability_degraded gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_durability_degraded {}\n",
-        u8::from(fleet.durability_degraded())
-    ));
-    // Per-region residual/occupancy gauges (elastic capacity). Inf is
-    // Prometheus' `+Inf` — unlimited agents sum to an infinite residual.
-    let prom = |v: f64| {
-        if v == f64::INFINITY {
-            "+Inf".to_string()
-        } else {
-            format!("{v:.6}")
-        }
-    };
+    let mut out = String::with_capacity(2048);
+    FleetSnapshot::observe(fleet, 0.0, fleet.metrics(), 0).write_prometheus(&mut out);
+    // Per-region residual/occupancy gauges (elastic capacity); unlimited
+    // agents sum to an infinite residual.
+    fn prom(v: f64) -> String {
+        let mut text = String::new();
+        v.write_prom(&mut text);
+        text
+    }
+    type RegionGauge = fn(&RegionResiduals) -> String;
+    let families: [(&str, RegionGauge); 6] = [
+        ("agents", |r| r.agents.to_string()),
+        ("available_agents", |r| r.available_agents.to_string()),
+        ("residual_download_mbps", |r| prom(r.download_mbps)),
+        ("residual_upload_mbps", |r| prom(r.upload_mbps)),
+        ("reserved_download_mbps", |r| prom(r.reserved_download_mbps)),
+        ("reserved_upload_mbps", |r| prom(r.reserved_upload_mbps)),
+    ];
     let regions = fleet.ledger().region_residuals();
-    out.push_str("# TYPE vc_region_agents gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_agents{{region=\"{}\"}} {}\n",
-            r.name, r.agents
-        ));
+    for (family, value) in families {
+        let _ = writeln!(out, "# TYPE vc_region_{family} gauge");
+        for r in &regions {
+            let (region, value) = (&r.name, value(r));
+            let _ = writeln!(out, "vc_region_{family}{{region=\"{region}\"}} {value}");
+        }
     }
-    out.push_str("# TYPE vc_region_available_agents gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_available_agents{{region=\"{}\"}} {}\n",
-            r.name, r.available_agents
-        ));
+    let (p, c, a) = fleet.ledger().cross_region_counters();
+    for (what, count) in [("prepares", p), ("commits", c), ("aborts", a)] {
+        let _ = writeln!(out, "# TYPE vc_region_cross_{what} counter");
+        let _ = writeln!(out, "vc_region_cross_{what} {count}");
     }
-    out.push_str("# TYPE vc_region_residual_download_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_residual_download_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.download_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_residual_upload_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_residual_upload_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.upload_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_reserved_download_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_reserved_download_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.reserved_download_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_reserved_upload_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_reserved_upload_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.reserved_upload_mbps)
-        ));
-    }
-    let (prepares, commits, aborts) = fleet.ledger().cross_region_counters();
-    out.push_str("# TYPE vc_region_cross_prepares counter\n");
-    out.push_str(&format!("vc_region_cross_prepares {prepares}\n"));
-    out.push_str("# TYPE vc_region_cross_commits counter\n");
-    out.push_str(&format!("vc_region_cross_commits {commits}\n"));
-    out.push_str("# TYPE vc_region_cross_aborts counter\n");
-    out.push_str(&format!("vc_region_cross_aborts {aborts}\n"));
     out
 }
 
@@ -156,11 +86,14 @@ pub fn sched_metrics_text(pool: &ReoptPool) -> String {
 }
 
 /// How one [`FleetSnapshot`] gauge type reads as a series value and
-/// prints in the CSV and JSON exports.
+/// prints in the CSV, JSON and Prometheus exports.
 trait Gauge: Copy {
     fn as_f64(self) -> f64;
     fn write_csv(self, out: &mut String);
     fn write_json(self, out: &mut String) {
+        self.write_csv(out);
+    }
+    fn write_prom(self, out: &mut String) {
         self.write_csv(out);
     }
 }
@@ -182,6 +115,14 @@ impl Gauge for f64 {
     fn write_csv(self, out: &mut String) {
         let _ = write!(out, "{self:.17e}");
     }
+    /// Six decimals; infinity is Prometheus' `+Inf`.
+    fn write_prom(self, out: &mut String) {
+        if self == f64::INFINITY {
+            out.push_str("+Inf");
+        } else {
+            let _ = write!(out, "{self:.6}");
+        }
+    }
 }
 
 impl Gauge for bool {
@@ -196,13 +137,24 @@ impl Gauge for bool {
     }
 }
 
-/// Declares [`FleetSnapshot`]: each gauge's name, type and doc are
-/// written once here, and the struct field, the CSV column, the JSON
-/// key, the [`FleetTelemetry::series`] name and the durable codec
-/// position all derive from that one line — in declaration order, so a
-/// new gauge is a one-line edit that cannot shift a column.
+/// Declares [`FleetSnapshot`]: each gauge's Prometheus kind, name, type
+/// and doc are written once here, and the struct field, the CSV column,
+/// the JSON key, the [`FleetTelemetry::series`] name, the durable codec
+/// position and the `/metrics` series `vc_fleet_<name>` all derive from
+/// that one line — in declaration order, so a new gauge is a one-line
+/// edit that cannot shift a column. The kind is `counter` or `gauge`;
+/// `unscraped` keeps a gauge off `/metrics`.
 macro_rules! fleet_snapshot {
-    ($( $(#[$doc:meta])* $name:ident: $ty:ty, )*) => {
+    (@prom unscraped $name:ident $self:ident $out:ident) => {};
+    (@prom $kind:ident $name:ident $self:ident $out:ident) => {
+        $out.push_str(concat!(
+            "# TYPE vc_fleet_", stringify!($name), " ", stringify!($kind),
+            "\nvc_fleet_", stringify!($name), " "
+        ));
+        $self.$name.write_prom($out);
+        $out.push('\n');
+    };
+    ($( $(#[$doc:meta])* $kind:ident $name:ident: $ty:ty, )*) => {
         /// One periodic observation of the fleet.
         #[derive(Debug, Clone, PartialEq)]
         pub struct FleetSnapshot {
@@ -231,6 +183,11 @@ macro_rules! fleet_snapshot {
                 let _ = write!(out, "{}", self.time_s);
                 $( out.push(','); self.$name.write_csv(out); )*
                 out.push('\n');
+            }
+
+            /// `# TYPE` and value line of every scraped gauge.
+            fn write_prometheus(&self, out: &mut String) {
+                $( fleet_snapshot!(@prom $kind $name self out); )*
             }
 
             fn write_json_object(&self, out: &mut String) {
@@ -264,67 +221,116 @@ macro_rules! fleet_snapshot {
 fleet_snapshot! {
     /// Registered sessions in the universe (seed + online-registered;
     /// live sessions are a subset).
-    universe_sessions: usize,
+    gauge universe_sessions: usize,
     /// Registered users in the universe.
-    universe_users: usize,
+    gauge universe_users: usize,
     /// Live session count.
-    live_sessions: usize,
+    gauge live_sessions: usize,
     /// Global objective `Σ_s Φ_s`.
-    objective: f64,
+    gauge objective: f64,
     /// Mean objective per live session.
-    mean_session_objective: f64,
+    gauge mean_session_objective: f64,
     /// Total inter-agent traffic (Mbps).
-    traffic_mbps: f64,
+    gauge traffic_mbps: f64,
     /// Mean conferencing delay over live users (ms).
-    mean_delay_ms: f64,
+    gauge mean_delay_ms: f64,
     /// Mean of per-agent max-fraction utilizations (capacity-limited
     /// agents only contribute meaningfully; unlimited ones read 0).
-    mean_utilization: f64,
+    gauge mean_utilization: f64,
     /// Largest per-agent utilization fraction.
-    max_utilization: f64,
+    gauge max_utilization: f64,
     /// Sessions admitted so far.
-    admitted: usize,
+    counter admitted: usize,
     /// Admissions refused so far.
-    rejected: usize,
+    counter rejected: usize,
     /// Sessions departed so far.
-    departed: usize,
+    counter departed: usize,
     /// HOP migrations so far.
-    migrations: usize,
+    counter migrations: usize,
     /// Admission success rate so far.
-    admission_success_rate: f64,
+    gauge admission_success_rate: f64,
     /// Total admission attempts so far (admitted + rejected).
-    admission_attempts: usize,
+    counter admission_attempts: usize,
     /// Admissions the engine's enumeration tier placed.
-    admitted_enumeration: usize,
+    counter admitted_enumeration: usize,
     /// Admissions greedy + violation-driven repair placed.
-    admitted_repair: usize,
+    counter admitted_repair: usize,
     /// Admissions the ranked-fallback tier placed.
-    admitted_fallback: usize,
+    counter admitted_fallback: usize,
     /// Violation-driven repair moves applied across all admissions.
-    admission_repair_steps: usize,
+    counter admission_repair_steps: usize,
     /// Refusals at the user-placement stage.
-    refused_user_fit: usize,
+    counter refused_user_fit: usize,
     /// Refusals at the transcoding-placement stage.
-    refused_task_fit: usize,
+    counter refused_task_fit: usize,
     /// Refusals at the global feasibility check.
-    refused_global: usize,
+    counter refused_global: usize,
     /// Ledger-conservation discrepancies at sample time (must be 0).
-    conservation_violations: usize,
+    unscraped conservation_violations: usize,
     /// Worst per-agent capacity overshoot past 1.0 (0 when every agent
     /// is within capacity) — the un-healed displacement debt gauge.
-    overshoot_fraction: f64,
+    gauge overshoot_fraction: f64,
     /// Sessions displaced by forced evacuations so far.
-    displaced: usize,
+    counter displaced: usize,
     /// Sessions currently waiting in the re-admission queue.
-    readmit_queued: usize,
+    gauge readmit_queued: usize,
     /// Whether the journal is running buffered-degraded (fsync retries
     /// exhausted; events held in memory until healed).
-    durability_degraded: bool,
+    gauge durability_degraded: bool,
     /// Hop candidates settled from their delay half alone so far (over
     /// the delay bound, or Gibbs weight proven on the clamp): no fold.
-    hop_candidates_bounded: usize,
+    counter hop_candidates_bounded: usize,
     /// Hop candidates folded in full so far.
-    hop_candidates_folded: usize,
+    counter hop_candidates_folded: usize,
+}
+
+impl FleetSnapshot {
+    /// Reads every gauge, given the caller's slot pass `m` and audit
+    /// count — [`FleetTelemetry::sample`] makes both under one exclusive
+    /// FREEZE, [`fleet_metrics_text`] makes the pass under the shared
+    /// lock and skips the audit.
+    fn observe(fleet: &Fleet, time_s: f64, m: FleetMetrics, violations: usize) -> Self {
+        let util = fleet.ledger().utilization();
+        let fractions = || util.iter().map(|u| u.max_fraction);
+        let max_utilization = fractions().fold(0.0f64, f64::max);
+        let (universe_sessions, universe_users) = fleet.universe_size();
+        let c = fleet.counters();
+        let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
+        let (bounded, folded) = fleet.obs().hop_candidates();
+        Self {
+            time_s,
+            universe_sessions,
+            universe_users,
+            live_sessions: m.live,
+            objective: m.objective,
+            // An idle fleet's objective is 0, and so is its mean.
+            mean_session_objective: m.objective / m.live.max(1) as f64,
+            traffic_mbps: m.traffic_mbps,
+            mean_delay_ms: m.mean_delay_ms,
+            mean_utilization: fractions().sum::<f64>() / util.len().max(1) as f64,
+            max_utilization,
+            admitted: load(&c.admitted),
+            rejected: load(&c.rejected),
+            departed: load(&c.departed),
+            migrations: load(&c.migrations),
+            admission_success_rate: c.admission_success_rate(),
+            admission_attempts: load(&c.admitted) + load(&c.rejected),
+            admitted_enumeration: load(&c.admitted_enumeration),
+            admitted_repair: load(&c.admitted_repair),
+            admitted_fallback: load(&c.admitted_fallback),
+            admission_repair_steps: load(&c.repair_steps),
+            refused_user_fit: load(&c.refused_user_fit),
+            refused_task_fit: load(&c.refused_task_fit),
+            refused_global: load(&c.refused_global),
+            conservation_violations: violations,
+            overshoot_fraction: (max_utilization - 1.0).max(0.0),
+            displaced: load(&c.displaced),
+            readmit_queued: fleet.readmit_queue_len(),
+            durability_degraded: fleet.durability_degraded(),
+            hop_candidates_bounded: bounded as usize,
+            hop_candidates_folded: folded as usize,
+        }
+    }
 }
 
 /// Accumulates snapshots; any gauge reads back as a time
@@ -348,17 +354,6 @@ impl FleetTelemetry {
     /// standing self-check — in the same slot pass as the gauges.
     pub fn sample(&mut self, fleet: &Fleet, t_s: f64) -> FleetSnapshot {
         let (m, audit) = fleet.metrics_and_audit();
-        let (live, objective, traffic, delay) =
-            (m.live, m.objective, m.traffic_mbps, m.mean_delay_ms);
-        let util = fleet.ledger().utilization();
-        let fractions: Vec<f64> = util.iter().map(|u| u.max_fraction).collect();
-        let mean_util = if fractions.is_empty() {
-            0.0
-        } else {
-            fractions.iter().sum::<f64>() / fractions.len() as f64
-        };
-        let max_util = fractions.iter().copied().fold(0.0f64, f64::max);
-        let (universe_sessions, universe_users) = fleet.universe_size();
         if !audit.is_empty() {
             // Conservation violated: dump the flight-recorder post-mortem
             // (once per plane) before anyone asserts on the snapshot.
@@ -366,48 +361,7 @@ impl FleetTelemetry {
                 .obs()
                 .post_mortem_once("conservation_violation", &audit[0]);
         }
-        let c = fleet.counters();
-        let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
-        let (bounded, folded) = fleet.obs().hop_candidates();
-        let snapshot = FleetSnapshot {
-            time_s: t_s,
-            universe_sessions,
-            universe_users,
-            live_sessions: live,
-            objective,
-            mean_session_objective: if live == 0 {
-                0.0
-            } else {
-                objective / live as f64
-            },
-            traffic_mbps: traffic,
-            mean_delay_ms: delay,
-            mean_utilization: mean_util,
-            max_utilization: max_util,
-            admitted: load(&c.admitted),
-            rejected: load(&c.rejected),
-            departed: load(&c.departed),
-            migrations: load(&c.migrations),
-            admission_success_rate: c.admission_success_rate(),
-            admission_attempts: load(&c.admitted) + load(&c.rejected),
-            admitted_enumeration: load(&c.admitted_enumeration),
-            admitted_repair: load(&c.admitted_repair),
-            admitted_fallback: load(&c.admitted_fallback),
-            admission_repair_steps: load(&c.repair_steps),
-            refused_user_fit: load(&c.refused_user_fit),
-            refused_task_fit: load(&c.refused_task_fit),
-            refused_global: load(&c.refused_global),
-            conservation_violations: audit.len(),
-            overshoot_fraction: fractions
-                .iter()
-                .map(|f| (f - 1.0).max(0.0))
-                .fold(0.0, f64::max),
-            displaced: load(&c.displaced),
-            readmit_queued: fleet.readmit_queue_len(),
-            durability_degraded: fleet.durability_degraded(),
-            hop_candidates_bounded: bounded as usize,
-            hop_candidates_folded: folded as usize,
-        };
+        let snapshot = FleetSnapshot::observe(fleet, t_s, m, audit.len());
         self.snapshots.push(snapshot.clone());
         snapshot
     }

@@ -6,9 +6,10 @@ use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::readmit::{ReadmitConfig, ReadmitEntry};
 use crate::workers::ReoptPool;
 use rand::{rngs::StdRng, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use vc_algo::agrank::{AgRankConfig, Residuals};
-use vc_algo::markov::Alg1Config;
+use vc_algo::markov::{Alg1Config, HopOutcome};
 use vc_core::UapProblem;
 use vc_cost::CostModel;
 use vc_model::{
@@ -571,6 +572,103 @@ fn register_session_validates_atomically() {
     assert!(f.audit().is_empty());
 }
 
+/// The slot map's key set is the live set: a seeded admit / hop / fail
+/// / depart / re-admit churn and 1 000 online registrations leave a slot
+/// for every live session and for nothing else.
+#[test]
+fn slot_map_holds_exactly_the_live_sessions() {
+    // Tight enough that losing an agent displaces whole sessions.
+    let f = Fleet::new(
+        universe(25.0, 6),
+        FleetConfig {
+            placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+            alg1: Alg1Config::paper(400.0),
+            ledger_shards: 2,
+            readmit: Some(ReadmitConfig::default()),
+        },
+    );
+    let check = |when: &str| {
+        let keys: Vec<SessionId> = f.freeze.read().slots.keys().copied().collect();
+        assert_eq!(keys, f.live_sessions(), "{when}");
+        assert_eq!(keys.len(), f.live_count(), "{when}");
+        assert_eq!(keys.len(), f.ledger().live_sessions(), "{when}");
+        assert!(f.audit().is_empty(), "{when}");
+        keys.len()
+    };
+    assert_eq!(check("at construction"), 0);
+    let mut rng = StdRng::seed_from_u64(11);
+    for i in 0..6 {
+        let _ = f.admit(SessionId::new(i));
+    }
+    let admitted = check("after the admissions");
+    assert!(admitted >= 4);
+    for i in 0..6 {
+        f.hop_session(SessionId::new(i), &mut rng);
+    }
+    f.fail_agent(AgentId::new(1));
+    let displaced = f.counters().displaced.load(Ordering::Relaxed);
+    assert!(displaced > 0, "the failure displaces whole sessions");
+    assert_eq!(check("after the failure"), admitted - displaced);
+    let departing = f.live_sessions()[0];
+    f.depart(departing).expect("live");
+    assert_eq!(check("after a departure"), admitted - displaced - 1);
+    f.restore_agent(AgentId::new(1));
+    while let Some(due_us) = f.next_readmit_due() {
+        f.readmit_attempt_one(due_us);
+    }
+    let healed = f.counters().readmit_admitted.load(Ordering::Relaxed);
+    assert!(
+        healed > 0,
+        "the restored agent takes displaced sessions back"
+    );
+    assert_eq!(
+        check("after re-admission"),
+        admitted - displaced - 1 + healed
+    );
+    let live = f.live_sessions();
+    for _ in 0..1_000 {
+        let def = late_conference(&f.problem(), 9.0);
+        f.register_session(&def).expect("registers");
+    }
+    assert_eq!(f.universe_size().0, 1_006);
+    check("after 1 000 registrations");
+    assert_eq!(f.live_sessions(), live);
+}
+
+/// What the by-id entry points do with an id that is not live: never
+/// admitted, departed, or past the universe altogether.
+#[test]
+fn by_id_entry_points_answer_for_ids_that_are_not_live() {
+    let f = fleet(10_000.0, 100);
+    let (never, departed, live) = (SessionId::new(0), SessionId::new(1), SessionId::new(2));
+    f.admit(departed).unwrap();
+    f.depart(departed).expect("live");
+    f.admit(live).unwrap();
+    let before = crate::persist::CounterSnapshot::capture(f.counters());
+    let mut rng = StdRng::seed_from_u64(5);
+    for s in [never, departed, SessionId::new(6), SessionId::new(u32::MAX)] {
+        assert!(!f.is_live(s), "{s}");
+        assert_eq!(f.depart(s), None, "{s}");
+        assert_eq!(
+            f.hop_session(s, &mut rng),
+            HopOutcome::NoFeasibleMove,
+            "{s}"
+        );
+    }
+    assert_eq!(
+        before,
+        crate::persist::CounterSnapshot::capture(f.counters())
+    );
+    assert_eq!(f.live_sessions(), vec![live]);
+    assert!(f.audit().is_empty());
+}
+
+#[test]
+#[should_panic(expected = "admit of unregistered session")]
+fn admit_of_an_unregistered_id_is_fail_stop() {
+    let _ = fleet(10_000.0, 100).admit(SessionId::new(6));
+}
+
 #[test]
 fn trace_run_reoptimization_beats_nearest_bootstrap() {
     let problem = universe(10_000.0, 100);
@@ -715,7 +813,7 @@ mod persistence {
     /// fleets must end with equal counters and equal durable state.
     #[test]
     fn admission_outcomes_count_the_same_live_and_on_replay() {
-        use crate::fleet::{evaluate_slot, Accepted, AdmitPath};
+        use crate::fleet::{evaluate_slot, Accepted, AdmitPath, SessionSlot};
         use crate::persist::{FleetOp, RefusalReason};
         use vc_algo::admission::AdmissionTier;
         let (live, replayed) = (fleet(10_000.0, 100), fleet(10_000.0, 100));
@@ -745,26 +843,23 @@ mod persistence {
             {
                 // What `admit_locked` does once the engine has decided:
                 // the scratch holds the accepted placement's load.
-                let u = live.freeze_exclusive();
-                let mut slot = u.slots[s.index()].lock();
-                slot.users.fill(on);
-                slot.tasks.fill(on);
-                evaluate_slot(&problem, s, &slot, &mut eval);
+                let mut u = live.freeze_exclusive();
+                let placed = SessionSlot {
+                    users: vec![on; users.len()],
+                    tasks: vec![on; tasks.len()],
+                    load: vc_core::SessionLoad::default(),
+                };
+                evaluate_slot(&problem, s, &placed, &mut eval);
                 let accepted = Accepted {
                     users: &users,
                     tasks: &tasks,
                     tier,
                     repair_steps: i,
                 };
-                live.install_admitted(
-                    &problem,
-                    &mut slot,
-                    s,
-                    &accepted,
-                    &mut eval,
-                    AdmitPath::Live,
-                )
-                .expect("own users and tasks");
+                let slot = live
+                    .install_admitted(&problem, s, &accepted, &mut eval, AdmitPath::Live)
+                    .expect("own users and tasks");
+                u.slots.insert(s, parking_lot::Mutex::new(slot));
             }
             let op = FleetOp::Admit {
                 session: s,

@@ -642,3 +642,46 @@ fn torn_final_record_is_tolerated() {
     assert!(report.torn_tail, "tear not reported");
     assert_eq!(recovered.durable_state(), before);
 }
+
+/// A store written before slots followed the live set holds whatever
+/// placement a session last had at its `user_agents`/`task_agents`
+/// entries, live or not. Loading ignores the entries of sessions that
+/// are not live: the recovered state is the canonical one (agent 0
+/// there), and the objective is the same to the bit.
+#[test]
+fn stale_placements_of_non_live_sessions_are_ignored_on_load() {
+    let problem = small_universe();
+    let dir = store_dir("stale-placements");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    let seq = fleet.checkpoint().expect("checkpoint");
+    let canonical = fleet.durable_state();
+    let objective = fleet.objective();
+    drop(fleet);
+
+    let mut stale = canonical.clone();
+    let inst = problem.instance();
+    let not_live: Vec<SessionId> = (inst.session_ids())
+        .filter(|s| !canonical.active[s.index()])
+        .collect();
+    assert!(!not_live.is_empty(), "the churn leaves a session not live");
+    for &s in &not_live {
+        for &u in inst.session(s).users() {
+            assert_eq!(canonical.user_agents[u.index()], AgentId::new(0));
+            stale.user_agents[u.index()] = AgentId::new(2);
+        }
+        for &t in problem.tasks().of_session(s) {
+            assert_eq!(canonical.task_agents[t.index()], AgentId::new(0));
+            stale.task_agents[t.index()] = AgentId::new(1);
+        }
+    }
+    assert_ne!(stale, canonical);
+    cloud_vc::persist::write_snapshot(&dir, seq, &stale).expect("overwrite the snapshot");
+
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
+    assert_eq!((report.snapshot_seq, report.replayed), (seq, 0));
+    assert_eq!(recovered.durable_state(), canonical);
+    assert_eq!(recovered.objective().to_bits(), objective.to_bits());
+}

@@ -101,6 +101,94 @@ fn drive(fleet: &Fleet, events: &[(u8, u8)]) -> FleetTelemetry {
     telemetry
 }
 
+/// One fixed instance of the random universe with a little history:
+/// everything admitted that fits, a few hops, one departure.
+fn busy_fleet() -> Fleet {
+    let fleet = build_fleet(&RandomUniverse {
+        agents: vec![(70.0, 4), (55.0, 3), (40.0, 5)],
+        sessions: vec![
+            vec![(3, 0), (1, 1)],
+            vec![(2, 2), (3, 1), (0, 0)],
+            vec![(3, 3), (3, 3)],
+            vec![(1, 0), (2, 1), (3, 2)],
+            vec![(0, 1), (3, 0)],
+        ],
+        delay_seed: 17,
+    });
+    let mut rng = StdRng::seed_from_u64(3);
+    for i in 0..5usize {
+        let _ = fleet.admit(SessionId::from(i));
+    }
+    for i in 0..20usize {
+        let _ = fleet.hop_session(SessionId::from(i % 5), &mut rng);
+    }
+    fleet.depart(fleet.live_sessions()[0]);
+    assert!(fleet.live_count() >= 2, "the fixed universe admits");
+    fleet
+}
+
+/// Registered-but-never-admitted conferences cost a sample nothing and
+/// change nothing in it: after the universe grows tenfold, every gauge
+/// but the two universe sizes reads the same, Φ to the bit.
+#[test]
+fn gauges_follow_the_live_set_not_the_universe() {
+    let fleet = busy_fleet();
+    let mut telemetry = FleetTelemetry::new();
+    telemetry.sample(&fleet, 0.0);
+    let (sessions, users) = fleet.universe_size();
+    let seed = fleet.problem();
+    for i in 0..sessions * 9 {
+        let def = vc_model::SessionDef::of_instance(seed.instance(), SessionId::from(i % sessions));
+        fleet.register_session(&def).expect("registers");
+    }
+    let after = telemetry.sample(&fleet, 1.0);
+    assert_eq!(
+        (after.universe_sessions, after.universe_users),
+        (sessions * 10, users * 10)
+    );
+    for &name in FleetSnapshot::GAUGES {
+        if name == "universe_sessions" || name == "universe_users" {
+            continue;
+        }
+        let values = telemetry.series(name).values();
+        assert_eq!(
+            values[0].to_bits(),
+            values[1].to_bits(),
+            "gauge {name} moved with the universe"
+        );
+    }
+}
+
+/// `/metrics` prints the declare-once table: every gauge of a sample
+/// but the audit's is a `vc_fleet_<name>` series with its `# TYPE` line
+/// and the sample's value (six decimals).
+#[test]
+fn every_scraped_gauge_is_a_metrics_series() {
+    let fleet = busy_fleet();
+    let mut telemetry = FleetTelemetry::new();
+    telemetry.sample(&fleet, 0.0);
+    let text = vc_orchestrator::fleet_metrics_text(&fleet);
+    for &name in FleetSnapshot::GAUGES {
+        let series = format!("vc_fleet_{name} ");
+        let value = text.lines().find_map(|l| l.strip_prefix(&series));
+        if name == "conservation_violations" {
+            assert_eq!(value, None, "a scrape runs no audit");
+            continue;
+        }
+        let value: f64 = value
+            .unwrap_or_else(|| panic!("{name} is not on /metrics"))
+            .parse()
+            .expect("a number");
+        let sampled = telemetry.series(name).values()[0];
+        assert!(
+            (value - sampled).abs() <= 1e-6,
+            "{name}: {value} vs {sampled}"
+        );
+        let kinds = ["gauge", "counter"].map(|kind| format!("# TYPE vc_fleet_{name} {kind}"));
+        assert!(text.lines().any(|l| kinds.iter().any(|k| l == k)), "{name}");
+    }
+}
+
 /// One mirrored telemetry field: name, series values, and the
 /// extractor pulling the same figure out of a snapshot.
 type FieldView = (&'static str, Vec<f64>, fn(&FleetSnapshot) -> f64);
