@@ -28,7 +28,6 @@ pub mod brute_force;
 pub mod churn;
 pub mod local_search;
 pub mod markov;
-pub mod min_delay;
 pub mod nearest;
 pub mod placement;
 

@@ -79,7 +79,6 @@ use vc_core::{
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{ObsPlane, OpKind, Site, TraceKind};
-use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// One candidate placement: session users and tasks to agents.
 pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
@@ -179,17 +178,7 @@ macro_rules! fleet_counters {
             }
         }
 
-        impl Encode for CounterSnapshot {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $( self.$name.encode(out); )*
-            }
-        }
-
-        impl Decode for CounterSnapshot {
-            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok(Self { $( $name: u64::decode(r)?, )* })
-            }
-        }
+        vc_persist::wire! { struct CounterSnapshot { $($name),* } }
     };
 }
 

@@ -56,6 +56,7 @@
 pub use crate::fleet::CounterSnapshot;
 use crate::fleet::{self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord};
 use crate::ledger::{AgentHold, SessionHold};
+use crate::readmit::ReadmitEntry;
 use crate::workers::{ReoptPool, TimerEntry};
 use parking_lot::Mutex;
 use std::fs;
@@ -68,21 +69,16 @@ use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{OpKind, TraceKind};
-use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 use vc_persist::journal::{read_journal, FsyncPolicy, JournalError, JournalWriter, RetryPolicy};
 use vc_persist::snapshot::{
     compact, journal_files, journal_path, latest_snapshot, write_snapshot_with, SnapshotError,
 };
 use vc_persist::vfs::{real_vfs, Vfs};
+use vc_persist::wire;
 
 /// One journaled fleet mutation. Every variant is applied under the
-/// FREEZE lock in both live operation and replay.
-///
-/// Wire tags are the variants' positions below, with **tag 6 reserved**:
-/// it was the per-stay `Stay` record, never written by a format-v6
-/// fleet (stays ride [`Self::StayBatch`], also at `stay_batch = 1`).
-/// Decoding it is a [`CodecError::BadTag`]; a new variant must not
-/// reuse it.
+/// FREEZE lock in both live operation and replay. Its wire form is the
+/// `wire!` declaration below.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetOp {
     /// A session was admitted with this exact placement. Admission is
@@ -205,11 +201,6 @@ pub enum FleetOp {
 /// Why an admission attempt was refused — the journaled shape of
 /// `AdmitError`, and the one place a refusal's counter and lifecycle-
 /// trace code are decided (live and under replay alike).
-///
-/// Wire tags are the variants' positions below (0–3). **Tags 4 and 5
-/// are reserved**: they were the ledger-refusal and delay-bound reasons
-/// of the retired ranked-walk admission mode. Decoding either is a
-/// [`CodecError::BadTag`]; a new variant must not reuse them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefusalReason {
     /// The session was already live.
@@ -257,309 +248,54 @@ impl RefusalReason {
     }
 }
 
-impl Encode for RefusalReason {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Self::AlreadyLive => 0,
-            Self::UserFit => 1,
-            Self::TaskFit => 2,
-            Self::GlobalCheck => 3,
-        });
-    }
-}
+// Tags 4 and 5 were the ledger-refusal and delay-bound reasons of the
+// retired ranked-walk admission mode: reserved, never reused.
+wire! { enum RefusalReason {
+    0 => AlreadyLive,
+    1 => UserFit,
+    2 => TaskFit,
+    3 => GlobalCheck,
+} }
 
-impl Decode for RefusalReason {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(Self::AlreadyLive),
-            1 => Ok(Self::UserFit),
-            2 => Ok(Self::TaskFit),
-            3 => Ok(Self::GlobalCheck),
-            tag => Err(CodecError::BadTag {
-                what: "RefusalReason",
-                tag,
-            }),
-        }
-    }
-}
+// `AdmissionTier` is `vc-algo`'s and the codec traits are `vc-persist`'s,
+// so its tag table is a module of functions and `Admit` carries it `via`.
+wire! { mod tier_wire for enum AdmissionTier {
+    0 => Enumeration,
+    1 => Repair,
+    2 => RankedFallback,
+} }
 
-/// `AdmissionTier` lives in `vc-algo` and `Encode` in `vc-persist`, so
-/// the codec is a pair of free functions rather than an (orphan-rule-
-/// forbidden) trait impl.
-fn encode_tier(tier: AdmissionTier, out: &mut Vec<u8>) {
-    out.push(match tier {
-        AdmissionTier::Enumeration => 0,
-        AdmissionTier::Repair => 1,
-        AdmissionTier::RankedFallback => 2,
-    });
-}
+// Tag 6 was the per-stay `Stay` record, never written by a format-v6
+// fleet (stays ride `StayBatch`, also at `stay_batch = 1`): reserved,
+// never reused.
+wire! { enum FleetOp {
+    0 => Admit { session, users, tasks, tier via tier_wire, repair_steps },
+    1 => Reject { session, reason },
+    2 => Depart { session },
+    3 => FailAgent { agent },
+    4 => RestoreAgent { agent },
+    5 => Hop { session, decision, old_agent },
+    7 => StayBatch { count },
+    8 => RegisterSession { session, def },
+    9 => Timers { entries },
+    10 => ReadmitEnqueue { session, epoch, attempt, due_us },
+    11 => ReadmitDrop { session },
+    12 => RegisterAgent { agent, def, region },
+    13 => DrainAgent { agent },
+} }
 
-fn decode_tier(r: &mut Reader<'_>) -> Result<AdmissionTier, CodecError> {
-    match u8::decode(r)? {
-        0 => Ok(AdmissionTier::Enumeration),
-        1 => Ok(AdmissionTier::Repair),
-        2 => Ok(AdmissionTier::RankedFallback),
-        tag => Err(CodecError::BadTag {
-            what: "AdmissionTier",
-            tag,
-        }),
-    }
-}
+wire! { struct TimerEntry { session, due_us, epoch, draws, active } }
 
-impl Encode for TimerEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.session.encode(out);
-        self.due_us.encode(out);
-        self.epoch.encode(out);
-        self.draws.encode(out);
-        self.active.encode(out);
-    }
-}
+wire! { enum GrowthRecord {
+    0 => Session(def),
+    1 => Agent(def, region),
+} }
 
-impl Decode for TimerEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            session: SessionId::decode(r)?,
-            due_us: u64::decode(r)?,
-            epoch: u64::decode(r)?,
-            draws: u64::decode(r)?,
-            active: bool::decode(r)?,
-        })
-    }
-}
+wire! { struct ReadmitEntry { session, epoch, attempt, due_us } }
 
-impl Encode for FleetOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Self::Admit {
-                session,
-                users,
-                tasks,
-                tier,
-                repair_steps,
-            } => {
-                out.push(0);
-                session.encode(out);
-                users.encode(out);
-                tasks.encode(out);
-                encode_tier(*tier, out);
-                repair_steps.encode(out);
-            }
-            Self::Reject { session, reason } => {
-                out.push(1);
-                session.encode(out);
-                reason.encode(out);
-            }
-            Self::Depart { session } => {
-                out.push(2);
-                session.encode(out);
-            }
-            Self::FailAgent { agent } => {
-                out.push(3);
-                agent.encode(out);
-            }
-            Self::RestoreAgent { agent } => {
-                out.push(4);
-                agent.encode(out);
-            }
-            Self::Hop {
-                session,
-                decision,
-                old_agent,
-            } => {
-                out.push(5);
-                session.encode(out);
-                decision.encode(out);
-                old_agent.encode(out);
-            }
-            Self::StayBatch { count } => {
-                out.push(7);
-                count.encode(out);
-            }
-            Self::RegisterSession { session, def } => {
-                out.push(8);
-                session.encode(out);
-                def.encode(out);
-            }
-            Self::Timers { entries } => {
-                out.push(9);
-                entries.encode(out);
-            }
-            Self::ReadmitEnqueue {
-                session,
-                epoch,
-                attempt,
-                due_us,
-            } => {
-                out.push(10);
-                session.encode(out);
-                epoch.encode(out);
-                attempt.encode(out);
-                due_us.encode(out);
-            }
-            Self::ReadmitDrop { session } => {
-                out.push(11);
-                session.encode(out);
-            }
-            Self::RegisterAgent { agent, def, region } => {
-                out.push(12);
-                agent.encode(out);
-                def.encode(out);
-                region.encode(out);
-            }
-            Self::DrainAgent { agent } => {
-                out.push(13);
-                agent.encode(out);
-            }
-        }
-    }
-}
+wire! { struct AgentHold { agent, download_mbps, upload_mbps, transcode_units } }
 
-impl Decode for FleetOp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(Self::Admit {
-                session: SessionId::decode(r)?,
-                users: Vec::decode(r)?,
-                tasks: Vec::decode(r)?,
-                tier: decode_tier(r)?,
-                repair_steps: u64::decode(r)?,
-            }),
-            1 => Ok(Self::Reject {
-                session: SessionId::decode(r)?,
-                reason: RefusalReason::decode(r)?,
-            }),
-            2 => Ok(Self::Depart {
-                session: SessionId::decode(r)?,
-            }),
-            3 => Ok(Self::FailAgent {
-                agent: AgentId::decode(r)?,
-            }),
-            4 => Ok(Self::RestoreAgent {
-                agent: AgentId::decode(r)?,
-            }),
-            5 => Ok(Self::Hop {
-                session: SessionId::decode(r)?,
-                decision: Decision::decode(r)?,
-                old_agent: AgentId::decode(r)?,
-            }),
-            7 => Ok(Self::StayBatch {
-                count: u64::decode(r)?,
-            }),
-            8 => Ok(Self::RegisterSession {
-                session: SessionId::decode(r)?,
-                def: SessionDef::decode(r)?,
-            }),
-            9 => Ok(Self::Timers {
-                entries: Vec::decode(r)?,
-            }),
-            10 => Ok(Self::ReadmitEnqueue {
-                session: SessionId::decode(r)?,
-                epoch: u64::decode(r)?,
-                attempt: u32::decode(r)?,
-                due_us: u64::decode(r)?,
-            }),
-            11 => Ok(Self::ReadmitDrop {
-                session: SessionId::decode(r)?,
-            }),
-            12 => Ok(Self::RegisterAgent {
-                agent: AgentId::decode(r)?,
-                def: AgentDef::decode(r)?,
-                region: String::decode(r)?,
-            }),
-            13 => Ok(Self::DrainAgent {
-                agent: AgentId::decode(r)?,
-            }),
-            tag => Err(CodecError::BadTag {
-                what: "FleetOp",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for GrowthRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Self::Session(def) => {
-                out.push(0);
-                def.encode(out);
-            }
-            Self::Agent(def, region) => {
-                out.push(1);
-                def.encode(out);
-                region.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for GrowthRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(Self::Session(SessionDef::decode(r)?)),
-            1 => Ok(Self::Agent(AgentDef::decode(r)?, String::decode(r)?)),
-            tag => Err(CodecError::BadTag {
-                what: "GrowthRecord",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Encode for crate::readmit::ReadmitEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.session.encode(out);
-        self.epoch.encode(out);
-        self.attempt.encode(out);
-        self.due_us.encode(out);
-    }
-}
-
-impl Decode for crate::readmit::ReadmitEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            session: SessionId::decode(r)?,
-            epoch: u64::decode(r)?,
-            attempt: u32::decode(r)?,
-            due_us: u64::decode(r)?,
-        })
-    }
-}
-
-impl Encode for AgentHold {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.agent.encode(out);
-        self.download_mbps.encode(out);
-        self.upload_mbps.encode(out);
-        self.transcode_units.encode(out);
-    }
-}
-
-impl Decode for AgentHold {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            agent: AgentId::decode(r)?,
-            download_mbps: f64::decode(r)?,
-            upload_mbps: f64::decode(r)?,
-            transcode_units: u32::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SessionHold {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.holds.encode(out);
-    }
-}
-
-impl Decode for SessionHold {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            holds: Vec::decode(r)?,
-        })
-    }
-}
+wire! { struct SessionHold { holds } }
 
 /// The fleet's complete control-plane state: everything a crashed
 /// orchestrator needs to resume mid-fleet. Format v6: carries the
@@ -605,7 +341,7 @@ pub struct DurableFleetState {
     /// the pool resumes countdowns instead of re-drawing them.
     pub timers: Vec<TimerEntry>,
     /// Re-admission queue entries, ascending by session (format v5).
-    pub readmit: Vec<crate::readmit::ReadmitEntry>,
+    pub readmit: Vec<ReadmitEntry>,
     /// Per-session displacement-epoch watermarks, ascending by session
     /// (format v5). Kept beyond the queued entries so a session's next
     /// displacement draws a fresh backoff stream even across a
@@ -613,43 +349,21 @@ pub struct DurableFleetState {
     pub readmit_epochs: Vec<(SessionId, u64)>,
 }
 
-impl Encode for DurableFleetState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.growth.encode(out);
-        self.user_agents.encode(out);
-        self.task_agents.encode(out);
-        self.active.encode(out);
-        self.available.encode(out);
-        self.drained.encode(out);
-        self.regions.encode(out);
-        self.agent_regions.encode(out);
-        self.holdings.encode(out);
-        self.counters.encode(out);
-        self.timers.encode(out);
-        self.readmit.encode(out);
-        self.readmit_epochs.encode(out);
-    }
-}
-
-impl Decode for DurableFleetState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            growth: Vec::decode(r)?,
-            user_agents: Vec::decode(r)?,
-            task_agents: Vec::decode(r)?,
-            active: Vec::decode(r)?,
-            available: Vec::decode(r)?,
-            drained: Vec::decode(r)?,
-            regions: Vec::decode(r)?,
-            agent_regions: Vec::decode(r)?,
-            holdings: Vec::decode(r)?,
-            counters: CounterSnapshot::decode(r)?,
-            timers: Vec::decode(r)?,
-            readmit: Vec::decode(r)?,
-            readmit_epochs: Vec::decode(r)?,
-        })
-    }
-}
+wire! { struct DurableFleetState {
+    growth,
+    user_agents,
+    task_agents,
+    active,
+    available,
+    drained,
+    regions,
+    agent_regions,
+    holdings,
+    counters,
+    timers,
+    readmit,
+    readmit_epochs,
+} }
 
 /// Where and how durably the fleet persists.
 #[derive(Debug, Clone)]
@@ -1261,15 +975,29 @@ impl Fleet {
                 )));
             }
         }
+        // Placements and holdings index the agent pool; holdings and the
+        // re-admission state name sessions the fleet will later admit.
+        let held = durable.holdings.iter().flat_map(|(_, hold)| &hold.holds);
         if let Some(a) = durable
             .user_agents
             .iter()
             .chain(durable.task_agents.iter())
+            .chain(held.map(|h| &h.agent))
             .find(|a| a.index() >= inst.num_agents())
         {
             return Err(PersistError::Mismatch(format!(
                 "snapshot assigns to agent {a}, past the instance's {}",
                 inst.num_agents()
+            )));
+        }
+        if let Some(s) = (durable.holdings.iter().map(|&(s, _)| s))
+            .chain(durable.readmit.iter().map(|e| e.session))
+            .chain(durable.readmit_epochs.iter().map(|&(s, _)| s))
+            .find(|s| s.index() >= inst.num_sessions())
+        {
+            return Err(PersistError::Mismatch(format!(
+                "snapshot holds state for session {s}, past the instance's {}",
+                inst.num_sessions()
             )));
         }
         if let Some(&r) = durable
@@ -1346,33 +1074,83 @@ impl Fleet {
         Ok(fleet)
     }
 
-    /// Replay guard: a CRC-valid but semantically corrupt frame may
-    /// carry ids outside the (replayed-so-far) universe; recovery must
-    /// refuse with a typed error, never index-panic.
-    fn replay_session_bound(&self, session: SessionId, what: &str) -> Result<(), PersistError> {
-        if !self.freeze.read().is_registered(session) {
-            return Err(PersistError::Replay(format!(
-                "{what} of unregistered session {session}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Replay guard for agent ids. The agent pool grows mid-journal
-    /// (format v6 `RegisterAgent`), so the bound is the *replayed-so-
-    /// far* universe: a journal referencing agents the seed problem +
-    /// growth log never produced means recovery was handed the wrong
-    /// (too-small) seed problem — a typed error naming the missing
-    /// agent, never an index panic.
-    fn replay_agent_bound(&self, agent: AgentId, what: &str) -> Result<(), PersistError> {
-        let num = self.freeze.read().problem.instance().num_agents();
-        if agent.index() >= num {
-            return Err(PersistError::Replay(format!(
-                "{what} unknown agent {agent}: the replayed universe has only {num} agents \
+    /// Replay guard, run before any arm: a CRC-valid but semantically
+    /// corrupt frame may name sessions, agents, users or tasks outside
+    /// the universe replayed so far, and every arm below indexes by
+    /// them. The universe grows mid-journal (`RegisterSession`,
+    /// `RegisterAgent`), so the bound is what the seed problem plus the
+    /// records before this one produced: an id past it means recovery
+    /// was handed the wrong (too small) seed problem or a foreign
+    /// journal — a typed error naming the id, never an index panic.
+    /// The two registrations carry the id replay is about to *assign*
+    /// and compare it themselves; `Timers` entries are cached and handed
+    /// back, never indexed by, so a stray one is harmless.
+    fn replay_bounds(&self, op: &FleetOp) -> Result<(), PersistError> {
+        let universe = self.freeze.read();
+        let session = |s: SessionId, what: &str| {
+            if universe.is_registered(s) {
+                return Ok(());
+            }
+            Err(PersistError::Replay(format!(
+                "{what} of unregistered session {s}"
+            )))
+        };
+        let known = |kind: &str, id: &dyn std::fmt::Display, index, num, what: &str| {
+            if index < num {
+                return Ok(());
+            }
+            Err(PersistError::Replay(format!(
+                "{what} unknown {kind} {id}: the replayed universe has only {num} {kind}s \
                  (wrong or stale seed problem?)"
-            )));
+            )))
+        };
+        let (inst, tasks) = (universe.problem.instance(), universe.problem.tasks());
+        let agent = |a: AgentId, what| known("agent", &a, a.index(), inst.num_agents(), what);
+        let user = |u: UserId, what| known("user", &u, u.index(), inst.num_users(), what);
+        let task = |t: TaskId, what| known("task", &t, t.index(), tasks.len(), what);
+        match op {
+            FleetOp::Admit {
+                session: s,
+                users,
+                tasks,
+                ..
+            } => {
+                session(*s, "admit")?;
+                for &(u, a) in users {
+                    user(u, "admit of")?;
+                    agent(a, "admit onto")?;
+                }
+                for &(t, a) in tasks {
+                    task(t, "admit of")?;
+                    agent(a, "admit onto")?;
+                }
+                Ok(())
+            }
+            FleetOp::Hop {
+                session: s,
+                decision,
+                old_agent,
+            } => {
+                session(*s, "hop")?;
+                match *decision {
+                    Decision::User(u, _) => user(u, "hop of")?,
+                    Decision::Task(t, _) => task(t, "hop of")?,
+                }
+                agent(decision.target(), "hop onto")?;
+                agent(*old_agent, "hop from")
+            }
+            FleetOp::Reject { session: s, .. } => session(*s, "refusal"),
+            FleetOp::Depart { session: s } => session(*s, "depart"),
+            FleetOp::ReadmitEnqueue { session: s, .. } => session(*s, "readmit enqueue"),
+            FleetOp::ReadmitDrop { session: s } => session(*s, "readmit drop"),
+            FleetOp::FailAgent { agent: a } => agent(*a, "failure of"),
+            FleetOp::RestoreAgent { agent: a } => agent(*a, "restore of"),
+            FleetOp::DrainAgent { agent: a } => agent(*a, "drain of"),
+            FleetOp::StayBatch { .. }
+            | FleetOp::RegisterSession { .. }
+            | FleetOp::RegisterAgent { .. }
+            | FleetOp::Timers { .. } => Ok(()),
         }
-        Ok(())
     }
 
     /// Applies one journaled op to a recovering fleet. Every arm but
@@ -1384,6 +1162,7 @@ impl Fleet {
         op: &FleetOp,
         scratch: &mut vc_core::EvalScratch,
     ) -> Result<(), PersistError> {
+        self.replay_bounds(op)?;
         match op {
             FleetOp::Admit {
                 session,
@@ -1396,11 +1175,6 @@ impl Fleet {
                 // there is no wait or hold worth a histogram sample, so
                 // replay's own arms take the raw lock.
                 let mut universe = self.freeze.write();
-                if !universe.is_registered(*session) {
-                    return Err(PersistError::Replay(format!(
-                        "admit of unregistered session {session}"
-                    )));
-                }
                 if universe.slots.contains_key(session) {
                     return Err(PersistError::Replay(format!(
                         "admit of already-live session {session}"
@@ -1429,7 +1203,6 @@ impl Fleet {
             }
             FleetOp::Reject { reason, .. } => self.count_refusal(*reason),
             FleetOp::Depart { session } => {
-                self.replay_session_bound(*session, "depart")?;
                 if self.depart(*session).is_none() {
                     return Err(PersistError::Replay(format!(
                         "depart of non-live session {session}"
@@ -1438,7 +1211,6 @@ impl Fleet {
                 // depart() counted this replayed departure already.
             }
             FleetOp::FailAgent { agent } => {
-                self.replay_agent_bound(*agent, "failure of")?;
                 // Replay re-runs the deterministic evacuation but does
                 // NOT re-enqueue displaced sessions: the journal carries
                 // every enqueue as an explicit `ReadmitEnqueue` record
@@ -1447,7 +1219,6 @@ impl Fleet {
                 self.down_agent_inner(*agent, false, false);
             }
             FleetOp::RestoreAgent { agent } => {
-                self.replay_agent_bound(*agent, "restore of")?;
                 // Refused restores (drained agents) journal nothing, so
                 // a journaled restore that the replayed state refuses
                 // means journal and snapshot disagree.
@@ -1462,8 +1233,6 @@ impl Fleet {
                 decision,
                 old_agent,
             } => {
-                self.replay_session_bound(*session, "hop")?;
-                self.replay_agent_bound(decision.target(), "hop onto")?;
                 let universe = self.freeze.write();
                 let problem = &universe.problem;
                 let Some(slot) = universe.slots.get(session) else {
@@ -1527,8 +1296,7 @@ impl Fleet {
                 attempt,
                 due_us,
             } => {
-                self.replay_session_bound(*session, "readmit enqueue")?;
-                self.readmit_install(crate::readmit::ReadmitEntry {
+                self.readmit_install(ReadmitEntry {
                     session: *session,
                     epoch: *epoch,
                     attempt: *attempt,
@@ -1551,14 +1319,12 @@ impl Fleet {
                 }
             }
             FleetOp::DrainAgent { agent } => {
-                self.replay_agent_bound(*agent, "drain of")?;
                 // Like `FailAgent`: re-run the deterministic evacuation
                 // but never re-enqueue — the journal carries every
                 // enqueue as an explicit `ReadmitEnqueue` record.
                 self.down_agent_inner(*agent, false, true);
             }
             FleetOp::ReadmitDrop { session } => {
-                self.replay_session_bound(*session, "readmit drop")?;
                 // Overflow drops never installed an entry; exhaustion
                 // drops did. Remove if present, count either way — the
                 // live path counted both shapes through the same

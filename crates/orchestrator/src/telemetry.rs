@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use vc_model::TimeSeries;
 use vc_obs::{Watchdog, WatchdogFire};
-use vc_persist::codec::{CodecError, Decode, Encode, Reader};
 
 /// Fleet-level gauges in Prometheus text exposition format — the
 /// `extra` closure for [`vc_obs::ObsServer`], so `/metrics` serves the
@@ -200,21 +199,7 @@ macro_rules! fleet_snapshot {
             }
         }
 
-        impl Encode for FleetSnapshot {
-            fn encode(&self, out: &mut Vec<u8>) {
-                self.time_s.encode(out);
-                $( self.$name.encode(out); )*
-            }
-        }
-
-        impl Decode for FleetSnapshot {
-            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok(Self {
-                    time_s: f64::decode(r)?,
-                    $( $name: <$ty>::decode(r)?, )*
-                })
-            }
-        }
+        vc_persist::wire! { struct FleetSnapshot { time_s, $($name),* } }
     };
 }
 

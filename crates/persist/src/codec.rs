@@ -1,5 +1,11 @@
-//! The hand-rolled binary codec: [`Encode`] / [`Decode`] plus impls for
-//! primitives, containers, and the model/core state types.
+//! The hand-rolled binary codec: [`Encode`] / [`Decode`], hand-written
+//! for what is not a field list — primitives, containers, ids, and the
+//! two model types whose decoders validate or canonicalise (`UserDef`,
+//! `AgentSpec`) — and *declared* for every record: one [`wire!`](crate::wire)
+//! declaration per record names its fields (and an enum's tags) in wire
+//! order, and both directions derive from it. That macro's
+//! documentation is where the one format rule lives: a reordered or
+//! inserted field is a format change, and a retired tag is never reused.
 //!
 //! Format rules (all multi-byte values little-endian):
 //!
@@ -18,7 +24,8 @@
 //!
 //! There is deliberately no self-description and no schema evolution
 //! within a version: compatibility is handled one level up by the
-//! journal/snapshot container version fields.
+//! journal/snapshot container version fields, and the bytes of every
+//! declared record are pinned by `tests/wire_golden.rs`.
 
 use std::error::Error;
 use std::fmt;
@@ -161,6 +168,114 @@ pub fn decode_exact<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
         });
     }
     Ok(value)
+}
+
+/// Declares a record's wire form once; [`Encode`] and [`Decode`] both
+/// derive from the declaration, so the two directions cannot disagree.
+///
+/// * `wire! { struct T { a, b, c } }` — the fields, in wire order.
+/// * `wire! { enum T { 0 => A, 1 => B(x, y), 3 => C { p, q } } }` — one
+///   explicit tag byte per variant, then its fields in wire order (a
+///   tuple variant names its positions). A tag that is not listed —
+///   one never assigned, or a retired variant's — decodes to
+///   [`CodecError::BadTag`] with `what` the type's name.
+/// * `wire! { mod m for enum T { … } }` — the same table for an enum
+///   that is neither this crate's nor the caller's (the orphan rule
+///   forbids the trait impls): a private module `m` with `encode` and
+///   `decode` functions.
+/// * a variant's field written `f via m` travels through `m::encode` /
+///   `m::decode` instead of its type's impls — how a record carries such
+///   an enum.
+///
+/// The type itself is defined as usual, next to the declaration. Both
+/// directions name every field without a `..`, so a field added to the
+/// type and not to the declaration does not compile.
+///
+/// **The declaration is the format.** Reordering, inserting or removing
+/// a field, or changing a tag, changes the bytes: that needs a container
+/// version bump and new bytes in `tests/wire_golden.rs`, which pins every
+/// declared record. A retired variant's tag is never reused.
+#[macro_export]
+macro_rules! wire {
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let Self { $($f),* } = self;
+                $( $crate::wire!(@encode out, $f); )*
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(Self { $( $f: $crate::wire!(@decode r) ),* })
+            }
+        }
+    };
+    (enum $ty:ident { $($variants:tt)* }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire!(@encode_enum $ty, self, out, $($variants)*)
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                $crate::wire!(@decode_enum $ty, r, $($variants)*)
+            }
+        }
+    };
+    (mod $module:ident for enum $ty:ident { $($variants:tt)* }) => {
+        mod $module {
+            use super::$ty;
+
+            pub(super) fn encode(value: &$ty, out: &mut Vec<u8>) {
+                $crate::wire!(@encode_enum $ty, value, out, $($variants)*)
+            }
+
+            pub(super) fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<$ty, $crate::codec::CodecError> {
+                $crate::wire!(@decode_enum $ty, r, $($variants)*)
+            }
+        }
+    };
+    (@encode_enum $ty:ident, $value:expr, $out:ident, $(
+        $tag:literal => $variant:ident
+            $(( $($t:ident),* ))?
+            $({ $($f:ident $(via $m:ident)?),* })?
+    ),* $(,)?) => {
+        match $value {
+            $( $ty::$variant $(( $($t),* ))? $({ $($f),* })? => {
+                $out.push($tag);
+                $($( $crate::wire!(@encode $out, $t); )*)?
+                $($( $crate::wire!(@encode $out, $f $(, $m)?); )*)?
+            } )*
+        }
+    };
+    (@decode_enum $ty:ident, $r:ident, $(
+        $tag:literal => $variant:ident
+            $(( $($t:ident),* ))?
+            $({ $($f:ident $(via $m:ident)?),* })?
+    ),* $(,)?) => {
+        match <u8 as $crate::codec::Decode>::decode($r)? {
+            $( $tag => Ok($ty::$variant
+                $(( $( $crate::wire!(@decode $r; $t) ),* ))?
+                $({ $( $f: $crate::wire!(@decode $r $(, $m)?) ),* })?
+            ), )*
+            tag => Err($crate::codec::CodecError::BadTag {
+                what: stringify!($ty),
+                tag,
+            }),
+        }
+    };
+    (@encode $out:ident, $f:ident) => { $crate::codec::Encode::encode($f, $out) };
+    (@encode $out:ident, $f:ident, $m:ident) => { $m::encode($f, $out) };
+    (@decode $r:ident $(; $position:ident)?) => { $crate::codec::Decode::decode($r)? };
+    (@decode $r:ident, $m:ident) => { $m::decode($r)? };
 }
 
 macro_rules! int_codec {
@@ -336,35 +451,10 @@ macro_rules! id_codec {
 
 id_codec!(AgentId, SessionId, UserId, ReprId, TaskId);
 
-impl Encode for Decision {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Decision::User(u, a) => {
-                out.push(0);
-                u.encode(out);
-                a.encode(out);
-            }
-            Decision::Task(t, a) => {
-                out.push(1);
-                t.encode(out);
-                a.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Decision {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(Decision::User(UserId::decode(r)?, AgentId::decode(r)?)),
-            1 => Ok(Decision::Task(TaskId::decode(r)?, AgentId::decode(r)?)),
-            tag => Err(CodecError::BadTag {
-                what: "Decision",
-                tag,
-            }),
-        }
-    }
-}
+wire! { enum Decision {
+    0 => User(user, agent),
+    1 => Task(task, agent),
+} }
 
 impl Encode for UserDef {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -401,37 +491,9 @@ impl Decode for UserDef {
     }
 }
 
-impl Encode for SessionDef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.users.encode(out);
-    }
-}
+wire! { struct SessionDef { users } }
 
-impl Decode for SessionDef {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            users: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Capacity {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.upload_mbps.encode(out);
-        self.download_mbps.encode(out);
-        self.transcode_slots.encode(out);
-    }
-}
-
-impl Decode for Capacity {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            upload_mbps: f64::decode(r)?,
-            download_mbps: f64::decode(r)?,
-            transcode_slots: u32::decode(r)?,
-        })
-    }
-}
+wire! { struct Capacity { upload_mbps, download_mbps, transcode_slots } }
 
 impl Encode for AgentSpec {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -477,23 +539,7 @@ impl Decode for AgentSpec {
     }
 }
 
-impl Encode for AgentDef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.spec.encode(out);
-        self.inter_agent_ms.encode(out);
-        self.user_delays_ms.encode(out);
-    }
-}
-
-impl Decode for AgentDef {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            spec: AgentSpec::decode(r)?,
-            inter_agent_ms: Vec::decode(r)?,
-            user_delays_ms: Vec::decode(r)?,
-        })
-    }
-}
+wire! { struct AgentDef { spec, inter_agent_ms, user_delays_ms } }
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,11 @@
 //! format stays this crate's own. The codec is little-endian,
 //! length-prefixed, and exact: `f64` round-trips through its bit
 //! pattern, so a recovered objective equals the pre-crash objective to
-//! the last bit.
+//! the last bit. A record's wire form is written once, as a [`wire!`]
+//! declaration of its fields (and an enum's tags) in wire order, from
+//! which both directions derive; the declaration *is* the format — a
+//! reordered or inserted field changes it, a retired tag is never
+//! reused — and `tests/wire_golden.rs` pins the bytes.
 //!
 //! This crate only knows about `vc-model`/`vc-core` types plus its own
 //! framing; the fleet-specific record types and the recovery path

@@ -71,7 +71,6 @@ pub mod prelude {
     pub use vc_algo::agrank::{agrank_assignment, AgRankConfig};
     pub use vc_algo::churn::evacuate_agent;
     pub use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome};
-    pub use vc_algo::min_delay::min_delay_assignment;
     pub use vc_algo::nearest::nearest_assignment;
     pub use vc_core::{Assignment, Decision, SystemState, UapProblem};
     pub use vc_cost::{CostModel, ObjectiveWeights};

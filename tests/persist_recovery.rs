@@ -8,7 +8,12 @@
 //!   clean (audit empty) from each prefix;
 //! * mid-trace crash recovery — a fleet killed between trace events
 //!   recovers to the exact live-session set, ledger holdings, counters
-//!   and (bitwise) objective.
+//!   and (bitwise) objective;
+//! * **hostile input** — no journaled or snapshotted id past the
+//!   universe, and no mutation of a store's files, makes recovery or a
+//!   reader unwind: each is a typed error or a clean result.
+
+mod common;
 
 use cloud_vc::persist::{decode_exact, encode_to_vec, FsyncPolicy};
 use cloud_vc::prelude::*;
@@ -20,7 +25,7 @@ use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
 use vc_core::{TaskId, UapProblem};
 use vc_orchestrator::persist::FleetOp;
-use vc_orchestrator::{AgentHold, SessionHold};
+use vc_orchestrator::{AgentHold, DurableFleetState, SessionHold};
 
 fn store_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -684,4 +689,316 @@ fn stale_placements_of_non_live_sessions_are_ignored_on_load() {
     assert_eq!((report.snapshot_seq, report.replayed), (seq, 0));
     assert_eq!(recovered.durable_state(), canonical);
     assert_eq!(recovered.objective().to_bits(), objective.to_bits());
+}
+
+// -------------------------------------------------------- hostile input
+
+/// CRC-valid records whose ids point past the universe: for every
+/// `FleetOp` variant and every id-typed field in it one journal row,
+/// and one snapshot row for every id-keyed `DurableFleetState` list.
+/// `Fleet::recover` must *return* from each — a typed error naming the
+/// id, or `Ok` where the stray id is only ever cached (worker timers).
+#[test]
+fn no_out_of_universe_id_unwinds_recovery() {
+    use cloud_vc::persist::{journal_path, write_snapshot, JournalWriter};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use vc_orchestrator::{PersistError, ReadmitEntry};
+
+    let problem = small_universe();
+    let fleet = Fleet::new(problem.clone(), fleet_config());
+    churn(&fleet);
+    let state = fleet.durable_state();
+    let live = fleet.live_sessions()[0];
+    drop(fleet);
+    // Any cut point will do: the snapshot at `seq`, the journal after it.
+    let seq = 40;
+
+    // The churn leaves session 4 registered but departed: admissible.
+    let (inst, task_table) = (problem.instance(), problem.tasks());
+    let idle = SessionId::new(4);
+    assert!(!state.active[idle.index()] && state.active[live.index()]);
+    let near = AgentId::new(0);
+    let place = |s: SessionId| {
+        let users = inst.session(s).users().iter().map(|&u| (u, near));
+        let tasks = task_table.of_session(s).iter().map(|&t| (t, near));
+        (users.collect::<Vec<_>>(), tasks.collect::<Vec<_>>())
+    };
+    let (far_s, far_a) = (SessionId::new(99), AgentId::new(99));
+    let (far_u, far_t) = (UserId::new(999), TaskId::new(999));
+    let admit = |session, (users, tasks)| FleetOp::Admit {
+        session,
+        users,
+        tasks,
+        tier: vc_algo::admission::AdmissionTier::Repair,
+        repair_steps: 0,
+    };
+    let hop = |session, decision, old_agent| FleetOp::Hop {
+        session,
+        decision,
+        old_agent,
+    };
+    let own_user = inst.session(live).users()[0];
+    let timer = |session| TimerEntry {
+        session,
+        due_us: 1,
+        epoch: 1,
+        draws: 0,
+        active: true,
+    };
+    let readmit = |session| ReadmitEntry {
+        session,
+        epoch: 1,
+        attempt: 0,
+        due_us: 1,
+    };
+
+    // (row, the corrupt record, the id a refusal must name — `None`
+    // where recovery must succeed).
+    let journal_rows: Vec<(&str, FleetOp, Option<&str>)> = vec![
+        ("Admit.session", admit(far_s, place(idle)), Some("s99")),
+        (
+            "Admit.users.user",
+            admit(idle, (vec![(far_u, near)], place(idle).1)),
+            Some("u999"),
+        ),
+        (
+            "Admit.users.agent",
+            admit(idle, {
+                let (mut users, tasks) = place(idle);
+                users[0].1 = far_a;
+                (users, tasks)
+            }),
+            Some("a99"),
+        ),
+        (
+            "Admit.tasks.task",
+            admit(idle, (place(idle).0, vec![(far_t, near)])),
+            Some("t999"),
+        ),
+        (
+            "Admit.tasks.agent",
+            admit(idle, {
+                let (users, mut tasks) = place(idle);
+                tasks[0].1 = far_a;
+                (users, tasks)
+            }),
+            Some("a99"),
+        ),
+        (
+            "Reject.session",
+            FleetOp::Reject {
+                session: far_s,
+                reason: vc_orchestrator::RefusalReason::UserFit,
+            },
+            Some("s99"),
+        ),
+        (
+            "Depart.session",
+            FleetOp::Depart { session: far_s },
+            Some("s99"),
+        ),
+        (
+            "FailAgent.agent",
+            FleetOp::FailAgent { agent: far_a },
+            Some("a99"),
+        ),
+        (
+            "RestoreAgent.agent",
+            FleetOp::RestoreAgent { agent: far_a },
+            Some("a99"),
+        ),
+        (
+            "Hop.session",
+            hop(far_s, Decision::User(own_user, near), near),
+            Some("s99"),
+        ),
+        (
+            "Hop.decision.user",
+            hop(live, Decision::User(far_u, near), near),
+            Some("u999"),
+        ),
+        (
+            "Hop.decision.task",
+            hop(live, Decision::Task(far_t, near), near),
+            Some("t999"),
+        ),
+        (
+            "Hop.decision.agent",
+            hop(live, Decision::User(own_user, far_a), near),
+            Some("a99"),
+        ),
+        (
+            "Hop.old_agent",
+            hop(live, Decision::User(own_user, near), far_a),
+            Some("a99"),
+        ),
+        (
+            "RegisterSession.session",
+            FleetOp::RegisterSession {
+                session: far_s,
+                def: late_conference(8.0),
+            },
+            Some("s99"),
+        ),
+        (
+            "Timers.entries.session",
+            FleetOp::Timers {
+                entries: vec![timer(far_s)],
+            },
+            None,
+        ),
+        (
+            "ReadmitEnqueue.session",
+            FleetOp::ReadmitEnqueue {
+                session: far_s,
+                epoch: 1,
+                attempt: 0,
+                due_us: 1,
+            },
+            Some("s99"),
+        ),
+        (
+            "ReadmitDrop.session",
+            FleetOp::ReadmitDrop { session: far_s },
+            Some("s99"),
+        ),
+        (
+            "RegisterAgent.agent",
+            FleetOp::RegisterAgent {
+                agent: far_a,
+                def: vc_model::AgentDef {
+                    spec: AgentSpec::builder("d").build(),
+                    inter_agent_ms: vec![30.0; 3],
+                    user_delays_ms: vec![20.0; inst.num_users()],
+                },
+                region: "default".to_string(),
+            },
+            Some("a99"),
+        ),
+        (
+            "DrainAgent.agent",
+            FleetOp::DrainAgent { agent: far_a },
+            Some("a99"),
+        ),
+    ];
+    let snapshot_rows: Vec<(&str, DurableFleetState, Option<&str>)> = {
+        let edited = |edit: &dyn Fn(&mut DurableFleetState)| {
+            let mut state = state.clone();
+            edit(&mut state);
+            state
+        };
+        vec![
+            (
+                "holdings.agent",
+                edited(&|d| d.holdings[0].1.holds[0].agent = far_a),
+                Some("a99"),
+            ),
+            (
+                "holdings.session",
+                edited(&|d| d.holdings[0].0 = far_s),
+                Some("s99"),
+            ),
+            (
+                "readmit.session",
+                edited(&|d| d.readmit.push(readmit(far_s))),
+                Some("s99"),
+            ),
+            (
+                "readmit_epochs.session",
+                edited(&|d| d.readmit_epochs.push((far_s, 1))),
+                Some("s99"),
+            ),
+            (
+                "timers.session",
+                edited(&|d| d.timers.push(timer(far_s))),
+                None,
+            ),
+        ]
+    };
+
+    // Every row recovers from a store of its own: the churned state as
+    // the snapshot at `seq` (edited, for a snapshot row) and a journal
+    // holding at most the one corrupt record.
+    let work = store_dir("id-table-work");
+    let recover = |state: &DurableFleetState, record: Option<&FleetOp>| {
+        let _ = std::fs::remove_dir_all(&work);
+        std::fs::create_dir_all(&work).expect("work dir");
+        write_snapshot(&work, seq, state).expect("snapshot");
+        let mut journal = JournalWriter::<FleetOp>::create(
+            journal_path(&work, seq + 1),
+            FsyncPolicy::Always,
+            seq + 1,
+        )
+        .expect("journal");
+        if let Some(record) = record {
+            journal.append(record).expect("append");
+            journal.commit().expect("commit");
+        }
+        drop(journal);
+        catch_unwind(AssertUnwindSafe(|| {
+            Fleet::recover(persist_config(&work), problem.clone(), fleet_config()).map(drop)
+        }))
+    };
+    assert!(
+        matches!(recover(&state, None), Ok(Ok(()))),
+        "the store itself recovers"
+    );
+
+    let journal = journal_rows
+        .iter()
+        .map(|(row, op, names)| (*row, recover(&state, Some(op)), *names));
+    let snapshot = snapshot_rows
+        .iter()
+        .map(|(row, edited, names)| (*row, recover(edited, None), *names));
+    let mut failures = Vec::new();
+    for (row, outcome, names) in journal.chain(snapshot).collect::<Vec<_>>() {
+        match (outcome, names) {
+            (Err(_), _) => failures.push(format!("{row}: recovery unwound")),
+            (Ok(Ok(())), None) => {}
+            (Ok(Err(PersistError::Replay(m) | PersistError::Mismatch(m))), Some(id))
+                if m.contains(id) => {}
+            (Ok(other), _) => failures.push(format!("{row}: expected {names:?}, got {other:?}")),
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// A real store's files, corrupted every way `common::Mutation` knows:
+/// `read_journal` and `load_snapshot` answer every mutant with records
+/// or a typed error, allocating in proportion to the file.
+#[test]
+fn no_mutation_of_a_store_file_unwinds_its_reader() {
+    use cloud_vc::persist::{journal_files, load_snapshot, read_journal, snapshot_path};
+
+    let dir = store_dir("mutated-files");
+    let fleet = Fleet::with_persistence(small_universe(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    // The whole history as one journal, then the state it led to as
+    // one snapshot (the checkpoint compacts the journal away).
+    let (_, journal) = journal_files(&dir).expect("scan").pop().expect("a journal");
+    let journal_bytes = std::fs::read(journal).expect("journal bytes");
+    let seq = fleet.checkpoint().expect("checkpoint");
+    let snapshot_bytes = std::fs::read(snapshot_path(&dir, seq)).expect("snapshot bytes");
+    drop(fleet);
+
+    let scratch = dir.join("mutant");
+    std::fs::write(&scratch, &journal_bytes).expect("write");
+    let (records, tail) = read_journal::<FleetOp>(&scratch).expect("the journal itself reads");
+    assert!(records.len() > 10 && !tail.torn);
+    let journal = common::sweep("journal", &journal_bytes, |mutant| {
+        std::fs::write(&scratch, mutant).expect("write");
+        read_journal::<FleetOp>(&scratch).map(drop)
+    });
+    // A frame is CRC-guarded: most mutants read as a torn tail (`Ok`,
+    // fewer records), the header's as typed errors.
+    assert!(journal.decoded > 0 && journal.refused > 0, "{journal:?}");
+
+    let snapshot = common::sweep("snapshot", &snapshot_bytes, |mutant| {
+        std::fs::write(&scratch, mutant).expect("write");
+        load_snapshot::<DurableFleetState>(&scratch).map(drop)
+    });
+    // One frame, one CRC: the only mutants that still load are the 16
+    // flips of the header's reserved (unread) half-word.
+    assert_eq!(snapshot.decoded, 16, "{snapshot:?}");
 }
