@@ -16,54 +16,94 @@
 //! point). With noisy objective measurements the weights use perturbed
 //! values `Φ + ε`, ε drawn from the Theorem-1 quantized noise model.
 //!
-//! ## The lazily exact Gibbs step
+//! ## The lazily exact Gibbs step: sweep, then draw
 //!
 //! Exponents are clamped to `±MAX_EXPONENT` (600), and at the paper's
 //! β = 400 almost every neighbour of a settled conference sits on the
 //! lower clamp: its weight is the constant `e⁻⁶⁰⁰` whatever its `Φ`
 //! exactly is. [`Alg1Engine::gibbs_step`] — the one step behind both the
 //! closed-world [`hop`](Alg1Engine::hop) and the orchestrator's fleet
-//! hop — therefore takes each candidate from the
+//! hop — is two halves joined by a [`HopMemo`].
+//!
+//! The **sweep** ([`Alg1Engine::sweep`]) reads only what belongs to the
+//! session: it takes each candidate from the
 //! [neighbourhood kernel](vc_core::neighborhood) *between* the two
-//! halves of its fold, when only its delays are known, and:
+//! halves of its fold, when only its delays are known, and
 //!
 //! * drops it if it is over the delay bound, as the feasibility check
 //!   would after the fold;
-//! * records it as **bounded** — clamped exponent, membership in the
+//! * keeps it as **bounded** — clamped exponent, membership in the
 //!   feasible set unresolved, fold skipped — if
 //!   `½β(Φ_now − α1·F) ≤ −MAX_EXPONENT`;
-//! * otherwise folds the rest and feasibility-checks it, as ever.
+//! * otherwise folds the rest. A candidate whose *exact* exponent is
+//!   above the clamp is **stored**: its `Φ` and the sparse per-agent
+//!   [demand](vc_core::SessionLoad::demand) of its load. One whose exact
+//!   exponent is on the clamp after all is kept as bounded too — except
+//!   the first such that fits, which is stored as the **witness**.
 //!
-//! Cost per HOP: one conference compilation, one delay derivation per
-//! candidate, one full fold per *undecided* candidate. The draw is the
-//! eager one's bit for bit, by construction rather than by tolerance:
+//! The **draw** ([`Alg1Engine::draw`]) reads what other sessions move:
+//! it asks `fits` of every stored candidate's demand against the
+//! *current* reserved capacity, applies rule (d), observes, and samples
+//! over {stay} ∪ the stored candidates that fit ∪ the bounded ones —
+//! resolving a bounded one (compile if need be, fold, store it in place
+//! of its placeholder) only where (c) or (d) asks.
+//!
+//! Cost per HOP: a sweep is one conference compilation, one delay
+//! derivation per candidate and one full fold per *undecided*
+//! candidate; a draw is one capacity check per stored candidate and one
+//! `rng.gen::<f64>()`. The result is the eager one's bit for bit, by
+//! construction rather than by tolerance:
 //!
 //! * **(a) a bounded weight is the clamped weight.** `Φ = α1·F + α2·G +
 //!   α3·H` with every weight, price and cost shape `≥ 0`, so
 //!   `Φ ≥ α1·F` holds in floating point (IEEE addition is monotone);
 //!   subtraction from `Φ_now` and scaling by `½β ≥ 0` are monotone too,
 //!   so the exact exponent is `≤` the bound's `≤ −MAX_EXPONENT` and
-//!   clamps to exactly `−MAX_EXPONENT`.
+//!   clamps to exactly `−MAX_EXPONENT`. A candidate bounded after its
+//!   fold was tested on its exact exponent, by the sampler's own
+//!   expression.
 //! * **(b) `total` needs no fold.** Stay (exponent 0) is summed first,
 //!   so every partial sum is `≥ e^(−max_e)`, while a bounded weight is
 //!   `e^(−600−max_e)`, 865 binades below: adding it returns the partial
-//!   sum unchanged, member or not.
+//!   sum unchanged, member or not. A *stored* candidate on the clamp —
+//!   the witness, or one resolved earlier — goes through the sampler
+//!   like any folded one, where its weight computes to exactly that
+//!   `e^(−600−max_e)`: the eager sampler's treatment, unchanged.
 //! * **(c) the walk checks instead of assuming.** In the subtractive
 //!   walk a bounded weight `w` can matter only if `x < w` (it is drawn)
 //!   or `x − w ≠ x` (it moves the residue). Both are tested at run
 //!   time, on the walk's own `x`; only when one holds is the
 //!   candidate's membership resolved — by folding it then.
-//! * **(d) "nothing feasible" is decided as before.** If no folded
-//!   candidate fits, bounded ones are folded in order until one fits;
+//! * **(d) "nothing feasible" is decided as before.** If no stored
+//!   candidate fits, bounded ones are resolved in order until one fits;
 //!   `NoFeasibleMove` (no draw consumed) vs `Stayed` (one
-//!   `rng.gen::<f64>()`) is therefore the eager outcome.
+//!   `rng.gen::<f64>()`) is therefore the eager outcome. This is the
+//!   common case of a settled conference, not a corner: every move
+//!   that fits is on the clamp. The witness is why it stays cheap — a
+//!   capacity check of one stored demand instead of a fold.
 //! * **(e) noise disables the bound.** With `noise: Some(_)` every
 //!   candidate's observed `Φ` is random and each feasible one consumes
-//!   a draw, so every candidate is folded — through the same routine.
+//!   a draw, so every candidate is folded and stored, in enumeration
+//!   order, which is then the order of the noise draws.
+//! * **(f) a memoized sweep is the sweep.** Everything a sweep reads —
+//!   the session's placement and committed load (so `Φ_now` and the
+//!   `old` side of every capacity check), the agents a decision may
+//!   target (so the enumeration and its order), β, `d_max` and the
+//!   problem's delays, prices and bitrates — is either constant for
+//!   the engine and the session or changes only through a write to that
+//!   placement or to the agent set. So while neither is written, a
+//!   second sweep would rebuild the same memo, and a caller may keep it
+//!   and go straight to the draw ([`Alg1Engine::keeps_memos`]: without
+//!   noise only — under (e) nothing about a candidate's weight is
+//!   constant). The invalidation rule is exactly that: **drop the memo
+//!   when the session's placement or load is written, or when the set
+//!   of agents (its size, or any agent's availability) changes.**
+//!   Capacities are no part of it: residual capacity is what the draw
+//!   fetches afresh on every HOP, as Alg. 1 says.
 
 use rand::Rng;
 use vc_core::neighborhood::Neighborhood;
-use vc_core::{Decision, EvalScratch, SessionLoad, SystemState, CAPACITY_EPS};
+use vc_core::{AgentDemand, Decision, EvalScratch, SessionLoad, SystemState, CAPACITY_EPS};
 use vc_markov::perturb::NoiseSpec;
 use vc_model::{AgentId, SessionId};
 
@@ -72,11 +112,20 @@ use vc_model::{AgentId, SessionId};
 /// whose exponent provably reaches `−MAX_EXPONENT` is not folded.
 const MAX_EXPONENT: f64 = 600.0;
 
-/// [`Candidates`] weight entry of a bounded candidate: on the lower
-/// clamp, membership in the feasible set not yet resolved. No folded
-/// entry equals it — `Φ_s` is finite (delays, prices and cost shapes
-/// are validated finite), and so is every weight derived from it.
+/// [`Candidates`] weight entry of a candidate the draw has no `Φ` for:
+/// bounded — on the lower clamp, membership in the feasible set not yet
+/// resolved — or stored and found not to fit. No member's entry equals
+/// it — `Φ_s` is finite (delays, prices and cost shapes are validated
+/// finite), and so is every weight derived from it.
 const BOUNDED: f64 = f64::INFINITY;
+
+/// The Gibbs exponent of a candidate weighing `phi` against `phi_now`,
+/// before the clamp — the one expression the sweep's bounds and the
+/// sampler share.
+#[inline]
+fn exponent(beta: f64, phi_now: f64, phi: f64) -> f64 {
+    0.5 * beta * (phi_now - phi)
+}
 
 /// Configuration of Alg. 1.
 #[derive(Debug, Clone)]
@@ -125,33 +174,153 @@ pub enum HopOutcome {
     NoFeasibleMove,
 }
 
-/// The candidate list of one [Gibbs step](Alg1Engine::gibbs_step),
-/// reused across steps, and the step's fold accounting.
+/// One kept candidate in session-local terms: the placement entry it
+/// moves ([`Probe::slot`](vc_core::neighborhood::Probe::slot)) and
+/// where to — 8 bytes, against a [`Decision`]'s 12.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    slot: u32,
+    agent: AgentId,
+}
+
+/// What a [`HopMemo`] keeps of a folded candidate.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    /// Its index among the kept candidates.
+    candidate: u32,
+    /// End of its entries in [`HopMemo::demand`]; they start where the
+    /// previous stored candidate's end.
+    demand_end: u32,
+    /// Its `Φ_s`.
+    phi: f64,
+}
+
+/// The result of one [sweep](Alg1Engine::sweep), which a
+/// [draw](Alg1Engine::draw) samples from: the candidates within the
+/// delay bound in enumeration order, and of those that were folded and
+/// can carry weight — plus the witness, plus any the draw had to
+/// resolve since — their `Φ` and sparse demand. See the
+/// [module docs](self), in particular (f) for how long one stays true.
+/// Derived state: rebuilt by a sweep whenever it is missing.
+#[derive(Debug, Default)]
+pub struct HopMemo {
+    /// The β and committed `Φ_s` it was swept under.
+    beta: f64,
+    phi_now: f64,
+    moves: Vec<Move>,
+    /// Ascending by candidate as the sweep leaves it; a candidate the
+    /// draw resolves later is appended. (Under noise nothing is ever
+    /// resolved later, so there storage order is enumeration order.)
+    stored: Vec<Stored>,
+    demand: Vec<AgentDemand>,
+}
+
+impl Clone for HopMemo {
+    /// A copy at its exact size.
+    fn clone(&self) -> Self {
+        Self {
+            beta: self.beta,
+            phi_now: self.phi_now,
+            moves: self.moves.clone(),
+            stored: self.stored.clone(),
+            demand: self.demand.clone(),
+        }
+    }
+
+    /// A copy into `self`'s buffers, which grow only if they must.
+    fn clone_from(&mut self, source: &Self) {
+        (self.beta, self.phi_now) = (source.beta, source.phi_now);
+        self.moves.clone_from(&source.moves);
+        self.stored.clone_from(&source.stored);
+        self.demand.clone_from(&source.demand);
+    }
+}
+
+/// A [`HopMemo`] index as it is stored.
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a hop memo indexes fewer than 2³² entries")
+}
+
+impl HopMemo {
+    fn reset(&mut self, beta: f64, phi_now: f64) {
+        (self.beta, self.phi_now) = (beta, phi_now);
+        self.moves.clear();
+        self.stored.clear();
+        self.demand.clear();
+    }
+
+    /// Stores kept candidate `candidate`'s `Φ` and demand; returns its
+    /// index in `stored`.
+    fn store(&mut self, candidate: usize, load: &SessionLoad) -> usize {
+        self.demand.extend(load.demand());
+        self.stored.push(Stored {
+            candidate: index(candidate),
+            demand_end: index(self.demand.len()),
+            phi: load.phi,
+        });
+        self.stored.len() - 1
+    }
+
+    /// Undoes the last [`store`](Self::store).
+    fn unstore(&mut self) {
+        self.stored.pop();
+        let end = self.stored.last().map_or(0, |e| e.demand_end);
+        self.demand.truncate(end as usize);
+    }
+
+    fn demand_of(&self, k: usize) -> &[AgentDemand] {
+        let start = k.checked_sub(1).map_or(0, |j| self.stored[j].demand_end);
+        &self.demand[start as usize..self.stored[k].demand_end as usize]
+    }
+
+    fn stored_at(&self, candidate: usize) -> Option<usize> {
+        (self.stored.iter()).position(|e| e.candidate as usize == candidate)
+    }
+
+    /// Whether no stored candidate would lower the session's `Φ`: the
+    /// session has nowhere better to go that it knows of, and its HOPs
+    /// stay except by a draw from the clamp.
+    pub fn is_settled(&self) -> bool {
+        self.stored.iter().all(|e| e.phi >= self.phi_now)
+    }
+}
+
+/// The buffer one [draw](Alg1Engine::draw) samples in, reused across
+/// steps, and the step's fold accounting.
 #[derive(Debug, Default)]
 pub struct Candidates {
-    /// Folded-and-feasible and bounded decisions, in enumeration order.
-    decisions: Vec<Decision>,
-    /// Per decision: its `Φ_s`, then in place its observed `Φ_s`, its
-    /// exponent and its Gibbs weight — or [`BOUNDED`] throughout.
+    /// Per kept candidate: its `Φ_s`, then in place its observed `Φ_s`,
+    /// its exponent and its Gibbs weight — or [`BOUNDED`] throughout.
     weights: Vec<f64>,
-    /// Candidates the last step enumerated.
+    /// Candidates the last sweep enumerated (0 when the step drew from
+    /// a kept memo).
     pub swept: u32,
     /// Of those, how many the delay half settled without a fold: over
     /// the delay bound, or weight proven on the clamp.
     pub bounded: u32,
-    /// Full folds the last step ran (a bounded candidate resolved
-    /// after all counts here as well).
+    /// Full folds the last step ran, sweep and draw together (a
+    /// bounded candidate resolved after all counts here as well).
     pub folded: u32,
 }
 
+impl Candidates {
+    /// Zeroes the accounting, as a [sweep](Alg1Engine::sweep) does —
+    /// for a step that starts at the [draw](Alg1Engine::draw).
+    pub fn reset_counts(&mut self) {
+        (self.swept, self.bounded, self.folded) = (0, 0, 0);
+    }
+}
+
 /// Reusable per-worker buffers for the allocation-free HOP path: the
-/// evaluation scratch plus the candidate list. One per worker thread;
-/// steady-state hops allocate nothing.
+/// evaluation scratch, the memo a sweep fills and the draw's buffer.
+/// One per worker thread; steady-state hops allocate nothing.
 #[derive(Debug, Default)]
 pub struct HopScratch {
     /// The neighbourhood kernel's buffers.
     pub eval: EvalScratch,
-    /// The Gibbs step's candidate list.
+    /// The memo between a step's sweep and its draw.
+    pub memo: HopMemo,
+    /// The draw's buffer and the step's accounting.
     pub candidates: Candidates,
 }
 
@@ -172,9 +341,11 @@ pub struct HopContext<A, F> {
     pub phi_now: f64,
     /// The delay bound of constraint (8), in ms (`+∞` waives it).
     pub d_max_ms: f64,
-    /// Which agents a decision may target.
+    /// Which agents a decision may target (the sweep's question).
     pub allowed: A,
-    /// Whether the session may swap its load for this candidate's.
+    /// Whether the session may swap its load for one of this demand —
+    /// constraints (5)–(7) against the capacity reserved *now*; the
+    /// delay bound is the sweep's own check.
     pub fits: F,
 }
 
@@ -261,8 +432,12 @@ impl Alg1Engine {
         rng: &mut R,
         scratch: &mut HopScratch,
     ) -> HopOutcome {
-        let HopScratch { eval, candidates } = scratch;
-        let ctx = HopContext {
+        let HopScratch {
+            eval,
+            memo,
+            candidates,
+        } = scratch;
+        let mut ctx = HopContext {
             beta,
             phi_now: state.session_objective(s),
             // An inactive session holds nothing and fits anywhere.
@@ -272,10 +447,10 @@ impl Alg1Engine {
                 f64::INFINITY
             },
             allowed: |l| state.is_agent_available(l),
-            fits: |load: &SessionLoad| state.fits(s, load).is_ok(),
+            fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
         };
         let mut hood = Neighborhood::of_state(state, s, eval);
-        let outcome = self.gibbs_step(&mut hood, ctx, candidates, rng);
+        let outcome = self.gibbs_step(&mut hood, &mut ctx, memo, candidates, rng);
         if let HopOutcome::Migrated(decision) = outcome {
             hood.candidate(decision);
             state.commit_scratch(decision, eval);
@@ -283,15 +458,12 @@ impl Alg1Engine {
         outcome
     }
 
-    /// One lazily exact Gibbs step over `hood` — see the
-    /// [module docs](self) for the argument. Sweeps the candidates,
-    /// folding only those their delay half leaves undecided, and
-    /// samples over {stay} ∪ feasible neighbours exactly as folding
-    /// every one would. [`HopOutcome::Migrated`] names the drawn
-    /// decision; committing it (re-derive through
-    /// [`Neighborhood::candidate`]) is the caller's. RNG use: nothing
-    /// on `NoFeasibleMove`; otherwise the noise draws, if configured,
-    /// then one `rng.gen::<f64>()`.
+    /// One lazily exact Gibbs step over `hood`: a [sweep](Self::sweep)
+    /// into `memo`, then a [draw](Self::draw) from it — see the
+    /// [module docs](self) for the argument. It samples over {stay} ∪
+    /// feasible neighbours exactly as folding every one would.
+    /// [`HopOutcome::Migrated`] names the drawn decision; committing it
+    /// (re-derive through [`Neighborhood::candidate`]) is the caller's.
     ///
     /// # Panics
     ///
@@ -299,67 +471,149 @@ impl Alg1Engine {
     pub fn gibbs_step<R, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: HopContext<A, F>,
+        ctx: &mut HopContext<A, F>,
+        memo: &mut HopMemo,
         candidates: &mut Candidates,
         rng: &mut R,
     ) -> HopOutcome
     where
         R: Rng + ?Sized,
         A: Fn(AgentId) -> bool,
-        F: FnMut(&SessionLoad) -> bool,
+        F: FnMut(&[AgentDemand]) -> bool,
     {
-        let HopContext {
-            beta,
-            phi_now,
-            d_max_ms,
-            allowed,
-            mut fits,
-        } = ctx;
+        self.sweep(hood, ctx, memo, candidates);
+        self.draw(hood, ctx, memo, candidates, rng)
+    }
+
+    /// Whether a [`HopMemo`] may outlive its step ([module docs](self),
+    /// (f)): not under observation noise, where every candidate draws.
+    pub fn keeps_memos(&self) -> bool {
+        self.config.noise.is_none()
+    }
+
+    /// The sweep half of a [Gibbs step](Self::gibbs_step): enumerates
+    /// `hood`'s candidates, settles what their delay half settles, folds
+    /// the rest, and leaves the result in `memo` (whatever it held
+    /// before). Touches no RNG; asks `ctx.fits` only to pick the
+    /// witness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx.beta < 0`.
+    pub fn sweep<A, F>(
+        &self,
+        hood: &mut Neighborhood<'_>,
+        ctx: &mut HopContext<A, F>,
+        memo: &mut HopMemo,
+        candidates: &mut Candidates,
+    ) where
+        A: Fn(AgentId) -> bool,
+        F: FnMut(&[AgentDemand]) -> bool,
+    {
+        let (beta, phi_now, d_max_ms) = (ctx.beta, ctx.phi_now, ctx.d_max_ms);
         assert!(beta >= 0.0, "beta must be non-negative");
-        let Candidates {
-            decisions,
-            weights,
-            swept,
-            bounded,
-            folded,
-        } = candidates;
-        decisions.clear();
-        weights.clear();
-        (*swept, *bounded, *folded) = (0, 0, 0);
+        memo.reset(beta, phi_now);
+        candidates.reset_counts();
         let prune = self.config.noise.is_none();
-        let mut any_fits = false;
-        hood.sweep_lazy(allowed, |decision, probe| {
-            *swept += 1;
+        let clamped = |phi: f64| prune && exponent(beta, phi_now, phi) <= -MAX_EXPONENT;
+        let mut witnessed = false;
+        hood.sweep_lazy(&ctx.allowed, |decision, probe| {
+            candidates.swept += 1;
             if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
-                *bounded += 1;
-            } else if prune && 0.5 * beta * (phi_now - probe.phi_floor()) <= -MAX_EXPONENT {
-                *bounded += 1;
-                decisions.push(decision);
-                weights.push(BOUNDED);
-            } else {
-                *folded += 1;
-                let load = probe.fold();
-                if fits(load) {
-                    any_fits = true;
-                    decisions.push(decision);
-                    weights.push(load.phi);
+                candidates.bounded += 1;
+                return;
+            }
+            let candidate = memo.moves.len();
+            memo.moves.push(Move {
+                slot: index(probe.slot()),
+                agent: decision.target(),
+            });
+            if clamped(probe.phi_floor()) {
+                candidates.bounded += 1;
+                return;
+            }
+            candidates.folded += 1;
+            let load = probe.fold();
+            if !clamped(load.phi) {
+                memo.store(candidate, load);
+            } else if !witnessed {
+                let k = memo.store(candidate, load);
+                witnessed = (ctx.fits)(memo.demand_of(k));
+                if !witnessed {
+                    memo.unstore();
                 }
             }
         });
+    }
+
+    /// The draw half of a [Gibbs step](Self::gibbs_step): checks every
+    /// stored candidate of `memo` against current capacity through
+    /// `ctx.fits`, and samples. `hood` is the neighbourhood `memo` was
+    /// swept from — possibly [deferred](Neighborhood::deferred): it is
+    /// asked for a candidate only when a bounded one must be resolved,
+    /// which `memo` then remembers. RNG use: nothing on
+    /// `NoFeasibleMove`; otherwise the noise draws, if configured, then
+    /// one `rng.gen::<f64>()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memo` was swept under another β or `Φ_now` than
+    /// `ctx`'s.
+    pub fn draw<R, A, F>(
+        &self,
+        hood: &mut Neighborhood<'_>,
+        ctx: &mut HopContext<A, F>,
+        memo: &mut HopMemo,
+        candidates: &mut Candidates,
+        rng: &mut R,
+    ) -> HopOutcome
+    where
+        R: Rng + ?Sized,
+        F: FnMut(&[AgentDemand]) -> bool,
+    {
+        let (beta, phi_now) = (ctx.beta, ctx.phi_now);
+        assert!(
+            (memo.beta.to_bits(), memo.phi_now.to_bits()) == (beta.to_bits(), phi_now.to_bits()),
+            "a memo is drawn from under the β and Φ_now it was swept under"
+        );
+        let Candidates {
+            weights, folded, ..
+        } = candidates;
+        weights.clear();
+        weights.resize(memo.moves.len(), BOUNDED);
+        let mut any_fits = false;
+        for (k, entry) in memo.stored.iter().enumerate() {
+            if (ctx.fits)(memo.demand_of(k)) {
+                weights[entry.candidate as usize] = entry.phi;
+                any_fits = true;
+            }
+        }
+        // Membership of a candidate the loop above gave no weight: a
+        // stored one is asked again (it said no; (d) and (c) are rare
+        // enough not to remember that), a bounded one is folded now and
+        // stored in place of its placeholder.
         let mut resolve = |i: usize| {
-            *folded += 1;
-            fits(hood.candidate(decisions[i]).1)
+            let k = memo.stored_at(i).unwrap_or_else(|| {
+                *folded += 1;
+                let Move { slot, agent } = memo.moves[i];
+                let decision = hood.decision_of(slot as usize, agent);
+                memo.store(i, hood.candidate(decision).1)
+            });
+            (ctx.fits)(memo.demand_of(k))
         };
-        if !any_fits && !(0..decisions.len()).any(&mut resolve) {
+        if !any_fits && !(0..weights.len()).any(&mut resolve) {
             return HopOutcome::NoFeasibleMove;
         }
         let phi_now = self.observe(phi_now, rng);
-        for phi in weights.iter_mut() {
+        for phi in weights.iter_mut().filter(|phi| **phi != BOUNDED) {
             *phi = self.observe(*phi, rng);
         }
         match sample(beta, phi_now, weights, resolve, rng) {
             0 => HopOutcome::Stayed,
-            i => HopOutcome::Migrated(decisions[i - 1]),
+            i => {
+                let Move { slot, agent } = memo.moves[i - 1];
+                HopOutcome::Migrated(hood.decision_of(slot as usize, agent))
+            }
         }
     }
 
@@ -468,7 +722,7 @@ fn sample<R: Rng + ?Sized>(
     // cannot raise it.
     let mut max_e = 0.0f64;
     for e in weights.iter_mut().filter(|e| **e != BOUNDED) {
-        *e = (0.5 * beta * (phi_now - *e)).clamp(-MAX_EXPONENT, MAX_EXPONENT);
+        *e = exponent(beta, phi_now, *e).clamp(-MAX_EXPONENT, MAX_EXPONENT);
         max_e = max_e.max(*e);
     }
     // One `exp` per folded candidate; stay is summed first.
@@ -642,7 +896,7 @@ mod tests {
     use vc_core::evaluate::{evaluate_session, OverlayView};
     use vc_core::UapProblem;
     use vc_cost::CostModel;
-    use vc_model::{AgentSpec, Capacity, InstanceBuilder, ReprLadder};
+    use vc_model::{AgentSpec, Capacity, InstanceBuilder, ReprLadder, UserId};
 
     /// The sampler as it was before the lazy step, verbatim: every
     /// candidate a resolved member, every weight summed and walked.
@@ -798,13 +1052,88 @@ mod tests {
         state
     }
 
+    /// The hop as a caller that keeps memos runs it — the fleet's shape:
+    /// a [deferred](Neighborhood::deferred) neighbourhood over the
+    /// session's placement, a draw from `kept` when there is one, a
+    /// full step (kept afterwards, if the engine keeps memos) when not.
+    /// The caller drops `kept` when the hop migrated.
+    fn memo_hop<R: Rng + ?Sized>(
+        engine: &Alg1Engine,
+        state: &mut SystemState,
+        s: SessionId,
+        rng: &mut R,
+        scratch: &mut HopScratch,
+        kept: &mut Option<HopMemo>,
+    ) -> HopOutcome {
+        let HopScratch {
+            eval,
+            memo,
+            candidates,
+        } = scratch;
+        let problem = state.problem().clone();
+        let (users, tasks) = {
+            let asg = state.assignment();
+            let users = problem.instance().session(s).users().iter();
+            let tasks = problem.tasks().of_session(s).iter();
+            (
+                users.map(|&u| asg.agent_of_user(u)).collect::<Vec<_>>(),
+                tasks.map(|&t| asg.agent_of_task(t)).collect::<Vec<_>>(),
+            )
+        };
+        let mut ctx = HopContext {
+            beta: engine.config().beta,
+            phi_now: state.session_objective(s),
+            d_max_ms: if state.is_active(s) {
+                problem.instance().d_max_ms()
+            } else {
+                f64::INFINITY
+            },
+            allowed: |l| state.is_agent_available(l),
+            fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
+        };
+        let mut hood = Neighborhood::deferred(eval, &problem, s, &users, &tasks);
+        let outcome = match kept {
+            Some(kept) => {
+                candidates.reset_counts();
+                engine.draw(&mut hood, &mut ctx, kept, candidates, rng)
+            }
+            None => {
+                let outcome = engine.gibbs_step(&mut hood, &mut ctx, memo, candidates, rng);
+                *kept = engine.keeps_memos().then(|| memo.clone());
+                outcome
+            }
+        };
+        if let HopOutcome::Migrated(decision) = outcome {
+            hood.candidate(decision);
+            state.commit_scratch(decision, eval);
+        }
+        outcome
+    }
+
+    /// The decisions `memo` holds no `Φ` for: the candidates (a) is
+    /// about.
+    fn bounded_decisions(memo: &HopMemo, problem: &UapProblem, s: SessionId) -> Vec<Decision> {
+        let users = problem.instance().session(s).users();
+        let tasks = problem.tasks().of_session(s);
+        (memo.moves.iter().enumerate())
+            .filter(|&(i, _)| memo.stored_at(i).is_none())
+            .map(|(_, m)| match (m.slot as usize).checked_sub(users.len()) {
+                None => Decision::User(users[m.slot as usize], m.agent),
+                Some(k) => Decision::Task(tasks[k], m.agent),
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Lazy ≡ eager, hop after hop: same outcome, same committed
-        /// state, and the RNG left in the same state — for β where the
-        /// bound never fires, sometimes fires and mostly fires, with
-        /// and without observation noise.
+        /// Lazy ≡ eager and retained ≡ forgotten, hop after hop: same
+        /// outcome, same committed state, and the RNG left in the same
+        /// state — for β where the bound never fires, sometimes fires
+        /// and mostly fires, with and without observation noise. The
+        /// lazy side keeps one memo per session across hops, dropped
+        /// when that session migrates or an agent's availability flips,
+        /// while the other sessions' hops move the totals under it.
         #[test]
         fn lazy_step_equals_eager_reference(
             world in world_strategy(),
@@ -821,27 +1150,44 @@ mod tests {
             let (mut rng_lazy, mut rng_eager) =
                 (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let mut scratch = HopScratch::new();
+            let mut kept: Vec<Option<HopMemo>> = vec![None; world.sessions.len()];
+            let flipped = AgentId::from(seed as usize % world.agents.len());
             for hop in 0..40 {
+                if hop == 14 || hop == 27 {
+                    // The agent set changes: every memo goes.
+                    let up = lazy.is_agent_available(flipped);
+                    lazy.set_agent_available(flipped, !up);
+                    eager.set_agent_available(flipped, !up);
+                    kept.fill(None);
+                }
                 let s = SessionId::from(hop % world.sessions.len());
-                let got = engine.hop_scratch(&mut lazy, s, &mut rng_lazy, &mut scratch);
-                // (a), checked rather than argued: `eager` is still the
-                // state `lazy` hopped from, and there every bounded
-                // candidate's exact exponent clamps to −MAX_EXPONENT.
-                let c = &scratch.candidates;
-                for (&d, _) in c.decisions.iter().zip(&c.weights).filter(|(_, &w)| w == BOUNDED) {
+                let hit = kept[s.index()].is_some();
+                prop_assert!(!(hit && noisy), "noise: no memo is kept");
+                let got = memo_hop(&engine, &mut lazy, s, &mut rng_lazy, &mut scratch, &mut kept[s.index()]);
+                // (a), checked rather than argued: `eager` still holds
+                // the placement of `s` that `lazy` hopped from, and
+                // there every bounded candidate's exact exponent clamps
+                // to −MAX_EXPONENT.
+                let memo = kept[s.index()].as_ref().unwrap_or(&scratch.memo);
+                for d in bounded_decisions(memo, eager.problem(), s) {
                     let view = OverlayView::new(eager.assignment(), d);
                     let phi = evaluate_session(eager.problem(), &view, s).phi;
                     let exact = 0.5 * beta * (eager.session_objective(s) - phi);
                     prop_assert_eq!(exact.clamp(-MAX_EXPONENT, MAX_EXPONENT), -MAX_EXPONENT, "{}", d);
                 }
+                if matches!(got, HopOutcome::Migrated(_)) {
+                    kept[s.index()] = None;
+                }
                 let want = eager_hop(&engine, &mut eager, s, beta, &mut rng_eager);
-                prop_assert_eq!(got, want, "hop {} of {}", hop, s);
+                prop_assert_eq!(got, want, "hop {} of {} (hit: {})", hop, s, hit);
                 prop_assert_eq!(rng_lazy.next_u64(), rng_eager.next_u64(), "rng after hop {}", hop);
                 let c = &scratch.candidates;
                 // Every candidate is settled by its delays or folded;
-                // only a bounded one resolved after all is both.
+                // only a bounded one resolved after all is both. A hit
+                // sweeps nothing.
                 prop_assert!(c.swept <= c.bounded + c.folded);
                 prop_assert!(!noisy || c.swept == c.bounded + c.folded, "noise: no bound, no refold");
+                prop_assert!(!hit || (c.swept, c.bounded) == (0, 0));
             }
             prop_assert_eq!(lazy.assignment(), eager.assignment());
             prop_assert_eq!(lazy.objective().to_bits(), eager.objective().to_bits());
@@ -1007,6 +1353,201 @@ mod tests {
             &mut Scripted(Vec::new()),
         );
         assert_eq!(got, want);
+    }
+
+    /// A hit costs a capacity check and a draw: the first hop of an
+    /// all-bounded session resolves one candidate (rule (d)) and the
+    /// memo remembers it, so the second folds nothing, compiles nothing
+    /// and still draws `Stayed` with one `gen::<f64>()` — the eager
+    /// outcome.
+    #[test]
+    fn second_hop_of_an_all_bounded_session_folds_nothing() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let mut state = far_agent_state(1_000.0);
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let s = SessionId::new(0);
+        for hop in 0..3 {
+            let mut rng = Scripted(vec![0.999]);
+            let got = memo_hop(&engine, &mut state, s, &mut rng, &mut scratch, &mut kept);
+            assert_eq!(got, HopOutcome::Stayed);
+            assert!(rng.0.is_empty(), "exactly one draw");
+            let c = &scratch.candidates;
+            let counts = (c.swept, c.bounded, c.folded);
+            assert_eq!(counts, if hop == 0 { (2, 2, 1) } else { (0, 0, 0) });
+            let memo = kept.as_ref().expect("kept: no noise, no migration");
+            assert_eq!((memo.moves.len(), memo.stored.len()), (2, 1));
+            assert!(memo.is_settled());
+            let want = eager_hop(&engine, &mut state, s, 400.0, &mut Scripted(vec![0.999]));
+            assert_eq!(got, want);
+        }
+    }
+
+    /// Session 0 sits on agent 1 and weighs moves to agents 0 and 2,
+    /// 90 ms further out: all bounded at β = 400. Session 1's one user
+    /// sits on agent 1 too; its 5 Mbps upstream is what agent 0
+    /// (6 Mbps down) has room for once.
+    fn two_far_agents_state() -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let (low, high) = (ladder.lowest(), ladder.by_name("720p").unwrap().id());
+        let mut b = InstanceBuilder::new(ladder);
+        let tight = Capacity::new(1_000.0, 6.0, 0);
+        b.add_agent(AgentSpec::builder("far0").capacity(tight).build());
+        b.add_agent(AgentSpec::builder("near").build());
+        b.add_agent(AgentSpec::builder("far2").build());
+        let s0 = b.add_session();
+        b.add_user(s0, low, low);
+        b.add_user(s0, low, low);
+        let s1 = b.add_session();
+        b.add_user(s1, high, high);
+        b.symmetric_delays(|_, _| 60.0, |l, _| if l == 1 { 10.0 } else { 100.0 });
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let asg = Assignment::all_to_agent(&problem, AgentId::new(1));
+        SystemState::new(problem, asg)
+    }
+
+    /// The witness is re-checked on every hit: when another session
+    /// books the capacity it stood on, it stops counting, and rule (d)
+    /// resolves the next bounded candidate — one fold, remembered in
+    /// turn — exactly where the eager hop finds its first feasible
+    /// neighbour.
+    #[test]
+    fn a_witness_that_stops_fitting_yields_to_the_next_bounded_candidate() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let (mut state, mut twin) = (two_far_agents_state(), two_far_agents_state());
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let s = SessionId::new(0);
+        let mut hop = |state: &mut SystemState, twin: &mut SystemState, kept: &mut _| {
+            let mut rng = Scripted(vec![0.999]);
+            let got = memo_hop(&engine, state, s, &mut rng, &mut scratch, kept);
+            assert_eq!(got, HopOutcome::Stayed);
+            assert!(rng.0.is_empty(), "exactly one draw");
+            let want = eager_hop(&engine, twin, s, 400.0, &mut Scripted(vec![0.999]));
+            assert_eq!(got, want);
+            scratch.candidates.folded
+        };
+        // Miss: candidate 0 (user 0 → agent 0) is resolved, fits, and
+        // is the witness.
+        assert_eq!(hop(&mut state, &mut twin, &mut kept), 1);
+        assert_eq!(kept.as_ref().unwrap().stored.len(), 1);
+        assert_eq!(hop(&mut state, &mut twin, &mut kept), 0);
+        // Session 1 takes agent 0's download capacity.
+        let grab = Decision::User(UserId::new(2), AgentId::new(0));
+        state.try_apply(grab).expect("5 of 6 Mbps");
+        twin.try_apply(grab).expect("5 of 6 Mbps");
+        // Hit: the witness no longer fits; candidate 1 (user 0 →
+        // agent 2) is folded, fits, and is stored beside it.
+        assert_eq!(hop(&mut state, &mut twin, &mut kept), 1);
+        let memo = kept.as_ref().unwrap();
+        let stored: Vec<u32> = memo.stored.iter().map(|e| e.candidate).collect();
+        assert_eq!(stored, [0, 1]);
+        assert_eq!(hop(&mut state, &mut twin, &mut kept), 0);
+    }
+
+    /// Rule (c) on a hit, and a migration drawn from one. Agents 1 and
+    /// 2 are twins at zero distance and nothing is priced, so moving a
+    /// user between them is an exact tie with staying (weight 1);
+    /// agent 0 is far (bounded). Kept candidates: [user 0 → 0, user 0 →
+    /// 2, user 1 → 0, user 1 → 2], `total = 3`, and `u = ⌈2⁵³/3⌉/2⁵³`
+    /// makes `u·total` round to exactly `w_stay`: the walk reaches the
+    /// first, bounded, candidate with residue 0, must ask, compiles the
+    /// deferred neighbourhood for that one fold, and migrates there —
+    /// as the eager hop does.
+    #[test]
+    fn zero_residue_on_a_hit_resolves_the_bounded_candidate_and_migrates() {
+        let world = || {
+            let ladder = ReprLadder::standard_four();
+            let r = ladder.lowest();
+            let mut b = InstanceBuilder::new(ladder);
+            for name in ["far", "near", "twin"] {
+                b.add_agent(AgentSpec::builder(name).price_per_mbps(0.0).build());
+            }
+            let s = b.add_session();
+            b.add_user(s, r, r);
+            b.add_user(s, r, r);
+            b.symmetric_delays(
+                |l, k| if l.min(k) == 0 { 60.0 } else { 0.0 },
+                |l, _| if l == 0 { 100.0 } else { 10.0 },
+            );
+            let problem = Arc::new(UapProblem::new(
+                b.build().unwrap(),
+                CostModel::paper_default(),
+            ));
+            let asg = Assignment::all_to_agent(&problem, AgentId::new(1));
+            SystemState::new(problem, asg)
+        };
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let (mut state, mut twin) = (world(), world());
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let s = SessionId::new(0);
+        // Miss, staying: the two ties are stored, the far moves bounded.
+        let got = memo_hop(
+            &engine,
+            &mut state,
+            s,
+            &mut Scripted(vec![0.1]),
+            &mut scratch,
+            &mut kept,
+        );
+        assert_eq!(got, HopOutcome::Stayed);
+        let c = &scratch.candidates;
+        assert_eq!((c.swept, c.bounded, c.folded), (4, 2, 2));
+        let memo = kept.as_ref().unwrap();
+        assert_eq!(
+            memo.stored.iter().map(|e| e.candidate).collect::<Vec<_>>(),
+            [1, 3]
+        );
+        assert!(memo
+            .stored
+            .iter()
+            .all(|e| e.phi.to_bits() == memo.phi_now.to_bits()));
+        eager_hop(&engine, &mut twin, s, 400.0, &mut Scripted(vec![0.1]));
+        // Hit, on the zero residue.
+        let u = (((1u64 << 53) / 3 + 1) as f64) / (1u64 << 53) as f64;
+        assert_eq!(u * 3.0, 1.0);
+        let got = memo_hop(
+            &engine,
+            &mut state,
+            s,
+            &mut Scripted(vec![u]),
+            &mut scratch,
+            &mut kept,
+        );
+        assert_eq!(
+            got,
+            HopOutcome::Migrated(Decision::User(UserId::new(0), AgentId::new(0)))
+        );
+        let c = &scratch.candidates;
+        assert_eq!((c.swept, c.bounded, c.folded), (0, 0, 1));
+        let want = eager_hop(&engine, &mut twin, s, 400.0, &mut Scripted(vec![u]));
+        assert_eq!(got, want);
+        assert_eq!(state.assignment(), twin.assignment());
+        assert_eq!(state.objective().to_bits(), twin.objective().to_bits());
+        // Away from the zero residue the same memo asks nobody.
+        let (mut state, mut kept) = (world(), None);
+        memo_hop(
+            &engine,
+            &mut state,
+            s,
+            &mut Scripted(vec![0.1]),
+            &mut scratch,
+            &mut kept,
+        );
+        let got = memo_hop(
+            &engine,
+            &mut state,
+            s,
+            &mut Scripted(vec![0.4]),
+            &mut scratch,
+            &mut kept,
+        );
+        assert_eq!(
+            got,
+            HopOutcome::Migrated(Decision::User(UserId::new(0), AgentId::new(2)))
+        );
+        assert_eq!(scratch.candidates.folded, 0);
     }
 
     /// `gibbs_select` is the step's sampler over a resolved list: it

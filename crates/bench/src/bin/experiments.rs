@@ -250,11 +250,15 @@ const EXPERIMENTS: [Experiment; 19] = [
     }),
     // `--duration` sets the virtual horizon. Windows of a few tens of
     // milliseconds, so machine-noise bursts span several consecutive
-    // windows and cancel in the per-window ratio; 256 pairs so the
-    // median's own sampling error shrinks to a fraction of the budget
-    // (see the obs_overhead module docs).
+    // windows and cancel in the per-window ratio — 16 virtual seconds:
+    // this no-churn fleet re-reads its sweeps on nearly every hop, at
+    // well under a microsecond each, and ≈38k hops fill the ≈20 ms
+    // that ≈4.8k took when every hop swept (the traced arm's one
+    // watchdog observation per window is ≈80 µs whatever the window
+    // holds); 256 pairs so the median's own sampling error shrinks to
+    // a fraction of the budget (see the obs_overhead module docs).
     bench("obs_overhead", "BENCH_obs_overhead.json", |o| {
-        let result = obs_overhead::run(2_000, o.duration_or(2.0), 256, o.seed);
+        let result = obs_overhead::run(2_000, o.duration_or(16.0), 256, o.seed);
         measured(result, obs_overhead::to_json, obs_overhead::print)
     }),
     // Agent scales (sessions = 2 × agents).

@@ -188,7 +188,39 @@ impl PartialEq for SessionLoad {
     }
 }
 
+/// One touched agent's share of a [`SessionLoad`]: the three quantities
+/// the capacity constraints (5)–(7) read there, copied out of the dense
+/// vectors. A load's [`demand`](SessionLoad::demand) is all a
+/// feasibility check needs of it, so a candidate can be kept — and
+/// re-checked against capacities that have moved since — without its
+/// dense vectors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AgentDemand {
+    /// The agent's index.
+    pub agent: u32,
+    /// `y_ls`: transcoding units the session occupies there.
+    pub transcode_units: u32,
+    /// Download load there (Mbps).
+    pub download: f64,
+    /// Upload load there (Mbps).
+    pub upload: f64,
+}
+
 impl SessionLoad {
+    /// The sparse demand view: one [`AgentDemand`] per
+    /// [`touched`](Self::touched) agent, ascending.
+    pub fn demand(&self) -> impl Iterator<Item = AgentDemand> + '_ {
+        self.touched.iter().map(|&agent| {
+            let i = agent as usize;
+            AgentDemand {
+                agent,
+                transcode_units: self.transcode_units[i],
+                download: self.download[i],
+                upload: self.upload[i],
+            }
+        })
+    }
+
     /// A zeroed load (used for inactive sessions).
     pub fn empty(num_agents: usize) -> Self {
         Self {

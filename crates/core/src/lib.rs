@@ -62,7 +62,7 @@ pub(crate) mod test_fixtures;
 mod violation;
 
 pub use assignment::{Assignment, Decision};
-pub use evaluate::{AssignmentView, EvalScratch, OverlayView, SessionLoad};
+pub use evaluate::{AgentDemand, AssignmentView, EvalScratch, OverlayView, SessionLoad};
 pub use problem::UapProblem;
 pub use state::{AgentTotals, SystemState, CAPACITY_EPS};
 pub use tasks::{TaskId, TaskTable, TranscodeTask};

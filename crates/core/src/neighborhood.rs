@@ -32,12 +32,18 @@
 //! (`tests/hop_equivalence.rs`), whichever of its neighbours were
 //! folded before it.
 //!
-//! Cost per HOP: one compilation of `O(n² + |T|)` lookups; per
+//! Cost per *sweep*: one compilation of `O(n² + |T|)` lookups; per
 //! candidate one delay derivation and an `O(n²)` delay half; per
 //! candidate the caller could not settle on those, one
-//! `O(n² + |T| log |T|)` rest-fold. No id resolution after the compile,
-//! and nothing outlives the HOP: the kernel's buffers are the worker's
-//! [`EvalScratch`].
+//! `O(n² + |T| log |T|)` rest-fold. No id resolution after the compile.
+//! The kernel's buffers are the worker's [`EvalScratch`]; what a caller
+//! keeps of a sweep — `vc-algo`'s `HopMemo`, the Gibbs step's — is a
+//! candidate's [`Probe::slot`], its target and the sparse
+//! [`demand`](SessionLoad::demand) of its load. A HOP that re-reads
+//! such a memo needs no kernel at all unless it must weigh one
+//! candidate after all, so a neighbourhood can also be
+//! [`deferred`](Neighborhood::deferred): it compiles when — and if —
+//! its first candidate is asked for.
 
 use crate::evaluate::{EvalScratch, SessionLoad, Slot};
 use crate::{Decision, SystemState, UapProblem};
@@ -50,6 +56,9 @@ pub struct Neighborhood<'a> {
     eval: &'a mut EvalScratch,
     problem: &'a UapProblem,
     s: SessionId,
+    /// The base placement of a [`deferred`](Self::deferred)
+    /// neighbourhood, until its first use compiles it.
+    pending: Option<(&'a [AgentId], &'a [AgentId])>,
 }
 
 /// One candidate of a [`Neighborhood`], applied to the local placement
@@ -59,9 +68,17 @@ pub struct Neighborhood<'a> {
 pub struct Probe<'e> {
     eval: &'e mut EvalScratch,
     problem: &'e UapProblem,
+    slot: usize,
 }
 
 impl<'e> Probe<'e> {
+    /// Which entry of the placement the candidate moves: the session's
+    /// users, then its tasks, counted through — what
+    /// [`Neighborhood::decision_of`] turns back into a [`Decision`].
+    pub fn slot(&self) -> usize {
+        self.slot
+    }
+
     /// `max_{u,v} d_uv` of the candidate — the left side of the delay
     /// constraint (8).
     pub fn max_flow_delay(&self) -> f64 {
@@ -100,7 +117,38 @@ impl<'a> Neighborhood<'a> {
         tasks: impl IntoIterator<Item = AgentId>,
     ) -> Self {
         eval.compile(problem, s, users.into_iter(), tasks.into_iter());
-        Self { eval, problem, s }
+        Self {
+            eval,
+            problem,
+            s,
+            pending: None,
+        }
+    }
+
+    /// [`begin`](Self::begin), compiling only when the first candidate
+    /// is asked for ([`candidate`](Self::candidate) or a sweep) — for a
+    /// HOP that usually needs none.
+    pub fn deferred(
+        eval: &'a mut EvalScratch,
+        problem: &'a UapProblem,
+        s: SessionId,
+        users: &'a [AgentId],
+        tasks: &'a [AgentId],
+    ) -> Self {
+        Self {
+            eval,
+            problem,
+            s,
+            pending: Some((users, tasks)),
+        }
+    }
+
+    /// Compiles a [`deferred`](Self::deferred) base placement, once.
+    fn ensure_compiled(&mut self) {
+        if let Some((users, tasks)) = self.pending.take() {
+            let (users, tasks) = (users.iter().copied(), tasks.iter().copied());
+            self.eval.compile(self.problem, self.s, users, tasks);
+        }
     }
 
     /// [`begin`](Self::begin) around `state`'s committed assignment.
@@ -120,10 +168,15 @@ impl<'a> Neighborhood<'a> {
 
     /// Applies `slot → a`, shows the candidate to `visit`, reverts.
     fn probe<R>(&mut self, slot: Slot, a: AgentId, visit: impl FnOnce(Probe<'_>) -> R) -> R {
+        let flat = match slot {
+            Slot::User(i) => i,
+            Slot::Task(k) => self.eval.placement().0.len() + k,
+        };
         let base = self.eval.apply(self.problem, self.s, slot, a);
         let seen = visit(Probe {
             eval: &mut *self.eval,
             problem: self.problem,
+            slot: flat,
         });
         self.eval.revert(slot, base);
         seen
@@ -139,6 +192,7 @@ impl<'a> Neighborhood<'a> {
     ///
     /// Panics if the decision's user or task is not the session's.
     pub fn candidate(&mut self, decision: Decision) -> (usize, &SessionLoad) {
+        self.ensure_compiled();
         let index = (self.problem.local_index(self.s, decision))
             .expect("moved user or task belongs to the session");
         let (slot, a) = match decision {
@@ -151,6 +205,20 @@ impl<'a> Neighborhood<'a> {
         (index, self.eval.load())
     }
 
+    /// The decision moving placement entry `slot` (a [`Probe::slot`])
+    /// to `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has no such entry.
+    pub fn decision_of(&self, slot: usize, a: AgentId) -> Decision {
+        let users = self.problem.instance().session(self.s).users();
+        match slot.checked_sub(users.len()) {
+            None => Decision::User(users[slot], a),
+            Some(k) => Decision::Task(self.problem.tasks().of_session(self.s)[k], a),
+        }
+    }
+
     /// The candidate enumerator: each user to each other agent, then
     /// each task to each other agent — ascending agents, targets
     /// `allowed` refuses skipped — handing every candidate to `visit`
@@ -160,6 +228,7 @@ impl<'a> Neighborhood<'a> {
         allowed: impl Fn(AgentId) -> bool,
         mut visit: impl FnMut(Decision, Probe<'_>),
     ) {
+        self.ensure_compiled();
         let inst = self.problem.instance();
         let targets = || inst.agent_ids().filter(|&l| allowed(l));
         for (i, &u) in inst.session(self.s).users().iter().enumerate() {

@@ -7,7 +7,7 @@
 //! information Alg. 1's HOP step fetches as "the updated list of residual
 //! capacities of agents".
 
-use crate::evaluate::{evaluate_session, EvalScratch, OverlayView, SessionLoad};
+use crate::evaluate::{evaluate_session, AgentDemand, EvalScratch, OverlayView, SessionLoad};
 use crate::{Assignment, Decision, UapProblem, Violation};
 use std::sync::{Arc, Mutex};
 use vc_model::{AgentId, SessionId};
@@ -350,53 +350,62 @@ impl SystemState {
     ///
     /// The first violation the swap would introduce.
     pub fn fits(&self, s: SessionId, new_load: &SessionLoad) -> Result<(), Violation> {
-        if self.active[s.index()] {
-            self.check_swap(s, new_load)
-        } else {
-            Ok(())
+        self.demand_fits(s, new_load.demand())?;
+        let inst = self.problem.instance();
+        if self.active[s.index()] && new_load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
+            return Err(Violation::Delay {
+                session: s,
+                delay_ms: new_load.max_flow_delay,
+                bound_ms: inst.d_max_ms(),
+            });
         }
+        Ok(())
     }
 
-    /// Checks whether replacing `s`'s load with `new_load` keeps the
-    /// system feasible. Scans only the agents whose load changes (the
-    /// union of old and new touched sets) — an agent neither load
+    /// The capacity half of [`fits`](Self::fits), constraints (5)–(7),
+    /// on the candidate's sparse [`demand`](SessionLoad::demand)
+    /// (ascending agents) — what a caller that kept only the demand can
+    /// still ask. Scans only the agents whose load changes (the union of
+    /// the old load's touched set and the demand's) — an agent neither
     /// touches sees `totals − 0 + 0` and cannot newly violate. (A
     /// pre-existing overshoot on an *untouched* agent — possible after a
     /// forced evacuation — therefore no longer vetoes unrelated moves.)
-    fn check_swap(&self, s: SessionId, new_load: &SessionLoad) -> Result<(), Violation> {
+    ///
+    /// # Errors
+    ///
+    /// The first capacity violation the swap would introduce.
+    pub fn demand_fits(
+        &self,
+        s: SessionId,
+        demand: impl IntoIterator<Item = AgentDemand>,
+    ) -> Result<(), Violation> {
+        if !self.active[s.index()] {
+            return Ok(());
+        }
         let inst = self.problem.instance();
         let old = &self.loads[s.index()];
-        // Sorted-merge of the two ascending touched lists.
-        let (ta, tb) = (&old.touched, &new_load.touched);
-        let (mut ia, mut ib) = (0usize, 0usize);
-        while ia < ta.len() || ib < tb.len() {
-            let i = match (ta.get(ia), tb.get(ib)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    ia += 1;
-                    ib += 1;
-                    a as usize
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    ia += 1;
-                    a as usize
-                }
-                (Some(_), Some(&b)) => {
-                    ib += 1;
-                    b as usize
-                }
-                (Some(&a), None) => {
-                    ia += 1;
-                    a as usize
-                }
-                (None, Some(&b)) => {
-                    ib += 1;
-                    b as usize
-                }
-                (None, None) => unreachable!("loop condition"),
+        // Sorted-merge of the two ascending agent lists.
+        let mut old_touched = old.touched.iter().copied().peekable();
+        let mut demand = demand.into_iter().peekable();
+        loop {
+            let agent = match (old_touched.peek(), demand.peek()) {
+                (Some(&a), Some(d)) => a.min(d.agent),
+                (Some(&a), None) => a,
+                (None, Some(d)) => d.agent,
+                (None, None) => return Ok(()),
             };
+            old_touched.next_if_eq(&agent);
+            // An agent only the old load touches is left with nothing.
+            let new = demand.next_if(|d| d.agent == agent).unwrap_or(AgentDemand {
+                agent,
+                transcode_units: 0,
+                download: 0.0,
+                upload: 0.0,
+            });
+            let i = agent as usize;
             let l = AgentId::from(i);
             let cap = inst.agent(l).capacity();
-            let dl = self.totals.download[i] - old.download[i] + new_load.download[i];
+            let dl = self.totals.download[i] - old.download[i] + new.download;
             if dl > cap.download_mbps + CAPACITY_EPS {
                 return Err(Violation::Download {
                     agent: l,
@@ -404,7 +413,7 @@ impl SystemState {
                     capacity_mbps: cap.download_mbps,
                 });
             }
-            let ul = self.totals.upload[i] - old.upload[i] + new_load.upload[i];
+            let ul = self.totals.upload[i] - old.upload[i] + new.upload;
             if ul > cap.upload_mbps + CAPACITY_EPS {
                 return Err(Violation::Upload {
                     agent: l,
@@ -412,8 +421,7 @@ impl SystemState {
                     capacity_mbps: cap.upload_mbps,
                 });
             }
-            let tl =
-                self.totals.transcode[i] - old.transcode_units[i] + new_load.transcode_units[i];
+            let tl = self.totals.transcode[i] - old.transcode_units[i] + new.transcode_units;
             if tl > cap.transcode_slots {
                 return Err(Violation::Transcode {
                     agent: l,
@@ -422,14 +430,6 @@ impl SystemState {
                 });
             }
         }
-        if new_load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
-            return Err(Violation::Delay {
-                session: s,
-                delay_ms: new_load.max_flow_delay,
-                bound_ms: inst.d_max_ms(),
-            });
-        }
-        Ok(())
     }
 
     /// Applies a decision if it keeps the system feasible.

@@ -43,7 +43,7 @@ pub mod watchdog;
 
 pub use flight::{FlightEvent, FlightRecorder, OpKind};
 pub use hist::{HistSummary, LatencyHist};
-pub use plane::{ObsPlane, SharedHist, Site, FLIGHT_CAPACITY, TRACE_CAPACITY};
+pub use plane::{HopCounts, ObsPlane, SharedHist, Site, FLIGHT_CAPACITY, TRACE_CAPACITY};
 pub use serve::{http_get, prometheus_text, ObsServer};
 pub use trace::{TraceEvent, TraceKind, TraceRing};
 pub use watchdog::{SloSpec, Watchdog, WatchdogFire};

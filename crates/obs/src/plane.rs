@@ -37,7 +37,7 @@ pub enum Site {
     /// One offline `hop_with_beta_scratch` (closed-world bench loop).
     HopOffline,
     /// WAIT-wakeup dispatch: scheduler pop until the hop starts
-    /// (sampled 1-in-32 to stay inside the overhead budget).
+    /// (sampled 1-in-128 to stay inside the overhead budget).
     WaitDispatch,
     /// FREEZE shared-read acquisition wait — contended path only; the
     /// uncontended `try_read` fast path just counts
@@ -192,6 +192,20 @@ pub const TRACE_CAPACITY: usize = 4096;
 /// Session shards of the trace ring.
 const TRACE_SHARDS: usize = 4;
 
+/// Per-hop counts a worker tallies privately and hands over in batches
+/// ([`ObsPlane::add_hop_counts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HopCounts {
+    /// Uncontended FREEZE `try_read` successes.
+    pub freeze_read_fast: u64,
+    /// Candidates settled from their delay half alone.
+    pub candidates_bounded: u64,
+    /// Candidates folded in full.
+    pub candidates_folded: u64,
+    /// Hops that drew from a kept memo.
+    pub memo_hits: u64,
+}
+
 /// The per-fleet observability plane. Cheap to share (`Arc`), enabled
 /// by default; disabling reduces every probe to one relaxed load.
 pub struct ObsPlane {
@@ -205,6 +219,8 @@ pub struct ObsPlane {
     /// full, summed over hops.
     hop_candidates_bounded: AtomicU64,
     hop_candidates_folded: AtomicU64,
+    /// Hops that drew from their session's kept memo (no sweep).
+    hop_memo_hits: AtomicU64,
     flight: FlightRecorder,
     trace: TraceRing,
     /// Lifecycle tracing gate, separate from `enabled` so the overhead
@@ -249,6 +265,7 @@ impl ObsPlane {
             freeze_read_fast: AtomicU64::new(0),
             hop_candidates_bounded: AtomicU64::new(0),
             hop_candidates_folded: AtomicU64::new(0),
+            hop_memo_hits: AtomicU64::new(0),
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             trace: TraceRing::new(TRACE_SHARDS, TRACE_CAPACITY),
             trace_on: AtomicBool::new(true),
@@ -282,13 +299,17 @@ impl ObsPlane {
 
     /// The 1-in-N hop-span sampling rate of
     /// [`timer_sampled`](Self::timer_sampled). A power of two, so the
-    /// hot-path check is a mask, never a division.
-    pub const SAMPLE_EVERY: u64 = 16;
+    /// hot-path check is a mask, never a division. A sampled span costs
+    /// two clock reads and a handful of RMWs, ≈100 ns; against a hop
+    /// that re-reads its kept sweep in a fraction of a microsecond that
+    /// fits the overhead budget at 1-in-64 (it was 1-in-16 while every
+    /// hop swept, at several microseconds).
+    pub const SAMPLE_EVERY: u64 = 64;
 
     /// The 1-in-N WAIT-dispatch span sampling rate: the worker pool
     /// samples its dispatch span when `ops & (N - 1) == 0`. A power of
     /// two, like [`SAMPLE_EVERY`](Self::SAMPLE_EVERY).
-    pub const WAIT_SAMPLE_EVERY: u64 = 32;
+    pub const WAIT_SAMPLE_EVERY: u64 = 128;
 
     /// Like [`ObsPlane::timer`], but sampled
     /// 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY): the very hottest paths
@@ -316,7 +337,7 @@ impl ObsPlane {
     }
 
     /// The clock read of the sampled 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY)
-    /// arm, outlined so the seven-in-eight hot path stays compact —
+    /// arm, outlined so the unsampled hot path stays compact —
     /// keeping the vDSO call inline measurably bloats the caller (the
     /// codegen cost shows up in the overhead benchmark even when the
     /// arm never runs).
@@ -409,12 +430,32 @@ impl ObsPlane {
     }
 
     /// `(bounded, folded)` hop candidates so far — the pruning rate of
-    /// the lazy Gibbs step is `bounded / (bounded + folded)`.
+    /// the lazy Gibbs step's sweeps is `bounded / (bounded + folded)`.
+    /// A hop that drew from a kept memo ([`hop_memo_hits`](Self::hop_memo_hits))
+    /// swept nothing and adds only what its draw had to fold.
     pub fn hop_candidates(&self) -> (u64, u64) {
         (
             self.hop_candidates_bounded.load(Ordering::Relaxed),
             self.hop_candidates_folded.load(Ordering::Relaxed),
         )
+    }
+
+    /// Adds a worker's privately tallied per-hop counts — the batched
+    /// form of [`note_freeze_read_fast`](Self::note_freeze_read_fast)
+    /// and [`note_hop_candidates`](Self::note_hop_candidates), for hops
+    /// short enough that a shared RMW each would show. Unconditional:
+    /// the worker tallied only while the plane was enabled.
+    pub fn add_hop_counts(&self, counts: &HopCounts) {
+        let add = |to: &AtomicU64, n: u64| to.fetch_add(n, Ordering::Relaxed);
+        add(&self.freeze_read_fast, counts.freeze_read_fast);
+        add(&self.hop_candidates_bounded, counts.candidates_bounded);
+        add(&self.hop_candidates_folded, counts.candidates_folded);
+        add(&self.hop_memo_hits, counts.memo_hits);
+    }
+
+    /// Hops so far that drew from a kept memo instead of sweeping.
+    pub fn hop_memo_hits(&self) -> u64 {
+        self.hop_memo_hits.load(Ordering::Relaxed)
     }
 
     /// Per-shard `(attempts, conflicts)` swap counters.

@@ -49,6 +49,8 @@ pub fn prometheus_text(plane: &ObsPlane) -> String {
     out.push_str(&format!("vc_obs_hop_candidates_bounded {bounded}\n"));
     out.push_str("# TYPE vc_obs_hop_candidates_folded counter\n");
     out.push_str(&format!("vc_obs_hop_candidates_folded {folded}\n"));
+    out.push_str("# TYPE vc_obs_hop_memo_hits counter\n");
+    out.push_str(&format!("vc_obs_hop_memo_hits {}\n", plane.hop_memo_hits()));
     out.push_str("# TYPE vc_obs_swap_attempts counter\n");
     out.push_str("# TYPE vc_obs_swap_conflicts counter\n");
     for (shard, (attempts, conflicts)) in plane.swap_counters().iter().enumerate() {

@@ -46,6 +46,38 @@
 //! float sums, so `FailAgent` re-derivation is order-independent too) —
 //! recovery semantics are untouched.
 //!
+//! ## A hop is a sweep and a draw
+//!
+//! `vc_algo::markov` splits the Gibbs step in two and says why the
+//! split is exact ((a)–(f) there; that argument is not repeated here).
+//! The *sweep* — compile the conference, enumerate its neighbours,
+//! fold the undecided — reads only the session's own placement and the
+//! set of agents a decision may target; the *draw* reads the residual
+//! capacities, which is all that other sessions' hops move. So a slot
+//! keeps its last sweep's [`HopMemo`](vc_algo::markov::HopMemo), under
+//! the slot mutex, and a hop of a session that stayed since — four in
+//! five on a steady fleet — goes straight to the draw: `fits` of every
+//! stored candidate against the ledger's *current* snapshot, one
+//! `rng.gen::<f64>()`, and the kernel compiled only if a bounded
+//! candidate must be weighed after all or a migration was drawn (which
+//! still re-derives its load and commits through the checked
+//! `try_swap`). Outcomes, RNG state and journal bytes are those of a
+//! fleet that sweeps on every hop (`tests::hop_memo`).
+//!
+//! The memo is dropped exactly when what the sweep read is written,
+//! and that is arranged by construction rather than by call-site
+//! discipline: a slot's placement and load are private to
+//! `crate::slot` and written through one function that forgets the
+//! memo (a hop commit, live or replayed; an evacuation move), and every
+//! op that changes the agent set — `fail_agent`, `drain_agent`,
+//! `restore_agent`, `register_agent`, all FREEZE-exclusive — bumps
+//! `Universe::agents_gen`, under which alone a memo is handed out.
+//! With observation noise configured nothing is kept
+//! ([`Alg1Engine::keeps_memos`]). There is no cap and no TTL: one memo
+//! per live slot, sized by the conference, freed with the slot. It is
+//! derived state — never journaled, never snapshotted, no part of
+//! `durable_state()` — and a recovered fleet starts without any.
+//!
 //! ## One capacity view
 //!
 //! Reserved capacity travels in one shape, [`AgentTotals`], and free
@@ -55,7 +87,9 @@
 //! snapshot and an evacuation keeps its own delta-maintained slot
 //! totals, and both ask the one sparse `fits` — the paper's
 //! constraints (5)–(8) as `new − old ≤ capacity − reserved` at the
-//! agents the candidate touches.
+//! agents the candidate touches — an evacuation of a freshly evaluated
+//! load, a hop of the [demand](vc_core::SessionLoad::demand) its sweep
+//! stored.
 
 use crate::ledger::{CapacityLedger, SessionHold};
 use crate::persist::{FleetOp, RefusalReason};
@@ -74,11 +108,13 @@ use vc_algo::agrank::{AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
-    AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView, SessionLoad,
-    SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView,
+    SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
-use vc_obs::{ObsPlane, OpKind, Site, TraceKind};
+use vc_obs::{HopCounts, ObsPlane, OpKind, Site, TraceKind};
+
+pub(crate) use crate::slot::SessionSlot;
 
 /// One candidate placement: session users and tasks to agents.
 pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
@@ -240,29 +276,6 @@ impl FleetCounters {
     }
 }
 
-/// One live session's share of the assignment: its users' and tasks'
-/// agents (parallel to `instance.session(s).users()` and
-/// `tasks.of_session(s)`) and the evaluated load under that placement.
-/// Built by [`Fleet::install_admitted`], dropped when the session
-/// departs or is displaced: a session that is not live has no slot.
-#[derive(Debug)]
-pub(crate) struct SessionSlot {
-    pub(crate) users: Vec<AgentId>,
-    pub(crate) tasks: Vec<AgentId>,
-    pub(crate) load: SessionLoad,
-}
-
-impl SessionSlot {
-    /// The placement entry `decision` rewrites, `index` being its
-    /// [`UapProblem::local_index`].
-    pub(crate) fn agent_mut(&mut self, decision: Decision, index: usize) -> &mut AgentId {
-        match decision {
-            Decision::User(..) => &mut self.users[index],
-            Decision::Task(..) => &mut self.tasks[index],
-        }
-    }
-}
-
 /// [`AssignmentView`] over one slot: lookups are linear in the session
 /// size (a handful of users), touching no global structure.
 struct SlotView<'a> {
@@ -275,18 +288,19 @@ impl AssignmentView for SlotView<'_> {
     fn agent_of_user(&self, u: UserId) -> AgentId {
         let i =
             (self.problem.local_user(self.s, u)).expect("user belongs to the evaluated session");
-        self.slot.users[i]
+        self.slot.users()[i]
     }
     fn agent_of_task(&self, t: TaskId) -> AgentId {
         let i =
             (self.problem.local_task(self.s, t)).expect("task belongs to the evaluated session");
-        self.slot.tasks[i]
+        self.slot.tasks()[i]
     }
 }
 
 /// Reusable per-worker buffers for the fleet hop path: the engine's
 /// [`HopScratch`] plus the hop's snapshot of the ledger's reserved
-/// totals. One per worker thread; steady-state hops allocate nothing.
+/// totals. One per worker thread; steady-state hops allocate nothing
+/// but the memo a sweep leaves in its slot.
 #[derive(Debug, Default)]
 pub struct FleetHopScratch {
     pub(crate) hop: HopScratch,
@@ -297,12 +311,65 @@ pub struct FleetHopScratch {
     pub(crate) last_delta_phi: f64,
     /// Whether the last hop lost its ledger swap to a concurrent hop.
     pub(crate) last_swap_conflict: bool,
+    /// Whether the last hop drew from its slot's kept memo.
+    pub(crate) last_memo_hit: bool,
+    tally: HopTally,
 }
 
 impl FleetHopScratch {
     /// An empty scratch; buffers size themselves on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Hands the plane the per-hop counts tallied since the last flush
+    /// (also done every [`HopTally::FLUSH_EVERY`] hops and on drop).
+    pub(crate) fn flush_counts(&mut self) {
+        self.tally.flush();
+    }
+}
+
+/// A worker's private tally of the plane's per-hop counters: a hop that
+/// re-reads its memo is short enough for three shared-counter RMWs to
+/// be a measurable share of it, so hops count here and reach the plane
+/// in batches.
+#[derive(Debug, Default)]
+struct HopTally {
+    /// The plane `counts` were gathered for.
+    plane: Option<Arc<ObsPlane>>,
+    hops: u32,
+    counts: HopCounts,
+}
+
+impl HopTally {
+    const FLUSH_EVERY: u32 = 64;
+
+    /// The counts to add one more hop of a fleet observed by `plane`
+    /// to, the earlier ones flushed if they are another plane's or
+    /// [`FLUSH_EVERY`](Self::FLUSH_EVERY) already.
+    fn of(&mut self, plane: &Arc<ObsPlane>) -> &mut HopCounts {
+        if !(self.plane.as_ref()).is_some_and(|bound| Arc::ptr_eq(bound, plane)) {
+            self.flush();
+            self.plane = Some(plane.clone());
+        }
+        if self.hops >= Self::FLUSH_EVERY {
+            self.flush();
+        }
+        self.hops += 1;
+        &mut self.counts
+    }
+
+    fn flush(&mut self) {
+        if let Some(plane) = (self.hops > 0).then_some(self.plane.as_ref()).flatten() {
+            plane.add_hop_counts(&std::mem::take(&mut self.counts));
+        }
+        self.hops = 0;
+    }
+}
+
+impl Drop for HopTally {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -323,13 +390,15 @@ struct AdmitScratch {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FleetMetrics {
     pub(crate) live: usize,
+    /// Of those, how many are settled ([`SessionSlot::is_settled`]).
+    pub(crate) settled: usize,
     pub(crate) objective: f64,
     pub(crate) traffic_mbps: f64,
     pub(crate) mean_delay_ms: f64,
 }
 
-/// Running sums behind [`FleetMetrics`], fed one live slot load at a
-/// time in ascending session order.
+/// Running sums behind [`FleetMetrics`], fed one live slot at a time in
+/// ascending session order.
 #[derive(Default)]
 struct MetricsAcc {
     metrics: FleetMetrics,
@@ -338,8 +407,10 @@ struct MetricsAcc {
 }
 
 impl MetricsAcc {
-    fn add(&mut self, load: &SessionLoad) {
+    fn add(&mut self, slot: &SessionSlot, agents_gen: u64) {
+        let load = slot.load();
         self.metrics.live += 1;
+        self.metrics.settled += usize::from(slot.is_settled(agents_gen));
         self.metrics.objective += load.phi;
         self.metrics.traffic_mbps += load.total_ingress_mbps();
         for d in &load.user_delay {
@@ -390,6 +461,12 @@ pub(crate) struct Universe {
     /// Per-agent drain flag: a drained agent is permanently out —
     /// [`Fleet::restore_agent`] refuses it.
     pub(crate) drained: Vec<bool>,
+    /// Generation of the agent set: bumped by every op that changes
+    /// which agents a hop may target — `fail_agent`, `drain_agent`,
+    /// `restore_agent`, `register_agent`, live or replayed, all under
+    /// the FREEZE write lock. A slot's hop memo is good for the
+    /// generation it was swept under ([`SessionSlot::hop_view`]).
+    pub(crate) agents_gen: u64,
 }
 
 impl Universe {
@@ -539,6 +616,7 @@ impl Fleet {
             growth: Vec::new(),
             available: vec![true; nl],
             drained: vec![false; nl],
+            agents_gen: 0,
         };
         let obs = Arc::new(ObsPlane::new(ledger.num_shards()));
         Self {
@@ -654,10 +732,11 @@ impl Fleet {
         // new tail is zero, so grown loads stay bitwise-equal to their
         // up-front-construction twins.
         for slot in u.slots.values_mut() {
-            slot.get_mut().load.grow(nl);
+            slot.get_mut().grow_agents(nl);
         }
         u.available.push(true);
         u.drained.push(false);
+        u.agents_gen += 1;
         let region_id = self.ledger.ensure_region(region);
         let ledger_id = self.ledger.register_agent(def.spec.capacity(), region_id);
         debug_assert_eq!(l, ledger_id, "problem and ledger agree on the new id");
@@ -879,21 +958,19 @@ impl Fleet {
         eval: &mut EvalScratch,
         path: AdmitPath,
     ) -> Result<SessionSlot, String> {
-        let mut slot = SessionSlot {
-            users: vec![AgentId::new(0); problem.instance().session(s).len()],
-            tasks: vec![AgentId::new(0); problem.tasks().of_session(s).len()],
-            load: SessionLoad::default(),
-        };
+        let mut users = vec![AgentId::new(0); problem.instance().session(s).len()];
+        let mut tasks = vec![AgentId::new(0); problem.tasks().of_session(s).len()];
         for &(u, a) in accepted.users {
             let i = (problem.local_user(s, u))
                 .ok_or_else(|| format!("admit of {s} places foreign user {u}"))?;
-            slot.users[i] = a;
+            users[i] = a;
         }
         for &(t, a) in accepted.tasks {
             let i = (problem.local_task(s, t))
                 .ok_or_else(|| format!("admit of {s} places foreign task {t}"))?;
-            slot.tasks[i] = a;
+            tasks[i] = a;
         }
+        let slot = SessionSlot::new(users, tasks);
         if path == AdmitPath::Replay {
             evaluate_slot(problem, s, &slot, eval);
         }
@@ -906,7 +983,7 @@ impl Fleet {
             self.ledger.book_unchecked(s, hold)
         };
         booked.map_err(|e| format!("admit of {s} double-booked: {e}"))?;
-        slot.load = load.clone();
+        let slot = slot.loaded(load.clone());
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let tier_counter = match accepted.tier {
             AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
@@ -997,6 +1074,7 @@ impl Fleet {
         let mut displaced = Vec::new();
         let mut u = self.freeze_exclusive();
         u.available[agent.index()] = false;
+        u.agents_gen += 1;
         if drain {
             u.drained[agent.index()] = true;
         }
@@ -1095,12 +1173,12 @@ impl Fleet {
         let inst = problem.instance();
         let mut stranded: Vec<(SessionId, Decision)> = Vec::new();
         let mut totals = live_totals_locked(u, |s, slot| {
-            for (i, &a) in slot.users.iter().enumerate() {
+            for (i, &a) in slot.users().iter().enumerate() {
                 if a == agent {
                     stranded.push((s, Decision::User(inst.session(s).users()[i], agent)));
                 }
             }
-            for (i, &a) in slot.tasks.iter().enumerate() {
+            for (i, &a) in slot.tasks().iter().enumerate() {
                 if a == agent {
                     stranded.push((s, Decision::Task(problem.tasks().of_session(s)[i], agent)));
                 }
@@ -1132,7 +1210,7 @@ impl Fleet {
                 }
                 let base = slot_view(problem, s, slot);
                 let load = eval.evaluate(problem, &OverlayView::new(&base, redirect(d, l)), s);
-                let feasible = fits(load, &slot.load, &totals, inst);
+                let feasible = fits(load, slot.load(), &totals, inst);
                 let phi = load.phi;
                 if winner.is_none_or(|(_, best_phi, best_feasible)| {
                     (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
@@ -1148,7 +1226,7 @@ impl Fleet {
                     // into the re-admission queue instead of forcing an
                     // overshoot. Runs identically under replay (the
                     // caller re-derives this from the FailAgent record).
-                    totals.remove(&slot.load);
+                    totals.remove(slot.load());
                     u.slots.remove(&s);
                     self.ledger
                         .release(s)
@@ -1168,12 +1246,11 @@ impl Fleet {
                 }
             };
             let index = (problem.local_index(s, d)).expect("a stranded decision is the session's");
-            *slot.agent_mut(d, index) = l;
-            totals.remove(&slot.load);
+            totals.remove(slot.load());
             totals.add(best.load());
-            std::mem::swap(&mut slot.load, best.load_mut());
+            slot.relocate(redirect(d, l), index, best.load_mut());
             self.ledger
-                .force_swap(s, SessionHold::from_load(&slot.load))
+                .force_swap(s, SessionHold::from_load(slot.load()))
                 .expect("evacuated session holds a reservation");
             moves += 1;
             evacuated.push((s, l));
@@ -1196,6 +1273,7 @@ impl Fleet {
             return false;
         }
         frz.available[agent.index()] = true;
+        frz.agents_gen += 1;
         self.ledger.restore_agent(agent);
         self.log_op(|| FleetOp::RestoreAgent { agent });
         drop(frz);
@@ -1454,9 +1532,11 @@ impl Fleet {
     }
 
     /// One Alg. 1 HOP for session `s` under the **shared** FREEZE lock:
-    /// candidates are weighed against the slot's placement and the
-    /// ledger's residual snapshot (allocation-free via `scratch`), and a
-    /// chosen migration commits through the ledger's checked
+    /// the session's candidates — swept now, or re-read from the memo
+    /// its slot kept (module docs, "A hop is a sweep and a draw") — are
+    /// checked against the ledger's residual snapshot and sampled
+    /// (allocation-free via `scratch`), and a chosen migration commits
+    /// through the ledger's checked
     /// [`try_swap`](CapacityLedger::try_swap) — losing a capacity race
     /// to a concurrent hop simply stays put. An id that is not live
     /// (registered or not) has no slot to hop: it answers
@@ -1467,25 +1547,40 @@ impl Fleet {
         rng: &mut R,
         scratch: &mut FleetHopScratch,
     ) -> HopOutcome {
-        // Spans are sampled 1-in-16 (`timer_sampled`): at ~150k hops/s
-        // even two clock reads per hop measurably dent throughput, and
-        // percentiles over 1/16 of the stream are statistically the
-        // same. The flight recorder still sees *every* hop — unsampled
-        // ones carry the last sampled timestamp (`note_op_coarse`).
-        // Warming the flight slot here overlaps the ring's cache miss
-        // with the hop work instead of stalling the closing record.
-        self.obs.warm_flight();
+        self.hop_live_with(s, rng, scratch)
+            .unwrap_or(HopOutcome::NoFeasibleMove)
+    }
+
+    /// [`hop_session_with`](Self::hop_session_with), telling an id that
+    /// is not live (`None`) from a live session with nowhere to go —
+    /// what the worker pool re-arms its timers on.
+    pub(crate) fn hop_live_with<R: Rng + ?Sized>(
+        &self,
+        s: SessionId,
+        rng: &mut R,
+        scratch: &mut FleetHopScratch,
+    ) -> Option<HopOutcome> {
+        // Spans are sampled 1-in-64 (`timer_sampled`): two clock reads
+        // are a tenth of a hop that only draws, and percentiles over
+        // 1/64 of the stream are statistically the same. The flight recorder sees every hop that did something —
+        // a sweep, a migration, a lost swap — unsampled ones carrying
+        // the last sampled timestamp (`note_op_coarse`); a stay drawn
+        // from a kept memo is a microsecond of re-reading what an
+        // earlier event already recorded, and reaches the ring on the
+        // sampled ticks only.
         let t0 = self.obs.timer_sampled();
         scratch.last_delta_phi = 0.0;
         scratch.last_swap_conflict = false;
-        let outcome = self.hop_inner(s, rng, scratch);
+        scratch.last_memo_hit = false;
+        let live = self.hop_inner(s, rng, scratch);
+        let outcome = live.unwrap_or(HopOutcome::NoFeasibleMove);
         let (kind, a, b) = match outcome {
             HopOutcome::Migrated(d) => (OpKind::Hop, s.index() as u32, d.target().index() as u32),
             HopOutcome::Stayed | HopOutcome::NoFeasibleMove => (OpKind::Stay, s.index() as u32, 0),
         };
         if let Some(t0) = t0 {
             self.obs.record_sampled(Site::Hop, t0, kind, a, b);
-        } else {
+        } else if kind == OpKind::Hop || scratch.last_swap_conflict || !scratch.last_memo_hit {
             self.obs.note_op_coarse(kind, a, b);
         }
         // Lifecycle tracing stays off the common path: only committed
@@ -1504,117 +1599,149 @@ impl Fleet {
             ),
             _ => {}
         }
-        outcome
+        live
     }
 
-    /// The hop proper (see [`hop_session_with`](Self::hop_session_with)).
+    /// The hop proper (see [`hop_session_with`](Self::hop_session_with));
+    /// `None` when `s` has no slot.
     fn hop_inner<R: Rng + ?Sized>(
         &self,
         s: SessionId,
         rng: &mut R,
         scratch: &mut FleetHopScratch,
-    ) -> HopOutcome {
+    ) -> Option<HopOutcome> {
         // FREEZE shared acquisition: the uncontended fast path is a
-        // plain counter (no clock read); only a contended wait — a
+        // plain count (no clock read); only a contended wait — a
         // coarse op holds the lock exclusively — is worth a histogram.
-        let universe = match self.freeze.try_read() {
-            Some(guard) => {
-                self.obs.note_freeze_read_fast();
-                guard
-            }
+        let (universe, fast) = match self.freeze.try_read() {
+            Some(guard) => (guard, true),
             None => {
                 let tw = self.obs.timer();
                 let guard = self.freeze.read();
                 self.obs.record_since(Site::FreezeRead, tw);
-                guard
+                (guard, false)
             }
         };
-        let problem = &universe.problem;
-        let Some(slot) = universe.slots.get(&s) else {
-            return HopOutcome::NoFeasibleMove;
-        };
-        let mut slot = slot.lock();
         let FleetHopScratch {
             hop,
             reserved,
             last_delta_phi,
             last_swap_conflict,
+            last_memo_hit,
+            tally,
         } = scratch;
+        let mut counts = self.obs.enabled().then(|| tally.of(&self.obs));
+        if let Some(counts) = &mut counts {
+            counts.freeze_read_fast += u64::from(fast);
+        }
+        let problem = &universe.problem;
+        let mut slot = universe.slots.get(&s)?.lock();
+        let HopScratch {
+            eval,
+            memo: swept,
+            candidates,
+        } = hop;
         self.ledger.reserved_totals_into(reserved);
-        let mut hood = Neighborhood::begin(
-            &mut hop.eval,
-            problem,
-            s,
-            slot.users.iter().copied(),
-            slot.tasks.iter().copied(),
-        );
+        let (users, tasks, load, kept) = slot.hop_view(universe.agents_gen);
+        let hit = kept.is_some();
+        *last_memo_hit = hit;
         let inst = problem.instance();
-        let ctx = HopContext {
+        let mut ctx = HopContext {
             beta: self.engine.config().beta,
-            phi_now: slot.load.phi,
+            phi_now: load.phi,
             d_max_ms: inst.d_max_ms(),
             allowed: |l: AgentId| universe.available[l.index()],
-            fits: |load: &SessionLoad| fits(load, &slot.load, reserved, inst),
+            fits: |demand: &[AgentDemand]| {
+                demand_fits(demand.iter().copied(), load, reserved, inst)
+            },
         };
-        let outcome = self
-            .engine
-            .gibbs_step(&mut hood, ctx, &mut hop.candidates, rng);
-        self.obs
-            .note_hop_candidates(hop.candidates.bounded, hop.candidates.folded);
-        let HopOutcome::Migrated(decision) = outcome else {
-            self.counters.stays.fetch_add(1, Ordering::Relaxed);
-            self.note_stay();
-            return outcome;
+        // A hit compiles nothing unless its draw has to weigh a
+        // candidate after all.
+        let mut hood = Neighborhood::deferred(eval, problem, s, users, tasks);
+        let outcome = match kept {
+            Some(kept) => {
+                candidates.reset_counts();
+                (self.engine).draw(&mut hood, &mut ctx, kept, candidates, rng)
+            }
+            None => {
+                // Warming the flight slot here overlaps the ring's
+                // cache miss with the sweep instead of stalling the
+                // closing record.
+                self.obs.warm_flight();
+                (self.engine).gibbs_step(&mut hood, &mut ctx, swept, candidates, rng)
+            }
         };
-        // The kernel derives the drawn candidate's load (the bits its
-        // fold during the sweep gave, or would have given) and names
-        // its slot, which serves both the journaled old assignment and
-        // the commit below.
-        let (index, load) = hood.candidate(decision);
-        let swap = self.ledger.try_swap(s, SessionHold::from_load(load));
-        // Attempt/conflict counters keyed by session — no clock reads;
-        // contention shows up as a conflict ratio, not a latency. The
-        // plane masks the key onto its counter shards itself.
-        self.obs.note_swap(s.index(), swap.is_err());
-        match swap {
-            Ok(()) => {
-                *last_delta_phi = load.phi - slot.load.phi;
-                let old_agent = self.commit_hop(&mut slot, decision, index, load);
+        if let Some(counts) = counts {
+            counts.memo_hits += u64::from(hit);
+            counts.candidates_bounded += u64::from(candidates.bounded);
+            counts.candidates_folded += u64::from(candidates.folded);
+        }
+        if let HopOutcome::Migrated(decision) = outcome {
+            // The kernel derives the drawn candidate's load (the bits
+            // its fold during the sweep gave, or would have given) and
+            // names its slot, which serves both the journaled old
+            // assignment and the commit below. Whatever the migration
+            // was drawn from, the ledger's checked `try_swap` decides.
+            let (index, moved) = hood.candidate(decision);
+            let swap = self.ledger.try_swap(s, SessionHold::from_load(moved));
+            // Attempt/conflict counters keyed by session — no clock
+            // reads; contention shows up as a conflict ratio, not a
+            // latency. The plane masks the key onto its counter shards
+            // itself.
+            self.obs.note_swap(s.index(), swap.is_err());
+            if swap.is_ok() {
+                *last_delta_phi = moved.phi - load.phi;
+                let old_agent = self.commit_hop(&mut slot, decision, index, eval.load_mut());
                 self.log_op(|| FleetOp::Hop {
                     session: s,
                     decision,
                     old_agent,
                 });
-                HopOutcome::Migrated(decision)
+                return Some(outcome);
             }
-            Err(_) => {
-                // A concurrent hop consumed the capacity between the
-                // residual snapshot and the commit — stay put.
-                *last_swap_conflict = true;
-                self.counters.stays.fetch_add(1, Ordering::Relaxed);
-                self.note_stay();
-                HopOutcome::Stayed
-            }
+            // A concurrent hop consumed the capacity between the
+            // residual snapshot and the commit — stay put.
+            *last_swap_conflict = true;
         }
+        // The session stays where it was swept: what a miss swept is
+        // the next hop's memo, copied once.
+        if !hit && self.engine.keeps_memos() {
+            slot.keep_memo(swept, universe.agents_gen);
+        }
+        self.counters.stays.fetch_add(1, Ordering::Relaxed);
+        self.note_stay();
+        Some(match outcome {
+            HopOutcome::NoFeasibleMove => outcome,
+            _ => HopOutcome::Stayed,
+        })
     }
 
     /// Commits a weighed migration whose hold the ledger has already
     /// swapped in — the live hop after its checked `try_swap`, `Hop`
-    /// replay after its `force_swap`: writes `decision`'s target into
-    /// the slot's placement at `index` (its
-    /// [`UapProblem::local_index`]), installs `load`, counts the
-    /// migration. Returns the agent moved from.
+    /// replay after its `force_swap`: moves the slot by `decision`
+    /// (`index` its [`UapProblem::local_index`]), swapping `load` in
+    /// ([`SessionSlot::relocate`] — the slot's memo goes with its old
+    /// placement), and counts the migration. Returns the agent moved
+    /// from.
     pub(crate) fn commit_hop(
         &self,
         slot: &mut SessionSlot,
         decision: Decision,
         index: usize,
-        load: &SessionLoad,
+        load: &mut SessionLoad,
     ) -> AgentId {
-        let old_agent = std::mem::replace(slot.agent_mut(decision, index), decision.target());
-        slot.load.clone_from(load);
         self.counters.migrations.fetch_add(1, Ordering::Relaxed);
-        old_agent
+        slot.relocate(decision, index, load)
+    }
+
+    /// Drops every live slot's hop memo, so the next hop of each
+    /// session sweeps — what the retained ≡ forgotten twin tests call
+    /// before every hop of the forgetful twin.
+    #[cfg(test)]
+    pub(crate) fn forget_hop_memos(&self) {
+        for (_, mut slot) in self.freeze.read().live_slots() {
+            slot.forget_memo();
+        }
     }
 
     /// Whether session `s` is live (`false` for any other id, registered or not).
@@ -1633,7 +1760,7 @@ impl Fleet {
         let u = self.freeze.read();
         let mut acc = MetricsAcc::default();
         for (_, slot) in u.live_slots() {
-            acc.add(&slot.load);
+            acc.add(&slot, u.agents_gen);
         }
         acc.finish()
     }
@@ -1647,7 +1774,7 @@ impl Fleet {
         let mut acc = MetricsAcc::default();
         let mut active = Vec::new();
         let totals = live_totals_locked(&u, |s, slot| {
-            acc.add(&slot.load);
+            acc.add(slot, u.agents_gen);
             active.push(s);
         });
         (
@@ -1716,10 +1843,10 @@ impl Fleet {
         let mut active = vec![false; inst.num_sessions()];
         for (s, slot) in u.live_slots() {
             for (i, &w) in inst.session(s).users().iter().enumerate() {
-                user_agents[w.index()] = slot.users[i];
+                user_agents[w.index()] = slot.users()[i];
             }
             for (i, &t) in u.problem.tasks().of_session(s).iter().enumerate() {
-                task_agents[t.index()] = slot.tasks[i];
+                task_agents[t.index()] = slot.tasks()[i];
             }
             active[s.index()] = true;
         }
@@ -1755,13 +1882,14 @@ impl Fleet {
             // Union of the two touched sets: stale load on an agent the
             // fresh evaluation does NOT touch must count as drift too
             // (duplicate visits are harmless for a max-of-abs).
-            for &a in fresh.touched.iter().chain(slot.load.touched.iter()) {
+            let stored = slot.load();
+            for &a in fresh.touched.iter().chain(stored.touched.iter()) {
                 let i = a as usize;
-                drift = drift.max((fresh.download[i] - slot.load.download[i]).abs());
-                drift = drift.max((fresh.upload[i] - slot.load.upload[i]).abs());
+                drift = drift.max((fresh.download[i] - stored.download[i]).abs());
+                drift = drift.max((fresh.upload[i] - stored.upload[i]).abs());
             }
-            drift = drift.max((fresh.phi - slot.load.phi).abs());
-            slot.load.clone_from(fresh);
+            drift = drift.max((fresh.phi - stored.phi).abs());
+            slot.reload(fresh);
         }
         drift
     }
@@ -1827,12 +1955,7 @@ impl Fleet {
 /// The sparse feasibility rule of hops and evacuations — the paper's
 /// constraints (5)–(8) for one session's candidate `load` replacing its
 /// committed `old`, against `reserved` (what every live session holds,
-/// `old` included): the delay bound first, then, per agent the
-/// candidate *touches* only, `new − old ≤ capacity − reserved`. The
-/// mirror of the closed-world `totals − old + new ≤ capacity` check;
-/// an agent that advertises unlimited transcoding never refuses, and
-/// the free capacity is signed — an agent a forced evacuation overshot
-/// takes only candidates that lower its load by at least the overshoot.
+/// `old` included): the delay bound first, then [`demand_fits`].
 pub(crate) fn fits(
     load: &SessionLoad,
     old: &SessionLoad,
@@ -1842,19 +1965,36 @@ pub(crate) fn fits(
     if load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
         return false;
     }
-    for &a in &load.touched {
-        let i = a as usize;
+    demand_fits(load.demand(), old, reserved, inst)
+}
+
+/// The capacity half of [`fits`], constraints (5)–(7), on a candidate's
+/// sparse [demand](SessionLoad::demand) — all a hop keeps of a
+/// candidate between sweeps: per agent the candidate *touches* only,
+/// `new − old ≤ capacity − reserved`. The mirror of the closed-world
+/// `totals − old + new ≤ capacity` check; an agent that advertises
+/// unlimited transcoding never refuses, and the free capacity is signed
+/// — an agent a forced evacuation overshot takes only candidates that
+/// lower its load by at least the overshoot.
+pub(crate) fn demand_fits(
+    demand: impl IntoIterator<Item = AgentDemand>,
+    old: &SessionLoad,
+    reserved: &AgentTotals,
+    inst: &Instance,
+) -> bool {
+    for new in demand {
+        let i = new.agent as usize;
         let cap = inst.agent(AgentId::from(i)).capacity();
         let free_download = cap.download_mbps - reserved.download[i];
-        if load.download[i] - old.download[i] > free_download + CAPACITY_EPS {
+        if new.download - old.download[i] > free_download + CAPACITY_EPS {
             return false;
         }
         let free_upload = cap.upload_mbps - reserved.upload[i];
-        if load.upload[i] - old.upload[i] > free_upload + CAPACITY_EPS {
+        if new.upload - old.upload[i] > free_upload + CAPACITY_EPS {
             return false;
         }
         if cap.transcode_slots != u32::MAX
-            && f64::from(load.transcode_units[i]) - f64::from(old.transcode_units[i])
+            && f64::from(new.transcode_units) - f64::from(old.transcode_units[i])
                 > f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i])
         {
             return false;
@@ -1871,7 +2011,7 @@ pub(crate) fn fits(
 fn live_totals_locked(u: &Universe, mut visit: impl FnMut(SessionId, &SessionSlot)) -> AgentTotals {
     let mut totals = AgentTotals::zero(u.problem.instance().num_agents());
     for (s, slot) in u.live_slots() {
-        totals.add(&slot.load);
+        totals.add(slot.load());
         visit(s, &slot);
     }
     totals
@@ -1912,14 +2052,14 @@ pub(crate) fn placement_of_slot(
         .session(s)
         .users()
         .iter()
-        .zip(&slot.users)
+        .zip(slot.users())
         .map(|(&u, &a)| (u, a))
         .collect();
     let tasks = problem
         .tasks()
         .of_session(s)
         .iter()
-        .zip(&slot.tasks)
+        .zip(slot.tasks())
         .map(|(&t, &a)| (t, a))
         .collect();
     (users, tasks)
@@ -1933,7 +2073,7 @@ pub(crate) fn placement_hash(slot: &SessionSlot) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    for &a in slot.users.iter().chain(slot.tasks.iter()) {
+    for &a in slot.users().iter().chain(slot.tasks()) {
         h = (h ^ a.index() as u64).wrapping_mul(FNV_PRIME);
     }
     h

@@ -17,7 +17,9 @@
 //!   ledger re-synced), `hop_session` (one Alg. 1 HOP under the
 //!   **sharded FREEZE**: hops take a shared lock + their session's
 //!   slot, and commit capacity through the ledger's checked
-//!   `try_swap`, so hops on different sessions run concurrently), and
+//!   `try_swap`, so hops on different sessions run concurrently; the
+//!   slot keeps the hop's *sweep* so that a session that stayed only
+//!   *draws* next time — [`fleet`]'s "A hop is a sweep and a draw"), and
 //!   `register_session` (**open-world growth**: a never-before-seen
 //!   conference joins the universe online — the FREEZE lock owns the
 //!   growable problem and the map of *live* sessions' slots; slot
@@ -131,6 +133,7 @@ pub mod orchestrator;
 pub mod persist;
 pub mod readmit;
 pub mod sched;
+mod slot;
 pub mod telemetry;
 #[cfg(test)]
 mod tests;

@@ -1038,13 +1038,12 @@ impl Fleet {
             for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
                 let users = inst.session(s).users().iter();
                 let tasks = problem.tasks().of_session(s).iter();
-                let mut slot = fleet::SessionSlot {
-                    users: users.map(|w| durable.user_agents[w.index()]).collect(),
-                    tasks: tasks.map(|t| durable.task_agents[t.index()]).collect(),
-                    load: vc_core::SessionLoad::default(),
-                };
-                slot.load = fleet::evaluate_slot(problem, s, &slot, &mut scratch).clone();
-                slots.insert(s, Mutex::new(slot));
+                let slot = fleet::SessionSlot::new(
+                    users.map(|w| durable.user_agents[w.index()]).collect(),
+                    tasks.map(|t| durable.task_agents[t.index()]).collect(),
+                );
+                let load = fleet::evaluate_slot(problem, s, &slot, &mut scratch).clone();
+                slots.insert(s, Mutex::new(slot.loaded(load)));
             }
         }
         // Availability flags were installed with the universe above;
@@ -1244,7 +1243,7 @@ impl Fleet {
                 let index = problem.local_index(*session, *decision).ok_or_else(|| {
                     PersistError::Replay(format!("hop {decision} targets a foreign session"))
                 })?;
-                let current = *slot.agent_mut(*decision, index);
+                let current = slot.agent(*decision, index);
                 if current != *old_agent {
                     return Err(PersistError::Replay(format!(
                         "hop {decision} expected old assignment {old_agent}, state has {current}"
@@ -1259,8 +1258,8 @@ impl Fleet {
                     scratch,
                     problem,
                     *session,
-                    slot.users.iter().copied(),
-                    slot.tasks.iter().copied(),
+                    slot.users().iter().copied(),
+                    slot.tasks().iter().copied(),
                 );
                 let (_, load) = hood.candidate(*decision);
                 self.ledger
@@ -1268,7 +1267,7 @@ impl Fleet {
                     .map_err(|e| {
                         PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
                     })?;
-                self.commit_hop(&mut slot, *decision, index, load);
+                self.commit_hop(&mut slot, *decision, index, scratch.load_mut());
             }
             FleetOp::StayBatch { count } => {
                 self.counters

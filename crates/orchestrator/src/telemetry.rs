@@ -17,10 +17,18 @@ use vc_obs::{Watchdog, WatchdogFire};
 /// control-plane state next to the plane's own latency series. Every
 /// [`FleetSnapshot`] gauge is there as `vc_fleet_<gauge>` except
 /// `conservation_violations`: the audit needs the exclusive FREEZE,
-/// and a scrape takes the shared lock only.
+/// and a scrape takes the shared lock only. Beside `live_sessions` it
+/// serves `vc_fleet_sessions_settled` from the same slot walk — the
+/// live sessions whose last sweep is still valid and found no
+/// neighbour with a lower `Φ`; the rest are still searching. (A scrape
+/// gauge only: [`FleetSnapshot`]'s fields are pinned by the v6 wire
+/// golden.)
 pub fn fleet_metrics_text(fleet: &Fleet) -> String {
     let mut out = String::with_capacity(2048);
-    FleetSnapshot::observe(fleet, 0.0, fleet.metrics(), 0).write_prometheus(&mut out);
+    let m = fleet.metrics();
+    FleetSnapshot::observe(fleet, 0.0, m, 0).write_prometheus(&mut out);
+    let _ = writeln!(out, "# TYPE vc_fleet_sessions_settled gauge");
+    let _ = writeln!(out, "vc_fleet_sessions_settled {}", m.settled);
     // Per-region residual/occupancy gauges (elastic capacity); unlimited
     // agents sum to an infinite residual.
     fn prom(v: f64) -> String {

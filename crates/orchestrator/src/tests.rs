@@ -844,11 +844,7 @@ mod persistence {
                 // What `admit_locked` does once the engine has decided:
                 // the scratch holds the accepted placement's load.
                 let mut u = live.freeze_exclusive();
-                let placed = SessionSlot {
-                    users: vec![on; users.len()],
-                    tasks: vec![on; tasks.len()],
-                    load: vc_core::SessionLoad::default(),
-                };
+                let placed = SessionSlot::new(vec![on; users.len()], vec![on; tasks.len()]);
                 evaluate_slot(&problem, s, &placed, &mut eval);
                 let accepted = Accepted {
                     users: &users,
@@ -1327,5 +1323,362 @@ mod persistence {
         // The closed-world trace never grows the universe: the size
         // series is the constant instance size.
         assert_eq!(t.series("universe_sessions").last_value(), Some(6.0));
+    }
+}
+
+mod hop_memo {
+    //! A slot's kept [`HopMemo`](vc_algo::markov::HopMemo): when the
+    //! next hop may re-read it, and that re-reading it changes nothing
+    //! a fleet records.
+
+    use super::*;
+    use crate::persist::PersistConfig;
+    use proptest::prelude::*;
+    use rand::RngCore;
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+    use vc_model::AgentDef;
+    use vc_persist::journal::FsyncPolicy;
+
+    fn config(beta: f64) -> FleetConfig {
+        FleetConfig {
+            placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+            alg1: Alg1Config::paper(beta),
+            ledger_shards: 2,
+            ..FleetConfig::default()
+        }
+    }
+
+    /// A fourth (fifth, …) agent for the small universe, a little
+    /// further out than the seed three.
+    fn late_agent(fleet: &Fleet) -> AgentDef {
+        let (agents, (_, users)) = (fleet.num_agents(), fleet.universe_size());
+        AgentDef {
+            spec: AgentSpec::builder(format!("late{agents}"))
+                .capacity(Capacity::new(120.0, 120.0, 6))
+                .build(),
+            inter_agent_ms: (0..agents).map(|k| 30.0 + 4.0 * k as f64).collect(),
+            user_delays_ms: (0..users).map(|u| 9.0 + ((u * 11) % 17) as f64).collect(),
+        }
+    }
+
+    /// Hops `s` once; whether the hop drew from the slot's kept memo.
+    fn hop_hits(fleet: &Fleet, s: SessionId, seed: u64) -> (HopOutcome, bool) {
+        let before = fleet.obs().hop_memo_hits();
+        let outcome = fleet.hop_session(s, &mut StdRng::seed_from_u64(seed));
+        (outcome, fleet.obs().hop_memo_hits() > before)
+    }
+
+    /// Hops `s` until a hop is a hit (its slot then holds a memo).
+    fn settle(fleet: &Fleet, s: SessionId) {
+        let hit = (0..64).any(|seed| hop_hits(fleet, s, seed).1);
+        assert!(hit, "{s} never stayed twice in a row");
+    }
+
+    /// Every cause of the invalidation rule, one at a time: after it,
+    /// the next hop of every live session sweeps again — and the one
+    /// after that re-reads, unless the sweep's own hop migrated.
+    #[test]
+    fn every_placement_or_agent_set_change_makes_the_next_hop_a_miss() {
+        let f = Fleet::new(universe(120.0, 6), config(400.0));
+        let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
+        for &s in &live {
+            f.admit(s).unwrap();
+            // A fresh slot has nothing to re-read.
+            assert!(!hop_hits(&f, s, 1).1);
+        }
+        let a = AgentId::new(1);
+        let late = late_agent(&f);
+        type Cause<'a> = (&'a str, Box<dyn Fn(&Fleet) + 'a>);
+        let causes: Vec<Cause<'_>> = vec![
+            // Evacuation moves every session on the agent (its slot is
+            // written) and changes what every other session may target.
+            ("fail_agent", Box::new(|f| _ = f.fail_agent(a))),
+            ("restore_agent", Box::new(|f| assert!(f.restore_agent(a)))),
+            (
+                "register_agent",
+                Box::new(|f| _ = f.register_agent(&late, "default").unwrap()),
+            ),
+            (
+                "drain_agent",
+                Box::new(|f| _ = f.drain_agent(AgentId::new(2))),
+            ),
+        ];
+        for (name, cause) in causes {
+            for &s in &live {
+                settle(&f, s);
+            }
+            let settled = f.metrics().settled;
+            assert!(settled > 0, "before {name}: nobody settled at β = 400");
+            cause(&f);
+            assert_eq!(f.metrics().settled, 0, "after {name}: a memo survived");
+            for &s in &live {
+                assert!(
+                    !hop_hits(&f, s, 3).1,
+                    "after {name}: {s} re-read a stale sweep"
+                );
+            }
+            assert!(f.audit().is_empty(), "after {name}");
+        }
+        // A refused restore (the agent is drained) changes nothing and
+        // drops nothing.
+        for &s in &live {
+            settle(&f, s);
+        }
+        assert!(!f.restore_agent(AgentId::new(2)));
+        assert!(live
+            .iter()
+            .all(|&s| hop_hits(&f, s, 5).1 || f.metrics().settled < 6));
+        // A departure takes the slot, memo and all; a re-admission
+        // starts without one.
+        let s = live[0];
+        settle(&f, s);
+        f.depart(s).unwrap();
+        f.admit(s).unwrap();
+        assert!(!hop_hits(&f, s, 7).1);
+    }
+
+    /// The commit cause, at β = 0.05 where hops migrate freely and every
+    /// candidate is stored: a hit may draw a migration, it commits
+    /// through `try_swap` like any other, and the slot it moved keeps
+    /// no memo of the placement it left.
+    #[test]
+    fn a_committed_hop_drops_the_memo_it_was_drawn_from() {
+        let f = Fleet::new(universe(120.0, 6), config(0.05));
+        let s = SessionId::new(0);
+        f.admit(s).unwrap();
+        let (mut hit_migrations, mut seed) = (0, 0);
+        while hit_migrations < 3 {
+            seed += 1;
+            assert!(seed < 500, "β = 0.05 and nothing migrates from a hit");
+            let attempts = f.obs().swap_counters().iter().map(|c| c.0).sum::<u64>();
+            let (outcome, hit) = hop_hits(&f, s, seed);
+            if let HopOutcome::Migrated(_) = outcome {
+                let swaps = f.obs().swap_counters().iter().map(|c| c.0).sum::<u64>();
+                assert_eq!(swaps, attempts + 1, "a drawn migration is a checked swap");
+                hit_migrations += usize::from(hit);
+                assert!(!hop_hits(&f, s, seed).1, "the hop after a migration sweeps");
+            }
+            assert!(f.audit().is_empty());
+        }
+    }
+
+    /// `sessions_settled` beside `live_sessions`, from the scrape's own
+    /// slot walk; `vc_obs_hop_memo_hits` beside the candidate counters.
+    #[test]
+    fn settled_sessions_and_memo_hits_are_scrapeable() {
+        let f = Fleet::new(universe(120.0, 6), config(400.0));
+        for i in 0..6 {
+            f.admit(SessionId::new(i)).unwrap();
+        }
+        let text = crate::telemetry::fleet_metrics_text(&f);
+        assert!(text.contains("vc_fleet_live_sessions 6\n"));
+        assert!(
+            text.contains("vc_fleet_sessions_settled 0\n"),
+            "nobody has hopped"
+        );
+        for i in 0..6 {
+            settle(&f, SessionId::new(i));
+        }
+        let settled = f.metrics().settled;
+        assert!((1..=6).contains(&settled));
+        let text = crate::telemetry::fleet_metrics_text(&f);
+        assert!(text.contains(&format!("vc_fleet_sessions_settled {settled}\n")));
+        let hits = f.obs().hop_memo_hits();
+        assert!(hits >= 6);
+        let text = vc_obs::prometheus_text(f.obs());
+        assert!(text.contains(&format!("vc_obs_hop_memo_hits {hits}\n")));
+    }
+
+    /// A worker's tally reaches the plane at every `tick_until` return,
+    /// so between drives the per-hop counters are exact.
+    #[test]
+    fn pool_drives_leave_the_hop_counters_exact() {
+        let f = Fleet::new(universe(120.0, 6), config(400.0));
+        let pool = ReoptPool::new(5);
+        for i in 0..6 {
+            f.admit(SessionId::new(i)).unwrap();
+            pool.register(&f, SessionId::new(i), 0.0);
+        }
+        let mut hops = 0;
+        for t in 1..=20 {
+            hops += pool.tick_until(&f, 7.0 * t as f64);
+            assert_eq!(f.obs().freeze_read_fast(), hops as u64);
+        }
+        assert!(hops > 6 * 5);
+        let hits = f.obs().hop_memo_hits();
+        assert!(hits > 0 && hits < hops as u64, "{hits} hits in {hops} hops");
+    }
+
+    fn store_dir(name: &str) -> PathBuf {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp-persist")
+            .join(format!("memo-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn persist(dir: &Path) -> PersistConfig {
+        PersistConfig {
+            dir: dir.to_path_buf(),
+            fsync: FsyncPolicy::Manual,
+            stay_batch: 4,
+        }
+    }
+
+    /// Every journal and snapshot file of a store, by name.
+    fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for entry in std::fs::read_dir(dir).expect("store directory") {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name != "LOCK" {
+                files.insert(name, std::fs::read(entry.path()).expect("store file"));
+            }
+        }
+        files
+    }
+
+    /// One twin of the retained ≡ forgotten pair.
+    struct Twin {
+        fleet: Fleet,
+        dir: PathBuf,
+        forgets: bool,
+    }
+
+    impl Twin {
+        fn new(name: &str, beta: f64, forgets: bool) -> Self {
+            let dir = store_dir(name);
+            let fleet = Fleet::with_persistence(universe(120.0, 6), config(beta), persist(&dir))
+                .expect("persistent fleet");
+            Self {
+                fleet,
+                dir,
+                forgets,
+            }
+        }
+
+        /// One hop: its outcome and the RNG's next word after it.
+        fn hop(&self, s: SessionId, seed: u64) -> (HopOutcome, u64) {
+            if self.forgets {
+                self.fleet.forget_hop_memos();
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            (self.fleet.hop_session(s, &mut rng), rng.next_u64())
+        }
+
+        /// Kills the fleet at a durability boundary and recovers it.
+        fn crash_and_recover(self, beta: f64) -> Self {
+            let Self {
+                fleet,
+                dir,
+                forgets,
+            } = self;
+            fleet.commit_journal().expect("commit");
+            drop(fleet);
+            let (fleet, _) =
+                Fleet::recover(persist(&dir), universe(120.0, 6), config(beta)).expect("recovery");
+            Self {
+                fleet,
+                dir,
+                forgets,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Retained ≡ forgotten over random histories: two journaled
+        /// fleets run the same registrations, admissions, departures,
+        /// hops, failures, restores, drains and agent registrations,
+        /// crash and recover half way (a recovered fleet holds no
+        /// memo); one forgets every memo before every hop. Hop outcomes,
+        /// the RNG after each hop, `durable_state()`, Φ bits and every
+        /// byte of the stores are equal — at β = 400, where memos are
+        /// mostly placeholders, and at β = 0.05, where every candidate
+        /// is stored and hits migrate.
+        #[test]
+        fn a_fleet_that_keeps_memos_equals_one_that_forgets_them(
+            ops in prop::collection::vec((0u8..14, 0usize..64), 30..90),
+            low_beta in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let beta = if low_beta { 0.05 } else { 400.0 };
+            let case = format!("{seed:016x}");
+            let mut twins = [
+                Twin::new(&format!("keep-{case}"), beta, false),
+                Twin::new(&format!("forget-{case}"), beta, true),
+            ];
+            let crash_at = ops.len() / 2;
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                if step == crash_at {
+                    twins = twins.map(|t| t.crash_and_recover(beta));
+                }
+                let sessions = twins[0].fleet.universe_size().0;
+                let agents = twins[0].fleet.num_agents();
+                let (s, a) = (SessionId::from(arg % sessions), AgentId::from(arg % agents));
+                let up = |f: &Fleet| (0..agents).filter(|&l| f.is_agent_available(AgentId::from(l))).count();
+                let mut hops = Vec::new();
+                for twin in &twins {
+                    let f = &twin.fleet;
+                    match op {
+                        0 | 1 => _ = f.admit(s),
+                        2 => _ = f.depart(s),
+                        3 if f.is_agent_available(a) && up(f) > 1 => _ = f.fail_agent(a),
+                        3 => _ = f.restore_agent(a),
+                        4 if arg % 5 == 0 && f.is_agent_available(a) && up(f) > 2 => {
+                            _ = f.drain_agent(a)
+                        }
+                        5 if arg % 4 == 0 && agents < 5 => {
+                            _ = f.register_agent(&late_agent(f), "default").expect("registers")
+                        }
+                        6 if arg % 3 == 0 && sessions < 9 && agents == 3 => {
+                            let def = late_conference(&f.problem(), 9.0 + arg as f64);
+                            _ = f.register_session(&def).expect("registers")
+                        }
+                        _ => hops.push(twin.hop(s, seed ^ step as u64)),
+                    }
+                }
+                if let [kept, forgotten] = hops[..] {
+                    prop_assert_eq!(kept, forgotten, "step {}: hop of {}", step, s);
+                }
+            }
+            let [kept, forgotten] = twins;
+            for twin in [&kept, &forgotten] {
+                twin.fleet.commit_journal().expect("commit");
+                prop_assert!(twin.fleet.audit().is_empty());
+            }
+            prop_assert_eq!(kept.fleet.durable_state(), forgotten.fleet.durable_state());
+            prop_assert_eq!(
+                kept.fleet.objective().to_bits(),
+                forgotten.fleet.objective().to_bits()
+            );
+            prop_assert_eq!(forgotten.fleet.obs().hop_memo_hits(), 0);
+            prop_assert!(store_files(&kept.dir) == store_files(&forgotten.dir), "stores differ");
+            for dir in [&kept.dir, &forgotten.dir] {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// The proptest above is not vacuous: on its universe a fleet that
+    /// keeps memos does re-read them, at both β.
+    #[test]
+    fn the_twin_universe_does_hit() {
+        for beta in [0.05, 400.0] {
+            let f = Fleet::new(universe(120.0, 6), config(beta));
+            for i in 0..6 {
+                f.admit(SessionId::new(i)).unwrap();
+            }
+            for round in 0..60u64 {
+                f.hop_session(
+                    SessionId::from(round as usize % 6),
+                    &mut StdRng::seed_from_u64(round),
+                );
+            }
+            let hits = f.obs().hop_memo_hits();
+            assert!(hits > 10, "β = {beta}: {hits} hits in 60 hops");
+        }
     }
 }

@@ -229,9 +229,9 @@ impl ReoptPool {
     /// when nothing is due.
     fn step_one(&self, fleet: &Fleet, horizon_us: u64, scratch: &mut FleetHopScratch) -> bool {
         // WAIT-wakeup dispatch span (scheduler pop, including shard
-        // lock waits), sampled 1-in-32 so the extra clock reads stay
+        // lock waits), sampled 1-in-128 so the extra clock reads stay
         // inside the observability overhead budget (the dispatch rate
-        // is the hop rate — even 1/32 is thousands of samples/s);
+        // is the hop rate — even 1/128 is thousands of samples/s);
         // `WakeupDispatched` trace events piggyback on the same sampled
         // ticks, so tracing adds no clock reads here.
         let obs = fleet.obs();
@@ -255,7 +255,7 @@ impl ReoptPool {
             obs.note_trace(TraceKind::WakeupDispatched, s.index() as u32, due_us);
         }
         let mut hop_rng = draw_rng(self.seed, s, epoch, draws, STREAM_HOP);
-        fleet.hop_session_with(s, &mut hop_rng, scratch);
+        let hopped = fleet.hop_live_with(s, &mut hop_rng, scratch);
         self.hops_executed.fetch_add(1, Ordering::Relaxed);
         let next_draws = draws + 1;
         let mut wait_rng = draw_rng(self.seed, s, epoch, next_draws, STREAM_WAIT);
@@ -263,10 +263,13 @@ impl ReoptPool {
         // The session may have departed (or been re-registered) while
         // we hopped; `complete` re-arms only the current registration,
         // and retires the worker if the session died fleet-side
-        // without a deregister.
-        let next = fleet
-            .is_live(s)
-            .then_some((due_us + to_us(wait), next_draws));
+        // without a deregister — which the hop itself reports: it
+        // found a slot or it did not. On the virtual clock nothing
+        // runs between the hop and here, so that is what a second
+        // look at the fleet would say; under threads a session
+        // displaced in between is re-armed once more and retires at
+        // its next wakeup, whose hop finds no slot.
+        let next = hopped.map(|_| (due_us + to_us(wait), next_draws));
         let outcome = self.queue.complete(s, epoch, next, Some(obs));
         // Re-arm events ride the same sampled ticks as the dispatch
         // span, so a sampled wakeup traces as dispatch → next deadline.
@@ -309,6 +312,8 @@ impl ReoptPool {
                 break;
             }
         }
+        // The plane's per-hop counters are exact between drives.
+        scratch.flush_counts();
         n
     }
 
