@@ -253,7 +253,7 @@ const EXPERIMENTS: [Experiment; 19] = [
     // windows and cancel in the per-window ratio — 16 virtual seconds:
     // this no-churn fleet re-reads its sweeps on nearly every hop, at
     // well under a microsecond each, and ≈38k hops fill the ≈20 ms
-    // that ≈4.8k took when every hop swept (the traced arm's one
+    // that ≈4.8k took when every hop swept (the enabled twin's one
     // watchdog observation per window is ≈80 µs whatever the window
     // holds); 256 pairs so the median's own sampling error shrinks to
     // a fraction of the budget (see the obs_overhead module docs).

@@ -42,13 +42,11 @@
 //!   re-takes the median over everything gathered: a noise epoch that
 //!   skewed one batch washes out, while a genuine regression stays
 //!   over budget under any amount of data.
-//! * **Two enabled arms.** Window pairs alternate (in groups of two,
-//!   so each arm still runs both role orders) between plain
-//!   observability and observability **with lifecycle tracing and one
-//!   SLO-watchdog observation per window** — the full PR-7 plane. Both
-//!   arms report a median overhead (`overhead_fraction`,
-//!   `overhead_fraction_traced`) and both must clear the same 2 %
-//!   budget.
+//! * **One enabled arm: what the fleet runs.** The plane has one gate,
+//!   so "enabled" is the whole of it — sampled spans, the batched hop
+//!   counters, the lifecycle event ring — plus one SLO-watchdog
+//!   observation per window, at the cadence a telemetry sampler would
+//!   run it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,17 +89,10 @@ pub struct ObsOverheadResult {
     /// Aggregate enabled rate: total hops / total CPU seconds.
     pub rate_enabled: f64,
     /// `max(0, 1 − median_w(t_disabled,w / t_enabled,w))` over the
-    /// per-window twin wall-time ratios — the robust overhead estimate
-    /// (plain-observability windows: spans + flight recorder, tracing
-    /// off).
+    /// per-window twin wall-time ratios — the robust overhead estimate.
     pub overhead_fraction: f64,
     /// Whether `overhead_fraction ≤` [`OVERHEAD_BUDGET`].
     pub within_budget: bool,
-    /// The same median over the windows where the enabled twin also
-    /// ran lifecycle tracing and a per-window SLO-watchdog observation.
-    pub overhead_fraction_traced: f64,
-    /// Whether `overhead_fraction_traced ≤` [`OVERHEAD_BUDGET`].
-    pub within_budget_traced: bool,
     /// Median fleet-hop latency (µs) over all enabled segments.
     pub hop_p50_us: f64,
     /// p99 fleet-hop latency (µs) over all enabled segments.
@@ -210,10 +201,9 @@ fn build_twin(problem: &Arc<UapProblem>, seed: u64, warmup_s: f64) -> (Fleet, Re
 /// added.
 pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> ObsOverheadResult {
     let problem = build_problem(sessions_target, seed);
-    // A multiple of 4: pairs alternate plain/traced in groups of two,
-    // and within each group the enabled role runs once on each twin —
-    // every (arm, twin) cell gets the same number of windows.
-    let rounds = (rounds.max(1) + 3) & !3;
+    // Even: the enabled role runs the same number of windows on each
+    // twin.
+    let rounds = (rounds.max(1) + 1) & !1;
     let warmup_s = segment_s.max(20.0);
     let twins = [
         build_twin(&problem, seed, warmup_s),
@@ -223,15 +213,13 @@ pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> 
 
     let mut disabled = Vec::with_capacity(rounds);
     let mut enabled = Vec::with_capacity(rounds);
-    let mut ratios_plain = Vec::with_capacity(rounds / 2);
-    let mut ratios_traced = Vec::with_capacity(rounds / 2);
+    let mut ratios = Vec::with_capacity(rounds);
     let (mut hops_dis, mut hops_en) = (0usize, 0usize);
     let (mut time_dis, mut time_en) = (0f64, 0f64);
     let mut cpu_clock = true;
     let mut t_virtual = warmup_s;
     let mut overhead_fraction = 0.0;
-    let mut overhead_fraction_traced = 0.0;
-    // The watchdog whose per-window `observe` the traced arm pays for.
+    // The watchdog whose per-window `observe` the enabled twin pays for.
     // Default SLO budgets are far above this workload's healthy tails,
     // so it never fires mid-measurement.
     let watchdog = vc_obs::Watchdog::new(vc_obs::SloSpec::default());
@@ -252,23 +240,19 @@ pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> 
     for batch in 0..=MAX_EXTENSIONS {
         for pair in 0..rounds {
             // Both twins cross the same virtual window; roles swap per
-            // pair, and the enabled arm alternates plain/traced in
-            // groups of two so each arm sees both role orders.
+            // pair.
             let on_first = pair % 2 == 1;
-            let traced = (pair / 2) % 2 == 0;
             t_virtual += segment_s;
             let mut window_hops = [0usize; 2];
             let (mut t_off_w, mut t_on_w) = (0f64, 0f64);
             for (i, (fleet, pool)) in twins.iter().enumerate() {
                 let on = (i == 0) == on_first;
                 fleet.obs().set_enabled(on);
-                fleet.obs().set_trace_enabled(on && traced);
                 let clock = SegClock::start();
                 let hops = pool.tick_until(fleet, t_virtual);
-                if on && traced {
-                    // The traced arm pays the watchdog's sampling cost
-                    // inside the timed window, at the cadence a
-                    // telemetry sampler would run it.
+                if on {
+                    // The watchdog's sampling cost falls inside the
+                    // timed window.
                     let _ = watchdog.observe(fleet.obs(), Some(1.0));
                 }
                 // Aggregates on the CPU clock, the window ratio on the
@@ -294,29 +278,22 @@ pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> 
                 window_hops[0], window_hops[1],
                 "twin fleets must execute identical work per virtual window"
             );
-            let ratio = t_off_w / t_on_w.max(1e-9);
-            if traced {
-                ratios_traced.push(ratio);
-            } else {
-                ratios_plain.push(ratio);
-            }
+            ratios.push(t_off_w / t_on_w.max(1e-9));
         }
-        overhead_fraction = median_overhead(&ratios_plain);
-        overhead_fraction_traced = median_overhead(&ratios_traced);
-        if overhead_fraction <= OVERHEAD_BUDGET && overhead_fraction_traced <= OVERHEAD_BUDGET {
+        overhead_fraction = median_overhead(&ratios);
+        if overhead_fraction <= OVERHEAD_BUDGET {
             break;
         }
         if batch < MAX_EXTENSIONS {
             eprintln!(
-                "obs_overhead: plain {:.2}% / traced {:.2}% over {} pairs exceeds the {:.0}% budget — extending the run",
+                "obs_overhead: {:.2}% over {} pairs exceeds the {:.0}% budget — extending the run",
                 overhead_fraction * 100.0,
-                overhead_fraction_traced * 100.0,
-                ratios_plain.len() + ratios_traced.len(),
+                ratios.len(),
                 OVERHEAD_BUDGET * 100.0,
             );
         }
     }
-    let pairs = ratios_plain.len() + ratios_traced.len();
+    let pairs = ratios.len();
     // Both twins recorded enabled windows; merge their hop histograms.
     let mut hop_hist = twins[0].0.obs().snapshot(Site::Hop);
     hop_hist.merge(&twins[1].0.obs().snapshot(Site::Hop));
@@ -334,8 +311,6 @@ pub fn run(sessions_target: usize, segment_s: f64, rounds: usize, seed: u64) -> 
         rate_enabled,
         overhead_fraction,
         within_budget: overhead_fraction <= OVERHEAD_BUDGET,
-        overhead_fraction_traced,
-        within_budget_traced: overhead_fraction_traced <= OVERHEAD_BUDGET,
         hop_p50_us: summary.p50_ns as f64 / 1e3,
         hop_p99_us: summary.p99_ns as f64 / 1e3,
     }
@@ -354,7 +329,6 @@ pub fn to_json(result: &ObsOverheadResult) -> String {
             "  \"rate_disabled\": {:.1},\n  \"rate_enabled\": {:.1},\n",
             "  \"overhead_fraction\": {:.4},\n  \"budget_fraction\": {:.2},\n",
             "  \"within_budget\": {},\n",
-            "  \"overhead_fraction_traced\": {:.4},\n  \"within_budget_traced\": {},\n",
             "  \"hop_p50_us\": {:.1},\n  \"hop_p99_us\": {:.1}\n}}\n"
         ),
         cpus,
@@ -367,8 +341,6 @@ pub fn to_json(result: &ObsOverheadResult) -> String {
         result.overhead_fraction,
         OVERHEAD_BUDGET,
         result.within_budget,
-        result.overhead_fraction_traced,
-        result.within_budget_traced,
         result.hop_p50_us,
         result.hop_p99_us,
     )
@@ -417,15 +389,6 @@ pub fn print(result: &ObsOverheadResult) {
         },
     );
     println!(
-        "with lifecycle tracing + watchdog: overhead {:.2}% — {}",
-        result.overhead_fraction_traced * 100.0,
-        if result.within_budget_traced {
-            "WITHIN BUDGET"
-        } else {
-            "OVER BUDGET"
-        },
-    );
-    println!(
         "enabled-segment hop latency: p50 {:.1} µs, p99 {:.1} µs",
         result.hop_p50_us, result.hop_p99_us
     );
@@ -445,9 +408,9 @@ mod tests {
         let result = run(40, 2.0, 2, 11);
         assert!(result.hops_per_segment > 0);
         // Sequential sampling may extend a noisy run, so `rounds` reports the
-        // pairs actually executed (the request rounds up to a multiple of 4 —
-        // both arms on both twins — bounded by the extension cap).
-        assert!(result.rounds >= 4 && result.rounds <= 4 * (1 + MAX_EXTENSIONS));
+        // pairs actually executed (the request rounds up to even — the
+        // enabled role on both twins — bounded by the extension cap).
+        assert!(result.rounds >= 2 && result.rounds <= 2 * (1 + MAX_EXTENSIONS));
         assert_eq!(result.disabled_hops_per_s.len(), result.rounds);
         assert_eq!(result.enabled_hops_per_s.len(), result.rounds);
         assert!(result.rate_disabled > 0.0 && result.rate_enabled > 0.0);
@@ -457,8 +420,7 @@ mod tests {
         assert!(json.contains("\"obs_overhead\""));
         assert!(json.contains("\"within_budget\""));
         assert!(json.contains("\"budget_fraction\": 0.02"));
-        assert!(json.contains("\"overhead_fraction_traced\""));
-        assert!(json.contains("\"within_budget_traced\""));
+        assert!(json.contains("\"overhead_fraction\""));
     }
 
     #[test]

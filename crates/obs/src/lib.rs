@@ -13,12 +13,12 @@
 //!   recorders (relaxed atomic buckets, per-thread stripes, drained by
 //!   the sampler), span timers gated on one relaxed load when
 //!   disabled, and per-shard swap contention counters;
-//! * [`flight::FlightRecorder`] — a bounded ring of the last N fleet
-//!   ops that dumps a structured post-mortem on conservation
-//!   violation, audit failure, or recovery divergence;
-//! * [`trace::TraceRing`] — causal per-session lifecycle tracing
-//!   (registered → admit → WAIT → hop → depart, global seq +
-//!   per-session chain), exportable as Chrome-trace/Perfetto JSON;
+//! * [`trace::TraceRing`] — the one event ring: causal lifecycle
+//!   tracing (registered → admit → WAIT → hop → depart, plus the
+//!   fleet-scoped causes around them; global seq + per-session chain),
+//!   exportable as Chrome-trace/Perfetto JSON, and whose newest rows a
+//!   structured post-mortem prints on conservation violation, audit
+//!   failure, or recovery divergence;
 //! * [`serve::ObsServer`] — a hand-rolled HTTP/1.0 scrape endpoint
 //!   (`/metrics` Prometheus text, `/trace` Perfetto, `/postmortem`);
 //! * [`watchdog::Watchdog`] — rolling-window SLO burn detectors that
@@ -34,18 +34,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flight;
 pub mod hist;
 pub mod plane;
 pub mod serve;
 pub mod trace;
 pub mod watchdog;
 
-pub use flight::{FlightEvent, FlightRecorder, OpKind};
 pub use hist::{HistSummary, LatencyHist};
-pub use plane::{HopCounts, ObsPlane, SharedHist, Site, FLIGHT_CAPACITY, TRACE_CAPACITY};
+pub use plane::{HopCounts, ObsPlane, SharedHist, Site, POST_MORTEM_EVENTS, TRACE_CAPACITY};
 pub use serve::{http_get, prometheus_text, ObsServer};
-pub use trace::{TraceEvent, TraceKind, TraceRing};
+pub use trace::{TraceEvent, TraceKind, TraceRing, FLEET_SCOPE};
 pub use watchdog::{SloSpec, Watchdog, WatchdogFire};
 
 use std::sync::OnceLock;

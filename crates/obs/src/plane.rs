@@ -1,6 +1,6 @@
 //! The observability plane: one [`ObsPlane`] per fleet, holding a
 //! lock-free shared histogram per instrumented [`Site`], per-shard swap
-//! contention counters, and the flight recorder.
+//! contention counters, and the lifecycle event ring.
 //!
 //! Recording is wait-free per thread: each thread hashes onto one of a
 //! small set of histogram *stripes* and does relaxed `fetch_add`s on
@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::flight::{FlightRecorder, OpKind};
 use crate::hist::{HistSummary, LatencyHist, NUM_BUCKETS};
 use crate::trace::{TraceKind, TraceRing};
 
@@ -34,8 +33,6 @@ pub enum Site {
     /// One fleet HOP (`hop_session_with`: FREEZE read + candidate scan +
     /// `hop_with_beta_scratch` weighing + ledger commit).
     Hop,
-    /// One offline `hop_with_beta_scratch` (closed-world bench loop).
-    HopOffline,
     /// WAIT-wakeup dispatch: scheduler pop until the hop starts
     /// (sampled 1-in-128 to stay inside the overhead budget).
     WaitDispatch,
@@ -60,14 +57,13 @@ pub enum Site {
 /// Every site, in index order. `Site::ALL.len()` sizes the plane.
 impl Site {
     /// All sites in index order.
-    pub const ALL: [Site; 14] = [
+    pub const ALL: [Site; 13] = [
         Site::AdmitEnumeration,
         Site::AdmitRepair,
         Site::AdmitFallback,
         Site::AdmitRefused,
         Site::RegisterSession,
         Site::Hop,
-        Site::HopOffline,
         Site::WaitDispatch,
         Site::FreezeRead,
         Site::FreezeWriteWait,
@@ -86,7 +82,6 @@ impl Site {
             Site::AdmitRefused => "admit_refused",
             Site::RegisterSession => "register_session",
             Site::Hop => "hop",
-            Site::HopOffline => "hop_offline",
             Site::WaitDispatch => "wait_dispatch",
             Site::FreezeRead => "freeze_read_wait",
             Site::FreezeWriteWait => "freeze_write_wait",
@@ -183,11 +178,11 @@ impl Default for SharedHist {
     }
 }
 
-/// Flight-recorder capacity (events).
-pub const FLIGHT_CAPACITY: usize = 256;
-
 /// Trace-ring capacity (events across all shards).
 pub const TRACE_CAPACITY: usize = 4096;
+
+/// How many of the ring's newest events a post-mortem prints.
+pub const POST_MORTEM_EVENTS: usize = 256;
 
 /// Session shards of the trace ring.
 const TRACE_SHARDS: usize = 4;
@@ -221,19 +216,16 @@ pub struct ObsPlane {
     hop_candidates_folded: AtomicU64,
     /// Hops that drew from their session's kept memo (no sweep).
     hop_memo_hits: AtomicU64,
-    flight: FlightRecorder,
     trace: TraceRing,
-    /// Lifecycle tracing gate, separate from `enabled` so the overhead
-    /// experiment can measure the plane with and without tracing.
-    trace_on: AtomicBool,
     dumped: AtomicBool,
     /// The JSON of the post-mortem that fired (served by `/postmortem`).
     last_post_mortem: Mutex<Option<String>>,
     /// Round-robin tick for [`ObsPlane::timer_sampled`].
     sample_tick: AtomicU64,
-    /// Plane-epoch µs of the last full-cost probe — the coarse
-    /// timestamp [`ObsPlane::note_op_coarse`] reuses instead of
-    /// reading the clock.
+    /// Plane-epoch µs of the last probe that read the clock
+    /// ([`ObsPlane::note_trace_at`], [`ObsPlane::record_sampled`]) —
+    /// the coarse timestamp [`ObsPlane::note_trace_coarse`] reuses
+    /// instead of reading it again.
     last_t_us: AtomicU64,
 }
 
@@ -241,7 +233,7 @@ impl std::fmt::Debug for ObsPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsPlane")
             .field("enabled", &self.enabled())
-            .field("ops_recorded", &self.flight.total())
+            .field("ops_recorded", &self.trace.total())
             .finish_non_exhaustive()
     }
 }
@@ -266,9 +258,7 @@ impl ObsPlane {
             hop_candidates_bounded: AtomicU64::new(0),
             hop_candidates_folded: AtomicU64::new(0),
             hop_memo_hits: AtomicU64::new(0),
-            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             trace: TraceRing::new(TRACE_SHARDS, TRACE_CAPACITY),
-            trace_on: AtomicBool::new(true),
             dumped: AtomicBool::new(false),
             last_post_mortem: Mutex::new(None),
             sample_tick: AtomicU64::new(0),
@@ -315,9 +305,9 @@ impl ObsPlane {
     /// 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY): the very hottest paths
     /// (the fleet hop) sample their span so the steady-state cost is a
     /// fraction of a clock read per op. Percentiles from a fixed
-    /// fraction of millions of hops are statistically the same; the
-    /// unsampled ops still reach the flight recorder via
-    /// [`ObsPlane::note_op_coarse`].
+    /// fraction of millions of hops are statistically the same; an
+    /// unsampled hop that migrates or loses its swap still reaches the
+    /// event ring via [`ObsPlane::note_trace_coarse`].
     #[inline]
     pub fn timer_sampled(&self) -> Option<Instant> {
         if !self.enabled() {
@@ -348,17 +338,27 @@ impl ObsPlane {
     }
 
     /// Close a sampled hot-path span: one clock read both finishes the
-    /// span histogram sample and timestamps the flight event. Outlined
-    /// and cold for the same reason as the sampled arm's clock read
-    /// (`clock_now`) — this runs on
-    /// 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY) ops, and the common
-    /// path must not carry its code.
+    /// span histogram sample and refreshes the coarse timestamp — on a
+    /// fleet that only hops, this is what keeps
+    /// [`note_trace_coarse`](Self::note_trace_coarse) rows at most
+    /// [`SAMPLE_EVERY`](Self::SAMPLE_EVERY) hops stale. Outlined and
+    /// cold for the same reason as the sampled arm's clock read
+    /// (`clock_now`) — this runs on 1-in-`SAMPLE_EVERY` ops, and the
+    /// common path must not carry its code.
     #[cold]
     #[inline(never)]
-    pub fn record_sampled(&self, site: Site, t0: Instant, kind: OpKind, a: u32, b: u32) {
+    pub fn record_sampled(&self, site: Site, t0: Instant) {
         let t_end = Instant::now();
         self.record_span(site, t0, t_end);
-        self.note_op_at(t_end, kind, a, b);
+        self.stamp(t_end);
+    }
+
+    /// `now` in plane-epoch µs, kept as the coarse timestamp.
+    #[inline]
+    fn stamp(&self, now: Instant) -> u64 {
+        let t_us = now.duration_since(self.epoch).as_micros() as u64;
+        self.last_t_us.store(t_us, Ordering::Relaxed);
+        t_us
     }
 
     /// Finish a span started with [`ObsPlane::timer`].
@@ -403,30 +403,9 @@ impl ObsPlane {
         }
     }
 
-    /// Count one uncontended FREEZE `try_read` success (no clock read).
-    #[inline]
-    pub fn note_freeze_read_fast(&self) {
-        if self.enabled() {
-            self.freeze_read_fast.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Uncontended FREEZE read acquisitions so far.
     pub fn freeze_read_fast(&self) -> u64 {
         self.freeze_read_fast.load(Ordering::Relaxed)
-    }
-
-    /// Count one hop's candidates: `bounded` settled from their delay
-    /// half alone, `folded` weighed in full. Once per hop, no clock
-    /// read.
-    #[inline]
-    pub fn note_hop_candidates(&self, bounded: u32, folded: u32) {
-        if self.enabled() {
-            self.hop_candidates_bounded
-                .fetch_add(u64::from(bounded), Ordering::Relaxed);
-            self.hop_candidates_folded
-                .fetch_add(u64::from(folded), Ordering::Relaxed);
-        }
     }
 
     /// `(bounded, folded)` hop candidates so far — the pruning rate of
@@ -440,11 +419,10 @@ impl ObsPlane {
         )
     }
 
-    /// Adds a worker's privately tallied per-hop counts — the batched
-    /// form of [`note_freeze_read_fast`](Self::note_freeze_read_fast)
-    /// and [`note_hop_candidates`](Self::note_hop_candidates), for hops
-    /// short enough that a shared RMW each would show. Unconditional:
-    /// the worker tallied only while the plane was enabled.
+    /// Adds a worker's privately tallied per-hop counts — batched,
+    /// because a hop is short enough that a shared RMW per counter per
+    /// hop would show. Unconditional: the worker tallied only while the
+    /// plane was enabled.
     pub fn add_hop_counts(&self, counts: &HopCounts) {
         let add = |to: &AtomicU64, n: u64| to.fetch_add(n, Ordering::Relaxed);
         add(&self.freeze_read_fast, counts.freeze_read_fast);
@@ -487,111 +465,36 @@ impl ObsPlane {
         out
     }
 
-    /// Record one fleet op in the flight recorder (timestamped against
-    /// the plane's epoch). No-op when disabled.
-    #[inline]
-    pub fn note_op(&self, kind: OpKind, a: u32, b: u32) {
-        if !self.enabled() {
-            return;
-        }
-        let t_us = self.epoch.elapsed().as_micros() as u64;
-        self.flight.record(t_us, kind, a, b);
-    }
-
-    /// Like [`ObsPlane::note_op`] but reusing an already-taken clock
-    /// reading (hot paths share one `Instant` between span + flight).
-    #[inline]
-    pub fn note_op_at(&self, now: Instant, kind: OpKind, a: u32, b: u32) {
-        if !self.enabled() {
-            return;
-        }
-        let t_us = now.duration_since(self.epoch).as_micros() as u64;
-        self.last_t_us.store(t_us, Ordering::Relaxed);
-        self.flight.record(t_us, kind, a, b);
-    }
-
-    /// Like [`ObsPlane::note_op`] but with **no clock read**: the event
-    /// is stamped with the time of the last full-cost probe
-    /// ([`ObsPlane::note_op_at`]). Used by ops whose span sampling
-    /// ([`ObsPlane::timer_sampled`]) skipped this iteration — sequence
-    /// numbers keep the ring ordered; the timestamp is diagnostic and
-    /// at most a few ops stale.
-    #[inline]
-    pub fn note_op_coarse(&self, kind: OpKind, a: u32, b: u32) {
-        if !self.enabled() {
-            return;
-        }
-        self.flight
-            .record(self.last_t_us.load(Ordering::Relaxed), kind, a, b);
-    }
-
-    /// Warm the flight-ring slot the op about to run will record into
-    /// ([`FlightRecorder::warm_next`]); call at the start of a hot op
-    /// so the ring's cache miss overlaps the op instead of trailing it.
-    #[inline]
-    pub fn warm_flight(&self) {
-        if self.enabled() {
-            self.flight.warm_next();
-        }
-    }
-
-    /// The flight recorder (for direct dumps).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// Is lifecycle tracing on? Two relaxed loads (plane gate + trace
-    /// gate).
-    #[inline]
-    pub fn trace_enabled(&self) -> bool {
-        self.enabled() && self.trace_on.load(Ordering::Relaxed)
-    }
-
-    /// Toggle lifecycle tracing independently of the plane gate (the
-    /// overhead experiment measures both arms on one plane shape).
-    pub fn set_trace_enabled(&self, on: bool) {
-        self.trace_on.store(on, Ordering::Relaxed);
-    }
-
     /// Record one lifecycle event, reading the clock. Coarse paths
-    /// (admission, registration, departure, recovery) use this; hot
-    /// paths use [`ObsPlane::note_trace_coarse`].
+    /// (departure, agent loss, re-admission, recovery) use this; hot
+    /// paths use [`ObsPlane::note_trace_coarse`]. No-op when disabled.
     #[inline]
     pub fn note_trace(&self, kind: TraceKind, session: u32, payload: u64) {
-        if !self.trace_enabled() {
-            return;
+        if self.enabled() {
+            let t_us = self.stamp(Instant::now());
+            self.trace.record(t_us, kind, session, payload);
         }
-        let t_us = self.epoch.elapsed().as_micros() as u64;
-        self.trace.record(t_us, kind, session, payload);
     }
 
     /// Record one lifecycle event reusing an already-taken clock
     /// reading (paths that just closed a span share its `Instant`).
     #[inline]
     pub fn note_trace_at(&self, now: Instant, kind: TraceKind, session: u32, payload: u64) {
-        if !self.trace_enabled() {
-            return;
+        if self.enabled() {
+            self.trace.record(self.stamp(now), kind, session, payload);
         }
-        let t_us = now.duration_since(self.epoch).as_micros() as u64;
-        self.trace.record(t_us, kind, session, payload);
     }
 
     /// Record one lifecycle event with **no clock read**, stamped with
-    /// the time of the last full-cost probe (same contract as
-    /// [`ObsPlane::note_op_coarse`]): sequence numbers keep the ring
-    /// causally ordered; the timestamp is diagnostic and at most a few
-    /// ops stale.
+    /// the time of the last probe that did read it: sequence numbers
+    /// keep the ring causally ordered; the timestamp is diagnostic and
+    /// at most a few ops stale.
     #[inline]
     pub fn note_trace_coarse(&self, kind: TraceKind, session: u32, payload: u64) {
-        if !self.trace_enabled() {
-            return;
+        if self.enabled() {
+            let t_us = self.last_t_us.load(Ordering::Relaxed);
+            self.trace.record(t_us, kind, session, payload);
         }
-        self.trace.record(
-            self.last_t_us.load(Ordering::Relaxed),
-            kind,
-            session,
-            payload,
-        );
     }
 
     /// The lifecycle trace ring (for direct dumps).
@@ -604,8 +507,9 @@ impl ObsPlane {
         self.trace.chrome_json()
     }
 
-    /// Build the structured post-mortem JSON: the trigger, the flight
-    /// ring, per-site summaries and contention counters.
+    /// Build the structured post-mortem JSON: the trigger, per-site
+    /// summaries, contention counters and — under the key `"flight"` —
+    /// the event ring's newest [`POST_MORTEM_EVENTS`] rows in seq order.
     pub fn post_mortem(&self, reason: &str, detail: &str) -> String {
         let mut sites = Vec::with_capacity(Site::ALL.len());
         for site in Site::ALL {
@@ -623,11 +527,11 @@ impl ObsPlane {
             "{{\"post_mortem\": \"{}\", \"detail\": \"{}\", \"ops_recorded\": {}, \"freeze_read_fast\": {}, \"swap_shards\": [{}], \"sites\": {{{}}}, \"flight\": {}}}",
             reason,
             detail.replace('"', "'"),
-            self.flight.total(),
+            self.trace.total(),
             self.freeze_read_fast(),
             swaps.join(", "),
             sites.join(", "),
-            self.flight.dump_json()
+            self.trace.dump_json(POST_MORTEM_EVENTS)
         )
     }
 
@@ -673,9 +577,8 @@ impl ObsPlane {
             None => "null".to_string(),
         };
         format!(
-            "{{\"enabled\": {}, \"ops_recorded\": {}, \"trace_events\": {}, \"freeze_read_fast\": {}, \"allocs\": {}, \"swap_shards\": [{}], \"sites\": {{{}}}}}",
+            "{{\"enabled\": {}, \"ops_recorded\": {}, \"freeze_read_fast\": {}, \"allocs\": {}, \"swap_shards\": [{}], \"sites\": {{{}}}}}",
             self.enabled(),
-            self.flight.total(),
             self.trace.total(),
             self.freeze_read_fast(),
             allocs,
@@ -694,45 +597,51 @@ mod tests {
         let plane = ObsPlane::new(4);
         plane.set_enabled(false);
         assert!(plane.timer().is_none());
+        assert!(plane.timer_sampled().is_none());
         plane.note_swap(0, true);
-        plane.note_freeze_read_fast();
-        plane.note_hop_candidates(40, 12);
-        plane.note_op(OpKind::Hop, 1, 2);
         plane.note_trace(TraceKind::Registered, 1, 0);
+        plane.note_trace_at(Instant::now(), TraceKind::Admitted, 1, 0);
+        plane.note_trace_coarse(TraceKind::HopCommitted, 1, 0);
         assert_eq!(plane.swap_counters()[0], (0, 0));
-        assert_eq!(plane.freeze_read_fast(), 0);
-        assert_eq!(plane.hop_candidates(), (0, 0));
-        plane.set_enabled(true);
-        plane.note_hop_candidates(40, 12);
-        plane.note_hop_candidates(1, 0);
-        assert_eq!(plane.hop_candidates(), (41, 12));
-        assert_eq!(plane.flight().total(), 0);
         assert_eq!(plane.trace().total(), 0);
+        assert!(plane.summary_json().contains("\"ops_recorded\": 0"));
+    }
+
+    #[test]
+    fn hop_counts_arrive_in_batches() {
+        // Workers tally only while the plane is enabled, so the batched
+        // add itself is unconditional.
+        let plane = ObsPlane::new(1);
+        let batch = HopCounts {
+            freeze_read_fast: 3,
+            candidates_bounded: 40,
+            candidates_folded: 12,
+            memo_hits: 2,
+        };
+        plane.add_hop_counts(&batch);
+        plane.add_hop_counts(&HopCounts {
+            candidates_bounded: 1,
+            ..HopCounts::default()
+        });
+        assert_eq!(plane.freeze_read_fast(), 3);
+        assert_eq!(plane.hop_candidates(), (41, 12));
+        assert_eq!(plane.hop_memo_hits(), 2);
     }
 
     #[test]
     fn trace_notes_flow_into_the_ring_and_export() {
         let plane = ObsPlane::new(1);
-        assert!(plane.trace_enabled());
-        // The trace gate closes and reopens at run time, on its own.
-        plane.set_trace_enabled(false);
-        assert!(plane.enabled() && !plane.trace_enabled());
         plane.note_trace(TraceKind::Registered, 5, 3);
-        assert_eq!(plane.trace().total(), 0);
-        plane.set_trace_enabled(true);
-        plane.note_trace(TraceKind::Registered, 5, 3);
-        let now = Instant::now();
-        plane.note_op_at(now, OpKind::Admit, 5, 0);
-        plane.note_trace_at(now, TraceKind::Admitted, 5, 0xABCD);
+        plane.note_trace_at(Instant::now(), TraceKind::Admitted, 5, 0xABCD);
         plane.note_trace_coarse(TraceKind::HopCommitted, 5, 7);
         let events = plane.trace().dump();
         assert_eq!(events.len(), 3);
-        // The coarse note reuses the full-cost probe's timestamp.
+        // The coarse note reuses the last clock-reading probe's timestamp.
         assert_eq!(events[1].t_us, events[2].t_us);
         let chains: Vec<u32> = events.iter().map(|e| e.chain).collect();
         assert!(chains.windows(2).all(|w| w[0] < w[1]));
         assert!(plane.trace_chrome_json().contains("\"tid\": 5"));
-        assert!(plane.summary_json().contains("\"trace_events\": 3"));
+        assert!(plane.summary_json().contains("\"ops_recorded\": 3"));
     }
 
     #[test]
@@ -794,26 +703,36 @@ mod tests {
         plane.set_enabled(false);
         assert!(plane.timer_sampled().is_none());
         plane.set_enabled(true);
-        // A full-cost probe stamps the shared coarse timestamp…
-        let now = Instant::now();
-        plane.note_op_at(now, OpKind::Hop, 1, 2);
+        // Closing a sampled span stamps the shared coarse timestamp…
+        let t0 = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        plane.record_sampled(Site::Hop, t0);
+        assert_eq!(plane.summary(Site::Hop).count, 1);
         // …which a coarse note then reuses without reading the clock.
-        plane.note_op_coarse(OpKind::Stay, 3, 0);
-        let events = plane.flight().dump();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].t_us, events[1].t_us);
-        assert_eq!(events[1].kind, OpKind::Stay);
+        plane.note_trace_coarse(TraceKind::SwapConflict, 3, 0);
+        let events = plane.trace().dump();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].t_us >= 2_000);
+        assert_eq!(events[0].kind, TraceKind::SwapConflict);
     }
 
     #[test]
     fn post_mortem_once_fires_once() {
         let plane = ObsPlane::new(1);
-        plane.note_op(OpKind::Admit, 7, 0);
+        // More events than a post-mortem prints: only the newest show.
+        let noted = POST_MORTEM_EVENTS as u32 + 44;
+        for session in 0..noted {
+            plane.note_trace(TraceKind::Admitted, session, 0);
+        }
         let first = plane.post_mortem_once("test", "detail \"quoted\"");
         assert!(first.is_some());
         let json = first.unwrap();
         assert!(json.contains("\"post_mortem\": \"test\""));
-        assert!(json.contains("\"op\": \"admit\""));
+        assert!(json.contains(&format!("\"ops_recorded\": {noted}")));
+        let rows = json.matches("\"event\": \"admitted\"").count();
+        assert_eq!(rows, POST_MORTEM_EVENTS);
+        assert!(json.contains("\"flight\": [{\"seq\": 45,"));
+        assert!(json.contains(&format!("{{\"seq\": {noted},")));
         assert!(!json.contains("\\\"quoted\\\""));
         assert!(plane.post_mortem_once("test", "again").is_none());
     }

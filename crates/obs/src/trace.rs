@@ -1,23 +1,29 @@
-//! Causal per-session lifecycle tracing: a bounded, lock-free, sharded
-//! event ring answering "what happened to *this* session?".
+//! Causal lifecycle tracing: the fleet's one event ring — bounded,
+//! lock-free, sharded — answering "what happened to *this* session?"
+//! and, in a post-mortem, "what did the fleet do last?".
 //!
-//! Where the flight recorder ([`crate::flight`]) keeps the last N fleet
-//! ops as one global diagnostic ring, the trace ring records structured
-//! **lifecycle events** — registered, admit attempt/outcome, WAIT
-//! scheduling and dispatch, hop commits, swap conflicts, evacuation,
-//! departure, recovery installs — each stamped with a **global
+//! The ring records structured **lifecycle events** — registered, admit
+//! attempt/outcome, WAIT scheduling and dispatch, hop commits, swap
+//! conflicts, evacuation, departure, recovery installs, and the
+//! fleet-scoped causes around them (an agent going down or coming back,
+//! a checkpoint, a finished recovery) — each stamped with a **global
 //! monotonic sequence** (total order across the fleet) plus a
 //! **per-session chain** counter (strictly increasing along one
 //! session's events), so the causal path of any session is
-//! reconstructible from a dump even after concurrent interleaving.
+//! reconstructible from a dump even after concurrent interleaving. A
+//! hop that *stays* is not an event: it changes nothing, and
+//! `FleetCounters::stays`, `vc_obs_hop_memo_hits` and the journal's
+//! `StayBatch` already count it.
 //!
-//! The ring is sharded by session so concurrent emitters on different
-//! sessions land on different slot regions, and every slot uses the
-//! same torn-tolerant publication protocol as the flight recorder: the
-//! sequence word is zeroed, the data words are written relaxed, and the
-//! sequence is published *last* with `Release` — a reader that observes
-//! it also observes the data; a torn slot decodes to an unknown kind or
-//! a zero seq and is skipped at dump time.
+//! **Publication protocol.** The ring is sharded by session so
+//! concurrent emitters on different sessions land on different slot
+//! regions. A writer zeroes the slot's sequence word, writes the data
+//! words relaxed, and publishes the sequence *last* with `Release` — a
+//! reader that observes it also observes the data. Reads are
+//! best-effort: a slot being overwritten concurrently decodes to a zero
+//! seq or an unknown kind and is skipped at dump time, and dumps sort
+//! and de-duplicate by sequence. The ring is diagnostic, never
+//! authoritative — the journal owns the serialization order.
 //!
 //! Dumps export as Chrome-trace / Perfetto JSON
 //! ([`TraceRing::chrome_json`]): one track (`tid`) per session, instant
@@ -26,106 +32,108 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// A per-session lifecycle event kind.
-///
-/// The `payload` word of a [`TraceEvent`] is kind-specific; the
-/// encoding is documented per variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum TraceKind {
+/// The `session` of a fleet-scoped event (one about an agent, the
+/// journal or the store rather than a conference).
+pub const FLEET_SCOPE: u32 = u32::MAX;
+
+/// Declares [`TraceKind`] once — `tag => Variant "name"` per kind — so
+/// the discriminant a slot stores, the snake-case name exports print
+/// and the dump-time decoder cannot drift apart.
+macro_rules! trace_kinds {
+    ($($(#[$doc:meta])* $tag:literal => $variant:ident $name:literal,)+) => {
+        /// A lifecycle event kind.
+        ///
+        /// The `payload` word of a [`TraceEvent`] is kind-specific; the
+        /// encoding is documented per variant. Fleet-scoped kinds carry
+        /// [`FLEET_SCOPE`] as their `session`.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum TraceKind {
+            $($(#[$doc])* $variant = $tag,)+
+        }
+
+        impl TraceKind {
+            /// Stable snake-case name used in exports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TraceKind::$variant => $name,)+
+                }
+            }
+
+            fn from_u8(v: u8) -> Option<Self> {
+                Some(match v {
+                    $($tag => TraceKind::$variant,)+
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+trace_kinds! {
     /// The conference joined the universe (`Fleet::register_session`).
     /// `payload` = number of users in the session.
-    Registered = 1,
+    1 => Registered "registered",
     /// An admission search ran (`payload` = deepest engine tier
     /// reached: 0 enumeration, 1 greedy+repair, 2 ranked fallback;
     /// code 3 is retired). Emitted just before its outcome event so
     /// the per-session chain reads attempt → `Admitted`/`Refused`.
-    AdmitAttempt = 2,
+    2 => AdmitAttempt "admit_attempt",
     /// The session went live. `payload` = FNV-1a hash of the committed
     /// placement (user/task → agent pairs), so two admissions landing
     /// identical placements are recognizable across restarts.
-    Admitted = 3,
+    3 => Admitted "admitted",
     /// The admission was refused. `payload` = stage: 0 user-fit,
     /// 1 task-fit, 2 global check, 5 already live (3 and 4 are
     /// retired).
-    Refused = 4,
+    4 => Refused "refused",
     /// A WAIT countdown was armed. `payload` = virtual-clock deadline
     /// in µs.
-    WaitScheduled = 5,
+    5 => WaitScheduled "wait_scheduled",
     /// The scheduler popped the timer and dispatched the hop.
     /// `payload` = the deadline (µs) that fired.
-    WakeupDispatched = 6,
-    /// A HOP migrated the session. `payload` = `f64::to_bits` of the
-    /// per-session potential delta (`delta_phi`) the move realized.
-    HopCommitted = 7,
+    6 => WakeupDispatched "wakeup_dispatched",
+    /// A HOP migrated the session (live, or replayed from the
+    /// journal). `payload` = `f64::to_bits` of the per-session
+    /// potential delta (`delta_phi`) the move realized.
+    7 => HopCommitted "hop_committed",
     /// A HOP lost its ledger `try_swap` race. `payload` = the capacity
     /// shard the conflict was attributed to.
-    SwapConflict = 8,
+    8 => SwapConflict "swap_conflict",
     /// The session was force-moved off a failed agent.
     /// `payload` = the agent it evacuated onto.
-    Evacuated = 9,
+    9 => Evacuated "evacuated",
     /// The session departed and released capacity. `payload` = 0.
-    Departed = 10,
+    10 => Departed "departed",
     /// Recovery replayed the journaled placement — installed, never
     /// re-searched. `payload` = the journal sequence replayed.
-    RecoveryInstalled = 11,
+    11 => RecoveryInstalled "recovery_installed",
     /// The session entered (or re-entered) the re-admission queue.
     /// `payload` = virtual due time (µs) of the next attempt.
-    ReadmitQueued = 12,
+    12 => ReadmitQueued "readmit_queued",
     /// A queued session was admitted back. `payload` = the attempt
     /// index that succeeded.
-    ReadmitAdmitted = 13,
+    13 => ReadmitAdmitted "readmit_admitted",
     /// A queued session was dropped (queue overflow or retry
     /// exhaustion). `payload` = attempts spent (0 for overflow).
-    ReadmitDropped = 14,
+    14 => ReadmitDropped "readmit_dropped",
     /// The write-ahead journal degraded: a storage fault exhausted its
-    /// fsync retries and appends now buffer in memory. Fleet-scoped —
-    /// `session` is `u32::MAX`. `payload` = sync retries burned so far.
-    DurabilityDegraded = 15,
-}
-
-impl TraceKind {
-    /// Stable snake-case name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Registered => "registered",
-            TraceKind::AdmitAttempt => "admit_attempt",
-            TraceKind::Admitted => "admitted",
-            TraceKind::Refused => "refused",
-            TraceKind::WaitScheduled => "wait_scheduled",
-            TraceKind::WakeupDispatched => "wakeup_dispatched",
-            TraceKind::HopCommitted => "hop_committed",
-            TraceKind::SwapConflict => "swap_conflict",
-            TraceKind::Evacuated => "evacuated",
-            TraceKind::Departed => "departed",
-            TraceKind::RecoveryInstalled => "recovery_installed",
-            TraceKind::ReadmitQueued => "readmit_queued",
-            TraceKind::ReadmitAdmitted => "readmit_admitted",
-            TraceKind::ReadmitDropped => "readmit_dropped",
-            TraceKind::DurabilityDegraded => "durability_degraded",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => TraceKind::Registered,
-            2 => TraceKind::AdmitAttempt,
-            3 => TraceKind::Admitted,
-            4 => TraceKind::Refused,
-            5 => TraceKind::WaitScheduled,
-            6 => TraceKind::WakeupDispatched,
-            7 => TraceKind::HopCommitted,
-            8 => TraceKind::SwapConflict,
-            9 => TraceKind::Evacuated,
-            10 => TraceKind::Departed,
-            11 => TraceKind::RecoveryInstalled,
-            12 => TraceKind::ReadmitQueued,
-            13 => TraceKind::ReadmitAdmitted,
-            14 => TraceKind::ReadmitDropped,
-            15 => TraceKind::DurabilityDegraded,
-            _ => return None,
-        })
-    }
+    /// fsync retries and appends now buffer in memory. Fleet-scoped.
+    /// `payload` = sync retries burned so far.
+    15 => DurabilityDegraded "durability_degraded",
+    /// An agent failed or was drained; emitted before the `Evacuated`
+    /// rows it caused. Fleet-scoped. `payload` = `agent << 32 |
+    /// evacuation moves` (saturating at `u32::MAX`).
+    16 => AgentDown "agent_down",
+    /// A failed agent came back. Fleet-scoped. `payload` = the agent.
+    17 => AgentRestored "agent_restored",
+    /// A snapshot checkpoint was cut. Fleet-scoped. `payload` = the
+    /// last journal sequence the snapshot covers.
+    18 => Checkpoint "checkpoint",
+    /// Recovery finished replaying the journal tail (after the
+    /// `RecoveryInstalled` / `HopCommitted` rows of the records it
+    /// replayed). Fleet-scoped. `payload` = records replayed.
+    19 => RecoveryReplayed "recovery_replayed",
 }
 
 /// One decoded lifecycle event.
@@ -178,7 +186,7 @@ impl TraceEvent {
 
 struct Slot {
     // 0 = empty; otherwise the global 1-based sequence, stored *last*
-    // with Release (same protocol as the flight recorder).
+    // with Release (module docs, "Publication protocol").
     seq: AtomicU64,
     // t_us << 8 | kind
     time_kind: AtomicU64,
@@ -255,12 +263,15 @@ impl TraceRing {
     /// Record one lifecycle event. Lock-free: two `fetch_add`s (global
     /// seq + chain stripe) and four stores on the session's shard.
     ///
-    /// Emitters racing on the *same* session (possible only in the
-    /// narrow window after the fleet's per-session lock drops) may
-    /// publish chain values out of seq order; the ring is diagnostic
-    /// and dumps sort by seq, so a rare inversion is visible, not
-    /// corrupting. Under the fleet's per-session serialization both
-    /// counters are monotone along a session's chain.
+    /// A hop emits under its session's slot lock, but coarse ops
+    /// (admission, registration, departure, agent loss) emit only after
+    /// their exclusive FREEZE section is released — observation never
+    /// extends the hold it measures. Emitters racing on the *same*
+    /// session in that narrow window may publish chain values out of
+    /// seq order; the ring is diagnostic and dumps sort by seq, so a
+    /// rare inversion is visible, not corrupting. Under the fleet's
+    /// per-session serialization both counters are monotone along a
+    /// session's chain.
     #[inline]
     pub fn record(&self, t_us: u64, kind: TraceKind, session: u32, payload: u64) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -315,10 +326,12 @@ impl TraceRing {
         out
     }
 
-    /// The dump as a raw JSON array.
-    pub fn dump_json(&self) -> String {
-        let events: Vec<String> = self.dump().iter().map(TraceEvent::to_json).collect();
-        format!("[{}]", events.join(", "))
+    /// The newest `last` events of the dump as a raw JSON array.
+    pub fn dump_json(&self, last: usize) -> String {
+        let events = self.dump();
+        let tail = &events[events.len().saturating_sub(last)..];
+        let rows: Vec<String> = tail.iter().map(TraceEvent::to_json).collect();
+        format!("[{}]", rows.join(", "))
     }
 
     /// The dump as a Chrome-trace / Perfetto JSON document: one
@@ -343,7 +356,9 @@ mod tests {
             ring.record(i as u64, TraceKind::HopCommitted, i % 16, i as u64);
         }
         let events = ring.dump();
-        assert!(events.len() <= ring.capacity());
+        // Every shard overflowed: each keeps its newest slots' worth.
+        assert_eq!(events.len(), ring.capacity());
+        assert_eq!(events.last().unwrap().seq, 500);
         assert_eq!(ring.total(), 500);
         for w in events.windows(2) {
             assert!(w[0].seq < w[1].seq);

@@ -1,7 +1,8 @@
 //! SLO burn watchdogs: rolling-window burn-rate detectors over plane
-//! snapshots that fire a flight-recorder post-mortem **plus** a
-//! lifecycle trace dump *proactively* — when a budget is burning — not
-//! only after a conservation/audit invariant already broke.
+//! snapshots that fire a post-mortem (the event ring's newest rows
+//! among it) **plus** the whole ring as a Perfetto dump *proactively* —
+//! when a budget is burning — not only after a conservation/audit
+//! invariant already broke.
 //!
 //! Five budgets are watched, one detector each:
 //!

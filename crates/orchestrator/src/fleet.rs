@@ -112,7 +112,7 @@ use vc_core::{
     SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
-use vc_obs::{HopCounts, ObsPlane, OpKind, Site, TraceKind};
+use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
 
 pub(crate) use crate::slot::SessionSlot;
 
@@ -305,14 +305,6 @@ impl AssignmentView for SlotView<'_> {
 pub struct FleetHopScratch {
     pub(crate) hop: HopScratch,
     pub(crate) reserved: AgentTotals,
-    /// Φ delta of the last committed migration (set inside the slot
-    /// lock, traced after it drops — recording never happens under
-    /// FREEZE).
-    pub(crate) last_delta_phi: f64,
-    /// Whether the last hop lost its ledger swap to a concurrent hop.
-    pub(crate) last_swap_conflict: bool,
-    /// Whether the last hop drew from its slot's kept memo.
-    pub(crate) last_memo_hit: bool,
     tally: HopTally,
 }
 
@@ -586,7 +578,7 @@ pub struct Fleet {
     /// Reusable buffers for the admission path.
     admit_scratch: Mutex<AdmitScratch>,
     /// The observability plane: per-site latency histograms, per-shard
-    /// swap contention counters, and the flight recorder. Enabled by
+    /// swap contention counters, and the lifecycle event ring. Enabled by
     /// default; disabling reduces every probe to one relaxed load.
     pub(crate) obs: Arc<ObsPlane>,
     /// The bounded re-admission queue (empty and inert unless
@@ -643,7 +635,7 @@ impl Fleet {
 
     /// The fleet's observability plane ([`vc_obs::ObsPlane`]): latency
     /// histograms per instrumented site, swap contention counters, and
-    /// the flight recorder. Shareable; telemetry and benches read it.
+    /// the lifecycle event ring. Shareable; telemetry and benches read it.
     pub fn obs(&self) -> &Arc<ObsPlane> {
         &self.obs
     }
@@ -698,8 +690,6 @@ impl Fleet {
         });
         if let Some((t0, t_end)) = u.release() {
             self.obs.record_span(Site::RegisterSession, t0, t_end);
-            self.obs
-                .note_op_at(t_end, OpKind::RegisterSession, s.index() as u32, 0);
             self.obs.note_trace_at(
                 t_end,
                 TraceKind::Registered,
@@ -813,8 +803,6 @@ impl Fleet {
                         AdmissionTier::RankedFallback => Site::AdmitFallback,
                     };
                     self.obs.record_span(site, t0, t_end);
-                    self.obs
-                        .note_op_at(t_end, OpKind::Admit, session, stats.tier as u32);
                     self.obs.note_trace_at(
                         t_end,
                         TraceKind::AdmitAttempt,
@@ -826,7 +814,6 @@ impl Fleet {
                 }
                 Err((_, reason)) => {
                     self.obs.record_span(Site::AdmitRefused, t0, t_end);
-                    self.obs.note_op_at(t_end, OpKind::Reject, session, 0);
                     // An already-live refusal ran no search, so it gets
                     // no `AdmitAttempt` in its chain; every other refusal
                     // exhausted the engine down to its last tier.
@@ -1009,7 +996,6 @@ impl Fleet {
         let hold = self.depart_locked(&mut u, s);
         drop(u);
         if hold.is_some() {
-            self.obs.note_op(OpKind::Depart, s.index() as u32, 0);
             self.obs
                 .note_trace(TraceKind::Departed, s.index() as u32, 0);
         }
@@ -1109,11 +1095,15 @@ impl Fleet {
             }
         }
         drop(u);
-        self.obs
-            .note_op(OpKind::FailAgent, agent.index() as u32, moves as u32);
-        // One `Evacuated` lifecycle event per force-moved session,
-        // emitted after the exclusive section releases (same rule as
-        // every other trace/obs record).
+        // The cause, then one `Evacuated` lifecycle event per
+        // force-moved session — all emitted after the exclusive section
+        // releases (same rule as every other coarse op's records).
+        let moves_word = u32::try_from(moves).unwrap_or(u32::MAX);
+        self.obs.note_trace(
+            TraceKind::AgentDown,
+            FLEET_SCOPE,
+            (agent.index() as u64) << 32 | u64::from(moves_word),
+        );
         for (s, target) in evacuated {
             self.obs.note_trace(
                 TraceKind::Evacuated,
@@ -1278,7 +1268,7 @@ impl Fleet {
         self.log_op(|| FleetOp::RestoreAgent { agent });
         drop(frz);
         self.obs
-            .note_op(OpKind::RestoreAgent, agent.index() as u32, 0);
+            .note_trace(TraceKind::AgentRestored, FLEET_SCOPE, agent.index() as u64);
         true
     }
 
@@ -1562,42 +1552,14 @@ impl Fleet {
     ) -> Option<HopOutcome> {
         // Spans are sampled 1-in-64 (`timer_sampled`): two clock reads
         // are a tenth of a hop that only draws, and percentiles over
-        // 1/64 of the stream are statistically the same. The flight recorder sees every hop that did something —
-        // a sweep, a migration, a lost swap — unsampled ones carrying
-        // the last sampled timestamp (`note_op_coarse`); a stay drawn
-        // from a kept memo is a microsecond of re-reading what an
-        // earlier event already recorded, and reaches the ring on the
-        // sampled ticks only.
+        // 1/64 of the stream are statistically the same. The event ring
+        // sees a hop only where it did something — a migration
+        // (`commit_hop`) or a lost swap — stamped with the last sampled
+        // time; a stay changes nothing and is counted, not recorded.
         let t0 = self.obs.timer_sampled();
-        scratch.last_delta_phi = 0.0;
-        scratch.last_swap_conflict = false;
-        scratch.last_memo_hit = false;
         let live = self.hop_inner(s, rng, scratch);
-        let outcome = live.unwrap_or(HopOutcome::NoFeasibleMove);
-        let (kind, a, b) = match outcome {
-            HopOutcome::Migrated(d) => (OpKind::Hop, s.index() as u32, d.target().index() as u32),
-            HopOutcome::Stayed | HopOutcome::NoFeasibleMove => (OpKind::Stay, s.index() as u32, 0),
-        };
         if let Some(t0) = t0 {
-            self.obs.record_sampled(Site::Hop, t0, kind, a, b);
-        } else if kind == OpKind::Hop || scratch.last_swap_conflict || !scratch.last_memo_hit {
-            self.obs.note_op_coarse(kind, a, b);
-        }
-        // Lifecycle tracing stays off the common path: only committed
-        // migrations and lost swaps emit, and both reuse the coarse
-        // timestamp (no extra clock read per hop).
-        match outcome {
-            HopOutcome::Migrated(_) => self.obs.note_trace_coarse(
-                TraceKind::HopCommitted,
-                s.index() as u32,
-                scratch.last_delta_phi.to_bits(),
-            ),
-            HopOutcome::Stayed if scratch.last_swap_conflict => self.obs.note_trace_coarse(
-                TraceKind::SwapConflict,
-                s.index() as u32,
-                (s.index() % self.ledger.num_shards()) as u64,
-            ),
-            _ => {}
+            self.obs.record_sampled(Site::Hop, t0);
         }
         live
     }
@@ -1625,9 +1587,6 @@ impl Fleet {
         let FleetHopScratch {
             hop,
             reserved,
-            last_delta_phi,
-            last_swap_conflict,
-            last_memo_hit,
             tally,
         } = scratch;
         let mut counts = self.obs.enabled().then(|| tally.of(&self.obs));
@@ -1644,7 +1603,6 @@ impl Fleet {
         self.ledger.reserved_totals_into(reserved);
         let (users, tasks, load, kept) = slot.hop_view(universe.agents_gen);
         let hit = kept.is_some();
-        *last_memo_hit = hit;
         let inst = problem.instance();
         let mut ctx = HopContext {
             beta: self.engine.config().beta,
@@ -1663,13 +1621,7 @@ impl Fleet {
                 candidates.reset_counts();
                 (self.engine).draw(&mut hood, &mut ctx, kept, candidates, rng)
             }
-            None => {
-                // Warming the flight slot here overlaps the ring's
-                // cache miss with the sweep instead of stalling the
-                // closing record.
-                self.obs.warm_flight();
-                (self.engine).gibbs_step(&mut hood, &mut ctx, swept, candidates, rng)
-            }
+            None => (self.engine).gibbs_step(&mut hood, &mut ctx, swept, candidates, rng),
         };
         if let Some(counts) = counts {
             counts.memo_hits += u64::from(hit);
@@ -1690,8 +1642,7 @@ impl Fleet {
             // itself.
             self.obs.note_swap(s.index(), swap.is_err());
             if swap.is_ok() {
-                *last_delta_phi = moved.phi - load.phi;
-                let old_agent = self.commit_hop(&mut slot, decision, index, eval.load_mut());
+                let old_agent = self.commit_hop(s, &mut slot, decision, index, eval.load_mut());
                 self.log_op(|| FleetOp::Hop {
                     session: s,
                     decision,
@@ -1701,7 +1652,11 @@ impl Fleet {
             }
             // A concurrent hop consumed the capacity between the
             // residual snapshot and the commit — stay put.
-            *last_swap_conflict = true;
+            self.obs.note_trace_coarse(
+                TraceKind::SwapConflict,
+                s.index() as u32,
+                (s.index() % self.ledger.num_shards()) as u64,
+            );
         }
         // The session stays where it was swept: what a miss swept is
         // the next hop's memo, copied once.
@@ -1721,16 +1676,24 @@ impl Fleet {
     /// replay after its `force_swap`: moves the slot by `decision`
     /// (`index` its [`UapProblem::local_index`]), swapping `load` in
     /// ([`SessionSlot::relocate`] — the slot's memo goes with its old
-    /// placement), and counts the migration. Returns the agent moved
-    /// from.
+    /// placement), counts the migration and emits its `HopCommitted`
+    /// event, the ΔΦ read off the two loads at hand (no clock read: a
+    /// hop's events carry the last sampled time). Returns the agent
+    /// moved from.
     pub(crate) fn commit_hop(
         &self,
+        s: SessionId,
         slot: &mut SessionSlot,
         decision: Decision,
         index: usize,
         load: &mut SessionLoad,
     ) -> AgentId {
         self.counters.migrations.fetch_add(1, Ordering::Relaxed);
+        self.obs.note_trace_coarse(
+            TraceKind::HopCommitted,
+            s.index() as u32,
+            (load.phi - slot.load().phi).to_bits(),
+        );
         slot.relocate(decision, index, load)
     }
 

@@ -68,7 +68,7 @@ use vc_algo::admission::{AdmissionFailure, AdmissionTier};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
-use vc_obs::{OpKind, TraceKind};
+use vc_obs::{TraceKind, FLEET_SCOPE};
 use vc_persist::journal::{read_journal, FsyncPolicy, JournalError, JournalWriter, RetryPolicy};
 use vc_persist::snapshot::{
     compact, journal_files, journal_path, latest_snapshot, write_snapshot_with, SnapshotError,
@@ -712,7 +712,8 @@ impl Fleet {
         compact(&p.dir, last_seq)?;
         drop(journal);
         drop(u);
-        self.obs.note_op(OpKind::Checkpoint, last_seq as u32, 0);
+        self.obs
+            .note_trace(TraceKind::Checkpoint, FLEET_SCOPE, last_seq);
         Ok(last_seq)
     }
 
@@ -795,35 +796,16 @@ impl Fleet {
                     )));
                 }
                 fleet.replay_op(&op, &mut replay_scratch)?;
-                // Mirror the live paths' flight-recorder notes for the
-                // ops replay applies inline (Depart/Fail/Restore replay
-                // through the live methods, which note their own ops),
-                // so a post-replay post-mortem shows the tail of the
-                // journal, not an empty ring.
-                match &op {
-                    FleetOp::Admit { session, tier, .. } => {
-                        fleet
-                            .obs
-                            .note_op(OpKind::Admit, session.index() as u32, *tier as u32);
-                        // Replay *installs* a journaled placement — it
-                        // never re-runs admission search, so the trace
-                        // shows `RecoveryInstalled`, not `AdmitAttempt`.
-                        fleet.obs.note_trace(
-                            TraceKind::RecoveryInstalled,
-                            session.index() as u32,
-                            seq,
-                        );
-                    }
-                    FleetOp::Hop {
-                        session, decision, ..
-                    } => {
-                        fleet.obs.note_op(
-                            OpKind::Hop,
-                            session.index() as u32,
-                            decision.target().index() as u32,
-                        );
-                    }
-                    _ => {}
+                // Replay *installs* a journaled placement — it never
+                // re-runs admission search, so the trace shows
+                // `RecoveryInstalled`, not `AdmitAttempt`. Every other
+                // replayed op that has an event emits it where the live
+                // path does (`commit_hop`, `depart`, the agent ops), so
+                // a post-recovery dump shows the journal's tail.
+                if let FleetOp::Admit { session, .. } = &op {
+                    fleet
+                        .obs
+                        .note_trace(TraceKind::RecoveryInstalled, session.index() as u32, seq);
                 }
                 expected += 1;
                 replayed += 1;
@@ -852,7 +834,7 @@ impl Fleet {
         compact(&persist.dir, last_seq)?;
         fleet
             .obs
-            .note_op(OpKind::Recover, replayed as u32, last_seq as u32);
+            .note_trace(TraceKind::RecoveryReplayed, FLEET_SCOPE, replayed as u64);
         fleet.persist = Some(FleetPersistence {
             dir: persist.dir,
             fsync: persist.fsync,
@@ -1267,7 +1249,7 @@ impl Fleet {
                     .map_err(|e| {
                         PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
                     })?;
-                self.commit_hop(&mut slot, *decision, index, scratch.load_mut());
+                self.commit_hop(*session, &mut slot, *decision, index, scratch.load_mut());
             }
             FleetOp::StayBatch { count } => {
                 self.counters

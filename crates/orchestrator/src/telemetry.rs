@@ -348,8 +348,8 @@ impl FleetTelemetry {
     pub fn sample(&mut self, fleet: &Fleet, t_s: f64) -> FleetSnapshot {
         let (m, audit) = fleet.metrics_and_audit();
         if !audit.is_empty() {
-            // Conservation violated: dump the flight-recorder post-mortem
-            // (once per plane) before anyone asserts on the snapshot.
+            // Conservation violated: dump the plane's post-mortem (once
+            // per plane) before anyone asserts on the snapshot.
             fleet
                 .obs()
                 .post_mortem_once("conservation_violation", &audit[0]);
@@ -444,7 +444,7 @@ impl FleetTelemetry {
     /// The structured JSON export alongside the CSV: every snapshot
     /// (keys mirror the CSV columns), plus the fleet's observability-
     /// plane summaries — per-site latency percentiles, swap contention
-    /// per shard, flight-recorder op count, and the process alloc
+    /// per shard, the event ring's lifetime count, and the process alloc
     /// counter when registered.
     pub fn to_json(&self, fleet: &Fleet) -> String {
         let mut out = String::from("{\n  \"snapshots\": [\n    ");

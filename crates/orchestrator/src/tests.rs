@@ -919,6 +919,98 @@ mod persistence {
         assert!(recovered.is_persistent(), "recovered fleet must journal");
     }
 
+    /// One `"flight"` row of a post-mortem: `(seq, event, session, payload)`.
+    fn flight_rows(post_mortem: &str) -> Vec<(u64, String, u32, u64)> {
+        let (_, flight) = post_mortem.split_once("\"flight\": [").expect("flight key");
+        let field = |row: &str, key: &str| -> String {
+            let (_, rest) = row.split_once(&format!("\"{key}\": ")).expect("row field");
+            let end = rest.find([',', '}']).unwrap_or(rest.len());
+            rest[..end].trim_matches('"').to_string()
+        };
+        flight
+            .split("}, {")
+            .map(|row| {
+                (
+                    field(row, "seq").parse().expect("seq"),
+                    field(row, "event"),
+                    field(row, "session").parse().expect("session"),
+                    field(row, "payload").parse().expect("payload"),
+                )
+            })
+            .collect()
+    }
+
+    /// A post-mortem tells the fleet's recent story in seq order: one
+    /// row per thing that happened — the fleet-scoped causes among them,
+    /// with their documented payloads — and none for a hop that stayed.
+    #[test]
+    fn post_mortem_tells_the_story_without_the_stays() {
+        // The story opens with a recovery, so the dump has that row too.
+        let (crashed, dir) = persistent_fleet("post-mortem-story");
+        for i in 1..4 {
+            crashed.admit(SessionId::new(i)).expect("admits");
+        }
+        drop(crashed);
+        let (fleet, report) = recover(&dir);
+
+        let late = fleet
+            .register_session(&late_conference(&fleet.problem(), 9.0))
+            .expect("registers");
+        fleet.admit(late).expect("admits");
+        assert!(fleet.admit(late).is_err(), "already live");
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut hops = 0;
+        while fleet.counters().migrations.load(Ordering::Relaxed) == 0 {
+            fleet.hop_session(SessionId::new(1 + hops % 3), &mut rng);
+            hops += 1;
+            assert!(hops < 10_000, "no hop ever migrated");
+        }
+        let (failed, drained) = (AgentId::new(1), AgentId::new(2));
+        let (fail_moves, _) = fleet.fail_agent(failed);
+        assert!(fleet.restore_agent(failed));
+        let (drain_moves, _) = fleet.drain_agent(drained);
+        let checkpoint_seq = fleet.checkpoint().expect("checkpoint");
+        fleet.depart(late).expect("live");
+
+        let rows = flight_rows(&fleet.obs().post_mortem("test", "scripted"));
+        assert!(rows.len() <= vc_obs::POST_MORTEM_EVENTS);
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "seq order");
+        let payloads_of = |event: &str, session: u32| -> Vec<u64> {
+            (rows.iter())
+                .filter(|row| row.1 == event && row.2 == session)
+                .map(|row| row.3)
+                .collect()
+        };
+        for event in [
+            "recovery_installed",
+            "registered",
+            "admit_attempt",
+            "admitted",
+            "refused",
+            "departed",
+        ] {
+            assert!(rows.iter().any(|row| row.1 == event), "no {event} row");
+        }
+        assert_eq!(payloads_of("refused", late.index() as u32), [5]);
+        let fleet_scoped = |event| payloads_of(event, vc_obs::FLEET_SCOPE);
+        assert_eq!(fleet_scoped("recovery_replayed"), [report.replayed as u64]);
+        let down = |agent: AgentId, moves: usize| (agent.index() as u64) << 32 | moves as u64;
+        assert_eq!(
+            fleet_scoped("agent_down"),
+            [down(failed, fail_moves), down(drained, drain_moves)]
+        );
+        assert_eq!(fleet_scoped("agent_restored"), [failed.index() as u64]);
+        assert_eq!(fleet_scoped("checkpoint"), [checkpoint_seq]);
+        // A hop is a row only when it moved its session (a lost swap
+        // needs a second thread): the stays are counted, not recorded.
+        let counters = fleet.counters();
+        assert!(counters.stays.load(Ordering::Relaxed) > 0);
+        let migrated = rows.iter().filter(|row| row.1 == "hop_committed").count();
+        assert_eq!(migrated, counters.migrations.load(Ordering::Relaxed));
+        assert!(!rows.iter().any(|row| row.1.contains("stay")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn checkpoint_compacts_and_recovery_prefers_the_snapshot() {
         let (fleet, dir) = persistent_fleet("checkpoint");

@@ -237,7 +237,10 @@ proptest! {
 /// (`RecoveryInstalled` per admitted session in the journal) and must
 /// never re-run admission search (`AdmitAttempt`/`Admitted` absent
 /// from the recovered plane's trace), while the recovered fleet's live
-/// counters match an uncrashed twin bitwise.
+/// counters match an uncrashed twin bitwise. The recovered plane's dump
+/// is the journal's tail retold — an install per journaled admission,
+/// every journaled migration with the ΔΦ the live hop realized — closed
+/// by the one fleet-scoped `RecoveryReplayed` row.
 #[test]
 fn recovery_installs_without_re_searching() {
     let problem = small_universe();
@@ -265,6 +268,7 @@ fn recovery_installs_without_re_searching() {
         .expect("persistent fleet");
     churn(&crashed, &mut rng);
     let before = crashed.durable_state();
+    let lived = crashed.obs().trace().dump();
     drop(crashed); // no shutdown, no checkpoint
 
     let mut twin_rng = StdRng::seed_from_u64(7);
@@ -293,5 +297,21 @@ fn recovery_installs_without_re_searching() {
         "recovery must install journaled placements, never re-run admission search"
     );
     assert_chains_causal(&events);
+
+    let rows_of = |events: &[TraceEvent], kind: TraceKind| -> Vec<(u32, u64)> {
+        (events.iter())
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.session, e.payload))
+            .collect()
+    };
+    assert_eq!(installed, rows_of(&lived, TraceKind::Admitted).len());
+    let migrations = rows_of(&lived, TraceKind::HopCommitted);
+    assert!(!migrations.is_empty(), "the churn must migrate something");
+    assert_eq!(rows_of(&events, TraceKind::HopCommitted), migrations);
+    assert_eq!(
+        rows_of(&events, TraceKind::RecoveryReplayed),
+        [(vc_obs::FLEET_SCOPE, report.replayed as u64)]
+    );
+    assert_eq!(events.last().unwrap().kind, TraceKind::RecoveryReplayed);
     let _ = std::fs::remove_dir_all(&dir);
 }
