@@ -187,11 +187,6 @@ impl AgentRanking {
             .expect("user belongs to the ranked session")
             .1
     }
-
-    /// The best-ranked agent for user `u` (Line 16 of Alg. 2).
-    pub fn best_for(&self, u: UserId) -> AgentId {
-        self.candidates_of(u)[0]
-    }
 }
 
 /// Adds one component of the residual quadruple to `acc`, normalized

@@ -8,8 +8,21 @@
 //! alternative minimizing the session's local objective; when no
 //! alternative is feasible it still force-moves to the least-bad agent
 //! (service continuity over constraint purity) and reports it.
+//!
+//! An evacuation is a hop's neighbourhood restricted to the stranded
+//! entry, with an argmin where the hop has a Gibbs draw. The rule that
+//! picks a target lives here once, [`pick_target`], over the
+//! [`Neighborhood`] kernel: the conference is compiled once per stranded
+//! decision and each surviving agent costs what a hop's candidate costs
+//! (the delays the move invalidates, one fold), its load bit-equal to a
+//! from-scratch evaluation. What "feasible" means is the caller's
+//! `fits`: [`evacuate_agent`] asks the closed world's
+//! [`SystemState::fits`], the orchestrator's fleet asks its own rule
+//! against totals summed from its live slots — and both commit the
+//! winner the way their hops commit one.
 
-use vc_core::{Decision, SystemState};
+use vc_core::neighborhood::Neighborhood;
+use vc_core::{Decision, EvalScratch, SessionLoad, SystemState};
 use vc_model::AgentId;
 
 /// What an evacuation did.
@@ -34,6 +47,33 @@ impl EvacuationReport {
     }
 }
 
+/// The evacuation's target rule: weighs `stranded` (a decision of
+/// `hood`'s session, its agent being the one lost) moved to each of
+/// `targets` in turn and returns the winner with whether it `fits` — a
+/// feasible candidate beats any infeasible one, then the lower `Φ_s`
+/// wins, then the earlier target. `None` when `targets` is empty.
+/// Committing the winner (re-derive its load through
+/// [`Neighborhood::candidate`]) is the caller's, as after a Gibbs draw.
+pub fn pick_target(
+    hood: &mut Neighborhood<'_>,
+    stranded: Decision,
+    targets: impl IntoIterator<Item = AgentId>,
+    mut fits: impl FnMut(&SessionLoad) -> bool,
+) -> Option<(Decision, bool)> {
+    let mut winner: Option<(Decision, f64, bool)> = None;
+    for l in targets {
+        let decision = stranded.retarget(l);
+        let (_, load) = hood.candidate(decision);
+        let (phi, feasible) = (load.phi, fits(load));
+        if winner.is_none_or(|(_, best_phi, best_feasible)| {
+            (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
+        }) {
+            winner = Some((decision, phi, feasible));
+        }
+    }
+    winner.map(|(decision, _, feasible)| (decision, feasible))
+}
+
 /// Marks `agent` unavailable and moves all its users and tasks elsewhere.
 ///
 /// Users and tasks of *active* sessions are relocated; inactive sessions
@@ -46,63 +86,38 @@ pub fn evacuate_agent(state: &mut SystemState, agent: AgentId) -> EvacuationRepo
 
     // Collect stranded decisions first (iteration order: users then tasks,
     // session by session) — the state mutates as we go.
-    let mut stranded: Vec<Decision> = Vec::new();
-    for s in state.active_sessions().collect::<Vec<_>>() {
+    let mut stranded = Vec::new();
+    for s in state.active_sessions() {
         for &u in inst.session(s).users() {
             if state.assignment().agent_of_user(u) == agent {
-                stranded.push(Decision::User(u, agent));
+                stranded.push((s, Decision::User(u, agent)));
             }
         }
         for &t in problem.tasks().of_session(s) {
             if state.assignment().agent_of_task(t) == agent {
-                stranded.push(Decision::Task(t, agent));
+                stranded.push((s, Decision::Task(t, agent)));
             }
         }
     }
 
+    let mut eval = EvalScratch::new();
     let mut moves = Vec::new();
     let mut forced = 0;
-    for d in stranded {
-        let alternatives = inst
+    for (s, d) in stranded {
+        let mut hood = Neighborhood::of_state(state, s, &mut eval);
+        let targets = inst
             .agent_ids()
             .filter(|&l| l != agent && state.is_agent_available(l));
-        let mut best_feasible: Option<(Decision, f64)> = None;
-        let mut best_any: Option<(Decision, f64)> = None;
-        for l in alternatives {
-            let candidate = match d {
-                Decision::User(u, _) => Decision::User(u, l),
-                Decision::Task(t, _) => Decision::Task(t, l),
-            };
-            let (load, verdict) = state.candidate(candidate);
-            let entry = (candidate, load.phi);
-            if best_any.as_ref().is_none_or(|(_, phi)| load.phi < *phi) {
-                best_any = Some(entry);
-            }
-            if verdict.is_ok()
-                && best_feasible
-                    .as_ref()
-                    .is_none_or(|(_, phi)| load.phi < *phi)
-            {
-                best_feasible = Some(entry);
-            }
-        }
-        match (best_feasible, best_any) {
-            (Some((decision, _)), _) => {
-                state
-                    .try_apply(decision)
-                    .expect("feasible candidate stays feasible single-threaded");
-                moves.push(decision);
-            }
-            (None, Some((decision, _))) => {
-                state.apply_unchecked(decision);
-                moves.push(decision);
-                forced += 1;
-            }
-            (None, None) => {
-                // No other agent exists at all; nothing we can do.
-                forced += 1;
-            }
-        }
+        let picked = pick_target(&mut hood, d, targets, |load| state.fits(s, load).is_ok());
+        // No other agent exists at all: nothing we can do.
+        let Some((decision, feasible)) = picked else {
+            forced += 1;
+            continue;
+        };
+        hood.candidate(decision);
+        state.commit_scratch(decision, &mut eval);
+        moves.push(decision);
+        forced += usize::from(!feasible);
     }
     EvacuationReport { moves, forced }
 }

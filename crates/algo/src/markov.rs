@@ -149,12 +149,6 @@ impl Alg1Config {
             noise: None,
         }
     }
-
-    /// Chooses β "proportional to the logarithm of the problem state
-    /// space" — `scale · (U+θ_sum)·log L` — as the paper prescribes.
-    pub fn beta_for_state_space(problem: &vc_core::UapProblem, scale: f64) -> f64 {
-        scale * problem.log_state_space().max(1.0)
-    }
 }
 
 impl Default for Alg1Config {

@@ -151,6 +151,14 @@ impl Decision {
         let (Decision::User(_, a) | Decision::Task(_, a)) = self;
         a
     }
+
+    /// The decision moving the same user or task to `a` instead.
+    pub fn retarget(self, a: AgentId) -> Self {
+        match self {
+            Decision::User(u, _) => Decision::User(u, a),
+            Decision::Task(t, _) => Decision::Task(t, a),
+        }
+    }
 }
 
 impl fmt::Display for Decision {

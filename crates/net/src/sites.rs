@@ -191,19 +191,6 @@ impl SiteSampler {
         }
     }
 
-    /// Uniform mix across regions.
-    pub fn uniform_mix() -> Self {
-        Self {
-            weights: vec![
-                (Region::NorthAmerica, 0.2),
-                (Region::Europe, 0.2),
-                (Region::Asia, 0.2),
-                (Region::Oceania, 0.2),
-                (Region::SouthAmerica, 0.2),
-            ],
-        }
-    }
-
     /// Samples one metro according to the regional weights.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &'static Site {
         let total: f64 = self.weights.iter().map(|(_, w)| w).sum();

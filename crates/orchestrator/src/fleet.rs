@@ -87,9 +87,9 @@
 //! snapshot and an evacuation keeps its own delta-maintained slot
 //! totals, and both ask the one sparse `fits` — the paper's
 //! constraints (5)–(8) as `new − old ≤ capacity − reserved` at the
-//! agents the candidate touches — an evacuation of a freshly evaluated
-//! load, a hop of the [demand](vc_core::SessionLoad::demand) its sweep
-//! stored.
+//! agents the candidate touches — an evacuation of the load the
+//! neighbourhood kernel just folded, a hop of the
+//! [demand](vc_core::SessionLoad::demand) its sweep stored.
 
 use crate::ledger::{CapacityLedger, SessionHold};
 use crate::persist::{FleetOp, RefusalReason};
@@ -105,11 +105,12 @@ use vc_algo::admission::{
     AdmissionEngine, AdmissionFailure, AdmissionScratch, AdmissionStats, AdmissionTier,
 };
 use vc_algo::agrank::{AgRankConfig, Residuals};
+use vc_algo::churn;
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
-    AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, OverlayView,
-    SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, SessionLoad,
+    SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
@@ -746,14 +747,16 @@ impl Fleet {
         self.freeze.read().problem.instance().num_agents()
     }
 
-    /// Whether `agent` has been drained (permanently out).
+    /// Whether `agent` has been drained (permanently out); `false` for
+    /// an id past the pool.
     pub fn is_agent_drained(&self, agent: AgentId) -> bool {
-        self.freeze.read().drained[agent.index()]
+        self.freeze.read().drained.get(agent.index()) == Some(&true)
     }
 
-    /// Whether `agent` is currently available.
+    /// Whether `agent` is currently available; `false` for an id past
+    /// the pool.
     pub fn is_agent_available(&self, agent: AgentId) -> bool {
-        self.freeze.read().available[agent.index()]
+        self.freeze.read().available.get(agent.index()) == Some(&true)
     }
 
     /// The shared capacity ledger.
@@ -1018,12 +1021,14 @@ impl Fleet {
     /// every stranded user/task of a live session is evacuated
     /// immediately to its objective-minimizing feasible alternative
     /// (force-moved to the least-bad one when nothing is feasible).
-    /// Returns `(moves, forced)`. Coarse path: takes the FREEZE write
-    /// lock, so the evacuation is deterministic — replay re-runs it.
-    /// The exclusive hold costs one pass over the live sessions plus
-    /// O(stranded × agents) (see `evacuate_locked`): proportional
-    /// to the load the agent carried, tens of milliseconds at 5k live
-    /// conferences.
+    /// Returns `(moves, forced)` — `(0, 0)`, changing and journaling
+    /// nothing, for an id past the pool. Coarse path: takes the FREEZE
+    /// write lock, so the evacuation is deterministic — replay re-runs
+    /// it. The exclusive hold costs one pass over the live sessions
+    /// plus O(stranded × agents) hop candidates (see
+    /// `evacuate_locked`): proportional to the load the agent carried
+    /// — fleetbench's traced `storm_recover` reads it as
+    /// `fleet.fail_agent.{p50_ms, max_ms}`.
     pub fn fail_agent(&self, agent: AgentId) -> (usize, usize) {
         self.down_agent_inner(agent, true, false)
     }
@@ -1059,6 +1064,11 @@ impl Fleet {
         let mut evacuated = Vec::new();
         let mut displaced = Vec::new();
         let mut u = self.freeze_exclusive();
+        // An id past the pool (a trace cut for a larger universe) names
+        // no agent: answered like a session op on an unknown id.
+        if agent.index() >= u.available.len() {
+            return (0, 0);
+        }
         u.available[agent.index()] = false;
         u.agents_gen += 1;
         if drain {
@@ -1126,9 +1136,10 @@ impl Fleet {
     }
 
     /// The evacuation proper (FREEZE write lock held): for each stranded
-    /// decision — sessions ascending, users before tasks, mirroring
-    /// `vc-algo`'s churn module — pick the feasible alternative
-    /// minimizing `Φ_s`. When no feasible target exists: with
+    /// decision — sessions ascending, users before tasks — the target is
+    /// what [`churn::pick_target`] picks, the rule the closed world's
+    /// `evacuate_agent` runs too: the feasible alternative minimizing
+    /// `Φ_s`. When no feasible target exists: with
     /// re-admission enabled the *whole session* is displaced (pushed to
     /// `displaced`, its hold released, its slot removed) instead of
     /// overshooting a surviving agent; without it, the least-bad move
@@ -1136,8 +1147,12 @@ impl Fleet {
     ///
     /// **Cost.** One pass over the live slots collects the stranded
     /// decisions and the per-agent totals together; after that each
-    /// decision costs O(agents) candidates, each checked by [`fits`]
-    /// against the totals as they stand, and every committed move or
+    /// decision compiles its conference once ([`Neighborhood::begin`])
+    /// and costs O(agents) candidates, each what a hop's candidate
+    /// costs — the delays the move invalidates and one fold, no
+    /// conference compile — and checked by [`fits`] against the totals
+    /// as they stand; the winner is re-derived once and committed as a
+    /// hop commits (`relocate`), and every committed move or
     /// displacement updates the totals by delta (`remove(old)` /
     /// `add(new)`, the closed-world [`SystemState`] idiom). So an agent
     /// loss is O(live + stranded × agents) under the exclusive hold —
@@ -1175,10 +1190,7 @@ impl Fleet {
             }
         });
         let readmit_on = self.config.readmit.is_some();
-        // `eval` takes each candidate; the best one so far is swapped
-        // into `best`, so the winner's load is at hand at commit time.
         let mut eval = EvalScratch::new();
-        let mut best = EvalScratch::new();
         let mut moves = 0usize;
         let mut forced = 0usize;
         for (s, d) in stranded {
@@ -1190,27 +1202,16 @@ impl Fleet {
             }
             // The hold is exclusive: no slot lock is needed.
             let slot = u.slots.get_mut(&s).expect("stranded, so live").get_mut();
-            // `(target, Φ_s, feasible)`: a feasible candidate beats any
-            // infeasible one; within a class the lower Φ_s wins, the
-            // first agent on ties.
-            let mut winner: Option<(AgentId, f64, bool)> = None;
-            for l in inst.agent_ids() {
-                if l == agent || !u.available[l.index()] {
-                    continue;
-                }
-                let base = slot_view(problem, s, slot);
-                let load = eval.evaluate(problem, &OverlayView::new(&base, redirect(d, l)), s);
-                let feasible = fits(load, slot.load(), &totals, inst);
-                let phi = load.phi;
-                if winner.is_none_or(|(_, best_phi, best_feasible)| {
-                    (feasible && !best_feasible) || (feasible == best_feasible && phi < best_phi)
-                }) {
-                    winner = Some((l, phi, feasible));
-                    std::mem::swap(&mut eval, &mut best);
-                }
-            }
-            let l = match winner {
-                Some((l, _, true)) => l,
+            let (users, tasks) = (slot.users().iter().copied(), slot.tasks().iter().copied());
+            let mut hood = Neighborhood::begin(&mut eval, problem, s, users, tasks);
+            let targets = inst
+                .agent_ids()
+                .filter(|&l| l != agent && u.available[l.index()]);
+            let picked = churn::pick_target(&mut hood, d, targets, |load| {
+                fits(load, slot.load(), &totals, inst)
+            });
+            let decision = match picked {
+                Some((decision, true)) => decision,
                 _ if readmit_on => {
                     // No feasible target: displace the whole session
                     // into the re-admission queue instead of forcing an
@@ -1225,9 +1226,9 @@ impl Fleet {
                     displaced.push(s);
                     continue;
                 }
-                Some((l, _, false)) => {
+                Some((decision, false)) => {
                     forced += 1;
-                    l
+                    decision
                 }
                 None => {
                     // No other agent exists at all; nothing we can do.
@@ -1235,15 +1236,17 @@ impl Fleet {
                     continue;
                 }
             };
-            let index = (problem.local_index(s, d)).expect("a stranded decision is the session's");
+            // Committed as a hop commits its draw: the kernel re-derives
+            // the winner's load and names its slot entry.
+            let (index, moved) = hood.candidate(decision);
             totals.remove(slot.load());
-            totals.add(best.load());
-            slot.relocate(redirect(d, l), index, best.load_mut());
+            totals.add(moved);
+            slot.relocate(decision, index, eval.load_mut());
             self.ledger
                 .force_swap(s, SessionHold::from_load(slot.load()))
                 .expect("evacuated session holds a reservation");
             moves += 1;
-            evacuated.push((s, l));
+            evacuated.push((s, decision.target()));
         }
         debug_assert!(
             totals_drift(&totals, &live_totals_locked(u, |_, _| {})) <= CAPACITY_EPS,
@@ -1254,12 +1257,13 @@ impl Fleet {
 
     /// Brings a failed agent back; Alg. 1 hops will migrate load onto it
     /// again as the Gibbs weights dictate. Returns whether the agent was
-    /// actually restored: **drained agents are refused** (a drain is a
-    /// permanent, planned departure — nothing is journaled for a refused
-    /// restore, so replay never sees one). Coarse path.
+    /// actually restored: an id past the pool is refused, and **drained
+    /// agents are refused** (a drain is a permanent, planned departure)
+    /// — nothing is journaled for a refused restore, so replay never
+    /// sees one. Coarse path.
     pub fn restore_agent(&self, agent: AgentId) -> bool {
         let mut frz = self.freeze_exclusive();
-        if frz.drained[agent.index()] {
+        if frz.drained.get(agent.index()) != Some(&false) {
             return false;
         }
         frz.available[agent.index()] = true;
@@ -2052,12 +2056,4 @@ pub(crate) fn evaluate_slot<'a>(
 ) -> &'a SessionLoad {
     let view = slot_view(problem, s, slot);
     scratch.evaluate(problem, &view, s)
-}
-
-/// `d` with its target replaced by `l`.
-fn redirect(d: Decision, l: AgentId) -> Decision {
-    match d {
-        Decision::User(u, _) => Decision::User(u, l),
-        Decision::Task(t, _) => Decision::Task(t, l),
-    }
 }

@@ -93,15 +93,12 @@ pub fn sched_metrics_text(pool: &ReoptPool) -> String {
 }
 
 /// How one [`FleetSnapshot`] gauge type reads as a series value and
-/// prints in the CSV, JSON and Prometheus exports.
+/// prints in the JSON and Prometheus exports.
 trait Gauge: Copy {
     fn as_f64(self) -> f64;
-    fn write_csv(self, out: &mut String);
-    fn write_json(self, out: &mut String) {
-        self.write_csv(out);
-    }
+    fn write_json(self, out: &mut String);
     fn write_prom(self, out: &mut String) {
-        self.write_csv(out);
+        self.write_json(out);
     }
 }
 
@@ -109,7 +106,7 @@ impl Gauge for usize {
     fn as_f64(self) -> f64 {
         self as f64
     }
-    fn write_csv(self, out: &mut String) {
+    fn write_json(self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 }
@@ -119,7 +116,7 @@ impl Gauge for f64 {
         self
     }
     /// 17 significant digits: enough to round-trip the `f64`.
-    fn write_csv(self, out: &mut String) {
+    fn write_json(self, out: &mut String) {
         let _ = write!(out, "{self:.17e}");
     }
     /// Six decimals; infinity is Prometheus' `+Inf`.
@@ -136,16 +133,16 @@ impl Gauge for bool {
     fn as_f64(self) -> f64 {
         f64::from(u8::from(self))
     }
-    fn write_csv(self, out: &mut String) {
-        let _ = write!(out, "{}", u8::from(self));
-    }
     fn write_json(self, out: &mut String) {
         let _ = write!(out, "{self}");
+    }
+    fn write_prom(self, out: &mut String) {
+        let _ = write!(out, "{}", u8::from(self));
     }
 }
 
 /// Declares [`FleetSnapshot`]: each gauge's Prometheus kind, name, type
-/// and doc are written once here, and the struct field, the CSV column,
+/// and doc are written once here, and the struct field,
 /// the JSON key, the [`FleetTelemetry::series`] name, the durable codec
 /// position and the `/metrics` series `vc_fleet_<name>` all derive from
 /// that one line — in declaration order, so a new gauge is a one-line
@@ -171,11 +168,9 @@ macro_rules! fleet_snapshot {
         }
 
         impl FleetSnapshot {
-            /// The gauge names, in declaration (= CSV column) order;
+            /// The gauge names, in declaration (= JSON key) order;
             /// `time_s` is the axis, not a gauge.
             pub const GAUGES: &'static [&'static str] = &[$( stringify!($name) ),*];
-
-            const CSV_HEADER: &'static str = concat!("time_s" $(, ",", stringify!($name))*);
 
             /// Gauge `name`'s value as a series point (counts as
             /// floats, flags as 0/1); `None` for an unknown name.
@@ -184,12 +179,6 @@ macro_rules! fleet_snapshot {
                     $( stringify!($name) => Some(self.$name.as_f64()), )*
                     _ => None,
                 }
-            }
-
-            fn write_csv_row(&self, out: &mut String) {
-                let _ = write!(out, "{}", self.time_s);
-                $( out.push(','); self.$name.write_csv(out); )*
-                out.push('\n');
             }
 
             /// `# TYPE` and value line of every scraped gauge.
@@ -329,8 +318,8 @@ impl FleetSnapshot {
 /// Accumulates snapshots; any gauge reads back as a time
 /// [`series`](FleetTelemetry::series), so a fleet metric (including a
 /// recovered-vs-original diff) drops into the existing table printers,
-/// and the whole run exports as [CSV](FleetTelemetry::to_csv) or
-/// [JSON](FleetTelemetry::to_json) for offline analysis.
+/// and the whole run exports as [JSON](FleetTelemetry::to_json) for
+/// offline analysis.
 #[derive(Debug, Default)]
 pub struct FleetTelemetry {
     snapshots: Vec<FleetSnapshot>,
@@ -417,32 +406,10 @@ impl FleetTelemetry {
             .sum()
     }
 
-    /// Column names of [`to_csv`](Self::to_csv), in order.
-    pub const CSV_HEADER: &'static str = FleetSnapshot::CSV_HEADER;
-
-    /// Every snapshot as CSV (header + one row per sample), precise
-    /// enough to round-trip `f64`s — two runs can be diffed offline
-    /// (e.g. a recovered fleet against the original).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::CSV_HEADER);
-        out.push('\n');
-        for s in &self.snapshots {
-            s.write_csv_row(&mut out);
-        }
-        out
-    }
-
-    /// Writes [`to_csv`](Self::to_csv) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// The structured JSON export alongside the CSV: every snapshot
-    /// (keys mirror the CSV columns), plus the fleet's observability-
+    /// The structured JSON export: every snapshot (one object a line,
+    /// keys in [`FleetSnapshot::GAUGES`] order, floats precise enough to
+    /// round-trip — two runs can be diffed offline, e.g. a recovered
+    /// fleet against the original), plus the fleet's observability-
     /// plane summaries — per-site latency percentiles, swap contention
     /// per shard, the event ring's lifetime count, and the process alloc
     /// counter when registered.

@@ -1192,6 +1192,32 @@ mod persistence {
         );
     }
 
+    /// What the by-agent entry points do with an id past the pool — a
+    /// `FleetEvent::FailAgent` from a trace cut for a larger universe:
+    /// they answer as the session side answers an unknown id, and
+    /// nothing is counted, traced or journaled (a journaled one would
+    /// fail the recovery below with `replay_bounds`' typed error).
+    #[test]
+    fn agent_entry_points_answer_for_ids_past_the_pool() {
+        let (fleet, dir) = persistent_fleet("agent-bounds");
+        churn(&fleet);
+        let before = fleet.durable_state();
+        let traced = fleet.obs().trace().total();
+        for agent in [AgentId::from(fleet.num_agents()), AgentId::new(u32::MAX)] {
+            assert_eq!(fleet.fail_agent(agent), (0, 0), "{agent}");
+            assert_eq!(fleet.drain_agent(agent), (0, 0), "{agent}");
+            assert!(!fleet.restore_agent(agent), "{agent}");
+            assert!(!fleet.is_agent_available(agent), "{agent}");
+            assert!(!fleet.is_agent_drained(agent), "{agent}");
+        }
+        assert_eq!(fleet.obs().trace().total(), traced);
+        assert_eq!(fleet.durable_state(), before);
+        assert!(fleet.audit().is_empty());
+        drop(fleet);
+        let (recovered, _) = recover(&dir);
+        assert_eq!(recovered.durable_state(), before);
+    }
+
     /// A fleet that grew its universe online recovers exactly — via
     /// journal replay of the `RegisterSession` records (pre-checkpoint
     /// crash) AND via the snapshot's registered definitions
@@ -1385,7 +1411,7 @@ mod persistence {
     }
 
     #[test]
-    fn telemetry_exports_every_field_as_csv() {
+    fn telemetry_exports_every_field() {
         let problem = universe(10_000.0, 100);
         let trace = dynamic_trace(
             6,
@@ -1404,12 +1430,24 @@ mod persistence {
         for name in gauges {
             assert_eq!(t.series(name).len(), n, "series {name} is missing samples");
         }
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        let header = lines.next().expect("header");
-        assert_eq!(header.split(',').count(), 30);
-        assert!(header.ends_with(",hop_candidates_bounded,hop_candidates_folded"));
-        assert_eq!(lines.count(), n);
+        // One JSON object a sample, its keys the axis then every gauge
+        // in declaration order.
+        let json = t.to_json(orch.fleet());
+        let rows: Vec<&str> = (json.lines())
+            .filter_map(|l| l.trim_start().strip_prefix("{\"time_s\": "))
+            .collect();
+        assert_eq!(rows.len(), n);
+        for row in rows {
+            let keys: Vec<&str> = row.split(", \"").skip(1).collect();
+            assert_eq!(keys.len(), gauges.len());
+            for (key, name) in keys.iter().zip(gauges) {
+                assert!(key.starts_with(&format!("{name}\": ")), "{key} vs {name}");
+            }
+        }
+        assert_eq!(
+            gauges[27..],
+            ["hop_candidates_bounded", "hop_candidates_folded"]
+        );
         // Admissions are cumulative and should end ≥ warm pool.
         assert!(t.series("admitted").last_value().expect("samples") >= 4.0);
         // The closed-world trace never grows the universe: the size

@@ -465,12 +465,6 @@ impl<T: Encode> JournalWriter<T> {
         self.sync_retries
     }
 
-    /// Bytes of appended frames currently buffered in memory (what a
-    /// crash right now would lose).
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// The sequence number the next append will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

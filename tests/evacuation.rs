@@ -12,7 +12,10 @@
 //!   both evacuations to the identical fleet. The delta-maintained
 //!   totals themselves are checked against a from-scratch ascending
 //!   re-sum by the `debug_assert!` that closes `evacuate_locked`, which
-//!   these tests trip live and under replay.
+//!   these tests trip live and under replay;
+//! * **one evacuation** — the fleet and the closed world's
+//!   `churn::evacuate_agent` pick through one rule on one kernel, so the
+//!   same loss ends in the same moves, assignment and Φ bits.
 
 use cloud_vc::persist::FsyncPolicy;
 use cloud_vc::prelude::*;
@@ -36,16 +39,17 @@ const USERS_PER_SESSION: usize = 3;
 /// Capacities fit the whole universe at full strength but not on three
 /// agents: losing one strands more than the survivors can absorb.
 fn universe() -> Arc<UapProblem> {
+    universe_with(Capacity::new(70.0, 70.0, 8))
+}
+
+/// [`universe`] with every agent's capacity set to `capacity`.
+fn universe_with(capacity: Capacity) -> Arc<UapProblem> {
     let ladder = ReprLadder::standard_four();
     let hi = ladder.highest();
     let lo = ladder.lowest();
     let mut b = InstanceBuilder::new(ladder);
     for name in ["a", "b", "c", "d"] {
-        b.add_agent(
-            AgentSpec::builder(name)
-                .capacity(Capacity::new(70.0, 70.0, 8))
-                .build(),
-        );
+        b.add_agent(AgentSpec::builder(name).capacity(capacity).build());
     }
     for _ in 0..SESSIONS {
         let s = b.add_session();
@@ -211,6 +215,8 @@ fn displacing_evacuations_replay_to_the_identical_fleet() {
     assert!(drain_moves >= 1, "drain_agent moved nothing");
     assert!(counters[2] > after_fail[2], "drain_agent displaced nothing");
 
+    // Slots hold the kernel's loads: cold-evaluation bits, exactly.
+    assert_eq!(fleet.load_drift(), 0.0);
     fleet.commit_journal().expect("durability boundary");
     let state = fleet.durable_state();
     let phi = fleet.objective();
@@ -226,4 +232,56 @@ fn displacing_evacuations_replay_to_the_identical_fleet() {
     assert_eq!(recovered.readmit_entries(), queue);
     assert_eq!(evacuation_counters(&recovered), counters);
     assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
+    assert_eq!(recovered.load_drift(), 0.0);
+}
+
+/// One evacuation, both worlds: a fleet without re-admission that
+/// loses its busiest agent ends where `churn::evacuate_agent` ends on
+/// the closed-world state materialized from it — same moves in the same
+/// order, same `forced`, same assignment, every session's Φ bit-equal —
+/// on the scarce universe (forced overshoots) and on a roomy one.
+#[test]
+fn one_evacuation_both_worlds() {
+    for (problem, scarce) in [
+        (universe(), true),
+        (
+            universe_with(Capacity::new(10_000.0, 10_000.0, 1_000)),
+            false,
+        ),
+    ] {
+        let fleet = Fleet::new(problem.clone(), fleet_config(false));
+        let admitted = admit_all(&fleet);
+        let victim = busiest_agent(&fleet);
+        let mut closed = fleet.with_state(|state| state.clone());
+        let report = vc_algo::churn::evacuate_agent(&mut closed, victim);
+        let (moves, forced) = fleet.fail_agent(victim);
+        assert!(moves >= USERS_PER_SESSION, "victim held too little");
+        assert_eq!(forced >= 1, scarce, "{forced} forced of {moves}");
+        assert_eq!((report.len(), report.forced), (moves, forced));
+        let closed_sequence: Vec<(u32, u64)> = (report.moves.iter())
+            .map(|&d| {
+                (
+                    closed.session_of(d).index() as u32,
+                    d.target().index() as u64,
+                )
+            })
+            .collect();
+        assert_eq!(evacuation_sequence(&fleet), closed_sequence);
+
+        // The fleet's slots hold cold-evaluation bits, so its
+        // materialized state is what it holds.
+        assert_eq!(fleet.load_drift(), 0.0);
+        let open = fleet.with_state(|state| state.clone());
+        assert_eq!(open.assignment(), closed.assignment());
+        let live = fleet.live_sessions();
+        assert_eq!(live.len(), admitted, "nothing is displaced without a queue");
+        for s in live {
+            assert_eq!(
+                open.session_objective(s).to_bits(),
+                closed.session_objective(s).to_bits(),
+                "Φ of {s} (scarce={scarce})"
+            );
+        }
+        assert_eq!(open.objective().to_bits(), closed.objective().to_bits());
+    }
 }

@@ -1,7 +1,7 @@
 //! Property tests of the observability exports' mutual consistency:
 //! after *any* admit/depart/hop/sample interleaving, the three views a
 //! [`FleetTelemetry`] collector offers — the snapshot vector, the
-//! per-field [`TimeSeries`], and the CSV export — must describe the
+//! per-field [`TimeSeries`], and the JSON export — must describe the
 //! same history, row for row and field for field. A companion suite
 //! checks that `vc-obs` histogram merging is exactly bucket-wise (a
 //! merged histogram reports the same summary as one histogram fed the
@@ -323,46 +323,57 @@ proptest! {
         }
     }
 
-    /// The CSV export is a faithful, parseable rendering of the
-    /// snapshot vector: header plus one row per sample, with every
-    /// column round-tripping back to the snapshot field.
+    /// The JSON export is a faithful, parseable rendering of the
+    /// snapshot vector: one object per sample, its keys the time axis
+    /// then every gauge in [`FleetSnapshot::GAUGES`] order, every value
+    /// round-tripping back to the snapshot field.
     #[test]
-    fn csv_round_trips_snapshots(
+    fn json_round_trips_snapshots(
         spec in universe_strategy(),
         events in prop::collection::vec((any::<u8>(), any::<u8>()), 1..=30),
     ) {
         let fleet = build_fleet(&spec);
         let telemetry = drive(&fleet, &events);
         let snaps = telemetry.snapshots();
-        let csv = telemetry.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        prop_assert_eq!(lines.len(), snaps.len() + 1, "header + one row per sample");
-        prop_assert_eq!(lines[0], FleetTelemetry::CSV_HEADER);
-        let columns = lines[0].split(',').count();
-        for (i, snap) in snaps.iter().enumerate() {
-            let fields: Vec<&str> = lines[i + 1].split(',').collect();
-            prop_assert_eq!(fields.len(), columns, "row {} column count", i);
+        let json = telemetry.to_json(&fleet);
+        let rows: Vec<&str> = json
+            .lines()
+            .map(|l| l.trim().trim_end_matches(','))
+            .filter(|l| l.starts_with("{\"time_s\": "))
+            .collect();
+        prop_assert_eq!(rows.len(), snaps.len(), "one object per sample");
+        for (snap, row) in snaps.iter().zip(rows) {
+            let fields: Vec<(&str, &str)> = row
+                .trim_matches(|c| c == '{' || c == '}')
+                .split(", ")
+                .map(|kv| kv.split_once(": ").expect("key: value"))
+                .collect();
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.trim_matches('"')).collect();
+            prop_assert_eq!(keys[0], "time_s");
+            prop_assert_eq!(&keys[1..], FleetSnapshot::GAUGES);
             // Floats are written as {:.17e}, which round-trips f64
-            // exactly; counters parse back as integers.
-            prop_assert_eq!(fields[0].parse::<f64>().unwrap(), snap.time_s);
-            prop_assert_eq!(fields[1].parse::<usize>().unwrap(), snap.universe_sessions);
-            prop_assert_eq!(fields[2].parse::<usize>().unwrap(), snap.universe_users);
-            prop_assert_eq!(fields[3].parse::<usize>().unwrap(), snap.live_sessions);
-            prop_assert_eq!(fields[4].parse::<f64>().unwrap(), snap.objective);
-            prop_assert_eq!(fields[10].parse::<usize>().unwrap(), snap.admitted);
-            prop_assert_eq!(fields[11].parse::<usize>().unwrap(), snap.rejected);
-            prop_assert_eq!(fields[12].parse::<usize>().unwrap(), snap.departed);
-            prop_assert_eq!(fields[13].parse::<usize>().unwrap(), snap.migrations);
+            // exactly; counters parse back as integers, flags as bools.
+            prop_assert_eq!(fields[0].1.parse::<f64>().unwrap(), snap.time_s);
+            let value = |name: &str| fields[keys.iter().position(|&k| k == name).unwrap()].1;
+            let count = |name: &str| value(name).parse::<usize>().unwrap();
+            prop_assert_eq!(count("universe_sessions"), snap.universe_sessions);
+            prop_assert_eq!(count("universe_users"), snap.universe_users);
+            prop_assert_eq!(count("live_sessions"), snap.live_sessions);
+            prop_assert_eq!(value("objective").parse::<f64>().unwrap(), snap.objective);
+            prop_assert_eq!(count("admitted"), snap.admitted);
+            prop_assert_eq!(count("rejected"), snap.rejected);
+            prop_assert_eq!(count("departed"), snap.departed);
+            prop_assert_eq!(count("migrations"), snap.migrations);
             prop_assert_eq!(
-                fields[14].parse::<f64>().unwrap(),
+                value("admission_success_rate").parse::<f64>().unwrap(),
                 snap.admission_success_rate
             );
-            let column = |name: &str| {
-                let at = lines[0].split(',').position(|c| c == name).expect("a column");
-                fields[at].parse::<usize>().unwrap()
-            };
-            prop_assert_eq!(column("conservation_violations"), snap.conservation_violations);
-            prop_assert_eq!(column("hop_candidates_folded"), snap.hop_candidates_folded);
+            prop_assert_eq!(count("conservation_violations"), snap.conservation_violations);
+            prop_assert_eq!(count("hop_candidates_folded"), snap.hop_candidates_folded);
+            prop_assert_eq!(
+                value("durability_degraded").parse::<bool>().unwrap(),
+                snap.durability_degraded
+            );
         }
     }
 
