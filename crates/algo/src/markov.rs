@@ -26,7 +26,8 @@
 //! hop — is two halves joined by a [`HopMemo`].
 //!
 //! The **sweep** ([`Alg1Engine::sweep`]) reads only what belongs to the
-//! session: it takes each candidate from the
+//! session: it takes each candidate toward the agents it enumerates
+//! ([`HopContext::targets`]) from the
 //! [neighbourhood kernel](vc_core::neighborhood) *between* the two
 //! halves of its fold, when only its delays are known, and
 //!
@@ -39,20 +40,23 @@
 //!   above the clamp is **stored**: its `Φ` and the sparse per-agent
 //!   [demand](vc_core::SessionLoad::demand) of its load. One whose exact
 //!   exponent is on the clamp after all is kept as bounded too — except
-//!   the first such that fits, which is stored as the **witness**.
+//!   the first such that is allowed and fits, which is stored as the
+//!   **witness**.
 //!
-//! The **draw** ([`Alg1Engine::draw`]) reads what other sessions move:
-//! it asks `fits` of every stored candidate's demand against the
-//! *current* reserved capacity, applies rule (d), observes, and samples
-//! over {stay} ∪ the stored candidates that fit ∪ the bounded ones —
-//! resolving a bounded one (compile if need be, fold, store it in place
-//! of its placeholder) only where (c) or (d) asks.
+//! The **draw** ([`Alg1Engine::draw`]) reads what other sessions move
+//! and which agents are up: it asks `allowed` of every stored
+//! candidate's target and `fits` of its demand against the *current*
+//! reserved capacity, applies rule (d), observes, and samples over
+//! {stay} ∪ the stored candidates that are allowed and fit ∪ the
+//! bounded ones — resolving a bounded one (refuse it if its target is
+//! not allowed; else compile if need be, fold, store it in place of its
+//! placeholder) only where (c) or (d) asks.
 //!
 //! Cost per HOP: a sweep is one conference compilation, one delay
 //! derivation per candidate and one full fold per *undecided*
-//! candidate; a draw is one capacity check per stored candidate and one
-//! `rng.gen::<f64>()`. The result is the eager one's bit for bit, by
-//! construction rather than by tolerance:
+//! candidate; a draw is one availability read and one capacity check
+//! per stored candidate and one `rng.gen::<f64>()`. The result is the
+//! eager one's bit for bit, by construction rather than by tolerance:
 //!
 //! * **(a) a bounded weight is the clamped weight.** `Φ = α1·F + α2·G +
 //!   α3·H` with every weight, price and cost shape `≥ 0`, so
@@ -87,19 +91,33 @@
 //!   order, which is then the order of the noise draws.
 //! * **(f) a memoized sweep is the sweep.** Everything a sweep reads —
 //!   the session's placement and committed load (so `Φ_now` and the
-//!   `old` side of every capacity check), the agents a decision may
-//!   target (so the enumeration and its order), β, `d_max` and the
+//!   `old` side of every capacity check), the agents it enumerates
+//!   (`targets`: so the enumeration and its order), β, `d_max` and the
 //!   problem's delays, prices and bitrates — is either constant for
 //!   the engine and the session or changes only through a write to that
-//!   placement or to the agent set. So while neither is written, a
+//!   placement or to the enumerated set. So while neither is written, a
 //!   second sweep would rebuild the same memo, and a caller may keep it
 //!   and go straight to the draw ([`Alg1Engine::keeps_memos`]: without
 //!   noise only — under (e) nothing about a candidate's weight is
 //!   constant). The invalidation rule is exactly that: **drop the memo
 //!   when the session's placement or load is written, or when the set
-//!   of agents (its size, or any agent's availability) changes.**
-//!   Capacities are no part of it: residual capacity is what the draw
-//!   fetches afresh on every HOP, as Alg. 1 says.
+//!   of agents the sweep enumerates changes** — for a fleet, the agents
+//!   that are registered and not drained: one joins, or one leaves for
+//!   good. Capacities and availability are no part of it: residual
+//!   capacity is what the draw fetches afresh on every HOP, as Alg. 1
+//!   says, and a failed agent is one with none (g).
+//! * **(g) availability is read at the draw.** The sweep asks nothing
+//!   of availability but to pick the witness; the draw asks `allowed`
+//!   wherever it asks `fits` — of every stored candidate, and in
+//!   `resolve` before any fold. A candidate toward an agent `allowed`
+//!   refuses therefore gets no exponent, adds nothing to `total` (b),
+//!   takes no step of the subtractive walk ((c): `resolve` refuses it
+//!   and the walk goes on with its `x` unchanged), is never the fitting
+//!   one (d) and consumes no noise draw (e): exactly what a candidate
+//!   the sweep never enumerated does. So a sweep toward every agent of
+//!   `targets`, drawn under any availability, gives the outcome and the
+//!   RNG state of a sweep toward the allowed agents alone, and a memo
+//!   outlives an agent's failure and return.
 
 use rand::Rng;
 use vc_core::neighborhood::Neighborhood;
@@ -182,6 +200,9 @@ struct Move {
 struct Stored {
     /// Its index among the kept candidates.
     candidate: u32,
+    /// Its move's target, copied here so that the draw's availability
+    /// check reads no buffer but this one and the demand.
+    agent: AgentId,
     /// End of its entries in [`HopMemo::demand`]; they start where the
     /// previous stored candidate's end.
     demand_end: u32,
@@ -249,6 +270,7 @@ impl HopMemo {
         self.demand.extend(load.demand());
         self.stored.push(Stored {
             candidate: index(candidate),
+            agent: self.moves[candidate].agent,
             demand_end: index(self.demand.len()),
             phi: load.phi,
         });
@@ -328,14 +350,20 @@ impl HopScratch {
 /// What one [Gibbs step](Alg1Engine::gibbs_step) is told about the
 /// session it moves.
 #[derive(Debug)]
-pub struct HopContext<A, F> {
+pub struct HopContext<T, A, F> {
     /// Inverse temperature β `≥ 0` of this step.
     pub beta: f64,
     /// The committed `Φ_s`, before observation noise.
     pub phi_now: f64,
     /// The delay bound of constraint (8), in ms (`+∞` waives it).
     pub d_max_ms: f64,
-    /// Which agents a decision may target (the sweep's question).
+    /// Which agents the sweep enumerates moves to (the sweep's
+    /// question): every agent `allowed` may admit for as long as the
+    /// memo lives — a fleet's registered, undrained agents. A step
+    /// whose memo does not outlive it may pass `allowed` itself.
+    pub targets: T,
+    /// Which agents a decision may target *now* (the draw's question,
+    /// asked beside `fits`; [module docs](self), (g)).
     pub allowed: A,
     /// Whether the session may swap its load for one of this demand —
     /// constraints (5)–(7) against the capacity reserved *now*; the
@@ -431,6 +459,7 @@ impl Alg1Engine {
             memo,
             candidates,
         } = scratch;
+        let available = |l| state.is_agent_available(l);
         let mut ctx = HopContext {
             beta,
             phi_now: state.session_objective(s),
@@ -440,7 +469,9 @@ impl Alg1Engine {
             } else {
                 f64::INFINITY
             },
-            allowed: |l| state.is_agent_available(l),
+            // The memo is this step's alone.
+            targets: available,
+            allowed: available,
             fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
         };
         let mut hood = Neighborhood::of_state(state, s, eval);
@@ -462,16 +493,17 @@ impl Alg1Engine {
     /// # Panics
     ///
     /// Panics if `ctx.beta < 0`.
-    pub fn gibbs_step<R, A, F>(
+    pub fn gibbs_step<R, T, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<A, F>,
+        ctx: &mut HopContext<T, A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
         rng: &mut R,
     ) -> HopOutcome
     where
         R: Rng + ?Sized,
+        T: Fn(AgentId) -> bool,
         A: Fn(AgentId) -> bool,
         F: FnMut(&[AgentDemand]) -> bool,
     {
@@ -486,21 +518,22 @@ impl Alg1Engine {
     }
 
     /// The sweep half of a [Gibbs step](Self::gibbs_step): enumerates
-    /// `hood`'s candidates, settles what their delay half settles, folds
-    /// the rest, and leaves the result in `memo` (whatever it held
-    /// before). Touches no RNG; asks `ctx.fits` only to pick the
-    /// witness.
+    /// `hood`'s candidates toward `ctx.targets`, settles what their
+    /// delay half settles, folds the rest, and leaves the result in
+    /// `memo` (whatever it held before). Touches no RNG; asks
+    /// `ctx.allowed` and `ctx.fits` only to pick the witness.
     ///
     /// # Panics
     ///
     /// Panics if `ctx.beta < 0`.
-    pub fn sweep<A, F>(
+    pub fn sweep<T, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<A, F>,
+        ctx: &mut HopContext<T, A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
     ) where
+        T: Fn(AgentId) -> bool,
         A: Fn(AgentId) -> bool,
         F: FnMut(&[AgentDemand]) -> bool,
     {
@@ -511,7 +544,7 @@ impl Alg1Engine {
         let prune = self.config.noise.is_none();
         let clamped = |phi: f64| prune && exponent(beta, phi_now, phi) <= -MAX_EXPONENT;
         let mut witnessed = false;
-        hood.sweep_lazy(&ctx.allowed, |decision, probe| {
+        hood.sweep_lazy(&ctx.targets, |decision, probe| {
             candidates.swept += 1;
             if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
                 candidates.bounded += 1;
@@ -530,7 +563,7 @@ impl Alg1Engine {
             let load = probe.fold();
             if !clamped(load.phi) {
                 memo.store(candidate, load);
-            } else if !witnessed {
+            } else if !witnessed && (ctx.allowed)(decision.target()) {
                 let k = memo.store(candidate, load);
                 witnessed = (ctx.fits)(memo.demand_of(k));
                 if !witnessed {
@@ -541,28 +574,31 @@ impl Alg1Engine {
     }
 
     /// The draw half of a [Gibbs step](Self::gibbs_step): checks every
-    /// stored candidate of `memo` against current capacity through
-    /// `ctx.fits`, and samples. `hood` is the neighbourhood `memo` was
-    /// swept from — possibly [deferred](Neighborhood::deferred): it is
-    /// asked for a candidate only when a bounded one must be resolved,
-    /// which `memo` then remembers. RNG use: nothing on
-    /// `NoFeasibleMove`; otherwise the noise draws, if configured, then
-    /// one `rng.gen::<f64>()`.
+    /// stored candidate of `memo` against current availability and
+    /// capacity through `ctx.allowed` and `ctx.fits`, and samples.
+    /// `hood` is the neighbourhood `memo` was swept from — possibly
+    /// [deferred](Neighborhood::deferred): it is asked for a candidate
+    /// only when a bounded one toward an allowed agent must be
+    /// resolved, which `memo` then remembers. `ctx.allowed` may differ
+    /// from what it was at the sweep ([module docs](self), (g)). RNG
+    /// use: nothing on `NoFeasibleMove`; otherwise the noise draws, if
+    /// configured, then one `rng.gen::<f64>()`.
     ///
     /// # Panics
     ///
     /// Panics if `memo` was swept under another β or `Φ_now` than
     /// `ctx`'s.
-    pub fn draw<R, A, F>(
+    pub fn draw<R, T, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<A, F>,
+        ctx: &mut HopContext<T, A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
         rng: &mut R,
     ) -> HopOutcome
     where
         R: Rng + ?Sized,
+        A: Fn(AgentId) -> bool,
         F: FnMut(&[AgentDemand]) -> bool,
     {
         let (beta, phi_now) = (ctx.beta, ctx.phi_now);
@@ -577,19 +613,23 @@ impl Alg1Engine {
         weights.resize(memo.moves.len(), BOUNDED);
         let mut any_fits = false;
         for (k, entry) in memo.stored.iter().enumerate() {
-            if (ctx.fits)(memo.demand_of(k)) {
+            if (ctx.allowed)(entry.agent) && (ctx.fits)(memo.demand_of(k)) {
                 weights[entry.candidate as usize] = entry.phi;
                 any_fits = true;
             }
         }
-        // Membership of a candidate the loop above gave no weight: a
-        // stored one is asked again (it said no; (d) and (c) are rare
-        // enough not to remember that), a bounded one is folded now and
-        // stored in place of its placeholder.
+        // Membership of a candidate the loop above gave no weight: one
+        // toward an agent that is down is refused unfolded, a stored one
+        // is asked again (it said no; (d) and (c) are rare enough not to
+        // remember that), a bounded one is folded now and stored in
+        // place of its placeholder.
         let mut resolve = |i: usize| {
+            let Move { slot, agent } = memo.moves[i];
+            if !(ctx.allowed)(agent) {
+                return false;
+            }
             let k = memo.stored_at(i).unwrap_or_else(|| {
                 *folded += 1;
-                let Move { slot, agent } = memo.moves[i];
                 let decision = hood.decision_of(slot as usize, agent);
                 memo.store(i, hood.candidate(decision).1)
             });
@@ -1048,9 +1088,10 @@ mod tests {
 
     /// The hop as a caller that keeps memos runs it — the fleet's shape:
     /// a [deferred](Neighborhood::deferred) neighbourhood over the
-    /// session's placement, a draw from `kept` when there is one, a
-    /// full step (kept afterwards, if the engine keeps memos) when not.
-    /// The caller drops `kept` when the hop migrated.
+    /// session's placement, a sweep toward every agent (the closed world
+    /// drains none), a draw from `kept` when there is one, a full step
+    /// (kept afterwards, if the engine keeps memos) when not. The caller
+    /// drops `kept` when the hop migrated.
     fn memo_hop<R: Rng + ?Sized>(
         engine: &Alg1Engine,
         state: &mut SystemState,
@@ -1082,6 +1123,7 @@ mod tests {
             } else {
                 f64::INFINITY
             },
+            targets: |_| true,
             allowed: |l| state.is_agent_available(l),
             fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
         };
@@ -1126,8 +1168,10 @@ mod tests {
         /// state — for β where the bound never fires, sometimes fires
         /// and mostly fires, with and without observation noise. The
         /// lazy side keeps one memo per session across hops, dropped
-        /// when that session migrates or an agent's availability flips,
-        /// while the other sessions' hops move the totals under it.
+        /// only when that session migrates, while the other sessions'
+        /// hops move the totals under it and an agent's availability
+        /// flips under it twice: memos swept before a flip are drawn
+        /// after it ((g)).
         #[test]
         fn lazy_step_equals_eager_reference(
             world in world_strategy(),
@@ -1148,11 +1192,10 @@ mod tests {
             let flipped = AgentId::from(seed as usize % world.agents.len());
             for hop in 0..40 {
                 if hop == 14 || hop == 27 {
-                    // The agent set changes: every memo goes.
+                    // Availability flips; every kept memo stays.
                     let up = lazy.is_agent_available(flipped);
                     lazy.set_agent_available(flipped, !up);
                     eager.set_agent_available(flipped, !up);
-                    kept.fill(None);
                 }
                 let s = SessionId::from(hop % world.sessions.len());
                 let hit = kept[s.index()].is_some();
@@ -1440,40 +1483,120 @@ mod tests {
         assert_eq!(hop(&mut state, &mut twin, &mut kept), 0);
     }
 
-    /// Rule (c) on a hit, and a migration drawn from one. Agents 1 and
-    /// 2 are twins at zero distance and nothing is priced, so moving a
-    /// user between them is an exact tie with staying (weight 1);
-    /// agent 0 is far (bounded). Kept candidates: [user 0 → 0, user 0 →
-    /// 2, user 1 → 0, user 1 → 2], `total = 3`, and `u = ⌈2⁵³/3⌉/2⁵³`
-    /// makes `u·total` round to exactly `w_stay`: the walk reaches the
-    /// first, bounded, candidate with residue 0, must ask, compiles the
+    /// Availability is read at the draw ((g)): a kept memo whose
+    /// witness targets an agent that has failed since is drawn without
+    /// it — the witness is refused unfolded and rule (d) resolves the
+    /// next bounded candidate — and every hop equals the eager one over
+    /// the agents still up, outcome and RNG word after it.
+    #[test]
+    fn a_witness_toward_a_failed_agent_yields_to_the_next_bounded_candidate() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let (mut state, mut twin) = (two_far_agents_state(), two_far_agents_state());
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let s = SessionId::new(0);
+        // Miss: candidate 0 (user 0 → agent 0) is resolved, fits, and
+        // is the witness.
+        let mut rng = Scripted(vec![0.999]);
+        memo_hop(&engine, &mut state, s, &mut rng, &mut scratch, &mut kept);
+        eager_hop(&engine, &mut twin, s, 400.0, &mut Scripted(vec![0.999]));
+        assert_eq!(kept.as_ref().unwrap().stored.len(), 1);
+        state.set_agent_available(AgentId::new(0), false);
+        twin.set_agent_available(AgentId::new(0), false);
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng_eager = StdRng::seed_from_u64(seed);
+            let got = memo_hop(&engine, &mut state, s, &mut rng, &mut scratch, &mut kept);
+            let want = eager_hop(&engine, &mut twin, s, 400.0, &mut rng_eager);
+            assert_eq!((got, rng.next_u64()), (want, rng_eager.next_u64()));
+            assert_eq!(got, HopOutcome::Stayed);
+            // Hits: the first folds candidate 1 (user 0 → agent 2),
+            // which is remembered beside the witness.
+            let c = &scratch.candidates;
+            assert_eq!((c.swept, c.bounded, c.folded), (0, 0, u32::from(seed == 0)));
+        }
+        let memo = kept.as_ref().expect("kept: no noise, no migration");
+        let stored: Vec<u32> = memo.stored.iter().map(|e| e.candidate).collect();
+        assert_eq!(stored, [0, 1]);
+    }
+
+    /// Agents 1 and 2 are twins at zero distance and nothing is priced,
+    /// so moving a user between them is an exact tie with staying
+    /// (weight 1); agent 0 is far (bounded at β = 400). The session's
+    /// two users sit on agent 1. Candidates: [user 0 → 0, user 0 → 2,
+    /// user 1 → 0, user 1 → 2].
+    fn tied_twins_state() -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let r = ladder.lowest();
+        let mut b = InstanceBuilder::new(ladder);
+        for name in ["far", "near", "twin"] {
+            b.add_agent(AgentSpec::builder(name).price_per_mbps(0.0).build());
+        }
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.add_user(s, r, r);
+        b.symmetric_delays(
+            |l, k| if l.min(k) == 0 { 60.0 } else { 0.0 },
+            |l, _| if l == 0 { 100.0 } else { 10.0 },
+        );
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let asg = Assignment::all_to_agent(&problem, AgentId::new(1));
+        SystemState::new(problem, asg)
+    }
+
+    /// A kept memo outlives an agent's failure and return ((g)): swept
+    /// with agent 2 up (its two ties stored), drawn while it is down
+    /// (the ties refused; rule (d) resolves user 0 → agent 0), and drawn
+    /// again once it is back, where `u = 0.4` takes the first tie — the
+    /// move onto the restored agent, as the eager hop does.
+    #[test]
+    fn a_kept_memo_draws_the_move_onto_a_restored_agent() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let (mut state, mut twin) = (tied_twins_state(), tied_twins_state());
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let (s, back) = (SessionId::new(0), AgentId::new(2));
+        let mut hop = |state: &mut SystemState, twin: &mut SystemState, kept: &mut _, u| {
+            let mut rng = Scripted(vec![u]);
+            let got = memo_hop(&engine, state, s, &mut rng, &mut scratch, kept);
+            assert!(rng.0.is_empty(), "exactly one draw");
+            let want = eager_hop(&engine, twin, s, 400.0, &mut Scripted(vec![u]));
+            assert_eq!(got, want);
+            let c = &scratch.candidates;
+            (got, (c.swept, c.bounded, c.folded))
+        };
+        assert_eq!(
+            hop(&mut state, &mut twin, &mut kept, 0.1),
+            (HopOutcome::Stayed, (4, 2, 2))
+        );
+        state.set_agent_available(back, false);
+        twin.set_agent_available(back, false);
+        assert_eq!(
+            hop(&mut state, &mut twin, &mut kept, 0.4),
+            (HopOutcome::Stayed, (0, 0, 1))
+        );
+        state.set_agent_available(back, true);
+        twin.set_agent_available(back, true);
+        let onto = HopOutcome::Migrated(Decision::User(UserId::new(0), back));
+        assert_eq!(
+            hop(&mut state, &mut twin, &mut kept, 0.4),
+            (onto, (0, 0, 0))
+        );
+        assert_eq!(state.assignment(), twin.assignment());
+        assert_eq!(state.objective().to_bits(), twin.objective().to_bits());
+    }
+
+    /// Rule (c) on a hit, and a migration drawn from one, on
+    /// [`tied_twins_state`]: `total = 3`, and `u = ⌈2⁵³/3⌉/2⁵³` makes
+    /// `u·total` round to exactly `w_stay`: the walk reaches the first,
+    /// bounded, candidate with residue 0, must ask, compiles the
     /// deferred neighbourhood for that one fold, and migrates there —
     /// as the eager hop does.
     #[test]
     fn zero_residue_on_a_hit_resolves_the_bounded_candidate_and_migrates() {
-        let world = || {
-            let ladder = ReprLadder::standard_four();
-            let r = ladder.lowest();
-            let mut b = InstanceBuilder::new(ladder);
-            for name in ["far", "near", "twin"] {
-                b.add_agent(AgentSpec::builder(name).price_per_mbps(0.0).build());
-            }
-            let s = b.add_session();
-            b.add_user(s, r, r);
-            b.add_user(s, r, r);
-            b.symmetric_delays(
-                |l, k| if l.min(k) == 0 { 60.0 } else { 0.0 },
-                |l, _| if l == 0 { 100.0 } else { 10.0 },
-            );
-            let problem = Arc::new(UapProblem::new(
-                b.build().unwrap(),
-                CostModel::paper_default(),
-            ));
-            let asg = Assignment::all_to_agent(&problem, AgentId::new(1));
-            SystemState::new(problem, asg)
-        };
         let engine = Alg1Engine::new(Alg1Config::paper(400.0));
-        let (mut state, mut twin) = (world(), world());
+        let (mut state, mut twin) = (tied_twins_state(), tied_twins_state());
         let (mut scratch, mut kept) = (HopScratch::new(), None);
         let s = SessionId::new(0);
         // Miss, staying: the two ties are stored, the far moves bounded.
@@ -1520,7 +1643,7 @@ mod tests {
         assert_eq!(state.assignment(), twin.assignment());
         assert_eq!(state.objective().to_bits(), twin.objective().to_bits());
         // Away from the zero residue the same memo asks nobody.
-        let (mut state, mut kept) = (world(), None);
+        let (mut state, mut kept) = (tied_twins_state(), None);
         memo_hop(
             &engine,
             &mut state,

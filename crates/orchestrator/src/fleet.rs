@@ -49,34 +49,41 @@
 //! ## A hop is a sweep and a draw
 //!
 //! `vc_algo::markov` splits the Gibbs step in two and says why the
-//! split is exact ((a)–(f) there; that argument is not repeated here).
+//! split is exact ((a)–(g) there; that argument is not repeated here).
 //! The *sweep* — compile the conference, enumerate its neighbours,
 //! fold the undecided — reads only the session's own placement and the
-//! set of agents a decision may target; the *draw* reads the residual
-//! capacities, which is all that other sessions' hops move. So a slot
-//! keeps its last sweep's [`HopMemo`](vc_algo::markov::HopMemo), under
-//! the slot mutex, and a hop of a session that stayed since — four in
-//! five on a steady fleet — goes straight to the draw: `fits` of every
-//! stored candidate against the ledger's *current* snapshot, one
-//! `rng.gen::<f64>()`, and the kernel compiled only if a bounded
-//! candidate must be weighed after all or a migration was drawn (which
-//! still re-derives its load and commits through the checked
-//! `try_swap`). Outcomes, RNG state and journal bytes are those of a
-//! fleet that sweeps on every hop (`tests::hop_memo`).
+//! agents it enumerates: the registered agents not drained, up or
+//! down. The *draw* reads the residual capacities, which is all that
+//! other sessions' hops move, and which agents are up. So a slot keeps
+//! its last sweep's [`HopMemo`](vc_algo::markov::HopMemo), under the
+//! slot mutex, and a hop of a session that stayed since — four in five
+//! on a steady fleet — goes straight to the draw: the availability of
+//! every stored candidate's target and `fits` of its demand against
+//! the ledger's *current* snapshot, one `rng.gen::<f64>()`, and the
+//! kernel compiled only if a bounded candidate must be weighed after
+//! all or a migration was drawn (which still re-derives its load and
+//! commits through the checked `try_swap`). Outcomes, RNG state and
+//! journal bytes are those of a fleet that sweeps on every hop
+//! (`tests::hop_memo`).
 //!
 //! The memo is dropped exactly when what the sweep read is written,
 //! and that is arranged by construction rather than by call-site
 //! discipline: a slot's placement and load are private to
 //! `crate::slot` and written through one function that forgets the
-//! memo (a hop commit, live or replayed; an evacuation move), and every
-//! op that changes the agent set — `fail_agent`, `drain_agent`,
-//! `restore_agent`, `register_agent`, all FREEZE-exclusive — bumps
-//! `Universe::agents_gen`, under which alone a memo is handed out.
-//! With observation noise configured nothing is kept
-//! ([`Alg1Engine::keeps_memos`]). There is no cap and no TTL: one memo
-//! per live slot, sized by the conference, freed with the slot. It is
-//! derived state — never journaled, never snapshotted, no part of
-//! `durable_state()` — and a recovered fleet starts without any.
+//! memo (a hop commit, live or replayed; an evacuation move), and the
+//! two ops that change the set a sweep enumerates — `register_agent`
+//! and `drain_agent`, FREEZE-exclusive, live or replayed — bump
+//! `Universe::agents_gen`, under which alone a memo is handed out. A
+//! drained agent never returns, so no sweep after the drain weighs it.
+//! `fail_agent` and `restore_agent` bump nothing: a memo kept across
+//! them is drawn under the new availability (`vc_algo::markov`, (g)),
+//! so a fleet that loses an agent and gets it back keeps the memo of
+//! every session the evacuation did not move. With observation noise
+//! configured nothing is kept ([`Alg1Engine::keeps_memos`]). There is
+//! no cap and no TTL: one memo per live slot, sized by the conference,
+//! freed with the slot. It is derived state — never journaled, never
+//! snapshotted, no part of `durable_state()` — and a recovered fleet
+//! starts without any.
 //!
 //! ## One capacity view
 //!
@@ -454,10 +461,11 @@ pub(crate) struct Universe {
     /// Per-agent drain flag: a drained agent is permanently out —
     /// [`Fleet::restore_agent`] refuses it.
     pub(crate) drained: Vec<bool>,
-    /// Generation of the agent set: bumped by every op that changes
-    /// which agents a hop may target — `fail_agent`, `drain_agent`,
-    /// `restore_agent`, `register_agent`, live or replayed, all under
-    /// the FREEZE write lock. A slot's hop memo is good for the
+    /// Generation of the agents a hop's sweep enumerates — the
+    /// registered agents not drained: bumped by `register_agent` and
+    /// `drain_agent`, live or replayed, under the FREEZE write lock. A
+    /// failure or a restore changes only availability, which the draw
+    /// reads, and bumps nothing. A slot's hop memo is good for the
     /// generation it was swept under ([`SessionSlot::hop_view`]).
     pub(crate) agents_gen: u64,
 }
@@ -1070,9 +1078,9 @@ impl Fleet {
             return (0, 0);
         }
         u.available[agent.index()] = false;
-        u.agents_gen += 1;
         if drain {
             u.drained[agent.index()] = true;
+            u.agents_gen += 1;
         }
         self.ledger.fail_agent(agent);
         let (moves, forced) = self.evacuate_locked(&mut u, agent, &mut evacuated, &mut displaced);
@@ -1267,7 +1275,6 @@ impl Fleet {
             return false;
         }
         frz.available[agent.index()] = true;
-        frz.agents_gen += 1;
         self.ledger.restore_agent(agent);
         self.log_op(|| FleetOp::RestoreAgent { agent });
         drop(frz);
@@ -1612,6 +1619,7 @@ impl Fleet {
             beta: self.engine.config().beta,
             phi_now: load.phi,
             d_max_ms: inst.d_max_ms(),
+            targets: |l: AgentId| !universe.drained[l.index()],
             allowed: |l: AgentId| universe.available[l.index()],
             fits: |demand: &[AgentDemand]| {
                 demand_fits(demand.iter().copied(), load, reserved, inst)

@@ -5,8 +5,10 @@
 //! invalidation rule (`vc_algo::markov`, (f)) holds by construction:
 //! placement and load are written through [`SessionSlot::write`] alone,
 //! which retires the memo, and a memo is handed out only under the
-//! agent-set generation it was swept under
-//! ([`SessionSlot::hop_view`]).
+//! generation of enumerated agents — registered, not drained — it was
+//! swept under ([`SessionSlot::hop_view`]). Availability is no part of
+//! it: an agent's failure or return retires nothing (`vc_algo::markov`,
+//! (g)).
 
 use vc_algo::markov::HopMemo;
 use vc_core::{Decision, SessionLoad};
@@ -129,7 +131,8 @@ impl SessionSlot {
 
     /// What a hop reads, and the memo it may draw from:
     /// `(users, tasks, load, memo)` — the memo only if it was swept
-    /// over this placement under agent-set generation `agents_gen`.
+    /// over this placement under generation `agents_gen` of the
+    /// enumerated agents, whichever of them are up now.
     pub(crate) fn hop_view(
         &mut self,
         agents_gen: u64,
@@ -139,10 +142,10 @@ impl SessionSlot {
         (&self.users, &self.tasks, &self.load, memo)
     }
 
-    /// Keeps `swept` — a sweep over this placement under agent-set
-    /// generation `agents_gen` — for the next hop: one copy, into the
-    /// retired memo's buffers when there is one (a session's sweeps are
-    /// much of a size).
+    /// Keeps `swept` — a sweep over this placement under generation
+    /// `agents_gen` of the enumerated agents — for the next hop: one
+    /// copy, into the retired memo's buffers when there is one (a
+    /// session's sweeps are much of a size).
     pub(crate) fn keep_memo(&mut self, swept: &HopMemo, agents_gen: u64) {
         let memo: &mut HopMemo = self.memo.get_or_insert_with(Box::default);
         memo.clone_from(swept);
@@ -153,8 +156,11 @@ impl SessionSlot {
     /// Whether the session is *settled*: its last sweep is still valid
     /// under generation `agents_gen` and found no neighbour with a
     /// lower `Φ` ([`HopMemo::is_settled`]). A session that has not
-    /// hopped since its placement or the agent set last changed is
-    /// still searching.
+    /// hopped since its placement was written or an agent joined or
+    /// was drained is still searching — and so is one whose sweep
+    /// stored a lower-`Φ` move toward an agent that is down, which it
+    /// may take once the agent is back. An agent's failure or restore
+    /// leaves every unmoved session as it was.
     pub(crate) fn is_settled(&self, agents_gen: u64) -> bool {
         self.settled && self.memo_gen == Some(agents_gen)
     }

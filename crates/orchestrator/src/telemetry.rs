@@ -20,9 +20,10 @@ use vc_obs::{Watchdog, WatchdogFire};
 /// and a scrape takes the shared lock only. Beside `live_sessions` it
 /// serves `vc_fleet_sessions_settled` from the same slot walk — the
 /// live sessions whose last sweep is still valid and found no
-/// neighbour with a lower `Φ`; the rest are still searching. (A scrape
-/// gauge only: [`FleetSnapshot`]'s fields are pinned by the v6 wire
-/// golden.)
+/// neighbour with a lower `Φ`; the rest are still searching, including
+/// a session whose sweep stored a lower-`Φ` move toward an agent that
+/// is down (it may take it once the agent is back). (A scrape gauge
+/// only: [`FleetSnapshot`]'s fields are pinned by the v6 wire golden.)
 pub fn fleet_metrics_text(fleet: &Fleet) -> String {
     let mut out = String::with_capacity(2048);
     let m = fleet.metrics();

@@ -1499,17 +1499,39 @@ mod hop_memo {
         (outcome, fleet.obs().hop_memo_hits() > before)
     }
 
-    /// Hops `s` until a hop is a hit (its slot then holds a memo).
+    /// Hops `s` until a hop is a hit that stays (its slot then holds a
+    /// memo).
     fn settle(fleet: &Fleet, s: SessionId) {
-        let hit = (0..64).any(|seed| hop_hits(fleet, s, seed).1);
-        assert!(hit, "{s} never stayed twice in a row");
+        let kept = (0..64).any(|seed| match hop_hits(fleet, s, seed) {
+            (HopOutcome::Migrated(_), _) => false,
+            (_, hit) => hit,
+        });
+        assert!(kept, "{s} never stayed twice in a row");
     }
 
-    /// Every cause of the invalidation rule, one at a time: after it,
-    /// the next hop of every live session sweeps again — and the one
-    /// after that re-reads, unless the sweep's own hop migrated.
+    /// Whether each of `sessions` has a user or a task on `agent`.
+    fn on_agent(fleet: &Fleet, sessions: &[SessionId], agent: AgentId) -> Vec<bool> {
+        fleet.with_state(|state| {
+            let (problem, asg) = (state.problem(), state.assignment());
+            let users = |s| problem.instance().session(s).users().iter();
+            let tasks = |s| problem.tasks().of_session(s).iter();
+            (sessions.iter())
+                .map(|&s| {
+                    users(s).any(|&u| asg.agent_of_user(u) == agent)
+                        || tasks(s).any(|&t| asg.agent_of_task(t) == agent)
+                })
+                .collect()
+        })
+    }
+
+    /// Every cause of the invalidation rule, one at a time — a write of
+    /// the slots' loads (`load_drift` rewrites every one; a hop commit
+    /// and an evacuation move are the tests below), an agent's
+    /// registration, an agent's drain: after it, the next hop of every
+    /// live session sweeps again — and the one after that re-reads,
+    /// unless the sweep's own hop migrated.
     #[test]
-    fn every_placement_or_agent_set_change_makes_the_next_hop_a_miss() {
+    fn a_write_a_registration_or_a_drain_makes_the_next_hop_a_miss() {
         let f = Fleet::new(universe(120.0, 6), config(400.0));
         let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
         for &s in &live {
@@ -1517,18 +1539,16 @@ mod hop_memo {
             // A fresh slot has nothing to re-read.
             assert!(!hop_hits(&f, s, 1).1);
         }
-        let a = AgentId::new(1);
         let late = late_agent(&f);
         type Cause<'a> = (&'a str, Box<dyn Fn(&Fleet) + 'a>);
         let causes: Vec<Cause<'_>> = vec![
-            // Evacuation moves every session on the agent (its slot is
-            // written) and changes what every other session may target.
-            ("fail_agent", Box::new(|f| _ = f.fail_agent(a))),
-            ("restore_agent", Box::new(|f| assert!(f.restore_agent(a)))),
+            ("load_drift", Box::new(|f| assert_eq!(f.load_drift(), 0.0))),
+            // The sweep enumerates one agent more.
             (
                 "register_agent",
                 Box::new(|f| _ = f.register_agent(&late, "default").unwrap()),
             ),
+            // And one fewer, for good.
             (
                 "drain_agent",
                 Box::new(|f| _ = f.drain_agent(AgentId::new(2))),
@@ -1566,6 +1586,90 @@ mod hop_memo {
         f.depart(s).unwrap();
         f.admit(s).unwrap();
         assert!(!hop_hits(&f, s, 7).1);
+    }
+
+    /// An agent's failure and return change only what the draw reads:
+    /// after `fail_agent` the next hop of every session the evacuation
+    /// did not move re-reads its memo (a moved one sweeps: its slot was
+    /// written), after `restore_agent` every session's does, and the
+    /// settled count loses at most the moved sessions and nothing to
+    /// the restore.
+    #[test]
+    fn a_failure_and_a_restore_keep_every_unmoved_sessions_memo() {
+        let f = Fleet::new(universe(120.0, 6), config(400.0));
+        let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
+        for &s in &live {
+            f.admit(s).unwrap();
+            settle(&f, s);
+        }
+        let a = AgentId::new(1);
+        let moved = on_agent(&f, &live, a);
+        let moves = moved.iter().filter(|&&m| m).count();
+        assert!((1..6).contains(&moves), "agent 1 carries {moves} of 6");
+        let settled = f.metrics().settled;
+        f.fail_agent(a);
+        let kept = f.metrics().settled;
+        assert!(
+            kept + moves >= settled && kept > 0,
+            "{settled}, then {kept}"
+        );
+        for (&s, &m) in live.iter().zip(&moved) {
+            assert_eq!(hop_hits(&f, s, 3).1, !m, "after fail_agent: {s}");
+        }
+        for &s in &live {
+            settle(&f, s);
+        }
+        let settled = f.metrics().settled;
+        assert!(f.restore_agent(a));
+        assert_eq!(f.metrics().settled, settled, "restore_agent retired a memo");
+        for &s in &live {
+            assert!(hop_hits(&f, s, 5).1, "after restore_agent: {s} swept again");
+        }
+        assert!(f.audit().is_empty());
+    }
+
+    /// At β = 0.05, where every candidate is stored and hits migrate,
+    /// availability is the draw's: no hit while an agent is down draws
+    /// it, and hits after its restore — from memos swept while it was
+    /// down, or before it failed — move onto it.
+    #[test]
+    fn a_hit_draws_by_the_availability_at_the_draw() {
+        /// Hops the six sessions round-robin for `rounds` rounds; the
+        /// targets of the migrations drawn from kept memos.
+        fn hit_migrations(f: &Fleet, rounds: u64, seed: u64) -> Vec<AgentId> {
+            (0..rounds * 6)
+                .filter_map(|k| {
+                    let s = SessionId::from(k as usize % 6);
+                    match hop_hits(f, s, seed + k) {
+                        (HopOutcome::Migrated(d), true) => Some(d.target()),
+                        _ => None,
+                    }
+                })
+                .collect()
+        }
+        let a = AgentId::new(1);
+        let (mut down_hits, mut onto_restored) = (0, 0);
+        for seed in 0..8u64 {
+            let f = Fleet::new(universe(120.0, 6), config(0.05));
+            for s in 0..6 {
+                f.admit(SessionId::new(s)).unwrap();
+            }
+            hit_migrations(&f, 4, seed << 16);
+            f.fail_agent(a);
+            for target in hit_migrations(&f, 4, seed << 16 | 1 << 8) {
+                assert_ne!(target, a, "seed {seed}: a hit drew the failed agent");
+                down_hits += 1;
+            }
+            assert!(f.restore_agent(a));
+            let after = hit_migrations(&f, 1, seed << 16 | 2 << 8);
+            onto_restored += after.iter().filter(|&&t| t == a).count();
+            assert!(f.audit().is_empty());
+        }
+        assert!(down_hits > 0, "no hit migrated while the agent was down");
+        assert!(
+            onto_restored > 0,
+            "no hit after a restore moved onto the agent"
+        );
     }
 
     /// The commit cause, at β = 0.05 where hops migrate freely and every
@@ -1723,7 +1827,9 @@ mod hop_memo {
         /// fleets run the same registrations, admissions, departures,
         /// hops, failures, restores, drains and agent registrations,
         /// crash and recover half way (a recovered fleet holds no
-        /// memo); one forgets every memo before every hop. Hop outcomes,
+        /// memo); one forgets every memo before every hop. The keeping
+        /// twin's memos outlive failures and restores, so its hits draw
+        /// from sweeps made under another availability. Hop outcomes,
         /// the RNG after each hop, `durable_state()`, Φ bits and every
         /// byte of the stores are equal — at β = 400, where memos are
         /// mostly placeholders, and at β = 0.05, where every candidate
@@ -1793,7 +1899,9 @@ mod hop_memo {
     }
 
     /// The proptest above is not vacuous: on its universe a fleet that
-    /// keeps memos does re-read them, at both β.
+    /// keeps memos does re-read them, at both β — memos kept across an
+    /// agent's failure and restore among them, so the twins compare
+    /// draws from memos swept under another availability.
     #[test]
     fn the_twin_universe_does_hit() {
         for beta in [0.05, 400.0] {
@@ -1801,14 +1909,33 @@ mod hop_memo {
             for i in 0..6 {
                 f.admit(SessionId::new(i)).unwrap();
             }
-            for round in 0..60u64 {
-                f.hop_session(
-                    SessionId::from(round as usize % 6),
-                    &mut StdRng::seed_from_u64(round),
-                );
-            }
+            let hop_round = |from: u64| {
+                for round in from..from + 6 {
+                    f.hop_session(
+                        SessionId::from(round as usize % 6),
+                        &mut StdRng::seed_from_u64(round),
+                    );
+                }
+            };
+            (0..10).for_each(|k| hop_round(6 * k));
             let hits = f.obs().hop_memo_hits();
             assert!(hits > 10, "β = {beta}: {hits} hits in 60 hops");
+            // One round with agent 1 down, then the first hop of every
+            // session after its return: each of those draws from a memo
+            // swept before the restore.
+            let mut across = 0;
+            for cycle in 0..4 {
+                f.fail_agent(AgentId::new(1));
+                hop_round(100 + 12 * cycle);
+                assert!(f.restore_agent(AgentId::new(1)));
+                let before = f.obs().hop_memo_hits();
+                hop_round(106 + 12 * cycle);
+                across += f.obs().hop_memo_hits() - before;
+            }
+            assert!(
+                across > 0,
+                "β = {beta}: no hit across a failure and a restore"
+            );
         }
     }
 }
