@@ -41,8 +41,8 @@
 //! global sequence counter; a hop appends while still holding its slot
 //! lock, so per-session journal order equals per-session commit order,
 //! and ops of different sessions commute under replay (state-exactly
-//! for slots and holdings; evacuation feasibility deliberately checks
-//! against totals summed from slot loads, not the ledger's commit-order
+//! for slots, which are the holds; evacuation feasibility deliberately
+//! checks against totals summed from slot loads, not the ledger's commit-order
 //! float sums, so `FailAgent` re-derivation is order-independent too) —
 //! recovery semantics are untouched.
 //!
@@ -934,20 +934,19 @@ impl Fleet {
 
     /// Builds the slot of an accepted admission of `s` and counts it:
     /// placement (agent 0, overwritten by the accepted pairs), evaluated
-    /// load, ledger hold (booked *unchecked* — the search already proved
-    /// the fit, and the exclusive FREEZE lock excludes races), the
-    /// admitted/tier/repair counters, and the retirement of any queued
-    /// re-admission entry; the caller inserts the slot into the map. The
-    /// one place a session goes live: [`admit`](Self::admit) calls it once
+    /// load, booked on the ledger as it is (*unchecked* — the search
+    /// already proved the fit, and the exclusive FREEZE lock excludes
+    /// races), the admitted/tier/repair counters, and the retirement of
+    /// any queued re-admission entry; the caller inserts the slot into
+    /// the map. The one place a session goes live: [`admit`](Self::admit) calls it once
     /// the engine has decided and `Admit` replay once the record is
     /// decoded, so replay moves exactly the counters the live path moved.
     /// `path` names the only two differences (see [`AdmitPath`]).
     ///
     /// # Errors
     ///
-    /// A placement naming a user or task outside the session, or a
-    /// session that already holds a reservation — impossible for an
-    /// engine decision, a corrupt record under replay.
+    /// A placement naming a user or task outside the session —
+    /// impossible for an engine decision, a corrupt record under replay.
     pub(crate) fn install_admitted(
         &self,
         problem: &UapProblem,
@@ -973,14 +972,12 @@ impl Fleet {
             evaluate_slot(problem, s, &slot, eval);
         }
         let load = eval.load();
-        let hold = SessionHold::from_load(load);
-        let booked = if path == AdmitPath::Live && self.ledger.spans_regions(&hold) {
-            let prepared = self.ledger.prepare_booked(s, hold);
-            self.ledger.commit_prepared(prepared)
+        if path == AdmitPath::Live && self.ledger.spans_regions(load) {
+            let prepared = self.ledger.prepare_booked(load);
+            self.ledger.commit_prepared(prepared);
         } else {
-            self.ledger.book_unchecked(s, hold)
-        };
-        booked.map_err(|e| format!("admit of {s} double-booked: {e}"))?;
+            self.ledger.book_unchecked(load);
+        }
         let slot = slot.loaded(load.clone());
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let tier_counter = match accepted.tier {
@@ -999,30 +996,28 @@ impl Fleet {
     }
 
     /// Departs session `s`, releasing exactly what it reserved and dropping
-    /// its slot. Returns the released hold; `None`, changing nothing, for
-    /// any id that is not live — never admitted, departed, displaced or
-    /// unregistered. Coarse path: takes the FREEZE write lock.
-    pub fn depart(&self, s: SessionId) -> Option<SessionHold> {
+    /// its slot. Returns the slot's load — the reservation the ledger
+    /// released; `None`, changing nothing, for any id that is not live
+    /// — never admitted, departed, displaced or unregistered. Coarse
+    /// path: takes the FREEZE write lock.
+    pub fn depart(&self, s: SessionId) -> Option<SessionLoad> {
         let mut u = self.freeze_exclusive();
-        let hold = self.depart_locked(&mut u, s);
+        let load = self.depart_locked(&mut u, s);
         drop(u);
-        if hold.is_some() {
+        if load.is_some() {
             self.obs
                 .note_trace(TraceKind::Departed, s.index() as u32, 0);
         }
-        hold
+        load
     }
 
     /// The departure proper, run under the caller's FREEZE write lock.
-    fn depart_locked(&self, u: &mut Universe, s: SessionId) -> Option<SessionHold> {
-        u.slots.remove(&s)?;
-        let hold = self
-            .ledger
-            .release(s)
-            .expect("live session holds a reservation");
+    fn depart_locked(&self, u: &mut Universe, s: SessionId) -> Option<SessionLoad> {
+        let slot = u.slots.remove(&s)?.into_inner();
+        self.ledger.release(slot.load());
         self.counters.departed.fetch_add(1, Ordering::Relaxed);
         self.log_op(|| FleetOp::Depart { session: s });
-        Some(hold)
+        Some(slot.into_load())
     }
 
     /// Fails `agent`: the ledger stops taking reservations on it, and
@@ -1226,10 +1221,8 @@ impl Fleet {
                     // overshoot. Runs identically under replay (the
                     // caller re-derives this from the FailAgent record).
                     totals.remove(slot.load());
+                    self.ledger.release(slot.load());
                     u.slots.remove(&s);
-                    self.ledger
-                        .release(s)
-                        .expect("live session holds a reservation");
                     self.counters.displaced.fetch_add(1, Ordering::Relaxed);
                     displaced.push(s);
                     continue;
@@ -1250,9 +1243,8 @@ impl Fleet {
             totals.remove(slot.load());
             totals.add(moved);
             slot.relocate(decision, index, eval.load_mut());
-            self.ledger
-                .force_swap(s, SessionHold::from_load(slot.load()))
-                .expect("evacuated session holds a reservation");
+            // `relocate` left the old load in the scratch.
+            self.ledger.force_swap(eval.load(), slot.load());
             moves += 1;
             evacuated.push((s, decision.target()));
         }
@@ -1647,7 +1639,7 @@ impl Fleet {
             // assignment and the commit below. Whatever the migration
             // was drawn from, the ledger's checked `try_swap` decides.
             let (index, moved) = hood.candidate(decision);
-            let swap = self.ledger.try_swap(s, SessionHold::from_load(moved));
+            let swap = self.ledger.try_swap(load, moved);
             // Attempt/conflict counters keyed by session — no clock
             // reads; contention shows up as a conflict ratio, not a
             // latency. The plane masks the key onto its counter shards
@@ -1729,6 +1721,14 @@ impl Fleet {
         self.freeze.read().slots.len()
     }
 
+    /// The reservation session `s` holds — its slot's load, as the
+    /// ledger booked it; `None` for any id that is not live.
+    pub fn hold_of(&self, s: SessionId) -> Option<SessionHold> {
+        let u = self.freeze.read();
+        let slot = u.slots.get(&s)?.lock();
+        Some(SessionHold::from_load(slot.load()))
+    }
+
     /// One pass over the slots (under the shared FREEZE lock; per-slot
     /// consistency — the telemetry contract).
     pub(crate) fn metrics(&self) -> FleetMetrics {
@@ -1747,15 +1747,8 @@ impl Fleet {
     pub(crate) fn metrics_and_audit(&self) -> (FleetMetrics, Vec<String>) {
         let u = self.freeze_exclusive();
         let mut acc = MetricsAcc::default();
-        let mut active = Vec::new();
-        let totals = live_totals_locked(&u, |s, slot| {
-            acc.add(slot, u.agents_gen);
-            active.push(s);
-        });
-        (
-            acc.finish(),
-            self.ledger.audit_against_totals(&totals, &active),
-        )
+        let totals = live_totals_locked(&u, |_, slot| acc.add(slot, u.agents_gen));
+        (acc.finish(), self.ledger.audit_against_totals(&totals))
     }
 
     /// Global objective over live sessions (deterministic: summed from
@@ -1842,8 +1835,10 @@ impl Fleet {
 
     /// Re-evaluates every live slot from scratch and returns the largest
     /// absolute discrepancy against the stored loads (then installs the
-    /// fresh values). The standing self-check that the allocation-free
-    /// scratch path and a cold evaluation agree.
+    /// fresh values, swapping the ledger from each stored demand that
+    /// differs to the fresh one, so the slots stay the holds). The
+    /// standing self-check that the allocation-free scratch path and a
+    /// cold evaluation agree. Without drift the ledger is untouched.
     pub fn load_drift(&self) -> f64 {
         let u = self.freeze_exclusive();
         let mut scratch = EvalScratch::new();
@@ -1858,29 +1853,32 @@ impl Fleet {
             // fresh evaluation does NOT touch must count as drift too
             // (duplicate visits are harmless for a max-of-abs).
             let stored = slot.load();
+            let mut same_demand = true;
             for &a in fresh.touched.iter().chain(stored.touched.iter()) {
                 let i = a as usize;
                 drift = drift.max((fresh.download[i] - stored.download[i]).abs());
                 drift = drift.max((fresh.upload[i] - stored.upload[i]).abs());
+                same_demand &= fresh.download[i] == stored.download[i]
+                    && fresh.upload[i] == stored.upload[i]
+                    && fresh.transcode_units[i] == stored.transcode_units[i];
             }
             drift = drift.max((fresh.phi - stored.phi).abs());
+            if !same_demand {
+                self.ledger.force_swap(stored, fresh);
+            }
             slot.reload(fresh);
         }
         drift
     }
 
     /// Ledger-vs-state conservation audit (empty = conserved): per
-    /// agent, booked reservations must equal the sum of live slot
-    /// loads; holding sessions must equal the live set. Coarse path.
+    /// agent, the ledger's booked totals must equal the sum of the live
+    /// slot loads. The slots are the holds, so there is no second set of
+    /// holding sessions to compare. Coarse path.
     pub fn audit(&self) -> Vec<String> {
         let u = self.freeze_exclusive();
-        self.audit_locked(&u)
-    }
-
-    pub(crate) fn audit_locked(&self, u: &Universe) -> Vec<String> {
-        let mut active = Vec::new();
-        let totals = live_totals_locked(u, |s, _| active.push(s));
-        self.ledger.audit_against_totals(&totals, &active)
+        self.ledger
+            .audit_against_totals(&live_totals_locked(&u, |_, _| {}))
     }
 
     /// Appends one journal record, building it lazily so ephemeral

@@ -2,10 +2,18 @@
 //!
 //! A closed-world state checks capacity against the sessions of its own
 //! instance only. The orchestrator instead treats agent capacity as a
-//! *shared, contended* resource: every live session holds an explicit
-//! reservation (bandwidth + transcoding slots per agent), taken and
-//! released atomically as sessions are admitted, migrated, and torn
-//! down — possibly from many worker threads at once.
+//! *shared, contended* resource: the paper's constraints (5)–(7) bound
+//! the *sum* of the session loads on each agent, and those per-agent
+//! sums are what the ledger keeps — reserved download, upload and
+//! transcoding units per agent, with the agent's availability and
+//! region. It keeps no per-session record. A live session's reservation
+//! is its slot's evaluated load; whoever changes a reservation hands the
+//! ledger the demand it gives up and the demand it takes (any
+//! [`Reservation`] — a slot's load in place, or an explicit
+//! [`SessionHold`]), and the ledger moves the totals by exactly those
+//! amounts, atomically across the agents involved — possibly from many
+//! worker threads at once. The fleet does so holding the slot's lock or
+//! the exclusive FREEZE, so the demand it names is the one booked.
 //!
 //! Agents are partitioned into shards, each behind its own lock, so
 //! concurrent reservations contend only when they touch the same shard.
@@ -26,16 +34,15 @@
 //! [`abort_prepared`](CapacityLedger::abort_prepared) protocol — see
 //! `crate`-level docs for the full state machine.
 //!
-//! Lock order (deadlock-free by construction): holding-shard lock →
-//! agent-shard locks (ascending) → entries read lock. The entries
-//! *write* lock (registration only) is taken alone, under the fleet's
-//! FREEZE write lock, which quiesces every mutator.
+//! Lock order (deadlock-free by construction): agent-shard locks
+//! (ascending) → entries read lock. The entries *write* lock
+//! (registration only) is taken alone, under the fleet's FREEZE write
+//! lock, which quiesces every mutator.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use vc_core::{AgentTotals, UapProblem, CAPACITY_EPS};
-use vc_model::{AgentId, Capacity, SessionId};
+use vc_core::{AgentTotals, SessionLoad, UapProblem, CAPACITY_EPS};
+use vc_model::{AgentId, Capacity};
 
 /// One agent's worth of a session's reservation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,28 +66,49 @@ pub struct SessionHold {
 }
 
 impl SessionHold {
-    /// Extracts the reservation implied by a session's evaluated load
-    /// (sparse: only the agents the load touches are scanned).
-    pub fn from_load(load: &vc_core::SessionLoad) -> Self {
-        let mut holds = Vec::new();
-        for &a in &load.touched {
-            let i = a as usize;
-            let (d, u, t) = (load.download[i], load.upload[i], load.transcode_units[i]);
-            if d > 0.0 || u > 0.0 || t > 0 {
-                holds.push(AgentHold {
-                    agent: AgentId::from(i),
-                    download_mbps: d,
-                    upload_mbps: u,
-                    transcode_units: t,
-                });
-            }
+    /// The reservation implied by a session's evaluated load, copied
+    /// out ([`Reservation::agent_holds`] of the load).
+    pub fn from_load(load: &SessionLoad) -> Self {
+        Self {
+            holds: load.agent_holds().collect(),
         }
-        Self { holds }
     }
 
     /// Whether the hold reserves nothing.
     pub fn is_empty(&self) -> bool {
         self.holds.is_empty()
+    }
+}
+
+/// What the ledger books, releases and swaps: a session's per-agent
+/// demand. A live session's [`SessionLoad`] is one, read in place — the
+/// fleet's every booking passes the load its slot holds or is about to
+/// hold — and an explicit [`SessionHold`] the other.
+pub trait Reservation {
+    /// The per-agent holds, ascending by agent.
+    fn agent_holds(&self) -> impl Iterator<Item = AgentHold> + Clone + '_;
+}
+
+impl Reservation for SessionLoad {
+    /// The load's [`touched`](SessionLoad::touched) agents that carry
+    /// any download, upload or transcoding.
+    fn agent_holds(&self) -> impl Iterator<Item = AgentHold> + Clone + '_ {
+        self.touched.iter().filter_map(|&a| {
+            let i = a as usize;
+            let (d, u, t) = (self.download[i], self.upload[i], self.transcode_units[i]);
+            (d > 0.0 || u > 0.0 || t > 0).then_some(AgentHold {
+                agent: AgentId::from(a),
+                download_mbps: d,
+                upload_mbps: u,
+                transcode_units: t,
+            })
+        })
+    }
+}
+
+impl Reservation for SessionHold {
+    fn agent_holds(&self) -> impl Iterator<Item = AgentHold> + Clone + '_ {
+        self.holds.iter().copied()
     }
 }
 
@@ -96,17 +124,11 @@ pub enum LedgerError {
     },
     /// An agent in the request is marked failed.
     AgentDown(AgentId),
-    /// The session already holds a reservation (admit without depart).
-    AlreadyHeld(SessionId),
-    /// The session holds nothing (release/swap without admit).
-    NotHeld(SessionId),
 }
 
 /// Why a cross-region two-phase reservation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CrossRegionError {
-    /// The session already holds a reservation.
-    AlreadyHeld(SessionId),
     /// Phase 1 failed in `region`: every region prepared before it has
     /// been rolled back, so the ledger is back at its pre-prepare
     /// residuals.
@@ -121,7 +143,6 @@ pub enum CrossRegionError {
 impl std::fmt::Display for CrossRegionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::AlreadyHeld(s) => write!(f, "session {s} already holds a reservation"),
             Self::Prepare { region, error } => {
                 write!(
                     f,
@@ -139,8 +160,6 @@ impl std::fmt::Display for LedgerError {
                 write!(f, "agent {agent} has insufficient {resource}")
             }
             Self::AgentDown(a) => write!(f, "agent {a} is down"),
-            Self::AlreadyHeld(s) => write!(f, "session {s} already holds a reservation"),
-            Self::NotHeld(s) => write!(f, "session {s} holds no reservation"),
         }
     }
 }
@@ -197,14 +216,24 @@ impl AgentEntry {
         self.available.load(Ordering::Relaxed)
     }
 
-    fn fits(&self, hold: &AgentHold) -> Result<(), &'static str> {
-        if self.download() + hold.download_mbps > self.capacity.download_mbps + CAPACITY_EPS {
+    /// Whether `hold` fits once `freed` — what the caller gives up on
+    /// this agent, if anything — is released, without writing anything:
+    /// the reserved values it checks are the ones [`remove`](Self::remove)
+    /// would leave, bit for bit.
+    fn fits(&self, freed: Option<&AgentHold>, hold: &AgentHold) -> Result<(), &'static str> {
+        let (mut download, mut upload, mut units) = (self.download(), self.upload(), self.units());
+        if let Some(f) = freed {
+            download = (download - f.download_mbps).max(0.0);
+            upload = (upload - f.upload_mbps).max(0.0);
+            units = units.saturating_sub(f.transcode_units);
+        }
+        if download + hold.download_mbps > self.capacity.download_mbps + CAPACITY_EPS {
             return Err("download");
         }
-        if self.upload() + hold.upload_mbps > self.capacity.upload_mbps + CAPACITY_EPS {
+        if upload + hold.upload_mbps > self.capacity.upload_mbps + CAPACITY_EPS {
             return Err("upload");
         }
-        if self.units() + hold.transcode_units > self.capacity.transcode_slots {
+        if units + hold.transcode_units > self.capacity.transcode_slots {
             return Err("transcode");
         }
         Ok(())
@@ -286,8 +315,10 @@ pub struct RegionResiduals {
 
 /// A prepared-but-uncommitted cross-region reservation: phase 1 of the
 /// two-phase protocol. The per-region sub-holds are already debited
-/// from the entries; the reservation is **not** in the holdings table
-/// until [`CapacityLedger::commit_prepared`] installs it. Dropping a
+/// from the entries; [`CapacityLedger::commit_prepared`] is the point
+/// where those debits stand for good (there is nothing else to install
+/// — the booked session's slot is its record), and
+/// [`CapacityLedger::abort_prepared`] credits them back. Dropping a
 /// `PreparedReserve` without committing or aborting leaks the debit
 /// in-process — the fleet never does (its admit path commits
 /// immediately; its journal records admissions only at commit, so a
@@ -296,17 +327,11 @@ pub struct RegionResiduals {
 #[derive(Debug)]
 #[must_use = "a prepared reserve must be committed or aborted"]
 pub struct PreparedReserve {
-    session: SessionId,
     /// `(region, sub-hold)` pairs, ascending by region id, each debited.
     prepared: Vec<(u32, SessionHold)>,
 }
 
 impl PreparedReserve {
-    /// The session the reservation is for.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
     /// The region ids the reservation spans, ascending.
     pub fn regions(&self) -> Vec<u32> {
         self.prepared.iter().map(|(r, _)| *r).collect()
@@ -327,8 +352,6 @@ pub struct CapacityLedger {
     /// `agent.index() % shard_locks.len() == i`. The shard count is
     /// fixed at construction so registration never remaps agents.
     shard_locks: Vec<Mutex<()>>,
-    /// Session holds, sharded by session index.
-    holdings: Vec<Mutex<HashMap<SessionId, SessionHold>>>,
     /// Region-name table; index = region id. Append-only.
     regions: RwLock<Vec<String>>,
     /// Cross-region prepares that succeeded (phase 1).
@@ -358,9 +381,6 @@ impl CapacityLedger {
         Self {
             entries: RwLock::new(entries),
             shard_locks: (0..num_shards).map(|_| Mutex::new(())).collect(),
-            holdings: (0..num_shards)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             regions: RwLock::new(vec![DEFAULT_REGION.to_string()]),
             cross_prepares: AtomicU64::new(0),
             cross_commits: AtomicU64::new(0),
@@ -424,10 +444,6 @@ impl CapacityLedger {
             .store(region, Ordering::Relaxed);
     }
 
-    fn holding_shard(&self, s: SessionId) -> &Mutex<HashMap<SessionId, SessionHold>> {
-        &self.holdings[s.index() % self.holdings.len()]
-    }
-
     /// Locks, in ascending shard order, every shard the hold spans, and
     /// runs `f` over the entries with those agents exclusively
     /// writable. The entries read lock is taken *after* the shard locks
@@ -460,66 +476,74 @@ impl CapacityLedger {
         }
     }
 
-    /// Atomically reserves `hold` for `session`: either every agent in
-    /// the hold has room (and is up) and all of it is booked, or nothing
-    /// is.
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::AlreadyHeld`] if the session holds a reservation,
-    /// [`LedgerError::AgentDown`] / [`LedgerError::Insufficient`] when
-    /// some agent cannot take its share.
-    pub fn try_reserve(&self, session: SessionId, hold: SessionHold) -> Result<(), LedgerError> {
-        let mut holdings = self.holding_shard(session).lock();
-        if holdings.contains_key(&session) {
-            return Err(LedgerError::AlreadyHeld(session));
-        }
-        self.with_span(hold.holds.iter().map(|h| h.agent), |view| {
-            for h in &hold.holds {
+    /// Debits `holds` iff every agent among them is up and has room —
+    /// all of it or nothing.
+    fn debit_checked(
+        &self,
+        holds: impl Iterator<Item = AgentHold> + Clone,
+    ) -> Result<(), LedgerError> {
+        self.with_span(holds.clone().map(|h| h.agent), |view| {
+            for h in holds.clone() {
                 let entry = &view[h.agent.index()];
                 if !entry.is_up() {
                     return Err(LedgerError::AgentDown(h.agent));
                 }
-                if let Err(resource) = entry.fits(h) {
+                if let Err(resource) = entry.fits(None, &h) {
                     return Err(LedgerError::Insufficient {
                         agent: h.agent,
                         resource,
                     });
                 }
             }
-            for h in &hold.holds {
-                view[h.agent.index()].add(h);
+            for h in holds {
+                view[h.agent.index()].add(&h);
             }
             Ok(())
-        })?;
-        holdings.insert(session, hold);
-        Ok(())
+        })
     }
 
-    /// Releases the session's reservation, returning exactly what was
-    /// held.
+    /// Debits `holds` with no capacity or availability check.
+    fn debit(&self, holds: impl Iterator<Item = AgentHold> + Clone) {
+        self.with_span(holds.clone().map(|h| h.agent), |view| {
+            for h in holds {
+                view[h.agent.index()].add(&h);
+            }
+        });
+    }
+
+    /// Credits `holds` back.
+    fn credit(&self, holds: impl Iterator<Item = AgentHold> + Clone) {
+        self.with_span(holds.clone().map(|h| h.agent), |view| {
+            for h in holds {
+                view[h.agent.index()].remove(&h);
+            }
+        });
+    }
+
+    /// Atomically reserves `hold`: either every agent in the hold has
+    /// room (and is up) and all of it is booked, or nothing is.
     ///
     /// # Errors
     ///
-    /// [`LedgerError::NotHeld`] if the session holds nothing.
-    pub fn release(&self, session: SessionId) -> Result<SessionHold, LedgerError> {
-        let mut holdings = self.holding_shard(session).lock();
-        let hold = holdings
-            .remove(&session)
-            .ok_or(LedgerError::NotHeld(session))?;
-        self.with_span(hold.holds.iter().map(|h| h.agent), |view| {
-            for h in &hold.holds {
-                view[h.agent.index()].remove(h);
-            }
-        });
-        Ok(hold)
+    /// [`LedgerError::AgentDown`] / [`LedgerError::Insufficient`] when
+    /// some agent cannot take its share.
+    pub fn try_reserve(&self, hold: &impl Reservation) -> Result<(), LedgerError> {
+        self.debit_checked(hold.agent_holds())
     }
 
-    /// Atomically replaces the session's reservation with `new_hold`
-    /// **iff** every agent of the new hold still has room after the old
-    /// hold is released — the commit point of a *concurrent* HOP, where
-    /// the ledger (not a global state lock) arbitrates capacity races
-    /// between sessions. On refusal the old hold is restored exactly.
+    /// Releases `held` — what a departing or displaced session reserved;
+    /// the fleet passes the load of the slot it removes.
+    pub fn release(&self, held: &impl Reservation) {
+        self.credit(held.agent_holds());
+    }
+
+    /// Atomically replaces the reservation `old` with `new` **iff**
+    /// every agent of `new` has room once `old` is released — the
+    /// commit point of a *concurrent* HOP, where the ledger (not a
+    /// global state lock) arbitrates capacity races between sessions.
+    /// The caller holds the session's slot lock, so `old` is what the
+    /// session has booked. Nothing is written unless the swap is made:
+    /// a refusal leaves every total's bits as they were.
     ///
     /// Availability is deliberately not checked: agent failure is a
     /// coarse-path operation excluded (by the fleet's FREEZE write lock)
@@ -527,138 +551,63 @@ impl CapacityLedger {
     ///
     /// # Errors
     ///
-    /// [`LedgerError::NotHeld`] if the session holds nothing,
     /// [`LedgerError::Insufficient`] when a concurrent reservation beat
     /// this one to the capacity.
-    pub fn try_swap(&self, session: SessionId, new_hold: SessionHold) -> Result<(), LedgerError> {
-        let mut holdings = self.holding_shard(session).lock();
-        let old = holdings
-            .get(&session)
-            .cloned()
-            .ok_or(LedgerError::NotHeld(session))?;
-        self.with_span(
-            old.holds
-                .iter()
-                .map(|h| h.agent)
-                .chain(new_hold.holds.iter().map(|h| h.agent)),
-            |view| {
-                for h in &old.holds {
-                    view[h.agent.index()].remove(h);
-                }
-                for h in &new_hold.holds {
-                    if let Err(resource) = view[h.agent.index()].fits(h) {
-                        for h2 in &old.holds {
-                            view[h2.agent.index()].add(h2);
-                        }
-                        return Err(LedgerError::Insufficient {
-                            agent: h.agent,
-                            resource,
-                        });
-                    }
-                }
-                for h in &new_hold.holds {
-                    view[h.agent.index()].add(h);
-                }
-                Ok(())
-            },
-        )?;
-        holdings.insert(session, new_hold);
-        Ok(())
-    }
-
-    /// Replaces the session's reservation with `new_hold` *uncondition-
-    /// ally* (no capacity check) — the mirror operation for migrations
-    /// the journal already committed (`Hop` replay) and for forced
-    /// evacuations, which deliberately overshoot (service continuity
-    /// over constraint purity; the overshoot shows up in
-    /// [`utilization`](Self::utilization)).
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::NotHeld`] if the session holds nothing.
-    pub fn force_swap(&self, session: SessionId, new_hold: SessionHold) -> Result<(), LedgerError> {
-        let mut holdings = self.holding_shard(session).lock();
-        let old = holdings
-            .get(&session)
-            .cloned()
-            .ok_or(LedgerError::NotHeld(session))?;
-        self.with_span(
-            old.holds
-                .iter()
-                .map(|h| h.agent)
-                .chain(new_hold.holds.iter().map(|h| h.agent)),
-            |view| {
-                for h in &old.holds {
-                    view[h.agent.index()].remove(h);
-                }
-                for h in &new_hold.holds {
-                    view[h.agent.index()].add(h);
-                }
-            },
-        );
-        holdings.insert(session, new_hold);
-        Ok(())
-    }
-
-    /// The hold currently booked for `session`, if any.
-    pub fn hold_of(&self, session: SessionId) -> Option<SessionHold> {
-        self.holding_shard(session).lock().get(&session).cloned()
-    }
-
-    /// Every booked reservation, ascending by session id — the ledger
-    /// half of a durable snapshot. Consistent per holding shard; for a
-    /// globally consistent view call under the fleet's FREEZE lock,
-    /// which serializes all mutations.
-    pub fn holdings(&self) -> Vec<(SessionId, SessionHold)> {
-        let mut out: Vec<(SessionId, SessionHold)> = self
-            .holdings
-            .iter()
-            .flat_map(|h| {
-                h.lock()
-                    .iter()
-                    .map(|(s, hold)| (*s, hold.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by_key(|(s, _)| *s);
-        out
-    }
-
-    /// Books `hold` for `session` *without* capacity or availability
-    /// checks. Two callers: an admission, whose engine already proved
-    /// the placement fits against this ledger's reserved totals under
-    /// the exclusive FREEZE lock (a second epsilon-sensitive check could
-    /// only disagree spuriously — the engine is the authority, the
-    /// ledger mirrors it); and crash recovery re-installing a
-    /// snapshot's holdings, which may legitimately overshoot (forced
-    /// evacuations) and may sit on failed agents — validity is
-    /// established afterwards by the recovery audit, not here.
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::AlreadyHeld`] if the session already holds a
-    /// reservation (an admit/activate invariant breach).
-    pub(crate) fn book_unchecked(
+    pub fn try_swap(
         &self,
-        session: SessionId,
-        hold: SessionHold,
+        old: &impl Reservation,
+        new: &impl Reservation,
     ) -> Result<(), LedgerError> {
-        let mut holdings = self.holding_shard(session).lock();
-        if holdings.contains_key(&session) {
-            return Err(LedgerError::AlreadyHeld(session));
-        }
-        self.with_span(hold.holds.iter().map(|h| h.agent), |view| {
-            for h in &hold.holds {
-                view[h.agent.index()].add(h);
+        let agents = old.agent_holds().chain(new.agent_holds()).map(|h| h.agent);
+        self.with_span(agents, |view| {
+            for h in new.agent_holds() {
+                let freed = old.agent_holds().find(|o| o.agent == h.agent);
+                if let Err(resource) = view[h.agent.index()].fits(freed.as_ref(), &h) {
+                    return Err(LedgerError::Insufficient {
+                        agent: h.agent,
+                        resource,
+                    });
+                }
             }
-        });
-        holdings.insert(session, hold);
-        Ok(())
+            Self::swap_in(view, old, new);
+            Ok(())
+        })
     }
 
-    /// Number of sessions holding reservations.
-    pub fn live_sessions(&self) -> usize {
-        self.holdings.iter().map(|h| h.lock().len()).sum()
+    /// Replaces the reservation `old` with `new` *unconditionally* (no
+    /// capacity check) — the mirror operation for migrations the journal
+    /// already committed (`Hop` replay), for forced evacuations, which
+    /// deliberately overshoot (service continuity over constraint
+    /// purity; the overshoot shows up in
+    /// [`utilization`](Self::utilization)), and for a load re-evaluation
+    /// that found drift.
+    pub fn force_swap(&self, old: &impl Reservation, new: &impl Reservation) {
+        let agents = old.agent_holds().chain(new.agent_holds()).map(|h| h.agent);
+        self.with_span(agents, |view| Self::swap_in(view, old, new));
+    }
+
+    /// Releases `old` then books `new` over `view` (the caller holds
+    /// every shard lock the two span).
+    fn swap_in(view: &[AgentEntry], old: &impl Reservation, new: &impl Reservation) {
+        for h in old.agent_holds() {
+            view[h.agent.index()].remove(&h);
+        }
+        for h in new.agent_holds() {
+            view[h.agent.index()].add(&h);
+        }
+    }
+
+    /// Books `load` *without* capacity or availability checks. Two
+    /// callers: an admission, whose engine already proved the placement
+    /// fits against this ledger's reserved totals under the exclusive
+    /// FREEZE lock (a second epsilon-sensitive check could only disagree
+    /// spuriously — the engine is the authority, the ledger mirrors it);
+    /// and crash recovery booking each live slot's cold-evaluated load,
+    /// which may legitimately overshoot (forced evacuations) and may sit
+    /// on failed agents — validity is established afterwards by the
+    /// recovery audit, not here.
+    pub(crate) fn book_unchecked(&self, load: &impl Reservation) {
+        self.debit(load.agent_holds());
     }
 
     /// Marks an agent failed: new reservations touching it are refused.
@@ -718,11 +667,10 @@ impl CapacityLedger {
     }
 
     /// Conservation audit against the authoritative slots: per agent,
-    /// the booked reservations must equal `totals` — the sum of the
-    /// live slot loads — within float slack, and the set of holding
-    /// sessions must equal `active` (ascending). Returns human-readable
-    /// discrepancies (empty = conserved).
-    pub fn audit_against_totals(&self, totals: &AgentTotals, active: &[SessionId]) -> Vec<String> {
+    /// the booked totals must equal `totals` — the sum of the live slot
+    /// loads — within float slack. Returns human-readable discrepancies
+    /// (empty = conserved).
+    pub fn audit_against_totals(&self, totals: &AgentTotals) -> Vec<String> {
         let mut problems = Vec::new();
         self.for_each_entry(|agent, e| {
             let i = agent.index();
@@ -748,23 +696,14 @@ impl CapacityLedger {
                 ));
             }
         });
-        let mut held: Vec<SessionId> = self
-            .holdings
-            .iter()
-            .flat_map(|h| h.lock().keys().copied().collect::<Vec<_>>())
-            .collect();
-        held.sort_unstable();
-        if held != active {
-            problems.push(format!(
-                "holding sessions {held:?} != active sessions {active:?}"
-            ));
-        }
         problems
     }
 
-    /// The booked per-agent reservation totals as [`AgentTotals`] — the
-    /// one shape reserved capacity leaves the ledger in, the same a
-    /// closed-world state keeps as its totals. Every reader forms
+    /// The booked per-agent reservation totals as [`AgentTotals`] —
+    /// everything the ledger books, in the one shape reserved capacity
+    /// leaves it in, the same a closed-world state keeps as its totals.
+    /// They move by exactly the demands the callers hand in, in commit
+    /// order. Every reader forms
     /// `capacity − reserved` itself, at the agents it looks at: the
     /// admission engine through `Residuals::fill_from_totals` (so it
     /// searches the space the offline world searches), a hop through
@@ -801,31 +740,30 @@ impl CapacityLedger {
 
     // ---- Two-phase cross-region reservation -------------------------
 
-    /// Splits a hold into per-region sub-holds, ascending by region id.
-    /// Agent order within each sub-hold follows the input hold.
-    pub fn split_by_region(&self, hold: &SessionHold) -> Vec<(u32, SessionHold)> {
+    /// Splits a reservation into per-region sub-holds, ascending by
+    /// region id. Agent order within each sub-hold follows the input.
+    pub fn split_by_region(&self, hold: &impl Reservation) -> Vec<(u32, SessionHold)> {
         let entries = self.entries.read();
         let mut parts: Vec<(u32, SessionHold)> = Vec::new();
-        for h in &hold.holds {
+        for h in hold.agent_holds() {
             let r = entries[h.agent.index()].region.load(Ordering::Relaxed);
             match parts.iter_mut().find(|(reg, _)| *reg == r) {
-                Some((_, sub)) => sub.holds.push(*h),
-                None => parts.push((r, SessionHold { holds: vec![*h] })),
+                Some((_, sub)) => sub.holds.push(h),
+                None => parts.push((r, SessionHold { holds: vec![h] })),
             }
         }
         parts.sort_unstable_by_key(|(r, _)| *r);
         parts
     }
 
-    /// Whether the hold's agents sit in two or more regions — i.e.
-    /// whether booking it must go through the two-phase protocol.
+    /// Whether the reservation's agents sit in two or more regions —
+    /// i.e. whether booking it must go through the two-phase protocol.
     /// Answers what `split_by_region(hold).len() >= 2` answers without
     /// building the split.
-    pub(crate) fn spans_regions(&self, hold: &SessionHold) -> bool {
+    pub(crate) fn spans_regions(&self, hold: &impl Reservation) -> bool {
         let entries = self.entries.read();
         let mut regions = hold
-            .holds
-            .iter()
+            .agent_holds()
             .map(|h| entries[h.agent.index()].region.load(Ordering::Relaxed));
         match regions.next() {
             Some(first) => regions.any(|r| r != first),
@@ -848,55 +786,26 @@ impl CapacityLedger {
     ///
     /// # Errors
     ///
-    /// [`CrossRegionError::AlreadyHeld`] if the session already holds a
-    /// reservation; [`CrossRegionError::Prepare`] naming the refusing
-    /// region and the underlying [`LedgerError`].
+    /// [`CrossRegionError::Prepare`] naming the refusing region and the
+    /// underlying [`LedgerError`].
     pub fn prepare_reserve(
         &self,
-        session: SessionId,
-        hold: SessionHold,
+        hold: &impl Reservation,
     ) -> Result<PreparedReserve, CrossRegionError> {
-        if self.hold_of(session).is_some() {
-            return Err(CrossRegionError::AlreadyHeld(session));
-        }
-        let parts = self.split_by_region(&hold);
+        let parts = self.split_by_region(hold);
         let mut prepared: Vec<(u32, SessionHold)> = Vec::with_capacity(parts.len());
         for (region, sub) in parts {
-            let debit = self.with_span(sub.holds.iter().map(|h| h.agent), |view| {
-                for h in &sub.holds {
-                    let entry = &view[h.agent.index()];
-                    if !entry.is_up() {
-                        return Err(LedgerError::AgentDown(h.agent));
-                    }
-                    if let Err(resource) = entry.fits(h) {
-                        return Err(LedgerError::Insufficient {
-                            agent: h.agent,
-                            resource,
-                        });
-                    }
+            if let Err(error) = self.debit_checked(sub.agent_holds()) {
+                for (_, done) in &prepared {
+                    self.credit(done.agent_holds());
                 }
-                for h in &sub.holds {
-                    view[h.agent.index()].add(h);
-                }
-                Ok(())
-            });
-            match debit {
-                Ok(()) => prepared.push((region, sub)),
-                Err(error) => {
-                    for (_, done) in &prepared {
-                        self.with_span(done.holds.iter().map(|h| h.agent), |view| {
-                            for h in &done.holds {
-                                view[h.agent.index()].remove(h);
-                            }
-                        });
-                    }
-                    self.cross_aborts.fetch_add(1, Ordering::Relaxed);
-                    return Err(CrossRegionError::Prepare { region, error });
-                }
+                self.cross_aborts.fetch_add(1, Ordering::Relaxed);
+                return Err(CrossRegionError::Prepare { region, error });
             }
+            prepared.push((region, sub));
         }
         self.cross_prepares.fetch_add(1, Ordering::Relaxed);
-        Ok(PreparedReserve { session, prepared })
+        Ok(PreparedReserve { prepared })
     }
 
     /// Phase 1, **unchecked**: debits every region's sub-hold without
@@ -905,53 +814,22 @@ impl CapacityLedger {
     /// already proved the placement fits against this ledger's residuals
     /// under the exclusive FREEZE lock; a second epsilon-sensitive check
     /// here could only disagree spuriously.
-    pub(crate) fn prepare_booked(&self, session: SessionId, hold: SessionHold) -> PreparedReserve {
-        let parts = self.split_by_region(&hold);
+    pub(crate) fn prepare_booked(&self, hold: &impl Reservation) -> PreparedReserve {
+        let parts = self.split_by_region(hold);
         for (_, sub) in &parts {
-            self.with_span(sub.holds.iter().map(|h| h.agent), |view| {
-                for h in &sub.holds {
-                    view[h.agent.index()].add(h);
-                }
-            });
+            self.debit(sub.agent_holds());
         }
         self.cross_prepares.fetch_add(1, Ordering::Relaxed);
-        PreparedReserve {
-            session,
-            prepared: parts,
-        }
+        PreparedReserve { prepared: parts }
     }
 
-    /// Phase 2, commit: merges the prepared sub-holds back into one
-    /// [`SessionHold`] (ascending by agent) and installs it in the
-    /// holdings table. This is the commit point — the fleet journals the
-    /// admission only after this returns, so a crash between prepare and
-    /// commit replays to pre-admission residuals in every region.
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::AlreadyHeld`] if the session booked a reservation
-    /// since prepare; the prepared debits are rolled back (the commit
-    /// degrades to an abort) so no capacity leaks.
-    pub fn commit_prepared(&self, prepared: PreparedReserve) -> Result<(), LedgerError> {
-        {
-            let holdings = self.holding_shard(prepared.session).lock();
-            if holdings.contains_key(&prepared.session) {
-                let s = prepared.session;
-                drop(holdings);
-                self.abort_prepared(prepared);
-                return Err(LedgerError::AlreadyHeld(s));
-            }
-        }
-        let PreparedReserve {
-            session,
-            prepared: parts,
-        } = prepared;
-        let mut holds: Vec<AgentHold> = parts.into_iter().flat_map(|(_, s)| s.holds).collect();
-        holds.sort_unstable_by_key(|h| h.agent);
-        let mut holdings = self.holding_shard(session).lock();
-        holdings.insert(session, SessionHold { holds });
+    /// Phase 2, commit: the prepared debits stand. This is the commit
+    /// point — the fleet journals the admission only after this returns,
+    /// so a crash between prepare and commit replays to pre-admission
+    /// residuals in every region.
+    pub fn commit_prepared(&self, prepared: PreparedReserve) {
+        drop(prepared);
         self.cross_commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Phase 2, abort: credits every prepared sub-hold back. After this
@@ -960,11 +838,7 @@ impl CapacityLedger {
     /// per-agent order).
     pub fn abort_prepared(&self, prepared: PreparedReserve) {
         for (_, sub) in &prepared.prepared {
-            self.with_span(sub.holds.iter().map(|h| h.agent), |view| {
-                for h in &sub.holds {
-                    view[h.agent.index()].remove(h);
-                }
-            });
+            self.credit(sub.agent_holds());
         }
         self.cross_aborts.fetch_add(1, Ordering::Relaxed);
     }

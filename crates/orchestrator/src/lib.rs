@@ -8,9 +8,10 @@
 //! control plane that owns a *fleet* of concurrent sessions:
 //!
 //! * [`ledger`] — the **sharded capacity ledger**: per-agent bandwidth
-//!   and transcoding-slot reservations taken/released atomically across
-//!   sessions, sharded so concurrent admissions contend only on the
-//!   agents they actually touch;
+//!   and transcoding-slot totals, moved atomically by the demands
+//!   sessions take and give up (a live session's slot is its record),
+//!   sharded so concurrent admissions contend only on the agents they
+//!   actually touch;
 //! * [`fleet`] — the [`Fleet`] API: `admit` (AgRank-bootstrapped
 //!   placement against live residuals), `depart` (releases exactly what
 //!   was reserved), `fail_agent` (immediate deterministic evacuation,
@@ -56,17 +57,16 @@
 //! 1. **Prepare** — [`CapacityLedger::prepare_reserve`] splits the
 //!    session's hold by region ([`CapacityLedger::split_by_region`])
 //!    and debits each region's agents in ascending region order. The
-//!    result is a [`PreparedReserve`]: capacity is debited but the
-//!    session holds nothing yet (`hold_of` still returns `None`). If
-//!    any region refuses, the already-debited regions are credited
-//!    back and the caller gets a typed
+//!    result is a [`PreparedReserve`]: capacity is debited, pending
+//!    the decision. If any region refuses, the already-debited regions
+//!    are credited back and the caller gets a typed
 //!    [`CrossRegionError::Prepare`] naming the refusing region —
 //!    residuals are bitwise what they were before the attempt.
-//! 2. **Commit** — [`CapacityLedger::commit_prepared`] merges the
-//!    per-region sub-holds and installs the merged hold in the
-//!    holdings table. *Installation is the commit point*: before it,
-//!    the reservation is invisible; after it, departure releases
-//!    exactly what was reserved.
+//! 2. **Commit** — [`CapacityLedger::commit_prepared`] is the point
+//!    where the prepared debits stand; there is nothing to install,
+//!    because the ledger keeps per-agent totals only and the admitted
+//!    session's slot (inserted by the fleet right after) is its record.
+//!    Departure releases that slot's load: exactly what was reserved.
 //! 3. **Abort** — [`CapacityLedger::abort_prepared`] credits every
 //!    debit back, leaving both regions at their pre-admission
 //!    residuals.
@@ -87,14 +87,14 @@
 //! # Invariants
 //!
 //! The live sessions' slots are authoritative — a session has a slot
-//! exactly while it is live, so the slot map's keys *are* the live set —
-//! and the ledger mirrors them reservation-by-reservation. After *any*
-//! sequence of admits, departs, failures and hops — including hops
-//! racing on OS threads — [`Fleet::audit`] must return empty: per-agent
-//! booked capacity equals the sum of the slot loads, and the ledger's
-//! holding-session set equals the slot map's key set (two structures
-//! kept independently). `tests/orchestrator_invariants.rs` and
-//! `tests/hop_equivalence.rs` property-test exactly this.
+//! exactly while it is live, so the slot map's keys *are* the live set,
+//! and a slot's load *is* the session's hold — and the ledger's
+//! per-agent totals are moved by exactly the loads the slots take and
+//! give up. After *any* sequence of admits, departs, failures and hops
+//! — including hops racing on OS threads — [`Fleet::audit`] must return
+//! empty: per-agent booked capacity equals the sum of the slot loads.
+//! `tests/orchestrator_invariants.rs` and `tests/hop_equivalence.rs`
+//! property-test exactly this.
 //!
 //! # Example
 //!
@@ -145,7 +145,7 @@ pub use fleet::{
 };
 pub use ledger::{
     AgentHold, AgentUtilization, CapacityLedger, CrossRegionError, LedgerError, PreparedReserve,
-    RegionResiduals, SessionHold, DEFAULT_REGION,
+    RegionResiduals, Reservation, SessionHold, DEFAULT_REGION,
 };
 pub use orchestrator::{FleetReport, Orchestrator, OrchestratorConfig};
 pub use persist::{

@@ -6,8 +6,11 @@
 //!
 //! The control plane's entire mutable state is the live sessions'
 //! slots (their placements; the slot map's keys are the live set) plus
-//! the ledger's holdings plus the counters; [`DurableFleetState`]
-//! captures exactly that. Between
+//! the counters; [`DurableFleetState`] captures exactly that. A slot's
+//! load is its ledger hold, so the snapshot's `holdings` are written
+//! from the slots ([`SessionHold::from_load`], ascending by session),
+//! and recovery books the ledger from the re-evaluated slots and
+//! requires the decoded `holdings` to say the same. Between
 //! snapshots, every state-changing mutation appends one [`FleetOp`] to
 //! the write-ahead journal *while the mutated slot's lock (or the
 //! FREEZE write lock) is held*, so per-session journal order equals
@@ -331,7 +334,10 @@ pub struct DurableFleetState {
     /// Per-agent region ids, instance order (format v6). Indices into
     /// `regions`.
     pub agent_regions: Vec<u32>,
-    /// Ledger holdings, ascending by session id.
+    /// Ledger holdings, ascending by session id: every live session's
+    /// [`SessionHold::from_load`] of its slot's load. Recovery
+    /// re-evaluates the loads and refuses a snapshot whose holdings
+    /// differ from them.
     pub holdings: Vec<(SessionId, SessionHold)>,
     /// Control-plane counters.
     pub counters: CounterSnapshot,
@@ -541,7 +547,9 @@ fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
             .agent_ids()
             .map(|l| fleet.ledger.region_of(l))
             .collect(),
-        holdings: fleet.ledger.holdings(),
+        holdings: (u.slots.iter())
+            .map(|(&s, slot)| (s, SessionHold::from_load(slot.lock().load())))
+            .collect(),
         counters: CounterSnapshot::capture(&fleet.counters),
         timers: fleet.timers.lock().clone(),
         readmit: {
@@ -1016,7 +1024,11 @@ impl Fleet {
             let fleet::Universe { problem, slots, .. } = &mut *u;
             let inst = problem.instance();
             // A slot per live session only; whatever the snapshot holds
-            // at a non-live session's entries is not state.
+            // at a non-live session's entries is not state. Each slot's
+            // load is booked as it is built, ascending by session: the
+            // slots are the holds, and the snapshot's `holdings` must
+            // name the same sessions with the same loads, bit for bit.
+            let mut holdings = durable.holdings.iter();
             for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
                 let users = inst.session(s).users().iter();
                 let tasks = problem.tasks().of_session(s).iter();
@@ -1025,7 +1037,18 @@ impl Fleet {
                     tasks.map(|t| durable.task_agents[t.index()]).collect(),
                 );
                 let load = fleet::evaluate_slot(problem, s, &slot, &mut scratch).clone();
+                if holdings.next() != Some(&(s, SessionHold::from_load(&load))) {
+                    return Err(PersistError::Mismatch(format!(
+                        "snapshot holdings disagree with the re-evaluated load of live session {s}"
+                    )));
+                }
+                fleet.ledger.book_unchecked(&load);
                 slots.insert(s, Mutex::new(slot.loaded(load)));
+            }
+            if let Some((s, _)) = holdings.next() {
+                return Err(PersistError::Mismatch(format!(
+                    "snapshot holdings name session {s}, which is not live"
+                )));
             }
         }
         // Availability flags were installed with the universe above;
@@ -1035,11 +1058,6 @@ impl Fleet {
             if !up {
                 fleet.ledger.fail_agent(AgentId::from(i));
             }
-        }
-        for (session, hold) in durable.holdings {
-            fleet.ledger.book_unchecked(session, hold).map_err(|e| {
-                PersistError::Replay(format!("snapshot holdings re-book failed: {e}"))
-            })?;
         }
         durable.counters.install(&fleet.counters);
         *fleet.timers.lock() = durable.timers;
@@ -1244,11 +1262,7 @@ impl Fleet {
                     slot.tasks().iter().copied(),
                 );
                 let (_, load) = hood.candidate(*decision);
-                self.ledger
-                    .force_swap(*session, SessionHold::from_load(load))
-                    .map_err(|e| {
-                        PersistError::Replay(format!("hop ledger swap failed on replay: {e}"))
-                    })?;
+                self.ledger.force_swap(slot.load(), load);
                 self.commit_hop(*session, &mut slot, *decision, index, scratch.load_mut());
             }
             FleetOp::StayBatch { count } => {

@@ -80,6 +80,12 @@ impl SessionSlot {
         &self.load
     }
 
+    /// The evaluated load, the slot consumed (what a departure hands
+    /// back).
+    pub(crate) fn into_load(self) -> SessionLoad {
+        self.load
+    }
+
     /// The placement entry `decision` rewrites, `index` being its
     /// `UapProblem::local_index`.
     pub(crate) fn agent(&self, decision: Decision, index: usize) -> AgentId {

@@ -67,36 +67,43 @@ fn fleet(cap_mbps: f64, slots: u32) -> Fleet {
     )
 }
 
+/// One agent's share of a hand-built reservation.
+fn agent_hold(agent: usize, download_mbps: f64, upload_mbps: f64, units: u32) -> AgentHold {
+    AgentHold {
+        agent: AgentId::from(agent),
+        download_mbps,
+        upload_mbps,
+        transcode_units: units,
+    }
+}
+
+/// The bits of every booked total, agent by agent.
+fn total_bits(ledger: &CapacityLedger) -> Vec<(u64, u64, u32)> {
+    let t = ledger.reserved_totals();
+    (0..t.download.len())
+        .map(|i| {
+            (
+                t.download[i].to_bits(),
+                t.upload[i].to_bits(),
+                t.transcode[i],
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn ledger_reserves_and_releases_atomically() {
     let p = universe(100.0, 4);
     let ledger = CapacityLedger::new(&p, 2);
+    let empty = total_bits(&ledger);
     let hold = SessionHold {
-        holds: vec![
-            AgentHold {
-                agent: AgentId::new(0),
-                download_mbps: 60.0,
-                upload_mbps: 10.0,
-                transcode_units: 2,
-            },
-            AgentHold {
-                agent: AgentId::new(2),
-                download_mbps: 50.0,
-                upload_mbps: 0.0,
-                transcode_units: 0,
-            },
-        ],
+        holds: vec![agent_hold(0, 60.0, 10.0, 2), agent_hold(2, 50.0, 0.0, 0)],
     };
-    ledger.try_reserve(SessionId::new(0), hold.clone()).unwrap();
-    assert_eq!(
-        ledger.try_reserve(SessionId::new(0), hold.clone()),
-        Err(LedgerError::AlreadyHeld(SessionId::new(0)))
-    );
-    // A second session asking for 60 more on agent 0 must be refused
-    // whole — including its (fitting) share on agent 2.
-    let err = ledger
-        .try_reserve(SessionId::new(1), hold.clone())
-        .unwrap_err();
+    ledger.try_reserve(&hold).unwrap();
+    let booked = total_bits(&ledger);
+    // A second reservation asking for 60 more on agent 0 must be
+    // refused whole — including its (fitting) share on agent 2.
+    let err = ledger.try_reserve(&hold).unwrap_err();
     assert_eq!(
         err,
         LedgerError::Insufficient {
@@ -104,16 +111,59 @@ fn ledger_reserves_and_releases_atomically() {
             resource: "download"
         }
     );
-    let util = ledger.utilization();
-    assert!(
-        (util[2].download_mbps - 50.0).abs() < 1e-9,
-        "partial booking leaked"
+    assert_eq!(total_bits(&ledger), booked, "partial booking leaked");
+    // Releasing what was booked frees exactly that.
+    ledger.release(&hold);
+    assert_eq!(total_bits(&ledger), empty);
+    ledger.try_reserve(&hold).unwrap();
+    assert_eq!(total_bits(&ledger), booked);
+}
+
+/// A `try_swap` the capacity refuses writes nothing: every total keeps
+/// its bits — also where releasing the old share and booking it back
+/// would not have (on agent 0 below, `(t − 10.9) + 10.9 ≠ t`). One the
+/// capacity admits releases the old share and books the new one.
+#[test]
+fn ledger_refused_swap_leaves_every_total_bitwise() {
+    let p = universe(100.0, 4);
+    let ledger = CapacityLedger::new(&p, 2);
+    let old = SessionHold {
+        holds: vec![agent_hold(0, 10.9, 10.9, 1)],
+    };
+    let other = SessionHold {
+        holds: vec![agent_hold(0, 31.3, 0.0, 0)],
+    };
+    let crowd = SessionHold {
+        holds: vec![agent_hold(0, 17.3, 0.0, 0), agent_hold(2, 95.0, 0.0, 0)],
+    };
+    for booked in [&old, &other, &crowd] {
+        ledger.try_reserve(booked).unwrap();
+    }
+    ledger.release(&other);
+    let t = ledger.reserved_totals().download[0];
+    assert_ne!(((t - 10.9).max(0.0) + 10.9).to_bits(), t.to_bits());
+    let before = total_bits(&ledger);
+
+    let onto_crowd = SessionHold {
+        holds: vec![agent_hold(2, 10.9, 10.9, 1)],
+    };
+    assert_eq!(
+        ledger.try_swap(&old, &onto_crowd),
+        Err(LedgerError::Insufficient {
+            agent: AgentId::new(2),
+            resource: "download"
+        })
     );
-    // Release returns exactly the original hold; capacity frees up.
-    let released = ledger.release(SessionId::new(0)).unwrap();
-    assert_eq!(released, hold);
-    assert_eq!(ledger.live_sessions(), 0);
-    ledger.try_reserve(SessionId::new(1), hold).unwrap();
+    assert_eq!(total_bits(&ledger), before, "a refused swap wrote");
+
+    let onto_free = SessionHold {
+        holds: vec![agent_hold(1, 10.9, 10.9, 1)],
+    };
+    ledger.try_swap(&old, &onto_free).unwrap();
+    let after = ledger.reserved_totals();
+    assert_eq!(after.download[0].to_bits(), (t - 10.9).max(0.0).to_bits());
+    assert_eq!((after.download[1], after.transcode[1]), (10.9, 1));
+    assert_eq!(after.transcode[0], 0);
 }
 
 #[test]
@@ -121,17 +171,12 @@ fn ledger_refuses_failed_agents_until_restored() {
     let p = universe(100.0, 4);
     let ledger = CapacityLedger::new(&p, 3);
     let hold = SessionHold {
-        holds: vec![AgentHold {
-            agent: AgentId::new(1),
-            download_mbps: 1.0,
-            upload_mbps: 1.0,
-            transcode_units: 0,
-        }],
+        holds: vec![agent_hold(1, 1.0, 1.0, 0)],
     };
     ledger.fail_agent(AgentId::new(1));
     assert!(!ledger.is_agent_available(AgentId::new(1)));
     assert_eq!(
-        ledger.try_reserve(SessionId::new(0), hold.clone()),
+        ledger.try_reserve(&hold),
         Err(LedgerError::AgentDown(AgentId::new(1)))
     );
     // The refusal booked nothing: the down agent's capacity is all still
@@ -139,7 +184,7 @@ fn ledger_refuses_failed_agents_until_restored() {
     let residuals = Residuals::from_totals(&p, &ledger.reserved_totals());
     assert_eq!(residuals.download[1], 100.0);
     ledger.restore_agent(AgentId::new(1));
-    ledger.try_reserve(SessionId::new(0), hold).unwrap();
+    ledger.try_reserve(&hold).unwrap();
 }
 
 #[test]
@@ -160,18 +205,17 @@ fn admit_depart_round_trip_conserves() {
         // it shows up in both freeze-write histograms, exactly once.
         let holds = |site| f.obs().summary(site).count;
         let before = (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold));
-        let hold = f.depart(SessionId::new(i)).expect("was live");
+        let load = f.depart(SessionId::new(i)).expect("was live");
         assert_eq!(
             (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold)),
             (before.0 + 1, before.1 + 1)
         );
         // Ledger gave back a non-trivial reservation.
-        assert!(!hold.is_empty());
+        assert!(!SessionHold::from_load(&load).is_empty());
         assert!(f.audit().is_empty(), "audit after depart {i}");
     }
     assert!(f.depart(SessionId::new(0)).is_none(), "already departed");
     assert_eq!(f.live_count(), 0);
-    assert_eq!(f.ledger().live_sessions(), 0);
     assert_eq!(f.objective(), 0.0);
 }
 
@@ -202,10 +246,13 @@ fn admission_refuses_when_capacity_runs_out() {
 fn double_admit_is_rejected() {
     let f = fleet(10_000.0, 100);
     f.admit(SessionId::new(0)).unwrap();
+    let booked = total_bits(f.ledger());
     assert_eq!(
         f.admit(SessionId::new(0)),
         Err(AdmitError::AlreadyLive(SessionId::new(0)))
     );
+    // The slot map refuses a second booking before the ledger sees one.
+    assert_eq!(total_bits(f.ledger()), booked);
     assert!(f.audit().is_empty());
 }
 
@@ -529,6 +576,7 @@ fn registered_conference_lives_like_a_seed_one() {
         f.admit(SessionId::new(i)).unwrap();
     }
     let before = f.objective();
+    let booked = total_bits(f.ledger());
     // Register two never-before-seen conferences while the fleet is live.
     let s6 = f
         .register_session(&late_conference(&f.problem(), 9.0))
@@ -540,7 +588,8 @@ fn registered_conference_lives_like_a_seed_one() {
     assert_eq!(f.universe_size(), (8, 16));
     // Registration alone reserves nothing and changes no live state.
     assert_eq!(f.objective().to_bits(), before.to_bits());
-    assert_eq!(f.ledger().live_sessions(), 6);
+    assert_eq!(f.live_count(), 6);
+    assert_eq!(total_bits(f.ledger()), booked);
     assert!(f.audit().is_empty());
     assert!(!f.is_live(s6));
     // The new conferences admit, hop, and depart like seed sessions.
@@ -591,7 +640,6 @@ fn slot_map_holds_exactly_the_live_sessions() {
         let keys: Vec<SessionId> = f.freeze.read().slots.keys().copied().collect();
         assert_eq!(keys, f.live_sessions(), "{when}");
         assert_eq!(keys.len(), f.live_count(), "{when}");
-        assert_eq!(keys.len(), f.ledger().live_sessions(), "{when}");
         assert!(f.audit().is_empty(), "{when}");
         keys.len()
     };
@@ -1085,6 +1133,45 @@ mod persistence {
         )
         .expect_err("dimension mismatch must refuse");
         assert!(matches!(err, PersistError::Mismatch(_)), "got {err:?}");
+    }
+
+    /// Recovery books the ledger from the re-evaluated slots and holds
+    /// the snapshot's `holdings` to them: one hold one ulp off is a
+    /// typed refusal naming its session — no panic, and no ledger that
+    /// silently differs from the slots.
+    #[test]
+    fn recovery_refuses_a_snapshot_hold_one_ulp_off() {
+        let (fleet, dir) = persistent_fleet("hold-ulp");
+        churn(&fleet);
+        let mut durable = fleet.durable_state();
+        drop(fleet);
+        let (session, hold) = &mut durable.holdings[0];
+        let session = *session;
+        let share = &mut hold.holds[0].download_mbps;
+        *share = f64::from_bits(share.to_bits() + 1);
+        let last = vc_persist::latest_snapshot::<crate::persist::DurableFleetState>(&dir)
+            .expect("scan")
+            .expect("snapshot")
+            .0;
+        vc_persist::write_snapshot(&dir, last + 1000, &durable).expect("write");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Fleet::recover(
+                PersistConfig {
+                    dir: dir.clone(),
+                    fsync: FsyncPolicy::Always,
+                    stay_batch: 4,
+                },
+                universe(120.0, 6),
+                FleetConfig::default(),
+            )
+            .map(drop)
+        }));
+        match outcome {
+            Ok(Err(PersistError::Mismatch(m))) => {
+                assert!(m.contains(&session.to_string()), "{m}");
+            }
+            other => panic!("expected a typed holdings mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -301,12 +301,13 @@ fn drain_refuses_new_holds_then_evacuates() {
 
     let assert_victim_empty = |fleet: &Fleet| {
         for s in fleet.live_sessions() {
-            if let Some(hold) = fleet.ledger().hold_of(s) {
-                assert!(
-                    hold.holds.iter().all(|h| h.agent != victim),
-                    "session {s} still holds capacity on drained {victim}"
-                );
-            }
+            let hold = fleet
+                .hold_of(s)
+                .expect("a live session holds its slot's load");
+            assert!(
+                hold.holds.iter().all(|h| h.agent != victim),
+                "session {s} still holds capacity on drained {victim}"
+            );
         }
     };
     assert_victim_empty(&fleet);
@@ -345,12 +346,9 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
 
     // A live single-region booking so the baseline is non-trivial.
     ledger
-        .try_reserve(
-            SessionId::new(0),
-            SessionHold {
-                holds: vec![hold(0, 30.0, 30.0, 1)],
-            },
-        )
+        .try_reserve(&SessionHold {
+            holds: vec![hold(0, 30.0, 30.0, 1)],
+        })
         .expect("fits");
     let before = residual_bits(&ledger, &problem);
     let (p0, c0, a0) = ledger.cross_region_counters();
@@ -361,7 +359,7 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
     let spanning_too_big = SessionHold {
         holds: vec![hold(1, 20.0, 20.0, 1), hold(3, 10.0, 90.0, 1)],
     };
-    match ledger.prepare_reserve(SessionId::new(9), spanning_too_big) {
+    match ledger.prepare_reserve(&spanning_too_big) {
         Err(CrossRegionError::Prepare { region, .. }) => assert_eq!(region, east),
         other => panic!("expected a typed Prepare refusal naming east, got {other:?}"),
     }
@@ -370,20 +368,13 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         before,
         "refusal left a debit behind"
     );
-    assert!(ledger.hold_of(SessionId::new(9)).is_none());
 
     // Prepare + abort: bitwise rollback, nothing ever held.
     let ok = SessionHold {
         holds: vec![hold(1, 20.0, 20.0, 1), hold(3, 25.0, 25.0, 1)],
     };
-    let prepared = ledger
-        .prepare_reserve(SessionId::new(9), ok.clone())
-        .expect("fits");
+    let prepared = ledger.prepare_reserve(&ok).expect("fits");
     assert_eq!(prepared.regions(), vec![0, east]);
-    assert!(
-        ledger.hold_of(SessionId::new(9)).is_none(),
-        "prepared must be invisible before commit"
-    );
     ledger.abort_prepared(prepared);
     assert_eq!(
         residual_bits(&ledger, &problem),
@@ -391,13 +382,15 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         "abort left a debit behind"
     );
 
-    // Prepare + commit: the merged hold installs; release undoes it.
-    let prepared = ledger
-        .prepare_reserve(SessionId::new(9), ok.clone())
-        .expect("fits");
-    ledger.commit_prepared(prepared).expect("first hold");
-    assert_eq!(ledger.hold_of(SessionId::new(9)).expect("committed"), ok);
-    ledger.release(SessionId::new(9)).expect("held");
+    // Prepare + commit: the debits stand; releasing the hold undoes them.
+    let prepared = ledger.prepare_reserve(&ok).expect("fits");
+    ledger.commit_prepared(prepared);
+    assert_ne!(
+        residual_bits(&ledger, &problem),
+        before,
+        "commit kept nothing"
+    );
+    ledger.release(&ok);
     assert_eq!(residual_bits(&ledger, &problem), before);
 
     let (p1, c1, a1) = ledger.cross_region_counters();
@@ -432,10 +425,7 @@ fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
     let spanning = SessionHold {
         holds: vec![hold(0, 4.0, 4.0, 0), hold(3, 4.0, 4.0, 0)],
     };
-    let prepared = fleet
-        .ledger()
-        .prepare_reserve(SessionId::new(5), spanning)
-        .expect("fits");
+    let prepared = fleet.ledger().prepare_reserve(&spanning).expect("fits");
     assert_ne!(
         residual_bits(fleet.ledger(), &fleet.problem()),
         before_bits,

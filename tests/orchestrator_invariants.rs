@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_orchestrator::{Fleet, PlacementPolicy};
+use vc_orchestrator::{Fleet, PlacementPolicy, SessionHold};
 
 /// A small capacity-limited universe: 3 agents, 5 sessions of 2–3 users.
 #[derive(Debug, Clone)]
@@ -79,6 +79,20 @@ fn build_fleet(spec: &RandomUniverse) -> Fleet {
     )
 }
 
+/// The bits of every total the ledger has booked, agent by agent.
+fn total_bits(fleet: &Fleet) -> Vec<(u64, u64, u32)> {
+    let t = fleet.ledger().reserved_totals();
+    (0..t.download.len())
+        .map(|i| {
+            (
+                t.download[i].to_bits(),
+                t.upload[i].to_bits(),
+                t.transcode[i],
+            )
+        })
+        .collect()
+}
+
 /// Event alphabet, decoded from a byte pair.
 fn run_events(fleet: &Fleet, events: &[(u8, u8)]) -> usize {
     let num_sessions = 5usize;
@@ -93,9 +107,9 @@ fn run_events(fleet: &Fleet, events: &[(u8, u8)]) -> usize {
             }
             1 => {
                 let s = SessionId::from(arg as usize % num_sessions);
-                let held_before = fleet.ledger().hold_of(s);
-                let released = fleet.depart(s);
-                // Departure returns exactly what was booked.
+                let held_before = fleet.hold_of(s);
+                let released = fleet.depart(s).as_ref().map(SessionHold::from_load);
+                // Departure returns exactly what the slot held.
                 assert_eq!(held_before, released, "depart released a different hold");
             }
             2 => {
@@ -142,9 +156,19 @@ proptest! {
             }
         }
         // Slot loads agree with a from-scratch evaluation (the standing
-        // check that the allocation-free scratch path stays exact).
+        // check that the allocation-free scratch path stays exact), and a
+        // re-evaluation that finds no drift leaves the ledger's totals
+        // as they were, bit for bit.
+        let booked = total_bits(&fleet);
         let drift = fleet.load_drift();
         prop_assert!(drift < 1e-6, "state drifted by {drift}");
+        if drift == 0.0 {
+            prop_assert_eq!(total_bits(&fleet), booked);
+        }
+        let booked = total_bits(&fleet);
+        prop_assert_eq!(fleet.load_drift(), 0.0);
+        prop_assert_eq!(total_bits(&fleet), booked);
+        prop_assert!(fleet.audit().is_empty());
     }
 
     /// Departing everything empties the ledger completely.
@@ -158,7 +182,6 @@ proptest! {
         for i in 0..5usize {
             fleet.depart(SessionId::from(i));
         }
-        prop_assert_eq!(fleet.ledger().live_sessions(), 0);
         prop_assert_eq!(fleet.live_count(), 0);
         for util in fleet.ledger().utilization() {
             prop_assert!(util.download_mbps.abs() < 1e-6, "download leaked");
@@ -182,10 +205,13 @@ proptest! {
             }
         }
         for &s in &admitted {
-            let hold = fleet.depart(s).expect("admitted session is live");
-            prop_assert!(!hold.is_empty(), "live session reserved nothing");
+            let load = fleet.depart(s).expect("admitted session is live");
+            prop_assert!(
+                !SessionHold::from_load(&load).is_empty(),
+                "live session reserved nothing"
+            );
         }
-        prop_assert_eq!(fleet.ledger().live_sessions(), 0);
+        prop_assert_eq!(fleet.live_count(), 0);
         prop_assert!(fleet.audit().is_empty());
     }
 }
