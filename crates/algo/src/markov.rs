@@ -35,13 +35,19 @@
 //!   would after the fold;
 //! * keeps it as **bounded** — clamped exponent, membership in the
 //!   feasible set unresolved, fold skipped — if
-//!   `½β(Φ_now − α1·F) ≤ −MAX_EXPONENT`;
+//!   `½β(Φ_now − Φ_floor) ≤ −MAX_EXPONENT` for a floor `Φ_floor ≤ Φ`:
+//!   first the free delay floor `α1·F`, then the traffic floor
+//!   `α1·F + α2·G_floor` ([`Probe::traffic_floor`](vc_core::neighborhood::Probe::traffic_floor)),
+//!   which re-emits the candidate's streams into per-agent ingress and
+//!   skips the rest of the fold;
 //! * otherwise folds the rest. A candidate whose *exact* exponent is
 //!   above the clamp is **stored**: its `Φ` and the sparse per-agent
 //!   [demand](vc_core::SessionLoad::demand) of its load. One whose exact
 //!   exponent is on the clamp after all is kept as bounded too — except
 //!   the first such that is allowed and fits, which is stored as the
-//!   **witness**.
+//!   **witness**. Most clamped candidates never reach the fold, so a
+//!   sweep usually leaves no witness, and the fold that finds a fitting
+//!   one moves to the first draw that needs it (rule (d)).
 //!
 //! The **draw** ([`Alg1Engine::draw`]) reads what other sessions move
 //! and which agents are up: it asks `allowed` of every stored
@@ -53,18 +59,35 @@
 //! placeholder) only where (c) or (d) asks.
 //!
 //! Cost per HOP: a sweep is one conference compilation, one delay
-//! derivation per candidate and one full fold per *undecided*
-//! candidate; a draw is one availability read and one capacity check
-//! per stored candidate and one `rng.gen::<f64>()`. The result is the
-//! eager one's bit for bit, by construction rather than by tolerance:
+//! derivation per candidate, one stream re-emission per candidate the
+//! delay floor leaves undecided and one full fold per candidate the
+//! traffic floor leaves undecided too; a draw is one availability read
+//! and one capacity check per stored candidate, one fold per bounded
+//! candidate rule (d) or (c) must resolve, and one `rng.gen::<f64>()`.
+//! The result is the eager one's bit for bit, by construction rather
+//! than by tolerance:
 //!
 //! * **(a) a bounded weight is the clamped weight.** `Φ = α1·F + α2·G +
 //!   α3·H` with every weight, price and cost shape `≥ 0`, so
-//!   `Φ ≥ α1·F` holds in floating point (IEEE addition is monotone);
-//!   subtraction from `Φ_now` and scaling by `½β ≥ 0` are monotone too,
-//!   so the exact exponent is `≤` the bound's `≤ −MAX_EXPONENT` and
-//!   clamps to exactly `−MAX_EXPONENT`. A candidate bounded after its
-//!   fold was tested on its exact exponent, by the sampler's own
+//!   `Φ ≥ α1·F` holds in floating point (IEEE addition is monotone).
+//!   So does `Φ ≥ α1·F + α2·G_floor`, the traffic floor:
+//!   - `G_floor` sums, per agent, the same non-negative ingress addends
+//!     as the fold, in emission order rather than flow-cell order, and
+//!     shades the sum by `1 − 10⁻⁹`. The two orders differ by
+//!     ~10⁻¹⁴ relative, far less than the shade, so each shaded
+//!     ingress is below the fold's;
+//!   - every bandwidth shape `g` is monotone as the code writes it
+//!     (linear, quadratic with `a, b ≥ 0`, piecewise-linear with
+//!     non-negative slopes, continuous at its knots), and so is
+//!     `price·g` with `price ≥ 0`;
+//!   - the ascending sum over agents is monotone in each addend (the
+//!     fold's agents without floor ingress add `≥ 0`), and so is
+//!     `combine`: `combine(F, G_floor, 0) ≤ combine(F, G, H)`.
+//!
+//!   Subtraction from `Φ_now` and scaling by `½β ≥ 0` are monotone
+//!   too, so the exact exponent is `≤` the bound's `≤ −MAX_EXPONENT`
+//!   and clamps to exactly `−MAX_EXPONENT`. A candidate bounded after
+//!   its fold was tested on its exact exponent, by the sampler's own
 //!   expression.
 //! * **(b) `total` needs no fold.** Stay (exponent 0) is summed first,
 //!   so every partial sum is `≥ e^(−max_e)`, while a bounded weight is
@@ -87,8 +110,9 @@
 //!   capacity check of one stored demand instead of a fold.
 //! * **(e) noise disables the bound.** With `noise: Some(_)` every
 //!   candidate's observed `Φ` is random and each feasible one consumes
-//!   a draw, so every candidate is folded and stored, in enumeration
-//!   order, which is then the order of the noise draws.
+//!   a draw, so no floor is computed and every candidate is folded and
+//!   stored, in enumeration order, which is then the order of the noise
+//!   draws.
 //! * **(f) a memoized sweep is the sweep.** Everything a sweep reads —
 //!   the session's placement and committed load (so `Φ_now` and the
 //!   `old` side of every capacity check), the agents it enumerates
@@ -311,8 +335,9 @@ pub struct Candidates {
     /// Candidates the last sweep enumerated (0 when the step drew from
     /// a kept memo).
     pub swept: u32,
-    /// Of those, how many the delay half settled without a fold: over
-    /// the delay bound, or weight proven on the clamp.
+    /// Of those, how many were settled without a fold: over the delay
+    /// bound, or weight proven on the clamp by the delay floor or the
+    /// traffic floor.
     pub bounded: u32,
     /// Full folds the last step ran, sweep and draw together (a
     /// bounded candidate resolved after all counts here as well).
@@ -519,8 +544,8 @@ impl Alg1Engine {
 
     /// The sweep half of a [Gibbs step](Self::gibbs_step): enumerates
     /// `hood`'s candidates toward `ctx.targets`, settles what their
-    /// delay half settles, folds the rest, and leaves the result in
-    /// `memo` (whatever it held before). Touches no RNG; asks
+    /// delay half or traffic floor settles, folds the rest, and leaves
+    /// the result in `memo` (whatever it held before). Touches no RNG; asks
     /// `ctx.allowed` and `ctx.fits` only to pick the witness.
     ///
     /// # Panics
@@ -544,7 +569,7 @@ impl Alg1Engine {
         let prune = self.config.noise.is_none();
         let clamped = |phi: f64| prune && exponent(beta, phi_now, phi) <= -MAX_EXPONENT;
         let mut witnessed = false;
-        hood.sweep_lazy(&ctx.targets, |decision, probe| {
+        hood.sweep_lazy(&ctx.targets, |decision, mut probe| {
             candidates.swept += 1;
             if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
                 candidates.bounded += 1;
@@ -555,7 +580,9 @@ impl Alg1Engine {
                 slot: index(probe.slot()),
                 agent: decision.target(),
             });
-            if clamped(probe.phi_floor()) {
+            // The free delay floor first, then the traffic floor — not
+            // computed at all under noise, where nothing is bounded.
+            if clamped(probe.phi_floor()) || (prune && clamped(probe.traffic_floor())) {
                 candidates.bounded += 1;
                 return;
             }
@@ -1417,6 +1444,54 @@ mod tests {
             let want = eager_hop(&engine, &mut state, s, 400.0, &mut Scripted(vec![0.999]));
             assert_eq!(got, want);
         }
+    }
+
+    /// Two agents at zero distance with equal last miles: moving either
+    /// user of the co-located pair leaves every delay — so `α1·F`, all
+    /// of `Φ_now` — as it is, and adds 2 Mbps of inter-agent traffic,
+    /// `+16` at α2 = 8: on the clamp at β = 400, which only the traffic
+    /// floor can tell.
+    fn co_located_pair_state() -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let r = ladder.lowest();
+        let mut b = InstanceBuilder::new(ladder);
+        b.add_agent(AgentSpec::builder("a").build());
+        b.add_agent(AgentSpec::builder("b").build());
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.add_user(s, r, r);
+        b.symmetric_delays(|_, _| 0.0, |_, _| 10.0);
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let asg = Assignment::all_to_agent(&problem, AgentId::new(0));
+        SystemState::new(problem, asg)
+    }
+
+    /// (a) with the traffic floor: both candidates are bounded without a
+    /// fold although their delay floor is `Φ_now` itself, no witness is
+    /// folded during the sweep, and rule (d) folds the first in the
+    /// draw — one fold where folding every candidate took two — and the
+    /// hop is the eager one's.
+    #[test]
+    fn the_traffic_floor_bounds_what_the_delay_floor_cannot() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let mut state = co_located_pair_state();
+        let mut scratch = HopScratch::new();
+        let mut rng = Scripted(vec![0.999]);
+        let got = engine.hop_scratch(&mut state, SessionId::new(0), &mut rng, &mut scratch);
+        assert_eq!(got, HopOutcome::Stayed);
+        let c = &scratch.candidates;
+        assert_eq!((c.swept, c.bounded, c.folded), (2, 2, 1));
+        let want = eager_hop(
+            &engine,
+            &mut co_located_pair_state(),
+            SessionId::new(0),
+            400.0,
+            &mut Scripted(vec![0.999]),
+        );
+        assert_eq!(got, want);
     }
 
     /// Session 0 sits on agent 1 and weighs moves to agents 0 and 2,

@@ -52,9 +52,10 @@
 //! therefore compiles once per HOP and, per candidate, moves one entry
 //! of the local placement, re-derives only the flow delays that entry
 //! invalidates, folds the delay half, hands the candidate to its caller
-//! — who folds the rest only if `(max delay, F)` did not already settle
-//! it — and reverts. Both halves being this module's, the emitted
-//! addends and their order are those of a from-scratch
+//! — who folds the rest only if `(max delay, F)`, or the traffic floor
+//! (the streams re-emitted into per-agent ingress alone), did not
+//! already settle it — and reverts. Both halves being this module's,
+//! the emitted addends and their order are those of a from-scratch
 //! [`evaluate`](EvalScratch::evaluate) of the moved assignment, so the
 //! two are bit-equal. [`OverlayView`] remains the one-decision diff for
 //! callers that evaluate a single candidate from global ids.
@@ -528,7 +529,19 @@ pub struct EvalScratch {
     delays: Vec<f64>,
     /// `delays` as compiled, which a one-decision move is undone from.
     base_delays: Vec<f64>,
+    /// The [traffic floor](Self::traffic_floor)'s per-agent ingress
+    /// sink, sized `L` and all zero between calls, and the agents it
+    /// wrote.
+    floor_ingress: Vec<f64>,
+    floor_agents: Vec<u32>,
 }
+
+/// The factor the [traffic floor](EvalScratch::traffic_floor) shades an
+/// agent's ingress by. Two float sums of the same `m` non-negative
+/// addends, taken in different orders, differ by at most about
+/// `2(m−1)·2⁻⁵³` relative, so the shaded sum stays below the fold's
+/// for any agent that receives fewer than a million addends.
+const FLOOR_SHADE: f64 = 1.0 - 1e-9;
 
 impl EvalScratch {
     /// An empty scratch; buffers are sized on first use and re-sized if
@@ -556,6 +569,7 @@ impl EvalScratch {
             self.flow_cells.clear();
             self.load = SessionLoad::empty(nl);
             self.mark = vec![false; nl];
+            self.floor_ingress = vec![0.0; nl];
         }
     }
 
@@ -829,6 +843,50 @@ impl EvalScratch {
         );
         &self.load
     }
+
+    /// A lower bound of the `Φ_s` [the rest](Self::fold_rest) would
+    /// complete the current delay half to, from the streams alone:
+    /// every stream's `μ_klu` terms re-emitted into a per-agent ingress
+    /// sink — no flow matrix, cell sort, occupancy or download/upload —
+    /// each agent's sum shaded by [`FLOOR_SHADE`], priced through `g`
+    /// in ascending agent order, and combined as `α1·F + α2·G_floor`.
+    /// It is below the fold's `Φ_s` in floating point, not within a
+    /// tolerance:
+    ///
+    /// * an agent's shaded emission-order sum is below the fold's
+    ///   cell-order sum of the same non-negative addends (the two
+    ///   orders differ by ~10⁻¹⁴ relative, the shade is 10⁻⁹);
+    /// * every `g` shape is monotone as written — linear, quadratic,
+    ///   piecewise-linear — and so is `price·g`;
+    /// * the ascending sum over agents and `combine` are monotone in
+    ///   each addend; the fold's further agents add `≥ 0`, and `H ≥ 0`.
+    ///
+    /// Writes nothing the fold reads.
+    pub(crate) fn traffic_floor(&mut self, problem: &UapProblem) -> f64 {
+        let (sink, agents) = (&mut self.floor_ingress, &mut self.floor_agents);
+        for i in 0..self.conf.num_users() {
+            self.conf
+                .emit_stream(i, &self.ua, &self.ta, &mut self.sets, |_, to, mbps| {
+                    let l = to.index();
+                    if sink[l] == 0.0 {
+                        agents.push(l as u32);
+                    }
+                    sink[l] += mbps;
+                });
+        }
+        // As flow cells are: recorded again after a 0.0 Mbps first write.
+        agents.sort_unstable();
+        agents.dedup();
+        let (inst, cost) = (problem.instance(), problem.cost());
+        let traffic: f64 = agents
+            .drain(..)
+            .map(|l| {
+                let x = std::mem::take(&mut sink[l as usize]) * FLOOR_SHADE;
+                inst.agent(AgentId::from(l as usize)).price_per_mbps() * cost.bandwidth.cost(x)
+            })
+            .sum();
+        cost.weights.combine(self.load.delay_cost, traffic, 0.0)
+    }
 }
 
 /// Marks agent `i` as touched (idempotent).
@@ -995,6 +1053,28 @@ mod tests {
         // Linear unit-price costs: traffic 2, transcode 1.
         assert!((load.traffic_cost - 2.0).abs() < 1e-12);
         assert!((load.transcode_cost - 1.0).abs() < 1e-12);
+    }
+
+    /// The traffic floor of the placement above, by hand: both agents'
+    /// 1 Mbps ingress shaded and priced in ascending order, combined
+    /// with `F` and no transcoding — below `Φ` by `α3·H` and the shade,
+    /// and above the delay floor by `α2·G` less the shade.
+    #[test]
+    fn traffic_floor_prices_the_shaded_ingress() {
+        let p = two_agent_problem();
+        let mut asg = Assignment::all_to_agent(&p, A);
+        asg.set_user(UserId::new(1), B);
+        let mut scratch = EvalScratch::new();
+        let load = scratch.evaluate(&p, &asg, S0).clone();
+        let floor = scratch.traffic_floor(&p);
+        let weights = p.cost().weights;
+        let shaded = 1.0 * FLOOR_SHADE;
+        let want = weights.combine(load.delay_cost, shaded + shaded, 0.0);
+        assert_eq!(floor.to_bits(), want.to_bits());
+        assert!(weights.delay_floor(load.delay_cost) < floor && floor < load.phi);
+        // The sink is empty again and the fold's load untouched.
+        assert_eq!(scratch.traffic_floor(&p).to_bits(), floor.to_bits());
+        assert_eq!(scratch.load(), &load);
     }
 
     /// Moving the task to the destination agent ships the raw 5 Mbps

@@ -20,9 +20,11 @@
 //! delays, their maximum, `F`), and is handed to the caller as a
 //! [`Probe`] **between** the two halves of the fold:
 //! [`Probe::max_flow_delay`] and [`Probe::phi_floor`] (`α1·F ≤ Φ`) are
-//! already exact, and [`Probe::fold`] runs the rest — re-emit the
-//! streams from the local tables, fold them, occupancy, costs — only if
-//! the caller asks. Then the move is reverted.
+//! already exact, [`Probe::traffic_floor`] (`α1·F + α2·G_floor ≤ Φ`)
+//! re-emits the streams into per-agent ingress only, and
+//! [`Probe::fold`] runs the rest — re-emit the streams from the local
+//! tables, fold them, occupancy, costs — only if the caller asks. Then
+//! the move is reverted.
 //! [`sweep_lazy`](Neighborhood::sweep_lazy) enumerates probes;
 //! [`sweep`](Neighborhood::sweep) and
 //! [`candidate`](Neighborhood::candidate) fold every one. Both halves
@@ -34,8 +36,11 @@
 //!
 //! Cost per *sweep*: one compilation of `O(n² + |T|)` lookups; per
 //! candidate one delay derivation and an `O(n²)` delay half; per
-//! candidate the caller could not settle on those, one
-//! `O(n² + |T| log |T|)` rest-fold. No id resolution after the compile.
+//! candidate the caller could not settle on those, one `O(n² + |T|)`
+//! re-emission into per-agent ingress for the traffic floor; per
+//! candidate not settled by that either, one `O(n² + |T| log |T|)`
+//! rest-fold, which emits the same streams and then does the rest. No
+//! id resolution after the compile.
 //! The kernel's buffers are the worker's [`EvalScratch`]; what a caller
 //! keeps of a sweep — `vc-algo`'s `HopMemo`, the Gibbs step's — is a
 //! candidate's [`Probe::slot`], its target and the sparse
@@ -63,7 +68,11 @@ pub struct Neighborhood<'a> {
 
 /// One candidate of a [`Neighborhood`], applied to the local placement
 /// with its delays derived and the delay half of its fold done; the
-/// rest of the fold is the holder's call.
+/// rest of the fold is the holder's call. Three lower bounds of its
+/// `Φ_s` come at rising cost, each at least the one before:
+/// [`phi_floor`](Self::phi_floor) (`α1·F`, free),
+/// [`traffic_floor`](Self::traffic_floor) (`α1·F + α2·G_floor`, the
+/// streams re-emitted) and [`fold`](Self::fold)'s exact `Φ_s`.
 #[derive(Debug)]
 pub struct Probe<'e> {
     eval: &'e mut EvalScratch,
@@ -92,6 +101,16 @@ impl<'e> Probe<'e> {
     pub fn phi_floor(&self) -> f64 {
         let cost = self.problem.cost();
         cost.weights.delay_floor(self.eval.load().delay_cost)
+    }
+
+    /// `α1·F + α2·G_floor` of the candidate, where `G_floor` prices
+    /// each agent's inter-agent ingress shaded by 10⁻⁹: a lower bound
+    /// of its `Φ_s` that holds in floating point and is never below
+    /// [`phi_floor`](Self::phi_floor). It runs the stream emission a
+    /// fold starts with, into a per-agent sink, and nothing more; what a
+    /// later [`fold`](Self::fold) computes is left untouched.
+    pub fn traffic_floor(&mut self) -> f64 {
+        self.eval.traffic_floor(self.problem)
     }
 
     /// Folds the rest and returns the candidate's complete load, which
@@ -322,6 +341,7 @@ mod tests {
     use crate::test_fixtures::{capacity_limited_problem, two_agent_problem};
     use crate::{Assignment, UapProblem};
     use std::sync::Arc;
+    use vc_cost::{BandwidthCost, CostModel};
     use vc_model::AgentId;
 
     #[test]
@@ -367,7 +387,6 @@ mod tests {
 
     #[test]
     fn delay_bound_prunes_far_agents() {
-        use vc_cost::CostModel;
         use vc_model::{AgentSpec, InstanceBuilder, ReprLadder};
         // Agent b is so remote that any flow routed through it exceeds
         // Dmax = 400 ms: moving either user there must be pruned.
@@ -398,7 +417,6 @@ mod tests {
 
     #[test]
     fn relaxing_dmax_unprunes_the_far_agent() {
-        use vc_cost::CostModel;
         use vc_model::{AgentSpec, InstanceBuilder, ReprLadder};
         let ladder = ReprLadder::standard_four();
         let r = ladder.lowest();
@@ -433,9 +451,9 @@ mod tests {
     /// The named shapes of `tests/hop_equivalence.rs`, scattered: a
     /// zero-bitrate rung, one transcoded representation shared by two
     /// destinations, tasks on their source's and on their
-    /// destination's agent, conferences of 4, 2 and 3 users.
-    fn named_shapes() -> (Arc<UapProblem>, Assignment) {
-        use vc_cost::CostModel;
+    /// destination's agent, conferences of 4, 2 and 3 users — traffic
+    /// priced through `bandwidth`.
+    fn named_shapes(bandwidth: BandwidthCost) -> (Arc<UapProblem>, Assignment) {
         use vc_model::{AgentSpec, DownstreamDemand, InstanceBuilder, ReprId, ReprLadder};
         let ladder = ReprLadder::from_steps([
             ("audio", 0, 0),
@@ -465,10 +483,11 @@ mod tests {
             |l, k| 12.0 + 5.0 * ((l as f64) - (k as f64)).abs(),
             |l, u| 4.0 + ((l * 7 + u * 3) % 23) as f64,
         );
-        let problem = Arc::new(UapProblem::new(
-            b.build().unwrap(),
-            CostModel::paper_default(),
-        ));
+        let cost = CostModel {
+            bandwidth,
+            ..CostModel::paper_default()
+        };
+        let problem = Arc::new(UapProblem::new(b.build().unwrap(), cost));
         let mut asg = Assignment::all_to_agent(&problem, AgentId::new(0));
         for u in problem.instance().user_ids() {
             asg.set_user(u, AgentId::from((u.index() * 5 + 1) % 3));
@@ -487,11 +506,21 @@ mod tests {
     /// folded and skipped neighbours is the from-scratch evaluation of
     /// the moved assignment — `touched` included. A skipped candidate
     /// leaves its delay half over the previous fold's traffic half;
-    /// neither may leak into the next fold.
+    /// neither may leak into the next fold. The floors are ordered,
+    /// delay floor ≤ traffic floor ≤ `Φ`, under every bandwidth shape,
+    /// and the traffic floor leaks nothing either: asked twice it
+    /// answers the same bits, and the fold after it is still fresh.
     #[test]
     fn delay_half_plus_rest_is_the_fold_whatever_was_skipped() {
         use crate::evaluate::evaluate_session;
-        let mut worlds = vec![named_shapes()];
+        let mut worlds: Vec<_> = [
+            BandwidthCost::linear(),
+            BandwidthCost::quadratic(0.5, 0.05),
+            BandwidthCost::piecewise(vec![2.5, 5.0], vec![0.5, 1.0, 3.0]),
+        ]
+        .into_iter()
+        .map(named_shapes)
+        .collect();
         for p in [two_agent_problem(), capacity_limited_problem()] {
             let p = Arc::new(p);
             let asg = Assignment::all_to_agent(&p, AgentId::new(1));
@@ -507,7 +536,7 @@ mod tests {
                     let weights = problem.cost().weights;
                     Neighborhood::of_state(&state, s, &mut eval).sweep_lazy(
                         |_| true,
-                        |d, probe| {
+                        |d, mut probe| {
                             let mut moved = asg.clone();
                             moved.apply(d);
                             let fresh = evaluate_session(problem, &moved, s);
@@ -522,7 +551,10 @@ mod tests {
                                 bits(weights.delay_floor(fresh.delay_cost)),
                                 "{d}"
                             );
-                            assert!(probe.phi_floor() <= fresh.phi, "{d}: floor above Φ");
+                            let floor = probe.traffic_floor();
+                            assert_eq!(bits(floor), bits(probe.traffic_floor()), "{d}");
+                            assert!(probe.phi_floor() <= floor, "{d}: floors out of order");
+                            assert!(floor <= fresh.phi, "{d}: traffic floor above Φ");
                             probed += 1;
                             if probed % stride == 0 {
                                 let load = probe.fold();
@@ -537,7 +569,7 @@ mod tests {
             }
         }
         assert!(
-            probed > 250 && folded > 100 && folded < probed,
+            probed > 600 && folded > 250 && folded < probed,
             "{probed} {folded}"
         );
     }

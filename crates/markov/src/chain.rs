@@ -9,11 +9,10 @@
 //! ```
 //!
 //! so the chain converges to `p*` (Proposition 1). This module provides
-//! the exact generator, an exact stationary solve (for verification on
-//! enumerable spaces), and event-driven simulation.
+//! the exact generator and an exact stationary solve (for verification
+//! on enumerable spaces).
 
 use crate::{gibbs, StateGraph};
-use rand::Rng;
 
 /// Exponent clamp guarding `exp(½β·ΔΦ)` against overflow for large β.
 const MAX_EXPONENT: f64 = 600.0;
@@ -24,52 +23,6 @@ pub struct Ctmc {
     graph: StateGraph,
     beta: f64,
     tau: f64,
-}
-
-/// A simulated trajectory: piecewise-constant state over time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
-    /// Jump instants, starting at 0.0.
-    pub times: Vec<f64>,
-    /// State occupied from `times[i]` until `times[i+1]` (or `t_end`).
-    pub states: Vec<usize>,
-    /// Total simulated horizon.
-    pub t_end: f64,
-}
-
-impl Trajectory {
-    /// Time-weighted occupancy distribution over the horizon.
-    pub fn occupancy(&self, num_states: usize) -> Vec<f64> {
-        let mut occ = vec![0.0; num_states];
-        for (i, &s) in self.states.iter().enumerate() {
-            let start = self.times[i];
-            let end = if i + 1 < self.times.len() {
-                self.times[i + 1]
-            } else {
-                self.t_end
-            };
-            occ[s] += end - start;
-        }
-        let total: f64 = occ.iter().sum();
-        if total > 0.0 {
-            for o in &mut occ {
-                *o /= total;
-            }
-        }
-        occ
-    }
-
-    /// The state occupied at time `t` (clamped to the horizon).
-    pub fn state_at(&self, t: f64) -> usize {
-        match self
-            .times
-            .binary_search_by(|x| x.partial_cmp(&t).expect("finite times"))
-        {
-            Ok(i) => self.states[i],
-            Err(0) => self.states[0],
-            Err(i) => self.states[i - 1],
-        }
-    }
 }
 
 impl Ctmc {
@@ -268,57 +221,12 @@ impl Ctmc {
         let z: f64 = weights.iter().sum();
         weights.into_iter().map(|w| w / z).collect()
     }
-
-    /// Simulates the chain from `start` for `t_end` time units.
-    ///
-    /// Event-driven: dwell time at `f` is exponential with rate
-    /// `Σ_{f'} q_{f→f'}`; the jump target is chosen proportionally to the
-    /// rates.
-    pub fn simulate<R: Rng + ?Sized>(&self, start: usize, t_end: f64, rng: &mut R) -> Trajectory {
-        assert!(start < self.graph.len(), "start state out of range");
-        let mut t = 0.0;
-        let mut state = start;
-        let mut times = vec![0.0];
-        let mut states = vec![start];
-        loop {
-            let nbrs = self.graph.neighbors(state);
-            let rates: Vec<f64> = nbrs.iter().map(|&j| self.rate(state, j)).collect();
-            let total: f64 = rates.iter().sum();
-            if total <= 0.0 {
-                break; // absorbing (cannot happen on a connected graph)
-            }
-            // Exponential dwell via inverse transform.
-            let dwell = -rng.gen::<f64>().max(1e-300).ln() / total;
-            t += dwell;
-            if t >= t_end {
-                break;
-            }
-            let mut x = rng.gen::<f64>() * total;
-            let mut chosen = nbrs[nbrs.len() - 1];
-            for (k, &j) in nbrs.iter().enumerate() {
-                if x < rates[k] {
-                    chosen = j;
-                    break;
-                }
-                x -= rates[k];
-            }
-            state = chosen;
-            times.push(t);
-            states.push(state);
-        }
-        Trajectory {
-            times,
-            states,
-            t_end,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mixing::total_variation;
-    use rand::{rngs::StdRng, SeedableRng};
 
     fn small_chain(beta: f64) -> Ctmc {
         // A 4-cycle with distinct energies.
@@ -360,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_converges_to_target() {
-        let c = small_chain(1.0);
-        let mut rng = StdRng::seed_from_u64(2024);
-        let traj = c.simulate(2, 200_000.0, &mut rng);
-        let occ = traj.occupancy(c.graph().len());
-        let tv = total_variation(&occ, &c.target());
-        assert!(tv < 0.02, "tv {tv}");
-    }
-
-    #[test]
     fn rates_respect_energy_differences() {
         let c = small_chain(2.0);
         // Downhill rate exceeds uphill rate.
@@ -384,27 +282,5 @@ mod tests {
         assert!(c.rate(2, 1).is_finite());
         assert!(c.rate(1, 2).is_finite());
         assert!(c.rate(1, 2) >= 0.0);
-    }
-
-    #[test]
-    fn trajectory_state_at_lookup() {
-        let traj = Trajectory {
-            times: vec![0.0, 1.0, 3.0],
-            states: vec![0, 2, 1],
-            t_end: 5.0,
-        };
-        assert_eq!(traj.state_at(0.0), 0);
-        assert_eq!(traj.state_at(0.5), 0);
-        assert_eq!(traj.state_at(1.0), 2);
-        assert_eq!(traj.state_at(2.9), 2);
-        assert_eq!(traj.state_at(4.9), 1);
-    }
-
-    #[test]
-    fn occupancy_sums_to_one() {
-        let c = small_chain(1.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let occ = c.simulate(0, 500.0, &mut rng).occupancy(4);
-        assert!((occ.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

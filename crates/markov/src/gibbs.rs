@@ -37,15 +37,6 @@ pub fn expected_energy(probs: &[f64], energies: &[f64]) -> f64 {
     probs.iter().zip(energies).map(|(p, e)| p * e).sum()
 }
 
-/// Shannon entropy `−Σ p log p` (natural log) of a distribution.
-pub fn entropy(probs: &[f64]) -> f64 {
-    probs
-        .iter()
-        .filter(|p| **p > 0.0)
-        .map(|p| -p * p.ln())
-        .sum()
-}
-
 /// The optimality-gap bound of Eqs. (10)/(12): `log|F| / β` (natural log).
 /// With `|F| ≤ L^(U+θ_sum)` this specializes to the paper's
 /// `(U+θ_sum)·log L / β`.
@@ -139,14 +130,6 @@ mod tests {
             assert!(opt <= 3.0 + 1e-12);
             assert!(opt >= 3.0 - gap_bound(energies.len(), beta) - 1e-12);
         }
-    }
-
-    #[test]
-    fn entropy_of_uniform_is_log_n() {
-        let p = [0.25; 4];
-        assert!((entropy(&p) - (4.0f64).ln()).abs() < 1e-12);
-        // Degenerate distribution has zero entropy.
-        assert_eq!(entropy(&[1.0, 0.0]), 0.0);
     }
 
     #[test]

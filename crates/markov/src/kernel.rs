@@ -14,9 +14,9 @@
 //! which still satisfies detailed balance and converges to the Gibbs law
 //! as neighborhoods homogenize (regular graphs at low β) or as β grows
 //! (both concentrate on the optimum). This module computes the kernel
-//! stationary exactly and quantifies the distortion.
+//! stationary exactly; its tests measure the distortion.
 
-use crate::{gibbs, mixing::total_variation, StateGraph};
+use crate::StateGraph;
 
 /// Exponent clamp consistent with the engine implementations.
 const MAX_EXPONENT: f64 = 600.0;
@@ -54,18 +54,19 @@ pub fn hop_kernel_stationary(graph: &StateGraph, beta: f64) -> Vec<f64> {
     weights.into_iter().map(|w| w / z).collect()
 }
 
-/// Total-variation distance between the hop kernel's stationary law and
-/// the Gibbs target — the price of the engineering simplification.
-pub fn kernel_distortion(graph: &StateGraph, beta: f64) -> f64 {
-    total_variation(
-        &hop_kernel_stationary(graph, beta),
-        &gibbs(graph.energies(), beta),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gibbs, mixing::total_variation};
+
+    /// Total-variation distance between the hop kernel's stationary law
+    /// and the Gibbs target: the price of the jump chain's `Z_f`.
+    fn distortion(graph: &StateGraph, beta: f64) -> f64 {
+        total_variation(
+            &hop_kernel_stationary(graph, beta),
+            &gibbs(graph.energies(), beta),
+        )
+    }
 
     fn cube() -> StateGraph {
         // A 3-cube with energies spread over [0, 4].
@@ -94,15 +95,15 @@ mod tests {
         for x in &p {
             assert!((x - 0.125).abs() < 1e-12);
         }
-        assert!(kernel_distortion(&g, 0.0) < 1e-12);
+        assert!(distortion(&g, 0.0) < 1e-12);
     }
 
     #[test]
     fn distortion_vanishes_at_high_beta() {
         // Both laws concentrate on the optimum.
         let g = cube();
-        let low = kernel_distortion(&g, 0.5);
-        let high = kernel_distortion(&g, 50.0);
+        let low = distortion(&g, 0.5);
+        let high = distortion(&g, 50.0);
         // The residual scales like exp(−β·Δmin/2) from the Z_f of the
         // optimum's neighbors — ~4e-6 here.
         assert!(high < 1e-4, "high-β distortion {high}");
@@ -141,7 +142,7 @@ mod tests {
         let energies = vec![1.0, 1.0, 1.0, 1.0, 1.0];
         let adjacency = vec![vec![1, 2, 3, 4], vec![0], vec![0], vec![0], vec![0]];
         let g = StateGraph::new(energies, adjacency).unwrap();
-        let d = kernel_distortion(&g, 0.0);
+        let d = distortion(&g, 0.0);
         // Equal energies, unequal degrees: kernel favors the hub.
         assert!(d > 0.05 && d < 0.5, "distortion {d}");
     }

@@ -11,17 +11,18 @@
 //!
 //! * [`StateGraph`] — an explicit, enumerable solution space with
 //!   energies `Φ_f` and a symmetric adjacency relation;
-//! * [`gibbs`] — the target distribution, its expected energy, entropy,
-//!   and the optimality-gap bound `log|F|/β` (Eqs. 10/12);
+//! * [`gibbs`] — the target distribution, its expected energy, the
+//!   smoothed optimum and the optimality-gap bound `log|F|/β`
+//!   (Eqs. 10/12);
 //! * [`Ctmc`] — the hopping chain with rates
-//!   `q_{f→f'} = τ·exp(½β(Φ_f − Φ_f'))`, exact stationary solution,
-//!   detailed-balance verification, and event-driven simulation;
+//!   `q_{f→f'} = τ·exp(½β(Φ_f − Φ_f'))`, exact stationary solution and
+//!   detailed-balance verification;
 //! * [`perturb`] — Theorem 1's quantized measurement-noise model: the
 //!   perturbed stationary distribution (Eq. 11) and the degraded gap
 //!   bound (Eq. 13);
 //! * [`mixing`] — total-variation distance and mixing-time estimation;
 //! * [`kernel`] — the *implemented* hop kernel's exact stationary law
-//!   (`∝ Z_f·exp(−βΦ_f)`) and its distortion from the Gibbs target.
+//!   (`∝ Z_f·exp(−βΦ_f)`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,7 @@ pub mod kernel;
 pub mod mixing;
 pub mod perturb;
 
-pub use chain::{Ctmc, Trajectory};
-pub use gibbs::{entropy, expected_energy, gap_bound, gibbs, log_sum_exp_optimum};
+pub use chain::Ctmc;
+pub use gibbs::{expected_energy, gap_bound, gibbs, log_sum_exp_optimum};
 pub use graph::{GraphError, StateGraph};
-pub use kernel::{hop_kernel_stationary, kernel_distortion};
+pub use kernel::hop_kernel_stationary;

@@ -193,7 +193,9 @@ const TRACE_SHARDS: usize = 4;
 pub struct HopCounts {
     /// Uncontended FREEZE `try_read` successes.
     pub freeze_read_fast: u64,
-    /// Candidates settled from their delay half alone.
+    /// Candidates settled without a fold: over the delay bound, or
+    /// proven on the Gibbs clamp by the delay floor or the traffic
+    /// floor.
     pub candidates_bounded: u64,
     /// Candidates folded in full.
     pub candidates_folded: u64,
@@ -210,8 +212,8 @@ pub struct ObsPlane {
     swap_attempts: Vec<AtomicU64>,
     swap_conflicts: Vec<AtomicU64>,
     freeze_read_fast: AtomicU64,
-    /// Hop candidates settled from their delay half alone / folded in
-    /// full, summed over hops.
+    /// Hop candidates settled without a fold (by the delay bound or a
+    /// floor) / folded in full, summed over hops.
     hop_candidates_bounded: AtomicU64,
     hop_candidates_folded: AtomicU64,
     /// Hops that drew from their session's kept memo (no sweep).

@@ -260,8 +260,9 @@ fleet_snapshot! {
     /// Whether the journal is running buffered-degraded (fsync retries
     /// exhausted; events held in memory until healed).
     gauge durability_degraded: bool,
-    /// Hop candidates settled from their delay half alone so far (over
-    /// the delay bound, or Gibbs weight proven on the clamp): no fold.
+    /// Hop candidates settled without a fold so far: over the delay
+    /// bound, or Gibbs weight proven on the clamp by the delay floor or
+    /// the traffic floor.
     counter hop_candidates_bounded: usize,
     /// Hop candidates folded in full so far.
     counter hop_candidates_folded: usize,

@@ -8,9 +8,11 @@
 //!   sequences (exercising scratch-reuse clearing and the commit swap);
 //! * **kernel ≡ fresh** — every single-decision candidate the
 //!   neighbourhood kernel weighs ([`Neighborhood::candidate`] and each
-//!   step of [`Neighborhood::sweep`]) is bit-equal, `touched` included,
-//!   to a fresh `evaluate_session` over a cloned-and-mutated
-//!   assignment: over random universes and placements, with a
+//!   step of [`Neighborhood::sweep_lazy`]) is bit-equal, `touched`
+//!   included, to a fresh `evaluate_session` over a cloned-and-mutated
+//!   assignment, and each probe's delay floor ≤ traffic floor ≤ that
+//!   fresh `Φ`: over random universes and placements under the linear,
+//!   quadratic and piecewise-linear bandwidth shapes, with a
 //!   zero-bitrate ladder rung, shared transcoded representations, tasks
 //!   on their source's or destination's agent, one scratch reused
 //!   across conferences of different sizes, and an agent pool that
@@ -28,6 +30,7 @@ use vc_algo::markov::Alg1Config;
 use vc_core::evaluate::evaluate_session;
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{EvalScratch, SessionLoad, TaskId, UapProblem};
+use vc_cost::BandwidthCost;
 use vc_model::{DownstreamDemand, ReprId};
 use vc_orchestrator::{Fleet, PlacementPolicy, ReoptPool};
 
@@ -40,6 +43,9 @@ struct RandomUniverse {
     delay_seed: u64,
     /// Whether the ladder's lowest rung carries 0 kbps (audio-only).
     zero_rung: bool,
+    /// The bandwidth shape `g`: linear (the paper's), quadratic or
+    /// piecewise-linear ([`bandwidth_shape`]).
+    bandwidth: u8,
 }
 
 fn universe_strategy() -> impl Strategy<Value = RandomUniverse> {
@@ -48,13 +54,27 @@ fn universe_strategy() -> impl Strategy<Value = RandomUniverse> {
         prop::collection::vec(prop::collection::vec((0u8..4, 0u8..4), 2..=4), 2..=5),
         any::<u64>(),
         any::<bool>(),
+        0u8..3,
     )
-        .prop_map(|(agents, sessions, delay_seed, zero_rung)| RandomUniverse {
-            agents,
-            sessions,
-            delay_seed,
-            zero_rung,
-        })
+        .prop_map(
+            |(agents, sessions, delay_seed, zero_rung, bandwidth)| RandomUniverse {
+                agents,
+                sessions,
+                delay_seed,
+                zero_rung,
+                bandwidth,
+            },
+        )
+}
+
+/// The three `g` shapes; the piecewise one has knots where 2.5 Mbps
+/// streams add up to them exactly.
+fn bandwidth_shape(which: u8) -> BandwidthCost {
+    match which {
+        0 => BandwidthCost::linear(),
+        1 => BandwidthCost::quadratic(0.5, 0.05),
+        _ => BandwidthCost::piecewise(vec![2.5, 5.0], vec![0.5, 1.0, 3.0]),
+    }
 }
 
 /// The standard four rungs, the lowest optionally at 0 kbps — a legal
@@ -101,10 +121,11 @@ fn build_problem(spec: &RandomUniverse) -> Arc<UapProblem> {
         },
     );
     b.d_max_ms(10_000.0);
-    Arc::new(UapProblem::new(
-        b.build().expect("valid universe"),
-        CostModel::paper_default(),
-    ))
+    let cost = CostModel {
+        bandwidth: bandwidth_shape(spec.bandwidth),
+        ..CostModel::paper_default()
+    };
+    Arc::new(UapProblem::new(b.build().expect("valid universe"), cost))
 }
 
 /// Decodes `(which, target)` bytes into a decision over the problem.
@@ -196,9 +217,11 @@ fn scattered_assignment(problem: &UapProblem, seed: u64) -> Assignment {
 /// `problem` around `asg` through the kernel — each user and each task
 /// to each agent, its current one included — and requires each load
 /// bit-equal, `touched` included, to a fresh evaluation of the mutated
-/// assignment; then requires `sweep` to visit exactly the non-current
-/// candidates, in enumeration order, with those same loads. One
-/// `scratch` serves every session. Returns the candidates weighed.
+/// assignment; then requires `sweep_lazy` to visit exactly the
+/// non-current candidates, in enumeration order, each probe's floors
+/// ordered as delay floor ≤ traffic floor ≤ the fresh `Φ`, and each
+/// fold after them those same loads. One `scratch` serves every
+/// session. Returns the candidates weighed.
 fn assert_kernel_matches_fresh(
     problem: &Arc<UapProblem>,
     asg: &Assignment,
@@ -239,11 +262,21 @@ fn assert_kernel_matches_fresh(
             weighed += 1;
         }
         let mut visited = 0;
-        hood.sweep(
+        hood.sweep_lazy(
             |_| true,
-            |d, load| {
+            |d, mut probe| {
                 let (expected, fresh) = &moves[visited];
                 assert_eq!(d, *expected, "{s}: sweep order at {visited}");
+                let (delay_floor, traffic_floor) = (probe.phi_floor(), probe.traffic_floor());
+                assert!(
+                    delay_floor <= traffic_floor,
+                    "{s} sweep {d}: floors out of order"
+                );
+                assert!(
+                    traffic_floor <= fresh.phi,
+                    "{s} sweep {d}: traffic floor above Φ"
+                );
+                let load = probe.fold();
                 assert_loads_bitwise(load, fresh, &format!("{s} sweep {d}"));
                 assert_eq!(load.touched, fresh.touched, "{s} sweep {d}: touched");
                 visited += 1;
@@ -457,6 +490,7 @@ fn concurrent_hops_leave_the_fleet_conserved() {
         sessions: vec![vec![(3, 0), (0, 0), (1, 1)]; 12],
         delay_seed: 9,
         zero_rung: false,
+        bandwidth: 0,
     };
     let problem = build_problem(&spec);
     let num_sessions = problem.instance().num_sessions();
@@ -498,6 +532,7 @@ fn unpaced_concurrent_hops_conserve() {
         sessions: vec![vec![(3, 0), (1, 1)]; 8],
         delay_seed: 4,
         zero_rung: false,
+        bandwidth: 0,
     };
     let problem = build_problem(&spec);
     let num_sessions = problem.instance().num_sessions();
