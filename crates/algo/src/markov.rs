@@ -26,10 +26,9 @@
 //! hop — is two halves joined by a [`HopMemo`].
 //!
 //! The **sweep** ([`Alg1Engine::sweep`]) reads only what belongs to the
-//! session: it takes each candidate toward the agents it enumerates
-//! ([`HopContext::targets`]) from the
-//! [neighbourhood kernel](vc_core::neighborhood) *between* the two
-//! halves of its fold, when only its delays are known, and
+//! session: it takes each candidate toward every agent of the problem
+//! from the [neighbourhood kernel](vc_core::neighborhood) *between* the
+//! two halves of its fold, when only its delays are known, and
 //!
 //! * drops it if it is over the delay bound, as the feasibility check
 //!   would after the fold;
@@ -115,21 +114,20 @@
 //!   draws.
 //! * **(f) a memoized sweep is the sweep.** Everything a sweep reads —
 //!   the session's placement and committed load (so `Φ_now` and the
-//!   `old` side of every capacity check), the agents it enumerates
-//!   (`targets`: so the enumeration and its order), β, `d_max` and the
-//!   problem's delays, prices and bitrates — is either constant for
-//!   the engine and the session or changes only through a write to that
-//!   placement or to the enumerated set. So while neither is written, a
+//!   `old` side of every capacity check), the problem's agents (so the
+//!   enumeration and its order), β, `d_max` and the problem's delays,
+//!   prices and bitrates — is either constant for the engine and the
+//!   session or changes only through a write to that placement or
+//!   load: the agent pool only grows, and growth extends every load's
+//!   agent axis, which is a write. So while neither is written, a
 //!   second sweep would rebuild the same memo, and a caller may keep it
 //!   and go straight to the draw ([`Alg1Engine::keeps_memos`]: without
 //!   noise only — under (e) nothing about a candidate's weight is
 //!   constant). The invalidation rule is exactly that: **drop the memo
-//!   when the session's placement or load is written, or when the set
-//!   of agents the sweep enumerates changes** — for a fleet, the agents
-//!   that are registered and not drained: one joins, or one leaves for
-//!   good. Capacities and availability are no part of it: residual
-//!   capacity is what the draw fetches afresh on every HOP, as Alg. 1
-//!   says, and a failed agent is one with none (g).
+//!   when the session's placement or load is written.** Capacities and
+//!   availability are no part of it: residual capacity is what the draw
+//!   fetches afresh on every HOP, as Alg. 1 says, and a failed or
+//!   drained agent is one with none (g).
 //! * **(g) availability is read at the draw.** The sweep asks nothing
 //!   of availability but to pick the witness; the draw asks `allowed`
 //!   wherever it asks `fits` — of every stored candidate, and in
@@ -138,10 +136,11 @@
 //!   takes no step of the subtractive walk ((c): `resolve` refuses it
 //!   and the walk goes on with its `x` unchanged), is never the fitting
 //!   one (d) and consumes no noise draw (e): exactly what a candidate
-//!   the sweep never enumerated does. So a sweep toward every agent of
-//!   `targets`, drawn under any availability, gives the outcome and the
-//!   RNG state of a sweep toward the allowed agents alone, and a memo
-//!   outlives an agent's failure and return.
+//!   the sweep never enumerated does. So a sweep toward every agent,
+//!   drawn under any availability, gives the outcome and the RNG state
+//!   of a sweep toward the allowed agents alone, and a memo outlives an
+//!   agent's failure, its return and its drain — a drained agent is
+//!   one `allowed` refuses at every draw from then on.
 
 use rand::Rng;
 use vc_core::neighborhood::Neighborhood;
@@ -375,20 +374,17 @@ impl HopScratch {
 /// What one [Gibbs step](Alg1Engine::gibbs_step) is told about the
 /// session it moves.
 #[derive(Debug)]
-pub struct HopContext<T, A, F> {
+pub struct HopContext<A, F> {
     /// Inverse temperature β `≥ 0` of this step.
     pub beta: f64,
     /// The committed `Φ_s`, before observation noise.
     pub phi_now: f64,
     /// The delay bound of constraint (8), in ms (`+∞` waives it).
     pub d_max_ms: f64,
-    /// Which agents the sweep enumerates moves to (the sweep's
-    /// question): every agent `allowed` may admit for as long as the
-    /// memo lives — a fleet's registered, undrained agents. A step
-    /// whose memo does not outlive it may pass `allowed` itself.
-    pub targets: T,
-    /// Which agents a decision may target *now* (the draw's question,
-    /// asked beside `fits`; [module docs](self), (g)).
+    /// Whether a decision may target an agent *now* — up, and not
+    /// drained. The only agent filter: the sweep enumerates every
+    /// agent and asks it only to pick the witness; the draw asks it
+    /// beside `fits` ([module docs](self), (g)).
     pub allowed: A,
     /// Whether the session may swap its load for one of this demand —
     /// constraints (5)–(7) against the capacity reserved *now*; the
@@ -484,7 +480,6 @@ impl Alg1Engine {
             memo,
             candidates,
         } = scratch;
-        let available = |l| state.is_agent_available(l);
         let mut ctx = HopContext {
             beta,
             phi_now: state.session_objective(s),
@@ -494,9 +489,7 @@ impl Alg1Engine {
             } else {
                 f64::INFINITY
             },
-            // The memo is this step's alone.
-            targets: available,
-            allowed: available,
+            allowed: |l| state.is_agent_available(l),
             fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
         };
         let mut hood = Neighborhood::of_state(state, s, eval);
@@ -518,17 +511,16 @@ impl Alg1Engine {
     /// # Panics
     ///
     /// Panics if `ctx.beta < 0`.
-    pub fn gibbs_step<R, T, A, F>(
+    pub fn gibbs_step<R, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<T, A, F>,
+        ctx: &mut HopContext<A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
         rng: &mut R,
     ) -> HopOutcome
     where
         R: Rng + ?Sized,
-        T: Fn(AgentId) -> bool,
         A: Fn(AgentId) -> bool,
         F: FnMut(&[AgentDemand]) -> bool,
     {
@@ -543,7 +535,7 @@ impl Alg1Engine {
     }
 
     /// The sweep half of a [Gibbs step](Self::gibbs_step): enumerates
-    /// `hood`'s candidates toward `ctx.targets`, settles what their
+    /// `hood`'s candidates toward every agent, settles what their
     /// delay half or traffic floor settles, folds the rest, and leaves
     /// the result in `memo` (whatever it held before). Touches no RNG; asks
     /// `ctx.allowed` and `ctx.fits` only to pick the witness.
@@ -551,14 +543,13 @@ impl Alg1Engine {
     /// # Panics
     ///
     /// Panics if `ctx.beta < 0`.
-    pub fn sweep<T, A, F>(
+    pub fn sweep<A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<T, A, F>,
+        ctx: &mut HopContext<A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
     ) where
-        T: Fn(AgentId) -> bool,
         A: Fn(AgentId) -> bool,
         F: FnMut(&[AgentDemand]) -> bool,
     {
@@ -569,7 +560,9 @@ impl Alg1Engine {
         let prune = self.config.noise.is_none();
         let clamped = |phi: f64| prune && exponent(beta, phi_now, phi) <= -MAX_EXPONENT;
         let mut witnessed = false;
-        hood.sweep_lazy(&ctx.targets, |decision, mut probe| {
+        // Every agent: availability is the draw's question ((g)).
+        let every_agent = |_| true;
+        hood.sweep_lazy(every_agent, |decision, mut probe| {
             candidates.swept += 1;
             if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
                 candidates.bounded += 1;
@@ -615,10 +608,10 @@ impl Alg1Engine {
     ///
     /// Panics if `memo` was swept under another β or `Φ_now` than
     /// `ctx`'s.
-    pub fn draw<R, T, A, F>(
+    pub fn draw<R, A, F>(
         &self,
         hood: &mut Neighborhood<'_>,
-        ctx: &mut HopContext<T, A, F>,
+        ctx: &mut HopContext<A, F>,
         memo: &mut HopMemo,
         candidates: &mut Candidates,
         rng: &mut R,
@@ -1150,7 +1143,6 @@ mod tests {
             } else {
                 f64::INFINITY
             },
-            targets: |_| true,
             allowed: |l| state.is_agent_available(l),
             fits: |demand: &[AgentDemand]| state.demand_fits(s, demand.iter().copied()).is_ok(),
         };

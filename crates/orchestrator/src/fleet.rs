@@ -51,10 +51,10 @@
 //! `vc_algo::markov` splits the Gibbs step in two and says why the
 //! split is exact ((a)–(g) there; that argument is not repeated here).
 //! The *sweep* — compile the conference, enumerate its neighbours,
-//! fold the undecided — reads only the session's own placement and the
-//! agents it enumerates: the registered agents not drained, up or
-//! down. The *draw* reads the residual capacities, which is all that
-//! other sessions' hops move, and which agents are up. So a slot keeps
+//! fold the undecided — reads only the session's own placement and
+//! load, toward every registered agent: up, down or drained. The
+//! *draw* reads the residual capacities, which is all that other
+//! sessions' hops move, and which agents are up. So a slot keeps
 //! its last sweep's [`HopMemo`](vc_algo::markov::HopMemo), under the
 //! slot mutex, and a hop of a session that stayed since — four in five
 //! on a steady fleet — goes straight to the draw: the availability of
@@ -70,15 +70,14 @@
 //! and that is arranged by construction rather than by call-site
 //! discipline: a slot's placement and load are private to
 //! `crate::slot` and written through one function that forgets the
-//! memo (a hop commit, live or replayed; an evacuation move), and the
-//! two ops that change the set a sweep enumerates — `register_agent`
-//! and `drain_agent`, FREEZE-exclusive, live or replayed — bump
-//! `Universe::agents_gen`, under which alone a memo is handed out. A
-//! drained agent never returns, so no sweep after the drain weighs it.
-//! `fail_agent` and `restore_agent` bump nothing: a memo kept across
-//! them is drawn under the new availability (`vc_algo::markov`, (g)),
-//! so a fleet that loses an agent and gets it back keeps the memo of
-//! every session the evacuation did not move. With observation noise
+//! memo — a hop commit, live or replayed; an evacuation move; and
+//! `register_agent`, which extends every live load by the new agent
+//! under the exclusive FREEZE, so the next sweep enumerates it.
+//! `fail_agent`, `restore_agent` and `drain_agent` write no slot they
+//! do not move: a drain is a failure that `restore_agent` refuses to
+//! undo, and a memo kept across any of them is drawn under the new
+//! availability (`vc_algo::markov`, (g)), so every session the
+//! evacuation did not move keeps its memo. With observation noise
 //! configured nothing is kept ([`Alg1Engine::keeps_memos`]). There is
 //! no cap and no TTL: one memo per live slot, sized by the conference,
 //! freed with the slot. It is derived state — never journaled, never
@@ -407,10 +406,10 @@ struct MetricsAcc {
 }
 
 impl MetricsAcc {
-    fn add(&mut self, slot: &SessionSlot, agents_gen: u64) {
+    fn add(&mut self, slot: &SessionSlot) {
         let load = slot.load();
         self.metrics.live += 1;
-        self.metrics.settled += usize::from(slot.is_settled(agents_gen));
+        self.metrics.settled += usize::from(slot.is_settled());
         self.metrics.objective += load.phi;
         self.metrics.traffic_mbps += load.total_ingress_mbps();
         for d in &load.user_delay {
@@ -459,15 +458,8 @@ pub(crate) struct Universe {
     /// lock; read under (at least) the shared lock.
     pub(crate) available: Vec<bool>,
     /// Per-agent drain flag: a drained agent is permanently out —
-    /// [`Fleet::restore_agent`] refuses it.
+    /// unavailable, and [`Fleet::restore_agent`] refuses it.
     pub(crate) drained: Vec<bool>,
-    /// Generation of the agents a hop's sweep enumerates — the
-    /// registered agents not drained: bumped by `register_agent` and
-    /// `drain_agent`, live or replayed, under the FREEZE write lock. A
-    /// failure or a restore changes only availability, which the draw
-    /// reads, and bumps nothing. A slot's hop memo is good for the
-    /// generation it was swept under ([`SessionSlot::hop_view`]).
-    pub(crate) agents_gen: u64,
 }
 
 impl Universe {
@@ -617,7 +609,6 @@ impl Fleet {
             growth: Vec::new(),
             available: vec![true; nl],
             drained: vec![false; nl],
-            agents_gen: 0,
         };
         let obs = Arc::new(ObsPlane::new(ledger.num_shards()));
         Self {
@@ -729,13 +720,13 @@ impl Fleet {
         // Stored slot loads are dense over the agent axis; grow them so
         // every later evaluation/summation sees matching lengths. The
         // new tail is zero, so grown loads stay bitwise-equal to their
-        // up-front-construction twins.
+        // up-front-construction twins. A grown load is written, so its
+        // slot's memo — swept without the new agent — goes.
         for slot in u.slots.values_mut() {
             slot.get_mut().grow_agents(nl);
         }
         u.available.push(true);
         u.drained.push(false);
-        u.agents_gen += 1;
         let region_id = self.ledger.ensure_region(region);
         let ledger_id = self.ledger.register_agent(def.spec.capacity(), region_id);
         debug_assert_eq!(l, ledger_id, "problem and ledger agree on the new id");
@@ -1075,7 +1066,6 @@ impl Fleet {
         u.available[agent.index()] = false;
         if drain {
             u.drained[agent.index()] = true;
-            u.agents_gen += 1;
         }
         self.ledger.fail_agent(agent);
         let (moves, forced) = self.evacuate_locked(&mut u, agent, &mut evacuated, &mut displaced);
@@ -1604,14 +1594,13 @@ impl Fleet {
             candidates,
         } = hop;
         self.ledger.reserved_totals_into(reserved);
-        let (users, tasks, load, kept) = slot.hop_view(universe.agents_gen);
+        let (users, tasks, load, kept) = slot.hop_view();
         let hit = kept.is_some();
         let inst = problem.instance();
         let mut ctx = HopContext {
             beta: self.engine.config().beta,
             phi_now: load.phi,
             d_max_ms: inst.d_max_ms(),
-            targets: |l: AgentId| !universe.drained[l.index()],
             allowed: |l: AgentId| universe.available[l.index()],
             fits: |demand: &[AgentDemand]| {
                 demand_fits(demand.iter().copied(), load, reserved, inst)
@@ -1665,7 +1654,7 @@ impl Fleet {
         // The session stays where it was swept: what a miss swept is
         // the next hop's memo, copied once.
         if !hit && self.engine.keeps_memos() {
-            slot.keep_memo(swept, universe.agents_gen);
+            slot.keep_memo(swept);
         }
         self.counters.stays.fetch_add(1, Ordering::Relaxed);
         self.note_stay();
@@ -1735,7 +1724,7 @@ impl Fleet {
         let u = self.freeze.read();
         let mut acc = MetricsAcc::default();
         for (_, slot) in u.live_slots() {
-            acc.add(&slot, u.agents_gen);
+            acc.add(&slot);
         }
         acc.finish()
     }
@@ -1747,7 +1736,7 @@ impl Fleet {
     pub(crate) fn metrics_and_audit(&self) -> (FleetMetrics, Vec<String>) {
         let u = self.freeze_exclusive();
         let mut acc = MetricsAcc::default();
-        let totals = live_totals_locked(&u, |_, slot| acc.add(slot, u.agents_gen));
+        let totals = live_totals_locked(&u, |_, slot| acc.add(slot));
         (acc.finish(), self.ledger.audit_against_totals(&totals))
     }
 

@@ -965,6 +965,15 @@ impl Fleet {
                 )));
             }
         }
+        // A drained agent is down for good: admissions and hops read
+        // availability alone, so one that is up would take load again.
+        let drained_up = |l: &usize| durable.drained[*l] && durable.available[*l];
+        if let Some(l) = (0..inst.num_agents()).find(drained_up) {
+            return Err(PersistError::Mismatch(format!(
+                "snapshot has agent {} drained but available",
+                AgentId::from(l)
+            )));
+        }
         // Placements and holdings index the agent pool; holdings and the
         // re-admission state name sessions the fleet will later admit.
         let held = durable.holdings.iter().flat_map(|(_, hold)| &hold.holds);

@@ -4,10 +4,10 @@
 //! The fields are private to this module so that the memo's
 //! invalidation rule (`vc_algo::markov`, (f)) holds by construction:
 //! placement and load are written through [`SessionSlot::write`] alone,
-//! which retires the memo, and a memo is handed out only under the
-//! generation of enumerated agents — registered, not drained — it was
-//! swept under ([`SessionSlot::hop_view`]). Availability is no part of
-//! it: an agent's failure or return retires nothing (`vc_algo::markov`,
+//! and that is the one place a memo is retired — a hop commit, an
+//! evacuation move, a reload, and an agent's registration, which
+//! extends the load's agent axis. Availability is no part of it: an
+//! agent's failure, return or drain retires nothing (`vc_algo::markov`,
 //! (g)).
 
 use vc_algo::markov::HopMemo;
@@ -34,9 +34,9 @@ pub(crate) struct SessionSlot {
     /// strides over the slots, and the memo's three buffer headers are
     /// a third of one.
     memo: Option<Box<HopMemo>>,
-    /// The `Universe::agents_gen` `memo` was swept under; `None` once
-    /// the placement it was swept over has been written.
-    memo_gen: Option<u64>,
+    /// Whether `memo` was swept over the placement and load as they
+    /// are: cleared by every write.
+    current: bool,
     /// [`HopMemo::is_settled`] of `memo` as it was kept — all a fleet
     /// walk reads of it. (What a draw stores later is on the clamp,
     /// above `Φ_now`, and cannot unsettle it.)
@@ -52,7 +52,7 @@ impl SessionSlot {
             tasks,
             load: SessionLoad::default(),
             memo: None,
-            memo_gen: None,
+            current: false,
             settled: false,
         }
     }
@@ -98,7 +98,7 @@ impl SessionSlot {
     /// The one way a live slot's placement or load is written: hands
     /// both out and retires the memo, which was a function of them.
     fn write(&mut self) -> (&mut [AgentId], &mut [AgentId], &mut SessionLoad) {
-        self.memo_gen = None;
+        self.current = false;
         (&mut self.users, &mut self.tasks, &mut self.load)
     }
 
@@ -129,51 +129,47 @@ impl SessionSlot {
     }
 
     /// Extends the load's agent axis to `num_agents` with zeros
-    /// (append-only agent growth — the same load over more agents; the
-    /// generation the growth bumps is what retires the memo).
+    /// (append-only agent growth — the same load over more agents, and
+    /// a sweep that enumerates one agent more).
     pub(crate) fn grow_agents(&mut self, num_agents: usize) {
-        self.load.grow(num_agents);
+        self.write().2.grow(num_agents);
     }
 
     /// What a hop reads, and the memo it may draw from:
     /// `(users, tasks, load, memo)` — the memo only if it was swept
-    /// over this placement under generation `agents_gen` of the
-    /// enumerated agents, whichever of them are up now.
+    /// over this placement and load, whichever agents are up now.
     pub(crate) fn hop_view(
         &mut self,
-        agents_gen: u64,
     ) -> (&[AgentId], &[AgentId], &SessionLoad, Option<&mut HopMemo>) {
-        let current = self.memo_gen == Some(agents_gen);
-        let memo = self.memo.as_deref_mut().filter(|_| current);
+        let memo = self.memo.as_deref_mut().filter(|_| self.current);
         (&self.users, &self.tasks, &self.load, memo)
     }
 
-    /// Keeps `swept` — a sweep over this placement under generation
-    /// `agents_gen` of the enumerated agents — for the next hop: one
-    /// copy, into the retired memo's buffers when there is one (a
-    /// session's sweeps are much of a size).
-    pub(crate) fn keep_memo(&mut self, swept: &HopMemo, agents_gen: u64) {
+    /// Keeps `swept` — a sweep over this placement and load — for the
+    /// next hop: one copy, into the retired memo's buffers when there
+    /// is one (a session's sweeps are much of a size).
+    pub(crate) fn keep_memo(&mut self, swept: &HopMemo) {
         let memo: &mut HopMemo = self.memo.get_or_insert_with(Box::default);
         memo.clone_from(swept);
-        self.memo_gen = Some(agents_gen);
+        self.current = true;
         self.settled = swept.is_settled();
     }
 
     /// Whether the session is *settled*: its last sweep is still valid
-    /// under generation `agents_gen` and found no neighbour with a
-    /// lower `Φ` ([`HopMemo::is_settled`]). A session that has not
-    /// hopped since its placement was written or an agent joined or
-    /// was drained is still searching — and so is one whose sweep
-    /// stored a lower-`Φ` move toward an agent that is down, which it
-    /// may take once the agent is back. An agent's failure or restore
-    /// leaves every unmoved session as it was.
-    pub(crate) fn is_settled(&self, agents_gen: u64) -> bool {
-        self.settled && self.memo_gen == Some(agents_gen)
+    /// and found no neighbour with a lower `Φ`
+    /// ([`HopMemo::is_settled`]). A session that has not hopped since
+    /// its placement or load was written is still searching — and so
+    /// is one whose sweep stored a lower-`Φ` move toward an agent that
+    /// is down, which it may take once the agent is back, or drained.
+    /// An agent's failure, restore or drain leaves every unmoved
+    /// session as it was.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.settled && self.current
     }
 
     /// Forgets the memo (the retained ≡ forgotten twin tests).
     #[cfg(test)]
     pub(crate) fn forget_memo(&mut self) {
-        self.memo_gen = None;
+        self.write();
     }
 }

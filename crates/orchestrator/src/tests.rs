@@ -1613,12 +1613,12 @@ mod hop_memo {
 
     /// Every cause of the invalidation rule, one at a time — a write of
     /// the slots' loads (`load_drift` rewrites every one; a hop commit
-    /// and an evacuation move are the tests below), an agent's
-    /// registration, an agent's drain: after it, the next hop of every
-    /// live session sweeps again — and the one after that re-reads,
-    /// unless the sweep's own hop migrated.
+    /// and an evacuation move are the tests below), and an agent's
+    /// registration, which extends every load by the new agent: after
+    /// it, the next hop of every live session sweeps again — and the
+    /// one after that re-reads, unless the sweep's own hop migrated.
     #[test]
-    fn a_write_a_registration_or_a_drain_makes_the_next_hop_a_miss() {
+    fn a_write_or_a_registration_makes_the_next_hop_a_miss() {
         let f = Fleet::new(universe(120.0, 6), config(400.0));
         let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
         for &s in &live {
@@ -1634,11 +1634,6 @@ mod hop_memo {
             (
                 "register_agent",
                 Box::new(|f| _ = f.register_agent(&late, "default").unwrap()),
-            ),
-            // And one fewer, for good.
-            (
-                "drain_agent",
-                Box::new(|f| _ = f.drain_agent(AgentId::new(2))),
             ),
         ];
         for (name, cause) in causes {
@@ -1657,15 +1652,6 @@ mod hop_memo {
             }
             assert!(f.audit().is_empty(), "after {name}");
         }
-        // A refused restore (the agent is drained) changes nothing and
-        // drops nothing.
-        for &s in &live {
-            settle(&f, s);
-        }
-        assert!(!f.restore_agent(AgentId::new(2)));
-        assert!(live
-            .iter()
-            .all(|&s| hop_hits(&f, s, 5).1 || f.metrics().settled < 6));
         // A departure takes the slot, memo and all; a re-admission
         // starts without one.
         let s = live[0];
@@ -1675,50 +1661,63 @@ mod hop_memo {
         assert!(!hop_hits(&f, s, 7).1);
     }
 
-    /// An agent's failure and return change only what the draw reads:
-    /// after `fail_agent` the next hop of every session the evacuation
-    /// did not move re-reads its memo (a moved one sweeps: its slot was
-    /// written), after `restore_agent` every session's does, and the
-    /// settled count loses at most the moved sessions and nothing to
-    /// the restore.
+    /// An agent's failure, return and drain change only what the draw
+    /// reads: after `fail_agent` or `drain_agent` the next hop of every
+    /// session the evacuation did not move re-reads its memo (a moved
+    /// one sweeps: its slot was written), after a `restore_agent` —
+    /// granted, or refused for the drained agent — every session's
+    /// does, and the settled count loses at most the moved sessions and
+    /// nothing to the restore.
     #[test]
     fn a_failure_and_a_restore_keep_every_unmoved_sessions_memo() {
-        let f = Fleet::new(universe(120.0, 6), config(400.0));
-        let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
-        for &s in &live {
-            f.admit(s).unwrap();
-            settle(&f, s);
+        for drain in [false, true] {
+            let cause = if drain { "drain_agent" } else { "fail_agent" };
+            let f = Fleet::new(universe(120.0, 6), config(400.0));
+            let live: Vec<SessionId> = (0..6).map(SessionId::new).collect();
+            for &s in &live {
+                f.admit(s).unwrap();
+                settle(&f, s);
+            }
+            let a = AgentId::new(1);
+            let moved = on_agent(&f, &live, a);
+            let moves = moved.iter().filter(|&&m| m).count();
+            assert!((1..6).contains(&moves), "agent 1 carries {moves} of 6");
+            let settled = f.metrics().settled;
+            _ = if drain {
+                f.drain_agent(a)
+            } else {
+                f.fail_agent(a)
+            };
+            let kept = f.metrics().settled;
+            assert!(
+                kept + moves >= settled && kept > 0,
+                "{cause}: {settled}, then {kept}"
+            );
+            for (&s, &m) in live.iter().zip(&moved) {
+                assert_eq!(hop_hits(&f, s, 3).1, !m, "after {cause}: {s}");
+            }
+            for &s in &live {
+                settle(&f, s);
+            }
+            let settled = f.metrics().settled;
+            assert_eq!(f.restore_agent(a), !drain, "{cause}");
+            assert_eq!(f.metrics().settled, settled, "restore_agent retired a memo");
+            for &s in &live {
+                assert!(
+                    hop_hits(&f, s, 5).1,
+                    "{cause}, restore_agent: {s} swept again"
+                );
+            }
+            assert!(f.audit().is_empty());
         }
-        let a = AgentId::new(1);
-        let moved = on_agent(&f, &live, a);
-        let moves = moved.iter().filter(|&&m| m).count();
-        assert!((1..6).contains(&moves), "agent 1 carries {moves} of 6");
-        let settled = f.metrics().settled;
-        f.fail_agent(a);
-        let kept = f.metrics().settled;
-        assert!(
-            kept + moves >= settled && kept > 0,
-            "{settled}, then {kept}"
-        );
-        for (&s, &m) in live.iter().zip(&moved) {
-            assert_eq!(hop_hits(&f, s, 3).1, !m, "after fail_agent: {s}");
-        }
-        for &s in &live {
-            settle(&f, s);
-        }
-        let settled = f.metrics().settled;
-        assert!(f.restore_agent(a));
-        assert_eq!(f.metrics().settled, settled, "restore_agent retired a memo");
-        for &s in &live {
-            assert!(hop_hits(&f, s, 5).1, "after restore_agent: {s} swept again");
-        }
-        assert!(f.audit().is_empty());
     }
 
     /// At β = 0.05, where every candidate is stored and hits migrate,
     /// availability is the draw's: no hit while an agent is down draws
-    /// it, and hits after its restore — from memos swept while it was
-    /// down, or before it failed — move onto it.
+    /// it, hits after its restore — from memos swept while it was
+    /// down, or before it failed — move onto it, and no hit after a
+    /// drain, which a refused restore leaves in force, ever draws the
+    /// drained agent.
     #[test]
     fn a_hit_draws_by_the_availability_at_the_draw() {
         /// Hops the six sessions round-robin for `rounds` rounds; the
@@ -1734,8 +1733,8 @@ mod hop_memo {
                 })
                 .collect()
         }
-        let a = AgentId::new(1);
-        let (mut down_hits, mut onto_restored) = (0, 0);
+        let (a, drained) = (AgentId::new(1), AgentId::new(2));
+        let (mut down_hits, mut onto_restored, mut drained_hits) = (0, 0, 0);
         for seed in 0..8u64 {
             let f = Fleet::new(universe(120.0, 6), config(0.05));
             for s in 0..6 {
@@ -1750,6 +1749,12 @@ mod hop_memo {
             assert!(f.restore_agent(a));
             let after = hit_migrations(&f, 1, seed << 16 | 2 << 8);
             onto_restored += after.iter().filter(|&&t| t == a).count();
+            f.drain_agent(drained);
+            assert!(!f.restore_agent(drained));
+            for target in hit_migrations(&f, 4, seed << 16 | 3 << 8) {
+                assert_ne!(target, drained, "seed {seed}: a hit drew the drained agent");
+                drained_hits += 1;
+            }
             assert!(f.audit().is_empty());
         }
         assert!(down_hits > 0, "no hit migrated while the agent was down");
@@ -1757,6 +1762,7 @@ mod hop_memo {
             onto_restored > 0,
             "no hit after a restore moved onto the agent"
         );
+        assert!(drained_hits > 0, "no hit migrated after the drain");
     }
 
     /// The commit cause, at β = 0.05 where hops migrate freely and every
@@ -1987,8 +1993,9 @@ mod hop_memo {
 
     /// The proptest above is not vacuous: on its universe a fleet that
     /// keeps memos does re-read them, at both β — memos kept across an
-    /// agent's failure and restore among them, so the twins compare
-    /// draws from memos swept under another availability.
+    /// agent's failure and restore, and across a drain, among them, so
+    /// the twins compare draws from memos swept under another
+    /// availability.
     #[test]
     fn the_twin_universe_does_hit() {
         for beta in [0.05, 400.0] {
@@ -2023,6 +2030,13 @@ mod hop_memo {
                 across > 0,
                 "β = {beta}: no hit across a failure and a restore"
             );
+            // The first hop of every session after a drain: each hit
+            // draws from a memo swept while the agent was up.
+            f.drain_agent(AgentId::new(2));
+            let before = f.obs().hop_memo_hits();
+            hop_round(200);
+            let across = f.obs().hop_memo_hits() - before;
+            assert!(across > 0, "β = {beta}: no hit across a drain");
         }
     }
 }

@@ -695,9 +695,10 @@ fn stale_placements_of_non_live_sessions_are_ignored_on_load() {
 
 /// CRC-valid records whose ids point past the universe: for every
 /// `FleetOp` variant and every id-typed field in it one journal row,
-/// and one snapshot row for every id-keyed `DurableFleetState` list.
-/// `Fleet::recover` must *return* from each — a typed error naming the
-/// id, or `Ok` where the stray id is only ever cached (worker timers).
+/// and one snapshot row for every id-keyed `DurableFleetState` list,
+/// plus one whose agent is drained and yet available. `Fleet::recover`
+/// must *return* from each — a typed error naming the id, or `Ok` where
+/// the stray id is only ever cached (worker timers).
 #[test]
 fn no_out_of_universe_id_unwinds_recovery() {
     use cloud_vc::persist::{journal_path, write_snapshot, JournalWriter};
@@ -881,6 +882,8 @@ fn no_out_of_universe_id_unwinds_recovery() {
             Some("a99"),
         ),
     ];
+    let up = (state.available.iter().position(|&a| a)).expect("an agent is up");
+    let up_name = AgentId::from(up).to_string();
     let snapshot_rows: Vec<(&str, DurableFleetState, Option<&str>)> = {
         let edited = |edit: &dyn Fn(&mut DurableFleetState)| {
             let mut state = state.clone();
@@ -912,6 +915,13 @@ fn no_out_of_universe_id_unwinds_recovery() {
                 "timers.session",
                 edited(&|d| d.timers.push(timer(far_s))),
                 None,
+            ),
+            // An agent drained but up: admissions and hops would use
+            // what `restore_agent` treats as gone.
+            (
+                "drained.available",
+                edited(&|d| d.drained[up] = true),
+                Some(&up_name),
             ),
         ]
     };
