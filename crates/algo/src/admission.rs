@@ -649,6 +649,14 @@ impl PlacementScratch {
     /// bound. Availability of every target is re-checked first, so no
     /// tier can emit a placement on a failed agent. Returns the first
     /// violation, `None` when feasible.
+    ///
+    /// Admission keeps this residual check rather than asking
+    /// [`vc_core::demand_fits`], the rule of hops and evacuations: the
+    /// [`Residuals`] are clamped at 0, so on an agent over its
+    /// transcoding capacity a user-only placement (0 units there) passes
+    /// here and fails the signed rule. Switching would change which
+    /// placements admission accepts, which `tests/admission_golden.rs`
+    /// pins.
     fn check_full(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<GlobalViolation> {
         let Search {
             problem,

@@ -15,11 +15,11 @@
 //! [`Neighborhood`] kernel: the conference is compiled once per stranded
 //! decision and each surviving agent costs what a hop's candidate costs
 //! (the delays the move invalidates, one fold), its load bit-equal to a
-//! from-scratch evaluation. What "feasible" means is the caller's
-//! `fits`: [`evacuate_agent`] asks the closed world's
-//! [`SystemState::fits`], the orchestrator's fleet asks its own rule
-//! against totals summed from its live slots — and both commit the
-//! winner the way their hops commit one.
+//! from-scratch evaluation. "Feasible" is one rule asked by both
+//! worlds, [`vc_core::fits`]: [`evacuate_agent`] asks it through
+//! [`SystemState::fits`] against the state's totals, the orchestrator's
+//! fleet against totals summed from its live slots — and both commit
+//! the winner the way their hops commit one.
 
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, EvalScratch, SessionLoad, SystemState};

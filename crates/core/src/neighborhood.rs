@@ -291,28 +291,7 @@ pub struct Move {
 /// Moves that would violate constraints (5)–(8) are filtered out.
 pub fn feasible_moves(state: &SystemState, s: SessionId) -> Vec<Move> {
     let mut out = Vec::new();
-    collect_feasible(state, s, &mut EvalScratch::new(), &mut out);
-    out
-}
-
-/// Enumerates feasible moves across **all active** sessions (used by
-/// centralized baselines; Alg. 1 proper works per session).
-pub fn all_feasible_moves(state: &SystemState) -> Vec<Move> {
-    let mut eval = EvalScratch::new();
-    let mut out = Vec::new();
-    for s in state.active_sessions() {
-        collect_feasible(state, s, &mut eval, &mut out);
-    }
-    out
-}
-
-fn collect_feasible(
-    state: &SystemState,
-    s: SessionId,
-    eval: &mut EvalScratch,
-    out: &mut Vec<Move>,
-) {
-    Neighborhood::of_state(state, s, eval).sweep(
+    Neighborhood::of_state(state, s, &mut EvalScratch::new()).sweep(
         |l| state.is_agent_available(l),
         |decision, load| {
             if state.fits(s, load).is_ok() {
@@ -324,15 +303,7 @@ fn collect_feasible(
             }
         },
     );
-}
-
-/// The number of *potential* (not necessarily feasible) neighbors of
-/// session `s`: `(|U(s)| + |T(s)|) · (L − 1)`.
-pub fn neighborhood_size(state: &SystemState, s: SessionId) -> usize {
-    let problem = state.problem();
-    let users = problem.instance().session(s).len();
-    let tasks = problem.tasks().of_session(s).len();
-    (users + tasks) * (problem.instance().num_agents() - 1)
+    out
 }
 
 #[cfg(test)]
@@ -348,12 +319,15 @@ mod tests {
     fn full_neighborhood_when_unconstrained() {
         let p = Arc::new(two_agent_problem());
         let asg = Assignment::all_to_agent(&p, AgentId::new(0));
-        let st = SystemState::new(p, asg);
+        let st = SystemState::new(p.clone(), asg);
         let s = SessionId::new(0);
         let moves = feasible_moves(&st, s);
         // 2 users + 1 task, each with 1 alternative agent.
         assert_eq!(moves.len(), 3);
-        assert_eq!(moves.len(), neighborhood_size(&st, s));
+        let inst = p.instance();
+        let size =
+            (inst.session(s).len() + p.tasks().of_session(s).len()) * (inst.num_agents() - 1);
+        assert_eq!(moves.len(), size);
     }
 
     #[test]
@@ -377,7 +351,7 @@ mod tests {
         let p = Arc::new(capacity_limited_problem());
         let asg = Assignment::all_to_agent(&p, AgentId::new(0));
         let st = SystemState::new(p.clone(), asg);
-        for m in all_feasible_moves(&st) {
+        for m in st.active_sessions().flat_map(|s| feasible_moves(&st, s)) {
             // No feasible move may target agent c's transcoder (0 slots).
             if let Decision::Task(_, a) = m.decision {
                 assert_ne!(a, AgentId::new(2), "task moved to zero-slot agent");
@@ -443,8 +417,12 @@ mod tests {
         let asg = Assignment::all_to_agent(&p, AgentId::new(0));
         let mut st = SystemState::new(p, asg);
         st.deactivate(SessionId::new(1));
-        for m in all_feasible_moves(&st) {
-            assert_eq!(st.session_of(m.decision), SessionId::new(0));
+        let active: Vec<_> = st.active_sessions().collect();
+        assert_eq!(active, [SessionId::new(0)]);
+        for s in active {
+            for m in feasible_moves(&st, s) {
+                assert_eq!(st.session_of(m.decision), s);
+            }
         }
     }
 

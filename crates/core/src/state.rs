@@ -2,15 +2,16 @@
 //!
 //! [`SystemState`] caches one [`SessionLoad`] per session plus per-agent
 //! load totals. Because a [`Decision`] touches exactly one session, a
-//! candidate move re-evaluates only that session and checks global
-//! capacities against `totals − old_load + new_load` — the same
-//! information Alg. 1's HOP step fetches as "the updated list of residual
-//! capacities of agents".
+//! candidate move re-evaluates only that session and asks [`fits`] — at
+//! the agents the candidate touches, `new − old ≤ capacity − totals` —
+//! the same information Alg. 1's HOP step fetches as "the updated list of
+//! residual capacities of agents". The orchestrator's fleet asks the same
+//! [`fits`] against its own reserved totals.
 
 use crate::evaluate::{evaluate_session, AgentDemand, EvalScratch, OverlayView, SessionLoad};
 use crate::{Assignment, Decision, UapProblem, Violation};
 use std::sync::{Arc, Mutex};
-use vc_model::{AgentId, SessionId};
+use vc_model::{AgentId, Instance, SessionId};
 
 /// Aggregate per-agent loads across all *active* sessions.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -89,11 +90,91 @@ impl Clone for SystemState {
     }
 }
 
-/// Numerical slack for capacity comparisons, guarding against float drift
-/// in the incrementally-maintained totals. Shared with the orchestrator's
-/// ledger and hop feasibility checks so every layer accepts and refuses
-/// the same moves.
+/// Numerical slack for capacity and delay comparisons, guarding against
+/// float drift in the incrementally-maintained totals: the one slack of
+/// [`fits`], which both worlds' hops and evacuations ask, and of the
+/// orchestrator's ledger and admission checks.
 pub const CAPACITY_EPS: f64 = 1e-6;
+
+/// The feasibility rule of hops and evacuations, in both worlds — the
+/// paper's constraints (5)–(8) for session `s`'s candidate `load`
+/// replacing its committed `old`, against `reserved` (what every active
+/// session holds, `old` included): the delay bound first, then
+/// [`demand_fits`].
+///
+/// # Errors
+///
+/// The delay violation, else the first capacity violation.
+#[inline]
+pub fn fits(
+    s: SessionId,
+    load: &SessionLoad,
+    old: &SessionLoad,
+    reserved: &AgentTotals,
+    inst: &Instance,
+) -> Result<(), Violation> {
+    if load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
+        return Err(Violation::Delay {
+            session: s,
+            delay_ms: load.max_flow_delay,
+            bound_ms: inst.d_max_ms(),
+        });
+    }
+    demand_fits(load.demand(), old, reserved, inst)
+}
+
+/// The capacity half of [`fits`], constraints (5)–(7), on a candidate's
+/// sparse [demand](SessionLoad::demand) — all a hop keeps of a
+/// candidate between sweeps: per agent the candidate *touches* only,
+/// `new − old ≤ capacity − reserved`. An agent the candidate does not
+/// touch vetoes nothing, even when overshot; an agent that
+/// advertises unlimited transcoding never refuses; and the free capacity
+/// is signed — an agent a forced evacuation overshot takes only
+/// candidates that lower its load by at least the overshoot.
+///
+/// # Errors
+///
+/// The first capacity violation, its load `reserved − old + new`.
+#[inline]
+pub fn demand_fits(
+    demand: impl IntoIterator<Item = AgentDemand>,
+    old: &SessionLoad,
+    reserved: &AgentTotals,
+    inst: &Instance,
+) -> Result<(), Violation> {
+    for new in demand {
+        let i = new.agent as usize;
+        let agent = AgentId::from(i);
+        let cap = inst.agent(agent).capacity();
+        let free_download = cap.download_mbps - reserved.download[i];
+        if new.download - old.download[i] > free_download + CAPACITY_EPS {
+            return Err(Violation::Download {
+                agent,
+                load_mbps: reserved.download[i] - old.download[i] + new.download,
+                capacity_mbps: cap.download_mbps,
+            });
+        }
+        let free_upload = cap.upload_mbps - reserved.upload[i];
+        if new.upload - old.upload[i] > free_upload + CAPACITY_EPS {
+            return Err(Violation::Upload {
+                agent,
+                load_mbps: reserved.upload[i] - old.upload[i] + new.upload,
+                capacity_mbps: cap.upload_mbps,
+            });
+        }
+        if cap.transcode_slots != u32::MAX
+            && f64::from(new.transcode_units) - f64::from(old.transcode_units[i])
+                > f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i])
+        {
+            return Err(Violation::Transcode {
+                agent,
+                units: reserved.transcode[i] - old.transcode_units[i] + new.transcode_units,
+                capacity: cap.transcode_slots,
+            });
+        }
+    }
+    Ok(())
+}
 
 impl SystemState {
     /// Creates a state with **all** sessions active.
@@ -309,8 +390,7 @@ impl SystemState {
     /// Evaluates a candidate decision without committing: returns the new
     /// session load and the first violation it would introduce, if any.
     ///
-    /// Feasibility is judged *globally*: capacities are checked against
-    /// `totals − old + new`; the delay bound against the new session load.
+    /// Feasibility is [`fits`] against the cached totals.
     /// Convenience wrapper over [`candidate_into`](Self::candidate_into)
     /// (which is what the hop hot path calls with its own scratch).
     pub fn candidate(&self, decision: Decision) -> (SessionLoad, Result<(), Violation>) {
@@ -340,36 +420,26 @@ impl SystemState {
         }
     }
 
-    /// Whether replacing session `s`'s load with `new_load` keeps the
-    /// system feasible (always, for an inactive session: it holds no
-    /// capacity) — the feasibility half of
-    /// [`candidate_into`](Self::candidate_into), for callers that weigh
-    /// candidates themselves.
+    /// [`fits`] for session `s`'s committed load against the totals —
+    /// the feasibility half of [`candidate_into`](Self::candidate_into),
+    /// for callers that weigh candidates themselves. An inactive session
+    /// holds nothing and fits anywhere.
     ///
     /// # Errors
     ///
     /// The first violation the swap would introduce.
     pub fn fits(&self, s: SessionId, new_load: &SessionLoad) -> Result<(), Violation> {
-        self.demand_fits(s, new_load.demand())?;
-        let inst = self.problem.instance();
-        if self.active[s.index()] && new_load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
-            return Err(Violation::Delay {
-                session: s,
-                delay_ms: new_load.max_flow_delay,
-                bound_ms: inst.d_max_ms(),
-            });
+        if !self.active[s.index()] {
+            return Ok(());
         }
-        Ok(())
+        let old = &self.loads[s.index()];
+        fits(s, new_load, old, &self.totals, self.problem.instance())
     }
 
-    /// The capacity half of [`fits`](Self::fits), constraints (5)–(7),
-    /// on the candidate's sparse [`demand`](SessionLoad::demand)
-    /// (ascending agents) — what a caller that kept only the demand can
-    /// still ask. Scans only the agents whose load changes (the union of
-    /// the old load's touched set and the demand's) — an agent neither
-    /// touches sees `totals − 0 + 0` and cannot newly violate. (A
-    /// pre-existing overshoot on an *untouched* agent — possible after a
-    /// forced evacuation — therefore no longer vetoes unrelated moves.)
+    /// [`demand_fits`] for session `s`'s committed load against the
+    /// totals — what a caller that kept only a candidate's sparse
+    /// [`demand`](SessionLoad::demand) can still ask. An inactive
+    /// session holds nothing and fits anywhere.
     ///
     /// # Errors
     ///
@@ -382,54 +452,8 @@ impl SystemState {
         if !self.active[s.index()] {
             return Ok(());
         }
-        let inst = self.problem.instance();
         let old = &self.loads[s.index()];
-        // Sorted-merge of the two ascending agent lists.
-        let mut old_touched = old.touched.iter().copied().peekable();
-        let mut demand = demand.into_iter().peekable();
-        loop {
-            let agent = match (old_touched.peek(), demand.peek()) {
-                (Some(&a), Some(d)) => a.min(d.agent),
-                (Some(&a), None) => a,
-                (None, Some(d)) => d.agent,
-                (None, None) => return Ok(()),
-            };
-            old_touched.next_if_eq(&agent);
-            // An agent only the old load touches is left with nothing.
-            let new = demand.next_if(|d| d.agent == agent).unwrap_or(AgentDemand {
-                agent,
-                transcode_units: 0,
-                download: 0.0,
-                upload: 0.0,
-            });
-            let i = agent as usize;
-            let l = AgentId::from(i);
-            let cap = inst.agent(l).capacity();
-            let dl = self.totals.download[i] - old.download[i] + new.download;
-            if dl > cap.download_mbps + CAPACITY_EPS {
-                return Err(Violation::Download {
-                    agent: l,
-                    load_mbps: dl,
-                    capacity_mbps: cap.download_mbps,
-                });
-            }
-            let ul = self.totals.upload[i] - old.upload[i] + new.upload;
-            if ul > cap.upload_mbps + CAPACITY_EPS {
-                return Err(Violation::Upload {
-                    agent: l,
-                    load_mbps: ul,
-                    capacity_mbps: cap.upload_mbps,
-                });
-            }
-            let tl = self.totals.transcode[i] - old.transcode_units[i] + new.transcode_units;
-            if tl > cap.transcode_slots {
-                return Err(Violation::Transcode {
-                    agent: l,
-                    units: tl,
-                    capacity: cap.transcode_slots,
-                });
-            }
-        }
+        demand_fits(demand, old, &self.totals, self.problem.instance())
     }
 
     /// Applies a decision if it keeps the system feasible.
@@ -724,6 +748,131 @@ mod tests {
             refused_on_c,
             "move onto the overshot agent was not refused: {err:?}"
         );
+    }
+
+    /// Three agents of `cap_mbps` both ways and `slots` transcoding
+    /// slots each, one session.
+    fn universe(cap_mbps: f64, slots: u32) -> UapProblem {
+        use vc_cost::CostModel;
+        use vc_model::{AgentSpec, Capacity, InstanceBuilder, ReprLadder};
+        let ladder = ReprLadder::standard_four();
+        let r = ladder.lowest();
+        let mut b = InstanceBuilder::new(ladder);
+        for name in ["a", "b", "c"] {
+            let capacity = Capacity::new(cap_mbps, cap_mbps, slots);
+            b.add_agent(AgentSpec::builder(name).capacity(capacity).build());
+        }
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.symmetric_delays(|_, _| 25.0, |_, _| 8.0);
+        b.d_max_ms(10_000.0);
+        UapProblem::new(b.build().unwrap(), CostModel::paper_default())
+    }
+
+    /// The one capacity predicate of hops and evacuations, case by case.
+    /// Everything happens on agent 0 of a 100 Mbps universe: `reserved`
+    /// is booked there (the session's committed `old` share included)
+    /// and the session proposes `new`. Then the closed world asks it
+    /// through [`SystemState::try_apply`].
+    #[test]
+    fn fits_is_the_signed_sparse_capacity_rule() {
+        #[derive(Debug, Clone, Copy)]
+        enum Res {
+            Down,
+            Up,
+            Units,
+        }
+        use Res::*;
+        const S: SessionId = SessionId::new(0);
+        // `x` of one resource on agent 0, nothing of the other two.
+        let share = |res, x: f64| match res {
+            Down => (x, 0.0, 0),
+            Up => (0.0, x, 0),
+            Units => (0.0, 0.0, x as u32),
+        };
+        let load_of = |(download, upload, units): (f64, f64, u32), touched: &[u32]| {
+            let mut load = SessionLoad::empty(3);
+            (load.download[0], load.upload[0], load.transcode_units[0]) = (download, upload, units);
+            load.touched = touched.to_vec();
+            load
+        };
+        let ulp_above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        // 60 of 100 Mbps reserved: exactly `edge` more still fits.
+        let edge = (100.0 - 60.0) + CAPACITY_EPS;
+        let over = ulp_above(edge);
+        const ANY: u32 = u32::MAX; // unlimited transcoding
+        let cases: [(&str, Res, u32, f64, f64, f64, bool); 12] = [
+            // (what, resource, agent 0's slots, reserved, old, new, fits)
+            ("residual + eps", Down, 4, 60.0, 0.0, edge, true),
+            ("one ulp above it", Down, 4, 60.0, 0.0, over, false),
+            ("residual + eps", Up, 4, 60.0, 0.0, edge, true),
+            ("one ulp above it", Up, 4, 60.0, 0.0, over, false),
+            ("last free slot", Units, 4, 3.0, 1.0, 2.0, true),
+            ("one slot too many", Units, 4, 3.0, 1.0, 3.0, false),
+            ("never refuses", Units, ANY, 4e6, 0.0, 4e9, true),
+            // A forced evacuation left agent 0 overshot by 30 Mbps / 2 slots.
+            ("lowered by the overshoot", Down, 4, 130.0, 50.0, 20.0, true),
+            ("lowered by less", Down, 4, 130.0, 50.0, 21.0, false),
+            ("lowered by less", Up, 4, 130.0, 50.0, 21.0, false),
+            ("overshot slots freed", Units, 4, 6.0, 3.0, 1.0, true),
+            ("one too few freed", Units, 4, 6.0, 3.0, 2.0, false),
+        ];
+        for (what, res, slots, reserved, old, new, expected) in cases {
+            let problem = universe(100.0, slots);
+            let mut totals = AgentTotals::zero(3);
+            (totals.download[0], totals.upload[0], totals.transcode[0]) = share(res, reserved);
+            let (old, new) = (
+                load_of(share(res, old), &[0]),
+                load_of(share(res, new), &[0]),
+            );
+            let verdict = fits(S, &new, &old, &totals, problem.instance()).is_ok();
+            assert_eq!(verdict, expected, "{res:?}: {what}");
+        }
+
+        // An overshot agent the candidate does not touch vetoes nothing.
+        let problem = universe(100.0, 4);
+        let inst = problem.instance();
+        let mut totals = AgentTotals::zero(3);
+        (totals.download[2], totals.upload[2], totals.transcode[2]) = (130.0, 130.0, 9);
+        let old = load_of((0.0, 0.0, 0), &[0]);
+        let mut new = load_of((10.0, 10.0, 1), &[0]);
+        assert_eq!(fits(S, &new, &old, &totals, inst), Ok(()));
+
+        // The delay bound has the same slack and is checked first: over it,
+        // no agent is looked at (`late` touches one that does not exist).
+        new.max_flow_delay = inst.d_max_ms() + CAPACITY_EPS;
+        assert_eq!(fits(S, &new, &old, &totals, inst), Ok(()));
+        let mut late = load_of((0.0, 0.0, 0), &[99]);
+        late.max_flow_delay = ulp_above(new.max_flow_delay);
+        assert!(matches!(
+            fits(S, &late, &old, &totals, inst),
+            Err(Violation::Delay { session: S, .. })
+        ));
+
+        // The closed world asks the same rule: a user leaves agent c,
+        // which session 1's forced overshoot keeps over capacity, for a
+        // roomy agent — the move touches c no more, so c vetoes nothing.
+        let p = Arc::new(capacity_limited_problem());
+        let mut asg = Assignment::all_to_agent(&p, A);
+        let spill = (p.tasks().find(UserId::new(1), UserId::new(2))).expect("a transcoded flow");
+        asg.set_task(spill, B);
+        let mut st = SystemState::new(p.clone(), asg);
+        let c = AgentId::new(2);
+        let s1 = SessionId::new(1);
+        for &u in p.instance().session(s1).users() {
+            st.apply_unchecked(Decision::User(u, c));
+        }
+        for &t in p.tasks().of_session(s1) {
+            st.apply_unchecked(Decision::Task(t, c));
+        }
+        st.apply_unchecked(Decision::User(UserId::new(0), c));
+        let overshot = |st: &SystemState| {
+            (st.violations().iter())
+                .any(|v| matches!(v, Violation::Download { agent, .. } if *agent == c))
+        };
+        assert!(overshot(&st), "{:?}", st.violations());
+        assert_eq!(st.try_apply(Decision::User(UserId::new(0), A)), Ok(()));
+        assert!(overshot(&st), "{:?}", st.violations());
     }
 
     #[test]

@@ -91,11 +91,13 @@
 //! snapshots the ledger ([`CapacityLedger::reserved_totals_into`]) and
 //! hands the engine `Residuals::fill_from_totals`; a hop takes the same
 //! snapshot and an evacuation keeps its own delta-maintained slot
-//! totals, and both ask the one sparse `fits` — the paper's
-//! constraints (5)–(8) as `new − old ≤ capacity − reserved` at the
-//! agents the candidate touches — an evacuation of the load the
-//! neighbourhood kernel just folded, a hop of the
-//! [demand](vc_core::SessionLoad::demand) its sweep stored.
+//! totals, and both ask `vc-core`'s one sparse rule, which the closed
+//! world's hops and evacuations ask too — the paper's constraints
+//! (5)–(8) as `new − old ≤ capacity − reserved` at the agents the
+//! candidate touches: an evacuation asks [`fits`] of the load the
+//! neighbourhood kernel just folded, a hop asks [`demand_fits`] of the
+//! [demand](vc_core::SessionLoad::demand) its sweep stored. The fleet
+//! defines no capacity predicate of its own.
 
 use crate::ledger::{CapacityLedger, SessionHold};
 use crate::persist::{FleetOp, RefusalReason};
@@ -115,10 +117,10 @@ use vc_algo::churn;
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
-    AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch, SessionLoad,
-    SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    demand_fits, fits, AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch,
+    SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
-use vc_model::{AgentDef, AgentId, Instance, ModelError, SessionDef, SessionId, UserId};
+use vc_model::{AgentDef, AgentId, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
 
 pub(crate) use crate::slot::SessionSlot;
@@ -1201,7 +1203,7 @@ impl Fleet {
                 .agent_ids()
                 .filter(|&l| l != agent && u.available[l.index()]);
             let picked = churn::pick_target(&mut hood, d, targets, |load| {
-                fits(load, slot.load(), &totals, inst)
+                fits(s, load, slot.load(), &totals, inst).is_ok()
             });
             let decision = match picked {
                 Some((decision, true)) => decision,
@@ -1603,7 +1605,7 @@ impl Fleet {
             d_max_ms: inst.d_max_ms(),
             allowed: |l: AgentId| universe.available[l.index()],
             fits: |demand: &[AgentDemand]| {
-                demand_fits(demand.iter().copied(), load, reserved, inst)
+                demand_fits(demand.iter().copied(), load, reserved, inst).is_ok()
             },
         };
         // A hit compiles nothing unless its draw has to weigh a
@@ -1912,57 +1914,6 @@ impl Fleet {
             }
         }
     }
-}
-
-/// The sparse feasibility rule of hops and evacuations — the paper's
-/// constraints (5)–(8) for one session's candidate `load` replacing its
-/// committed `old`, against `reserved` (what every live session holds,
-/// `old` included): the delay bound first, then [`demand_fits`].
-pub(crate) fn fits(
-    load: &SessionLoad,
-    old: &SessionLoad,
-    reserved: &AgentTotals,
-    inst: &Instance,
-) -> bool {
-    if load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS {
-        return false;
-    }
-    demand_fits(load.demand(), old, reserved, inst)
-}
-
-/// The capacity half of [`fits`], constraints (5)–(7), on a candidate's
-/// sparse [demand](SessionLoad::demand) — all a hop keeps of a
-/// candidate between sweeps: per agent the candidate *touches* only,
-/// `new − old ≤ capacity − reserved`. The mirror of the closed-world
-/// `totals − old + new ≤ capacity` check; an agent that advertises
-/// unlimited transcoding never refuses, and the free capacity is signed
-/// — an agent a forced evacuation overshot takes only candidates that
-/// lower its load by at least the overshoot.
-pub(crate) fn demand_fits(
-    demand: impl IntoIterator<Item = AgentDemand>,
-    old: &SessionLoad,
-    reserved: &AgentTotals,
-    inst: &Instance,
-) -> bool {
-    for new in demand {
-        let i = new.agent as usize;
-        let cap = inst.agent(AgentId::from(i)).capacity();
-        let free_download = cap.download_mbps - reserved.download[i];
-        if new.download - old.download[i] > free_download + CAPACITY_EPS {
-            return false;
-        }
-        let free_upload = cap.upload_mbps - reserved.upload[i];
-        if new.upload - old.upload[i] > free_upload + CAPACITY_EPS {
-            return false;
-        }
-        if cap.transcode_slots != u32::MAX
-            && f64::from(new.transcode_units) - f64::from(old.transcode_units[i])
-                > f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i])
-        {
-            return false;
-        }
-    }
-    true
 }
 
 /// Sums the live slot loads in ascending session order — bit-

@@ -707,8 +707,8 @@ impl CapacityLedger {
     /// `capacity − reserved` itself, at the agents it looks at: the
     /// admission engine through `Residuals::fill_from_totals` (so it
     /// searches the space the offline world searches), a hop through
-    /// the fleet's sparse `fits` — which mirrors the closed-world
-    /// `totals − old + new ≤ capacity` check and is availability-*blind*
+    /// [`vc_core::demand_fits`] — the sparse rule the closed world's hops
+    /// ask of its own totals too, and availability-*blind*
     /// (failed agents are excluded separately, as *targets* only, so
     /// load already on a down agent may still be carried by moves that
     /// do not increase it). Lock-free (`L` relaxed loads per resource

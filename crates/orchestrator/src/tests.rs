@@ -297,84 +297,6 @@ fn hops_keep_ledger_in_sync() {
     assert!(metrics.contains(&format!("vc_obs_hop_candidates_folded {folded}\n")));
 }
 
-/// The one capacity predicate of hops and evacuations, case by case.
-/// Everything happens on agent 0 of a 100 Mbps universe: the fleet has
-/// `reserved` booked there (the session's committed `old` share
-/// included) and the session proposes `new`.
-#[test]
-fn fits_is_the_signed_sparse_capacity_rule() {
-    use crate::fleet::fits;
-    use vc_core::{AgentTotals, SessionLoad, CAPACITY_EPS};
-    #[derive(Debug, Clone, Copy)]
-    enum Res {
-        Down,
-        Up,
-        Units,
-    }
-    use Res::*;
-    // `x` of one resource on agent 0, nothing of the other two.
-    let share = |res, x: f64| match res {
-        Down => (x, 0.0, 0),
-        Up => (0.0, x, 0),
-        Units => (0.0, 0.0, x as u32),
-    };
-    let load_of = |(download, upload, units): (f64, f64, u32), touched: &[u32]| {
-        let mut load = SessionLoad::empty(3);
-        (load.download[0], load.upload[0], load.transcode_units[0]) = (download, upload, units);
-        load.touched = touched.to_vec();
-        load
-    };
-    let ulp_above = |x: f64| f64::from_bits(x.to_bits() + 1);
-    // 60 of 100 Mbps reserved: exactly `edge` more still fits.
-    let edge = (100.0 - 60.0) + CAPACITY_EPS;
-    let over = ulp_above(edge);
-    const ANY: u32 = u32::MAX; // unlimited transcoding
-    let cases: [(&str, Res, u32, f64, f64, f64, bool); 12] = [
-        // (what, resource, agent 0's slots, reserved, old, new, fits)
-        ("residual + eps", Down, 4, 60.0, 0.0, edge, true),
-        ("one ulp above it", Down, 4, 60.0, 0.0, over, false),
-        ("residual + eps", Up, 4, 60.0, 0.0, edge, true),
-        ("one ulp above it", Up, 4, 60.0, 0.0, over, false),
-        ("last free slot", Units, 4, 3.0, 1.0, 2.0, true),
-        ("one slot too many", Units, 4, 3.0, 1.0, 3.0, false),
-        ("never refuses", Units, ANY, 4e6, 0.0, 4e9, true),
-        // A forced evacuation left agent 0 overshot by 30 Mbps / 2 slots.
-        ("lowered by the overshoot", Down, 4, 130.0, 50.0, 20.0, true),
-        ("lowered by less", Down, 4, 130.0, 50.0, 21.0, false),
-        ("lowered by less", Up, 4, 130.0, 50.0, 21.0, false),
-        ("overshot slots freed", Units, 4, 6.0, 3.0, 1.0, true),
-        ("one too few freed", Units, 4, 6.0, 3.0, 2.0, false),
-    ];
-    for (what, res, slots, reserved, old, new, expected) in cases {
-        let problem = universe(100.0, slots);
-        let mut totals = AgentTotals::zero(3);
-        (totals.download[0], totals.upload[0], totals.transcode[0]) = share(res, reserved);
-        let (old, new) = (
-            load_of(share(res, old), &[0]),
-            load_of(share(res, new), &[0]),
-        );
-        let verdict = fits(&new, &old, &totals, problem.instance());
-        assert_eq!(verdict, expected, "{res:?}: {what}");
-    }
-
-    // An overshot agent the candidate does not touch vetoes nothing.
-    let problem = universe(100.0, 4);
-    let inst = problem.instance();
-    let mut totals = AgentTotals::zero(3);
-    (totals.download[2], totals.upload[2], totals.transcode[2]) = (130.0, 130.0, 9);
-    let old = load_of((0.0, 0.0, 0), &[0]);
-    let mut new = load_of((10.0, 10.0, 1), &[0]);
-    assert!(fits(&new, &old, &totals, inst));
-
-    // The delay bound has the same slack and is checked first: over it,
-    // no agent is looked at (`late` touches one that does not exist).
-    new.max_flow_delay = inst.d_max_ms() + CAPACITY_EPS;
-    assert!(fits(&new, &old, &totals, inst));
-    let mut late = load_of((0.0, 0.0, 0), &[99]);
-    late.max_flow_delay = ulp_above(new.max_flow_delay);
-    assert!(!fits(&late, &old, &totals, inst));
-}
-
 #[test]
 fn failure_evacuates_and_conserves() {
     let f = fleet(10_000.0, 100);

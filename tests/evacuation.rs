@@ -235,11 +235,50 @@ fn displacing_evacuations_replay_to_the_identical_fleet() {
     assert_eq!(recovered.load_drift(), 0.0);
 }
 
+/// Fails `victim` on `fleet` and, through `churn::evacuate_agent`, on
+/// the closed-world state materialized from it just before; both worlds
+/// must end alike — same moves in the same order, same `forced`, same
+/// assignment, every live session's Φ bit-equal. Returns `(moves,
+/// forced)`.
+fn evacuate_both_worlds(fleet: &Fleet, victim: AgentId) -> (usize, usize) {
+    let mut closed = fleet.with_state(|state| state.clone());
+    let report = vc_algo::churn::evacuate_agent(&mut closed, victim);
+    let earlier = evacuation_sequence(fleet).len();
+    let (moves, forced) = fleet.fail_agent(victim);
+    assert_eq!((report.len(), report.forced), (moves, forced));
+    let closed_sequence: Vec<(u32, u64)> = (report.moves.iter())
+        .map(|&d| {
+            (
+                closed.session_of(d).index() as u32,
+                d.target().index() as u64,
+            )
+        })
+        .collect();
+    assert_eq!(evacuation_sequence(fleet)[earlier..], closed_sequence);
+
+    // The fleet's slots hold cold-evaluation bits, so its
+    // materialized state is what it holds.
+    assert_eq!(fleet.load_drift(), 0.0);
+    let open = fleet.with_state(|state| state.clone());
+    assert_eq!(open.assignment(), closed.assignment());
+    for s in fleet.live_sessions() {
+        assert_eq!(
+            open.session_objective(s).to_bits(),
+            closed.session_objective(s).to_bits(),
+            "Φ of {s}"
+        );
+    }
+    assert_eq!(open.objective().to_bits(), closed.objective().to_bits());
+    (moves, forced)
+}
+
 /// One evacuation, both worlds: a fleet without re-admission that
 /// loses its busiest agent ends where `churn::evacuate_agent` ends on
-/// the closed-world state materialized from it — same moves in the same
-/// order, same `forced`, same assignment, every session's Φ bit-equal —
-/// on the scarce universe (forced overshoots) and on a roomy one.
+/// the closed-world state materialized from it, on the scarce universe
+/// (forced overshoots) and on a roomy one — and again where an earlier
+/// forced evacuation left the victim over capacity, so a move off it
+/// leaves it overshot: both worlds ask one rule, and neither refuses
+/// such a move.
 #[test]
 fn one_evacuation_both_worlds() {
     for (problem, scarce) in [
@@ -252,36 +291,24 @@ fn one_evacuation_both_worlds() {
         let fleet = Fleet::new(problem.clone(), fleet_config(false));
         let admitted = admit_all(&fleet);
         let victim = busiest_agent(&fleet);
-        let mut closed = fleet.with_state(|state| state.clone());
-        let report = vc_algo::churn::evacuate_agent(&mut closed, victim);
-        let (moves, forced) = fleet.fail_agent(victim);
+        let (moves, forced) = evacuate_both_worlds(&fleet, victim);
         assert!(moves >= USERS_PER_SESSION, "victim held too little");
         assert_eq!(forced >= 1, scarce, "{forced} forced of {moves}");
-        assert_eq!((report.len(), report.forced), (moves, forced));
-        let closed_sequence: Vec<(u32, u64)> = (report.moves.iter())
-            .map(|&d| {
-                (
-                    closed.session_of(d).index() as u32,
-                    d.target().index() as u64,
-                )
-            })
-            .collect();
-        assert_eq!(evacuation_sequence(&fleet), closed_sequence);
-
-        // The fleet's slots hold cold-evaluation bits, so its
-        // materialized state is what it holds.
-        assert_eq!(fleet.load_drift(), 0.0);
-        let open = fleet.with_state(|state| state.clone());
-        assert_eq!(open.assignment(), closed.assignment());
         let live = fleet.live_sessions();
         assert_eq!(live.len(), admitted, "nothing is displaced without a queue");
-        for s in live {
-            assert_eq!(
-                open.session_objective(s).to_bits(),
-                closed.session_objective(s).to_bits(),
-                "Φ of {s} (scarce={scarce})"
-            );
-        }
-        assert_eq!(open.objective().to_bits(), closed.objective().to_bits());
     }
+
+    let fleet = Fleet::new(universe(), fleet_config(false));
+    admit_all(&fleet);
+    let first = busiest_agent(&fleet);
+    fleet.fail_agent(first);
+    assert!(fleet.restore_agent(first));
+    let victim = busiest_agent(&fleet);
+    let overshoot = fleet.ledger().utilization()[victim.index()].max_fraction;
+    assert!(
+        overshoot > 1.0,
+        "{victim} is not over capacity: {overshoot}"
+    );
+    let (moves, forced) = evacuate_both_worlds(&fleet, victim);
+    assert!(forced >= 1 && moves > forced, "{forced} forced of {moves}");
 }
