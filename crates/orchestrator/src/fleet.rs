@@ -544,11 +544,10 @@ pub(crate) struct Accepted<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AdmitPath {
     /// `Fleet::admit`, straight after the search: the scratch already
-    /// holds the accepted placement's load, and a hold spanning regions
-    /// books through the two-phase protocol.
+    /// holds the accepted placement's load.
     Live,
-    /// Journal replay: the decoded placement is evaluated here and
-    /// booked single-phase — recovery installs, it never re-judges.
+    /// Journal replay: the decoded placement is evaluated here —
+    /// recovery installs, it never re-judges.
     Replay,
 }
 
@@ -890,10 +889,8 @@ impl Fleet {
         let slot = self
             .install_admitted(problem, s, &accepted, eval, AdmitPath::Live)
             .expect("the engine places the session's own users and tasks, once");
-        // Journaled strictly after the booking: for a hold spanning
-        // regions that is after the two-phase commit point, so a crash
-        // between prepare and commit replays to pre-admission residuals
-        // in every region.
+        // Journaled strictly after the booking: a crash before the
+        // append replays to pre-admission residuals in every region.
         self.log_op(|| {
             let (users, tasks) = placement_of_slot(problem, s, &slot);
             FleetOp::Admit {
@@ -934,7 +931,7 @@ impl Fleet {
     /// the map. The one place a session goes live: [`admit`](Self::admit) calls it once
     /// the engine has decided and `Admit` replay once the record is
     /// decoded, so replay moves exactly the counters the live path moved.
-    /// `path` names the only two differences (see [`AdmitPath`]).
+    /// `path` names the one difference (see [`AdmitPath`]).
     ///
     /// # Errors
     ///
@@ -965,12 +962,7 @@ impl Fleet {
             evaluate_slot(problem, s, &slot, eval);
         }
         let load = eval.load();
-        if path == AdmitPath::Live && self.ledger.spans_regions(load) {
-            let prepared = self.ledger.prepare_booked(load);
-            self.ledger.commit_prepared(prepared);
-        } else {
-            self.ledger.book_unchecked(load);
-        }
+        self.ledger.book_unchecked(load);
         let slot = slot.loaded(load.clone());
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let tier_counter = match accepted.tier {

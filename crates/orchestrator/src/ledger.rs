@@ -27,12 +27,11 @@
 //! without renumbering anything — the shard count is fixed at
 //! construction, so the agent→shard mapping of existing agents never
 //! changes. Every agent belongs to exactly one named **region**
-//! (seed agents land in region 0, `"default"`); a reservation whose
-//! agents span several regions goes through the two-phase
-//! [`prepare_reserve`](CapacityLedger::prepare_reserve) /
-//! [`commit_prepared`](CapacityLedger::commit_prepared) /
-//! [`abort_prepared`](CapacityLedger::abort_prepared) protocol — see
-//! `crate`-level docs for the full state machine.
+//! (seed agents land in region 0, `"default"`). Regions label agents
+//! for telemetry ([`region_residuals`](CapacityLedger::region_residuals));
+//! they do not change how a reservation is booked — one that spans
+//! regions locks its shards like any other and is just as
+//! all-or-nothing.
 //!
 //! Lock order (deadlock-free by construction): agent-shard locks
 //! (ascending) → entries read lock. The entries *write* lock
@@ -124,33 +123,6 @@ pub enum LedgerError {
     },
     /// An agent in the request is marked failed.
     AgentDown(AgentId),
-}
-
-/// Why a cross-region two-phase reservation failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CrossRegionError {
-    /// Phase 1 failed in `region`: every region prepared before it has
-    /// been rolled back, so the ledger is back at its pre-prepare
-    /// residuals.
-    Prepare {
-        /// The region that refused its sub-hold.
-        region: u32,
-        /// Why it refused.
-        error: LedgerError,
-    },
-}
-
-impl std::fmt::Display for CrossRegionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Prepare { region, error } => {
-                write!(
-                    f,
-                    "cross-region prepare refused by region {region}: {error}"
-                )
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for LedgerError {
@@ -313,31 +285,6 @@ pub struct RegionResiduals {
     pub reserved_upload_mbps: f64,
 }
 
-/// A prepared-but-uncommitted cross-region reservation: phase 1 of the
-/// two-phase protocol. The per-region sub-holds are already debited
-/// from the entries; [`CapacityLedger::commit_prepared`] is the point
-/// where those debits stand for good (there is nothing else to install
-/// — the booked session's slot is its record), and
-/// [`CapacityLedger::abort_prepared`] credits them back. Dropping a
-/// `PreparedReserve` without committing or aborting leaks the debit
-/// in-process — the fleet never does (its admit path commits
-/// immediately; its journal records admissions only at commit, so a
-/// crash between the phases recovers to pre-admission residuals by
-/// construction).
-#[derive(Debug)]
-#[must_use = "a prepared reserve must be committed or aborted"]
-pub struct PreparedReserve {
-    /// `(region, sub-hold)` pairs, ascending by region id, each debited.
-    prepared: Vec<(u32, SessionHold)>,
-}
-
-impl PreparedReserve {
-    /// The region ids the reservation spans, ascending.
-    pub fn regions(&self) -> Vec<u32> {
-        self.prepared.iter().map(|(r, _)| *r).collect()
-    }
-}
-
 /// The sharded ledger. See the module docs.
 #[derive(Debug)]
 pub struct CapacityLedger {
@@ -354,13 +301,6 @@ pub struct CapacityLedger {
     shard_locks: Vec<Mutex<()>>,
     /// Region-name table; index = region id. Append-only.
     regions: RwLock<Vec<String>>,
-    /// Cross-region prepares that succeeded (phase 1).
-    cross_prepares: AtomicU64,
-    /// Cross-region reservations committed (phase 2).
-    cross_commits: AtomicU64,
-    /// Cross-region reservations aborted (typed refusal or explicit
-    /// abort), with every debit rolled back.
-    cross_aborts: AtomicU64,
 }
 
 /// The region every seed agent starts in.
@@ -382,9 +322,6 @@ impl CapacityLedger {
             entries: RwLock::new(entries),
             shard_locks: (0..num_shards).map(|_| Mutex::new(())).collect(),
             regions: RwLock::new(vec![DEFAULT_REGION.to_string()]),
-            cross_prepares: AtomicU64::new(0),
-            cross_commits: AtomicU64::new(0),
-            cross_aborts: AtomicU64::new(0),
         }
     }
 
@@ -476,14 +413,18 @@ impl CapacityLedger {
         }
     }
 
-    /// Debits `holds` iff every agent among them is up and has room —
-    /// all of it or nothing.
-    fn debit_checked(
-        &self,
-        holds: impl Iterator<Item = AgentHold> + Clone,
-    ) -> Result<(), LedgerError> {
-        self.with_span(holds.clone().map(|h| h.agent), |view| {
-            for h in holds.clone() {
+    /// Atomically reserves `hold`: either every agent in the hold has
+    /// room (and is up) and all of it is booked, or nothing is — across
+    /// regions too, since every shard the hold touches is locked for
+    /// the whole check-then-book.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::AgentDown`] / [`LedgerError::Insufficient`] when
+    /// some agent cannot take its share.
+    pub fn try_reserve(&self, hold: &impl Reservation) -> Result<(), LedgerError> {
+        self.with_span(hold.agent_holds().map(|h| h.agent), |view| {
+            for h in hold.agent_holds() {
                 let entry = &view[h.agent.index()];
                 if !entry.is_up() {
                     return Err(LedgerError::AgentDown(h.agent));
@@ -495,46 +436,21 @@ impl CapacityLedger {
                     });
                 }
             }
-            for h in holds {
+            for h in hold.agent_holds() {
                 view[h.agent.index()].add(&h);
             }
             Ok(())
         })
     }
 
-    /// Debits `holds` with no capacity or availability check.
-    fn debit(&self, holds: impl Iterator<Item = AgentHold> + Clone) {
-        self.with_span(holds.clone().map(|h| h.agent), |view| {
-            for h in holds {
-                view[h.agent.index()].add(&h);
-            }
-        });
-    }
-
-    /// Credits `holds` back.
-    fn credit(&self, holds: impl Iterator<Item = AgentHold> + Clone) {
-        self.with_span(holds.clone().map(|h| h.agent), |view| {
-            for h in holds {
-                view[h.agent.index()].remove(&h);
-            }
-        });
-    }
-
-    /// Atomically reserves `hold`: either every agent in the hold has
-    /// room (and is up) and all of it is booked, or nothing is.
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::AgentDown`] / [`LedgerError::Insufficient`] when
-    /// some agent cannot take its share.
-    pub fn try_reserve(&self, hold: &impl Reservation) -> Result<(), LedgerError> {
-        self.debit_checked(hold.agent_holds())
-    }
-
     /// Releases `held` — what a departing or displaced session reserved;
     /// the fleet passes the load of the slot it removes.
     pub fn release(&self, held: &impl Reservation) {
-        self.credit(held.agent_holds());
+        self.with_span(held.agent_holds().map(|h| h.agent), |view| {
+            for h in held.agent_holds() {
+                view[h.agent.index()].remove(&h);
+            }
+        });
     }
 
     /// Atomically replaces the reservation `old` with `new` **iff**
@@ -597,17 +513,22 @@ impl CapacityLedger {
         }
     }
 
-    /// Books `load` *without* capacity or availability checks. Two
-    /// callers: an admission, whose engine already proved the placement
-    /// fits against this ledger's reserved totals under the exclusive
-    /// FREEZE lock (a second epsilon-sensitive check could only disagree
+    /// Books `load` *without* capacity or availability checks, in one
+    /// span whatever regions it touches. Two callers: an admission, live
+    /// or replayed, whose engine already proved the placement fits
+    /// against this ledger's reserved totals under the exclusive FREEZE
+    /// lock (a second epsilon-sensitive check could only disagree
     /// spuriously — the engine is the authority, the ledger mirrors it);
     /// and crash recovery booking each live slot's cold-evaluated load,
     /// which may legitimately overshoot (forced evacuations) and may sit
     /// on failed agents — validity is established afterwards by the
     /// recovery audit, not here.
     pub(crate) fn book_unchecked(&self, load: &impl Reservation) {
-        self.debit(load.agent_holds());
+        self.with_span(load.agent_holds().map(|h| h.agent), |view| {
+            for h in load.agent_holds() {
+                view[h.agent.index()].add(&h);
+            }
+        });
     }
 
     /// Marks an agent failed: new reservations touching it are refused.
@@ -736,120 +657,6 @@ impl CapacityLedger {
         totals
             .transcode
             .extend(entries.iter().map(AgentEntry::units));
-    }
-
-    // ---- Two-phase cross-region reservation -------------------------
-
-    /// Splits a reservation into per-region sub-holds, ascending by
-    /// region id. Agent order within each sub-hold follows the input.
-    pub fn split_by_region(&self, hold: &impl Reservation) -> Vec<(u32, SessionHold)> {
-        let entries = self.entries.read();
-        let mut parts: Vec<(u32, SessionHold)> = Vec::new();
-        for h in hold.agent_holds() {
-            let r = entries[h.agent.index()].region.load(Ordering::Relaxed);
-            match parts.iter_mut().find(|(reg, _)| *reg == r) {
-                Some((_, sub)) => sub.holds.push(h),
-                None => parts.push((r, SessionHold { holds: vec![h] })),
-            }
-        }
-        parts.sort_unstable_by_key(|(r, _)| *r);
-        parts
-    }
-
-    /// Whether the reservation's agents sit in two or more regions —
-    /// i.e. whether booking it must go through the two-phase protocol.
-    /// Answers what `split_by_region(hold).len() >= 2` answers without
-    /// building the split.
-    pub(crate) fn spans_regions(&self, hold: &impl Reservation) -> bool {
-        let entries = self.entries.read();
-        let mut regions = hold
-            .agent_holds()
-            .map(|h| entries[h.agent.index()].region.load(Ordering::Relaxed));
-        match regions.next() {
-            Some(first) => regions.any(|r| r != first),
-            None => false,
-        }
-    }
-
-    /// Phase 1, **checked**: debits every region's sub-hold, verifying
-    /// availability and capacity region by region, ascending. On any refusal,
-    /// every already-debited region is credited back before the typed
-    /// error returns — the ledger is bitwise back at its pre-prepare
-    /// residuals. On success the debits stand, pending
-    /// [`commit_prepared`](Self::commit_prepared) or
-    /// [`abort_prepared`](Self::abort_prepared).
-    ///
-    /// The fleet's admit path uses the unchecked twin
-    /// (`prepare_booked`) because the admission engine already proved
-    /// the fit; this checked form is the external/test entry point and
-    /// the one that exercises the abort path.
-    ///
-    /// # Errors
-    ///
-    /// [`CrossRegionError::Prepare`] naming the refusing region and the
-    /// underlying [`LedgerError`].
-    pub fn prepare_reserve(
-        &self,
-        hold: &impl Reservation,
-    ) -> Result<PreparedReserve, CrossRegionError> {
-        let parts = self.split_by_region(hold);
-        let mut prepared: Vec<(u32, SessionHold)> = Vec::with_capacity(parts.len());
-        for (region, sub) in parts {
-            if let Err(error) = self.debit_checked(sub.agent_holds()) {
-                for (_, done) in &prepared {
-                    self.credit(done.agent_holds());
-                }
-                self.cross_aborts.fetch_add(1, Ordering::Relaxed);
-                return Err(CrossRegionError::Prepare { region, error });
-            }
-            prepared.push((region, sub));
-        }
-        self.cross_prepares.fetch_add(1, Ordering::Relaxed);
-        Ok(PreparedReserve { prepared })
-    }
-
-    /// Phase 1, **unchecked**: debits every region's sub-hold without
-    /// re-checking capacity — the admit path's twin of
-    /// [`book_unchecked`](Self::book_unchecked). The admission engine
-    /// already proved the placement fits against this ledger's residuals
-    /// under the exclusive FREEZE lock; a second epsilon-sensitive check
-    /// here could only disagree spuriously.
-    pub(crate) fn prepare_booked(&self, hold: &impl Reservation) -> PreparedReserve {
-        let parts = self.split_by_region(hold);
-        for (_, sub) in &parts {
-            self.debit(sub.agent_holds());
-        }
-        self.cross_prepares.fetch_add(1, Ordering::Relaxed);
-        PreparedReserve { prepared: parts }
-    }
-
-    /// Phase 2, commit: the prepared debits stand. This is the commit
-    /// point — the fleet journals the admission only after this returns,
-    /// so a crash between prepare and commit replays to pre-admission
-    /// residuals in every region.
-    pub fn commit_prepared(&self, prepared: PreparedReserve) {
-        drop(prepared);
-        self.cross_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Phase 2, abort: credits every prepared sub-hold back. After this
-    /// the ledger is bitwise at its pre-prepare residuals in every
-    /// region (debit and credit use the same adds/removes in the same
-    /// per-agent order).
-    pub fn abort_prepared(&self, prepared: PreparedReserve) {
-        for (_, sub) in &prepared.prepared {
-            self.credit(sub.agent_holds());
-        }
-        self.cross_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(prepares, commits, aborts)` counters of the two-phase protocol.
-    pub fn cross_region_counters(&self) -> (u64, u64, u64) {
-        (
-            self.cross_prepares.load(Ordering::Relaxed),
-            self.cross_commits.load(Ordering::Relaxed),
-            self.cross_aborts.load(Ordering::Relaxed),
-        )
     }
 
     /// Per-region residual/reserved aggregates — the data behind the

@@ -45,41 +45,17 @@
 //! * [`orchestrator`] — the trace-driven [`Orchestrator`] consuming
 //!   `vc-workloads`' dynamic arrival/departure traces.
 //!
-//! # Cross-region admission: the two-phase reserve protocol
+//! # Regions
 //!
-//! Agents group into named **regions** (one ledger region per agent,
-//! default region `"default"`). A session whose placement spans two or
-//! more regions must reserve in all of them atomically — a crash
-//! between per-region debits must never leave one region charged and
-//! another not. The ledger runs a two-phase protocol over its existing
-//! all-or-nothing multi-shard reserve:
-//!
-//! 1. **Prepare** — [`CapacityLedger::prepare_reserve`] splits the
-//!    session's hold by region ([`CapacityLedger::split_by_region`])
-//!    and debits each region's agents in ascending region order. The
-//!    result is a [`PreparedReserve`]: capacity is debited, pending
-//!    the decision. If any region refuses, the already-debited regions
-//!    are credited back and the caller gets a typed
-//!    [`CrossRegionError::Prepare`] naming the refusing region —
-//!    residuals are bitwise what they were before the attempt.
-//! 2. **Commit** — [`CapacityLedger::commit_prepared`] is the point
-//!    where the prepared debits stand; there is nothing to install,
-//!    because the ledger keeps per-agent totals only and the admitted
-//!    session's slot (inserted by the fleet right after) is its record.
-//!    Departure releases that slot's load: exactly what was reserved.
-//! 3. **Abort** — [`CapacityLedger::abort_prepared`] credits every
-//!    debit back, leaving both regions at their pre-admission
-//!    residuals.
-//!
-//! **Who journals what**: the fleet journals `FleetOp::Admit` only
-//! *after* `commit_prepared` returns — the journal never records a
-//! prepared-but-uncommitted state, so replay either re-books the whole
-//! admission (`book_unchecked`, single- and cross-region alike) or
-//! none of it. A crash between prepare and commit reconstructs from
-//! the journal *without* the in-flight prepare; the debits existed
-//! only in volatile entry state, so recovery's from-scratch ledger is
-//! automatically at pre-admission residuals (the atomicity the chaos
-//! tests assert). Agent growth journals `FleetOp::RegisterAgent`
+//! Agents group into named **regions** (one per agent, default
+//! `"default"`), served per region on `/metrics`
+//! ([`CapacityLedger::region_residuals`]). A placement that spans
+//! regions books like any other, with no two-phase protocol: the
+//! ledger locks every shard a hold touches before it writes, so a
+//! spanning booking is all or nothing ([`CapacityLedger::try_reserve`]),
+//! and the fleet journals `FleetOp::Admit` only after booking, so a
+//! crash before the append recovers to pre-admission residuals in
+//! every region. Agent growth journals `FleetOp::RegisterAgent`
 //! (definition + region name), drains `FleetOp::DrainAgent`; the
 //! snapshot carries the interleaved session/agent growth log, the
 //! drained flags, and the region table (format v6).
@@ -144,8 +120,8 @@ pub use fleet::{
     PlacementPolicy,
 };
 pub use ledger::{
-    AgentHold, AgentUtilization, CapacityLedger, CrossRegionError, LedgerError, PreparedReserve,
-    RegionResiduals, Reservation, SessionHold, DEFAULT_REGION,
+    AgentHold, AgentUtilization, CapacityLedger, LedgerError, RegionResiduals, Reservation,
+    SessionHold, DEFAULT_REGION,
 };
 pub use orchestrator::{FleetReport, Orchestrator, OrchestratorConfig};
 pub use persist::{

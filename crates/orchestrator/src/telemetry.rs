@@ -38,28 +38,36 @@ pub fn fleet_metrics_text(fleet: &Fleet) -> String {
         text
     }
     type RegionGauge = fn(&RegionResiduals) -> String;
-    let families: [(&str, RegionGauge); 6] = [
+    let families: [(&str, RegionGauge); 7] = [
         ("agents", |r| r.agents.to_string()),
         ("available_agents", |r| r.available_agents.to_string()),
         ("residual_download_mbps", |r| prom(r.download_mbps)),
         ("residual_upload_mbps", |r| prom(r.upload_mbps)),
+        ("residual_transcode_units", |r| prom(r.transcode_units)),
         ("reserved_download_mbps", |r| prom(r.reserved_download_mbps)),
         ("reserved_upload_mbps", |r| prom(r.reserved_upload_mbps)),
     ];
     let regions = fleet.ledger().region_residuals();
+    // Region names come from outside (callers, journals, snapshots).
+    let labels: Vec<String> = regions.iter().map(|r| label_value(&r.name)).collect();
     for (family, value) in families {
         let _ = writeln!(out, "# TYPE vc_region_{family} gauge");
-        for r in &regions {
-            let (region, value) = (&r.name, value(r));
-            let _ = writeln!(out, "vc_region_{family}{{region=\"{region}\"}} {value}");
+        for (r, region) in regions.iter().zip(&labels) {
+            let _ = writeln!(
+                out,
+                "vc_region_{family}{{region=\"{region}\"}} {}",
+                value(r)
+            );
         }
     }
-    let (p, c, a) = fleet.ledger().cross_region_counters();
-    for (what, count) in [("prepares", p), ("commits", c), ("aborts", a)] {
-        let _ = writeln!(out, "# TYPE vc_region_cross_{what} counter");
-        let _ = writeln!(out, "vc_region_cross_{what} {count}");
-    }
     out
+}
+
+/// `raw` as a Prometheus label value: `\`, `"` and newline escaped.
+fn label_value(raw: &str) -> String {
+    raw.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Wakeup-scheduler gauges in Prometheus text exposition format —

@@ -543,6 +543,69 @@ fn register_session_validates_atomically() {
     assert!(f.audit().is_empty());
 }
 
+/// The region label of one `vc_region_<family>{region="…"} <value>`
+/// sample, unescaped; `None` unless the label closes the braces.
+fn region_label(line: &str) -> Option<String> {
+    let mut chars = line.split_once("{region=\"")?.1.chars();
+    let mut label = String::new();
+    loop {
+        match chars.next()? {
+            '"' => break,
+            '\\' => label.push(match chars.next()? {
+                'n' => '\n',
+                c => c,
+            }),
+            c => label.push(c),
+        }
+    }
+    (chars.next()? == '}').then_some(label)
+}
+
+/// A region name from outside cannot break the exposition format: every
+/// `vc_region_*` sample of a region named `we"st\` plus a newline parses
+/// back to that name, and the residual transcode units are served —
+/// `+Inf` for a region with an unlimited agent.
+#[test]
+fn region_names_are_escaped_on_metrics() {
+    let f = fleet(120.0, 6);
+    let name = "we\"st\\\n";
+    let late = |f: &Fleet, capacity| {
+        let (agents, (_, users)) = (f.num_agents(), f.universe_size());
+        vc_model::AgentDef {
+            spec: AgentSpec::builder(format!("late{agents}"))
+                .capacity(capacity)
+                .build(),
+            inter_agent_ms: (0..agents).map(|k| 30.0 + 4.0 * k as f64).collect(),
+            user_delays_ms: (0..users).map(|u| 9.0 + ((u * 11) % 17) as f64).collect(),
+        }
+    };
+    f.register_agent(&late(&f, Capacity::new(50.0, 50.0, 3)), name)
+        .unwrap();
+    f.register_agent(&late(&f, Capacity::UNLIMITED), "unlimited")
+        .unwrap();
+    let text = crate::telemetry::fleet_metrics_text(&f);
+    assert!(
+        text.lines()
+            .all(|l| l.starts_with("# TYPE ") || l.starts_with("vc_")),
+        "a region name broke a line:\n{text}"
+    );
+    let samples: Vec<(&str, String)> = (text.lines())
+        .filter(|l| l.starts_with("vc_region_"))
+        .map(|l| (l, region_label(l).expect("a well-formed region label")))
+        .collect();
+    assert_eq!(samples.len(), 7 * 3, "seven families over three regions");
+    assert_eq!(samples.iter().filter(|(_, r)| r == name).count(), 7);
+    let transcode = |region: &str| {
+        let (line, _) = (samples.iter())
+            .find(|(l, r)| l.starts_with("vc_region_residual_transcode_units{") && r == region)
+            .expect("one residual_transcode_units sample per region");
+        line.rsplit_once(' ').unwrap().1.to_string()
+    };
+    assert_eq!(transcode("default"), "18.000000");
+    assert_eq!(transcode(name), "3.000000");
+    assert_eq!(transcode("unlimited"), "+Inf");
+}
+
 /// The slot map's key set is the live set: a seeded admit / hop / fail
 /// / depart / re-admit churn and 1 000 online registrations leave a slot
 /// for every live session and for nothing else.

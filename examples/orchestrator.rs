@@ -169,7 +169,7 @@ fn comparison_demo(serve: Option<&str>) {
             assert!(metrics.contains("# TYPE vc_sched_depth gauge"));
             assert!(metrics.contains("vc_sched_depth{shard=\"0\"}"));
             assert!(metrics.contains("vc_region_agents{region=\"default\"}"));
-            assert!(metrics.contains("vc_region_cross_commits"));
+            assert!(metrics.contains("vc_region_residual_transcode_units{region=\"default\"}"));
             let (status, trace_json) = http_get(addr, "/trace").expect("GET /trace");
             assert_eq!(status, 200);
             assert!(trace_json.contains("\"traceEvents\""));

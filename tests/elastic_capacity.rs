@@ -1,5 +1,5 @@
-//! Elastic capacity: online agent join/drain, named regions, and the
-//! atomic cross-region admission protocol.
+//! Elastic capacity: online agent join/drain, named regions, and
+//! atomic admissions that span regions.
 //!
 //! The acceptance properties of the elastic-capacity refactor:
 //!
@@ -10,10 +10,9 @@
 //!   the full agent pool up front;
 //! * **drain semantics** — `drain_agent` refuses new holds first, then
 //!   evacuates; a drained agent never comes back via `restore_agent`;
-//! * **cross-region atomicity** — a refused or aborted two-phase
-//!   prepare leaves every region's residuals bitwise intact, and a
-//!   crash between prepare and commit recovers both regions at their
-//!   pre-admission residuals;
+//! * **cross-region atomicity** — a spanning reservation books like any
+//!   other: one that a region refuses leaves every region's residuals
+//!   bitwise intact;
 //! * **crash sweep** — the journal of a history containing
 //!   `RegisterAgent`/`DrainAgent`/cross-region admits is cut at every
 //!   byte offset and recovery comes back conservation-clean from each
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use vc_algo::markov::Alg1Config;
 use vc_model::ModelError;
 use vc_orchestrator::persist::FleetOp;
-use vc_orchestrator::{AgentHold, CapacityLedger, CrossRegionError, SessionHold, DEFAULT_REGION};
+use vc_orchestrator::{AgentHold, CapacityLedger, LedgerError, SessionHold, DEFAULT_REGION};
 
 fn store_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -230,10 +229,9 @@ proptest! {
 
     /// Grow-the-agent-pool-then-admit ≡ build-up-front, bitwise. Grown
     /// agents join alternating regions, so the open-world fleet's
-    /// spanning admissions route through the two-phase cross-region
-    /// protocol while the closed-world fleet books single-region — the
-    /// protocol must be unobservable in placements, holdings, counters
-    /// and Φ.
+    /// admissions span regions while the closed-world fleet's all sit
+    /// in one — regions must be unobservable in placements, holdings,
+    /// counters and Φ.
     #[test]
     fn grown_agent_pool_is_bitwise_identical_to_up_front_fleet(spec in spec_strategy()) {
         let full = full_instance(&spec);
@@ -328,10 +326,11 @@ fn drain_refuses_new_holds_then_evacuates() {
 
 // ------------------------------------------- cross-region atomicity
 
-/// Phase-1 refusal, explicit abort, and commit+release all leave the
-/// ledger bitwise at its pre-attempt residuals — in every region.
+/// A spanning reservation that one region refuses books nothing in any
+/// region, and a fitting one round-trips through reserve and release —
+/// bitwise, in every region.
 #[test]
-fn failed_prepare_leaves_both_regions_bitwise_intact() {
+fn a_refused_spanning_reserve_leaves_both_regions_bitwise_intact() {
     let problem = small_universe();
     let ledger = CapacityLedger::new(&problem, 2);
     let east = ledger.ensure_region("east");
@@ -351,17 +350,15 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         })
         .expect("fits");
     let before = residual_bits(&ledger, &problem);
-    let (p0, c0, a0) = ledger.cross_region_counters();
 
-    // Refusal: the default region debits first (ascending region
-    // order), then east refuses — its upload sub-hold exceeds the
-    // 40 Mbps capacity — and the default debit must roll back.
+    // Refusal: agent 1 (default) has room, agent 3 (east) does not —
+    // its upload exceeds the 40 Mbps capacity — so nothing is booked.
     let spanning_too_big = SessionHold {
         holds: vec![hold(1, 20.0, 20.0, 1), hold(3, 10.0, 90.0, 1)],
     };
-    match ledger.prepare_reserve(&spanning_too_big) {
-        Err(CrossRegionError::Prepare { region, .. }) => assert_eq!(region, east),
-        other => panic!("expected a typed Prepare refusal naming east, got {other:?}"),
+    match ledger.try_reserve(&spanning_too_big) {
+        Err(LedgerError::Insufficient { agent, .. }) => assert_eq!(agent, l3),
+        other => panic!("expected a refusal naming agent 3, got {other:?}"),
     }
     assert_eq!(
         residual_bits(&ledger, &problem),
@@ -369,80 +366,19 @@ fn failed_prepare_leaves_both_regions_bitwise_intact() {
         "refusal left a debit behind"
     );
 
-    // Prepare + abort: bitwise rollback, nothing ever held.
+    // Reserve + release of a fitting spanning hold: the debits stand,
+    // then releasing the hold undoes them.
     let ok = SessionHold {
         holds: vec![hold(1, 20.0, 20.0, 1), hold(3, 25.0, 25.0, 1)],
     };
-    let prepared = ledger.prepare_reserve(&ok).expect("fits");
-    assert_eq!(prepared.regions(), vec![0, east]);
-    ledger.abort_prepared(prepared);
-    assert_eq!(
-        residual_bits(&ledger, &problem),
-        before,
-        "abort left a debit behind"
-    );
-
-    // Prepare + commit: the debits stand; releasing the hold undoes them.
-    let prepared = ledger.prepare_reserve(&ok).expect("fits");
-    ledger.commit_prepared(prepared);
+    ledger.try_reserve(&ok).expect("fits");
     assert_ne!(
         residual_bits(&ledger, &problem),
         before,
-        "commit kept nothing"
+        "reserve kept nothing"
     );
     ledger.release(&ok);
     assert_eq!(residual_bits(&ledger, &problem), before);
-
-    let (p1, c1, a1) = ledger.cross_region_counters();
-    assert_eq!((p1 - p0, c1 - c0, a1 - a0), (2, 1, 2));
-}
-
-/// A crash with a cross-region reservation prepared but not committed
-/// recovers both regions at their pre-admission residuals: the journal
-/// records admissions only at the commit point, so the in-flight debit
-/// dies with the process.
-#[test]
-fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
-    let problem = small_universe();
-    let dir = store_dir("prepare-crash");
-    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
-        .expect("persistent fleet");
-    for i in 0..3usize {
-        let _ = fleet.admit(SessionId::from(i));
-    }
-    let l3 = fleet
-        .register_agent(
-            &late_agent("d", 3, 12, Capacity::new(60.0, 60.0, 4)),
-            "east",
-        )
-        .expect("registers");
-    assert_eq!(l3, AgentId::new(3));
-    let before = fleet.durable_state();
-    let before_bits = residual_bits(fleet.ledger(), &fleet.problem());
-
-    // An in-flight cross-region admission: phase 1 done, the fault
-    // lands before phase 2 ever runs.
-    let spanning = SessionHold {
-        holds: vec![hold(0, 4.0, 4.0, 0), hold(3, 4.0, 4.0, 0)],
-    };
-    let prepared = fleet.ledger().prepare_reserve(&spanning).expect("fits");
-    assert_ne!(
-        residual_bits(fleet.ledger(), &fleet.problem()),
-        before_bits,
-        "the prepare debit must be visible in-process"
-    );
-    std::mem::forget(prepared); // the crash outruns commit AND abort
-    drop(fleet);
-
-    let (recovered, _) =
-        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
-    assert_eq!(recovered.durable_state(), before);
-    assert_eq!(
-        residual_bits(recovered.ledger(), &recovered.problem()),
-        before_bits,
-        "recovery resurrected the uncommitted debit"
-    );
-    assert!(recovered.audit().is_empty());
 }
 
 // ------------------------------------------------- crash recovery
@@ -450,7 +386,7 @@ fn crash_between_prepare_and_commit_recovers_pre_admission_residuals() {
 /// The elastic seed: ONE default agent with bandwidth but **zero
 /// transcode slots**. Sessions that need a transcoding task must place
 /// it on a later-registered agent — with east and west each holding one
-/// agent, those admissions are forced through the cross-region 2PC.
+/// agent, those admissions are forced to span regions.
 fn tight_universe() -> Arc<UapProblem> {
     let ladder = ReprLadder::standard_four();
     let hi = ladder.highest();
@@ -579,11 +515,6 @@ fn elastic_crash_sweep_recovers_conserved() {
         .expect("persistent fleet");
     elastic_history(&fleet);
     let final_state = fleet.durable_state();
-    let final_commits = fleet.ledger().cross_region_counters().1;
-    assert!(
-        final_commits > 0,
-        "history contains no cross-region admission — the sweep would not exercise the 2PC path"
-    );
     drop(fleet);
 
     let snapshot_bytes =
@@ -600,7 +531,7 @@ fn elastic_crash_sweep_recovers_conserved() {
     );
 
     let work = store_dir("sweep-work");
-    let mut agent_counts = Vec::new();
+    let (mut agent_counts, mut spanning_cuts) = (Vec::new(), 0);
     for cut in 0..=journal_bytes.len() {
         let _ = std::fs::remove_dir_all(&work);
         std::fs::create_dir_all(&work).expect("work dir");
@@ -618,6 +549,7 @@ fn elastic_crash_sweep_recovers_conserved() {
             "conservation violated at byte offset {cut}"
         );
         agent_counts.push(recovered.num_agents());
+        spanning_cuts += usize::from(holds_a_spanning_session(&recovered));
         if cut == journal_bytes.len() {
             assert_eq!(recovered.durable_state(), final_state);
             assert!(recovered.is_agent_drained(AgentId::new(0)));
@@ -627,6 +559,24 @@ fn elastic_crash_sweep_recovers_conserved() {
     // first cut, 3 by the last.
     assert_eq!(*agent_counts.first().expect("sweep ran"), 1);
     assert_eq!(*agent_counts.last().expect("sweep ran"), 3);
+    // The drain leaves every session inside east or west, so the
+    // spanning admissions show only in the prefixes recovered before it.
+    assert!(
+        spanning_cuts > 0,
+        "no recovered prefix holds a spanning admission — the sweep never replayed one"
+    );
+}
+
+/// Whether some live session of `fleet` holds capacity in two regions.
+fn holds_a_spanning_session(fleet: &Fleet) -> bool {
+    fleet.live_sessions().into_iter().any(|s| {
+        let hold = fleet
+            .hold_of(s)
+            .expect("a live session holds its slot's load");
+        let mut regions = hold.holds.iter().map(|h| fleet.ledger().region_of(h.agent));
+        let first = regions.next();
+        regions.any(|r| Some(r) != first)
+    })
 }
 
 // ------------------------------------------------- typed errors
