@@ -46,7 +46,8 @@
 //!    ascending total-fallback-depth order (the Fig. 9 monotonicity: a
 //!    larger candidate set strictly enlarges the searched space);
 //! 2. **Repair** — oversized spaces fall back to a greedy pass with
-//!    violation-driven repair (bounded by `3·|U(s)| + |tasks|` moves);
+//!    violation-driven repair (bounded by `3·|U(s)| + |tasks|` moves,
+//!    and ended as soon as it returns to a placement it refused);
 //! 3. **RankedFallback** — the control plane's historical
 //!    walk-each-user-one-step-down-its-ranked-list search, retained as
 //!    the engine's final tier when repair fails.
@@ -57,9 +58,13 @@
 //! only the two vectors of the [`AdmissionDecision`] it returns:
 //!
 //! * **One ranking.** [`AdmissionEngine::place_session_with`] runs
-//!   AgRank's power iteration once per call
-//!   (`agrank::rank_agents_into`); the per-user candidate lists and
-//!   the task fallback order are both read off that one ranking.
+//!   AgRank once per call (`agrank::rank_agents_into`): about 28 rounds
+//!   of the power iteration at the default ε, each a row-by-row pass
+//!   over the `n×n` walk matrix that the compiler vectorizes. The
+//!   per-user candidate lists and the task fallback order are both read
+//!   off that one ranking; under the default live neighbourhood every
+//!   user's list is the same ranked list of all agents, so no user pays
+//!   a proximity sort.
 //! * **Lazy enumeration.** Tier 1 never materializes the combination
 //!   table. It walks user→candidate index vectors with an in-place
 //!   successor, in ascending total fallback depth and lexicographically
@@ -67,11 +72,20 @@
 //!   first feasible one — in the common case the very first, so an
 //!   uncontended join costs one last-mile check, one task placement and
 //!   one evaluation.
+//! * **No placement weighed twice.** The repair walk is a function of
+//!   its placement, so once it comes back to a placement it refused it
+//!   can only circle until its budget runs out. It keeps the placements
+//!   it refused (at most `3·|U(s)| + |T(s)| + 1`), stops at the first
+//!   repeat, and tier 3 refuses a trial equal to one of them without
+//!   evaluating it. Tier 1's combos and tier 3's trials are distinct by
+//!   construction, so [`AdmissionStats::candidates_evaluated`] counts
+//!   distinct placements.
 //! * **One scratch.** [`AdmissionScratch`] owns every per-admit buffer:
 //!   the ranking's vectors and walk matrix (`agrank::RankScratch`),
 //!   the candidate and fallback lists, the combination cursor, the
 //!   tentative last-mile and transcoding-unit accumulators, the
-//!   rule-of-thumb grouping keys, and the candidate placement itself.
+//!   rule-of-thumb grouping keys, the candidate placement itself and
+//!   the placements repair refused.
 //!   The fleet keeps one next to its [`EvalScratch`]; [`admit_all`]
 //!   keeps one for its loop.
 //!
@@ -135,7 +149,8 @@ pub struct AdmissionStats {
     pub tier: AdmissionTier,
     /// Violation-driven repair moves applied (tier 2 only).
     pub repair_steps: usize,
-    /// Fully-evaluated candidate placements (global checks run).
+    /// Candidate placements weighed (global checks run). The search
+    /// never weighs one placement twice, so these are distinct.
     pub candidates_evaluated: usize,
 }
 
@@ -243,6 +258,11 @@ struct PlacementScratch {
     /// Rule-of-thumb output and its grouping keys.
     preferred: Vec<(TaskId, AgentId)>,
     stream_keys: Vec<StreamKey>,
+    /// The placements the repair tier refused in this search, back to
+    /// back: the users' agents, then the tasks' agents. At most
+    /// `3·|U(s)| + |T(s)| + 1` of them (one per evaluation the repair
+    /// budget allows).
+    refused: Vec<AgentId>,
 }
 
 /// A full-session placement as an [`AssignmentView`]: every lookup must
@@ -359,12 +379,11 @@ impl AdmissionEngine {
             AdmissionPolicy::AgRank(config) => {
                 agrank::rank_agents_into(problem, s, residuals, config, rank);
                 fallback_order.extend(
-                    rank.candidates()
+                    rank.ranked()
                         .iter()
                         .copied()
                         .filter(|l| available[l.index()]),
                 );
-                fallback_order.sort_unstable_by(|a, b| rank.by_descending_score(*a, *b));
                 (rank.user_candidates(), rank.per_user())
             }
         };
@@ -395,6 +414,15 @@ impl AdmissionEngine {
         // Tier 2: greedy user placement with tentative last-mile
         // accounting, then violation-driven repair.
         placement.reset_last_mile(inst.num_agents());
+        // The walk refuses at most one placement per evaluation its
+        // budget allows. Reserving that bound up front grows the memo
+        // at most once per larger session, never step by step.
+        let num_tasks = problem.tasks().of_session(s).len();
+        let repair_budget = 3 * users.len() + num_tasks;
+        placement.refused.clear();
+        placement
+            .refused
+            .reserve((repair_budget + 1) * (users.len() + num_tasks));
         placement.users.clear();
         let mut greedy_fit = true;
         for (k, &u) in users.iter().enumerate() {
@@ -425,7 +453,6 @@ impl AdmissionEngine {
                 // Violation-driven repair: walk offenders down their
                 // candidate lists (Nrst has no alternatives and fails
                 // immediately — it is resource-oblivious by definition).
-                let repair_budget = 3 * users.len() + placement.tasks.len();
                 let mut steps = 0usize;
                 loop {
                     candidates_evaluated += 1;
@@ -438,7 +465,13 @@ impl AdmissionEngine {
                             ));
                         }
                         Some(violation) => {
-                            if steps >= repair_budget || !placement.repair_step(&search, violation)
+                            placement.refuse();
+                            // The walk is a function of the placement: back
+                            // at one it refused, it can only circle until
+                            // the budget runs out.
+                            if steps >= repair_budget
+                                || !placement.repair_step(&search, violation)
+                                || placement.was_refused()
                             {
                                 break;
                             }
@@ -468,9 +501,12 @@ impl AdmissionEngine {
                 }
                 return false;
             }
-            candidates_evaluated += 1;
-            if placement.check_full(&search, eval).is_none() {
-                return true;
+            // A placement repair refused would be refused again.
+            if !placement.was_refused() {
+                candidates_evaluated += 1;
+                if placement.check_full(&search, eval).is_none() {
+                    return true;
+                }
             }
             furthest = AdmissionFailure::GlobalCheck;
             false
@@ -511,6 +547,25 @@ impl PlacementScratch {
                 candidates_evaluated,
             },
         }
+    }
+
+    /// Records the candidate placement as refused (see `refused`).
+    fn refuse(&mut self) {
+        self.refused.extend(self.users.iter().map(|&(_, l)| l));
+        self.refused.extend(self.tasks.iter().map(|&(_, l)| l));
+    }
+
+    /// Whether the candidate placement is one the repair tier refused in
+    /// this search. Every placement of a session places all its users
+    /// and tasks in the same order, so the agents alone identify it; a
+    /// session has at least one user, so a record is never empty.
+    fn was_refused(&self) -> bool {
+        let placed = self.users.len() + self.tasks.len();
+        self.refused.chunks_exact(placed).any(|record| {
+            let (users, tasks) = record.split_at(self.users.len());
+            users.iter().eq(self.users.iter().map(|(_, l)| l))
+                && tasks.iter().eq(self.tasks.iter().map(|(_, l)| l))
+        })
     }
 
     /// Zeroes the tentative last-mile accumulators over `num_agents`.
@@ -1017,6 +1072,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Five agents A–E, 20 ms apart, so AgRank's walk is uniform and the
+    /// rank follows the residuals the test passes: A, C, B, D, E. The
+    /// nearest three to u0 are A, B, C and to u1 B, D, E. Both users send
+    /// and watch 720p (5 Mbps, no transcoding), so every agent a
+    /// placement touches uploads 10 Mbps.
+    fn repair_cycle_problem() -> UapProblem {
+        let ladder = vc_model::ReprLadder::standard_four();
+        let r720 = ladder.by_name("720p").unwrap().id();
+        let mut b = vc_model::InstanceBuilder::new(ladder);
+        for name in ["a", "b", "c", "d", "e"] {
+            b.add_agent(vc_model::AgentSpec::builder(name).build());
+        }
+        let s = b.add_session();
+        b.add_user(s, r720, r720);
+        b.add_user(s, r720, r720);
+        let near = [[5.0, 10.0, 8.0, 30.0, 30.0], [30.0, 5.0, 30.0, 8.0, 10.0]];
+        b.symmetric_delays(|_, _| 20.0, |l, u| near[u][l]);
+        UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default())
+    }
+
+    #[test]
+    fn repair_stops_at_a_refused_placement_and_tier_3_skips_what_it_refused() {
+        let p = repair_cycle_problem();
+        let s = SessionId::new(0);
+        let (u0, u1) = (UserId::new(0), UserId::new(1));
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(AgentId::new);
+        // A and C carry a user's 5 Mbps last mile but not the 10 Mbps a
+        // touched agent uploads; B carries both users.
+        let inf = f64::INFINITY;
+        let residuals = Residuals {
+            upload: vec![7.5, 50.0, 7.5, 0.0, 0.0],
+            download: vec![inf, 10.0, inf, 100.0, 0.0],
+            transcode: vec![inf, 0.0, 0.0, 0.0, 0.0],
+        };
+        let config = AgRankConfig::paper(3);
+        let ranking = agrank::rank_agents(&p, s, &residuals, &config);
+        assert_eq!(ranking.candidates_of(u0), [a, c, b]);
+        assert_eq!(ranking.candidates_of(u1), [b, d, e]);
+
+        // Greedy places (A, B). Repair moves u0 off A to C on upload,
+        // then off C back to A: (A, B) again, where the walk can only
+        // circle. Tier 3 tries the first choices (A, B), then u0 on C
+        // and on B, and admits (B, B).
+        let engine = AdmissionEngine::new(AdmissionConfig { combo_cap: 0 });
+        let decision = engine
+            .place_session(
+                &p,
+                s,
+                &AdmissionPolicy::AgRank(config),
+                &residuals,
+                &[true; 5],
+                &mut EvalScratch::new(),
+            )
+            .expect("tier 3 admits the session on B");
+        // A search that re-weighs refused placements makes this same
+        // decision after 10 evaluations: seven in repair (its budget of
+        // 3·2 + 0 moves, plus one), then (A, B), (C, B) and (B, B).
+        assert_eq!(decision.users, [(u0, b), (u1, b)]);
+        assert!(decision.tasks.is_empty());
+        assert_eq!(decision.stats.tier, AdmissionTier::RankedFallback);
+        assert_eq!(decision.stats.repair_steps, 0);
+        // Each distinct placement once: (A, B), (C, B), (B, B).
+        assert_eq!(decision.stats.candidates_evaluated, 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! highest-ranked agent among its own `N(u)`; transcoding tasks follow
 //! the rule of thumb of [`crate::placement`].
 //!
-//! ## Interpretation notes (see DESIGN.md)
+//! ## Interpretation notes
 //!
 //! The paper's pseudocode iterates `πᵀ[t+1] = πᵀ[t]·D̂` from the
 //! residual-quadruple initialization. A pure power iteration converges to
@@ -230,24 +230,28 @@ pub(crate) struct RankScratch {
     /// `π_l` indexed by agent id (0 for non-candidates): what the sort
     /// comparators read.
     score_by_agent: Vec<f64>,
+    /// `N(s)` by descending score.
+    ranked: Vec<AgentId>,
     /// `N(u)` of every session user back to back, `per_user` each, best
     /// rank first.
     user_candidates: Vec<AgentId>,
     per_user: usize,
     iterations: usize,
-    /// Candidate membership by agent id while `N(s)` is collected.
+    /// Candidate membership by agent id while `N(s)` is collected, and
+    /// one user's agents by proximity (both only when `n_ngbr < L`).
     member: Vec<bool>,
     proximity: Vec<AgentId>,
     pi0: Vec<f64>,
     next: Vec<f64>,
-    /// The row-normalized `n×n` walk matrix `D̂`.
+    /// The row-normalized `n×n` walk matrix `D̂`, row-major.
     walk: Vec<f64>,
 }
 
 impl RankScratch {
-    /// `N(s)`: the ranked session's potential agents, ascending by id.
-    pub(crate) fn candidates(&self) -> &[AgentId] {
-        &self.candidates
+    /// `N(s)` in the ranking's order: higher score first, lower id on
+    /// equal scores.
+    pub(crate) fn ranked(&self) -> &[AgentId] {
+        &self.ranked
     }
 
     /// `N(u)` of every session user back to back (session order),
@@ -260,12 +264,6 @@ impl RankScratch {
     pub(crate) fn per_user(&self) -> usize {
         self.per_user
     }
-
-    /// The ranking's order over agents: higher score first, lower id on
-    /// equal scores (non-candidates score 0).
-    pub(crate) fn by_descending_score(&self, a: AgentId, b: AgentId) -> std::cmp::Ordering {
-        descending_score(&self.score_by_agent, a, b)
-    }
 }
 
 /// Ranks the potential agents of session `s` (Lines 1–14 of Alg. 2).
@@ -273,9 +271,13 @@ impl RankScratch {
 /// scratch, once per `place_session`.
 ///
 /// Cost with `n = |N(s)|` candidates out of `L` agents and `m` users:
-/// `O(m·L log L)` for the proximity lists, `O(n²)` for the walk matrix,
-/// `O(n²)` per power-iteration round (`O(−log ε)` rounds), and
-/// `O(m·n log n)` to order the per-user lists. Every ordering here is a
+/// `O(n²)` for the walk matrix, `O(n²)` per power-iteration round
+/// (`O(−log ε)` rounds; each round is a row-by-row `axpy` the compiler
+/// vectorizes), and `O(n log n)` to rank `N(s)`. A neighbourhood that
+/// holds every agent (`n_ngbr ≥ L`, the [`AgRankConfig::live`] default)
+/// needs no proximity order, and each `N(u)` is a copy of the ranked
+/// `N(s)`; only `n_ngbr < L` pays `O(m·L log L)` for the proximity
+/// lists and `O(m·n log n)` to order them. Every ordering here is a
 /// total order over distinct agents (ties broken by id) and every
 /// floating-point sum keeps one fixed association, so the result is a
 /// function of `(problem, s, residuals, config)` alone — which the
@@ -315,26 +317,33 @@ pub(crate) fn rank_agents_into(
     let session = inst.session(s);
     let nl = inst.num_agents();
     let n_ngbr = config.n_ngbr.min(nl).max(1);
+    // When N(u) holds every agent, proximity decides nothing: N(s) is
+    // all agents, and every N(u) is the same list in rank order.
+    let everyone = n_ngbr == nl;
 
     // N(u): top n_ngbr nearest agents per user; N(s): their union.
     scratch.per_user = n_ngbr;
     scratch.user_candidates.clear();
-    scratch.member.clear();
-    scratch.member.resize(nl, false);
-    for &u in session.users() {
-        inst.delays()
-            .agents_by_proximity_into(u, &mut scratch.proximity);
-        for &l in &scratch.proximity[..n_ngbr] {
-            scratch.member[l.index()] = true;
+    scratch.candidates.clear();
+    if everyone {
+        scratch.candidates.extend((0..nl).map(AgentId::from));
+    } else {
+        scratch.member.clear();
+        scratch.member.resize(nl, false);
+        for &u in session.users() {
+            inst.delays()
+                .agents_by_proximity_into(u, &mut scratch.proximity);
+            for &l in &scratch.proximity[..n_ngbr] {
+                scratch.member[l.index()] = true;
+            }
+            scratch
+                .user_candidates
+                .extend_from_slice(&scratch.proximity[..n_ngbr]);
         }
         scratch
-            .user_candidates
-            .extend_from_slice(&scratch.proximity[..n_ngbr]);
+            .candidates
+            .extend((0..nl).filter(|&i| scratch.member[i]).map(AgentId::from));
     }
-    scratch.candidates.clear();
-    scratch
-        .candidates
-        .extend((0..nl).filter(|&i| scratch.member[i]).map(AgentId::from));
     let candidates = &scratch.candidates;
     let n = candidates.len();
 
@@ -382,16 +391,33 @@ pub(crate) fn rank_agents_into(
         power_iterate(inst, config, scratch);
     }
 
-    // Order each user's candidates by descending rank (ties: lower id
-    // first) — a total order, so the unstable sort is deterministic.
-    scratch.score_by_agent.clear();
-    scratch.score_by_agent.resize(nl, 0.0);
-    for (l, &score) in scratch.candidates.iter().zip(&scratch.scores) {
-        scratch.score_by_agent[l.index()] = score;
+    // Order N(s) and each user's candidates by descending rank (ties:
+    // lower id first) — a total order, so the unstable sort is
+    // deterministic.
+    let RankScratch {
+        candidates,
+        scores,
+        score_by_agent,
+        ranked,
+        user_candidates,
+        ..
+    } = scratch;
+    score_by_agent.clear();
+    score_by_agent.resize(nl, 0.0);
+    for (l, &score) in candidates.iter().zip(scores.iter()) {
+        score_by_agent[l.index()] = score;
     }
-    let score = &scratch.score_by_agent;
-    for near in scratch.user_candidates.chunks_mut(n_ngbr) {
-        near.sort_unstable_by(|a, b| descending_score(score, *a, *b));
+    ranked.clear();
+    ranked.extend_from_slice(candidates);
+    ranked.sort_unstable_by(|a, b| descending_score(score_by_agent, *a, *b));
+    if everyone {
+        for _ in session.users() {
+            user_candidates.extend_from_slice(ranked);
+        }
+    } else {
+        for near in user_candidates.chunks_mut(n_ngbr) {
+            near.sort_unstable_by(|a, b| descending_score(score_by_agent, *a, *b));
+        }
     }
 }
 
@@ -404,9 +430,14 @@ fn descending_score(score: &[f64], a: AgentId, b: AgentId) -> std::cmp::Ordering
 }
 
 /// The damped random walk over the normalized delay matrix, from
-/// `scratch.pi0` over `scratch.candidates` into `scratch.scores`. The
-/// walk matrix and the two iterate vectors live in the scratch; a round
-/// writes `next` from `scores` and swaps them.
+/// `scratch.pi0` over `scratch.candidates` (at least two) into
+/// `scratch.scores`. The walk matrix and the two iterate vectors live in
+/// the scratch; a round writes `next` from `scores` and swaps them.
+///
+/// A round adds `π_i · D̂_i` into `next` one row at a time, `i`
+/// ascending: each element takes one multiply and one add per row in
+/// that fixed order, so the iterate's bits do not depend on how the
+/// compiler vectorizes the row.
 fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut RankScratch) {
     let RankScratch {
         candidates,
@@ -433,24 +464,23 @@ fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut
     }
     w.clear();
     w.resize(n * n, 0.0);
-    for i in 0..n {
+    for (row, &l) in w.chunks_exact_mut(n).zip(candidates.iter()) {
         let mut row_sum = 0.0;
-        for j in 0..n {
-            let affinity = if i == j {
+        for (x, &k) in row.iter_mut().zip(candidates.iter()) {
+            *x = if l == k {
                 1.0
             } else {
-                let d = inst.d_ms(candidates[i], candidates[j]);
+                let d = inst.d_ms(l, k);
                 if d > 0.0 {
                     min_pos / d
                 } else {
                     1.0
                 }
             };
-            w[i * n + j] = affinity;
-            row_sum += affinity;
+            row_sum += *x;
         }
-        for j in 0..n {
-            w[i * n + j] /= row_sum;
+        for x in row.iter_mut() {
+            *x /= row_sum;
         }
     }
 
@@ -463,13 +493,13 @@ fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut
     for _ in 0..config.max_iters {
         *iterations += 1;
         next.fill(0.0);
-        for i in 0..n {
-            for j in 0..n {
-                next[j] += pi[i] * w[i * n + j];
+        for (&p, row) in pi.iter().zip(w.chunks_exact(n)) {
+            for (x, &wij) in next.iter_mut().zip(row) {
+                *x += p * wij;
             }
         }
-        for j in 0..n {
-            next[j] = alpha * next[j] + (1.0 - alpha) * pi0[j];
+        for (x, &p0) in next.iter_mut().zip(pi0.iter()) {
+            *x = alpha * *x + (1.0 - alpha) * p0;
         }
         // Renormalize (guards drift; walk is stochastic so sum is ~1).
         let z: f64 = next.iter().sum();
@@ -542,6 +572,286 @@ mod tests {
     use super::*;
     use crate::nearest::nearest_assignment;
     use crate::test_fixtures::fig2_like_problem;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use vc_cost::CostModel;
+    use vc_model::{AgentDef, AgentSpec, Instance, InstanceBuilder, ReprLadder};
+
+    /// What [`rank_reference`] computes: the ranking plus the order the
+    /// admission search falls back through (`N(s)` by descending score).
+    struct Reference {
+        candidates: Vec<AgentId>,
+        scores: Vec<f64>,
+        iterations: usize,
+        per_user: usize,
+        user_candidates: Vec<AgentId>,
+        fallback: Vec<AgentId>,
+    }
+
+    /// The ranking written the plain way: every user's `N(u)` from its
+    /// own proximity sort, whatever `n_ngbr` is, index loops over the
+    /// walk matrix, and the fallback order sorted on its own.
+    /// `rank_agents_into` must reproduce it bit for bit.
+    fn rank_reference(
+        problem: &UapProblem,
+        s: SessionId,
+        residuals: &Residuals,
+        config: &AgRankConfig,
+    ) -> Reference {
+        let inst = problem.instance();
+        let nl = inst.num_agents();
+        let n_ngbr = config.n_ngbr.min(nl).max(1);
+        let mut member = vec![false; nl];
+        let mut user_candidates = Vec::new();
+        for &u in inst.session(s).users() {
+            let proximity = inst.delays().agents_by_proximity(u);
+            for &l in &proximity[..n_ngbr] {
+                member[l.index()] = true;
+            }
+            user_candidates.extend_from_slice(&proximity[..n_ngbr]);
+        }
+        let candidates: Vec<AgentId> = (0..nl).filter(|&i| member[i]).map(AgentId::from).collect();
+        let n = candidates.len();
+
+        let mut pi0 = vec![0.0; n];
+        let component = |f: fn(&Residuals, usize) -> f64| {
+            candidates.iter().map(move |l| f(residuals, l.index()))
+        };
+        add_normalized(&mut pi0, component(|r, i| r.upload[i]), true);
+        add_normalized(&mut pi0, component(|r, i| r.download[i]), false);
+        add_normalized(&mut pi0, component(|r, i| r.transcode[i]), false);
+        add_normalized(
+            &mut pi0,
+            candidates
+                .iter()
+                .map(|l| 1.0 / inst.agent(*l).speed_factor()),
+            false,
+        );
+        let z: f64 = pi0.iter().sum();
+        if z > 0.0 {
+            for x in pi0.iter_mut() {
+                *x /= z;
+            }
+        } else {
+            pi0.fill(1.0 / n as f64);
+        }
+
+        let (scores, iterations) = if n == 1 {
+            (vec![1.0], 0)
+        } else {
+            power_iterate_reference(inst, config, &candidates, &pi0)
+        };
+
+        let mut score = vec![0.0; nl];
+        for (l, &x) in candidates.iter().zip(&scores) {
+            score[l.index()] = x;
+        }
+        for near in user_candidates.chunks_mut(n_ngbr) {
+            near.sort_unstable_by(|a, b| descending_score(&score, *a, *b));
+        }
+        let mut fallback = candidates.clone();
+        fallback.sort_unstable_by(|a, b| descending_score(&score, *a, *b));
+        Reference {
+            candidates,
+            scores,
+            iterations,
+            per_user: n_ngbr,
+            user_candidates,
+            fallback,
+        }
+    }
+
+    /// The index-loop power iteration `rank_reference` runs.
+    fn power_iterate_reference(
+        inst: &Instance,
+        config: &AgRankConfig,
+        candidates: &[AgentId],
+        pi0: &[f64],
+    ) -> (Vec<f64>, usize) {
+        let n = candidates.len();
+        let mut min_pos = f64::INFINITY;
+        for (i, &l) in candidates.iter().enumerate() {
+            for &k in &candidates[i + 1..] {
+                let d = inst.d_ms(l, k);
+                if d > 0.0 {
+                    min_pos = min_pos.min(d);
+                }
+            }
+        }
+        if !min_pos.is_finite() {
+            min_pos = 1.0;
+        }
+        let mut w = vec![0.0; n * n];
+        for i in 0..n {
+            let mut row_sum = 0.0;
+            for j in 0..n {
+                let affinity = if i == j {
+                    1.0
+                } else {
+                    let d = inst.d_ms(candidates[i], candidates[j]);
+                    if d > 0.0 {
+                        min_pos / d
+                    } else {
+                        1.0
+                    }
+                };
+                w[i * n + j] = affinity;
+                row_sum += affinity;
+            }
+            for j in 0..n {
+                w[i * n + j] /= row_sum;
+            }
+        }
+
+        let alpha = config.damping;
+        let mut pi = pi0.to_vec();
+        let mut next = vec![0.0; n];
+        let mut iterations = 0;
+        for _ in 0..config.max_iters {
+            iterations += 1;
+            next.fill(0.0);
+            for i in 0..n {
+                for j in 0..n {
+                    next[j] += pi[i] * w[i * n + j];
+                }
+            }
+            for j in 0..n {
+                next[j] = alpha * next[j] + (1.0 - alpha) * pi0[j];
+            }
+            let z: f64 = next.iter().sum();
+            for x in next.iter_mut() {
+                *x /= z;
+            }
+            let delta: f64 = pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut pi, &mut next);
+            if delta < config.epsilon {
+                break;
+            }
+        }
+        (pi, iterations)
+    }
+
+    /// A delay drawn from a few values, zero included, so that
+    /// proximity and affinity ties are common.
+    fn delay(rng: &mut StdRng) -> f64 {
+        [0.0, 5.0, 5.0, 12.5, 40.0][rng.gen_range(0..5usize)]
+    }
+
+    fn speed(rng: &mut StdRng) -> f64 {
+        [1.0, 1.0, 1.5, 2.0][rng.gen_range(0..4usize)]
+    }
+
+    /// `agents` agents and 1–3 sessions of 1–6 users (720p or 360p up
+    /// and down, so some sessions transcode).
+    fn random_instance(rng: &mut StdRng, agents: usize) -> Instance {
+        let ladder = ReprLadder::standard_four();
+        let reprs = [
+            ladder.by_name("720p").unwrap().id(),
+            ladder.by_name("360p").unwrap().id(),
+        ];
+        let mut b = InstanceBuilder::new(ladder);
+        for i in 0..agents {
+            b.add_agent(
+                AgentSpec::builder(format!("a{i}"))
+                    .speed_factor(speed(rng))
+                    .build(),
+            );
+        }
+        let mut users = 0;
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let s = b.add_session();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                b.add_user(
+                    s,
+                    reprs[rng.gen_range(0..2usize)],
+                    reprs[rng.gen_range(0..2usize)],
+                );
+                users += 1;
+            }
+        }
+        let mut inter = vec![0.0; agents * agents];
+        for l in 0..agents {
+            for k in l + 1..agents {
+                let d = delay(rng);
+                inter[l * agents + k] = d;
+                inter[k * agents + l] = d;
+            }
+        }
+        let near: Vec<f64> = (0..agents * users).map(|_| delay(rng)).collect();
+        b.symmetric_delays(|l, k| inter[l * agents + k], |l, u| near[l * users + u]);
+        b.build().unwrap()
+    }
+
+    /// Residuals with zeros, infinities and ties.
+    fn random_residuals(rng: &mut StdRng, agents: usize) -> Residuals {
+        let mut draw = || {
+            (0..agents)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    2 => 7.5,
+                    _ => rng.gen_range(0.0..100.0),
+                })
+                .collect()
+        };
+        Residuals {
+            upload: draw(),
+            download: draw(),
+            transcode: draw(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every session of a random instance ranked under `n_ngbr` ∈
+        /// {1, 2, L − 1, L, live} and three dampings, then again after
+        /// the instance grows by 1–3 agents online, all through one
+        /// reused scratch: candidates, score bits, round counts, per-user
+        /// lists and the fallback order equal the reference's.
+        #[test]
+        fn ranking_matches_the_reference_bit_for_bit(
+            agents in 2usize..=13,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut inst = random_instance(&mut rng, agents);
+            let mut scratch = RankScratch::default();
+            for grown in [false, true] {
+                if grown {
+                    for i in 0..rng.gen_range(1..=3usize) {
+                        let def = AgentDef {
+                            spec: AgentSpec::builder(format!("g{i}"))
+                                .speed_factor(speed(&mut rng))
+                                .build(),
+                            inter_agent_ms: (0..inst.num_agents()).map(|_| delay(&mut rng)).collect(),
+                            user_delays_ms: (0..inst.num_users()).map(|_| delay(&mut rng)).collect(),
+                        };
+                        inst.register_agent(&def).unwrap();
+                    }
+                }
+                let nl = inst.num_agents();
+                let p = UapProblem::new(inst.clone(), CostModel::paper_default());
+                let residuals = random_residuals(&mut rng, nl);
+                for n_ngbr in [1, 2, nl - 1, nl, usize::MAX] {
+                    for damping in [0.85, 1.0, 0.5] {
+                        let config = AgRankConfig { damping, ..AgRankConfig::paper(n_ngbr) };
+                        for s in p.instance().session_ids() {
+                            rank_agents_into(&p, s, &residuals, &config, &mut scratch);
+                            let want = rank_reference(&p, s, &residuals, &config);
+                            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            prop_assert_eq!(&scratch.candidates, &want.candidates);
+                            prop_assert_eq!(bits(&scratch.scores), bits(&want.scores));
+                            prop_assert_eq!(scratch.iterations, want.iterations);
+                            prop_assert_eq!(scratch.per_user, want.per_user);
+                            prop_assert_eq!(&scratch.user_candidates, &want.user_candidates);
+                            prop_assert_eq!(&scratch.ranked, &want.fallback);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn nngbr_one_reproduces_nearest_assignment() {

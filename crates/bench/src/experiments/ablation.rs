@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of three design choices where the paper leaves room (the
+//! damping one is argued in `vc_algo::agrank`'s interpretation notes):
 //!
 //! 1. **Transcoding placement rule** — the Sec. IV-B rule of thumb vs
 //!    always-source vs always-destination (initial assignment quality);

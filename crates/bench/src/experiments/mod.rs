@@ -1,4 +1,6 @@
-//! One module per paper table/figure (see DESIGN.md's experiment index).
+//! One module per paper table/figure. The `experiments` binary lists
+//! the ids that run them; README's "Who measures what" says what each
+//! one establishes.
 
 pub mod ablation;
 pub mod admission_parity;

@@ -1,5 +1,6 @@
 //! The paper's headline claims, asserted as integration tests
-//! (shape-level: who wins and in which direction, per DESIGN.md).
+//! (shape-level: who wins and in which direction, not the absolute
+//! numbers, which depend on the paper's measured testbed).
 
 use cloud_vc::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
