@@ -41,10 +41,12 @@
 //! global sequence counter; a hop appends while still holding its slot
 //! lock, so per-session journal order equals per-session commit order,
 //! and ops of different sessions commute under replay (state-exactly
-//! for slots, which are the holds; evacuation feasibility deliberately
-//! checks against totals summed from slot loads, not the ledger's commit-order
-//! float sums, so `FailAgent` re-derivation is order-independent too) —
-//! recovery semantics are untouched.
+//! for slots, which are the holds; replay installs every journaled
+//! decision, evacuations included, and searches nothing; a live
+//! evacuation checks feasibility against totals summed from slot loads,
+//! not the ledger's commit-order float sums, so a recovered fleet's
+//! next evacuation picks what its uncrashed twin picks) — recovery
+//! semantics are untouched.
 //!
 //! ## A hop is a sweep and a draw
 //!
@@ -100,11 +102,12 @@
 //! defines no capacity predicate of its own.
 
 use crate::ledger::{CapacityLedger, SessionHold};
-use crate::persist::{FleetOp, RefusalReason};
+use crate::persist::{EvacStep, FleetOp, RefusalReason};
 use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -1011,14 +1014,15 @@ impl Fleet {
     /// (force-moved to the least-bad one when nothing is feasible).
     /// Returns `(moves, forced)` — `(0, 0)`, changing and journaling
     /// nothing, for an id past the pool. Coarse path: takes the FREEZE
-    /// write lock, so the evacuation is deterministic — replay re-runs
-    /// it. The exclusive hold costs one pass over the live sessions
-    /// plus O(stranded × agents) hop candidates (see
+    /// write lock, so the evacuation sees a quiescent fleet; its
+    /// journal record carries every step it took, and replay installs
+    /// them without searching. The exclusive hold costs one pass over
+    /// the live sessions plus O(stranded × agents) hop candidates (see
     /// `evacuate_locked`): proportional to the load the agent carried
     /// — fleetbench's traced `storm_recover` reads it as
     /// `fleet.fail_agent.{p50_ms, max_ms}`.
     pub fn fail_agent(&self, agent: AgentId) -> (usize, usize) {
-        self.down_agent_inner(agent, true, false)
+        self.down_agent_inner(agent, false)
     }
 
     /// Drains `agent`: a *planned* evacuation. The ledger refuses new
@@ -1028,86 +1032,54 @@ impl Fleet {
     /// [`restore_agent`](Self::restore_agent) refuses it. Returns
     /// `(moves, forced)`. Coarse path: takes the FREEZE write lock.
     pub fn drain_agent(&self, agent: AgentId) -> (usize, usize) {
-        self.down_agent_inner(agent, true, true)
+        self.down_agent_inner(agent, true)
     }
 
-    /// The shared fail/drain path — what [`fail_agent`](Self::fail_agent)
-    /// and [`drain_agent`](Self::drain_agent) run and what `FailAgent` /
-    /// `DrainAgent` replay re-runs — with the re-admission enqueue split
-    /// out: the evacuation (including whole-session displacement when
-    /// the queue is enabled) is deterministic state change that journal
-    /// replay re-derives by re-running it, but the *enqueue* of each
-    /// displaced session rides the journal as an explicit
-    /// `ReadmitEnqueue` record — so replay passes `enqueue_displaced:
-    /// false` here and installs the queue from the records instead.
-    /// `drain` marks the agent permanently out (refuse-then-evacuate:
-    /// the ledger availability flips before any session moves, so no
-    /// concurrent path can book onto the leaving agent).
-    pub(crate) fn down_agent_inner(
-        &self,
-        agent: AgentId,
-        enqueue_displaced: bool,
-        drain: bool,
-    ) -> (usize, usize) {
-        let mut evacuated = Vec::new();
-        let mut displaced = Vec::new();
+    /// The shared fail/drain path of [`fail_agent`](Self::fail_agent)
+    /// and [`drain_agent`](Self::drain_agent) — live only: the agent
+    /// goes down ([`take_agent_down`](Self::take_agent_down)), its load
+    /// is evacuated, and one `FailAgent` / `DrainAgent` record journals
+    /// the evacuation's steps, followed by a `ReadmitEnqueue` (or
+    /// `ReadmitDrop`) record per displaced session. Replay installs
+    /// those records; it never comes here.
+    fn down_agent_inner(&self, agent: AgentId, drain: bool) -> (usize, usize) {
         let mut u = self.freeze_exclusive();
         // An id past the pool (a trace cut for a larger universe) names
         // no agent: answered like a session op on an unknown id.
         if agent.index() >= u.available.len() {
             return (0, 0);
         }
-        u.available[agent.index()] = false;
-        if drain {
-            u.drained[agent.index()] = true;
-        }
-        self.ledger.fail_agent(agent);
-        let (moves, forced) = self.evacuate_locked(&mut u, agent, &mut evacuated, &mut displaced);
-        self.counters
-            .evacuations
-            .fetch_add(moves, Ordering::Relaxed);
-        self.counters
-            .forced_moves
-            .fetch_add(forced, Ordering::Relaxed);
-        // Evacuation is deterministic given the state, so the journal
-        // records the *cause*; replay re-runs the same evacuation.
-        self.log_op(|| {
-            if drain {
-                FleetOp::DrainAgent { agent }
-            } else {
-                FleetOp::FailAgent { agent }
-            }
-        });
-        // Queue installs journal *after* the FailAgent record, under
-        // the same FREEZE hold, so replay sees the displacement state
-        // change before the enqueues that depend on it.
+        self.take_agent_down(&mut u, agent, drain);
+        let steps = self.evacuate_locked(&mut u, agent);
+        let (moves, forced) = self.count_evacuation(&steps);
+        // Journaled by reference: a storm failure's steps are tens of
+        // kilobytes, and a copy of them raised the process's peak RSS.
+        let record = if drain {
+            FleetOp::DrainAgent { agent, steps }
+        } else {
+            FleetOp::FailAgent { agent, steps }
+        };
+        self.log_op(|| &record);
+        let (FleetOp::FailAgent { steps, .. } | FleetOp::DrainAgent { steps, .. }) = record else {
+            unreachable!("built as an evacuation record above");
+        };
+        // Queue installs journal *after* the evacuation's record, under
+        // the same FREEZE hold, so replay sees the displacement before
+        // the enqueues that depend on it.
         let mut queued = Vec::new();
         let mut overflowed = Vec::new();
-        if enqueue_displaced {
-            for &s in &displaced {
-                match self.readmit_enqueue_locked(s) {
+        for step in &steps {
+            if let EvacStep::Displaced { session } = *step {
+                match self.readmit_enqueue_locked(session) {
                     Some(entry) => queued.push(entry),
-                    None => overflowed.push(s),
+                    None => overflowed.push(session),
                 }
             }
         }
         drop(u);
-        // The cause, then one `Evacuated` lifecycle event per
-        // force-moved session — all emitted after the exclusive section
-        // releases (same rule as every other coarse op's records).
-        let moves_word = u32::try_from(moves).unwrap_or(u32::MAX);
-        self.obs.note_trace(
-            TraceKind::AgentDown,
-            FLEET_SCOPE,
-            (agent.index() as u64) << 32 | u64::from(moves_word),
-        );
-        for (s, target) in evacuated {
-            self.obs.note_trace(
-                TraceKind::Evacuated,
-                s.index() as u32,
-                target.index() as u64,
-            );
-        }
+        // Every record is emitted after the exclusive section releases
+        // (same rule as every other coarse op's records).
+        self.note_evacuation(agent, moves, &steps);
         for entry in queued {
             self.obs.note_trace(
                 TraceKind::ReadmitQueued,
@@ -1122,15 +1094,76 @@ impl Fleet {
         (moves, forced)
     }
 
-    /// The evacuation proper (FREEZE write lock held): for each stranded
-    /// decision — sessions ascending, users before tasks — the target is
-    /// what [`churn::pick_target`] picks, the rule the closed world's
+    /// Takes `agent` out of service under the caller's FREEZE write
+    /// lock — unavailable, drained too for a drain, and refused by the
+    /// ledger — before any session moves, so no path can book onto the
+    /// leaving agent. A live evacuation and its replay both start here.
+    pub(crate) fn take_agent_down(&self, u: &mut Universe, agent: AgentId, drain: bool) {
+        u.available[agent.index()] = false;
+        if drain {
+            u.drained[agent.index()] = true;
+        }
+        self.ledger.fail_agent(agent);
+    }
+
+    /// Moves `evacuations`, `forced_moves` and `displaced` by what an
+    /// evacuation's `steps` did — the live evacuation once it has run,
+    /// its replay once the steps are installed — and returns
+    /// `(moves, forced)`.
+    pub(crate) fn count_evacuation(&self, steps: &[EvacStep]) -> (usize, usize) {
+        let (mut moves, mut forced, mut displaced) = (0, 0, 0);
+        for step in steps {
+            match *step {
+                EvacStep::Moved { forced: f, .. } => {
+                    moves += 1;
+                    forced += usize::from(f);
+                }
+                EvacStep::Displaced { .. } => displaced += 1,
+                EvacStep::Stuck => forced += 1,
+            }
+        }
+        let c = &self.counters;
+        c.evacuations.fetch_add(moves, Ordering::Relaxed);
+        c.forced_moves.fetch_add(forced, Ordering::Relaxed);
+        c.displaced.fetch_add(displaced, Ordering::Relaxed);
+        (moves, forced)
+    }
+
+    /// The lifecycle events of an evacuation, read off its steps (the
+    /// caller holds no FREEZE lock): the cause, then one `Evacuated`
+    /// event per moved decision, naming its target.
+    pub(crate) fn note_evacuation(&self, agent: AgentId, moves: usize, steps: &[EvacStep]) {
+        let moves_word = u32::try_from(moves).unwrap_or(u32::MAX);
+        self.obs.note_trace(
+            TraceKind::AgentDown,
+            FLEET_SCOPE,
+            (agent.index() as u64) << 32 | u64::from(moves_word),
+        );
+        for step in steps {
+            if let EvacStep::Moved {
+                session, decision, ..
+            } = *step
+            {
+                self.obs.note_trace(
+                    TraceKind::Evacuated,
+                    session.index() as u32,
+                    decision.target().index() as u64,
+                );
+            }
+        }
+    }
+
+    /// The evacuation proper (FREEZE write lock held), returning its
+    /// steps in commit order: for each stranded decision — sessions
+    /// ascending, users before tasks — the target is what
+    /// [`churn::pick_target`] picks, the rule the closed world's
     /// `evacuate_agent` runs too: the feasible alternative minimizing
-    /// `Φ_s`. When no feasible target exists: with
-    /// re-admission enabled the *whole session* is displaced (pushed to
-    /// `displaced`, its hold released, its slot removed) instead of
-    /// overshooting a surviving agent; without it, the least-bad move
-    /// is forced, preserving the historical behavior.
+    /// `Φ_s`. When no feasible target exists: with re-admission enabled
+    /// the *whole session* is displaced (its hold released, its slot
+    /// removed) instead of overshooting a surviving agent; without it,
+    /// the least-bad move is forced, preserving the historical
+    /// behavior. The counters are the caller's
+    /// ([`count_evacuation`](Self::count_evacuation)).
     ///
     /// **Cost.** One pass over the live slots collects the stranded
     /// decisions and the per-agent totals together; after that each
@@ -1147,20 +1180,16 @@ impl Fleet {
     ///
     /// **Determinism.** The totals come from slot loads, NOT from the
     /// ledger's reserved sums: the latter accumulate in journal-append
-    /// order, which for concurrent hops can differ between the live run
-    /// and replay by a ulp — and `FailAgent` replay must re-pick the
-    /// exact same targets. The totals start from the same ascending
-    /// slot sum and receive the same update sequence live and under
-    /// replay, so they are bit-equal in both by construction. Against a
+    /// order, which for concurrent hops can differ between a fleet and
+    /// its recovered copy by a ulp — and a recovered fleet's later
+    /// evacuations must pick exactly what its uncrashed twin picks.
+    /// The totals start from the ascending slot sum, which recovery
+    /// reproduces bit for bit, and receive the same update sequence in
+    /// both, so they are bit-equal by construction. (Replay itself
+    /// installs the journaled steps and reads no totals.) Against a
     /// from-scratch re-sum they may drift by ulps; the closing
     /// `debug_assert!` bounds that by `CAPACITY_EPS`.
-    fn evacuate_locked(
-        &self,
-        u: &mut Universe,
-        agent: AgentId,
-        evacuated: &mut Vec<(SessionId, AgentId)>,
-        displaced: &mut Vec<SessionId>,
-    ) -> (usize, usize) {
+    fn evacuate_locked(&self, u: &mut Universe, agent: AgentId) -> Vec<EvacStep> {
         let problem = &u.problem;
         let inst = problem.instance();
         let mut stranded: Vec<(SessionId, Decision)> = Vec::new();
@@ -1178,13 +1207,12 @@ impl Fleet {
         });
         let readmit_on = self.config.readmit.is_some();
         let mut eval = EvalScratch::new();
-        let mut moves = 0usize;
-        let mut forced = 0usize;
+        let mut steps = Vec::with_capacity(stranded.len());
         for (s, d) in stranded {
             // A session displaced by an earlier stranded decision is
             // gone; its remaining decisions are moot. Stranded decisions
-            // are grouped by session, so only the last one can match.
-            if displaced.last() == Some(&s) {
+            // are grouped by session, so only the last step can say so.
+            if steps.last() == Some(&EvacStep::Displaced { session: s }) {
                 continue;
             }
             // The hold is exclusive: no slot lock is needed.
@@ -1197,27 +1225,22 @@ impl Fleet {
             let picked = churn::pick_target(&mut hood, d, targets, |load| {
                 fits(s, load, slot.load(), &totals, inst).is_ok()
             });
-            let decision = match picked {
-                Some((decision, true)) => decision,
+            let (decision, forced) = match picked {
+                Some((decision, true)) => (decision, false),
                 _ if readmit_on => {
                     // No feasible target: displace the whole session
                     // into the re-admission queue instead of forcing an
-                    // overshoot. Runs identically under replay (the
-                    // caller re-derives this from the FailAgent record).
+                    // overshoot.
                     totals.remove(slot.load());
                     self.ledger.release(slot.load());
                     u.slots.remove(&s);
-                    self.counters.displaced.fetch_add(1, Ordering::Relaxed);
-                    displaced.push(s);
+                    steps.push(EvacStep::Displaced { session: s });
                     continue;
                 }
-                Some((decision, false)) => {
-                    forced += 1;
-                    decision
-                }
+                Some((decision, false)) => (decision, true),
                 None => {
                     // No other agent exists at all; nothing we can do.
-                    forced += 1;
+                    steps.push(EvacStep::Stuck);
                     continue;
                 }
             };
@@ -1229,14 +1252,17 @@ impl Fleet {
             slot.relocate(decision, index, eval.load_mut());
             // `relocate` left the old load in the scratch.
             self.ledger.force_swap(eval.load(), slot.load());
-            moves += 1;
-            evacuated.push((s, decision.target()));
+            steps.push(EvacStep::Moved {
+                session: s,
+                decision,
+                forced,
+            });
         }
         debug_assert!(
             totals_drift(&totals, &live_totals_locked(u, |_, _| {})) <= CAPACITY_EPS,
             "delta-maintained evacuation totals drifted from the slot re-sum"
         );
-        (moves, forced)
+        steps
     }
 
     /// Brings a failed agent back; Alg. 1 hops will migrate load onto it
@@ -1865,16 +1891,17 @@ impl Fleet {
     }
 
     /// Appends one journal record, building it lazily so ephemeral
-    /// fleets pay nothing. Called with the mutated slot's lock (or the
-    /// FREEZE write lock) held; all appends serialize on the journal
-    /// mutex, whose sequence numbers are the fleet's global mutation
-    /// order. A journal write failure is fail-stop: durability was
-    /// promised and can no longer be provided.
-    pub(crate) fn log_op(&self, op: impl FnOnce() -> crate::persist::FleetOp) {
+    /// fleets pay nothing (or borrowing one the caller keeps). Called
+    /// with the mutated slot's lock (or the FREEZE write lock) held;
+    /// all appends serialize on the journal mutex, whose sequence
+    /// numbers are the fleet's global mutation order. A journal write
+    /// failure is fail-stop: durability was promised and can no longer
+    /// be provided.
+    pub(crate) fn log_op<O: Borrow<FleetOp>>(&self, op: impl FnOnce() -> O) {
         if let Some(p) = &self.persist {
             p.journal
                 .lock()
-                .append(&op())
+                .append(op().borrow())
                 .expect("write-ahead journal append failed");
         }
     }

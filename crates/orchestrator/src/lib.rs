@@ -56,9 +56,10 @@
 //! and the fleet journals `FleetOp::Admit` only after booking, so a
 //! crash before the append recovers to pre-admission residuals in
 //! every region. Agent growth journals `FleetOp::RegisterAgent`
-//! (definition + region name), drains `FleetOp::DrainAgent`; the
-//! snapshot carries the interleaved session/agent growth log, the
-//! drained flags, and the region table (format v6).
+//! (definition + region name), drains `FleetOp::DrainAgent` (with
+//! the evacuation's steps since journal v7); the snapshot carries the
+//! interleaved session/agent growth log, the drained flags, and the
+//! region table (format v6).
 //!
 //! # Invariants
 //!
@@ -125,8 +126,8 @@ pub use ledger::{
 };
 pub use orchestrator::{FleetReport, Orchestrator, OrchestratorConfig};
 pub use persist::{
-    CounterSnapshot, DurableFleetState, FleetOp, PersistConfig, PersistError, RecoveryReport,
-    RefusalReason,
+    CounterSnapshot, DurableFleetState, EvacStep, FleetOp, PersistConfig, PersistError,
+    RecoveryReport, RefusalReason,
 };
 pub use readmit::{backoff_us, ReadmitConfig, ReadmitEntry};
 pub use sched::{CompleteOutcome, PoppedTimer, ShardedQueue};

@@ -30,23 +30,35 @@
 //!
 //! ## Replay semantics
 //!
-//! Deterministic effects are re-derived, not logged: `FailAgent`
-//! replays by re-running the (deterministic) evacuation. Admission is
-//! the opposite: since format v4 the decision is **search-dependent**
-//! (the engine searches against live residuals, and a recovered build
-//! might be configured differently), so an `Admit` carries the chosen
-//! placement *and* its search tier/repair effort — replay hands the
-//! decoded record to the same `Fleet::install_admitted` the live path
-//! calls once it has decided, which installs the journaled placement
-//! bit-for-bit and counts it, never re-running the search. `Reject`
-//! carries its typed refusal reason and replays through the live path's
-//! `Fleet::count_refusal`, for the same counter-exactness. `Hop`
-//! carries the decision plus its old assignment, letting replay detect
-//! divergence (a mismatched old agent means the journal and snapshot
-//! disagree — corruption, not a tolerable tail). `Timers` records (and
-//! the v4 snapshot's timer field) carry the worker pool's
-//! reconstructible WAIT-countdown state, so a recovered fleet resumes
-//! its timers instead of re-drawing them.
+//! Every decision is installed, never re-derived: replay runs no search
+//! of any kind. A search's outcome depends on more than the journal —
+//! the engine's configuration, the float order of the totals it reads —
+//! so re-running one would tie recovery to that search staying
+//! bit-identical across builds, and it costs what the live path paid:
+//! an evacuation re-searched weighs every surviving agent for each
+//! stranded decision, where installing its outcome costs one compile
+//! and one fold per move. So:
+//!
+//! * `Admit` (format v4) carries the chosen placement *and* its search
+//!   tier/repair effort; replay hands the decoded record to the same
+//!   `Fleet::install_admitted` the live path calls once it has decided,
+//!   which installs the placement bit-for-bit and counts it. `Reject`
+//!   carries its typed refusal reason and replays through the live
+//!   path's `Fleet::count_refusal`, for the same counter-exactness.
+//! * `Hop` carries the decision plus its old assignment, and
+//!   `FailAgent` / `DrainAgent` (format v7) every step of the
+//!   evacuation ([`EvacStep`]): moved (and whether forced), displaced,
+//!   or stuck. Both install their moves through one helper, which
+//!   compiles the conference, weighs the journaled move, forces the
+//!   ledger swap and commits it, and which refuses a move the live path
+//!   could not have made — a session that is not live, an entry that is
+//!   not on the old agent the record names (the failed agent, for an
+//!   evacuation step), a target that is down at that point of the
+//!   journal. Each is corruption, not a tolerable tail.
+//! * `Timers` records (and the v4 snapshot's timer field) carry the
+//!   worker pool's reconstructible WAIT-countdown state, so a recovered
+//!   fleet resumes its timers instead of re-drawing them; the
+//!   re-admission queue's records carry their entries whole.
 //!
 //! ## Recovery
 //!
@@ -57,7 +69,9 @@
 //! the store is compact before the fleet goes live again.
 
 pub use crate::fleet::CounterSnapshot;
-use crate::fleet::{self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord};
+use crate::fleet::{
+    self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord, SessionSlot,
+};
 use crate::ledger::{AgentHold, SessionHold};
 use crate::readmit::ReadmitEntry;
 use crate::workers::{ReoptPool, TimerEntry};
@@ -69,7 +83,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use vc_algo::admission::{AdmissionFailure, AdmissionTier};
 use vc_core::neighborhood::Neighborhood;
-use vc_core::{Decision, TaskId, UapProblem};
+use vc_core::{Decision, EvalScratch, SessionLoad, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{TraceKind, FLEET_SCOPE};
 use vc_persist::journal::{read_journal, FsyncPolicy, JournalError, JournalWriter, RetryPolicy};
@@ -112,10 +126,15 @@ pub enum FleetOp {
         /// The departed session.
         session: SessionId,
     },
-    /// An agent failed; replay re-runs the deterministic evacuation.
+    /// An agent failed, and the live path evacuated it (format v7):
+    /// replay takes the agent down and installs `steps` in order — it
+    /// never re-runs the evacuation's search.
     FailAgent {
         /// The failed agent.
         agent: AgentId,
+        /// What the evacuation did with each stranded decision, in the
+        /// order the live path committed it.
+        steps: Vec<EvacStep>,
     },
     /// A failed agent came back.
     RestoreAgent {
@@ -192,13 +211,51 @@ pub enum FleetOp {
         /// The ledger region the agent joined.
         region: String,
     },
-    /// An agent was drained — planned evacuation (format v6). Replay
-    /// re-runs the deterministic evacuation exactly like `FailAgent`
-    /// and marks the agent permanently drained.
+    /// An agent was drained — planned evacuation (format v6; its
+    /// `steps` since v7). Replay installs the journaled steps exactly
+    /// like `FailAgent` and marks the agent permanently drained.
     DrainAgent {
         /// The drained agent.
         agent: AgentId,
+        /// The evacuation's steps, as in `FailAgent`.
+        steps: Vec<EvacStep>,
     },
+}
+
+/// What an evacuation did with one stranded decision — the outcome the
+/// live search reached, journaled so replay installs it instead of
+/// searching again. A `FailAgent` or `DrainAgent` record carries one
+/// per stranded decision, in commit order, except that a displaced
+/// session's later decisions have none (they left with it).
+///
+/// **Size.** A `Moved` step is 15 bytes, `Displaced` 5, `Stuck` 1, and
+/// the whole evacuation is one record: `MAX_FRAME_LEN` (16 MiB) bounds
+/// it at ≈1.1 M stranded decisions on one agent — a storm failure of
+/// the benchmark's fleets strands ≈2 000.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum EvacStep {
+    /// The decision moved to `decision`'s target.
+    Moved {
+        /// The moved session.
+        session: SessionId,
+        /// The applied move (target = new assignment; its old one is
+        /// the lost agent).
+        decision: Decision,
+        /// Whether no feasible target existed and the least-bad one
+        /// was taken unchecked (counted in `forced_moves`).
+        forced: bool,
+    },
+    /// No feasible target existed and re-admission is on: the whole
+    /// session left the fleet, its hold released (counted in
+    /// `displaced`; its queue entry rides its own `ReadmitEnqueue` or
+    /// `ReadmitDrop` record).
+    Displaced {
+        /// The displaced session.
+        session: SessionId,
+    },
+    /// No other agent existed at all: the decision stays on the lost
+    /// agent, counted as forced.
+    Stuck,
 }
 
 /// Why an admission attempt was refused — the journaled shape of
@@ -275,7 +332,7 @@ wire! { enum FleetOp {
     0 => Admit { session, users, tasks, tier via tier_wire, repair_steps },
     1 => Reject { session, reason },
     2 => Depart { session },
-    3 => FailAgent { agent },
+    3 => FailAgent { agent, steps },
     4 => RestoreAgent { agent },
     5 => Hop { session, decision, old_agent },
     7 => StayBatch { count },
@@ -284,7 +341,13 @@ wire! { enum FleetOp {
     10 => ReadmitEnqueue { session, epoch, attempt, due_us },
     11 => ReadmitDrop { session },
     12 => RegisterAgent { agent, def, region },
-    13 => DrainAgent { agent },
+    13 => DrainAgent { agent, steps },
+} }
+
+wire! { enum EvacStep {
+    0 => Moved { session, decision, forced },
+    1 => Displaced { session },
+    2 => Stuck,
 } }
 
 wire! { struct TimerEntry { session, due_us, epoch, draws, active } }
@@ -451,7 +514,8 @@ pub enum PersistError {
     /// The snapshot does not fit the given problem (wrong instance).
     Mismatch(String),
     /// Journal replay diverged from the snapshot (gap, refused
-    /// admission, stale hop) — corruption beyond a torn tail.
+    /// admission, stale hop, a move onto a down agent) — corruption
+    /// beyond a torn tail.
     Replay(String),
     /// The recovered fleet failed the ledger-conservation audit.
     Audit(Vec<String>),
@@ -739,10 +803,11 @@ impl Fleet {
     /// # Errors
     ///
     /// See [`PersistError`]. Notably, a torn record anywhere but the
-    /// journal's end, a sequence gap, a hop whose old assignment
-    /// disagrees with the replayed state, or a non-empty conservation
-    /// audit are all hard errors: recovery refuses to go live on a
-    /// state it cannot prove consistent. A directory with no snapshot
+    /// journal's end, a sequence gap, a hop or evacuation move whose old
+    /// assignment disagrees with the replayed state or whose target is
+    /// down, or a non-empty conservation audit are all hard errors:
+    /// recovery refuses to go live on a state it cannot prove
+    /// consistent. A directory with no snapshot
     /// at all is [`PersistError::NoStore`] — use
     /// [`Fleet::with_persistence`] to *start* a store.
     pub fn recover(
@@ -781,7 +846,7 @@ impl Fleet {
         let mut torn_tail = false;
         // One evaluation scratch across the whole replay — per-op
         // allocation would dominate recovery on large fleets.
-        let mut replay_scratch = vc_core::EvalScratch::new();
+        let mut replay_scratch = EvalScratch::new();
         let files = journal_files(&persist.dir)?;
         for (i, (_, path)) in files.iter().enumerate() {
             let (records, tail) = read_journal::<FleetOp>(path)?;
@@ -1024,7 +1089,7 @@ impl Fleet {
         for (i, &r) in durable.agent_regions.iter().enumerate() {
             fleet.ledger.assign_region(AgentId::from(i), r);
         }
-        let mut scratch = vc_core::EvalScratch::new();
+        let mut scratch = EvalScratch::new();
         {
             let mut u = fleet.freeze.write();
             u.growth = durable.growth;
@@ -1116,6 +1181,28 @@ impl Fleet {
         let agent = |a: AgentId, what| known("agent", &a, a.index(), inst.num_agents(), what);
         let user = |u: UserId, what| known("user", &u, u.index(), inst.num_users(), what);
         let task = |t: TaskId, what| known("task", &t, t.index(), tasks.len(), what);
+        let moved = |d: Decision, what| match d {
+            Decision::User(u, _) => user(u, what),
+            Decision::Task(t, _) => task(t, what),
+        };
+        let evacuation = |steps: &[EvacStep]| {
+            for step in steps {
+                match *step {
+                    EvacStep::Moved {
+                        session: s,
+                        decision,
+                        ..
+                    } => {
+                        session(s, "evacuation")?;
+                        moved(decision, "evacuation of")?;
+                        agent(decision.target(), "evacuation onto")?;
+                    }
+                    EvacStep::Displaced { session: s } => session(s, "displacement")?,
+                    EvacStep::Stuck => {}
+                }
+            }
+            Ok(())
+        };
         match op {
             FleetOp::Admit {
                 session: s,
@@ -1140,10 +1227,7 @@ impl Fleet {
                 old_agent,
             } => {
                 session(*s, "hop")?;
-                match *decision {
-                    Decision::User(u, _) => user(u, "hop of")?,
-                    Decision::Task(t, _) => task(t, "hop of")?,
-                }
+                moved(*decision, "hop of")?;
                 agent(decision.target(), "hop onto")?;
                 agent(*old_agent, "hop from")
             }
@@ -1151,9 +1235,15 @@ impl Fleet {
             FleetOp::Depart { session: s } => session(*s, "depart"),
             FleetOp::ReadmitEnqueue { session: s, .. } => session(*s, "readmit enqueue"),
             FleetOp::ReadmitDrop { session: s } => session(*s, "readmit drop"),
-            FleetOp::FailAgent { agent: a } => agent(*a, "failure of"),
+            FleetOp::FailAgent { agent: a, steps } => {
+                agent(*a, "failure of")?;
+                evacuation(steps)
+            }
             FleetOp::RestoreAgent { agent: a } => agent(*a, "restore of"),
-            FleetOp::DrainAgent { agent: a } => agent(*a, "drain of"),
+            FleetOp::DrainAgent { agent: a, steps } => {
+                agent(*a, "drain of")?;
+                evacuation(steps)
+            }
             FleetOp::StayBatch { .. }
             | FleetOp::RegisterSession { .. }
             | FleetOp::RegisterAgent { .. }
@@ -1163,12 +1253,12 @@ impl Fleet {
 
     /// Applies one journaled op to a recovering fleet. Every arm but
     /// the counter/cache-only `StayBatch`, `Timers` and `ReadmitDrop`
-    /// re-enters the code the live path ran, so recovered counters equal
-    /// pre-crash counters by construction.
+    /// re-enters the code the live path ran once it had decided, so
+    /// recovered counters equal pre-crash counters by construction.
     pub(crate) fn replay_op(
         &self,
         op: &FleetOp,
-        scratch: &mut vc_core::EvalScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<(), PersistError> {
         self.replay_bounds(op)?;
         match op {
@@ -1218,13 +1308,8 @@ impl Fleet {
                 }
                 // depart() counted this replayed departure already.
             }
-            FleetOp::FailAgent { agent } => {
-                // Replay re-runs the deterministic evacuation but does
-                // NOT re-enqueue displaced sessions: the journal carries
-                // every enqueue as an explicit `ReadmitEnqueue` record
-                // (queue mutations are never re-derived), so the live
-                // path's enqueues arrive as the very next records.
-                self.down_agent_inner(*agent, false, false);
+            FleetOp::FailAgent { agent, steps } => {
+                self.replay_evacuation(*agent, steps, false, scratch)?;
             }
             FleetOp::RestoreAgent { agent } => {
                 // Refused restores (drained agents) journal nothing, so
@@ -1241,38 +1326,13 @@ impl Fleet {
                 decision,
                 old_agent,
             } => {
+                // Committed through the live hop's commit, which counts
+                // the migration and emits its event.
                 let universe = self.freeze.write();
-                let problem = &universe.problem;
-                let Some(slot) = universe.slots.get(session) else {
-                    return Err(PersistError::Replay(format!(
-                        "hop of non-live session {session}"
-                    )));
-                };
-                let mut slot = slot.lock();
-                let index = problem.local_index(*session, *decision).ok_or_else(|| {
-                    PersistError::Replay(format!("hop {decision} targets a foreign session"))
+                let hop = (*session, *decision, *old_agent);
+                self.install_move(&universe, "hop", hop, scratch, |slot, index, load| {
+                    self.commit_hop(*session, slot, *decision, index, load);
                 })?;
-                let current = slot.agent(*decision, index);
-                if current != *old_agent {
-                    return Err(PersistError::Replay(format!(
-                        "hop {decision} expected old assignment {old_agent}, state has {current}"
-                    )));
-                }
-                // The journaled decision is weighed the way the live hop
-                // weighed it and committed through the live hop's
-                // commit; only the swap is forced, not checked — the
-                // live `try_swap` already won this capacity. Replay
-                // never searches.
-                let mut hood = Neighborhood::begin(
-                    scratch,
-                    problem,
-                    *session,
-                    slot.users().iter().copied(),
-                    slot.tasks().iter().copied(),
-                );
-                let (_, load) = hood.candidate(*decision);
-                self.ledger.force_swap(slot.load(), load);
-                self.commit_hop(*session, &mut slot, *decision, index, scratch.load_mut());
             }
             FleetOp::StayBatch { count } => {
                 self.counters
@@ -1322,11 +1382,8 @@ impl Fleet {
                     )));
                 }
             }
-            FleetOp::DrainAgent { agent } => {
-                // Like `FailAgent`: re-run the deterministic evacuation
-                // but never re-enqueue — the journal carries every
-                // enqueue as an explicit `ReadmitEnqueue` record.
-                self.down_agent_inner(*agent, false, true);
+            FleetOp::DrainAgent { agent, steps } => {
+                self.replay_evacuation(*agent, steps, true, scratch)?;
             }
             FleetOp::ReadmitDrop { session } => {
                 // Overflow drops never installed an entry; exhaustion
@@ -1339,6 +1396,108 @@ impl Fleet {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
+        Ok(())
+    }
+
+    /// Replays a `FailAgent` (`drain` false) or `DrainAgent` record:
+    /// takes `agent` down as the live path did, then installs `steps`
+    /// in order — a move through [`install_move`](Self::install_move)
+    /// from `agent`, a displacement by releasing the session's hold and
+    /// dropping its slot — and moves the counters and emits the events
+    /// the live path did, read off the same steps. Nothing is searched
+    /// and nothing is enqueued: each displaced session's queue entry is
+    /// its own `ReadmitEnqueue` or `ReadmitDrop` record, next in the
+    /// journal.
+    fn replay_evacuation(
+        &self,
+        agent: AgentId,
+        steps: &[EvacStep],
+        drain: bool,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), PersistError> {
+        let mut universe = self.freeze.write();
+        self.take_agent_down(&mut universe, agent, drain);
+        for step in steps {
+            match *step {
+                EvacStep::Moved {
+                    session, decision, ..
+                } => {
+                    let moved = (session, decision, agent);
+                    self.install_move(&universe, "evacuation", moved, scratch, |slot, i, load| {
+                        slot.relocate(decision, i, load);
+                    })?;
+                }
+                EvacStep::Displaced { session } => {
+                    let Some(slot) = universe.slots.remove(&session) else {
+                        return Err(PersistError::Replay(format!(
+                            "displacement of non-live session {session}"
+                        )));
+                    };
+                    self.ledger.release(slot.into_inner().load());
+                }
+                EvacStep::Stuck => {}
+            }
+        }
+        drop(universe);
+        let (moves, _) = self.count_evacuation(steps);
+        self.note_evacuation(agent, moves, steps);
+        Ok(())
+    }
+
+    /// Installs one journaled move `(session, decision, from)` — a
+    /// `Hop`, or an evacuation's `Moved` step — without searching, and
+    /// refuses one the live path could not have made: `session` must
+    /// be live, `decision` must name its own user or task, that entry
+    /// must be on `from`, and the target must be up (a live hop draws
+    /// an available target under the shared FREEZE, which `fail_agent`
+    /// and `drain_agent` exclude, and an evacuation weighs only
+    /// available targets). The move is weighed as the live path weighed
+    /// it — one conference compile ([`Neighborhood::begin`]), one
+    /// [`candidate`](Neighborhood::candidate) — and its hold is
+    /// *forced* onto the ledger, since the live path already won that
+    /// capacity; `commit` then writes the slot with the moved load.
+    /// Caller holds the FREEZE write lock behind `universe`; `what`
+    /// names the record in errors.
+    fn install_move(
+        &self,
+        universe: &fleet::Universe,
+        what: &str,
+        (session, decision, from): (SessionId, Decision, AgentId),
+        scratch: &mut EvalScratch,
+        commit: impl FnOnce(&mut SessionSlot, usize, &mut SessionLoad),
+    ) -> Result<(), PersistError> {
+        let problem = &universe.problem;
+        let Some(slot) = universe.slots.get(&session) else {
+            return Err(PersistError::Replay(format!(
+                "{what} of non-live session {session}"
+            )));
+        };
+        let mut slot = slot.lock();
+        let index = problem.local_index(session, decision).ok_or_else(|| {
+            PersistError::Replay(format!("{what} {decision} targets a foreign session"))
+        })?;
+        let current = slot.agent(decision, index);
+        if current != from {
+            return Err(PersistError::Replay(format!(
+                "{what} {decision} expected old assignment {from}, state has {current}"
+            )));
+        }
+        let target = decision.target();
+        if !universe.available[target.index()] {
+            return Err(PersistError::Replay(format!(
+                "{what} {decision} onto down agent {target}"
+            )));
+        }
+        let mut hood = Neighborhood::begin(
+            scratch,
+            problem,
+            session,
+            slot.users().iter().copied(),
+            slot.tasks().iter().copied(),
+        );
+        let (_, load) = hood.candidate(decision);
+        self.ledger.force_swap(slot.load(), load);
+        commit(&mut slot, index, scratch.load_mut());
         Ok(())
     }
 }

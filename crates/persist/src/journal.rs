@@ -64,7 +64,11 @@ use vc_obs::{ObsPlane, Site};
 
 /// Journal file magic.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"VCWJ";
-/// Journal format version. v6: elastic-capacity records —
+/// Journal format version. v7: `FailAgent` and `DrainAgent` carry
+/// the evacuation's steps (each stranded decision moved, forced,
+/// displaced or stuck), so replay installs the outcome instead of
+/// re-running the evacuation's search; the snapshot stays v6. v6:
+/// elastic-capacity records —
 /// `RegisterAgent` definitions grow the agent pool mid-journal (with a
 /// region name) and `DrainAgent` replays the planned evacuation of a
 /// draining agent; the snapshot interleaves session and agent growth
@@ -85,7 +89,7 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"VCWJ";
 /// definitions. v2: `FailAgent` replay re-derives the evacuation with
 /// the sparse residual-based feasibility rule (PR 3's sharded fleet);
 /// v1 stores replayed it through the dense whole-state check.
-pub const JOURNAL_VERSION: u16 = 6;
+pub const JOURNAL_VERSION: u16 = 7;
 /// The journal versions this build can replay. Decode is gated on this
 /// explicit set — a version outside it fails up front with an error
 /// naming both sides, instead of misreading bytes under the wrong

@@ -186,7 +186,7 @@ fn open_world_trace_decisions_are_pinned() {
         TraceOutcome {
             tiers: [479, 105, 2],
             refusals: [45, 284, 307],
-            journal_fnv: 0x889b_7a16_9ea0_563a,
+            journal_fnv: 0xd2bc_ec1c_d5ec_22cf,
             journal_len: 400_142,
             admitted_fnv: 0x72c5_59d7_a849_9e74,
             phi_bits: 0x40a6_c05a_0d22_c60b,

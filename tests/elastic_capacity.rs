@@ -620,6 +620,7 @@ fn recovery_names_the_missing_agent() {
     .expect("journal");
     w.append(&FleetOp::FailAgent {
         agent: AgentId::new(7),
+        steps: Vec::new(),
     })
     .expect("append");
     w.commit().expect("commit");

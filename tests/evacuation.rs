@@ -12,7 +12,8 @@
 //!   both evacuations to the identical fleet. The delta-maintained
 //!   totals themselves are checked against a from-scratch ascending
 //!   re-sum by the `debug_assert!` that closes `evacuate_locked`, which
-//!   these tests trip live and under replay;
+//!   these tests trip on every live evacuation (replay installs the
+//!   journaled steps and keeps no totals);
 //! * **one evacuation** — the fleet and the closed world's
 //!   `churn::evacuate_agent` pick through one rule on one kernel, so the
 //!   same loss ends in the same moves, assignment and Φ bits.

@@ -25,7 +25,7 @@ use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
 use vc_core::{TaskId, UapProblem};
 use vc_orchestrator::persist::FleetOp;
-use vc_orchestrator::{AgentHold, DurableFleetState, SessionHold};
+use vc_orchestrator::{AgentHold, DurableFleetState, EvacStep, SessionHold};
 
 fn store_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -207,6 +207,27 @@ fn timer_entry_strategy() -> impl Strategy<Value = vc_orchestrator::TimerEntry> 
     )
 }
 
+/// One evacuation step of each kind in turn (`kind` 0–2).
+fn evac_step_strategy() -> impl Strategy<Value = EvacStep> {
+    (0u8..3, 0u32..64, any::<bool>(), 0u32..8, any::<bool>()).prop_map(
+        |(kind, s, user_move, a, forced)| match kind {
+            0 => EvacStep::Moved {
+                session: SessionId::new(s),
+                decision: if user_move {
+                    Decision::User(UserId::new(s), AgentId::new(a))
+                } else {
+                    Decision::Task(TaskId::new(s), AgentId::new(a))
+                },
+                forced,
+            },
+            1 => EvacStep::Displaced {
+                session: SessionId::new(s),
+            },
+            _ => EvacStep::Stuck,
+        },
+    )
+}
+
 fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
     (
         0u8..14,
@@ -216,7 +237,11 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
         any::<bool>(),
         session_def_strategy(),
         prop::collection::vec(timer_entry_strategy(), 0..6),
-        ((0u8..3, 0u8..6, 0u64..64), agent_def_strategy()),
+        (
+            (0u8..3, 0u8..6, 0u64..64),
+            agent_def_strategy(),
+            prop::collection::vec(evac_step_strategy(), 1..8),
+        ),
     )
         .prop_map(
             |(
@@ -227,7 +252,7 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                 user_move,
                 def,
                 timers,
-                ((tier, reason, repair_steps), agent_def),
+                ((tier, reason, repair_steps), agent_def, steps),
             )| {
                 let session = SessionId::new(s);
                 let agent = AgentId::new(a);
@@ -253,7 +278,7 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                         },
                     },
                     2 => FleetOp::Depart { session },
-                    3 => FleetOp::FailAgent { agent },
+                    3 => FleetOp::FailAgent { agent, steps },
                     4 => FleetOp::RestoreAgent { agent },
                     5 => FleetOp::Hop {
                         session,
@@ -281,7 +306,7 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                         def: agent_def,
                         region: format!("r{}", a % 3),
                     },
-                    _ => FleetOp::DrainAgent { agent },
+                    _ => FleetOp::DrainAgent { agent, steps },
                 }
             },
         )
@@ -800,7 +825,10 @@ fn no_out_of_universe_id_unwinds_recovery() {
         ),
         (
             "FailAgent.agent",
-            FleetOp::FailAgent { agent: far_a },
+            FleetOp::FailAgent {
+                agent: far_a,
+                steps: Vec::new(),
+            },
             Some("a99"),
         ),
         (
@@ -878,10 +906,68 @@ fn no_out_of_universe_id_unwinds_recovery() {
         ),
         (
             "DrainAgent.agent",
-            FleetOp::DrainAgent { agent: far_a },
+            FleetOp::DrainAgent {
+                agent: far_a,
+                steps: Vec::new(),
+            },
             Some("a99"),
         ),
     ];
+    // Every id inside an evacuation's steps, for both records.
+    let moved = |session, decision| EvacStep::Moved {
+        session,
+        decision,
+        forced: false,
+    };
+    let step_rows = [
+        (
+            "Moved.session",
+            moved(far_s, Decision::User(own_user, near)),
+            "s99",
+        ),
+        (
+            "Moved.decision.user",
+            moved(live, Decision::User(far_u, near)),
+            "u999",
+        ),
+        (
+            "Moved.decision.task",
+            moved(live, Decision::Task(far_t, near)),
+            "t999",
+        ),
+        (
+            "Moved.decision.agent",
+            moved(live, Decision::User(own_user, far_a)),
+            "a99",
+        ),
+        (
+            "Displaced.session",
+            EvacStep::Displaced { session: far_s },
+            "s99",
+        ),
+    ];
+    let lost = AgentId::new(1);
+    let journal_rows: Vec<(String, FleetOp, Option<&str>)> = (journal_rows.into_iter())
+        .map(|(row, op, id)| (row.to_string(), op, id))
+        .chain(step_rows.iter().flat_map(|&(row, step, id)| {
+            let steps = vec![step];
+            [
+                (
+                    format!("FailAgent.steps.{row}"),
+                    FleetOp::FailAgent {
+                        agent: lost,
+                        steps: steps.clone(),
+                    },
+                    Some(id),
+                ),
+                (
+                    format!("DrainAgent.steps.{row}"),
+                    FleetOp::DrainAgent { agent: lost, steps },
+                    Some(id),
+                ),
+            ]
+        }))
+        .collect();
     let up = (state.available.iter().position(|&a| a)).expect("an agent is up");
     let up_name = AgentId::from(up).to_string();
     let snapshot_rows: Vec<(&str, DurableFleetState, Option<&str>)> = {
@@ -956,7 +1042,7 @@ fn no_out_of_universe_id_unwinds_recovery() {
 
     let journal = journal_rows
         .iter()
-        .map(|(row, op, names)| (*row, recover(&state, Some(op)), *names));
+        .map(|(row, op, names)| (row.as_str(), recover(&state, Some(op)), *names));
     let snapshot = snapshot_rows
         .iter()
         .map(|(row, edited, names)| (*row, recover(edited, None), *names));
@@ -1011,4 +1097,192 @@ fn no_mutation_of_a_store_file_unwinds_its_reader() {
     // One frame, one CRC: the only mutants that still load are the 16
     // flips of the header's reserved (unread) half-word.
     assert_eq!(snapshot.decoded, 16, "{snapshot:?}");
+}
+
+// ---------------------------------------------- installed, not searched
+
+/// A store over the small universe holding a genesis snapshot and a
+/// journal of exactly `records`, from seq 1.
+fn hand_built_store(name: &str, records: &[FleetOp]) -> PersistConfig {
+    use cloud_vc::persist::{journal_path, JournalWriter};
+    let dir = store_dir(name);
+    drop(
+        Fleet::with_persistence(small_universe(), fleet_config(), persist_config(&dir))
+            .expect("store"),
+    );
+    let mut journal =
+        JournalWriter::<FleetOp>::create(journal_path(&dir, 1), FsyncPolicy::Always, 1)
+            .expect("journal");
+    for record in records {
+        journal.append(record).expect("append");
+    }
+    journal.commit().expect("commit");
+    persist_config(&dir)
+}
+
+/// `[evacuations, forced_moves, displaced]`.
+fn evacuation_counters(fleet: &Fleet) -> [usize; 3] {
+    use std::sync::atomic::Ordering;
+    let c = fleet.counters();
+    [
+        c.evacuations.load(Ordering::Relaxed),
+        c.forced_moves.load(Ordering::Relaxed),
+        c.displaced.load(Ordering::Relaxed),
+    ]
+}
+
+/// The `(session, target)` of every `Evacuated` event the fleet emitted.
+fn evacuated_events(fleet: &Fleet) -> Vec<(u32, u64)> {
+    (fleet.obs().trace().dump().into_iter())
+        .filter(|e| e.kind == vc_obs::TraceKind::Evacuated)
+        .map(|e| (e.session, e.payload))
+        .collect()
+}
+
+/// Replay installs an evacuation; it does not search for one. Session 0
+/// sits wholly on agent 0 when agent 0 fails. A twin that fails it live
+/// shows where the search sends each stranded decision; the journal
+/// under test sends the first of them to the other surviving agent
+/// instead — feasible, but not the search's pick — and calls that move
+/// forced. The recovered slot, the `evacuations` / `forced_moves` /
+/// `displaced` counters and the `Evacuated` events all follow the
+/// record.
+#[test]
+fn replay_installs_the_journaled_evacuation_and_does_not_search() {
+    use cloud_vc::persist::{journal_files, read_journal};
+    let problem = small_universe();
+    let (s, lost) = (SessionId::new(0), AgentId::new(0));
+    let admit = FleetOp::Admit {
+        session: s,
+        users: (problem.instance().session(s).users().iter())
+            .map(|&u| (u, lost))
+            .collect(),
+        tasks: (problem.tasks().of_session(s).iter())
+            .map(|&t| (t, lost))
+            .collect(),
+        tier: vc_algo::admission::AdmissionTier::Repair,
+        repair_steps: 0,
+    };
+
+    // The search: the twin recovers the admission and fails agent 0.
+    let twin_store = hand_built_store("install-twin", std::slice::from_ref(&admit));
+    let (twin, _) = Fleet::recover(twin_store.clone(), problem.clone(), fleet_config())
+        .expect("the admission recovers");
+    twin.fail_agent(lost);
+    twin.commit_journal().expect("commit");
+    let (_, journal) = journal_files(&twin_store.dir)
+        .expect("scan")
+        .pop()
+        .expect("a journal");
+    let searched = match read_journal::<FleetOp>(&journal).expect("read").0.pop() {
+        Some((_, FleetOp::FailAgent { steps, .. })) => steps,
+        other => panic!("the twin's last record is not its failure: {other:?}"),
+    };
+    // Both survivors are roomy: every stranded decision moved feasibly.
+    assert!(searched.len() >= 2, "{searched:?}");
+    assert!(
+        (searched.iter()).all(|step| matches!(step, EvacStep::Moved { forced: false, .. })),
+        "{searched:?}"
+    );
+
+    // The record: the first decision goes where the search did not send
+    // it, as a forced move.
+    let mut steps = searched.clone();
+    let EvacStep::Moved {
+        decision, forced, ..
+    } = &mut steps[0]
+    else {
+        unreachable!("every step moved");
+    };
+    let passed_over = AgentId::from(3 - decision.target().index());
+    *decision = decision.retarget(passed_over);
+    *forced = true;
+    let failure = FleetOp::FailAgent {
+        agent: lost,
+        steps: steps.clone(),
+    };
+    let (recovered, report) = Fleet::recover(
+        hand_built_store("install", &[admit, failure]),
+        problem.clone(),
+        fleet_config(),
+    )
+    .expect("recovery installs the record");
+    assert_eq!(report.replayed, 2);
+
+    let (state, twin_state) = (recovered.durable_state(), twin.durable_state());
+    for step in &steps {
+        let EvacStep::Moved { decision, .. } = *step else {
+            unreachable!("every step moved");
+        };
+        let placed = match decision {
+            Decision::User(u, _) => state.user_agents[u.index()],
+            Decision::Task(t, _) => state.task_agents[t.index()],
+        };
+        assert_eq!(placed, decision.target(), "{decision}");
+    }
+    assert_ne!(state.user_agents, twin_state.user_agents);
+    assert_eq!(evacuation_counters(&recovered), [steps.len(), 1, 0]);
+    assert_eq!(evacuation_counters(&twin), [steps.len(), 0, 0]);
+    let events = |steps: &[EvacStep]| -> Vec<(u32, u64)> {
+        (steps.iter())
+            .map(|step| match *step {
+                EvacStep::Moved {
+                    session, decision, ..
+                } => (session.index() as u32, decision.target().index() as u64),
+                _ => unreachable!("every step moved"),
+            })
+            .collect()
+    };
+    assert_eq!(evacuated_events(&recovered), events(&steps));
+    assert_eq!(evacuated_events(&twin), events(&searched));
+    assert!(recovered.audit().is_empty(), "{:?}", recovered.audit());
+    assert_eq!(recovered.load_drift(), 0.0);
+}
+
+/// A CRC-valid `Hop` onto an agent that is down at that point of the
+/// journal is a move no live hop can make — a live hop draws an
+/// available target under the shared FREEZE, which `fail_agent`
+/// excludes — so recovery refuses it as corruption instead of
+/// installing it.
+#[test]
+fn replay_refuses_a_hop_onto_a_failed_agent() {
+    use cloud_vc::persist::{journal_path, read_journal, JournalWriter};
+    use vc_orchestrator::PersistError;
+    let problem = small_universe();
+    let dir = store_dir("hop-onto-failed");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    let lost = AgentId::new(2);
+    fleet.fail_agent(lost);
+    let s = fleet.live_sessions()[0];
+    let u = problem.instance().session(s).users()[0];
+    let from = fleet.durable_state().user_agents[u.index()];
+    assert_ne!(from, lost);
+    drop(fleet);
+
+    // The history as written, then the hop onto the failed agent.
+    let path = journal_path(&dir, 1);
+    let (records, _) = read_journal::<FleetOp>(&path).expect("read");
+    let mut journal =
+        JournalWriter::<FleetOp>::create(&path, FsyncPolicy::Always, 1).expect("journal");
+    for (_, op) in &records {
+        journal.append(op).expect("append");
+    }
+    let hop = FleetOp::Hop {
+        session: s,
+        decision: Decision::User(u, lost),
+        old_agent: from,
+    };
+    journal.append(&hop).expect("append");
+    journal.commit().expect("commit");
+    drop(journal);
+
+    let err = Fleet::recover(persist_config(&dir), problem, fleet_config())
+        .map(drop)
+        .expect_err("a hop onto a failed agent must be refused");
+    assert!(
+        matches!(&err, PersistError::Replay(m) if m.contains("onto down agent a2")),
+        "{err:?}"
+    );
 }

@@ -1,4 +1,4 @@
-//! The v6 wire format, pinned byte for byte.
+//! The wire format — journal v7, snapshot v6 — pinned byte for byte.
 //!
 //! Round-trip tests pass a *symmetric* codec mistake (two fields swapped
 //! in both directions); these do not. One hand-built value of every
@@ -22,7 +22,7 @@ use vc_algo::admission::AdmissionTier;
 use vc_core::TaskId;
 use vc_model::DownstreamDemand;
 use vc_orchestrator::{
-    AgentHold, CounterSnapshot, DurableFleetState, FleetOp, GrowthRecord, ReadmitEntry,
+    AgentHold, CounterSnapshot, DurableFleetState, EvacStep, FleetOp, GrowthRecord, ReadmitEntry,
     RefusalReason, SessionHold,
 };
 
@@ -138,6 +138,27 @@ fn admit(tier: AdmissionTier) -> FleetOp {
     }
 }
 
+/// An evacuation that took one step of every kind: a feasible move of
+/// a user, a forced move of a task, a displacement, a stuck decision.
+fn evacuation() -> Vec<EvacStep> {
+    vec![
+        EvacStep::Moved {
+            session: SessionId::new(4),
+            decision: Decision::User(UserId::new(8), AgentId::new(1)),
+            forced: false,
+        },
+        EvacStep::Moved {
+            session: SessionId::new(4),
+            decision: Decision::Task(TaskId::new(6), AgentId::new(3)),
+            forced: true,
+        },
+        EvacStep::Displaced {
+            session: SessionId::new(7),
+        },
+        EvacStep::Stuck,
+    ]
+}
+
 fn reject(reason: RefusalReason) -> FleetOp {
     FleetOp::Reject {
         session: SessionId::new(7),
@@ -146,7 +167,8 @@ fn reject(reason: RefusalReason) -> FleetOp {
 }
 
 /// One row per `FleetOp` variant (and per arm of the enums inside it):
-/// name, value, v6 bytes.
+/// name, value, v7 bytes. The two evacuation records hold a step of
+/// every kind.
 fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
     let session = SessionId::new(0x0A0B_0C0D);
     let agent_id = AgentId::new(2);
@@ -192,8 +214,12 @@ fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
         ("Depart", FleetOp::Depart { session }, "020d0c0b0a"),
         (
             "FailAgent",
-            FleetOp::FailAgent { agent: agent_id },
-            "0302000000",
+            FleetOp::FailAgent {
+                agent: agent_id,
+                steps: evacuation(),
+            },
+            "0302000000040000000004000000000800000001000000000004000000010600\
+             00000300000001010700000002",
         ),
         (
             "RestoreAgent",
@@ -269,14 +295,18 @@ fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
         ),
         (
             "DrainAgent",
-            FleetOp::DrainAgent { agent: agent_id },
-            "0d02000000",
+            FleetOp::DrainAgent {
+                agent: agent_id,
+                steps: evacuation(),
+            },
+            "0d02000000040000000004000000000800000001000000000004000000010600\
+             00000300000001010700000002",
         ),
     ]
 }
 
 #[test]
-fn every_journal_record_variant_encodes_to_its_v6_bytes() {
+fn every_journal_record_variant_encodes_to_its_v7_bytes() {
     let rows = journal_rows();
     // Every variant is there, told apart by its leading tag byte: 13
     // distinct tags, none of them the retired 6.
