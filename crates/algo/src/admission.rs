@@ -104,7 +104,8 @@ use crate::agrank::{self, AgRankConfig, RankScratch, Residuals};
 use crate::placement::{self, StreamKey};
 use std::sync::Arc;
 use vc_core::{
-    Assignment, AssignmentView, EvalScratch, SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    agent_fits, AgentDemand, Assignment, AssignmentView, EvalScratch, FreeCapacity, SystemState,
+    TaskId, UapProblem, Violation, CAPACITY_EPS,
 };
 use vc_model::{AgentId, ReprId, SessionId, UserId};
 
@@ -290,21 +291,6 @@ impl AssignmentView for PlacementView<'_> {
             .expect("admission placements cover every session task")
             .1
     }
-}
-
-/// The first global violation of a fully-placed candidate, in the same
-/// order `SystemState::violations` reports them (agents ascending:
-/// download, upload, transcode; then the delay bound).
-#[derive(Debug, Clone, Copy)]
-enum GlobalViolation {
-    Download(AgentId),
-    Upload(AgentId),
-    Transcode(AgentId),
-    Delay,
-    /// A target agent is down — unreachable via the normal choosers
-    /// (all filter on availability); the final check still refuses it
-    /// so no tier can ever emit a placement on a failed agent.
-    Unavailable,
 }
 
 impl AdmissionEngine {
@@ -697,36 +683,27 @@ impl PlacementScratch {
     }
 
     /// Evaluates the fully-placed session into `eval` and checks it
-    /// globally against the residuals: per *touched* agent (ascending),
-    /// `load ≤ residual` — the sparse mirror of the closed-world
-    /// `totals + load ≤ capacity` check (the prior state is feasible,
-    /// so only touched agents can newly violate) — then the delay
-    /// bound. Availability of every target is re-checked first, so no
-    /// tier can emit a placement on a failed agent. Returns the first
-    /// violation, `None` when feasible.
-    ///
-    /// Admission keeps this residual check rather than asking
-    /// [`vc_core::demand_fits`], the rule of hops and evacuations: the
-    /// [`Residuals`] are clamped at 0, so on an agent over its
-    /// transcoding capacity a user-only placement (0 units there) passes
-    /// here and fails the signed rule. Switching would change which
-    /// placements admission accepts, which `tests/admission_golden.rs`
-    /// pins.
-    fn check_full(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<GlobalViolation> {
+    /// globally against the residuals: per *touched* agent (ascending)
+    /// [`agent_fits`], the rule of hops, evacuations and the ledger,
+    /// with nothing held there before; then the delay bound.
+    /// Availability of every target is re-checked first, so no tier can
+    /// emit a placement on a failed agent. Returns the first violation,
+    /// `None` when feasible.
+    fn check_full(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<Violation> {
         let Search {
             problem,
             residuals,
             available,
             ..
         } = *search;
-        for &(_, l) in &self.users {
-            if !available[l.index()] {
-                return Some(GlobalViolation::Unavailable);
+        for &(_, agent) in &self.users {
+            if !available[agent.index()] {
+                return Some(Violation::Unavailable { agent });
             }
         }
-        for &(_, l) in &self.tasks {
-            if !available[l.index()] {
-                return Some(GlobalViolation::Unavailable);
+        for &(_, agent) in &self.tasks {
+            if !available[agent.index()] {
+                return Some(Violation::Unavailable { agent });
             }
         }
         let view = PlacementView {
@@ -734,34 +711,32 @@ impl PlacementScratch {
             tasks: &self.tasks,
         };
         let load = eval.evaluate(problem, &view, search.s);
-        // `load.touched` is ascending, mirroring the dense agent scan of
-        // `SystemState::violations`.
-        for &a in &load.touched {
-            let i = a as usize;
-            if load.download[i] > residuals.download[i] + CAPACITY_EPS {
-                return Some(GlobalViolation::Download(AgentId::from(i)));
-            }
-            if load.upload[i] > residuals.upload[i] + CAPACITY_EPS {
-                return Some(GlobalViolation::Upload(AgentId::from(i)));
-            }
-            if f64::from(load.transcode_units[i]) > residuals.transcode[i] {
-                return Some(GlobalViolation::Transcode(AgentId::from(i)));
+        let (inst, none) = (problem.instance(), AgentDemand::default());
+        for new in load.demand() {
+            let i = new.agent as usize;
+            let free = FreeCapacity {
+                download: residuals.download[i],
+                upload: residuals.upload[i],
+                transcode: residuals.transcode[i],
+            };
+            if let Err(violation) = agent_fits(&inst.agents()[i].capacity(), free, &none, &new) {
+                return Some(violation);
             }
         }
-        if load.max_flow_delay > problem.instance().d_max_ms() + CAPACITY_EPS {
-            return Some(GlobalViolation::Delay);
-        }
-        None
+        (load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS).then_some(Violation::Delay {
+            session: search.s,
+            delay_ms: load.max_flow_delay,
+            bound_ms: inst.d_max_ms(),
+        })
     }
 
     /// One repair move over the candidate placement: shift a user or
     /// task of the session away from the agent named in `violation`, to
     /// its next-ranked *available* alternative. Returns whether any
     /// move was applied.
-    fn repair_step(&mut self, search: &Search<'_>, violation: GlobalViolation) -> bool {
+    fn repair_step(&mut self, search: &Search<'_>, violation: Violation) -> bool {
         let overloaded = match violation {
-            GlobalViolation::Download(agent) | GlobalViolation::Upload(agent) => agent,
-            GlobalViolation::Transcode(agent) => {
+            Violation::Transcode { agent, .. } => {
                 // Move one of this session's tasks off the agent (the
                 // fallback order is pre-filtered to available agents).
                 for slot in self.tasks.iter_mut() {
@@ -776,10 +751,11 @@ impl PlacementScratch {
                 }
                 return false;
             }
+            Violation::Download { agent, .. } | Violation::Upload { agent, .. } => agent,
             // Delay violations are not repairable by shuffling, and an
             // unavailable target means a bug upstream (every chooser
             // filters on availability) — give up rather than shuffle.
-            GlobalViolation::Delay | GlobalViolation::Unavailable => return false,
+            Violation::Delay { .. } | Violation::Unavailable { .. } => return false,
         };
         // Move the first of this session's users on the overloaded agent
         // that has an available alternative candidate (`users` is in
@@ -1247,6 +1223,71 @@ mod tests {
             decision.stats.tier,
             AdmissionTier::Repair | AdmissionTier::RankedFallback
         ));
+    }
+
+    /// Admission asks the capacity rule hops ask, so the two agree on
+    /// an agent a forced evacuation overshot: agent 0 carries two
+    /// transcoding units on its one slot, and the nearest placement puts
+    /// both users there with no transcoding at all. A hop making that
+    /// move is refused (0 new units against −1 free), and so is the
+    /// admission.
+    #[test]
+    fn admission_and_hops_refuse_the_same_overshot_agent() {
+        let ladder = vc_model::ReprLadder::standard_four();
+        let r = ladder.highest();
+        let mut b = vc_model::InstanceBuilder::new(ladder);
+        for (name, slots) in [("overshot", 1), ("roomy", 4)] {
+            let capacity = vc_model::Capacity::new(1e3, 1e3, slots);
+            b.add_agent(
+                vc_model::AgentSpec::builder(name)
+                    .capacity(capacity)
+                    .build(),
+            );
+        }
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.add_user(s, r, r);
+        b.symmetric_delays(|_, _| 20.0, |l, _| if l == 0 { 5.0 } else { 40.0 });
+        b.d_max_ms(10_000.0);
+        let p = UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default());
+        let mut totals = vc_core::AgentTotals::zero(2);
+        totals.transcode[0] = 2;
+        let (u0, u1, over) = (UserId::new(0), UserId::new(1), AgentId::new(0));
+
+        let mut eval = EvalScratch::new();
+        let users = [(u0, over), (u1, over)];
+        let view = PlacementView {
+            users: &users,
+            tasks: &[],
+        };
+        let load = eval.evaluate(&p, &view, s).clone();
+        assert_eq!(
+            (load.touched.as_slice(), load.transcode_units[0]),
+            (&[0][..], 0)
+        );
+        let hop = vc_core::demand_fits(
+            load.demand(),
+            &vc_core::SessionLoad::empty(2),
+            &totals,
+            p.instance(),
+        );
+        assert!(
+            matches!(hop, Err(vc_core::Violation::Transcode { .. })),
+            "{hop:?}"
+        );
+
+        let admitted = AdmissionEngine::default().place_session(
+            &p,
+            s,
+            &AdmissionPolicy::Nearest,
+            &Residuals::from_totals(&p, &totals),
+            &[true, true],
+            &mut eval,
+        );
+        assert_eq!(
+            admitted.map(|d| d.users),
+            Err(AdmissionFailure::GlobalCheck)
+        );
     }
 
     #[test]

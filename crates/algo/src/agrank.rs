@@ -21,7 +21,7 @@
 //! paper's literal iteration.
 
 use crate::placement;
-use vc_core::{SystemState, TaskId, UapProblem};
+use vc_core::{TaskId, UapProblem};
 use vc_model::{AgentId, SessionId, UserId};
 
 /// Tuning knobs of AgRank.
@@ -82,7 +82,8 @@ impl Default for AgRankConfig {
 }
 
 /// Residual agent capacities, the `(û, d̂, t̂)` part of the ranking
-/// quadruple.
+/// quadruple: `capacity − reserved`, signed like
+/// [`FreeCapacity`](vc_core::FreeCapacity). The ranking floors it at 0.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Residuals {
     /// Remaining upload capacity per agent (Mbps).
@@ -96,34 +97,13 @@ pub struct Residuals {
 impl Residuals {
     /// Full capacities (nothing consumed yet).
     pub fn full(problem: &UapProblem) -> Self {
-        let inst = problem.instance();
-        Self {
-            upload: inst
-                .agents()
-                .iter()
-                .map(|a| a.capacity().upload_mbps)
-                .collect(),
-            download: inst
-                .agents()
-                .iter()
-                .map(|a| a.capacity().download_mbps)
-                .collect(),
-            transcode: inst
-                .agents()
-                .iter()
-                .map(|a| f64::from(a.capacity().transcode_slots))
-                .collect(),
-        }
+        let none = vc_core::AgentTotals::zero(problem.instance().num_agents());
+        Self::from_totals(problem, &none)
     }
 
-    /// Capacities minus the loads of a live system state (clamped at 0).
-    pub fn from_state(state: &SystemState) -> Self {
-        Self::from_totals(state.problem(), state.totals())
-    }
-
-    /// Capacities minus explicit per-agent load totals (clamped at 0) —
+    /// Capacities minus explicit per-agent load totals —
     /// the **shared** residual derivation of the admission engine. The
-    /// offline [`from_state`](Self::from_state) and the fleet's
+    /// offline world (`SystemState::totals`) and the fleet's
     /// ledger-backed admission both route through here, so two worlds
     /// whose live loads are bitwise equal see bitwise-equal residuals
     /// (and hence make identical admission decisions).
@@ -142,12 +122,10 @@ impl Residuals {
         self.transcode.clear();
         for (i, a) in agents.iter().enumerate() {
             let cap = a.capacity();
-            self.upload
-                .push((cap.upload_mbps - totals.upload[i]).max(0.0));
-            self.download
-                .push((cap.download_mbps - totals.download[i]).max(0.0));
+            self.upload.push(cap.upload_mbps - totals.upload[i]);
+            self.download.push(cap.download_mbps - totals.download[i]);
             self.transcode
-                .push((f64::from(cap.transcode_slots) - f64::from(totals.transcode[i])).max(0.0));
+                .push(f64::from(cap.transcode_slots) - f64::from(totals.transcode[i]));
         }
     }
 }
@@ -191,10 +169,12 @@ impl AgentRanking {
 
 /// Adds one component of the residual quadruple to `acc`, normalized
 /// to `[0, 1]` by its finite maximum: infinite entries score 1
-/// (abundant resource) and an all-zero component stays zero. The first
+/// (abundant resource), negative ones 0 (an overshot agent scores like
+/// a full one) and an all-zero component stays zero. The first
 /// component is assigned rather than added, so the four-term sum
 /// associates as `((û + d̂) + t̂) + σ̂`.
 fn add_normalized(acc: &mut [f64], values: impl Iterator<Item = f64> + Clone, first: bool) {
+    let values = values.map(|v| v.max(0.0));
     let max_finite = values
         .clone()
         .filter(|v| v.is_finite())

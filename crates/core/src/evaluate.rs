@@ -195,7 +195,7 @@ impl PartialEq for SessionLoad {
 /// feasibility check needs of it, so a candidate can be kept — and
 /// re-checked against capacities that have moved since — without its
 /// dense vectors.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AgentDemand {
     /// The agent's index.
     pub agent: u32,
@@ -211,15 +211,18 @@ impl SessionLoad {
     /// The sparse demand view: one [`AgentDemand`] per
     /// [`touched`](Self::touched) agent, ascending.
     pub fn demand(&self) -> impl Iterator<Item = AgentDemand> + '_ {
-        self.touched.iter().map(|&agent| {
-            let i = agent as usize;
-            AgentDemand {
-                agent,
-                transcode_units: self.transcode_units[i],
-                download: self.download[i],
-                upload: self.upload[i],
-            }
-        })
+        self.touched.iter().map(|&agent| self.demand_at(agent))
+    }
+
+    /// The load's share of `agent`, touched or not (zero if not).
+    pub fn demand_at(&self, agent: u32) -> AgentDemand {
+        let i = agent as usize;
+        AgentDemand {
+            agent,
+            transcode_units: self.transcode_units[i],
+            download: self.download[i],
+            upload: self.upload[i],
+        }
     }
 
     /// A zeroed load (used for inactive sessions).

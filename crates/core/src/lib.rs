@@ -64,6 +64,8 @@ mod violation;
 pub use assignment::{Assignment, Decision};
 pub use evaluate::{AgentDemand, AssignmentView, EvalScratch, OverlayView, SessionLoad};
 pub use problem::UapProblem;
-pub use state::{demand_fits, fits, AgentTotals, SystemState, CAPACITY_EPS};
+pub use state::{
+    agent_fits, demand_fits, fits, AgentTotals, FreeCapacity, SystemState, CAPACITY_EPS,
+};
 pub use tasks::{TaskId, TaskTable, TranscodeTask};
 pub use violation::Violation;

@@ -11,7 +11,7 @@
 use crate::evaluate::{evaluate_session, AgentDemand, EvalScratch, OverlayView, SessionLoad};
 use crate::{Assignment, Decision, UapProblem, Violation};
 use std::sync::{Arc, Mutex};
-use vc_model::{AgentId, Instance, SessionId};
+use vc_model::{AgentId, Capacity, Instance, SessionId};
 
 /// Aggregate per-agent loads across all *active* sessions.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -91,9 +91,9 @@ impl Clone for SystemState {
 }
 
 /// Numerical slack for capacity and delay comparisons, guarding against
-/// float drift in the incrementally-maintained totals: the one slack of
-/// [`fits`], which both worlds' hops and evacuations ask, and of the
-/// orchestrator's ledger and admission checks.
+/// float drift in the incrementally-maintained totals: every capacity
+/// decision meets it in [`agent_fits`], and the delay bound and the
+/// audit [`SystemState::violations`] use it too.
 pub const CAPACITY_EPS: f64 = 1e-6;
 
 /// The feasibility rule of hops and evacuations, in both worlds — the
@@ -123,18 +123,81 @@ pub fn fits(
     demand_fits(load.demand(), old, reserved, inst)
 }
 
-/// The capacity half of [`fits`], constraints (5)–(7), on a candidate's
-/// sparse [demand](SessionLoad::demand) — all a hop keeps of a
-/// candidate between sweeps: per agent the candidate *touches* only,
-/// `new − old ≤ capacity − reserved`. An agent the candidate does not
-/// touch vetoes nothing, even when overshot; an agent that
-/// advertises unlimited transcoding never refuses; and the free capacity
-/// is signed — an agent a forced evacuation overshot takes only
-/// candidates that lower its load by at least the overshoot.
+/// One agent's free capacity, `capacity − reserved` per resource —
+/// signed: an agent a forced evacuation overshot has less than nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FreeCapacity {
+    /// Free download bandwidth (Mbps).
+    pub download: f64,
+    /// Free upload bandwidth (Mbps).
+    pub upload: f64,
+    /// Free transcoding units.
+    pub transcode: f64,
+}
+
+impl FreeCapacity {
+    /// `cap` less the reserved `download`, `upload` and `units`.
+    #[inline]
+    pub fn new(cap: &Capacity, download: f64, upload: f64, units: u32) -> Self {
+        Self {
+            download: cap.download_mbps - download,
+            upload: cap.upload_mbps - upload,
+            transcode: f64::from(cap.transcode_slots) - f64::from(units),
+        }
+    }
+}
+
+/// The capacity rule, constraints (5)–(7) at agent `new.agent` for a
+/// demand going from `old` (zero if none) to `new`: per resource
+/// `new − old ≤ free`, within [`CAPACITY_EPS`] for bandwidth. Unlimited
+/// transcoding never refuses. Hops and evacuations in both worlds
+/// ([`demand_fits`]), admission and the ledger all ask this.
 ///
 /// # Errors
 ///
-/// The first capacity violation, its load `reserved − old + new`.
+/// The first violation, its load `capacity − free − old + new`.
+#[inline]
+pub fn agent_fits(
+    cap: &Capacity,
+    free: FreeCapacity,
+    old: &AgentDemand,
+    new: &AgentDemand,
+) -> Result<(), Violation> {
+    let agent = AgentId::new(new.agent);
+    let (download, upload) = (new.download - old.download, new.upload - old.upload);
+    let units = f64::from(new.transcode_units) - f64::from(old.transcode_units);
+    if download > free.download + CAPACITY_EPS {
+        Err(Violation::Download {
+            agent,
+            load_mbps: cap.download_mbps - free.download + download,
+            capacity_mbps: cap.download_mbps,
+        })
+    } else if upload > free.upload + CAPACITY_EPS {
+        Err(Violation::Upload {
+            agent,
+            load_mbps: cap.upload_mbps - free.upload + upload,
+            capacity_mbps: cap.upload_mbps,
+        })
+    } else if cap.transcode_slots != u32::MAX && units > free.transcode {
+        Err(Violation::Transcode {
+            agent,
+            units: (f64::from(cap.transcode_slots) - free.transcode + units) as u32,
+            capacity: cap.transcode_slots,
+        })
+    } else {
+        Ok(())
+    }
+}
+
+/// The capacity half of [`fits`], constraints (5)–(7), on a candidate's
+/// sparse [demand](SessionLoad::demand) — all a hop keeps of a
+/// candidate between sweeps: [`agent_fits`] at each agent the candidate
+/// *touches*, against `reserved` and `old`'s share there. An agent the
+/// candidate does not touch vetoes nothing, even when overshot.
+///
+/// # Errors
+///
+/// The first capacity violation.
 #[inline]
 pub fn demand_fits(
     demand: impl IntoIterator<Item = AgentDemand>,
@@ -144,34 +207,14 @@ pub fn demand_fits(
 ) -> Result<(), Violation> {
     for new in demand {
         let i = new.agent as usize;
-        let agent = AgentId::from(i);
-        let cap = inst.agent(agent).capacity();
-        let free_download = cap.download_mbps - reserved.download[i];
-        if new.download - old.download[i] > free_download + CAPACITY_EPS {
-            return Err(Violation::Download {
-                agent,
-                load_mbps: reserved.download[i] - old.download[i] + new.download,
-                capacity_mbps: cap.download_mbps,
-            });
-        }
-        let free_upload = cap.upload_mbps - reserved.upload[i];
-        if new.upload - old.upload[i] > free_upload + CAPACITY_EPS {
-            return Err(Violation::Upload {
-                agent,
-                load_mbps: reserved.upload[i] - old.upload[i] + new.upload,
-                capacity_mbps: cap.upload_mbps,
-            });
-        }
-        if cap.transcode_slots != u32::MAX
-            && f64::from(new.transcode_units) - f64::from(old.transcode_units[i])
-                > f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i])
-        {
-            return Err(Violation::Transcode {
-                agent,
-                units: reserved.transcode[i] - old.transcode_units[i] + new.transcode_units,
-                capacity: cap.transcode_slots,
-            });
-        }
+        let cap = inst.agents()[i].capacity();
+        let free = FreeCapacity::new(
+            &cap,
+            reserved.download[i],
+            reserved.upload[i],
+            reserved.transcode[i],
+        );
+        agent_fits(&cap, free, &old.demand_at(new.agent), &new)?;
     }
     Ok(())
 }

@@ -88,18 +88,17 @@
 //!
 //! ## One capacity view
 //!
-//! Reserved capacity travels in one shape, [`AgentTotals`], and free
-//! capacity is formed from it in one place per consumer: an admission
-//! snapshots the ledger ([`CapacityLedger::reserved_totals_into`]) and
-//! hands the engine `Residuals::fill_from_totals`; a hop takes the same
-//! snapshot and an evacuation keeps its own delta-maintained slot
-//! totals, and both ask `vc-core`'s one sparse rule, which the closed
-//! world's hops and evacuations ask too — the paper's constraints
-//! (5)–(8) as `new − old ≤ capacity − reserved` at the agents the
-//! candidate touches: an evacuation asks [`fits`] of the load the
-//! neighbourhood kernel just folded, a hop asks [`demand_fits`] of the
-//! [demand](vc_core::SessionLoad::demand) its sweep stored. The fleet
-//! defines no capacity predicate of its own.
+//! Reserved capacity travels in one shape, [`AgentTotals`], free
+//! capacity is `capacity − reserved` (signed), and every capacity
+//! decision asks `vc-core`'s one per-agent rule,
+//! [`agent_fits`](vc_core::agent_fits), which the closed world asks too
+//! — constraints (5)–(7) as `new − old ≤ capacity − reserved` at the
+//! agents a candidate touches. An admission snapshots the ledger
+//! ([`CapacityLedger::reserved_totals_into`]) and its engine's final
+//! check asks the rule of `Residuals::fill_from_totals`; a hop asks
+//! [`demand_fits`] of the same snapshot and the ledger's `try_swap` asks
+//! again at commit, so a refused swap is a lost race; an evacuation asks
+//! [`fits`] of its own slot totals. The fleet has no capacity predicate.
 
 use crate::ledger::{CapacityLedger, SessionHold};
 use crate::persist::{EvacStep, FleetOp, RefusalReason};

@@ -15,6 +15,9 @@
 //! worker threads at once. The fleet does so holding the slot's lock or
 //! the exclusive FREEZE, so the demand it names is the one booked.
 //!
+//! A checked booking asks [`agent_fits`], the capacity rule admission
+//! and every hop ask too, so a refused `try_swap` is a lost race.
+//!
 //! Agents are partitioned into shards, each behind its own lock, so
 //! concurrent reservations contend only when they touch the same shard.
 //! A multi-agent reservation locks the shards it spans in ascending
@@ -40,7 +43,9 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use vc_core::{AgentTotals, SessionLoad, UapProblem, CAPACITY_EPS};
+use vc_core::{
+    agent_fits, AgentDemand, AgentTotals, FreeCapacity, SessionLoad, UapProblem, Violation,
+};
 use vc_model::{AgentId, Capacity};
 
 /// One agent's worth of a session's reservation.
@@ -54,6 +59,18 @@ pub struct AgentHold {
     pub upload_mbps: f64,
     /// Reserved transcoding units, constraint (7).
     pub transcode_units: u32,
+}
+
+impl AgentHold {
+    /// The hold as the [`AgentDemand`] the capacity rule reads.
+    fn demand(self) -> AgentDemand {
+        AgentDemand {
+            agent: self.agent.as_u32(),
+            transcode_units: self.transcode_units,
+            download: self.download_mbps,
+            upload: self.upload_mbps,
+        }
+    }
 }
 
 /// A session's complete reservation: one [`AgentHold`] per agent it
@@ -188,27 +205,22 @@ impl AgentEntry {
         self.available.load(Ordering::Relaxed)
     }
 
-    /// Whether `hold` fits once `freed` — what the caller gives up on
-    /// this agent, if anything — is released, without writing anything:
-    /// the reserved values it checks are the ones [`remove`](Self::remove)
-    /// would leave, bit for bit.
-    fn fits(&self, freed: Option<&AgentHold>, hold: &AgentHold) -> Result<(), &'static str> {
-        let (mut download, mut upload, mut units) = (self.download(), self.upload(), self.units());
-        if let Some(f) = freed {
-            download = (download - f.download_mbps).max(0.0);
-            upload = (upload - f.upload_mbps).max(0.0);
-            units = units.saturating_sub(f.transcode_units);
-        }
-        if download + hold.download_mbps > self.capacity.download_mbps + CAPACITY_EPS {
-            return Err("download");
-        }
-        if upload + hold.upload_mbps > self.capacity.upload_mbps + CAPACITY_EPS {
-            return Err("upload");
-        }
-        if units + hold.transcode_units > self.capacity.transcode_slots {
-            return Err("transcode");
-        }
-        Ok(())
+    /// [`agent_fits`] of `hold` here, with `freed` — what the caller
+    /// gives up here, if anything — as the old demand: what a hop's draw
+    /// asked through [`vc_core::demand_fits`] of the same totals.
+    fn check(&self, freed: Option<AgentHold>, hold: AgentHold) -> Result<(), LedgerError> {
+        let free = FreeCapacity::new(&self.capacity, self.download(), self.upload(), self.units());
+        let old = freed.map_or_else(AgentDemand::default, AgentHold::demand);
+        let resource = match agent_fits(&self.capacity, free, &old, &hold.demand()) {
+            Ok(()) => return Ok(()),
+            Err(Violation::Download { .. }) => "download",
+            Err(Violation::Upload { .. }) => "upload",
+            Err(_) => "transcode",
+        };
+        Err(LedgerError::Insufficient {
+            agent: hold.agent,
+            resource,
+        })
     }
 
     /// Caller holds the owning shard lock.
@@ -413,34 +425,22 @@ impl CapacityLedger {
         }
     }
 
-    /// Atomically reserves `hold`: either every agent in the hold has
-    /// room (and is up) and all of it is booked, or nothing is — across
-    /// regions too, since every shard the hold touches is locked for
-    /// the whole check-then-book.
+    /// Atomically reserves `hold` on agents that are all up: a
+    /// [`try_swap`](Self::try_swap) that gives nothing back, so either
+    /// all of it is booked or nothing is — across regions too.
     ///
     /// # Errors
     ///
-    /// [`LedgerError::AgentDown`] / [`LedgerError::Insufficient`] when
-    /// some agent cannot take its share.
+    /// [`LedgerError::AgentDown`] when some agent of the hold is down,
+    /// else [`LedgerError::Insufficient`] when one lacks room.
     pub fn try_reserve(&self, hold: &impl Reservation) -> Result<(), LedgerError> {
-        self.with_span(hold.agent_holds().map(|h| h.agent), |view| {
-            for h in hold.agent_holds() {
-                let entry = &view[h.agent.index()];
-                if !entry.is_up() {
-                    return Err(LedgerError::AgentDown(h.agent));
-                }
-                if let Err(resource) = entry.fits(None, &h) {
-                    return Err(LedgerError::Insufficient {
-                        agent: h.agent,
-                        resource,
-                    });
-                }
-            }
-            for h in hold.agent_holds() {
-                view[h.agent.index()].add(&h);
-            }
-            Ok(())
-        })
+        match hold
+            .agent_holds()
+            .find(|h| !self.is_agent_available(h.agent))
+        {
+            Some(h) => Err(LedgerError::AgentDown(h.agent)),
+            None => self.try_swap(&SessionHold::default(), hold),
+        }
     }
 
     /// Releases `held` — what a departing or displaced session reserved;
@@ -456,7 +456,8 @@ impl CapacityLedger {
     /// Atomically replaces the reservation `old` with `new` **iff**
     /// every agent of `new` has room once `old` is released — the
     /// commit point of a *concurrent* HOP, where the ledger (not a
-    /// global state lock) arbitrates capacity races between sessions.
+    /// global state lock) arbitrates capacity races between sessions:
+    /// it asks what the hop's draw asked, so a refusal is a lost race.
     /// The caller holds the session's slot lock, so `old` is what the
     /// session has booked. Nothing is written unless the swap is made:
     /// a refusal leaves every total's bits as they were.
@@ -478,12 +479,7 @@ impl CapacityLedger {
         self.with_span(agents, |view| {
             for h in new.agent_holds() {
                 let freed = old.agent_holds().find(|o| o.agent == h.agent);
-                if let Err(resource) = view[h.agent.index()].fits(freed.as_ref(), &h) {
-                    return Err(LedgerError::Insufficient {
-                        agent: h.agent,
-                        resource,
-                    });
-                }
+                view[h.agent.index()].check(freed, h)?;
             }
             Self::swap_in(view, old, new);
             Ok(())
@@ -517,8 +513,7 @@ impl CapacityLedger {
     /// span whatever regions it touches. Two callers: an admission, live
     /// or replayed, whose engine already proved the placement fits
     /// against this ledger's reserved totals under the exclusive FREEZE
-    /// lock (a second epsilon-sensitive check could only disagree
-    /// spuriously — the engine is the authority, the ledger mirrors it);
+    /// lock, through the rule a checked booking would ask again;
     /// and crash recovery booking each live slot's cold-evaluated load,
     /// which may legitimately overshoot (forced evacuations) and may sit
     /// on failed agents — validity is established afterwards by the
@@ -624,15 +619,14 @@ impl CapacityLedger {
     /// everything the ledger books, in the one shape reserved capacity
     /// leaves it in, the same a closed-world state keeps as its totals.
     /// They move by exactly the demands the callers hand in, in commit
-    /// order. Every reader forms
-    /// `capacity − reserved` itself, at the agents it looks at: the
-    /// admission engine through `Residuals::fill_from_totals` (so it
-    /// searches the space the offline world searches), a hop through
-    /// [`vc_core::demand_fits`] — the sparse rule the closed world's hops
-    /// ask of its own totals too, and availability-*blind*
-    /// (failed agents are excluded separately, as *targets* only, so
-    /// load already on a down agent may still be carried by moves that
-    /// do not increase it). Lock-free (`L` relaxed loads per resource
+    /// order. Every reader forms `capacity − reserved` (signed) at the
+    /// agents it looks at and asks [`agent_fits`] of it: the admission
+    /// engine through `Residuals::fill_from_totals` (so it searches the
+    /// space the offline world searches), a hop through
+    /// [`vc_core::demand_fits`], and this ledger's checked bookings —
+    /// all availability-*blind* (failed agents are excluded separately,
+    /// as *targets* only, so load already on a down agent may still be
+    /// carried by moves that do not increase it). Lock-free (`L` relaxed loads per resource
     /// under the uncontended entries read lock); globally consistent
     /// when called under the fleet's FREEZE write lock, which quiesces
     /// mutators.

@@ -2025,3 +2025,168 @@ mod hop_memo {
         }
     }
 }
+
+/// The ledger's checked bookings ask the capacity rule a hop's draw
+/// asks. On a ledger booked to `reserved` — the session's `old` share
+/// plus everyone else's — `try_reserve(new)` refuses exactly when
+/// `vc_core::demand_fits` of `new` against nothing held and the
+/// ledger's own totals does, and `try_swap(old, new)` exactly when it
+/// does against `old`. The cases cover overshot agents, unlimited
+/// bandwidth and transcoding, and demands within 3 ulps of the
+/// boundary.
+mod ledger_rule {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use vc_core::{demand_fits, SessionLoad, CAPACITY_EPS};
+
+    const AGENTS: usize = 2;
+
+    /// One share per agent: download, upload, transcoding units.
+    type Shares = [(f64, f64, u32); AGENTS];
+
+    /// Agents with the given capacities, and the one session an
+    /// instance needs.
+    fn problem(caps: &[Capacity]) -> UapProblem {
+        let ladder = ReprLadder::standard_four();
+        let r = ladder.highest();
+        let mut b = InstanceBuilder::new(ladder);
+        for (i, &cap) in caps.iter().enumerate() {
+            b.add_agent(AgentSpec::builder(format!("a{i}")).capacity(cap).build());
+        }
+        let s = b.add_session();
+        b.add_user(s, r, r);
+        b.symmetric_delays(|_, _| 20.0, |_, _| 5.0);
+        UapProblem::new(b.build().unwrap(), CostModel::paper_default())
+    }
+
+    /// A load holding `shares[i]` on agent `i`, touching every agent it
+    /// holds anything on (an all-zero share is no hold).
+    fn load(shares: &Shares) -> SessionLoad {
+        let mut load = SessionLoad::empty(AGENTS);
+        for (i, &(d, u, t)) in shares.iter().enumerate() {
+            (load.download[i], load.upload[i], load.transcode_units[i]) = (d, u, t);
+            if d > 0.0 || u > 0.0 || t > 0 {
+                load.touched.push(i as u32);
+            }
+        }
+        load
+    }
+
+    /// A bandwidth in `[lo·cap, hi·cap)`, or in `[0, 300)` when
+    /// unlimited.
+    fn bandwidth(rng: &mut StdRng, cap: f64, (lo, hi): (f64, f64)) -> f64 {
+        if cap.is_finite() {
+            rng.gen_range(lo * cap..hi * cap)
+        } else {
+            rng.gen_range(0.0..300.0)
+        }
+    }
+
+    /// `x` moved by `k` ulps, floored at 0 (a demand is never negative).
+    fn ulps(x: f64, k: i64) -> f64 {
+        if x <= 0.0 {
+            0.0
+        } else {
+            f64::from_bits((x.to_bits() as i64 + k).max(0) as u64)
+        }
+    }
+
+    /// A new demand of one resource given what exactly fits there,
+    /// `edge = old + free` (+ ε for bandwidth): `k` ulps from `edge`
+    /// when the case puts this resource on the boundary, else zero or
+    /// clear of it.
+    fn new_share(rng: &mut StdRng, edge: f64, on_edge: bool, k: i64) -> f64 {
+        if on_edge {
+            ulps(edge, k)
+        } else if rng.gen_bool(0.3) || edge <= 0.0 {
+            0.0
+        } else {
+            rng.gen_range(0.0..0.9 * edge.min(1e3))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ledger_refuses_exactly_when_the_rule_does(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let caps: Vec<Capacity> = (0..AGENTS)
+                .map(|_| {
+                    let mut bw = || {
+                        if rng.gen_bool(0.1) { f64::INFINITY } else { rng.gen_range(1.0..200.0) }
+                    };
+                    let (up, down) = (bw(), bw());
+                    let slots = if rng.gen_bool(0.25) { u32::MAX } else { rng.gen_range(0..6) };
+                    Capacity::new(up, down, slots)
+                })
+                .collect();
+            let p = problem(&caps);
+            let (mut others, mut old): (Shares, Shares) = Default::default();
+            for (i, cap) in caps.iter().enumerate() {
+                // Everyone else's share overshoots one resource in twelve.
+                let mut share = || if rng.gen_bool(1.0 / 12.0) { (1.0, 1.3) } else { (0.0, 0.6) };
+                let (down, up, units) = (share(), share(), share());
+                let slots = f64::from(cap.transcode_slots.min(6));
+                others[i] = (
+                    bandwidth(&mut rng, cap.download_mbps, down),
+                    bandwidth(&mut rng, cap.upload_mbps, up),
+                    rng.gen_range(units.0 * slots..=units.1 * slots + 1.0) as u32,
+                );
+                if rng.gen_bool(2.0 / 3.0) {
+                    old[i] = (
+                        bandwidth(&mut rng, cap.download_mbps, (0.0, 0.3)),
+                        bandwidth(&mut rng, cap.upload_mbps, (0.0, 0.3)),
+                        rng.gen_range(0..=2),
+                    );
+                }
+            }
+            let old = load(&old);
+            let booked = || {
+                let ledger = CapacityLedger::new(&p, 1);
+                ledger.force_swap(&SessionHold::default(), &load(&others));
+                ledger.force_swap(&SessionHold::default(), &old);
+                ledger
+            };
+            let (reserving, swapping) = (booked(), booked());
+            let reserved = swapping.reserved_totals();
+            // One (agent, resource) goes to its boundary: 3 ulps either
+            // side for bandwidth, one unit for transcoding.
+            let (edge_agent, edge_resource) = (rng.gen_range(0..AGENTS), rng.gen_range(0..3));
+            let mut new = Shares::default();
+            for (i, cap) in caps.iter().enumerate() {
+                let on_edge = |r: usize| i == edge_agent && r == edge_resource;
+                let mut bw = |r, cap: f64, reserved: f64, old: f64| {
+                    let edge = old + ((cap - reserved) + CAPACITY_EPS);
+                    let k = rng.gen_range(-3..=3);
+                    new_share(&mut rng, edge, on_edge(r) && cap.is_finite(), k)
+                };
+                let download = bw(0, cap.download_mbps, reserved.download[i], old.download[i]);
+                let upload = bw(1, cap.upload_mbps, reserved.upload[i], old.upload[i]);
+                let units = if cap.transcode_slots == u32::MAX {
+                    rng.gen_range(0..8)
+                } else {
+                    let edge = f64::from(old.transcode_units[i])
+                        + (f64::from(cap.transcode_slots) - f64::from(reserved.transcode[i]));
+                    let k = if on_edge(2) { rng.gen_range(-1..=1) } else { 0 };
+                    new_share(&mut rng, edge + f64::from(k), on_edge(2), 0) as u32
+                };
+                new[i] = (download, upload, units);
+            }
+            let new = load(&new);
+            let inst = p.instance();
+            let nothing = SessionLoad::empty(AGENTS);
+            prop_assert_eq!(
+                reserving.try_reserve(&new).is_ok(),
+                demand_fits(new.demand(), &nothing, &reserved, inst).is_ok(),
+                "try_reserve on {:?}: reserved {:?}, new {:?}", caps, reserved, new
+            );
+            prop_assert_eq!(
+                swapping.try_swap(&old, &new).is_ok(),
+                demand_fits(new.demand(), &old, &reserved, inst).is_ok(),
+                "try_swap on {:?}: reserved {:?}, old {:?}, new {:?}", caps, reserved, old, new
+            );
+        }
+    }
+}

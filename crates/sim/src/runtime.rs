@@ -316,7 +316,7 @@ impl ConferenceSim {
                 self.state.reassign_session(s, &users, &tasks);
             }
             ArrivalPolicy::AgRank(config) => {
-                let residuals = Residuals::from_state(&self.state);
+                let residuals = Residuals::from_totals(&problem, self.state.totals());
                 let sa = agrank::assign_session(&problem, s, &residuals, config);
                 self.state.reassign_session(s, &sa.users, &sa.tasks);
             }
