@@ -231,17 +231,26 @@ impl FaultyVfs {
     pub fn write_faults(&self) -> u64 {
         self.ledger.write_faults.load(Ordering::Relaxed)
     }
+
+    /// Puts `inner`, whose next write lands at byte `offset`, under the
+    /// schedule: faults keep arming at absolute file offsets.
+    fn wrap(&self, inner: Box<dyn FaultFile>, path: &Path, offset: u64) -> Box<dyn FaultFile> {
+        Box::new(FaultyFile {
+            inner,
+            path: path.to_string_lossy().into_owned(),
+            offset,
+            ledger: Arc::clone(&self.ledger),
+        })
+    }
 }
 
 impl Vfs for FaultyVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn FaultFile>> {
-        let inner = RealVfs.create(path)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            path: path.to_string_lossy().into_owned(),
-            offset: 0,
-            ledger: Arc::clone(&self.ledger),
-        }))
+        Ok(self.wrap(RealVfs.create(path)?, path, 0))
+    }
+
+    fn open_at(&self, path: &Path, len: u64) -> io::Result<Box<dyn FaultFile>> {
+        Ok(self.wrap(RealVfs.open_at(path, len)?, path, len))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -253,7 +262,8 @@ impl Vfs for FaultyVfs {
 struct FaultyFile {
     inner: Box<dyn FaultFile>,
     path: String,
-    /// Bytes successfully written to the underlying file.
+    /// Where the next write lands: the length the file was opened at
+    /// (0 when created) plus every byte written since.
     offset: u64,
     ledger: Arc<FaultLedger>,
 }
@@ -489,6 +499,30 @@ mod tests {
         let (records, tail) = read_journal::<u64>(&path).expect("read");
         assert_eq!(records.len(), 4);
         assert!(!tail.torn);
+    }
+
+    #[test]
+    fn a_reopened_file_arms_faults_at_absolute_offsets() {
+        let dir = tmp_dir("open-at");
+        let path = dir.join("f.bin");
+        std::fs::write(&path, b"0123456789").expect("seed file");
+        let vfs = FaultyVfs::new();
+        vfs.inject(StorageFault {
+            path_contains: "f.bin".into(),
+            at_byte: 8,
+            kind: StorageFaultKind::TornWrite,
+        });
+        // Cut at 6: the write starts at byte 6 and tears at byte 8.
+        let mut f = vfs.open_at(&path, 6).expect("open at");
+        f.write_all(b"abcd").expect_err("must tear");
+        assert_eq!(std::fs::read(&path).expect("read"), b"012345ab");
+        vfs.inject(StorageFault {
+            path_contains: "f.bin".into(),
+            at_byte: 8,
+            kind: StorageFaultKind::FsyncErr { times: 1 },
+        });
+        assert!(f.sync_data().is_err(), "the sync fault armed at byte 8");
+        assert_eq!(vfs.fsync_errors(), 1);
     }
 
     #[test]

@@ -65,8 +65,15 @@
 //! [`Fleet::recover`] loads the newest valid snapshot, replays journal
 //! records with larger sequence numbers (tolerating a torn *final*
 //! record — the expected crash artifact), re-audits ledger
-//! conservation, and re-checkpoints so the torn tail is discarded and
-//! the store is compact before the fleet goes live again.
+//! conservation, and continues the final journal: the file is cut back
+//! to its last whole frame, so the torn tail is discarded, and synced,
+//! so every replayed record is on disk before the fleet goes live
+//! again. Recovery writes no snapshot — it would only write back the
+//! state it has just read — so it does not compact either: the store
+//! keeps its snapshot and journal tail until the caller's next
+//! [`Fleet::checkpoint`], and a second recovery before that replays
+//! the same tail plus whatever the recovered fleet journaled, exactly
+//! as for a fleet that never crashed.
 
 pub use crate::fleet::CounterSnapshot;
 use crate::fleet::{
@@ -88,7 +95,8 @@ use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{TraceKind, FLEET_SCOPE};
 use vc_persist::journal::{read_journal, FsyncPolicy, JournalError, JournalWriter, RetryPolicy};
 use vc_persist::snapshot::{
-    compact, journal_files, journal_path, latest_snapshot, write_snapshot_with, SnapshotError,
+    compact, fsync_dir, journal_files, journal_path, latest_snapshot, write_snapshot_with,
+    SnapshotError,
 };
 use vc_persist::vfs::{real_vfs, Vfs};
 use vc_persist::wire;
@@ -700,6 +708,10 @@ impl Fleet {
             &*vfs,
             retry,
         )?;
+        // The genesis journal's name is durable before its first record
+        // is acknowledged (a checkpoint's compaction does this for the
+        // journals it rotates in).
+        fsync_dir(&persist.dir)?;
         fleet.persist = Some(FleetPersistence {
             dir: persist.dir,
             fsync: persist.fsync,
@@ -712,13 +724,13 @@ impl Fleet {
         Ok(fleet)
     }
 
-    /// Cuts the store at `seq` — the step opening, checkpointing and
-    /// recovering a store share: the fleet's captured state becomes the
-    /// snapshot at `seq`, then a fresh journal wired to the fleet's obs
-    /// plane opens at `seq + 1`. Snapshot first: a crash between the two
-    /// writes leaves a valid snapshot beside the journal it supersedes
-    /// (none, at genesis), never a journal without its base. The caller
-    /// holds the FREEZE lock behind `u`; it installs the returned
+    /// Cuts the store at `seq` — the step opening and checkpointing a
+    /// store share: the fleet's captured state becomes the snapshot at
+    /// `seq`, then a fresh journal wired to the fleet's obs plane opens
+    /// at `seq + 1`. Snapshot first: a crash between the two writes
+    /// leaves a valid snapshot beside the journal it supersedes (none,
+    /// at genesis), never a journal without its base. The caller holds
+    /// the FREEZE lock behind `u`; a checkpoint installs the returned
     /// journal *before* it compacts, so a failed compaction leaves the
     /// fleet appending after the snapshot it just wrote.
     fn cut_store(
@@ -792,8 +804,16 @@ impl Fleet {
     /// Reconstructs a fleet from the durable store in `persist.dir`:
     /// loads the newest valid snapshot, replays the journal tail
     /// (tolerating a torn final record), re-audits ledger conservation,
-    /// and re-checkpoints so the recovered fleet continues journaling
-    /// from a compact store.
+    /// and continues journaling into the final journal, cut back to its
+    /// last whole record and synced before this returns. When no
+    /// journal follows the snapshot (a crash between a checkpoint's
+    /// snapshot and its new journal), recovery creates the journal the
+    /// checkpoint would have.
+    ///
+    /// Recovery writes no snapshot and compacts nothing, so the next
+    /// recovery replays from the same snapshot until the caller's next
+    /// [`checkpoint`](Fleet::checkpoint): the replay length of a fleet
+    /// that never crashed, bounded by the caller's checkpoint cadence.
     ///
     /// `problem` must be the same instance the store was written
     /// against (the control plane state is meaningless across
@@ -803,7 +823,8 @@ impl Fleet {
     /// # Errors
     ///
     /// See [`PersistError`]. Notably, a torn record anywhere but the
-    /// journal's end, a sequence gap, a hop or evacuation move whose old
+    /// journal's end (or in a journal the snapshot covers), a sequence
+    /// gap, a hop or evacuation move whose old
     /// assignment disagrees with the replayed state or whose target is
     /// down, or a non-empty conservation audit are all hard errors:
     /// recovery refuses to go live on a state it cannot prove
@@ -821,8 +842,10 @@ impl Fleet {
     /// [`Fleet::recover`] through an explicit storage layer (see
     /// [`Fleet::with_persistence_on`]). Reads stay on the real
     /// filesystem — recovery wants the actual on-disk bytes, faults and
-    /// all — but the recovery snapshot and the fresh journal the
-    /// recovered fleet continues into go through `vfs`/`retry`.
+    /// all — but the journal the recovered fleet continues into is
+    /// reopened (or created) and synced through `vfs`, and later
+    /// commits retry under `retry`. A failed sync is an error, like a
+    /// failed journal creation: it leaves the store recoverable.
     ///
     /// # Errors
     ///
@@ -848,16 +871,28 @@ impl Fleet {
         // allocation would dominate recovery on large fleets.
         let mut replay_scratch = EvalScratch::new();
         let files = journal_files(&persist.dir)?;
+        // Bytes of whole records in the final journal: where the
+        // recovered fleet continues it.
+        let mut valid_len = 0;
         for (i, (_, path)) in files.iter().enumerate() {
             let (records, tail) = read_journal::<FleetOp>(path)?;
+            valid_len = tail.valid_len;
             if tail.torn {
-                if i + 1 != files.len() {
-                    return Err(PersistError::Replay(format!(
-                        "torn record in non-final journal {}",
-                        path.display()
-                    )));
+                // A journal followed by one that starts within the
+                // snapshot's reach holds only records the snapshot
+                // covers, its torn ones included: a recovery that opens
+                // the journal a checkpoint's crash never created leaves
+                // the older one in place.
+                match files.get(i + 1) {
+                    None => torn_tail = true,
+                    Some(&(next, _)) if next <= snapshot_seq + 1 => {}
+                    Some(_) => {
+                        return Err(PersistError::Replay(format!(
+                            "torn record in non-final journal {}",
+                            path.display()
+                        )))
+                    }
                 }
-                torn_tail = true;
             }
             for (seq, op) in records {
                 if seq <= snapshot_seq {
@@ -896,15 +931,19 @@ impl Fleet {
             return Err(PersistError::Replay(detail));
         }
         let last_seq = expected - 1;
-        let journal = fleet.cut_store(
-            &fleet.freeze.read(),
-            last_seq,
-            &persist.dir,
-            persist.fsync,
-            &*vfs,
-            retry,
-        )?;
-        compact(&persist.dir, last_seq)?;
+        // Continue the final journal if it follows the snapshot;
+        // otherwise open the one the snapshot's checkpoint would have.
+        let (path, valid_len) = match files.last() {
+            Some((first, path)) if *first > snapshot_seq => (path.clone(), valid_len),
+            _ => (journal_path(&persist.dir, last_seq + 1), 0),
+        };
+        let mut journal =
+            JournalWriter::resume_with(path, valid_len, persist.fsync, expected, &*vfs, retry)?;
+        journal.set_obs(Arc::clone(&fleet.obs));
+        // The names the fleet goes live on — the snapshot's and the
+        // journal's — are durable too, however the crash cut their
+        // creation short.
+        fsync_dir(&persist.dir)?;
         fleet
             .obs
             .note_trace(TraceKind::RecoveryReplayed, FLEET_SCOPE, replayed as u64);

@@ -291,25 +291,75 @@ impl<T: Encode> JournalWriter<T> {
         header.extend_from_slice(&0u16.to_le_bytes());
         file.write_all(&header)?;
         file.sync_data()?;
-        Ok(Self {
+        Ok(Self::over(
+            file,
+            path,
+            policy,
+            first_seq,
+            retry,
+            HEADER_LEN as u64,
+        ))
+    }
+
+    /// Continues the journal at `path`, whose first `valid_len` bytes
+    /// are its valid frames (the reader's [`TailStatus::valid_len`]) and
+    /// whose next record carries `next_seq`: the file is cut to
+    /// `valid_len`, dropping any torn tail, and synced, so every record
+    /// before the cut is on disk when this returns (a record the crashed
+    /// writer left in the page cache included). A file without a
+    /// complete header (`valid_len` below [`HEADER_LEN`]) is recreated
+    /// as [`create_with`](Self::create_with) would.
+    ///
+    /// # Errors
+    ///
+    /// Any filesystem error, the sync included: like creation, resuming
+    /// does not degrade.
+    pub fn resume_with(
+        path: impl Into<PathBuf>,
+        valid_len: u64,
+        policy: FsyncPolicy,
+        next_seq: u64,
+        vfs: &dyn Vfs,
+        retry: RetryPolicy,
+    ) -> io::Result<Self> {
+        let path = path.into();
+        if valid_len < HEADER_LEN as u64 {
+            return Self::create_with(path, policy, next_seq, vfs, retry);
+        }
+        let mut file = vfs.open_at(&path, valid_len)?;
+        file.sync_data()?;
+        Ok(Self::over(file, path, policy, next_seq, retry, valid_len))
+    }
+
+    /// A writer over `file`, whose first `written_len` bytes are a
+    /// synced header and whole frames.
+    fn over(
+        file: Box<dyn FaultFile>,
+        path: PathBuf,
+        policy: FsyncPolicy,
+        next_seq: u64,
+        retry: RetryPolicy,
+        written_len: u64,
+    ) -> Self {
+        Self {
             file,
             path,
             buf: Vec::new(),
             pending: 0,
-            next_seq: first_seq,
+            next_seq,
             policy,
             retry,
-            written_len: HEADER_LEN as u64,
+            written_len,
             durability: Durability::Synchronous,
             torn: false,
             sync_retries: 0,
             obs: None,
             _record: PhantomData,
-        })
+        }
     }
 
     /// Attaches an observability plane. Journals are recreated on
-    /// rotation (checkpoint, recovery), so callers re-attach at every
+    /// rotation and reopened at recovery, so callers re-attach at every
     /// creation point; the plane itself is shared and keeps history.
     pub fn set_obs(&mut self, obs: Arc<ObsPlane>) {
         self.obs = Some(obs);
@@ -644,6 +694,61 @@ mod tests {
                 assert_eq!(records.len(), 5);
             }
         }
+    }
+
+    #[test]
+    fn resume_cuts_the_torn_tail_and_continues() {
+        let dir = tmp_dir("journal-resume");
+        let path = dir.join("j.vcwal");
+        let mut w = JournalWriter::<u64>::create(&path, FsyncPolicy::Always, 1).expect("create");
+        for v in [10u64, 20] {
+            w.append(&v).expect("append");
+        }
+        drop(w);
+        let mut bytes = fs::read(&path).expect("read");
+        let whole = bytes.len();
+        bytes.extend_from_slice(&[0x42, 0, 0, 0, 0xDE, 0xAD]); // a half-frame
+        fs::write(&path, &bytes).expect("write torn");
+        let (records, tail) = read_journal::<u64>(&path).expect("read");
+        assert!(tail.torn);
+        assert_eq!(tail.valid_len as usize, whole);
+        let next = records.last().expect("records").0 + 1;
+        let mut w = JournalWriter::<u64>::resume_with(
+            &path,
+            tail.valid_len,
+            FsyncPolicy::Always,
+            next,
+            &RealVfs,
+            RetryPolicy::default(),
+        )
+        .expect("resume");
+        assert_eq!(fs::read(&path).expect("read"), bytes[..whole]);
+        w.append(&30u64).expect("append");
+        let (records, tail) = read_journal::<u64>(&path).expect("read");
+        assert_eq!(records, vec![(1, 10), (2, 20), (3, 30)]);
+        assert!(!tail.torn);
+    }
+
+    #[test]
+    fn resume_without_a_whole_header_recreates_the_file() {
+        let dir = tmp_dir("journal-resume-header");
+        let path = dir.join("j.vcwal");
+        fs::write(&path, &JOURNAL_MAGIC[..3]).expect("write a torn header");
+        let (records, tail) = read_journal::<u64>(&path).expect("read");
+        assert!(records.is_empty() && tail.torn);
+        let mut w = JournalWriter::<u64>::resume_with(
+            &path,
+            tail.valid_len,
+            FsyncPolicy::Always,
+            5,
+            &RealVfs,
+            RetryPolicy::default(),
+        )
+        .expect("resume");
+        w.append(&50u64).expect("append");
+        let (records, tail) = read_journal::<u64>(&path).expect("read");
+        assert_eq!(records, vec![(5, 50)]);
+        assert!(!tail.torn);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use journal::{
     JOURNAL_MAGIC, JOURNAL_VERSION, SUPPORTED_JOURNAL_VERSIONS,
 };
 pub use snapshot::{
-    compact, journal_files, journal_path, latest_snapshot, load_snapshot, snapshot_path,
+    compact, fsync_dir, journal_files, journal_path, latest_snapshot, load_snapshot, snapshot_path,
     write_snapshot, write_snapshot_with, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     SUPPORTED_SNAPSHOT_VERSIONS,
 };

@@ -29,7 +29,7 @@
 //! bounding the store at one snapshot plus the journal tail written
 //! since it.
 
-use crate::codec::{decode_exact, encode_to_vec, CodecError, Decode, Encode};
+use crate::codec::{decode_exact, CodecError, Decode, Encode};
 use crate::crc::crc32;
 use crate::vfs::{RealVfs, Vfs};
 use std::fs::{self, File};
@@ -51,6 +51,8 @@ pub const SNAPSHOT_VERSION: u16 = 6;
 /// explicit set (see the journal's twin constant).
 pub const SUPPORTED_SNAPSHOT_VERSIONS: &[u16] = &[SNAPSHOT_VERSION];
 
+/// Header length: magic + version + reserved + payload length + CRC.
+const HEADER_LEN: usize = 16;
 const SNAPSHOT_PREFIX: &str = "snapshot-";
 const SNAPSHOT_SUFFIX: &str = ".vcsnap";
 const JOURNAL_PREFIX: &str = "journal-";
@@ -114,10 +116,15 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    // Directory fsync makes the rename itself durable. Some
-    // filesystems refuse to sync a directory handle; that only weakens
-    // durability of the *name*, not file contents, so ignore it.
+/// Syncs the directory `dir`, making the names created or renamed in
+/// it durable (a snapshot's rename, a new journal's creation).
+///
+/// # Errors
+///
+/// None today: some filesystems refuse to sync a directory handle,
+/// which only weakens durability of the *names*, not file contents, so
+/// that is ignored.
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
@@ -151,18 +158,18 @@ pub fn write_snapshot_with<S: Encode>(
     vfs: &dyn Vfs,
 ) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let payload = encode_to_vec(&(seq, StateRef(state)));
-    let mut bytes = Vec::with_capacity(16 + payload.len());
+    // The payload is encoded behind its header's reserved bytes, and the
+    // length and CRC patched in after: one buffer, no second copy.
+    let mut bytes = Vec::new();
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&0u16.to_le_bytes());
-    bytes.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("snapshot under 4 GiB")
-            .to_le_bytes(),
-    );
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&[0; 10]); // reserved u16, then len and crc
+    (seq, StateRef(state)).encode(&mut bytes);
+    let payload = &bytes[HEADER_LEN..];
+    let len = u32::try_from(payload.len()).expect("snapshot under 4 GiB");
+    let crc = crc32(payload);
+    bytes[8..12].copy_from_slice(&len.to_le_bytes());
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
     let tmp = dir.join(format!("{SNAPSHOT_PREFIX}{seq:020}.tmp"));
     let path = snapshot_path(dir, seq);
     let mut file = vfs.create(&tmp)?;
@@ -181,7 +188,7 @@ pub fn write_snapshot_with<S: Encode>(
 /// See [`SnapshotError`].
 pub fn load_snapshot<S: Decode>(path: &Path) -> Result<(u64, S), SnapshotError> {
     let bytes = fs::read(path)?;
-    if bytes.len() < 16 {
+    if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::Corrupt("shorter than the header".into()));
     }
     if bytes[..4] != SNAPSHOT_MAGIC {
@@ -197,7 +204,7 @@ pub fn load_snapshot<S: Decode>(path: &Path) -> Result<(u64, S), SnapshotError> 
     let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
     let payload = bytes
-        .get(16..16 + len)
+        .get(HEADER_LEN..HEADER_LEN + len)
         .ok_or_else(|| SnapshotError::Corrupt("truncated payload".into()))?;
     if crc32(payload) != crc {
         return Err(SnapshotError::Corrupt("CRC mismatch".into()));
@@ -335,6 +342,24 @@ mod tests {
             load_snapshot(&snapshot_path(&dir, 42)).expect("load");
         assert_eq!(seq, 42);
         assert_eq!(back, state);
+    }
+
+    /// The one-buffer writer lays down exactly the bytes of the
+    /// header-then-payload construction it replaced.
+    #[test]
+    fn snapshot_file_is_header_then_payload() {
+        let dir = tmp_dir("snap-bytes");
+        let state = vec![(7u32, 2.5f64); 300];
+        let path = write_snapshot(&dir, 9, &state).expect("write");
+        let payload = crate::codec::encode_to_vec(&(9u64, state));
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&SNAPSHOT_MAGIC);
+        expected.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&0u16.to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(fs::read(path).expect("read"), expected);
     }
 
     #[test]

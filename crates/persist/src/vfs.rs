@@ -11,15 +11,16 @@
 //! * [`FaultFile`] — one writable file: `write_all`, `sync_data`,
 //!   `sync_all`, `truncate`. `std::fs::File` implements it by
 //!   delegation.
-//! * [`Vfs`] — the namespace operations: create-or-truncate and the
-//!   atomic rename that publishes a snapshot. [`RealVfs`] is the
-//!   passthrough implementation every production path defaults to.
+//! * [`Vfs`] — the namespace operations: create-or-truncate, reopening
+//!   a file cut to a length (the journal a recovered fleet continues),
+//!   and the atomic rename that publishes a snapshot. [`RealVfs`] is
+//!   the passthrough implementation every production path defaults to.
 //!
 //! The traits deliberately cover only what [`crate::journal`] and
 //! [`crate::snapshot`] call: appends, syncs, the snapshot temp-file
-//! rename, and the truncate a degraded journal uses to cut a torn
-//! write back to its last known-good offset. Reads stay on `std::fs` —
-//! recovery wants the real bytes, faults and all.
+//! rename, and the truncates a degraded journal and a resumed one use
+//! to cut a torn tail back to its last known-good offset. Reads stay
+//! on `std::fs` — recovery wants the real bytes, faults and all.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -69,6 +70,10 @@ impl FaultFile for File {
 pub trait Vfs: Send + Sync + fmt::Debug {
     /// Create (truncating) a file for writing.
     fn create(&self, path: &Path) -> io::Result<Box<dyn FaultFile>>;
+    /// Open an existing file for writing, cut to `len` bytes, with the
+    /// next write landing at `len` — how a recovered journal drops its
+    /// torn tail and continues.
+    fn open_at(&self, path: &Path, len: u64) -> io::Result<Box<dyn FaultFile>>;
     /// Atomically rename `from` to `to` (the snapshot publish step).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
 }
@@ -84,6 +89,11 @@ impl Vfs for RealVfs {
             .create(true)
             .truncate(true)
             .open(path)?;
+        Ok(Box::new(file))
+    }
+    fn open_at(&self, path: &Path, len: u64) -> io::Result<Box<dyn FaultFile>> {
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        FaultFile::truncate(&mut file, len)?;
         Ok(Box::new(file))
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -119,5 +129,12 @@ mod tests {
         vfs.rename(&tmp, &dst).expect("rename");
         assert_eq!(std::fs::read(&dst).expect("read"), b"hello");
         assert!(!tmp.exists());
+        // Reopened at a cut: the tail past it is gone and the next
+        // write continues there.
+        let mut f = vfs.open_at(&dst, 4).expect("open at");
+        f.write_all(b"!").expect("write");
+        drop(f);
+        assert_eq!(std::fs::read(&dst).expect("read"), b"hell!");
+        assert!(vfs.open_at(&dir.join("missing.bin"), 0).is_err());
     }
 }

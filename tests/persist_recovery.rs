@@ -11,7 +11,10 @@
 //!   and (bitwise) objective;
 //! * **hostile input** — no journaled or snapshotted id past the
 //!   universe, and no mutation of a store's files, makes recovery or a
-//!   reader unwind: each is a typed error or a clean result.
+//!   reader unwind: each is a typed error or a clean result;
+//! * the **continued journal** — a recovered fleet writes no snapshot
+//!   and appends to the journal it replayed, cut back past any torn
+//!   tail and synced first, so a second crash recovers its history.
 
 mod common;
 
@@ -1285,4 +1288,216 @@ fn replay_refuses_a_hop_onto_a_failed_agent() {
         matches!(&err, PersistError::Replay(m) if m.contains("onto down agent a2")),
         "{err:?}"
     );
+}
+
+// ---------------------------------------------------- continued journal
+
+/// The store's snapshot files, name and bytes.
+fn snapshot_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = (std::fs::read_dir(dir).expect("store directory"))
+        .map(|entry| entry.expect("directory entry"))
+        .filter(|entry| entry.file_name().to_string_lossy().starts_with("snapshot-"))
+        .map(|entry| {
+            let bytes = std::fs::read(entry.path()).expect("snapshot bytes");
+            (entry.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The final journal of a store.
+fn final_journal(dir: &std::path::Path) -> PathBuf {
+    cloud_vc::persist::journal_files(dir)
+        .expect("scan")
+        .pop()
+        .expect("a journal")
+        .1
+}
+
+/// Admits, departs and hops on a recovered fleet.
+fn more_history(fleet: &Fleet) {
+    let mut rng = StdRng::seed_from_u64(31);
+    fleet.depart(fleet.live_sessions()[0]);
+    let _ = fleet.admit(SessionId::new(4));
+    for i in 0..6usize {
+        let _ = fleet.hop_session(SessionId::from(i), &mut rng);
+    }
+    fleet.commit_journal().expect("commit");
+}
+
+/// A recovered fleet continues a journal that ended in a half-frame:
+/// the tear is cut away before the first new record, so what the fleet
+/// journals after recovery survives the next crash, and the second
+/// recovery finds no tear.
+#[test]
+fn recovery_cuts_a_torn_tail_and_continues_the_journal() {
+    let problem = small_universe();
+    let dir = store_dir("continue-torn");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    drop(fleet);
+    let journal = final_journal(&dir);
+    let mut bytes = std::fs::read(&journal).expect("read");
+    bytes.extend_from_slice(&[0x30, 0x00, 0x00, 0x00, 0x11, 0x22]);
+    std::fs::write(&journal, &bytes).expect("write");
+
+    let (recovered, first) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
+    assert!(first.torn_tail, "tear not reported");
+    more_history(&recovered);
+    let before = recovered.durable_state();
+    drop(recovered); // the second crash
+
+    let (again, second) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("second recovery");
+    assert!(!second.torn_tail, "the tear outlived the first recovery");
+    assert_eq!(second.snapshot_seq, first.snapshot_seq);
+    assert!(second.replayed > first.replayed);
+    assert_eq!(again.durable_state(), before);
+    assert!(again.audit().is_empty());
+    assert_eq!(final_journal(&dir), journal, "one journal, continued");
+}
+
+/// Recovery writes no snapshot: the store's snapshot files are the
+/// same bytes after it, and the journal it continues keeps every byte
+/// it replayed.
+#[test]
+fn recovery_writes_no_snapshot_and_keeps_the_replayed_bytes() {
+    use cloud_vc::persist::read_journal;
+    let problem = small_universe();
+    let dir = store_dir("no-snapshot");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    fleet.checkpoint().expect("checkpoint");
+    more_history(&fleet);
+    drop(fleet);
+    let snapshots = snapshot_files(&dir);
+    let journal = final_journal(&dir);
+    let (_, tail) = read_journal::<FleetOp>(&journal).expect("read");
+    let replayed_bytes = std::fs::read(&journal).expect("journal bytes");
+
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("recovery");
+    assert!(report.snapshot_seq > 0 && report.replayed > 0);
+    assert_eq!(snapshot_files(&dir), snapshots, "recovery wrote a snapshot");
+    more_history(&recovered);
+    assert_eq!(snapshot_files(&dir), snapshots);
+    assert_eq!(final_journal(&dir), journal, "recovery rotated the journal");
+    let continued = std::fs::read(&journal).expect("journal bytes");
+    let valid = tail.valid_len as usize;
+    assert!(
+        continued.len() > valid,
+        "the recovered fleet journaled nothing"
+    );
+    assert_eq!(continued[..valid], replayed_bytes[..valid]);
+}
+
+/// The sync that makes the replayed records durable can fail: recovery
+/// then returns the error instead of going live, and the store stays
+/// recoverable — a retry on the real filesystem gives the crashed
+/// fleet's state.
+#[test]
+fn a_failed_resume_sync_fails_recovery_and_leaves_the_store_recoverable() {
+    use vc_chaos::{FaultyVfs, StorageFault, StorageFaultKind};
+    use vc_persist::journal::RetryPolicy;
+    let problem = small_universe();
+    let dir = store_dir("resume-sync");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    let before = fleet.durable_state();
+    drop(fleet);
+
+    let vfs = FaultyVfs::new();
+    vfs.inject(StorageFault {
+        path_contains: ".vcwal".into(),
+        at_byte: 0,
+        kind: StorageFaultKind::FsyncErr { times: 1 },
+    });
+    let outcome = Fleet::recover_with(
+        persist_config(&dir),
+        problem.clone(),
+        fleet_config(),
+        Arc::new(vfs.clone()),
+        RetryPolicy::immediate(3),
+    );
+    assert!(
+        matches!(outcome, Err(vc_orchestrator::PersistError::Io(_))),
+        "a failed sync must fail recovery: {:?}",
+        outcome.map(|(_, report)| report)
+    );
+    assert_eq!(vfs.fsync_errors(), 1);
+
+    let (recovered, _) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("retried recovery");
+    assert_eq!(recovered.durable_state(), before);
+    assert!(recovered.audit().is_empty());
+}
+
+/// Two recoveries with nothing in between replay the same records from
+/// the same snapshot, to the same state.
+#[test]
+fn recovering_twice_replays_the_same_tail() {
+    let problem = small_universe();
+    let dir = store_dir("recover-twice");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    fleet.checkpoint().expect("checkpoint");
+    more_history(&fleet);
+    drop(fleet);
+
+    let (first, report) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
+    let state = first.durable_state();
+    drop(first);
+    let (second, again) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("second recovery");
+    assert!(report.snapshot_seq > 0 && report.replayed > 0);
+    assert_eq!(
+        (again.snapshot_seq, again.replayed, again.last_seq),
+        (report.snapshot_seq, report.replayed, report.last_seq)
+    );
+    assert_eq!(second.durable_state(), state);
+}
+
+/// A crash between a checkpoint's snapshot and its new journal leaves
+/// no journal after the snapshot, and the old one may end in a tear (a
+/// degraded journal's torn write). Recovery opens the journal the
+/// checkpoint would have; the old one's tear, which the snapshot
+/// covers, does not stop the recovery after it.
+#[test]
+fn a_journal_the_snapshot_covers_may_stay_torn() {
+    use cloud_vc::persist::{journal_path, read_journal, write_snapshot};
+    let problem = small_universe();
+    let dir = store_dir("covered-tear");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    let state = fleet.durable_state();
+    drop(fleet);
+    let old = final_journal(&dir);
+    let (records, _) = read_journal::<FleetOp>(&old).expect("read");
+    let seq = records.last().expect("history").0;
+    let mut bytes = std::fs::read(&old).expect("read");
+    bytes.extend_from_slice(&[0x30, 0x00, 0x00, 0x00, 0x11, 0x22]);
+    std::fs::write(&old, &bytes).expect("write");
+    write_snapshot(&dir, seq, &state).expect("the checkpoint's snapshot");
+
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
+    assert_eq!((report.snapshot_seq, report.replayed), (seq, 0));
+    assert!(report.torn_tail);
+    assert_eq!(final_journal(&dir), journal_path(&dir, seq + 1));
+    more_history(&recovered);
+    let before = recovered.durable_state();
+    drop(recovered);
+
+    let (again, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("second recovery");
+    assert!(report.replayed > 0 && !report.torn_tail);
+    assert_eq!(again.durable_state(), before);
 }
