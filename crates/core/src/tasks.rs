@@ -50,38 +50,36 @@ pub struct TranscodeTask {
 }
 
 /// Enumeration and indexing of all transcoding tasks of an instance.
+///
+/// Tasks are enumerated session by session and, within a session,
+/// source by source (sources in session order, as
+/// `SessionSpec::flows` yields them), so both indexes are runs of one
+/// id array: a session's tasks and a source's tasks are each a
+/// contiguous slice of it, addressed by offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskTable {
     tasks: Vec<TranscodeTask>,
-    by_session: Vec<Vec<TaskId>>,
-    by_src: Vec<Vec<TaskId>>,
+    /// `ids[i] == TaskId(i)`: the one array both indexes slice.
+    ids: Vec<TaskId>,
+    /// `ids[session_start[s]..session_start[s + 1]]` are session `s`'s
+    /// tasks (one entry per covered session, plus the end).
+    session_start: Vec<u32>,
+    /// `ids[source_run[u].0..source_run[u].1]` are the tasks whose
+    /// source is user `u` (an empty run for a user that needs none).
+    source_run: Vec<(u32, u32)>,
 }
 
 impl TaskTable {
     /// Builds the task table by scanning every session's flows.
     pub fn build(instance: &Instance) -> Self {
-        let mut tasks = Vec::new();
-        let mut by_session = vec![Vec::new(); instance.num_sessions()];
-        let mut by_src = vec![Vec::new(); instance.num_users()];
-        for session in instance.sessions() {
-            for (u, v) in session.flows() {
-                if instance.theta(u, v) {
-                    let id = TaskId::from(tasks.len());
-                    tasks.push(TranscodeTask {
-                        src: u,
-                        dst: v,
-                        target: instance.user(v).downstream_from(u),
-                    });
-                    by_session[session.id().index()].push(id);
-                    by_src[u.index()].push(id);
-                }
-            }
-        }
-        Self {
-            tasks,
-            by_session,
-            by_src,
-        }
+        let mut table = Self {
+            tasks: Vec::new(),
+            ids: Vec::new(),
+            session_start: vec![0],
+            source_run: Vec::new(),
+        };
+        table.extend(instance);
+        table
     }
 
     /// Extends the table for **whole sessions** registered online after
@@ -99,28 +97,34 @@ impl TaskTable {
     /// Panics if the instance has fewer sessions or users than the
     /// table already covers (growth is append-only).
     pub(crate) fn extend(&mut self, instance: &Instance) {
-        let covered = self.by_session.len();
+        let covered = self.session_start.len() - 1;
         assert!(
-            instance.num_sessions() >= covered && instance.num_users() >= self.by_src.len(),
+            instance.num_sessions() >= covered && instance.num_users() >= self.source_run.len(),
             "task table covers more than the instance — growth is append-only"
         );
-        self.by_src.resize(instance.num_users(), Vec::new());
+        self.source_run.resize(instance.num_users(), (0, 0));
         for session in &instance.sessions()[covered..] {
-            let mut ids = Vec::new();
-            for (u, v) in session.flows() {
-                if instance.theta(u, v) {
-                    let id = TaskId::from(self.tasks.len());
-                    self.tasks.push(TranscodeTask {
-                        src: u,
-                        dst: v,
-                        target: instance.user(v).downstream_from(u),
-                    });
-                    ids.push(id);
-                    self.by_src[u.index()].push(id);
+            for &u in session.users() {
+                let start = self.offset();
+                for &v in session.users() {
+                    if v != u && instance.theta(u, v) {
+                        self.ids.push(TaskId::from(self.tasks.len()));
+                        self.tasks.push(TranscodeTask {
+                            src: u,
+                            dst: v,
+                            target: instance.user(v).downstream_from(u),
+                        });
+                    }
                 }
+                self.source_run[u.index()] = (start, self.offset());
             }
-            self.by_session.push(ids);
+            self.session_start.push(self.offset());
         }
+    }
+
+    /// The id array's length as an offset.
+    fn offset(&self) -> u32 {
+        u32::try_from(self.ids.len()).expect("task index exceeds u32::MAX")
     }
 
     /// Total number of tasks (`θ_sum`).
@@ -144,12 +148,14 @@ impl TaskTable {
 
     /// All task ids of a session.
     pub fn of_session(&self, s: SessionId) -> &[TaskId] {
-        &self.by_session[s.index()]
+        let s = s.index();
+        &self.ids[self.session_start[s] as usize..self.session_start[s + 1] as usize]
     }
 
     /// All task ids whose source user is `u`.
     pub fn of_source(&self, u: UserId) -> &[TaskId] {
-        &self.by_src[u.index()]
+        let (start, end) = self.source_run[u.index()];
+        &self.ids[start as usize..end as usize]
     }
 
     /// Iterator over `(TaskId, TranscodeTask)`.
@@ -162,7 +168,7 @@ impl TaskTable {
 
     /// The task for flow `(src, dst)`, if that flow needs transcoding.
     pub fn find(&self, src: UserId, dst: UserId) -> Option<TaskId> {
-        self.by_src[src.index()]
+        self.of_source(src)
             .iter()
             .copied()
             .find(|t| self.task(*t).dst == dst)
@@ -172,7 +178,8 @@ impl TaskTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_model::{AgentSpec, DownstreamDemand, InstanceBuilder, ReprLadder};
+    use proptest::prelude::*;
+    use vc_model::{AgentSpec, DownstreamDemand, InstanceBuilder, ReprLadder, SessionDef};
 
     /// Two sessions:
     ///  s0: u0 (720p up, wants 360p) and u1 (360p up, wants 360p)
@@ -222,15 +229,115 @@ mod tests {
         assert_eq!(table.task(t).dst, UserId::new(2));
     }
 
-    #[test]
-    fn by_source_index_is_consistent() {
-        let inst = instance();
-        let table = TaskTable::build(&inst);
-        for (id, task) in table.iter() {
-            assert!(table.of_source(task.src).contains(&id));
+    /// One random conference: per user, its upstream and default
+    /// downstream step and its overrides as `(peer position, step)`.
+    type RandomSession = Vec<(usize, usize, Vec<(usize, usize)>)>;
+
+    /// A 1–`steps`-rung ladder over 1–5 sessions of 1–6 users each,
+    /// users added session by session or round-robin across sessions
+    /// (`interleave`), so a session's user ids need not be contiguous.
+    fn random_instance(steps: usize, sessions: &[RandomSession], interleave: bool) -> Instance {
+        let rungs = [
+            ("360p", 360, 1_000),
+            ("480p", 480, 2_500),
+            ("720p", 720, 5_000),
+            ("1080p", 1080, 8_000),
+        ];
+        let repr = |i: usize| ReprId::from(i % steps);
+        let mut b =
+            InstanceBuilder::new(ReprLadder::from_steps(rungs.into_iter().take(steps)).unwrap());
+        b.add_agent(AgentSpec::builder("a").build());
+        let ids: Vec<SessionId> = sessions.iter().map(|_| b.add_session()).collect();
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        let longest = sessions.iter().map(Vec::len).max().unwrap_or(0);
+        if interleave {
+            for i in 0..longest {
+                order.extend(
+                    (0..sessions.len())
+                        .filter(|&s| i < sessions[s].len())
+                        .map(|s| (s, i)),
+                );
+            }
+        } else {
+            for (s, users) in sessions.iter().enumerate() {
+                order.extend((0..users.len()).map(|i| (s, i)));
+            }
         }
-        // u1 produces 360p and everyone in s0 wants 360p: no tasks.
-        assert!(table.of_source(UserId::new(1)).is_empty());
+        let mut user_of = vec![Vec::new(); sessions.len()];
+        for (n, &(s, _)) in order.iter().enumerate() {
+            user_of[s].push(UserId::from(n));
+        }
+        for &(s, i) in &order {
+            let (up, down, ref overrides) = sessions[s][i];
+            let peers = &user_of[s];
+            let demand = overrides
+                .iter()
+                .fold(DownstreamDemand::uniform(repr(down)), |d, &(peer, r)| {
+                    d.with_override(peers[peer % peers.len()], repr(r))
+                });
+            b.add_user_with_demand(ids[s], repr(up), demand);
+        }
+        b.symmetric_delays(|_, _| 10.0, |_, _| 5.0);
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random instances, `of_session`, `of_source` and `find`
+        /// equal a brute-force scan of `session.flows()` under `θ`, and
+        /// a table grown one registered session at a time equals the
+        /// one [`TaskTable::build`] makes over the grown instance.
+        #[test]
+        fn by_source_index_is_consistent(
+            steps in 1usize..=4,
+            sessions in prop::collection::vec(
+                prop::collection::vec(
+                    (0usize..4, 0usize..4, prop::collection::vec((0usize..6, 0usize..4), 0..3)),
+                    1..=6,
+                ),
+                1..=5,
+            ),
+            interleave in any::<bool>(),
+            split in 1usize..=5,
+        ) {
+            let inst = random_instance(steps, &sessions, interleave);
+            let table = TaskTable::build(&inst);
+            prop_assert_eq!(table.len(), inst.theta_sum());
+            for session in inst.sessions() {
+                let want: Vec<(UserId, UserId)> =
+                    session.flows().filter(|&(u, v)| inst.theta(u, v)).collect();
+                let got: Vec<(UserId, UserId)> = (table.of_session(session.id()).iter())
+                    .map(|&t| (table.task(t).src, table.task(t).dst))
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+            for u in inst.user_ids() {
+                let want: Vec<TaskId> =
+                    table.iter().filter(|(_, task)| task.src == u).map(|(t, _)| t).collect();
+                prop_assert_eq!(table.of_source(u), &want[..]);
+                for v in inst.user_ids() {
+                    let found = table.find(u, v).map(|t| table.task(t));
+                    let want = inst.theta(u, v).then(|| TranscodeTask {
+                        src: u,
+                        dst: v,
+                        target: inst.user(v).downstream_from(u),
+                    });
+                    prop_assert_eq!(found, want);
+                }
+            }
+            if !interleave {
+                let split = split.min(inst.num_sessions());
+                let mut grown = inst.prefix(split).unwrap();
+                let mut grown_table = TaskTable::build(&grown);
+                for s in split..inst.num_sessions() {
+                    grown.register_session(&SessionDef::of_instance(&inst, SessionId::from(s))).unwrap();
+                    grown_table.extend(&grown);
+                }
+                prop_assert_eq!(&grown, &inst);
+                prop_assert_eq!(&grown_table, &table);
+            }
+        }
     }
 
     #[test]

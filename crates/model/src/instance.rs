@@ -69,21 +69,59 @@ impl SessionDef {
     /// Panics if `s` is out of range.
     pub fn of_instance(instance: &Instance, s: SessionId) -> Self {
         let session = instance.session(s);
-        let users = session
+        Self::read_back(instance, s, instance.num_agents(), |src| {
+            session.contains(src)
+        })
+    }
+
+    /// Reads session `s` of `instance` back as the definition it was
+    /// registered with: every downstream override as stored (an
+    /// override naming a user outside the session included, which
+    /// [`of_instance`](Self::of_instance) drops) and `H` columns cut to
+    /// the first `num_agents` agents — the agents that existed when it
+    /// registered, since agents registered later appended their `H`
+    /// rows to its columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or `num_agents` exceeds the agent
+    /// count.
+    pub fn as_registered(instance: &Instance, s: SessionId, num_agents: usize) -> Self {
+        Self::read_back(instance, s, num_agents, |_| true)
+    }
+
+    /// The one per-user extraction: session `s`'s users with their `H`
+    /// columns over the first `num_agents` agents and the overrides
+    /// whose source `keep` accepts.
+    fn read_back(
+        instance: &Instance,
+        s: SessionId,
+        num_agents: usize,
+        keep: impl Fn(UserId) -> bool,
+    ) -> Self {
+        assert!(
+            num_agents <= instance.num_agents(),
+            "read back over {num_agents} agents, past the instance's {}",
+            instance.num_agents()
+        );
+        let users = instance
+            .session(s)
             .users()
             .iter()
             .map(|&u| {
                 let spec = instance.user(u);
                 let mut downstream = DownstreamDemand::uniform(spec.downstream().default_repr());
                 for (&src, &r) in spec.downstream().overrides() {
-                    if session.contains(src) {
+                    if keep(src) {
                         downstream = downstream.with_override(src, r);
                     }
                 }
                 UserDef {
                     upstream: spec.upstream(),
                     downstream,
-                    agent_delays_ms: instance.agent_ids().map(|l| instance.h_ms(l, u)).collect(),
+                    agent_delays_ms: (0..num_agents)
+                        .map(|l| instance.h_ms(AgentId::from(l), u))
+                        .collect(),
                     site_index: spec.site_index(),
                 }
             })

@@ -430,17 +430,27 @@ impl MetricsAcc {
     }
 }
 
-/// One append-only universe-growth event. A durable snapshot carries
-/// these in registration order so recovery can regrow the universe from
-/// the seed problem; sessions and agents must replay **interleaved
-/// exactly as they happened** — a session definition's per-agent delay
-/// rows are sized by the agent count at its registration time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GrowthRecord {
-    /// `register_session(def)`.
-    Session(SessionDef),
-    /// `register_agent(def, region)`.
-    Agent(AgentDef, String),
+/// The registration order of the universe beyond the seed problem: all
+/// a snapshot's growth log needs beside the problem, which stores each
+/// online session in full (`persist`'s "The growth log").
+#[derive(Debug)]
+pub(crate) struct Growth {
+    /// The seed problem's session count: every session from this id
+    /// on was registered online.
+    pub(crate) seed_sessions: usize,
+    /// The agents registered online, in registration order.
+    pub(crate) agents: Vec<OnlineAgent>,
+}
+
+/// One online `register_agent(def, region)`, and where it fell among
+/// the session registrations.
+#[derive(Debug)]
+pub(crate) struct OnlineAgent {
+    /// The problem's session count when the agent registered: it
+    /// follows the online sessions below this id and precedes the rest.
+    pub(crate) sessions: usize,
+    pub(crate) def: AgentDef,
+    pub(crate) region: String,
 }
 
 /// What the FREEZE lock owns: the growable universe — the problem
@@ -455,9 +465,9 @@ pub(crate) struct Universe {
     /// inserts; departure and displacement remove.
     pub(crate) slots: BTreeMap<SessionId, Mutex<SessionSlot>>,
     /// Universe growth since construction, in registration order —
-    /// what a durable snapshot must carry so recovery can regrow the
-    /// universe from the seed problem.
-    pub(crate) growth: Vec<GrowthRecord>,
+    /// with `problem`, what a durable snapshot's growth log is read
+    /// from, so recovery can regrow the universe from the seed problem.
+    pub(crate) growth: Growth,
     /// Per-agent availability. Mutated only under the FREEZE write
     /// lock; read under (at least) the shared lock.
     pub(crate) available: Vec<bool>,
@@ -607,9 +617,12 @@ impl Fleet {
         let nl = problem.instance().num_agents();
         let ledger = CapacityLedger::new(&problem, config.ledger_shards);
         let universe = Universe {
+            growth: Growth {
+                seed_sessions: problem.instance().num_sessions(),
+                agents: Vec::new(),
+            },
             problem,
             slots: BTreeMap::new(),
-            growth: Vec::new(),
             available: vec![true; nl],
             drained: vec![false; nl],
         };
@@ -674,7 +687,10 @@ impl Fleet {
     /// (always next-dense) session id. Exclusive FREEZE path: the
     /// instance and task table grow in one step; **slot storage and the
     /// ledger are untouched** — a registered conference has no slot and
-    /// holds nothing until it is admitted. On error the fleet is unchanged.
+    /// holds nothing until it is admitted. The grown problem is the only
+    /// store of `def` in the fleet: the journal record carries it, and a
+    /// snapshot reads it back off the problem. On error the fleet is
+    /// unchanged.
     ///
     /// # Errors
     ///
@@ -686,7 +702,6 @@ impl Fleet {
         // burst of registrations does not deep-copy the whole problem
         // per arrival.
         let s = Arc::make_mut(&mut u.problem).register_session(def)?;
-        u.growth.push(GrowthRecord::Session(def.clone()));
         self.log_op(|| FleetOp::RegisterSession {
             session: s,
             def: def.clone(),
@@ -733,8 +748,12 @@ impl Fleet {
         let region_id = self.ledger.ensure_region(region);
         let ledger_id = self.ledger.register_agent(def.spec.capacity(), region_id);
         debug_assert_eq!(l, ledger_id, "problem and ledger agree on the new id");
-        u.growth
-            .push(GrowthRecord::Agent(def.clone(), region.to_string()));
+        let sessions = u.problem.instance().num_sessions();
+        u.growth.agents.push(OnlineAgent {
+            sessions,
+            def: def.clone(),
+            region: region.to_string(),
+        });
         self.log_op(|| FleetOp::RegisterAgent {
             agent: l,
             def: def.clone(),

@@ -117,8 +117,7 @@ mod tests;
 pub mod workers;
 
 pub use fleet::{
-    AdmitError, AdmitOutcome, Fleet, FleetConfig, FleetCounters, FleetHopScratch, GrowthRecord,
-    PlacementPolicy,
+    AdmitError, AdmitOutcome, Fleet, FleetConfig, FleetCounters, FleetHopScratch, PlacementPolicy,
 };
 pub use ledger::{
     AgentHold, AgentUtilization, CapacityLedger, LedgerError, RegionResiduals, Reservation,
@@ -126,8 +125,8 @@ pub use ledger::{
 };
 pub use orchestrator::{FleetReport, Orchestrator, OrchestratorConfig};
 pub use persist::{
-    CounterSnapshot, DurableFleetState, EvacStep, FleetOp, PersistConfig, PersistError,
-    RecoveryReport, RefusalReason,
+    CounterSnapshot, DurableFleetState, EvacStep, FleetOp, GrowthRecord, PersistConfig,
+    PersistError, RecoveryReport, RefusalReason,
 };
 pub use readmit::{backoff_us, ReadmitConfig, ReadmitEntry};
 pub use sched::{CompleteOutcome, PoppedTimer, ShardedQueue};

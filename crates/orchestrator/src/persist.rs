@@ -60,12 +60,31 @@
 //!   fleet resumes its timers instead of re-drawing them; the
 //!   re-admission queue's records carry their entries whole.
 //!
+//! ## The growth log
+//!
+//! A registered conference is stored once, in the grown problem. The
+//! fleet keeps only the registration order — the seed's session count
+//! and each online agent's record with the session count at its
+//! registration — and `capture` reads each online session's
+//! [`SessionDef`] back off the problem
+//! ([`SessionDef::as_registered`]): its users' upstreams, their
+//! downstream demands with every override as stored, their `H` columns
+//! cut to the agents that existed when it registered, and their site
+//! indices. Those are the definition's own bytes, so the v6 snapshot
+//! writes the log it always wrote.
+//!
 //! ## Recovery
 //!
-//! [`Fleet::recover`] loads the newest valid snapshot, replays journal
-//! records with larger sequence numbers (tolerating a torn *final*
-//! record — the expected crash artifact), re-audits ledger
-//! conservation, and continues the final journal: the file is cut back
+//! [`Fleet::recover`] loads the newest valid snapshot, regrows the
+//! universe from its growth log, replays journal records with larger
+//! sequence numbers (tolerating a torn *final* record — the expected
+//! crash artifact), re-audits ledger conservation, and continues the
+//! final journal. Each record is replayed as a [`JournalReader`] yields
+//! it — framed, CRC-checked and decoded from a buffered file into one
+//! reused frame buffer — so recovery holds one frame, never a journal
+//! file or its decoded tail; a CRC-valid frame that fails to decode
+//! still refuses the store, after the records before it have replayed
+//! into a fleet that is then dropped. The final journal is cut back
 //! to its last whole frame, so the torn tail is discarded, and synced,
 //! so every replayed record is on disk before the fleet goes live
 //! again. Recovery writes no snapshot — it would only write back the
@@ -77,7 +96,7 @@
 
 pub use crate::fleet::CounterSnapshot;
 use crate::fleet::{
-    self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, GrowthRecord, SessionSlot,
+    self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, Growth, OnlineAgent, SessionSlot,
 };
 use crate::ledger::{AgentHold, SessionHold};
 use crate::readmit::ReadmitEntry;
@@ -93,7 +112,7 @@ use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, EvalScratch, SessionLoad, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{TraceKind, FLEET_SCOPE};
-use vc_persist::journal::{read_journal, FsyncPolicy, JournalError, JournalWriter, RetryPolicy};
+use vc_persist::journal::{FsyncPolicy, JournalError, JournalReader, JournalWriter, RetryPolicy};
 use vc_persist::snapshot::{
     compact, fsync_dir, journal_files, journal_path, latest_snapshot, write_snapshot_with,
     SnapshotError,
@@ -360,6 +379,18 @@ wire! { enum EvacStep {
 
 wire! { struct TimerEntry { session, due_us, epoch, draws, active } }
 
+/// One append-only universe-growth event of a durable snapshot's
+/// growth log. Sessions and agents replay **interleaved exactly as
+/// they happened** — a session definition's per-agent delay rows are
+/// sized by the agent count at its registration time.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GrowthRecord {
+    /// `register_session(def)`.
+    Session(SessionDef),
+    /// `register_agent(def, region)`.
+    Agent(AgentDef, String),
+}
+
 wire! { enum GrowthRecord {
     0 => Session(def),
     1 => Agent(def, region),
@@ -606,7 +637,7 @@ pub struct RecoveryReport {
 fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
     let (user_agents, task_agents, active) = fleet.global_placements_locked(u);
     DurableFleetState {
-        growth: u.growth.clone(),
+        growth: growth_log(u),
         user_agents,
         task_agents,
         active,
@@ -636,6 +667,30 @@ fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
             epochs
         },
     }
+}
+
+/// The growth log of `u`, in registration order, each online session
+/// read back off the grown problem (module docs, "The growth log").
+fn growth_log(u: &fleet::Universe) -> Vec<GrowthRecord> {
+    let inst = u.problem.instance();
+    let Growth {
+        seed_sessions,
+        ref agents,
+    } = u.growth;
+    let mut num_agents = inst.num_agents() - agents.len();
+    let mut agents = agents.iter().peekable();
+    let mut log = Vec::with_capacity(inst.num_sessions() - seed_sessions + agents.len());
+    for s in seed_sessions..=inst.num_sessions() {
+        while let Some(a) = agents.next_if(|a| a.sessions == s) {
+            log.push(GrowthRecord::Agent(a.def.clone(), a.region.clone()));
+            num_agents += 1;
+        }
+        if s < inst.num_sessions() {
+            let def = SessionDef::as_registered(inst, SessionId::from(s), num_agents);
+            log.push(GrowthRecord::Session(def));
+        }
+    }
+    log
 }
 
 /// Removes every store file (snapshots, journals, temps) from `dir`.
@@ -875,26 +930,11 @@ impl Fleet {
         // recovered fleet continues it.
         let mut valid_len = 0;
         for (i, (_, path)) in files.iter().enumerate() {
-            let (records, tail) = read_journal::<FleetOp>(path)?;
-            valid_len = tail.valid_len;
-            if tail.torn {
-                // A journal followed by one that starts within the
-                // snapshot's reach holds only records the snapshot
-                // covers, its torn ones included: a recovery that opens
-                // the journal a checkpoint's crash never created leaves
-                // the older one in place.
-                match files.get(i + 1) {
-                    None => torn_tail = true,
-                    Some(&(next, _)) if next <= snapshot_seq + 1 => {}
-                    Some(_) => {
-                        return Err(PersistError::Replay(format!(
-                            "torn record in non-final journal {}",
-                            path.display()
-                        )))
-                    }
-                }
-            }
-            for (seq, op) in records {
+            // Each record is replayed as it is read: the reader holds
+            // one frame, never the file or its decoded tail.
+            let mut records = JournalReader::<FleetOp>::open(path)?;
+            for record in &mut records {
+                let (seq, op) = record?;
                 if seq <= snapshot_seq {
                     continue; // superseded by the snapshot
                 }
@@ -917,6 +957,25 @@ impl Fleet {
                 }
                 expected += 1;
                 replayed += 1;
+            }
+            let tail = records.tail();
+            valid_len = tail.valid_len;
+            if tail.torn {
+                // A journal followed by one that starts within the
+                // snapshot's reach holds only records the snapshot
+                // covers, its torn ones included: a recovery that opens
+                // the journal a checkpoint's crash never created leaves
+                // the older one in place.
+                match files.get(i + 1) {
+                    None => torn_tail = true,
+                    Some(&(next, _)) if next <= snapshot_seq + 1 => {}
+                    Some(_) => {
+                        return Err(PersistError::Replay(format!(
+                            "torn record in non-final journal {}",
+                            path.display()
+                        )))
+                    }
+                }
             }
         }
         let audit = fleet.audit();
@@ -1017,33 +1076,43 @@ impl Fleet {
     fn from_durable(
         problem: Arc<UapProblem>,
         config: FleetConfig,
-        durable: DurableFleetState,
+        mut durable: DurableFleetState,
     ) -> Result<Self, PersistError> {
         // Regrow the universe first: the snapshot's placements cover
         // the seed problem *plus* everything registered online. The
         // growth log is replayed in its original interleaved order —
         // a session's delay rows depend on how many agents existed
         // when it registered, so reordering would rebuild a different
-        // universe.
+        // universe. A session's definition goes once it is registered:
+        // the grown problem is its store.
+        let mut growth = Growth {
+            seed_sessions: problem.instance().num_sessions(),
+            agents: Vec::new(),
+        };
         let problem = if durable.growth.is_empty() {
             problem
         } else {
             let mut grown = (*problem).clone();
-            for (i, rec) in durable.growth.iter().enumerate() {
+            for (i, rec) in std::mem::take(&mut durable.growth).into_iter().enumerate() {
                 match rec {
                     GrowthRecord::Session(def) => {
-                        grown.register_session(def).map_err(|e| {
+                        grown.register_session(&def).map_err(|e| {
                             PersistError::Mismatch(format!(
                                 "snapshot growth record #{i} (session) failed to re-register: {e}"
                             ))
                         })?;
                     }
-                    GrowthRecord::Agent(def, _region) => {
-                        grown.register_agent(def).map_err(|e| {
+                    GrowthRecord::Agent(def, region) => {
+                        grown.register_agent(&def).map_err(|e| {
                             PersistError::Mismatch(format!(
                                 "snapshot growth record #{i} (agent) failed to re-register: {e}"
                             ))
                         })?;
+                        growth.agents.push(OnlineAgent {
+                            sessions: grown.instance().num_sessions(),
+                            def,
+                            region,
+                        });
                     }
                 }
             }
@@ -1131,7 +1200,7 @@ impl Fleet {
         let mut scratch = EvalScratch::new();
         {
             let mut u = fleet.freeze.write();
-            u.growth = durable.growth;
+            u.growth = growth;
             u.available = durable.available.clone();
             u.drained = durable.drained.clone();
             let fleet::Universe { problem, slots, .. } = &mut *u;

@@ -535,8 +535,133 @@ impl<T: Encode> JournalWriter<T> {
     }
 }
 
+/// Reads a journal one record at a time: each frame is read from a
+/// buffered file into one reused buffer, CRC-checked and decoded as it
+/// is yielded, so the reader holds one frame — never the file, never
+/// the records behind it. It stops cleanly at a torn tail (incomplete
+/// frame, garbage length, or CRC mismatch); [`tail`](Self::tail) then
+/// says where. An error ends the iteration.
+#[derive(Debug)]
+pub struct JournalReader<T> {
+    file: io::BufReader<File>,
+    /// The file's length at open: every frame is checked against it.
+    len: u64,
+    /// Offset of the next frame — the bytes valid frames cover so far.
+    pos: u64,
+    /// The current frame's payload, reused across frames.
+    frame: Vec<u8>,
+    /// `Some(torn)` once the reader has stopped.
+    end: Option<bool>,
+    _record: PhantomData<fn() -> T>,
+}
+
+impl<T: Decode> JournalReader<T> {
+    /// Opens `path` and checks its header.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Corrupt`] if the file is not a journal at all;
+    /// [`JournalError::Version`] on a format version mismatch;
+    /// [`JournalError::Io`] on filesystem errors. A missing-or-short
+    /// header reads as an empty, torn journal rather than an error, so
+    /// recovery after a crash at creation time works.
+    pub fn open(path: &Path) -> Result<Self, JournalError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut reader = Self {
+            file: io::BufReader::new(file),
+            len,
+            pos: 0,
+            frame: Vec::new(),
+            end: None,
+            _record: PhantomData,
+        };
+        if len < HEADER_LEN as u64 {
+            reader.end = Some(len > 0);
+            return Ok(reader);
+        }
+        let mut header = [0; HEADER_LEN];
+        reader.file.read_exact(&mut header)?;
+        if header[..4] != JOURNAL_MAGIC {
+            return Err(JournalError::Corrupt {
+                offset: 0,
+                reason: "bad magic".into(),
+            });
+        }
+        let version = u16::from_le_bytes([header[4], header[5]]);
+        if !SUPPORTED_JOURNAL_VERSIONS.contains(&version) {
+            return Err(JournalError::Version {
+                found: version,
+                supported: SUPPORTED_JOURNAL_VERSIONS,
+            });
+        }
+        reader.pos = HEADER_LEN as u64;
+        Ok(reader)
+    }
+
+    /// Where the valid frames end, and whether a torn frame follows
+    /// them — final once the reader has yielded its last record.
+    pub fn tail(&self) -> TailStatus {
+        TailStatus {
+            torn: self.end == Some(true),
+            valid_len: self.pos,
+        }
+    }
+
+    fn next_record(&mut self) -> Result<Option<(u64, T)>, JournalError> {
+        let remaining = self.len - self.pos;
+        if remaining == 0 {
+            self.end = Some(false);
+            return Ok(None);
+        }
+        let torn = |reader: &mut Self| {
+            reader.end = Some(true);
+            Ok(None)
+        };
+        if remaining < 8 {
+            return torn(self); // torn length/crc prefix
+        }
+        let mut prefix = [0; 8];
+        self.file.read_exact(&mut prefix)?;
+        let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
+        if len > MAX_FRAME_LEN || remaining - 8 < u64::from(len) {
+            return torn(self); // garbage or truncated payload
+        }
+        self.frame.resize(len as usize, 0);
+        self.file.read_exact(&mut self.frame)?;
+        if crc32(&self.frame) != crc {
+            return torn(self); // torn or bit-flipped frame
+        }
+        let record = decode_exact::<(u64, T)>(&self.frame).map_err(|e: CodecError| {
+            JournalError::Corrupt {
+                offset: self.pos,
+                reason: format!("CRC-valid frame failed to decode: {e}"),
+            }
+        })?;
+        self.pos += 8 + u64::from(len);
+        Ok(Some(record))
+    }
+}
+
+impl<T: Decode> Iterator for JournalReader<T> {
+    type Item = Result<(u64, T), JournalError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.end.is_some() {
+            return None;
+        }
+        let next = self.next_record();
+        if next.is_err() {
+            self.end = Some(true);
+        }
+        next.transpose()
+    }
+}
+
 /// Reads every valid record of a journal, in order, stopping cleanly at
-/// a torn tail (incomplete frame, garbage length, or CRC mismatch).
+/// a torn tail (incomplete frame, garbage length, or CRC mismatch):
+/// what a [`JournalReader`] yields, collected.
 ///
 /// # Errors
 ///
@@ -546,70 +671,9 @@ impl<T: Encode> JournalWriter<T> {
 /// A missing-or-short header reads as an empty, torn journal rather
 /// than an error, so recovery after a crash at creation time works.
 pub fn read_journal<T: Decode>(path: &Path) -> Result<(Vec<(u64, T)>, TailStatus), JournalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN {
-        return Ok((
-            Vec::new(),
-            TailStatus {
-                torn: !bytes.is_empty(),
-                valid_len: 0,
-            },
-        ));
-    }
-    if bytes[..4] != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt {
-            offset: 0,
-            reason: "bad magic".into(),
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if !SUPPORTED_JOURNAL_VERSIONS.contains(&version) {
-        return Err(JournalError::Version {
-            found: version,
-            supported: SUPPORTED_JOURNAL_VERSIONS,
-        });
-    }
-    let mut records = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok((
-                records,
-                TailStatus {
-                    torn: false,
-                    valid_len: pos as u64,
-                },
-            ));
-        }
-        if remaining < 8 {
-            break; // torn length/crc prefix
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len as u64 > MAX_FRAME_LEN as u64 || remaining - 8 < len {
-            break; // garbage or truncated payload
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break; // torn or bit-flipped frame
-        }
-        let (seq, record) =
-            decode_exact::<(u64, T)>(payload).map_err(|e: CodecError| JournalError::Corrupt {
-                offset: pos as u64,
-                reason: format!("CRC-valid frame failed to decode: {e}"),
-            })?;
-        records.push((seq, record));
-        pos += 8 + len;
-    }
-    Ok((
-        records,
-        TailStatus {
-            torn: true,
-            valid_len: pos as u64,
-        },
-    ))
+    let mut reader = JournalReader::open(path)?;
+    let records = reader.by_ref().collect::<Result<_, _>>()?;
+    Ok((records, reader.tail()))
 }
 
 #[cfg(test)]

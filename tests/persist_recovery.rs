@@ -1501,3 +1501,158 @@ fn a_journal_the_snapshot_covers_may_stay_torn() {
     assert!(report.replayed > 0 && !report.torn_tail);
     assert_eq!(again.durable_state(), before);
 }
+
+// ------------------------------------------------ growth, read back
+
+/// A conference over `agents` agents whose second user demands 720p of
+/// `earlier`, a user of an *earlier* session: validation accepts the
+/// override, and `SessionDef::of_instance` would drop it.
+fn conference_naming(earlier: UserId, agents: usize, site: usize) -> vc_model::SessionDef {
+    let ladder = ReprLadder::standard_four();
+    let r720 = ladder.by_name("720p").expect("720p").id();
+    let column = |base: f64| (0..agents).map(|l| base + 3.5 * l as f64).collect();
+    vc_model::SessionDef {
+        users: vec![
+            vc_model::UserDef {
+                upstream: ladder.highest(),
+                downstream: vc_model::DownstreamDemand::uniform(ladder.lowest()),
+                agent_delays_ms: column(9.25),
+                site_index: Some(site),
+            },
+            vc_model::UserDef {
+                upstream: ladder.lowest(),
+                downstream: vc_model::DownstreamDemand::uniform(ladder.lowest())
+                    .with_override(earlier, r720),
+                agent_delays_ms: column(4.0),
+                site_index: None,
+            },
+        ],
+    }
+}
+
+/// An agent registered when the fleet has `agents` agents and `users`
+/// users.
+fn online_agent(name: &str, agents: usize, users: usize) -> vc_model::AgentDef {
+    vc_model::AgentDef {
+        spec: AgentSpec::builder(name)
+            .capacity(Capacity::new(90.0, 90.0, 5))
+            .build(),
+        inter_agent_ms: (0..agents).map(|l| 30.0 + l as f64).collect(),
+        user_delays_ms: (0..users).map(|u| 6.0 + (u % 7) as f64).collect(),
+    }
+}
+
+/// A snapshot's growth log is read back off the grown problem, and its
+/// bytes are those of the registered inputs: each session's `H` columns
+/// cut to the agents that existed when it registered, and a downstream
+/// override naming an earlier session's user kept verbatim — on the
+/// live fleet, after recovering from a snapshot plus a journal tail,
+/// and after recovering from a snapshot that holds all of it.
+#[test]
+fn the_growth_log_reads_back_the_registered_bytes() {
+    use vc_orchestrator::GrowthRecord;
+    let problem = small_universe();
+    let dir = store_dir("growth-read-back");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    let first = conference_naming(UserId::new(0), 3, 4);
+    let west = online_agent("west-1", 3, 14);
+    let second = conference_naming(UserId::new(12), 4, 7);
+    let east = online_agent("east-1", 4, 16);
+    let third = conference_naming(UserId::new(15), 5, 2);
+    let expected = vec![
+        GrowthRecord::Session(first.clone()),
+        GrowthRecord::Agent(west.clone(), "west".into()),
+        GrowthRecord::Session(second.clone()),
+        GrowthRecord::Agent(east.clone(), "east".into()),
+        GrowthRecord::Session(third.clone()),
+    ];
+    let s6 = fleet.register_session(&first).expect("registers");
+    let _ = fleet.admit(s6);
+    fleet.register_agent(&west, "west").expect("registers");
+    fleet.checkpoint().expect("checkpoint");
+    let s7 = fleet.register_session(&second).expect("registers");
+    fleet.register_agent(&east, "east").expect("registers");
+    fleet.register_session(&third).expect("registers");
+    let _ = fleet.admit(s7);
+    let grown = fleet.problem();
+    assert_ne!(
+        vc_model::SessionDef::of_instance(grown.instance(), s6).users[1].downstream,
+        first.users[1].downstream,
+        "the override is one of_instance drops"
+    );
+    let want = encode_to_vec(&expected);
+    assert_eq!(encode_to_vec(&fleet.durable_state().growth), want);
+    drop(fleet);
+
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
+    assert!(report.snapshot_seq > 0 && report.replayed > 0);
+    assert_eq!(encode_to_vec(&recovered.durable_state().growth), want);
+    recovered.checkpoint().expect("checkpoint");
+    drop(recovered);
+
+    let (again, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("second recovery");
+    assert_eq!(report.replayed, 0);
+    assert_eq!(encode_to_vec(&again.durable_state().growth), want);
+}
+
+// -------------------------------------------------- streamed replay
+
+/// Replay reads the journal a record at a time, so the records before a
+/// CRC-valid frame that fails to decode are replayed before the frame is
+/// read. Recovery still refuses the store as corrupt, like a reader
+/// that decodes the whole file first, and leaves every file as it was.
+#[test]
+fn streamed_replay_refuses_an_undecodable_final_frame() {
+    use cloud_vc::persist::{crc32, JournalError};
+    use vc_orchestrator::PersistError;
+    let problem = small_universe();
+    let dir = store_dir("undecodable-frame");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    churn(&fleet);
+    drop(fleet);
+    let journal = final_journal(&dir);
+    let (records, tail) = cloud_vc::persist::read_journal::<FleetOp>(&journal).expect("read");
+    assert!(records.len() > 10 && !tail.torn);
+    // The next sequence number, then `FleetOp` tag 6 (retired): the
+    // frame's CRC holds and its payload does not decode.
+    let next = records.last().expect("history").0 + 1;
+    let mut payload = next.to_le_bytes().to_vec();
+    payload.push(6);
+    let mut bytes = std::fs::read(&journal).expect("read");
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(&journal, &bytes).expect("write");
+    let store = |dir: &std::path::Path| {
+        let mut files: Vec<(String, Vec<u8>)> = (std::fs::read_dir(dir).expect("store"))
+            .map(|entry| entry.expect("entry").path())
+            .map(|path| {
+                let name = path
+                    .file_name()
+                    .expect("name")
+                    .to_string_lossy()
+                    .into_owned();
+                (name, std::fs::read(&path).expect("bytes"))
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = store(&dir);
+
+    let outcome = Fleet::recover(persist_config(&dir), problem, fleet_config());
+    assert!(
+        matches!(
+            outcome,
+            Err(PersistError::Journal(JournalError::Corrupt { offset, .. }))
+                if offset == tail.valid_len
+        ),
+        "an undecodable frame must refuse recovery: {:?}",
+        outcome.map(|(_, report)| report)
+    );
+    assert_eq!(store(&dir), before, "a refused recovery changed the store");
+}
