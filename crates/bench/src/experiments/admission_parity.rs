@@ -125,7 +125,6 @@ fn config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(3)),
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 8,
         ..FleetConfig::default()
     }
 }

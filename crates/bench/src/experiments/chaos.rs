@@ -162,7 +162,6 @@ fn fleet_config(seed: u64, n_agents: usize) -> FleetConfig {
         // window can hide the one agent whose slot is still free.
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(n_agents)),
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
         readmit: Some(ReadmitConfig {
             seed,
             // Dense retries with a deep budget: the storm flaps agents

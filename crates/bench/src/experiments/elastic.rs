@@ -114,7 +114,6 @@ fn fleet_config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(3)),
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 8,
         ..FleetConfig::default()
     }
 }

@@ -265,7 +265,6 @@ fn run_size(sessions_target: usize, wall_ms: u64, seed: u64) -> HopBenchRow {
                     mean_countdown_s: 1.0,
                     ..Alg1Config::paper(beta)
                 },
-                ledger_shards: 8,
                 ..FleetConfig::default()
             },
         );

@@ -172,7 +172,6 @@ fn build_twin(problem: &Arc<UapProblem>, seed: u64, warmup_s: f64) -> (Fleet, Re
                 mean_countdown_s: 1.0,
                 ..Alg1Config::paper(400.0)
             },
-            ledger_shards: 8,
             ..FleetConfig::default()
         },
     );

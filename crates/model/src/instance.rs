@@ -157,12 +157,33 @@ impl AgentDef {
     ///
     /// Panics if `l` is out of range.
     pub fn of_instance(instance: &Instance, l: AgentId) -> Self {
+        Self::as_registered(instance, l, instance.num_users())
+    }
+
+    /// Reads agent `l` of `instance` back as the definition it was
+    /// registered with: its spec, its delays to the agents before it,
+    /// and its `H` row cut to the first `num_users` users — the users
+    /// that existed when it registered, since users registered later
+    /// appended their `H` columns to its row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range or `num_users` exceeds the user
+    /// count.
+    pub fn as_registered(instance: &Instance, l: AgentId, num_users: usize) -> Self {
+        assert!(
+            num_users <= instance.num_users(),
+            "read back over {num_users} users, past the instance's {}",
+            instance.num_users()
+        );
         Self {
             spec: instance.agent(l).clone(),
             inter_agent_ms: (0..l.index())
                 .map(|k| instance.d_ms(l, AgentId::from(k)))
                 .collect(),
-            user_delays_ms: instance.user_ids().map(|u| instance.h_ms(l, u)).collect(),
+            user_delays_ms: (0..num_users)
+                .map(|u| instance.h_ms(l, UserId::from(u)))
+                .collect(),
         }
     }
 }

@@ -130,6 +130,11 @@ pub(crate) use crate::slot::SessionSlot;
 /// One candidate placement: session users and tasks to agents.
 pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
 
+/// The capacity ledger's shard count, clamped to the seed problem's
+/// agent count ([`CapacityLedger::new`]); agents registered later share
+/// those shards.
+const LEDGER_SHARDS: usize = 8;
+
 /// How arriving sessions are placed: `vc-algo`'s admission policy,
 /// evaluated against the ledger's live residuals.
 pub use vc_algo::admission::AdmissionPolicy as PlacementPolicy;
@@ -141,8 +146,6 @@ pub struct FleetConfig {
     pub placement: PlacementPolicy,
     /// Alg. 1 parameters for the re-optimization workers.
     pub alg1: Alg1Config,
-    /// Ledger shard count (clamped to the agent count).
-    pub ledger_shards: usize,
     /// Self-healing re-admission: `Some` queues sessions displaced by
     /// forced evacuations (and refusals routed through
     /// [`Fleet::admit_or_queue`]) for deterministic backoff retries;
@@ -155,7 +158,6 @@ impl Default for FleetConfig {
         Self {
             placement: PlacementPolicy::AgRank(AgRankConfig::live()),
             alg1: Alg1Config::default(),
-            ledger_shards: 8,
             readmit: None,
         }
     }
@@ -431,8 +433,8 @@ impl MetricsAcc {
 }
 
 /// The registration order of the universe beyond the seed problem: all
-/// a snapshot's growth log needs beside the problem, which stores each
-/// online session in full (`persist`'s "The growth log").
+/// a snapshot's growth log needs beside the problem and the ledger's
+/// regions (`persist`'s "The growth log").
 #[derive(Debug)]
 pub(crate) struct Growth {
     /// The seed problem's session count: every session from this id
@@ -442,15 +444,13 @@ pub(crate) struct Growth {
     pub(crate) agents: Vec<OnlineAgent>,
 }
 
-/// One online `register_agent(def, region)`, and where it fell among
-/// the session registrations.
+/// Where one online `register_agent` fell among the session
+/// registrations.
 #[derive(Debug)]
 pub(crate) struct OnlineAgent {
     /// The problem's session count when the agent registered: it
     /// follows the online sessions below this id and precedes the rest.
     pub(crate) sessions: usize,
-    pub(crate) def: AgentDef,
-    pub(crate) region: String,
 }
 
 /// What the FREEZE lock owns: the growable universe — the problem
@@ -468,8 +468,8 @@ pub(crate) struct Universe {
     /// with `problem`, what a durable snapshot's growth log is read
     /// from, so recovery can regrow the universe from the seed problem.
     pub(crate) growth: Growth,
-    /// Per-agent availability. Mutated only under the FREEZE write
-    /// lock; read under (at least) the shared lock.
+    /// Per-agent availability, the fleet's only copy. Mutated only
+    /// under the FREEZE write lock; read under (at least) the shared lock.
     pub(crate) available: Vec<bool>,
     /// Per-agent drain flag: a drained agent is permanently out —
     /// unavailable, and [`Fleet::restore_agent`] refuses it.
@@ -615,7 +615,7 @@ impl Fleet {
     /// starts empty whatever the universe's size.
     pub fn new(problem: Arc<UapProblem>, config: FleetConfig) -> Self {
         let nl = problem.instance().num_agents();
-        let ledger = CapacityLedger::new(&problem, config.ledger_shards);
+        let ledger = CapacityLedger::new(&problem, LEDGER_SHARDS);
         let universe = Universe {
             growth: Growth {
                 seed_sessions: problem.instance().num_sessions(),
@@ -697,11 +697,7 @@ impl Fleet {
     /// Propagates [`ModelError`] from the instance-level validation.
     pub fn register_session(&self, def: &SessionDef) -> Result<SessionId, ModelError> {
         let mut u = self.freeze_exclusive();
-        // `make_mut` mutates in place when the fleet is the sole owner
-        // (the common case — `problem()` clones are short-lived), so a
-        // burst of registrations does not deep-copy the whole problem
-        // per arrival.
-        let s = Arc::make_mut(&mut u.problem).register_session(def)?;
+        let s = self.register_session_locked(&mut u, def)?;
         self.log_op(|| FleetOp::RegisterSession {
             session: s,
             def: def.clone(),
@@ -725,7 +721,8 @@ impl Fleet {
     /// drain masks, and the ledger all grow in one step — append-only,
     /// nothing renumbers, so every evaluated load, objective and hold of
     /// the pre-growth fleet is bitwise unchanged. The region is created
-    /// if new. On error the fleet is unchanged.
+    /// if new; the ledger alone keeps it, and the problem `def`. On
+    /// error the fleet is unchanged.
     ///
     /// # Errors
     ///
@@ -733,6 +730,39 @@ impl Fleet {
     /// (delay-row lengths, finiteness).
     pub fn register_agent(&self, def: &AgentDef, region: &str) -> Result<AgentId, ModelError> {
         let mut u = self.freeze_exclusive();
+        let l = self.register_agent_locked(&mut u, def, region)?;
+        self.log_op(|| FleetOp::RegisterAgent {
+            agent: l,
+            def: def.clone(),
+            region: region.to_string(),
+        });
+        Ok(l)
+    }
+
+    /// [`register_session`](Self::register_session) under the caller's
+    /// FREEZE write lock, journaling nothing: what it shares with
+    /// snapshot regrowth.
+    pub(crate) fn register_session_locked(
+        &self,
+        u: &mut Universe,
+        def: &SessionDef,
+    ) -> Result<SessionId, ModelError> {
+        // `make_mut` mutates in place when the fleet is the sole owner
+        // (the common case — `problem()` clones are short-lived), so a
+        // burst of registrations does not deep-copy the whole problem
+        // per arrival.
+        Arc::make_mut(&mut u.problem).register_session(def)
+    }
+
+    /// [`register_agent`](Self::register_agent) under the caller's
+    /// FREEZE write lock, journaling nothing: what it shares with
+    /// snapshot regrowth.
+    pub(crate) fn register_agent_locked(
+        &self,
+        u: &mut Universe,
+        def: &AgentDef,
+        region: &str,
+    ) -> Result<AgentId, ModelError> {
         let l = Arc::make_mut(&mut u.problem).register_agent(def)?;
         let nl = u.problem.instance().num_agents();
         // Stored slot loads are dense over the agent axis; grow them so
@@ -749,16 +779,7 @@ impl Fleet {
         let ledger_id = self.ledger.register_agent(def.spec.capacity(), region_id);
         debug_assert_eq!(l, ledger_id, "problem and ledger agree on the new id");
         let sessions = u.problem.instance().num_sessions();
-        u.growth.agents.push(OnlineAgent {
-            sessions,
-            def: def.clone(),
-            region: region.to_string(),
-        });
-        self.log_op(|| FleetOp::RegisterAgent {
-            agent: l,
-            def: def.clone(),
-            region: region.to_string(),
-        });
+        u.growth.agents.push(OnlineAgent { sessions });
         Ok(l)
     }
 
@@ -927,20 +948,13 @@ impl Fleet {
         Ok((stats, hash))
     }
 
-    /// Counts and journals one refusal (the live path;
-    /// [`count_refusal`](Self::count_refusal) is the half replay shares).
+    /// Counts and journals one refusal (live, and `Reject` replay).
     pub(crate) fn refuse(&self, s: SessionId, reason: RefusalReason) {
-        self.count_refusal(reason);
-        self.log_op(|| FleetOp::Reject { session: s, reason });
-    }
-
-    /// Moves the counters of one refusal — what the live path does when
-    /// it refuses and what `Reject` replay does with the decoded reason.
-    pub(crate) fn count_refusal(&self, reason: RefusalReason) {
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
         if let Some(stage) = reason.counter(&self.counters) {
             stage.fetch_add(1, Ordering::Relaxed);
         }
+        self.log_op(|| FleetOp::Reject { session: s, reason });
     }
 
     /// Builds the slot of an accepted admission of `s` and counts it:
@@ -1026,9 +1040,8 @@ impl Fleet {
         Some(slot.into_load())
     }
 
-    /// Fails `agent`: the ledger stops taking reservations on it, and
-    /// every stranded user/task of a live session is evacuated
-    /// immediately to its objective-minimizing feasible alternative
+    /// Fails `agent`: it goes down, and every stranded user/task of a
+    /// live session is evacuated immediately to its objective-minimizing feasible alternative
     /// (force-moved to the least-bad one when nothing is feasible).
     /// Returns `(moves, forced)` — `(0, 0)`, changing and journaling
     /// nothing, for an id past the pool. Coarse path: takes the FREEZE
@@ -1043,10 +1056,10 @@ impl Fleet {
         self.down_agent_inner(agent, false)
     }
 
-    /// Drains `agent`: a *planned* evacuation. The ledger refuses new
-    /// reservations on the agent first, then its load is evacuated
-    /// through exactly the [`fail_agent`](Self::fail_agent) machinery,
-    /// and the agent is marked permanently drained —
+    /// Drains `agent`: a *planned* evacuation. The agent goes down
+    /// first, then its load is evacuated through exactly the
+    /// [`fail_agent`](Self::fail_agent) machinery, and the agent is
+    /// marked permanently drained —
     /// [`restore_agent`](Self::restore_agent) refuses it. Returns
     /// `(moves, forced)`. Coarse path: takes the FREEZE write lock.
     pub fn drain_agent(&self, agent: AgentId) -> (usize, usize) {
@@ -1067,7 +1080,7 @@ impl Fleet {
         if agent.index() >= u.available.len() {
             return (0, 0);
         }
-        self.take_agent_down(&mut u, agent, drain);
+        Self::take_agent_down(&mut u, agent, drain);
         let steps = self.evacuate_locked(&mut u, agent);
         let (moves, forced) = self.count_evacuation(&steps);
         // Journaled by reference: a storm failure's steps are tens of
@@ -1113,15 +1126,13 @@ impl Fleet {
     }
 
     /// Takes `agent` out of service under the caller's FREEZE write
-    /// lock — unavailable, drained too for a drain, and refused by the
-    /// ledger — before any session moves, so no path can book onto the
-    /// leaving agent. A live evacuation and its replay both start here.
-    pub(crate) fn take_agent_down(&self, u: &mut Universe, agent: AgentId, drain: bool) {
+    /// lock — unavailable, drained too for a drain — before any session
+    /// moves. A live evacuation and its replay both start here.
+    pub(crate) fn take_agent_down(u: &mut Universe, agent: AgentId, drain: bool) {
         u.available[agent.index()] = false;
         if drain {
             u.drained[agent.index()] = true;
         }
-        self.ledger.fail_agent(agent);
     }
 
     /// Moves `evacuations`, `forced_moves` and `displaced` by what an
@@ -1295,7 +1306,6 @@ impl Fleet {
             return false;
         }
         frz.available[agent.index()] = true;
-        self.ledger.restore_agent(agent);
         self.log_op(|| FleetOp::RestoreAgent { agent });
         drop(frz);
         self.obs
@@ -1368,10 +1378,7 @@ impl Fleet {
             )
         };
         if overflow {
-            self.counters
-                .readmit_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            self.log_op(|| FleetOp::ReadmitDrop { session: s });
+            self.readmit_drop_locked(s);
             return None;
         }
         let due_us = self.now_us() + backoff_us(&cfg, s, epoch, 0);
@@ -1421,8 +1428,8 @@ impl Fleet {
     }
 
     /// Drops `s` from the queue under the FREEZE write lock (retry
-    /// exhaustion), journaling the drop.
-    fn readmit_drop_locked(&self, s: SessionId) {
+    /// exhaustion, overflow, `ReadmitDrop` replay), journaling the drop.
+    pub(crate) fn readmit_drop_locked(&self, s: SessionId) {
         self.readmit.lock().entries.remove(&s);
         self.counters
             .readmit_dropped

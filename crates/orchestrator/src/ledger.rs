@@ -5,8 +5,9 @@
 //! *shared, contended* resource: the paper's constraints (5)–(7) bound
 //! the *sum* of the session loads on each agent, and those per-agent
 //! sums are what the ledger keeps — reserved download, upload and
-//! transcoding units per agent, with the agent's availability and
-//! region. It keeps no per-session record. A live session's reservation
+//! transcoding units per agent, beside the agent's capacity and region.
+//! It keeps no per-session record and no availability (the fleet's
+//! universe says which agents are up). A live session's reservation
 //! is its slot's evaluated load; whoever changes a reservation hands the
 //! ledger the demand it gives up and the demand it takes (any
 //! [`Reservation`] — a slot's load in place, or an explicit
@@ -29,9 +30,11 @@
 //! register_agent`] pushes a fresh entry behind the entries `RwLock`
 //! without renumbering anything — the shard count is fixed at
 //! construction, so the agent→shard mapping of existing agents never
-//! changes. Every agent belongs to exactly one named **region**
-//! (seed agents land in region 0, `"default"`). Regions label agents
-//! for telemetry ([`region_residuals`](CapacityLedger::region_residuals));
+//! changes. Every agent belongs to exactly one named **region**, fixed
+//! when it registers (seed agents land in region 0, `"default"`); the
+//! ledger's region table is the one record of which. Regions label
+//! agents for telemetry
+//! ([`region_residuals`](CapacityLedger::region_residuals));
 //! they do not change how a reservation is booked — one that spans
 //! regions locks its shards like any other and is just as
 //! all-or-nothing.
@@ -42,7 +45,7 @@
 //! lock, which quiesces every mutator.
 
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use vc_core::{
     agent_fits, AgentDemand, AgentTotals, FreeCapacity, SessionLoad, UapProblem, Violation,
 };
@@ -138,8 +141,6 @@ pub enum LedgerError {
         /// Which resource ran out: `"download"`, `"upload"` or `"transcode"`.
         resource: &'static str,
     },
-    /// An agent in the request is marked failed.
-    AgentDown(AgentId),
 }
 
 impl std::fmt::Display for LedgerError {
@@ -148,7 +149,6 @@ impl std::fmt::Display for LedgerError {
             Self::Insufficient { agent, resource } => {
                 write!(f, "agent {agent} has insufficient {resource}")
             }
-            Self::AgentDown(a) => write!(f, "agent {a} is down"),
         }
     }
 }
@@ -169,10 +169,9 @@ struct AgentEntry {
     /// `f64` bit pattern of the reserved upload bandwidth (Mbps).
     reserved_upload: AtomicU64,
     reserved_units: AtomicU32,
-    available: AtomicBool,
-    /// Region id (index into the ledger's region-name table). Written
-    /// at registration/recovery only, under the FREEZE write lock.
-    region: AtomicU32,
+    /// Region id (index into the ledger's region-name table), fixed at
+    /// registration.
+    region: u32,
 }
 
 impl AgentEntry {
@@ -182,8 +181,7 @@ impl AgentEntry {
             reserved_download: AtomicU64::new(0.0f64.to_bits()),
             reserved_upload: AtomicU64::new(0.0f64.to_bits()),
             reserved_units: AtomicU32::new(0),
-            available: AtomicBool::new(true),
-            region: AtomicU32::new(region),
+            region,
         }
     }
 }
@@ -199,10 +197,6 @@ impl AgentEntry {
 
     fn units(&self) -> u32 {
         self.reserved_units.load(Ordering::Relaxed)
-    }
-
-    fn is_up(&self) -> bool {
-        self.available.load(Ordering::Relaxed)
     }
 
     /// [`agent_fits`] of `hold` here, with `freed` — what the caller
@@ -268,8 +262,6 @@ pub struct AgentUtilization {
     /// Largest of the three fractional utilizations (0 for unlimited
     /// capacities).
     pub max_fraction: f64,
-    /// Whether the agent is up.
-    pub available: bool,
 }
 
 /// Aggregate residual capacity of one region — the telemetry shape
@@ -379,18 +371,7 @@ impl CapacityLedger {
 
     /// The region agent `agent` belongs to.
     pub fn region_of(&self, agent: AgentId) -> u32 {
-        self.entries.read()[agent.index()]
-            .region
-            .load(Ordering::Relaxed)
-    }
-
-    /// Re-homes one agent (recovery re-applying a journaled region
-    /// table; never part of live operation).
-    pub(crate) fn assign_region(&self, agent: AgentId, region: u32) {
-        debug_assert!((region as usize) < self.regions.read().len());
-        self.entries.read()[agent.index()]
-            .region
-            .store(region, Ordering::Relaxed);
+        self.entries.read()[agent.index()].region
     }
 
     /// Locks, in ascending shard order, every shard the hold spans, and
@@ -425,22 +406,17 @@ impl CapacityLedger {
         }
     }
 
-    /// Atomically reserves `hold` on agents that are all up: a
-    /// [`try_swap`](Self::try_swap) that gives nothing back, so either
-    /// all of it is booked or nothing is — across regions too.
+    /// Atomically reserves `hold`: a [`try_swap`](Self::try_swap) from
+    /// an empty hold, so either all of it is booked or nothing is —
+    /// across regions too. Like every booking it is availability-blind:
+    /// which agents may be booked is the caller's to decide.
     ///
     /// # Errors
     ///
-    /// [`LedgerError::AgentDown`] when some agent of the hold is down,
-    /// else [`LedgerError::Insufficient`] when one lacks room.
+    /// [`LedgerError::Insufficient`] when some agent of the hold lacks
+    /// room.
     pub fn try_reserve(&self, hold: &impl Reservation) -> Result<(), LedgerError> {
-        match hold
-            .agent_holds()
-            .find(|h| !self.is_agent_available(h.agent))
-        {
-            Some(h) => Err(LedgerError::AgentDown(h.agent)),
-            None => self.try_swap(&SessionHold::default(), hold),
-        }
+        self.try_swap(&SessionHold::default(), hold)
     }
 
     /// Releases `held` — what a departing or displaced session reserved;
@@ -462,9 +438,9 @@ impl CapacityLedger {
     /// session has booked. Nothing is written unless the swap is made:
     /// a refusal leaves every total's bits as they were.
     ///
-    /// Availability is deliberately not checked: agent failure is a
-    /// coarse-path operation excluded (by the fleet's FREEZE write lock)
-    /// while any hop is in flight.
+    /// The ledger knows no availability: the hop's draw asked the
+    /// fleet's universe whether the target is up, under the shared
+    /// FREEZE that an agent failure's exclusive hold excludes.
     ///
     /// # Errors
     ///
@@ -509,8 +485,8 @@ impl CapacityLedger {
         }
     }
 
-    /// Books `load` *without* capacity or availability checks, in one
-    /// span whatever regions it touches. Two callers: an admission, live
+    /// Books `load` *without* a capacity check, in one span whatever
+    /// regions it touches. Two callers: an admission, live
     /// or replayed, whose engine already proved the placement fits
     /// against this ledger's reserved totals under the exclusive FREEZE
     /// lock, through the rule a checked booking would ask again;
@@ -526,27 +502,8 @@ impl CapacityLedger {
         });
     }
 
-    /// Marks an agent failed: new reservations touching it are refused.
-    /// Existing holds stay booked until their sessions migrate or depart.
-    pub fn fail_agent(&self, agent: AgentId) {
-        self.entries.read()[agent.index()]
-            .available
-            .store(false, Ordering::Relaxed);
-    }
-
-    /// Brings a failed agent back.
-    pub fn restore_agent(&self, agent: AgentId) {
-        self.entries.read()[agent.index()]
-            .available
-            .store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the agent is up.
-    pub fn is_agent_available(&self, agent: AgentId) -> bool {
-        self.entries.read()[agent.index()].is_up()
-    }
-
-    /// Point-in-time utilization of every agent.
+    /// Point-in-time utilization of every agent, up or down: booked
+    /// load stays on a down agent until its sessions move or depart.
     pub fn utilization(&self) -> Vec<AgentUtilization> {
         let entries = self.entries.read();
         entries
@@ -576,7 +533,6 @@ impl CapacityLedger {
                     max_fraction: frac(e.download(), e.capacity.download_mbps)
                         .max(frac(e.upload(), e.capacity.upload_mbps))
                         .max(slot_frac),
-                    available: e.is_up(),
                 }
             })
             .collect()
@@ -654,10 +610,13 @@ impl CapacityLedger {
     }
 
     /// Per-region residual/reserved aggregates — the data behind the
-    /// `vc_region_*` telemetry gauges. Advisory, like
+    /// `vc_region_*` telemetry gauges. `available[l]` says whether agent
+    /// `l` is up (the fleet universe's flags, read under the FREEZE lock
+    /// the caller holds); a down agent counts toward `agents` and the
+    /// reserved sums, not the residuals. Advisory, like
     /// [`utilization`](Self::utilization): taken without the shard
     /// locks, so a concurrent mutator may be half-reflected.
-    pub fn region_residuals(&self) -> Vec<RegionResiduals> {
+    pub fn region_residuals(&self, available: &[bool]) -> Vec<RegionResiduals> {
         let names = self.regions.read().clone();
         let entries = self.entries.read();
         let mut out: Vec<RegionResiduals> = names
@@ -675,12 +634,13 @@ impl CapacityLedger {
                 reserved_upload_mbps: 0.0,
             })
             .collect();
-        for e in entries.iter() {
-            let slot = &mut out[e.region.load(Ordering::Relaxed) as usize];
+        debug_assert_eq!(entries.len(), available.len(), "one flag per agent");
+        for (e, &up) in entries.iter().zip(available) {
+            let slot = &mut out[e.region as usize];
             slot.agents += 1;
             slot.reserved_download_mbps += e.download();
             slot.reserved_upload_mbps += e.upload();
-            if e.is_up() {
+            if up {
                 slot.available_agents += 1;
                 slot.download_mbps += (e.capacity.download_mbps - e.download()).max(0.0);
                 slot.upload_mbps += (e.capacity.upload_mbps - e.upload()).max(0.0);

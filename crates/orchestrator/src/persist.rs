@@ -44,7 +44,9 @@
 //!   `Fleet::install_admitted` the live path calls once it has decided,
 //!   which installs the placement bit-for-bit and counts it. `Reject`
 //!   carries its typed refusal reason and replays through the live
-//!   path's `Fleet::count_refusal`, for the same counter-exactness.
+//!   path's `Fleet::refuse`, and `ReadmitDrop` through its queue drop,
+//!   for the same counter-exactness (replay runs with the journal
+//!   detached, so neither journals anything).
 //! * `Hop` carries the decision plus its old assignment, and
 //!   `FailAgent` / `DrainAgent` (format v7) every step of the
 //!   evacuation ([`EvacStep`]): moved (and whether forced), displaced,
@@ -62,16 +64,23 @@
 //!
 //! ## The growth log
 //!
-//! A registered conference is stored once, in the grown problem. The
-//! fleet keeps only the registration order — the seed's session count
-//! and each online agent's record with the session count at its
-//! registration — and `capture` reads each online session's
-//! [`SessionDef`] back off the problem
+//! A registered conference or agent is stored once, in the grown
+//! problem, and an agent's region once, in the ledger. The fleet keeps
+//! only the registration order — the seed's session count and each
+//! online agent's session count at its registration — and `capture`
+//! reads each online session's [`SessionDef`] back off the problem
 //! ([`SessionDef::as_registered`]): its users' upstreams, their
 //! downstream demands with every override as stored, their `H` columns
 //! cut to the agents that existed when it registered, and their site
-//! indices. Those are the definition's own bytes, so the v6 snapshot
-//! writes the log it always wrote.
+//! indices; each online agent's [`AgentDef`] likewise
+//! ([`AgentDef::as_registered`], its `H` row cut to the users that
+//! existed when it registered), with its region's name off the ledger.
+//! Those are the definitions' own bytes, so the v6 snapshot writes the
+//! log it always wrote. Recovery installs the snapshot's region table on
+//! a fleet over the seed problem and regrows each record through the
+//! registrations' universe-level halves, which `RegisterSession` /
+//! `RegisterAgent` replay reaches too; a snapshot whose `regions` or
+//! `agent_regions` the regrown ledger contradicts is refused.
 //!
 //! ## Recovery
 //!
@@ -95,9 +104,7 @@
 //! as for a fleet that never crashed.
 
 pub use crate::fleet::CounterSnapshot;
-use crate::fleet::{
-    self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, Growth, OnlineAgent, SessionSlot,
-};
+use crate::fleet::{self, Accepted, AdmitPath, Fleet, FleetConfig, FleetCounters, SessionSlot};
 use crate::ledger::{AgentHold, SessionHold};
 use crate::readmit::ReadmitEntry;
 use crate::workers::{ReoptPool, TimerEntry};
@@ -434,7 +441,7 @@ pub struct DurableFleetState {
     /// default region.
     pub regions: Vec<String>,
     /// Per-agent region ids, instance order (format v6). Indices into
-    /// `regions`.
+    /// `regions`; recovery requires the regrown ledger to agree.
     pub agent_regions: Vec<u32>,
     /// Ledger holdings, ascending by session id: every live session's
     /// [`SessionHold::from_load`] of its slot's load. Recovery
@@ -636,20 +643,19 @@ pub struct RecoveryReport {
 /// freshly-built one no other thread can see.
 fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
     let (user_agents, task_agents, active) = fleet.global_placements_locked(u);
+    let regions = fleet.ledger.region_names();
+    let agent_regions: Vec<u32> = (u.problem.instance().agent_ids())
+        .map(|l| fleet.ledger.region_of(l))
+        .collect();
     DurableFleetState {
-        growth: growth_log(u),
+        growth: growth_log(u, &regions, &agent_regions),
         user_agents,
         task_agents,
         active,
         available: u.available.clone(),
         drained: u.drained.clone(),
-        regions: fleet.ledger.region_names(),
-        agent_regions: u
-            .problem
-            .instance()
-            .agent_ids()
-            .map(|l| fleet.ledger.region_of(l))
-            .collect(),
+        regions,
+        agent_regions,
         holdings: (u.slots.iter())
             .map(|(&s, slot)| (s, SessionHold::from_load(slot.lock().load())))
             .collect(),
@@ -670,19 +676,30 @@ fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
 }
 
 /// The growth log of `u`, in registration order, each online session
-/// read back off the grown problem (module docs, "The growth log").
-fn growth_log(u: &fleet::Universe) -> Vec<GrowthRecord> {
+/// and agent read back off the grown problem, each agent's region off
+/// the ledger's `regions` and `agent_regions` (module docs, "The growth
+/// log").
+fn growth_log(u: &fleet::Universe, regions: &[String], agent_regions: &[u32]) -> Vec<GrowthRecord> {
     let inst = u.problem.instance();
-    let Growth {
+    let fleet::Growth {
         seed_sessions,
         ref agents,
     } = u.growth;
+    // Online users are appended session by session, so the users
+    // registered before session `s` are those below its first one.
+    let users_before = |s: usize| match inst.sessions().get(s) {
+        Some(session) => session.users()[0].index(),
+        None => inst.num_users(),
+    };
     let mut num_agents = inst.num_agents() - agents.len();
     let mut agents = agents.iter().peekable();
     let mut log = Vec::with_capacity(inst.num_sessions() - seed_sessions + agents.len());
     for s in seed_sessions..=inst.num_sessions() {
-        while let Some(a) = agents.next_if(|a| a.sessions == s) {
-            log.push(GrowthRecord::Agent(a.def.clone(), a.region.clone()));
+        while agents.next_if(|a| a.sessions == s).is_some() {
+            let l = AgentId::from(num_agents);
+            let def = AgentDef::as_registered(inst, l, users_before(s));
+            let region = &regions[agent_regions[l.index()] as usize];
+            log.push(GrowthRecord::Agent(def, region.clone()));
             num_agents += 1;
         }
         if s < inst.num_sessions() {
@@ -1078,46 +1095,44 @@ impl Fleet {
         config: FleetConfig,
         mut durable: DurableFleetState,
     ) -> Result<Self, PersistError> {
+        let fleet = Fleet::new(problem, config);
+        // Install the region table before anything touches the ledger:
+        // `ensure_region` re-creates the ids in captured order (index 0
+        // is the default region both here and in a fresh ledger), so the
+        // regrowth below finds each agent's region where the live
+        // registration left it, agent-less regions included.
+        for (i, name) in durable.regions.iter().enumerate() {
+            let id = fleet.ledger.ensure_region(name);
+            if id as usize != i {
+                return Err(PersistError::Mismatch(format!(
+                    "snapshot region table re-registered {name:?} as id {id}, expected {i}"
+                )));
+            }
+        }
+        let mut u = fleet.freeze.write();
         // Regrow the universe first: the snapshot's placements cover
         // the seed problem *plus* everything registered online. The
         // growth log is replayed in its original interleaved order —
         // a session's delay rows depend on how many agents existed
         // when it registered, so reordering would rebuild a different
-        // universe. A session's definition goes once it is registered:
-        // the grown problem is its store.
-        let mut growth = Growth {
-            seed_sessions: problem.instance().num_sessions(),
-            agents: Vec::new(),
-        };
-        let problem = if durable.growth.is_empty() {
-            problem
-        } else {
-            let mut grown = (*problem).clone();
-            for (i, rec) in std::mem::take(&mut durable.growth).into_iter().enumerate() {
-                match rec {
-                    GrowthRecord::Session(def) => {
-                        grown.register_session(&def).map_err(|e| {
-                            PersistError::Mismatch(format!(
-                                "snapshot growth record #{i} (session) failed to re-register: {e}"
-                            ))
-                        })?;
-                    }
-                    GrowthRecord::Agent(def, region) => {
-                        grown.register_agent(&def).map_err(|e| {
-                            PersistError::Mismatch(format!(
-                                "snapshot growth record #{i} (agent) failed to re-register: {e}"
-                            ))
-                        })?;
-                        growth.agents.push(OnlineAgent {
-                            sessions: grown.instance().num_sessions(),
-                            def,
-                            region,
-                        });
-                    }
+        // universe — through the registrations' own universe-level
+        // halves, which `RegisterSession`/`RegisterAgent` replay
+        // reaches too. Each record goes once registered: the grown
+        // problem is its store.
+        for (i, rec) in std::mem::take(&mut durable.growth).into_iter().enumerate() {
+            let regrown = match rec {
+                GrowthRecord::Session(def) => fleet.register_session_locked(&mut u, &def).map(drop),
+                GrowthRecord::Agent(def, region) => {
+                    fleet.register_agent_locked(&mut u, &def, &region).map(drop)
                 }
-            }
-            Arc::new(grown)
-        };
+            };
+            regrown.map_err(|e| {
+                PersistError::Mismatch(format!(
+                    "snapshot growth record #{i} failed to re-register: {e}"
+                ))
+            })?;
+        }
+        let problem = u.problem.clone();
         let inst = problem.instance();
         let dims = [
             ("users", durable.user_agents.len(), inst.num_users()),
@@ -1135,6 +1150,24 @@ impl Fleet {
             if got != want {
                 return Err(PersistError::Mismatch(format!(
                     "snapshot has {got} {what}, problem has {want}"
+                )));
+            }
+        }
+        // The ledger's regions are the one record of where each agent
+        // is: the regrown table and every agent's region must be what
+        // the snapshot says.
+        let regions = fleet.ledger.region_names();
+        if regions != durable.regions {
+            return Err(PersistError::Mismatch(format!(
+                "snapshot region table {:?}, regrown as {regions:?}",
+                durable.regions
+            )));
+        }
+        for (l, &r) in inst.agent_ids().zip(&durable.agent_regions) {
+            let regrown = fleet.ledger.region_of(l);
+            if regrown != r {
+                return Err(PersistError::Mismatch(format!(
+                    "snapshot puts agent {l} in region {r}, its registration in {regrown}"
                 )));
             }
         }
@@ -1172,75 +1205,37 @@ impl Fleet {
                 inst.num_sessions()
             )));
         }
-        if let Some(&r) = durable
-            .agent_regions
-            .iter()
-            .find(|&&r| r as usize >= durable.regions.len())
-        {
+        u.available = durable.available;
+        u.drained = durable.drained;
+        // A slot per live session only; whatever the snapshot holds at a
+        // non-live session's entries is not state. Each slot's load is
+        // booked as it is built, ascending by session: the slots are the
+        // holds, and the snapshot's `holdings` must name the same
+        // sessions with the same loads, bit for bit.
+        let mut scratch = EvalScratch::new();
+        let mut holdings = durable.holdings.iter();
+        for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
+            let users = inst.session(s).users().iter();
+            let tasks = problem.tasks().of_session(s).iter();
+            let slot = fleet::SessionSlot::new(
+                users.map(|w| durable.user_agents[w.index()]).collect(),
+                tasks.map(|t| durable.task_agents[t.index()]).collect(),
+            );
+            let load = fleet::evaluate_slot(&problem, s, &slot, &mut scratch).clone();
+            if holdings.next() != Some(&(s, SessionHold::from_load(&load))) {
+                return Err(PersistError::Mismatch(format!(
+                    "snapshot holdings disagree with the re-evaluated load of live session {s}"
+                )));
+            }
+            fleet.ledger.book_unchecked(&load);
+            u.slots.insert(s, Mutex::new(slot.loaded(load)));
+        }
+        if let Some((s, _)) = holdings.next() {
             return Err(PersistError::Mismatch(format!(
-                "snapshot assigns an agent to region id {r}, past its {}-entry region table",
-                durable.regions.len()
+                "snapshot holdings name session {s}, which is not live"
             )));
         }
-        let fleet = Fleet::new(problem, config);
-        // Install the region table before anything touches the ledger:
-        // `ensure_region` re-creates the ids in captured order (index 0
-        // is the default region both here and in a fresh ledger).
-        for (i, name) in durable.regions.iter().enumerate() {
-            let id = fleet.ledger.ensure_region(name);
-            if id as usize != i {
-                return Err(PersistError::Mismatch(format!(
-                    "snapshot region table re-registered {name:?} as id {id}, expected {i}"
-                )));
-            }
-        }
-        for (i, &r) in durable.agent_regions.iter().enumerate() {
-            fleet.ledger.assign_region(AgentId::from(i), r);
-        }
-        let mut scratch = EvalScratch::new();
-        {
-            let mut u = fleet.freeze.write();
-            u.growth = growth;
-            u.available = durable.available.clone();
-            u.drained = durable.drained.clone();
-            let fleet::Universe { problem, slots, .. } = &mut *u;
-            let inst = problem.instance();
-            // A slot per live session only; whatever the snapshot holds
-            // at a non-live session's entries is not state. Each slot's
-            // load is booked as it is built, ascending by session: the
-            // slots are the holds, and the snapshot's `holdings` must
-            // name the same sessions with the same loads, bit for bit.
-            let mut holdings = durable.holdings.iter();
-            for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
-                let users = inst.session(s).users().iter();
-                let tasks = problem.tasks().of_session(s).iter();
-                let slot = fleet::SessionSlot::new(
-                    users.map(|w| durable.user_agents[w.index()]).collect(),
-                    tasks.map(|t| durable.task_agents[t.index()]).collect(),
-                );
-                let load = fleet::evaluate_slot(problem, s, &slot, &mut scratch).clone();
-                if holdings.next() != Some(&(s, SessionHold::from_load(&load))) {
-                    return Err(PersistError::Mismatch(format!(
-                        "snapshot holdings disagree with the re-evaluated load of live session {s}"
-                    )));
-                }
-                fleet.ledger.book_unchecked(&load);
-                slots.insert(s, Mutex::new(slot.loaded(load)));
-            }
-            if let Some((s, _)) = holdings.next() {
-                return Err(PersistError::Mismatch(format!(
-                    "snapshot holdings name session {s}, which is not live"
-                )));
-            }
-        }
-        // Availability flags were installed with the universe above;
-        // mirror them into the ledger (a down agent — failed or drained
-        // — holds no availability there either).
-        for (i, &up) in durable.available.iter().enumerate() {
-            if !up {
-                fleet.ledger.fail_agent(AgentId::from(i));
-            }
-        }
+        drop(u);
         durable.counters.install(&fleet.counters);
         *fleet.timers.lock() = durable.timers;
         {
@@ -1360,9 +1355,9 @@ impl Fleet {
     }
 
     /// Applies one journaled op to a recovering fleet. Every arm but
-    /// the counter/cache-only `StayBatch`, `Timers` and `ReadmitDrop`
-    /// re-enters the code the live path ran once it had decided, so
-    /// recovered counters equal pre-crash counters by construction.
+    /// the counter/cache-only `StayBatch` and `Timers` re-enters the
+    /// code the live path ran once it had decided, so recovered
+    /// counters equal pre-crash counters by construction.
     pub(crate) fn replay_op(
         &self,
         op: &FleetOp,
@@ -1407,7 +1402,7 @@ impl Fleet {
                     .map_err(PersistError::Replay)?;
                 universe.slots.insert(*session, Mutex::new(slot));
             }
-            FleetOp::Reject { reason, .. } => self.count_refusal(*reason),
+            FleetOp::Reject { session, reason } => self.refuse(*session, *reason),
             FleetOp::Depart { session } => {
                 if self.depart(*session).is_none() {
                     return Err(PersistError::Replay(format!(
@@ -1493,16 +1488,7 @@ impl Fleet {
             FleetOp::DrainAgent { agent, steps } => {
                 self.replay_evacuation(*agent, steps, true, scratch)?;
             }
-            FleetOp::ReadmitDrop { session } => {
-                // Overflow drops never installed an entry; exhaustion
-                // drops did. Remove if present, count either way — the
-                // live path counted both shapes through the same
-                // `readmit_dropped` counter.
-                self.readmit.lock().entries.remove(session);
-                self.counters
-                    .readmit_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            FleetOp::ReadmitDrop { session } => self.readmit_drop_locked(*session),
         }
         Ok(())
     }
@@ -1524,7 +1510,7 @@ impl Fleet {
         scratch: &mut EvalScratch,
     ) -> Result<(), PersistError> {
         let mut universe = self.freeze.write();
-        self.take_agent_down(&mut universe, agent, drain);
+        Fleet::take_agent_down(&mut universe, agent, drain);
         for step in steps {
             match *step {
                 EvacStep::Moved {

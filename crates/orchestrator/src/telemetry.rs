@@ -47,7 +47,10 @@ pub fn fleet_metrics_text(fleet: &Fleet) -> String {
         ("reserved_download_mbps", |r| prom(r.reserved_download_mbps)),
         ("reserved_upload_mbps", |r| prom(r.reserved_upload_mbps)),
     ];
-    let regions = fleet.ledger().region_residuals();
+    // Which agents are up is the universe's to say, not the ledger's.
+    let regions = fleet
+        .ledger()
+        .region_residuals(&fleet.freeze.read().available);
     // Region names come from outside (callers, journals, snapshots).
     let labels: Vec<String> = regions.iter().map(|r| label_value(&r.name)).collect();
     for (family, value) in families {

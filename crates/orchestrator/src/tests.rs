@@ -8,7 +8,7 @@ use crate::workers::ReoptPool;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use vc_algo::agrank::{AgRankConfig, Residuals};
+use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::{Alg1Config, HopOutcome};
 use vc_core::UapProblem;
 use vc_cost::CostModel;
@@ -61,7 +61,6 @@ fn fleet(cap_mbps: f64, slots: u32) -> Fleet {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(400.0),
-            ledger_shards: 2,
             ..FleetConfig::default()
         },
     )
@@ -164,27 +163,6 @@ fn ledger_refused_swap_leaves_every_total_bitwise() {
     assert_eq!(after.download[0].to_bits(), (t - 10.9).max(0.0).to_bits());
     assert_eq!((after.download[1], after.transcode[1]), (10.9, 1));
     assert_eq!(after.transcode[0], 0);
-}
-
-#[test]
-fn ledger_refuses_failed_agents_until_restored() {
-    let p = universe(100.0, 4);
-    let ledger = CapacityLedger::new(&p, 3);
-    let hold = SessionHold {
-        holds: vec![agent_hold(1, 1.0, 1.0, 0)],
-    };
-    ledger.fail_agent(AgentId::new(1));
-    assert!(!ledger.is_agent_available(AgentId::new(1)));
-    assert_eq!(
-        ledger.try_reserve(&hold),
-        Err(LedgerError::AgentDown(AgentId::new(1)))
-    );
-    // The refusal booked nothing: the down agent's capacity is all still
-    // free (its availability is the flag above, not a zeroed residual).
-    let residuals = Residuals::from_totals(&p, &ledger.reserved_totals());
-    assert_eq!(residuals.download[1], 100.0);
-    ledger.restore_agent(AgentId::new(1));
-    ledger.try_reserve(&hold).unwrap();
 }
 
 #[test]
@@ -419,7 +397,6 @@ fn readmission_wins_a_due_time_tie_with_a_worker_wakeup() {
             FleetConfig {
                 placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
                 alg1: Alg1Config::paper(400.0),
-                ledger_shards: 2,
                 readmit: Some(ReadmitConfig::default()),
             },
         );
@@ -606,6 +583,107 @@ fn region_names_are_escaped_on_metrics() {
     assert_eq!(transcode("unlimited"), "+Inf");
 }
 
+/// The region gauges read which agents are up off the universe, the
+/// fleet's one record of it: after a failure, a restore, a drain and a
+/// region's last agent going down, `/metrics` serves per region the
+/// agents `Fleet::is_agent_available` calls up and the residuals summed
+/// over exactly those.
+#[test]
+fn region_gauges_follow_the_universe() {
+    let f = fleet(120.0, 6);
+    for region in ["west", "west", "east"] {
+        let (agents, (_, users)) = (f.num_agents(), f.universe_size());
+        let def = vc_model::AgentDef {
+            spec: AgentSpec::builder(format!("late{agents}"))
+                .capacity(Capacity::new(80.0, 70.0, 4))
+                .build(),
+            inter_agent_ms: (0..agents).map(|k| 30.0 + 4.0 * k as f64).collect(),
+            user_delays_ms: (0..users).map(|u| 9.0 + ((u * 11) % 17) as f64).collect(),
+        };
+        f.register_agent(&def, region).unwrap();
+    }
+    for i in 0..6 {
+        let _ = f.admit(SessionId::new(i));
+    }
+    const FAMILIES: [&str; 4] = [
+        "available_agents",
+        "residual_download_mbps",
+        "residual_upload_mbps",
+        "residual_transcode_units",
+    ];
+    let served = |f: &Fleet| -> Vec<String> {
+        let text = crate::telemetry::fleet_metrics_text(f);
+        (text.lines())
+            .filter(|l| {
+                FAMILIES
+                    .iter()
+                    .any(|g| l.starts_with(&format!("vc_region_{g}{{")))
+            })
+            .map(String::from)
+            .collect()
+    };
+    let from_the_universe = |f: &Fleet| -> Vec<String> {
+        let (problem, ledger) = (f.problem(), f.ledger());
+        let reserved = ledger.reserved_totals();
+        let names = ledger.region_names();
+        let mut lines = Vec::new();
+        for family in FAMILIES {
+            for (r, name) in names.iter().enumerate() {
+                let up: Vec<AgentId> = (problem.instance().agent_ids())
+                    .filter(|&l| ledger.region_of(l) as usize == r && f.is_agent_available(l))
+                    .collect();
+                let residual = |free: &dyn Fn(AgentId) -> f64| {
+                    let sum = up.iter().fold(0.0, |sum, &l| sum + free(l));
+                    if sum == f64::INFINITY {
+                        "+Inf".to_string()
+                    } else {
+                        format!("{sum:.6}")
+                    }
+                };
+                let cap = |l: AgentId| problem.instance().agent(l).capacity();
+                let value = match family {
+                    "available_agents" => up.len().to_string(),
+                    "residual_download_mbps" => residual(&|l| {
+                        (cap(l).download_mbps - reserved.download[l.index()]).max(0.0)
+                    }),
+                    "residual_upload_mbps" => {
+                        residual(&|l| (cap(l).upload_mbps - reserved.upload[l.index()]).max(0.0))
+                    }
+                    _ => residual(&|l| {
+                        f64::from(
+                            cap(l)
+                                .transcode_slots
+                                .saturating_sub(reserved.transcode[l.index()]),
+                        )
+                    }),
+                };
+                lines.push(format!("vc_region_{family}{{region=\"{name}\"}} {value}"));
+            }
+        }
+        lines
+    };
+    let (west, east) = (AgentId::new(4), AgentId::new(5));
+    let mut seen = vec![served(&f)];
+    assert_eq!(seen[0], from_the_universe(&f), "before any failure");
+    f.fail_agent(AgentId::new(1));
+    seen.push(served(&f));
+    assert_eq!(seen[1], from_the_universe(&f), "after a failure");
+    assert!(f.restore_agent(AgentId::new(1)));
+    seen.push(served(&f));
+    assert_eq!(seen[2], from_the_universe(&f), "after the restore");
+    f.drain_agent(west);
+    seen.push(served(&f));
+    assert_eq!(seen[3], from_the_universe(&f), "after a drain");
+    f.fail_agent(east);
+    seen.push(served(&f));
+    assert_eq!(seen[4], from_the_universe(&f), "with a region all down");
+    assert!(
+        seen.windows(2).all(|w| w[0] != w[1]),
+        "every step moves a gauge"
+    );
+    assert!(seen[4].contains(&"vc_region_available_agents{region=\"east\"} 0".to_string()));
+}
+
 /// The slot map's key set is the live set: a seeded admit / hop / fail
 /// / depart / re-admit churn and 1 000 online registrations leave a slot
 /// for every live session and for nothing else.
@@ -617,7 +695,6 @@ fn slot_map_holds_exactly_the_live_sessions() {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(400.0),
-            ledger_shards: 2,
             readmit: Some(ReadmitConfig::default()),
         },
     );
@@ -792,7 +869,6 @@ mod persistence {
             FleetConfig {
                 placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
                 alg1: Alg1Config::paper(400.0),
-                ledger_shards: 2,
                 ..FleetConfig::default()
             },
             PersistConfig {
@@ -816,7 +892,6 @@ mod persistence {
             FleetConfig {
                 placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
                 alg1: Alg1Config::paper(400.0),
-                ledger_shards: 2,
                 ..FleetConfig::default()
             },
         )
@@ -1223,7 +1298,6 @@ mod persistence {
             FleetConfig {
                 placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
                 alg1: Alg1Config::paper(400.0),
-                ledger_shards: 2,
                 ..FleetConfig::default()
             },
             PersistConfig {
@@ -1252,7 +1326,6 @@ mod persistence {
             FleetConfig {
                 placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
                 alg1: Alg1Config::paper(400.0),
-                ledger_shards: 2,
                 ..FleetConfig::default()
             },
         )
@@ -1546,7 +1619,6 @@ mod hop_memo {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(beta),
-            ledger_shards: 2,
             ..FleetConfig::default()
         }
     }

@@ -122,7 +122,6 @@ fn comparison_demo(serve: Option<&str>) {
                         mean_countdown_s: 5.0,
                         ..Alg1Config::paper(400.0)
                     },
-                    ledger_shards: 4,
                     ..FleetConfig::default()
                 },
                 sample_period_s: 1.0,
@@ -307,7 +306,6 @@ fn crash_demo(crash_at: f64, resume: bool) {
             mean_countdown_s: 5.0,
             ..Alg1Config::paper(400.0)
         },
-        ledger_shards: 4,
         ..FleetConfig::default()
     };
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/persist-demo");

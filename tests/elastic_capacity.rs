@@ -43,7 +43,6 @@ fn store_dir(name: &str) -> PathBuf {
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
         ..FleetConfig::default()
     }
 }

@@ -73,7 +73,6 @@ fn fleet_config(readmit: bool) -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::Nearest,
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
         readmit: readmit.then(ReadmitConfig::default),
     }
 }

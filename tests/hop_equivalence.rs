@@ -502,7 +502,6 @@ fn concurrent_hops_leave_the_fleet_conserved() {
                 mean_countdown_s: 0.5,
                 ..Alg1Config::paper(200.0)
             },
-            ledger_shards: 4,
             ..FleetConfig::default()
         },
     ));
@@ -541,7 +540,6 @@ fn unpaced_concurrent_hops_conserve() {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(100.0),
-            ledger_shards: 3,
             ..FleetConfig::default()
         },
     ));

@@ -84,7 +84,6 @@ fn make_fleet(instance: Instance) -> Fleet {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(400.0),
-            ledger_shards: 2,
             ..FleetConfig::default()
         },
     )

@@ -78,7 +78,6 @@ fn fleet_config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
         ..FleetConfig::default()
     }
 }
@@ -1012,6 +1011,17 @@ fn no_out_of_universe_id_unwinds_recovery() {
                 edited(&|d| d.drained[up] = true),
                 Some(&up_name),
             ),
+            // A seed agent registers into the default region and never
+            // leaves it: a table that moves one elsewhere disagrees
+            // with the registrations it claims to record.
+            (
+                "agent_regions.moved",
+                edited(&|d| {
+                    d.regions.push("elsewhere".into());
+                    d.agent_regions[2] = 1;
+                }),
+                Some("a2"),
+            ),
         ]
     };
 
@@ -1655,4 +1665,61 @@ fn streamed_replay_refuses_an_undecodable_final_frame() {
         outcome.map(|(_, report)| report)
     );
     assert_eq!(store(&dir), before, "a refused recovery changed the store");
+}
+
+/// Regions round-trip through the ledger, their one record: two online
+/// agents in one region, a third in a region of its own, and a region
+/// with no agent come back from a snapshot plus a journal tail, and
+/// again from a snapshot that holds all of it, with the live fleet's
+/// region table, agent regions, growth log and ledger shards.
+#[test]
+fn regions_round_trip_through_the_ledger() {
+    let problem = small_universe();
+    let dir = store_dir("regions-round-trip");
+    let fleet = Fleet::with_persistence(problem.clone(), fleet_config(), persist_config(&dir))
+        .expect("persistent fleet");
+    fleet
+        .register_agent(&online_agent("west-1", 3, 12), "west")
+        .expect("registers");
+    fleet.ledger().ensure_region("spare");
+    fleet.checkpoint().expect("checkpoint");
+    fleet
+        .register_agent(&online_agent("west-2", 4, 12), "west")
+        .expect("registers");
+    let s6 = (fleet.register_session(&conference_naming(UserId::new(3), 5, 1))).expect("registers");
+    fleet
+        .register_agent(&online_agent("east-1", 5, 14), "east")
+        .expect("registers");
+    let _ = fleet.admit(s6);
+    let _ = fleet.admit(SessionId::new(0));
+    let regions_of = |fleet: &Fleet| {
+        let state = fleet.durable_state();
+        let shards = fleet.ledger().num_shards();
+        (
+            state.regions,
+            state.agent_regions,
+            encode_to_vec(&state.growth),
+            shards,
+        )
+    };
+    let live = regions_of(&fleet);
+    let names: Vec<String> = ["default", "west", "spare", "east"]
+        .map(String::from)
+        .into();
+    assert_eq!(live.0, names);
+    assert_eq!(live.1, vec![0, 0, 0, 1, 1, 3]);
+    drop(fleet);
+
+    let (recovered, report) =
+        Fleet::recover(persist_config(&dir), problem.clone(), fleet_config()).expect("recovery");
+    assert!(report.snapshot_seq > 0 && report.replayed > 0);
+    assert_eq!(regions_of(&recovered), live);
+    recovered.checkpoint().expect("checkpoint");
+    drop(recovered);
+
+    let (again, report) =
+        Fleet::recover(persist_config(&dir), problem, fleet_config()).expect("second recovery");
+    assert_eq!(report.replayed, 0);
+    assert_eq!(regions_of(&again), live);
+    assert!(again.audit().is_empty());
 }

@@ -73,7 +73,6 @@ fn build_fleet(spec: &RandomUniverse) -> Fleet {
         FleetConfig {
             placement: PlacementPolicy::Nearest,
             alg1: Alg1Config::paper(400.0),
-            ledger_shards: 2,
             ..FleetConfig::default()
         },
     )

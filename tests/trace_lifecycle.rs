@@ -68,7 +68,6 @@ fn fleet_config() -> FleetConfig {
     FleetConfig {
         placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
         alg1: Alg1Config::paper(400.0),
-        ledger_shards: 2,
         ..FleetConfig::default()
     }
 }
