@@ -20,6 +20,11 @@
 //! [`SystemState::fits`] against the state's totals, the orchestrator's
 //! fleet against totals summed from its live slots — and both commit
 //! the winner the way their hops commit one.
+//!
+//! Agents fail at runtime only on `vc-orchestrator`'s fleet, whose
+//! `fail_agent` and `drain_agent` pick through [`pick_target`].
+//! [`evacuate_agent`] stays as the closed-world reference that
+//! evacuation is checked against (`tests/evacuation.rs`).
 
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, EvalScratch, SessionLoad, SystemState};
@@ -190,7 +195,7 @@ mod tests {
 
     #[test]
     fn alg1_keeps_avoiding_the_failed_agent() {
-        use crate::markov::{Alg1Config, Alg1Engine};
+        use crate::markov::{Alg1Config, Alg1Engine, HopScratch};
         use rand::{rngs::StdRng, SeedableRng};
         let p = Arc::new(fig2_like_problem());
         let mut st = SystemState::new(p.clone(), nearest_assignment(&p));
@@ -198,12 +203,10 @@ mod tests {
         evacuate_agent(&mut st, sg);
         let engine = Alg1Engine::new(Alg1Config::paper(50.0));
         let mut rng = StdRng::seed_from_u64(4);
+        let mut scratch = HopScratch::new();
+        let s = p.instance().user(UserId::new(0)).session();
         for _ in 0..300 {
-            engine.hop(
-                &mut st,
-                p.instance().user(UserId::new(0)).session(),
-                &mut rng,
-            );
+            engine.hop_scratch(&mut st, s, &mut rng, &mut scratch);
             for u in p.instance().user_ids() {
                 assert_ne!(
                     st.assignment().agent_of_user(u),

@@ -12,9 +12,10 @@
 //!   (the success-rate experiments of Fig. 9);
 //! * [`markov`] — **Alg. 1**: the Markov-approximation assignment
 //!   algorithm (per-session WAIT/HOP with Gibbs-weighted migration);
-//! * [`churn`] — agent-failure evacuation: immediate relocation of the
-//!   users/tasks of a failed agent, feasibility-aware with forced
-//!   fallback;
+//! * [`churn`] — agent-failure evacuation: the target rule the fleet's
+//!   evacuations pick through ([`churn::pick_target`]), feasibility-aware
+//!   with forced fallback, and the closed-world reference
+//!   ([`churn::evacuate_agent`]) they are checked against;
 //! * [`brute_force`] — exact enumeration of the feasible set `F`, the true
 //!   optimum, and a bridge to `vc-markov`'s exact chain analysis;
 //! * [`local_search`] — greedy steepest-descent baseline.

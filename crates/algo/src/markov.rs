@@ -22,8 +22,8 @@
 //! β = 400 almost every neighbour of a settled conference sits on the
 //! lower clamp: its weight is the constant `e⁻⁶⁰⁰` whatever its `Φ`
 //! exactly is. [`Alg1Engine::gibbs_step`] — the one step behind both the
-//! closed-world [`hop`](Alg1Engine::hop) and the orchestrator's fleet
-//! hop — is two halves joined by a [`HopMemo`].
+//! closed-world [`hop_scratch`](Alg1Engine::hop_scratch) and the
+//! orchestrator's fleet hop — is two halves joined by a [`HopMemo`].
 //!
 //! The **sweep** ([`Alg1Engine::sweep`]) reads only what belongs to the
 //! session: it takes each candidate toward every agent of the problem
@@ -423,35 +423,11 @@ impl Alg1Engine {
         -rng.gen::<f64>().max(1e-300).ln() * self.config.mean_countdown_s
     }
 
-    /// Executes one HOP for session `s` (Lines 9–15 of Alg. 1): samples a
-    /// target assignment among the feasible single-decision neighbors
-    /// (plus staying put) with Gibbs weights on the session's local
-    /// objective, and applies it.
-    pub fn hop<R: Rng + ?Sized>(
-        &self,
-        state: &mut SystemState,
-        s: SessionId,
-        rng: &mut R,
-    ) -> HopOutcome {
-        self.hop_with_beta(state, s, self.config.beta, rng)
-    }
-
-    /// [`hop`](Self::hop) with an explicit β — the primitive behind
-    /// annealed schedules, where β grows over time to tighten the
-    /// optimality gap (Eq. 12) after the chain has explored.
-    pub fn hop_with_beta<R: Rng + ?Sized>(
-        &self,
-        state: &mut SystemState,
-        s: SessionId,
-        beta: f64,
-        rng: &mut R,
-    ) -> HopOutcome {
-        let mut scratch = HopScratch::new();
-        self.hop_with_beta_scratch(state, s, beta, rng, &mut scratch)
-    }
-
-    /// [`hop`](Self::hop) reusing caller-owned buffers — the
-    /// allocation-free form worker pools drive.
+    /// Executes one HOP for session `s` (Lines 9–15 of Alg. 1) at the
+    /// configured β: samples a target assignment among the feasible
+    /// single-decision neighbors (plus staying put) with Gibbs weights on
+    /// the session's local objective, and applies it. `scratch` is the
+    /// caller's, held across hops: steady-state hops allocate nothing.
     pub fn hop_scratch<R: Rng + ?Sized>(
         &self,
         state: &mut SystemState,
@@ -462,8 +438,11 @@ impl Alg1Engine {
         self.hop_with_beta_scratch(state, s, self.config.beta, rng, scratch)
     }
 
-    /// The HOP primitive: one [Gibbs step](Self::gibbs_step) over the
-    /// session's single-decision neighbourhood through `scratch` (one
+    /// [`hop_scratch`](Self::hop_scratch) with an explicit β — the
+    /// primitive behind annealed schedules, where β grows over time to
+    /// tighten the optimality gap (Eq. 12) after the chain has explored.
+    /// One [Gibbs step](Self::gibbs_step) over the session's
+    /// single-decision neighbourhood through `scratch` (one
     /// conference compilation, no assignment clone, no per-candidate
     /// allocation), the drawn move committed by swapping its re-derived
     /// load into the state.
@@ -828,8 +807,9 @@ mod tests {
         let mut st = fig2_state();
         let engine = Alg1Engine::new(Alg1Config::paper(50.0));
         let mut rng = StdRng::seed_from_u64(3);
+        let mut scratch = HopScratch::new();
         for _ in 0..200 {
-            engine.hop(&mut st, SessionId::new(0), &mut rng);
+            engine.hop_scratch(&mut st, SessionId::new(0), &mut rng, &mut scratch);
             assert!(st.is_feasible());
         }
     }
@@ -840,8 +820,9 @@ mod tests {
         let start = st.objective();
         let engine = Alg1Engine::new(Alg1Config::paper(2000.0));
         let mut rng = StdRng::seed_from_u64(7);
+        let mut scratch = HopScratch::new();
         for _ in 0..300 {
-            engine.hop(&mut st, SessionId::new(0), &mut rng);
+            engine.hop_scratch(&mut st, SessionId::new(0), &mut rng, &mut scratch);
         }
         assert!(
             st.objective() < start,
@@ -863,10 +844,11 @@ mod tests {
             noise: None,
         });
         let mut rng = StdRng::seed_from_u64(11);
+        let mut scratch = HopScratch::new();
         let mut migrated = 0;
         let mut stayed = 0;
         for _ in 0..300 {
-            match engine.hop(&mut st, SessionId::new(0), &mut rng) {
+            match engine.hop_scratch(&mut st, SessionId::new(0), &mut rng, &mut scratch) {
                 HopOutcome::Migrated(_) => migrated += 1,
                 HopOutcome::Stayed => stayed += 1,
                 HopOutcome::NoFeasibleMove => {}
@@ -913,15 +895,18 @@ mod tests {
 
     #[test]
     fn hop_with_beta_zero_equals_uniform_weights() {
-        // hop() with config β must equal hop_with_beta(config.beta).
+        // hop_scratch() at the config β must equal
+        // hop_with_beta_scratch(config.beta), each holding its scratch.
         let engine = Alg1Engine::new(Alg1Config::paper(700.0));
         let mut a = fig2_state();
         let mut b = fig2_state();
         let mut rng_a = StdRng::seed_from_u64(33);
         let mut rng_b = StdRng::seed_from_u64(33);
+        let (mut scratch_a, mut scratch_b) = (HopScratch::new(), HopScratch::new());
         for _ in 0..50 {
-            let oa = engine.hop(&mut a, SessionId::new(0), &mut rng_a);
-            let ob = engine.hop_with_beta(&mut b, SessionId::new(0), 700.0, &mut rng_b);
+            let s = SessionId::new(0);
+            let oa = engine.hop_scratch(&mut a, s, &mut rng_a, &mut scratch_a);
+            let ob = engine.hop_with_beta_scratch(&mut b, s, 700.0, &mut rng_b, &mut scratch_b);
             assert_eq!(oa, ob);
         }
         assert_eq!(a.assignment(), b.assignment());
@@ -937,8 +922,9 @@ mod tests {
             noise: Some(NoiseSpec::uniform(0.5, 2)),
         });
         let mut rng = StdRng::seed_from_u64(17);
+        let mut scratch = HopScratch::new();
         for _ in 0..300 {
-            engine.hop(&mut st, SessionId::new(0), &mut rng);
+            engine.hop_scratch(&mut st, SessionId::new(0), &mut rng, &mut scratch);
         }
         assert!(st.objective() < start);
     }

@@ -8,6 +8,10 @@
 //! cargo run -p vc-bench --release --bin experiments -- check <id>...
 //! ```
 //!
+//! `churn` is the one table id that runs on the fleet: agent a0 fails
+//! and recovers under `vc_orchestrator::Orchestrator::run_trace`, since
+//! the closed-world simulator injects no failures.
+//!
 //! This binary proves; it does not time. Its experiments establish what
 //! only they establish — the paper's figures, admission parity,
 //! conservation, allocation bounds, healing, the observability overhead
@@ -226,6 +230,7 @@ const EXPERIMENTS: [Experiment; 19] = [
             ablation::print_all(scenarios, d, seed)
         })
     }),
+    // The fleet's failure runtime over the prototype problem.
     table("churn", |o| {
         shown(churn::run(o.duration_or(200.0), o.seed), churn::print)
     }),

@@ -31,21 +31,21 @@ pub fn run(duration_s: f64, seed: u64) -> Fig4Result {
 pub fn print(result: &Fig4Result) {
     println!("Fig. 4 — Alg. 1 from the Nrst initial assignment (prototype scale)");
     println!("\n(a) inter-agent traffic (Mbps)");
-    let traffic: Vec<(String, &vc_sim::TimeSeries)> = result
+    let traffic: Vec<(String, &vc_model::TimeSeries)> = result
         .runs
         .iter()
         .map(|(b, r)| (format!("beta={b}"), &r.traffic))
         .collect();
-    let traffic_refs: Vec<(&str, &vc_sim::TimeSeries)> =
+    let traffic_refs: Vec<(&str, &vc_model::TimeSeries)> =
         traffic.iter().map(|(l, s)| (l.as_str(), *s)).collect();
     print_series_table(&traffic_refs, 10.0);
     println!("\n(b) conferencing delay (ms)");
-    let delay: Vec<(String, &vc_sim::TimeSeries)> = result
+    let delay: Vec<(String, &vc_model::TimeSeries)> = result
         .runs
         .iter()
         .map(|(b, r)| (format!("beta={b}"), &r.delay))
         .collect();
-    let delay_refs: Vec<(&str, &vc_sim::TimeSeries)> =
+    let delay_refs: Vec<(&str, &vc_model::TimeSeries)> =
         delay.iter().map(|(l, s)| (l.as_str(), *s)).collect();
     print_series_table(&delay_refs, 10.0);
     for (beta, r) in &result.runs {

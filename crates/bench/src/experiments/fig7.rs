@@ -43,7 +43,7 @@ pub fn print(result: &Fig7Result) {
         .iter()
         .map(|(id, n)| format!("s{} ({n} users)", id.index()))
         .collect();
-    let traffic: Vec<(&str, &vc_sim::TimeSeries)> = result
+    let traffic: Vec<(&str, &vc_model::TimeSeries)> = result
         .samples
         .iter()
         .zip(&labels)
@@ -51,7 +51,7 @@ pub fn print(result: &Fig7Result) {
         .collect();
     print_series_table(&traffic, 10.0);
     println!("\n(b) conferencing delay (ms)");
-    let delay: Vec<(&str, &vc_sim::TimeSeries)> = result
+    let delay: Vec<(&str, &vc_model::TimeSeries)> = result
         .samples
         .iter()
         .zip(&labels)

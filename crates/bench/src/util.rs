@@ -1,6 +1,6 @@
 //! Shared harness utilities: scenario parallelism and table printing.
 
-use vc_sim::TimeSeries;
+use vc_model::TimeSeries;
 
 /// Runs `f(seed)` for `seeds`, in parallel across worker threads, and
 /// returns results in seed order. Used to evaluate the paper's "100

@@ -6,17 +6,16 @@ use vc_model::SessionId;
 
 /// Events driving the conferencing simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A session's WAIT countdown expired; run HOP.
-    Wake(SessionId),
+pub(crate) enum Event {
+    /// A session's WAIT countdown expired; run HOP. The `u32` is the
+    /// session's registration epoch when the countdown was drawn: a
+    /// wake from an earlier registration is stale and dropped, so a
+    /// session runs one countdown chain however often it arrives.
+    Wake(SessionId, u32),
     /// A session joins the system.
     Arrive(SessionId),
     /// A session leaves the system.
     Depart(SessionId),
-    /// An agent fails (or is drained): evacuate it immediately.
-    AgentDown(vc_model::AgentId),
-    /// A failed agent recovers and accepts load again.
-    AgentUp(vc_model::AgentId),
     /// Sample the reported metrics.
     Sample,
 }
@@ -54,7 +53,7 @@ impl PartialOrd for Scheduled {
 
 /// A deterministic min-priority event queue over simulated time.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     seq: u64,
 }
@@ -84,16 +83,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|s| (s.time, s.event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +93,7 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(3.0, Event::Sample);
-        q.schedule(1.0, Event::Wake(SessionId::new(0)));
+        q.schedule(1.0, Event::Wake(SessionId::new(0), 0));
         q.schedule(2.0, Event::Depart(SessionId::new(1)));
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
@@ -128,12 +117,12 @@ mod tests {
     #[test]
     fn len_tracks_pending_events() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         q.schedule(1.0, Event::Sample);
         q.schedule(2.0, Event::Sample);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.heap.len(), 2);
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! migration-interruption micro-experiment: 2–3 frozen frames at 30 fps
 //! without dual-feed, zero with it, at ~13 Kb of redundant traffic.
 //!
-//! The runtime is the deterministic discrete-event [`ConferenceSim`];
-//! agent failures are injectable ([`ChurnEvent`]; evacuation via
-//! `vc-algo`'s churn module). Alg. 1 on real threads is
+//! The runtime is the deterministic discrete-event [`ConferenceSim`]
+//! over a closed world: it injects no agent failures — failures,
+//! drains and restores run on `vc-orchestrator`'s fleet, whose
+//! evacuations are journaled and replayed. Alg. 1 on real threads is
 //! `vc-orchestrator`'s `ReoptPool::run_wall`.
 
 #![forbid(unsafe_code)]
@@ -26,9 +27,6 @@ pub mod migration;
 mod runtime;
 pub mod streaming;
 
-pub use event::{Event, EventQueue};
-pub use metrics::{BoxStats, TimeSeries};
+pub use metrics::BoxStats;
 pub use migration::{MigrationModel, MigrationStats};
-pub use runtime::{
-    ArrivalPolicy, ChurnEvent, ConferenceSim, DynamicsEvent, HopRecord, SimConfig, SimReport,
-};
+pub use runtime::{ArrivalPolicy, ConferenceSim, DynamicsEvent, HopRecord, SimConfig, SimReport};

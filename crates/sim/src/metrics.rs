@@ -1,6 +1,5 @@
-//! Metric collection: time series and distribution summaries.
-
-pub use vc_model::TimeSeries;
+//! Distribution summaries of the sampled metrics (the series
+//! themselves are [`vc_model::TimeSeries`]).
 
 /// Five-number summary (the paper's Fig. 8 box plots).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -4,21 +4,21 @@
 //! continuous time: hops are processed one event at a time, which *is*
 //! the FREEZE/UNFREEZE serialization of the paper (no two sessions ever
 //! migrate concurrently). Session arrivals bootstrap through a
-//! configurable policy and start their own countdown; departures release
-//! resources. Metrics are sampled once per simulated second, matching
-//! the prototype's reporting.
+//! configurable policy and start their own countdown, retiring any left
+//! from an earlier registration, so a session runs one countdown chain;
+//! departures release resources. Metrics are sampled once per simulated
+//! second, matching the prototype's reporting. Agents never fail here;
+//! failures run on `vc-orchestrator`'s fleet.
 
 use crate::event::{Event, EventQueue};
-use crate::metrics::TimeSeries;
 use crate::migration::{MigrationModel, MigrationStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use vc_algo::agrank::{self, AgRankConfig, Residuals};
-use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome};
-use vc_algo::placement;
+use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
 use vc_core::{SystemState, UapProblem};
-use vc_model::{AgentId, SessionId};
+use vc_model::{SessionId, TimeSeries};
 
 /// How an arriving session is bootstrapped.
 #[derive(Debug, Clone)]
@@ -26,8 +26,6 @@ pub enum ArrivalPolicy {
     /// Keep whatever the pre-built assignment says (the paper: "it can be
     /// bootstrapped with any feasible assignment").
     Preset,
-    /// Nearest-agent placement at arrival time.
-    Nearest,
     /// AgRank against the residual capacities at arrival time.
     AgRank(AgRankConfig),
 }
@@ -77,17 +75,6 @@ pub struct DynamicsEvent {
     pub arrives: bool,
 }
 
-/// A scheduled agent failure or recovery (failure injection).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
-    /// When it happens (s).
-    pub time_s: f64,
-    /// The agent affected.
-    pub agent: vc_model::AgentId,
-    /// `true` = recovery, `false` = failure.
-    pub up: bool,
-}
-
 /// One executed HOP.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopRecord {
@@ -114,9 +101,6 @@ pub struct SimReport {
     pub hops: Vec<HopRecord>,
     /// Migration overhead totals.
     pub migrations: MigrationStats,
-    /// Migrations forced by agent failures (evacuations), including the
-    /// count of moves that had no feasible target.
-    pub evacuations: Vec<(f64, vc_model::AgentId, usize, usize)>,
     /// Final objective value.
     pub final_objective: f64,
     /// Final traffic (Mbps).
@@ -133,7 +117,6 @@ pub struct ConferenceSim {
     state: SystemState,
     config: SimConfig,
     dynamics: Vec<DynamicsEvent>,
-    churn: Vec<ChurnEvent>,
 }
 
 impl ConferenceSim {
@@ -144,7 +127,6 @@ impl ConferenceSim {
             state,
             config,
             dynamics: Vec::new(),
-            churn: Vec::new(),
         }
     }
 
@@ -154,19 +136,17 @@ impl ConferenceSim {
         self
     }
 
-    /// Adds agent failure/recovery events (failure injection).
-    pub fn with_churn(mut self, churn: Vec<ChurnEvent>) -> Self {
-        self.churn = churn;
-        self
-    }
-
     /// Runs to completion and reports.
     pub fn run(mut self) -> SimReport {
         let problem: Arc<UapProblem> = self.state.problem().clone();
         let num_sessions = problem.instance().num_sessions();
         let engine = Alg1Engine::new(self.config.alg1.clone());
+        let mut scratch = HopScratch::new();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut queue = EventQueue::new();
+        // Per session, how many times it has arrived: its wakes carry
+        // the epoch they were drawn in.
+        let mut epochs = vec![0u32; num_sessions];
         let mut report = SimReport {
             traffic: TimeSeries::new(),
             delay: TimeSeries::new(),
@@ -174,7 +154,6 @@ impl ConferenceSim {
             per_session_delay: vec![TimeSeries::new(); num_sessions],
             hops: Vec::new(),
             migrations: MigrationStats::default(),
-            evacuations: Vec::new(),
             final_objective: 0.0,
             final_traffic_mbps: 0.0,
             final_delay_ms: 0.0,
@@ -184,7 +163,7 @@ impl ConferenceSim {
         queue.schedule(0.0, Event::Sample);
         if self.config.optimize {
             for s in self.state.active_sessions().collect::<Vec<_>>() {
-                queue.schedule(engine.next_countdown(&mut rng), Event::Wake(s));
+                queue.schedule(engine.next_countdown(&mut rng), Event::Wake(s, 0));
             }
         }
         for d in &self.dynamics {
@@ -194,16 +173,6 @@ impl ConferenceSim {
                     Event::Arrive(d.session)
                 } else {
                     Event::Depart(d.session)
-                },
-            );
-        }
-        for c in &self.churn {
-            queue.schedule(
-                c.time_s,
-                if c.up {
-                    Event::AgentUp(c.agent)
-                } else {
-                    Event::AgentDown(c.agent)
                 },
             );
         }
@@ -220,9 +189,10 @@ impl ConferenceSim {
                         queue.schedule(next, Event::Sample);
                     }
                 }
-                Event::Wake(s) => {
-                    if self.state.is_active(s) && self.config.optimize {
-                        let outcome = engine.hop(&mut self.state, s, &mut rng);
+                Event::Wake(s, epoch) => {
+                    if epoch == epochs[s.index()] && self.state.is_active(s) {
+                        let outcome =
+                            engine.hop_scratch(&mut self.state, s, &mut rng, &mut scratch);
                         if let HopOutcome::Migrated(decision) = outcome {
                             self.config.migration.record(
                                 &self.state,
@@ -235,33 +205,21 @@ impl ConferenceSim {
                             session: s,
                             outcome,
                         });
-                        queue.schedule(t + engine.next_countdown(&mut rng), Event::Wake(s));
+                        queue.schedule(t + engine.next_countdown(&mut rng), Event::Wake(s, epoch));
                     }
                 }
                 Event::Arrive(s) => {
                     self.bootstrap_arrival(s);
                     self.state.activate(s);
+                    let epoch = &mut epochs[s.index()];
+                    *epoch += 1;
                     if self.config.optimize {
-                        queue.schedule(t + engine.next_countdown(&mut rng), Event::Wake(s));
+                        let wake = Event::Wake(s, *epoch);
+                        queue.schedule(t + engine.next_countdown(&mut rng), wake);
                     }
                 }
                 Event::Depart(s) => {
                     self.state.deactivate(s);
-                }
-                Event::AgentDown(l) => {
-                    let evac = vc_algo::churn::evacuate_agent(&mut self.state, l);
-                    // Evacuation migrations pay the same dual-feed cost.
-                    for d in &evac.moves {
-                        self.config
-                            .migration
-                            .record(&self.state, *d, &mut report.migrations);
-                    }
-                    report
-                        .evacuations
-                        .push((t, l, evac.moves.len(), evac.forced));
-                }
-                Event::AgentUp(l) => {
-                    self.state.set_agent_available(l, true);
                 }
             }
         }
@@ -292,29 +250,8 @@ impl ConferenceSim {
 
     fn bootstrap_arrival(&mut self, s: SessionId) {
         let problem = self.state.problem().clone();
-        let inst = problem.instance();
         match &self.config.arrival_policy {
             ArrivalPolicy::Preset => {}
-            ArrivalPolicy::Nearest => {
-                let users: Vec<_> = inst
-                    .session(s)
-                    .users()
-                    .iter()
-                    .map(|&u| (u, inst.delays().nearest_agent(u)))
-                    .collect();
-                let mut user_agent: Vec<AgentId> = self.state.assignment().user_agents().to_vec();
-                for &(u, a) in &users {
-                    user_agent[u.index()] = a;
-                }
-                let all_tasks = placement::rule_of_thumb(&problem, &user_agent);
-                let tasks: Vec<_> = problem
-                    .tasks()
-                    .of_session(s)
-                    .iter()
-                    .map(|&t| (t, all_tasks[t.index()]))
-                    .collect();
-                self.state.reassign_session(s, &users, &tasks);
-            }
             ArrivalPolicy::AgRank(config) => {
                 let residuals = Residuals::from_totals(&problem, self.state.totals());
                 let sa = agrank::assign_session(&problem, s, &residuals, config);
@@ -330,7 +267,8 @@ mod tests {
     use vc_algo::nearest::nearest_assignment;
     use vc_core::Assignment;
     use vc_cost::CostModel;
-    use vc_model::{AgentSpec, InstanceBuilder, ReprLadder};
+    use vc_model::{AgentId, AgentSpec, InstanceBuilder, ReprLadder};
+    use vc_workloads::{prototype_instance, PrototypeConfig};
 
     /// Two sessions spread across three agents with room to improve.
     fn problem() -> Arc<UapProblem> {
@@ -445,8 +383,8 @@ mod tests {
         }];
         let mut config = SimConfig::paper_default(10.0, 9);
         config.optimize = false;
-        config.arrival_policy = ArrivalPolicy::Nearest;
-        let nearest_run = ConferenceSim::new(state.clone(), config.clone())
+        config.arrival_policy = ArrivalPolicy::AgRank(AgRankConfig::paper(3));
+        let agrank_run = ConferenceSim::new(state.clone(), config.clone())
             .with_dynamics(arrive.clone())
             .run();
         config.arrival_policy = ArrivalPolicy::Preset;
@@ -454,12 +392,11 @@ mod tests {
             .with_dynamics(arrive)
             .run();
         // Preset keeps session 1 on agent c (everyone co-located, no
-        // inter-agent traffic); Nearest spreads users to their closest
-        // agents, creating traffic.
-        let nearest_final = nearest_run.final_state.assignment();
+        // inter-agent traffic); AgRank places its users by rank.
+        let agrank_final = agrank_run.final_state.assignment();
         let preset_final = preset_run.final_state.assignment();
         assert_ne!(
-            nearest_final.user_agents(),
+            agrank_final.user_agents(),
             preset_final.user_agents(),
             "policies should place the arrival differently"
         );
@@ -477,53 +414,42 @@ mod tests {
         assert!(r1.hops.len() != r3.hops.len() || r1.traffic != r3.traffic);
     }
 
+    /// A session that departs and arrives again before its pending wake
+    /// fires hops at τ like every other session, not at 2τ: the return
+    /// retires the countdown of its first registration.
     #[test]
-    fn agent_failure_is_evacuated_and_recovery_reused() {
-        let p = problem();
-        let state = initial_state(&p);
-        // Fail agent 0 at t = 5 s, recover it at t = 20 s.
-        let failed = AgentId::new(0);
-        let report = ConferenceSim::new(state, SimConfig::paper_default(60.0, 13))
-            .with_churn(vec![
-                ChurnEvent {
-                    time_s: 5.0,
-                    agent: failed,
-                    up: false,
-                },
-                ChurnEvent {
-                    time_s: 20.0,
-                    agent: failed,
-                    up: true,
-                },
-            ])
-            .run();
-        assert_eq!(report.evacuations.len(), 1);
-        let (t, agent, moved, forced) = report.evacuations[0];
-        assert_eq!(t, 5.0);
-        assert_eq!(agent, failed);
-        assert!(moved > 0, "Nrst places users on every agent here");
-        assert_eq!(forced, 0);
-        assert!(report.final_state.is_feasible());
-        assert!(report.final_state.is_agent_available(failed));
-    }
-
-    #[test]
-    fn failed_agent_stays_empty_until_recovery() {
-        let p = problem();
-        let state = initial_state(&p);
-        let failed = AgentId::new(1);
-        let report = ConferenceSim::new(state, SimConfig::paper_default(40.0, 17))
-            .with_churn(vec![ChurnEvent {
-                time_s: 2.0,
-                agent: failed,
-                up: false,
-            }])
-            .run();
-        let final_asg = report.final_state.assignment();
-        for u in p.instance().user_ids() {
-            assert_ne!(final_asg.agent_of_user(u), failed, "{u} on failed agent");
+    fn a_returning_session_runs_one_countdown_chain() {
+        let instance = prototype_instance(&PrototypeConfig::default());
+        let p = Arc::new(UapProblem::new(instance, CostModel::paper_default()));
+        let s0 = SessionId::new(0);
+        let leave_and_return = vec![
+            DynamicsEvent {
+                time_s: 1.0,
+                session: s0,
+                arrives: false,
+            },
+            DynamicsEvent {
+                time_s: 1.5,
+                session: s0,
+                arrives: true,
+            },
+        ];
+        for seed in 1..=5 {
+            let report =
+                ConferenceSim::new(initial_state(&p), SimConfig::paper_default(2000.0, seed))
+                    .with_dynamics(leave_and_return.clone())
+                    .run();
+            let mut hops = vec![0usize; p.instance().num_sessions()];
+            for h in &report.hops {
+                hops[h.session.index()] += 1;
+            }
+            let others = hops[1..].iter().sum::<usize>() as f64 / (hops.len() - 1) as f64;
+            assert!(
+                hops[0] as f64 <= 1.3 * others,
+                "seed {seed}: session 0 hopped {} times, the others {others:.0} on average",
+                hops[0]
+            );
         }
-        assert!(!report.final_state.is_agent_available(failed));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! optimality gaps must respect Eqs. (10)/(12).
 
 use cloud_vc::algo::brute_force;
-use cloud_vc::algo::markov::{Alg1Config, Alg1Engine, HopOutcome};
+use cloud_vc::algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
 use cloud_vc::markov::mixing::total_variation;
 use cloud_vc::markov::{expected_energy, gap_bound, gibbs, Ctmc};
 use cloud_vc::prelude::*;
@@ -65,10 +65,11 @@ fn alg1_occupancy_matches_kernel_stationary_and_tracks_gibbs() {
     let mut state = SystemState::new(problem.clone(), nodes[0].clone());
     let mut rng = StdRng::seed_from_u64(77);
     let mut visits = vec![0.0; graph.len()];
+    let mut scratch = HopScratch::new();
     let session = SessionId::new(0);
     let hops = 120_000;
     for _ in 0..hops {
-        engine.hop(&mut state, session, &mut rng);
+        engine.hop_scratch(&mut state, session, &mut rng, &mut scratch);
         let idx = nodes
             .iter()
             .position(|a| a == state.assignment())
@@ -121,9 +122,10 @@ fn hops_only_step_to_adjacent_states() {
     let engine = Alg1Engine::new(Alg1Config::paper(10.0));
     let mut state = SystemState::new(problem.clone(), nodes[0].clone());
     let mut rng = StdRng::seed_from_u64(9);
+    let mut scratch = HopScratch::new();
     let mut prev = state.assignment().clone();
     for _ in 0..500 {
-        match engine.hop(&mut state, SessionId::new(0), &mut rng) {
+        match engine.hop_scratch(&mut state, SessionId::new(0), &mut rng, &mut scratch) {
             HopOutcome::Migrated(_) => {
                 assert_eq!(
                     prev.hamming_distance(state.assignment()),
