@@ -72,6 +72,11 @@
 //!   first feasible one — in the common case the very first, so an
 //!   uncontended join costs one last-mile check, one task placement and
 //!   one evaluation.
+//! * **One conference compile.** The search compiles the session once
+//!   ([`EvalScratch::compile`]) before its first tier; every placement
+//!   it weighs — each combination, each repair step, each trial — only
+//!   installs its agents, derives its flow delays and folds
+//!   ([`EvalScratch::weigh`]).
 //! * **No placement weighed twice.** The repair walk is a function of
 //!   its placement, so once it comes back to a placement it refused it
 //!   can only circle until its budget runs out. It keeps the placements
@@ -104,8 +109,8 @@ use crate::agrank::{self, AgRankConfig, RankScratch, Residuals};
 use crate::placement::{self, StreamKey};
 use std::sync::Arc;
 use vc_core::{
-    agent_fits, AgentDemand, Assignment, AssignmentView, EvalScratch, FreeCapacity, SystemState,
-    TaskId, UapProblem, Violation, CAPACITY_EPS,
+    agent_fits, AgentDemand, Assignment, EvalScratch, FreeCapacity, SystemState, TaskId,
+    UapProblem, Violation, CAPACITY_EPS,
 };
 use vc_model::{AgentId, ReprId, SessionId, UserId};
 
@@ -266,33 +271,6 @@ struct PlacementScratch {
     refused: Vec<AgentId>,
 }
 
-/// A full-session placement as an [`AssignmentView`]: every lookup must
-/// be covered by the pairs (the engine always places the whole session).
-/// Lookups are linear scans — conferences are small (the workloads cap
-/// sessions at 5 users), so an index map would cost more than it saves;
-/// revisit if a workload ever grows sessions past a few dozen users.
-struct PlacementView<'a> {
-    users: &'a [(UserId, AgentId)],
-    tasks: &'a [(TaskId, AgentId)],
-}
-
-impl AssignmentView for PlacementView<'_> {
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        self.users
-            .iter()
-            .find(|(w, _)| *w == u)
-            .expect("admission placements cover every session user")
-            .1
-    }
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        self.tasks
-            .iter()
-            .find(|(w, _)| *w == t)
-            .expect("admission placements cover every session task")
-            .1
-    }
-}
-
 impl AdmissionEngine {
     /// An engine with the given knobs.
     pub fn new(config: AdmissionConfig) -> Self {
@@ -373,6 +351,7 @@ impl AdmissionEngine {
                 (rank.user_candidates(), rank.per_user())
             }
         };
+        eval.compile(problem, s);
         let search = Search {
             problem,
             s,
@@ -682,10 +661,12 @@ impl PlacementScratch {
         true
     }
 
-    /// Evaluates the fully-placed session into `eval` and checks it
-    /// globally against the residuals: per *touched* agent (ascending)
-    /// [`agent_fits`], the rule of hops, evacuations and the ledger,
-    /// with nothing held there before; then the delay bound.
+    /// Weighs the fully-placed session in `eval`, which holds it
+    /// compiled (users in session order and tasks ascending by id are
+    /// the compiled orders), and checks it globally against the
+    /// residuals: per *touched* agent (ascending) [`agent_fits`], the
+    /// rule of hops, evacuations and the ledger, with nothing held
+    /// there before; then the delay bound.
     /// Availability of every target is re-checked first, so no tier can
     /// emit a placement on a failed agent. Returns the first violation,
     /// `None` when feasible.
@@ -706,11 +687,11 @@ impl PlacementScratch {
                 return Some(Violation::Unavailable { agent });
             }
         }
-        let view = PlacementView {
-            users: &self.users,
-            tasks: &self.tasks,
-        };
-        let load = eval.evaluate(problem, &view, search.s);
+        let load = eval.weigh(
+            problem,
+            self.users.iter().map(|&(_, l)| l),
+            self.tasks.iter().map(|&(_, l)| l),
+        );
         let (inst, none) = (problem.instance(), AgentDemand::default());
         for new in load.demand() {
             let i = new.agent as usize;
@@ -1252,15 +1233,11 @@ mod tests {
         let p = UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default());
         let mut totals = vc_core::AgentTotals::zero(2);
         totals.transcode[0] = 2;
-        let (u0, u1, over) = (UserId::new(0), UserId::new(1), AgentId::new(0));
+        let over = AgentId::new(0);
 
         let mut eval = EvalScratch::new();
-        let users = [(u0, over), (u1, over)];
-        let view = PlacementView {
-            users: &users,
-            tasks: &[],
-        };
-        let load = eval.evaluate(&p, &view, s).clone();
+        eval.compile(&p, s);
+        let load = eval.weigh(&p, [over, over], []).clone();
         assert_eq!(
             (load.touched.as_slice(), load.transcode_units[0]),
             (&[0][..], 0)

@@ -57,12 +57,17 @@
 //! not allowed; else compile if need be, fold, store it in place of its
 //! placeholder) only where (c) or (d) asks.
 //!
-//! Cost per HOP: a sweep is one conference compilation, one delay
-//! derivation per candidate, one stream re-emission per candidate the
-//! delay floor leaves undecided and one full fold per candidate the
-//! traffic floor leaves undecided too; a draw is one availability read
-//! and one capacity check per stored candidate, one fold per bounded
-//! candidate rule (d) or (c) must resolve, and one `rng.gen::<f64>()`.
+//! Cost per HOP: a sweep is one conference compilation (the tables
+//! every candidate then reads: each source's destinations and
+//! representation groups, each task's reference `σ`, each agent's
+//! prices and speed), one delay derivation per candidate, one stream
+//! re-emission per candidate the delay floor leaves undecided and one
+//! full fold per candidate the traffic floor leaves undecided too —
+//! neither regroups a stream nor resolves an id beyond the delay
+//! matrices' lookups (`vc_core::neighborhood`); a draw is one
+//! availability read and one capacity check per stored candidate, one
+//! fold per bounded candidate rule (d) or (c) must resolve, and one
+//! `rng.gen::<f64>()`.
 //! The result is the eager one's bit for bit, by construction rather
 //! than by tolerance:
 //!

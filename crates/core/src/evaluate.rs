@@ -21,44 +21,55 @@
 //!   latency `σ_l` (counted once; the paper's printed formula nests σ
 //!   inside the `Σ_k`, an evident typo).
 //!
-//! ## Evaluate = compile + fold
+//! ## Evaluate = compile + install + fold
 //!
 //! The formulas above are transcribed once, over **session-local dense
-//! indices**. [`EvalScratch::evaluate`] first *compiles* the conference
-//! (private `Conference`): user and task positions, `θ` as a flow → task
-//! table, every `κ` and demanded Mbps — everything the formulas read
-//! that does not depend on the assignment — then reads the placement
-//! through the [`AssignmentView`] into two local arrays, derives every
-//! flow's delay, and *folds*, in two halves that share nothing but the
-//! output load:
+//! indices**. [`EvalScratch::compile`] resolves, once per conference,
+//! everything the formulas read that no placement changes (private
+//! `Conference`): user positions and `θ` as a flow → task table; per
+//! source user its upstream `κ`, its demanded Mbps, its un-transcoded
+//! destinations and its *representation groups* — each distinct target
+//! its destinations demand, with `κ` and the tasks producing it, in
+//! first-appearance order; per task its reference transcode latency,
+//! so that `σ_l` is `speed_l · ref` exactly as [`Instance::sigma_ms`]
+//! computes it; per agent its two prices and its speed factor. A
+//! placement is then *installed* — its agents copied into two local
+//! arrays and every flow's delay derived (`n(n−1)` flows, each two `H`
+//! and one or two `D` lookups) — and *folded*, in two halves that share
+//! nothing but the output load:
 //!
 //! * the **delay half** — the per-user delays (column maxima of the
 //!   flow-delay matrix), their maximum and `F(d_s)`. It reads the flow
 //!   delays only, never the flow matrix;
 //! * **the rest** — each stream's `μ_klu` terms are emitted in source
-//!   order into an `L×L` flow matrix, which is folded row-major into
-//!   the per-agent loads, followed by occupancy, the costs `G`, `H` and
-//!   `Φ_s = α1·F + α2·G + α3·H`.
+//!   order, straight off its destination and group tables, into an
+//!   `L×L` flow matrix, which is folded row-major into the per-agent
+//!   loads, followed by occupancy (one unit per group and distinct
+//!   transcoder), the costs `G`, `H` and `Φ_s = α1·F + α2·G + α3·H`.
 //!
-//! One evaluation touches only the agents the session actually uses
-//! (tracked in [`SessionLoad::touched`]) and clears only what it wrote,
-//! so steady-state evaluation is allocation-free.
+//! [`EvalScratch::evaluate`] is all three for one placement;
+//! [`EvalScratch::weigh`] installs and folds another placement of the
+//! compiled session, which is how an admission search weighs its
+//! combinations. One evaluation touches only the agents the session
+//! actually uses (tracked in [`SessionLoad::touched`]) and clears only
+//! what it wrote, so steady-state evaluation is allocation-free.
 //!
 //! ## The hop hot path
 //!
 //! Alg. 1 weighs `(|U(s)| + |T(s)|)·(L − 1)` candidate placements per
 //! HOP, all of one conference and each one decision away from the
 //! committed placement. The [neighbourhood kernel](crate::neighborhood)
-//! therefore compiles once per HOP and, per candidate, moves one entry
-//! of the local placement, re-derives only the flow delays that entry
-//! invalidates, folds the delay half, hands the candidate to its caller
-//! — who folds the rest only if `(max delay, F)`, or the traffic floor
-//! (the streams re-emitted into per-agent ingress alone), did not
-//! already settle it — and reverts. Both halves being this module's,
-//! the emitted addends and their order are those of a from-scratch
-//! [`evaluate`](EvalScratch::evaluate) of the moved assignment, so the
-//! two are bit-equal. [`OverlayView`] remains the one-decision diff for
-//! callers that evaluate a single candidate from global ids.
+//! therefore compiles and installs once per HOP and, per candidate,
+//! moves one entry of the local placement, re-derives only the flow
+//! delays that entry invalidates, folds the delay half, hands the
+//! candidate to its caller — who folds the rest only if `(max delay,
+//! F)`, or the traffic floor (the streams re-emitted into per-agent
+//! ingress alone), did not already settle it — and reverts. Both halves
+//! being this module's, the emitted addends and their order are those
+//! of a from-scratch [`evaluate`](EvalScratch::evaluate) of the moved
+//! assignment, so the two are bit-equal. [`OverlayView`] remains the
+//! one-decision diff for callers that evaluate a single candidate from
+//! global ids.
 
 use crate::{Assignment, Decision, TaskId, UapProblem};
 use vc_model::{AgentId, Instance, ReprId, SessionId, UserId};
@@ -303,22 +314,36 @@ struct LocalTask {
     src: u32,
     /// Position of the destination user in the session.
     dst: u32,
+    /// The latency of transcoding the source's upstream into the
+    /// target at speed factor 1: `σ_l = speed_l · ref_ms`, the product
+    /// [`Instance::sigma_ms`] computes.
+    ref_ms: f64,
+}
+
+/// One representation of a source's stream that some of its
+/// destinations demand transcoded: its target, `κ` and the tasks producing it,
+/// `Conference::group_tasks[start..end]`, in task order.
+#[derive(Debug, Clone, Copy)]
+struct RepGroup {
     target: ReprId,
-    /// `κ(target)`.
     kappa: f64,
+    start: u32,
+    end: u32,
 }
 
 /// One session compiled to session-local dense indices: everything the
 /// traffic and delay formulas read that does **not** depend on the
 /// assignment, resolved from global ids once so that weighing a
 /// placement touches no `position()` scan, no [`TaskTable`](crate::TaskTable)
-/// search and no `θ` test. Users are indexed by their position in
-/// `session.users()`, tasks by their position in `tasks.of_session(s)`
-/// (which groups them by source, sources in session order).
+/// search, no `θ` test and no per-call grouping. Users are indexed by
+/// their position in `session.users()`, tasks by their position in
+/// `tasks.of_session(s)` (which groups them by source, sources in
+/// session order).
 #[derive(Debug, Default)]
 struct Conference {
-    /// Per user: upstream representation, its `κ`, and `Σ_v κ(r^d_uv)`.
-    upstream: Vec<ReprId>,
+    /// Per user: global id (the `H` lookups' column), upstream `κ` and
+    /// `Σ_v κ(r^d_uv)`.
+    users: Vec<UserId>,
     k_up: Vec<f64>,
     demanded: Vec<f64>,
     tasks: Vec<LocalTask>,
@@ -327,28 +352,50 @@ struct Conference {
     /// `n×n`, row = source: the task transcoding flow `i → j`, or
     /// [`NO_TASK`] (`θ_ij = 0`).
     flow_task: Vec<u32>,
+    /// `raw[first_raw[i]..first_raw[i + 1]]`: the destinations that
+    /// receive user `i`'s stream un-transcoded, ascending.
+    raw: Vec<u32>,
+    first_raw: Vec<u32>,
+    /// `groups[first_group[i]..first_group[i + 1]]`: user `i`'s
+    /// representation groups, in the order their targets first appear
+    /// among its tasks.
+    groups: Vec<RepGroup>,
+    first_group: Vec<u32>,
+    /// Task indices, grouped per [`RepGroup`].
+    group_tasks: Vec<u32>,
+    /// Per agent: price per Mbps, price per task, speed factor.
+    price_mbps: Vec<f64>,
+    price_task: Vec<f64>,
+    speed: Vec<f64>,
 }
 
 impl Conference {
     fn compile(&mut self, problem: &UapProblem, s: SessionId) {
         let inst = problem.instance();
         let table = problem.tasks();
+        let latency = inst.transcode_latency();
         let users = inst.session(s).users();
         let session_tasks = table.of_session(s);
         let n = users.len();
-        self.upstream.clear();
+        self.users.clear();
+        self.users.extend_from_slice(users);
         self.k_up.clear();
         self.demanded.clear();
         self.tasks.clear();
         self.first_task.clear();
         self.flow_task.clear();
         self.flow_task.resize(n * n, NO_TASK);
+        self.groups.clear();
+        self.first_group.clear();
+        self.group_tasks.clear();
         for (i, &u) in users.iter().enumerate() {
             let upstream = inst.user(u).upstream();
-            self.upstream.push(upstream);
-            self.k_up.push(inst.kappa(upstream));
+            let k_up = inst.kappa(upstream);
+            self.k_up.push(k_up);
             self.demanded.push(problem.demanded_mbps(u));
             self.first_task.push(self.tasks.len() as u32);
+            let first_group = self.groups.len();
+            self.first_group.push(first_group as u32);
             for &t in table.of_source(u) {
                 let k = self.tasks.len();
                 assert!(
@@ -364,16 +411,68 @@ impl Conference {
                 self.tasks.push(LocalTask {
                     src: i as u32,
                     dst: dst as u32,
-                    target: task.target,
-                    kappa: inst.kappa(task.target),
+                    ref_ms: latency.reference_latency_ms(k_up, inst.kappa(task.target)),
                 });
+                if !self.groups[first_group..]
+                    .iter()
+                    .any(|g| g.target == task.target)
+                {
+                    self.groups.push(RepGroup {
+                        target: task.target,
+                        kappa: inst.kappa(task.target),
+                        start: 0,
+                        end: 0,
+                    });
+                }
+            }
+            let own = self.first_task[i] as usize..self.tasks.len();
+            for group in &mut self.groups[first_group..] {
+                group.start = self.group_tasks.len() as u32;
+                self.group_tasks.extend(
+                    (own.clone())
+                        .filter(|&k| table.task(session_tasks[k]).target == group.target)
+                        .map(|k| k as u32),
+                );
+                group.end = self.group_tasks.len() as u32;
             }
         }
         self.first_task.push(self.tasks.len() as u32);
+        self.first_group.push(self.groups.len() as u32);
+        self.raw.clear();
+        self.first_raw.clear();
+        for i in 0..n {
+            self.first_raw.push(self.raw.len() as u32);
+            let row = &self.flow_task[i * n..(i + 1) * n];
+            self.raw.extend(
+                (0..n)
+                    .filter(|&j| j != i && row[j] == NO_TASK)
+                    .map(|j| j as u32),
+            );
+        }
+        self.first_raw.push(self.raw.len() as u32);
+        let agents = inst.agents();
+        self.price_mbps.clear();
+        self.price_mbps
+            .extend(agents.iter().map(|a| a.price_per_mbps()));
+        self.price_task.clear();
+        self.price_task
+            .extend(agents.iter().map(|a| a.price_per_task()));
+        self.speed.clear();
+        self.speed.extend(agents.iter().map(|a| a.speed_factor()));
     }
 
     fn num_users(&self) -> usize {
         self.k_up.len()
+    }
+
+    /// User `i`'s representation groups.
+    fn groups_of(&self, i: usize) -> &[RepGroup] {
+        &self.groups[self.first_group[i] as usize..self.first_group[i + 1] as usize]
+    }
+
+    /// The tasks producing `group`.
+    fn tasks_of(&self, group: &RepGroup) -> &[u32] {
+        &self.group_tasks[group.start as usize..group.end as usize]
     }
 
     /// Emits the three `μ_klu` terms of user `i`'s stream under the
@@ -387,16 +486,12 @@ impl Conference {
         sets: &mut StreamSets,
         mut emit: impl FnMut(AgentId, AgentId, f64),
     ) {
-        let n = self.num_users();
         let a_u = ua[i];
         let k_up = self.k_up[i];
-        let range = self.first_task[i] as usize..self.first_task[i + 1] as usize;
-        let tasks_u = &self.tasks[range.clone()];
-        let agents_u = &ta[range];
 
         // T_u: agents transcoding u's stream (ν′_lu = 1).
         sets.transcoders.clear();
-        for &a in agents_u {
+        for &a in &ta[self.first_task[i] as usize..self.first_task[i + 1] as usize] {
             if !sets.transcoders.contains(&a) {
                 sets.transcoders.push(a);
             }
@@ -412,13 +507,9 @@ impl Conference {
         // Term 2: raw upstream to agents hosting un-transcoded destinations
         // (θ_uv = 0), unless the agent already receives it for transcoding.
         sets.raw_dests.clear();
-        for (j, &a_v) in ua.iter().enumerate() {
-            if j != i
-                && self.flow_task[i * n + j] == NO_TASK
-                && a_v != a_u
-                && !sets.transcoders.contains(&a_v)
-                && !sets.raw_dests.contains(&a_v)
-            {
+        for &j in &self.raw[self.first_raw[i] as usize..self.first_raw[i + 1] as usize] {
+            let a_v = ua[j as usize];
+            if a_v != a_u && !sets.transcoders.contains(&a_v) && !sets.raw_dests.contains(&a_v) {
                 sets.raw_dests.push(a_v);
             }
         }
@@ -429,23 +520,24 @@ impl Conference {
         // Term 3: transcoded streams from their transcoder(s) to the agents
         // hosting destinations that demand them. The paper's (1−λ_lu) factor
         // skips deliveries back to u's own agent.
-        sets.reps.clear();
-        for task in tasks_u {
-            if !sets.reps.iter().any(|&(r, _)| r == task.target) {
-                sets.reps.push((task.target, task.kappa));
+        for group in self.groups_of(i) {
+            if let [k] = *self.tasks_of(group) {
+                // One task: one transcoder, at most one destination agent.
+                let transcoder = ta[k as usize];
+                let da = ua[self.tasks[k as usize].dst as usize];
+                if da != a_u && transcoder != da {
+                    emit(transcoder, da, group.kappa);
+                }
+                continue;
             }
-        }
-        for &(r, k_r) in &sets.reps {
             sets.transcoders_r.clear();
             sets.dest_agents_r.clear();
-            for (task, &ta) in tasks_u.iter().zip(agents_u) {
-                if task.target != r {
-                    continue;
+            for &k in self.tasks_of(group) {
+                let transcoder = ta[k as usize];
+                if !sets.transcoders_r.contains(&transcoder) {
+                    sets.transcoders_r.push(transcoder);
                 }
-                if !sets.transcoders_r.contains(&ta) {
-                    sets.transcoders_r.push(ta);
-                }
-                let da = ua[task.dst as usize];
+                let da = ua[self.tasks[k as usize].dst as usize];
                 if da != a_u && !sets.dest_agents_r.contains(&da) {
                     sets.dest_agents_r.push(da);
                 }
@@ -453,7 +545,7 @@ impl Conference {
             for &l in &sets.dest_agents_r {
                 for &k in &sets.transcoders_r {
                     if k != l {
-                        emit(k, l, k_r);
+                        emit(k, l, group.kappa);
                     }
                 }
             }
@@ -461,25 +553,31 @@ impl Conference {
     }
 
     /// End-to-end delay `d_ij` of the flow from user `i` to user `j`
-    /// (`users` is the session's user list) under `(ua, ta)`.
+    /// under `(ua, ta)`: the [`DelayBreakdown::total`] of the flow, its
+    /// `σ` from the compiled tables.
     fn flow_delay(
         &self,
         inst: &Instance,
-        users: &[UserId],
         ua: &[AgentId],
         ta: &[AgentId],
         i: usize,
         j: usize,
     ) -> f64 {
-        let relay = match self.flow_task[i * self.num_users() + j] {
-            NO_TASK => None,
-            k => Some((
-                ta[k as usize],
-                self.upstream[i],
-                self.tasks[k as usize].target,
-            )),
+        let (a_u, a_v) = (ua[i], ua[j]);
+        let (inter_agent_ms, transcode_ms) = match self.flow_task[i * self.num_users() + j] {
+            NO_TASK => (inst.d_ms(a_u, a_v), 0.0),
+            k => {
+                let l = ta[k as usize];
+                (
+                    inst.d_ms(l, a_u) + inst.d_ms(l, a_v),
+                    self.speed[l.index()] * self.tasks[k as usize].ref_ms,
+                )
+            }
         };
-        delay_breakdown_at(inst, (users[i], ua[i]), (users[j], ua[j]), relay).total()
+        inst.h_ms(a_u, self.users[i])
+            + inst.h_ms(a_v, self.users[j])
+            + inter_agent_ms
+            + transcode_ms
     }
 }
 
@@ -491,13 +589,12 @@ pub(crate) enum Slot {
     Task(usize),
 }
 
-/// The small per-stream agent and representation sets of
-/// [`Conference::emit_stream`].
+/// The small per-stream agent sets of [`Conference::emit_stream`]
+/// (and, for one representation group, of the occupancy count).
 #[derive(Debug, Default)]
 struct StreamSets {
     transcoders: Vec<AgentId>,
     raw_dests: Vec<AgentId>,
-    reps: Vec<(ReprId, f64)>,
     transcoders_r: Vec<AgentId>,
     dest_agents_r: Vec<AgentId>,
 }
@@ -505,9 +602,8 @@ struct StreamSets {
 /// Reusable per-worker evaluation buffers: the compiled conference and
 /// its placement in session-local indices, the `L×L` flow matrix (with
 /// a touched-cell list so clearing is proportional to what was written,
-/// not `L²`), the output [`SessionLoad`], the transcode-triple dedup
-/// buffer, and the small per-stream agent sets. After warm-up an
-/// evaluation performs no heap allocation.
+/// not `L²`), the output [`SessionLoad`] and the small per-stream agent
+/// sets. After warm-up an evaluation performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     nl: usize,
@@ -519,9 +615,6 @@ pub struct EvalScratch {
     load: SessionLoad,
     /// Membership mask for `load.touched`, true only mid-evaluation.
     mark: Vec<bool>,
-    /// Transcode-triple dedup buffer (sort + dedup, not O(n²) scans):
-    /// `(agent, source position, target)`.
-    triples: Vec<(AgentId, u32, ReprId)>,
     sets: StreamSets,
     /// The session most recently [`compile`](Self::compile)d and the
     /// placement being weighed: user and task agents by local index,
@@ -530,7 +623,7 @@ pub struct EvalScratch {
     ua: Vec<AgentId>,
     ta: Vec<AgentId>,
     delays: Vec<f64>,
-    /// `delays` as compiled, which a one-decision move is undone from.
+    /// `delays` as installed, which a one-decision move is undone from.
     base_delays: Vec<f64>,
     /// The [traffic floor](Self::traffic_floor)'s per-agent ingress
     /// sink, sized `L` and all zero between calls, and the agents it
@@ -587,8 +680,8 @@ impl EvalScratch {
     }
 
     /// Evaluates session `s` under `view` into the scratch's load,
-    /// returning it: compile the conference, read the placement, derive
-    /// every flow's delay, fold (the delay half, then the rest). Results
+    /// returning it: [compile](Self::compile) the conference and
+    /// [weigh](Self::weigh) the placement `view` gives it. Results
     /// are bitwise identical to a fresh [`evaluate_session`]: sparse
     /// accumulation visits agents and flow cells in the same ascending
     /// order the dense scan would.
@@ -602,79 +695,100 @@ impl EvalScratch {
         view: &V,
         s: SessionId,
     ) -> &SessionLoad {
+        self.compile(problem, s);
         let users = problem.instance().session(s).users();
         let tasks = problem.tasks().of_session(s);
-        self.compile(
+        self.weigh(
             problem,
-            s,
             users.iter().map(|&u| view.agent_of_user(u)),
             tasks.iter().map(|&t| view.agent_of_task(t)),
-        );
+        )
+    }
+
+    /// Compiles session `s` to local indices: per source user its
+    /// un-transcoded destinations and its representation groups (`κ`
+    /// and tasks, in first-appearance order), per task the reference
+    /// latency its `σ` scales, per agent the prices and speed factor —
+    /// everything the formulas read that no placement changes.
+    /// [`weigh`](Self::weigh) then folds placements of it, each for the
+    /// price of installing its agents and deriving its delays; so does
+    /// the [neighbourhood kernel](crate::neighborhood).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range for the problem's instance.
+    pub fn compile(&mut self, problem: &UapProblem, s: SessionId) {
+        self.ensure(problem.instance().num_agents());
+        self.conf.compile(problem, s);
+    }
+
+    /// Weighs a placement of the session last [compiled](Self::compile)
+    /// under `problem` — agents in `session.users()` /
+    /// `tasks.of_session(s)` order — into the scratch's load, returning
+    /// it: bit-equal to [`evaluate`](Self::evaluate) of that placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement does not cover the compiled session.
+    pub fn weigh(
+        &mut self,
+        problem: &UapProblem,
+        users: impl IntoIterator<Item = AgentId>,
+        tasks: impl IntoIterator<Item = AgentId>,
+    ) -> &SessionLoad {
+        self.install(problem, users, tasks);
         self.fold(problem)
     }
 
-    /// Compiles session `s` to local indices, installs `(users, tasks)`
-    /// — agents in `session.users()` / `tasks.of_session(s)` order — as
-    /// the placement to weigh, and derives every flow's delay under it.
+    /// Installs `(users, tasks)` as the compiled session's placement to
+    /// weigh and derives every flow's delay under it.
     /// [`fold`](Self::fold) then weighs that placement;
     /// [`apply`](Self::apply) moves it one decision away.
-    pub(crate) fn compile(
+    pub(crate) fn install(
         &mut self,
         problem: &UapProblem,
-        s: SessionId,
-        users: impl Iterator<Item = AgentId>,
-        tasks: impl Iterator<Item = AgentId>,
+        users: impl IntoIterator<Item = AgentId>,
+        tasks: impl IntoIterator<Item = AgentId>,
     ) {
-        let inst = problem.instance();
-        self.ensure(inst.num_agents());
-        self.conf.compile(problem, s);
         self.ua.clear();
         self.ua.extend(users);
         self.ta.clear();
         self.ta.extend(tasks);
+        let inst = problem.instance();
         let n = self.conf.num_users();
         assert!(
             self.ua.len() == n && self.ta.len() == self.conf.tasks.len(),
             "placement does not cover the session"
         );
-        let ids = inst.session(s).users();
         self.delays.clear();
         self.delays.resize(n * n, 0.0);
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    self.delays[i * n + j] =
-                        self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                    self.delays[i * n + j] = self.conf.flow_delay(inst, &self.ua, &self.ta, i, j);
                 }
             }
         }
         self.base_delays.clone_from(&self.delays);
     }
 
-    /// Moves entry `slot` of the compiled placement of session `s` to
-    /// `a`, re-derives the flow delays that invalidates — a user: the
-    /// `2(n−1)` flows through it; a task: the one flow it relays — and
-    /// folds the [delay half](Self::fold_delays). Returns the agent
-    /// moved from, for [`revert`](Self::revert).
-    pub(crate) fn apply(
-        &mut self,
-        problem: &UapProblem,
-        s: SessionId,
-        slot: Slot,
-        a: AgentId,
-    ) -> AgentId {
+    /// Moves entry `slot` of the installed placement to `a`, re-derives
+    /// the flow delays that invalidates — a user: the `2(n−1)` flows
+    /// through it; a task: the one flow it relays — and folds the
+    /// [delay half](Self::fold_delays). Returns the agent moved from,
+    /// for [`revert`](Self::revert).
+    pub(crate) fn apply(&mut self, problem: &UapProblem, slot: Slot, a: AgentId) -> AgentId {
         let inst = problem.instance();
-        let ids = inst.session(s).users();
-        let n = ids.len();
+        let n = self.conf.num_users();
         let base = match slot {
             Slot::User(i) => {
                 let base = std::mem::replace(&mut self.ua[i], a);
                 for j in 0..n {
                     if j != i {
                         self.delays[i * n + j] =
-                            self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                            self.conf.flow_delay(inst, &self.ua, &self.ta, i, j);
                         self.delays[j * n + i] =
-                            self.conf.flow_delay(inst, ids, &self.ua, &self.ta, j, i);
+                            self.conf.flow_delay(inst, &self.ua, &self.ta, j, i);
                     }
                 }
                 base
@@ -683,7 +797,7 @@ impl EvalScratch {
                 let task = self.conf.tasks[k];
                 let (i, j) = (task.src as usize, task.dst as usize);
                 let base = std::mem::replace(&mut self.ta[k], a);
-                self.delays[i * n + j] = self.conf.flow_delay(inst, ids, &self.ua, &self.ta, i, j);
+                self.delays[i * n + j] = self.conf.flow_delay(inst, &self.ua, &self.ta, i, j);
                 base
             }
         };
@@ -692,7 +806,7 @@ impl EvalScratch {
     }
 
     /// Undoes [`apply`](Self::apply): entry `slot` back on `base`, the
-    /// delays as compiled. The load keeps whatever was folded.
+    /// delays as installed. The load keeps whatever was folded.
     pub(crate) fn revert(&mut self, slot: Slot, base: AgentId) {
         match slot {
             Slot::User(i) => {
@@ -708,12 +822,21 @@ impl EvalScratch {
         }
     }
 
-    /// The compiled placement's agents: `(users, tasks)` by local index.
+    /// Keeps what [`apply`](Self::apply) moved instead of reverting
+    /// it: the moved placement and its delays become the installed
+    /// ones — the delays a fresh [`install`](Self::install) of the
+    /// moved placement would derive, bit for bit, since each is the
+    /// same function of the same agents.
+    pub(crate) fn keep(&mut self) {
+        self.base_delays.copy_from_slice(&self.delays);
+    }
+
+    /// The installed placement's agents: `(users, tasks)` by local index.
     pub(crate) fn placement(&self) -> (&[AgentId], &[AgentId]) {
         (&self.ua, &self.ta)
     }
 
-    /// Weighs the compiled placement: the [delay half](Self::fold_delays),
+    /// Weighs the installed placement: the [delay half](Self::fold_delays),
     /// then [the rest](Self::fold_rest).
     fn fold(&mut self, problem: &UapProblem) -> &SessionLoad {
         self.fold_delays(problem);
@@ -753,7 +876,6 @@ impl EvalScratch {
     /// which is then folded row-major into the per-agent loads,
     /// followed by the transcoding occupancy, the costs and `Φ_s`.
     pub(crate) fn fold_rest(&mut self, problem: &UapProblem) -> &SessionLoad {
-        let inst = problem.instance();
         let nl = self.nl;
         self.clear_traffic();
         let n = self.conf.num_users();
@@ -794,21 +916,21 @@ impl EvalScratch {
         }
 
         // --- Transcoding occupancy ν_lru (constraint (7) and y_ls). -----
-        // One unit per distinct (agent, src-user, target-rep) triple;
-        // sort + dedup instead of the quadratic `seen.contains` scan.
-        self.triples.clear();
-        self.triples.extend(
-            self.conf
-                .tasks
-                .iter()
-                .zip(&self.ta)
-                .map(|(task, &a)| (a, task.src, task.target)),
-        );
-        self.triples.sort_unstable();
-        self.triples.dedup();
-        for &(a, _, _) in &self.triples {
-            touch(&mut self.load.touched, &mut self.mark, a.index());
-            self.load.transcode_units[a.index()] += 1;
+        // One unit per distinct (agent, source, target): per
+        // representation group, per distinct agent among its tasks'.
+        let transcoders = &mut self.sets.transcoders_r;
+        for i in 0..n {
+            for group in self.conf.groups_of(i) {
+                transcoders.clear();
+                for &k in self.conf.tasks_of(group) {
+                    let a = self.ta[k as usize];
+                    if !transcoders.contains(&a) {
+                        transcoders.push(a);
+                        touch(&mut self.load.touched, &mut self.mark, a.index());
+                        self.load.transcode_units[a.index()] += 1;
+                    }
+                }
+            }
         }
 
         // --- Costs (sparse: untouched agents contribute price·g(0) = 0,
@@ -819,13 +941,13 @@ impl EvalScratch {
             self.mark[a as usize] = false;
         }
         let cost = problem.cost();
+        let conf = &self.conf;
         self.load.traffic_cost = self
             .load
             .touched
             .iter()
             .map(|&l| {
-                inst.agent(AgentId::from(l as usize)).price_per_mbps()
-                    * cost.bandwidth.cost(self.load.ingress[l as usize])
+                conf.price_mbps[l as usize] * cost.bandwidth.cost(self.load.ingress[l as usize])
             })
             .sum();
         self.load.transcode_cost = self
@@ -833,7 +955,7 @@ impl EvalScratch {
             .touched
             .iter()
             .map(|&l| {
-                inst.agent(AgentId::from(l as usize)).price_per_task()
+                conf.price_task[l as usize]
                     * cost
                         .transcode
                         .cost(f64::from(self.load.transcode_units[l as usize]))
@@ -880,12 +1002,12 @@ impl EvalScratch {
         // As flow cells are: recorded again after a 0.0 Mbps first write.
         agents.sort_unstable();
         agents.dedup();
-        let (inst, cost) = (problem.instance(), problem.cost());
+        let (conf, cost) = (&self.conf, problem.cost());
         let traffic: f64 = agents
             .drain(..)
             .map(|l| {
                 let x = std::mem::take(&mut sink[l as usize]) * FLOOR_SHADE;
-                inst.agent(AgentId::from(l as usize)).price_per_mbps() * cost.bandwidth.cost(x)
+                conf.price_mbps[l as usize] * cost.bandwidth.cost(x)
             })
             .sum();
         cost.weights.combine(self.load.delay_cost, traffic, 0.0)
@@ -965,35 +1087,15 @@ pub fn flow_delay_breakdown<V: AssignmentView>(
     v: UserId,
 ) -> DelayBreakdown {
     let inst = problem.instance();
-    let relay = problem.tasks().find(u, v).map(|t| {
-        (
-            assignment.agent_of_task(t),
-            inst.user(u).upstream(),
-            problem.tasks().task(t).target,
-        )
-    });
-    delay_breakdown_at(
-        inst,
-        (u, assignment.agent_of_user(u)),
-        (v, assignment.agent_of_user(v)),
-        relay,
-    )
-}
-
-/// The delay components of the flow from `u` on agent `a_u` to `v` on
-/// agent `a_v`, relayed — when it is transcoded — through
-/// `(transcoding agent, upstream representation, target representation)`.
-fn delay_breakdown_at(
-    inst: &Instance,
-    (u, a_u): (UserId, AgentId),
-    (v, a_v): (UserId, AgentId),
-    relay: Option<(AgentId, ReprId, ReprId)>,
-) -> DelayBreakdown {
-    let (inter_agent_ms, transcode_ms) = match relay {
-        Some((l, upstream, target)) => (
-            inst.d_ms(l, a_u) + inst.d_ms(l, a_v),
-            inst.sigma_ms(l, upstream, target),
-        ),
+    let (a_u, a_v) = (assignment.agent_of_user(u), assignment.agent_of_user(v));
+    let (inter_agent_ms, transcode_ms) = match problem.tasks().find(u, v) {
+        Some(t) => {
+            let l = assignment.agent_of_task(t);
+            (
+                inst.d_ms(l, a_u) + inst.d_ms(l, a_v),
+                inst.sigma_ms(l, inst.user(u).upstream(), problem.tasks().task(t).target),
+            )
+        }
         None => (inst.d_ms(a_u, a_v), 0.0),
     };
     DelayBreakdown {

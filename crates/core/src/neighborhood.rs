@@ -11,36 +11,45 @@
 //! All `(|U(s)| + |T(s)|)·(L − 1)` candidates of one HOP share the
 //! conference and differ from the committed placement in one decision,
 //! so a HOP compiles its conference **once** ([`Neighborhood::begin`]):
-//! user and task positions, `θ` as a flow → task table, every `κ`, the
-//! demanded Mbps, the placement itself and every flow's delay, all in
-//! session-local dense indices. A candidate then applies its decision
-//! to that local placement, re-derives only the delays the decision
-//! invalidates — a task move: the one flow it relays; a user move: the
-//! `2(n−1)` flows through that user — folds the *delay half* (per-user
-//! delays, their maximum, `F`), and is handed to the caller as a
-//! [`Probe`] **between** the two halves of the fold:
-//! [`Probe::max_flow_delay`] and [`Probe::phi_floor`] (`α1·F ≤ Φ`) are
-//! already exact, [`Probe::traffic_floor`] (`α1·F + α2·G_floor ≤ Φ`)
-//! re-emits the streams into per-agent ingress only, and
-//! [`Probe::fold`] runs the rest — re-emit the streams from the local
-//! tables, fold them, occupancy, costs — only if the caller asks. Then
-//! the move is reverted.
+//! the placement-independent tables of [`EvalScratch::compile`] (`θ` as
+//! a flow → task table, each source's un-transcoded destinations and
+//! representation groups, each task's reference transcode latency,
+//! each agent's prices and speed), then the placement itself and every
+//! flow's delay, all in session-local dense indices. A candidate then
+//! applies its decision to that local placement, re-derives only the
+//! delays the decision invalidates — a task move: the one flow it
+//! relays; a user move: the `2(n−1)` flows through that user — folds
+//! the *delay half* (per-user delays, their maximum, `F`), and is
+//! handed to the caller as a [`Probe`] **between** the two halves of
+//! the fold: [`Probe::max_flow_delay`] and [`Probe::phi_floor`]
+//! (`α1·F ≤ Φ`) are already exact, [`Probe::traffic_floor`]
+//! (`α1·F + α2·G_floor ≤ Φ`) re-emits the streams into per-agent
+//! ingress only, and [`Probe::fold`] runs the rest — re-emit the
+//! streams from the compiled tables, fold them, occupancy, costs —
+//! only if the caller asks. Then the move is reverted, or, through
+//! [`commit`](Neighborhood::commit), kept as the new base.
 //! [`sweep_lazy`](Neighborhood::sweep_lazy) enumerates probes;
 //! [`sweep`](Neighborhood::sweep) and
 //! [`candidate`](Neighborhood::candidate) fold every one. Both halves
 //! are the code [`EvalScratch::evaluate`] runs, so every float sum sees
 //! the same addends in the same order and a folded load is bit-equal to
 //! a from-scratch evaluation of the moved assignment
-//! (`tests/hop_equivalence.rs`), whichever of its neighbours were
-//! folded before it.
+//! (`tests/hop_equivalence.rs`, which also holds both to a dense
+//! transcription of the paper's formulas over global ids), whichever of
+//! its neighbours were folded before it.
 //!
-//! Cost per *sweep*: one compilation of `O(n² + |T|)` lookups; per
-//! candidate one delay derivation and an `O(n²)` delay half; per
-//! candidate the caller could not settle on those, one `O(n² + |T|)`
-//! re-emission into per-agent ingress for the traffic floor; per
-//! candidate not settled by that either, one `O(n² + |T| log |T|)`
-//! rest-fold, which emits the same streams and then does the rest. No
-//! id resolution after the compile.
+//! Cost per *sweep*: one compilation of `O(n² + |T| + L)` lookups; per
+//! candidate one delay derivation (a user move `2(n−1)` flows, a task
+//! move one; each flow two `H` and one or two `D` lookups into the
+//! instance's delay matrices, its `σ` one multiply off the tables) and
+//! an `O(n²)` delay half; per candidate the caller could not settle on
+//! those, one `O(n² + |T|)` re-emission into per-agent ingress for the
+//! traffic floor, reading each source's destinations and groups
+//! straight off the tables; per candidate not settled by that either,
+//! one rest-fold, which emits the same streams, sorts the `O(n²)`
+//! flow cells it wrote and does the rest. The only id resolution after
+//! the compile is the delay lookups' (agent, user) and (agent, agent)
+//! indexing.
 //! The kernel's buffers are the worker's [`EvalScratch`]; what a caller
 //! keeps of a sweep — `vc-algo`'s `HopMemo`, the Gibbs step's — is a
 //! candidate's [`Probe::slot`], its target and the sparse
@@ -135,7 +144,8 @@ impl<'a> Neighborhood<'a> {
         users: impl IntoIterator<Item = AgentId>,
         tasks: impl IntoIterator<Item = AgentId>,
     ) -> Self {
-        eval.compile(problem, s, users.into_iter(), tasks.into_iter());
+        eval.compile(problem, s);
+        eval.install(problem, users, tasks);
         Self {
             eval,
             problem,
@@ -165,8 +175,9 @@ impl<'a> Neighborhood<'a> {
     /// Compiles a [`deferred`](Self::deferred) base placement, once.
     fn ensure_compiled(&mut self) {
         if let Some((users, tasks)) = self.pending.take() {
+            self.eval.compile(self.problem, self.s);
             let (users, tasks) = (users.iter().copied(), tasks.iter().copied());
-            self.eval.compile(self.problem, self.s, users, tasks);
+            self.eval.install(self.problem, users, tasks);
         }
     }
 
@@ -191,7 +202,7 @@ impl<'a> Neighborhood<'a> {
             Slot::User(i) => i,
             Slot::Task(k) => self.eval.placement().0.len() + k,
         };
-        let base = self.eval.apply(self.problem, self.s, slot, a);
+        let base = self.eval.apply(self.problem, slot, a);
         let seen = visit(Probe {
             eval: &mut *self.eval,
             problem: self.problem,
@@ -211,17 +222,42 @@ impl<'a> Neighborhood<'a> {
     ///
     /// Panics if the decision's user or task is not the session's.
     pub fn candidate(&mut self, decision: Decision) -> (usize, &SessionLoad) {
-        self.ensure_compiled();
-        let index = (self.problem.local_index(self.s, decision))
-            .expect("moved user or task belongs to the session");
-        let (slot, a) = match decision {
-            Decision::User(_, a) => (Slot::User(index), a),
-            Decision::Task(_, a) => (Slot::Task(index), a),
-        };
+        let (index, slot, a) = self.slot_of(decision);
         self.probe(slot, a, |probe| {
             probe.fold();
         });
         (index, self.eval.load())
+    }
+
+    /// [`candidate`](Self::candidate), kept: `decision` becomes the
+    /// base placement — the moved delays the base delays, bit-equal to
+    /// a fresh [`begin`](Self::begin) around the moved placement — so
+    /// one compile serves a run of committed moves (an evacuation's
+    /// stranded decisions of one session). The load is handed out
+    /// mutably for a commit to swap out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the decision's user or task is not the session's.
+    pub fn commit(&mut self, decision: Decision) -> (usize, &mut SessionLoad) {
+        let (index, slot, a) = self.slot_of(decision);
+        self.eval.apply(self.problem, slot, a);
+        self.eval.fold_rest(self.problem);
+        self.eval.keep();
+        (index, self.eval.load_mut())
+    }
+
+    /// Compiles a deferred base, and resolves `decision` to its index
+    /// (as [`candidate`](Self::candidate) returns it), placement entry
+    /// and target.
+    fn slot_of(&mut self, decision: Decision) -> (usize, Slot, AgentId) {
+        self.ensure_compiled();
+        let index = (self.problem.local_index(self.s, decision))
+            .expect("moved user or task belongs to the session");
+        match decision {
+            Decision::User(_, a) => (index, Slot::User(index), a),
+            Decision::Task(_, a) => (index, Slot::Task(index), a),
+        }
     }
 
     /// The decision moving placement entry `slot` (a [`Probe::slot`])
@@ -550,5 +586,42 @@ mod tests {
             probed > 600 && folded > 250 && folded < probed,
             "{probed} {folded}"
         );
+    }
+
+    /// `commit ≡ begin` around the moved placement: a run of committed
+    /// moves through one compile leaves each committed load, and every
+    /// candidate weighed after it, bit-equal — `touched` included — to
+    /// a from-scratch evaluation of the placement moved so far.
+    #[test]
+    fn commit_is_a_fresh_begin_around_the_moved_placement() {
+        use crate::evaluate::evaluate_session;
+        let (problem, mut asg) = named_shapes(BandwidthCost::quadratic(0.5, 0.05));
+        let state = SystemState::new(problem.clone(), asg.clone());
+        let inst = problem.instance();
+        let mut eval = EvalScratch::new();
+        let mut committed = 0;
+        for s in inst.session_ids() {
+            let mut hood = Neighborhood::of_state(&state, s, &mut eval);
+            let users = inst.session(s).users().iter().map(|&u| (u, 3));
+            for (k, (u, l)) in users.enumerate() {
+                // Each user to agent 3, then one probe after the commit.
+                let d = Decision::User(u, AgentId::new(l));
+                asg.apply(d);
+                let (index, load) = hood.commit(d);
+                assert_eq!(index, k);
+                let fresh = evaluate_session(&problem, &asg, s);
+                assert_eq!(&*load, &fresh, "{d}");
+                assert_eq!(load.touched, fresh.touched, "{d}");
+                let probe = Decision::User(u, AgentId::from(k % 3));
+                let mut moved = asg.clone();
+                moved.apply(probe);
+                let fresh = evaluate_session(&problem, &moved, s);
+                let (_, load) = hood.candidate(probe);
+                assert_eq!(load, &fresh, "{d} then {probe}");
+                assert_eq!(load.phi.to_bits(), fresh.phi.to_bits(), "{probe}");
+                committed += 1;
+            }
+        }
+        assert_eq!(committed, inst.num_users());
     }
 }

@@ -1196,12 +1196,15 @@ impl Fleet {
     ///
     /// **Cost.** One pass over the live slots collects the stranded
     /// decisions and the per-agent totals together; after that each
-    /// decision compiles its conference once ([`Neighborhood::begin`])
-    /// and costs O(agents) candidates, each what a hop's candidate
-    /// costs — the delays the move invalidates and one fold, no
-    /// conference compile — and checked by [`fits`] against the totals
-    /// as they stand; the winner is re-derived once and committed as a
-    /// hop commits (`relocate`), and every committed move or
+    /// stranded session compiles its conference once
+    /// ([`Neighborhood::begin`]), and each of its stranded decisions
+    /// costs O(agents) candidates, each what a hop's candidate costs —
+    /// the delays the move invalidates and one fold, no conference
+    /// compile — and checked by [`fits`] against the totals as they
+    /// stand; the winner is re-derived once, kept as the base the
+    /// session's next decision is weighed around
+    /// ([`Neighborhood::commit`]) and committed as a hop commits
+    /// (`relocate`), and every committed move or
     /// displacement updates the totals by delta (`remove(old)` /
     /// `add(new)`, the closed-world [`SystemState`] idiom). So an agent
     /// loss is O(live + stranded × agents) under the exclusive hold —
@@ -1237,55 +1240,55 @@ impl Fleet {
         let readmit_on = self.config.readmit.is_some();
         let mut eval = EvalScratch::new();
         let mut steps = Vec::with_capacity(stranded.len());
-        for (s, d) in stranded {
-            // A session displaced by an earlier stranded decision is
-            // gone; its remaining decisions are moot. Stranded decisions
-            // are grouped by session, so only the last step can say so.
-            if steps.last() == Some(&EvacStep::Displaced { session: s }) {
-                continue;
-            }
+        // Stranded decisions are grouped by session: one compile each.
+        for run in stranded.chunk_by(|a, b| a.0 == b.0) {
+            let s = run[0].0;
             // The hold is exclusive: no slot lock is needed.
             let slot = u.slots.get_mut(&s).expect("stranded, so live").get_mut();
             let (users, tasks) = (slot.users().iter().copied(), slot.tasks().iter().copied());
             let mut hood = Neighborhood::begin(&mut eval, problem, s, users, tasks);
-            let targets = inst
-                .agent_ids()
-                .filter(|&l| l != agent && u.available[l.index()]);
-            let picked = churn::pick_target(&mut hood, d, targets, |load| {
-                fits(s, load, slot.load(), &totals, inst).is_ok()
-            });
-            let (decision, forced) = match picked {
-                Some((decision, true)) => (decision, false),
-                _ if readmit_on => {
-                    // No feasible target: displace the whole session
-                    // into the re-admission queue instead of forcing an
-                    // overshoot.
-                    totals.remove(slot.load());
-                    self.ledger.release(slot.load());
-                    u.slots.remove(&s);
-                    steps.push(EvacStep::Displaced { session: s });
-                    continue;
-                }
-                Some((decision, false)) => (decision, true),
-                None => {
-                    // No other agent exists at all; nothing we can do.
-                    steps.push(EvacStep::Stuck);
-                    continue;
-                }
-            };
-            // Committed as a hop commits its draw: the kernel re-derives
-            // the winner's load and names its slot entry.
-            let (index, moved) = hood.candidate(decision);
-            totals.remove(slot.load());
-            totals.add(moved);
-            slot.relocate(decision, index, eval.load_mut());
-            // `relocate` left the old load in the scratch.
-            self.ledger.force_swap(eval.load(), slot.load());
-            steps.push(EvacStep::Moved {
-                session: s,
-                decision,
-                forced,
-            });
+            for &(_, d) in run {
+                let targets = inst
+                    .agent_ids()
+                    .filter(|&l| l != agent && u.available[l.index()]);
+                let picked = churn::pick_target(&mut hood, d, targets, |load| {
+                    fits(s, load, slot.load(), &totals, inst).is_ok()
+                });
+                let (decision, forced) = match picked {
+                    Some((decision, true)) => (decision, false),
+                    _ if readmit_on => {
+                        // No feasible target: displace the whole session
+                        // into the re-admission queue instead of forcing
+                        // an overshoot; its remaining decisions are moot.
+                        totals.remove(slot.load());
+                        self.ledger.release(slot.load());
+                        u.slots.remove(&s);
+                        steps.push(EvacStep::Displaced { session: s });
+                        break;
+                    }
+                    Some((decision, false)) => (decision, true),
+                    None => {
+                        // No other agent exists at all; nothing we can do.
+                        steps.push(EvacStep::Stuck);
+                        continue;
+                    }
+                };
+                // Committed as a hop commits its draw: the kernel
+                // re-derives the winner's load, names its slot entry and
+                // keeps the move as the base the session's next stranded
+                // decision is weighed around.
+                let (index, moved) = hood.commit(decision);
+                totals.remove(slot.load());
+                totals.add(moved);
+                slot.relocate(decision, index, moved);
+                // `relocate` left the old load in the scratch.
+                self.ledger.force_swap(moved, slot.load());
+                steps.push(EvacStep::Moved {
+                    session: s,
+                    decision,
+                    forced,
+                });
+            }
         }
         debug_assert!(
             totals_drift(&totals, &live_totals_locked(u, |_, _| {})) <= CAPACITY_EPS,

@@ -17,6 +17,15 @@
 //!   on their source's or destination's agent, one scratch reused
 //!   across conferences of different sizes, and an agent pool that
 //!   grows between hops;
+//! * **kernel ≡ the dense reference** — the same candidates, and a
+//!   fresh `evaluate_session`, are bit-equal (`touched` aside) to a
+//!   session load transcribed from the paper's formulas over global
+//!   ids: per-flow `flow_delay_breakdown` totals, `θ` from the
+//!   instance, a dense `L×L` flow matrix folded row-major, cost sums
+//!   over every agent — so a kernel rewrite is checked against
+//!   something other than itself, on the random universes, the named
+//!   shapes and shapes whose flow-cell sums round differently in
+//!   another emission order;
 //! * **concurrent hops conserve** — hops racing on OS threads under
 //!   the sharded FREEZE leave `Fleet::audit` empty and the slot loads
 //!   exactly re-evaluable.
@@ -27,7 +36,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_core::evaluate::evaluate_session;
+use vc_core::evaluate::{evaluate_session, flow_delay_breakdown};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{EvalScratch, SessionLoad, TaskId, UapProblem};
 use vc_cost::BandwidthCost;
@@ -319,9 +328,8 @@ fn with_one_more_agent(
 /// dedups), two destinations on different agents sharing one transcoded
 /// representation from two transcoders, tasks on their source's and on
 /// their destination's agent, conferences of 4, 2 and 3 users through
-/// one scratch, and the agent pool growing between two neighbourhoods.
-#[test]
-fn kernel_matches_fresh_on_the_named_shapes() {
+/// one scratch — and a placement scattering them.
+fn named_shapes() -> (Arc<UapProblem>, Assignment) {
     let ladder = ladder(true);
     let [r0, r1, r2, r3]: [ReprId; 4] = ladder.ids().collect::<Vec<_>>().try_into().unwrap();
     let mut b = InstanceBuilder::new(ladder);
@@ -380,7 +388,15 @@ fn kernel_matches_fresh_on_the_named_shapes() {
     for (i, &u) in problem.instance().session(s2).users().iter().enumerate() {
         asg.set_user(u, AgentId::from(i));
     }
+    (problem, asg)
+}
 
+/// Kernel ≡ fresh on the [named shapes](named_shapes), the agent pool
+/// growing between two neighbourhoods.
+#[test]
+fn kernel_matches_fresh_on_the_named_shapes() {
+    let (problem, asg) = named_shapes();
+    let s0 = SessionId::new(0);
     // The fold itself, by hand (both sides of the comparison below run
     // it): a→b and c→b each open with u0's 0 Mbps delivery and then take
     // one raw 2.5 Mbps stream — counted once, not once per opening.
@@ -396,6 +412,239 @@ fn kernel_matches_fresh_on_the_named_shapes() {
     // (9 users + tasks) × agents candidates, one more agent's worth after.
     let decisions = 9 + problem.tasks().len();
     assert_eq!((before, after), (decisions * 3, decisions * 4));
+}
+
+/// Session `s`'s load under `asg` from the paper's formulas over global
+/// ids, dense and written apart from the kernel (Sec. III-B/III-C):
+/// every flow's `d_uv` is its [`flow_delay_breakdown`] total and `d_v`
+/// the worst incoming one; the last miles come first, then `μ_klu`'s
+/// terms are added source by source (session order) into a dense `L×L`
+/// flow matrix — `u`'s raw upstream to every other agent that
+/// transcodes it or hosts a `θ_uv = 0` destination, then each
+/// transcoded representation, in the order `u`'s destinations first
+/// demand it, from its transcoders to the agents hosting its
+/// destinations, never back to `u`'s own agent — and the matrix is
+/// folded row-major; occupancy counts the distinct `(u, r)` per agent;
+/// `G` and `H` sum over every agent, ascending. `touched` stays empty.
+fn dense_session_load(problem: &UapProblem, asg: &Assignment, s: SessionId) -> SessionLoad {
+    let inst = problem.instance();
+    let nl = inst.num_agents();
+    let users = inst.session(s).users();
+    let lambda = |u: UserId| asg.agent_of_user(u).index();
+    let mut load = SessionLoad::empty(nl);
+
+    load.user_delay = (users.iter())
+        .map(|&v| {
+            (users.iter().filter(|&&u| u != v))
+                .map(|&u| flow_delay_breakdown(problem, asg, u, v).total())
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    load.max_flow_delay = load.user_delay.iter().copied().fold(0.0, f64::max);
+    load.delay_cost = problem.cost().delay.cost(&load.user_delay);
+
+    let mut flows = vec![0.0; nl * nl];
+    let mut units = std::collections::BTreeSet::new();
+    for &u in users {
+        let a_u = lambda(u);
+        let k_up = inst.kappa(inst.user(u).upstream());
+        load.download[a_u] += k_up;
+        load.upload[a_u] += (users.iter().filter(|&&v| v != u))
+            .map(|&v| inst.kappa(inst.user(u).downstream_from(v)))
+            .sum::<f64>();
+        // Agents receiving u's raw upstream, and (destination agent,
+        // transcoder, representation) per transcoded flow.
+        let mut raw = vec![false; nl];
+        let mut transcoded = Vec::new();
+        for &v in users.iter().filter(|&&v| v != u) {
+            if inst.theta(u, v) {
+                let t = problem.tasks().find(u, v).expect("a θ = 1 flow has a task");
+                let transcoder = asg.agent_of_task(t).index();
+                raw[transcoder] = true;
+                transcoded.push((lambda(v), transcoder, inst.user(v).downstream_from(u)));
+            } else {
+                raw[lambda(v)] = true;
+            }
+        }
+        for l in (0..nl).filter(|&l| raw[l] && l != a_u) {
+            flows[a_u * nl + l] += k_up;
+        }
+        let mut reps: Vec<ReprId> = Vec::new();
+        for &(_, _, r) in &transcoded {
+            if !reps.contains(&r) {
+                reps.push(r);
+            }
+        }
+        for r in reps {
+            let sends = |k| transcoded.iter().any(|&(_, g, w)| (g, w) == (k, r));
+            let serves = |l| transcoded.iter().any(|&(d, _, w)| (d, w) == (l, r));
+            for k in (0..nl).filter(|&k| sends(k)) {
+                units.insert((k, u, r));
+                for l in (0..nl).filter(|&l| serves(l) && l != a_u && l != k) {
+                    flows[k * nl + l] += inst.kappa(r);
+                }
+            }
+        }
+    }
+    for k in 0..nl {
+        for l in 0..nl {
+            let f = flows[k * nl + l];
+            load.download[l] += f;
+            load.upload[k] += f;
+            load.ingress[l] += f;
+        }
+    }
+    for &(k, _, _) in &units {
+        load.transcode_units[k] += 1;
+    }
+
+    let cost = problem.cost();
+    let spec = |l: usize| inst.agent(AgentId::from(l));
+    load.traffic_cost = (0..nl)
+        .map(|l| spec(l).price_per_mbps() * cost.bandwidth.cost(load.ingress[l]))
+        .sum();
+    load.transcode_cost = (0..nl)
+        .map(|l| spec(l).price_per_task() * cost.transcode.cost(f64::from(load.transcode_units[l])))
+        .sum();
+    load.phi = cost
+        .weights
+        .combine(load.delay_cost, load.traffic_cost, load.transcode_cost);
+    load
+}
+
+/// Requires the [dense reference](dense_session_load) bit-equal
+/// (`touched` aside) to a fresh `evaluate_session` and to what the
+/// kernel weighs: for every session of `problem` around `asg`, the
+/// base placement and every single-decision candidate — each user and
+/// each task to each agent, through [`Neighborhood::candidate`] and
+/// [`Neighborhood::sweep`]. One `scratch` serves every session.
+/// Returns the candidates weighed.
+fn assert_kernel_matches_dense(
+    problem: &Arc<UapProblem>,
+    asg: &Assignment,
+    scratch: &mut EvalScratch,
+) -> usize {
+    let state = SystemState::new(problem.clone(), asg.clone());
+    let inst = problem.instance();
+    let mut weighed = 0;
+    for s in inst.session_ids() {
+        let dense = dense_session_load(problem, asg, s);
+        let fresh = evaluate_session(problem, asg, s);
+        assert_loads_bitwise(&fresh, &dense, &format!("{s} base"));
+        let mut hood = Neighborhood::of_state(&state, s, scratch);
+        let users = (inst.session(s).users().iter())
+            .flat_map(|&u| inst.agent_ids().map(move |l| Decision::User(u, l)));
+        let tasks = (problem.tasks().of_session(s).iter())
+            .flat_map(|&t| inst.agent_ids().map(move |l| Decision::Task(t, l)));
+        for d in users.chain(tasks) {
+            let mut moved = asg.clone();
+            moved.apply(d);
+            let dense = dense_session_load(problem, &moved, s);
+            let ctx = format!("{s} {d}");
+            assert_loads_bitwise(&evaluate_session(problem, &moved, s), &dense, &ctx);
+            assert_loads_bitwise(hood.candidate(d).1, &dense, &ctx);
+            weighed += 1;
+        }
+        hood.sweep(
+            |_| true,
+            |d, load| {
+                let mut moved = asg.clone();
+                moved.apply(d);
+                let dense = dense_session_load(problem, &moved, s);
+                assert_loads_bitwise(load, &dense, &format!("{s} sweep {d}"));
+            },
+        );
+    }
+    weighed
+}
+
+/// Shapes where the order of a flow cell's addends shows in its bits:
+/// a ladder of rates that are not binary fractions (0.3, 1.1, 2.3 and
+/// 4.7 Mbps, whose sums round), and a 720p source whose stream reaches
+/// one agent raw and in two transcoded representations from one
+/// transcoder, so that cell takes 4.7, 1.1 and 2.3 in that order.
+fn order_sensitive_shapes() -> (Arc<UapProblem>, Assignment) {
+    let ladder = ReprLadder::from_steps([
+        ("240p", 240, 300),
+        ("360p", 360, 1_100),
+        ("480p", 480, 2_300),
+        ("720p", 720, 4_700),
+    ])
+    .expect("strictly increasing");
+    let [_, r1, r2, r3]: [ReprId; 4] = ladder.ids().collect::<Vec<_>>().try_into().unwrap();
+    let mut b = InstanceBuilder::new(ladder);
+    for i in 0..3 {
+        b.add_agent(
+            AgentSpec::builder(format!("a{i}"))
+                .capacity(Capacity::new(90.0, 90.0, 4))
+                .build(),
+        );
+    }
+    // Session 0: u1 wants u0's 720p at 360p, u2 at 480p, u3 raw.
+    let s0 = b.add_session();
+    let u0 = b.add_user(s0, r3, r1);
+    b.add_user(s0, r1, r1);
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r2));
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r3));
+    let s1 = b.add_session();
+    b.add_user(s1, r2, r1);
+    b.add_user(s1, r1, r3);
+    b.symmetric_delays(
+        |l, k| 12.0 + 5.0 * ((l as f64) - (k as f64)).abs(),
+        |l, u| 4.0 + ((l * 7 + u * 3) % 23) as f64,
+    );
+    b.d_max_ms(10_000.0);
+    let problem = Arc::new(UapProblem::new(
+        b.build().expect("valid universe"),
+        CostModel::paper_default(),
+    ));
+    // u0 and its tasks on a0, its destinations on a1; session 1 split.
+    let mut asg = Assignment::all_to_agent(&problem, AgentId::new(0));
+    for &u in &problem.instance().session(s0).users()[1..] {
+        asg.set_user(u, AgentId::new(1));
+    }
+    asg.set_user(problem.instance().session(s1).users()[1], AgentId::new(2));
+    (problem, asg)
+}
+
+/// Kernel ≡ fresh ≡ the dense reference on the named shapes and on
+/// shapes whose flow-cell sums depend on the emission order, the agent
+/// pool growing between two neighbourhoods.
+#[test]
+fn kernel_matches_the_dense_reference_on_the_named_shapes() {
+    let mut scratch = EvalScratch::new();
+    for (problem, asg) in [named_shapes(), order_sensitive_shapes()] {
+        let before = assert_kernel_matches_dense(&problem, &asg, &mut scratch);
+        let (grown, asg) = with_one_more_agent(&problem, &asg);
+        let after = assert_kernel_matches_dense(&grown, &asg, &mut scratch);
+        assert!(before > 0 && after > before, "{before} {after}");
+    }
+    // The order the fixture is named for, by hand: cell a0→a1 takes
+    // u0's raw 4.7 Mbps, then its 1.1, then its 2.3.
+    let (problem, asg) = order_sensitive_shapes();
+    let ingress = evaluate_session(&problem, &asg, SessionId::new(0)).ingress[1];
+    assert_eq!(ingress.to_bits(), (4.7f64 + 1.1 + 2.3).to_bits());
+    assert_ne!(ingress.to_bits(), (4.7f64 + 2.3 + 1.1).to_bits());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Kernel ≡ fresh ≡ the dense reference on random universes around
+    /// random placements, the same scratch carried over a grown agent
+    /// pool.
+    #[test]
+    fn kernel_candidate_equals_the_dense_reference(
+        spec in universe_strategy(),
+        placement_seed in any::<u64>(),
+    ) {
+        let problem = build_problem(&spec);
+        let asg = scattered_assignment(&problem, placement_seed);
+        let mut scratch = EvalScratch::new();
+        assert_kernel_matches_dense(&problem, &asg, &mut scratch);
+        let (grown, asg) = with_one_more_agent(&problem, &asg);
+        assert_kernel_matches_dense(&grown, &asg, &mut scratch);
+    }
 }
 
 proptest! {
