@@ -938,7 +938,7 @@ mod tests {
 
     use proptest::prelude::*;
     use rand::RngCore;
-    use vc_core::evaluate::{evaluate_session, OverlayView};
+    use vc_core::evaluate::evaluate_session;
     use vc_core::UapProblem;
     use vc_cost::CostModel;
     use vc_model::{AgentSpec, Capacity, InstanceBuilder, ReprLadder, UserId};
@@ -1217,8 +1217,9 @@ mod tests {
                 // to −MAX_EXPONENT.
                 let memo = kept[s.index()].as_ref().unwrap_or(&scratch.memo);
                 for d in bounded_decisions(memo, eager.problem(), s) {
-                    let view = OverlayView::new(eager.assignment(), d);
-                    let phi = evaluate_session(eager.problem(), &view, s).phi;
+                    let mut moved = eager.assignment().clone();
+                    moved.apply(d);
+                    let phi = evaluate_session(eager.problem(), &moved, s).phi;
                     let exact = 0.5 * beta * (eager.session_objective(s) - phi);
                     prop_assert_eq!(exact.clamp(-MAX_EXPONENT, MAX_EXPONENT), -MAX_EXPONENT, "{}", d);
                 }

@@ -67,82 +67,10 @@
 //! ingress alone), did not already settle it — and reverts. Both halves
 //! being this module's, the emitted addends and their order are those
 //! of a from-scratch [`evaluate`](EvalScratch::evaluate) of the moved
-//! assignment, so the two are bit-equal. [`OverlayView`] remains the
-//! one-decision diff for callers that evaluate a single candidate from
-//! global ids.
+//! assignment, so the two are bit-equal.
 
-use crate::{Assignment, Decision, TaskId, UapProblem};
+use crate::{Assignment, UapProblem};
 use vc_model::{AgentId, Instance, ReprId, SessionId, UserId};
-
-/// Read access to the decision variables `λ` (user → agent) and `γ`
-/// (task → agent). [`Assignment`] is the committed store; overlays and
-/// the orchestrator's per-session slots provide cheap alternative views
-/// so candidate evaluation never clones the global assignment.
-pub trait AssignmentView {
-    /// `λ(u)`: the agent user `u` subscribes to.
-    fn agent_of_user(&self, u: UserId) -> AgentId;
-    /// `γ(t)`: the agent running task `t`.
-    fn agent_of_task(&self, t: TaskId) -> AgentId;
-}
-
-impl AssignmentView for Assignment {
-    #[inline]
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        Assignment::agent_of_user(self, u)
-    }
-    #[inline]
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        Assignment::agent_of_task(self, t)
-    }
-}
-
-impl<V: AssignmentView + ?Sized> AssignmentView for &V {
-    #[inline]
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        (**self).agent_of_user(u)
-    }
-    #[inline]
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        (**self).agent_of_task(t)
-    }
-}
-
-/// A base view with exactly one decision changed — the shape of every
-/// Alg. 1 candidate. Evaluating through an overlay replaces the old
-/// clone-the-whole-`Assignment` candidate path.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlayView<'a, V: AssignmentView> {
-    base: &'a V,
-    decision: Decision,
-}
-
-impl<'a, V: AssignmentView> OverlayView<'a, V> {
-    /// Views `base` with `decision` applied.
-    pub fn new(base: &'a V, decision: Decision) -> Self {
-        Self { base, decision }
-    }
-}
-
-impl<V: AssignmentView> AssignmentView for OverlayView<'_, V> {
-    #[inline]
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        if let Decision::User(w, a) = self.decision {
-            if w == u {
-                return a;
-            }
-        }
-        self.base.agent_of_user(u)
-    }
-    #[inline]
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        if let Decision::Task(w, a) = self.decision {
-            if w == t {
-                return a;
-            }
-        }
-        self.base.agent_of_task(t)
-    }
-}
 
 /// Everything the optimizer needs to know about one session under one
 /// assignment: per-agent resource loads, inter-agent ingress `x_ls`,
@@ -288,20 +216,21 @@ impl SessionLoad {
     }
 }
 
-/// Evaluates session `s` under `view`, computing all loads, delays
-/// and costs from scratch. Convenience wrapper over [`EvalScratch`] —
-/// hot paths hold a scratch and call [`EvalScratch::evaluate`] directly.
+/// Evaluates session `s` under `assignment`, computing all loads,
+/// delays and costs from scratch. Convenience wrapper over
+/// [`EvalScratch`] — hot paths hold a scratch and call
+/// [`EvalScratch::evaluate`] directly.
 ///
 /// # Panics
 ///
 /// Panics if `s` is out of range for the problem's instance.
-pub fn evaluate_session<V: AssignmentView>(
+pub fn evaluate_session(
     problem: &UapProblem,
-    view: &V,
+    assignment: &Assignment,
     s: SessionId,
 ) -> SessionLoad {
     let mut scratch = EvalScratch::new();
-    scratch.evaluate(problem, view, s).clone()
+    scratch.evaluate(problem, assignment, s).clone()
 }
 
 /// `Conference::flow_task` entry of an un-transcoded flow (`θ_uv = 0`).
@@ -679,20 +608,20 @@ impl EvalScratch {
         self.flow_cells.clear();
     }
 
-    /// Evaluates session `s` under `view` into the scratch's load,
-    /// returning it: [compile](Self::compile) the conference and
-    /// [weigh](Self::weigh) the placement `view` gives it. Results
-    /// are bitwise identical to a fresh [`evaluate_session`]: sparse
-    /// accumulation visits agents and flow cells in the same ascending
-    /// order the dense scan would.
+    /// Evaluates session `s` under `assignment` into the scratch's
+    /// load, returning it: [compile](Self::compile) the conference and
+    /// [weigh](Self::weigh) the placement `assignment` gives it.
+    /// Results are bitwise identical to a fresh [`evaluate_session`]:
+    /// sparse accumulation visits agents and flow cells in the same
+    /// ascending order the dense scan would.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range for the problem's instance.
-    pub fn evaluate<V: AssignmentView>(
+    pub fn evaluate(
         &mut self,
         problem: &UapProblem,
-        view: &V,
+        assignment: &Assignment,
         s: SessionId,
     ) -> &SessionLoad {
         self.compile(problem, s);
@@ -700,8 +629,8 @@ impl EvalScratch {
         let tasks = problem.tasks().of_session(s);
         self.weigh(
             problem,
-            users.iter().map(|&u| view.agent_of_user(u)),
-            tasks.iter().map(|&t| view.agent_of_task(t)),
+            users.iter().map(|&u| assignment.agent_of_user(u)),
+            tasks.iter().map(|&t| assignment.agent_of_task(t)),
         )
     }
 
@@ -1041,19 +970,6 @@ fn flow_add(
     flows[idx] += mbps;
 }
 
-/// End-to-end delay of the flow `u → v` (Sec. III-C):
-/// `H_{a(u),u} + H_{a(v),v}` plus either the direct hop `D_{a(u),a(v)}`
-/// (no transcoding) or the relay through the transcoder `l` with its
-/// latency: `D_{l,a(u)} + D_{l,a(v)} + σ_l(r^u_u, r^d_{vu})`.
-pub fn flow_delay<V: AssignmentView>(
-    problem: &UapProblem,
-    assignment: &V,
-    u: UserId,
-    v: UserId,
-) -> f64 {
-    flow_delay_breakdown(problem, assignment, u, v).total()
-}
-
 /// The additive components of one flow's end-to-end delay — useful for
 /// diagnosing *where* an assignment loses its delay budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1079,10 +995,13 @@ impl DelayBreakdown {
     }
 }
 
-/// Computes the delay components of the flow `u → v`.
-pub fn flow_delay_breakdown<V: AssignmentView>(
+/// Computes the delay components of the flow `u → v` (Sec. III-C):
+/// `H_{a(u),u} + H_{a(v),v}` plus either the direct hop `D_{a(u),a(v)}`
+/// (no transcoding) or the relay through the transcoder `l` with its
+/// latency: `D_{l,a(u)} + D_{l,a(v)} + σ_l(r^u_u, r^d_{vu})`.
+pub fn flow_delay_breakdown(
     problem: &UapProblem,
-    assignment: &V,
+    assignment: &Assignment,
     u: UserId,
     v: UserId,
 ) -> DelayBreakdown {
@@ -1283,7 +1202,9 @@ mod tests {
         assert_eq!(bd.destination_last_mile_ms, 5.0);
         assert_eq!(bd.inter_agent_ms, 40.0);
         assert!((bd.transcode_ms - 22.0).abs() < 1e-9);
-        assert!((bd.total() - flow_delay(&p, &asg, UserId::new(0), UserId::new(1))).abs() < 1e-12);
+        // The total is the flow delay the evaluation derives (u1 receives it).
+        let load = evaluate_session(&p, &asg, S0);
+        assert_eq!(bd.total().to_bits(), load.user_delay[1].to_bits());
         // Raw reverse flow: no transcode component.
         let raw = flow_delay_breakdown(&p, &asg, UserId::new(1), UserId::new(0));
         assert_eq!(raw.transcode_ms, 0.0);

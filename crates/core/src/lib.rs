@@ -62,7 +62,7 @@ pub(crate) mod test_fixtures;
 mod violation;
 
 pub use assignment::{Assignment, Decision};
-pub use evaluate::{AgentDemand, AssignmentView, EvalScratch, OverlayView, SessionLoad};
+pub use evaluate::{AgentDemand, EvalScratch, SessionLoad};
 pub use problem::UapProblem;
 pub use state::{
     agent_fits, demand_fits, fits, AgentTotals, FreeCapacity, SystemState, CAPACITY_EPS,

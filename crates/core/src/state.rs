@@ -8,9 +8,10 @@
 //! residual capacities of agents". The orchestrator's fleet asks the same
 //! [`fits`] against its own reserved totals.
 
-use crate::evaluate::{evaluate_session, AgentDemand, EvalScratch, OverlayView, SessionLoad};
+use crate::evaluate::{evaluate_session, AgentDemand, EvalScratch, SessionLoad};
+use crate::neighborhood::Neighborhood;
 use crate::{Assignment, Decision, UapProblem, Violation};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vc_model::{AgentId, Capacity, Instance, SessionId};
 
 /// Aggregate per-agent loads across all *active* sessions.
@@ -59,7 +60,7 @@ impl AgentTotals {
 /// The global state of the conferencing system under one assignment:
 /// cached per-session loads, per-agent totals, and the set of active
 /// sessions.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SystemState {
     problem: Arc<UapProblem>,
     assignment: Assignment,
@@ -69,25 +70,6 @@ pub struct SystemState {
     /// Per-agent availability: failed or drained agents accept no new
     /// users/tasks and are reported as violations while still loaded.
     available: Vec<bool>,
-    /// Internal evaluation scratch so the convenience paths
-    /// ([`candidate`](Self::candidate), [`try_apply`](Self::try_apply))
-    /// stay clone-free; hot loops pass their own scratch to
-    /// [`candidate_into`](Self::candidate_into) instead.
-    scratch: Mutex<EvalScratch>,
-}
-
-impl Clone for SystemState {
-    fn clone(&self) -> Self {
-        Self {
-            problem: self.problem.clone(),
-            assignment: self.assignment.clone(),
-            active: self.active.clone(),
-            loads: self.loads.clone(),
-            totals: self.totals.clone(),
-            available: self.available.clone(),
-            scratch: Mutex::new(EvalScratch::new()),
-        }
-    }
 }
 
 /// Numerical slack for capacity and delay comparisons, guarding against
@@ -263,7 +245,6 @@ impl SystemState {
             loads,
             totals,
             available,
-            scratch: Mutex::new(scratch),
         }
     }
 
@@ -430,23 +411,15 @@ impl SystemState {
         }
     }
 
-    /// Evaluates a candidate decision without committing: returns the new
-    /// session load and the first violation it would introduce, if any.
-    ///
-    /// Feasibility is [`fits`] against the cached totals.
-    /// Convenience wrapper over [`candidate_into`](Self::candidate_into)
-    /// (which is what the hop hot path calls with its own scratch).
-    pub fn candidate(&self, decision: Decision) -> (SessionLoad, Result<(), Violation>) {
-        let mut scratch = self.scratch.lock().expect("scratch lock");
-        let verdict = self.candidate_into(decision, &mut scratch);
-        (scratch.load().clone(), verdict)
-    }
-
-    /// Evaluates a candidate decision into `scratch` — the allocation-free
-    /// primitive of the HOP path. The evaluated load is left in the
-    /// scratch (read it with [`EvalScratch::load`]); no global state is
-    /// cloned: the candidate is an [`OverlayView`] over the committed
-    /// assignment.
+    /// Weighs a candidate decision without committing, into `scratch`
+    /// (read the load with [`EvalScratch::load`], or commit it with
+    /// [`commit_scratch`](Self::commit_scratch)), and returns the first
+    /// violation it would introduce, if any: a down target, else
+    /// [`fits`] against the cached totals. The candidate is the
+    /// [neighbourhood kernel](Neighborhood::candidate)'s around the
+    /// committed assignment — one weighing of one decision, for greedy
+    /// descent and single moves; Alg. 1's hop sweeps its own
+    /// neighbourhood.
     pub fn candidate_into(
         &self,
         decision: Decision,
@@ -454,8 +427,7 @@ impl SystemState {
     ) -> Result<(), Violation> {
         let s = self.session_of(decision);
         let target = decision.target();
-        let view = OverlayView::new(&self.assignment, decision);
-        scratch.evaluate(&self.problem, &view, s);
+        Neighborhood::of_state(self, s, scratch).candidate(decision);
         if !self.available[target.index()] {
             Err(Violation::Unavailable { agent: target })
         } else {
@@ -506,22 +478,20 @@ impl SystemState {
     /// Returns the violation the move would introduce; the state is
     /// unchanged on error.
     pub fn try_apply(&mut self, decision: Decision) -> Result<(), Violation> {
-        let mut scratch = std::mem::take(self.scratch.get_mut().expect("scratch lock"));
+        let mut scratch = EvalScratch::new();
         let result = self.candidate_into(decision, &mut scratch);
         if result.is_ok() {
             self.commit_scratch(decision, &mut scratch);
         }
-        *self.scratch.get_mut().expect("scratch lock") = scratch;
         result
     }
 
     /// Applies a decision unconditionally (the state may become
     /// infeasible; `violations()` will report it).
     pub fn apply_unchecked(&mut self, decision: Decision) {
-        let mut scratch = std::mem::take(self.scratch.get_mut().expect("scratch lock"));
+        let mut scratch = EvalScratch::new();
         let _ = self.candidate_into(decision, &mut scratch);
         self.commit_scratch(decision, &mut scratch);
-        *self.scratch.get_mut().expect("scratch lock") = scratch;
     }
 
     /// Commits the decision whose candidate load `scratch` currently
@@ -699,7 +669,7 @@ mod tests {
     fn candidate_does_not_mutate() {
         let st = state();
         let before = st.assignment().clone();
-        let (_, verdict) = st.candidate(Decision::User(UserId::new(0), B));
+        let verdict = st.candidate_into(Decision::User(UserId::new(0), B), &mut EvalScratch::new());
         assert!(verdict.is_ok());
         assert_eq!(st.assignment(), &before);
     }

@@ -24,8 +24,8 @@
 //! representation ladder stays fixed.
 
 use crate::{
-    AgentId, AgentSpec, Capacity, DelayMatrices, DownstreamDemand, Matrix, ModelError, ReprId,
-    ReprLadder, SessionId, SessionSpec, TranscodeLatencyModel, UserId, UserSpec, DEFAULT_D_MAX_MS,
+    AgentId, AgentSpec, DelayMatrices, DownstreamDemand, Matrix, ModelError, ReprId, ReprLadder,
+    SessionId, SessionSpec, TranscodeLatencyModel, UserId, UserSpec, DEFAULT_D_MAX_MS,
 };
 
 /// Definition of one user of a to-be-registered conference: everything
@@ -342,28 +342,6 @@ impl Instance {
     #[inline]
     pub fn d_ms(&self, l: AgentId, k: AgentId) -> f64 {
         self.delays.inter_agent_ms(l, k)
-    }
-
-    /// Returns a copy of this instance with every agent's capacity replaced.
-    /// Used by the Fig. 9 capacity sweeps.
-    pub fn with_uniform_capacity(&self, capacity: Capacity) -> Instance {
-        let mut clone = self.clone();
-        for a in &mut clone.agents {
-            *a = AgentSpec::builder(a.name())
-                .capacity(capacity)
-                .speed_factor(a.speed_factor())
-                .price_per_mbps(a.price_per_mbps())
-                .price_per_task(a.price_per_task())
-                .build();
-        }
-        clone
-    }
-
-    /// Returns a copy with a different delay bound `Dmax`.
-    pub fn with_d_max_ms(&self, d_max_ms: f64) -> Instance {
-        let mut clone = self.clone();
-        clone.d_max_ms = d_max_ms;
-        clone
     }
 
     /// Registers a whole new conference online, returning its id (always
@@ -892,25 +870,6 @@ mod tests {
         b.symmetric_delays(|_, _| 1.0, |_, _| 1.0);
         b.d_max_ms(0.0);
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn with_uniform_capacity_replaces_all() {
-        let inst = two_user_instance();
-        let capped = inst.with_uniform_capacity(Capacity::new(100.0, 200.0, 3));
-        for a in capped.agents() {
-            assert_eq!(a.capacity().upload_mbps, 100.0);
-            assert_eq!(a.capacity().download_mbps, 200.0);
-            assert_eq!(a.capacity().transcode_slots, 3);
-        }
-        // Speed factors preserved.
-        assert_eq!(capped.agent(AgentId::new(1)).speed_factor(), 2.4);
-    }
-
-    #[test]
-    fn with_d_max_overrides_bound() {
-        let inst = two_user_instance().with_d_max_ms(250.0);
-        assert_eq!(inst.d_max_ms(), 250.0);
     }
 
     #[test]

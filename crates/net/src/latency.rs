@@ -59,11 +59,6 @@ impl LatencyModel {
         a.distance_km(b) / FIBER_KM_PER_MS * self.route_inflation + self.access_base_ms
     }
 
-    /// Round-trip time between two points in ms.
-    pub fn rtt_ms(&self, a: GeoPoint, b: GeoPoint) -> f64 {
-        2.0 * self.one_way_ms(a, b)
-    }
-
     /// One-way delay with multiplicative jitter drawn uniformly from
     /// `[1−jitter_frac, 1+jitter_frac]`.
     pub fn one_way_jittered_ms<R: Rng + ?Sized>(
@@ -156,14 +151,6 @@ mod tests {
         // Relative order matches the paper's measurements.
         assert!(hk_sg < hk_to);
         assert!(to_or < sg_or);
-    }
-
-    #[test]
-    fn rtt_is_twice_one_way() {
-        let m = LatencyModel::default();
-        let a = GeoPoint::new(0.0, 0.0);
-        let b = GeoPoint::new(10.0, 10.0);
-        assert!((m.rtt_ms(a, b) - 2.0 * m.one_way_ms(a, b)).abs() < 1e-12);
     }
 
     #[test]

@@ -119,8 +119,8 @@ use vc_algo::churn;
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
-    demand_fits, fits, AgentDemand, AgentTotals, Assignment, AssignmentView, Decision, EvalScratch,
-    SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    demand_fits, fits, AgentDemand, AgentTotals, Assignment, Decision, EvalScratch, SessionLoad,
+    SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
@@ -286,27 +286,6 @@ impl FleetCounters {
         } else {
             ok as f64 / (ok + no) as f64
         }
-    }
-}
-
-/// [`AssignmentView`] over one slot: lookups are linear in the session
-/// size (a handful of users), touching no global structure.
-struct SlotView<'a> {
-    problem: &'a UapProblem,
-    s: SessionId,
-    slot: &'a SessionSlot,
-}
-
-impl AssignmentView for SlotView<'_> {
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        let i =
-            (self.problem.local_user(self.s, u)).expect("user belongs to the evaluated session");
-        self.slot.users()[i]
-    }
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        let i =
-            (self.problem.local_task(self.s, t)).expect("task belongs to the evaluated session");
-        self.slot.tasks()[i]
     }
 }
 
@@ -1881,11 +1860,7 @@ impl Fleet {
         let mut scratch = EvalScratch::new();
         let mut drift: f64 = 0.0;
         for (s, mut slot) in u.live_slots() {
-            {
-                let view = slot_view(&u.problem, s, &slot);
-                scratch.evaluate(&u.problem, &view, s);
-            }
-            let fresh = scratch.load();
+            let fresh = evaluate_slot(&u.problem, s, &slot, &mut scratch);
             // Union of the two touched sets: stale load on an agent the
             // fresh evaluation does NOT touch must count as drift too
             // (duplicate visits are harmless for a max-of-abs).
@@ -1992,13 +1967,6 @@ fn totals_drift(a: &AgentTotals, b: &AgentTotals) -> f64 {
     gap(&a.download, &b.download).max(gap(&a.upload, &b.upload))
 }
 
-/// [`SlotView`] over one slot under `problem` (free function: the
-/// problem now lives inside the FREEZE lock, so helpers take it
-/// explicitly instead of reading a fleet field).
-fn slot_view<'a>(problem: &'a UapProblem, s: SessionId, slot: &'a SessionSlot) -> SlotView<'a> {
-    SlotView { problem, s, slot }
-}
-
 /// The full placement of session `s` (its slot's current assignment),
 /// in instance order — the shape the persistence layer journals for an
 /// admission.
@@ -2039,14 +2007,19 @@ pub(crate) fn placement_hash(slot: &SessionSlot) -> u64 {
     h
 }
 
-/// Evaluates `slot`'s current placement for session `s` into `scratch`
-/// (recovery/replay helper).
+/// Evaluates `slot`'s current placement for session `s` into `scratch`:
+/// the slot's agents are already in session order, so the compiled
+/// conference weighs them as they are.
 pub(crate) fn evaluate_slot<'a>(
     problem: &UapProblem,
     s: SessionId,
     slot: &SessionSlot,
     scratch: &'a mut EvalScratch,
 ) -> &'a SessionLoad {
-    let view = slot_view(problem, s, slot);
-    scratch.evaluate(problem, &view, s)
+    scratch.compile(problem, s);
+    scratch.weigh(
+        problem,
+        slot.users().iter().copied(),
+        slot.tasks().iter().copied(),
+    )
 }

@@ -826,11 +826,6 @@ impl Fleet {
         self.persist.is_some()
     }
 
-    /// The persistence directory, if attached.
-    pub fn persist_dir(&self) -> Option<&Path> {
-        self.persist.as_ref().map(|p| p.dir.as_path())
-    }
-
     /// Forces the journal's buffered tail to disk — the manual
     /// durability boundary for `FsyncPolicy::Batch`/`Manual` fleets
     /// (call it once per telemetry period, at shutdown, …). Flushes any

@@ -17,19 +17,10 @@ use vc_obs::{Watchdog, WatchdogFire};
 /// control-plane state next to the plane's own latency series. Every
 /// [`FleetSnapshot`] gauge is there as `vc_fleet_<gauge>` except
 /// `conservation_violations`: the audit needs the exclusive FREEZE,
-/// and a scrape takes the shared lock only. Beside `live_sessions` it
-/// serves `vc_fleet_sessions_settled` from the same slot walk — the
-/// live sessions whose last sweep is still valid and found no
-/// neighbour with a lower `Φ`; the rest are still searching, including
-/// a session whose sweep stored a lower-`Φ` move toward an agent that
-/// is down (it may take it once the agent is back). (A scrape gauge
-/// only: [`FleetSnapshot`]'s fields are pinned by the v6 wire golden.)
+/// and a scrape takes the shared lock only.
 pub fn fleet_metrics_text(fleet: &Fleet) -> String {
     let mut out = String::with_capacity(2048);
-    let m = fleet.metrics();
-    FleetSnapshot::observe(fleet, 0.0, m, 0).write_prometheus(&mut out);
-    let _ = writeln!(out, "# TYPE vc_fleet_sessions_settled gauge");
-    let _ = writeln!(out, "vc_fleet_sessions_settled {}", m.settled);
+    FleetSnapshot::observe(fleet, 0.0, fleet.metrics(), 0).write_prometheus(&mut out);
     // Per-region residual/occupancy gauges (elastic capacity); unlimited
     // agents sum to an infinite residual.
     fn prom(v: f64) -> String {
@@ -154,12 +145,12 @@ impl Gauge for bool {
 }
 
 /// Declares [`FleetSnapshot`]: each gauge's Prometheus kind, name, type
-/// and doc are written once here, and the struct field,
-/// the JSON key, the [`FleetTelemetry::series`] name, the durable codec
-/// position and the `/metrics` series `vc_fleet_<name>` all derive from
-/// that one line — in declaration order, so a new gauge is a one-line
-/// edit that cannot shift a column. The kind is `counter` or `gauge`;
-/// `unscraped` keeps a gauge off `/metrics`.
+/// and doc are written once here, and the struct field, the JSON key,
+/// the [`FleetTelemetry::series`] name and the `/metrics` series
+/// `vc_fleet_<name>` all derive from that one line — in declaration
+/// order, so a new gauge is a one-line edit that cannot shift a column.
+/// The kind is `counter` or `gauge`; `unscraped` keeps a gauge off
+/// `/metrics`.
 macro_rules! fleet_snapshot {
     (@prom unscraped $name:ident $self:ident $out:ident) => {};
     (@prom $kind:ident $name:ident $self:ident $out:ident) => {
@@ -207,8 +198,6 @@ macro_rules! fleet_snapshot {
                 out.push('}');
             }
         }
-
-        vc_persist::wire! { struct FleetSnapshot { time_s, $($name),* } }
     };
 }
 
@@ -220,6 +209,11 @@ fleet_snapshot! {
     gauge universe_users: usize,
     /// Live session count.
     gauge live_sessions: usize,
+    /// Live sessions whose last sweep is still valid and found no
+    /// neighbour with a lower `Φ`; the rest are still searching,
+    /// including a session whose sweep stored a lower-`Φ` move toward an
+    /// agent that is down (it may take it once the agent is back).
+    gauge sessions_settled: usize,
     /// Global objective `Σ_s Φ_s`.
     gauge objective: f64,
     /// Mean objective per live session.
@@ -277,6 +271,8 @@ fleet_snapshot! {
     counter hop_candidates_bounded: usize,
     /// Hop candidates folded in full so far.
     counter hop_candidates_folded: usize,
+    /// Hops that drew from their slot's kept sweep instead of sweeping.
+    counter hop_memo_hits: usize,
 }
 
 impl FleetSnapshot {
@@ -297,6 +293,7 @@ impl FleetSnapshot {
             universe_sessions,
             universe_users,
             live_sessions: m.live,
+            sessions_settled: m.settled,
             objective: m.objective,
             // An idle fleet's objective is 0, and so is its mean.
             mean_session_objective: m.objective / m.live.max(1) as f64,
@@ -324,6 +321,7 @@ impl FleetSnapshot {
             durability_degraded: fleet.durability_degraded(),
             hop_candidates_bounded: bounded as usize,
             hop_candidates_folded: folded as usize,
+            hop_memo_hits: fleet.obs().hop_memo_hits() as usize,
         }
     }
 }

@@ -1547,7 +1547,6 @@ mod persistence {
     fn ephemeral_fleet_refuses_persistence_calls() {
         let fleet = fleet(120.0, 6);
         assert!(!fleet.is_persistent());
-        assert!(fleet.persist_dir().is_none());
         assert!(matches!(fleet.checkpoint(), Err(PersistError::NotAttached)));
         assert!(matches!(
             fleet.commit_journal(),
@@ -1571,7 +1570,7 @@ mod persistence {
         let t = &report.telemetry;
         let n = t.snapshots().len();
         let gauges = crate::telemetry::FleetSnapshot::GAUGES;
-        assert_eq!(gauges.len(), 29);
+        assert_eq!(gauges.len(), 31);
         for name in gauges {
             assert_eq!(t.series(name).len(), n, "series {name} is missing samples");
         }
@@ -1590,8 +1589,12 @@ mod persistence {
             }
         }
         assert_eq!(
-            gauges[27..],
-            ["hop_candidates_bounded", "hop_candidates_folded"]
+            gauges[28..],
+            [
+                "hop_candidates_bounded",
+                "hop_candidates_folded",
+                "hop_memo_hits"
+            ]
         );
         // Admissions are cumulative and should end ≥ warm pool.
         assert!(t.series("admitted").last_value().expect("samples") >= 4.0);

@@ -36,7 +36,7 @@ use vc_algo::admission::{AdmissionConfig, AdmissionEngine, AdmissionPolicy};
 use vc_algo::agrank::{self, Residuals};
 use vc_algo::markov::Alg1Config;
 use vc_algo::placement::rule_of_thumb_session;
-use vc_core::{AgentTotals, AssignmentView, EvalScratch, SessionLoad, TaskId, CAPACITY_EPS};
+use vc_core::{AgentTotals, EvalScratch, SessionLoad, TaskId, CAPACITY_EPS};
 use vc_orchestrator::{Fleet, ReoptPool};
 use vc_persist::FsyncPolicy;
 
@@ -198,21 +198,10 @@ proptest! {
     }
 }
 
-/// A proposed placement of one session, as an [`AssignmentView`].
-struct Proposed<'a> {
-    users: &'a [(UserId, AgentId)],
-    tasks: &'a [(TaskId, AgentId)],
-}
-
-impl AssignmentView for Proposed<'_> {
-    fn agent_of_user(&self, u: UserId) -> AgentId {
-        let placed = self.users.iter().find(|(w, _)| *w == u);
-        placed.expect("user of the proposed session").1
-    }
-    fn agent_of_task(&self, t: TaskId) -> AgentId {
-        let placed = self.tasks.iter().find(|(w, _)| *w == t);
-        placed.expect("task of the proposed session").1
-    }
+/// The agent a proposed placement gives user or task `k`.
+fn placed<K: PartialEq + Copy + std::fmt::Debug>(placement: &[(K, AgentId)], k: K) -> AgentId {
+    let found = placement.iter().find(|(w, _)| *w == k);
+    found.unwrap_or_else(|| panic!("{k:?} is not placed")).1
 }
 
 /// The control plane's historical admission search, kept as the
@@ -229,8 +218,17 @@ fn ranked_walk(
     scratch: &mut EvalScratch,
 ) -> Option<SessionLoad> {
     let inst = problem.instance();
+    scratch.compile(problem, s);
     let mut fits = |users: &[(UserId, AgentId)], tasks: &[(TaskId, AgentId)]| {
-        let load = scratch.evaluate(problem, &Proposed { users, tasks }, s);
+        let load = scratch.weigh(
+            problem,
+            inst.session(s).users().iter().map(|&u| placed(users, u)),
+            problem
+                .tasks()
+                .of_session(s)
+                .iter()
+                .map(|&t| placed(tasks, t)),
+        );
         let ok = load.max_flow_delay <= inst.d_max_ms() + CAPACITY_EPS
             && load.touched.iter().all(|&a| {
                 let i = a as usize;

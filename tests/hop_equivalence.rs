@@ -1,11 +1,15 @@
 //! Properties of the allocation-free hop path:
 //!
-//! * **incremental ≡ fresh** — a candidate evaluated through a reused
-//!   [`EvalScratch`] + [`OverlayView`] is bitwise identical (asserted to
-//!   `to_bits`, with a ≤1e-12 fallback documented by the issue) to a
-//!   fresh full `evaluate_session` over a cloned-and-mutated
-//!   assignment, across random instances and long random decision
-//!   sequences (exercising scratch-reuse clearing and the commit swap);
+//! * **incremental ≡ fresh** — the closed world's one-decision
+//!   candidate, `SystemState::candidate_into` (the neighbourhood
+//!   kernel around the committed assignment, in a reused
+//!   [`EvalScratch`]), is bitwise identical (asserted to `to_bits`) to
+//!   a fresh full `evaluate_session` over a cloned-and-mutated
+//!   assignment, and its verdict is `Violation::Unavailable` for a
+//!   down target and `SystemState::fits` of the fresh load otherwise,
+//!   across random instances and long random decision sequences that
+//!   flip agents' availability (exercising scratch-reuse clearing and
+//!   the commit swap);
 //! * **kernel ≡ fresh** — every single-decision candidate the
 //!   neighbourhood kernel weighs ([`Neighborhood::candidate`] and each
 //!   step of [`Neighborhood::sweep_lazy`]) is bit-equal, `touched`
@@ -38,7 +42,7 @@ use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
 use vc_core::evaluate::{evaluate_session, flow_delay_breakdown};
 use vc_core::neighborhood::Neighborhood;
-use vc_core::{EvalScratch, SessionLoad, TaskId, UapProblem};
+use vc_core::{EvalScratch, SessionLoad, TaskId, UapProblem, Violation};
 use vc_cost::BandwidthCost;
 use vc_model::{DownstreamDemand, ReprId};
 use vc_orchestrator::{Fleet, PlacementPolicy, ReoptPool};
@@ -650,15 +654,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A reused scratch evaluating overlay candidates matches a fresh
-    /// full evaluation of the mutated assignment, at every step of a
-    /// random decision walk (committing a subset of the candidates so
-    /// the scratch sees swapped-in loads, partially-filled buffers, and
-    /// every other reuse hazard).
+    /// A reused scratch weighing `candidate_into` candidates matches a
+    /// fresh full evaluation of the mutated assignment, and its verdict
+    /// the availability and capacity rules, at every step of a random
+    /// decision walk (committing a subset of the candidates so the
+    /// scratch sees swapped-in loads, partially-filled buffers, and
+    /// every other reuse hazard; flipping an agent's availability on
+    /// about one step in four).
     #[test]
     fn incremental_candidate_equals_fresh_evaluation(
         spec in universe_strategy(),
-        walk in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..=60),
+        walk in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<bool>(), any::<u8>()),
+            1..=60,
+        ),
     ) {
         let problem = build_problem(&spec);
         let mut state = SystemState::new(
@@ -666,7 +675,11 @@ proptest! {
             Assignment::all_to_agent(&problem, AgentId::new(0)),
         );
         let mut scratch = EvalScratch::new();
-        for (step, &(which, target, commit)) in walk.iter().enumerate() {
+        for (step, &(which, target, commit, flip)) in walk.iter().enumerate() {
+            if flip % 4 == 0 {
+                let l = AgentId::from(usize::from(flip / 4) % problem.instance().num_agents());
+                state.set_agent_available(l, !state.is_agent_available(l));
+            }
             let decision = decode_decision(&problem, which, target);
             let s = state.session_of(decision);
             let verdict = state.candidate_into(decision, &mut scratch);
@@ -676,6 +689,12 @@ proptest! {
             asg.apply(decision);
             let fresh = evaluate_session(&problem, &asg, s);
             assert_loads_bitwise(scratch.load(), &fresh, &format!("step {step}"));
+            let agent = decision.target();
+            if state.is_agent_available(agent) {
+                prop_assert_eq!(verdict, state.fits(s, &fresh), "step {}", step);
+            } else {
+                prop_assert_eq!(verdict, Err(Violation::Unavailable { agent }), "step {}", step);
+            }
 
             if commit && verdict.is_ok() {
                 state.commit_scratch(decision, &mut scratch);
@@ -703,30 +722,6 @@ proptest! {
         assert_kernel_matches_fresh(&problem, &asg, &mut scratch);
         let (grown, asg) = with_one_more_agent(&problem, &asg);
         assert_kernel_matches_fresh(&grown, &asg, &mut scratch);
-    }
-
-    /// `candidate()` (internal scratch) and `candidate_into` (external
-    /// scratch) agree with each other and leave the state untouched.
-    #[test]
-    fn candidate_paths_agree(
-        spec in universe_strategy(),
-        probes in prop::collection::vec((any::<u8>(), any::<u8>()), 1..=20),
-    ) {
-        let problem = build_problem(&spec);
-        let state = SystemState::new(
-            problem.clone(),
-            Assignment::all_to_agent(&problem, AgentId::new(0)),
-        );
-        let before = state.assignment().clone();
-        let mut scratch = EvalScratch::new();
-        for &(which, target) in &probes {
-            let decision = decode_decision(&problem, which, target);
-            let (load, verdict) = state.candidate(decision);
-            let verdict2 = state.candidate_into(decision, &mut scratch);
-            prop_assert_eq!(verdict.is_ok(), verdict2.is_ok());
-            assert_loads_bitwise(scratch.load(), &load, "candidate vs candidate_into");
-        }
-        prop_assert_eq!(state.assignment(), &before);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Durability properties of `vc-persist` + the fleet recovery path:
 //!
 //! * codec round-trips — `decode ∘ encode = id` for random
-//!   `SessionHold`s, journal records (`FleetOp`), and telemetry
-//!   `FleetSnapshot`s, with every strict truncation rejected;
+//!   `SessionHold`s and journal records (`FleetOp`), with every strict
+//!   truncation rejected;
 //! * a **crash-point sweep** — the write-ahead journal of a real fleet
 //!   run is cut at *every byte offset* and recovery must come back
 //!   clean (audit empty) from each prefix;
@@ -314,47 +314,6 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
         )
 }
 
-fn fleet_snapshot_strategy() -> impl Strategy<Value = FleetSnapshot> {
-    (
-        (0.0f64..600.0, 0usize..500, -1e6f64..1e6, -1e4f64..1e4),
-        (0.0f64..1e5, 0.0f64..1e3, 0.0f64..1.0, 0.0f64..2.0),
-        (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
-        (0.0f64..1.0, 0usize..10),
-    )
-        .prop_map(|(a, b, c, d)| FleetSnapshot {
-            time_s: a.0,
-            universe_sessions: a.1 + 7,
-            universe_users: a.1 * 3,
-            live_sessions: a.1,
-            objective: a.2,
-            mean_session_objective: a.3,
-            traffic_mbps: b.0,
-            mean_delay_ms: b.1,
-            mean_utilization: b.2,
-            max_utilization: b.3,
-            admitted: c.0,
-            rejected: c.1,
-            departed: c.2,
-            migrations: c.3,
-            admission_success_rate: d.0,
-            admission_attempts: c.0 + c.1,
-            admitted_enumeration: c.0 / 2,
-            admitted_repair: c.0 / 3,
-            admitted_fallback: c.0 - c.0 / 2 - c.0 / 3,
-            admission_repair_steps: c.2 + 5,
-            refused_user_fit: c.1 / 2,
-            refused_task_fit: c.1 / 3,
-            refused_global: c.1 - c.1 / 2 - c.1 / 3,
-            conservation_violations: d.1,
-            overshoot_fraction: d.0 / 2.0,
-            displaced: c.3 / 2,
-            readmit_queued: c.3 / 4,
-            durability_degraded: d.1 % 2 == 1,
-            hop_candidates_bounded: c.3 * 40,
-            hop_candidates_folded: c.3 * 11,
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -384,15 +343,6 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(decode_exact::<Vec<FleetOp>>(&bytes[..cut]).is_err());
         }
-    }
-
-    /// Telemetry snapshots round-trip with bitwise-equal floats.
-    #[test]
-    fn fleet_snapshot_codec_round_trips(snap in fleet_snapshot_strategy()) {
-        let bytes = encode_to_vec(&snap);
-        let back = decode_exact::<FleetSnapshot>(&bytes).expect("decodes");
-        prop_assert_eq!(back.objective.to_bits(), snap.objective.to_bits());
-        prop_assert_eq!(back, snap);
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Round-trip tests pass a *symmetric* codec mistake (two fields swapped
 //! in both directions); these do not. One hand-built value of every
-//! journal record variant, a populated snapshot state, one telemetry
-//! snapshot and one counter block are each compared with committed
-//! bytes and decoded back. A failure here is a format change: either
+//! journal record variant, a populated snapshot state and one counter
+//! block are each compared with committed bytes and decoded back. A
+//! failure here is a format change: either
 //! undo it, or bump `JOURNAL_VERSION` / `SNAPSHOT_VERSION` and commit
 //! the bytes the failure message prints.
 //!
@@ -431,60 +431,6 @@ fn durable_fleet_state_encodes_to_its_v6_bytes() {
     )]);
 }
 
-fn fleet_snapshot() -> FleetSnapshot {
-    FleetSnapshot {
-        time_s: 12.5,
-        universe_sessions: 1,
-        universe_users: 2,
-        live_sessions: 3,
-        objective: -4.25,
-        mean_session_objective: 5.5,
-        traffic_mbps: 6.75,
-        mean_delay_ms: 7.125,
-        mean_utilization: 0.5,
-        max_utilization: 1.5,
-        admitted: 10,
-        rejected: 11,
-        departed: 12,
-        migrations: 13,
-        admission_success_rate: 0.25,
-        admission_attempts: 15,
-        admitted_enumeration: 16,
-        admitted_repair: 17,
-        admitted_fallback: 18,
-        admission_repair_steps: 19,
-        refused_user_fit: 20,
-        refused_task_fit: 21,
-        refused_global: 22,
-        conservation_violations: 23,
-        overshoot_fraction: 0.125,
-        displaced: 25,
-        readmit_queued: 26,
-        durability_degraded: true,
-        hop_candidates_bounded: 28,
-        hop_candidates_folded: 0x0102_0304_0506_0708,
-    }
-}
-
-const FLEET_SNAPSHOT_V6: &str = "\
-    0000000000002940010000000000000002000000000000000300000000000000\
-    00000000000011c000000000000016400000000000001b400000000000801c40\
-    000000000000e03f000000000000f83f0a000000000000000b00000000000000\
-    0c000000000000000d00000000000000000000000000d03f0f00000000000000\
-    1000000000000000110000000000000012000000000000001300000000000000\
-    1400000000000000150000000000000016000000000000001700000000000000\
-    000000000000c03f19000000000000001a00000000000000011c000000000000\
-    000807060504030201";
-
-#[test]
-fn fleet_snapshot_encodes_to_its_v6_bytes() {
-    assert_all(vec![check(
-        "FleetSnapshot",
-        &fleet_snapshot(),
-        FLEET_SNAPSHOT_V6,
-    )]);
-}
-
 /// Every golden encoding, mutated: bit flips, truncations and inflated
 /// `u32`s. The decoders are total — each mutant decodes or is refused
 /// with a `CodecError` — and allocate in proportion to their input.
@@ -496,7 +442,7 @@ fn no_mutation_of_a_golden_encoding_unwinds_or_over_allocates() {
     // Both outcomes occur in every sweep (a flipped payload bit is still
     // a value, a truncation never is), and wherever a record holds a
     // sequence its length prefix was caught by `Vec::decode`'s guard.
-    // The two flat blocks have no prefix to inflate.
+    // The flat counter block has no prefix to inflate.
     let both = |swept: common::Swept| {
         assert!(swept.decoded > 0 && swept.refused > 0, "{swept:?}");
         swept.oversize
@@ -509,9 +455,8 @@ fn no_mutation_of_a_golden_encoding_unwinds_or_over_allocates() {
         DURABLE_STATE_V6,
     ));
     let counters = both(swept::<CounterSnapshot>("CounterSnapshot", COUNTERS_V6));
-    let gauges = both(swept::<FleetSnapshot>("FleetSnapshot", FLEET_SNAPSHOT_V6));
     assert!(journal > 0 && state > 0);
-    assert_eq!((counters, gauges), (0, 0));
+    assert_eq!(counters, 0);
     // The guard itself, once, by name: the state opens with its growth
     // log's length.
     let mut inflated = unhex(DURABLE_STATE_V6);
