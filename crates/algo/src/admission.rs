@@ -42,7 +42,7 @@
 //! [`AdmissionStats::tier`]:
 //!
 //! 1. **Enumeration** — when the user→candidate combination count is at
-//!    most [`AdmissionConfig::combo_cap`], every combo is tried in
+//!    most `COMBO_CAP` (1 024), every combo is tried in
 //!    ascending total-fallback-depth order (the Fig. 9 monotonicity: a
 //!    larger candidate set strictly enlarges the searched space);
 //! 2. **Repair** — oversized spaces fall back to a greedy pass with
@@ -59,7 +59,7 @@
 //!
 //! * **One ranking.** [`AdmissionEngine::place_session_with`] runs
 //!   AgRank once per call (`agrank::rank_agents_into`): about 28 rounds
-//!   of the power iteration at the default ε, each a row-by-row pass
+//!   of the power iteration at AgRank's ε = 10⁻¹⁰, each a row-by-row pass
 //!   over the `n×n` walk matrix that the compiler vectorizes. The
 //!   per-user candidate lists and the task fallback order are both read
 //!   off that one ranking; under the default live neighbourhood every
@@ -172,26 +172,15 @@ pub struct AdmissionDecision {
     pub stats: AdmissionStats,
 }
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Upper bound on the user→candidate combination count the
-    /// enumeration tier will exhaust; larger spaces use greedy+repair.
-    pub combo_cap: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self { combo_cap: 1024 }
-    }
-}
+/// Upper bound on the user→candidate combination count the
+/// enumeration tier exhausts; larger spaces use greedy+repair.
+const COMBO_CAP: usize = 1024;
 
 /// The shared admission search. See the module docs.
+// Braced, not a unit struct: callers build it with
+// `AdmissionEngine::default()`, which clippy flags on a unit struct.
 #[derive(Debug, Clone, Default)]
-pub struct AdmissionEngine {
-    /// Tuning knobs.
-    pub config: AdmissionConfig,
-}
+pub struct AdmissionEngine {}
 
 /// Every buffer one admission search needs, reused across searches (see
 /// the module-level cost model). Holds no state between calls — any
@@ -272,11 +261,6 @@ struct PlacementScratch {
 }
 
 impl AdmissionEngine {
-    /// An engine with the given knobs.
-    pub fn new(config: AdmissionConfig) -> Self {
-        Self { config }
-    }
-
     /// [`place_session_with`](Self::place_session_with) on a throwaway
     /// [`AdmissionScratch`] — for one-off searches. Anything that
     /// admits in a loop should hold a scratch and call
@@ -321,6 +305,26 @@ impl AdmissionEngine {
         available: &[bool],
         eval: &mut EvalScratch,
         scratch: &mut AdmissionScratch,
+    ) -> Result<AdmissionDecision, AdmissionFailure> {
+        self.place_capped(
+            problem, s, policy, residuals, available, eval, scratch, COMBO_CAP,
+        )
+    }
+
+    /// The search behind [`AdmissionEngine::place_session_with`], with the
+    /// enumeration tier's cap as an argument: the engine passes
+    /// `COMBO_CAP`, and the tests pass 0 to force tiers 2–3.
+    #[allow(clippy::too_many_arguments)]
+    fn place_capped(
+        &self,
+        problem: &UapProblem,
+        s: SessionId,
+        policy: &AdmissionPolicy,
+        residuals: &Residuals,
+        available: &[bool],
+        eval: &mut EvalScratch,
+        scratch: &mut AdmissionScratch,
+        combo_cap: usize,
     ) -> Result<AdmissionDecision, AdmissionFailure> {
         let inst = problem.instance();
         let users = inst.session(s).users();
@@ -372,7 +376,7 @@ impl AdmissionEngine {
             .iter()
             .try_fold(1usize, |acc, _| acc.checked_mul(per_user))
             .unwrap_or(usize::MAX);
-        if combo_count <= self.config.combo_cap {
+        if combo_count <= combo_cap {
             return placement.enumerate(&search, eval);
         }
 
@@ -963,7 +967,7 @@ mod tests {
             vec![2, 5, 3],
             vec![5, 2, 1, 4],
             vec![7, 7, 7],
-            vec![2; 10],         // 1024 = the default combo_cap
+            vec![2; 10],         // 1024 = COMBO_CAP
             vec![4, 4, 4, 4, 4], // 1024
             vec![32, 32],        // 1024
             vec![1024],
@@ -992,6 +996,7 @@ mod tests {
         // The scratch carries capacity, never state: one scratch dragged
         // through every session, policy and cap decides exactly like a
         // throwaway one.
+        let engine = AdmissionEngine::default();
         let mut scratch = AdmissionScratch::default();
         let mut eval = EvalScratch::new();
         for p in [fig2_like_problem(), scarce_capacity_problem()] {
@@ -1002,10 +1007,9 @@ mod tests {
                 AdmissionPolicy::Nearest,
                 AdmissionPolicy::AgRank(AgRankConfig::paper(2)),
             ] {
-                for cap in [1024, 0] {
-                    let engine = AdmissionEngine::new(AdmissionConfig { combo_cap: cap });
+                for cap in [COMBO_CAP, 0] {
                     for s in p.instance().session_ids() {
-                        let reused = engine.place_session_with(
+                        let reused = engine.place_capped(
                             &p,
                             s,
                             &policy,
@@ -1013,9 +1017,18 @@ mod tests {
                             &available,
                             &mut eval,
                             &mut scratch,
+                            cap,
                         );
-                        let fresh =
-                            engine.place_session(&p, s, &policy, &residuals, &available, &mut eval);
+                        let fresh = engine.place_capped(
+                            &p,
+                            s,
+                            &policy,
+                            &residuals,
+                            &available,
+                            &mut eval,
+                            &mut AdmissionScratch::default(),
+                            cap,
+                        );
                         match (reused, fresh) {
                             (Ok(a), Ok(b)) => {
                                 assert_eq!(a.users, b.users);
@@ -1074,15 +1087,16 @@ mod tests {
         // then off C back to A: (A, B) again, where the walk can only
         // circle. Tier 3 tries the first choices (A, B), then u0 on C
         // and on B, and admits (B, B).
-        let engine = AdmissionEngine::new(AdmissionConfig { combo_cap: 0 });
-        let decision = engine
-            .place_session(
+        let decision = AdmissionEngine::default()
+            .place_capped(
                 &p,
                 s,
                 &AdmissionPolicy::AgRank(config),
                 &residuals,
                 &[true; 5],
                 &mut EvalScratch::new(),
+                &mut AdmissionScratch::default(),
+                0,
             )
             .expect("tier 3 admits the session on B");
         // A search that re-weighs refused placements makes this same
@@ -1180,24 +1194,69 @@ mod tests {
         );
     }
 
+    /// The engine's own cap splits the tiers: over seven live
+    /// candidates per user, a 3-user session has 7³ = 343 ≤ `COMBO_CAP`
+    /// placements and is enumerated; a 4-user one has 7⁴ = 2 401 and is
+    /// placed by repair or the ranked fallback.
+    #[test]
+    fn the_combo_cap_splits_enumeration_from_repair() {
+        let ladder = vc_model::ReprLadder::standard_four();
+        let r = ladder.by_name("360p").unwrap().id();
+        let mut b = vc_model::InstanceBuilder::new(ladder);
+        for name in ["a", "b", "c", "d", "e", "f", "g"] {
+            b.add_agent(vc_model::AgentSpec::builder(name).build());
+        }
+        for users in [3, 4] {
+            let s = b.add_session();
+            for _ in 0..users {
+                b.add_user(s, r, r);
+            }
+        }
+        b.symmetric_delays(
+            |l, k| 20.0 + 5.0 * (l as f64 - k as f64).abs(),
+            |l, u| 10.0 + ((l + u) % 7) as f64,
+        );
+        let p = UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default());
+        let residuals = Residuals::full(&p);
+        let tier = |s: u32| {
+            AdmissionEngine::default()
+                .place_session(
+                    &p,
+                    SessionId::new(s),
+                    &AdmissionPolicy::AgRank(AgRankConfig::live()),
+                    &residuals,
+                    &[true; 7],
+                    &mut EvalScratch::new(),
+                )
+                .expect("unlimited capacity admits")
+                .stats
+                .tier
+        };
+        assert_eq!(tier(0), AdmissionTier::Enumeration);
+        assert!(matches!(
+            tier(1),
+            AdmissionTier::Repair | AdmissionTier::RankedFallback
+        ));
+    }
+
     #[test]
     fn tiny_combo_cap_exercises_the_repair_and_fallback_tiers() {
         // Forcing the cap to 0 pushes every session through greedy +
         // repair (and, failing that, the ranked fallback) — the result
         // must still be a feasible full placement.
         let p = Arc::new(fig2_like_problem());
-        let engine = AdmissionEngine::new(AdmissionConfig { combo_cap: 0 });
         let residuals = Residuals::full(&p);
         let available = vec![true; p.instance().num_agents()];
-        let mut scratch = EvalScratch::new();
-        let decision = engine
-            .place_session(
+        let decision = AdmissionEngine::default()
+            .place_capped(
                 &p,
                 SessionId::new(0),
                 &AdmissionPolicy::AgRank(AgRankConfig::paper(2)),
                 &residuals,
                 &available,
-                &mut scratch,
+                &mut EvalScratch::new(),
+                &mut AdmissionScratch::default(),
+                0,
             )
             .expect("roomy instance admits through repair");
         assert!(matches!(
@@ -1276,21 +1335,20 @@ mod tests {
         // Fail the agent every user would otherwise pick first.
         let down = p.instance().delays().nearest_agent(UserId::new(0));
         available[down.index()] = false;
-        let mut scratch = EvalScratch::new();
-        // Exercise every tier: the default cap (enumeration) and a zero
+        let mut eval = EvalScratch::new();
+        // Exercise every tier: the engine's cap (enumeration) and a zero
         // cap (greedy + repair, then ranked fallback) — repair in
         // particular must never move a user onto the failed agent.
-        for engine in [
-            engine,
-            AdmissionEngine::new(AdmissionConfig { combo_cap: 0 }),
-        ] {
-            if let Ok(decision) = engine.place_session(
+        for cap in [COMBO_CAP, 0] {
+            if let Ok(decision) = engine.place_capped(
                 &p,
                 SessionId::new(0),
                 &AdmissionPolicy::AgRank(AgRankConfig::paper(3)),
                 &residuals,
                 &available,
-                &mut scratch,
+                &mut eval,
+                &mut AdmissionScratch::default(),
+                cap,
             ) {
                 for &(_, l) in decision.users.iter() {
                     assert_ne!(l, down, "placed a user on a failed agent");

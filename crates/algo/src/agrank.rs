@@ -24,6 +24,12 @@ use crate::placement;
 use vc_core::{TaskId, UapProblem};
 use vc_model::{AgentId, SessionId, UserId};
 
+/// Convergence threshold ε on `‖π[t+1] − π[t]‖₁`.
+const EPSILON: f64 = 1e-10;
+
+/// Power-iteration cap (the scheme converges in `O(−log ε)` rounds).
+const MAX_ITERS: usize = 500;
+
 /// Tuning knobs of AgRank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgRankConfig {
@@ -33,10 +39,6 @@ pub struct AgRankConfig {
     /// PageRank damping `α ∈ [0, 1]`; `1.0` is the paper's literal
     /// resource-oblivious power iteration.
     pub damping: f64,
-    /// Convergence threshold ε on `‖π[t+1] − π[t]‖₁`.
-    pub epsilon: f64,
-    /// Iteration cap (the scheme converges in `O(−log ε)` iterations).
-    pub max_iters: usize,
 }
 
 impl AgRankConfig {
@@ -54,8 +56,6 @@ impl AgRankConfig {
         Self {
             n_ngbr,
             damping: 0.85,
-            epsilon: 1e-10,
-            max_iters: 500,
         }
     }
 
@@ -470,7 +470,7 @@ fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut
     next.clear();
     next.resize(n, 0.0);
     *iterations = 0;
-    for _ in 0..config.max_iters {
+    for _ in 0..MAX_ITERS {
         *iterations += 1;
         next.fill(0.0);
         for (&p, row) in pi.iter().zip(w.chunks_exact(n)) {
@@ -488,7 +488,7 @@ fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut
         }
         let delta: f64 = pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(pi, next);
-        if delta < config.epsilon {
+        if delta < EPSILON {
             break;
         }
     }
@@ -687,7 +687,7 @@ mod tests {
         let mut pi = pi0.to_vec();
         let mut next = vec![0.0; n];
         let mut iterations = 0;
-        for _ in 0..config.max_iters {
+        for _ in 0..MAX_ITERS {
             iterations += 1;
             next.fill(0.0);
             for i in 0..n {
@@ -704,7 +704,7 @@ mod tests {
             }
             let delta: f64 = pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
             std::mem::swap(&mut pi, &mut next);
-            if delta < config.epsilon {
+            if delta < EPSILON {
                 break;
             }
         }

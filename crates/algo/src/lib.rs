@@ -33,8 +33,8 @@ pub mod nearest;
 pub mod placement;
 
 pub use admission::{
-    admit_all, AdmissionConfig, AdmissionDecision, AdmissionDiagnostics, AdmissionEngine,
-    AdmissionFailure, AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmissionTier,
+    admit_all, AdmissionDecision, AdmissionDiagnostics, AdmissionEngine, AdmissionFailure,
+    AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmissionTier,
 };
 pub use agrank::{AgRankConfig, AgentRanking};
 pub use brute_force::Enumeration;

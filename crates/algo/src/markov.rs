@@ -664,25 +664,6 @@ impl Alg1Engine {
         }
     }
 
-    /// Stable Gibbs sampling over {stay} ∪ candidates: exponent_i =
-    /// ½β(Φ_now − Φ_i), stay has exponent 0. Returns the chosen index
-    /// (0 = stay, `i > 0` = `phis[i − 1]`). `weights` is a reusable
-    /// buffer; one `rng.gen::<f64>()` is consumed. This is the
-    /// [step](Self::gibbs_step)'s sampler over a fully resolved list of
-    /// finite `phis`.
-    pub fn gibbs_select<R: Rng + ?Sized>(
-        &self,
-        beta: f64,
-        phi_now: f64,
-        phis: &[f64],
-        weights: &mut Vec<f64>,
-        rng: &mut R,
-    ) -> usize {
-        weights.clear();
-        weights.extend_from_slice(phis);
-        sample(beta, phi_now, weights, |_| true, rng)
-    }
-
     /// Runs the full asynchronous algorithm over all active sessions for
     /// `duration_s` simulated seconds: every session waits an exponential
     /// countdown and hops, hops being serialized (the FREEZE semantics).
@@ -1726,17 +1707,16 @@ mod tests {
         assert_eq!(scratch.candidates.folded, 0);
     }
 
-    /// `gibbs_select` is the step's sampler over a resolved list: it
-    /// matches the eager sampler draw for draw.
+    /// The step's sampler over a fully resolved list matches the eager
+    /// sampler draw for draw.
     #[test]
     fn gibbs_select_matches_the_eager_sampler() {
-        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
         let phis = [100.0, 99.999, 100.004, 250.0, 98.5, 1e12];
-        let mut buf = Vec::new();
         for beta in [0.0, 1.0, 400.0] {
             for k in 0..64 {
                 let u = k as f64 / 64.0;
-                let got = engine.gibbs_select(beta, 100.0, &phis, &mut buf, &mut Scripted(vec![u]));
+                let mut weights = phis.to_vec();
+                let got = sample(beta, 100.0, &mut weights, |_| true, &mut Scripted(vec![u]));
                 let want = eager_gibbs_select(beta, 100.0, &phis, &mut Scripted(vec![u]));
                 assert_eq!(got, want, "β = {beta}, u = {u}");
             }

@@ -20,6 +20,9 @@
 //! (flag, admitted fraction, violation count) that differs in *either*
 //! direction exits non-zero, every clock reading is printed with its
 //! ratio to the committed one and never fails (see `vc_bench::check`).
+//! With more than one id, `check` runs each in a process of its own
+//! (this binary, as `check <id>` with the same flags), so no
+//! experiment's clock readings inherit the heap another left behind.
 //! Wall-clock numbers are gated by `fleetbench` alone.
 //! An unknown experiment id prints the valid ids and exits with
 //! status 2 (asserted in CI), so a typo in an automation script fails
@@ -420,6 +423,38 @@ fn run_checks(opts: &Options) -> usize {
     failed
 }
 
+/// `check` over several ids: each id in a fresh process of this
+/// binary, with the same flags. Returns the number of failed ids.
+fn run_checks_apart(opts: &Options) -> usize {
+    let exe = std::env::current_exe().expect("the running binary's path");
+    let mut flags = vec![
+        "--seed".to_string(),
+        opts.seed.to_string(),
+        "--duration".to_string(),
+        opts.duration_s.to_string(),
+    ];
+    if let Some(n) = opts.scenarios {
+        flags.extend(["--scenarios".to_string(), n.to_string()]);
+    }
+    let mut failed = 0usize;
+    for id in &opts.ids {
+        let status = std::process::Command::new(&exe)
+            .args(["check", id.as_str()])
+            .args(&flags)
+            .status();
+        match status {
+            Ok(status) if status.success() => {}
+            Ok(status) if status.code() == Some(2) => std::process::exit(2),
+            Ok(_) => failed += 1,
+            Err(e) => {
+                eprintln!("check {id}: cannot start {}: {e}", exe.display());
+                failed += 1;
+            }
+        }
+    }
+    failed
+}
+
 fn main() {
     // Surface the counting allocator through vc-obs so every consumer
     // (hop_bench, admission_parity, obs JSON exports) reads the same
@@ -427,7 +462,11 @@ fn main() {
     vc_obs::register_alloc_counter(alloc_count);
     let opts = parse_args();
     if opts.check {
-        let failed = run_checks(&opts);
+        let failed = if opts.ids.len() > 1 {
+            run_checks_apart(&opts)
+        } else {
+            run_checks(&opts)
+        };
         if failed > 0 {
             eprintln!("\n{failed} check(s) failed");
             std::process::exit(1);

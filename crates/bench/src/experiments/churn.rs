@@ -75,7 +75,6 @@ pub fn run(duration_s: f64, seed: u64) -> ChurnRun {
                 readmit: None,
             },
             seed,
-            ..OrchestratorConfig::default()
         },
     );
     let report = orchestrator.run_trace(&trace, duration_s);

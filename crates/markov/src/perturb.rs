@@ -65,16 +65,9 @@ impl NoiseSpec {
         self.delta
     }
 
-    /// `δ_f(β) = Σ_j η_j · exp(β·jΔ/n)` — the distortion factor of Eq. (11).
-    ///
-    /// May overflow to `∞` for very large `β·Δ`; prefer
-    /// [`log_delta_factor`](Self::log_delta_factor) in that regime.
-    pub fn delta_factor(&self, beta: f64) -> f64 {
-        self.log_delta_factor(beta).exp()
-    }
-
-    /// `log δ_f(β)`, computed stably (log-sum-exp with max shift), so very
-    /// large `β·Δ` products stay finite.
+    /// `log δ_f(β)`, the log of Eq. (11)'s distortion factor
+    /// `δ_f(β) = Σ_j η_j · exp(β·jΔ/n)`, computed stably (log-sum-exp
+    /// with max shift), so very large `β·Δ` products stay finite.
     pub fn log_delta_factor(&self, beta: f64) -> f64 {
         let terms: Vec<(f64, f64)> = (-self.levels..=self.levels)
             .filter_map(|j| {
@@ -222,14 +215,6 @@ mod tests {
         assert!(perturbed[0] > clean[0]);
         let z: f64 = perturbed.iter().sum();
         assert!((z - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_factor_properties() {
-        let n = NoiseSpec::uniform(1.0, 2);
-        assert!((n.delta_factor(0.0) - 1.0).abs() < 1e-12);
-        // Convexity of exp: symmetric noise inflates δ above 1.
-        assert!(n.delta_factor(3.0) > 1.0);
     }
 
     #[test]

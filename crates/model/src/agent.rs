@@ -38,11 +38,6 @@ impl Capacity {
             transcode_slots,
         }
     }
-
-    /// Whether all three components are non-negative (infinite allowed).
-    pub fn is_valid(&self) -> bool {
-        self.upload_mbps >= 0.0 && self.download_mbps >= 0.0
-    }
 }
 
 impl Default for Capacity {
@@ -295,12 +290,5 @@ mod tests {
                 "{err}"
             );
         }
-    }
-
-    #[test]
-    fn capacity_validity() {
-        assert!(Capacity::UNLIMITED.is_valid());
-        assert!(Capacity::new(0.0, 0.0, 0).is_valid());
-        assert!(!Capacity::new(-1.0, 0.0, 0).is_valid());
     }
 }

@@ -64,21 +64,6 @@ impl TimeSeries {
             .map(|&(_, v)| v)
     }
 
-    /// Mean value over samples with `time ∈ [from, to]`.
-    pub fn mean_between(&self, from: f64, to: f64) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t <= to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
     /// Values only (dropping timestamps).
     pub fn values(&self) -> Vec<f64> {
         self.points.iter().map(|&(_, v)| v).collect()
@@ -99,8 +84,6 @@ mod tests {
         assert_eq!(ts.first_value(), Some(10.0));
         assert_eq!(ts.last_value(), Some(30.0));
         assert_eq!(ts.value_at(1.2), Some(20.0));
-        assert_eq!(ts.mean_between(0.5, 2.5), Some(25.0));
-        assert_eq!(ts.mean_between(5.0, 6.0), None);
     }
 
     #[test]

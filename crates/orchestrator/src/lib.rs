@@ -128,7 +128,7 @@ pub use persist::{
     CounterSnapshot, DurableFleetState, EvacStep, FleetOp, GrowthRecord, PersistConfig,
     PersistError, RecoveryReport, RefusalReason,
 };
-pub use readmit::{backoff_us, ReadmitConfig, ReadmitEntry};
+pub use readmit::{backoff_us, ReadmitConfig, ReadmitEntry, BASE_BACKOFF_US};
 pub use sched::{CompleteOutcome, PoppedTimer, ShardedQueue};
 pub use telemetry::{fleet_metrics_text, sched_metrics_text, FleetSnapshot, FleetTelemetry};
 pub use workers::{ReoptPool, TimerEntry};

@@ -1,6 +1,8 @@
 //! The trace-driven orchestrator: consumes a [`FleetTrace`], drives the
 //! fleet and its re-optimization workers through virtual time, and
-//! samples telemetry once per period.
+//! samples telemetry once per virtual second. A run without
+//! re-optimization is one whose countdowns never end: a
+//! `FleetConfig::alg1` mean countdown far past the horizon.
 
 use crate::fleet::{AdmitError, Fleet, FleetConfig};
 use crate::telemetry::{FleetSnapshot, FleetTelemetry};
@@ -9,28 +11,23 @@ use std::sync::Arc;
 use vc_core::UapProblem;
 use vc_model::{FleetEvent, FleetTrace};
 
+/// Telemetry sampling period (virtual seconds).
+const SAMPLE_PERIOD_S: f64 = 1.0;
+
 /// Orchestrator-level configuration.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
     /// Fleet (placement + Alg. 1 + ledger) parameters.
     pub fleet: FleetConfig,
-    /// Telemetry sampling period (virtual seconds).
-    pub sample_period_s: f64,
     /// Worker-pool seed.
     pub seed: u64,
-    /// When `false`, the worker pool never runs — sessions keep their
-    /// bootstrap placement (the baseline every re-optimization result is
-    /// measured against).
-    pub reoptimize: bool,
 }
 
 impl Default for OrchestratorConfig {
     fn default() -> Self {
         Self {
             fleet: FleetConfig::default(),
-            sample_period_s: 1.0,
             seed: 2015,
-            reoptimize: true,
         }
     }
 }
@@ -53,16 +50,14 @@ pub struct FleetReport {
 pub struct Orchestrator {
     fleet: Arc<Fleet>,
     pool: Arc<ReoptPool>,
-    config: OrchestratorConfig,
 }
 
 impl Orchestrator {
     /// Builds the control plane over `problem`.
     pub fn new(problem: Arc<UapProblem>, config: OrchestratorConfig) -> Self {
         Self {
-            fleet: Arc::new(Fleet::new(problem, config.fleet.clone())),
+            fleet: Arc::new(Fleet::new(problem, config.fleet)),
             pool: Arc::new(ReoptPool::new(config.seed)),
-            config,
         }
     }
 
@@ -83,9 +78,7 @@ impl Orchestrator {
         match event {
             FleetEvent::Arrive(s) => {
                 self.fleet.admit(s)?;
-                if self.config.reoptimize {
-                    self.pool.register(&self.fleet, s, t_s);
-                }
+                self.pool.register(&self.fleet, s, t_s);
                 Ok(())
             }
             FleetEvent::Depart(s) => {
@@ -106,7 +99,7 @@ impl Orchestrator {
 
     /// Runs the trace to `horizon_s`: events in time order, worker
     /// wakeups interleaved at their due times, telemetry sampled every
-    /// period. Returns the full report.
+    /// virtual second. Returns the full report.
     ///
     /// # Panics
     ///
@@ -120,9 +113,7 @@ impl Orchestrator {
         let mut next_sample = 0.0f64;
         // One catch-up step: tick to `t`, sample there, require conservation.
         let mut sample_at = |t: f64| {
-            if self.config.reoptimize {
-                self.pool.tick_until(&self.fleet, t);
-            }
+            self.pool.tick_until(&self.fleet, t);
             let snap = telemetry.sample(&self.fleet, t);
             assert_eq!(
                 snap.conservation_violations,
@@ -137,11 +128,9 @@ impl Orchestrator {
             // Samples due strictly before t.
             while next_sample < t {
                 sample_at(next_sample);
-                next_sample += self.config.sample_period_s;
+                next_sample += SAMPLE_PERIOD_S;
             }
-            if self.config.reoptimize {
-                self.pool.tick_until(&self.fleet, t);
-            }
+            self.pool.tick_until(&self.fleet, t);
             if let Err(e) = self.apply_event(t, event) {
                 rejections.push((t, e));
             }
@@ -150,7 +139,7 @@ impl Orchestrator {
         // samples t = horizon exactly once.
         while next_sample < horizon_s - 1e-9 {
             sample_at(next_sample);
-            next_sample += self.config.sample_period_s;
+            next_sample += SAMPLE_PERIOD_S;
         }
         let final_snapshot = sample_at(horizon_s);
         FleetReport {

@@ -6,8 +6,8 @@
 //! ## Determinism contract
 //!
 //! Every backoff interval is a **pure function** of
-//! `(seed, session, epoch, attempt)` — the same four-integer recipe the
-//! WAIT timers use (`workers::draw_rng`), on its own RNG stream. There
+//! `(seed, session, epoch, attempt)`, seeded by the WAIT timers' own
+//! per-draw generator (`workers::draw_rng`) on its own RNG stream. There
 //! is no hidden RNG state: a queue entry is four integers, so the
 //! persistence layer journals enqueues/drops as explicit ops and a
 //! crash-recovered queue resumes bit-for-bit — same due times, same
@@ -22,9 +22,13 @@
 //! self-healing must never become an unbounded retry storm against a
 //! fleet that is already refusing work.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use crate::workers::draw_rng;
+use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use vc_model::SessionId;
+
+/// The backoff floor (µs): every retry waits at least half a second.
+pub const BASE_BACKOFF_US: u64 = 500_000;
 
 /// Re-admission queue tuning. `None` in [`crate::FleetConfig::readmit`]
 /// disables the queue entirely (displacement falls back to forced
@@ -33,10 +37,8 @@ use vc_model::SessionId;
 pub struct ReadmitConfig {
     /// Maximum queued sessions; an enqueue past this drops the session.
     pub capacity: usize,
-    /// Backoff floor (virtual seconds) — every retry waits at least
-    /// this long.
-    pub base_backoff_s: f64,
-    /// Backoff ceiling (virtual seconds).
+    /// Backoff ceiling (virtual seconds); never below
+    /// [`BASE_BACKOFF_US`].
     pub cap_backoff_s: f64,
     /// Retry budget per epoch: an entry failing its
     /// `max_attempts`-th admission attempt is dropped.
@@ -50,7 +52,6 @@ impl Default for ReadmitConfig {
     fn default() -> Self {
         Self {
             capacity: 256,
-            base_backoff_s: 0.5,
             cap_backoff_s: 30.0,
             max_attempts: 8,
             seed: 2015,
@@ -80,12 +81,13 @@ pub struct ReadmitEntry {
 const STREAM_READMIT: u64 = 2;
 
 /// The decorrelated-jitter backoff before attempt `attempt` of
-/// `(session, epoch)`: uniform in `[base, min(cap, base·3^attempt)]`,
+/// `(session, epoch)`: uniform in `[base, min(cap, base·3^attempt)]`
+/// with `base` = [`BASE_BACKOFF_US`],
 /// in integer microseconds. Pure in `(seed, session, epoch, attempt)` —
 /// no call-order or wall-clock dependence — which is exactly what lets
 /// replay reconstruct the schedule without journaling each draw.
 pub fn backoff_us(cfg: &ReadmitConfig, session: SessionId, epoch: u64, attempt: u32) -> u64 {
-    let base = (cfg.base_backoff_s.max(0.0) * 1e6) as u64;
+    let base = BASE_BACKOFF_US;
     let cap = ((cfg.cap_backoff_s.max(0.0) * 1e6) as u64).max(base);
     // Saturating 3^attempt keeps deep retries pinned at the cap instead
     // of wrapping back to short waits.
@@ -98,12 +100,7 @@ pub fn backoff_us(cfg: &ReadmitConfig, session: SessionId, epoch: u64, attempt: 
         }
     }
     let ceil = ceil.clamp(base, cap);
-    let mut x = cfg.seed;
-    x ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(session.index() as u64 + 1);
-    x ^= 0xd1b5_4a32_d192_ed03u64.wrapping_mul(epoch.wrapping_add(1));
-    x ^= 0x94d0_49bb_1331_11ebu64.wrapping_mul(u64::from(attempt).wrapping_add(1));
-    x ^= 0xbf58_476d_1ce4_e5b9u64.wrapping_mul(STREAM_READMIT.wrapping_add(1));
-    let mut rng = StdRng::seed_from_u64(x);
+    let mut rng = draw_rng(cfg.seed, session, epoch, u64::from(attempt), STREAM_READMIT);
     if ceil == base {
         base
     } else {
@@ -145,7 +142,7 @@ mod tests {
         let a = backoff_us(&cfg, s, 3, 2);
         let b = backoff_us(&cfg, s, 3, 2);
         assert_eq!(a, b, "same inputs, same backoff");
-        let base = (cfg.base_backoff_s * 1e6) as u64;
+        let base = BASE_BACKOFF_US;
         let cap = (cfg.cap_backoff_s * 1e6) as u64;
         for attempt in 0..12 {
             let d = backoff_us(&cfg, s, 3, attempt);

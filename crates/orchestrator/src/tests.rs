@@ -792,22 +792,30 @@ fn trace_run_reoptimization_beats_nearest_bootstrap() {
             ..DynamicTraceConfig::default()
         },
     );
-    let run = |placement: PlacementPolicy, reoptimize: bool| {
+    let run = |placement: PlacementPolicy, mean_countdown_s: f64| {
         let mut orch = Orchestrator::new(
             problem.clone(),
             OrchestratorConfig {
                 fleet: FleetConfig {
                     placement,
+                    alg1: Alg1Config {
+                        mean_countdown_s,
+                        ..Alg1Config::default()
+                    },
                     ..FleetConfig::default()
                 },
-                reoptimize,
                 ..OrchestratorConfig::default()
             },
         );
         orch.run_trace(&trace, 120.0)
     };
-    let baseline = run(PlacementPolicy::Nearest, false);
-    let optimized = run(PlacementPolicy::AgRank(AgRankConfig::paper(3)), true);
+    // The bootstrap-only baseline: a countdown that never ends.
+    let baseline = run(PlacementPolicy::Nearest, 1e9);
+    let optimized = run(
+        PlacementPolicy::AgRank(AgRankConfig::paper(3)),
+        Alg1Config::default().mean_countdown_s,
+    );
+    assert_eq!(baseline.hops_executed, 0);
     assert_eq!(baseline.final_snapshot.admitted, 6);
     assert_eq!(optimized.final_snapshot.admitted, 6);
     assert!(optimized.hops_executed > 0);

@@ -64,7 +64,7 @@ const STREAM_HOP: u64 = 1;
 /// The deterministic per-draw generator: everything that identifies
 /// the draw is mixed into the seed, so the stream is reconstructible
 /// from a [`TimerEntry`] alone.
-fn draw_rng(seed: u64, s: SessionId, epoch: u64, draws: u64, stream: u64) -> StdRng {
+pub(crate) fn draw_rng(seed: u64, s: SessionId, epoch: u64, draws: u64, stream: u64) -> StdRng {
     let mut x = seed;
     x ^= 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(s.index() as u64 + 1);
     x ^= 0xd1b5_4a32_d192_ed03u64.wrapping_mul(epoch.wrapping_add(1));

@@ -3,14 +3,14 @@
 //! Replaces the paper's C++/OpenCV prototype testbed (Sec. V-A): it runs
 //! Alg. 1's per-session WAIT/HOP loops in simulated continuous time with
 //! FREEZE-serialized migrations, injects session arrivals/departures,
-//! accounts migration overhead (the dual-feed trick the prototype uses to
-//! avoid frozen frames), and samples the two reported metrics — total
-//! inter-agent traffic and mean conferencing delay — once per simulated
-//! second, producing exactly the time series plotted in Figs. 4–7.
+//! and samples the two reported metrics — total inter-agent traffic and
+//! mean conferencing delay — once per simulated second, producing
+//! exactly the time series plotted in Figs. 4–7.
 //!
 //! A frame-level streaming simulator ([`streaming`]) reproduces the
-//! migration-interruption micro-experiment: 2–3 frozen frames at 30 fps
-//! without dual-feed, zero with it, at ~13 Kb of redundant traffic.
+//! migration-interruption micro-experiment and prices a migration: 2–3
+//! frozen frames at 30 fps without dual-feed, zero with it, at ~13 Kb
+//! of redundant traffic per switch.
 //!
 //! The runtime is the deterministic discrete-event [`ConferenceSim`]
 //! over a closed world: it injects no agent failures — failures,
@@ -23,10 +23,8 @@
 
 mod event;
 pub mod metrics;
-pub mod migration;
 mod runtime;
 pub mod streaming;
 
 pub use metrics::BoxStats;
-pub use migration::{MigrationModel, MigrationStats};
 pub use runtime::{ArrivalPolicy, ConferenceSim, DynamicsEvent, HopRecord, SimConfig, SimReport};

@@ -8,16 +8,16 @@
 //! from an earlier registration, so a session runs one countdown chain;
 //! departures release resources. Metrics are sampled once per simulated
 //! second, matching the prototype's reporting. Agents never fail here;
-//! failures run on `vc-orchestrator`'s fleet.
+//! failures run on `vc-orchestrator`'s fleet. A run without Alg. 1 is
+//! one whose countdowns never end: a mean countdown far past the
+//! horizon.
 
 use crate::event::{Event, EventQueue};
-use crate::migration::{MigrationModel, MigrationStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use vc_algo::agrank::{self, AgRankConfig, Residuals};
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome, HopScratch};
-use vc_core::{SystemState, UapProblem};
+use vc_core::SystemState;
 use vc_model::{SessionId, TimeSeries};
 
 /// How an arriving session is bootstrapped.
@@ -30,35 +30,30 @@ pub enum ArrivalPolicy {
     AgRank(AgRankConfig),
 }
 
+/// Metric sampling interval (s): one sample per simulated second, as
+/// the prototype reported.
+const SAMPLE_INTERVAL_S: f64 = 1.0;
+
 /// Simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Alg. 1 parameters (β, countdown, measurement noise).
     pub alg1: Alg1Config,
-    /// Whether Alg. 1 runs at all (off = static baseline).
-    pub optimize: bool,
-    /// Metric sampling interval (s).
-    pub sample_interval_s: f64,
     /// Simulated duration (s).
     pub duration_s: f64,
     /// RNG seed (the simulation is fully deterministic given the seed).
     pub seed: u64,
-    /// Migration overhead model.
-    pub migration: MigrationModel,
     /// Bootstrap policy for dynamic arrivals.
     pub arrival_policy: ArrivalPolicy,
 }
 
 impl SimConfig {
-    /// The prototype setup: β = 400, 10 s mean countdown, 1 s sampling.
+    /// The prototype setup: β = 400, 10 s mean countdown.
     pub fn paper_default(duration_s: f64, seed: u64) -> Self {
         Self {
             alg1: Alg1Config::paper(400.0),
-            optimize: true,
-            sample_interval_s: 1.0,
             duration_s,
             seed,
-            migration: MigrationModel::default(),
             arrival_policy: ArrivalPolicy::Preset,
         }
     }
@@ -99,14 +94,6 @@ pub struct SimReport {
     pub per_session_delay: Vec<TimeSeries>,
     /// Executed hops in time order.
     pub hops: Vec<HopRecord>,
-    /// Migration overhead totals.
-    pub migrations: MigrationStats,
-    /// Final objective value.
-    pub final_objective: f64,
-    /// Final traffic (Mbps).
-    pub final_traffic_mbps: f64,
-    /// Final mean delay (ms).
-    pub final_delay_ms: f64,
     /// The final system state.
     pub final_state: SystemState,
 }
@@ -137,36 +124,26 @@ impl ConferenceSim {
     }
 
     /// Runs to completion and reports.
-    pub fn run(mut self) -> SimReport {
-        let problem: Arc<UapProblem> = self.state.problem().clone();
-        let num_sessions = problem.instance().num_sessions();
-        let engine = Alg1Engine::new(self.config.alg1.clone());
+    pub fn run(self) -> SimReport {
+        let Self {
+            state,
+            config,
+            dynamics,
+        } = self;
+        let num_sessions = state.problem().instance().num_sessions();
+        let engine = Alg1Engine::new(config.alg1.clone());
         let mut scratch = HopScratch::new();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut rng = StdRng::seed_from_u64(config.seed);
         let mut queue = EventQueue::new();
         // Per session, how many times it has arrived: its wakes carry
         // the epoch they were drawn in.
         let mut epochs = vec![0u32; num_sessions];
-        let mut report = SimReport {
-            traffic: TimeSeries::new(),
-            delay: TimeSeries::new(),
-            per_session_traffic: vec![TimeSeries::new(); num_sessions],
-            per_session_delay: vec![TimeSeries::new(); num_sessions],
-            hops: Vec::new(),
-            migrations: MigrationStats::default(),
-            final_objective: 0.0,
-            final_traffic_mbps: 0.0,
-            final_delay_ms: 0.0,
-            final_state: self.state.clone(),
-        };
 
         queue.schedule(0.0, Event::Sample);
-        if self.config.optimize {
-            for s in self.state.active_sessions().collect::<Vec<_>>() {
-                queue.schedule(engine.next_countdown(&mut rng), Event::Wake(s, 0));
-            }
+        for s in state.active_sessions() {
+            queue.schedule(engine.next_countdown(&mut rng), Event::Wake(s, 0));
         }
-        for d in &self.dynamics {
+        for d in &dynamics {
             queue.schedule(
                 d.time_s,
                 if d.arrives {
@@ -177,29 +154,32 @@ impl ConferenceSim {
             );
         }
 
+        // The run's state lives in the report; it is final once the
+        // queue passes the horizon.
+        let mut report = SimReport {
+            traffic: TimeSeries::new(),
+            delay: TimeSeries::new(),
+            per_session_traffic: vec![TimeSeries::new(); num_sessions],
+            per_session_delay: vec![TimeSeries::new(); num_sessions],
+            hops: Vec::new(),
+            final_state: state,
+        };
         while let Some((t, event)) = queue.pop() {
-            if t > self.config.duration_s {
+            if t > config.duration_s {
                 break;
             }
+            let state = &mut report.final_state;
             match event {
                 Event::Sample => {
-                    self.sample(t, &mut report);
-                    let next = t + self.config.sample_interval_s;
-                    if next <= self.config.duration_s {
+                    report.sample(t);
+                    let next = t + SAMPLE_INTERVAL_S;
+                    if next <= config.duration_s {
                         queue.schedule(next, Event::Sample);
                     }
                 }
                 Event::Wake(s, epoch) => {
-                    if epoch == epochs[s.index()] && self.state.is_active(s) {
-                        let outcome =
-                            engine.hop_scratch(&mut self.state, s, &mut rng, &mut scratch);
-                        if let HopOutcome::Migrated(decision) = outcome {
-                            self.config.migration.record(
-                                &self.state,
-                                decision,
-                                &mut report.migrations,
-                            );
-                        }
+                    if epoch == epochs[s.index()] && state.is_active(s) {
+                        let outcome = engine.hop_scratch(state, s, &mut rng, &mut scratch);
                         report.hops.push(HopRecord {
                             time_s: t,
                             session: s,
@@ -209,54 +189,51 @@ impl ConferenceSim {
                     }
                 }
                 Event::Arrive(s) => {
-                    self.bootstrap_arrival(s);
-                    self.state.activate(s);
+                    bootstrap_arrival(state, &config.arrival_policy, s);
+                    state.activate(s);
                     let epoch = &mut epochs[s.index()];
                     *epoch += 1;
-                    if self.config.optimize {
-                        let wake = Event::Wake(s, *epoch);
-                        queue.schedule(t + engine.next_countdown(&mut rng), wake);
-                    }
+                    let wake = Event::Wake(s, *epoch);
+                    queue.schedule(t + engine.next_countdown(&mut rng), wake);
                 }
                 Event::Depart(s) => {
-                    self.state.deactivate(s);
+                    state.deactivate(s);
                 }
             }
         }
-
-        report.final_objective = self.state.objective();
-        report.final_traffic_mbps = self.state.total_traffic_mbps();
-        report.final_delay_ms = self.state.mean_delay_ms();
-        report.final_state = self.state;
         report
     }
+}
 
-    fn sample(&self, t: f64, report: &mut SimReport) {
-        report.traffic.push(t, self.state.total_traffic_mbps());
-        report.delay.push(t, self.state.mean_delay_ms());
-        for s in self.state.problem().instance().session_ids() {
-            if self.state.is_active(s) {
-                let load = self.state.session_load(s);
-                report.per_session_traffic[s.index()].push(t, load.total_ingress_mbps());
+impl SimReport {
+    /// Samples the reported metrics of the run's state at `t`.
+    fn sample(&mut self, t: f64) {
+        let state = &self.final_state;
+        self.traffic.push(t, state.total_traffic_mbps());
+        self.delay.push(t, state.mean_delay_ms());
+        for s in state.problem().instance().session_ids() {
+            if state.is_active(s) {
+                let load = state.session_load(s);
+                self.per_session_traffic[s.index()].push(t, load.total_ingress_mbps());
                 let d = if load.user_delay.is_empty() {
                     0.0
                 } else {
                     load.user_delay.iter().sum::<f64>() / load.user_delay.len() as f64
                 };
-                report.per_session_delay[s.index()].push(t, d);
+                self.per_session_delay[s.index()].push(t, d);
             }
         }
     }
+}
 
-    fn bootstrap_arrival(&mut self, s: SessionId) {
-        let problem = self.state.problem().clone();
-        match &self.config.arrival_policy {
-            ArrivalPolicy::Preset => {}
-            ArrivalPolicy::AgRank(config) => {
-                let residuals = Residuals::from_totals(&problem, self.state.totals());
-                let sa = agrank::assign_session(&problem, s, &residuals, config);
-                self.state.reassign_session(s, &sa.users, &sa.tasks);
-            }
+fn bootstrap_arrival(state: &mut SystemState, policy: &ArrivalPolicy, s: SessionId) {
+    match policy {
+        ArrivalPolicy::Preset => {}
+        ArrivalPolicy::AgRank(config) => {
+            let problem = state.problem().clone();
+            let residuals = Residuals::from_totals(&problem, state.totals());
+            let sa = agrank::assign_session(&problem, s, &residuals, config);
+            state.reassign_session(s, &sa.users, &sa.tasks);
         }
     }
 }
@@ -264,8 +241,9 @@ impl ConferenceSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use vc_algo::nearest::nearest_assignment;
-    use vc_core::Assignment;
+    use vc_core::{Assignment, UapProblem};
     use vc_cost::CostModel;
     use vc_model::{AgentId, AgentSpec, InstanceBuilder, ReprLadder};
     use vc_workloads::{prototype_instance, PrototypeConfig};
@@ -299,6 +277,14 @@ mod tests {
         SystemState::new(p.clone(), nearest_assignment(p))
     }
 
+    /// The paper's setup without Alg. 1: a countdown that outlasts any
+    /// horizon here, so no session ever hops.
+    fn without_alg1(duration_s: f64, seed: u64) -> SimConfig {
+        let mut config = SimConfig::paper_default(duration_s, seed);
+        config.alg1.mean_countdown_s = 1e9;
+        config
+    }
+
     #[test]
     fn run_samples_at_every_second() {
         let p = problem();
@@ -318,22 +304,12 @@ mod tests {
         config.alg1.beta = 1000.0;
         config.alg1.mean_countdown_s = 2.0;
         let report = ConferenceSim::new(initial_state(&p), config).run();
+        let end_obj = report.final_state.objective();
         assert!(
-            report.final_objective < start_obj,
-            "no improvement: {start_obj} → {}",
-            report.final_objective
+            end_obj < start_obj,
+            "no improvement: {start_obj} → {end_obj}"
         );
         assert!(!report.hops.is_empty());
-    }
-
-    #[test]
-    fn disabled_optimizer_is_static() {
-        let p = problem();
-        let mut config = SimConfig::paper_default(20.0, 3);
-        config.optimize = false;
-        let report = ConferenceSim::new(initial_state(&p), config).run();
-        assert!(report.hops.is_empty());
-        assert_eq!(report.traffic.first_value(), report.traffic.last_value());
     }
 
     #[test]
@@ -343,9 +319,7 @@ mod tests {
         // session 0 departs at t = 20.
         let asg = nearest_assignment(&p);
         let state = SystemState::with_active(p.clone(), asg, vec![true, false]);
-        let mut config = SimConfig::paper_default(30.0, 5);
-        config.optimize = false;
-        let report = ConferenceSim::new(state, config)
+        let report = ConferenceSim::new(state, without_alg1(30.0, 5))
             .with_dynamics(vec![
                 DynamicsEvent {
                     time_s: 10.0,
@@ -381,8 +355,7 @@ mod tests {
             session: SessionId::new(1),
             arrives: true,
         }];
-        let mut config = SimConfig::paper_default(10.0, 9);
-        config.optimize = false;
+        let mut config = without_alg1(10.0, 9);
         config.arrival_policy = ArrivalPolicy::AgRank(AgRankConfig::paper(3));
         let agrank_run = ConferenceSim::new(state.clone(), config.clone())
             .with_dynamics(arrive.clone())
@@ -449,27 +422,6 @@ mod tests {
                 "seed {seed}: session 0 hopped {} times, the others {others:.0} on average",
                 hops[0]
             );
-        }
-    }
-
-    #[test]
-    fn migration_stats_accumulate() {
-        let p = problem();
-        let mut config = SimConfig::paper_default(200.0, 11);
-        config.alg1.beta = 1000.0;
-        config.alg1.mean_countdown_s = 2.0;
-        let report = ConferenceSim::new(initial_state(&p), config).run();
-        let migrated = report
-            .hops
-            .iter()
-            .filter(|h| matches!(h.outcome, HopOutcome::Migrated(_)))
-            .count();
-        assert_eq!(
-            migrated,
-            report.migrations.user_migrations + report.migrations.task_migrations
-        );
-        if report.migrations.user_migrations > 0 {
-            assert!(report.migrations.redundant_kb > 0.0);
         }
     }
 }

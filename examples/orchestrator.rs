@@ -112,26 +112,25 @@ fn comparison_demo(serve: Option<&str>) {
         trace.count(|e| matches!(e, FleetEvent::FailAgent(_))),
     );
 
-    let run = |label: &str, placement: PlacementPolicy, reoptimize: bool| -> FleetReport {
+    // The baseline runs no Alg. 1: its countdowns outlast the horizon.
+    let run = |label: &str, placement: PlacementPolicy, alg1: bool| -> FleetReport {
         let mut orchestrator = cloud_vc::orchestrator::Orchestrator::new(
             problem.clone(),
             OrchestratorConfig {
                 fleet: FleetConfig {
                     placement,
                     alg1: Alg1Config {
-                        mean_countdown_s: 5.0,
+                        mean_countdown_s: if alg1 { 5.0 } else { 1e9 },
                         ..Alg1Config::paper(400.0)
                     },
                     ..FleetConfig::default()
                 },
-                sample_period_s: 1.0,
                 seed: 2015,
-                reoptimize,
             },
         );
         // The scrape endpoint serves the *orchestrated* fleet (the one
         // that records), live for the duration of the run.
-        let server = if reoptimize {
+        let server = if alg1 {
             serve.map(|addr| {
                 let fleet = Arc::clone(orchestrator.fleet());
                 let pool = Arc::clone(orchestrator.pool());
@@ -209,7 +208,7 @@ fn comparison_demo(serve: Option<&str>) {
             "  conservation violations  {:>10}\n",
             s.conservation_violations
         );
-        if reoptimize {
+        if alg1 {
             // Snapshot stream + per-site latency percentiles + alloc
             // counters, for offline analysis (archived by CI).
             match report

@@ -32,7 +32,7 @@ use cloud_vc::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use vc_algo::admission::{AdmissionConfig, AdmissionEngine, AdmissionPolicy};
+use vc_algo::admission::{AdmissionEngine, AdmissionPolicy};
 use vc_algo::agrank::{self, Residuals};
 use vc_algo::markov::Alg1Config;
 use vc_algo::placement::rule_of_thumb_session;
@@ -177,7 +177,7 @@ proptest! {
     #[test]
     fn engine_dominates_ranked_walk_state_for_state(spec in universe_strategy()) {
         let problem = build_problem(&spec);
-        let engine = AdmissionEngine::new(AdmissionConfig::default());
+        let engine = AdmissionEngine::default();
         let mut scratch = EvalScratch::new();
         let available = vec![true; problem.instance().num_agents()];
         let mut totals = AgentTotals::zero(problem.instance().num_agents());

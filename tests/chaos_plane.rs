@@ -25,7 +25,7 @@ use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
 use vc_chaos::{FaultKind, FaultPlan, FaultyVfs, StorageFault, StorageFaultKind, StormConfig};
 use vc_core::UapProblem;
-use vc_orchestrator::{backoff_us, AdmitOutcome, ReadmitConfig, ReoptPool};
+use vc_orchestrator::{backoff_us, AdmitOutcome, ReadmitConfig, ReoptPool, BASE_BACKOFF_US};
 use vc_persist::journal::RetryPolicy;
 
 const POOL_SEED: u64 = 2015;
@@ -174,7 +174,7 @@ proptest! {
         let a = backoff_us(&cfg, SessionId::new(s), epoch, attempt);
         let b = backoff_us(&cfg, SessionId::new(s), epoch, attempt);
         prop_assert_eq!(a, b, "backoff is not deterministic");
-        let base = (cfg.base_backoff_s * 1e6) as u64;
+        let base = BASE_BACKOFF_US;
         let cap = (cfg.cap_backoff_s * 1e6) as u64;
         prop_assert!(a >= base && a <= cap, "draw {} outside [{}, {}]", a, base, cap);
         // Attempt 0 waits exactly the floor: the first retry's timing

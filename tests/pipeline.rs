@@ -159,7 +159,8 @@ fn full_simulation_pipeline_stays_consistent() {
     let report = ConferenceSim::new(state, SimConfig::paper_default(100.0, 1)).run();
     // Final sampled values equal the final state's readouts.
     assert!(
-        (report.traffic.last_value().unwrap() - report.final_traffic_mbps).abs() < 1e-9
+        (report.traffic.last_value().unwrap() - report.final_state.total_traffic_mbps()).abs()
+            < 1e-9
             || report.hops.iter().any(|h| h.time_s > 99.0),
         "sampled and final traffic disagree"
     );
