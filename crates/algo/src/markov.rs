@@ -123,16 +123,23 @@
 //!   enumeration and its order), β, `d_max` and the problem's delays,
 //!   prices and bitrates — is either constant for the engine and the
 //!   session or changes only through a write to that placement or
-//!   load: the agent pool only grows, and growth extends every load's
-//!   agent axis, which is a write. So while neither is written, a
-//!   second sweep would rebuild the same memo, and a caller may keep it
-//!   and go straight to the draw ([`Alg1Engine::keeps_memos`]: without
-//!   noise only — under (e) nothing about a candidate's weight is
-//!   constant). The invalidation rule is exactly that: **drop the memo
-//!   when the session's placement or load is written.** Capacities and
-//!   availability are no part of it: residual capacity is what the draw
-//!   fetches afresh on every HOP, as Alg. 1 says, and a failed or
-//!   drained agent is one with none (g).
+//!   load, or through the agent pool's growth. The memo keeps no list
+//!   of its candidates: it names each by its enumeration position,
+//!   slot × (L − 1) + the rank of its target among the slot's other
+//!   agents, and the draw decodes that from the placement
+//!   ([`Neighborhood::decision_at`]) — which is why a memo is drawn
+//!   against the placement it was swept over and the `L` it was swept
+//!   under. A new agent renumbers the positions and adds a candidate
+//!   per slot, so a caller retires every memo when the pool grows. So
+//!   while neither is written and the pool has not grown, a second
+//!   sweep would rebuild the same memo, and a caller may keep it and go
+//!   straight to the draw ([`Alg1Engine::keeps_memos`]: without noise
+//!   only — under (e) nothing about a candidate's weight is constant).
+//!   The invalidation rule is exactly that: **drop the memo when the
+//!   session's placement or load is written, or an agent registers.**
+//!   Capacities and availability are no part of it: residual capacity
+//!   is what the draw fetches afresh on every HOP, as Alg. 1 says, and
+//!   a failed or drained agent is one with none (g).
 //! * **(g) availability is read at the draw.** The sweep asks nothing
 //!   of availability but to pick the witness; the draw asks `allowed`
 //!   wherever it asks `fits` — of every stored candidate, and in
@@ -141,11 +148,13 @@
 //!   takes no step of the subtractive walk ((c): `resolve` refuses it
 //!   and the walk goes on with its `x` unchanged), is never the fitting
 //!   one (d) and consumes no noise draw (e): exactly what a candidate
-//!   the sweep never enumerated does. So a sweep toward every agent,
-//!   drawn under any availability, gives the outcome and the RNG state
-//!   of a sweep toward the allowed agents alone, and a memo outlives an
-//!   agent's failure, its return and its drain — a drained agent is
-//!   one `allowed` refuses at every draw from then on.
+//!   the sweep never enumerated does — and exactly what a position the
+//!   delay bound dropped does, which the draw walks in its place and
+//!   `resolve` refuses before asking anything. So a sweep toward every
+//!   agent, drawn under any availability, gives the outcome and the RNG
+//!   state of a sweep toward the allowed agents alone, and a memo
+//!   outlives an agent's failure, its return and its drain — a drained
+//!   agent is one `allowed` refuses at every draw from then on.
 
 use rand::Rng;
 use vc_core::neighborhood::Neighborhood;
@@ -214,20 +223,12 @@ pub enum HopOutcome {
     NoFeasibleMove,
 }
 
-/// One kept candidate in session-local terms: the placement entry it
-/// moves ([`Probe::slot`](vc_core::neighborhood::Probe::slot)) and
-/// where to — 8 bytes, against a [`Decision`]'s 12.
-#[derive(Debug, Clone, Copy)]
-struct Move {
-    slot: u32,
-    agent: AgentId,
-}
-
 /// What a [`HopMemo`] keeps of a folded candidate.
 #[derive(Debug, Clone, Copy)]
 struct Stored {
-    /// Its index among the kept candidates.
-    candidate: u32,
+    /// Its enumeration position
+    /// ([`Neighborhood::decision_at`] names its move).
+    position: u32,
     /// Its move's target, copied here so that the draw's availability
     /// check reads no buffer but this one and the demand.
     agent: AgentId,
@@ -239,19 +240,25 @@ struct Stored {
 }
 
 /// The result of one [sweep](Alg1Engine::sweep), which a
-/// [draw](Alg1Engine::draw) samples from: the candidates within the
-/// delay bound in enumeration order, and of those that were folded and
-/// can carry weight — plus the witness, plus any the draw had to
-/// resolve since — their `Φ` and sparse demand. See the
-/// [module docs](self), in particular (f) for how long one stays true.
-/// Derived state: rebuilt by a sweep whenever it is missing.
+/// [draw](Alg1Engine::draw) samples from: which candidates the delay
+/// bound dropped, and of the rest those that were folded and can carry
+/// weight — plus the witness, plus any the draw had to resolve since —
+/// with their `Φ` and sparse demand. It keeps nothing per candidate: a
+/// candidate is named by its position in the sweep's enumeration
+/// (slot × (L − 1) + the rank of its target among the agents other
+/// than the slot's), which [`Neighborhood::decision_at`] decodes from
+/// the placement the memo was swept over. See the [module docs](self),
+/// in particular (f) for how long one stays true. Derived state:
+/// rebuilt by a sweep whenever it is missing.
 #[derive(Debug, Default)]
 pub struct HopMemo {
     /// The β and committed `Φ_s` it was swept under.
     beta: f64,
     phi_now: f64,
-    moves: Vec<Move>,
-    /// Ascending by candidate as the sweep leaves it; a candidate the
+    /// One bit per position the delay bound dropped, up to the last
+    /// such (empty when it dropped none).
+    dropped: Vec<u64>,
+    /// Ascending by position as the sweep leaves it; a candidate the
     /// draw resolves later is appended. (Under noise nothing is ever
     /// resolved later, so there storage order is enumeration order.)
     stored: Vec<Stored>,
@@ -264,18 +271,26 @@ impl Clone for HopMemo {
         Self {
             beta: self.beta,
             phi_now: self.phi_now,
-            moves: self.moves.clone(),
+            dropped: self.dropped.clone(),
             stored: self.stored.clone(),
             demand: self.demand.clone(),
         }
     }
 
-    /// A copy into `self`'s buffers, which grow only if they must.
+    /// A copy into `self`'s buffers, which grow only if they must, and
+    /// then to exactly the source's length: a kept memo lives as long
+    /// as its slot, and mostly holds one or two entries, which a
+    /// growing `Vec` would round up to four.
     fn clone_from(&mut self, source: &Self) {
+        fn copy<T: Copy>(to: &mut Vec<T>, from: &[T]) {
+            to.clear();
+            to.reserve_exact(from.len());
+            to.extend_from_slice(from);
+        }
         (self.beta, self.phi_now) = (source.beta, source.phi_now);
-        self.moves.clone_from(&source.moves);
-        self.stored.clone_from(&source.stored);
-        self.demand.clone_from(&source.demand);
+        copy(&mut self.dropped, &source.dropped);
+        copy(&mut self.stored, &source.stored);
+        copy(&mut self.demand, &source.demand);
     }
 }
 
@@ -287,18 +302,32 @@ fn index(n: usize) -> u32 {
 impl HopMemo {
     fn reset(&mut self, beta: f64, phi_now: f64) {
         (self.beta, self.phi_now) = (beta, phi_now);
-        self.moves.clear();
+        self.dropped.clear();
         self.stored.clear();
         self.demand.clear();
     }
 
-    /// Stores kept candidate `candidate`'s `Φ` and demand; returns its
-    /// index in `stored`.
-    fn store(&mut self, candidate: usize, load: &SessionLoad) -> usize {
+    /// Marks `position` as dropped by the delay bound.
+    fn drop_position(&mut self, position: usize) {
+        let word = position / 64;
+        if self.dropped.len() <= word {
+            self.dropped.resize(word + 1, 0);
+        }
+        self.dropped[word] |= 1 << (position % 64);
+    }
+
+    /// Whether the delay bound dropped `position`.
+    fn is_dropped(&self, position: usize) -> bool {
+        (self.dropped.get(position / 64)).is_some_and(|w| w & (1 << (position % 64)) != 0)
+    }
+
+    /// Stores the `Φ` and demand of the candidate at `position`, which
+    /// moves toward `agent`; returns its index in `stored`.
+    fn store(&mut self, position: usize, agent: AgentId, load: &SessionLoad) -> usize {
         self.demand.extend(load.demand());
         self.stored.push(Stored {
-            candidate: index(candidate),
-            agent: self.moves[candidate].agent,
+            position: index(position),
+            agent,
             demand_end: index(self.demand.len()),
             phi: load.phi,
         });
@@ -317,8 +346,17 @@ impl HopMemo {
         &self.demand[start as usize..self.stored[k].demand_end as usize]
     }
 
-    fn stored_at(&self, candidate: usize) -> Option<usize> {
-        (self.stored.iter()).position(|e| e.candidate as usize == candidate)
+    fn stored_at(&self, position: usize) -> Option<usize> {
+        (self.stored.iter()).position(|e| e.position as usize == position)
+    }
+
+    /// The heap bytes the memo's buffers hold (their capacities): what
+    /// keeping it costs beside its inline size.
+    pub fn heap_bytes(&self) -> usize {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        heap(&self.dropped) + heap(&self.stored) + heap(&self.demand)
     }
 
     /// Whether no stored candidate would lower the session's `Φ`: the
@@ -547,16 +585,14 @@ impl Alg1Engine {
         // Every agent: availability is the draw's question ((g)).
         let every_agent = |_| true;
         hood.sweep_lazy(every_agent, |decision, mut probe| {
+            // Its position: how many candidates came before it.
+            let position = candidates.swept as usize;
             candidates.swept += 1;
             if probe.max_flow_delay() > d_max_ms + CAPACITY_EPS {
+                memo.drop_position(position);
                 candidates.bounded += 1;
                 return;
             }
-            let candidate = memo.moves.len();
-            memo.moves.push(Move {
-                slot: index(probe.slot()),
-                agent: decision.target(),
-            });
             // The free delay floor first, then the traffic floor — not
             // computed at all under noise, where nothing is bounded.
             if clamped(probe.phi_floor()) || (prune && clamped(probe.traffic_floor())) {
@@ -566,9 +602,9 @@ impl Alg1Engine {
             candidates.folded += 1;
             let load = probe.fold();
             if !clamped(load.phi) {
-                memo.store(candidate, load);
+                memo.store(position, decision.target(), load);
             } else if !witnessed && (ctx.allowed)(decision.target()) {
-                let k = memo.store(candidate, load);
+                let k = memo.store(position, decision.target(), load);
                 witnessed = (ctx.fits)(memo.demand_of(k));
                 if !witnessed {
                     memo.unstore();
@@ -613,29 +649,34 @@ impl Alg1Engine {
         let Candidates {
             weights, folded, ..
         } = candidates;
+        // One entry per position; a dropped one stays BOUNDED and is
+        // refused by `resolve` below, unfolded, wherever it is asked.
         weights.clear();
-        weights.resize(memo.moves.len(), BOUNDED);
+        weights.resize(hood.positions(), BOUNDED);
         let mut any_fits = false;
         for (k, entry) in memo.stored.iter().enumerate() {
             if (ctx.allowed)(entry.agent) && (ctx.fits)(memo.demand_of(k)) {
-                weights[entry.candidate as usize] = entry.phi;
+                weights[entry.position as usize] = entry.phi;
                 any_fits = true;
             }
         }
         // Membership of a candidate the loop above gave no weight: one
-        // toward an agent that is down is refused unfolded, a stored one
-        // is asked again (it said no; (d) and (c) are rare enough not to
-        // remember that), a bounded one is folded now and stored in
-        // place of its placeholder.
+        // the delay bound dropped is none, one toward an agent that is
+        // down is refused unfolded, a stored one is asked again (it
+        // said no; (d) and (c) are rare enough not to remember that), a
+        // bounded one is folded now and stored in place of its
+        // placeholder.
         let mut resolve = |i: usize| {
-            let Move { slot, agent } = memo.moves[i];
-            if !(ctx.allowed)(agent) {
+            if memo.is_dropped(i) {
+                return false;
+            }
+            let decision = hood.decision_at(i);
+            if !(ctx.allowed)(decision.target()) {
                 return false;
             }
             let k = memo.stored_at(i).unwrap_or_else(|| {
                 *folded += 1;
-                let decision = hood.decision_of(slot as usize, agent);
-                memo.store(i, hood.candidate(decision).1)
+                memo.store(i, decision.target(), hood.candidate(decision).1)
             });
             (ctx.fits)(memo.demand_of(k))
         };
@@ -648,10 +689,7 @@ impl Alg1Engine {
         }
         match sample(beta, phi_now, weights, resolve, rng) {
             0 => HopOutcome::Stayed,
-            i => {
-                let Move { slot, agent } = memo.moves[i - 1];
-                HopOutcome::Migrated(hood.decision_of(slot as usize, agent))
-            }
+            i => HopOutcome::Migrated(hood.decision_at(i - 1)),
         }
     }
 
@@ -1137,17 +1175,14 @@ mod tests {
         outcome
     }
 
-    /// The decisions `memo` holds no `Φ` for: the candidates (a) is
-    /// about.
-    fn bounded_decisions(memo: &HopMemo, problem: &UapProblem, s: SessionId) -> Vec<Decision> {
-        let users = problem.instance().session(s).users();
-        let tasks = problem.tasks().of_session(s);
-        (memo.moves.iter().enumerate())
-            .filter(|&(i, _)| memo.stored_at(i).is_none())
-            .map(|(_, m)| match (m.slot as usize).checked_sub(users.len()) {
-                None => Decision::User(users[m.slot as usize], m.agent),
-                Some(k) => Decision::Task(tasks[k], m.agent),
-            })
+    /// The decisions `memo` — swept over `state`'s placement of `s` —
+    /// holds no `Φ` for and did not drop: the candidates (a) is about.
+    fn bounded_decisions(memo: &HopMemo, state: &SystemState, s: SessionId) -> Vec<Decision> {
+        let mut eval = EvalScratch::new();
+        let hood = Neighborhood::of_state(state, s, &mut eval);
+        (0..hood.positions())
+            .filter(|&p| !memo.is_dropped(p) && memo.stored_at(p).is_none())
+            .map(|p| hood.decision_at(p))
             .collect()
     }
 
@@ -1197,7 +1232,7 @@ mod tests {
                 // there every bounded candidate's exact exponent clamps
                 // to −MAX_EXPONENT.
                 let memo = kept[s.index()].as_ref().unwrap_or(&scratch.memo);
-                for d in bounded_decisions(memo, eager.problem(), s) {
+                for d in bounded_decisions(memo, &eager, s) {
                     let mut moved = eager.assignment().clone();
                     moved.apply(d);
                     let phi = evaluate_session(eager.problem(), &moved, s).phi;
@@ -1404,7 +1439,7 @@ mod tests {
             let counts = (c.swept, c.bounded, c.folded);
             assert_eq!(counts, if hop == 0 { (2, 2, 1) } else { (0, 0, 0) });
             let memo = kept.as_ref().expect("kept: no noise, no migration");
-            assert_eq!((memo.moves.len(), memo.stored.len()), (2, 1));
+            assert_eq!((memo.dropped.len(), memo.stored.len()), (0, 1));
             assert!(memo.is_settled());
             let want = eager_hop(&engine, &mut state, s, 400.0, &mut Scripted(vec![0.999]));
             assert_eq!(got, want);
@@ -1518,7 +1553,7 @@ mod tests {
         // agent 2) is folded, fits, and is stored beside it.
         assert_eq!(hop(&mut state, &mut twin, &mut kept), 1);
         let memo = kept.as_ref().unwrap();
-        let stored: Vec<u32> = memo.stored.iter().map(|e| e.candidate).collect();
+        let stored: Vec<u32> = memo.stored.iter().map(|e| e.position).collect();
         assert_eq!(stored, [0, 1]);
         assert_eq!(hop(&mut state, &mut twin, &mut kept), 0);
     }
@@ -1555,8 +1590,120 @@ mod tests {
             assert_eq!((c.swept, c.bounded, c.folded), (0, 0, u32::from(seed == 0)));
         }
         let memo = kept.as_ref().expect("kept: no noise, no migration");
-        let stored: Vec<u32> = memo.stored.iter().map(|e| e.candidate).collect();
+        let stored: Vec<u32> = memo.stored.iter().map(|e| e.position).collect();
         assert_eq!(stored, [0, 1]);
+    }
+
+    /// Session 0's two users sit on agent 1 of five and weigh moves to
+    /// agents 0 and 3, 90 ms further out (bounded at β = 400, 6 Mbps of
+    /// download each), and to agents 2 and 4, whose last miles are over
+    /// the delay bound: dropped. So each user's candidates run
+    /// [→0 bounded, →2 dropped, →3 bounded, →4 dropped], the dropped
+    /// positions in the middle and at the end. Sessions 1 and 2 are one
+    /// 720p user each on agent 1, whose 5 Mbps upstream fits agent 0 or
+    /// agent 3 once.
+    fn dropped_between_state() -> SystemState {
+        let ladder = ReprLadder::standard_four();
+        let (low, high) = (ladder.lowest(), ladder.by_name("720p").unwrap().id());
+        let mut b = InstanceBuilder::new(ladder);
+        let tight = Capacity::new(1_000.0, 6.0, 0);
+        for name in ["mid0", "near", "far2", "mid3", "far4"] {
+            let mut spec = AgentSpec::builder(name);
+            if name.starts_with("mid") {
+                spec = spec.capacity(tight);
+            }
+            b.add_agent(spec.build());
+        }
+        let s0 = b.add_session();
+        b.add_user(s0, low, low);
+        b.add_user(s0, low, low);
+        for _ in 0..2 {
+            let s = b.add_session();
+            b.add_user(s, high, high);
+        }
+        let last_mile = [100.0, 10.0, 500.0, 100.0, 500.0];
+        b.symmetric_delays(|_, _| 60.0, move |l, _| last_mile[l]);
+        let problem = Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ));
+        let asg = Assignment::all_to_agent(&problem, AgentId::new(1));
+        SystemState::new(problem, asg)
+    }
+
+    /// A memo names its candidates by enumeration position and keeps
+    /// the positions the delay bound dropped as bits; hits resolve
+    /// bounded candidates on both sides of a dropped position and
+    /// refuse the dropped one unfolded. Every hop — a miss, then hits
+    /// while sessions 1 and 2 take agent 0's and agent 3's room — gives
+    /// the eager hop's outcome and leaves the RNG where it leaves it,
+    /// down to `NoFeasibleMove`, which draws nothing: a draw that
+    /// weighed a dropped position as bounded would find the far agents
+    /// (which have room) feasible and stay, drawing once.
+    #[test]
+    fn memo_hits_step_over_dropped_positions() {
+        let engine = Alg1Engine::new(Alg1Config::paper(400.0));
+        let (mut state, mut twin) = (dropped_between_state(), dropped_between_state());
+        let (mut scratch, mut kept) = (HopScratch::new(), None);
+        let s = SessionId::new(0);
+        let mut hop = |state: &mut SystemState, twin: &mut SystemState, kept: &mut _, seed| {
+            let (mut rng, mut rng_eager) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let got = memo_hop(&engine, state, s, &mut rng, &mut scratch, kept);
+            let want = eager_hop(&engine, twin, s, 400.0, &mut rng_eager);
+            assert_eq!(
+                (got, rng.next_u64()),
+                (want, rng_eager.next_u64()),
+                "seed {seed}"
+            );
+            (got, scratch.candidates.folded)
+        };
+        let stored = |kept: &Option<HopMemo>| -> Vec<u32> {
+            let memo = kept.as_ref().expect("kept: no noise, no migration");
+            memo.stored.iter().map(|e| e.position).collect()
+        };
+        // Miss: rule (d) resolves position 0 (user 0 → agent 0), which
+        // fits.
+        assert_eq!(
+            hop(&mut state, &mut twin, &mut kept, 1).0,
+            HopOutcome::Stayed
+        );
+        let memo = kept.as_ref().unwrap();
+        assert_eq!(memo.dropped, [0b1010_1010]);
+        assert_eq!(stored(&kept), [0]);
+        // Session 1 takes agent 0's room. Hit: position 0 no longer
+        // fits, 1 is dropped, 2 (user 0 → agent 3) is folded and fits.
+        let grab = |st: &mut SystemState, user: u32, agent: u32| {
+            let d = Decision::User(UserId::new(user), AgentId::new(agent));
+            st.try_apply(d).expect("5 of 6 Mbps");
+        };
+        for st in [&mut state, &mut twin] {
+            grab(st, 2, 0);
+        }
+        assert_eq!(
+            hop(&mut state, &mut twin, &mut kept, 2),
+            (HopOutcome::Stayed, 1)
+        );
+        assert_eq!(stored(&kept), [0, 2]);
+        // Session 2 takes agent 3's room. Hit: every bounded candidate,
+        // either side of every dropped one, is resolved and refused.
+        for st in [&mut state, &mut twin] {
+            grab(st, 3, 3);
+        }
+        let got = hop(&mut state, &mut twin, &mut kept, 3);
+        assert_eq!(got, (HopOutcome::NoFeasibleMove, 2));
+        assert_eq!(stored(&kept), [0, 2, 4, 6]);
+        // Session 1 leaves agent 0: position 0 fits again, and a hit
+        // that draws from it agrees over several draws.
+        for st in [&mut state, &mut twin] {
+            grab(st, 2, 1);
+        }
+        for seed in 4..12 {
+            assert_eq!(
+                hop(&mut state, &mut twin, &mut kept, seed),
+                (HopOutcome::Stayed, 0)
+            );
+        }
     }
 
     /// Agents 1 and 2 are twins at zero distance and nothing is priced,
@@ -1653,7 +1800,7 @@ mod tests {
         assert_eq!((c.swept, c.bounded, c.folded), (4, 2, 2));
         let memo = kept.as_ref().unwrap();
         assert_eq!(
-            memo.stored.iter().map(|e| e.candidate).collect::<Vec<_>>(),
+            memo.stored.iter().map(|e| e.position).collect::<Vec<_>>(),
             [1, 3]
         );
         assert!(memo

@@ -199,21 +199,6 @@ impl SessionLoad {
     pub fn total_ingress_mbps(&self) -> f64 {
         self.ingress.iter().sum()
     }
-
-    /// Extends the per-agent vectors to `num_agents` (append-only agent
-    /// growth; no-op when already that large). New agents carry exactly
-    /// zero load, which is what re-evaluating the same placement under
-    /// the grown universe produces — so grown state stays bitwise
-    /// identical to up-front construction.
-    pub fn grow(&mut self, num_agents: usize) {
-        if self.download.len() >= num_agents {
-            return;
-        }
-        self.download.resize(num_agents, 0.0);
-        self.upload.resize(num_agents, 0.0);
-        self.ingress.resize(num_agents, 0.0);
-        self.transcode_units.resize(num_agents, 0);
-    }
 }
 
 /// Evaluates session `s` under `assignment`, computing all loads,

@@ -65,7 +65,7 @@ pub use assignment::{Assignment, Decision};
 pub use evaluate::{AgentDemand, EvalScratch, SessionLoad};
 pub use problem::UapProblem;
 pub use state::{
-    agent_fits, demand_fits, fits, AgentTotals, FreeCapacity, SystemState, CAPACITY_EPS,
+    agent_fits, demand_fits, fits, AgentTotals, FreeCapacity, Held, SystemState, CAPACITY_EPS,
 };
 pub use tasks::{TaskId, TaskTable, TranscodeTask};
 pub use violation::Violation;

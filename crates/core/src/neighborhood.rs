@@ -52,8 +52,10 @@
 //! indexing.
 //! The kernel's buffers are the worker's [`EvalScratch`]; what a caller
 //! keeps of a sweep — `vc-algo`'s `HopMemo`, the Gibbs step's — is a
-//! candidate's [`Probe::slot`], its target and the sparse
-//! [`demand`](SessionLoad::demand) of its load. A HOP that re-reads
+//! candidate's position in the enumeration, which
+//! [`decision_at`](Neighborhood::decision_at) turns back into its
+//! decision, and the sparse [`demand`](SessionLoad::demand) of its
+//! load. A HOP that re-reads
 //! such a memo needs no kernel at all unless it must weigh one
 //! candidate after all, so a neighbourhood can also be
 //! [`deferred`](Neighborhood::deferred): it compiles when — and if —
@@ -86,17 +88,9 @@ pub struct Neighborhood<'a> {
 pub struct Probe<'e> {
     eval: &'e mut EvalScratch,
     problem: &'e UapProblem,
-    slot: usize,
 }
 
 impl<'e> Probe<'e> {
-    /// Which entry of the placement the candidate moves: the session's
-    /// users, then its tasks, counted through — what
-    /// [`Neighborhood::decision_of`] turns back into a [`Decision`].
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
     /// `max_{u,v} d_uv` of the candidate — the left side of the delay
     /// constraint (8).
     pub fn max_flow_delay(&self) -> f64 {
@@ -198,15 +192,10 @@ impl<'a> Neighborhood<'a> {
 
     /// Applies `slot → a`, shows the candidate to `visit`, reverts.
     fn probe<R>(&mut self, slot: Slot, a: AgentId, visit: impl FnOnce(Probe<'_>) -> R) -> R {
-        let flat = match slot {
-            Slot::User(i) => i,
-            Slot::Task(k) => self.eval.placement().0.len() + k,
-        };
         let base = self.eval.apply(self.problem, slot, a);
         let seen = visit(Probe {
             eval: &mut *self.eval,
             problem: self.problem,
-            slot: flat,
         });
         self.eval.revert(slot, base);
         seen
@@ -233,18 +222,17 @@ impl<'a> Neighborhood<'a> {
     /// base placement — the moved delays the base delays, bit-equal to
     /// a fresh [`begin`](Self::begin) around the moved placement — so
     /// one compile serves a run of committed moves (an evacuation's
-    /// stranded decisions of one session). The load is handed out
-    /// mutably for a commit to swap out.
+    /// stranded decisions of one session).
     ///
     /// # Panics
     ///
     /// Panics if the decision's user or task is not the session's.
-    pub fn commit(&mut self, decision: Decision) -> (usize, &mut SessionLoad) {
+    pub fn commit(&mut self, decision: Decision) -> (usize, &SessionLoad) {
         let (index, slot, a) = self.slot_of(decision);
         self.eval.apply(self.problem, slot, a);
         self.eval.fold_rest(self.problem);
         self.eval.keep();
-        (index, self.eval.load_mut())
+        (index, self.eval.load())
     }
 
     /// Compiles a deferred base, and resolves `decision` to its index
@@ -260,17 +248,45 @@ impl<'a> Neighborhood<'a> {
         }
     }
 
-    /// The decision moving placement entry `slot` (a [`Probe::slot`])
-    /// to `a`.
+    /// The base placement: users' agents, tasks' agents.
+    fn base(&self) -> (&[AgentId], &[AgentId]) {
+        match self.pending {
+            Some(base) => base,
+            None => self.eval.placement(),
+        }
+    }
+
+    /// How many candidates a sweep toward every agent enumerates:
+    /// `(|U(s)| + |T(s)|)·(L − 1)`, the positions
+    /// [`decision_at`](Self::decision_at) names. Compiles nothing.
+    pub fn positions(&self) -> usize {
+        let (users, tasks) = self.base();
+        (users.len() + tasks.len()) * (self.problem.instance().num_agents() - 1)
+    }
+
+    /// The decision at `position` of a sweep toward every agent
+    /// ([`sweep_lazy`](Self::sweep_lazy) with nothing refused), counted
+    /// from 0 in its order: placement entry `position / (L − 1)` (the
+    /// session's users, then its tasks, counted through), moved to the
+    /// agent of rank `position % (L − 1)` among the `L − 1` it does not
+    /// sit on in the base placement. Compiles nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the session has no such entry.
-    pub fn decision_of(&self, slot: usize, a: AgentId) -> Decision {
-        let users = self.problem.instance().session(self.s).users();
+    /// Panics if the sweep has no such position.
+    pub fn decision_at(&self, position: usize) -> Decision {
+        let others = self.problem.instance().num_agents() - 1;
+        let (slot, rank) = (position / others, position % others);
+        let (users, tasks) = self.base();
+        // The agents below the current one keep their rank; the rest
+        // are one past it.
+        let target = |current: AgentId| AgentId::from(rank + usize::from(rank >= current.index()));
         match slot.checked_sub(users.len()) {
-            None => Decision::User(users[slot], a),
-            Some(k) => Decision::Task(self.problem.tasks().of_session(self.s)[k], a),
+            None => {
+                let user = self.problem.instance().session(self.s).users()[slot];
+                Decision::User(user, target(users[slot]))
+            }
+            Some(k) => Decision::Task(self.problem.tasks().of_session(self.s)[k], target(tasks[k])),
         }
     }
 
@@ -588,6 +604,40 @@ mod tests {
         );
     }
 
+    /// A memo's candidate names: position `p` of a sweep toward every
+    /// agent decodes to the `p`-th candidate `sweep_lazy` hands out,
+    /// from a compiled and from a deferred neighbourhood alike, and
+    /// `positions` counts them.
+    #[test]
+    fn decision_at_decodes_the_sweep_order() {
+        let (problem, asg) = named_shapes(BandwidthCost::linear());
+        let state = SystemState::new(problem.clone(), asg.clone());
+        let (mut eval, mut other) = (EvalScratch::new(), EvalScratch::new());
+        for s in problem.instance().session_ids() {
+            let mut hood = Neighborhood::of_state(&state, s, &mut eval);
+            let mut swept = Vec::new();
+            hood.sweep_lazy(|_| true, |d, _| swept.push(d));
+            let users: Vec<AgentId> = (problem.instance().session(s).users().iter())
+                .map(|&u| asg.agent_of_user(u))
+                .collect();
+            let tasks: Vec<AgentId> = (problem.tasks().of_session(s).iter())
+                .map(|&t| asg.agent_of_task(t))
+                .collect();
+            let deferred = Neighborhood::deferred(&mut other, &problem, s, &users, &tasks);
+            assert_eq!(
+                (hood.positions(), deferred.positions()),
+                (swept.len(), swept.len())
+            );
+            for (p, &d) in swept.iter().enumerate() {
+                assert_eq!(
+                    (hood.decision_at(p), deferred.decision_at(p)),
+                    (d, d),
+                    "{s} at {p}"
+                );
+            }
+        }
+    }
+
     /// `commit ≡ begin` around the moved placement: a run of committed
     /// moves through one compile leaves each committed load, and every
     /// candidate weighed after it, bit-equal — `touched` included — to
@@ -610,7 +660,7 @@ mod tests {
                 let (index, load) = hood.commit(d);
                 assert_eq!(index, k);
                 let fresh = evaluate_session(&problem, &asg, s);
-                assert_eq!(&*load, &fresh, "{d}");
+                assert_eq!(load, &fresh, "{d}");
                 assert_eq!(load.touched, fresh.touched, "{d}");
                 let probe = Decision::User(u, AgentId::from(k % 3));
                 let mut moved = asg.clone();

@@ -35,25 +35,43 @@ impl AgentTotals {
         }
     }
 
-    /// Adds one session's load — sparse, touching only the agents the
-    /// load touches.
-    pub fn add(&mut self, load: &SessionLoad) {
-        for &a in &load.touched {
-            let l = a as usize;
-            self.download[l] += load.download[l];
-            self.upload[l] += load.upload[l];
-            self.transcode[l] += load.transcode_units[l];
+    /// Adds one session's sparse demand — a load's
+    /// [`demand`](SessionLoad::demand) or a hold's — touching only the
+    /// agents it names.
+    pub fn add(&mut self, demand: impl IntoIterator<Item = AgentDemand>) {
+        for d in demand {
+            let l = d.agent as usize;
+            self.download[l] += d.download;
+            self.upload[l] += d.upload;
+            self.transcode[l] += d.transcode_units;
         }
     }
 
-    /// Removes one session's load (the exact inverse of [`add`](Self::add)).
-    pub fn remove(&mut self, load: &SessionLoad) {
-        for &a in &load.touched {
-            let l = a as usize;
-            self.download[l] -= load.download[l];
-            self.upload[l] -= load.upload[l];
-            self.transcode[l] -= load.transcode_units[l];
+    /// Removes one session's sparse demand (the exact inverse of
+    /// [`add`](Self::add)).
+    pub fn remove(&mut self, demand: impl IntoIterator<Item = AgentDemand>) {
+        for d in demand {
+            let l = d.agent as usize;
+            self.download[l] -= d.download;
+            self.upload[l] -= d.upload;
+            self.transcode[l] -= d.transcode_units;
         }
+    }
+}
+
+/// What a session holds now, as the capacity rule reads the `old` side
+/// of a swap: its demand at one agent, zero where it holds nothing. A
+/// closed-world state's dense [`SessionLoad`] is one; the fleet's
+/// sparse per-session hold the other. An agent held at zero and an
+/// agent not held read the same.
+pub trait Held {
+    /// The demand held at `agent` (all zero if none).
+    fn held_at(&self, agent: u32) -> AgentDemand;
+}
+
+impl Held for SessionLoad {
+    fn held_at(&self, agent: u32) -> AgentDemand {
+        self.demand_at(agent)
     }
 }
 
@@ -91,7 +109,7 @@ pub const CAPACITY_EPS: f64 = 1e-6;
 pub fn fits(
     s: SessionId,
     load: &SessionLoad,
-    old: &SessionLoad,
+    old: &impl Held,
     reserved: &AgentTotals,
     inst: &Instance,
 ) -> Result<(), Violation> {
@@ -183,7 +201,7 @@ pub fn agent_fits(
 #[inline]
 pub fn demand_fits(
     demand: impl IntoIterator<Item = AgentDemand>,
-    old: &SessionLoad,
+    old: &impl Held,
     reserved: &AgentTotals,
     inst: &Instance,
 ) -> Result<(), Violation> {
@@ -196,7 +214,7 @@ pub fn demand_fits(
             reserved.upload[i],
             reserved.transcode[i],
         );
-        agent_fits(&cap, free, &old.demand_at(new.agent), &new)?;
+        agent_fits(&cap, free, &old.held_at(new.agent), &new)?;
     }
     Ok(())
 }
@@ -231,7 +249,7 @@ impl SystemState {
         for s in problem.instance().session_ids() {
             if active[s.index()] {
                 let load = scratch.evaluate(&problem, &assignment, s).clone();
-                totals.add(&load);
+                totals.add(load.demand());
                 loads.push(load);
             } else {
                 loads.push(SessionLoad::empty(nl));
@@ -503,8 +521,8 @@ impl SystemState {
         let s = self.session_of(decision);
         self.assignment.apply(decision);
         if self.active[s.index()] {
-            self.totals.remove(&self.loads[s.index()]);
-            self.totals.add(scratch.load());
+            self.totals.remove(self.loads[s.index()].demand());
+            self.totals.add(scratch.load().demand());
         }
         std::mem::swap(&mut self.loads[s.index()], scratch.load_mut());
     }
@@ -516,7 +534,7 @@ impl SystemState {
             return;
         }
         let load = evaluate_session(&self.problem, &self.assignment, s);
-        self.totals.add(&load);
+        self.totals.add(load.demand());
         self.loads[s.index()] = load;
         self.active[s.index()] = true;
     }
@@ -527,7 +545,7 @@ impl SystemState {
         if !self.active[s.index()] {
             return;
         }
-        self.totals.remove(&self.loads[s.index()]);
+        self.totals.remove(self.loads[s.index()].demand());
         self.loads[s.index()] = SessionLoad::empty(self.problem.instance().num_agents());
         self.active[s.index()] = false;
     }
@@ -549,8 +567,8 @@ impl SystemState {
         }
         if self.active[s.index()] {
             let new_load = evaluate_session(&self.problem, &self.assignment, s);
-            self.totals.remove(&self.loads[s.index()]);
-            self.totals.add(&new_load);
+            self.totals.remove(self.loads[s.index()].demand());
+            self.totals.add(new_load.demand());
             self.loads[s.index()] = new_load;
         } else {
             // Inactive sessions carry no load (the deactivate convention);

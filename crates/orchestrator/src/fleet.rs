@@ -7,8 +7,10 @@
 //! HOP — behind one `Mutex<SystemState>` (the paper's FREEZE message,
 //! literally). That lock is gone. The fleet now owns:
 //!
-//! * one `SessionSlot` per **live** session (its users'/tasks' agents,
-//!   its evaluated [`SessionLoad`]) behind its own mutex, in a map
+//! * one `SessionSlot` per **live** session (its users'/tasks' agents
+//!   and what their evaluation leaves live: the sparse [`SessionHold`],
+//!   `Φ_s`, the traffic and the user delays — never a load over the
+//!   whole agent pool) behind its own mutex, in a map
 //!   ordered by session id whose key set *is* the live set, so every
 //!   fleet walk is O(live) — a HOP touches exactly one slot;
 //! * the sharded [`CapacityLedger`] as the *only* cross-session
@@ -31,8 +33,8 @@
 //! table in one step. Registration grows the problem, not slot storage:
 //! a registered conference has no slot and reserves nothing until it is
 //! actually admitted. Because growth never renumbers an id
-//! or moves an existing delay entry, every evaluated load, objective
-//! and hold of the pre-growth fleet is bitwise unchanged — a fleet
+//! or moves an existing delay entry, every objective, delay and hold
+//! of the pre-growth fleet is bitwise unchanged — a fleet
 //! grown session-by-session is indistinguishable from one built over
 //! the full universe up front.
 //!
@@ -43,7 +45,7 @@
 //! and ops of different sessions commute under replay (state-exactly
 //! for slots, which are the holds; replay installs every journaled
 //! decision, evacuations included, and searches nothing; a live
-//! evacuation checks feasibility against totals summed from slot loads,
+//! evacuation checks feasibility against totals summed from slot holds,
 //! not the ledger's commit-order float sums, so a recovered fleet's
 //! next evacuation picks what its uncrashed twin picks) — recovery
 //! semantics are untouched.
@@ -70,11 +72,13 @@
 //!
 //! The memo is dropped exactly when what the sweep read is written,
 //! and that is arranged by construction rather than by call-site
-//! discipline: a slot's placement and load are private to
+//! discipline: a slot's placement and evaluation are private to
 //! `crate::slot` and written through one function that forgets the
-//! memo — a hop commit, live or replayed; an evacuation move; and
-//! `register_agent`, which extends every live load by the new agent
-//! under the exclusive FREEZE, so the next sweep enumerates it.
+//! memo — a hop commit, live or replayed; an evacuation move — and
+//! `register_agent` retires every live slot's memo under the exclusive
+//! FREEZE without writing anything else (a hold names only the agents
+//! it touches, so a new agent changes none), so the next sweep
+//! enumerates the new agent.
 //! `fail_agent`, `restore_agent` and `drain_agent` write no slot they
 //! do not move: a drain is a failure that `restore_agent` refuses to
 //! undo, and a memo kept across any of them is drawn under the new
@@ -100,7 +104,7 @@
 //! again at commit, so a refused swap is a lost race; an evacuation asks
 //! [`fits`] of its own slot totals. The fleet has no capacity predicate.
 
-use crate::ledger::{CapacityLedger, SessionHold};
+use crate::ledger::{CapacityLedger, Reservation, SessionHold};
 use crate::persist::{EvacStep, FleetOp, RefusalReason};
 use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
@@ -119,12 +123,13 @@ use vc_algo::churn;
 use vc_algo::markov::{Alg1Config, Alg1Engine, HopContext, HopOutcome, HopScratch};
 use vc_core::neighborhood::Neighborhood;
 use vc_core::{
-    demand_fits, fits, AgentDemand, AgentTotals, Assignment, Decision, EvalScratch, SessionLoad,
-    SystemState, TaskId, UapProblem, CAPACITY_EPS,
+    demand_fits, fits, AgentDemand, AgentTotals, Assignment, Decision, EvalScratch, Held,
+    SessionLoad, SystemState, TaskId, UapProblem, CAPACITY_EPS,
 };
 use vc_model::{AgentDef, AgentId, ModelError, SessionDef, SessionId, UserId};
 use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
 
+use crate::slot::Evaluated;
 pub(crate) use crate::slot::SessionSlot;
 
 /// One candidate placement: session users and tasks to agents.
@@ -392,12 +397,11 @@ struct MetricsAcc {
 
 impl MetricsAcc {
     fn add(&mut self, slot: &SessionSlot) {
-        let load = slot.load();
         self.metrics.live += 1;
         self.metrics.settled += usize::from(slot.is_settled());
-        self.metrics.objective += load.phi;
-        self.metrics.traffic_mbps += load.total_ingress_mbps();
-        for d in &load.user_delay {
+        self.metrics.objective += slot.phi();
+        self.metrics.traffic_mbps += slot.ingress_mbps();
+        for d in slot.user_delay() {
             self.delay_sum += d;
             self.users += 1;
         }
@@ -696,12 +700,13 @@ impl Fleet {
     /// Registers a never-before-seen agent online into `region`
     /// (elastic capacity), returning its (always next-dense) agent id.
     /// Exclusive FREEZE path: the instance's agent pool and delay
-    /// matrices, every live slot load's agent axis, the availability/
-    /// drain masks, and the ledger all grow in one step — append-only,
-    /// nothing renumbers, so every evaluated load, objective and hold of
-    /// the pre-growth fleet is bitwise unchanged. The region is created
-    /// if new; the ledger alone keeps it, and the problem `def`. On
-    /// error the fleet is unchanged.
+    /// matrices, the availability/drain masks, and the ledger all grow
+    /// in one step — append-only, nothing renumbers, so every hold,
+    /// objective and delay of the pre-growth fleet is bitwise unchanged
+    /// (a slot names only the agents it touches). Every live slot's hop
+    /// memo is retired, so the next sweep enumerates the new agent. The
+    /// region is created if new; the ledger alone keeps it, and the
+    /// problem `def`. On error the fleet is unchanged.
     ///
     /// # Errors
     ///
@@ -743,14 +748,11 @@ impl Fleet {
         region: &str,
     ) -> Result<AgentId, ModelError> {
         let l = Arc::make_mut(&mut u.problem).register_agent(def)?;
-        let nl = u.problem.instance().num_agents();
-        // Stored slot loads are dense over the agent axis; grow them so
-        // every later evaluation/summation sees matching lengths. The
-        // new tail is zero, so grown loads stay bitwise-equal to their
-        // up-front-construction twins. A grown load is written, so its
-        // slot's memo — swept without the new agent — goes.
+        // A slot holds nothing on the new agent, so no slot changes; but
+        // every memo was swept without it, and names its candidates by
+        // positions the new agent renumbers.
         for slot in u.slots.values_mut() {
-            slot.get_mut().grow_agents(nl);
+            slot.get_mut().retire_memo();
         }
         u.available.push(true);
         u.drained.push(false);
@@ -977,7 +979,7 @@ impl Fleet {
         }
         let load = eval.load();
         self.ledger.book_unchecked(load);
-        let slot = slot.loaded(load.clone());
+        let slot = slot.loaded(load);
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         let tier_counter = match accepted.tier {
             AdmissionTier::Enumeration => &self.counters.admitted_enumeration,
@@ -995,28 +997,28 @@ impl Fleet {
     }
 
     /// Departs session `s`, releasing exactly what it reserved and dropping
-    /// its slot. Returns the slot's load — the reservation the ledger
+    /// its slot. Returns the slot's hold — the reservation the ledger
     /// released; `None`, changing nothing, for any id that is not live
     /// — never admitted, departed, displaced or unregistered. Coarse
     /// path: takes the FREEZE write lock.
-    pub fn depart(&self, s: SessionId) -> Option<SessionLoad> {
+    pub fn depart(&self, s: SessionId) -> Option<SessionHold> {
         let mut u = self.freeze_exclusive();
-        let load = self.depart_locked(&mut u, s);
+        let hold = self.depart_locked(&mut u, s);
         drop(u);
-        if load.is_some() {
+        if hold.is_some() {
             self.obs
                 .note_trace(TraceKind::Departed, s.index() as u32, 0);
         }
-        load
+        hold
     }
 
     /// The departure proper, run under the caller's FREEZE write lock.
-    fn depart_locked(&self, u: &mut Universe, s: SessionId) -> Option<SessionLoad> {
+    fn depart_locked(&self, u: &mut Universe, s: SessionId) -> Option<SessionHold> {
         let slot = u.slots.remove(&s)?.into_inner();
-        self.ledger.release(slot.load());
+        self.ledger.release(slot.hold());
         self.counters.departed.fetch_add(1, Ordering::Relaxed);
         self.log_op(|| FleetOp::Depart { session: s });
-        Some(slot.into_load())
+        Some(slot.into_hold())
     }
 
     /// Fails `agent`: it goes down, and every stranded user/task of a
@@ -1189,7 +1191,7 @@ impl Fleet {
     /// loss is O(live + stranded × agents) under the exclusive hold —
     /// time proportional to the stranded load, not stranded × live.
     ///
-    /// **Determinism.** The totals come from slot loads, NOT from the
+    /// **Determinism.** The totals come from slot holds, NOT from the
     /// ledger's reserved sums: the latter accumulate in journal-append
     /// order, which for concurrent hops can differ between a fleet and
     /// its recovered copy by a ulp — and a recovered fleet's later
@@ -1231,7 +1233,7 @@ impl Fleet {
                     .agent_ids()
                     .filter(|&l| l != agent && u.available[l.index()]);
                 let picked = churn::pick_target(&mut hood, d, targets, |load| {
-                    fits(s, load, slot.load(), &totals, inst).is_ok()
+                    fits(s, load, slot.hold(), &totals, inst).is_ok()
                 });
                 let (decision, forced) = match picked {
                     Some((decision, true)) => (decision, false),
@@ -1239,8 +1241,8 @@ impl Fleet {
                         // No feasible target: displace the whole session
                         // into the re-admission queue instead of forcing
                         // an overshoot; its remaining decisions are moot.
-                        totals.remove(slot.load());
-                        self.ledger.release(slot.load());
+                        totals.remove(slot.hold().demand());
+                        self.ledger.release(slot.hold());
                         u.slots.remove(&s);
                         steps.push(EvacStep::Displaced { session: s });
                         break;
@@ -1257,11 +1259,10 @@ impl Fleet {
                 // keeps the move as the base the session's next stranded
                 // decision is weighed around.
                 let (index, moved) = hood.commit(decision);
-                totals.remove(slot.load());
-                totals.add(moved);
+                totals.remove(slot.hold().demand());
+                totals.add(moved.demand());
+                self.ledger.force_swap(slot.hold(), moved);
                 slot.relocate(decision, index, moved);
-                // `relocate` left the old load in the scratch.
-                self.ledger.force_swap(moved, slot.load());
                 steps.push(EvacStep::Moved {
                     session: s,
                     decision,
@@ -1621,16 +1622,16 @@ impl Fleet {
             candidates,
         } = hop;
         self.ledger.reserved_totals_into(reserved);
-        let (users, tasks, load, kept) = slot.hop_view();
+        let (users, tasks, hold, phi_now, kept) = slot.hop_view();
         let hit = kept.is_some();
         let inst = problem.instance();
         let mut ctx = HopContext {
             beta: self.engine.config().beta,
-            phi_now: load.phi,
+            phi_now,
             d_max_ms: inst.d_max_ms(),
             allowed: |l: AgentId| universe.available[l.index()],
             fits: |demand: &[AgentDemand]| {
-                demand_fits(demand.iter().copied(), load, reserved, inst).is_ok()
+                demand_fits(demand.iter().copied(), hold, reserved, inst).is_ok()
             },
         };
         // A hit compiles nothing unless its draw has to weigh a
@@ -1655,14 +1656,14 @@ impl Fleet {
             // assignment and the commit below. Whatever the migration
             // was drawn from, the ledger's checked `try_swap` decides.
             let (index, moved) = hood.candidate(decision);
-            let swap = self.ledger.try_swap(load, moved);
+            let swap = self.ledger.try_swap(hold, moved);
             // Attempt/conflict counters keyed by session — no clock
             // reads; contention shows up as a conflict ratio, not a
             // latency. The plane masks the key onto its counter shards
             // itself.
             self.obs.note_swap(s.index(), swap.is_err());
             if swap.is_ok() {
-                let old_agent = self.commit_hop(s, &mut slot, decision, index, eval.load_mut());
+                let old_agent = self.commit_hop(s, &mut slot, decision, index, eval.load());
                 self.log_op(|| FleetOp::Hop {
                     session: s,
                     decision,
@@ -1694,10 +1695,10 @@ impl Fleet {
     /// Commits a weighed migration whose hold the ledger has already
     /// swapped in — the live hop after its checked `try_swap`, `Hop`
     /// replay after its `force_swap`: moves the slot by `decision`
-    /// (`index` its [`UapProblem::local_index`]), swapping `load` in
+    /// (`index` its [`UapProblem::local_index`]), copying `load` in
     /// ([`SessionSlot::relocate`] — the slot's memo goes with its old
     /// placement), counts the migration and emits its `HopCommitted`
-    /// event, the ΔΦ read off the two loads at hand (no clock read: a
+    /// event, the ΔΦ read off the two `Φ` at hand (no clock read: a
     /// hop's events carry the last sampled time). Returns the agent
     /// moved from.
     pub(crate) fn commit_hop(
@@ -1706,13 +1707,13 @@ impl Fleet {
         slot: &mut SessionSlot,
         decision: Decision,
         index: usize,
-        load: &mut SessionLoad,
+        load: &SessionLoad,
     ) -> AgentId {
         self.counters.migrations.fetch_add(1, Ordering::Relaxed);
         self.obs.note_trace_coarse(
             TraceKind::HopCommitted,
             s.index() as u32,
-            (load.phi - slot.load().phi).to_bits(),
+            (load.phi - slot.phi()).to_bits(),
         );
         slot.relocate(decision, index, load)
     }
@@ -1723,7 +1724,7 @@ impl Fleet {
     #[cfg(test)]
     pub(crate) fn forget_hop_memos(&self) {
         for (_, mut slot) in self.freeze.read().live_slots() {
-            slot.forget_memo();
+            slot.retire_memo();
         }
     }
 
@@ -1737,12 +1738,12 @@ impl Fleet {
         self.freeze.read().slots.len()
     }
 
-    /// The reservation session `s` holds — its slot's load, as the
+    /// The reservation session `s` holds — its slot's hold, as the
     /// ledger booked it; `None` for any id that is not live.
     pub fn hold_of(&self, s: SessionId) -> Option<SessionHold> {
         let u = self.freeze.read();
         let slot = u.slots.get(&s)?.lock();
-        Some(SessionHold::from_load(slot.load()))
+        Some(slot.hold().clone())
     }
 
     /// One pass over the slots (under the shared FREEZE lock; per-slot
@@ -1850,32 +1851,30 @@ impl Fleet {
     }
 
     /// Re-evaluates every live slot from scratch and returns the largest
-    /// absolute discrepancy against the stored loads (then installs the
-    /// fresh values, swapping the ledger from each stored demand that
-    /// differs to the fresh one, so the slots stay the holds). The
-    /// standing self-check that the allocation-free scratch path and a
-    /// cold evaluation agree. Without drift the ledger is untouched.
+    /// absolute discrepancy against the stored holds and `Φ` (then
+    /// installs the fresh values, swapping the ledger from each stored
+    /// hold that differs to the fresh one, so the slots stay the
+    /// holds). The standing self-check that the allocation-free scratch
+    /// path and a cold evaluation agree. Without drift the ledger is
+    /// untouched.
     pub fn load_drift(&self) -> f64 {
         let u = self.freeze_exclusive();
         let mut scratch = EvalScratch::new();
         let mut drift: f64 = 0.0;
         for (s, mut slot) in u.live_slots() {
             let fresh = evaluate_slot(&u.problem, s, &slot, &mut scratch);
-            // Union of the two touched sets: stale load on an agent the
-            // fresh evaluation does NOT touch must count as drift too
+            // Both sides' agents: stale load on an agent the fresh
+            // evaluation does NOT touch must count as drift too
             // (duplicate visits are harmless for a max-of-abs).
-            let stored = slot.load();
-            let mut same_demand = true;
-            for &a in fresh.touched.iter().chain(stored.touched.iter()) {
-                let i = a as usize;
-                drift = drift.max((fresh.download[i] - stored.download[i]).abs());
-                drift = drift.max((fresh.upload[i] - stored.upload[i]).abs());
-                same_demand &= fresh.download[i] == stored.download[i]
-                    && fresh.upload[i] == stored.upload[i]
-                    && fresh.transcode_units[i] == stored.transcode_units[i];
+            let stored = slot.hold();
+            let fresh_side = fresh.demand().map(|d| (d, stored.held_at(d.agent)));
+            let stored_side = stored.demand().map(|h| (fresh.demand_at(h.agent), h));
+            for (f, h) in fresh_side.chain(stored_side) {
+                drift = drift.max((f.download - h.download).abs());
+                drift = drift.max((f.upload - h.upload).abs());
             }
-            drift = drift.max((fresh.phi - stored.phi).abs());
-            if !same_demand {
+            drift = drift.max((fresh.phi - slot.phi()).abs());
+            if !fresh.agent_holds().eq(stored.holds.iter().copied()) {
                 self.ledger.force_swap(stored, fresh);
             }
             slot.reload(fresh);
@@ -1885,7 +1884,7 @@ impl Fleet {
 
     /// Ledger-vs-state conservation audit (empty = conserved): per
     /// agent, the ledger's booked totals must equal the sum of the live
-    /// slot loads. The slots are the holds, so there is no second set of
+    /// slot holds. The slots are the holds, so there is no second set of
     /// holding sessions to compare. Coarse path.
     pub fn audit(&self) -> Vec<String> {
         let u = self.freeze_exclusive();
@@ -1938,7 +1937,7 @@ impl Fleet {
     }
 }
 
-/// Sums the live slot loads in ascending session order — bit-
+/// Sums the live slot holds in ascending session order — bit-
 /// deterministic given the slots, unlike the ledger's reserved sums,
 /// which accumulate in commit order — handing each live slot to `visit`
 /// on the way. Caller holds the FREEZE write lock and no slot lock
@@ -1946,7 +1945,7 @@ impl Fleet {
 fn live_totals_locked(u: &Universe, mut visit: impl FnMut(SessionId, &SessionSlot)) -> AgentTotals {
     let mut totals = AgentTotals::zero(u.problem.instance().num_agents());
     for (s, slot) in u.live_slots() {
-        totals.add(slot.load());
+        totals.add(slot.hold().demand());
         visit(s, &slot);
     }
     totals
@@ -2005,6 +2004,20 @@ pub(crate) fn placement_hash(slot: &SessionSlot) -> u64 {
         h = (h ^ a.index() as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+impl Evaluated for SessionLoad {
+    fn phi(&self) -> f64 {
+        self.phi
+    }
+
+    fn ingress_mbps(&self) -> f64 {
+        self.total_ingress_mbps()
+    }
+
+    fn user_delay(&self) -> &[f64] {
+        &self.user_delay
+    }
 }
 
 /// Evaluates `slot`'s current placement for session `s` into `scratch`:

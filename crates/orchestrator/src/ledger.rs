@@ -8,10 +8,10 @@
 //! transcoding units per agent, beside the agent's capacity and region.
 //! It keeps no per-session record and no availability (the fleet's
 //! universe says which agents are up). A live session's reservation
-//! is its slot's evaluated load; whoever changes a reservation hands the
-//! ledger the demand it gives up and the demand it takes (any
-//! [`Reservation`] — a slot's load in place, or an explicit
-//! [`SessionHold`]), and the ledger moves the totals by exactly those
+//! is its slot's [`SessionHold`]; whoever changes a reservation hands
+//! the ledger the demand it gives up and the demand it takes (any
+//! [`Reservation`] — a slot's hold, or the kernel's evaluation of the
+//! placement it moves to), and the ledger moves the totals by exactly those
 //! amounts, atomically across the agents involved — possibly from many
 //! worker threads at once. The fleet does so holding the slot's lock or
 //! the exclusive FREEZE, so the demand it names is the one booked.
@@ -47,7 +47,7 @@
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use vc_core::{
-    agent_fits, AgentDemand, AgentTotals, FreeCapacity, SessionLoad, UapProblem, Violation,
+    agent_fits, AgentDemand, AgentTotals, FreeCapacity, Held, SessionLoad, UapProblem, Violation,
 };
 use vc_model::{AgentId, Capacity};
 
@@ -97,12 +97,34 @@ impl SessionHold {
     pub fn is_empty(&self) -> bool {
         self.holds.is_empty()
     }
+
+    /// The hold as the sparse demand [`AgentTotals`] and the capacity
+    /// rule read, ascending by agent.
+    pub fn demand(&self) -> impl Iterator<Item = AgentDemand> + '_ {
+        self.holds.iter().map(|h| h.demand())
+    }
+}
+
+impl Held for SessionHold {
+    /// The hold's entry for `agent`, zero if it holds nothing there.
+    fn held_at(&self, agent: u32) -> AgentDemand {
+        let held = self.holds.iter().find(|h| h.agent.as_u32() == agent);
+        held.map_or(
+            AgentDemand {
+                agent,
+                ..AgentDemand::default()
+            },
+            |h| h.demand(),
+        )
+    }
 }
 
 /// What the ledger books, releases and swaps: a session's per-agent
-/// demand. A live session's [`SessionLoad`] is one, read in place — the
-/// fleet's every booking passes the load its slot holds or is about to
-/// hold — and an explicit [`SessionHold`] the other.
+/// demand. A live session's [`SessionHold`] is one — its slot's, which
+/// every release and the old side of every swap pass — and the kernel's
+/// evaluated [`SessionLoad`] the other, read in place: the placement a
+/// session is admitted at or moves to, booked before its slot copies
+/// the hold out.
 pub trait Reservation {
     /// The per-agent holds, ascending by agent.
     fn agent_holds(&self) -> impl Iterator<Item = AgentHold> + Clone + '_;
@@ -420,7 +442,7 @@ impl CapacityLedger {
     }
 
     /// Releases `held` — what a departing or displaced session reserved;
-    /// the fleet passes the load of the slot it removes.
+    /// the fleet passes the hold of the slot it removes.
     pub fn release(&self, held: &impl Reservation) {
         self.with_span(held.agent_holds().map(|h| h.agent), |view| {
             for h in held.agent_holds() {
@@ -540,7 +562,7 @@ impl CapacityLedger {
 
     /// Conservation audit against the authoritative slots: per agent,
     /// the booked totals must equal `totals` — the sum of the live slot
-    /// loads — within float slack. Returns human-readable discrepancies
+    /// holds — within float slack. Returns human-readable discrepancies
     /// (empty = conserved).
     pub fn audit_against_totals(&self, totals: &AgentTotals) -> Vec<String> {
         let mut problems = Vec::new();

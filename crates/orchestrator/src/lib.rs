@@ -65,11 +65,11 @@
 //!
 //! The live sessions' slots are authoritative — a session has a slot
 //! exactly while it is live, so the slot map's keys *are* the live set,
-//! and a slot's load *is* the session's hold — and the ledger's
-//! per-agent totals are moved by exactly the loads the slots take and
-//! give up. After *any* sequence of admits, departs, failures and hops
-//! — including hops racing on OS threads — [`Fleet::audit`] must return
-//! empty: per-agent booked capacity equals the sum of the slot loads.
+//! and a slot keeps the session's hold — and the ledger's per-agent
+//! totals are moved by exactly the holds the slots take and give up.
+//! After *any* sequence of admits, departs, failures and hops —
+//! including hops racing on OS threads — [`Fleet::audit`] must return
+//! empty: per-agent booked capacity equals the sum of the slot holds.
 //! `tests/orchestrator_invariants.rs` and `tests/hop_equivalence.rs`
 //! property-test exactly this.
 //!

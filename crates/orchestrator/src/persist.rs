@@ -6,9 +6,10 @@
 //!
 //! The control plane's entire mutable state is the live sessions'
 //! slots (their placements; the slot map's keys are the live set) plus
-//! the counters; [`DurableFleetState`] captures exactly that. A slot's
-//! load is its ledger hold, so the snapshot's `holdings` are written
-//! from the slots ([`SessionHold::from_load`], ascending by session),
+//! the counters; [`DurableFleetState`] captures exactly that. A slot
+//! keeps its ledger hold, so the snapshot's `holdings` are copied
+//! from the slots (each [`SessionHold::from_load`] of the slot's
+//! evaluation, ascending by session),
 //! and recovery books the ledger from the re-evaluated slots and
 //! requires the decoded `holdings` to say the same. Between
 //! snapshots, every state-changing mutation appends one [`FleetOp`] to
@@ -233,8 +234,9 @@ pub enum FleetOp {
         session: SessionId,
     },
     /// A never-before-seen agent joined the fleet online (format v6).
-    /// Replay re-registers the definition (growing the problem, every
-    /// live slot's load vector, and the ledger) and checks the assigned id —
+    /// Replay re-registers the definition (growing the problem and the
+    /// ledger, retiring every live slot's hop memo) and checks the
+    /// assigned id —
     /// a mismatch means the journal and snapshot disagree.
     RegisterAgent {
         /// The id the registration was assigned.
@@ -444,7 +446,7 @@ pub struct DurableFleetState {
     /// `regions`; recovery requires the regrown ledger to agree.
     pub agent_regions: Vec<u32>,
     /// Ledger holdings, ascending by session id: every live session's
-    /// [`SessionHold::from_load`] of its slot's load. Recovery
+    /// slot hold, [`SessionHold::from_load`] of its evaluation. Recovery
     /// re-evaluates the loads and refuses a snapshot whose holdings
     /// differ from them.
     pub holdings: Vec<(SessionId, SessionHold)>,
@@ -657,7 +659,7 @@ fn capture(fleet: &Fleet, u: &fleet::Universe) -> DurableFleetState {
         regions,
         agent_regions,
         holdings: (u.slots.iter())
-            .map(|(&s, slot)| (s, SessionHold::from_load(slot.lock().load())))
+            .map(|(&s, slot)| (s, slot.lock().hold().clone()))
             .collect(),
         counters: CounterSnapshot::capture(&fleet.counters),
         timers: fleet.timers.lock().clone(),
@@ -1203,10 +1205,10 @@ impl Fleet {
         u.available = durable.available;
         u.drained = durable.drained;
         // A slot per live session only; whatever the snapshot holds at a
-        // non-live session's entries is not state. Each slot's load is
-        // booked as it is built, ascending by session: the slots are the
-        // holds, and the snapshot's `holdings` must name the same
-        // sessions with the same loads, bit for bit.
+        // non-live session's entries is not state. Each slot's
+        // evaluation is booked as it is built, ascending by session: the
+        // slots are the holds, and the snapshot's `holdings` must name
+        // the same sessions with the same holds, bit for bit.
         let mut scratch = EvalScratch::new();
         let mut holdings = durable.holdings.iter();
         for s in inst.session_ids().filter(|s| durable.active[s.index()]) {
@@ -1216,13 +1218,13 @@ impl Fleet {
                 users.map(|w| durable.user_agents[w.index()]).collect(),
                 tasks.map(|t| durable.task_agents[t.index()]).collect(),
             );
-            let load = fleet::evaluate_slot(&problem, s, &slot, &mut scratch).clone();
-            if holdings.next() != Some(&(s, SessionHold::from_load(&load))) {
+            let load = fleet::evaluate_slot(&problem, s, &slot, &mut scratch);
+            if holdings.next() != Some(&(s, SessionHold::from_load(load))) {
                 return Err(PersistError::Mismatch(format!(
                     "snapshot holdings disagree with the re-evaluated load of live session {s}"
                 )));
             }
-            fleet.ledger.book_unchecked(&load);
+            fleet.ledger.book_unchecked(load);
             u.slots.insert(s, Mutex::new(slot.loaded(load)));
         }
         if let Some((s, _)) = holdings.next() {
@@ -1522,7 +1524,7 @@ impl Fleet {
                             "displacement of non-live session {session}"
                         )));
                     };
-                    self.ledger.release(slot.into_inner().load());
+                    self.ledger.release(slot.into_inner().hold());
                 }
                 EvacStep::Stuck => {}
             }
@@ -1553,7 +1555,7 @@ impl Fleet {
         what: &str,
         (session, decision, from): (SessionId, Decision, AgentId),
         scratch: &mut EvalScratch,
-        commit: impl FnOnce(&mut SessionSlot, usize, &mut SessionLoad),
+        commit: impl FnOnce(&mut SessionSlot, usize, &SessionLoad),
     ) -> Result<(), PersistError> {
         let problem = &universe.problem;
         let Some(slot) = universe.slots.get(&session) else {
@@ -1585,8 +1587,8 @@ impl Fleet {
             slot.tasks().iter().copied(),
         );
         let (_, load) = hood.candidate(decision);
-        self.ledger.force_swap(slot.load(), load);
-        commit(&mut slot, index, scratch.load_mut());
+        self.ledger.force_swap(slot.hold(), load);
+        commit(&mut slot, index, load);
         Ok(())
     }
 }

@@ -183,13 +183,13 @@ fn admit_depart_round_trip_conserves() {
         // it shows up in both freeze-write histograms, exactly once.
         let holds = |site| f.obs().summary(site).count;
         let before = (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold));
-        let load = f.depart(SessionId::new(i)).expect("was live");
+        let hold = f.depart(SessionId::new(i)).expect("was live");
         assert_eq!(
             (holds(Site::FreezeWriteWait), holds(Site::FreezeWriteHold)),
             (before.0 + 1, before.1 + 1)
         );
         // Ledger gave back a non-trivial reservation.
-        assert!(!SessionHold::from_load(&load).is_empty());
+        assert!(!hold.is_empty());
         assert!(f.audit().is_empty(), "audit after depart {i}");
     }
     assert!(f.depart(SessionId::new(0)).is_none(), "already departed");
@@ -1626,7 +1626,7 @@ mod hop_memo {
     use vc_model::AgentDef;
     use vc_persist::journal::FsyncPolicy;
 
-    fn config(beta: f64) -> FleetConfig {
+    pub(super) fn config(beta: f64) -> FleetConfig {
         FleetConfig {
             placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
             alg1: Alg1Config::paper(beta),
@@ -1636,7 +1636,7 @@ mod hop_memo {
 
     /// A fourth (fifth, …) agent for the small universe, a little
     /// further out than the seed three.
-    fn late_agent(fleet: &Fleet) -> AgentDef {
+    pub(super) fn late_agent(fleet: &Fleet) -> AgentDef {
         let (agents, (_, users)) = (fleet.num_agents(), fleet.universe_size());
         AgentDef {
             spec: AgentSpec::builder(format!("late{agents}"))
@@ -2106,6 +2106,199 @@ mod hop_memo {
             let across = f.obs().hop_memo_hits() - before;
             assert!(across > 0, "β = {beta}: no hit across a drain");
         }
+    }
+}
+
+mod slot_hold {
+    //! A slot keeps its evaluation's hold, `Φ`, traffic and user delays
+    //! — copied out of the kernel's dense load at every write — and
+    //! keeps them bit-equal to a fresh evaluation of its placement.
+
+    use super::hop_memo::late_agent;
+    use super::*;
+    use crate::fleet::{evaluate_slot, SessionSlot};
+    use parking_lot::Mutex;
+    use proptest::prelude::*;
+    use vc_core::EvalScratch;
+
+    /// A hold as the bits it books, per agent: agent, download,
+    /// upload, units.
+    type HoldBits = Vec<(u32, u64, u64, u32)>;
+
+    fn bits(hold: &SessionHold) -> HoldBits {
+        (hold.holds.iter())
+            .map(|h| {
+                let (d, u) = (h.download_mbps.to_bits(), h.upload_mbps.to_bits());
+                (h.agent.as_u32(), d, u, h.transcode_units)
+            })
+            .collect()
+    }
+
+    /// Every live slot's hold bits, ascending by session.
+    fn holds(f: &Fleet) -> Vec<(SessionId, HoldBits)> {
+        let u = f.freeze.read();
+        (u.slots.iter())
+            .map(|(&s, slot)| (s, bits(slot.lock().hold())))
+            .collect()
+    }
+
+    /// Each live slot against a fresh evaluation of its placement: its
+    /// hold, `Φ`, traffic and user delays, bit for bit; and the ledger
+    /// against the holds.
+    fn check_slots(f: &Fleet, ctx: &str) {
+        let u = f.freeze.read();
+        let mut scratch = EvalScratch::new();
+        for (&s, slot) in &u.slots {
+            let slot = slot.lock();
+            let fresh = evaluate_slot(&u.problem, s, &slot, &mut scratch);
+            assert_eq!(
+                bits(slot.hold()),
+                bits(&SessionHold::from_load(fresh)),
+                "{ctx}: hold of {s}"
+            );
+            assert_eq!(slot.phi().to_bits(), fresh.phi.to_bits(), "{ctx}: Φ of {s}");
+            assert_eq!(
+                slot.ingress_mbps().to_bits(),
+                fresh.total_ingress_mbps().to_bits(),
+                "{ctx}: traffic of {s}"
+            );
+            let delays = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                delays(slot.user_delay()),
+                delays(&fresh.user_delay),
+                "{ctx}: delays of {s}"
+            );
+        }
+        drop(u);
+        assert!(f.audit().is_empty(), "{ctx}: ledger and holds disagree");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random admissions, hops, departures, failures, drains and
+        /// agent registrations on a fleet of 3 to 5 agents: after every
+        /// op each live slot equals a fresh evaluation of its
+        /// placement; a registration leaves every hold's bits as they
+        /// were and retires every memo.
+        #[test]
+        fn a_slot_is_a_fresh_evaluation_of_its_placement(
+            ops in prop::collection::vec((0u8..10, 0usize..64), 20..80),
+            low_beta in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let beta = if low_beta { 0.05 } else { 400.0 };
+            let f = Fleet::new(universe(120.0, 6), hop_memo::config(beta));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                let agents = f.num_agents();
+                let (s, a) = (SessionId::from(arg % 6), AgentId::from(arg % agents));
+                let up = (0..agents).filter(|&l| f.is_agent_available(AgentId::from(l))).count();
+                let what = match op {
+                    0 | 1 => {
+                        _ = f.admit(s);
+                        "admit"
+                    }
+                    2 => {
+                        _ = f.depart(s);
+                        "depart"
+                    }
+                    3 if f.is_agent_available(a) && up > 1 => {
+                        _ = f.fail_agent(a);
+                        "fail"
+                    }
+                    3 => {
+                        _ = f.restore_agent(a);
+                        "restore"
+                    }
+                    4 if f.is_agent_available(a) && up > 2 => {
+                        _ = f.drain_agent(a);
+                        "drain"
+                    }
+                    5 if agents < 5 => {
+                        let before = holds(&f);
+                        f.register_agent(&late_agent(&f), "default").expect("registers");
+                        prop_assert_eq!(holds(&f), before, "step {}: a registration moved a hold", step);
+                        let u = f.freeze.read();
+                        for (s, slot) in &u.slots {
+                            prop_assert!(slot.lock().hop_view().4.is_none(), "step {}: {} kept its memo", step, s);
+                        }
+                        "register_agent"
+                    }
+                    _ => {
+                        for s in f.live_sessions() {
+                            f.hop_session(s, &mut rng);
+                        }
+                        "hop"
+                    }
+                };
+                check_slots(&f, &format!("step {step} ({what})"));
+            }
+        }
+    }
+
+    /// Seven agents and one conference of four users, two of them
+    /// receiving the first one's 1080p upstream transcoded: two tasks.
+    fn seven_agent_conference() -> Arc<UapProblem> {
+        let ladder = ReprLadder::standard_four();
+        let (hi, lo) = (ladder.highest(), ladder.lowest());
+        let mut b = InstanceBuilder::new(ladder);
+        for i in 0..7 {
+            b.add_agent(AgentSpec::builder(format!("a{i}")).build());
+        }
+        let s = b.add_session();
+        let first = b.add_user(s, hi, lo);
+        b.add_user(s, lo, lo);
+        b.add_user(s, lo, lo);
+        b.add_user_with_demand(
+            s,
+            lo,
+            DownstreamDemand::uniform(lo).with_override(first, hi),
+        );
+        b.symmetric_delays(
+            |l, k| 20.0 + 9.0 * ((l as f64) - (k as f64)).abs(),
+            |l, u| 6.0 + ((l * 5 + u * 3) % 19) as f64,
+        );
+        Arc::new(UapProblem::new(
+            b.build().unwrap(),
+            CostModel::paper_default(),
+        ))
+    }
+
+    /// What a live slot costs stays what its conference touches: the
+    /// slot itself, and its buffers after admission and one sweep kept
+    /// as its memo: 136 B and 288 B when this was written. A dense
+    /// per-agent load (184 B inline, 196 B of buffers at 7 agents) or a
+    /// per-candidate list (8 B × 36 candidates) in the slot or its memo
+    /// would exceed these bounds.
+    #[test]
+    fn a_slot_costs_what_its_conference_touches() {
+        assert!(
+            std::mem::size_of::<Mutex<SessionSlot>>() <= 160,
+            "{} B",
+            std::mem::size_of::<Mutex<SessionSlot>>()
+        );
+        let problem = seven_agent_conference();
+        let s = SessionId::new(0);
+        assert_eq!(
+            (
+                problem.instance().session(s).len(),
+                problem.tasks().of_session(s).len()
+            ),
+            (4, 2)
+        );
+        let f = Fleet::new(problem, hop_memo::config(400.0));
+        f.admit(s).unwrap();
+        let kept = (0..16).any(|seed| {
+            let outcome = f.hop_session(s, &mut StdRng::seed_from_u64(seed));
+            !matches!(outcome, HopOutcome::Migrated(_))
+        });
+        assert!(kept, "no hop stayed");
+        let u = f.freeze.read();
+        let mut slot = u.slots[&s].lock();
+        assert!(slot.hop_view().4.is_some(), "the sweep is kept");
+        let bytes = slot.buffer_bytes();
+        assert!(bytes <= 320, "{bytes} B of buffers");
     }
 }
 

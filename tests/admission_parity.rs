@@ -192,7 +192,7 @@ proptest! {
                 "the ranked walk fits {s} but the engine found no placement"
             );
             if let Some(load) = walked {
-                totals.add(&load);
+                totals.add(load.demand());
             }
         }
     }

@@ -11,7 +11,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_orchestrator::{Fleet, PlacementPolicy, SessionHold};
+use vc_orchestrator::{Fleet, PlacementPolicy};
 
 /// A small capacity-limited universe: 3 agents, 5 sessions of 2–3 users.
 #[derive(Debug, Clone)]
@@ -107,7 +107,7 @@ fn run_events(fleet: &Fleet, events: &[(u8, u8)]) -> usize {
             1 => {
                 let s = SessionId::from(arg as usize % num_sessions);
                 let held_before = fleet.hold_of(s);
-                let released = fleet.depart(s).as_ref().map(SessionHold::from_load);
+                let released = fleet.depart(s);
                 // Departure returns exactly what the slot held.
                 assert_eq!(held_before, released, "depart released a different hold");
             }
@@ -204,9 +204,9 @@ proptest! {
             }
         }
         for &s in &admitted {
-            let load = fleet.depart(s).expect("admitted session is live");
+            let hold = fleet.depart(s).expect("admitted session is live");
             prop_assert!(
-                !SessionHold::from_load(&load).is_empty(),
+                !hold.is_empty(),
                 "live session reserved nothing"
             );
         }
