@@ -77,12 +77,26 @@
 //!   it weighs — each combination, each repair step, each trial — only
 //!   installs its agents, derives its flow delays and folds
 //!   ([`EvalScratch::weigh`]).
+//! * **A refusal costs one stream emission.** Most placements a search
+//!   checks overflow an agent, and all it reads of a refusal is the
+//!   agent and the constraint. So every placement after a search's
+//!   first is checked on its demand bounds
+//!   ([`EvalScratch::demand_bounds`]: its streams emitted into per-agent
+//!   sums, bracketed by `1 ∓ 10⁻⁹`) before any fold. Where both ends of
+//!   an agent's bracket fail [`agent_fits`] on the same constraint, the
+//!   fold would fail there first, and the placement is refused without
+//!   deriving a delay or folding. The fold runs for a search's first
+//!   placement (which most joins accept), for a placement whose every
+//!   `hi` fits (the delay bound and the accepted load come from it), and
+//!   where a bracket straddles the rule. No decision moves: the bracket
+//!   holds the fold's value in floating point, and the rule is monotone
+//!   in each load.
 //! * **No placement weighed twice.** The repair walk is a function of
 //!   its placement, so once it comes back to a placement it refused it
 //!   can only circle until its budget runs out. It keeps the placements
 //!   it refused (at most `3·|U(s)| + |T(s)| + 1`), stops at the first
 //!   repeat, and tier 3 refuses a trial equal to one of them without
-//!   evaluating it. Tier 1's combos and tier 3's trials are distinct by
+//!   checking it. Tier 1's combos and tier 3's trials are distinct by
 //!   construction, so [`AdmissionStats::candidates_evaluated`] counts
 //!   distinct placements.
 //! * **One scratch.** [`AdmissionScratch`] owns every per-admit buffer:
@@ -112,7 +126,7 @@ use vc_core::{
     agent_fits, AgentDemand, Assignment, EvalScratch, FreeCapacity, SystemState, TaskId,
     UapProblem, Violation, CAPACITY_EPS,
 };
-use vc_model::{AgentId, ReprId, SessionId, UserId};
+use vc_model::{AgentId, Capacity, ReprId, SessionId, UserId};
 
 /// Which initial-assignment policy admits the sessions.
 #[derive(Debug, Clone)]
@@ -155,8 +169,9 @@ pub struct AdmissionStats {
     pub tier: AdmissionTier,
     /// Violation-driven repair moves applied (tier 2 only).
     pub repair_steps: usize,
-    /// Candidate placements weighed (global checks run). The search
-    /// never weighs one placement twice, so these are distinct.
+    /// Candidate placements that reached the global check, however it
+    /// settled them — on their demand bounds or on a fold. The search
+    /// never checks one placement twice, so these are distinct.
     pub candidates_evaluated: usize,
 }
 
@@ -219,6 +234,18 @@ impl Search<'_> {
         &self.candidates[k * self.per_user..(k + 1) * self.per_user]
     }
 
+    /// Agent `agent`'s capacity and its free share of it, the
+    /// residual.
+    fn free_at(&self, agent: u32) -> (Capacity, FreeCapacity) {
+        let i = agent as usize;
+        let free = FreeCapacity {
+            download: self.residuals.download[i],
+            upload: self.residuals.upload[i],
+            transcode: self.residuals.transcode[i],
+        };
+        (self.problem.instance().agents()[i].capacity(), free)
+    }
+
     /// Whether agent `l` is up and can still carry `need` on top of the
     /// tentative last-mile load already put on it.
     fn last_mile_fits(&self, l: AgentId, need: (f64, f64), tent: &PlacementScratch) -> bool {
@@ -258,6 +285,45 @@ struct PlacementScratch {
     /// `3·|U(s)| + |T(s)| + 1` of them (one per evaluation the repair
     /// budget allows).
     refused: Vec<AgentId>,
+}
+
+/// Why the global check refused a placement, as much as the search
+/// reads of it: the constraint, and the agent a capacity constraint
+/// broke at — never the load, which a bound verdict does not sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    Download(AgentId),
+    Upload(AgentId),
+    Transcode(AgentId),
+    /// Constraint (8), which no repair move mends.
+    Delay,
+    /// A target is down: a bug upstream, since every chooser filters on
+    /// availability.
+    Unavailable,
+}
+
+impl From<Violation> for Refusal {
+    fn from(violation: Violation) -> Self {
+        match violation {
+            Violation::Download { agent, .. } => Self::Download(agent),
+            Violation::Upload { agent, .. } => Self::Upload(agent),
+            Violation::Transcode { agent, .. } => Self::Transcode(agent),
+            Violation::Delay { .. } => Self::Delay,
+            Violation::Unavailable { .. } => Self::Unavailable,
+        }
+    }
+}
+
+/// What a placement's demand bounds settle of its capacity check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// The fold's first capacity violation, for certain.
+    Refuses(Refusal),
+    /// The fold fits every agent, for certain (the delay bound is
+    /// still open).
+    Fits,
+    /// An agent's bracket straddles the rule.
+    Undecided,
 }
 
 impl AdmissionEngine {
@@ -425,7 +491,7 @@ impl AdmissionEngine {
                 let mut steps = 0usize;
                 loop {
                     candidates_evaluated += 1;
-                    match placement.check_full(&search, eval) {
+                    match placement.check_full(&search, eval, candidates_evaluated > 1) {
                         None => {
                             return Ok(placement.decision(
                                 AdmissionTier::Repair,
@@ -433,13 +499,13 @@ impl AdmissionEngine {
                                 candidates_evaluated,
                             ));
                         }
-                        Some(violation) => {
+                        Some(refusal) => {
                             placement.refuse();
                             // The walk is a function of the placement: back
                             // at one it refused, it can only circle until
                             // the budget runs out.
                             if steps >= repair_budget
-                                || !placement.repair_step(&search, violation)
+                                || !placement.repair_step(&search, refusal)
                                 || placement.was_refused()
                             {
                                 break;
@@ -473,7 +539,8 @@ impl AdmissionEngine {
             // A placement repair refused would be refused again.
             if !placement.was_refused() {
                 candidates_evaluated += 1;
-                if placement.check_full(&search, eval).is_none() {
+                let bound = candidates_evaluated > 1;
+                if placement.check_full(&search, eval, bound).is_none() {
                     return true;
                 }
             }
@@ -598,7 +665,10 @@ impl PlacementScratch {
                 if self.place_tasks(search) {
                     passed_tasks = true;
                     candidates_evaluated += 1;
-                    if self.check_full(search, eval).is_none() {
+                    if self
+                        .check_full(search, eval, candidates_evaluated > 1)
+                        .is_none()
+                    {
                         return Ok(self.decision(
                             AdmissionTier::Enumeration,
                             0,
@@ -665,63 +735,99 @@ impl PlacementScratch {
         true
     }
 
-    /// Weighs the fully-placed session in `eval`, which holds it
-    /// compiled (users in session order and tasks ascending by id are
-    /// the compiled orders), and checks it globally against the
-    /// residuals: per *touched* agent (ascending) [`agent_fits`], the
-    /// rule of hops, evacuations and the ledger, with nothing held
-    /// there before; then the delay bound.
-    /// Availability of every target is re-checked first, so no tier can
-    /// emit a placement on a failed agent. Returns the first violation,
-    /// `None` when feasible.
-    fn check_full(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<Violation> {
-        let Search {
-            problem,
-            residuals,
-            available,
-            ..
-        } = *search;
-        for &(_, agent) in &self.users {
-            if !available[agent.index()] {
-                return Some(Violation::Unavailable { agent });
+    /// Checks the fully-placed session globally against the residuals,
+    /// in `eval`, which holds it compiled (users in session order and
+    /// tasks ascending by id are the compiled orders): per *touched*
+    /// agent (ascending) [`agent_fits`], the rule of hops, evacuations
+    /// and the ledger, with nothing held there before; then the delay
+    /// bound. Availability of every target is checked first, so no
+    /// tier can emit a placement on a failed agent. Returns the first
+    /// refusal, `None` when feasible.
+    ///
+    /// The search reads only a refusal's constraint and agent, which is
+    /// what lets a placement after a search's first (`bound`) be
+    /// settled from its [demand bounds](Self::bound_verdict): where they
+    /// refuse it, no fold runs, and no `load_mbps` is made up for a
+    /// load that was never summed. Otherwise — every agent fits for
+    /// certain, or one the bounds cannot decide — the placement is
+    /// [weighed](Self::fold_verdict), and on success its load is left
+    /// in `eval`.
+    fn check_full(
+        &self,
+        search: &Search<'_>,
+        eval: &mut EvalScratch,
+        bound: bool,
+    ) -> Option<Refusal> {
+        if (self.users.iter().map(|&(_, l)| l))
+            .chain(self.tasks.iter().map(|&(_, l)| l))
+            .any(|l| !search.available[l.index()])
+        {
+            return Some(Refusal::Unavailable);
+        }
+        if bound {
+            let verdict = self.bound_verdict(search, eval);
+            #[cfg(test)]
+            tests::audit(verdict, self.fold_verdict(search, eval), eval.load());
+            if let Bound::Refuses(refusal) = verdict {
+                return Some(refusal);
             }
         }
-        for &(_, agent) in &self.tasks {
-            if !available[agent.index()] {
-                return Some(Violation::Unavailable { agent });
-            }
-        }
-        let load = eval.weigh(
-            problem,
+        self.fold_verdict(search, eval)
+    }
+
+    /// The capacity check on the candidate placement's demand bounds:
+    /// at each agent its fold would touch, ascending, [`agent_fits`] of
+    /// the bracket's `lo` and `hi`. An agent whose `hi` fits passes the
+    /// fold ([`agent_fits`] is monotone in each load); one where both
+    /// ends fail on the same constraint is where the fold fails first.
+    fn bound_verdict(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Bound {
+        let bounds = eval.demand_bounds(
             self.users.iter().map(|&(_, l)| l),
             self.tasks.iter().map(|&(_, l)| l),
         );
-        let (inst, none) = (problem.instance(), AgentDemand::default());
-        for new in load.demand() {
-            let i = new.agent as usize;
-            let free = FreeCapacity {
-                download: residuals.download[i],
-                upload: residuals.upload[i],
-                transcode: residuals.transcode[i],
-            };
-            if let Err(violation) = agent_fits(&inst.agents()[i].capacity(), free, &none, &new) {
-                return Some(violation);
+        let none = AgentDemand::default();
+        for [lo, hi] in bounds {
+            let (cap, free) = search.free_at(lo.agent);
+            match (
+                agent_fits(&cap, free, &none, lo),
+                agent_fits(&cap, free, &none, hi),
+            ) {
+                (_, Ok(())) => {}
+                (Err(lo), Err(hi)) if Refusal::from(lo) == Refusal::from(hi) => {
+                    return Bound::Refuses(lo.into());
+                }
+                _ => return Bound::Undecided,
             }
         }
-        (load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS).then_some(Violation::Delay {
-            session: search.s,
-            delay_ms: load.max_flow_delay,
-            bound_ms: inst.d_max_ms(),
-        })
+        Bound::Fits
+    }
+
+    /// The capacity and delay check on the candidate placement's fold,
+    /// which it leaves in `eval`.
+    fn fold_verdict(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<Refusal> {
+        let load = eval.weigh(
+            search.problem,
+            self.users.iter().map(|&(_, l)| l),
+            self.tasks.iter().map(|&(_, l)| l),
+        );
+        let none = AgentDemand::default();
+        for new in load.demand() {
+            let (cap, free) = search.free_at(new.agent);
+            if let Err(violation) = agent_fits(&cap, free, &none, &new) {
+                return Some(violation.into());
+            }
+        }
+        let inst = search.problem.instance();
+        (load.max_flow_delay > inst.d_max_ms() + CAPACITY_EPS).then_some(Refusal::Delay)
     }
 
     /// One repair move over the candidate placement: shift a user or
-    /// task of the session away from the agent named in `violation`, to
+    /// task of the session away from the agent named in `refusal`, to
     /// its next-ranked *available* alternative. Returns whether any
     /// move was applied.
-    fn repair_step(&mut self, search: &Search<'_>, violation: Violation) -> bool {
-        let overloaded = match violation {
-            Violation::Transcode { agent, .. } => {
+    fn repair_step(&mut self, search: &Search<'_>, refusal: Refusal) -> bool {
+        let overloaded = match refusal {
+            Refusal::Transcode(agent) => {
                 // Move one of this session's tasks off the agent (the
                 // fallback order is pre-filtered to available agents).
                 for slot in self.tasks.iter_mut() {
@@ -736,11 +842,11 @@ impl PlacementScratch {
                 }
                 return false;
             }
-            Violation::Download { agent, .. } | Violation::Upload { agent, .. } => agent,
+            Refusal::Download(agent) | Refusal::Upload(agent) => agent,
             // Delay violations are not repairable by shuffling, and an
             // unavailable target means a bug upstream (every chooser
             // filters on availability) — give up rather than shuffle.
-            Violation::Delay { .. } | Violation::Unavailable { .. } => return false,
+            Refusal::Delay | Refusal::Unavailable => return false,
         };
         // Move the first of this session's users on the overloaded agent
         // that has an available alternative candidate (`users` is in
@@ -908,6 +1014,45 @@ mod tests {
     use super::*;
     use crate::test_fixtures::{fig2_like_problem, scarce_capacity_problem};
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use vc_core::SessionLoad;
+
+    /// What the bound verdicts checked on this thread came to, and the
+    /// folded demand of every placement they were asked about.
+    #[derive(Debug, Default)]
+    struct Audit {
+        refused: usize,
+        fitted: usize,
+        undecided: usize,
+        folds: Vec<AgentDemand>,
+    }
+
+    thread_local! {
+        static AUDIT: RefCell<Audit> = RefCell::default();
+    }
+
+    /// Every bound verdict of a unit test's search, beside the full
+    /// check of the same placement (`full`, whose fold is `load`): a
+    /// verdict that decides must be the full check's — the same
+    /// refusal, or a pass that at most the delay bound overturns.
+    pub(super) fn audit(verdict: Bound, full: Option<Refusal>, load: &SessionLoad) {
+        match verdict {
+            Bound::Refuses(refusal) => assert_eq!(Some(refusal), full, "refused on bounds"),
+            Bound::Fits => assert!(
+                matches!(full, None | Some(Refusal::Delay)),
+                "fitted on bounds, refused on the fold: {full:?}"
+            ),
+            Bound::Undecided => {}
+        }
+        AUDIT.with_borrow_mut(|audit| {
+            match verdict {
+                Bound::Refuses(_) => audit.refused += 1,
+                Bound::Fits => audit.fitted += 1,
+                Bound::Undecided => audit.undecided += 1,
+            }
+            audit.folds.extend(load.demand());
+        });
+    }
 
     /// The enumeration order's definition: the full combination table,
     /// generated lexicographically (first user most significant), then
@@ -989,6 +1134,133 @@ mod tests {
         ) {
             assert_walk_matches_table(&lens);
         }
+    }
+
+    /// `agents` agents of `(download, upload, slots)` capacity and one
+    /// conference of `(upstream, downstream)` rungs over a ladder whose
+    /// bitrates round when summed, with last miles growing with
+    /// `(agent + user) mod 5` steps of `far` ms and the delay bound
+    /// `d_max`.
+    fn tight_universe(
+        agents: &[(f64, f64, u32)],
+        users: &[(usize, usize)],
+        far: f64,
+        d_max: f64,
+    ) -> UapProblem {
+        let ladder = vc_model::ReprLadder::from_steps([
+            ("r0", 100, 1_234),
+            ("r1", 200, 2_719),
+            ("r2", 300, 4_871),
+            ("r3", 400, 7_333),
+        ])
+        .unwrap();
+        let mut b = vc_model::InstanceBuilder::new(ladder);
+        for (i, &(download, upload, slots)) in agents.iter().enumerate() {
+            let capacity = vc_model::Capacity::new(upload, download, slots);
+            b.add_agent(
+                vc_model::AgentSpec::builder(format!("a{i}"))
+                    .capacity(capacity)
+                    .speed_factor(1.0 + 0.25 * i as f64)
+                    .build(),
+            );
+        }
+        let s = b.add_session();
+        for &(up, down) in users {
+            b.add_user(s, ReprId::from(up), ReprId::from(down));
+        }
+        b.symmetric_delays(
+            |l, k| 10.0 + 7.0 * (l as f64 - k as f64).abs(),
+            |l, u| 5.0 + far * ((l + u) % 5) as f64,
+        );
+        b.d_max_ms(d_max);
+        UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The searches behind `a_bound_verdict_is_the_exact_verdict`:
+        /// random tight universes, signed residuals (overshot agents
+        /// included), unavailable agents, both caps and three AgRank
+        /// neighbourhoods. Each search runs twice: the second time with
+        /// one agent's download or upload residual put within 10⁻¹²
+        /// relative of a fold the first search's bounds were asked
+        /// about, where a bracket straddles the rule.
+        fn bound_verdicts_on_tight_universes(
+            agents in prop::collection::vec((20.0f64..120.0, 40.0f64..240.0, 0u32..4), 3..=6),
+            users in prop::collection::vec((0usize..4, 0usize..4), 2..=6),
+            slack in prop::collection::vec((-0.3f64..1.0, -0.3f64..1.0, 0u32..3), 6),
+            down in prop::collection::vec(0usize..10, 6),
+            (far, roomy) in (0.0f64..40.0, 0u32..5),
+            (n_ngbr, tight, shift) in (1usize..=3, 0usize..1_000, -1.0f64..=1.0),
+        ) {
+            let d_max = if roomy > 0 { 10_000.0 } else { 150.0 };
+            let p = tight_universe(&agents, &users, far, d_max);
+            let s = SessionId::new(0);
+            let residuals = Residuals {
+                download: agents.iter().zip(&slack).map(|(a, r)| a.0 * r.0).collect(),
+                upload: agents.iter().zip(&slack).map(|(a, r)| a.1 * r.1).collect(),
+                transcode: (agents.iter().zip(&slack))
+                    .map(|(a, r)| f64::from(a.2) - f64::from(r.2))
+                    .collect(),
+            };
+            let available: Vec<bool> = (0..agents.len()).map(|i| down[i] != 0).collect();
+            let policy = match n_ngbr {
+                3 => AgRankConfig::live(),
+                n => AgRankConfig::paper(n + 1),
+            };
+            let mut eval = EvalScratch::new();
+            let mut scratch = AdmissionScratch::default();
+            for cap in [COMBO_CAP, 0] {
+                let mut search = |residuals: &Residuals| {
+                    AUDIT.with_borrow_mut(|audit| audit.folds.clear());
+                    let _ = AdmissionEngine::default().place_capped(
+                        &p,
+                        s,
+                        &AdmissionPolicy::AgRank(policy),
+                        residuals,
+                        &available,
+                        &mut eval,
+                        &mut scratch,
+                        cap,
+                    );
+                    AUDIT.with_borrow(|audit| audit.folds.clone())
+                };
+                let folds = search(&residuals);
+                let Some(fold) = folds.get(tight % folds.len().max(1)) else {
+                    continue;
+                };
+                let mut tightened = residuals.clone();
+                let i = fold.agent as usize;
+                let near = |load: f64| load * (1.0 + shift * 1e-12) - CAPACITY_EPS;
+                if tight % 2 == 0 {
+                    tightened.download[i] = near(fold.download);
+                } else {
+                    tightened.upload[i] = near(fold.upload);
+                }
+                search(&tightened);
+            }
+        }
+    }
+
+    /// Whenever the demand bounds decide a placement the search checks,
+    /// they decide it as the full check does — the audit in
+    /// `check_full` asserts that on every such placement of every unit
+    /// test — and on random tight universes they refuse, fit, and meet
+    /// brackets they cannot decide.
+    #[test]
+    fn a_bound_verdict_is_the_exact_verdict() {
+        AUDIT.with_borrow_mut(|audit| *audit = Audit::default());
+        bound_verdicts_on_tight_universes();
+        AUDIT.with_borrow(|audit| {
+            assert!(
+                audit.refused > 0 && audit.fitted > 0 && audit.undecided > 0,
+                "{} refused, {} fitted, {} undecided",
+                audit.refused,
+                audit.fitted,
+                audit.undecided
+            );
+        });
     }
 
     #[test]

@@ -68,6 +68,28 @@
 //! being this module's, the emitted addends and their order are those
 //! of a from-scratch [`evaluate`](EvalScratch::evaluate) of the moved
 //! assignment, so the two are bit-equal.
+//!
+//! ## Bounds from the streams
+//!
+//! Two callers settle most placements without the fold, each from the
+//! streams re-emitted straight into per-agent sums and shaded by
+//! `1 ∓ 10⁻⁹` — no delay, flow matrix or cell sort:
+//!
+//! * the hop's [traffic
+//!   floor](crate::neighborhood::Probe::traffic_floor) bounds a
+//!   candidate's `Φ_s` from below by its ingress alone;
+//! * admission's [demand bounds](EvalScratch::demand_bounds) bracket
+//!   the download and upload the fold would put on each agent it
+//!   touches, with its exact transcoding units, so a capacity check
+//!   that refuses both ends of a bracket has refused the fold.
+//!
+//! Both are exact in floating point, not within a tolerance. A sum in
+//! emission order has the fold's non-negative addends in another order
+//! (the fold adds them through its cells, row-major), so the two differ
+//! by at most `2(m−1)·2⁻⁵³` relative for `m` addends — far inside the
+//! shade. A cell's sum is positive exactly when one of its terms is,
+//! and every term runs between a user's agent and a transcoder, which
+//! the fold always touches, so the bounds' agents are the fold's.
 
 use crate::{Assignment, UapProblem};
 use vc_model::{AgentId, Instance, ReprId, SessionId, UserId};
@@ -466,6 +488,28 @@ impl Conference {
         }
     }
 
+    /// Calls `unit(l)` once per transcoding unit `ν_lru` the task
+    /// placement `ta` occupies: one per distinct `(agent, source,
+    /// target)` — per representation group, per distinct agent among
+    /// its tasks'.
+    fn emit_units(
+        &self,
+        ta: &[AgentId],
+        transcoders: &mut Vec<AgentId>,
+        mut unit: impl FnMut(usize),
+    ) {
+        for group in &self.groups {
+            transcoders.clear();
+            for &k in self.tasks_of(group) {
+                let a = ta[k as usize];
+                if !transcoders.contains(&a) {
+                    transcoders.push(a);
+                    unit(a.index());
+                }
+            }
+        }
+    }
+
     /// End-to-end delay `d_ij` of the flow from user `i` to user `j`
     /// under `(ua, ta)`: the [`DelayBreakdown::total`] of the flow, its
     /// `σ` from the compiled tables.
@@ -527,7 +571,8 @@ pub struct EvalScratch {
     flow_cells: Vec<(u32, u32)>,
     /// The output load; dense vectors sized `L`, cleared via `touched`.
     load: SessionLoad,
-    /// Membership mask for `load.touched`, true only mid-evaluation.
+    /// Membership mask for `load.touched` and the demand bounds'
+    /// agents, true only mid-call.
     mark: Vec<bool>,
     sets: StreamSets,
     /// The session most recently [`compile`](Self::compile)d and the
@@ -544,14 +589,33 @@ pub struct EvalScratch {
     /// wrote.
     floor_ingress: Vec<f64>,
     floor_agents: Vec<u32>,
+    bounds: BoundSinks,
 }
 
-/// The factor the [traffic floor](EvalScratch::traffic_floor) shades an
-/// agent's ingress by. Two float sums of the same `m` non-negative
+/// The [demand bounds](EvalScratch::demand_bounds)' buffers: the
+/// placement they bound, by local index; per-agent download and upload
+/// sums and unit counts, sized `L` and all zero between calls; the
+/// agents those touch; and the brackets handed out.
+#[derive(Debug, Default)]
+struct BoundSinks {
+    ua: Vec<AgentId>,
+    ta: Vec<AgentId>,
+    download: Vec<f64>,
+    upload: Vec<f64>,
+    units: Vec<u32>,
+    touched: Vec<u32>,
+    out: Vec<[AgentDemand; 2]>,
+}
+
+/// The relative margin by which the [traffic
+/// floor](EvalScratch::traffic_floor) and the [demand
+/// bounds](EvalScratch::demand_bounds) shade an agent's sum, taken in
+/// emission order, to one side of the fold's: `×(1 − SHADE)` below,
+/// `×(1 + SHADE)` above. Two float sums of the same `m` non-negative
 /// addends, taken in different orders, differ by at most about
-/// `2(m−1)·2⁻⁵³` relative, so the shaded sum stays below the fold's
-/// for any agent that receives fewer than a million addends.
-const FLOOR_SHADE: f64 = 1.0 - 1e-9;
+/// `2(m−1)·2⁻⁵³` relative, so a shaded sum stays on its side of the
+/// fold's for any agent that receives fewer than a million addends.
+const SHADE: f64 = 1e-9;
 
 impl EvalScratch {
     /// An empty scratch; buffers are sized on first use and re-sized if
@@ -580,6 +644,9 @@ impl EvalScratch {
             self.load = SessionLoad::empty(nl);
             self.mark = vec![false; nl];
             self.floor_ingress = vec![0.0; nl];
+            self.bounds.download = vec![0.0; nl];
+            self.bounds.upload = vec![0.0; nl];
+            self.bounds.units = vec![0; nl];
         }
     }
 
@@ -830,22 +897,13 @@ impl EvalScratch {
         }
 
         // --- Transcoding occupancy ν_lru (constraint (7) and y_ls). -----
-        // One unit per distinct (agent, source, target): per
-        // representation group, per distinct agent among its tasks'.
-        let transcoders = &mut self.sets.transcoders_r;
-        for i in 0..n {
-            for group in self.conf.groups_of(i) {
-                transcoders.clear();
-                for &k in self.conf.tasks_of(group) {
-                    let a = self.ta[k as usize];
-                    if !transcoders.contains(&a) {
-                        transcoders.push(a);
-                        touch(&mut self.load.touched, &mut self.mark, a.index());
-                        self.load.transcode_units[a.index()] += 1;
-                    }
-                }
-            }
-        }
+        let (touched, mark) = (&mut self.load.touched, &mut self.mark);
+        let units = &mut self.load.transcode_units;
+        self.conf
+            .emit_units(&self.ta, &mut self.sets.transcoders_r, |a| {
+                touch(touched, mark, a);
+                units[a] += 1;
+            });
 
         // --- Costs (sparse: untouched agents contribute price·g(0) = 0,
         // and adding +0.0 leaves the ascending-order sum bitwise equal
@@ -887,7 +945,7 @@ impl EvalScratch {
     /// complete the current delay half to, from the streams alone:
     /// every stream's `μ_klu` terms re-emitted into a per-agent ingress
     /// sink — no flow matrix, cell sort, occupancy or download/upload —
-    /// each agent's sum shaded by [`FLOOR_SHADE`], priced through `g`
+    /// each agent's sum shaded by `1 −` [`SHADE`], priced through `g`
     /// in ascending agent order, and combined as `α1·F + α2·G_floor`.
     /// It is below the fold's `Φ_s` in floating point, not within a
     /// tolerance:
@@ -920,11 +978,94 @@ impl EvalScratch {
         let traffic: f64 = agents
             .drain(..)
             .map(|l| {
-                let x = std::mem::take(&mut sink[l as usize]) * FLOOR_SHADE;
+                let x = std::mem::take(&mut sink[l as usize]) * (1.0 - SHADE);
                 conf.price_mbps[l as usize] * cost.bandwidth.cost(x)
             })
             .sum();
         cost.weights.combine(self.load.delay_cost, traffic, 0.0)
+    }
+
+    /// Brackets the per-agent demand that [weighing](Self::weigh) the
+    /// placement `(users, tasks)` of the compiled session would fold,
+    /// from its streams alone: no delay derived, no flow matrix, no
+    /// cost. Returns `[lo, hi]` per agent the fold would touch,
+    /// ascending, with the fold's transcoding units and
+    /// `lo ≤ fold ≤ hi` for download and for upload, in floating point:
+    ///
+    /// * every user's last mile and every `μ_klu` term the fold emits
+    ///   is added straight into its agent's download or upload sum, so
+    ///   each sum has the fold's non-negative addends in another order,
+    ///   and shading it by `1 ∓ 10⁻⁹` puts it on either side of the
+    ///   fold's;
+    /// * units are counted by the fold's own code;
+    /// * the agents are the fold's: every user's agent and every
+    ///   transcoder, which are the ends of every term — a cell the fold
+    ///   skips as 0 Mbps adds no agent it does not already touch.
+    ///
+    /// A capacity rule monotone in each load that refuses `lo` and `hi`
+    /// alike at an agent therefore refuses the fold there too, and one
+    /// that passes `hi` passes the fold. Writes nothing the fold reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement does not cover the compiled session.
+    pub fn demand_bounds(
+        &mut self,
+        users: impl IntoIterator<Item = AgentId>,
+        tasks: impl IntoIterator<Item = AgentId>,
+    ) -> &[[AgentDemand; 2]] {
+        let (conf, sets, mark) = (&self.conf, &mut self.sets, &mut self.mark);
+        let BoundSinks {
+            ua,
+            ta,
+            download,
+            upload,
+            units,
+            touched,
+            out,
+        } = &mut self.bounds;
+        ua.clear();
+        ua.extend(users);
+        ta.clear();
+        ta.extend(tasks);
+        assert!(
+            ua.len() == conf.num_users() && ta.len() == conf.tasks.len(),
+            "placement does not cover the session"
+        );
+        for i in 0..conf.num_users() {
+            let a_u = ua[i].index();
+            touch(touched, mark, a_u);
+            download[a_u] += conf.k_up[i];
+            upload[a_u] += conf.demanded[i];
+            conf.emit_stream(i, ua, ta, sets, |from, to, mbps| {
+                upload[from.index()] += mbps;
+                download[to.index()] += mbps;
+            });
+        }
+        conf.emit_units(ta, &mut sets.transcoders_r, |a| {
+            touch(touched, mark, a);
+            units[a] += 1;
+        });
+        touched.sort_unstable();
+        out.clear();
+        for &agent in touched.iter() {
+            let i = agent as usize;
+            mark[i] = false;
+            let (down, up) = (
+                std::mem::take(&mut download[i]),
+                std::mem::take(&mut upload[i]),
+            );
+            let transcode_units = std::mem::take(&mut units[i]);
+            let shaded = |factor: f64| AgentDemand {
+                agent,
+                transcode_units,
+                download: down * factor,
+                upload: up * factor,
+            };
+            out.push([shaded(1.0 - SHADE), shaded(1.0 + SHADE)]);
+        }
+        touched.clear();
+        out
     }
 }
 
@@ -1077,13 +1218,141 @@ mod tests {
         let load = scratch.evaluate(&p, &asg, S0).clone();
         let floor = scratch.traffic_floor(&p);
         let weights = p.cost().weights;
-        let shaded = 1.0 * FLOOR_SHADE;
+        let shaded = 1.0 * (1.0 - SHADE);
         let want = weights.combine(load.delay_cost, shaded + shaded, 0.0);
         assert_eq!(floor.to_bits(), want.to_bits());
         assert!(weights.delay_floor(load.delay_cost) < floor && floor < load.phi);
         // The sink is empty again and the fold's load untouched.
         assert_eq!(scratch.traffic_floor(&p).to_bits(), floor.to_bits());
         assert_eq!(scratch.load(), &load);
+    }
+
+    /// One random conference: per user its upstream and default
+    /// downstream rung and its overrides `(peer position, rung)`.
+    type RandomUsers = Vec<(usize, usize, Vec<(usize, usize)>)>;
+
+    /// `agents` agents and one conference over a ladder of rungs `steps`
+    /// kbps apart — the first rung 0 Mbps when `mute` — with bitrates
+    /// that sum differently in different orders.
+    fn random_universe(
+        agents: usize,
+        steps: &[u32],
+        mute: bool,
+        users: &RandomUsers,
+    ) -> UapProblem {
+        use vc_cost::CostModel;
+        use vc_model::{AgentSpec, DownstreamDemand, InstanceBuilder, ReprLadder};
+        let mut kbps = 0;
+        let rungs = steps.iter().enumerate().map(|(i, &step)| {
+            kbps += if i == 0 && mute { 0 } else { step };
+            (format!("r{i}"), 100 * (i as u32 + 1), kbps)
+        });
+        let ladder = ReprLadder::from_steps(rungs).unwrap();
+        let repr = |i: usize| ReprId::from(i % steps.len());
+        let mut b = InstanceBuilder::new(ladder);
+        for i in 0..agents {
+            b.add_agent(AgentSpec::builder(format!("a{i}")).build());
+        }
+        let s = b.add_session();
+        for &(up, down, ref overrides) in users {
+            let demand = (overrides.iter())
+                .fold(DownstreamDemand::uniform(repr(down)), |d, &(peer, r)| {
+                    d.with_override(UserId::from(peer % users.len()), repr(r))
+                });
+            b.add_user_with_demand(s, repr(up), demand);
+        }
+        b.symmetric_delays(|_, _| 10.0, |_, _| 5.0);
+        UapProblem::new(b.build().unwrap(), CostModel::paper_default())
+    }
+
+    /// Draws a placement of `s` from `pick` and asserts that its demand
+    /// bounds bracket its fold: the fold's agents, `lo ≤ fold ≤ hi`
+    /// for download and upload, and the fold's units — which are one
+    /// per distinct `(agent, source, target)` of the task table.
+    fn assert_bounds_bracket_the_fold(
+        problem: &UapProblem,
+        s: SessionId,
+        eval: &mut EvalScratch,
+        mut pick: impl FnMut() -> usize,
+    ) {
+        let nl = problem.instance().num_agents();
+        let session_tasks = problem.tasks().of_session(s);
+        let users: Vec<AgentId> = (problem.instance().session(s).users().iter())
+            .map(|_| AgentId::from(pick() % nl))
+            .collect();
+        let tasks: Vec<AgentId> = session_tasks
+            .iter()
+            .map(|_| AgentId::from(pick() % nl))
+            .collect();
+        let mut units = vec![0; nl];
+        let mut distinct = std::collections::BTreeSet::new();
+        for (&t, &a) in session_tasks.iter().zip(&tasks) {
+            let task = problem.tasks().task(t);
+            if distinct.insert((a, task.src, task.target)) {
+                units[a.index()] += 1;
+            }
+        }
+        eval.compile(problem, s);
+        let bounds = eval.demand_bounds(users.clone(), tasks.clone()).to_vec();
+        let load = eval.weigh(problem, users.clone(), tasks.clone());
+        let placed = format!("{s} on {users:?} / {tasks:?}");
+        let agents: Vec<u32> = bounds.iter().map(|[lo, _]| lo.agent).collect();
+        assert_eq!(agents, load.touched, "{placed}");
+        for (&[lo, hi], fold) in bounds.iter().zip(load.demand()) {
+            assert!(
+                lo.download <= fold.download && fold.download <= hi.download,
+                "{placed}: download {} outside [{}, {}]",
+                fold.download,
+                lo.download,
+                hi.download
+            );
+            assert!(
+                lo.upload <= fold.upload && fold.upload <= hi.upload,
+                "{placed}: upload {} outside [{}, {}]",
+                fold.upload,
+                lo.upload,
+                hi.upload
+            );
+            let want = units[fold.agent as usize];
+            assert_eq!(
+                (lo.transcode_units, fold.transcode_units, hi.transcode_units),
+                (want, want, want),
+                "{placed}: units at a{}",
+                fold.agent
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The demand bounds bracket the fold, on random placements of
+        /// random conferences — a zero-bitrate rung, representations
+        /// several destinations share, tasks on the source's, the
+        /// destination's or a third agent — and of the named shapes,
+        /// through one scratch.
+        #[test]
+        fn demand_bounds_bracket_the_fold(
+            agents in 2usize..=5,
+            steps in proptest::prop::collection::vec(1u32..3_000, 1..=4),
+            mute in proptest::prelude::any::<bool>(),
+            users in proptest::prop::collection::vec(
+                (0usize..4, 0usize..4, proptest::prop::collection::vec((0usize..6, 0usize..4), 0..3)),
+                1..=6,
+            ),
+            picks in proptest::prop::collection::vec(0usize..60, 64),
+        ) {
+            let mut picks = picks.into_iter().cycle();
+            let mut eval = EvalScratch::new();
+            let random = random_universe(agents, &steps, mute, &users);
+            for _ in 0..4 {
+                assert_bounds_bracket_the_fold(&random, S0, &mut eval, || picks.next().unwrap());
+            }
+            let (shapes, _) = crate::test_fixtures::named_shapes(vc_cost::BandwidthCost::linear());
+            for s in shapes.instance().session_ids() {
+                assert_bounds_bracket_the_fold(&shapes, s, &mut eval, || picks.next().unwrap());
+            }
+        }
     }
 
     /// Moving the task to the destination agent ships the raw 5 Mbps

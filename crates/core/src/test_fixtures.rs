@@ -1,8 +1,12 @@
 //! Shared fixtures for the crate's unit tests.
 
-use crate::UapProblem;
-use vc_cost::CostModel;
-use vc_model::{AgentSpec, DelayMatrices, InstanceBuilder, Matrix, ReprLadder};
+use crate::{Assignment, UapProblem};
+use std::sync::Arc;
+use vc_cost::{BandwidthCost, CostModel};
+use vc_model::{
+    AgentId, AgentSpec, DelayMatrices, DownstreamDemand, InstanceBuilder, Matrix, ReprId,
+    ReprLadder,
+};
 
 /// Two agents A (speed 1.0), B (speed 2.0); `D_AB = 40`;
 /// `H = [[10, 25], [30, 5]]`. One session: u0 (720p up, wants 360p),
@@ -99,4 +103,55 @@ pub fn capacity_limited_problem() -> UapProblem {
         |l, u| 8.0 + 6.0 * ((l + u) % 3) as f64,
     );
     UapProblem::new(b.build().unwrap(), CostModel::paper_default())
+}
+
+/// The named shapes of `tests/hop_equivalence.rs`, scattered: a
+/// zero-bitrate rung, one transcoded representation shared by two
+/// destinations, tasks on their source's and on their destination's
+/// agent, conferences of 4, 2 and 3 users — traffic priced through
+/// `bandwidth`.
+pub fn named_shapes(bandwidth: BandwidthCost) -> (Arc<UapProblem>, Assignment) {
+    let ladder = ReprLadder::from_steps([
+        ("audio", 0, 0),
+        ("480p", 480, 2_500),
+        ("720p", 720, 5_000),
+        ("1080p", 1080, 8_000),
+    ])
+    .unwrap();
+    let [r0, r1, r2, r3]: [ReprId; 4] = ladder.ids().collect::<Vec<_>>().try_into().unwrap();
+    let mut b = InstanceBuilder::new(ladder);
+    for i in 0..4 {
+        b.add_agent(AgentSpec::builder(format!("a{i}")).build());
+    }
+    let s0 = b.add_session();
+    let u0 = b.add_user(s0, r3, r1);
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r0));
+    b.add_user_with_demand(s0, r1, DownstreamDemand::uniform(r1).with_override(u0, r3));
+    let s1 = b.add_session();
+    b.add_user(s1, r2, r1);
+    b.add_user(s1, r1, r1);
+    let s2 = b.add_session();
+    b.add_user(s2, r3, r2);
+    b.add_user(s2, r2, r2);
+    b.add_user(s2, r0, r2);
+    b.symmetric_delays(
+        |l, k| 12.0 + 5.0 * ((l as f64) - (k as f64)).abs(),
+        |l, u| 4.0 + ((l * 7 + u * 3) % 23) as f64,
+    );
+    let cost = CostModel {
+        bandwidth,
+        ..CostModel::paper_default()
+    };
+    let problem = Arc::new(UapProblem::new(b.build().unwrap(), cost));
+    let mut asg = Assignment::all_to_agent(&problem, AgentId::new(0));
+    for u in problem.instance().user_ids() {
+        asg.set_user(u, AgentId::from((u.index() * 5 + 1) % 3));
+    }
+    for (k, (t, task)) in problem.tasks().iter().enumerate() {
+        // Alternately the source's and the destination's agent.
+        let host = if k % 2 == 0 { task.src } else { task.dst };
+        asg.set_task(t, asg.agent_of_user(host));
+    }
+    (problem, asg)
 }
