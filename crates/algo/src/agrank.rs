@@ -19,16 +19,58 @@
 //! point the way PageRank does — as a teleport (personalization) vector
 //! with damping `α` (default 0.85). Setting `damping = 1.0` recovers the
 //! paper's literal iteration.
+//!
+//! ## Reading the order
+//!
+//! The ranking is the order of the power iterate `π_T`, the first round
+//! whose step `‖π_T − π_{T−1}‖₁` falls below ε = 10⁻¹⁰; [`rank_agents`]
+//! reports its scores and round count. The admission path mostly reads
+//! that order without running the rounds. The damped map
+//! `π ↦ αŴᵀπ + (1−α)π₀` is an α-contraction in L1 (`Ŵ` is
+//! row-stochastic), so the iterate it stops on lies within `α/(1−α)·ε`
+//! of its fixed point `π* = (1−α)(I − αŴᵀ)⁻¹π₀` — 5.7·10⁻¹⁰ at α = 0.85
+//! — plus a floating-point slack of `64·(n+1)` ulps over `1−α`. The
+//! ranking solves for `π̃ ≈ π*` with LU factors of `I − αŴᵀ`, and when
+//! every adjacent gap of the sorted `π̃` exceeds twice that bound, `π_T`
+//! has the same strict order, so `N(s)`, every `N(u)` and the fallback
+//! order are read off `π̃`. Otherwise the rounds run as they always did.
+//!
+//! * The factors are kept in the scratch across calls, keyed on the bits
+//!   of the delays `Ŵ` is built from and on α, and checked against both
+//!   on every call. Under the live neighbourhood `N(s)` is every agent,
+//!   so they are refactored (`O(L³)`) only when an agent registers, and
+//!   a ranking costs one pair of triangular solves (`O(L²)`) instead of
+//!   ≈28 rounds. A fixed neighbourhood refactors whenever `N(s)`'s delays
+//!   change, at `n³/3` multiply-adds against the rounds' ≈`28·n²`.
+//! * It applies only where the iteration provably stops on its ε test
+//!   before its 500-round cap, `2α⁴⁹⁹ < ε/2` (α ≲ 0.95). The paper's
+//!   literal walk, damping 1.0, always iterates.
 
 use crate::placement;
 use vc_core::{TaskId, UapProblem};
-use vc_model::{AgentId, SessionId, UserId};
+use vc_model::{AgentId, Instance, SessionId, UserId};
 
 /// Convergence threshold ε on `‖π[t+1] − π[t]‖₁`.
 const EPSILON: f64 = 1e-10;
 
 /// Power-iteration cap (the scheme converges in `O(−log ε)` rounds).
 const MAX_ITERS: usize = 500;
+
+/// Whether the iteration at damping `alpha` provably stops on its ε test
+/// before [`MAX_ITERS`]: round `t`'s step is at most `2α^{t−1}`, so it
+/// does when `2α^{MAX_ITERS−1}` clears ε with room for rounding.
+fn certifiable(alpha: f64) -> bool {
+    (0.0..1.0).contains(&alpha) && 2.0 * alpha.powi(MAX_ITERS as i32 - 1) < EPSILON / 2.0
+}
+
+/// A bound on `‖π̃ − π_T‖₁` over `n` candidates at a
+/// [certifiable](certifiable) damping: `α/(1−α)·ε` for the iterate's
+/// distance from the fixed point, plus `64·(n+1)` ulps over `1−α` for
+/// the rounding of the rounds and of the solve (the solved system's
+/// condition number is at most `(1+α)/(1−α)`).
+fn error_bound(alpha: f64, n: usize) -> f64 {
+    (alpha * EPSILON + 64.0 * (n + 1) as f64 * f64::EPSILON) / (1.0 - alpha)
+}
 
 /// Tuning knobs of AgRank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,11 +246,12 @@ fn add_normalized(acc: &mut [f64], values: impl Iterator<Item = f64> + Clone, fi
 pub(crate) struct RankScratch {
     /// `N(s)`, ascending by id.
     candidates: Vec<AgentId>,
-    /// `π_l`, parallel to `candidates`; ping-pongs with `next` inside
-    /// the power iteration.
+    /// The scores the order was read from, parallel to `candidates`:
+    /// the power iterate `π_T`, or `π̃` when the order was certified.
+    /// Ping-pongs with `next` inside the power iteration.
     scores: Vec<f64>,
-    /// `π_l` indexed by agent id (0 for non-candidates): what the sort
-    /// comparators read.
+    /// `scores` indexed by agent id (0 for non-candidates): what the
+    /// sort comparators read.
     score_by_agent: Vec<f64>,
     /// `N(s)` by descending score.
     ranked: Vec<AgentId>,
@@ -223,8 +266,143 @@ pub(crate) struct RankScratch {
     proximity: Vec<AgentId>,
     pi0: Vec<f64>,
     next: Vec<f64>,
-    /// The row-normalized `n×n` walk matrix `D̂`, row-major.
-    walk: Vec<f64>,
+    /// The walk over the last `N(s)` ranked and its fixed-point
+    /// operator, kept across calls.
+    walk: Walk,
+    /// Rankings of two or more candidates whose order the power
+    /// iteration decided.
+    iterated: usize,
+    /// Rankings whose order was read off the fixed point.
+    #[cfg(test)]
+    certified: usize,
+}
+
+/// The walk matrix over the last `N(s)` ranked and the LU factors of
+/// its fixed-point operator: a function of the candidates' delays and
+/// the damping, and checked against both before every use (see "Reading
+/// the order").
+#[derive(Debug, Default)]
+struct Walk {
+    /// The delays among `N(s)` that `matrix` was built from, row-major
+    /// `n×n`: the cache key.
+    delays: Vec<f64>,
+    /// The row-normalized `n×n` walk matrix `Ŵ`, row-major.
+    matrix: Vec<f64>,
+    /// `I − αŴᵀ` factored in place, row-major: the unit lower factor
+    /// below the diagonal, the upper one on and above it.
+    lu: Vec<f64>,
+    /// The bits of the damping `lu` was factored at; `None` once
+    /// `matrix` has been rebuilt since.
+    alpha: Option<u64>,
+}
+
+impl Walk {
+    /// Makes `matrix` the walk over `candidates`: rebuilt, and the
+    /// factors dropped, unless the delays among them equal in every bit
+    /// the ones it was built from.
+    fn refresh(&mut self, inst: &Instance, candidates: &[AgentId]) {
+        let n = candidates.len();
+        let kept = self.delays.len() == n * n
+            && self
+                .delays
+                .chunks_exact(n)
+                .zip(candidates)
+                .all(|(row, &l)| {
+                    row.iter()
+                        .zip(candidates)
+                        .all(|(d, &k)| d.to_bits() == inst.d_ms(l, k).to_bits())
+                });
+        if kept {
+            return;
+        }
+        self.alpha = None;
+        self.delays.clear();
+        for &l in candidates {
+            self.delays
+                .extend(candidates.iter().map(|&k| inst.d_ms(l, k)));
+        }
+        // D̂_lk = min positive delay / D_lk; diagonal handled as
+        // self-affinity 1.
+        let mut min_pos = f64::INFINITY;
+        for (i, row) in self.delays.chunks_exact(n).enumerate() {
+            for &d in &row[i + 1..] {
+                if d > 0.0 {
+                    min_pos = min_pos.min(d);
+                }
+            }
+        }
+        if !min_pos.is_finite() {
+            min_pos = 1.0; // all candidate pairs have zero delay: uniform affinity
+        }
+        self.matrix.clear();
+        self.matrix.resize(n * n, 0.0);
+        let rows = self
+            .matrix
+            .chunks_exact_mut(n)
+            .zip(self.delays.chunks_exact(n));
+        for (i, (row, delays)) in rows.enumerate() {
+            let mut row_sum = 0.0;
+            for (j, (x, &d)) in row.iter_mut().zip(delays).enumerate() {
+                *x = if i == j {
+                    1.0
+                } else if d > 0.0 {
+                    min_pos / d
+                } else {
+                    1.0
+                };
+                row_sum += *x;
+            }
+            for x in row.iter_mut() {
+                *x /= row_sum;
+            }
+        }
+    }
+
+    /// Factors `I − αŴᵀ` into `lu`, unless it already holds that
+    /// factorization. No pivoting: each column of `αŴᵀ` sums to α < 1,
+    /// so the matrix is strictly diagonally dominant by columns, every
+    /// pivot is positive and elimination without pivoting is stable.
+    fn factor(&mut self, n: usize, alpha: f64) {
+        if self.alpha == Some(alpha.to_bits()) {
+            return;
+        }
+        let (w, lu) = (&self.matrix, &mut self.lu);
+        lu.clear();
+        lu.extend((0..n * n).map(|ij| {
+            let (i, j) = (ij / n, ij % n);
+            f64::from(u8::from(i == j)) - alpha * w[j * n + i]
+        }));
+        for k in 0..n {
+            let (done, below) = lu.split_at_mut((k + 1) * n);
+            let pivot = &done[k * n..];
+            for row in below.chunks_exact_mut(n) {
+                let f = row[k] / pivot[k];
+                row[k] = f;
+                for (x, &u) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                    *x -= f * u;
+                }
+            }
+        }
+        self.alpha = Some(alpha.to_bits());
+    }
+
+    /// `π̃ = (1−α)(I − αŴᵀ)⁻¹π₀` into `x`, by the factors of
+    /// [`factor`](Self::factor).
+    fn solve(&self, alpha: f64, pi0: &[f64], x: &mut Vec<f64>) {
+        let n = pi0.len();
+        let dot = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(a, b)| a * b).sum() };
+        x.clear();
+        x.extend(pi0.iter().map(|&p| (1.0 - alpha) * p));
+        for i in 1..n {
+            let s = dot(&self.lu[i * n..i * n + i], &x[..i]);
+            x[i] -= s;
+        }
+        for i in (0..n).rev() {
+            let row = &self.lu[i * n..(i + 1) * n];
+            let s = dot(&row[i + 1..], &x[i + 1..]);
+            x[i] = (x[i] - s) / row[i];
+        }
+    }
 }
 
 impl RankScratch {
@@ -244,11 +422,73 @@ impl RankScratch {
     pub(crate) fn per_user(&self) -> usize {
         self.per_user
     }
+
+    /// Rankings of two or more candidates this scratch ran the power
+    /// iteration for, over its lifetime.
+    pub(crate) fn rankings_iterated(&self) -> usize {
+        self.iterated
+    }
+
+    /// Rankings this scratch read off the fixed point, over its
+    /// lifetime.
+    #[cfg(test)]
+    pub(crate) fn rankings_certified(&self) -> usize {
+        self.certified
+    }
+
+    /// Ranks `N(s)` into `ranked` by `scores`: higher first, lower id on
+    /// equal scores — a total order, so the unstable sort is
+    /// deterministic.
+    fn sort_ranked(&mut self, nl: usize) {
+        let Self {
+            candidates,
+            scores,
+            score_by_agent,
+            ranked,
+            ..
+        } = self;
+        score_by_agent.clear();
+        score_by_agent.resize(nl, 0.0);
+        for (l, &score) in candidates.iter().zip(scores.iter()) {
+            score_by_agent[l.index()] = score;
+        }
+        ranked.clear();
+        ranked.extend_from_slice(candidates);
+        ranked.sort_unstable_by(|a, b| descending_score(score_by_agent, *a, *b));
+    }
+
+    /// Reads the order off the fixed point (see "Reading the order"):
+    /// `π̃` into `scores`, `N(s)` ranked by it, and whether every
+    /// adjacent gap clears twice the iterate's error bound — in which
+    /// case the power iterate has this strict order. When it does not,
+    /// `scores` and `ranked` are the iteration's to overwrite.
+    fn read_fixed_point(&mut self, alpha: f64, nl: usize) -> bool {
+        if !certifiable(alpha) {
+            return false;
+        }
+        let n = self.candidates.len();
+        self.walk.factor(n, alpha);
+        self.walk.solve(alpha, &self.pi0, &mut self.scores);
+        self.sort_ranked(nl);
+        let margin = 2.0 * error_bound(alpha, n);
+        let score = &self.score_by_agent;
+        let separated = self
+            .ranked
+            .windows(2)
+            .all(|w| score[w[0].index()] - score[w[1].index()] > margin);
+        #[cfg(test)]
+        {
+            self.certified += usize::from(separated);
+        }
+        separated
+    }
 }
 
 /// Ranks the potential agents of session `s` (Lines 1–14 of Alg. 2).
-/// Owns its result; the admission path runs the same code into a reused
-/// scratch, once per `place_session`.
+/// Owns its result and always runs the power iteration: `scores` and
+/// `iterations` are the iterate's. The admission path ranks into a
+/// reused scratch instead (`rank_agents_into`), once per
+/// `place_session`, with the same order.
 ///
 /// Cost with `n = |N(s)|` candidates out of `L` agents and `m` users:
 /// `O(n²)` for the walk matrix, `O(n²)` per power-iteration round
@@ -269,7 +509,7 @@ pub fn rank_agents(
     config: &AgRankConfig,
 ) -> AgentRanking {
     let mut scratch = RankScratch::default();
-    rank_agents_into(problem, s, residuals, config, &mut scratch);
+    rank(problem, s, residuals, config, &mut scratch, false);
     let users = problem.instance().session(s).users();
     AgentRanking {
         user_candidates: users
@@ -283,15 +523,32 @@ pub fn rank_agents(
     }
 }
 
-/// [`rank_agents`] into `scratch` — the admission path's entry point:
-/// one call per `place_session`, no allocation once the buffers have
-/// grown to the agent count.
+/// [`rank_agents`]' order into `scratch` — the admission path's entry
+/// point: one call per `place_session`, no allocation once the buffers
+/// have grown to the agent count. The order is read off the fixed point
+/// where its error bound separates every pair of scores, and off the
+/// power iteration elsewhere (see "Reading the order"), so the order,
+/// `N(u)` lists and fallback order equal [`rank_agents`]' while
+/// `scores` may hold `π̃`.
 pub(crate) fn rank_agents_into(
     problem: &UapProblem,
     s: SessionId,
     residuals: &Residuals,
     config: &AgRankConfig,
     scratch: &mut RankScratch,
+) {
+    rank(problem, s, residuals, config, scratch, true);
+}
+
+/// The ranking behind both entry points; `certify` lets the order be
+/// read off the fixed point.
+fn rank(
+    problem: &UapProblem,
+    s: SessionId,
+    residuals: &Residuals,
+    config: &AgRankConfig,
+    scratch: &mut RankScratch,
+    certify: bool,
 ) {
     let inst = problem.instance();
     let session = inst.session(s);
@@ -363,33 +620,28 @@ pub(crate) fn rank_agents_into(
         pi0.fill(1.0 / n as f64);
     }
 
+    // Order N(s) by descending rank (ties: lower id first).
     if n == 1 {
         scratch.scores.clear();
         scratch.scores.push(1.0);
         scratch.iterations = 0;
+        scratch.sort_ranked(nl);
     } else {
-        power_iterate(inst, config, scratch);
+        scratch.walk.refresh(inst, &scratch.candidates);
+        if !(certify && scratch.read_fixed_point(config.damping, nl)) {
+            power_iterate(config.damping, scratch);
+            scratch.iterated += 1;
+            scratch.sort_ranked(nl);
+        }
     }
 
-    // Order N(s) and each user's candidates by descending rank (ties:
-    // lower id first) — a total order, so the unstable sort is
-    // deterministic.
+    // Each user's candidates in the same order.
     let RankScratch {
-        candidates,
-        scores,
         score_by_agent,
         ranked,
         user_candidates,
         ..
     } = scratch;
-    score_by_agent.clear();
-    score_by_agent.resize(nl, 0.0);
-    for (l, &score) in candidates.iter().zip(scores.iter()) {
-        score_by_agent[l.index()] = score;
-    }
-    ranked.clear();
-    ranked.extend_from_slice(candidates);
-    ranked.sort_unstable_by(|a, b| descending_score(score_by_agent, *a, *b));
     if everyone {
         for _ in session.users() {
             user_candidates.extend_from_slice(ranked);
@@ -409,62 +661,26 @@ fn descending_score(score: &[f64], a: AgentId, b: AgentId) -> std::cmp::Ordering
         .then(a.cmp(&b))
 }
 
-/// The damped random walk over the normalized delay matrix, from
-/// `scratch.pi0` over `scratch.candidates` (at least two) into
-/// `scratch.scores`. The walk matrix and the two iterate vectors live in
-/// the scratch; a round writes `next` from `scores` and swaps them.
+/// The damped random walk over the walk matrix `scratch.walk` (built
+/// for `scratch.candidates`, at least two), from `scratch.pi0` into
+/// `scratch.scores`. A round writes `next` from `scores` and swaps them.
 ///
 /// A round adds `π_i · D̂_i` into `next` one row at a time, `i`
 /// ascending: each element takes one multiply and one add per row in
 /// that fixed order, so the iterate's bits do not depend on how the
 /// compiler vectorizes the row.
-fn power_iterate(inst: &vc_model::Instance, config: &AgRankConfig, scratch: &mut RankScratch) {
+fn power_iterate(alpha: f64, scratch: &mut RankScratch) {
     let RankScratch {
         candidates,
         scores: pi,
         pi0,
         next,
-        walk: w,
+        walk,
         iterations,
         ..
     } = scratch;
     let n = candidates.len();
-    // D̂_lk = min positive delay / D_lk; diagonal handled as self-affinity 1.
-    let mut min_pos = f64::INFINITY;
-    for (i, &l) in candidates.iter().enumerate() {
-        for &k in &candidates[i + 1..] {
-            let d = inst.d_ms(l, k);
-            if d > 0.0 {
-                min_pos = min_pos.min(d);
-            }
-        }
-    }
-    if !min_pos.is_finite() {
-        min_pos = 1.0; // all candidate pairs have zero delay: uniform affinity
-    }
-    w.clear();
-    w.resize(n * n, 0.0);
-    for (row, &l) in w.chunks_exact_mut(n).zip(candidates.iter()) {
-        let mut row_sum = 0.0;
-        for (x, &k) in row.iter_mut().zip(candidates.iter()) {
-            *x = if l == k {
-                1.0
-            } else {
-                let d = inst.d_ms(l, k);
-                if d > 0.0 {
-                    min_pos / d
-                } else {
-                    1.0
-                }
-            };
-            row_sum += *x;
-        }
-        for x in row.iter_mut() {
-            *x /= row_sum;
-        }
-    }
-
-    let alpha = config.damping;
+    let w = &walk.matrix;
     pi.clear();
     pi.extend_from_slice(pi0);
     next.clear();
@@ -717,6 +933,11 @@ mod tests {
         [0.0, 5.0, 5.0, 12.5, 40.0][rng.gen_range(0..5usize)]
     }
 
+    /// A delay drawn from a continuum: no two agents sit alike.
+    fn spread_delay(rng: &mut StdRng) -> f64 {
+        rng.gen_range(1.0..80.0)
+    }
+
     fn speed(rng: &mut StdRng) -> f64 {
         [1.0, 1.0, 1.5, 2.0][rng.gen_range(0..4usize)]
     }
@@ -724,16 +945,32 @@ mod tests {
     /// `agents` agents and 1–3 sessions of 1–6 users (720p or 360p up
     /// and down, so some sessions transcode).
     fn random_instance(rng: &mut StdRng, agents: usize) -> Instance {
+        build_instance(rng, agents, delay, false)
+    }
+
+    /// [`random_instance`] with delays from `draw`; with `twins`, agent
+    /// 1 copies agent 0's speed and every delay of its row, so the two
+    /// agents' fixed-point scores tie exactly under equal residuals.
+    fn build_instance(
+        rng: &mut StdRng,
+        agents: usize,
+        draw: fn(&mut StdRng) -> f64,
+        twins: bool,
+    ) -> Instance {
         let ladder = ReprLadder::standard_four();
         let reprs = [
             ladder.by_name("720p").unwrap().id(),
             ladder.by_name("360p").unwrap().id(),
         ];
         let mut b = InstanceBuilder::new(ladder);
-        for i in 0..agents {
+        let mut speeds: Vec<f64> = (0..agents).map(|_| speed(rng)).collect();
+        if twins {
+            speeds[1] = speeds[0];
+        }
+        for (i, &speed) in speeds.iter().enumerate() {
             b.add_agent(
                 AgentSpec::builder(format!("a{i}"))
-                    .speed_factor(speed(rng))
+                    .speed_factor(speed)
                     .build(),
             );
         }
@@ -752,14 +989,35 @@ mod tests {
         let mut inter = vec![0.0; agents * agents];
         for l in 0..agents {
             for k in l + 1..agents {
-                let d = delay(rng);
+                let d = draw(rng);
                 inter[l * agents + k] = d;
                 inter[k * agents + l] = d;
             }
         }
-        let near: Vec<f64> = (0..agents * users).map(|_| delay(rng)).collect();
+        let mut near: Vec<f64> = (0..agents * users).map(|_| draw(rng)).collect();
+        if twins {
+            for k in 2..agents {
+                inter[agents + k] = inter[k];
+                inter[k * agents + 1] = inter[k * agents];
+            }
+            near.copy_within(0..users, users);
+        }
         b.symmetric_delays(|l, k| inter[l * agents + k], |l, u| near[l * users + u]);
         b.build().unwrap()
+    }
+
+    /// Registers 1–3 agents at delays from `draw`.
+    fn grow(rng: &mut StdRng, inst: &mut Instance, draw: fn(&mut StdRng) -> f64) {
+        for i in 0..rng.gen_range(1..=3usize) {
+            let def = AgentDef {
+                spec: AgentSpec::builder(format!("g{i}"))
+                    .speed_factor(speed(rng))
+                    .build(),
+                inter_agent_ms: (0..inst.num_agents()).map(|_| draw(rng)).collect(),
+                user_delays_ms: (0..inst.num_users()).map(|_| draw(rng)).collect(),
+            };
+            inst.register_agent(&def).unwrap();
+        }
     }
 
     /// Residuals with zeros, infinities and ties.
@@ -781,14 +1039,80 @@ mod tests {
         }
     }
 
+    /// Residuals drawn from a continuum.
+    fn spread_residuals(rng: &mut StdRng, agents: usize) -> Residuals {
+        let mut draw = || (0..agents).map(|_| rng.gen_range(0.0..100.0)).collect();
+        Residuals {
+            upload: draw(),
+            download: draw(),
+            transcode: draw(),
+        }
+    }
+
+    /// `π̃`, the solved fixed point of session `s`'s walk, over its
+    /// candidates.
+    fn fixed_point(
+        p: &UapProblem,
+        s: SessionId,
+        residuals: &Residuals,
+        config: &AgRankConfig,
+    ) -> Vec<f64> {
+        let mut scratch = RankScratch::default();
+        rank_agents_into(p, s, residuals, config, &mut scratch);
+        let n = scratch.candidates.len();
+        scratch.walk.factor(n, config.damping);
+        let mut x = Vec::new();
+        scratch.walk.solve(config.damping, &scratch.pi0, &mut x);
+        x
+    }
+
+    /// Ranks `s` into `scratch` and holds the order to the reference's
+    /// power iterate: candidates, per-user lists and the fallback order
+    /// equal it, and a certified call's `π̃` lies within the error bound
+    /// of the iterate. Returns `Some(certified)` where the fixed point
+    /// was tried, `None` where the iteration had to run.
+    fn order_matches_the_iterate(
+        p: &UapProblem,
+        s: SessionId,
+        residuals: &Residuals,
+        config: &AgRankConfig,
+        scratch: &mut RankScratch,
+    ) -> Option<bool> {
+        let before = scratch.rankings_certified();
+        rank_agents_into(p, s, residuals, config, scratch);
+        let want = rank_reference(p, s, residuals, config);
+        prop_assert_eq!(&scratch.candidates, &want.candidates);
+        prop_assert_eq!(scratch.per_user, want.per_user);
+        prop_assert_eq!(&scratch.user_candidates, &want.user_candidates);
+        prop_assert_eq!(&scratch.ranked, &want.fallback);
+        let n = want.candidates.len();
+        if n < 2 || !certifiable(config.damping) {
+            prop_assert_eq!(scratch.rankings_certified(), before);
+            return None;
+        }
+        let certified = scratch.rankings_certified() > before;
+        if certified {
+            let l1: f64 = scratch
+                .scores
+                .iter()
+                .zip(&want.scores)
+                .map(|(a, b)| (a - b).abs())
+                .sum();
+            let bound = error_bound(config.damping, n);
+            prop_assert!(l1 < bound, "|π̃ − π_T|₁ = {l1:e} against {bound:e}");
+        }
+        Some(certified)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Every session of a random instance ranked under `n_ngbr` ∈
         /// {1, 2, L − 1, L, live} and three dampings, then again after
-        /// the instance grows by 1–3 agents online, all through one
-        /// reused scratch: candidates, score bits, round counts, per-user
-        /// lists and the fallback order equal the reference's.
+        /// the instance grows by 1–3 agents online. Through one reused
+        /// scratch, certified or not: candidates, per-user lists and the
+        /// fallback order equal the reference's. Through `rank_agents`:
+        /// score bits and round counts too.
         #[test]
         fn ranking_matches_the_reference_bit_for_bit(
             agents in 2usize..=13,
@@ -799,16 +1123,7 @@ mod tests {
             let mut scratch = RankScratch::default();
             for grown in [false, true] {
                 if grown {
-                    for i in 0..rng.gen_range(1..=3usize) {
-                        let def = AgentDef {
-                            spec: AgentSpec::builder(format!("g{i}"))
-                                .speed_factor(speed(&mut rng))
-                                .build(),
-                            inter_agent_ms: (0..inst.num_agents()).map(|_| delay(&mut rng)).collect(),
-                            user_delays_ms: (0..inst.num_users()).map(|_| delay(&mut rng)).collect(),
-                        };
-                        inst.register_agent(&def).unwrap();
-                    }
+                    grow(&mut rng, &mut inst, delay);
                 }
                 let nl = inst.num_agents();
                 let p = UapProblem::new(inst.clone(), CostModel::paper_default());
@@ -817,19 +1132,118 @@ mod tests {
                     for damping in [0.85, 1.0, 0.5] {
                         let config = AgRankConfig { damping, ..AgRankConfig::paper(n_ngbr) };
                         for s in p.instance().session_ids() {
-                            rank_agents_into(&p, s, &residuals, &config, &mut scratch);
+                            order_matches_the_iterate(&p, s, &residuals, &config, &mut scratch);
                             let want = rank_reference(&p, s, &residuals, &config);
+                            let got = rank_agents(&p, s, &residuals, &config);
                             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                            prop_assert_eq!(&scratch.candidates, &want.candidates);
-                            prop_assert_eq!(bits(&scratch.scores), bits(&want.scores));
-                            prop_assert_eq!(scratch.iterations, want.iterations);
-                            prop_assert_eq!(scratch.per_user, want.per_user);
-                            prop_assert_eq!(&scratch.user_candidates, &want.user_candidates);
-                            prop_assert_eq!(&scratch.ranked, &want.fallback);
+                            prop_assert_eq!(&got.candidates, &want.candidates);
+                            prop_assert_eq!(bits(&got.scores), bits(&want.scores));
+                            prop_assert_eq!(got.iterations, want.iterations);
+                            let flat: Vec<AgentId> = got
+                                .user_candidates
+                                .iter()
+                                .flat_map(|(_, near)| near.iter().copied())
+                                .collect();
+                            prop_assert_eq!(&flat, &want.user_candidates);
                         }
                     }
                 }
             }
+        }
+
+        /// The order read off the fixed point is the power iterate's, on
+        /// every call through one reused scratch: two instances with the
+        /// same agent count ranked in turn, the first again after it
+        /// grows, under a fixed and the live neighbourhood and three
+        /// dampings; then twin agents whose scores tie exactly, and a
+        /// pair whose fixed-point gap is bisected below 10⁻¹². Both
+        /// branches run: some calls are certified, and the ties fall
+        /// back to the iteration.
+        #[test]
+        fn certified_order_is_the_power_iterates(
+            agents in 3usize..=12,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = RankScratch::default();
+            // [fell back, certified]
+            let mut outcomes = [0usize; 2];
+            let mut first = build_instance(&mut rng, agents, spread_delay, false);
+            let second = build_instance(&mut rng, agents, spread_delay, false);
+            for grown in [false, true] {
+                if grown {
+                    grow(&mut rng, &mut first, spread_delay);
+                }
+                let mut problems = vec![UapProblem::new(first.clone(), CostModel::paper_default())];
+                if !grown {
+                    problems.push(UapProblem::new(second.clone(), CostModel::paper_default()));
+                }
+                let residuals = spread_residuals(&mut rng, first.num_agents());
+                for n_ngbr in [2, usize::MAX] {
+                    for p in &problems {
+                        for damping in [0.85, 1.0, 0.5] {
+                            let config = AgRankConfig { damping, ..AgRankConfig::paper(n_ngbr) };
+                            for s in p.instance().session_ids() {
+                                let outcome = order_matches_the_iterate(p, s, &residuals, &config, &mut scratch);
+                                if let Some(certified) = outcome {
+                                    outcomes[usize::from(certified)] += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+
+            // Twins: an exact tie, which no bound separates.
+            let twins = UapProblem::new(
+                build_instance(&mut rng, agents, spread_delay, true),
+                CostModel::paper_default(),
+            );
+            let mut residuals = spread_residuals(&mut rng, agents);
+            residuals.upload[1] = residuals.upload[0];
+            residuals.download[1] = residuals.download[0];
+            residuals.transcode[1] = residuals.transcode[0];
+            for damping in [0.85, 0.5] {
+                let config = AgRankConfig { damping, ..AgRankConfig::live() };
+                for s in twins.instance().session_ids() {
+                    let outcome = order_matches_the_iterate(&twins, s, &residuals, &config, &mut scratch);
+                    prop_assert_eq!(outcome, Some(false), "twins tie");
+                    outcomes[0] += 1;
+                }
+            }
+
+            // A near-tie that is no tie: one agent's upload residual
+            // bisected until its fixed-point gap to a partner it
+            // overtakes falls below 10⁻¹².
+            let p = UapProblem::new(first, CostModel::paper_default());
+            let (s, live) = (SessionId::new(0), AgRankConfig::live());
+            let mut residuals = spread_residuals(&mut rng, p.instance().num_agents());
+            let at = |residuals: &mut Residuals, a: usize, r: f64| {
+                residuals.upload[a] = r;
+                fixed_point(&p, s, residuals, &live)
+            };
+            let pair = (0..residuals.upload.len()).find_map(|a| {
+                let (low, high) = (at(&mut residuals.clone(), a, 0.0), at(&mut residuals.clone(), a, 1e4));
+                (0..low.len()).find(|&b| low[a] < low[b] && high[a] > high[b]).map(|b| (a, b))
+            });
+            if let Some((a, b)) = pair {
+                let (mut lo, mut hi) = (0.0, 1e4);
+                let mut gap = f64::INFINITY;
+                for _ in 0..200 {
+                    let mid = 0.5 * (lo + hi);
+                    let x = at(&mut residuals, a, mid);
+                    gap = x[a] - x[b];
+                    if gap.abs() < 1e-12 {
+                        break;
+                    }
+                    if gap < 0.0 { lo = mid } else { hi = mid }
+                }
+                prop_assert!(gap.abs() < 1e-12, "bisection stalled at a gap of {gap:e}");
+                let outcome = order_matches_the_iterate(&p, s, &residuals, &live, &mut scratch);
+                prop_assert_eq!(outcome, Some(false), "a gap below 1e-12 is no certificate");
+            }
+            prop_assert!(outcomes[1] > 0, "no ranking was certified");
+            prop_assert!(outcomes[0] > 0, "no ranking fell back");
         }
     }
 

@@ -10,10 +10,12 @@
 //! * **Gated** are the values that repeat exactly, because every
 //!   experiment here is deterministic given its seed: booleans
 //!   (`parity`, `healed`, `within_budget`, …), admitted `*_fraction`s
-//!   and `conservation_violations`. The comparison is two-sided: a
-//!   worse value fails as *regressed*, a better one fails as *rebaseline
-//!   me* — a committed file that no longer describes HEAD is wrong in
-//!   either direction — and so does a gated key the fresh run lacks.
+//!   and the work counts where fewer is better
+//!   (`conservation_violations`, `engine_rankings_iterated`). The
+//!   comparison is two-sided: a worse value fails as *regressed*, a
+//!   better one fails as *rebaseline me* — a committed file that no
+//!   longer describes HEAD is wrong in either direction — and so does a
+//!   gated key the fresh run lacks.
 //! * **Everything else that moved** — every clock reading, every count
 //!   that depends on thread timing — is reported with its ratio to the
 //!   committed value and never fails. Wall-clock numbers are gated in
@@ -232,6 +234,10 @@ pub struct CheckReport {
     pub compared: usize,
 }
 
+/// The gated counts where fewer is better: conservation violations, and
+/// the admission searches whose AgRank order needed the power iteration.
+const LOWER_IS_BETTER: [&str; 2] = ["conservation_violations", "engine_rankings_iterated"];
+
 /// Whether `key` holds a value that repeats exactly from run to run.
 /// `BENCH_obs_overhead.json`'s one measured `overhead_fraction` is a
 /// clock reading (its `within_budget` boolean gates it);
@@ -240,7 +246,7 @@ fn is_gated(key: &str, value: &Json) -> bool {
     match value {
         Json::Bool(_) => true,
         Json::Num(_) => {
-            key == "conservation_violations"
+            LOWER_IS_BETTER.contains(&key)
                 || (key.ends_with("_fraction")
                     && key != "overhead_fraction"
                     && key != "budget_fraction")
@@ -250,13 +256,13 @@ fn is_gated(key: &str, value: &Json) -> bool {
 }
 
 /// `None` when a gated value reproduced; otherwise the move and which
-/// way it went. Lower is better for violations, higher for fractions,
-/// `true` for flags.
+/// way it went. Lower is better for [`LOWER_IS_BETTER`], higher for
+/// fractions, `true` for flags.
 fn gated_change(key: &str, base: &Json, cur: &Json) -> Option<String> {
     let worse = match (base, cur) {
         _ if base == cur => return None,
         (Json::Bool(b), Json::Bool(_)) => *b,
-        (Json::Num(b), Json::Num(c)) => (c > b) == (key == "conservation_violations"),
+        (Json::Num(b), Json::Num(c)) => (c > b) == LOWER_IS_BETTER.contains(&key),
         _ => true,
     };
     let shown = |v: &Json| match v {
@@ -487,6 +493,26 @@ mod tests {
         let report = compare("demo", &dirty, BASE).expect("comparable");
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("rebaseline me"));
+    }
+
+    #[test]
+    fn iterated_rankings_are_gated_exactly() {
+        let with = |count: u32| {
+            BASE.replacen(
+                "\"conservation_violations\": 0}",
+                &format!("\"conservation_violations\": 0, \"engine_rankings_iterated\": {count}}}"),
+                1,
+            )
+        };
+        let report = compare("demo", &with(3), &with(3)).expect("comparable");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.compared, 7);
+        for (count, verdict) in [(4, "regressed"), (2, "rebaseline me")] {
+            let report = compare("demo", &with(3), &with(count)).expect("comparable");
+            assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+            let failure = &report.failures[0];
+            assert!(failure.contains("engine_rankings_iterated") && failure.contains(verdict));
+        }
     }
 
     #[test]

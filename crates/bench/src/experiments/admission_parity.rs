@@ -19,7 +19,10 @@
 //! search runs against the fleet's live residuals right before each
 //! `Fleet::admit`. In steady state that is the returned decision's two
 //! vectors and nothing else; `engine_allocs_within_bound` gates it at
-//! [`ENGINE_ALLOCS_PER_ADMIT_BOUND`].
+//! [`ENGINE_ALLOCS_PER_ADMIT_BOUND`]. The same pass counts the
+//! rankings whose order AgRank's fixed-point certificate could not
+//! read, so that the power iteration ran (`engine_rankings_iterated`,
+//! gated exactly: a count, not a clock).
 //!
 //! The headline claim is **parity**: the fleet engine's admitted
 //! session set equals the offline set exactly (the `parity` field must
@@ -73,6 +76,10 @@ pub struct AdmissionRow {
     pub engine_allocs_per_admit: f64,
     /// Whether that stays within [`ENGINE_ALLOCS_PER_ADMIT_BOUND`].
     pub engine_allocs_within_bound: bool,
+    /// Engine searches whose AgRank ranking ran the power iteration
+    /// (`AdmissionScratch::rankings_iterated`), the rest having read
+    /// their order off the fixed point.
+    pub engine_rankings_iterated: usize,
     /// Sessions the offline `admit_all` admitted.
     pub offline_admitted: usize,
     /// Offline admitted fraction.
@@ -148,11 +155,12 @@ fn drive(fleet: &Fleet) -> (BTreeSet<SessionId>, Vec<f64>) {
 }
 
 /// Heap allocations per engine search over the engine fleet's own
-/// trajectory: before each `Fleet::admit`, the same search runs against
-/// the fleet's live residuals with one held scratch, and only that call
-/// is counted. A separate fleet from the timed one, so the probe does
-/// not warm the caches of a timed admit.
-fn engine_allocs_per_admit(problem: &Arc<UapProblem>) -> f64 {
+/// trajectory, and the rankings those searches iterated: before each
+/// `Fleet::admit`, the same search runs against the fleet's live
+/// residuals with one held scratch, and only that call is counted. A
+/// separate fleet from the timed one, so the probe does not warm the
+/// caches of a timed admit.
+fn engine_probe(problem: &Arc<UapProblem>) -> (f64, usize) {
     let fleet = Fleet::new(problem.clone(), config());
     let engine = AdmissionEngine::default();
     let policy = AdmissionPolicy::AgRank(AgRankConfig::paper(3));
@@ -181,7 +189,7 @@ fn engine_allocs_per_admit(problem: &Arc<UapProblem>) -> f64 {
         black_box(&decision);
         let _ = fleet.admit(s);
     }
-    allocs as f64 / n as f64
+    (allocs as f64 / n as f64, scratch.rankings_iterated())
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -223,7 +231,7 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
     );
     let offline_set: BTreeSet<SessionId> = offline.state.active_sessions().collect();
 
-    let engine_allocs = engine_allocs_per_admit(&problem);
+    let (engine_allocs, engine_rankings_iterated) = engine_probe(&problem);
 
     use std::sync::atomic::Ordering::Relaxed;
     let c = engine_fleet.counters();
@@ -242,6 +250,7 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
         engine_repair_steps: c.repair_steps.load(Relaxed),
         engine_allocs_per_admit: engine_allocs,
         engine_allocs_within_bound: engine_allocs <= ENGINE_ALLOCS_PER_ADMIT_BOUND,
+        engine_rankings_iterated,
         offline_admitted: offline_set.len(),
         offline_fraction: offline_set.len() as f64 / n as f64,
         parity: engine_set == offline_set,
@@ -273,6 +282,7 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
                 "\"engine_enumeration\": {}, \"engine_repair\": {}, ",
                 "\"engine_fallback\": {}, \"engine_repair_steps\": {}, ",
                 "\"engine_allocs_per_admit\": {:.2}, \"engine_allocs_within_bound\": {}, ",
+                "\"engine_rankings_iterated\": {}, ",
                 "\"offline_admitted\": {}, \"offline_fraction\": {:.4}, ",
                 "\"parity\": {}, \"conservation_violations\": {}}}{}\n"
             ),
@@ -290,6 +300,7 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
             r.engine_repair_steps,
             r.engine_allocs_per_admit,
             r.engine_allocs_within_bound,
+            r.engine_rankings_iterated,
             r.offline_admitted,
             r.offline_fraction,
             r.parity,
@@ -323,7 +334,7 @@ pub fn print(result: &AdmissionParityResult) {
     }
     println!("\nEngine admit latency (vc-obs percentiles) and search-tier mix");
     println!(
-        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>13} {:>11}",
+        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>13} {:>9} {:>11}",
         "sessions",
         "mean µs",
         "p50 µs",
@@ -333,11 +344,12 @@ pub fn print(result: &AdmissionParityResult) {
         "fallback",
         "repair steps",
         "allocs/admit",
+        "iterated",
         "violations"
     );
     for r in &result.rows {
         println!(
-            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>13.2} {:>11}",
+            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>13.2} {:>9} {:>11}",
             r.sessions,
             r.engine_mean_us,
             r.engine_p50_us,
@@ -347,6 +359,7 @@ pub fn print(result: &AdmissionParityResult) {
             r.engine_fallback,
             r.engine_repair_steps,
             r.engine_allocs_per_admit,
+            r.engine_rankings_iterated,
             r.conservation_violations,
         );
     }
@@ -382,5 +395,8 @@ mod tests {
         // No counting allocator in library tests: the column reads 0
         // and sits inside the bound.
         assert!(json.contains("\"engine_allocs_within_bound\": true"));
+        // Nearly every ranking reads its order off the fixed point.
+        assert!(r.engine_rankings_iterated * 100 <= r.sessions, "{r:?}");
+        assert!(json.contains("\"engine_rankings_iterated\""));
     }
 }

@@ -883,13 +883,14 @@ impl EvalScratch {
         // order). Cells are recorded on first write, which can repeat
         // when that first write added exactly 0.0 Mbps (a zero-bitrate
         // ladder rung is legal) — dedup so no cell is folded twice.
+        // A cell's ends touch nothing new: each is a user's agent,
+        // touched above, or a task's, touched by the unit count below,
+        // and `touched` is sorted before anything reads it.
         self.flow_cells.sort_unstable();
         self.flow_cells.dedup();
         for &(k, l) in &self.flow_cells {
             let f = self.flows[k as usize * self.nl + l as usize];
             if f > 0.0 {
-                touch(&mut self.load.touched, &mut self.mark, l as usize);
-                touch(&mut self.load.touched, &mut self.mark, k as usize);
                 self.load.download[l as usize] += f;
                 self.load.upload[k as usize] += f;
                 self.load.ingress[l as usize] += f;
