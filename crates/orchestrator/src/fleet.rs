@@ -110,7 +110,7 @@ use crate::readmit::{backoff_us, ReadmitConfig, ReadmitEntry, ReadmitState};
 use crate::workers::TimerEntry;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use rand::Rng;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -373,6 +373,10 @@ struct AdmitScratch {
     search: AdmissionScratch,
     totals: AgentTotals,
     residuals: Residuals,
+    /// The admitted placement in instance order, as `Admit` journals
+    /// it: filled per journaled admission, borrowed by the record.
+    users: Vec<(UserId, AgentId)>,
+    tasks: Vec<(TaskId, AgentId)>,
 }
 
 /// One-pass consistent-ish fleet metrics (see [`Fleet::metrics`]).
@@ -625,6 +629,8 @@ impl Fleet {
                 search: AdmissionScratch::default(),
                 totals: AgentTotals::zero(nl),
                 residuals: Residuals::default(),
+                users: Vec::new(),
+                tasks: Vec::new(),
             }),
             obs,
             readmit: Mutex::new(ReadmitState::default()),
@@ -671,9 +677,9 @@ impl Fleet {
     /// instance and task table grow in one step; **slot storage and the
     /// ledger are untouched** — a registered conference has no slot and
     /// holds nothing until it is admitted. The grown problem is the only
-    /// store of `def` in the fleet: the journal record carries it, and a
-    /// snapshot reads it back off the problem. On error the fleet is
-    /// unchanged.
+    /// store of `def` in the fleet: the journal record encodes it from
+    /// the caller's borrow, and a snapshot reads it back off the problem.
+    /// On error the fleet is unchanged.
     ///
     /// # Errors
     ///
@@ -683,7 +689,7 @@ impl Fleet {
         let s = self.register_session_locked(&mut u, def)?;
         self.log_op(|| FleetOp::RegisterSession {
             session: s,
-            def: def.clone(),
+            def: Cow::Borrowed(def),
         });
         if let Some((t0, t_end)) = u.release() {
             self.obs.record_span(Site::RegisterSession, t0, t_end);
@@ -717,8 +723,8 @@ impl Fleet {
         let l = self.register_agent_locked(&mut u, def, region)?;
         self.log_op(|| FleetOp::RegisterAgent {
             agent: l,
-            def: def.clone(),
-            region: region.to_string(),
+            def: Cow::Borrowed(def),
+            region: Cow::Borrowed(region),
         });
         Ok(l)
     }
@@ -883,6 +889,8 @@ impl Fleet {
             search,
             totals,
             residuals,
+            users,
+            tasks,
         } = &mut *scratch;
         self.ledger.reserved_totals_into(totals);
         residuals.fill_from_totals(problem, totals);
@@ -914,12 +922,18 @@ impl Fleet {
             .expect("the engine places the session's own users and tasks, once");
         // Journaled strictly after the booking: a crash before the
         // append replays to pre-admission residuals in every region.
-        self.log_op(|| {
-            let (users, tasks) = placement_of_slot(problem, s, &slot);
+        let placed = &slot;
+        self.log_op(move || {
+            let session_users = problem.instance().session(s).users().iter().copied();
+            users.clear();
+            users.extend(session_users.zip(placed.users().iter().copied()));
+            let session_tasks = problem.tasks().of_session(s).iter().copied();
+            tasks.clear();
+            tasks.extend(session_tasks.zip(placed.tasks().iter().copied()));
             FleetOp::Admit {
                 session: s,
-                users,
-                tasks,
+                users: Cow::Borrowed(users),
+                tasks: Cow::Borrowed(tasks),
                 tier: stats.tier,
                 repair_steps: stats.repair_steps as u64,
             }
@@ -1899,7 +1913,7 @@ impl Fleet {
     /// numbers are the fleet's global mutation order. A journal write
     /// failure is fail-stop: durability was promised and can no longer
     /// be provided.
-    pub(crate) fn log_op<O: Borrow<FleetOp>>(&self, op: impl FnOnce() -> O) {
+    pub(crate) fn log_op<'r, O: Borrow<FleetOp<'r>>>(&self, op: impl FnOnce() -> O) {
         if let Some(p) = &self.persist {
             p.journal
                 .lock()
@@ -1964,32 +1978,6 @@ fn totals_drift(a: &AgentTotals, b: &AgentTotals) -> f64 {
             .fold(0.0, f64::max)
     };
     gap(&a.download, &b.download).max(gap(&a.upload, &b.upload))
-}
-
-/// The full placement of session `s` (its slot's current assignment),
-/// in instance order — the shape the persistence layer journals for an
-/// admission.
-pub(crate) fn placement_of_slot(
-    problem: &UapProblem,
-    s: SessionId,
-    slot: &SessionSlot,
-) -> Placement {
-    let users = problem
-        .instance()
-        .session(s)
-        .users()
-        .iter()
-        .zip(slot.users())
-        .map(|(&u, &a)| (u, a))
-        .collect();
-    let tasks = problem
-        .tasks()
-        .of_session(s)
-        .iter()
-        .zip(slot.tasks())
-        .map(|(&t, &a)| (t, a))
-        .collect();
-    (users, tasks)
 }
 
 /// FNV-1a over a slot's committed placement (user agents then task

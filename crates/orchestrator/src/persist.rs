@@ -110,6 +110,7 @@ use crate::ledger::{AgentHold, SessionHold};
 use crate::readmit::ReadmitEntry;
 use crate::workers::{ReoptPool, TimerEntry};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -120,7 +121,9 @@ use vc_core::neighborhood::Neighborhood;
 use vc_core::{Decision, EvalScratch, SessionLoad, TaskId, UapProblem};
 use vc_model::{AgentDef, AgentId, SessionDef, SessionId, UserId};
 use vc_obs::{TraceKind, FLEET_SCOPE};
-use vc_persist::journal::{FsyncPolicy, JournalError, JournalReader, JournalWriter, RetryPolicy};
+use vc_persist::journal::{
+    FsyncPolicy, JournalError, JournalReader, JournalWriter, Record, RetryPolicy,
+};
 use vc_persist::snapshot::{
     compact, fsync_dir, journal_files, journal_path, latest_snapshot, write_snapshot_with,
     SnapshotError,
@@ -131,8 +134,17 @@ use vc_persist::wire;
 /// One journaled fleet mutation. Every variant is applied under the
 /// FREEZE lock in both live operation and replay. Its wire form is the
 /// `wire!` declaration below.
+///
+/// **Borrowed payloads.** The heap payloads a join journals — `Admit`'s
+/// placement, a registration's definition and region — are `Cow`s: the
+/// live path borrows them from the state it already holds (the caller's
+/// `&SessionDef`, the admission scratch's placement buffers), so a
+/// journaled join copies nothing it encodes; a decoded record owns
+/// them (`Cow::Owned`). Either way a record encodes to the same bytes.
+/// The journal writer takes `FleetOp<'a>` at any `'a`
+/// ([`Record`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum FleetOp {
+pub enum FleetOp<'a> {
     /// A session was admitted with this exact placement. Admission is
     /// search-dependent (format v4): replay installs the journaled
     /// placement directly and re-increments the tier/repair counters —
@@ -141,9 +153,9 @@ pub enum FleetOp {
         /// The admitted session.
         session: SessionId,
         /// Chosen user placement (instance order).
-        users: Vec<(UserId, AgentId)>,
+        users: Cow<'a, [(UserId, AgentId)]>,
         /// Chosen transcoding-task placement (instance order).
-        tasks: Vec<(TaskId, AgentId)>,
+        tasks: Cow<'a, [(TaskId, AgentId)]>,
         /// The search tier that produced the placement.
         tier: AdmissionTier,
         /// Violation-driven repair moves the search applied.
@@ -200,7 +212,7 @@ pub enum FleetOp {
         session: SessionId,
         /// The full conference definition (users, demands, delay
         /// columns) — everything needed to regrow the universe.
-        def: SessionDef,
+        def: Cow<'a, SessionDef>,
     },
     /// The worker pool's WAIT-timer state at a durability boundary
     /// (format v4): one entry per live logical worker. Replay installs
@@ -243,9 +255,9 @@ pub enum FleetOp {
         agent: AgentId,
         /// The full agent definition (spec, delay row/column) —
         /// everything needed to regrow the agent pool.
-        def: AgentDef,
+        def: Cow<'a, AgentDef>,
         /// The ledger region the agent joined.
-        region: String,
+        region: Cow<'a, str>,
     },
     /// An agent was drained — planned evacuation (format v6; its
     /// `steps` since v7). Replay installs the journaled steps exactly
@@ -364,7 +376,7 @@ wire! { mod tier_wire for enum AdmissionTier {
 // Tag 6 was the per-stay `Stay` record, never written by a format-v6
 // fleet (stays ride `StayBatch`, also at `stay_batch = 1`): reserved,
 // never reused.
-wire! { enum FleetOp {
+wire! { enum FleetOp<'a> {
     0 => Admit { session, users, tasks, tier via tier_wire, repair_steps },
     1 => Reject { session, reason },
     2 => Depart { session },
@@ -379,6 +391,10 @@ wire! { enum FleetOp {
     12 => RegisterAgent { agent, def, region },
     13 => DrainAgent { agent, steps },
 } }
+
+impl Record for FleetOp<'_> {
+    type Borrowed<'a> = FleetOp<'a>;
+}
 
 wire! { enum EvacStep {
     0 => Moved { session, decision, forced },
@@ -526,7 +542,7 @@ pub struct FleetPersistence {
     pub(crate) vfs: Arc<dyn Vfs>,
     /// Fsync retry/degrade policy handed to each rotated journal.
     pub(crate) retry: RetryPolicy,
-    pub(crate) journal: Mutex<JournalWriter<FleetOp>>,
+    pub(crate) journal: Mutex<JournalWriter<FleetOp<'static>>>,
     /// Exclusive advisory lock on `dir/LOCK`, held for the fleet's
     /// lifetime so two processes cannot write the same store (the
     /// second `with_persistence` would otherwise wipe the first's
@@ -815,7 +831,7 @@ impl Fleet {
         fsync: FsyncPolicy,
         vfs: &dyn Vfs,
         retry: RetryPolicy,
-    ) -> Result<JournalWriter<FleetOp>, PersistError> {
+    ) -> Result<JournalWriter<FleetOp<'static>>, PersistError> {
         write_snapshot_with(dir, seq, &capture(self, u), vfs)?;
         let mut journal =
             JournalWriter::create_with(journal_path(dir, seq + 1), fsync, seq + 1, vfs, retry)?;
@@ -1311,11 +1327,11 @@ impl Fleet {
                 ..
             } => {
                 session(*s, "admit")?;
-                for &(u, a) in users {
+                for &(u, a) in users.iter() {
                     user(u, "admit of")?;
                     agent(a, "admit onto")?;
                 }
-                for &(t, a) in tasks {
+                for &(t, a) in tasks.iter() {
                     task(t, "admit of")?;
                     agent(a, "admit onto")?;
                 }

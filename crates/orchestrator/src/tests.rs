@@ -975,8 +975,8 @@ mod persistence {
             }
             let op = FleetOp::Admit {
                 session: s,
-                users,
-                tasks,
+                users: users.into(),
+                tasks: tasks.into(),
                 tier,
                 repair_steps: i as u64,
             };
@@ -1437,7 +1437,7 @@ mod persistence {
             let s = fleet.live_sessions()[k];
             (s, fleet.problem().instance().session(s).users()[0])
         };
-        type Corrupt<'a> = &'a dyn Fn(&Fleet) -> FleetOp;
+        type Corrupt<'a> = &'a dyn Fn(&Fleet) -> FleetOp<'static>;
         let inputs: [(&str, Corrupt<'_>, &str); 3] = [
             // Hop of a session the universe never registered.
             (

@@ -27,6 +27,7 @@
 //! journal/snapshot container version fields, and the bytes of every
 //! declared record are pinned by `tests/wire_golden.rs`.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use vc_core::{Decision, TaskId};
@@ -176,7 +177,9 @@ pub fn decode_exact<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
 /// * `wire! { struct T { a, b, c } }` — the fields, in wire order.
 /// * `wire! { enum T { 0 => A, 1 => B(x, y), 3 => C { p, q } } }` — one
 ///   explicit tag byte per variant, then its fields in wire order (a
-///   tuple variant names its positions). A tag that is not listed —
+///   tuple variant names its positions). An enum that borrows is
+///   declared with its lifetime, `enum T<'a> { … }`: it encodes what it
+///   borrows and decodes owned (`Cow` fields). A tag that is not listed —
 ///   one never assigned, or a retired variant's — decodes to
 ///   [`CodecError::BadTag`] with `what` the type's name.
 /// * `wire! { mod m for enum T { … } }` — the same table for an enum
@@ -213,14 +216,14 @@ macro_rules! wire {
             }
         }
     };
-    (enum $ty:ident { $($variants:tt)* }) => {
-        impl $crate::codec::Encode for $ty {
+    (enum $ty:ident $(<$lt:lifetime>)? { $($variants:tt)* }) => {
+        impl<$($lt)?> $crate::codec::Encode for $ty<$($lt)?> {
             fn encode(&self, out: &mut Vec<u8>) {
                 $crate::wire!(@encode_enum $ty, self, out, $($variants)*)
             }
         }
 
-        impl $crate::codec::Decode for $ty {
+        impl<$($lt)?> $crate::codec::Decode for $ty<$($lt)?> {
             fn decode(
                 r: &mut $crate::codec::Reader<'_>,
             ) -> Result<Self, $crate::codec::CodecError> {
@@ -342,12 +345,18 @@ impl Decode for bool {
     }
 }
 
-impl Encode for String {
+impl Encode for str {
     fn encode(&self, out: &mut Vec<u8>) {
         u32::try_from(self.len())
             .expect("string length exceeds u32::MAX")
             .encode(out);
         out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_str().encode(out);
     }
 }
 
@@ -362,14 +371,25 @@ impl Decode for String {
     }
 }
 
+/// Writes a sequence: its `u32` length prefix, then each element.
+fn encode_seq<T: Encode>(items: impl ExactSizeIterator<Item = T>, out: &mut Vec<u8>) {
+    u32::try_from(items.len())
+        .expect("sequence length exceeds u32::MAX")
+        .encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(self.iter(), out);
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        u32::try_from(self.len())
-            .expect("sequence length exceeds u32::MAX")
-            .encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        self.as_slice().encode(out);
     }
 }
 
@@ -418,6 +438,30 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+/// A borrowed value encodes as what it borrows, so a record can carry
+/// its payload by reference when it is written.
+impl<B: Encode + ToOwned + ?Sized> Encode for Cow<'_, B> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+/// A decoded value owns its bytes.
+impl<B: ToOwned + ?Sized> Decode for Cow<'_, B>
+where
+    B::Owned: Decode,
+{
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Cow::Owned(B::Owned::decode(r)?))
+    }
+}
+
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -460,14 +504,9 @@ impl Encode for UserDef {
     fn encode(&self, out: &mut Vec<u8>) {
         self.upstream.encode(out);
         self.downstream.default_repr().encode(out);
-        // BTreeMap iterates ascending — a canonical encoding.
-        let overrides: Vec<(UserId, ReprId)> = self
-            .downstream
-            .overrides()
-            .iter()
-            .map(|(&u, &r)| (u, r))
-            .collect();
-        overrides.encode(out);
+        // BTreeMap iterates ascending — a canonical encoding, the bytes
+        // of the `Vec<(UserId, ReprId)>` the decoder reads.
+        encode_seq(self.downstream.overrides().iter(), out);
         self.agent_delays_ms.encode(out);
         self.site_index.encode(out);
     }
@@ -497,7 +536,7 @@ wire! { struct Capacity { upload_mbps, download_mbps, transcode_slots } }
 
 impl Encode for AgentSpec {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.name().to_string().encode(out);
+        self.name().encode(out);
         self.capacity().encode(out);
         self.speed_factor().encode(out);
         self.price_per_mbps().encode(out);

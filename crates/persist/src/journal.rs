@@ -14,6 +14,26 @@
 //! └──────────────────────────────┘
 //! ```
 //!
+//! ## Building a frame
+//!
+//! [`JournalWriter::append`] builds each frame in place, at the end of
+//! the writer's own buffer: it reserves the 8 prefix bytes, encodes
+//! `seq ++ record` straight after them, then patches `len` and `crc`
+//! over the reservation (the snapshot writer's idiom). An append
+//! therefore copies nothing and, once the buffer has grown to a
+//! commit's worth of frames, allocates nothing. A record is appended
+//! by reference at any borrow lifetime ([`Record`]), so a caller
+//! journals the state it already holds instead of a copy of it.
+//!
+//! ```text
+//! buf: … whole frames … │ 00000000 00000000 │ seq ++ record │
+//!                       └ patched last ────┘
+//! ```
+//!
+//! A frame is whole before `append` returns: a record over
+//! [`MAX_FRAME_LEN`] cuts the buffer back to the frame's start before
+//! the append panics, so a commit never writes a half-built frame.
+//!
 //! ## Durability semantics
 //!
 //! [`JournalWriter::append`] buffers the frame in memory;
@@ -222,10 +242,25 @@ pub struct TailStatus {
     pub valid_len: u64,
 }
 
+/// A journal's record type: what [`JournalReader`] decodes, and what
+/// [`JournalWriter::append`] takes at any borrow lifetime. A record that
+/// borrows its payloads (`Cow` fields) names itself at `'a` as
+/// `Borrowed<'a>`, so a writer that outlives every caller can journal
+/// a record pointing into the caller's own state.
+pub trait Record {
+    /// The record type, borrowing for `'a`.
+    type Borrowed<'a>: Encode;
+}
+
+/// An integer journal (the tests' and the fault-injection plane's).
+impl Record for u64 {
+    type Borrowed<'a> = u64;
+}
+
 /// The append side of the journal. Generic over the record type so the
 /// fleet-specific event enum lives with the fleet, not here.
 #[derive(Debug)]
-pub struct JournalWriter<T: Encode> {
+pub struct JournalWriter<T: Record> {
     file: Box<dyn FaultFile>,
     path: PathBuf,
     /// Frames encoded but not yet written to the file.
@@ -253,7 +288,7 @@ pub struct JournalWriter<T: Encode> {
     _record: PhantomData<fn(&T)>,
 }
 
-impl<T: Encode> JournalWriter<T> {
+impl<T: Record> JournalWriter<T> {
     /// Creates (truncating) a journal at `path` whose first record will
     /// carry sequence number `first_seq`. The header is written and
     /// synced immediately so even an empty journal is well-formed.
@@ -376,18 +411,31 @@ impl<T: Encode> JournalWriter<T> {
     /// # Errors
     ///
     /// None today; the `Result` is kept so callers stay fault-aware.
-    pub fn append(&mut self, record: &T) -> io::Result<u64> {
+    ///
+    /// # Panics
+    ///
+    /// On a record whose frame would exceed [`MAX_FRAME_LEN`], after
+    /// cutting the buffer back to what it held before the call; the
+    /// sequence number is not consumed.
+    pub fn append(&mut self, record: &T::Borrowed<'_>) -> io::Result<u64> {
         let t0 = self.obs.as_ref().and_then(|o| o.timer());
         let seq = self.next_seq;
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        seq.encode(&mut self.buf);
+        record.encode(&mut self.buf);
+        let payload = &self.buf[start + 8..];
+        let Some(len) = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_LEN)
+        else {
+            self.buf.truncate(start);
+            panic!("record exceeds MAX_FRAME_LEN");
+        };
+        let crc = crc32(payload);
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         self.next_seq += 1;
-        let mut payload = Vec::with_capacity(32);
-        seq.encode(&mut payload);
-        record.encode(&mut payload);
-        let len = u32::try_from(payload.len()).expect("record under 4 GiB");
-        assert!(len <= MAX_FRAME_LEN, "record exceeds MAX_FRAME_LEN");
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.buf.extend_from_slice(&payload);
         self.pending += 1;
         match self.policy {
             FsyncPolicy::Always => self.commit()?,
@@ -847,6 +895,41 @@ mod tests {
             msg.contains("127") && msg.contains(&format!("{SUPPORTED_JOURNAL_VERSIONS:?}")),
             "message must name found vs supported: {msg}"
         );
+    }
+
+    /// A record of `.0` zero bytes, as large as a test needs.
+    struct Filler(usize);
+
+    impl Encode for Filler {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.resize(out.len() + self.0, 0);
+        }
+    }
+
+    impl Record for Filler {
+        type Borrowed<'a> = Filler;
+    }
+
+    /// An oversize append panics with the frame cut back out of the
+    /// buffer and its sequence number unspent, so the next commit writes
+    /// only whole frames and the sequence stays gapless.
+    #[test]
+    fn an_oversize_record_leaves_buffer_and_sequence_as_they_were() {
+        let dir = tmp_dir("journal-oversize");
+        let path = dir.join("j.vcwal");
+        let mut w = JournalWriter::<Filler>::create(&path, FsyncPolicy::Manual, 1).expect("create");
+        w.append(&Filler(3)).expect("append");
+        let oversize = Filler(MAX_FRAME_LEN as usize);
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.append(&oversize)));
+        assert!(unwound.is_err(), "an oversize record must not be framed");
+        assert_eq!(w.next_seq(), 2);
+        w.append(&Filler(1)).expect("append");
+        w.commit().expect("commit");
+        let bytes = fs::read(&path).expect("read");
+        // The header, then frames of 8 + 8 + 3 and 8 + 8 + 1 bytes.
+        assert_eq!(bytes.len(), HEADER_LEN + 19 + 17);
+        assert_eq!(bytes[HEADER_LEN + 19 + 8..][..8], 2u64.to_le_bytes());
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub mod vfs;
 pub use codec::{decode_exact, encode_to_vec, CodecError, Decode, Encode, Reader};
 pub use crc::crc32;
 pub use journal::{
-    read_journal, Durability, FsyncPolicy, JournalError, JournalReader, JournalWriter, RetryPolicy,
-    TailStatus, JOURNAL_MAGIC, JOURNAL_VERSION, SUPPORTED_JOURNAL_VERSIONS,
+    read_journal, Durability, FsyncPolicy, JournalError, JournalReader, JournalWriter, Record,
+    RetryPolicy, TailStatus, JOURNAL_MAGIC, JOURNAL_VERSION, SUPPORTED_JOURNAL_VERSIONS,
 };
 pub use snapshot::{
     compact, fsync_dir, journal_files, journal_path, latest_snapshot, load_snapshot, snapshot_path,

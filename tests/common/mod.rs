@@ -1,7 +1,8 @@
 //! Hostile-bytes kit shared by `wire_golden.rs` and
 //! `persist_recovery.rs`: the mutations a decoder is swept over, and an
 //! allocator that adds up what one thread requests, so a sweep can
-//! assert that no length prefix was believed before it was checked.
+//! assert that no length prefix was believed before it was checked (and
+//! a journal test that an append copies nothing).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,6 +35,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `f`, returning what it returned and the bytes this thread
+/// requested from the allocator meanwhile.
+pub fn requested_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = f();
+    (out, REQUESTED.with(Cell::get) - before)
+}
 
 /// Bytes a decoder may request per input byte, all allocations of one
 /// call added up. A sequence reserves at most one element per remaining
@@ -102,9 +111,8 @@ pub fn sweep<E: Debug>(what: &str, bytes: &[u8], decode: impl Fn(&[u8]) -> Resul
     let mut failures = Vec::new();
     for mutation in Mutation::all(bytes.len()) {
         let mutant = mutation.apply(bytes);
-        let before = REQUESTED.with(Cell::get);
-        let outcome = catch_unwind(AssertUnwindSafe(|| decode(&mutant)));
-        let requested = REQUESTED.with(Cell::get) - before;
+        let (outcome, requested) =
+            requested_by(|| catch_unwind(AssertUnwindSafe(|| decode(&mutant))));
         match outcome {
             Ok(Ok(())) => swept.decoded += 1,
             Ok(Err(e)) => {

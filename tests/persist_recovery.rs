@@ -22,6 +22,7 @@ use cloud_vc::persist::{decode_exact, encode_to_vec, FsyncPolicy};
 use cloud_vc::prelude::*;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
@@ -230,7 +231,7 @@ fn evac_step_strategy() -> impl Strategy<Value = EvacStep> {
     )
 }
 
-fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
+fn fleet_op_strategy() -> impl Strategy<Value = FleetOp<'static>> {
     (
         0u8..14,
         0u32..64,
@@ -261,8 +262,8 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                 match tag {
                     0 => FleetOp::Admit {
                         session,
-                        users,
-                        tasks,
+                        users: Cow::Owned(users),
+                        tasks: Cow::Owned(tasks),
                         tier: match tier {
                             0 => vc_algo::admission::AdmissionTier::Enumeration,
                             1 => vc_algo::admission::AdmissionTier::Repair,
@@ -295,7 +296,10 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                         count: repair_steps + 1,
                     },
                     8 => FleetOp::Timers { entries: timers },
-                    9 => FleetOp::RegisterSession { session, def },
+                    9 => FleetOp::RegisterSession {
+                        session,
+                        def: Cow::Owned(def),
+                    },
                     10 => FleetOp::ReadmitEnqueue {
                         session,
                         epoch: u64::from(a) + 1,
@@ -305,8 +309,8 @@ fn fleet_op_strategy() -> impl Strategy<Value = FleetOp> {
                     11 => FleetOp::ReadmitDrop { session },
                     12 => FleetOp::RegisterAgent {
                         agent,
-                        def: agent_def,
-                        region: format!("r{}", a % 3),
+                        def: Cow::Owned(agent_def),
+                        region: Cow::Owned(format!("r{}", a % 3)),
                     },
                     _ => FleetOp::DrainAgent { agent, steps },
                 }
@@ -459,6 +463,37 @@ fn late_conference(delay_base: f64) -> vc_model::SessionDef {
             },
         ],
     }
+}
+
+/// A journaled join — `register_session`, `admit`, `depart` — requests
+/// no more bytes than the same calls on an ephemeral fleet: the
+/// registration is journaled from the caller's definition, the
+/// admission from placement buffers the fleet keeps, and every frame is
+/// built in the journal's own buffer, so journaling a join allocates
+/// nothing once those buffers have grown.
+#[test]
+fn journaling_a_join_allocates_nothing() {
+    let dir = store_dir("join-allocations");
+    let journaled = Fleet::with_persistence(small_universe(), fleet_config(), persist_config(&dir))
+        .expect("store");
+    let ephemeral = Fleet::new(small_universe(), fleet_config());
+    let def = late_conference(8.0);
+    let join = |fleet: &Fleet| {
+        let s = fleet.register_session(&def).expect("registers");
+        fleet.admit(s).expect("admits");
+        fleet.depart(s).expect("was live");
+    };
+    // The first join grows every buffer a join reuses, in both fleets.
+    join(&journaled);
+    join(&ephemeral);
+    journaled.commit_journal().expect("commit");
+    let ((), ephemeral_bytes) = common::requested_by(|| join(&ephemeral));
+    let ((), journaled_bytes) = common::requested_by(|| join(&journaled));
+    assert!(
+        journaled_bytes <= ephemeral_bytes,
+        "journaling a join requested {} bytes ({journaled_bytes} against {ephemeral_bytes})",
+        journaled_bytes - ephemeral_bytes
+    );
 }
 
 /// The byte-offset sweep over a fleet that **grew its universe
@@ -705,8 +740,8 @@ fn no_out_of_universe_id_unwinds_recovery() {
     let (far_u, far_t) = (UserId::new(999), TaskId::new(999));
     let admit = |session, (users, tasks)| FleetOp::Admit {
         session,
-        users,
-        tasks,
+        users: Cow::Owned(users),
+        tasks: Cow::Owned(tasks),
         tier: vc_algo::admission::AdmissionTier::Repair,
         repair_steps: 0,
     };
@@ -817,7 +852,7 @@ fn no_out_of_universe_id_unwinds_recovery() {
             "RegisterSession.session",
             FleetOp::RegisterSession {
                 session: far_s,
-                def: late_conference(8.0),
+                def: Cow::Owned(late_conference(8.0)),
             },
             Some("s99"),
         ),
@@ -847,12 +882,12 @@ fn no_out_of_universe_id_unwinds_recovery() {
             "RegisterAgent.agent",
             FleetOp::RegisterAgent {
                 agent: far_a,
-                def: vc_model::AgentDef {
+                def: Cow::Owned(vc_model::AgentDef {
                     spec: AgentSpec::builder("d").build(),
                     inter_agent_ms: vec![30.0; 3],
                     user_delays_ms: vec![20.0; inst.num_users()],
-                },
-                region: "default".to_string(),
+                }),
+                region: Cow::Owned("default".to_string()),
             },
             Some("a99"),
         ),

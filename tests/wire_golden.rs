@@ -15,9 +15,15 @@
 
 mod common;
 
-use cloud_vc::persist::{decode_exact, encode_to_vec, CodecError, Decode, Encode};
+use cloud_vc::persist::journal::HEADER_LEN;
+use cloud_vc::persist::{
+    crc32, decode_exact, encode_to_vec, read_journal, CodecError, Decode, Encode, FsyncPolicy,
+    JournalWriter,
+};
 use cloud_vc::prelude::*;
+use std::borrow::Cow;
 use std::fmt::{Debug, Write as _};
+use std::path::PathBuf;
 use vc_algo::admission::AdmissionTier;
 use vc_core::TaskId;
 use vc_model::DownstreamDemand;
@@ -125,14 +131,14 @@ fn timers() -> Vec<TimerEntry> {
     ]
 }
 
-fn admit(tier: AdmissionTier) -> FleetOp {
+fn admit(tier: AdmissionTier) -> FleetOp<'static> {
     FleetOp::Admit {
         session: SessionId::new(4),
-        users: vec![
+        users: Cow::Owned(vec![
             (UserId::new(8), AgentId::new(1)),
             (UserId::new(9), AgentId::new(2)),
-        ],
-        tasks: vec![(TaskId::new(6), AgentId::new(0))],
+        ]),
+        tasks: Cow::Owned(vec![(TaskId::new(6), AgentId::new(0))]),
         tier,
         repair_steps: 3,
     }
@@ -159,7 +165,7 @@ fn evacuation() -> Vec<EvacStep> {
     ]
 }
 
-fn reject(reason: RefusalReason) -> FleetOp {
+fn reject(reason: RefusalReason) -> FleetOp<'static> {
     FleetOp::Reject {
         session: SessionId::new(7),
         reason,
@@ -169,7 +175,7 @@ fn reject(reason: RefusalReason) -> FleetOp {
 /// One row per `FleetOp` variant (and per arm of the enums inside it):
 /// name, value, v7 bytes. The two evacuation records hold a step of
 /// every kind.
-fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
+fn journal_rows() -> Vec<(&'static str, FleetOp<'static>, &'static str)> {
     let session = SessionId::new(0x0A0B_0C0D);
     let agent_id = AgentId::new(2);
     vec![
@@ -253,7 +259,7 @@ fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
             "RegisterSession",
             FleetOp::RegisterSession {
                 session: SessionId::new(6),
-                def: conference(),
+                def: Cow::Owned(conference()),
             },
             "0806000000020000000300000001000000010000000900000002000000030000\
              00000000000000294000000000000044400000000000001d4001110000000000\
@@ -285,8 +291,8 @@ fn journal_rows() -> Vec<(&'static str, FleetOp, &'static str)> {
             "RegisterAgent",
             FleetOp::RegisterAgent {
                 agent: AgentId::new(3),
-                def: agent(),
-                region: "ap-northeast".to_string(),
+                def: Cow::Owned(agent()),
+                region: Cow::Owned("ap-northeast".to_string()),
             },
             "0c03000000050000006f73616b610000000000005e4000000000002054400600\
              0000000000000000f43f000000000000e03f0000000000000040030000000000\
@@ -318,6 +324,113 @@ fn every_journal_record_variant_encodes_to_its_v7_bytes() {
             .map(|(name, op, golden)| check(name, op, golden))
             .collect(),
     );
+}
+
+/// `op` with every `Cow` payload borrowed from it, as the live path
+/// journals a join.
+fn borrowed<'a>(op: &'a FleetOp<'_>) -> FleetOp<'a> {
+    match op {
+        FleetOp::Admit {
+            session,
+            users,
+            tasks,
+            tier,
+            repair_steps,
+        } => FleetOp::Admit {
+            session: *session,
+            users: Cow::Borrowed(users),
+            tasks: Cow::Borrowed(tasks),
+            tier: *tier,
+            repair_steps: *repair_steps,
+        },
+        FleetOp::RegisterSession { session, def } => FleetOp::RegisterSession {
+            session: *session,
+            def: Cow::Borrowed(def),
+        },
+        FleetOp::RegisterAgent { agent, def, region } => FleetOp::RegisterAgent {
+            agent: *agent,
+            def: Cow::Borrowed(def),
+            region: Cow::Borrowed(region),
+        },
+        other => other.clone(),
+    }
+}
+
+/// A fresh journal under the test target directory.
+fn journal_writer(name: &str) -> (PathBuf, JournalWriter<FleetOp<'static>>) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/tmp-persist");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("wire-golden-{name}.vcwal"));
+    let writer = JournalWriter::create(&path, FsyncPolicy::Manual, 1).expect("journal");
+    (path, writer)
+}
+
+/// Every pinned record, appended through a `JournalWriter` once owning
+/// its payloads and once borrowing them, lands in the file as
+/// `len ‖ crc32(p) ‖ p` with `p` the encoding of `(seq, record)`: the
+/// writer frames exactly what the codec encodes, a borrowed record
+/// encodes to the owned one's bytes, and the reader reads each back.
+#[test]
+fn every_journal_record_frames_as_its_sequenced_encoding() {
+    let (path, mut writer) = journal_writer("frames");
+    let rows = journal_rows();
+    let mut written = Vec::new();
+    for (name, op, _) in &rows {
+        let lent = borrowed(op);
+        assert_eq!(
+            encode_to_vec(&lent),
+            encode_to_vec(op),
+            "{name}: the borrowed record encodes differently"
+        );
+        for record in [op, &lent] {
+            let seq = writer.append(record).expect("append");
+            written.push((*name, seq, op, encode_to_vec(&(seq, record))));
+        }
+    }
+    writer.commit().expect("commit");
+    let bytes = std::fs::read(&path).expect("journal bytes");
+    let mut at = HEADER_LEN;
+    for (name, seq, _, p) in &written {
+        let len = u32::try_from(p.len()).expect("a golden record is small");
+        let frame = [&len.to_le_bytes()[..], &crc32(p).to_le_bytes(), p].concat();
+        assert_eq!(
+            bytes.get(at..at + frame.len()),
+            Some(&frame[..]),
+            "{name}: frame {seq}"
+        );
+        at += frame.len();
+    }
+    assert_eq!(at, bytes.len(), "the file holds its header and the frames");
+    let (records, tail) = read_journal::<FleetOp>(&path).expect("the journal reads");
+    assert!(!tail.torn);
+    assert_eq!(records.len(), written.len());
+    for ((seq, record), (name, want_seq, op, _)) in records.iter().zip(&written) {
+        assert_eq!((seq, record), (want_seq, *op), "{name}");
+    }
+}
+
+/// Once a commit has grown the writer's buffer, appending any record —
+/// owning its payloads or borrowing them — requests nothing from the
+/// allocator: the frame is built in that buffer, not beside it.
+#[test]
+fn an_append_after_a_warm_up_commit_requests_no_bytes() {
+    let (_, mut writer) = journal_writer("append-allocs");
+    let rows = journal_rows();
+    for (_, op, _) in &rows {
+        writer.append(op).expect("append");
+    }
+    writer.commit().expect("commit");
+    for (name, op, _) in &rows {
+        let lent = borrowed(op);
+        for record in [op, &lent] {
+            let (seq, requested) = common::requested_by(|| writer.append(record).expect("append"));
+            assert_eq!(
+                requested, 0,
+                "{name}: append {seq} requested {requested} bytes"
+            );
+            writer.commit().expect("commit");
+        }
+    }
 }
 
 fn counters() -> CounterSnapshot {
