@@ -97,6 +97,22 @@
 //!   where a bracket straddles the rule. No decision moves: the bracket
 //!   holds the fold's value in floating point, and the rule is monotone
 //!   in each load.
+//! * **A refusal costs its users' streams.** Where the users sit
+//!   decides almost every refusal; the tasks hardly matter. So tier 1's
+//!   combos and tier 3's trials ask [`agent_fits`] of the users' [stream
+//!   floors](EvalScratch::stream_floors) before placing any task: per
+//!   user's agent, the least download and upload any task placement
+//!   leaves there, with 0 transcoding units. A floor refused there means
+//!   the fold refuses every placement of the tasks, so the placement is
+//!   refused without placing its tasks, bounding or folding it, and
+//!   [`AdmissionScratch::stream_refusals`] counts it. Tiers 1 and 3
+//!   read a refusal only as a no, and the floor is asked only once the
+//!   search's stage can no longer move: in tier 1 once a combo has
+//!   placed its tasks, in tier 3 once the search has reached the global
+//!   check. So the stage a refused search reports is the one it would
+//!   report without the floor, and a search's first placement asks no
+//!   floor. Tier 2 keeps the full check, because its repair step reads
+//!   the agent the fold refuses *first*, which a floor cannot name.
 //! * **No placement weighed twice.** The repair walk is a function of
 //!   its placement, so once it comes back to a placement it refused it
 //!   can only circle until its budget runs out. It keeps the placements
@@ -178,7 +194,10 @@ pub struct AdmissionStats {
     pub repair_steps: usize,
     /// Candidate placements that reached the global check, however it
     /// settled them — on their demand bounds or on a fold. The search
-    /// never checks one placement twice, so these are distinct.
+    /// never checks one placement twice, so these are distinct. A
+    /// placement its users' stream floors refused never placed its
+    /// tasks and is not counted
+    /// ([`AdmissionScratch::stream_refusals`] counts those).
     pub candidates_evaluated: usize,
 }
 
@@ -227,6 +246,13 @@ impl AdmissionScratch {
     /// them at a damping outside the certificate's range.
     pub fn rankings_iterated(&self) -> usize {
         self.rank.rankings_iterated()
+    }
+
+    /// Placements this scratch's searches refused on their users'
+    /// [stream floors](EvalScratch::stream_floors), over its lifetime,
+    /// without placing their tasks (see the module-level cost model).
+    pub fn stream_refusals(&self) -> usize {
+        self.placement.stream_refusals
     }
 }
 
@@ -303,6 +329,9 @@ struct PlacementScratch {
     /// `3·|U(s)| + |T(s)| + 1` of them (one per evaluation the repair
     /// budget allows).
     refused: Vec<AgentId>,
+    /// Placements refused on their stream floors, over the scratch's
+    /// lifetime.
+    stream_refusals: usize,
 }
 
 /// Why the global check refused a placement, as much as the search
@@ -548,6 +577,13 @@ impl AdmissionEngine {
             if placement.users.iter().any(|&(_, l)| !available[l.index()]) {
                 return false;
             }
+            // Once a trial can no longer move the stage, a refusal is
+            // only a no, and the users' streams alone settle most.
+            if matches!(furthest, AdmissionFailure::GlobalCheck)
+                && placement.floor_refuses(&search, eval)
+            {
+                return false;
+            }
             if !placement.place_tasks(&search) {
                 if matches!(furthest, AdmissionFailure::UserFit) {
                     furthest = AdmissionFailure::TaskFit;
@@ -680,7 +716,11 @@ impl PlacementScratch {
                     self.users
                         .push((search.users[k], search.candidates_of(k)[self.combo[k]]));
                 }
-                if self.place_tasks(search) {
+                // Once a combo has placed its tasks, the stage is
+                // settled: a refusal is only a no, and the users'
+                // streams alone settle most.
+                let floored = passed_tasks && self.floor_refuses(search, eval);
+                if !floored && self.place_tasks(search) {
                     passed_tasks = true;
                     candidates_evaluated += 1;
                     if self
@@ -818,6 +858,35 @@ impl PlacementScratch {
             }
         }
         Bound::Fits
+    }
+
+    /// Whether the candidate placement's users alone refuse it:
+    /// [`agent_fits`] of each of their agents' [stream
+    /// floors](EvalScratch::stream_floors), ascending, no task placed.
+    /// A refusal here is a refusal of the fold for every placement of
+    /// the tasks, so it is asked only where the search reads a refusal
+    /// as a no (the module-level cost model), and it is counted.
+    fn floor_refuses(&mut self, search: &Search<'_>, eval: &mut EvalScratch) -> bool {
+        let refused = self.floor_verdict(search, eval);
+        #[cfg(test)]
+        if let Some(agent) = refused {
+            tests::audit_floor(self, search, eval, agent);
+        }
+        self.stream_refusals += usize::from(refused.is_some());
+        refused.is_some()
+    }
+
+    /// The first of the candidate users' agents whose stream floor
+    /// [`agent_fits`] refuses, if any.
+    fn floor_verdict(&self, search: &Search<'_>, eval: &mut EvalScratch) -> Option<AgentId> {
+        let none = AgentDemand::default();
+        let floors = eval.stream_floors(self.users.iter().map(|&(_, l)| l));
+        floors.iter().find_map(|floor| {
+            let (cap, free) = search.free_at(floor.agent);
+            agent_fits(&cap, free, &none, floor)
+                .is_err()
+                .then_some(AgentId::new(floor.agent))
+        })
     }
 
     /// The capacity and delay check on the candidate placement's fold,
@@ -1042,6 +1111,9 @@ mod tests {
         refused: usize,
         fitted: usize,
         undecided: usize,
+        /// Stream-floor refusals whose tasks placed, so a fold audited
+        /// them.
+        floored: usize,
         folds: Vec<AgentDemand>,
     }
 
@@ -1069,6 +1141,34 @@ mod tests {
                 Bound::Undecided => audit.undecided += 1,
             }
             audit.folds.extend(load.demand());
+        });
+    }
+
+    /// Every stream-floor refusal of a unit test's search, first refused
+    /// at `agent`, beside the fold of the tasks the search would have
+    /// placed there: the fold must refuse it on capacity, at `agent` or
+    /// at an agent it checks first. A placement whose tasks fit nowhere
+    /// has no fold to audit.
+    pub(super) fn audit_floor(
+        placement: &mut PlacementScratch,
+        search: &Search<'_>,
+        eval: &mut EvalScratch,
+        agent: AgentId,
+    ) {
+        if !placement.place_tasks(search) {
+            return;
+        }
+        match placement.fold_verdict(search, eval) {
+            Some(Refusal::Download(at) | Refusal::Upload(at) | Refusal::Transcode(at))
+                if at <= agent => {}
+            full => panic!(
+                "refused on the stream floor at {agent}, the fold of {:?} / {:?}: {full:?}",
+                placement.users, placement.tasks
+            ),
+        }
+        AUDIT.with_borrow_mut(|audit| {
+            audit.floored += 1;
+            audit.folds.extend(eval.load().demand());
         });
     }
 
@@ -1265,20 +1365,93 @@ mod tests {
     /// they decide it as the full check does — the audit in
     /// `check_full` asserts that on every such placement of every unit
     /// test — and on random tight universes they refuse, fit, and meet
-    /// brackets they cannot decide.
+    /// brackets they cannot decide. Likewise every stream-floor refusal
+    /// is one the fold makes (`audit_floor`), and there are some.
     #[test]
     fn a_bound_verdict_is_the_exact_verdict() {
         AUDIT.with_borrow_mut(|audit| *audit = Audit::default());
         bound_verdicts_on_tight_universes();
         AUDIT.with_borrow(|audit| {
             assert!(
-                audit.refused > 0 && audit.fitted > 0 && audit.undecided > 0,
-                "{} refused, {} fitted, {} undecided",
+                audit.refused > 0 && audit.fitted > 0 && audit.undecided > 0 && audit.floored > 0,
+                "{} refused, {} fitted, {} undecided, {} floored",
                 audit.refused,
                 audit.fitted,
-                audit.undecided
+                audit.undecided,
+                audit.floored
             );
         });
+    }
+
+    /// Two agents, 20 ms apart, and one conference: u0 sends 720p
+    /// (5 Mbps) and watches 360p, u1 sends and watches 360p (1 Mbps),
+    /// so the one task transcodes u0's stream for u1. Split over the two
+    /// agents, the agent of u0 downloads at least 6 Mbps whatever the
+    /// task does, against 5 Mbps of last mile.
+    fn two_user_transcoding_problem() -> UapProblem {
+        let ladder = vc_model::ReprLadder::standard_four();
+        let r360 = ladder.by_name("360p").unwrap().id();
+        let r720 = ladder.by_name("720p").unwrap().id();
+        let mut b = vc_model::InstanceBuilder::new(ladder);
+        for name in ["a", "b"] {
+            b.add_agent(vc_model::AgentSpec::builder(name).build());
+        }
+        let s = b.add_session();
+        b.add_user(s, r720, r360);
+        b.add_user(s, r360, r360);
+        b.symmetric_delays(|_, _| 20.0, |_, _| 5.0);
+        b.d_max_ms(10_000.0);
+        UapProblem::new(b.build().unwrap(), vc_cost::CostModel::paper_default())
+    }
+
+    /// A refusal on the users' streams never moves the stage a refused
+    /// search reports: the floor is asked only once a placement has
+    /// placed its tasks (tier 1) or reached the global check (tier 3).
+    /// With 5.5 Mbps of download per agent, every placement that passes
+    /// its last miles is refused on its stream floor.
+    #[test]
+    fn a_stream_refusal_leaves_the_stage_where_the_tasks_put_it() {
+        let p = two_user_transcoding_problem();
+        let s = SessionId::new(0);
+        let stage = |download: [f64; 2], slots: f64, cap: usize| {
+            let mut scratch = AdmissionScratch::default();
+            let residuals = Residuals {
+                download: download.to_vec(),
+                upload: vec![100.0; 2],
+                transcode: vec![slots; 2],
+            };
+            let refused = AdmissionEngine::default().place_capped(
+                &p,
+                s,
+                &AdmissionPolicy::AgRank(AgRankConfig::paper(2)),
+                &residuals,
+                &[true; 2],
+                &mut EvalScratch::new(),
+                &mut scratch,
+                cap,
+            );
+            (refused.map(|d| d.users), scratch.stream_refusals())
+        };
+        for cap in [COMBO_CAP, 0] {
+            // No slot anywhere: no placement places its task, so none
+            // is asked its floor.
+            assert_eq!(
+                stage([5.5; 2], 0.0, cap),
+                (Err(AdmissionFailure::TaskFit), 0),
+                "cap {cap}"
+            );
+            // Slots: the first placement to place its task is folded
+            // and refused, and the floor refuses the rest.
+            let (refused, floored) = stage([5.5; 2], 4.0, cap);
+            assert_eq!(refused, Err(AdmissionFailure::GlobalCheck), "cap {cap}");
+            assert!(floored > 0, "cap {cap}");
+        }
+        // Agent b cannot carry u1's last mile, so the greedy pass fails
+        // and tier 3 starts at the user stage: its first trial places
+        // the task and is folded before the floor refuses the rest.
+        let (refused, floored) = stage([5.5, 0.5], 4.0, 0);
+        assert_eq!(refused, Err(AdmissionFailure::GlobalCheck));
+        assert!(floored > 0);
     }
 
     #[test]

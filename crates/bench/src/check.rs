@@ -10,8 +10,9 @@
 //! * **Gated** are the values that repeat exactly, because every
 //!   experiment here is deterministic given its seed: booleans
 //!   (`parity`, `healed`, `within_budget`, …), admitted `*_fraction`s
-//!   and the work counts where fewer is better
-//!   (`conservation_violations`, `engine_rankings_iterated`). The
+//!   and the work counts (`conservation_violations` and
+//!   `engine_rankings_iterated`, where fewer is better;
+//!   `engine_stream_refusals`, where more is). The
 //!   comparison is two-sided: a worse value fails as *regressed*, a
 //!   better one fails as *rebaseline me* — a committed file that no
 //!   longer describes HEAD is wrong in either direction — and so does a
@@ -238,6 +239,10 @@ pub struct CheckReport {
 /// the admission searches whose AgRank order needed the power iteration.
 const LOWER_IS_BETTER: [&str; 2] = ["conservation_violations", "engine_rankings_iterated"];
 
+/// The gated counts where more is better: the placements admission
+/// refused on their users' stream floors, without placing their tasks.
+const HIGHER_IS_BETTER: [&str; 1] = ["engine_stream_refusals"];
+
 /// Whether `key` holds a value that repeats exactly from run to run.
 /// `BENCH_obs_overhead.json`'s one measured `overhead_fraction` is a
 /// clock reading (its `within_budget` boolean gates it);
@@ -247,6 +252,7 @@ fn is_gated(key: &str, value: &Json) -> bool {
         Json::Bool(_) => true,
         Json::Num(_) => {
             LOWER_IS_BETTER.contains(&key)
+                || HIGHER_IS_BETTER.contains(&key)
                 || (key.ends_with("_fraction")
                     && key != "overhead_fraction"
                     && key != "budget_fraction")
@@ -257,7 +263,7 @@ fn is_gated(key: &str, value: &Json) -> bool {
 
 /// `None` when a gated value reproduced; otherwise the move and which
 /// way it went. Lower is better for [`LOWER_IS_BETTER`], higher for
-/// fractions, `true` for flags.
+/// [`HIGHER_IS_BETTER`] and fractions, `true` for flags.
 fn gated_change(key: &str, base: &Json, cur: &Json) -> Option<String> {
     let worse = match (base, cur) {
         _ if base == cur => return None,
@@ -493,6 +499,28 @@ mod tests {
         let report = compare("demo", &dirty, BASE).expect("comparable");
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains("rebaseline me"));
+    }
+
+    #[test]
+    fn stream_refusals_are_gated_exactly() {
+        let with = |count: u32| {
+            BASE.replacen(
+                "\"conservation_violations\": 0}",
+                &format!("\"conservation_violations\": 0, \"engine_stream_refusals\": {count}}}"),
+                1,
+            )
+        };
+        let report = compare("demo", &with(30), &with(30)).expect("comparable");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.compared, 7);
+        // A floor that refuses less is a regression, one that refuses
+        // more a committed file to rebaseline.
+        for (count, verdict) in [(29, "regressed"), (31, "rebaseline me")] {
+            let report = compare("demo", &with(30), &with(count)).expect("comparable");
+            assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+            let failure = &report.failures[0];
+            assert!(failure.contains("engine_stream_refusals") && failure.contains(verdict));
+        }
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! vectors and nothing else; `engine_allocs_within_bound` gates it at
 //! [`ENGINE_ALLOCS_PER_ADMIT_BOUND`]. The same pass counts the
 //! rankings whose order AgRank's fixed-point certificate could not
-//! read, so that the power iteration ran (`engine_rankings_iterated`,
-//! gated exactly: a count, not a clock).
+//! read, so that the power iteration ran (`engine_rankings_iterated`),
+//! and the placements the searches refused on their users' stream
+//! floors without placing their tasks (`engine_stream_refusals`); both
+//! are gated exactly: counts, not clocks.
 //!
 //! The headline claim is **parity**: the fleet engine's admitted
 //! session set equals the offline set exactly (the `parity` field must
@@ -80,6 +82,10 @@ pub struct AdmissionRow {
     /// (`AdmissionScratch::rankings_iterated`), the rest having read
     /// their order off the fixed point.
     pub engine_rankings_iterated: usize,
+    /// Placements the engine searches refused on their users' stream
+    /// floors (`AdmissionScratch::stream_refusals`), their tasks never
+    /// placed.
+    pub engine_stream_refusals: usize,
     /// Sessions the offline `admit_all` admitted.
     pub offline_admitted: usize,
     /// Offline admitted fraction.
@@ -155,12 +161,13 @@ fn drive(fleet: &Fleet) -> (BTreeSet<SessionId>, Vec<f64>) {
 }
 
 /// Heap allocations per engine search over the engine fleet's own
-/// trajectory, and the rankings those searches iterated: before each
+/// trajectory, the rankings those searches iterated and the placements
+/// they refused on their stream floors: before each
 /// `Fleet::admit`, the same search runs against the fleet's live
 /// residuals with one held scratch, and only that call is counted. A
 /// separate fleet from the timed one, so the probe does not warm the
 /// caches of a timed admit.
-fn engine_probe(problem: &Arc<UapProblem>) -> (f64, usize) {
+fn engine_probe(problem: &Arc<UapProblem>) -> (f64, usize, usize) {
     let fleet = Fleet::new(problem.clone(), config());
     let engine = AdmissionEngine::default();
     let policy = AdmissionPolicy::AgRank(AgRankConfig::paper(3));
@@ -189,7 +196,11 @@ fn engine_probe(problem: &Arc<UapProblem>) -> (f64, usize) {
         black_box(&decision);
         let _ = fleet.admit(s);
     }
-    (allocs as f64 / n as f64, scratch.rankings_iterated())
+    (
+        allocs as f64 / n as f64,
+        scratch.rankings_iterated(),
+        scratch.stream_refusals(),
+    )
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -231,7 +242,7 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
     );
     let offline_set: BTreeSet<SessionId> = offline.state.active_sessions().collect();
 
-    let (engine_allocs, engine_rankings_iterated) = engine_probe(&problem);
+    let (engine_allocs, engine_rankings_iterated, engine_stream_refusals) = engine_probe(&problem);
 
     use std::sync::atomic::Ordering::Relaxed;
     let c = engine_fleet.counters();
@@ -251,6 +262,7 @@ fn run_size(target: usize, seed: u64) -> AdmissionRow {
         engine_allocs_per_admit: engine_allocs,
         engine_allocs_within_bound: engine_allocs <= ENGINE_ALLOCS_PER_ADMIT_BOUND,
         engine_rankings_iterated,
+        engine_stream_refusals,
         offline_admitted: offline_set.len(),
         offline_fraction: offline_set.len() as f64 / n as f64,
         parity: engine_set == offline_set,
@@ -282,7 +294,7 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
                 "\"engine_enumeration\": {}, \"engine_repair\": {}, ",
                 "\"engine_fallback\": {}, \"engine_repair_steps\": {}, ",
                 "\"engine_allocs_per_admit\": {:.2}, \"engine_allocs_within_bound\": {}, ",
-                "\"engine_rankings_iterated\": {}, ",
+                "\"engine_rankings_iterated\": {}, \"engine_stream_refusals\": {}, ",
                 "\"offline_admitted\": {}, \"offline_fraction\": {:.4}, ",
                 "\"parity\": {}, \"conservation_violations\": {}}}{}\n"
             ),
@@ -301,6 +313,7 @@ pub fn to_json(result: &AdmissionParityResult) -> String {
             r.engine_allocs_per_admit,
             r.engine_allocs_within_bound,
             r.engine_rankings_iterated,
+            r.engine_stream_refusals,
             r.offline_admitted,
             r.offline_fraction,
             r.parity,
@@ -334,7 +347,7 @@ pub fn print(result: &AdmissionParityResult) {
     }
     println!("\nEngine admit latency (vc-obs percentiles) and search-tier mix");
     println!(
-        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>13} {:>9} {:>11}",
+        "{:>9} {:>10} {:>10} {:>10} {:>12} {:>8} {:>9} {:>13} {:>13} {:>9} {:>9} {:>11}",
         "sessions",
         "mean µs",
         "p50 µs",
@@ -345,11 +358,12 @@ pub fn print(result: &AdmissionParityResult) {
         "repair steps",
         "allocs/admit",
         "iterated",
+        "floored",
         "violations"
     );
     for r in &result.rows {
         println!(
-            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>13.2} {:>9} {:>11}",
+            "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8} {:>9} {:>13} {:>13.2} {:>9} {:>9} {:>11}",
             r.sessions,
             r.engine_mean_us,
             r.engine_p50_us,
@@ -360,6 +374,7 @@ pub fn print(result: &AdmissionParityResult) {
             r.engine_repair_steps,
             r.engine_allocs_per_admit,
             r.engine_rankings_iterated,
+            r.engine_stream_refusals,
             r.conservation_violations,
         );
     }
@@ -398,5 +413,6 @@ mod tests {
         // Nearly every ranking reads its order off the fixed point.
         assert!(r.engine_rankings_iterated * 100 <= r.sessions, "{r:?}");
         assert!(json.contains("\"engine_rankings_iterated\""));
+        assert!(json.contains("\"engine_stream_refusals\""));
     }
 }

@@ -90,6 +90,43 @@
 //! shade. A cell's sum is positive exactly when one of its terms is,
 //! and every term runs between a user's agent and a transcoder, which
 //! the fold always touches, so the bounds' agents are the fold's.
+//!
+//! ## Floors from the users' streams
+//!
+//! Where the users sit decides most of what a placement puts on their
+//! agents; where the tasks sit decides only the rest.
+//! [`EvalScratch::stream_floors`] reads the users' agents alone — no
+//! task placed, no delay derived, nothing folded — and returns, per
+//! user's agent, the least download and upload that *any* task
+//! placement leaves there, shaded by `1 − 10⁻⁹`:
+//!
+//! * download: the last miles of its users, plus, per source and per
+//!   destination agent off the source's agent, the largest of `k_up`
+//!   (a raw destination there) and `min(k_up, κ)` (a transcoded one);
+//! * upload: the last miles of its users, plus, per source on it, one
+//!   `k_up` per distinct raw-destination agent off its agent, or
+//!   `min(k_up, κ)` when the source has only transcoded destinations
+//!   off its agent.
+//!
+//! The floor is below the fold at every user's agent, in floating
+//! point:
+//!
+//! * **(a)** each floor addend is at most one distinct addend the fold
+//!   puts on that agent. A raw destination's agent receives `k_up`
+//!   once — for the raw stream, or as a transcoder of the source. An
+//!   agent with transcoded destinations only either transcodes the
+//!   source's stream there (`k_up`) or receives the representation
+//!   from a transcoder elsewhere (`κ`). A source sends one raw term per
+//!   distinct raw-destination agent; without one, a transcoded
+//!   destination off its agent is fed either by a transcoder elsewhere
+//!   (`k_up` out) or by one on the source's agent (`κ` out);
+//! * **(b)** both sides are sums of non-negative addends taken in
+//!   another order, so the shade argument of the bounds above carries
+//!   over;
+//! * **(c)** a user's agent is always one the fold touches, with at
+//!   least 0 transcoding units, and a capacity rule monotone in each
+//!   load that refuses the floor there refuses the fold — there, or at
+//!   an agent the fold checks first.
 
 use crate::{Assignment, UapProblem};
 use vc_model::{AgentId, Instance, ReprId, SessionId, UserId};
@@ -283,6 +320,9 @@ struct Conference {
     k_up: Vec<f64>,
     demanded: Vec<f64>,
     tasks: Vec<LocalTask>,
+    /// Per task, `κ` of its target representation (kept out of
+    /// [`LocalTask`], which the delay derivation reads per flow).
+    task_kappa: Vec<f64>,
     /// `tasks[first_task[i]..first_task[i + 1]]` have source user `i`.
     first_task: Vec<u32>,
     /// `n×n`, row = source: the task transcoding flow `i → j`, or
@@ -318,6 +358,7 @@ impl Conference {
         self.k_up.clear();
         self.demanded.clear();
         self.tasks.clear();
+        self.task_kappa.clear();
         self.first_task.clear();
         self.flow_task.clear();
         self.flow_task.resize(n * n, NO_TASK);
@@ -339,6 +380,7 @@ impl Conference {
                     "a session's tasks are its sources' tasks, in session order"
                 );
                 let task = table.task(t);
+                let kappa = inst.kappa(task.target);
                 let dst = users
                     .iter()
                     .position(|&w| w == task.dst)
@@ -347,15 +389,16 @@ impl Conference {
                 self.tasks.push(LocalTask {
                     src: i as u32,
                     dst: dst as u32,
-                    ref_ms: latency.reference_latency_ms(k_up, inst.kappa(task.target)),
+                    ref_ms: latency.reference_latency_ms(k_up, kappa),
                 });
+                self.task_kappa.push(kappa);
                 if !self.groups[first_group..]
                     .iter()
                     .any(|g| g.target == task.target)
                 {
                     self.groups.push(RepGroup {
                         target: task.target,
-                        kappa: inst.kappa(task.target),
+                        kappa,
                         start: 0,
                         end: 0,
                     });
@@ -592,10 +635,11 @@ pub struct EvalScratch {
     bounds: BoundSinks,
 }
 
-/// The [demand bounds](EvalScratch::demand_bounds)' buffers: the
-/// placement they bound, by local index; per-agent download and upload
-/// sums and unit counts, sized `L` and all zero between calls; the
-/// agents those touch; and the brackets handed out.
+/// The [demand bounds](EvalScratch::demand_bounds)' and the [stream
+/// floors](EvalScratch::stream_floors)' buffers: the placement they
+/// read, by local index; per-agent download and upload sums and unit
+/// counts, sized `L` and all zero between calls; the agents those
+/// touch; and the brackets and floors handed out.
 #[derive(Debug, Default)]
 struct BoundSinks {
     ua: Vec<AgentId>,
@@ -605,6 +649,10 @@ struct BoundSinks {
     units: Vec<u32>,
     touched: Vec<u32>,
     out: Vec<[AgentDemand; 2]>,
+    /// One source's destination agents off its own agent, each with its
+    /// largest floor addend and whether a raw destination sits there.
+    floor_dests: Vec<(AgentId, f64, bool)>,
+    floors: Vec<AgentDemand>,
 }
 
 /// The relative margin by which the [traffic
@@ -1024,6 +1072,7 @@ impl EvalScratch {
             units,
             touched,
             out,
+            ..
         } = &mut self.bounds;
         ua.clear();
         ua.extend(users);
@@ -1067,6 +1116,97 @@ impl EvalScratch {
         }
         touched.clear();
         out
+    }
+
+    /// The least demand any task placement leaves on the agents of the
+    /// users' placement `users` of the compiled session, from the users'
+    /// streams alone ("Floors from the users' streams" in the module
+    /// docs): per user's agent, ascending, its download and upload
+    /// floor shaded by `1 − 10⁻⁹`, with 0 transcoding units. No
+    /// task is placed, no delay derived and nothing folded: every addend
+    /// is read off the compiled conference.
+    ///
+    /// For every task placement, the fold's download and upload at each
+    /// of these agents is at least the floor, in floating point. A
+    /// capacity rule monotone in each load that refuses a floor
+    /// therefore refuses every placement of the tasks. Writes nothing
+    /// the fold or the demand bounds read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `users` does not cover the compiled session's users.
+    pub fn stream_floors(&mut self, users: impl IntoIterator<Item = AgentId>) -> &[AgentDemand] {
+        let (conf, mark) = (&self.conf, &mut self.mark);
+        let BoundSinks {
+            ua,
+            download,
+            upload,
+            touched,
+            floor_dests,
+            floors,
+            ..
+        } = &mut self.bounds;
+        ua.clear();
+        ua.extend(users);
+        let n = conf.num_users();
+        assert!(ua.len() == n, "placement does not cover the session");
+        // Last miles first: every destination agent is a user's agent,
+        // touched here.
+        for (i, a_u) in ua.iter().enumerate() {
+            let a_u = a_u.index();
+            touch(touched, mark, a_u);
+            download[a_u] += conf.k_up[i];
+            upload[a_u] += conf.demanded[i];
+        }
+        for (i, &a_u) in ua.iter().enumerate() {
+            let k_up = conf.k_up[i];
+            floor_dests.clear();
+            for (j, &a_v) in ua.iter().enumerate() {
+                if a_v == a_u {
+                    continue;
+                }
+                // A transcoded destination's agent receives `k_up` when
+                // it transcodes the stream itself, `κ` when it does not.
+                let (addend, raw) = match conf.flow_task[i * n + j] {
+                    NO_TASK => (k_up, true),
+                    k => (k_up.min(conf.task_kappa[k as usize]), false),
+                };
+                match floor_dests.iter_mut().find(|d| d.0 == a_v) {
+                    Some(dest) => {
+                        dest.1 = dest.1.max(addend);
+                        dest.2 |= raw;
+                    }
+                    None => floor_dests.push((a_v, addend, raw)),
+                }
+            }
+            let (mut raw_agents, mut transcoded) = (false, 0.0f64);
+            for &(a_v, addend, raw) in floor_dests.iter() {
+                download[a_v.index()] += addend;
+                if raw {
+                    upload[a_u.index()] += k_up;
+                    raw_agents = true;
+                } else {
+                    transcoded = transcoded.max(addend);
+                }
+            }
+            if !raw_agents {
+                upload[a_u.index()] += transcoded;
+            }
+        }
+        touched.sort_unstable();
+        floors.clear();
+        for &agent in touched.iter() {
+            let i = agent as usize;
+            mark[i] = false;
+            floors.push(AgentDemand {
+                agent,
+                transcode_units: 0,
+                download: std::mem::take(&mut download[i]) * (1.0 - SHADE),
+                upload: std::mem::take(&mut upload[i]) * (1.0 - SHADE),
+            });
+        }
+        touched.clear();
+        floors
     }
 }
 
@@ -1354,6 +1494,120 @@ mod tests {
                 assert_bounds_bracket_the_fold(&shapes, s, &mut eval, || picks.next().unwrap());
             }
         }
+    }
+
+    /// Draws a users' placement of `s` from `pick` and asserts that its
+    /// stream floors are below the fold of every task placement it
+    /// weighs: one drawn from `pick`, every task on its source's agent,
+    /// every task on its destination's agent, and all tasks on one
+    /// drawn agent. A floor names exactly the users' agents, ascending,
+    /// with no transcoding unit.
+    fn assert_floors_below_every_fold(
+        problem: &UapProblem,
+        s: SessionId,
+        eval: &mut EvalScratch,
+        mut pick: impl FnMut() -> usize,
+    ) {
+        let nl = problem.instance().num_agents();
+        let members = problem.instance().session(s).users();
+        let session_tasks = problem.tasks().of_session(s);
+        let users: Vec<AgentId> = members.iter().map(|_| AgentId::from(pick() % nl)).collect();
+        let agent_of = |u: UserId| users[members.iter().position(|&v| v == u).unwrap()];
+        let one = AgentId::from(pick() % nl);
+        let placements: [Vec<AgentId>; 4] = [
+            session_tasks
+                .iter()
+                .map(|_| AgentId::from(pick() % nl))
+                .collect(),
+            (session_tasks.iter())
+                .map(|&t| agent_of(problem.tasks().task(t).src))
+                .collect(),
+            (session_tasks.iter())
+                .map(|&t| agent_of(problem.tasks().task(t).dst))
+                .collect(),
+            vec![one; session_tasks.len()],
+        ];
+        let mut agents: Vec<u32> = users.iter().map(|a| a.index() as u32).collect();
+        agents.sort_unstable();
+        agents.dedup();
+        eval.compile(problem, s);
+        for tasks in placements {
+            let floors = eval.stream_floors(users.clone()).to_vec();
+            let load = eval.weigh(problem, users.clone(), tasks.clone());
+            let placed = format!("{s} on {users:?} / {tasks:?}");
+            let named: Vec<u32> = floors.iter().map(|floor| floor.agent).collect();
+            assert_eq!(named, agents, "{placed}");
+            for floor in &floors {
+                let fold = load.demand_at(floor.agent);
+                assert!(
+                    floor.download <= fold.download && floor.upload <= fold.upload,
+                    "{placed}: floor {floor:?} above the fold {fold:?}"
+                );
+                assert_eq!(floor.transcode_units, 0, "{placed}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The stream floors are below every fold, on random users'
+        /// placements of random conferences — a zero-bitrate rung,
+        /// representations several destinations share, groups of
+        /// several tasks — and of the named shapes, each weighed under
+        /// several task placements, through one scratch.
+        #[test]
+        fn stream_floors_are_below_every_fold(
+            agents in 2usize..=5,
+            steps in proptest::prop::collection::vec(1u32..3_000, 1..=4),
+            mute in proptest::prelude::any::<bool>(),
+            users in proptest::prop::collection::vec(
+                (0usize..4, 0usize..4, proptest::prop::collection::vec((0usize..6, 0usize..4), 0..3)),
+                1..=6,
+            ),
+            picks in proptest::prop::collection::vec(0usize..60, 64),
+        ) {
+            let mut picks = picks.into_iter().cycle();
+            let mut eval = EvalScratch::new();
+            let random = random_universe(agents, &steps, mute, &users);
+            for _ in 0..4 {
+                assert_floors_below_every_fold(&random, S0, &mut eval, || picks.next().unwrap());
+            }
+            let (shapes, _) = crate::test_fixtures::named_shapes(vc_cost::BandwidthCost::linear());
+            for s in shapes.instance().session_ids() {
+                assert_floors_below_every_fold(&shapes, s, &mut eval, || picks.next().unwrap());
+            }
+        }
+    }
+
+    /// The floors of the two-agent fixture by hand, users split: a
+    /// downloads u0's 5 Mbps and u1's raw 1 Mbps, and uploads u0's
+    /// 1 Mbps last mile and at least the transcoded 1 Mbps; b the same
+    /// with u1's 1 Mbps upstream. Both placements of the task fold to
+    /// at least that, and the source-side one to exactly that.
+    #[test]
+    fn stream_floors_by_hand() {
+        let p = two_agent_problem();
+        let mut scratch = EvalScratch::new();
+        scratch.compile(&p, S0);
+        let floors = scratch.stream_floors([A, B]).to_vec();
+        let shade = 1.0 - SHADE;
+        let want = |agent: u32, download: f64, upload: f64| AgentDemand {
+            agent,
+            transcode_units: 0,
+            download: download * shade,
+            upload: upload * shade,
+        };
+        assert_eq!(floors, [want(0, 6.0, 2.0), want(1, 2.0, 2.0)]);
+        for task in [A, B] {
+            let load = scratch.weigh(&p, [A, B], [task]);
+            for floor in &floors {
+                let fold = load.demand_at(floor.agent);
+                assert!(floor.download < fold.download && floor.upload < fold.upload);
+            }
+        }
+        let colocated = scratch.stream_floors([A, A]).to_vec();
+        assert_eq!(colocated, [want(0, 6.0, 2.0)]);
     }
 
     /// Moving the task to the destination agent ships the raw 5 Mbps

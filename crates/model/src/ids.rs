@@ -71,11 +71,6 @@ dense_id!(
     "r"
 );
 
-/// Convenience iterator over the first `n` identifiers of a dense id type.
-pub fn id_range<T: From<u32>>(n: usize) -> impl Iterator<Item = T> {
-    (0..u32::try_from(n).expect("index exceeds u32::MAX")).map(T::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,11 +98,5 @@ mod tests {
         let mut v = vec![UserId::new(2), UserId::new(0), UserId::new(1)];
         v.sort();
         assert_eq!(v, vec![UserId::new(0), UserId::new(1), UserId::new(2)]);
-    }
-
-    #[test]
-    fn id_range_yields_dense_ids() {
-        let ids: Vec<AgentId> = id_range(3).collect();
-        assert_eq!(ids, vec![AgentId::new(0), AgentId::new(1), AgentId::new(2)]);
     }
 }

@@ -50,7 +50,7 @@ pub use agent::{AgentBuilder, AgentSpec, Capacity};
 pub use delay::{DelayMatrices, Matrix};
 pub use error::ModelError;
 pub use fleet_trace::{FleetEvent, FleetTrace};
-pub use ids::{id_range, AgentId, ReprId, SessionId, UserId};
+pub use ids::{AgentId, ReprId, SessionId, UserId};
 pub use instance::{AgentDef, Instance, InstanceBuilder, SessionDef, UserDef};
 pub use repr::{ReprLadder, Representation};
 pub use series::TimeSeries;

@@ -132,9 +132,6 @@ use vc_obs::{HopCounts, ObsPlane, Site, TraceKind, FLEET_SCOPE};
 use crate::slot::Evaluated;
 pub(crate) use crate::slot::SessionSlot;
 
-/// One candidate placement: session users and tasks to agents.
-pub type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
-
 /// The capacity ledger's shard count, clamped to the seed problem's
 /// agent count ([`CapacityLedger::new`]); agents registered later share
 /// those shards.

@@ -840,7 +840,8 @@ impl Fleet {
     }
 
     /// Whether the fleet journals its mutations.
-    pub fn is_persistent(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_persistent(&self) -> bool {
         self.persist.is_some()
     }
 

@@ -37,11 +37,6 @@ impl BoxStats {
             mean: values.iter().sum::<f64>() / values.len() as f64,
         }
     }
-
-    /// Interquartile range `q3 − q1`.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 /// Linear-interpolation percentile of an ascending-sorted slice.
@@ -84,7 +79,6 @@ mod tests {
         assert_eq!(b.q1, 2.0);
         assert_eq!(b.q3, 4.0);
         assert_eq!(b.mean, 3.0);
-        assert_eq!(b.iqr(), 2.0);
     }
 
     #[test]

@@ -128,7 +128,10 @@ fn session_hold_strategy() -> impl Strategy<Value = SessionHold> {
     prop::collection::vec(agent_hold_strategy(), 0..5).prop_map(|holds| SessionHold { holds })
 }
 
-fn placement_strategy() -> impl Strategy<Value = vc_orchestrator::fleet::Placement> {
+/// A session's users and tasks, each to an agent.
+type Placement = (Vec<(UserId, AgentId)>, Vec<(TaskId, AgentId)>);
+
+fn placement_strategy() -> impl Strategy<Value = Placement> {
     (
         prop::collection::vec((0u32..128, 0u32..8), 0..5),
         prop::collection::vec((0u32..64, 0u32..8), 0..4),
